@@ -27,7 +27,10 @@
 //! `"avmon-ring"`) so both strategies are independent of the AVMEM
 //! membership predicate's hash and of each other.
 
-use avmem_util::{consistent_hash_keyed, consistent_point_keyed, HashRing, NodeId};
+use avmem_util::{
+    consistent_hash_keyed, consistent_hash_keyed_batch, consistent_point_keyed_batch, HashRing,
+    NodeId,
+};
 use serde::{Deserialize, Serialize};
 
 const DOMAIN: &[u8] = b"avmon";
@@ -82,6 +85,28 @@ impl AllPairsAssignment {
     /// Consistent: depends only on the two identities.
     pub fn is_monitor(&self, monitor: NodeId, target: NodeId) -> bool {
         monitor != target && consistent_hash_keyed(DOMAIN, monitor, target) <= self.threshold()
+    }
+
+    /// The positions in `population` of the targets `monitor` observes,
+    /// appended to `out` in order — [`AllPairsAssignment::is_monitor`]
+    /// over a whole row, hashed in one batch. `hashes` is scratch the
+    /// all-pairs index build reuses across its `N` rows.
+    pub(crate) fn targets_in(
+        &self,
+        monitor: NodeId,
+        population: &[NodeId],
+        hashes: &mut Vec<f64>,
+        out: &mut Vec<u32>,
+    ) {
+        hashes.clear();
+        hashes.resize(population.len(), 0.0);
+        consistent_hash_keyed_batch(DOMAIN, monitor, population.iter().copied(), hashes);
+        let threshold = self.threshold();
+        for (pos, (&target, &hash)) in population.iter().zip(hashes.iter()).enumerate() {
+            if target != monitor && hash <= threshold {
+                out.push(pos as u32);
+            }
+        }
     }
 }
 
@@ -145,11 +170,12 @@ impl RingAssignment {
     {
         assert!(k > 0, "a target needs at least one monitor");
         let n_u32 = u32::try_from(n).expect("population exceeds the u32 index width");
-        let points: Vec<u128> = (0..n_u32)
-            .map(|t| {
-                consistent_point_keyed(RING_TARGET_DOMAIN, NodeId::new(u64::from(t)), NodeId::new(0))
-            })
-            .collect();
+        let mut points = vec![0u128; n];
+        consistent_point_keyed_batch(
+            RING_TARGET_DOMAIN,
+            (0..n_u32).map(|t| (NodeId::new(u64::from(t)), NodeId::new(0))),
+            &mut points,
+        );
         let mut order: Vec<u32> = (0..n_u32).collect();
         order.sort_unstable_by_key(|&t| points[t as usize]);
         let sorted_points: Vec<u128> = order.iter().map(|&t| points[t as usize]).collect();
@@ -417,6 +443,24 @@ mod tests {
         let targets = assignment.targets_of(m, ids(300));
         for &t in &targets {
             assert!(assignment.monitors_of(t, ids(300)).contains(&m));
+        }
+    }
+
+    #[test]
+    fn batched_row_scan_matches_the_pairwise_rule() {
+        // cms = N: threshold 1, so only the self-exclusion filters.
+        for (cms, n) in [(10.0, 301u64), (300.0, 300)] {
+            let rule = AllPairsAssignment::new(cms, n as f64);
+            let population: Vec<NodeId> = ids(n).collect();
+            let mut hashes = Vec::new();
+            for &m in &population[..40] {
+                let mut row = Vec::new();
+                rule.targets_in(m, &population, &mut hashes, &mut row);
+                let expect: Vec<u32> = (0..n as u32)
+                    .filter(|&t| rule.is_monitor(m, population[t as usize]))
+                    .collect();
+                assert_eq!(row, expect, "monitor {m}");
+            }
         }
     }
 

@@ -53,7 +53,7 @@ use avmem_util::ShardPartition;
 use avmem_util::{Availability, NodeId, Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
-use crate::assignment::{MonitorAssignment, RingAssignment};
+use crate::assignment::{AllPairsAssignment, MonitorAssignment, RingAssignment};
 use crate::estimator::PingEstimator;
 use crate::oracle::AvailabilityOracle;
 
@@ -213,9 +213,9 @@ impl AvmonService {
         let n = trace.num_nodes();
         let (assignment, index) = match config.assignment {
             AssignmentChoice::AllPairs => {
-                let assignment = MonitorAssignment::new(config.cms, n as f64);
-                let index = build_all_pairs_index(trace, &assignment);
-                (assignment, index)
+                let rule = AllPairsAssignment::new(config.cms, n as f64);
+                let index = build_all_pairs_index(trace, &rule);
+                (MonitorAssignment::AllPairs(rule), index)
             }
             AssignmentChoice::Ring { vnodes, k } => {
                 let members = (0..n as u32).filter(|&i| trace.is_online_in_slot(i as usize, 0));
@@ -620,18 +620,16 @@ fn push_estimate(estimator: &PingEstimator, config: &AvmonConfig, values: &mut V
 
 /// The all-pairs build: each monitor's target row is an independent
 /// N-scan of the consistent-assignment hash — the O(N²) SHA-256 cost —
-/// so rows are computed in parallel, then inverted by counting sort.
-fn build_all_pairs_index(trace: &ChurnTrace, assignment: &MonitorAssignment) -> MonitorIndex {
+/// so rows are computed in parallel (each one batch of hashes), then
+/// inverted by counting sort.
+fn build_all_pairs_index(trace: &ChurnTrace, rule: &AllPairsAssignment) -> MonitorIndex {
     let n = trace.num_nodes();
+    let ids: Vec<NodeId> = trace.node_ids().collect();
     let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
     par_chunks_mut(&mut rows, 1, default_threads(), |offset, chunk| {
+        let mut hashes = Vec::new();
         for (j, row) in chunk.iter_mut().enumerate() {
-            let m_id = trace.node_id(offset + j);
-            for x in 0..n {
-                if assignment.is_monitor(m_id, trace.node_id(x)) {
-                    row.push(x as u32);
-                }
-            }
+            rule.targets_in(ids[offset + j], &ids, &mut hashes, row);
         }
     });
     let total: usize = rows.iter().map(Vec::len).sum();

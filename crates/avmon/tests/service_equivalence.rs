@@ -254,17 +254,21 @@ fn thread_counts_agree_with_each_other() {
 
 #[test]
 fn monitors_of_index_matches_the_assignment_rule() {
-    let trace = trace(60, 41);
-    let service = AvmonService::new(&trace, AvmonConfig::default(), 1);
-    for target in 0..trace.num_nodes() {
-        let monitors = service.monitors_of_index(target);
-        let expected: Vec<usize> = (0..trace.num_nodes())
-            .filter(|&m| {
-                service
-                    .assignment()
-                    .is_monitor(trace.node_id(m), trace.node_id(target))
-            })
-            .collect();
-        assert_eq!(monitors, expected, "target {target}");
+    // The index build hashes each monitor's row in one batch, two pairs
+    // at a time: an even and an odd population cover both of its ends.
+    for hosts in [60, 61] {
+        let trace = trace(hosts, 41);
+        let service = AvmonService::new(&trace, AvmonConfig::default(), 1);
+        for target in 0..trace.num_nodes() {
+            let monitors = service.monitors_of_index(target);
+            let expected: Vec<usize> = (0..trace.num_nodes())
+                .filter(|&m| {
+                    service
+                        .assignment()
+                        .is_monitor(trace.node_id(m), trace.node_id(target))
+                })
+                .collect();
+            assert_eq!(monitors, expected, "{hosts} hosts, target {target}");
+        }
     }
 }

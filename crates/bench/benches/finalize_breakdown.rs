@@ -1,7 +1,7 @@
 //! Finalize-phase cost breakdown: where the event-driven maintenance
 //! hour actually goes, and what the fast path (epoch-memoized
-//! thresholds, shard-local pair-hash caches, batched oracle estimates,
-//! refresh short-circuiting) buys on each component.
+//! thresholds, batched pair hashes, batched oracle estimates, refresh
+//! short-circuiting) buys on each component.
 //!
 //! Three layers:
 //!
@@ -11,9 +11,9 @@
 //!   After each, the per-phase wall-clock (discover+refresh live inside
 //!   `finalize`) and the fast-path counters are printed, so the
 //!   BENCH_*.json entries can carry the discover/refresh/skip split.
-//! * `pair_hash_*` — one membership-sized stream of pair-hash reads
-//!   through the shard-local cache, the global LRU store, and raw
-//!   hashing, isolating the lock + SHA-256 cost the cache removes.
+//! * `pair_hash_*` — one membership-sized stream of pair-hash reads,
+//!   hashed on the fly pair by pair and one node's list per batch, and
+//!   read from dense rows: the three costs a finalize op can pay.
 //! * `estimate_*` — one refresh-sized availability lookup per pair vs
 //!   one batched call, isolating the per-call oracle dispatch.
 //!
@@ -24,7 +24,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use avmem::harness::{
-    AvmemSim, MaintenanceEngine, MaintenanceMode, PairHashes, ShardPairCache, SimConfig, SimOracle,
+    AvmemSim, MaintenanceEngine, MaintenanceMode, PairHashes, SimConfig, SimOracle,
 };
 use avmem_avmon::AvailabilityOracle;
 use avmem_sim::{SimDuration, SimTime};
@@ -66,7 +66,7 @@ fn bench_maintenance_hour(c: &mut Criterion) {
                 eprintln!(
                     "finalize_breakdown {label}: hosts {hosts} cohorts {} oracle {:.3} s \
                      propose {:.3} s commit {:.3} s finalize {:.3} s | memo {}h/{}m/{}b \
-                     refresh {}skip/{}eval pruned {} estimates {} pair-hash {}h/{}m/{}d/{}f",
+                     refresh {}skip/{}eval pruned {} estimates {} pair-hash {}hashed/{}delegated",
                     t.cohorts,
                     t.oracle.as_secs_f64(),
                     t.propose.as_secs_f64(),
@@ -79,10 +79,8 @@ fn bench_maintenance_hour(c: &mut Criterion) {
                     f.refresh_evaluated,
                     f.discover_pruned,
                     f.batched_estimates,
-                    f.pair_hash.hits,
-                    f.pair_hash.misses,
-                    f.pair_hash.delegated,
-                    f.pair_hash.flushes
+                    f.pair_hash.hashed,
+                    f.pair_hash.delegated
                 );
             });
         }
@@ -93,43 +91,41 @@ fn bench_maintenance_hour(c: &mut Criterion) {
 fn bench_pair_hash(c: &mut Criterion) {
     let mut group = c.benchmark_group("finalize_breakdown");
     let n: usize = if quick() { 400 } else { 4000 };
-    // A budget of a few rows forces the global store into LRU mode —
-    // the contended configuration the shard-local cache bypasses.
-    let hashes = PairHashes::with_budget(n, 4 * 8 * n);
-    assert!(hashes.is_lru(), "budget must force LRU mode");
     // A membership-sized working set: every node reads ~32 neighbors.
-    let reads: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| (1..=32usize).map(move |k| (i, (i + k * 37) % n)))
+    let lists: Vec<Vec<NodeId>> = (0..n)
+        .map(|i| {
+            (1..=32usize)
+                .map(|k| NodeId::new(((i + k * 37) % n) as u64))
+                .collect()
+        })
         .collect();
-    group.bench_function(BenchmarkId::new("pair_hash_shard_cache", n), |b| {
-        let mut cache = ShardPairCache::with_capacity(4 * 32 * n);
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for &(x, y) in &reads {
-                acc += cache.get(&hashes, x, y);
-            }
-            black_box(acc)
-        });
-    });
-    group.bench_function(BenchmarkId::new("pair_hash_global", n), |b| {
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for &(x, y) in &reads {
-                acc += hashes.get(x, y);
-            }
-            black_box(acc)
-        });
-    });
     let direct = PairHashes::with_budget(n, 0);
     group.bench_function(BenchmarkId::new("pair_hash_direct", n), |b| {
         b.iter(|| {
             let mut acc = 0.0f64;
-            for &(x, y) in &reads {
-                acc += direct.get(x, y);
+            for (x, list) in lists.iter().enumerate() {
+                for y in list {
+                    acc += direct.get(x, y.raw() as usize);
+                }
             }
             black_box(acc)
         });
     });
+    // Dense rows are materialized by the unmeasured warm-up call.
+    let dense = PairHashes::lazy(n);
+    for (label, hashes) in [("pair_hash_gather", &direct), ("pair_hash_dense", &dense)] {
+        group.bench_function(BenchmarkId::new(label, n), |b| {
+            let mut out = Vec::new();
+            b.iter(|| {
+                let mut acc = 0.0f64;
+                for (x, list) in lists.iter().enumerate() {
+                    hashes.gather(x, list, &mut out);
+                    acc += out.iter().sum::<f64>();
+                }
+                black_box(acc)
+            });
+        });
+    }
     group.finish();
 }
 

@@ -104,9 +104,9 @@ fn bench_event_driven(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lazy-vs-dense pair-hash storage: the dense build pays all `N²` SHA-256
-/// evaluations up front; the lazy cache and the direct (over-budget) mode
-/// pay one row on demand.
+/// Pair-hash storage: the eager dense build pays all `N²` SHA-256
+/// evaluations up front; lazy dense rows and the over-budget store, which
+/// keeps nothing and fills the caller's scratch, pay one row on demand.
 fn bench_pair_hashes(c: &mut Criterion) {
     let mut group = c.benchmark_group("pair_hashes");
     group.sample_size(10);

@@ -9,7 +9,7 @@ use avmem::predicate::{
     AvmemPredicate, HorizontalRule, MembershipPredicate, NodeInfo, RandomPredicate, VerticalRule,
 };
 use avmem_trace::AvailabilityPdf;
-use avmem_util::{consistent_hash, Availability, NodeId};
+use avmem_util::{consistent_hash, consistent_hash_batch, Availability, NodeId};
 
 fn skewed_pdf() -> AvailabilityPdf {
     let mut mass = vec![5.0, 4.0, 3.0, 2.0, 1.5, 1.0, 1.0, 1.5, 2.0, 3.0];
@@ -25,6 +25,41 @@ fn bench_hash(c: &mut Criterion) {
             black_box(consistent_hash(NodeId::new(i), NodeId::new(i ^ 0xff)))
         })
     });
+}
+
+/// Every leg hashes the same 2 400 pairs (one `avmon-allpairs`-sized row),
+/// so the per-iteration times compare directly: pair-at-a-time calls,
+/// batches too short to interleave, batches of exactly one interleaved
+/// kernel call, and the whole row in one batch.
+fn bench_hash_batch(c: &mut Criterion) {
+    const ROW: usize = 2_400;
+    let x = NodeId::new(7);
+    let ys: Vec<NodeId> = (0..ROW as u64).map(NodeId::new).collect();
+    let mut out = vec![0.0; ROW];
+    let mut group = c.benchmark_group("pair_hash_batch");
+    group.bench_function("single_call", |b| {
+        b.iter(|| {
+            for (slot, &y) in out.iter_mut().zip(&ys) {
+                *slot = consistent_hash(x, y);
+            }
+            black_box(out[ROW - 1])
+        })
+    });
+    for (name, width) in [
+        ("one_lane_batch", 1),
+        ("two_lane_batch", 2),
+        ("row_2400", ROW),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for (slots, ys) in out.chunks_mut(width).zip(ys.chunks(width)) {
+                    consistent_hash_batch(x, ys.iter().copied(), slots);
+                }
+                black_box(out[ROW - 1])
+            })
+        });
+    }
+    group.finish();
 }
 
 fn bench_rules(c: &mut Criterion) {
@@ -111,5 +146,11 @@ fn bench_pdf(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hash, bench_rules, bench_pdf);
+criterion_group!(
+    benches,
+    bench_hash,
+    bench_hash_batch,
+    bench_rules,
+    bench_pdf
+);
 criterion_main!(benches);

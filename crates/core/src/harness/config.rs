@@ -199,15 +199,14 @@ pub struct SimConfig {
     /// Buckets for the discretized availability PDF (paper-scale: 10,
     /// i.e. 0.1-wide buckets).
     pub pdf_buckets: usize,
-    /// Memory budget (bytes) for the cached pair-hash rows. Populations
-    /// whose dense matrix (`8·N²` bytes) fits the budget cache hashed
-    /// rows lazily; larger ones keep an LRU of the hottest rows within
-    /// the budget (hashing on the fly only when the budget holds no row
-    /// at all). See [`crate::harness::PairHashes::with_budget`].
+    /// Memory budget (bytes) for stored pair-hash rows. Populations
+    /// whose dense matrix (`8·N²` bytes) fits the budget keep rows,
+    /// hashed lazily; larger ones store nothing and hash on the fly, in
+    /// batches. See [`crate::harness::PairHashes::with_budget`].
     pub hash_budget: usize,
     /// Run event-driven finalize through the fast path: epoch-memoized
-    /// thresholds, shard-local pair-hash caches, batched oracle
-    /// estimates, and refresh short-circuiting. Bit-identical to the
+    /// thresholds, batched pair hashes, batched oracle estimates, and
+    /// refresh short-circuiting. Bit-identical to the
     /// reference pair-at-a-time evaluation for every oracle — pinned by
     /// the fast-vs-slow legs of the `event_driven_equivalence` suite —
     /// so this is purely a performance knob; turning it off recovers
@@ -222,8 +221,8 @@ fn default_finalize_fast() -> bool {
 
 /// The pair-hash budget for [`SimConfig::paper_default`]: the crate
 /// default, overridable through the `AVMEM_HASH_BUDGET` environment
-/// variable (bytes) so CI can sweep the store modes — dense, LRU,
-/// direct — without code changes.
+/// variable (bytes) so CI can run the suites on either store — dense
+/// rows or on-the-fly hashing — without code changes.
 fn hash_budget_from_env() -> usize {
     std::env::var("AVMEM_HASH_BUDGET")
         .ok()

@@ -1,49 +1,37 @@
-//! Pair-hash storage: lazy row cache with a memory budget.
+//! Pair-hash storage: lazy dense rows within a memory budget, on-the-fly
+//! hashing beyond it.
 //!
 //! Eq. 1 evaluates `H(id(x), id(y))` for ordered node pairs. A full
 //! overlay rebuild touches all `N²` ordered pairs, and SHA-256 dominates
 //! the per-pair cost, so caching pays — but a dense `N × N` `f64` matrix
 //! is `8·N²` bytes (80 GB at `N = 10⁵`), which caps the population the
-//! simulator can hold. [`PairHashes`] therefore stores hashes as *rows*
-//! materialized on first touch, in one of three modes chosen by
-//! [`PairHashes::with_budget`]:
+//! simulator can hold. [`PairHashes`] therefore picks one of two stores
+//! from the population size ([`PairHashes::with_budget`]):
 //!
-//! * **cached** (the dense matrix fits the memory budget) — each row `x`
-//!   is hashed once, in the thread that first needs it, and kept; later
+//! * **dense** (the matrix fits the memory budget) — each row `x` is
+//!   hashed once, in the thread that first needs it, and kept; later
 //!   reads are array lookups. Untouched rows cost nothing, so sparse
-//!   access patterns (event-driven maintenance) no longer pay the `O(N²)`
-//!   up-front hashing the old eager matrix did.
-//! * **LRU** (dense matrix exceeds the budget, but the budget holds at
-//!   least one row) — a bounded cache of *hot* rows. Event-driven
-//!   discovery and refresh revisit the same source rows every protocol
-//!   period, so even a few hundred cached rows absorb most of the
-//!   SHA-256 work at populations whose dense matrix would never fit.
-//!   Point reads ([`PairHashes::get`]) populate the cache and evict the
-//!   least-recently-used row when full; bulk reads ([`PairHashes::row`])
-//!   read through on a hit but do *not* populate, so a one-shot rebuild
-//!   sweep cannot wash the hot set out. When the hot working set turns
-//!   out not to fit at all (admitted rows keep getting evicted before
-//!   repaying their `N`-hash build cost), admission is suspended and
-//!   misses degrade to per-pair hashing — an over-budget *and*
-//!   over-capacity population behaves like direct mode instead of
-//!   thrashing (see [`LruRows`]).
-//! * **direct** (budget below one row) — nothing is stored; single-pair
-//!   reads hash on the fly and bulk consumers fill a caller-provided
-//!   scratch row, keeping memory `O(N)` per thread.
+//!   access patterns (event-driven maintenance) do not pay `O(N²)`
+//!   up-front hashing.
+//! * **on the fly** (it does not) — nothing is stored. Point reads hash
+//!   one pair, [`PairHashes::gather`] hashes a node's candidate list in one
+//!   batched call and [`PairHashes::row`] batch-fills the caller's scratch
+//!   row, so memory stays `O(N)` per thread. Event-driven maintenance
+//!   meets a pair again only a protocol period later, after a cache has
+//!   long since turned it out; a batched hash (two interleaved SHA-NI
+//!   chains, see [`avmem_util::consistent_hash_batch`]) costs less than
+//!   the cache miss that used to precede it.
 //!
-//! All modes agree bit-for-bit with [`avmem_util::consistent_hash`].
+//! Both stores agree bit-for-bit with [`avmem_util::consistent_hash`].
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use avmem_util::hash::PairKeyHashBuilder;
 use avmem_util::parallel::{default_threads, par_chunks_mut};
-use avmem_util::{consistent_hash, NodeId};
+use avmem_util::{consistent_hash, consistent_hash_batch, NodeId};
 
-/// Default memory budget for cached rows: 512 MiB, i.e. dense caching up
-/// to ~8 000 nodes; larger populations keep an LRU of hot rows within the
-/// same budget.
+/// Default memory budget for dense rows: 512 MiB, i.e. dense storage up
+/// to ~8 000 nodes; larger populations hash on the fly.
 pub const DEFAULT_HASH_BUDGET: usize = 512 << 20;
 
 /// Pair hashes `H(id(x), id(y))` for the trace population `0..n`.
@@ -67,157 +55,27 @@ pub const DEFAULT_HASH_BUDGET: usize = 512 << 20;
 #[derive(Debug)]
 pub struct PairHashes {
     n: usize,
-    store: Store,
-    counters: StoreCounters,
-}
-
-/// Cumulative counters of the shared row store, all modes (relaxed
-/// atomics off the hash path's dominant costs — a mutex acquisition in
-/// LRU mode, SHA-256 everywhere). Read through
-/// [`PairHashes::store_stats`] by the observability surface.
-#[derive(Debug, Default)]
-struct StoreCounters {
-    /// Full rows hashed (`n` SHA-256 evaluations each): cached-mode
-    /// materializations, LRU misses, and direct-mode bulk fills.
+    /// Dense rows, hashed on first touch and kept (`OnceLock` makes
+    /// materialization thread-safe under the parallel rebuild); `None`
+    /// when the matrix exceeds the budget and every read hashes.
+    rows: Option<Vec<OnceLock<Box<[f64]>>>>,
+    /// Full rows hashed (`n` SHA-256 evaluations each): dense
+    /// materializations and on-the-fly bulk fills.
     rows_built: AtomicU64,
-    /// LRU reads (point or bulk) served from the hot set.
-    lru_hits: AtomicU64,
-    /// LRU reads that had to hash (a row build, or a single pair when
-    /// admission is bypassed).
-    lru_misses: AtomicU64,
-    /// Single-pair on-the-fly hashes (direct mode, or LRU bypass).
+    /// Pairs hashed on the fly by point reads and gathers.
     direct_hashes: AtomicU64,
 }
 
-/// A point-in-time view of the row store's cumulative counters; see
+/// A point-in-time view of the store's cumulative counters; see
 /// [`PairHashes::store_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairStoreStats {
     /// Full rows hashed (`n` SHA-256 evaluations each).
     pub rows_built: u64,
-    /// LRU reads served from the hot set.
-    pub lru_hits: u64,
-    /// LRU reads that had to hash.
-    pub lru_misses: u64,
-    /// Rows evicted from the LRU hot set.
-    pub lru_evictions: u64,
-    /// Single-pair on-the-fly hashes (direct mode, or LRU bypass).
+    /// Pairs hashed on the fly, outside any row.
     pub direct_hashes: u64,
-    /// Whether the thrash detector has suspended LRU admission.
-    pub bypassed: bool,
-    /// Rows resident right now.
+    /// Dense rows resident right now.
     pub cached_rows: usize,
-}
-
-#[derive(Debug)]
-enum Store {
-    /// Rows hashed on first touch and kept. `OnceLock` makes
-    /// materialization thread-safe under the parallel rebuild.
-    Cached { rows: Vec<OnceLock<Box<[f64]>>> },
-    /// Bounded cache of hot rows with least-recently-used eviction.
-    Lru {
-        state: Mutex<LruRows>,
-        capacity: usize,
-    },
-    /// No storage: every read hashes.
-    Direct,
-}
-
-/// Consecutive under-amortized evictions before the LRU concludes the
-/// working set does not fit and suspends admission (see
-/// [`LruRows::insert`]). Bounds the worst-case wasted work at
-/// `THRASH_EVICTIONS · N` hashes per run before the cache degrades to
-/// direct per-pair hashing.
-const THRASH_EVICTIONS: u32 = 64;
-
-/// The mutable interior of the LRU mode: materialized rows, a recency
-/// index keyed by access stamp (eviction pops the smallest stamp in
-/// `O(log capacity)` — no full scans under the lock), and a thrash
-/// detector.
-///
-/// Materializing a row costs `N` SHA-256 hashes and each later hit
-/// saves one, so a row must serve ~`N` hits before eviction just to
-/// repay its own build; when the hot working set exceeds the capacity,
-/// rows are evicted long before that and the cache does `O(N)` work
-/// where direct hashing does `O(1)` per read. A burst of same-row point
-/// reads (event-driven discovery touches a few hundred pairs of the
-/// source's row per tick) racks up *some* hits without coming anywhere
-/// near amortizing, which is why the detector counts consecutive
-/// evictions of **under-amortized** victims — fewer hits than the row
-/// is long — not merely never-hit ones. At [`THRASH_EVICTIONS`] it
-/// stops admitting new rows for the rest of the run (existing entries
-/// keep serving hits), so the over-capacity regime degrades to direct
-/// hashing instead of thrashing.
-#[derive(Debug, Default)]
-struct LruRows {
-    rows: HashMap<usize, LruEntry>,
-    /// Access stamp → row id; stamps are unique (the clock only ever
-    /// increments), so this is a total recency order.
-    by_stamp: BTreeMap<u64, usize>,
-    clock: u64,
-    /// Total evictions since construction (observability).
-    evictions: u64,
-    /// Consecutive evictions whose victim had not repaid its build cost.
-    wasted_evictions: u32,
-    /// Admission suspended: the working set was observed not to fit.
-    bypass: bool,
-}
-
-#[derive(Debug)]
-struct LruEntry {
-    stamp: u64,
-    /// Pair hashes this entry has saved since insertion: 1 per point
-    /// read, a full row length per bulk read — so an eviction victim
-    /// with `hits` below its row length was a net loss (the thrash
-    /// signal), and one that served even a single bulk sweep has repaid
-    /// its build.
-    hits: u64,
-    row: Arc<[f64]>,
-}
-
-impl LruRows {
-    /// Returns the cached row `x`, bumping its recency and crediting
-    /// `saved` hashes toward its amortization (1 for a point read,
-    /// the row length for a bulk read — see [`LruEntry::hits`]).
-    fn touch(&mut self, x: usize, saved: u64) -> Option<Arc<[f64]>> {
-        let entry = self.rows.get_mut(&x)?;
-        self.clock += 1;
-        self.by_stamp.remove(&entry.stamp);
-        entry.stamp = self.clock;
-        entry.hits += saved;
-        self.by_stamp.insert(entry.stamp, x);
-        Some(Arc::clone(&entry.row))
-    }
-
-    /// Inserts row `x`, evicting the least-recently-used row if the cache
-    /// is at `capacity`. A concurrent insert of the same row wins the
-    /// race harmlessly — both threads computed identical values.
-    fn insert(&mut self, x: usize, row: Arc<[f64]>, capacity: usize) {
-        if !self.rows.contains_key(&x) && self.rows.len() >= capacity {
-            if let Some((_, coldest)) = self.by_stamp.pop_first() {
-                let victim = self.rows.remove(&coldest).expect("index and map agree");
-                self.evictions += 1;
-                // The build cost `N` hashes; `hits` counts the hashes
-                // the entry saved. Victims short of that never
-                // amortized — sustained, that means the cache is a net
-                // slowdown.
-                if victim.hits < victim.row.len() as u64 {
-                    self.wasted_evictions += 1;
-                    if self.wasted_evictions >= THRASH_EVICTIONS {
-                        self.bypass = true;
-                    }
-                } else {
-                    self.wasted_evictions = 0;
-                }
-            }
-        }
-        self.clock += 1;
-        let stamp = self.clock;
-        if let Some(old) = self.rows.insert(x, LruEntry { stamp, hits: 0, row }) {
-            self.by_stamp.remove(&old.stamp);
-        }
-        self.by_stamp.insert(stamp, x);
-    }
 }
 
 impl PairHashes {
@@ -230,82 +88,45 @@ impl PairHashes {
     /// Panics if `n == 0`.
     pub fn compute(n: usize) -> Self {
         let hashes = PairHashes::lazy(n);
-        let Store::Cached { rows } = &hashes.store else {
-            unreachable!("lazy storage is always cached");
-        };
         // Materialize every row up front; rows are independent, so the
         // chunk split cannot change any value.
         let mut row_ids: Vec<usize> = (0..n).collect();
-        let counters = &hashes.counters;
         par_chunks_mut(&mut row_ids, 1, default_threads(), |_, chunk| {
             for &x in chunk.iter() {
-                rows[x].get_or_init(|| {
-                    counters.rows_built.fetch_add(1, Ordering::Relaxed);
-                    hash_row(x, n)
-                });
+                hashes.dense_row(x);
             }
         });
         hashes
     }
 
-    /// Lazy row cache: rows are hashed on first touch, nothing up front.
+    /// Dense storage whatever the size: rows are hashed on first touch,
+    /// nothing up front.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn lazy(n: usize) -> Self {
-        assert!(n > 0, "population must be non-empty");
-        PairHashes {
-            n,
-            store: Store::Cached {
-                rows: (0..n).map(|_| OnceLock::new()).collect(),
-            },
-            counters: StoreCounters::default(),
-        }
+        PairHashes::new(n, true)
     }
 
-    /// Bounded LRU of hot rows: at most `capacity` rows (`8·n` bytes
-    /// each) are kept, point reads populate, bulk reads read through.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `capacity == 0`.
-    pub fn lru(n: usize, capacity: usize) -> Self {
-        assert!(n > 0, "population must be non-empty");
-        assert!(capacity > 0, "LRU capacity must be positive");
-        PairHashes {
-            n,
-            store: Store::Lru {
-                state: Mutex::new(LruRows::default()),
-                capacity,
-            },
-            counters: StoreCounters::default(),
-        }
-    }
-
-    /// Budget-aware constructor: a lazy full row cache when the dense
-    /// matrix (`8·n²` bytes) fits `budget_bytes`; otherwise an LRU of the
-    /// `budget_bytes / 8·n` hottest rows; direct hashing when the budget
-    /// does not even hold one row.
+    /// Budget-aware constructor: lazy dense rows when the matrix (`8·n²`
+    /// bytes) fits `budget_bytes`, on-the-fly hashing otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     pub fn with_budget(n: usize, budget_bytes: usize) -> Self {
+        let dense_bytes = n.checked_mul(n).and_then(|pairs| pairs.checked_mul(8));
+        PairHashes::new(n, dense_bytes.is_some_and(|b| b <= budget_bytes))
+    }
+
+    fn new(n: usize, dense: bool) -> Self {
         assert!(n > 0, "population must be non-empty");
-        let row_bytes = n * 8;
-        let dense_bytes = row_bytes.checked_mul(n);
-        if dense_bytes.is_some_and(|b| b <= budget_bytes) {
-            PairHashes::lazy(n)
-        } else {
-            match budget_bytes / row_bytes {
-                0 => PairHashes {
-                    n,
-                    store: Store::Direct,
-                    counters: StoreCounters::default(),
-                },
-                capacity => PairHashes::lru(n, capacity),
-            }
+        PairHashes {
+            n,
+            rows: dense.then(|| (0..n).map(|_| OnceLock::new()).collect()),
+            rows_built: AtomicU64::new(0),
+            direct_hashes: AtomicU64::new(0),
         }
     }
 
@@ -319,126 +140,93 @@ impl PairHashes {
         self.n == 0
     }
 
-    /// Whether every row is kept once materialized (the full-cache mode;
-    /// false for LRU and direct storage).
+    /// Whether rows are kept once materialized (dense storage) rather
+    /// than hashed on every read.
     pub fn is_cached(&self) -> bool {
-        matches!(self.store, Store::Cached { .. })
+        self.rows.is_some()
     }
 
-    /// Whether hot rows are cached with LRU eviction.
-    pub fn is_lru(&self) -> bool {
-        matches!(self.store, Store::Lru { .. })
-    }
-
-    /// Number of rows held right now (always 0 in direct mode; at most
-    /// the capacity in LRU mode).
+    /// Number of dense rows held right now (always 0 on the fly).
     pub fn cached_rows(&self) -> usize {
-        match &self.store {
-            Store::Cached { rows } => rows.iter().filter(|r| r.get().is_some()).count(),
-            Store::Lru { state, .. } => state.lock().expect("lru poisoned").rows.len(),
-            Store::Direct => 0,
-        }
+        self.rows
+            .as_ref()
+            .map_or(0, |rows| rows.iter().filter(|r| r.get().is_some()).count())
     }
 
-    /// `H(id(x), id(y))`. In cached mode this materializes row `x` on
-    /// first touch; in LRU mode it promotes row `x` to the hot set (the
-    /// read patterns that reach here — discovery and refresh ticks —
-    /// revisit the same source row every period, so the row amortizes
-    /// within a few ticks).
+    /// Row `x` of the dense store, materialized on first touch; `None`
+    /// when hashing on the fly.
+    fn dense_row(&self, x: usize) -> Option<&[f64]> {
+        let rows = self.rows.as_ref()?;
+        Some(rows[x].get_or_init(|| {
+            self.rows_built.fetch_add(1, Ordering::Relaxed);
+            let mut row = vec![0.0; self.n];
+            fill_row(x, &mut row);
+            row.into_boxed_slice()
+        }))
+    }
+
+    /// `H(id(x), id(y))`: an array read from the (materialized on first
+    /// touch) dense row, or one hash on the fly.
     ///
     /// # Panics
     ///
     /// Panics if either index is out of range.
     pub fn get(&self, x: usize, y: usize) -> f64 {
         assert!(x < self.n && y < self.n, "pair index out of range");
-        match &self.store {
-            Store::Cached { rows } => {
-                rows[x].get_or_init(|| {
-                    self.counters.rows_built.fetch_add(1, Ordering::Relaxed);
-                    hash_row(x, self.n)
-                })[y]
-            }
-            Store::Lru { state, capacity } => {
-                {
-                    let mut lru = state.lock().expect("lru poisoned");
-                    if let Some(row) = lru.touch(x, 1) {
-                        self.counters.lru_hits.fetch_add(1, Ordering::Relaxed);
-                        return row[y];
-                    }
-                    self.counters.lru_misses.fetch_add(1, Ordering::Relaxed);
-                    if lru.bypass {
-                        // The working set does not fit this cache (see
-                        // [`LruRows`]): admitting more rows would burn
-                        // `O(N)` hashes per miss for nothing, so misses
-                        // hash the single pair like direct mode.
-                        drop(lru);
-                        self.counters.direct_hashes.fetch_add(1, Ordering::Relaxed);
-                        return consistent_hash(NodeId::new(x as u64), NodeId::new(y as u64));
-                    }
-                }
-                // Hash outside the lock: SHA-256 over a whole row is the
-                // expensive part, and serializing it across workers would
-                // undo the parallel maintenance phases.
-                self.counters.rows_built.fetch_add(1, Ordering::Relaxed);
-                let row: Arc<[f64]> = hash_row(x, self.n).into();
-                let value = row[y];
-                state
-                    .lock()
-                    .expect("lru poisoned")
-                    .insert(x, row, *capacity);
-                value
-            }
-            Store::Direct => {
-                self.counters.direct_hashes.fetch_add(1, Ordering::Relaxed);
+        match self.dense_row(x) {
+            Some(row) => row[y],
+            None => {
+                self.direct_hashes.fetch_add(1, Ordering::Relaxed);
                 consistent_hash(NodeId::new(x as u64), NodeId::new(y as u64))
             }
         }
     }
 
-    /// The full row `H(id(x), id(·))` for bulk scans. Cached mode returns
-    /// the (materialized-on-demand) stored row; LRU mode copies a hot row
-    /// into `scratch` on a hit and hashes into `scratch` on a miss
-    /// *without* populating the cache (one-shot sweeps such as the
-    /// converged rebuild must not evict the rows maintenance keeps hot);
-    /// direct mode hashes into `scratch`. Either way a rebuild worker
-    /// reuses one `O(N)` buffer for all its rows instead of allocating
-    /// per node.
+    /// `H(id(x), id(y))` for every `y` in `ys`, into `out` (cleared
+    /// first): reads of the dense row, or one batched hash of the whole
+    /// list on the fly. Returns whether the dense row served them — the
+    /// finalize fast path's candidate lists come through here, and its
+    /// statistics tell the two apart.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or any of `ys` is out of range.
+    pub fn gather(&self, x: usize, ys: &[NodeId], out: &mut Vec<f64>) -> bool {
+        assert!(x < self.n, "row index out of range");
+        out.clear();
+        match self.dense_row(x) {
+            Some(row) => {
+                out.extend(ys.iter().map(|y| row[y.raw() as usize]));
+                true
+            }
+            None => {
+                assert!(
+                    ys.iter().all(|y| y.raw() < self.n as u64),
+                    "pair index out of range"
+                );
+                self.direct_hashes
+                    .fetch_add(ys.len() as u64, Ordering::Relaxed);
+                out.resize(ys.len(), 0.0);
+                consistent_hash_batch(NodeId::new(x as u64), ys.iter().copied(), out);
+                false
+            }
+        }
+    }
+
+    /// The full row `H(id(x), id(·))` for bulk scans: the (materialized
+    /// on demand) dense row, or `scratch` batch-filled on the fly — a
+    /// rebuild worker reuses one `O(N)` buffer for all its rows instead
+    /// of allocating per node.
     ///
     /// # Panics
     ///
     /// Panics if `x` is out of range.
     pub fn row<'a>(&'a self, x: usize, scratch: &'a mut Vec<f64>) -> &'a [f64] {
         assert!(x < self.n, "row index out of range");
-        match &self.store {
-            Store::Cached { rows } => rows[x].get_or_init(|| {
-                self.counters.rows_built.fetch_add(1, Ordering::Relaxed);
-                hash_row(x, self.n)
-            }),
-            Store::Lru { state, .. } => {
-                scratch.clear();
-                // A bulk hit saves a whole row's worth of hashing —
-                // credit it as such, so rows serving rebuild sweeps are
-                // never mistaken for under-amortized thrash victims.
-                let hot = state
-                    .lock()
-                    .expect("lru poisoned")
-                    .touch(x, self.n as u64);
-                match hot {
-                    Some(row) => {
-                        self.counters.lru_hits.fetch_add(1, Ordering::Relaxed);
-                        scratch.extend_from_slice(&row);
-                    }
-                    None => {
-                        self.counters.lru_misses.fetch_add(1, Ordering::Relaxed);
-                        self.counters.rows_built.fetch_add(1, Ordering::Relaxed);
-                        scratch.resize(self.n, 0.0);
-                        fill_row(x, scratch);
-                    }
-                }
-                scratch
-            }
-            Store::Direct => {
-                self.counters.rows_built.fetch_add(1, Ordering::Relaxed);
+        match self.dense_row(x) {
+            Some(row) => row,
+            None => {
+                self.rows_built.fetch_add(1, Ordering::Relaxed);
                 scratch.clear();
                 scratch.resize(self.n, 0.0);
                 fill_row(x, scratch);
@@ -447,150 +235,22 @@ impl PairHashes {
         }
     }
 
-    /// A point-in-time view of the store's cumulative counters (plus the
-    /// LRU thrash detector's admission state and the resident row count).
-    /// Observation only — reading never perturbs the store.
+    /// A point-in-time view of the store's cumulative counters and the
+    /// resident row count. Observation only — reading never perturbs the
+    /// store.
     pub fn store_stats(&self) -> PairStoreStats {
-        let (lru_evictions, bypassed, cached_rows) = match &self.store {
-            Store::Cached { rows } => (
-                0,
-                false,
-                rows.iter().filter(|r| r.get().is_some()).count(),
-            ),
-            Store::Lru { state, .. } => {
-                let lru = state.lock().expect("lru poisoned");
-                (lru.evictions, lru.bypass, lru.rows.len())
-            }
-            Store::Direct => (0, false, 0),
-        };
         PairStoreStats {
-            rows_built: self.counters.rows_built.load(Ordering::Relaxed),
-            lru_hits: self.counters.lru_hits.load(Ordering::Relaxed),
-            lru_misses: self.counters.lru_misses.load(Ordering::Relaxed),
-            lru_evictions,
-            direct_hashes: self.counters.direct_hashes.load(Ordering::Relaxed),
-            bypassed,
-            cached_rows,
+            rows_built: self.rows_built.load(Ordering::Relaxed),
+            direct_hashes: self.direct_hashes.load(Ordering::Relaxed),
+            cached_rows: self.cached_rows(),
         }
     }
 }
 
-/// Hit/miss counters of one [`ShardPairCache`], drained by the harness
-/// into its finalize statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PairCacheStats {
-    /// Point reads answered from the shard-local map.
-    pub hits: u64,
-    /// Point reads that hashed the pair and cached it locally.
-    pub misses: u64,
-    /// Point reads delegated to the global dense cache (no lock, no
-    /// local copy needed).
-    pub delegated: u64,
-    /// Times the local map hit capacity and was cleared.
-    pub flushes: u64,
-}
-
-impl PairCacheStats {
-    /// Accumulates another shard's counters into this one.
-    pub fn merge(&mut self, other: PairCacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.delegated += other.delegated;
-        self.flushes += other.flushes;
-    }
-}
-
-/// A shard-private point-read cache in front of [`PairHashes`], the
-/// lock-free read path of the finalize fast path.
-///
-/// The sharded finalize loop point-reads `H(x, ·)` for every candidate
-/// pair of its owned nodes. In the global cache's LRU mode every such
-/// read takes the global `Mutex` ([`PairHashes::get`]) — worker-serializing
-/// contention, and at over-capacity populations the admission bypass
-/// degrades each read to a fresh SHA-256. This cache gives each shard its
-/// own flat `HashMap<packed pair, f64>` owned by the shard scratch, so
-/// the per-pair loop touches no shared state at all:
-///
-/// * dense global store — delegate: the `OnceLock` row lookup is already
-///   lock-free and shares materialized rows across shards;
-/// * LRU or direct global store — hash the pair once, remember it
-///   locally, never touch the global mutex. The discovery/refresh read
-///   pattern revisits the same pairs every protocol/refresh period, so
-///   the map converges to the shard's working set; at capacity it is
-///   flushed wholesale (counted in [`PairCacheStats::flushes`]) — the
-///   stable working set makes flushes rare, and values are recomputed
-///   identically after one.
-///
-/// All answers are bit-identical to [`PairHashes::get`]: every mode
-/// agrees with [`avmem_util::consistent_hash`].
-#[derive(Debug)]
-pub struct ShardPairCache {
-    map: HashMap<u64, f64, PairKeyHashBuilder>,
-    capacity: usize,
-    stats: PairCacheStats,
-}
-
-impl ShardPairCache {
-    /// A cache holding at most `capacity` pair entries (≥ 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ShardPairCache {
-            map: HashMap::default(),
-            capacity: capacity.max(1),
-            stats: PairCacheStats::default(),
-        }
-    }
-
-    /// `H(id(x), id(y))`, bit-identical to [`PairHashes::get`] but
-    /// without ever taking the global lock.
-    pub fn get(&mut self, hashes: &PairHashes, x: usize, y: usize) -> f64 {
-        if hashes.is_cached() {
-            self.stats.delegated += 1;
-            return hashes.get(x, y);
-        }
-        debug_assert!(x < hashes.len() && y < hashes.len(), "pair index out of range");
-        debug_assert!(x < (1 << 32) && y < (1 << 32), "packed key needs 32-bit indexes");
-        let key = ((x as u64) << 32) | y as u64;
-        if let Some(&hash) = self.map.get(&key) {
-            self.stats.hits += 1;
-            return hash;
-        }
-        self.stats.misses += 1;
-        if self.map.len() >= self.capacity {
-            self.map.clear();
-            self.stats.flushes += 1;
-        }
-        let hash = consistent_hash(NodeId::new(x as u64), NodeId::new(y as u64));
-        self.map.insert(key, hash);
-        hash
-    }
-
-    /// Entries currently resident.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Returns and resets the accumulated counters.
-    pub fn take_stats(&mut self) -> PairCacheStats {
-        std::mem::take(&mut self.stats)
-    }
-}
-
-fn hash_row(x: usize, n: usize) -> Box<[f64]> {
-    let mut row = vec![0.0; n];
-    fill_row(x, &mut row);
-    row.into_boxed_slice()
-}
-
+/// `row[y] = H(id(x), id(y))` for the whole population, in one batch.
 fn fill_row(x: usize, row: &mut [f64]) {
-    let xid = NodeId::new(x as u64);
-    for (y, slot) in row.iter_mut().enumerate() {
-        *slot = consistent_hash(xid, NodeId::new(y as u64));
-    }
+    let ys = (0..row.len()).map(|y| NodeId::new(y as u64));
+    consistent_hash_batch(NodeId::new(x as u64), ys, row);
 }
 
 #[cfg(test)]
@@ -606,6 +266,20 @@ mod tests {
                     hashes.get(x, y),
                     consistent_hash(NodeId::new(x as u64), NodeId::new(y as u64))
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fill_row_matches_per_pair_hashing() {
+        // Odd and even lengths: the batch's interleaved pairs and its
+        // single-block tail.
+        for n in [1usize, 2, 7, 64, 65] {
+            let mut row = vec![0.0; n];
+            fill_row(n / 2, &mut row);
+            for (y, &h) in row.iter().enumerate() {
+                let expect = consistent_hash(NodeId::new((n / 2) as u64), NodeId::new(y as u64));
+                assert_eq!(h, expect, "n={n} y={y}");
             }
         }
     }
@@ -632,14 +306,11 @@ mod tests {
     fn budget_selects_storage_mode() {
         // 12² × 8 = 1152 bytes: the dense matrix just fits.
         assert!(PairHashes::with_budget(12, 1152).is_cached());
-        // One byte short of dense, but room for 11 rows: LRU.
-        let lru = PairHashes::with_budget(12, 1151);
-        assert!(!lru.is_cached());
-        assert!(lru.is_lru());
-        // Budget below one row (12 × 8 = 96 bytes): direct.
-        let direct = PairHashes::with_budget(12, 95);
-        assert!(!direct.is_cached());
-        assert!(!direct.is_lru());
+        // One byte short: nothing is stored, however many rows would fit.
+        assert!(!PairHashes::with_budget(12, 1151).is_cached());
+        assert!(!PairHashes::with_budget(12, 0).is_cached());
+        // A population whose `8·n²` overflows `usize` is never dense.
+        assert!(!PairHashes::with_budget(usize::MAX / 2, usize::MAX).is_cached());
     }
 
     #[test]
@@ -658,204 +329,49 @@ mod tests {
     }
 
     #[test]
-    fn lru_mode_agrees_with_cached_under_eviction_pressure() {
-        let lru = PairHashes::lru(16, 3);
-        let cached = PairHashes::compute(16);
-        let mut scratch = Vec::new();
-        for pass in 0..2 {
-            for x in 0..16 {
-                for y in 0..16 {
-                    assert_eq!(lru.get(x, y), cached.get(x, y), "pass {pass} ({x},{y})");
-                }
-                assert_eq!(lru.row(x, &mut scratch), {
-                    let mut expect = Vec::new();
-                    cached.row(x, &mut expect).to_vec()
-                });
-            }
-        }
-        assert!(lru.cached_rows() <= 3);
-    }
-
-    #[test]
-    fn lru_keeps_hot_rows_and_evicts_the_coldest() {
-        let hashes = PairHashes::lru(8, 2);
-        let _ = hashes.get(1, 0); // cache {1}
-        let _ = hashes.get(2, 0); // cache {1, 2}
-        let _ = hashes.get(1, 5); // touch 1: now 2 is coldest
-        let _ = hashes.get(3, 0); // evicts 2 → cache {1, 3}
-        assert_eq!(hashes.cached_rows(), 2);
-        let in_cache = |x: usize| {
-            let Store::Lru { state, .. } = &hashes.store else {
-                panic!("expected LRU storage");
-            };
-            state.lock().unwrap().rows.contains_key(&x)
-        };
-        assert!(in_cache(1), "hot row 1 must survive");
-        assert!(in_cache(3), "fresh row 3 must be cached");
-        assert!(!in_cache(2), "cold row 2 must be evicted");
-    }
-
-    #[test]
-    fn lru_bulk_rows_read_through_without_populating() {
-        let hashes = PairHashes::lru(10, 4);
-        let mut scratch = Vec::new();
-        let row: Vec<f64> = hashes.row(6, &mut scratch).to_vec();
-        assert_eq!(hashes.cached_rows(), 0, "bulk miss must not populate");
-        assert_eq!(row[3], consistent_hash(NodeId::new(6), NodeId::new(3)));
-        // A point read populates; the next bulk read hits the hot row.
-        let _ = hashes.get(6, 0);
-        assert_eq!(hashes.cached_rows(), 1);
-        assert_eq!(hashes.row(6, &mut scratch).to_vec(), row);
-    }
-
-    #[test]
-    fn lru_suspends_admission_when_the_working_set_cannot_fit() {
-        // Capacity 2, cyclic scans over 10 rows: every admitted row is
-        // evicted before it is ever hit again — the thrash pattern. The
-        // detector must suspend admission, values must stay exact, and
-        // the cache must stop churning.
-        let hashes = PairHashes::lru(10, 2);
-        let expect = PairHashes::compute(10);
-        for _ in 0..THRASH_EVICTIONS + 8 {
-            for x in 0..10 {
-                assert_eq!(hashes.get(x, 3), expect.get(x, 3));
-            }
-        }
-        let Store::Lru { state, .. } = &hashes.store else {
-            panic!("expected LRU storage");
-        };
-        let lru = state.lock().unwrap();
-        assert!(lru.bypass, "thrash must suspend admission");
-        assert_eq!(lru.rows.len(), 2, "resident rows survive the bypass");
-        assert_eq!(lru.rows.len(), lru.by_stamp.len(), "index tracks the map");
-    }
-
-    #[test]
-    fn lru_with_headroom_never_trips_the_thrash_detector() {
-        // Working set (3 rows) fits capacity 4: plenty of hits, no
-        // zero-hit evictions, admission stays open.
-        let hashes = PairHashes::lru(12, 4);
-        for _ in 0..200 {
-            for x in 0..3 {
-                let _ = hashes.get(x, 7);
-            }
-        }
-        let Store::Lru { state, .. } = &hashes.store else {
-            panic!("expected LRU storage");
-        };
-        let lru = state.lock().unwrap();
-        assert!(!lru.bypass);
-        assert_eq!(lru.wasted_evictions, 0);
-    }
-
-    #[test]
-    fn lru_bulk_hits_repay_the_build_cost() {
-        // A row admitted by a point read and then served to one bulk
-        // sweep has saved a full row's worth of hashing: its eviction
-        // must not count toward the thrash signal.
-        let n = 16;
-        let hashes = PairHashes::lru(n, 1);
-        let mut scratch = Vec::new();
-        let _ = hashes.get(3, 0); // admit row 3 (hits: 0)
-        let _ = hashes.row(3, &mut scratch); // bulk hit (hits: n)
-        let _ = hashes.get(4, 0); // evicts row 3
-        let Store::Lru { state, .. } = &hashes.store else {
-            panic!("expected LRU storage");
-        };
-        let lru = state.lock().unwrap();
-        assert_eq!(
-            lru.wasted_evictions, 0,
-            "a bulk-serving victim amortized its build"
-        );
-    }
-
-    #[test]
-    fn lru_suspends_admission_under_burst_reads_that_never_amortize() {
-        // The event-driven discovery pattern at over-capacity
-        // populations: each tick point-reads a handful of pairs from one
-        // source row, so every admitted row collects a few same-burst
-        // hits — far short of the N-hash build cost — and is then
-        // evicted. The under-amortization detector must still conclude
-        // the cache is a net loss and suspend admission.
-        let n = 32;
-        let hashes = PairHashes::lru(n, 2);
-        let expect = PairHashes::compute(n);
-        for round in 0..(THRASH_EVICTIONS as usize + 8) {
-            let x = round % n;
-            for y in 0..6 {
-                assert_eq!(hashes.get(x, y), expect.get(x, y), "({x},{y})");
-            }
-        }
-        let Store::Lru { state, .. } = &hashes.store else {
-            panic!("expected LRU storage");
-        };
-        let lru = state.lock().unwrap();
-        assert!(lru.bypass, "burst-hit thrash must suspend admission");
-        // Values keep agreeing after the bypass too.
-        drop(lru);
-        for x in 0..n {
-            assert_eq!(hashes.get(x, 9), expect.get(x, 9));
-        }
-    }
-
-    #[test]
-    fn shard_cache_agrees_with_every_store_mode() {
+    fn gather_agrees_with_point_reads_in_both_stores() {
         let expect = PairHashes::compute(14);
-        for hashes in [
-            PairHashes::lazy(14),
-            PairHashes::lru(14, 2),
-            PairHashes::with_budget(14, 0),
+        let ys: Vec<NodeId> = [13u64, 0, 5, 5, 9].map(NodeId::new).to_vec();
+        let mut out = vec![f64::NAN; 3]; // stale contents must not survive
+        for (hashes, dense) in [
+            (PairHashes::lazy(14), true),
+            (PairHashes::with_budget(14, 0), false),
         ] {
-            let mut cache = ShardPairCache::with_capacity(8);
-            for pass in 0..2 {
-                for x in 0..14 {
-                    for y in 0..14 {
-                        assert_eq!(
-                            cache.get(&hashes, x, y),
-                            expect.get(x, y),
-                            "pass {pass} ({x},{y})"
-                        );
-                    }
+            for x in 0..14 {
+                for len in 0..=ys.len() {
+                    assert_eq!(hashes.gather(x, &ys[..len], &mut out), dense);
+                    let want: Vec<f64> = ys[..len]
+                        .iter()
+                        .map(|y| expect.get(x, y.raw() as usize))
+                        .collect();
+                    assert_eq!(out, want, "x={x} len={len}");
                 }
             }
         }
     }
 
     #[test]
-    fn shard_cache_delegates_to_dense_and_caches_otherwise() {
+    fn store_stats_split_rows_from_on_the_fly_hashes() {
         let dense = PairHashes::lazy(10);
-        let mut cache = ShardPairCache::with_capacity(64);
-        let _ = cache.get(&dense, 1, 2);
-        let _ = cache.get(&dense, 1, 2);
-        let stats = cache.take_stats();
-        assert_eq!(stats.delegated, 2);
-        assert_eq!(stats.hits + stats.misses, 0);
-        assert!(cache.is_empty(), "dense reads must not populate the map");
+        let mut out = Vec::new();
+        let ys = [NodeId::new(1), NodeId::new(2)];
+        dense.gather(3, &ys, &mut out);
+        let _ = dense.get(3, 4);
+        let stats = dense.store_stats();
+        assert_eq!(
+            (stats.rows_built, stats.direct_hashes, stats.cached_rows),
+            (1, 0, 1)
+        );
 
-        let lru = PairHashes::lru(10, 2);
-        let _ = cache.get(&lru, 1, 2); // miss
-        let _ = cache.get(&lru, 1, 2); // hit
-        let _ = cache.get(&lru, 2, 1); // miss (directed pair)
-        let stats = cache.take_stats();
-        assert_eq!((stats.hits, stats.misses, stats.delegated), (1, 2, 0));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn shard_cache_flushes_at_capacity_and_stays_exact() {
-        let direct = PairHashes::with_budget(12, 0);
-        let expect = PairHashes::compute(12);
-        let mut cache = ShardPairCache::with_capacity(5);
-        for _ in 0..3 {
-            for x in 0..12 {
-                for y in 0..12 {
-                    assert_eq!(cache.get(&direct, x, y), expect.get(x, y));
-                }
-            }
-        }
-        let stats = cache.take_stats();
-        assert!(stats.flushes > 0, "capacity 5 over 144 pairs must flush");
-        assert!(cache.len() <= 5);
+        let direct = PairHashes::with_budget(10, 0);
+        direct.gather(3, &ys, &mut out);
+        let _ = direct.get(3, 4);
+        let _ = direct.row(3, &mut out);
+        let stats = direct.store_stats();
+        assert_eq!(
+            (stats.rows_built, stats.direct_hashes, stats.cached_rows),
+            (1, 3, 0)
+        );
     }
 
     #[test]
@@ -866,8 +382,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_lru_panics() {
-        let _ = PairHashes::lru(4, 0);
+    #[should_panic(expected = "out of range")]
+    fn gather_rejects_out_of_range_candidates_on_the_fly() {
+        let hashes = PairHashes::with_budget(3, 0);
+        hashes.gather(0, &[NodeId::new(3)], &mut Vec::new());
     }
 }

@@ -42,7 +42,7 @@ pub use attack::AttackSeries;
 pub use config::{
     MaintenanceEngine, MaintenanceMode, OracleChoice, PredicateChoice, SimConfig,
 };
-pub use hashes::{PairCacheStats, PairHashes, PairStoreStats, ShardPairCache, DEFAULT_HASH_BUDGET};
+pub use hashes::{PairHashes, PairStoreStats, DEFAULT_HASH_BUDGET};
 pub use index::CandidateIndex;
 pub use oracle::SimOracle;
 
@@ -216,7 +216,7 @@ impl SimSource<'_> {
 /// a worker processes, so the hot loop allocates nothing per node.
 #[derive(Default)]
 struct RebuildScratch {
-    /// Pair-hash row (used only when hashes are in direct mode).
+    /// Pair-hash row (used only when hashes are not stored).
     row: Vec<f64>,
     /// Accepted horizontal candidates awaiting the decorrelation shuffle.
     hs: Vec<(usize, Availability)>,
@@ -339,10 +339,8 @@ struct ShardScratch {
     cand_ids: Vec<NodeId>,
     /// Batched estimates, aligned with `cand_ids`.
     cand_avs: Vec<Option<Availability>>,
-    /// Shard-local pair-hash cache, built lazily on the first fast-path
-    /// finalize (sized from the configured hash budget). Workers read it
-    /// without ever touching the global store's LRU mutex.
-    pair_cache: Option<ShardPairCache>,
+    /// Pair hashes of the querier against `cand_ids`, aligned with it.
+    cand_hashes: Vec<f64>,
     /// Next-period no-insert set under construction (one discovery op at
     /// a time; reused allocation).
     seen_scratch: Vec<u32>,
@@ -372,8 +370,7 @@ struct ShardScratch {
 #[derive(Debug, Default)]
 struct FinalizeShardState {
     /// Per node: stamp under which `horizontal` below is memoized.
-    /// Stamps are compact `u32` (see [`compact_stamp`]): epochs count
-    /// oracle changes, which stay far below `u32::MAX` in any run.
+    /// Stamps are compact `u32` (see [`compact_stamp`]).
     horizontal_stamp: Vec<u32>,
     /// Per node: memoized horizontal threshold at the stamped epoch.
     horizontal: Vec<f64>,
@@ -408,16 +405,15 @@ impl FinalizeShardState {
     }
 }
 
-/// Epoch → nonzero compact stamp for the finalize memos: `epoch + 1`
-/// truncated to `u32`, so freshly zeroed state never matches. Oracle
-/// epochs count churn changes (~10^5 per simulated week at 10^6 hosts)
-/// and never approach the 32-bit wrap, enforced in debug builds.
-fn compact_stamp(epoch: u64) -> u32 {
-    debug_assert!(
-        epoch < u32::MAX as u64,
-        "oracle epoch overflows the compact finalize stamp"
-    );
-    (epoch as u32).wrapping_add(1)
+/// Epoch → nonzero compact stamp for the finalize memos: `epoch + 1` as
+/// a `u32`, so freshly zeroed state never matches. Oracle epochs count
+/// churn changes (~10^5 per simulated week at 10^6 hosts) and stay far
+/// below the 32-bit range; one that does not fit gets no stamp, and its
+/// cohort runs without cross-cohort memoization (like an oracle with no
+/// epoch) — a wrapped stamp would alias an old epoch's and license
+/// reuse of its stale memos.
+fn compact_stamp(epoch: u64) -> Option<u32> {
+    u32::try_from(epoch).ok()?.checked_add(1)
 }
 
 impl ShardScratch {
@@ -432,14 +428,10 @@ impl ShardScratch {
         }
     }
 
-    /// Drains the cohort's fast-path counters (folding in the pair
-    /// cache's own tallies) for accumulation on the simulation.
+    /// Drains the cohort's fast-path counters for accumulation on the
+    /// simulation.
     fn take_stats(&mut self) -> FinalizeStats {
-        let mut stats = std::mem::take(&mut self.stats);
-        if let Some(cache) = self.pair_cache.as_mut() {
-            stats.pair_hash.merge(cache.take_stats());
-        }
-        stats
+        std::mem::take(&mut self.stats)
     }
 
     /// Merges the sorted tick/refresh lists into per-node finalize ops
@@ -568,14 +560,6 @@ fn propose_tick(
     Some(proposal)
 }
 
-/// Entry capacity of one shard's local pair-hash cache: the configured
-/// hash budget split across shards at ~32 bytes per occupied table slot
-/// (packed key + value + hash-table control and load-factor overhead),
-/// floored so tiny budgets still cache a few nodes' working sets.
-fn pair_cache_capacity(hash_budget: usize, shards: usize) -> usize {
-    (hash_budget / shards.max(1) / 32).max(1024)
-}
-
 /// Shared per-cohort fast-path state: the predicate memo (threshold
 /// tables hoisted once per cohort) and the oracle's change epoch.
 #[derive(Clone, Copy)]
@@ -600,8 +584,6 @@ struct MaintCtx<'a> {
     /// Fast-path context, `None` when [`SimConfig::finalize_fast`] is
     /// off — workers then run the reference pair-at-a-time evaluation.
     fast: Option<FastCtx<'a>>,
-    /// Entry capacity for each shard's local pair-hash cache.
-    pair_capacity: usize,
 }
 
 impl MaintCtx<'_> {
@@ -697,8 +679,9 @@ impl MaintCtx<'_> {
     }
 
     /// Fast-path finalize for one node: memoized thresholds (epoch-cached
-    /// when the oracle exposes an epoch), one batched oracle call per
-    /// sub-op, shard-local pair hashes, and the refresh short-circuit.
+    /// when the oracle exposes an epoch), one batched oracle call and
+    /// one batched pair-hash read per sub-op, and the refresh
+    /// short-circuit.
     ///
     /// Bit-identical to the reference path (pinned by the fast-vs-slow
     /// legs of the `event_driven_equivalence` suite): within one epoch
@@ -723,17 +706,15 @@ impl MaintCtx<'_> {
         let ShardScratch {
             cand_ids,
             cand_avs,
-            pair_cache,
+            cand_hashes,
             seen_scratch,
             fast: state,
             stats,
             migrants,
             ..
         } = scratch;
-        let cache = pair_cache
-            .get_or_insert_with(|| ShardPairCache::with_capacity(self.pair_capacity));
         // Stamps are `epoch + 1`, so zeroed state never matches.
-        let stamp = fast.epoch.map(compact_stamp);
+        let stamp = fast.epoch.and_then(compact_stamp);
         let local = i - shard_start;
         let horizontal = match stamp {
             Some(stamp) => {
@@ -797,11 +778,13 @@ impl MaintCtx<'_> {
                 self.oracle
                     .estimate_batch(querier, cand_ids, self.now, cand_avs);
                 stats.batched_estimates += cand_ids.len() as u64;
-                for (candidate, y_av) in cand_ids.iter().zip(cand_avs.iter()) {
+                stats.pair_hash.read(self.hashes, i, cand_ids, cand_hashes);
+                for ((candidate, y_av), &hash) in
+                    cand_ids.iter().zip(cand_avs.iter()).zip(cand_hashes.iter())
+                {
                     let y = candidate.raw() as usize;
                     let mut kept = false;
                     if let Some(y_av) = *y_av {
-                        let hash = cache.get(self.hashes, i, y);
                         if let Some(sliver) = source.classify_hashed(y_av, hash) {
                             kept = true;
                             inserted |= membership.insert(
@@ -858,14 +841,14 @@ impl MaintCtx<'_> {
                     self.oracle
                         .estimate_batch(querier, cand_ids, self.now, cand_avs);
                     stats.batched_estimates += cand_ids.len() as u64;
+                    stats.pair_hash.read(self.hashes, i, cand_ids, cand_hashes);
                 }
                 let mut k = 0;
                 membership.refresh_with(self.now, migrants, |id| {
                     debug_assert_eq!(cand_ids[k], id, "refresh order != collection order");
-                    let y_av = cand_avs[k];
+                    let (y_av, hash) = (cand_avs[k], cand_hashes[k]);
                     k += 1;
                     let y_av = y_av?; // oracle lost track: evict
-                    let hash = cache.get(self.hashes, i, id.raw() as usize);
                     let sliver = source.classify_hashed(y_av, hash)?;
                     Some((y_av, sliver))
                 });
@@ -974,12 +957,34 @@ pub struct PhaseTimings {
     pub cohorts: u64,
 }
 
+/// Where the finalize fast path's pair hashes came from. Both counts
+/// are properties of the run, not of how it was sharded: each finalize
+/// op reads its whole candidate list one way or the other.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PairHashStats {
+    /// Pairs hashed on the fly (the dense matrix exceeds the budget).
+    pub hashed: u64,
+    /// Pairs read from dense rows.
+    pub delegated: u64,
+}
+
+impl PairHashStats {
+    /// `H(id(x), id(y))` for the candidates `ys` into `out`
+    /// ([`PairHashes::gather`]), counted by where they came from.
+    fn read(&mut self, hashes: &PairHashes, x: usize, ys: &[NodeId], out: &mut Vec<f64>) {
+        if hashes.gather(x, ys, out) {
+            self.delegated += ys.len() as u64;
+        } else {
+            self.hashed += ys.len() as u64;
+        }
+    }
+}
+
 /// Cumulative effectiveness counters of the finalize-phase fast path
 /// (see [`SimConfig::finalize_fast`]), exposed through
-/// [`AvmemSim::finalize_stats`]. Purely observational: runs at different
-/// shard or thread counts may split the cache work differently, so the
-/// counters sit outside every equivalence contract — membership state
-/// stays bit-identical whatever they read.
+/// [`AvmemSim::finalize_stats`]. Purely observational: the counters sit
+/// outside every equivalence contract — membership state stays
+/// bit-identical whatever they read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FinalizeStats {
     /// Finalize ops whose horizontal threshold came from the per-node
@@ -1000,8 +1005,8 @@ pub struct FinalizeStats {
     pub discover_pruned: u64,
     /// Availability estimates served through batched oracle calls.
     pub batched_estimates: u64,
-    /// Shard-local pair-hash cache counters.
-    pub pair_hash: PairCacheStats,
+    /// Pair-hash reads by source.
+    pub pair_hash: PairHashStats,
 }
 
 impl FinalizeStats {
@@ -1014,7 +1019,8 @@ impl FinalizeStats {
         self.refresh_evaluated += other.refresh_evaluated;
         self.discover_pruned += other.discover_pruned;
         self.batched_estimates += other.batched_estimates;
-        self.pair_hash.merge(other.pair_hash);
+        self.pair_hash.hashed += other.pair_hash.hashed;
+        self.pair_hash.delegated += other.pair_hash.delegated;
     }
 }
 
@@ -1363,8 +1369,8 @@ impl AvmemSim {
         self.fin_stats
     }
 
-    /// Cumulative counters of the shared pair-hash row store (mode,
-    /// rows built, LRU hit/miss/eviction traffic, thrash-bypass state).
+    /// Cumulative counters of the shared pair-hash store (rows built,
+    /// pairs hashed on the fly, dense rows resident).
     pub fn hash_store_stats(&self) -> PairStoreStats {
         self.hashes.store_stats()
     }
@@ -1775,7 +1781,6 @@ impl AvmemSim {
             shuffles: &self.shuffles,
             now: t,
             fast,
-            pair_capacity: pair_cache_capacity(self.config.hash_budget, 1),
         };
         for k in 0..scratch.ops.len() {
             let ops = scratch.ops[k];
@@ -2003,7 +2008,6 @@ impl AvmemSim {
                 shuffles: &self.shuffles,
                 now: t,
                 fast,
-                pair_capacity: pair_cache_capacity(self.config.hash_budget, shards),
             };
             let slices = part.split_mut(&mut memberships);
             let mut tasks: Vec<(usize, usize, &mut [Membership], &mut ShardScratch)> = slices
@@ -2578,6 +2582,16 @@ mod tests {
         );
         assert!(stats.batched_estimates > 0, "no batched estimates");
         assert_eq!(slow.finalize_stats(), FinalizeStats::default());
+    }
+
+    #[test]
+    fn an_epoch_beyond_the_stamp_range_gets_no_stamp() {
+        assert_eq!(compact_stamp(0), Some(1));
+        assert_eq!(compact_stamp(u32::MAX as u64 - 1), Some(u32::MAX));
+        // These used to wrap to the "unset" stamp 0 and to epoch 0's
+        // stamp 1, whose memos a release build would then have reused.
+        assert_eq!(compact_stamp(u32::MAX as u64), None);
+        assert_eq!(compact_stamp(1 << 32), None);
     }
 
     #[test]

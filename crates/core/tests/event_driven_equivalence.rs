@@ -238,20 +238,26 @@ fn sharded_matches_serial_with_full_avmon_service() {
 
 #[test]
 fn hash_store_modes_agree_across_engines() {
-    // The pair-hash budget selects the store mode — dense rows, LRU of
-    // hot rows, or hash-on-the-fly — and the finalize fast path layers
-    // its shard-local caches on top of each. None of it may perturb a
-    // bit: every (budget, engine) combination must land on the dense
-    // serial reference state. 120 hosts: the default budget is dense
-    // (8·N² ≈ 113 KiB); 8 KiB holds a handful of LRU rows; 64 bytes
-    // holds none (direct mode with thrash bypass).
+    // The pair-hash budget selects the store — dense rows, or nothing
+    // stored and every candidate list hashed in one batch — and neither
+    // may perturb a bit: every (budget, engine) combination must land on
+    // the dense serial reference state. 120 hosts: the default budget is
+    // dense (8·N² ≈ 113 KiB), 8 KiB is not. How many pairs finalize read
+    // from which store is a property of the run too, not of its
+    // sharding: the counts must match the serial engine's.
     let trace = trace(120, 17);
     let maintenance = fast_periods();
     let budgets: &[(&str, usize)] = &[
         ("dense", avmem::harness::DEFAULT_HASH_BUDGET),
-        ("lru", 8 << 10),
-        ("direct", 64),
+        ("on the fly", 8 << 10),
     ];
+    let engines: Vec<MaintenanceEngine> = std::iter::once(MaintenanceEngine::Serial)
+        .chain(SHARD_COUNTS.into_iter().flat_map(|shards| {
+            THREAD_COUNTS
+                .into_iter()
+                .map(move |threads| sharded(shards, threads))
+        }))
+        .collect();
     let mut reference = AvmemSim::new(
         trace.clone(),
         config(17, OracleChoice::Exact, maintenance, MaintenanceEngine::Serial),
@@ -262,15 +268,29 @@ fn hash_store_modes_agree_across_engines() {
         "hash-store sweep: reference run built no overlay"
     );
     for &(mode, budget) in budgets {
-        for engine in [MaintenanceEngine::Serial, sharded(4, 2), sharded(8, 8)] {
+        let mut serial_reads = None;
+        for &engine in &engines {
             let mut cfg = config(17, OracleChoice::Exact, maintenance, engine);
             cfg.hash_budget = budget;
             let mut candidate = AvmemSim::new(trace.clone(), cfg);
             candidate.warm_up(SimDuration::from_hours(1));
-            assert_state_equal(
-                &reference,
-                &candidate,
-                &format!("hash store {mode} ({budget} B), {engine:?}"),
+            let label = format!("hash store {mode} ({budget} B), {engine:?}");
+            assert_state_equal(&reference, &candidate, &label);
+            let reads = candidate.finalize_stats().pair_hash;
+            let dense = budget == avmem::harness::DEFAULT_HASH_BUDGET;
+            let (wanted, other) = if dense {
+                (reads.delegated, reads.hashed)
+            } else {
+                (reads.hashed, reads.delegated)
+            };
+            assert!(
+                wanted > 0 && other == 0,
+                "{label}: read the wrong store: {reads:?}"
+            );
+            assert_eq!(
+                *serial_reads.get_or_insert(reads),
+                reads,
+                "{label}: pair-hash read counts depend on the sharding"
             );
         }
     }
@@ -279,8 +299,8 @@ fn hash_store_modes_agree_across_engines() {
 #[test]
 fn fast_finalize_matches_reference_path_across_oracles() {
     // `finalize_fast = false` recovers the pair-at-a-time reference
-    // evaluation; the fast path (epoch-memoized thresholds, shard-local
-    // pair caches, batched estimates, refresh short-circuiting) must be
+    // evaluation; the fast path (epoch-memoized thresholds, batched
+    // pair hashes, batched estimates, refresh short-circuiting) must be
     // bit-identical to it under every oracle fidelity — including
     // per-querier noise, where the missing epoch disables every cache
     // but thresholds are still hoisted per finalize op.

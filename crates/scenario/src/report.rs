@@ -259,11 +259,11 @@ pub struct ScenarioReport {
     /// Maintenance phase wall-clock totals (oracle / propose / commit /
     /// finalize) accumulated over the whole run. Excluded from `==`.
     pub timings: avmem::PhaseTimings,
-    /// Finalize fast-path counters (threshold memo, pair-hash cache,
+    /// Finalize fast-path counters (threshold memo, pair-hash reads,
     /// refresh short-circuit, batched estimates) accumulated over the
-    /// whole run. Excluded from `==`: runs at different shard or thread
-    /// counts split the cache work differently while producing the same
-    /// overlay state.
+    /// whole run. Excluded from `==`: they describe how the overlay
+    /// state was computed (fast path on or off, which hash store), not
+    /// the state.
     pub finalize: avmem::FinalizeStats,
     /// Process-memory observations (peak RSS, heap gauges). Excluded
     /// from `==`: memory is an environment fact, not a spec function.
@@ -457,8 +457,8 @@ impl ScenarioReport {
             let h = &f.pair_hash;
             writeln!(
                 w,
-                "  pair-hash cache: hits {}  misses {}  delegated {}  flushes {}",
-                h.hits, h.misses, h.delegated, h.flushes
+                "  pair hashes: hashed {}  delegated {}",
+                h.hashed, h.delegated
             )
             .unwrap();
         }
@@ -596,7 +596,7 @@ impl ScenarioReport {
             ",\"finalize\":{{\"memo_hits\":{},\"memo_misses\":{},\"memo_bypassed\":{},\
              \"refresh_skipped\":{},\"refresh_evaluated\":{},\"discover_pruned\":{},\
              \"batched_estimates\":{},\
-             \"pair_hash\":{{\"hits\":{},\"misses\":{},\"delegated\":{},\"flushes\":{}}}}}",
+             \"pair_hash\":{{\"hashed\":{},\"delegated\":{}}}}}",
             f.memo_hits,
             f.memo_misses,
             f.memo_bypassed,
@@ -604,10 +604,8 @@ impl ScenarioReport {
             f.refresh_evaluated,
             f.discover_pruned,
             f.batched_estimates,
-            f.pair_hash.hits,
-            f.pair_hash.misses,
-            f.pair_hash.delegated,
-            f.pair_hash.flushes
+            f.pair_hash.hashed,
+            f.pair_hash.delegated
         )
         .unwrap();
         let mem = &self.memory;
@@ -725,10 +723,9 @@ mod tests {
                 refresh_evaluated: 25,
                 discover_pruned: 700,
                 batched_estimates: 4000,
-                pair_hash: avmem::harness::PairCacheStats {
-                    hits: 3000,
-                    misses: 1000,
-                    ..Default::default()
+                pair_hash: avmem::harness::PairHashStats {
+                    hashed: 3000,
+                    delegated: 1000,
                 },
                 ..Default::default()
             },
@@ -810,11 +807,17 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("finalize fast path: memo hits 900"), "{text}");
         assert!(text.contains("discover pruned 700"), "{text}");
-        assert!(text.contains("pair-hash cache: hits 3000"), "{text}");
+        assert!(
+            text.contains("pair hashes: hashed 3000  delegated 1000"),
+            "{text}"
+        );
         let json = report.render_json();
         assert!(json.contains("\"finalize\":{\"memo_hits\":900"), "{json}");
         assert!(json.contains("\"discover_pruned\":700"), "{json}");
-        assert!(json.contains("\"pair_hash\":{\"hits\":3000"), "{json}");
+        assert!(
+            json.contains("\"pair_hash\":{\"hashed\":3000,\"delegated\":1000}"),
+            "{json}"
+        );
         // All-zero counters (fast path off) drop the text block but keep
         // the JSON object for a stable schema.
         let mut quiet = sample_report();

@@ -281,23 +281,8 @@ fn publish_runtime(session: &RunSession, registry: &Registry) {
         store.rows_built,
     );
     mirror(
-        "avmem_hash_lru_hits_total",
-        "Pair-hash LRU row-cache hits.",
-        store.lru_hits,
-    );
-    mirror(
-        "avmem_hash_lru_misses_total",
-        "Pair-hash LRU row-cache misses.",
-        store.lru_misses,
-    );
-    mirror(
-        "avmem_hash_lru_evictions_total",
-        "Pair-hash LRU rows evicted (thrash indicator).",
-        store.lru_evictions,
-    );
-    mirror(
         "avmem_hash_direct_total",
-        "Pair hashes computed directly (uncached).",
+        "Pair hashes computed on the fly, outside any row.",
         store.direct_hashes,
     );
     registry

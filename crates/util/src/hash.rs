@@ -160,9 +160,17 @@ fn compress_scalar(state: &mut [u32; 8], block: &[u8]) {
 /// Intel's reference code) and is pinned bit-for-bit by the FIPS 180-4
 /// vectors in the module tests, which exercise both this path and the scalar
 /// fallback.
+///
+/// One compression is latency-bound, not throughput-bound: its 64 rounds
+/// are a chain of 32 `sha256rnds2`, each waiting for the one before it, so a
+/// block costs about 32 × the instruction's latency however idle the SHA
+/// unit is in between. The unit is pipelined, so a second, independent chain
+/// issues into the gaps of the first: `compress2_h0` runs two messages
+/// through the rounds side by side and finishes both in little more than
+/// the time of one. Batches of pair hashes go through it two at a time.
 #[cfg(target_arch = "x86_64")]
 mod ni {
-    use super::K;
+    use super::{H0, K};
     use std::arch::x86_64::*;
     use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -254,14 +262,77 @@ mod ni {
         _mm_storeu_si128(state.as_mut_ptr().cast::<__m128i>(), out0);
         _mm_storeu_si128(state.as_mut_ptr().add(4).cast::<__m128i>(), out1);
     }
+
+    /// Two independent single-block messages compressed from `H0` with
+    /// their round chains interleaved; returns the first 128 bits of each
+    /// digest (words `A‖B‖C‖D`, big-endian) — all a pair hash or a ring
+    /// point reads. Same rounds and schedule as [`compress`], lane by lane.
+    ///
+    /// # Safety
+    ///
+    /// Requires the `sha`, `ssse3`, and `sse4.1` target features (checked by
+    /// [`available`]).
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress2_h0(blocks: [&[u8; 64]; 2]) -> [u128; 2] {
+        // `H0` already packed the way `sha256rnds2` wants it.
+        let abef0 = _mm_set_epi32(H0[0] as i32, H0[1] as i32, H0[4] as i32, H0[5] as i32);
+        let cdgh0 = _mm_set_epi32(H0[2] as i32, H0[3] as i32, H0[6] as i32, H0[7] as i32);
+        let mut state0 = [abef0; 2];
+        let mut state1 = [cdgh0; 2];
+
+        let mask = _mm_set_epi64x(0x0c0d0e0f08090a0b_u64 as i64, 0x0405060700010203_u64 as i64);
+        let mut msgs = [[_mm_setzero_si128(); 4]; 2];
+        for (lane, block) in msgs.iter_mut().zip(blocks) {
+            for (j, words) in lane.iter_mut().enumerate() {
+                let raw = _mm_loadu_si128(block.as_ptr().add(16 * j).cast::<__m128i>());
+                *words = _mm_shuffle_epi8(raw, mask);
+            }
+        }
+
+        for i in 0..16 {
+            let k = _mm_loadu_si128(K.as_ptr().add(4 * i).cast::<__m128i>());
+            for l in 0..2 {
+                let wk = _mm_add_epi32(msgs[l][i & 3], k);
+                state1[l] = _mm_sha256rnds2_epu32(state1[l], state0[l], wk);
+                let wk_hi = _mm_shuffle_epi32(wk, 0x0E);
+                state0[l] = _mm_sha256rnds2_epu32(state0[l], state1[l], wk_hi);
+            }
+            if i < 12 {
+                for lane in &mut msgs {
+                    let x0 = lane[i & 3];
+                    let x1 = lane[(i + 1) & 3];
+                    let x2 = lane[(i + 2) & 3];
+                    let x3 = lane[(i + 3) & 3];
+                    let w_minus_7 = _mm_alignr_epi8(x3, x2, 4);
+                    let partial = _mm_add_epi32(_mm_sha256msg1_epu32(x0, x1), w_minus_7);
+                    lane[i & 3] = _mm_sha256msg2_epu32(partial, x3);
+                }
+            }
+        }
+
+        // ABEF / CDGH: the high halves are `A‖B` and `C‖D`.
+        let mut out = [0u128; 2];
+        for l in 0..2 {
+            let ab = _mm_extract_epi64(_mm_add_epi32(state0[l], abef0), 1) as u64;
+            let cd = _mm_extract_epi64(_mm_add_epi32(state1[l], cdgh0), 1) as u64;
+            out[l] = (u128::from(ab) << 64) | u128::from(cd);
+        }
+        out
+    }
 }
 
-/// Maps a digest to the unit interval `[0, 1)` using its first 8 bytes.
+/// The first 128 bits of a digest, big-endian.
+fn digest_prefix(digest: &Digest) -> u128 {
+    u128::from_be_bytes(digest[..16].try_into().expect("digest has 32 bytes"))
+}
+
+/// Maps a digest prefix to the unit interval `[0, 1)` using its first 8
+/// bytes.
 ///
 /// The output is uniform on `[0, 1)` given a uniform digest, with 53 bits
 /// of effective precision (an `f64` mantissa).
-fn digest_to_unit(digest: &Digest) -> f64 {
-    let raw = u64::from_be_bytes(digest[..8].try_into().expect("digest has 32 bytes"));
+fn prefix_to_unit(prefix: u128) -> f64 {
+    let raw = (prefix >> 64) as u64;
     // Keep 53 significant bits so the conversion to f64 is exact.
     (raw >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -279,7 +350,7 @@ fn digest_to_unit(digest: &Digest) -> f64 {
 /// assert_ne!(h, normalized_hash(b"world"));
 /// ```
 pub fn normalized_hash(data: &[u8]) -> f64 {
-    digest_to_unit(&sha256(data))
+    prefix_to_unit(digest_prefix(&sha256(data)))
 }
 
 /// The paper's `H(id(x), id(y))`: a consistent, normalized hash of an
@@ -301,10 +372,7 @@ pub fn normalized_hash(data: &[u8]) -> f64 {
 /// assert_ne!(h_xy, h_yx);
 /// ```
 pub fn consistent_hash(x: NodeId, y: NodeId) -> f64 {
-    let mut buf = [0u8; 16];
-    buf[..8].copy_from_slice(&x.to_bytes());
-    buf[8..].copy_from_slice(&y.to_bytes());
-    normalized_hash(&buf)
+    consistent_hash_keyed(b"", x, y)
 }
 
 /// A keyed variant of [`consistent_hash`] for deriving independent
@@ -321,29 +389,7 @@ pub fn consistent_hash(x: NodeId, y: NodeId) -> f64 {
 /// assert_ne!(a, b);
 /// ```
 pub fn consistent_hash_keyed(key: &[u8], x: NodeId, y: NodeId) -> f64 {
-    digest_to_unit(&keyed_pair_digest(key, x, y))
-}
-
-/// Digest of `key ‖ id(x) ‖ id(y)` shared by [`consistent_hash_keyed`]
-/// and [`consistent_point_keyed`], so both views of a pair agree on the
-/// underlying hash.
-fn keyed_pair_digest(key: &[u8], x: NodeId, y: NodeId) -> Digest {
-    // Domain tags are short; a stack buffer keeps the per-pair hot path
-    // (the AVMON monitor assignment evaluates all N² ordered pairs)
-    // allocation-free. The hashed bytes are identical either way.
-    if key.len() <= 32 {
-        let mut buf = [0u8; 48];
-        buf[..key.len()].copy_from_slice(key);
-        buf[key.len()..key.len() + 8].copy_from_slice(&x.to_bytes());
-        buf[key.len() + 8..key.len() + 16].copy_from_slice(&y.to_bytes());
-        sha256(&buf[..key.len() + 16])
-    } else {
-        let mut buf = Vec::with_capacity(key.len() + 16);
-        buf.extend_from_slice(key);
-        buf.extend_from_slice(&x.to_bytes());
-        buf.extend_from_slice(&y.to_bytes());
-        sha256(&buf)
-    }
+    prefix_to_unit(consistent_point_keyed(key, x, y))
 }
 
 /// The 128-bit sibling of [`consistent_hash_keyed`]: the same keyed
@@ -365,8 +411,173 @@ fn keyed_pair_digest(key: &[u8], x: NodeId, y: NodeId) -> Digest {
 /// assert_ne!(p, consistent_point_keyed(b"ring", NodeId::new(2), NodeId::new(0)));
 /// ```
 pub fn consistent_point_keyed(key: &[u8], x: NodeId, y: NodeId) -> u128 {
-    let digest = keyed_pair_digest(key, x, y);
-    u128::from_be_bytes(digest[..16].try_into().expect("digest has 32 bytes"))
+    match PairBlock::new(key) {
+        Some(mut block) => {
+            block.set(x, y);
+            block_prefix(&block.bytes)
+        }
+        None => long_key_prefix(key, x, y),
+    }
+}
+
+/// [`consistent_hash`] of `x` against every id in `ys`, written to `out`
+/// in order — bit-identical to the single-pair function, but hashed two
+/// pairs at a time on CPUs with SHA extensions (see the `ni` module), which
+/// roughly halves the cost per pair.
+///
+/// # Panics
+///
+/// Panics if `ys` and `out` differ in length.
+///
+/// # Examples
+///
+/// ```
+/// use avmem_util::{consistent_hash, consistent_hash_batch, NodeId};
+///
+/// let x = NodeId::new(7);
+/// let mut row = [0.0; 5];
+/// consistent_hash_batch(x, [0, 1, 2, 3, 4].map(NodeId::new), &mut row);
+/// assert_eq!(row[3], consistent_hash(x, NodeId::new(3)));
+/// ```
+pub fn consistent_hash_batch<I>(x: NodeId, ys: I, out: &mut [f64])
+where
+    I: IntoIterator<Item = NodeId>,
+    I::IntoIter: ExactSizeIterator,
+{
+    consistent_hash_keyed_batch(b"", x, ys, out);
+}
+
+/// The batched [`consistent_hash_keyed`]; see [`consistent_hash_batch`].
+///
+/// # Panics
+///
+/// Panics if `ys` and `out` differ in length.
+pub fn consistent_hash_keyed_batch<I>(key: &[u8], x: NodeId, ys: I, out: &mut [f64])
+where
+    I: IntoIterator<Item = NodeId>,
+    I::IntoIter: ExactSizeIterator,
+{
+    pair_prefixes(key, ys.into_iter().map(|y| (x, y)), out, prefix_to_unit);
+}
+
+/// The batched [`consistent_point_keyed`], over arbitrary ordered pairs:
+/// a ring varies the second id for a member's virtual points and the
+/// first for its targets' lookup points.
+///
+/// # Panics
+///
+/// Panics if `pairs` and `out` differ in length.
+pub fn consistent_point_keyed_batch<I>(key: &[u8], pairs: I, out: &mut [u128])
+where
+    I: IntoIterator<Item = (NodeId, NodeId)>,
+    I::IntoIter: ExactSizeIterator,
+{
+    pair_prefixes(key, pairs.into_iter(), out, |point| point);
+}
+
+/// Longest domain key whose message `key ‖ id(x) ‖ id(y)` still pads into
+/// a single SHA-256 block: 64 bytes less the ids, the `0x80` marker and the
+/// 8-byte bit length.
+const ONE_BLOCK_KEY_MAX: usize = 64 - 16 - 1 - 8;
+
+/// The one padded SHA-256 block of `key ‖ id(x) ‖ id(y)`. Key, padding and
+/// length are written once; [`PairBlock::set`] rewrites only the ids, so a
+/// batch pays 16 bytes of stores per pair — no tail buffer, no digest
+/// serialization.
+#[derive(Clone, Copy)]
+struct PairBlock {
+    bytes: [u8; 64],
+    /// Offset of `id(x)`: the key length.
+    ids_at: usize,
+}
+
+impl PairBlock {
+    /// `None` when the key leaves no room for ids and padding in one block.
+    fn new(key: &[u8]) -> Option<Self> {
+        if key.len() > ONE_BLOCK_KEY_MAX {
+            return None;
+        }
+        let len = key.len() + 16;
+        let mut bytes = [0u8; 64];
+        bytes[..key.len()].copy_from_slice(key);
+        bytes[len] = 0x80;
+        bytes[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+        Some(PairBlock {
+            bytes,
+            ids_at: key.len(),
+        })
+    }
+
+    fn set(&mut self, x: NodeId, y: NodeId) {
+        let ids = &mut self.bytes[self.ids_at..self.ids_at + 16];
+        ids[..8].copy_from_slice(&x.to_bytes());
+        ids[8..].copy_from_slice(&y.to_bytes());
+    }
+}
+
+/// Hashes `pairs` under `key` into `out` (through `map`), two blocks at a
+/// time with a single-block tail for odd lengths.
+fn pair_prefixes<T>(
+    key: &[u8],
+    pairs: impl ExactSizeIterator<Item = (NodeId, NodeId)>,
+    out: &mut [T],
+    map: impl Fn(u128) -> T,
+) {
+    assert_eq!(pairs.len(), out.len(), "batch and output lengths differ");
+    let mut work = out.iter_mut().zip(pairs);
+    let Some(template) = PairBlock::new(key) else {
+        for (slot, (x, y)) in work {
+            *slot = map(long_key_prefix(key, x, y));
+        }
+        return;
+    };
+    let mut blocks = [template; 2];
+    while let Some((slot_a, (x, y))) = work.next() {
+        blocks[0].set(x, y);
+        match work.next() {
+            Some((slot_b, (x, y))) => {
+                blocks[1].set(x, y);
+                let [a, b] = block_prefixes([&blocks[0].bytes, &blocks[1].bytes]);
+                *slot_a = map(a);
+                *slot_b = map(b);
+            }
+            None => *slot_a = map(block_prefix(&blocks[0].bytes)),
+        }
+    }
+}
+
+/// First 128 bits of the digest of one already padded block.
+fn block_prefix(block: &[u8; 64]) -> u128 {
+    let mut state = H0;
+    compress(&mut state, block);
+    state_prefix(&state)
+}
+
+/// [`block_prefix`] of two blocks, interleaved on the SHA-NI kernel.
+fn block_prefixes(blocks: [&[u8; 64]; 2]) -> [u128; 2] {
+    #[cfg(target_arch = "x86_64")]
+    if ni::available() {
+        // SAFETY: `available` confirmed the sha/ssse3/sse4.1 features at
+        // runtime.
+        return unsafe { ni::compress2_h0(blocks) };
+    }
+    blocks.map(block_prefix)
+}
+
+/// Digest words `A‖B‖C‖D`: the first 16 digest bytes, big-endian.
+fn state_prefix(state: &[u32; 8]) -> u128 {
+    state[..4]
+        .iter()
+        .fold(0, |acc, &word| (acc << 32) | u128::from(word))
+}
+
+/// Keys too long for [`PairBlock`]: the general multi-block hash.
+fn long_key_prefix(key: &[u8], x: NodeId, y: NodeId) -> u128 {
+    let mut buf = Vec::with_capacity(key.len() + 16);
+    buf.extend_from_slice(key);
+    buf.extend_from_slice(&x.to_bytes());
+    buf.extend_from_slice(&y.to_bytes());
+    digest_prefix(&sha256(&buf))
 }
 
 /// A fast, non-cryptographic hasher for *in-memory tables keyed by packed
@@ -497,6 +708,32 @@ mod tests {
         }
     }
 
+    /// SHA-256 on the scalar rounds only, with the general FIPS padding:
+    /// the reference both the dispatching [`sha256`] and the one-block
+    /// pair paths are pinned against.
+    fn sha256_scalar(data: &[u8]) -> Digest {
+        let mut state = H0;
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress_scalar(&mut state, block);
+        }
+        let rem = blocks.remainder();
+        let bit_len = (data.len() as u64).wrapping_mul(8);
+        let mut tail = [0u8; 128];
+        tail[..rem.len()].copy_from_slice(rem);
+        tail[rem.len()] = 0x80;
+        let tail_len = if rem.len() < 56 { 64 } else { 128 };
+        tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+        for block in tail[..tail_len].chunks_exact(64) {
+            compress_scalar(&mut state, block);
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
     #[test]
     fn hardware_and_scalar_compress_agree() {
         // The FIPS vectors above pin whichever path `compress` dispatches
@@ -505,30 +742,89 @@ mod tests {
         // sides are the scalar path and the test is trivially true.
         for len in [0usize, 1, 17, 55, 56, 63, 64, 65, 127, 128, 129, 1000] {
             let data: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(7)).collect();
-            let dispatched = sha256(&data);
-
-            let mut state = H0;
-            let mut blocks = data.chunks_exact(64);
-            for block in &mut blocks {
-                compress_scalar(&mut state, block);
-            }
-            let rem = blocks.remainder();
-            let bit_len = (data.len() as u64).wrapping_mul(8);
-            let mut tail = [0u8; 128];
-            tail[..rem.len()].copy_from_slice(rem);
-            tail[rem.len()] = 0x80;
-            let tail_len = if rem.len() < 56 { 64 } else { 128 };
-            tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
-            for block in tail[..tail_len].chunks_exact(64) {
-                compress_scalar(&mut state, block);
-            }
-            let mut scalar = [0u8; 32];
-            for (i, word) in state.iter().enumerate() {
-                scalar[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-            }
-
-            assert_eq!(dispatched, scalar, "len={len}");
+            assert_eq!(sha256(&data), sha256_scalar(&data), "len={len}");
         }
+    }
+
+    /// The digest of `key ‖ id(x) ‖ id(y)` by the scalar reference, as
+    /// the 128-bit point and the unit-interval value read from it.
+    fn scalar_pair(key: &[u8], x: NodeId, y: NodeId) -> (u128, f64) {
+        let mut message = [0u8; 80];
+        let len = key.len() + 16;
+        message[..key.len()].copy_from_slice(key);
+        message[key.len()..len - 8].copy_from_slice(&x.to_bytes());
+        message[len - 8..len].copy_from_slice(&y.to_bytes());
+        let digest = sha256_scalar(&message[..len]);
+        // The unit value read the long way: 53 bits of the first 8 bytes.
+        let raw = u64::from_be_bytes(digest[..8].try_into().unwrap());
+        (digest_prefix(&digest), (raw >> 11) as f64 / (1u64 << 53) as f64)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn two_lane_kernel_matches_scalar_rounds_on_any_blocks(
+            a in proptest::collection::vec(proptest::prelude::any::<u8>(), 64),
+            b in proptest::collection::vec(proptest::prelude::any::<u8>(), 64),
+        ) {
+            let blocks: [&[u8; 64]; 2] = [a[..].try_into().unwrap(), b[..].try_into().unwrap()];
+            let scalar = blocks.map(|block| {
+                let mut state = H0;
+                compress_scalar(&mut state, block);
+                state_prefix(&state)
+            });
+            proptest::prop_assert_eq!(block_prefixes(blocks), scalar);
+            proptest::prop_assert_eq!(blocks.map(block_prefix), scalar);
+        }
+
+        #[test]
+        fn batches_match_single_pairs_and_the_scalar_reference(
+            key in proptest::collection::vec(proptest::prelude::any::<u8>(), 64),
+            x in proptest::prelude::any::<u64>(),
+            ys in proptest::collection::vec(proptest::prelude::any::<u64>(), 9),
+        ) {
+            // Ids are full-width (mostly above `u32::MAX`); every batch
+            // length 0–9 covers empty, odd and even; key lengths 0–39 are
+            // the one-block path, longer ones the multi-block fallback.
+            let x = NodeId::new(x);
+            let ys: Vec<NodeId> = ys.into_iter().map(NodeId::new).collect();
+            let (mut points, mut units) = ([0u128; 9], [0f64; 9]);
+            let (mut got_points, mut got_units) = ([0u128; 9], [0f64; 9]);
+            for key_len in (0..=ONE_BLOCK_KEY_MAX + 2).chain([55, 56, 64]) {
+                let key = &key[..key_len];
+                for (k, &y) in ys.iter().enumerate() {
+                    (points[k], units[k]) = scalar_pair(key, x, y);
+                    proptest::prop_assert_eq!(consistent_point_keyed(key, x, y), points[k]);
+                    proptest::prop_assert_eq!(consistent_hash_keyed(key, x, y), units[k]);
+                    if key.is_empty() {
+                        proptest::prop_assert_eq!(consistent_hash(x, y), units[k]);
+                    }
+                }
+                for len in 0..=ys.len() {
+                    let ys = &ys[..len];
+                    got_points.fill(0);
+                    consistent_point_keyed_batch(
+                        key,
+                        ys.iter().map(|&y| (x, y)),
+                        &mut got_points[..len],
+                    );
+                    proptest::prop_assert_eq!(got_points[..len], points[..len], "key_len={}", key_len);
+                    got_units.fill(f64::NAN);
+                    consistent_hash_keyed_batch(key, x, ys.iter().copied(), &mut got_units[..len]);
+                    proptest::prop_assert_eq!(got_units[..len], units[..len], "key_len={}", key_len);
+                    if key.is_empty() {
+                        got_units.fill(f64::NAN);
+                        consistent_hash_batch(x, ys.iter().copied(), &mut got_units[..len]);
+                        proptest::prop_assert_eq!(got_units[..len], units[..len]);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lengths differ")]
+    fn batch_rejects_a_length_mismatch() {
+        consistent_hash_batch(NodeId::new(1), [NodeId::new(2)], &mut [0.0; 2]);
     }
 
     #[test]

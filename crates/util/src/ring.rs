@@ -10,7 +10,7 @@
 //! points) and membership changes are local repairs instead of global
 //! rebuilds.
 //!
-//! Points come from [`consistent_point_keyed`], the 128-bit sibling of
+//! Points come from [`crate::consistent_point_keyed`], the 128-bit sibling of
 //! the pairwise hash the rest of the workspace already uses, so rings in
 //! different roles (say monitor placement vs target lookup) stay
 //! independent by domain key. Members are compact `u32` indexes — the
@@ -40,7 +40,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::hash::consistent_point_keyed;
+use crate::hash::consistent_point_keyed_batch;
 use crate::NodeId;
 
 /// A consistent-hash ring: `vnodes` points per member on the `u128`
@@ -103,15 +103,14 @@ impl HashRing {
     /// not — the placement is a pure function of key, member and vnode
     /// index, which is what makes the ring *consistent*).
     pub fn member_points(&self, member: u32) -> Vec<u128> {
-        (0..self.vnodes)
-            .map(|v| {
-                consistent_point_keyed(
-                    &self.key,
-                    NodeId::new(u64::from(member)),
-                    NodeId::new(u64::from(v)),
-                )
-            })
-            .collect()
+        let member = NodeId::new(u64::from(member));
+        let mut points = vec![0; self.vnodes as usize];
+        consistent_point_keyed_batch(
+            &self.key,
+            (0..self.vnodes).map(|v| (member, NodeId::new(u64::from(v)))),
+            &mut points,
+        );
+        points
     }
 
     /// Whether `member` is currently on the ring.
