@@ -2,7 +2,7 @@
 //! policy/scope and multicast dissemination by strategy — plus the
 //! receiver-side admission check in the attack path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use avmem::harness::{AvmemSim, InitiatorBand, SimConfig};
@@ -55,29 +55,32 @@ fn bench_anycast(c: &mut Criterion) {
     group.finish();
 }
 
+/// Dissemination at the paper's population over a broad target — the
+/// floods `perf`'s `ops-storm` workload is made of. The world is static
+/// and the initiator fixed, so every iteration sends the same copies and
+/// the group reads in time per copy.
 fn bench_multicast(c: &mut Criterion) {
-    let mut sim = warmed_sim();
-    let target = AvailabilityTarget::threshold(0.7);
+    let trace = OvernetModel::default().hosts(1442).days(1).generate(1);
+    let mut sim = AvmemSim::new(trace, SimConfig::paper_default(1));
+    sim.warm_up(SimDuration::from_hours(24));
+    let target = AvailabilityTarget::threshold(0.5);
+    let initiator = sim
+        .random_online_initiator(InitiatorBand::High)
+        .expect("online initiator");
     let mut group = c.benchmark_group("multicast");
     group.sample_size(20);
     for (name, strategy) in [
         ("flood", MulticastStrategy::Flood),
         ("gossip", MulticastStrategy::paper_gossip()),
     ] {
+        let config = MulticastConfig {
+            strategy,
+            ..MulticastConfig::paper_default()
+        };
+        let messages = sim.multicast(initiator, target, config).messages;
+        group.throughput(Throughput::Elements(messages));
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| {
-                let initiator = sim
-                    .random_online_initiator(InitiatorBand::High)
-                    .expect("online initiator");
-                black_box(sim.multicast(
-                    initiator,
-                    target,
-                    MulticastConfig {
-                        strategy,
-                        ..MulticastConfig::paper_default()
-                    },
-                ))
-            })
+            b.iter(|| black_box(sim.multicast(initiator, target, config)))
         });
     }
     group.finish();

@@ -248,7 +248,7 @@ pub fn ablation_gossip(setup: &PaperSetup) -> GossipAblation {
                     reliability += r;
                     count += 1;
                 }
-                messages += f64::from(outcome.messages);
+                messages += outcome.messages as f64;
                 latency += outcome
                     .worst_latency()
                     .map(|d| d.as_millis() as f64)

@@ -59,11 +59,12 @@ use avmem_util::{Availability, NodeId, Rng, ShardPartition, SplitMix64, Xoshiro2
 use serde::{Deserialize, Serialize};
 
 use crate::graph::{NodeSnapshot, OverlaySnapshot};
-use crate::membership::{Membership, Neighbor, SliverScope};
+use crate::membership::{Membership, Neighbor, NeighborColumns, SliverScope};
 use crate::ops::anycast::{run_anycast, AnycastConfig, AnycastOutcome};
 use crate::ops::multicast::{run_multicast, MulticastConfig, MulticastOutcome};
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
+use crate::ops::OpScratch;
 use crate::predicate::{
     AvmemPredicate, MembershipPredicate, NodeInfo, RandomPredicate, Sliver, SourceThresholds,
     ThresholdMemo,
@@ -1068,6 +1069,8 @@ pub struct AvmemSim {
     metrics: Option<HarnessInstruments>,
     /// Cumulative finalize fast-path counters.
     fin_stats: FinalizeStats,
+    /// Working memory of [`AvmemSim::anycast`] / [`AvmemSim::multicast`].
+    ops_scratch: OpScratch,
 }
 
 /// Instrument handles the harness records into when a registry is
@@ -1186,6 +1189,7 @@ impl AvmemSim {
             tracer: Tracer::new(PHASES),
             metrics: None,
             fin_stats: FinalizeStats::default(),
+            ops_scratch: OpScratch::default(),
         }
     }
 
@@ -2187,13 +2191,16 @@ impl AvmemSim {
         target: AvailabilityTarget,
         config: AnycastConfig,
     ) -> AnycastOutcome {
-        let world = WorldView {
-            trace: &self.trace,
-            oracle: &self.oracle,
-            memberships: &self.memberships,
-            now: self.now,
-        };
-        run_anycast(&world, &mut self.net, &mut self.rng, initiator, target, config)
+        let world = WorldView::new(&self.trace, &self.oracle, &self.memberships, self.now);
+        run_anycast(
+            &world,
+            &mut self.net,
+            &mut self.rng,
+            &mut self.ops_scratch,
+            initiator,
+            target,
+            config,
+        )
     }
 
     /// Runs one multicast from `initiator` at the current time.
@@ -2203,42 +2210,60 @@ impl AvmemSim {
         target: AvailabilityTarget,
         config: MulticastConfig,
     ) -> MulticastOutcome {
-        let world = WorldView {
-            trace: &self.trace,
-            oracle: &self.oracle,
-            memberships: &self.memberships,
-            now: self.now,
-        };
-        run_multicast(&world, &mut self.net, &mut self.rng, initiator, target, config)
+        let world = WorldView::new(&self.trace, &self.oracle, &self.memberships, self.now);
+        run_multicast(
+            &world,
+            &mut self.net,
+            &mut self.rng,
+            &mut self.ops_scratch,
+            initiator,
+            target,
+            config,
+        )
     }
 
     /// A borrowed [`OverlayWorld`] view of the current state, for custom
     /// measurements.
     pub fn world(&self) -> impl OverlayWorld + '_ {
-        WorldView {
-            trace: &self.trace,
-            oracle: &self.oracle,
-            memberships: &self.memberships,
-            now: self.now,
-        }
+        WorldView::new(&self.trace, &self.oracle, &self.memberships, self.now)
     }
 }
 
-/// Borrowed world view over the simulation state.
+/// Borrowed world view over the simulation state at one instant.
 struct WorldView<'a> {
     trace: &'a ChurnTrace,
     oracle: &'a SimOracle,
     memberships: &'a [Membership],
     now: SimTime,
+    /// The trace slot containing `now`, resolved once: a flood asks
+    /// `is_online` per copy.
+    slot: usize,
+}
+
+impl<'a> WorldView<'a> {
+    fn new(
+        trace: &'a ChurnTrace,
+        oracle: &'a SimOracle,
+        memberships: &'a [Membership],
+        now: SimTime,
+    ) -> Self {
+        WorldView {
+            trace,
+            oracle,
+            memberships,
+            now,
+            slot: trace.slot_at(now),
+        }
+    }
 }
 
 impl OverlayWorld for WorldView<'_> {
-    fn node_ids(&self) -> Vec<NodeId> {
-        self.trace.node_ids().collect()
+    fn id_bound(&self) -> usize {
+        self.trace.num_nodes()
     }
 
     fn is_online(&self, id: NodeId) -> bool {
-        self.trace.is_online(id.raw() as usize, self.now)
+        self.trace.is_online_in_slot(id.raw() as usize, self.slot)
     }
 
     fn believed_availability(&self, id: NodeId) -> Availability {
@@ -2251,8 +2276,8 @@ impl OverlayWorld for WorldView<'_> {
         self.trace.long_term_availability(id.raw() as usize)
     }
 
-    fn neighbors(&self, id: NodeId, scope: SliverScope) -> Vec<Neighbor> {
-        self.memberships[id.raw() as usize].neighbors(scope).collect()
+    fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_> {
+        self.memberships[id.raw() as usize].columns(scope)
     }
 }
 

@@ -71,7 +71,7 @@ pub mod verify;
 
 pub use graph::{NodeSnapshot, OverlaySnapshot};
 pub use harness::{AvmemSim, FinalizeStats, HealthStats, InitiatorBand, PhaseTimings, SimConfig};
-pub use membership::{Membership, Neighbor, SliverScope};
+pub use membership::{Membership, Neighbor, NeighborColumns, SliverScope};
 pub use ops::{
     AnycastConfig, AnycastOutcome, AvailabilityTarget, ForwardPolicy, MulticastConfig,
     MulticastOutcome, MulticastStrategy,

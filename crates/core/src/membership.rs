@@ -25,7 +25,9 @@
 //! 20 bytes per neighbor instead of the 32 of the former
 //! `Vec<Neighbor>` pair, the dominant term of resident-set size at 10⁶
 //! hosts. The public API still speaks [`Neighbor`] (materialized on the
-//! fly); ids above `u32::MAX` are rejected by the index-space contract.
+//! fly), except for anycast/multicast forwarding, which borrows the id
+//! and availability columns as they are ([`Membership::columns`]); ids
+//! above `u32::MAX` are rejected by the index-space contract.
 
 use avmem_avmon::AvailabilityOracle;
 use avmem_sim::SimTime;
@@ -69,6 +71,21 @@ pub struct Neighbor {
     pub added_at: SimTime,
     /// When the cached availability was last validated.
     pub refreshed_at: SimTime,
+}
+
+/// A node's neighbor list as two borrowed parallel columns: index-space
+/// ids (every id is below the population size, so it can index dense
+/// per-node scratch) and the availabilities cached at the last
+/// discovery/refresh. `ids[i]` and `cached_availability[i]` describe the
+/// same neighbor. A [`Membership`] never lists an id twice; the
+/// operations tolerate worlds that do (an HS and a VS edge to one node).
+#[derive(Debug, Clone, Copy)]
+pub struct NeighborColumns<'a> {
+    /// Neighbor ids, in list order.
+    pub ids: &'a [u32],
+    /// The availability cached for each neighbor (§3.2: forwarding reads
+    /// this, not a live query).
+    pub cached_availability: &'a [Availability],
 }
 
 /// Byte-packed added/refreshed instants of one slot (compact
@@ -196,27 +213,38 @@ impl Membership {
         }
     }
 
+    /// Slot range of a scope inside the `[HS | VS]` block.
+    #[inline]
+    fn scope_range(&self, scope: SliverScope) -> std::ops::Range<usize> {
+        match scope {
+            SliverScope::HsOnly => 0..self.hs_len as usize,
+            SliverScope::VsOnly => self.hs_len as usize..self.ids.len(),
+            SliverScope::Both => 0..self.ids.len(),
+        }
+    }
+
     /// Iterates neighbors in the given scope (HS first, then VS, each in
     /// insertion order — the deterministic order gossip target selection
     /// relies on).
     pub fn neighbors(&self, scope: SliverScope) -> impl Iterator<Item = Neighbor> + '_ {
-        let (start, end) = match scope {
-            SliverScope::HsOnly => (0, self.hs_len as usize),
-            SliverScope::VsOnly => (self.hs_len as usize, self.ids.len()),
-            SliverScope::Both => (0, self.ids.len()),
-        };
-        (start..end).map(|pos| self.neighbor_at(pos))
+        self.scope_range(scope).map(|pos| self.neighbor_at(pos))
     }
 
     /// Iterates neighbor ids in the given scope without materializing
     /// [`Neighbor`]s — the cheap form for degree/health accounting.
     pub fn neighbor_ids(&self, scope: SliverScope) -> impl Iterator<Item = NodeId> + '_ {
-        let (start, end) = match scope {
-            SliverScope::HsOnly => (0, self.hs_len as usize),
-            SliverScope::VsOnly => (self.hs_len as usize, self.ids.len()),
-            SliverScope::Both => (0, self.ids.len()),
-        };
-        self.ids[start..end].iter().map(|&id| NodeId::new(u64::from(id)))
+        self.ids[self.scope_range(scope)].iter().map(|&id| NodeId::new(u64::from(id)))
+    }
+
+    /// The id and cached-availability columns of a scope, by borrow and in
+    /// the order of [`Membership::neighbors`] — what anycast and multicast
+    /// forwarding reads, with nothing materialized.
+    pub fn columns(&self, scope: SliverScope) -> NeighborColumns<'_> {
+        let range = self.scope_range(scope);
+        NeighborColumns {
+            ids: &self.ids[range.clone()],
+            cached_availability: &self.avs[range],
+        }
     }
 
     /// Drops all neighbors (a node that lost its soft state).

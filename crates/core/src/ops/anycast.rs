@@ -19,15 +19,14 @@
 //! Each policy runs in HS-only / VS-only / HS+VS flavors — nine
 //! algorithms total, exactly the §3.2 matrix.
 
-use std::collections::HashSet;
-
 use avmem_sim::{Network, SimDuration};
-use avmem_util::{NodeId, Rng};
+use avmem_util::{Availability, NodeId, Rng};
 use serde::{Deserialize, Serialize};
 
-use crate::membership::{Neighbor, SliverScope};
+use crate::membership::SliverScope;
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
+use crate::ops::OpScratch;
 
 /// Forwarding policy for anycast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -94,7 +93,7 @@ pub struct AnycastOutcome {
     pub latency: SimDuration,
     /// Total messages sent (including failed attempts and acks are not
     /// counted separately).
-    pub messages: u32,
+    pub messages: u64,
     /// The successful path, initiator first.
     pub path: Vec<NodeId>,
 }
@@ -106,8 +105,23 @@ impl AnycastOutcome {
     }
 }
 
+/// One forwarding candidate in the reused ranking scratch
+/// ([`OpScratch`]): a neighbor the walk has not visited, with its greedy
+/// metric computed once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    /// Distance of the cached availability to the target.
+    distance: f64,
+    cached_availability: Availability,
+    /// Position in the holder's list — the last sort key, so the
+    /// in-place unstable sort yields exactly the stable order.
+    position: usize,
+    id: u32,
+}
+
 /// Runs one anycast over the world. `rng` drives annealing decisions,
-/// `net` draws per-hop latencies.
+/// `net` draws per-hop latencies, `scratch` holds the candidate ranking
+/// (reused across operations; its contents on entry do not matter).
 ///
 /// The initiator itself counts: if its believed availability is already
 /// in the target, the anycast delivers in zero hops.
@@ -115,6 +129,7 @@ pub fn run_anycast<W, R>(
     world: &W,
     net: &mut Network,
     rng: &mut R,
+    scratch: &mut OpScratch,
     initiator: NodeId,
     target: AvailabilityTarget,
     config: AnycastConfig,
@@ -123,14 +138,15 @@ where
     W: OverlayWorld + ?Sized,
     R: Rng,
 {
+    let candidates = &mut scratch.ranking;
     let mut current = initiator;
     let mut ttl = config.ttl;
     let mut retry_budget = match config.policy {
         ForwardPolicy::RetriedGreedy { retries } => retries,
         _ => 0,
     };
-    let mut visited: HashSet<NodeId> = HashSet::new();
-    visited.insert(initiator);
+    // `path` doubles as the visited set: the initiator plus every
+    // successful hop, at most `ttl + 1` entries.
     let mut outcome = AnycastOutcome {
         delivered_to: None,
         delivered_in_range_truth: false,
@@ -156,21 +172,30 @@ where
         // Candidates: untried neighbors, ranked by the greedy metric over
         // *cached* availabilities. Annealing traverses this same sorted
         // order (see `anneal_choice`).
-        let mut candidates: Vec<Neighbor> = world
-            .neighbors(current, config.scope)
-            .into_iter()
-            .filter(|n| !visited.contains(&n.id))
-            .collect();
+        let list = world.neighbors(current, config.scope);
+        candidates.clear();
+        for (position, (&id, &cached_availability)) in
+            list.ids.iter().zip(list.cached_availability).enumerate()
+        {
+            if !outcome.path.contains(&NodeId::new(u64::from(id))) {
+                candidates.push(Candidate {
+                    distance: target.distance(cached_availability),
+                    cached_availability,
+                    position,
+                    id,
+                });
+            }
+        }
         if candidates.is_empty() {
             outcome.drop_reason = Some(AnycastDrop::NoCandidates);
             return outcome;
         }
-        sort_by_distance(&mut candidates, target);
+        sort_by_distance(candidates);
 
         let chosen = match config.policy {
             ForwardPolicy::Greedy | ForwardPolicy::RetriedGreedy { .. } => 0,
             ForwardPolicy::SimulatedAnnealing => {
-                anneal_choice(&candidates, target, ttl, rng).unwrap_or(0)
+                anneal_choice(candidates, target, ttl, rng).unwrap_or(0)
             }
         };
         // Move the chosen candidate to the front so the retry loop walks
@@ -179,13 +204,13 @@ where
 
         let mut forwarded = false;
         for (attempt, candidate) in candidates.iter().enumerate() {
+            let next = NodeId::new(u64::from(candidate.id));
             outcome.messages += 1;
             outcome.latency = outcome.latency + net.hop_latency();
-            if world.is_online(candidate.id) {
-                visited.insert(candidate.id);
-                outcome.path.push(candidate.id);
+            if world.is_online(next) {
+                outcome.path.push(next);
                 outcome.hops += 1;
-                current = candidate.id;
+                current = next;
                 ttl -= 1;
                 forwarded = true;
                 break;
@@ -222,23 +247,24 @@ where
     }
 }
 
-/// Stable sort of candidates by the greedy metric: distance of cached
+/// Sorts candidates by the greedy metric: distance of cached
 /// availability to the target, ties broken toward *higher* cached
-/// availability. The paper leaves the within-range tie unspecified
-/// ("forwards … to an AVMEM neighbor that lies inside R"); preferring
-/// the most-available candidate minimizes the chance of forwarding to an
-/// offline node, which matters because plain greedy has no retry.
-fn sort_by_distance(candidates: &mut [Neighbor], target: AvailabilityTarget) {
-    candidates.sort_by(|a, b| {
-        target
-            .distance(a.cached_availability)
-            .partial_cmp(&target.distance(b.cached_availability))
+/// availability, then by list order. The paper leaves the within-range
+/// tie unspecified ("forwards … to an AVMEM neighbor that lies inside
+/// R"); preferring the most-available candidate minimizes the chance of
+/// forwarding to an offline node, which matters because plain greedy has
+/// no retry.
+fn sort_by_distance(candidates: &mut [Candidate]) {
+    candidates.sort_unstable_by(|a, b| {
+        a.distance
+            .partial_cmp(&b.distance)
             .expect("distances are never NaN")
             .then(
                 b.cached_availability
                     .partial_cmp(&a.cached_availability)
                     .expect("availabilities are never NaN"),
             )
+            .then(a.position.cmp(&b.position))
     });
 }
 
@@ -271,7 +297,7 @@ pub const ANNEALING_DELTA_SCALE: f64 = 100.0;
 /// manifests as probabilistic *skipping* past the nearest candidates —
 /// strongest early (large ttl), vanishing as the TTL drains.
 fn anneal_choice<R: Rng>(
-    candidates: &[Neighbor],
+    candidates: &[Candidate],
     target: AvailabilityTarget,
     ttl: u32,
     rng: &mut R,
@@ -288,13 +314,138 @@ fn anneal_choice<R: Rng>(
     None
 }
 
+/// The anycast as first written — a collected candidate list per hop, a
+/// hash set of visited nodes, a stable sort — kept as the model
+/// [`run_anycast`] must agree with draw for draw.
+#[cfg(test)]
+mod reference {
+    use std::collections::HashSet;
+
+    use super::*;
+
+    pub fn run_anycast<W, R>(
+        world: &W,
+        net: &mut Network,
+        rng: &mut R,
+        initiator: NodeId,
+        target: AvailabilityTarget,
+        config: AnycastConfig,
+    ) -> AnycastOutcome
+    where
+        W: OverlayWorld + ?Sized,
+        R: Rng,
+    {
+        let mut current = initiator;
+        let mut ttl = config.ttl;
+        let mut retry_budget = match config.policy {
+            ForwardPolicy::RetriedGreedy { retries } => retries,
+            _ => 0,
+        };
+        let mut visited: HashSet<NodeId> = HashSet::from([initiator]);
+        let mut outcome = AnycastOutcome {
+            delivered_to: None,
+            delivered_in_range_truth: false,
+            drop_reason: None,
+            hops: 0,
+            latency: SimDuration::ZERO,
+            messages: 0,
+            path: vec![initiator],
+        };
+        loop {
+            if target.contains(world.believed_availability(current)) {
+                outcome.delivered_to = Some(current);
+                outcome.delivered_in_range_truth =
+                    target.contains(world.true_availability(current));
+                return outcome;
+            }
+            if ttl == 0 {
+                outcome.drop_reason = Some(AnycastDrop::TtlExpired);
+                return outcome;
+            }
+            let list = world.neighbors(current, config.scope);
+            let mut candidates: Vec<Candidate> = list
+                .ids
+                .iter()
+                .zip(list.cached_availability)
+                .filter(|(&id, _)| !visited.contains(&NodeId::new(u64::from(id))))
+                .map(|(&id, &cached_availability)| Candidate {
+                    distance: target.distance(cached_availability),
+                    cached_availability,
+                    position: 0, // unused: the sort below is stable
+                    id,
+                })
+                .collect();
+            if candidates.is_empty() {
+                outcome.drop_reason = Some(AnycastDrop::NoCandidates);
+                return outcome;
+            }
+            candidates.sort_by(|a, b| {
+                target
+                    .distance(a.cached_availability)
+                    .partial_cmp(&target.distance(b.cached_availability))
+                    .expect("distances are never NaN")
+                    .then(
+                        b.cached_availability
+                            .partial_cmp(&a.cached_availability)
+                            .expect("availabilities are never NaN"),
+                    )
+            });
+            let chosen = match config.policy {
+                ForwardPolicy::Greedy | ForwardPolicy::RetriedGreedy { .. } => 0,
+                ForwardPolicy::SimulatedAnnealing => {
+                    anneal_choice(&candidates, target, ttl, rng).unwrap_or(0)
+                }
+            };
+            candidates.swap(0, chosen);
+            let mut forwarded = false;
+            for (attempt, candidate) in candidates.iter().enumerate() {
+                let next = NodeId::new(u64::from(candidate.id));
+                outcome.messages += 1;
+                outcome.latency = outcome.latency + net.hop_latency();
+                if world.is_online(next) {
+                    visited.insert(next);
+                    outcome.path.push(next);
+                    outcome.hops += 1;
+                    current = next;
+                    ttl -= 1;
+                    forwarded = true;
+                    break;
+                }
+                match config.policy {
+                    ForwardPolicy::Greedy | ForwardPolicy::SimulatedAnnealing => {
+                        outcome.drop_reason = Some(AnycastDrop::NextHopOffline);
+                        return outcome;
+                    }
+                    ForwardPolicy::RetriedGreedy { .. } => {
+                        outcome.latency = outcome.latency + net.hop_latency();
+                        retry_budget = retry_budget.saturating_sub(1);
+                        if retry_budget == 0 {
+                            outcome.drop_reason = Some(AnycastDrop::RetryExpired);
+                            return outcome;
+                        }
+                        if attempt + 1 == candidates.len() {
+                            outcome.drop_reason = Some(AnycastDrop::NoCandidates);
+                            return outcome;
+                        }
+                    }
+                }
+            }
+            if !forwarded {
+                outcome.drop_reason = Some(AnycastDrop::NoCandidates);
+                return outcome;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use avmem_sim::LatencyModel;
-    use avmem_util::Xoshiro256;
+    use avmem_util::{SplitMix64, Xoshiro256};
+    use proptest::prelude::*;
 
-    use crate::ops::world::mock::MockWorld;
+    use crate::ops::world::mock::{random_target, MockWorld};
 
     fn net() -> Network {
         Network::new(LatencyModel::Constant { millis: 50 }, 0.0, 1)
@@ -302,6 +453,10 @@ mod tests {
 
     fn rng() -> Xoshiro256 {
         Xoshiro256::new(7)
+    }
+
+    fn scratch() -> OpScratch {
+        OpScratch::default()
     }
 
     /// A chain world: 0 (av .5) → 1 (av .6) → 2 (av .7) → 3 (av .9).
@@ -324,6 +479,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.4, 0.6),
             AnycastConfig::paper_default(),
@@ -341,6 +497,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig::paper_default(),
@@ -359,6 +516,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig {
@@ -383,6 +541,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig::paper_default(),
@@ -399,6 +558,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig::paper_default(),
@@ -421,6 +581,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig {
@@ -447,6 +608,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig {
@@ -471,6 +633,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig {
@@ -490,6 +653,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig::paper_default(),
@@ -508,6 +672,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig {
@@ -531,6 +696,7 @@ mod tests {
             &w,
             &mut net(),
             &mut rng(),
+            &mut scratch(),
             NodeId::new(0),
             AvailabilityTarget::range(0.85, 0.95),
             AnycastConfig::paper_default(),
@@ -550,6 +716,7 @@ mod tests {
                 &w,
                 &mut net(),
                 &mut r,
+                &mut scratch(),
                 NodeId::new(0),
                 AvailabilityTarget::range(0.85, 0.95),
                 AnycastConfig {
@@ -586,6 +753,7 @@ mod tests {
                 &w,
                 &mut net(),
                 &mut r,
+                &mut scratch(),
                 NodeId::new(0),
                 AvailabilityTarget::range(0.9, 0.95),
                 AnycastConfig {
@@ -621,6 +789,7 @@ mod tests {
                 &w,
                 &mut net(),
                 &mut r,
+                &mut scratch(),
                 NodeId::new(0),
                 AvailabilityTarget::range(0.9, 0.95),
                 AnycastConfig {
@@ -637,5 +806,47 @@ mod tests {
             near_first > 40,
             "low-ttl annealing should be near-greedy ({near_first}/50)"
         );
+    }
+
+    proptest! {
+        /// Outcome (path, hops, latency, messages, drop reason) and the
+        /// position of both random streams equal the reference model's,
+        /// on random worlds with duplicate and self edges, stale caches
+        /// and offline nodes, for every policy and scope — on a scratch
+        /// left dirty by the previous case's walk.
+        #[test]
+        fn matches_the_collecting_reference(seed in any::<u64>()) {
+            let mut r = SplitMix64::new(seed);
+            let target = random_target(&mut r);
+            let world = MockWorld::random(&mut r);
+            let scopes = [SliverScope::HsOnly, SliverScope::VsOnly, SliverScope::Both];
+            let policies = [
+                ForwardPolicy::Greedy,
+                ForwardPolicy::RetriedGreedy { retries: 1 + r.index(8) as u32 },
+                ForwardPolicy::SimulatedAnnealing,
+            ];
+            let mut scratch = scratch();
+            for _ in 0..4 {
+                let config = AnycastConfig {
+                    policy: policies[r.index(3)],
+                    scope: scopes[r.index(3)],
+                    ttl: r.index(8) as u32,
+                };
+                let initiator = NodeId::new(r.index(world.id_bound()) as u64);
+                let seed = r.next_u64();
+                let mut observe = |reference: bool| {
+                    let mut net = Network::new(LatencyModel::PAPER, 0.0, seed);
+                    let mut rng = Xoshiro256::new(seed ^ 1);
+                    let outcome = if reference {
+                        reference::run_anycast(&world, &mut net, &mut rng, initiator, target, config)
+                    } else {
+                        run_anycast(&world, &mut net, &mut rng, &mut scratch, initiator, target, config)
+                    };
+                    (outcome, net.hop_latency(), rng.next_u64())
+                };
+                let expected = observe(true);
+                prop_assert_eq!(observe(false), expected);
+            }
+        }
     }
 }

@@ -7,12 +7,18 @@
 //! the monitoring service), each node's cached neighbor lists, and — for
 //! measurement only — true availabilities.
 //!
+//! Node ids are **index-space**: every id is below [`OverlayWorld::id_bound`].
+//! That is what lets the operations keep their per-node state in dense,
+//! reused arrays ([`crate::ops::OpScratch`]) instead of hash sets, and
+//! read neighbor lists as borrowed columns instead of materialized
+//! [`crate::membership::Neighbor`]s.
+//!
 //! The production implementation is the full-system harness
 //! ([`crate::harness::AvmemSim`]); tests use hand-built mock worlds.
 
 use avmem_util::{Availability, NodeId};
 
-use crate::membership::{Neighbor, SliverScope};
+use crate::membership::{NeighborColumns, SliverScope};
 
 /// Read access to the simulated system state at the instant an operation
 /// executes.
@@ -21,8 +27,9 @@ use crate::membership::{Neighbor, SliverScope};
 /// happens on a minutes scale, so the world is treated as static for the
 /// duration of a single operation — matching the paper's methodology.
 pub trait OverlayWorld {
-    /// The whole (fixed) population.
-    fn node_ids(&self) -> Vec<NodeId>;
+    /// Exclusive upper bound of the (fixed) population's ids: the nodes
+    /// are `0..id_bound()`, and no neighbor list names an id outside it.
+    fn id_bound(&self) -> usize;
 
     /// Whether `id` is online right now (ground truth).
     fn is_online(&self, id: NodeId) -> bool;
@@ -36,95 +43,198 @@ pub trait OverlayWorld {
     /// protocol decision may depend on it).
     fn true_availability(&self, id: NodeId) -> Availability;
 
-    /// `id`'s current neighbors in `scope`, with *cached* availabilities
+    /// `id`'s current neighbors in `scope` — HS first, then VS, each in
+    /// insertion order — as borrowed id / *cached* availability columns
     /// (the paper's forwarding uses values cached at the last refresh,
     /// §3.2).
-    fn neighbors(&self, id: NodeId, scope: SliverScope) -> Vec<Neighbor>;
+    fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_>;
 }
 
 #[cfg(test)]
 pub(crate) mod mock {
-    use super::*;
-    use avmem_sim::SimTime;
-    use std::collections::HashMap;
+    use avmem_util::Rng;
 
-    /// A hand-wired world for operation unit tests.
-    #[derive(Debug, Default)]
+    use super::*;
+    use crate::ops::target::AvailabilityTarget;
+
+    /// A broad random target (a range or a threshold), so that a good
+    /// share of a random world lies inside it.
+    pub fn random_target(r: &mut impl Rng) -> AvailabilityTarget {
+        let lo = 0.4 * r.next_f64();
+        if r.chance(0.3) {
+            AvailabilityTarget::threshold(lo)
+        } else {
+            AvailabilityTarget::range(lo, (lo + 0.3 + 0.4 * r.next_f64()).min(1.0))
+        }
+    }
+
+    /// One node of a [`MockWorld`]: its `[HS | VS]` columns are laid out
+    /// like a `Membership`'s, so every scope is one contiguous borrow.
+    #[derive(Debug, Clone, Default)]
+    struct MockNode {
+        online: bool,
+        believed: f64,
+        truth: f64,
+        ids: Vec<u32>,
+        cached: Vec<Availability>,
+        hs_len: usize,
+    }
+
+    /// A hand-wired world for operation unit tests. Ids index a dense
+    /// table; an id never `add`ed is an offline node without edges.
+    #[derive(Debug, Clone, Default)]
     pub struct MockWorld {
-        pub nodes: Vec<NodeId>,
-        pub online: HashMap<NodeId, bool>,
-        pub availability: HashMap<NodeId, f64>,
-        pub hs: HashMap<NodeId, Vec<NodeId>>,
-        pub vs: HashMap<NodeId, Vec<NodeId>>,
+        nodes: Vec<MockNode>,
     }
 
     impl MockWorld {
+        fn node_mut(&mut self, id: u64) -> &mut MockNode {
+            let index = id as usize;
+            if self.nodes.len() <= index {
+                self.nodes.resize(index + 1, MockNode::default());
+            }
+            &mut self.nodes[index]
+        }
+
+        fn node(&self, id: NodeId) -> Option<&MockNode> {
+            self.nodes.get(id.raw() as usize)
+        }
+
         /// Adds a node with the given availability, online.
         pub fn add(&mut self, id: u64, av: f64) {
-            let node = NodeId::new(id);
-            self.nodes.push(node);
-            self.online.insert(node, true);
-            self.availability.insert(node, av);
+            let node = self.node_mut(id);
+            node.online = true;
+            node.believed = av;
+            node.truth = av;
         }
 
-        /// Declares `a`'s horizontal-sliver edge to `b`.
+        /// Declares `a`'s horizontal-sliver edge to `b`, caching `b`'s
+        /// availability as it is now (add nodes before their in-edges).
         pub fn hs_edge(&mut self, a: u64, b: u64) {
-            self.hs.entry(NodeId::new(a)).or_default().push(NodeId::new(b));
+            let cached = self.node(NodeId::new(b)).map_or(0.0, |n| n.truth);
+            self.hs_edge_cached(a, b, cached);
         }
 
-        /// Declares `a`'s vertical-sliver edge to `b`.
+        /// Declares `a`'s vertical-sliver edge to `b`, caching `b`'s
+        /// availability as it is now.
         pub fn vs_edge(&mut self, a: u64, b: u64) {
-            self.vs.entry(NodeId::new(a)).or_default().push(NodeId::new(b));
+            let cached = self.node(NodeId::new(b)).map_or(0.0, |n| n.truth);
+            self.vs_edge_cached(a, b, cached);
+        }
+
+        /// An HS edge whose cached availability is chosen by the test
+        /// (stale caches: a forwarder that believes `b` in range when
+        /// `b` itself does not).
+        pub fn hs_edge_cached(&mut self, a: u64, b: u64, cached: f64) {
+            self.node_mut(b);
+            let node = self.node_mut(a);
+            node.ids.insert(node.hs_len, b as u32);
+            node.cached.insert(node.hs_len, Availability::saturating(cached));
+            node.hs_len += 1;
+        }
+
+        /// A VS edge with a test-chosen cached availability.
+        pub fn vs_edge_cached(&mut self, a: u64, b: u64, cached: f64) {
+            self.node_mut(b);
+            let node = self.node_mut(a);
+            node.ids.push(b as u32);
+            node.cached.push(Availability::saturating(cached));
+        }
+
+        /// A random world of 2 to 47 nodes with everything the operations
+        /// have to get right: offline nodes, stale caches in both
+        /// directions (receivers that believe themselves out of range,
+        /// neighbors cached at a value they never had), self edges, and
+        /// nodes listed under both HS and VS.
+        pub fn random<R: Rng>(r: &mut R) -> Self {
+            let n = 2 + r.index(46) as u64;
+            // Half the worlds draw availabilities from eleven values, so
+            // that candidates tie on distance *and* availability.
+            let coarse = r.chance(0.5);
+            let availability = |r: &mut R| {
+                if coarse {
+                    r.index(11) as f64 / 10.0
+                } else {
+                    r.next_f64()
+                }
+            };
+            let mut world = MockWorld::default();
+            for id in 0..n {
+                world.add(id, availability(r));
+                if r.chance(0.15) {
+                    world.set_offline(id);
+                }
+                if r.chance(0.15) {
+                    world.set_believed(id, availability(r));
+                }
+            }
+            for a in 0..n {
+                for _ in 0..r.index(16) {
+                    let b = r.index(n as usize) as u64;
+                    // Mostly the neighbor's own availability, sometimes stale.
+                    let cached = if r.chance(0.75) {
+                        world.true_availability(NodeId::new(b)).value()
+                    } else {
+                        availability(r)
+                    };
+                    match r.index(4) {
+                        0 => world.hs_edge_cached(a, b, cached),
+                        1 => world.vs_edge_cached(a, b, cached),
+                        2 => {
+                            world.hs_edge_cached(a, b, cached);
+                            world.vs_edge_cached(a, b, cached);
+                        }
+                        _ => {
+                            world.vs_edge_cached(a, b, cached);
+                            world.hs_edge_cached(a, b, availability(r));
+                        }
+                    }
+                }
+            }
+            world
         }
 
         /// Marks a node offline.
         pub fn set_offline(&mut self, id: u64) {
-            self.online.insert(NodeId::new(id), false);
+            self.node_mut(id).online = false;
         }
 
-        fn to_neighbors(&self, ids: Option<&Vec<NodeId>>) -> Vec<Neighbor> {
-            ids.map(|v| {
-                v.iter()
-                    .map(|&id| Neighbor {
-                        id,
-                        cached_availability: Availability::saturating(
-                            self.availability.get(&id).copied().unwrap_or(0.0),
-                        ),
-                        added_at: SimTime::ZERO,
-                        refreshed_at: SimTime::ZERO,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+        /// Sets what the node believes about itself, leaving the truth.
+        pub fn set_believed(&mut self, id: u64, av: f64) {
+            self.node_mut(id).believed = av;
         }
     }
 
     impl OverlayWorld for MockWorld {
-        fn node_ids(&self) -> Vec<NodeId> {
-            self.nodes.clone()
+        fn id_bound(&self) -> usize {
+            self.nodes.len()
         }
 
         fn is_online(&self, id: NodeId) -> bool {
-            self.online.get(&id).copied().unwrap_or(false)
+            self.node(id).is_some_and(|n| n.online)
         }
 
         fn believed_availability(&self, id: NodeId) -> Availability {
-            Availability::saturating(self.availability.get(&id).copied().unwrap_or(0.0))
+            Availability::saturating(self.node(id).map_or(0.0, |n| n.believed))
         }
 
         fn true_availability(&self, id: NodeId) -> Availability {
-            self.believed_availability(id)
+            Availability::saturating(self.node(id).map_or(0.0, |n| n.truth))
         }
 
-        fn neighbors(&self, id: NodeId, scope: SliverScope) -> Vec<Neighbor> {
-            let mut out = Vec::new();
-            if matches!(scope, SliverScope::HsOnly | SliverScope::Both) {
-                out.extend(self.to_neighbors(self.hs.get(&id)));
+        fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_> {
+            let Some(node) = self.node(id) else {
+                return NeighborColumns { ids: &[], cached_availability: &[] };
+            };
+            let range = match scope {
+                SliverScope::HsOnly => 0..node.hs_len,
+                SliverScope::VsOnly => node.hs_len..node.ids.len(),
+                SliverScope::Both => 0..node.ids.len(),
+            };
+            NeighborColumns {
+                ids: &node.ids[range.clone()],
+                cached_availability: &node.cached[range],
             }
-            if matches!(scope, SliverScope::VsOnly | SliverScope::Both) {
-                out.extend(self.to_neighbors(self.vs.get(&id)));
-            }
-            out
         }
     }
 }

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use avmem::harness::{AvmemSim, MaintenanceEngine};
-use avmem::ops::{run_anycast, run_multicast};
+use avmem::ops::{run_anycast, run_multicast, OpScratch};
 use avmem::AdmissionPolicy;
 use avmem::AvailabilityTarget;
 use avmem::SliverScope;
@@ -511,6 +511,7 @@ impl ScenarioRunner {
             health_index: 0,
             bands,
             pick_scratch: Vec::new(),
+            ops_scratch: OpScratch::default(),
             instruments: None,
         })
     }
@@ -535,6 +536,8 @@ pub struct RunSession {
     /// Rejection-sampling fallback scratch for [`RunSession::pick_initiator`],
     /// reused across operations so the rare exact scan never reallocates.
     pick_scratch: Vec<u32>,
+    /// Working memory of the operations [`RunSession::fire_op`] runs.
+    ops_scratch: OpScratch,
     instruments: Option<ScenarioInstruments>,
 }
 
@@ -767,13 +770,14 @@ impl RunSession {
                         &world,
                         &mut net,
                         &mut rng,
+                        &mut self.ops_scratch,
                         initiator,
                         target,
                         spec.workload.anycast_config(),
                     );
                     let stats = &mut self.report.anycast;
                     stats.sent += 1;
-                    stats.total_messages += u64::from(outcome.messages);
+                    stats.total_messages += outcome.messages;
                     stats.total_latency_ms += outcome.latency.as_millis();
                     if outcome.is_delivered() {
                         stats.delivered += 1;
@@ -797,14 +801,14 @@ impl RunSession {
                         &world,
                         &mut net,
                         &mut rng,
+                        &mut self.ops_scratch,
                         initiator,
                         target,
                         spec.workload.multicast_config(),
                     );
                     let stats = &mut self.report.multicast;
                     stats.sent += 1;
-                    stats.total_messages +=
-                        u64::from(outcome.messages) + u64::from(outcome.anycast.messages);
+                    stats.total_messages += outcome.messages + outcome.anycast.messages;
                     if outcome.anycast.is_delivered() {
                         stats.entered += 1;
                     }
@@ -817,7 +821,7 @@ impl RunSession {
                         stats.spam_count += 1;
                     }
                     let trace = self.sim.trace();
-                    for &node in outcome.deliveries.keys() {
+                    for &(node, _) in &outcome.deliveries {
                         let av = trace.long_term_availability(node.raw() as usize).value();
                         let decile = ((av * DECILES as f64) as usize).min(DECILES - 1);
                         stats.deliveries_by_decile[decile] += 1;
