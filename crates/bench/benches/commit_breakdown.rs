@@ -1,7 +1,7 @@
 //! Commit-phase cost breakdown: what the counting-bucket placement and
 //! the pooled cohort buffers buy over the paths they replaced.
 //!
-//! Two layers:
+//! Three layers:
 //!
 //! * `placement_*` — grouping one cohort's request inbox by responder,
 //!   the way commit 2a routes requests to their targets. The harness
@@ -15,15 +15,21 @@
 //!   → reply) with a fresh `EntryPool` per call (the allocating entry
 //!   points) vs one long-lived pool, isolating the per-exchange
 //!   alloc/free traffic the shard-owned pools remove.
+//! * `view_merge` — one `View::merge` of ℓ = v/2 entries, none of them
+//!   present, into a full view whose previous ℓ arrivals are the `sent`
+//!   victims (the steady state of a converged overlay), at the view
+//!   sizes of the paper's 1442 hosts (37), of 16 k hosts (126) and of 10⁶
+//!   hosts (1000). Reported per received entry: with the id table a
+//!   merge is O(v + ℓ), so ns/elem should stay flat as v grows.
 //!
 //! Set `AVMEM_BENCH_QUICK=1` (the CI bench-smoke setting) to shrink the
 //! sweeps so the bodies still execute cheaply.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use avmem_shuffle::{EntryPool, ShuffleConfig, ShuffleNode};
-use avmem_util::{NodeId, Rng, SplitMix64};
+use avmem_shuffle::{EntryPool, ShuffleConfig, ShuffleNode, View, ViewEntry};
+use avmem_util::{NodeId, Rng, SplitMix64, StampedTable};
 
 fn quick() -> bool {
     std::env::var_os("AVMEM_BENCH_QUICK").is_some()
@@ -155,5 +161,36 @@ fn bench_exchange_buffers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_placement, bench_exchange_buffers);
+fn bench_view_merge(c: &mut Criterion) {
+    let mut group = c.benchmark_group("view_merge");
+    let sizes: &[u64] = if quick() { &[37] } else { &[37, 126, 1000] };
+    for &v in sizes {
+        let l = v / 2;
+        let mut view = View::new(v as usize);
+        for n in 0..v {
+            view.insert(ViewEntry { id: NodeId::new(n), age: 1 });
+        }
+        let owner = NodeId::new(v + 2 * l);
+        let batch = |first: u64| -> Vec<ViewEntry> {
+            (first..first + l).map(|n| ViewEntry::fresh(NodeId::new(n))).collect()
+        };
+        // Two disjoint batches take turns: each merge finds the other
+        // batch in the view, as the victims it sent away.
+        let mut arriving = batch(v);
+        let mut resident = batch(v + l);
+        let mut index = StampedTable::new();
+        view.merge(owner, &resident, &batch(0), &mut index);
+        group.throughput(Throughput::Elements(l));
+        group.bench_function(BenchmarkId::from_parameter(v), |b| {
+            b.iter(|| {
+                view.merge(owner, &arriving, &resident, &mut index);
+                std::mem::swap(&mut arriving, &mut resident);
+                black_box(view.len())
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_placement, bench_exchange_buffers, bench_view_merge);
 criterion_main!(benches);

@@ -350,7 +350,9 @@ struct ShardScratch {
     /// Fast-path effectiveness counters, drained after every cohort.
     stats: FinalizeStats,
     /// Pooled shuffle-entry buffers: proposal, reply, and in-flight
-    /// vectors cycle through here instead of the allocator.
+    /// vectors cycle through here instead of the allocator. Its id table
+    /// (8 bytes per id of the population) serves every view merge of the
+    /// commit phase and every discovery filter of the finalize phase.
     pool: EntryPool,
     /// Commit fast path: per-responder chain heads, indexed by the
     /// responder's offset in the shard (`u32::MAX` = no requests).
@@ -380,17 +382,17 @@ struct FinalizeShardState {
     classified: Vec<u32>,
     /// Per node: stamp under which `seen` below is valid.
     seen_stamp: Vec<u32>,
-    /// Per node: sorted candidate ids whose discovery classification
-    /// produced no insert (no sliver, or the oracle had no estimate) at
-    /// the `seen_stamp` epoch, rebuilt every discovery from the current
-    /// view. Classification is a pure function of `(own_av, y_av, hash,
-    /// thresholds)` and estimates are pure within an epoch, so a
-    /// same-stamp repeat candidate is skipped before the estimate /
-    /// hash / classify pipeline even starts. The list is view-sized
-    /// (tens of entries, resident in L1), so the prune probe is a
-    /// binary search through hot memory — deliberately not a
-    /// shard-global pair map, whose DRAM-sized probe/insert traffic
-    /// costs more than the pipeline it skips.
+    /// Per node: the candidate ids (a set, in no particular order) whose
+    /// discovery classification produced no insert (no sliver, or the
+    /// oracle had no estimate) at the `seen_stamp` epoch, rebuilt every
+    /// discovery from the current view. Classification is a pure
+    /// function of `(own_av, y_av, hash, thresholds)` and estimates are
+    /// pure within an epoch, so a same-stamp repeat candidate is skipped
+    /// before the estimate / hash / classify pipeline even starts. The
+    /// list is view-sized; a discovery tags its ids in the shard's id
+    /// table once and then probes the table per candidate — deliberately
+    /// not a shard-global pair map, whose DRAM-sized probe/insert
+    /// traffic costs more than the pipeline it skips.
     seen: Vec<Vec<u32>>,
 }
 
@@ -405,6 +407,11 @@ impl FinalizeShardState {
         }
     }
 }
+
+/// Discovery-filter tags in the shard's id table: the id is already a
+/// neighbor, or it classified to no insert earlier in this epoch.
+const TAG_MEMBER: u32 = 0;
+const TAG_NO_INSERT: u32 = 1;
 
 /// Epoch → nonzero compact stamp for the finalize memos: `epoch + 1` as
 /// a `u32`, so freshly zeroed state never matches. Oracle epochs count
@@ -712,6 +719,7 @@ impl MaintCtx<'_> {
             fast: state,
             stats,
             migrants,
+            pool,
             ..
         } = scratch;
         // Stamps are `epoch + 1`, so zeroed state never matches.
@@ -751,27 +759,37 @@ impl MaintCtx<'_> {
             // classification.
             cand_ids.clear();
             seen_scratch.clear();
-            let prev_valid = match stamp {
-                Some(stamp) => {
-                    state.ensure_len(shard_len);
-                    state.seen_stamp[local] == stamp
+            // One tag per id the filter must recognize, written once;
+            // each view candidate then costs one load. The two sets are
+            // disjoint: an id that classified to no insert cannot have
+            // become a neighbor within the same epoch.
+            let tags = pool.id_table();
+            tags.begin();
+            for &member in membership.columns(SliverScope::Both).ids {
+                tags.set(member, TAG_MEMBER);
+            }
+            if let Some(stamp) = stamp {
+                state.ensure_len(shard_len);
+                if state.seen_stamp[local] == stamp {
+                    for &y in &state.seen[local] {
+                        debug_assert_eq!(tags.get(y), None, "no-insert id {y} is a neighbor");
+                        tags.set(y, TAG_NO_INSERT);
+                    }
                 }
-                None => false,
-            };
+            }
             for candidate in self.shuffles[i].view().ids() {
                 let y = candidate.raw() as usize;
                 if y == i {
                     continue;
                 }
-                if prev_valid && state.seen[local].binary_search(&(y as u32)).is_ok() {
-                    stats.discover_pruned += 1;
-                    seen_scratch.push(y as u32);
-                    continue;
+                match tags.get(y as u32) {
+                    Some(TAG_NO_INSERT) => {
+                        stats.discover_pruned += 1;
+                        seen_scratch.push(y as u32);
+                    }
+                    Some(_) => {}
+                    None => cand_ids.push(candidate),
                 }
-                if membership.contains(candidate) {
-                    continue;
-                }
-                cand_ids.push(candidate);
             }
             let was_empty = membership.is_empty();
             let mut inserted = false;
@@ -806,9 +824,8 @@ impl MaintCtx<'_> {
             }
             if let Some(stamp) = stamp {
                 // Entries that left the view drop out here; if one comes
-                // back later it re-runs the pipeline (identically).
-                seen_scratch.sort_unstable();
-                seen_scratch.dedup();
+                // back later it re-runs the pipeline (identically). View
+                // ids are unique, so the list is a set as built.
                 std::mem::swap(&mut state.seen[local], seen_scratch);
                 state.seen_stamp[local] = stamp;
             }

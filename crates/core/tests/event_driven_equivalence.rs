@@ -351,6 +351,39 @@ fn fast_finalize_matches_reference_path_across_oracles() {
                 &candidate,
                 &format!("fast vs slow finalize, {label}, {engine:?}"),
             );
+            if label == "shared noise" {
+                // How much work the fast path skipped to get to that state
+                // is pinned too, on the cell whose epochs both prune
+                // candidates and expire: the counts the scanning discovery
+                // filter (a binary search of the no-insert list, then
+                // `Membership::contains`, per candidate) produced on this
+                // spec. A filter that probes differently — a candidate
+                // both pruned and a member, a stale tag read as current —
+                // moves `discover_pruned` or `batched_estimates` even
+                // where the memberships come out equal. Pair-hash reads
+                // are summed: `AVMEM_HASH_BUDGET` picks their store.
+                let stats = candidate.finalize_stats();
+                assert_eq!(
+                    (stats.memo_hits, stats.memo_misses, stats.memo_bypassed),
+                    (10_093, 126, 0),
+                    "{label}, {engine:?}: threshold memo counters"
+                );
+                assert_eq!(
+                    (stats.refresh_skipped, stats.refresh_evaluated),
+                    (714, 76),
+                    "{label}, {engine:?}: refresh counters"
+                );
+                assert_eq!(
+                    (stats.discover_pruned, stats.batched_estimates),
+                    (30_993, 34_154),
+                    "{label}, {engine:?}: discovery filter counters"
+                );
+                assert_eq!(
+                    stats.pair_hash.hashed + stats.pair_hash.delegated,
+                    stats.batched_estimates,
+                    "{label}, {engine:?}: one pair hash per batched estimate"
+                );
+            }
         }
     }
 }

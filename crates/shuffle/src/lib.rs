@@ -22,7 +22,12 @@
 //! `v + N/v`, giving `v = O(√N)` — see [`optimal_view_size`].
 //!
 //! The state machines here are pure (no engine dependency): callers pass
-//! messages between nodes however they like. [`sim::RoundSim`] is a
+//! messages between nodes however they like. A driver that runs many
+//! exchanges owns an [`EntryPool`] and calls the `_with` forms
+//! ([`ShuffleNode::handle_request_with`] and its siblings): message
+//! buffers are recycled, and every view merge indexes the view in the
+//! pool's id table instead of scanning it per received entry. The plain
+//! forms build a pool per call; they are for tests and examples. [`sim::RoundSim`] is a
 //! miniature synchronous driver used by the tests and the discovery-time
 //! microbenchmarks.
 

@@ -283,10 +283,16 @@ impl ShuffleNode {
     /// Returns `None` when the view is empty (nothing to exchange with) or
     /// an exchange is already in flight.
     pub fn initiate(&mut self) -> Option<(NodeId, ShuffleMessage)> {
+        self.initiate_with(&mut EntryPool::new())
+    }
+
+    /// [`ShuffleNode::initiate`] drawing the request and in-flight
+    /// buffers from `pool`.
+    pub fn initiate_with(&mut self, pool: &mut EntryPool) -> Option<(NodeId, ShuffleMessage)> {
         let mut rng = self.rng.clone();
-        let proposal = self.propose(&mut rng)?;
+        let proposal = self.propose_with(&mut rng, pool)?;
         self.rng = rng;
-        self.apply(&proposal);
+        self.apply_with(&proposal, pool);
         Some(proposal.into_request())
     }
 
@@ -300,7 +306,8 @@ impl ShuffleNode {
     }
 
     /// [`ShuffleNode::handle_request`] drawing the reply buffer from
-    /// `pool` and recycling the spent request entries into it.
+    /// `pool`, merging on its id table, and recycling the spent request
+    /// entries into it.
     ///
     /// # Panics
     ///
@@ -316,7 +323,7 @@ impl ShuffleNode {
         let mut reply = pool.take(self.config.shuffle_length);
         self.view
             .random_subset_into(&mut self.rng, self.config.shuffle_length, None, &mut reply);
-        self.view.merge(self.id, &entries, &reply);
+        self.view.merge(self.id, &entries, &reply, pool.id_table());
         pool.recycle(entries);
         ShuffleMessage::Reply { entries: reply }
     }
@@ -332,8 +339,8 @@ impl ShuffleNode {
         self.handle_reply_with(message, &mut EntryPool::new());
     }
 
-    /// [`ShuffleNode::handle_reply`] recycling the spent reply and
-    /// in-flight buffers into `pool`.
+    /// [`ShuffleNode::handle_reply`] merging on `pool`'s id table and
+    /// recycling the spent reply and in-flight buffers into it.
     ///
     /// # Panics
     ///
@@ -346,7 +353,7 @@ impl ShuffleNode {
             pool.recycle(entries);
             return;
         };
-        self.view.merge(self.id, &entries, &in_flight.sent);
+        self.view.merge(self.id, &entries, &in_flight.sent, pool.id_table());
         pool.recycle(entries);
         pool.recycle(in_flight.sent);
     }

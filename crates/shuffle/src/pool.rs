@@ -11,13 +11,24 @@
 //! Pooling is invisible to determinism: `Vec` equality ignores capacity,
 //! and the pooled fill paths (`Rng::sample_into`-based) consume the
 //! generator draw-for-draw like their allocating twins.
+//!
+//! The pool also carries the shard's id table (a
+//! [`StampedTable`]): the working memory [`View::merge`](crate::View::merge)
+//! indexes a view in, so that every id probe of a merge is one load. It
+//! is emptied at the start of each use, so whoever holds the pool between
+//! exchanges may borrow it ([`EntryPool::id_table`]) for id probes of its
+//! own.
+
+use avmem_util::StampedTable;
 
 use crate::view::ViewEntry;
 
-/// Free-list of `Vec<ViewEntry>` buffers; see the module docs.
+/// Free-list of `Vec<ViewEntry>` buffers plus the shard's id table; see
+/// the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct EntryPool {
     free: Vec<Vec<ViewEntry>>,
+    ids: StampedTable,
 }
 
 impl EntryPool {
@@ -45,6 +56,13 @@ impl EntryPool {
             buf.clear();
             self.free.push(buf);
         }
+    }
+
+    /// The id table: scratch with no content between uses — call
+    /// [`StampedTable::begin`] first. It holds 8 bytes per id up to the
+    /// largest one ever written, and stays allocated.
+    pub fn id_table(&mut self) -> &mut StampedTable {
+        &mut self.ids
     }
 
     /// Buffers currently parked in the pool.

@@ -9,7 +9,8 @@
 
 use avmem_util::{NodeId, Rng, SplitMix64};
 
-use crate::node::{ShuffleConfig, ShuffleNode};
+use crate::node::{ShuffleConfig, ShuffleMessage, ShuffleNode};
+use crate::pool::EntryPool;
 
 /// A synchronous, round-based shuffle simulation.
 ///
@@ -29,6 +30,8 @@ pub struct RoundSim {
     online: Vec<bool>,
     rng: SplitMix64,
     rounds: u64,
+    /// Entry buffers and the merge id table, shared by every exchange.
+    pool: EntryPool,
 }
 
 impl RoundSim {
@@ -57,6 +60,7 @@ impl RoundSim {
             online: vec![true; n],
             rng: master,
             rounds: 0,
+            pool: EntryPool::new(),
         }
     }
 
@@ -97,16 +101,19 @@ impl RoundSim {
             if !self.online[i] {
                 continue;
             }
-            let Some((target, request)) = self.nodes[i].initiate() else {
+            let Some((target, request)) = self.nodes[i].initiate_with(&mut self.pool) else {
                 continue;
             };
             let t = target.raw() as usize;
             if t >= self.nodes.len() || !self.online[t] {
-                self.nodes[i].handle_timeout(target);
+                if let ShuffleMessage::Request { entries } = request {
+                    self.pool.recycle(entries);
+                }
+                self.nodes[i].handle_timeout_with(target, &mut self.pool);
                 continue;
             }
-            let reply = self.nodes[t].handle_request(request);
-            self.nodes[i].handle_reply(reply);
+            let reply = self.nodes[t].handle_request_with(request, &mut self.pool);
+            self.nodes[i].handle_reply_with(reply, &mut self.pool);
         }
     }
 

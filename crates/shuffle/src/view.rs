@@ -14,8 +14,18 @@
 //! resident set. The id arrays hold **index-space ids** — views are the
 //! harness's per-node neighbor slots, where ids are dense indexes `< N`;
 //! inserting an id above `u32::MAX` panics.
+//!
+//! # Lookups
+//!
+//! The columns are unordered, so `contains`/`insert`/`remove` scan the id
+//! column. [`View::merge`] — the one operation that looks up ℓ ids per
+//! call, twice per exchange — does not: it indexes the view in a caller-
+//! provided [`StampedTable`] (the per-shard table of an
+//! [`EntryPool`](crate::EntryPool)) and probes that. The view itself
+//! stores no index: at √N entries × N views it would cost more memory
+//! than the id columns.
 
-use avmem_util::{NodeId, Rng};
+use avmem_util::{NodeId, Rng, StampedTable};
 use serde::{Deserialize, Serialize};
 
 /// One entry of a partial view: a node and the entry's age in protocol
@@ -196,68 +206,171 @@ impl View {
 
     /// CYCLON merge: incorporate `received` entries, preferring to fill
     /// empty slots, then to replace the entries in `sent` (the ones we
-    /// shipped to the peer), and finally — if the view is somehow still
-    /// full — replacing the oldest entries.
+    /// shipped to the peer, consumed back-to-front), and finally — if the
+    /// view is somehow still full — replacing the oldest entry.
     ///
     /// Entries for `self_id` and duplicates are skipped (younger age
-    /// wins on duplicates). Allocation-free: sent-entry victims are
-    /// consumed back-to-front straight from `sent`.
-    pub fn merge(&mut self, self_id: NodeId, received: &[ViewEntry], sent: &[ViewEntry]) {
-        // Cursor over `sent`, consumed from the end — same victim order
-        // as the old `replaceable: Vec<NodeId>` + `pop()` scheme.
+    /// wins on duplicates).
+    ///
+    /// `index` is working memory (any table, fresh or used, gives the
+    /// same result): the view's ids → positions are written into it once,
+    /// `len` stores, and from then on "is this received id present, and
+    /// where" and "is this sent victim still present" are one load each
+    /// instead of a scan of the id column — a merge of ℓ entries costs
+    /// O(v + ℓ), not O(v·ℓ). The index follows every change the merge
+    /// makes: a pushed or replacing id is written, a replaced one removed.
+    /// The table is dense — it grows to the largest id it is given, which
+    /// is why view ids are index-space.
+    pub fn merge(
+        &mut self,
+        self_id: NodeId,
+        received: &[ViewEntry],
+        sent: &[ViewEntry],
+        index: &mut StampedTable,
+    ) {
+        index.begin();
+        for (pos, &id) in self.ids.iter().enumerate() {
+            index.set(id, pos as u32);
+        }
         let mut next_victim = sent.len();
         for &entry in received {
             if entry.id == self_id {
                 continue;
             }
             let raw = packed(entry.id);
-            if let Some(pos) = self.ids.iter().position(|&e| e == raw) {
-                self.ages[pos] = self.ages[pos].min(entry.age);
+            if let Some(pos) = index.get(raw) {
+                let age = &mut self.ages[pos as usize];
+                *age = (*age).min(entry.age);
                 continue;
             }
             if self.ids.len() < self.capacity as usize {
+                index.set(raw, self.ids.len() as u32);
                 self.ids.push(raw);
                 self.ages.push(entry.age);
                 continue;
             }
             // Replace one of the entries we sent away, if still present.
+            let mut victim_pos = None;
+            while victim_pos.is_none() && next_victim > 0 {
+                next_victim -= 1;
+                victim_pos = index.get(packed(sent[next_victim].id));
+            }
+            // Last resort: replace the oldest entry, unless it is younger
+            // than the incoming one.
+            let pos = victim_pos.map(|pos| pos as usize).or_else(|| {
+                let (pos, &age) = self.ages.iter().enumerate().max_by_key(|&(_, &age)| age)?;
+                (age >= entry.age).then_some(pos)
+            });
+            if let Some(pos) = pos {
+                index.remove(self.ids[pos]);
+                index.set(raw, pos as u32);
+                self.ids[pos] = raw;
+                self.ages[pos] = entry.age;
+            }
+        }
+    }
+}
+
+/// The merge as it was before the id index: every lookup a scan of the id
+/// column. Kept as the model the differential tests compare
+/// [`View::merge`] against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// How often a merge took each of its ways, indexed like [`PATHS`].
+    pub(super) type Paths = [usize; PATHS.len()];
+
+    pub(super) const PATHS: [&str; 7] = [
+        "own entry skipped",
+        "duplicate",
+        "pushed",
+        "victim gone",
+        "victim replaced",
+        "oldest replaced",
+        "oldest kept",
+    ];
+
+    pub(super) fn merge(
+        view: &mut View,
+        self_id: NodeId,
+        received: &[ViewEntry],
+        sent: &[ViewEntry],
+    ) -> Paths {
+        let mut paths = Paths::default();
+        let mut next_victim = sent.len();
+        for &entry in received {
+            if entry.id == self_id {
+                paths[0] += 1;
+                continue;
+            }
+            let raw = packed(entry.id);
+            if let Some(pos) = view.ids.iter().position(|&e| e == raw) {
+                view.ages[pos] = view.ages[pos].min(entry.age);
+                paths[1] += 1;
+                continue;
+            }
+            if view.ids.len() < view.capacity as usize {
+                view.ids.push(raw);
+                view.ages.push(entry.age);
+                paths[2] += 1;
+                continue;
+            }
             let mut replaced = false;
             while next_victim > 0 {
                 next_victim -= 1;
                 let victim = packed(sent[next_victim].id);
-                if let Some(pos) = self.ids.iter().position(|&e| e == victim) {
-                    self.ids[pos] = raw;
-                    self.ages[pos] = entry.age;
+                if let Some(pos) = view.ids.iter().position(|&e| e == victim) {
+                    view.ids[pos] = raw;
+                    view.ages[pos] = entry.age;
                     replaced = true;
+                    paths[4] += 1;
                     break;
                 }
+                paths[3] += 1;
             }
             if !replaced {
-                // Last resort: replace the oldest entry.
-                if let Some(pos) = self
+                if let Some(pos) = view
                     .ages
                     .iter()
                     .enumerate()
                     .max_by_key(|&(_, &age)| age)
                     .map(|(pos, _)| pos)
                 {
-                    if self.ages[pos] >= entry.age {
-                        self.ids[pos] = raw;
-                        self.ages[pos] = entry.age;
+                    if view.ages[pos] >= entry.age {
+                        view.ids[pos] = raw;
+                        view.ages[pos] = entry.age;
+                        paths[5] += 1;
+                    } else {
+                        paths[6] += 1;
                     }
                 }
             }
         }
+        paths
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avmem_util::Xoshiro256;
+    use avmem_util::{SplitMix64, Xoshiro256};
+    use proptest::prelude::*;
 
     fn id(n: u64) -> NodeId {
         NodeId::new(n)
+    }
+
+    fn view_of(capacity: usize, entries: &[(u64, u32)]) -> View {
+        let mut v = View::new(capacity);
+        for &(n, age) in entries {
+            assert!(v.insert(ViewEntry { id: id(n), age }));
+        }
+        v
+    }
+
+    fn entries_of(view: &View) -> Vec<(u64, u32)> {
+        view.iter().map(|e| (e.id.raw(), e.age)).collect()
     }
 
     #[test]
@@ -337,7 +450,8 @@ mod tests {
     fn merge_fills_empty_slots_first() {
         let mut v = View::new(4);
         v.insert(ViewEntry::fresh(id(1)));
-        v.merge(id(0), &[ViewEntry::fresh(id(2)), ViewEntry::fresh(id(3))], &[]);
+        let received = [ViewEntry::fresh(id(2)), ViewEntry::fresh(id(3))];
+        v.merge(id(0), &received, &[], &mut StampedTable::new());
         assert_eq!(v.len(), 3);
     }
 
@@ -349,6 +463,7 @@ mod tests {
             id(0),
             &[ViewEntry::fresh(id(0)), ViewEntry { id: id(1), age: 1 }],
             &[],
+            &mut StampedTable::new(),
         );
         assert_eq!(v.len(), 1);
         assert_eq!(v.oldest().unwrap().age, 1); // younger duplicate won
@@ -361,7 +476,7 @@ mod tests {
         v.insert(ViewEntry::fresh(id(1)));
         v.insert(ViewEntry::fresh(id(2)));
         let sent = vec![ViewEntry::fresh(id(1))];
-        v.merge(id(0), &[ViewEntry::fresh(id(9))], &sent);
+        v.merge(id(0), &[ViewEntry::fresh(id(9))], &sent, &mut StampedTable::new());
         assert!(v.contains(id(9)));
         assert!(!v.contains(id(1)));
         assert!(v.contains(id(2)));
@@ -372,7 +487,7 @@ mod tests {
         let mut v = View::new(2);
         v.insert(ViewEntry { id: id(1), age: 9 });
         v.insert(ViewEntry { id: id(2), age: 1 });
-        v.merge(id(0), &[ViewEntry::fresh(id(9))], &[]);
+        v.merge(id(0), &[ViewEntry::fresh(id(9))], &[], &mut StampedTable::new());
         assert!(v.contains(id(9)));
         assert!(!v.contains(id(1))); // oldest evicted
         assert!(v.contains(id(2)));
@@ -382,7 +497,7 @@ mod tests {
     fn merge_keeps_newer_resident_over_older_incoming() {
         let mut v = View::new(1);
         v.insert(ViewEntry { id: id(1), age: 0 });
-        v.merge(id(0), &[ViewEntry { id: id(9), age: 8 }], &[]);
+        v.merge(id(0), &[ViewEntry { id: id(9), age: 8 }], &[], &mut StampedTable::new());
         // Resident entry is younger than the incoming one; keep it.
         assert!(v.contains(id(1)));
         assert!(!v.contains(id(9)));
@@ -399,5 +514,185 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
         let _ = View::new(0);
+    }
+
+    #[test]
+    fn merge_index_follows_a_replacement() {
+        // Full view; 9 replaces the sent victim 1, then arrives again
+        // younger: it must be found where it was put, not take slot 2's
+        // place as a second copy.
+        let mut v = view_of(2, &[(1, 4), (2, 4)]);
+        let sent = [ViewEntry::fresh(id(1)), ViewEntry::fresh(id(2))];
+        let received = [ViewEntry { id: id(9), age: 3 }, ViewEntry { id: id(9), age: 1 }];
+        v.merge(id(0), &received, &sent, &mut StampedTable::new());
+        assert_eq!(entries_of(&v), [(1, 4), (9, 1)]);
+    }
+
+    #[test]
+    fn merge_forgets_a_replaced_victim() {
+        // 9 replaces victim 2; a later entry for 2 must not read 9's
+        // slot as its own (it goes to the last resort instead, and loses
+        // to nobody: the oldest resident is older).
+        let mut v = view_of(2, &[(1, 7), (2, 5)]);
+        let sent = [ViewEntry::fresh(id(2))];
+        let received = [ViewEntry { id: id(9), age: 6 }, ViewEntry { id: id(2), age: 0 }];
+        v.merge(id(0), &received, &sent, &mut StampedTable::new());
+        assert_eq!(entries_of(&v), [(2, 0), (9, 6)]);
+    }
+
+    #[test]
+    fn merge_forgets_a_replaced_oldest_entry() {
+        // No victims: 9 replaces the oldest (1), then 1 arrives again.
+        let mut v = view_of(2, &[(1, 9), (2, 8)]);
+        let received = [ViewEntry { id: id(9), age: 0 }, ViewEntry { id: id(1), age: 3 }];
+        v.merge(id(0), &received, &[], &mut StampedTable::new());
+        assert_eq!(entries_of(&v), [(9, 0), (1, 3)]);
+    }
+
+    #[test]
+    fn merge_skips_victims_that_left_the_view() {
+        let mut v = view_of(3, &[(1, 0), (2, 0), (3, 0)]);
+        // Consumed back to front: 8 and 7 are gone, 2 is the victim.
+        let sent = [1, 2, 7, 8].map(|n| ViewEntry::fresh(id(n)));
+        v.merge(id(0), &[ViewEntry { id: id(9), age: 5 }], &sent, &mut StampedTable::new());
+        assert_eq!(entries_of(&v), [(1, 0), (9, 5), (3, 0)]);
+    }
+
+    #[test]
+    fn merge_on_a_table_shorter_than_the_ids() {
+        // The table starts empty and has to grow under the merge; ids
+        // far apart, the received one beyond everything written so far.
+        let mut index = StampedTable::new();
+        let mut v = view_of(3, &[(70_000, 2), (5, 1)]);
+        let received = [ViewEntry::fresh(id(4_000_000)), ViewEntry::fresh(id(70_000))];
+        v.merge(id(0), &received, &[], &mut index);
+        assert_eq!(entries_of(&v), [(70_000, 0), (5, 1), (4_000_000, 0)]);
+        assert_eq!(index.get(4_000_000), Some(2));
+    }
+
+    #[test]
+    fn merge_ignores_what_an_earlier_merge_left_in_the_table() {
+        let mut index = StampedTable::new();
+        let mut a = view_of(2, &[(1, 0), (2, 0)]);
+        a.merge(id(0), &[ViewEntry::fresh(id(3))], &[ViewEntry::fresh(id(2))], &mut index);
+        // `b` holds none of a's ids: nothing a's merge wrote may count.
+        let mut b = view_of(3, &[(7, 0)]);
+        let received = [ViewEntry { id: id(1), age: 4 }, ViewEntry { id: id(3), age: 5 }];
+        b.merge(id(0), &received, &[], &mut index);
+        assert_eq!(entries_of(&b), [(7, 0), (1, 4), (3, 5)]);
+    }
+
+    /// The owner of every random view: never resident, sometimes received.
+    const OWNER: u64 = 0;
+
+    fn random_view(r: &mut SplitMix64, capacity: usize, id_space: u64, stride: u64) -> View {
+        let fill = match r.index(4) {
+            0 => 0,
+            1 => capacity,
+            _ => r.index(capacity + 1),
+        };
+        let mut view = View::new(capacity);
+        for _ in 0..fill {
+            // Duplicates are absorbed by `insert`.
+            let n = OWNER + 1 + r.range_u64(id_space - 1);
+            view.insert(ViewEntry { id: id(n * stride), age: r.range_u64(6) as u32 });
+        }
+        view
+    }
+
+    /// One random exchange as `merge` sees it: `(received, sent)`. Small
+    /// id spaces make received entries collide with residents, with each
+    /// other and with the owner; `stride` spreads the same shapes over ids
+    /// far beyond any table length.
+    fn random_exchange(
+        r: &mut SplitMix64,
+        view: &View,
+        id_space: u64,
+        stride: u64,
+    ) -> (Vec<ViewEntry>, Vec<ViewEntry>) {
+        let any_entry = |r: &mut SplitMix64| ViewEntry {
+            id: id(r.range_u64(id_space) * stride),
+            age: r.range_u64(8) as u32,
+        };
+        let resident = |r: &mut SplitMix64| match view.len() {
+            0 => None,
+            len => view.iter().nth(r.index(len)),
+        };
+        let received = (0..r.index(2 * view.capacity() + 2))
+            .map(|_| match resident(r) {
+                // An id already present, older or younger than it is.
+                Some(e) if r.chance(0.25) => ViewEntry { id: e.id, age: r.range_u64(8) as u32 },
+                _ => any_entry(r),
+            })
+            .collect();
+        // What was shipped earlier: residents, ids that have since left
+        // the view (or never were in it), the owner; none at all in a
+        // quarter of the cases, which leaves a full view its last resort.
+        let sent = match r.index(4) {
+            0 => Vec::new(),
+            _ => (0..r.index(view.capacity() + 2))
+                .map(|_| match resident(r) {
+                    Some(e) if r.chance(0.5) => e,
+                    _ => any_entry(r),
+                })
+                .collect(),
+        };
+        (received, sent)
+    }
+
+    /// Runs `rounds` random merges alternating over two views that share
+    /// one id table, each checked against the scanning reference and
+    /// against the same merge on a fresh table. Returns the path tally.
+    fn differential(seed: u64, rounds: usize) -> reference::Paths {
+        let mut r = SplitMix64::new(seed);
+        let widest = if r.chance(0.1) { 40 } else { 9 };
+        let capacity = 1 + r.index(widest);
+        let id_space = 2 + r.range_u64(3 * capacity as u64 + 2);
+        let stride = if r.chance(0.2) { 7_919 } else { 1 };
+        let mut views = [
+            random_view(&mut r, capacity, id_space, stride),
+            random_view(&mut r, capacity, id_space, stride),
+        ];
+        let mut shared = StampedTable::new();
+        let mut paths = reference::Paths::default();
+        for round in 0..rounds {
+            let view = &mut views[round % 2];
+            let (received, sent) = random_exchange(&mut r, view, id_space, stride);
+            let mut expected = view.clone();
+            let p = reference::merge(&mut expected, id(OWNER), &received, &sent);
+            let mut fresh = view.clone();
+            fresh.merge(id(OWNER), &received, &sent, &mut StampedTable::new());
+            view.merge(id(OWNER), &received, &sent, &mut shared);
+            // `View` equality is ids in order, ages, capacity.
+            assert_eq!(fresh, expected, "fresh table, seed {seed} round {round}");
+            assert_eq!(*view, expected, "reused table, seed {seed} round {round}");
+            for (total, n) in paths.iter_mut().zip(p) {
+                *total += n;
+            }
+        }
+        paths
+    }
+
+    proptest! {
+        /// Same view — ids in order, ages — as the scanning reference, on
+        /// a fresh table and on one left dirty by earlier merges of this
+        /// and of another view.
+        #[test]
+        fn merge_matches_the_scanning_reference(seed in any::<u64>()) {
+            differential(seed, 6);
+        }
+    }
+
+    #[test]
+    fn random_merges_take_every_path() {
+        let mut total = reference::Paths::default();
+        for seed in 0..64 {
+            for (total, n) in total.iter_mut().zip(differential(seed, 6)) {
+                *total += n;
+            }
+        }
+        for (path, count) in reference::PATHS.iter().zip(total) {
+            assert!(count >= 20, "{path}: only {count} times in 64 seeds");
+        }
     }
 }

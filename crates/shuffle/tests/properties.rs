@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use avmem_shuffle::{
     sim::RoundSim, EntryPool, ShuffleConfig, ShuffleMessage, ShuffleNode, View, ViewEntry,
 };
-use avmem_util::{NodeId, SplitMix64};
+use avmem_util::{NodeId, SplitMix64, StampedTable};
 
 proptest! {
     #[test]
@@ -52,7 +52,7 @@ proptest! {
             .into_iter()
             .map(|(id, age)| ViewEntry { id: NodeId::new(id), age })
             .collect();
-        view.merge(me, &entries, &[]);
+        view.merge(me, &entries, &[], &mut StampedTable::new());
         prop_assert!(view.len() <= capacity);
         prop_assert!(!view.contains(me));
     }

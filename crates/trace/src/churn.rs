@@ -39,6 +39,10 @@ pub struct ChurnTrace {
     slots: usize,
     /// Row-major online matrix: `online[node * slots + slot]`.
     online: Vec<bool>,
+    /// Per node: fraction of all slots online. The matrix is immutable,
+    /// so the column is computed once; the operations layer reads it per
+    /// node per operation.
+    long_term: Vec<Availability>,
 }
 
 impl ChurnTrace {
@@ -58,13 +62,17 @@ impl ChurnTrace {
             "all rows must have the same number of slots"
         );
         let mut online = Vec::with_capacity(rows.len() * slots);
+        let mut long_term = Vec::with_capacity(rows.len());
         for row in &rows {
             online.extend_from_slice(row);
+            let up = row.iter().filter(|&&b| b).count();
+            long_term.push(Availability::saturating(up as f64 / slots as f64));
         }
         ChurnTrace {
             slot,
             slots,
             online,
+            long_term,
         }
     }
 
@@ -156,16 +164,15 @@ impl ChurnTrace {
     /// Node `i`'s long-term availability: fraction of all slots online.
     ///
     /// This is the ground-truth `av(x)` that the availability monitoring
-    /// service estimates.
+    /// service estimates. An array read: the column is computed when the
+    /// trace is built.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn long_term_availability(&self, i: usize) -> Availability {
-        assert!(i < self.num_nodes(), "node index {i} out of range");
-        let row = &self.online[i * self.slots..(i + 1) * self.slots];
-        let up = row.iter().filter(|&&b| b).count();
-        Availability::saturating(up as f64 / self.slots as f64)
+        assert!(i < self.long_term.len(), "node index {i} out of range");
+        self.long_term[i]
     }
 
     /// Node `i`'s availability measured over slots `[0, slot_at(time)]`

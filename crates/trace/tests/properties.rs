@@ -28,7 +28,7 @@ proptest! {
         for (i, row) in rows.iter().enumerate() {
             let up = row.iter().filter(|&&b| b).count();
             let expected = up as f64 / row.len() as f64;
-            prop_assert!((trace.long_term_availability(i).value() - expected).abs() < 1e-12);
+            prop_assert_eq!(trace.long_term_availability(i).value(), expected);
         }
     }
 

@@ -23,7 +23,10 @@
 //!   persistent, lazily started worker pool (no external thread-pool
 //!   dependency; `AVMEM_THREADS` caps it);
 //! * [`shard`] — contiguous shard partitioning of the node population,
-//!   the ownership map of the sharded maintenance harness.
+//!   the ownership map of the sharded maintenance harness;
+//! * [`stamped`] — a dense generation-stamped `id → u32` table: O(1) id
+//!   probes for the view merge and the discovery filter, emptied by
+//!   bumping a counter.
 //!
 //! # Examples
 //!
@@ -49,6 +52,7 @@ pub mod parallel;
 pub mod ring;
 pub mod rng;
 pub mod shard;
+pub mod stamped;
 pub mod stats;
 
 pub use availability::{Availability, AvailabilityError};
@@ -61,3 +65,4 @@ pub use id::NodeId;
 pub use ring::HashRing;
 pub use rng::{Rng, SplitMix64, Xoshiro256};
 pub use shard::ShardPartition;
+pub use stamped::StampedTable;
