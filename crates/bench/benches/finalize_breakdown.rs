@@ -12,8 +12,9 @@
 //!   `finalize`) and the fast-path counters are printed, so the
 //!   BENCH_*.json entries can carry the discover/refresh/skip split.
 //! * `pair_hash_*` — one membership-sized stream of pair-hash reads,
-//!   hashed on the fly pair by pair and one node's list per batch, and
-//!   read from dense rows: the three costs a finalize op can pay.
+//!   hashed pair by pair, hashed one node's list per batch (what every
+//!   fast-path finalize op pays: `gather` builds no rows), and read from
+//!   dense rows built beforehand (a shared `PairHashes::compute` matrix).
 //! * `estimate_*` — one refresh-sized availability lookup per pair vs
 //!   one batched call, isolating the per-call oracle dispatch.
 //!
@@ -66,7 +67,7 @@ fn bench_maintenance_hour(c: &mut Criterion) {
                 eprintln!(
                     "finalize_breakdown {label}: hosts {hosts} cohorts {} oracle {:.3} s \
                      propose {:.3} s commit {:.3} s finalize {:.3} s | memo {}h/{}m/{}b \
-                     refresh {}skip/{}eval pruned {} estimates {} pair-hash {}hashed/{}delegated",
+                     refresh {}skip/{}eval pruned {} estimates {} pair-hash {}batched/{}prebuilt-row",
                     t.cohorts,
                     t.oracle.as_secs_f64(),
                     t.propose.as_secs_f64(),
@@ -111,8 +112,8 @@ fn bench_pair_hash(c: &mut Criterion) {
             black_box(acc)
         });
     });
-    // Dense rows are materialized by the unmeasured warm-up call.
-    let dense = PairHashes::lazy(n);
+    // `gather` reads dense rows but never builds them: hash them up front.
+    let dense = PairHashes::compute(n);
     for (label, hashes) in [("pair_hash_gather", &direct), ("pair_hash_dense", &dense)] {
         group.bench_function(BenchmarkId::new(label, n), |b| {
             let mut out = Vec::new();

@@ -200,9 +200,14 @@ pub struct SimConfig {
     /// i.e. 0.1-wide buckets).
     pub pdf_buckets: usize,
     /// Memory budget (bytes) for stored pair-hash rows. Populations
-    /// whose dense matrix (`8·N²` bytes) fits the budget keep rows,
-    /// hashed lazily; larger ones store nothing and hash on the fly, in
-    /// batches. See [`crate::harness::PairHashes::with_budget`].
+    /// whose dense matrix (`8·N²` bytes) fits the budget keep the rows
+    /// full-row scans (the converged rebuild) hash; larger ones store
+    /// nothing and hash on the fly, in batches. See
+    /// [`crate::harness::PairHashes::with_budget`]. The same bound
+    /// decides whether the event-driven finalize fast path keeps its
+    /// per-pair verdict memory — one bit per ordered pair, `N²/8` bytes,
+    /// 1/64 of the matrix the budget stands for — or the view-scoped
+    /// no-insert lists.
     pub hash_budget: usize,
     /// Run event-driven finalize through the fast path: epoch-memoized
     /// thresholds, batched pair hashes, batched oracle estimates, and
@@ -221,8 +226,9 @@ fn default_finalize_fast() -> bool {
 
 /// The pair-hash budget for [`SimConfig::paper_default`]: the crate
 /// default, overridable through the `AVMEM_HASH_BUDGET` environment
-/// variable (bytes) so CI can run the suites on either store — dense
-/// rows or on-the-fly hashing — without code changes.
+/// variable (bytes) so CI can run the suites on either side of it —
+/// dense rows and verdict bits, or on-the-fly hashing and view-scoped
+/// no-insert lists — without code changes.
 fn hash_budget_from_env() -> usize {
     std::env::var("AVMEM_HASH_BUDGET")
         .ok()

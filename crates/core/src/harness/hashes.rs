@@ -1,5 +1,5 @@
-//! Pair-hash storage: lazy dense rows within a memory budget, on-the-fly
-//! hashing beyond it.
+//! Pair-hash storage: dense rows for full-row scans within a memory
+//! budget, batched on-the-fly hashing for everything else.
 //!
 //! Eq. 1 evaluates `H(id(x), id(y))` for ordered node pairs. A full
 //! overlay rebuild touches all `N²` ordered pairs, and SHA-256 dominates
@@ -8,19 +8,27 @@
 //! simulator can hold. [`PairHashes`] therefore picks one of two stores
 //! from the population size ([`PairHashes::with_budget`]):
 //!
-//! * **dense** (the matrix fits the memory budget) — each row `x` is
-//!   hashed once, in the thread that first needs it, and kept; later
-//!   reads are array lookups. Untouched rows cost nothing, so sparse
-//!   access patterns (event-driven maintenance) do not pay `O(N²)`
-//!   up-front hashing.
+//! * **dense** (the matrix fits the memory budget) — a row is hashed
+//!   once, by the first *full-row or point* reader ([`PairHashes::row`],
+//!   [`PairHashes::get`], [`PairHashes::compute`]), and kept; later reads
+//!   are array lookups. Who builds rows: the converged rebuild, which
+//!   scans every row whole on every rebuild; sweeps that share one
+//!   [`PairHashes::compute`] matrix across many simulations; and the
+//!   pair-at-a-time reference finalize that the tests compare the fast
+//!   path against. Untouched rows cost nothing.
 //! * **on the fly** (it does not) — nothing is stored. Point reads hash
-//!   one pair, [`PairHashes::gather`] hashes a node's candidate list in one
-//!   batched call and [`PairHashes::row`] batch-fills the caller's scratch
-//!   row, so memory stays `O(N)` per thread. Event-driven maintenance
-//!   meets a pair again only a protocol period later, after a cache has
-//!   long since turned it out; a batched hash (two interleaved SHA-NI
-//!   chains, see [`avmem_util::consistent_hash_batch`]) costs less than
-//!   the cache miss that used to precede it.
+//!   one pair and [`PairHashes::row`] batch-fills the caller's scratch
+//!   row, so memory stays `O(N)` per thread.
+//!
+//! Event-driven maintenance goes through [`PairHashes::gather`], which
+//! never builds a row in either store: it reads a row some other reader
+//! already built, and otherwise hashes the node's candidate list in one
+//! batched call (two interleaved SHA-NI chains, see
+//! [`avmem_util::consistent_hash_batch`]). The finalize fast path
+//! remembers each pair's *verdict* for the oracle epoch (one bit, see
+//! `FinalizeShardState`), so it asks for a pair's hash at most once per
+//! epoch; a dense row built to serve that one read would cost `8·N`
+//! bytes and a cache miss per later read — more than the hash.
 //!
 //! Both stores agree bit-for-bit with [`avmem_util::consistent_hash`].
 
@@ -55,14 +63,17 @@ pub const DEFAULT_HASH_BUDGET: usize = 512 << 20;
 #[derive(Debug)]
 pub struct PairHashes {
     n: usize,
-    /// Dense rows, hashed on first touch and kept (`OnceLock` makes
-    /// materialization thread-safe under the parallel rebuild); `None`
-    /// when the matrix exceeds the budget and every read hashes.
+    /// Dense rows, hashed by their first full-row or point reader and
+    /// kept (`OnceLock` makes materialization thread-safe under the
+    /// parallel rebuild); `None` when the matrix exceeds the budget and
+    /// every read hashes.
     rows: Option<Vec<OnceLock<Box<[f64]>>>>,
     /// Full rows hashed (`n` SHA-256 evaluations each): dense
-    /// materializations and on-the-fly bulk fills.
+    /// materializations (by `row`/`get`/`compute`, never by `gather`) and
+    /// on-the-fly bulk fills.
     rows_built: AtomicU64,
-    /// Pairs hashed on the fly by point reads and gathers.
+    /// Pairs hashed outside any row: on-the-fly point reads, and gathers
+    /// that found no resident row (in either store).
     direct_hashes: AtomicU64,
 }
 
@@ -72,9 +83,11 @@ pub struct PairHashes {
 pub struct PairStoreStats {
     /// Full rows hashed (`n` SHA-256 evaluations each).
     pub rows_built: u64,
-    /// Pairs hashed on the fly, outside any row.
+    /// Pairs hashed outside any row: point reads of the on-the-fly
+    /// store, and every [`PairHashes::gather`] that found no resident row.
     pub direct_hashes: u64,
-    /// Dense rows resident right now.
+    /// Dense rows resident right now. Only full-row scans and point
+    /// reads build rows; event-driven maintenance never adds one.
     pub cached_rows: usize,
 }
 
@@ -140,8 +153,9 @@ impl PairHashes {
         self.n == 0
     }
 
-    /// Whether rows are kept once materialized (dense storage) rather
-    /// than hashed on every read.
+    /// Whether the dense matrix fits the budget: rows are kept once a
+    /// full-row or point reader materializes them, and the finalize fast
+    /// path may afford its `N²/8`-byte verdict memory.
     pub fn is_cached(&self) -> bool {
         self.rows.is_some()
     }
@@ -183,10 +197,12 @@ impl PairHashes {
     }
 
     /// `H(id(x), id(y))` for every `y` in `ys`, into `out` (cleared
-    /// first): reads of the dense row, or one batched hash of the whole
-    /// list on the fly. Returns whether the dense row served them — the
-    /// finalize fast path's candidate lists come through here, and its
-    /// statistics tell the two apart.
+    /// first). Never builds a row: reads row `x` if some other reader
+    /// ([`PairHashes::row`], [`PairHashes::get`], [`PairHashes::compute`])
+    /// already did, and otherwise hashes the whole list in one batched
+    /// call, in either store. Returns whether a resident row served the
+    /// list — the finalize fast path's candidate lists come through here,
+    /// and its statistics tell the two apart.
     ///
     /// # Panics
     ///
@@ -194,7 +210,8 @@ impl PairHashes {
     pub fn gather(&self, x: usize, ys: &[NodeId], out: &mut Vec<f64>) -> bool {
         assert!(x < self.n, "row index out of range");
         out.clear();
-        match self.dense_row(x) {
+        let resident = self.rows.as_ref().and_then(|rows| rows[x].get());
+        match resident {
             Some(row) => {
                 out.extend(ys.iter().map(|y| row[y.raw() as usize]));
                 true
@@ -333,13 +350,33 @@ mod tests {
         let expect = PairHashes::compute(14);
         let ys: Vec<NodeId> = [13u64, 0, 5, 5, 9].map(NodeId::new).to_vec();
         let mut out = vec![f64::NAN; 3]; // stale contents must not survive
-        for (hashes, dense) in [
-            (PairHashes::lazy(14), true),
-            (PairHashes::with_budget(14, 0), false),
+        // `gather` never builds a row; it reads one that is resident.
+        // Resident rows: every one (`compute`), only the even ones (built
+        // by `row` and by `get`, the two readers that may), none.
+        let some = PairHashes::lazy(14);
+        for x in (0..14).step_by(4) {
+            let _ = some.row(x, &mut Vec::new());
+            if x + 2 < 14 {
+                let _ = some.get(x + 2, 1);
+            }
+        }
+        for (hashes, resident) in [
+            (PairHashes::compute(14), 14),
+            (some, 7),
+            (PairHashes::lazy(14), 0),
+            (PairHashes::with_budget(14, 0), 0),
         ] {
+            let before = hashes.store_stats();
+            assert_eq!(before.cached_rows, resident);
+            let mut hashed = 0;
             for x in 0..14 {
+                let row_is_resident = resident == 14 || (resident == 7 && x % 2 == 0);
                 for len in 0..=ys.len() {
-                    assert_eq!(hashes.gather(x, &ys[..len], &mut out), dense);
+                    let served = hashes.gather(x, &ys[..len], &mut out);
+                    assert_eq!(served, row_is_resident, "x={x} len={len}");
+                    if !served {
+                        hashed += len as u64;
+                    }
                     let want: Vec<f64> = ys[..len]
                         .iter()
                         .map(|y| expect.get(x, y.raw() as usize))
@@ -347,6 +384,10 @@ mod tests {
                     assert_eq!(out, want, "x={x} len={len}");
                 }
             }
+            let after = hashes.store_stats();
+            assert_eq!(after.cached_rows, resident, "gather built a row");
+            assert_eq!(after.rows_built, before.rows_built, "gather built a row");
+            assert_eq!(after.direct_hashes - before.direct_hashes, hashed);
         }
     }
 
@@ -355,12 +396,13 @@ mod tests {
         let dense = PairHashes::lazy(10);
         let mut out = Vec::new();
         let ys = [NodeId::new(1), NodeId::new(2)];
-        dense.gather(3, &ys, &mut out);
-        let _ = dense.get(3, 4);
+        dense.gather(3, &ys, &mut out); // no row yet: two pairs hashed
+        let _ = dense.get(3, 4); // builds row 3
+        dense.gather(3, &ys, &mut out); // reads it
         let stats = dense.store_stats();
         assert_eq!(
             (stats.rows_built, stats.direct_hashes, stats.cached_rows),
-            (1, 0, 1)
+            (1, 2, 1)
         );
 
         let direct = PairHashes::with_budget(10, 0);
@@ -385,6 +427,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn gather_rejects_out_of_range_candidates_on_the_fly() {
         let hashes = PairHashes::with_budget(3, 0);
+        hashes.gather(0, &[NodeId::new(3)], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn gather_rejects_out_of_range_candidates_without_a_resident_row() {
+        let hashes = PairHashes::lazy(3);
         hashes.gather(0, &[NodeId::new(3)], &mut Vec::new());
     }
 }

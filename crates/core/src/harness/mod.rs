@@ -342,8 +342,9 @@ struct ShardScratch {
     cand_avs: Vec<Option<Availability>>,
     /// Pair hashes of the querier against `cand_ids`, aligned with it.
     cand_hashes: Vec<f64>,
-    /// Next-period no-insert set under construction (one discovery op at
-    /// a time; reused allocation).
+    /// Next-period view-scoped no-insert list under construction (one
+    /// discovery op at a time; reused allocation). Unused where the
+    /// verdict memory runs.
     seen_scratch: Vec<u32>,
     /// Epoch-stamped per-node memos for the finalize fast path.
     fast: FinalizeShardState,
@@ -380,38 +381,68 @@ struct FinalizeShardState {
     /// Per node: stamp under which the node's entire membership is known
     /// fully classified — the refresh short-circuit license.
     classified: Vec<u32>,
-    /// Per node: stamp under which `seen` below is valid.
+    /// Per node: stamp under which the node's no-insert memory below —
+    /// its `verdicts` row or its `seen` list, whichever regime runs — is
+    /// valid.
     seen_stamp: Vec<u32>,
-    /// Per node: the candidate ids (a set, in no particular order) whose
-    /// discovery classification produced no insert (no sliver, or the
-    /// oracle had no estimate) at the `seen_stamp` epoch, rebuilt every
-    /// discovery from the current view. Classification is a pure
+    /// The verdict memory — the no-insert memory where the pair space
+    /// fits the hash budget ([`PairHashes::is_cached`]: `8·N²` bytes
+    /// within [`SimConfig::hash_budget`]; this costs `N²/8`, 1/64 of the
+    /// matrix the budget stands for). Per node an `N`-bit row, empty
+    /// until the node's first stamped discovery: bit `y` says the pair
+    /// `(x, y)` classified to no insert (no sliver, or the oracle had no
+    /// estimate) at the `seen_stamp` epoch. Classification is a pure
     /// function of `(own_av, y_av, hash, thresholds)` and estimates are
-    /// pure within an epoch, so a same-stamp repeat candidate is skipped
-    /// before the estimate / hash / classify pipeline even starts. The
-    /// list is view-sized; a discovery tags its ids in the shard's id
-    /// table once and then probes the table per candidate — deliberately
-    /// not a shard-global pair map, whose DRAM-sized probe/insert
-    /// traffic costs more than the pipeline it skips.
+    /// pure within an epoch, so a set bit skips the candidate before the
+    /// estimate / hash / classify pipeline even starts, wherever the pair
+    /// has been in the meantime: each pair is estimated and hashed at
+    /// most once per epoch. A discovery that sees a new stamp zeroes the
+    /// row first. The bit is read and written at index `y` of the node's
+    /// own row — one or two cache lines per discovery's worth of probes,
+    /// not a shard-global pair map, whose DRAM-sized probe/insert traffic
+    /// costs more than the pipeline it skips.
+    verdicts: Vec<Vec<u64>>,
+    /// The no-insert memory beyond the budget, where a `N/8`-byte row
+    /// per node is not affordable (125 KB at 10⁶ hosts) and a pair
+    /// rarely re-enters a view anyway: per node, the candidate ids (a
+    /// set, in no particular order) of the *current view* that classified
+    /// to no insert at the `seen_stamp` epoch, rebuilt every discovery.
+    /// The list is view-sized; a discovery tags its ids in the shard's id
+    /// table once and then probes the table per candidate. An id that
+    /// left the view drops out and, if it comes back within the epoch,
+    /// re-runs the pipeline (identically).
     seen: Vec<Vec<u32>>,
 }
 
 impl FinalizeShardState {
-    fn ensure_len(&mut self, len: usize) {
+    /// Sizes the per-node columns for a shard of `len` nodes. Only the
+    /// running regime's no-insert column is sized: the other one stays
+    /// unallocated.
+    fn ensure_len(&mut self, len: usize, verdict_memory: bool) {
         if self.horizontal.len() != len {
             self.horizontal_stamp.resize(len, 0);
             self.horizontal.resize(len, 0.0);
             self.classified.resize(len, 0);
             self.seen_stamp.resize(len, 0);
-            self.seen.resize_with(len, Vec::new);
+            if verdict_memory {
+                self.verdicts.resize_with(len, Vec::new);
+            } else {
+                self.seen.resize_with(len, Vec::new);
+            }
         }
     }
 }
 
 /// Discovery-filter tags in the shard's id table: the id is already a
-/// neighbor, or it classified to no insert earlier in this epoch.
+/// neighbor, or (view-scoped regime only) it classified to no insert
+/// earlier in this epoch.
 const TAG_MEMBER: u32 = 0;
 const TAG_NO_INSERT: u32 = 1;
+
+/// Word and mask of bit `y` in a verdict row.
+fn verdict_bit(y: usize) -> (usize, u64) {
+    (y / 64, 1 << (y % 64))
+}
 
 /// Epoch → nonzero compact stamp for the finalize memos: `epoch + 1` as
 /// a `u32`, so freshly zeroed state never matches. Oracle epochs count
@@ -687,8 +718,9 @@ impl MaintCtx<'_> {
     }
 
     /// Fast-path finalize for one node: memoized thresholds (epoch-cached
-    /// when the oracle exposes an epoch), one batched oracle call and
-    /// one batched pair-hash read per sub-op, and the refresh
+    /// when the oracle exposes an epoch), a discovery filter that
+    /// remembers this epoch's no-insert verdicts, one batched oracle call
+    /// and one batched pair-hash read per sub-op, and the refresh
     /// short-circuit.
     ///
     /// Bit-identical to the reference path (pinned by the fast-vs-slow
@@ -725,9 +757,16 @@ impl MaintCtx<'_> {
         // Stamps are `epoch + 1`, so zeroed state never matches.
         let stamp = fast.epoch.and_then(compact_stamp);
         let local = i - shard_start;
+        // Which no-insert memory discovery runs: exact per-pair verdict
+        // bits where the pair space fits the hash budget, the view-scoped
+        // list beyond it. Without a stamp nothing outlives the op and no
+        // per-node state is sized at all.
+        let verdict_memory = self.hashes.is_cached();
+        if stamp.is_some() {
+            state.ensure_len(shard_len, verdict_memory);
+        }
         let horizontal = match stamp {
             Some(stamp) => {
-                state.ensure_len(shard_len);
                 if state.horizontal_stamp[local] == stamp {
                     stats.memo_hits += 1;
                     state.horizontal[local]
@@ -749,28 +788,37 @@ impl MaintCtx<'_> {
         if ops.discover {
             // Candidates first — estimates are pure within the cohort, so
             // collecting before classifying changes nothing — then one
-            // batched oracle call for the lot. A repeat candidate whose
-            // pair already classified to no insert at this epoch is
-            // pruned before the pipeline starts: every classification
-            // input (own and candidate availability, pair hash,
-            // thresholds) is fixed within the epoch, so the outcome
-            // cannot change. The next no-insert set is rebuilt as we go:
-            // pruned repeats carry over, novel no-inserts join after
-            // classification.
+            // batched oracle call for the lot. A candidate whose pair
+            // already classified to no insert at this epoch is pruned
+            // before the pipeline starts: every classification input (own
+            // and candidate availability, pair hash, thresholds) is fixed
+            // within the epoch, so the outcome cannot change.
             cand_ids.clear();
             seen_scratch.clear();
             // One tag per id the filter must recognize, written once;
-            // each view candidate then costs one load. The two sets are
-            // disjoint: an id that classified to no insert cannot have
-            // become a neighbor within the same epoch.
+            // each view candidate then costs one load.
             let tags = pool.id_table();
             tags.begin();
             for &member in membership.columns(SliverScope::Both).ids {
                 tags.set(member, TAG_MEMBER);
             }
+            // The node's verdict row, zeroed if its bits are another
+            // epoch's; `None` in the view-scoped regime, whose same-epoch
+            // list is tagged instead (disjoint from the neighbors: an id
+            // that classified to no insert cannot have become a neighbor
+            // within the same epoch) and rebuilt as we go — pruned repeats
+            // carry over, novel no-inserts join after classification.
+            let mut verdicts = None;
             if let Some(stamp) = stamp {
-                state.ensure_len(shard_len);
-                if state.seen_stamp[local] == stamp {
+                if verdict_memory {
+                    let row = &mut state.verdicts[local];
+                    if row.is_empty() {
+                        row.resize(self.shuffles.len().div_ceil(64), 0);
+                    } else if state.seen_stamp[local] != stamp {
+                        row.fill(0);
+                    }
+                    verdicts = Some(row);
+                } else if state.seen_stamp[local] == stamp {
                     for &y in &state.seen[local] {
                         debug_assert_eq!(tags.get(y), None, "no-insert id {y} is a neighbor");
                         tags.set(y, TAG_NO_INSERT);
@@ -788,7 +836,14 @@ impl MaintCtx<'_> {
                         seen_scratch.push(y as u32);
                     }
                     Some(_) => {}
-                    None => cand_ids.push(candidate),
+                    None => {
+                        let (word, mask) = verdict_bit(y);
+                        if verdicts.as_ref().is_some_and(|row| row[word] & mask != 0) {
+                            stats.discover_pruned += 1;
+                        } else {
+                            cand_ids.push(candidate);
+                        }
+                    }
                 }
             }
             let was_empty = membership.is_empty();
@@ -817,16 +872,22 @@ impl MaintCtx<'_> {
                             );
                         }
                     }
-                    if !kept && stamp.is_some() {
-                        seen_scratch.push(y as u32);
+                    if !kept {
+                        if let Some(row) = verdicts.as_mut() {
+                            let (word, mask) = verdict_bit(y);
+                            row[word] |= mask;
+                        } else if stamp.is_some() {
+                            seen_scratch.push(y as u32);
+                        }
                     }
                 }
             }
             if let Some(stamp) = stamp {
-                // Entries that left the view drop out here; if one comes
-                // back later it re-runs the pipeline (identically). View
-                // ids are unique, so the list is a set as built.
-                std::mem::swap(&mut state.seen[local], seen_scratch);
+                if verdicts.is_none() {
+                    // Entries that left the view drop out here. View ids
+                    // are unique, so the list is a set as built.
+                    std::mem::swap(&mut state.seen[local], seen_scratch);
+                }
                 state.seen_stamp[local] = stamp;
             }
             if inserted {
@@ -871,7 +932,6 @@ impl MaintCtx<'_> {
                     Some((y_av, sliver))
                 });
                 if let Some(stamp) = stamp {
-                    state.ensure_len(shard_len);
                     state.classified[local] = stamp;
                 }
             }
@@ -980,9 +1040,13 @@ pub struct PhaseTimings {
 /// op reads its whole candidate list one way or the other.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairHashStats {
-    /// Pairs hashed on the fly (the dense matrix exceeds the budget).
+    /// Pairs hashed in a batch for the op that needed them — every pair
+    /// of an event-driven run, in either store: the fast path builds no
+    /// dense rows.
     pub hashed: u64,
-    /// Pairs read from dense rows.
+    /// Pairs read from a dense row something else had already built (a
+    /// shared [`PairHashes::compute`] matrix, a converged rebuild before
+    /// the run, the reference finalize): 0 in every scenario run.
     pub delegated: u64,
 }
 
@@ -1019,7 +1083,8 @@ pub struct FinalizeStats {
     /// Refresh ops that ran the full reclassification pass.
     pub refresh_evaluated: u64,
     /// Discovery candidates skipped because the pair already classified
-    /// to no insert at the current epoch.
+    /// to no insert at the current epoch: every repeat where the verdict
+    /// memory runs, repeats that stayed in the view beyond the budget.
     pub discover_pruned: u64,
     /// Availability estimates served through batched oracle calls.
     pub batched_estimates: u64,
@@ -2624,6 +2689,169 @@ mod tests {
         );
         assert!(stats.batched_estimates > 0, "no batched estimates");
         assert_eq!(slow.finalize_stats(), FinalizeStats::default());
+    }
+
+    /// An event-driven sim on 15 s ticks for the verdict-memory hand
+    /// cases.
+    fn event_driven_sim(
+        hosts: usize,
+        oracle: OracleChoice,
+        engine: MaintenanceEngine,
+        hash_budget: usize,
+    ) -> AvmemSim {
+        let trace = OvernetModel::default().hosts(hosts).days(1).generate(41);
+        let mut cfg = SimConfig::paper_default(15);
+        cfg.oracle = oracle;
+        cfg.maintenance = MaintenanceMode::EventDriven {
+            protocol_period: SimDuration::from_secs(15),
+            refresh_period: SimDuration::from_mins(3),
+        };
+        cfg.engine = engine;
+        cfg.hash_budget = hash_budget;
+        AvmemSim::new(trace, cfg)
+    }
+
+    /// Every set verdict bit of the run so far, as `(x, y, stamp)`.
+    fn set_verdicts(sim: &AvmemSim) -> Vec<(usize, usize, u32)> {
+        let maint = sim.maint.as_ref().expect("event-driven maintenance ran");
+        let n = sim.trace().num_nodes();
+        let mut set = Vec::new();
+        for (s, scratch) in maint.scratches.iter().enumerate() {
+            let start = maint.part.range(s).start;
+            for (local, row) in scratch.fast.verdicts.iter().enumerate() {
+                for y in 0..n {
+                    let (word, mask) = verdict_bit(y);
+                    if row.get(word).is_some_and(|w| w & mask != 0) {
+                        set.push((start + local, y, scratch.fast.seen_stamp[local]));
+                    }
+                }
+            }
+        }
+        set
+    }
+
+    #[test]
+    fn a_pair_rejected_at_one_epoch_is_re_evaluated_at_the_next() {
+        // Shared noise re-drawn every two minutes: a verdict must die
+        // with its epoch. Walk the run tick by tick and find pairs whose
+        // bit was set under one stamp and that are neighbors later — the
+        // new epoch's estimates classified them differently, which a row
+        // that is not zeroed on a stamp change would never find out.
+        let oracle = OracleChoice::NoisyShared {
+            error: 0.05,
+            staleness: SimDuration::from_mins(2),
+        };
+        let mut sim = event_driven_sim(
+            90,
+            oracle,
+            MaintenanceEngine::Serial,
+            hashes::DEFAULT_HASH_BUDGET,
+        );
+        let mut rejected = std::collections::HashMap::new();
+        let mut revived = 0;
+        for _ in 0..120 {
+            sim.warm_up(SimDuration::from_secs(15));
+            for (x, y, stamp) in set_verdicts(&sim) {
+                // A verdict says "no insert": its pair is never a neighbor
+                // while the bit stands.
+                assert!(
+                    !sim.memberships[x].contains(NodeId::new(y as u64)),
+                    "bit ({x}, {y}) is set for a neighbor"
+                );
+                rejected.insert((x, y), stamp);
+            }
+            rejected.retain(|&(x, y), _| {
+                let inserted = sim.memberships[x].contains(NodeId::new(y as u64));
+                revived += inserted as usize;
+                !inserted
+            });
+        }
+        assert!(revived > 0, "no rejected pair was ever inserted later");
+        let mut slow_cfg = sim.config;
+        slow_cfg.finalize_fast = false;
+        let mut slow = AvmemSim::new(sim.trace().clone(), slow_cfg);
+        slow.warm_up(SimDuration::from_mins(30));
+        for i in 0..sim.trace().num_nodes() {
+            let id = NodeId::new(i as u64);
+            assert_eq!(sim.membership(id), slow.membership(id), "node {id}");
+        }
+    }
+
+    #[test]
+    fn a_verdict_row_is_allocated_at_the_nodes_first_stamped_discovery() {
+        // Three uneven shards, so a row sized by the shard's length or a
+        // bit indexed by the shard-local offset cannot pass for right.
+        let engine = MaintenanceEngine::Sharded {
+            shards: Some(3),
+            threads: Some(1),
+        };
+        let mut sim = event_driven_sim(
+            100,
+            OracleChoice::Exact,
+            engine,
+            hashes::DEFAULT_HASH_BUDGET,
+        );
+        let words = 100usize.div_ceil(64);
+        let rows_by_node = |sim: &AvmemSim| -> Vec<usize> {
+            let maint = sim.maint.as_ref().expect("event-driven maintenance ran");
+            let mut lens = vec![0; 100];
+            for (s, scratch) in maint.scratches.iter().enumerate() {
+                let state = &scratch.fast;
+                assert!(state.seen.is_empty(), "view lists sized beside the rows");
+                for (local, row) in state.verdicts.iter().enumerate() {
+                    // Allocated exactly when a stamped discovery ran.
+                    assert_eq!(row.is_empty(), state.seen_stamp[local] == 0);
+                    lens[maint.part.range(s).start + local] = row.len();
+                }
+            }
+            lens
+        };
+        // A third of a period in: the stagger has let only some nodes tick.
+        sim.warm_up(SimDuration::from_secs(5));
+        let early = rows_by_node(&sim);
+        let ticked = early.iter().filter(|&&len| len > 0).count();
+        assert!(ticked > 0 && ticked < 100, "{ticked} of 100 nodes ticked");
+        sim.warm_up(SimDuration::from_mins(10));
+        let late = rows_by_node(&sim);
+        assert!(late.iter().filter(|&&len| len > 0).count() > ticked);
+        for (node, (&before, &after)) in early.iter().zip(&late).enumerate() {
+            assert!(after == 0 || after == words, "node {node}: {after} words");
+            assert!(before <= after, "node {node} lost its row");
+        }
+        // Offline nodes never tick: rows are per node that needed one.
+        assert!(late.contains(&0), "every node allocated a row");
+    }
+
+    #[test]
+    fn beyond_the_budget_no_verdict_row_exists() {
+        let mut sim = event_driven_sim(100, OracleChoice::Exact, MaintenanceEngine::Serial, 0);
+        sim.warm_up(SimDuration::from_mins(10));
+        let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].fast;
+        assert!(state.verdicts.is_empty());
+        assert_eq!(state.seen.len(), 100);
+        assert!(state.seen.iter().any(|list| !list.is_empty()));
+        assert!(sim.finalize_stats().discover_pruned > 0);
+    }
+
+    #[test]
+    fn per_querier_noise_allocates_no_finalize_state() {
+        // No epoch, no stamp: nothing may outlive a finalize op, so no
+        // per-node column is sized in either regime.
+        for budget in [hashes::DEFAULT_HASH_BUDGET, 0] {
+            let mut sim = event_driven_sim(
+                100,
+                OracleChoice::paper_noise(),
+                MaintenanceEngine::Serial,
+                budget,
+            );
+            sim.warm_up(SimDuration::from_mins(10));
+            let stats = sim.finalize_stats();
+            assert!(stats.memo_bypassed > 0 && stats.batched_estimates > 0);
+            assert_eq!((stats.memo_hits, stats.discover_pruned), (0, 0));
+            let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].fast;
+            assert!(state.verdicts.is_empty() && state.seen.is_empty());
+            assert!(state.seen_stamp.is_empty() && state.horizontal.is_empty());
+        }
     }
 
     #[test]

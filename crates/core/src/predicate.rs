@@ -451,11 +451,7 @@ impl ThresholdMemo<'_> {
                 let buckets = self.pred.pdf.buckets();
                 Some(
                     candidates
-                        .map(|y| {
-                            let b = ((y.value() * buckets as f64).floor() as usize)
-                                .min(buckets - 1);
-                            threshold[b].min(1.0)
-                        })
+                        .map(|y| threshold[bucket_of(y, buckets)].min(1.0))
                         .collect(),
                 )
             }
@@ -493,6 +489,15 @@ impl ThresholdMemo<'_> {
     }
 }
 
+/// The PDF bucket (of `buckets` equal-width ones over `[0, 1]`) a
+/// candidate at `y` falls in. An availability is finite and non-negative,
+/// so the `as usize` truncation *is* the floor — spelled without
+/// `f64::floor`, which on baseline x86-64 (no SSE4.1 `roundsd`) is a call
+/// into libm per classified candidate.
+fn bucket_of(y: Availability, buckets: usize) -> usize {
+    ((y.value() * buckets as f64) as usize).min(buckets - 1)
+}
+
 /// The thresholds of one source node `x`, ready for `O(1)`-per-candidate
 /// evaluation (a bucket lookup for vertical candidates, a cached constant
 /// for horizontal ones). See [`ThresholdMemo`].
@@ -528,7 +533,7 @@ impl SourceThresholds<'_> {
 
     /// The vertical threshold `f(av(x), av(y))` for an out-of-band `y`.
     pub fn vertical(&self, y: Availability) -> f64 {
-        let b = ((y.value() * self.buckets as f64).floor() as usize).min(self.buckets - 1);
+        let b = bucket_of(y, self.buckets);
         match self.vertical {
             VerticalMemo::Constant { d1 } => *d1,
             VerticalMemo::Logarithmic { threshold } => threshold[b].min(1.0),
@@ -642,6 +647,26 @@ mod tests {
 
     fn info(id: u64, a: f64) -> NodeInfo {
         NodeInfo::new(NodeId::new(id), av(a))
+    }
+
+    #[test]
+    fn bucket_of_equals_the_floor_expression_it_replaced() {
+        for buckets in 1..=1024usize {
+            // Every bucket edge with its two neighboring floats (the
+            // edges below 0 and above 1 saturate), then the ends.
+            let edges = (0..=buckets).map(|k| k as f64 / buckets as f64);
+            let probes = edges
+                .flat_map(|e| {
+                    let below = f64::from_bits(e.to_bits().saturating_sub(1));
+                    [below, e, f64::from_bits(e.to_bits() + 1)]
+                })
+                .chain([0.0, 1.0, 1.0 - f64::EPSILON]);
+            for v in probes {
+                let y = av(v);
+                let floored = ((y.value() * buckets as f64).floor() as usize).min(buckets - 1);
+                assert_eq!(bucket_of(y, buckets), floored, "{v} of {buckets}");
+            }
+        }
     }
 
     fn uniform_pred(n_star: f64) -> AvmemPredicate {

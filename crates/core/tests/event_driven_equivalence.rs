@@ -9,11 +9,13 @@
 //! a single bit, for any maintenance period and any oracle fidelity.
 
 use avmem::harness::{
-    AvmemSim, InitiatorBand, MaintenanceEngine, MaintenanceMode, OracleChoice, SimConfig,
+    AvmemSim, FinalizeStats, InitiatorBand, MaintenanceEngine, MaintenanceMode, OracleChoice,
+    SimConfig,
 };
 use avmem_sim::SimDuration;
 use avmem_trace::{ChurnTrace, OvernetModel};
 use avmem_util::NodeId;
+use proptest::prelude::*;
 
 /// Shard counts every cell sweeps. 1 exercises the single-shard fast
 /// path, the rest exercise cross-shard batch exchange at increasing
@@ -238,18 +240,22 @@ fn sharded_matches_serial_with_full_avmon_service() {
 
 #[test]
 fn hash_store_modes_agree_across_engines() {
-    // The pair-hash budget selects the store — dense rows, or nothing
-    // stored and every candidate list hashed in one batch — and neither
-    // may perturb a bit: every (budget, engine) combination must land on
-    // the dense serial reference state. 120 hosts: the default budget is
-    // dense (8·N² ≈ 113 KiB), 8 KiB is not. How many pairs finalize read
-    // from which store is a property of the run too, not of its
-    // sharding: the counts must match the serial engine's.
+    // The pair-hash budget selects the finalize fast path's no-insert
+    // memory — one verdict bit per pair where `8·N²` fits it, the
+    // view-scoped list where it does not — and neither may perturb a
+    // bit: every (budget, engine) combination must land on the serial
+    // reference state. 120 hosts: the default budget fits (8·N² ≈ 113
+    // KiB), 8 KiB does not. Either way finalize hashes its candidate
+    // lists in batches and builds no dense row. How much work a regime
+    // skips is a property of the run, not of its sharding: the counters
+    // must match the serial engine's, and the verdict memory — which
+    // still knows a pair after it left the view and came back — must
+    // prune strictly more and estimate strictly fewer.
     let trace = trace(120, 17);
     let maintenance = fast_periods();
     let budgets: &[(&str, usize)] = &[
-        ("dense", avmem::harness::DEFAULT_HASH_BUDGET),
-        ("on the fly", 8 << 10),
+        ("verdict bits", avmem::harness::DEFAULT_HASH_BUDGET),
+        ("view list", 8 << 10),
     ];
     let engines: Vec<MaintenanceEngine> = std::iter::once(MaintenanceEngine::Serial)
         .chain(SHARD_COUNTS.into_iter().flat_map(|shards| {
@@ -267,31 +273,127 @@ fn hash_store_modes_agree_across_engines() {
         reference.snapshot().mean_degree() > 0.5,
         "hash-store sweep: reference run built no overlay"
     );
+    let mut per_budget = Vec::new();
     for &(mode, budget) in budgets {
-        let mut serial_reads = None;
+        let mut serial_stats = None;
         for &engine in &engines {
             let mut cfg = config(17, OracleChoice::Exact, maintenance, engine);
             cfg.hash_budget = budget;
             let mut candidate = AvmemSim::new(trace.clone(), cfg);
             candidate.warm_up(SimDuration::from_hours(1));
-            let label = format!("hash store {mode} ({budget} B), {engine:?}");
+            let label = format!("{mode} ({budget} B), {engine:?}");
             assert_state_equal(&reference, &candidate, &label);
-            let reads = candidate.finalize_stats().pair_hash;
-            let dense = budget == avmem::harness::DEFAULT_HASH_BUDGET;
-            let (wanted, other) = if dense {
-                (reads.delegated, reads.hashed)
-            } else {
-                (reads.hashed, reads.delegated)
-            };
-            assert!(
-                wanted > 0 && other == 0,
-                "{label}: read the wrong store: {reads:?}"
+            assert_eq!(
+                candidate.hash_store_stats().cached_rows,
+                0,
+                "{label}: event-driven maintenance built dense rows"
+            );
+            let stats = candidate.finalize_stats();
+            assert_eq!(
+                (stats.pair_hash.hashed, stats.pair_hash.delegated),
+                (stats.batched_estimates, 0),
+                "{label}: one batched pair hash per batched estimate"
             );
             assert_eq!(
-                *serial_reads.get_or_insert(reads),
-                reads,
-                "{label}: pair-hash read counts depend on the sharding"
+                *serial_stats.get_or_insert(stats),
+                stats,
+                "{label}: finalize counters depend on the sharding"
             );
+        }
+        per_budget.push(serial_stats.expect("at least one engine ran"));
+    }
+    let (bits, list) = (per_budget[0], per_budget[1]);
+    assert!(
+        bits.discover_pruned > list.discover_pruned
+            && bits.batched_estimates < list.batched_estimates,
+        "verdict bits must skip more than the view list: {bits:?} vs {list:?}"
+    );
+    // Only the discovery filter differs between the regimes.
+    assert_eq!(without_discovery_counters(bits), without_discovery_counters(list));
+}
+
+/// `stats` with the counters the no-insert regime legitimately moves —
+/// candidates pruned, and the estimates and pair hashes the unpruned ones
+/// cost — zeroed, for comparing everything else across regimes.
+fn without_discovery_counters(mut stats: FinalizeStats) -> FinalizeStats {
+    stats.discover_pruned = 0;
+    stats.batched_estimates = 0;
+    stats.pair_hash = Default::default();
+    stats
+}
+
+/// One case of the regime differential below: `hosts`, the seed shared
+/// by trace and protocol, and an oracle whose epochs turn over mid-run.
+fn regime_case() -> impl Strategy<Value = (usize, u64, (OracleChoice, MaintenanceMode, u64))> {
+    let oracle = prop_oneof![
+        // Shared noise re-drawn every 2–6 minutes under 15 s ticks: a
+        // 40-minute run crosses 6–20 epochs, each long enough for pairs
+        // to leave a view and come back.
+        (2u64..=6).prop_map(|mins| (
+            OracleChoice::NoisyShared {
+                error: 0.05,
+                staleness: SimDuration::from_mins(mins),
+            },
+            fast_periods(),
+            40,
+        )),
+        // Ring AVMON: the epoch is the count of trace slots processed, and
+        // estimates appear only once monitors have pinged for a while.
+        (4u32..=8).prop_map(|k| (
+            OracleChoice::Avmon {
+                config: avmem_avmon::AvmonConfig {
+                    assignment: avmem_avmon::AssignmentChoice::Ring { vnodes: 8, k },
+                    ..avmem_avmon::AvmonConfig::default()
+                },
+            },
+            MaintenanceMode::paper_event_driven(),
+            5 * 60,
+        )),
+    ];
+    (40usize..=150, any::<u64>(), oracle)
+}
+
+proptest! {
+    #[test]
+    fn no_insert_regimes_agree_on_everything_but_the_discovery_counters(
+        (hosts, seed, (oracle, maintenance, mins)) in regime_case(),
+    ) {
+        // The verdict bits (budget fits `8·N²`) and the view-scoped list
+        // (it does not) must land on the same state on every engine, and
+        // differ in no counter but the ones that say how many candidates
+        // the filter let through.
+        let trace = trace(hosts, seed);
+        let mut reference: Option<(AvmemSim, FinalizeStats)> = None;
+        for engine in [MaintenanceEngine::Serial, sharded(2, 1), sharded(4, 1)] {
+            for budget in [avmem::harness::DEFAULT_HASH_BUDGET, 0] {
+                let mut cfg = config(seed, oracle, maintenance, engine);
+                cfg.hash_budget = budget;
+                let mut sim = AvmemSim::new(trace.clone(), cfg);
+                sim.warm_up(SimDuration::from_mins(mins));
+                let stats = sim.finalize_stats();
+                prop_assert_eq!(sim.hash_store_stats().cached_rows, 0);
+                match &reference {
+                    None => {
+                        // Guards against vacuous equality.
+                        prop_assert!(stats.discover_pruned > 0, "nothing was pruned");
+                        prop_assert!(sim.snapshot().mean_degree() > 1.0, "no overlay built");
+                        reference = Some((sim, stats));
+                    }
+                    Some((first, first_stats)) => {
+                        let label =
+                            format!("{hosts} hosts, seed {seed}, {engine:?}, budget {budget}");
+                        assert_state_equal(first, &sim, &label);
+                        prop_assert_eq!(
+                            without_discovery_counters(*first_stats),
+                            without_discovery_counters(stats),
+                            "{}", label
+                        );
+                        if budget != 0 {
+                            prop_assert_eq!(*first_stats, stats, "{}", label);
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -354,14 +456,18 @@ fn fast_finalize_matches_reference_path_across_oracles() {
             if label == "shared noise" {
                 // How much work the fast path skipped to get to that state
                 // is pinned too, on the cell whose epochs both prune
-                // candidates and expire: the counts the scanning discovery
-                // filter (a binary search of the no-insert list, then
-                // `Membership::contains`, per candidate) produced on this
-                // spec. A filter that probes differently — a candidate
-                // both pruned and a member, a stale tag read as current —
-                // moves `discover_pruned` or `batched_estimates` even
-                // where the memberships come out equal. Pair-hash reads
-                // are summed: `AVMEM_HASH_BUDGET` picks their store.
+                // candidates and expire. The discovery counters are pinned
+                // per no-insert regime (`AVMEM_HASH_BUDGET` picks it): the
+                // view-scoped list must still produce the counts the
+                // scanning filter (a binary search of the no-insert list,
+                // then `Membership::contains`, per candidate) produced on
+                // this spec; the verdict bits, which outlive a pair's stay
+                // in the view, prune about twice as many. A filter that
+                // probes differently — a candidate both pruned and a
+                // member, a stale tag or bit read as current, a bit that
+                // survives its epoch — moves `discover_pruned` or
+                // `batched_estimates` even where the memberships come out
+                // equal.
                 let stats = candidate.finalize_stats();
                 assert_eq!(
                     (stats.memo_hits, stats.memo_misses, stats.memo_bypassed),
@@ -373,10 +479,17 @@ fn fast_finalize_matches_reference_path_across_oracles() {
                     (714, 76),
                     "{label}, {engine:?}: refresh counters"
                 );
+                let hosts = trace.num_nodes();
+                let verdict_memory = 8 * hosts * hosts <= fast_cfg.hash_budget;
                 assert_eq!(
                     (stats.discover_pruned, stats.batched_estimates),
-                    (30_993, 34_154),
-                    "{label}, {engine:?}: discovery filter counters"
+                    if verdict_memory {
+                        (59_637, 5_510)
+                    } else {
+                        (30_993, 34_154)
+                    },
+                    "{label}, {engine:?}: discovery filter counters \
+                     (verdict memory: {verdict_memory})"
                 );
                 assert_eq!(
                     stats.pair_hash.hashed + stats.pair_hash.delegated,
