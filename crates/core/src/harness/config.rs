@@ -121,7 +121,7 @@ impl MaintenanceMode {
 
 /// How event-driven maintenance executes each timestamp cohort.
 ///
-/// The event engine pops *cohorts* — every event sharing the next
+/// The periodic schedule pops *cohorts* — every event sharing the next
 /// timestamp — and the harness runs each cohort in canonical phases: a
 /// per-node **propose** phase (shuffle initiation decisions, bootstrap
 /// seeding, all randomness counter-keyed by `(run_seed, node,
@@ -140,12 +140,14 @@ pub enum MaintenanceEngine {
     Serial,
     /// Shard-owned execution: nodes are partitioned by id into `S`
     /// contiguous shards, each owning its slice of the shuffle/membership
-    /// state and its own event queue. Propose and finalize run
+    /// state and of every cohort the schedule pops. Propose and finalize run
     /// shard-parallel on worker threads; commit exchanges cross-shard
     /// request/reply batches at phase barriers and applies them in a
     /// deterministic merge order. State after every cohort is
     /// bit-identical to [`MaintenanceEngine::Serial`] for any shard and
-    /// thread count.
+    /// thread count. Small cohorts run their shard phases on the calling
+    /// thread whatever the thread count: below a few hundred events the
+    /// pool's wake-up and barriers cost more than the work.
     Sharded {
         /// Shard count; `None` matches the resolved thread count.
         shards: Option<usize>,

@@ -37,6 +37,7 @@ pub mod config;
 pub mod hashes;
 pub mod index;
 pub mod oracle;
+mod schedule;
 
 pub use attack::AttackSeries;
 pub use config::{
@@ -52,12 +53,13 @@ use std::time::{Duration, Instant};
 use avmem_avmon::AvailabilityOracle;
 use avmem_metrics::{shard_lane, Counter, Histogram, Registry, Tracer};
 use avmem_shuffle::{EntryPool, ShuffleConfig, ShuffleMessage, ShuffleNode, ShuffleProposal, View};
-use avmem_sim::{EngineGroup, Network, SimDuration, SimTime};
+use avmem_sim::{Network, SimDuration, SimTime};
 use avmem_trace::{AvailabilityPdf, ChurnTrace, OnlineIndex};
 use avmem_util::parallel::{default_threads, par_chunks_mut, par_each_mut};
 use avmem_util::{Availability, NodeId, Rng, ShardPartition, SplitMix64, Xoshiro256};
 use serde::{Deserialize, Serialize};
 
+use self::schedule::{MaintKind, PeriodicWheel};
 use crate::graph::{NodeSnapshot, OverlaySnapshot};
 use crate::membership::{Membership, Neighbor, NeighborColumns, SliverScope};
 use crate::ops::anycast::{run_anycast, AnycastConfig, AnycastOutcome};
@@ -254,24 +256,20 @@ impl InitiatorBand {
     }
 }
 
-/// Internal maintenance events (event-driven mode).
-#[derive(Debug, Clone, Copy)]
-enum MaintEvent {
-    /// Per-period shuffle + discovery at node `i`.
-    Tick(usize),
-    /// Periodic refresh at node `i`.
-    Refresh(usize),
-}
-
 /// Seeds handed to a node bootstrapping an empty coarse view (stands in
 /// for a bootstrap service answering with a few live peers).
 const BOOTSTRAP_SEEDS: usize = 3;
 
-/// Stagger lattice: maintenance offsets are drawn on a grid of this many
-/// cohorts per period, so nodes stay unsynchronized (no thundering herd)
-/// while same-timestamp cohorts are large enough — `N / 16` nodes — for
-/// the batch phases to spread across worker threads.
-const STAGGER_COHORTS: u64 = 16;
+/// Below this many events, a cohort's shard phases run on the calling
+/// thread even when the engine has worker threads: waking the pool and
+/// meeting it at four barriers (≈ 10–17 µs a cohort) costs more than the
+/// cohort's work. Chosen from a sweep of the `overnet-day` spec at 2
+/// shards × 2 threads on a 2-CPU box, pool against inline, maintenance
+/// seconds per 481 cohorts: 90 events a cohort (1 442 hosts) 0.045 vs
+/// 0.041, 180 events 0.126 vs 0.120, 360 events 0.349 vs 0.357, 721
+/// events 0.751 vs 1.147, 1 442 events 2.09 vs 3.59 — the pool loses
+/// 5–10 % up to 180 events, breaks even near 360 and wins 35 % at 721.
+const INLINE_COHORT_EVENTS: usize = 256;
 
 /// Purpose tags separating the counter-keyed RNG streams of event-driven
 /// maintenance. Every stream is `SplitMix64::keyed(&[run_seed, TAG,
@@ -353,7 +351,8 @@ struct ShardScratch {
     /// Pooled shuffle-entry buffers: proposal, reply, and in-flight
     /// vectors cycle through here instead of the allocator. Its id table
     /// (8 bytes per id of the population) serves every view merge of the
-    /// commit phase and every discovery filter of the finalize phase.
+    /// commit phase and, outside the verdict-memory regime, every
+    /// discovery filter of the finalize phase.
     pool: EntryPool,
     /// Commit fast path: per-responder chain heads, indexed by the
     /// responder's offset in the shard (`u32::MAX` = no requests).
@@ -381,36 +380,45 @@ struct FinalizeShardState {
     /// Per node: stamp under which the node's entire membership is known
     /// fully classified — the refresh short-circuit license.
     classified: Vec<u32>,
-    /// Per node: stamp under which the node's no-insert memory below —
+    /// Per node: stamp under which the node's discovery memory below —
     /// its `verdicts` row or its `seen` list, whichever regime runs — is
     /// valid.
     seen_stamp: Vec<u32>,
-    /// The verdict memory — the no-insert memory where the pair space
+    /// The verdict memory — the discovery filter where the pair space
     /// fits the hash budget ([`PairHashes::is_cached`]: `8·N²` bytes
     /// within [`SimConfig::hash_budget`]; this costs `N²/8`, 1/64 of the
-    /// matrix the budget stands for). Per node an `N`-bit row, empty
-    /// until the node's first stamped discovery: bit `y` says the pair
-    /// `(x, y)` classified to no insert (no sliver, or the oracle had no
-    /// estimate) at the `seen_stamp` epoch. Classification is a pure
-    /// function of `(own_av, y_av, hash, thresholds)` and estimates are
-    /// pure within an epoch, so a set bit skips the candidate before the
-    /// estimate / hash / classify pipeline even starts, wherever the pair
-    /// has been in the meantime: each pair is estimated and hashed at
-    /// most once per epoch. A discovery that sees a new stamp zeroes the
-    /// row first. The bit is read and written at index `y` of the node's
-    /// own row — one or two cache lines per discovery's worth of probes,
-    /// not a shard-global pair map, whose DRAM-sized probe/insert traffic
-    /// costs more than the pipeline it skips.
+    /// matrix the budget stands for). Per node an `N`-bit *skip row*,
+    /// empty until the node's first stamped discovery: bit `y` says the
+    /// pair `(x, y)` needs no evaluation at the `seen_stamp` epoch — `y`
+    /// is a neighbor already, or the pair classified to no insert (no
+    /// sliver, or the oracle had no estimate). The whole filter is one
+    /// bit test per view id, at index `y` of the node's own row — one or
+    /// two cache lines per discovery's worth of probes, not a
+    /// shard-global pair map, whose DRAM-sized probe/insert traffic costs
+    /// more than the pipeline it skips.
+    ///
+    /// A discovery that finds the row new or under another stamp zeroes
+    /// it and marks the node's current neighbors — once per node per
+    /// epoch; every candidate it then evaluates sets its bit, inserted or
+    /// not. That is exact: classification is a pure function of `(own_av,
+    /// y_av, hash, thresholds)` and estimates are pure within an epoch, so
+    /// a verdict holds wherever the pair has been in the meantime, and
+    /// each pair is estimated and hashed at most once per epoch; only
+    /// discovery inserts, so every neighbor is marked; and a neighbor
+    /// that a refresh of the *same* epoch evicts was just classified to
+    /// no insert by that very function — its standing bit is a correct
+    /// verdict. A refresh at a newer epoch than the row's leaves the row
+    /// stale-stamped, for the next discovery to reset.
     verdicts: Vec<Vec<u64>>,
     /// The no-insert memory beyond the budget, where a `N/8`-byte row
     /// per node is not affordable (125 KB at 10⁶ hosts) and a pair
     /// rarely re-enters a view anyway: per node, the candidate ids (a
     /// set, in no particular order) of the *current view* that classified
     /// to no insert at the `seen_stamp` epoch, rebuilt every discovery.
-    /// The list is view-sized; a discovery tags its ids in the shard's id
-    /// table once and then probes the table per candidate. An id that
-    /// left the view drops out and, if it comes back within the epoch,
-    /// re-runs the pipeline (identically).
+    /// The list is view-sized; a discovery tags its ids — and the node's
+    /// neighbors — in the shard's id table once and then probes the table
+    /// per candidate. An id that left the view drops out and, if it comes
+    /// back within the epoch, re-runs the pipeline (identically).
     seen: Vec<Vec<u32>>,
 }
 
@@ -433,13 +441,14 @@ impl FinalizeShardState {
     }
 }
 
-/// Discovery-filter tags in the shard's id table: the id is already a
-/// neighbor, or (view-scoped regime only) it classified to no insert
-/// earlier in this epoch.
+/// Discovery-filter tags in the shard's id table, for the view-scoped
+/// regime and for oracles without an epoch (the verdict memory needs no
+/// table): the id is already a neighbor, or (stamped only) it classified
+/// to no insert earlier in this epoch.
 const TAG_MEMBER: u32 = 0;
 const TAG_NO_INSERT: u32 = 1;
 
-/// Word and mask of bit `y` in a verdict row.
+/// Word and mask of bit `y` in a skip row.
 fn verdict_bit(y: usize) -> (usize, u64) {
     (y / 64, 1 << (y % 64))
 }
@@ -456,15 +465,31 @@ fn compact_stamp(epoch: u64) -> Option<u32> {
 }
 
 impl ShardScratch {
-    /// Resets the per-cohort lists and sizes the outgoing batch tables.
-    fn begin_cohort(&mut self, shards: usize) {
-        self.ticks.clear();
-        self.refreshes.clear();
-        self.ops.clear();
+    /// Starts a cohort at time `t`: sizes the outgoing batch tables and
+    /// rebuilds the work lists — `due` is this shard's slice of the
+    /// cohort ([`PeriodicWheel::due`]), of which the nodes online at `t`
+    /// get work.
+    fn begin_cohort<'w>(
+        &mut self,
+        shards: usize,
+        due: impl Iterator<Item = (MaintKind, &'w [u32])>,
+        trace: &ChurnTrace,
+        t: SimTime,
+    ) {
         if self.req_out.len() != shards {
             self.req_out.resize_with(shards, Vec::new);
             self.reply_out.resize_with(shards, Vec::new);
         }
+        self.ticks.clear();
+        self.refreshes.clear();
+        for (kind, nodes) in due {
+            let list = match kind {
+                MaintKind::Tick => &mut self.ticks,
+                MaintKind::Refresh => &mut self.refreshes,
+            };
+            list.extend(nodes.iter().filter(|&&i| trace.is_online(i as usize, t)));
+        }
+        self.build_ops();
     }
 
     /// Drains the cohort's fast-path counters for accumulation on the
@@ -560,18 +585,6 @@ impl ShardScratch {
             self.bucket_tail[r] = idx as u32;
         }
     }
-}
-
-/// The deterministic stagger offset of `node`'s periodic event: a
-/// uniformly random point on the [`STAGGER_COHORTS`]-slot lattice of one
-/// period, keyed — not drawn from shared generator state — so schedule
-/// construction order cannot perturb any other random decision.
-fn stagger_offset(seed: u64, tag: u64, node: usize, start: SimTime, period: SimDuration) -> SimDuration {
-    let period_ms = period.as_millis().max(1);
-    let quantum = (period_ms / STAGGER_COHORTS).max(1);
-    let cohorts = period_ms / quantum;
-    let mut rng = SplitMix64::keyed(&[seed, tag, node as u64, start.as_millis()]);
-    SimDuration::from_millis(quantum * rng.range_u64(cohorts))
 }
 
 /// Phase A of one batch, for one online ticking node: bootstrap an empty
@@ -719,9 +732,11 @@ impl MaintCtx<'_> {
 
     /// Fast-path finalize for one node: memoized thresholds (epoch-cached
     /// when the oracle exposes an epoch), a discovery filter that
-    /// remembers this epoch's no-insert verdicts, one batched oracle call
-    /// and one batched pair-hash read per sub-op, and the refresh
-    /// short-circuit.
+    /// remembers this epoch's no-insert verdicts — one bit test per view
+    /// id where the verdict memory runs; the shard id table is touched
+    /// only in the view-scoped regime and without an epoch —, one batched
+    /// oracle call and one batched pair-hash read per sub-op, and the
+    /// refresh short-circuit.
     ///
     /// Bit-identical to the reference path (pinned by the fast-vs-slow
     /// legs of the `event_driven_equivalence` suite): within one epoch
@@ -794,54 +809,73 @@ impl MaintCtx<'_> {
             // and candidate availability, pair hash, thresholds) is fixed
             // within the epoch, so the outcome cannot change.
             cand_ids.clear();
-            seen_scratch.clear();
-            // One tag per id the filter must recognize, written once;
-            // each view candidate then costs one load.
-            let tags = pool.id_table();
-            tags.begin();
-            for &member in membership.columns(SliverScope::Both).ids {
-                tags.set(member, TAG_MEMBER);
-            }
-            // The node's verdict row, zeroed if its bits are another
-            // epoch's; `None` in the view-scoped regime, whose same-epoch
-            // list is tagged instead (disjoint from the neighbors: an id
-            // that classified to no insert cannot have become a neighbor
-            // within the same epoch) and rebuilt as we go — pruned repeats
-            // carry over, novel no-inserts join after classification.
-            let mut verdicts = None;
-            if let Some(stamp) = stamp {
-                if verdict_memory {
+            let view = self.shuffles[i].view();
+            // The node's skip row where the verdict memory runs; `None`
+            // in the view-scoped regime and without a stamp, which filter
+            // through the shard's id table instead.
+            let mut skip_row = None;
+            match stamp {
+                Some(stamp) if verdict_memory => {
                     let row = &mut state.verdicts[local];
-                    if row.is_empty() {
+                    if state.seen_stamp[local] != stamp {
+                        // New, or another epoch's: forget every verdict,
+                        // keep skipping the neighbors.
+                        row.clear();
                         row.resize(self.shuffles.len().div_ceil(64), 0);
-                    } else if state.seen_stamp[local] != stamp {
-                        row.fill(0);
+                        for &member in membership.columns(SliverScope::Both).ids {
+                            let (word, mask) = verdict_bit(member as usize);
+                            row[word] |= mask;
+                        }
+                        state.seen_stamp[local] = stamp;
                     }
-                    verdicts = Some(row);
-                } else if state.seen_stamp[local] == stamp {
-                    for &y in &state.seen[local] {
-                        debug_assert_eq!(tags.get(y), None, "no-insert id {y} is a neighbor");
-                        tags.set(y, TAG_NO_INSERT);
-                    }
-                }
-            }
-            for candidate in self.shuffles[i].view().ids() {
-                let y = candidate.raw() as usize;
-                if y == i {
-                    continue;
-                }
-                match tags.get(y as u32) {
-                    Some(TAG_NO_INSERT) => {
-                        stats.discover_pruned += 1;
-                        seen_scratch.push(y as u32);
-                    }
-                    Some(_) => {}
-                    None => {
+                    for candidate in view.ids() {
+                        let y = candidate.raw() as usize;
+                        if y == i {
+                            continue;
+                        }
                         let (word, mask) = verdict_bit(y);
-                        if verdicts.as_ref().is_some_and(|row| row[word] & mask != 0) {
+                        if row[word] & mask != 0 {
                             stats.discover_pruned += 1;
                         } else {
                             cand_ids.push(candidate);
+                        }
+                    }
+                    skip_row = Some(row);
+                }
+                _ => {
+                    // One tag per id the filter must recognize, written
+                    // once; each view candidate then costs one load. The
+                    // same-epoch no-insert list is disjoint from the
+                    // neighbors (an id that classified to no insert
+                    // cannot have become a neighbor within the same
+                    // epoch) and rebuilt as we go: pruned repeats carry
+                    // over, novel no-inserts join after classification.
+                    seen_scratch.clear();
+                    let tags = pool.id_table();
+                    tags.begin();
+                    for &member in membership.columns(SliverScope::Both).ids {
+                        tags.set(member, TAG_MEMBER);
+                    }
+                    if stamp.is_some_and(|stamp| state.seen_stamp[local] == stamp) {
+                        for &y in &state.seen[local] {
+                            debug_assert_eq!(tags.get(y), None, "no-insert id {y} is a neighbor");
+                            tags.set(y, TAG_NO_INSERT);
+                        }
+                    }
+                    for candidate in view.ids() {
+                        let y = candidate.raw() as usize;
+                        if y == i {
+                            continue;
+                        }
+                        match tags.get(y as u32) {
+                            Some(TAG_NO_INSERT) => {
+                                stats.discover_pruned += 1;
+                                seen_scratch.push(y as u32);
+                            }
+                            // A neighbor. Without a stamp the counter
+                            // stays 0: no filter outlives the op.
+                            Some(_) => stats.discover_pruned += u64::from(stamp.is_some()),
+                            None => cand_ids.push(candidate),
                         }
                     }
                 }
@@ -872,26 +906,25 @@ impl MaintCtx<'_> {
                             );
                         }
                     }
-                    if !kept {
-                        if let Some(row) = verdicts.as_mut() {
-                            let (word, mask) = verdict_bit(y);
-                            row[word] |= mask;
-                        } else if stamp.is_some() {
-                            seen_scratch.push(y as u32);
-                        }
+                    if let Some(row) = skip_row.as_mut() {
+                        // Evaluated: a neighbor now, or a no-insert
+                        // verdict — either way nothing to evaluate again
+                        // at this epoch.
+                        let (word, mask) = verdict_bit(y);
+                        row[word] |= mask;
+                    } else if !kept && stamp.is_some() {
+                        seen_scratch.push(y as u32);
                     }
                 }
             }
             if let Some(stamp) = stamp {
-                if verdicts.is_none() {
+                if skip_row.is_none() {
                     // Entries that left the view drop out here. View ids
                     // are unique, so the list is a set as built.
                     std::mem::swap(&mut state.seen[local], seen_scratch);
+                    state.seen_stamp[local] = stamp;
                 }
-                state.seen_stamp[local] = stamp;
-            }
-            if inserted {
-                if let Some(stamp) = stamp {
+                if inserted {
                     // Inserts are classified at the current epoch: the
                     // list stays uniformly stamped only if it was empty
                     // or already at this epoch; otherwise it is mixed
@@ -942,25 +975,22 @@ impl MaintCtx<'_> {
 /// The persistent event-driven maintenance schedule, sharded.
 ///
 /// Built once, on the first event-driven advance, and kept across
-/// [`AvmemSim::warm_up`] / [`AvmemSim::advance_to`] calls: the per-shard
-/// engines carry every node's pending tick/refresh events forward, so
-/// resuming maintenance costs nothing instead of the `O(N)` schedule
-/// rebuild (and re-staggering) each call used to pay. A periodic
-/// protocol's phase is a property of the node, not of how the driver
-/// chops the timeline into advances — `warm_up(1h)` twice is identical
-/// to `warm_up(2h)` once.
+/// [`AvmemSim::warm_up`] / [`AvmemSim::advance_to`] calls: the wheel
+/// carries every node's tick and refresh phase forward, so resuming
+/// maintenance costs nothing instead of the `O(N)` schedule rebuild (and
+/// re-staggering) each call used to pay. A periodic protocol's phase is a
+/// property of the node, not of how the driver chops the timeline into
+/// advances — `warm_up(1h)` twice is identical to `warm_up(2h)` once.
 ///
-/// Each shard owns its slice of the population: its own event queue (one
-/// engine of the [`EngineGroup`]), its cohort batch, and its scratch
-/// (work lists + outgoing message batches). The group's aligned cohort
-/// pop guarantees the union of per-shard batches is exactly the cohort a
-/// single global queue would pop.
+/// Each shard owns its slice of the population: its slice of every
+/// cohort the wheel pops ([`PeriodicWheel::due`]) and its scratch (work
+/// lists + outgoing message batches). The slices of one cohort are
+/// exactly the cohort a single global event queue would pop, split by
+/// owner.
 #[derive(Debug)]
 struct MaintSchedule {
-    group: EngineGroup<MaintEvent>,
+    wheel: PeriodicWheel,
     part: ShardPartition,
-    /// Per-shard cohort scratch, reused across batches.
-    batches: Vec<Vec<MaintEvent>>,
     /// Per-shard phase scratch, reused across batches.
     scratches: Vec<ShardScratch>,
     /// Per-destination-shard inbound request batches (transpose buffer).
@@ -970,9 +1000,8 @@ struct MaintSchedule {
 }
 
 impl MaintSchedule {
-    /// Builds the initial schedule: every node's tick and refresh events
-    /// staggered on the period lattice, each landing in its owning
-    /// shard's queue.
+    /// Builds the initial schedule: every node's tick and refresh
+    /// staggered on the period lattices from `now` on.
     fn build(
         seed: u64,
         n: usize,
@@ -983,18 +1012,9 @@ impl MaintSchedule {
     ) -> Self {
         let part = ShardPartition::new(n, shards);
         let shards = part.shards();
-        let mut group = EngineGroup::new(shards);
-        for i in 0..n {
-            let s = part.owner(i);
-            let tick = stagger_offset(seed, STREAM_STAGGER_TICK, i, now, protocol_period);
-            let refresh = stagger_offset(seed, STREAM_STAGGER_REFRESH, i, now, refresh_period);
-            group.schedule(s, now + tick, MaintEvent::Tick(i));
-            group.schedule(s, now + refresh, MaintEvent::Refresh(i));
-        }
         MaintSchedule {
-            group,
+            wheel: PeriodicWheel::build(seed, part, now, protocol_period, refresh_period),
             part,
-            batches: (0..shards).map(|_| Vec::new()).collect(),
             scratches: (0..shards).map(|_| ShardScratch::default()).collect(),
             req_in: (0..shards).map(|_| Vec::new()).collect(),
             reply_in: (0..shards).map(|_| Vec::new()).collect(),
@@ -1082,9 +1102,14 @@ pub struct FinalizeStats {
     pub refresh_skipped: u64,
     /// Refresh ops that ran the full reclassification pass.
     pub refresh_evaluated: u64,
-    /// Discovery candidates skipped because the pair already classified
-    /// to no insert at the current epoch: every repeat where the verdict
-    /// memory runs, repeats that stayed in the view beyond the budget.
+    /// View candidates (the node itself excluded) that a stamped
+    /// discovery filter dropped without an estimate: ids that are
+    /// neighbors already, and pairs that classified to no insert earlier
+    /// in the epoch — every such pair where the verdict memory runs, those
+    /// that stayed in the view beyond the budget. Either way
+    /// `discover_pruned` plus discovery's share of `batched_estimates` is
+    /// the number of candidates the views offered. 0 without an oracle
+    /// epoch: no filter outlives an op there.
     pub discover_pruned: u64,
     /// Availability estimates served through batched oracle calls.
     pub batched_estimates: u64,
@@ -1432,7 +1457,7 @@ impl AvmemSim {
     /// Timestamp of the next pending maintenance event, if any — `None`
     /// for converged maintenance or before the first event-driven advance.
     pub fn next_maintenance_at(&self) -> Option<SimTime> {
-        self.maint.as_ref().and_then(|m| m.group.peek_time())
+        self.maint.as_ref().and_then(|m| m.wheel.peek_time())
     }
 
     /// Cumulative per-phase maintenance wall-clock since construction
@@ -1465,7 +1490,7 @@ impl AvmemSim {
     /// maintenance or before the first event-driven advance) — the
     /// service mode's queue-depth gauge.
     pub fn pending_maintenance(&self) -> usize {
-        self.maint.as_ref().map_or(0, |m| m.group.pending())
+        self.maint.as_ref().map_or(0, |m| m.wheel.pending())
     }
 
     /// Rebuilds every node's lists directly from the predicate — the
@@ -1640,12 +1665,17 @@ impl AvmemSim {
         membership
     }
 
-    /// Runs the shuffle/discovery/refresh sub-protocols through the
-    /// sharded event queues, one *timestamp cohort* at a time.
+    /// Runs the shuffle/discovery/refresh sub-protocols off the periodic
+    /// schedule, one *timestamp cohort* at a time.
     ///
     /// Node offsets are staggered on a coarse per-period lattice (see
-    /// [`STAGGER_COHORTS`]) so cohorts are sizeable, and each cohort runs
-    /// in canonical phases:
+    /// [`schedule::STAGGER_COHORTS`]) so cohorts are sizeable — at the
+    /// paper's 1 442 hosts a tick cohort is 90 nodes, some 39 of them
+    /// online — and the whole schedule is at most 32 slots of nodes that
+    /// fire together ([`PeriodicWheel`]). The loop pops the earliest
+    /// slots, runs their cohort, and pops again: a slot re-arms itself
+    /// one period on when it is popped, so no event is ever re-queued.
+    /// Each cohort runs in canonical phases:
     ///
     /// 1. **propose** — every online ticking node bootstraps (if its view
     ///    is empty) and computes+applies its shuffle proposal, touching
@@ -1667,7 +1697,9 @@ impl AvmemSim {
     /// [`MaintenanceEngine::Serial`] and [`MaintenanceEngine::Sharded`]
     /// execute these identical semantics; results are bit-equal across
     /// engines, shard counts and thread counts (pinned by the
-    /// `event_driven_equivalence` integration tests).
+    /// `event_driven_equivalence` integration tests). A cohort of fewer
+    /// than [`INLINE_COHORT_EVENTS`] events runs its shard phases on the
+    /// calling thread whatever the thread count.
     fn run_event_driven(
         &mut self,
         target: SimTime,
@@ -1680,7 +1712,7 @@ impl AvmemSim {
         let threads = self.config.engine.threads();
         let shards = self.config.engine.shards();
         // The schedule is built once — on the first event-driven advance —
-        // and then carried across calls with its pending events intact
+        // and then carried across calls with every node's phase intact
         // (see [`MaintSchedule`]). Only that first call pays the `O(N)`
         // population scan and stagger draw.
         let mut maint = self.maint.take().unwrap_or_else(|| {
@@ -1697,7 +1729,7 @@ impl AvmemSim {
         // reference (they are bit-identical), skipping the message-batch
         // bookkeeping single-core machines would pay for nothing.
         let straight_line = maint.part.shards() <= 1 && threads <= 1;
-        while let Some(t) = maint.group.pop_batch_until(target, &mut maint.batches) {
+        while let Some(t) = maint.wheel.pop_until(target) {
             // Shared time-dependent state advances once per distinct
             // timestamp: the oracle (AVMON ping processing) and the
             // online index (slot-boundary crossings).
@@ -1708,35 +1740,22 @@ impl AvmemSim {
                 self.now = self.now.max(t);
             }
             self.tracer.tick_cohort();
+            let MaintSchedule {
+                ref wheel,
+                part,
+                ref mut scratches,
+                ref mut req_in,
+                ref mut reply_in,
+            } = maint;
             if straight_line {
-                let MaintSchedule {
-                    ref batches,
-                    ref mut scratches,
-                    ..
-                } = maint;
-                self.run_batch_serial(t, &batches[0], &mut scratches[0]);
+                self.run_batch_serial(t, wheel, &mut scratches[0]);
             } else {
-                let MaintSchedule {
-                    part,
-                    ref batches,
-                    ref mut scratches,
-                    ref mut req_in,
-                    ref mut reply_in,
-                    ..
-                } = maint;
-                self.run_batch_sharded(t, part, batches, scratches, req_in, reply_in, threads);
-            }
-            for (s, batch) in maint.batches.iter().enumerate() {
-                for &event in batch.iter() {
-                    match event {
-                        MaintEvent::Tick(_) => {
-                            maint.group.schedule(s, t + protocol_period, event)
-                        }
-                        MaintEvent::Refresh(_) => {
-                            maint.group.schedule(s, t + refresh_period, event)
-                        }
-                    }
-                }
+                let threads = if wheel.due_events() < INLINE_COHORT_EVENTS {
+                    1
+                } else {
+                    threads
+                };
+                self.run_batch_sharded(t, part, wheel, scratches, req_in, reply_in, threads);
             }
         }
         self.maint = Some(maint);
@@ -1752,7 +1771,7 @@ impl AvmemSim {
     /// phase runs off the same per-node ops list — and the same fast
     /// path — as the sharded engine, with the whole population as one
     /// shard, so single-core runs get the full finalize speedup.
-    fn run_batch_serial(&mut self, t: SimTime, batch: &[MaintEvent], scratch: &mut ShardScratch) {
+    fn run_batch_serial(&mut self, t: SimTime, wheel: &PeriodicWheel, scratch: &mut ShardScratch) {
         let seed = self.config.seed;
         let n = self.trace.num_nodes();
         // Phase 1 — propose over the sorted tick list (propose randomness
@@ -1761,19 +1780,7 @@ impl AvmemSim {
         // — in ascending-initiator order, the property the commit chains
         // rely on — or its timeout, in the pooled cohort buffers.
         let tp = self.tracer.span(PH_PROPOSE, 0);
-        scratch.begin_cohort(1);
-        for &event in batch {
-            match event {
-                MaintEvent::Tick(i) if self.trace.is_online(i, t) => {
-                    scratch.ticks.push(i as u32);
-                }
-                MaintEvent::Refresh(i) if self.trace.is_online(i, t) => {
-                    scratch.refreshes.push(i as u32);
-                }
-                _ => {}
-            }
-        }
-        scratch.build_ops();
+        scratch.begin_cohort(1, wheel.due(0), &self.trace, t);
         let mut requests = std::mem::take(&mut scratch.req_out[0]);
         for k in 0..scratch.ticks.len() {
             let i = scratch.ticks[k] as usize;
@@ -1892,7 +1899,7 @@ impl AvmemSim {
         &mut self,
         t: SimTime,
         part: ShardPartition,
-        batches: &[Vec<MaintEvent>],
+        wheel: &PeriodicWheel,
         scratches: &mut [ShardScratch],
         req_in: &mut [Vec<RequestMsg>],
         reply_in: &mut [Vec<ReplyMsg>],
@@ -1911,31 +1918,15 @@ impl AvmemSim {
         let tp = tracer.span(PH_PROPOSE, 0);
         {
             let slices = part.split_mut(&mut shuffles);
-            let mut tasks: Vec<(usize, &mut [ShuffleNode], &mut ShardScratch, &[MaintEvent])> =
-                slices
-                    .into_iter()
-                    .zip(scratches.iter_mut())
-                    .zip(batches.iter())
-                    .enumerate()
-                    .map(|(s, ((slice, scratch), batch))| {
-                        (part.range(s).start, slice, scratch, batch.as_slice())
-                    })
-                    .collect();
-            par_each_mut(&mut tasks, threads, |s, (start, slice, scratch, batch)| {
+            let mut tasks: Vec<(usize, &mut [ShuffleNode], &mut ShardScratch)> = slices
+                .into_iter()
+                .zip(scratches.iter_mut())
+                .enumerate()
+                .map(|(s, (slice, scratch))| (part.range(s).start, slice, scratch))
+                .collect();
+            par_each_mut(&mut tasks, threads, |s, (start, slice, scratch)| {
                 let _span = tracer.span(PH_PROPOSE, shard_lane(s));
-                scratch.begin_cohort(shards);
-                for &event in batch.iter() {
-                    match event {
-                        MaintEvent::Tick(i) if trace.is_online(i, t) => {
-                            scratch.ticks.push(i as u32);
-                        }
-                        MaintEvent::Refresh(i) if trace.is_online(i, t) => {
-                            scratch.refreshes.push(i as u32);
-                        }
-                        _ => {}
-                    }
-                }
-                scratch.build_ops();
+                scratch.begin_cohort(shards, wheel.due(s), trace, t);
                 for k in 0..scratch.ticks.len() {
                     let i = scratch.ticks[k] as usize;
                     let Some(p) = propose_tick(
@@ -2711,7 +2702,8 @@ mod tests {
         AvmemSim::new(trace, cfg)
     }
 
-    /// Every set verdict bit of the run so far, as `(x, y, stamp)`.
+    /// Every set bit of every skip row of the run so far, as `(x, y,
+    /// stamp)`.
     fn set_verdicts(sim: &AvmemSim) -> Vec<(usize, usize, u32)> {
         let maint = sim.maint.as_ref().expect("event-driven maintenance ran");
         let n = sim.trace().num_nodes();
@@ -2719,24 +2711,103 @@ mod tests {
         for (s, scratch) in maint.scratches.iter().enumerate() {
             let start = maint.part.range(s).start;
             for (local, row) in scratch.fast.verdicts.iter().enumerate() {
-                for y in 0..n {
-                    let (word, mask) = verdict_bit(y);
-                    if row.get(word).is_some_and(|w| w & mask != 0) {
-                        set.push((start + local, y, scratch.fast.seen_stamp[local]));
-                    }
+                for y in (0..n).filter(|&y| bit_is_set(row, y)) {
+                    set.push((start + local, y, scratch.fast.seen_stamp[local]));
                 }
             }
         }
         set
     }
 
+    /// Node `x`'s skip row on a one-shard engine — its stamp and its words
+    /// (stamp 0, no words: not allocated yet).
+    fn skip_row(sim: &AvmemSim, x: usize) -> (u32, &[u64]) {
+        let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].fast;
+        match state.verdicts.get(x) {
+            Some(row) => (state.seen_stamp[x], row),
+            None => (0, &[]),
+        }
+    }
+
+    fn bit_is_set(row: &[u64], y: usize) -> bool {
+        let (word, mask) = verdict_bit(y);
+        row.get(word).is_some_and(|w| w & mask != 0)
+    }
+
+    /// The finalize stamp of the oracle's epoch at `t`.
+    fn stamp_at(sim: &AvmemSim, t: SimTime) -> u32 {
+        sim.oracle.epoch(t).and_then(compact_stamp).expect("stamped oracle")
+    }
+
+    /// Whether Eq. 1, evaluated the reference way under the current
+    /// estimates, keeps `y` out of `x`'s lists.
+    fn classifies_to_no_insert(sim: &AvmemSim, x: usize, y: usize) -> bool {
+        let own_av = sim.estimated_availability(x, x).expect("own estimate");
+        let Some(y_av) = sim.estimated_availability(x, y) else {
+            return true;
+        };
+        let own = NodeInfo::new(NodeId::new(x as u64), own_av);
+        let info = NodeInfo::new(NodeId::new(y as u64), y_av);
+        sim.predicate
+            .classify_hashed(own, info, sim.hashes.get(x, y), 0.0)
+            .is_none()
+    }
+
+    /// Whether node `i`'s periodic event of `stream` fires at `t`, on a
+    /// schedule built at time zero.
+    fn fires_at(sim: &AvmemSim, stream: u64, i: usize, t: SimTime) -> bool {
+        let MaintenanceMode::EventDriven {
+            protocol_period,
+            refresh_period,
+        } = sim.config.maintenance
+        else {
+            panic!("event-driven sim expected");
+        };
+        let period = if stream == STREAM_STAGGER_TICK {
+            protocol_period
+        } else {
+            refresh_period
+        };
+        let offset = schedule::stagger_offset(sim.config.seed, stream, i, SimTime::ZERO, period);
+        let first = SimTime::ZERO + offset;
+        t >= first && (t - first).as_millis() % period.as_millis() == 0
+    }
+
+    /// Runs exactly the next cohort and returns its timestamp.
+    fn run_next_cohort(sim: &mut AvmemSim) -> SimTime {
+        let t = sim.next_maintenance_at().expect("schedule built");
+        sim.advance_to(t);
+        t
+    }
+
+    fn neighbor_ids(sim: &AvmemSim, x: usize) -> Vec<usize> {
+        sim.memberships[x]
+            .neighbor_ids(SliverScope::Both)
+            .map(|id| id.raw() as usize)
+            .collect()
+    }
+
+    /// The same run through the pair-at-a-time reference finalize must
+    /// have produced the same lists.
+    fn assert_equals_reference_finalize(sim: &AvmemSim) {
+        let mut slow_cfg = sim.config;
+        slow_cfg.finalize_fast = false;
+        let mut slow = AvmemSim::new(sim.trace().clone(), slow_cfg);
+        slow.advance_to(sim.now());
+        for i in 0..sim.trace().num_nodes() {
+            let id = NodeId::new(i as u64);
+            assert_eq!(sim.membership(id), slow.membership(id), "node {id}");
+        }
+    }
+
     #[test]
     fn a_pair_rejected_at_one_epoch_is_re_evaluated_at_the_next() {
         // Shared noise re-drawn every two minutes: a verdict must die
         // with its epoch. Walk the run tick by tick and find pairs whose
-        // bit was set under one stamp and that are neighbors later — the
-        // new epoch's estimates classified them differently, which a row
-        // that is not zeroed on a stamp change would never find out.
+        // bit was set under one stamp, for a pair that was no neighbor,
+        // and that are neighbors later — the new epoch's estimates
+        // classified them differently, which a row that is not zeroed on
+        // a stamp change would never find out.
         let oracle = OracleChoice::NoisyShared {
             error: 0.05,
             staleness: SimDuration::from_mins(2),
@@ -2748,17 +2819,35 @@ mod tests {
             hashes::DEFAULT_HASH_BUDGET,
         );
         let mut rejected = std::collections::HashMap::new();
-        let mut revived = 0;
+        let (mut revived, mut verdicts_checked) = (0, 0);
         for _ in 0..120 {
             sim.warm_up(SimDuration::from_secs(15));
+            let current = stamp_at(&sim, sim.now());
             for (x, y, stamp) in set_verdicts(&sim) {
-                // A verdict says "no insert": its pair is never a neighbor
-                // while the bit stands.
-                assert!(
-                    !sim.memberships[x].contains(NodeId::new(y as u64)),
-                    "bit ({x}, {y}) is set for a neighbor"
-                );
+                // A set bit says "nothing to evaluate": the pair is a
+                // neighbor, or it was rejected under the row's stamp —
+                // which, while that epoch lasts, the reference evaluation
+                // can confirm.
+                if sim.memberships[x].contains(NodeId::new(y as u64)) {
+                    continue;
+                }
+                if stamp == current {
+                    assert!(
+                        classifies_to_no_insert(&sim, x, y),
+                        "bit ({x}, {y}) is set for a pair Eq. 1 accepts"
+                    );
+                    verdicts_checked += 1;
+                }
                 rejected.insert((x, y), stamp);
+            }
+            // And every neighbor of a node that has a row is marked in it,
+            // whichever epoch the row is from: rows are rebuilt only by
+            // discovery, which is also the only step that inserts.
+            for x in 0..sim.trace().num_nodes() {
+                let (_, row) = skip_row(&sim, x);
+                for y in neighbor_ids(&sim, x) {
+                    assert!(row.is_empty() || bit_is_set(row, y), "neighbor ({x}, {y}) unmarked");
+                }
             }
             rejected.retain(|&(x, y), _| {
                 let inserted = sim.memberships[x].contains(NodeId::new(y as u64));
@@ -2766,15 +2855,167 @@ mod tests {
                 !inserted
             });
         }
+        assert!(verdicts_checked > 1_000, "only {verdicts_checked} verdicts checked");
         assert!(revived > 0, "no rejected pair was ever inserted later");
-        let mut slow_cfg = sim.config;
-        slow_cfg.finalize_fast = false;
-        let mut slow = AvmemSim::new(sim.trace().clone(), slow_cfg);
-        slow.warm_up(SimDuration::from_mins(30));
-        for i in 0..sim.trace().num_nodes() {
-            let id = NodeId::new(i as u64);
-            assert_eq!(sim.membership(id), slow.membership(id), "node {id}");
+        assert_equals_reference_finalize(&sim);
+    }
+
+    #[test]
+    fn a_neighbor_evicted_by_a_same_epoch_refresh_stays_pruned() {
+        // Five-minute epochs over 15 s ticks and 3 min refreshes: most
+        // refreshes run in an epoch the node has already discovered in,
+        // so its row is current when the refresh evicts a neighbor (one
+        // inserted under an earlier epoch's estimates). The eviction *is*
+        // a no-insert verdict of this epoch — same function, same inputs
+        // — so the neighbor's bit must stand: discoveries that meet the
+        // id again before the epoch ends skip it.
+        let oracle = OracleChoice::NoisyShared {
+            error: 0.05,
+            staleness: SimDuration::from_mins(5),
+        };
+        let mut sim = event_driven_sim(
+            90,
+            oracle,
+            MaintenanceEngine::Serial,
+            hashes::DEFAULT_HASH_BUDGET,
+        );
+        sim.warm_up(SimDuration::ZERO);
+        let n = sim.trace().num_nodes();
+        // (x, y) → the stamp under which y was evicted from x's lists.
+        let mut standing = std::collections::HashMap::new();
+        let (mut evictions, mut met_again) = (0, 0);
+        while sim.now() < SimTime::ZERO + SimDuration::from_mins(40) {
+            let before: Vec<Vec<usize>> = (0..n).map(|x| neighbor_ids(&sim, x)).collect();
+            let t = run_next_cohort(&mut sim);
+            let current = stamp_at(&sim, t);
+            for x in (0..n).filter(|&x| sim.trace().is_online(x, t)) {
+                let (stamp, row) = skip_row(&sim, x);
+                if fires_at(&sim, STREAM_STAGGER_REFRESH, x, t) && stamp == current {
+                    let now = neighbor_ids(&sim, x);
+                    for &y in before[x].iter().filter(|y| !now.contains(y)) {
+                        evictions += 1;
+                        standing.insert((x, y), current);
+                    }
+                }
+                if fires_at(&sim, STREAM_STAGGER_TICK, x, t) {
+                    // The view discovery just filtered (nothing ran since).
+                    for id in sim.shuffles[x].view().ids() {
+                        let met = standing.get(&(x, id.raw() as usize)) == Some(&stamp);
+                        met_again += usize::from(met);
+                    }
+                }
+                for (&(_, y), _) in standing.iter().filter(|&(&(sx, _), &s)| sx == x && s == stamp) {
+                    assert!(bit_is_set(row, y), "evicted ({x}, {y}) lost its bit within the epoch");
+                    assert!(!sim.memberships[x].contains(NodeId::new(y as u64)));
+                }
+            }
         }
+        assert!(evictions > 0, "no refresh evicted under a current row");
+        assert!(met_again > 0, "no evicted id was met again within its epoch");
+        assert_equals_reference_finalize(&sim);
+    }
+
+    #[test]
+    fn a_refresh_only_cohort_at_a_new_epoch_leaves_a_stale_row_for_discovery_to_reset() {
+        // Two-minute epochs: a node's refresh often fires — without its
+        // tick — in an epoch its row has not seen yet. The refresh evicts
+        // under the new estimates and must leave the row alone (stale
+        // stamp, the evicted neighbor's bit still set); the node's next
+        // discovery then zeroes the row and re-marks the neighbors it has
+        // *now*, so the evicted pair is evaluated again if the view
+        // offers it, and unmarked if not.
+        let oracle = OracleChoice::NoisyShared {
+            error: 0.05,
+            staleness: SimDuration::from_mins(2),
+        };
+        let mut sim = event_driven_sim(
+            90,
+            oracle,
+            MaintenanceEngine::Serial,
+            hashes::DEFAULT_HASH_BUDGET,
+        );
+        sim.warm_up(SimDuration::ZERO);
+        let n = sim.trace().num_nodes();
+        // x → (ids a refresh-only cohort evicted, the row's stale stamp).
+        let mut stale: std::collections::HashMap<usize, (Vec<usize>, u32)> = Default::default();
+        let (mut re_evaluated, mut unmarked) = (0, 0);
+        while sim.now() < SimTime::ZERO + SimDuration::from_mins(60) {
+            let before: Vec<Vec<usize>> = (0..n).map(|x| neighbor_ids(&sim, x)).collect();
+            let t = run_next_cohort(&mut sim);
+            let current = stamp_at(&sim, t);
+            for x in (0..n).filter(|&x| sim.trace().is_online(x, t)) {
+                let (stamp, row) = skip_row(&sim, x);
+                let now = neighbor_ids(&sim, x);
+                if fires_at(&sim, STREAM_STAGGER_TICK, x, t) {
+                    assert_eq!(stamp, current, "node {x}: discovery left another epoch's row");
+                    if let Some((evicted, old)) = stale.remove(&x) {
+                        assert_ne!(old, current);
+                        let view: Vec<usize> =
+                            sim.shuffles[x].view().ids().map(|id| id.raw() as usize).collect();
+                        for y in evicted {
+                            let offered = view.contains(&y);
+                            assert_eq!(
+                                bit_is_set(row, y),
+                                offered || now.contains(&y),
+                                "({x}, {y}): offered by the view: {offered}"
+                            );
+                            re_evaluated += usize::from(offered);
+                            unmarked += usize::from(!offered);
+                        }
+                    }
+                } else if fires_at(&sim, STREAM_STAGGER_REFRESH, x, t)
+                    && !row.is_empty()
+                    && stamp != current
+                {
+                    let evicted: Vec<usize> =
+                        before[x].iter().copied().filter(|y| !now.contains(y)).collect();
+                    for &y in &evicted {
+                        assert!(bit_is_set(row, y), "a refresh touched the row of node {x}");
+                    }
+                    if !evicted.is_empty() {
+                        stale.entry(x).or_insert((Vec::new(), stamp)).0.extend(evicted);
+                    }
+                }
+            }
+        }
+        assert!(re_evaluated > 0, "no stale eviction was offered to the next discovery");
+        assert!(unmarked > 0, "every stale eviction was offered again");
+        assert_equals_reference_finalize(&sim);
+    }
+
+    #[test]
+    fn a_row_allocated_for_a_node_with_neighbors_carries_their_bits() {
+        // Lists built before any row exists: a converged rebuild, then
+        // the same simulation continues event-driven. Each node's first
+        // discovery allocates its row and must mark the neighbors it
+        // already has — a converged list is ~all of them out of view.
+        let mut sim = event_driven_sim(
+            100,
+            OracleChoice::Exact,
+            MaintenanceEngine::Serial,
+            hashes::DEFAULT_HASH_BUDGET,
+        );
+        let event_driven = sim.config.maintenance;
+        sim.config.maintenance = MaintenanceMode::Converged;
+        sim.warm_up(SimDuration::from_mins(30));
+        sim.config.maintenance = event_driven;
+        let built: Vec<Vec<usize>> = (0..100).map(|x| neighbor_ids(&sim, x)).collect();
+        assert!(built.iter().map(Vec::len).sum::<usize>() > 500, "vacuous overlay");
+        sim.warm_up(SimDuration::from_secs(15));
+        let (mut rows, mut out_of_view) = (0, 0);
+        for (x, neighbors) in built.iter().enumerate() {
+            let (stamp, row) = skip_row(&sim, x);
+            if stamp == 0 {
+                continue; // offline: never ticked
+            }
+            rows += 1;
+            for &y in neighbors {
+                assert!(bit_is_set(row, y), "row of node {x} lacks its neighbor {y}");
+                let view = sim.shuffle_view(NodeId::new(x as u64));
+                out_of_view += usize::from(!view.contains(NodeId::new(y as u64)));
+            }
+        }
+        assert!(rows > 20 && out_of_view > 100, "{rows} rows, {out_of_view} out-of-view marks");
     }
 
     #[test]
@@ -2862,6 +3103,53 @@ mod tests {
         // stamp 1, whose memos a release build would then have reused.
         assert_eq!(compact_stamp(u32::MAX as u64), None);
         assert_eq!(compact_stamp(1 << 32), None);
+    }
+
+    #[test]
+    fn cohorts_on_either_side_of_the_inline_bound_match_the_serial_engine() {
+        // The equivalence suites run 40–150 hosts, whose cohorts all stay
+        // below `INLINE_COHORT_EVENTS` and therefore on the calling
+        // thread. Here a tick slot fires every second and a refresh slot
+        // every other second: at 2 600 hosts a cohort is ~162 events
+        // without a refresh slot and ~325 with one — the run alternates
+        // between inline cohorts and cohorts fanned out to the pool, and
+        // must land on the serial engine's state all the same.
+        let trace = OvernetModel::default().hosts(2600).days(1).generate(37);
+        let mut cfg = SimConfig::paper_default(16);
+        cfg.maintenance = MaintenanceMode::EventDriven {
+            protocol_period: SimDuration::from_secs(16),
+            refresh_period: SimDuration::from_secs(32),
+        };
+        cfg.engine = MaintenanceEngine::Serial;
+        let mut serial = AvmemSim::new(trace.clone(), cfg);
+        cfg.engine = MaintenanceEngine::Sharded {
+            shards: Some(3),
+            threads: Some(3),
+        };
+        let mut sharded = AvmemSim::new(trace, cfg);
+        let (mut inline, mut pooled) = (0, 0);
+        let end = SimTime::ZERO + SimDuration::from_secs(40);
+        sharded.warm_up(SimDuration::ZERO);
+        while sharded.next_maintenance_at().is_some_and(|t| t <= end) {
+            let t = run_next_cohort(&mut sharded);
+            let events = (0..2600)
+                .flat_map(|i| [(STREAM_STAGGER_TICK, i), (STREAM_STAGGER_REFRESH, i)])
+                .filter(|&(stream, i)| fires_at(&sharded, stream, i, t))
+                .count();
+            if events < INLINE_COHORT_EVENTS {
+                inline += 1;
+            } else {
+                pooled += 1;
+            }
+        }
+        assert!(inline >= 5 && pooled >= 5, "{inline} inline cohorts, {pooled} pooled");
+        serial.advance_to(sharded.now());
+        assert_eq!(serial.snapshot(), sharded.snapshot());
+        for i in 0..2600 {
+            let id = NodeId::new(i as u64);
+            assert_eq!(serial.membership(id), sharded.membership(id), "node {id}");
+            assert_eq!(serial.shuffle_view(id), sharded.shuffle_view(id));
+        }
     }
 
     #[test]

@@ -457,17 +457,22 @@ fn fast_finalize_matches_reference_path_across_oracles() {
                 // How much work the fast path skipped to get to that state
                 // is pinned too, on the cell whose epochs both prune
                 // candidates and expire. The discovery counters are pinned
-                // per no-insert regime (`AVMEM_HASH_BUDGET` picks it): the
-                // view-scoped list must still produce the counts the
-                // scanning filter (a binary search of the no-insert list,
-                // then `Membership::contains`, per candidate) produced on
-                // this spec; the verdict bits, which outlive a pair's stay
-                // in the view, prune about twice as many. A filter that
-                // probes differently — a candidate both pruned and a
-                // member, a stale tag or bit read as current, a bit that
-                // survives its epoch — moves `discover_pruned` or
-                // `batched_estimates` even where the memberships come out
-                // equal.
+                // per no-insert regime (`AVMEM_HASH_BUDGET` picks it), and
+                // in both `discover_pruned` counts every view candidate
+                // dropped without an estimate: the 29 854 neighbor hits of
+                // this run plus the no-insert repeats, so pruned +
+                // estimated is the 95 001 candidates the views offered
+                // either way. The view-scoped list must still estimate
+                // exactly what the scanning filter (a binary search of the
+                // no-insert list, then `Membership::contains`, per
+                // candidate) estimated on this spec; the skip row, which
+                // outlives a pair's stay in the view, estimates a sixth of
+                // that — 81 fewer than verdict bits that forgot a neighbor
+                // evicted by a same-epoch refresh. A filter that probes
+                // differently — a stale tag or bit read as current, a bit
+                // that survives its epoch, a neighbor left unmarked —
+                // moves `discover_pruned` or `batched_estimates` even
+                // where the memberships come out equal.
                 let stats = candidate.finalize_stats();
                 assert_eq!(
                     (stats.memo_hits, stats.memo_misses, stats.memo_bypassed),
@@ -484,9 +489,9 @@ fn fast_finalize_matches_reference_path_across_oracles() {
                 assert_eq!(
                     (stats.discover_pruned, stats.batched_estimates),
                     if verdict_memory {
-                        (59_637, 5_510)
+                        (89_572, 5_429)
                     } else {
-                        (30_993, 34_154)
+                        (60_847, 34_154)
                     },
                     "{label}, {engine:?}: discovery filter counters \
                      (verdict memory: {verdict_memory})"

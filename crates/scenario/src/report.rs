@@ -440,10 +440,13 @@ impl ScenarioReport {
         }
         let f = &self.finalize;
         if f != &avmem::FinalizeStats::default() {
+            // "discover pruned": view candidates a discovery filter
+            // dropped without an estimate — neighbors and this epoch's
+            // no-insert verdicts alike, in either no-insert regime.
             writeln!(
                 w,
                 "finalize fast path: memo hits {}  misses {}  bypassed {}  \
-                 refresh skipped {}  evaluated {}  discover pruned {}  \
+                 refresh skipped {}  evaluated {}  discover pruned {} (no estimate)  \
                  batched estimates {}",
                 f.memo_hits,
                 f.memo_misses,

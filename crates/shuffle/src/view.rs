@@ -144,12 +144,17 @@ impl View {
         }
     }
 
-    /// The entry with the largest age, if any (ties resolve as
-    /// `max_by_key` does, to the last such entry).
+    /// The entry with the largest age, if any; among several of that age,
+    /// the last one. Scans the age column alone — the exchange target of
+    /// every tick is chosen here.
     pub fn oldest(&self) -> Option<ViewEntry> {
-        (0..self.ids.len())
-            .map(|pos| self.entry(pos))
-            .max_by_key(|e| e.age)
+        let (mut oldest, mut max_age) = (0, 0);
+        for (pos, &age) in self.ages.iter().enumerate() {
+            if age >= max_age {
+                (oldest, max_age) = (pos, age);
+            }
+        }
+        (!self.ages.is_empty()).then(|| self.entry(oldest))
     }
 
     /// Removes and returns the entry for `id`, if present.
@@ -398,6 +403,19 @@ mod tests {
         v.insert(ViewEntry { id: id(2), age: 7 });
         v.insert(ViewEntry { id: id(3), age: 5 });
         assert_eq!(v.oldest().unwrap().id, id(2));
+    }
+
+    #[test]
+    fn oldest_resolves_ties_to_the_last_entry() {
+        // The shuffle target is `oldest()`: which of several equally old
+        // entries it names decides who is contacted, so the tie rule is
+        // part of the protocol's determinism.
+        let v = view_of(6, &[(1, 7), (2, 3), (3, 7), (4, 0), (5, 7), (6, 2)]);
+        assert_eq!(v.oldest(), Some(ViewEntry { id: id(5), age: 7 }));
+        // All equal (a freshly bootstrapped view): still the last.
+        let v = view_of(3, &[(8, 0), (9, 0), (7, 0)]);
+        assert_eq!(v.oldest(), Some(ViewEntry::fresh(id(7))));
+        assert_eq!(View::new(3).oldest(), None);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * [`Engine`] — a binary-heap scheduler with a deterministic tie-break,
 //!   so that two runs with the same seed produce byte-identical histories;
 //! * [`EngineGroup`] — per-shard engines drained in aligned timestamp
-//!   cohorts, the queue layer of the sharded maintenance harness;
+//!   cohorts; the queue layer of the sharded maintenance harness until
+//!   its strictly periodic schedule moved to a calendar of its own, and
+//!   without a caller since;
 //! * [`net`] — per-hop latency models (the paper draws hop latency
 //!   uniformly from `[20 ms, 80 ms]`) and message-loss injection;
 //! * [`metrics`] — counters shared by protocols and the experiment
