@@ -1,20 +1,20 @@
 //! Finalize-phase cost breakdown: where the event-driven maintenance
-//! hour actually goes, and what the fast path (epoch-memoized
+//! hour actually goes, and what finalize's components (epoch-memoized
 //! thresholds, batched pair hashes, batched oracle estimates, refresh
-//! short-circuiting) buys on each component.
+//! short-circuiting) cost and skip.
 //!
 //! Three layers:
 //!
-//! * `hour_fast` / `hour_reference` — one simulated hour of paper-period
-//!   maintenance on the serial engine with the fast path on vs off (the
-//!   single-core configuration the 1-CPU container actually runs).
-//!   After each, the per-phase wall-clock (discover+refresh live inside
-//!   `finalize`) and the fast-path counters are printed, so the
-//!   BENCH_*.json entries can carry the discover/refresh/skip split.
+//! * `hour_fast` — one simulated hour of paper-period maintenance on one
+//!   shard and one thread (the single-core configuration the 1-CPU
+//!   container actually runs). After it, the per-phase wall-clock
+//!   (discover+refresh live inside `finalize`) and the finalize counters
+//!   are printed, so the BENCH_*.json entries can carry the
+//!   discover/refresh/skip split.
 //! * `pair_hash_*` — one membership-sized stream of pair-hash reads,
 //!   hashed pair by pair, hashed one node's list per batch (what every
-//!   fast-path finalize op pays: `gather` builds no rows), and read from
-//!   dense rows built beforehand (a shared `PairHashes::compute` matrix).
+//!   finalize op pays: `gather` builds no rows), and read from dense
+//!   rows built beforehand (a shared `PairHashes::compute` matrix).
 //! * `estimate_*` — one refresh-sized availability lookup per pair vs
 //!   one batched call, isolating the per-call oracle dispatch.
 //!
@@ -36,11 +36,10 @@ fn quick() -> bool {
     std::env::var_os("AVMEM_BENCH_QUICK").is_some()
 }
 
-fn maintenance_config(finalize_fast: bool) -> SimConfig {
+fn maintenance_config() -> SimConfig {
     let mut config = SimConfig::paper_default(1);
     config.maintenance = MaintenanceMode::paper_event_driven();
     config.engine = MaintenanceEngine::Serial;
-    config.finalize_fast = finalize_fast;
     config
 }
 
@@ -50,41 +49,39 @@ fn bench_maintenance_hour(c: &mut Criterion) {
     for &hosts in sizes {
         group.sample_size(if hosts <= 1000 { 3 } else { 1 });
         let trace = OvernetModel::default().hosts(hosts).days(1).generate(1);
-        for (label, fast) in [("hour_fast", true), ("hour_reference", false)] {
-            let id = BenchmarkId::new(label, hosts);
-            group.bench_with_input(id, &hosts, |b, _| {
-                let mut sim = AvmemSim::new(trace.clone(), maintenance_config(fast));
-                // Prime one hour so the samples measure the steady-state
-                // maintenance hour, not the cold-start discovery flood
-                // (the phase totals printed below still include it).
+        let id = BenchmarkId::new("hour_fast", hosts);
+        group.bench_with_input(id, &hosts, |b, _| {
+            let mut sim = AvmemSim::new(trace.clone(), maintenance_config());
+            // Prime one hour so the samples measure the steady-state
+            // maintenance hour, not the cold-start discovery flood
+            // (the phase totals printed below still include it).
+            sim.warm_up(SimDuration::from_hours(1));
+            b.iter(|| {
                 sim.warm_up(SimDuration::from_hours(1));
-                b.iter(|| {
-                    sim.warm_up(SimDuration::from_hours(1));
-                    black_box(sim.now())
-                });
-                let t = sim.phase_timings();
-                let f = sim.finalize_stats();
-                eprintln!(
-                    "finalize_breakdown {label}: hosts {hosts} cohorts {} oracle {:.3} s \
-                     propose {:.3} s commit {:.3} s finalize {:.3} s | memo {}h/{}m/{}b \
-                     refresh {}skip/{}eval pruned {} estimates {} pair-hash {}batched/{}prebuilt-row",
-                    t.cohorts,
-                    t.oracle.as_secs_f64(),
-                    t.propose.as_secs_f64(),
-                    t.commit.as_secs_f64(),
-                    t.finalize.as_secs_f64(),
-                    f.memo_hits,
-                    f.memo_misses,
-                    f.memo_bypassed,
-                    f.refresh_skipped,
-                    f.refresh_evaluated,
-                    f.discover_pruned,
-                    f.batched_estimates,
-                    f.pair_hash.hashed,
-                    f.pair_hash.delegated
-                );
+                black_box(sim.now())
             });
-        }
+            let t = sim.phase_timings();
+            let f = sim.finalize_stats();
+            eprintln!(
+                "finalize_breakdown hour_fast: hosts {hosts} cohorts {} oracle {:.3} s \
+                 propose {:.3} s commit {:.3} s finalize {:.3} s | memo {}h/{}m/{}b \
+                 refresh {}skip/{}eval pruned {} estimates {} pair-hash {}batched/{}prebuilt-row",
+                t.cohorts,
+                t.oracle.as_secs_f64(),
+                t.propose.as_secs_f64(),
+                t.commit.as_secs_f64(),
+                t.finalize.as_secs_f64(),
+                f.memo_hits,
+                f.memo_misses,
+                f.memo_bypassed,
+                f.refresh_skipped,
+                f.refresh_evaluated,
+                f.discover_pruned,
+                f.batched_estimates,
+                f.pair_hash.hashed,
+                f.pair_hash.delegated
+            );
+        });
     }
     group.finish();
 }

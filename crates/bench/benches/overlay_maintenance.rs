@@ -49,12 +49,13 @@ fn bench_converged_rebuild(c: &mut Criterion) {
 
 /// One simulated hour of event-driven maintenance (paper periods:
 /// 1-minute shuffle/discovery ticks, 20-minute refresh), sweeping the
-/// population toward the 10⁴-host target — serial reference engine vs
-/// the sharded engine. All engines produce bit-identical state (pinned
-/// by `event_driven_equivalence`), so the comparison is pure wall-clock.
+/// population toward the 10⁴-host target, across shardings. All of them
+/// produce bit-identical state (pinned by `event_driven_equivalence`),
+/// so the comparison is pure wall-clock.
 ///
-/// `sharded` is the default engine (machine-sized pool, one shard per
-/// worker; on a 1-core host it degenerates to the straight-line path).
+/// `serial` is the one-shard, one-thread row. `sharded` is the default
+/// engine (machine-sized pool, one shard per worker; on a 1-core host it
+/// is the same run as `serial`).
 /// `sharded_s2t2` pins two shards on two workers so the shard-exchange
 /// machinery is exercised and its cost recorded even where only one
 /// core is available.

@@ -119,7 +119,7 @@ impl MaintenanceMode {
     }
 }
 
-/// How event-driven maintenance executes each timestamp cohort.
+/// How event-driven maintenance partitions each timestamp cohort.
 ///
 /// The periodic schedule pops *cohorts* — every event sharing the next
 /// timestamp — and the harness runs each cohort in canonical phases: a
@@ -129,25 +129,26 @@ impl MaintenanceMode {
 /// draws are independent of the shard count), a **commit** phase applying
 /// shuffle requests in ascending initiator id and then the replies and
 /// timeouts, and a per-node **finalize** phase (discovery over the
-/// post-commit view, then refresh). Both variants execute those exact
-/// semantics; they differ only in whether the population is partitioned
-/// into shard-owned slices driven by worker threads.
+/// post-commit view, then refresh). There is one implementation of those
+/// phases: nodes are partitioned by id into `S` contiguous shards, each
+/// owning its slice of the shuffle/membership state and of every cohort
+/// the schedule pops; propose and finalize run per shard, commit
+/// exchanges cross-shard request/reply batches at phase barriers and
+/// applies them in a deterministic merge order. The engine only says how
+/// many shards there are and how many worker threads may drive them —
+/// read through [`MaintenanceEngine::shards`] and
+/// [`MaintenanceEngine::threads`] — and the state after every cohort is
+/// bit-identical for any choice of either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MaintenanceEngine {
-    /// Straight-line reference implementation: every phase runs on the
-    /// calling thread over the whole population. Kept as the equivalence
-    /// oracle the sharded engine is pinned against.
+    /// One shard on one thread: the spelling of `Sharded { shards:
+    /// Some(1), threads: Some(1) }` that specs, the CLI and sweeps use,
+    /// and the baseline the equivalence matrix compares against.
     Serial,
-    /// Shard-owned execution: nodes are partitioned by id into `S`
-    /// contiguous shards, each owning its slice of the shuffle/membership
-    /// state and of every cohort the schedule pops. Propose and finalize run
-    /// shard-parallel on worker threads; commit exchanges cross-shard
-    /// request/reply batches at phase barriers and applies them in a
-    /// deterministic merge order. State after every cohort is
-    /// bit-identical to [`MaintenanceEngine::Serial`] for any shard and
-    /// thread count. Small cohorts run their shard phases on the calling
-    /// thread whatever the thread count: below a few hundred events the
-    /// pool's wake-up and barriers cost more than the work.
+    /// `S` shards driven by up to `K` worker threads. Small cohorts run
+    /// their shard phases on the calling thread whatever the thread
+    /// count: below a few hundred events the pool's wake-up and barriers
+    /// cost more than the work.
     Sharded {
         /// Shard count; `None` matches the resolved thread count.
         shards: Option<usize>,
@@ -193,7 +194,7 @@ pub struct SimConfig {
     pub oracle: OracleChoice,
     /// Maintenance mode.
     pub maintenance: MaintenanceMode,
-    /// Batch execution engine for event-driven maintenance (ignored in
+    /// Shard and thread counts of event-driven maintenance (ignored in
     /// [`MaintenanceMode::Converged`], whose rebuild is always parallel).
     pub engine: MaintenanceEngine,
     /// Per-hop latency model (paper: uniform 20–80 ms).
@@ -206,24 +207,10 @@ pub struct SimConfig {
     /// full-row scans (the converged rebuild) hash; larger ones store
     /// nothing and hash on the fly, in batches. See
     /// [`crate::harness::PairHashes::with_budget`]. The same bound
-    /// decides whether the event-driven finalize fast path keeps its
-    /// per-pair verdict memory — one bit per ordered pair, `N²/8` bytes,
-    /// 1/64 of the matrix the budget stands for — or the view-scoped
-    /// no-insert lists.
+    /// decides whether event-driven finalize keeps its per-pair verdict
+    /// memory — one bit per ordered pair, `N²/8` bytes, 1/64 of the
+    /// matrix the budget stands for — or the view-scoped no-insert lists.
     pub hash_budget: usize,
-    /// Run event-driven finalize through the fast path: epoch-memoized
-    /// thresholds, batched pair hashes, batched oracle estimates, and
-    /// refresh short-circuiting. Bit-identical to the
-    /// reference pair-at-a-time evaluation for every oracle — pinned by
-    /// the fast-vs-slow legs of the `event_driven_equivalence` suite —
-    /// so this is purely a performance knob; turning it off recovers
-    /// the reference path for A/B pinning.
-    #[serde(default = "default_finalize_fast")]
-    pub finalize_fast: bool,
-}
-
-fn default_finalize_fast() -> bool {
-    true
 }
 
 /// The pair-hash budget for [`SimConfig::paper_default`]: the crate
@@ -254,7 +241,6 @@ impl SimConfig {
             latency: LatencyModel::PAPER,
             pdf_buckets: 10,
             hash_budget: hash_budget_from_env(),
-            finalize_fast: default_finalize_fast(),
         }
     }
 }

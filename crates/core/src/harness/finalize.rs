@@ -1,0 +1,454 @@
+//! The finalize phase of a cohort: discovery over the post-commit view,
+//! then refresh, for one node at a time — with the per-shard memory that
+//! lets most of that work be skipped within an oracle epoch, and the
+//! counters that say how much was.
+
+use avmem_avmon::AvailabilityOracle;
+use avmem_shuffle::ShuffleNode;
+use avmem_sim::SimTime;
+use avmem_util::NodeId;
+
+use super::cohort::{NodeOps, ShardScratch};
+use super::memo::SimMemo;
+use super::{PairHashes, SimOracle};
+use crate::membership::{Membership, Neighbor, SliverScope};
+
+/// Per-node epoch-stamped memos owned by one shard, indexed by the
+/// node's offset inside the shard's slice. Stamps are `epoch + 1`
+/// (0 = never stamped), so freshly zeroed state is wholly invalid and
+/// no epoch value can collide with "unset".
+#[derive(Debug, Default)]
+pub(super) struct FinalizeShardState {
+    /// Per node: stamp under which `horizontal` below is memoized.
+    /// Stamps are compact `u32` (see [`compact_stamp`]).
+    pub(super) horizontal_stamp: Vec<u32>,
+    /// Per node: memoized horizontal threshold at the stamped epoch.
+    pub(super) horizontal: Vec<f64>,
+    /// Per node: stamp under which the node's entire membership is known
+    /// fully classified — the refresh short-circuit license.
+    pub(super) classified: Vec<u32>,
+    /// Per node: stamp under which the node's discovery memory below —
+    /// its `verdicts` row or its `seen` list, whichever regime runs — is
+    /// valid.
+    pub(super) seen_stamp: Vec<u32>,
+    /// The verdict memory — the discovery filter where the pair space
+    /// fits the hash budget ([`PairHashes::is_cached`]: `8·N²` bytes
+    /// within [`super::SimConfig::hash_budget`]; this costs `N²/8`, 1/64
+    /// of the matrix the budget stands for). Per node an `N`-bit *skip row*,
+    /// empty until the node's first stamped discovery: bit `y` says the
+    /// pair `(x, y)` needs no evaluation at the `seen_stamp` epoch — `y`
+    /// is a neighbor already, or the pair classified to no insert (no
+    /// sliver, or the oracle had no estimate). The whole filter is one
+    /// bit test per view id, at index `y` of the node's own row — one or
+    /// two cache lines per discovery's worth of probes, not a
+    /// shard-global pair map, whose DRAM-sized probe/insert traffic costs
+    /// more than the pipeline it skips.
+    ///
+    /// A discovery that finds the row new or under another stamp zeroes
+    /// it and marks the node's current neighbors — once per node per
+    /// epoch; every candidate it then evaluates sets its bit, inserted or
+    /// not. That is exact: classification is a pure function of `(own_av,
+    /// y_av, hash, thresholds)` and estimates are pure within an epoch, so
+    /// a verdict holds wherever the pair has been in the meantime, and
+    /// each pair is estimated and hashed at most once per epoch; only
+    /// discovery inserts, so every neighbor is marked; and a neighbor
+    /// that a refresh of the *same* epoch evicts was just classified to
+    /// no insert by that very function — its standing bit is a correct
+    /// verdict. A refresh at a newer epoch than the row's leaves the row
+    /// stale-stamped, for the next discovery to reset.
+    pub(super) verdicts: Vec<Vec<u64>>,
+    /// The no-insert memory beyond the budget, where a `N/8`-byte row
+    /// per node is not affordable (125 KB at 10⁶ hosts) and a pair
+    /// rarely re-enters a view anyway: per node, the candidate ids (a
+    /// set, in no particular order) of the *current view* that classified
+    /// to no insert at the `seen_stamp` epoch, rebuilt every discovery.
+    /// The list is view-sized; a discovery tags its ids — and the node's
+    /// neighbors — in the shard's id table once and then probes the table
+    /// per candidate. An id that left the view drops out and, if it comes
+    /// back within the epoch, re-runs the pipeline (identically).
+    pub(super) seen: Vec<Vec<u32>>,
+}
+
+impl FinalizeShardState {
+    /// Sizes the per-node columns for a shard of `len` nodes. Only the
+    /// running regime's no-insert column is sized: the other one stays
+    /// unallocated.
+    fn ensure_len(&mut self, len: usize, verdict_memory: bool) {
+        if self.horizontal.len() != len {
+            self.horizontal_stamp.resize(len, 0);
+            self.horizontal.resize(len, 0.0);
+            self.classified.resize(len, 0);
+            self.seen_stamp.resize(len, 0);
+            if verdict_memory {
+                self.verdicts.resize_with(len, Vec::new);
+            } else {
+                self.seen.resize_with(len, Vec::new);
+            }
+        }
+    }
+}
+
+/// Discovery-filter tags in the shard's id table, for the view-scoped
+/// regime and for oracles without an epoch (the verdict memory needs no
+/// table): the id is already a neighbor, or (stamped only) it classified
+/// to no insert earlier in this epoch.
+const TAG_MEMBER: u32 = 0;
+const TAG_NO_INSERT: u32 = 1;
+
+/// Word and mask of bit `y` in a skip row.
+pub(super) fn verdict_bit(y: usize) -> (usize, u64) {
+    (y / 64, 1 << (y % 64))
+}
+
+/// Epoch → nonzero compact stamp for the finalize memos: `epoch + 1` as
+/// a `u32`, so freshly zeroed state never matches. Oracle epochs count
+/// churn changes (~10^5 per simulated week at 10^6 hosts) and stay far
+/// below the 32-bit range; one that does not fit gets no stamp, and its
+/// cohort runs without cross-cohort memoization (like an oracle with no
+/// epoch) — a wrapped stamp would alias an old epoch's and license
+/// reuse of its stale memos.
+pub(super) fn compact_stamp(epoch: u64) -> Option<u32> {
+    u32::try_from(epoch).ok()?.checked_add(1)
+}
+
+/// Read-only context of one cohort's finalize phase, shared by every
+/// shard worker: enough state to run discovery and refresh for any node
+/// against the post-commit shuffle views, without touching the
+/// membership being rewritten.
+pub(super) struct MaintCtx<'a> {
+    /// The predicate's threshold tables, hoisted once per cohort.
+    pub(super) memo: &'a SimMemo<'a>,
+    /// Oracle epoch at the cohort timestamp. `None` for per-querier
+    /// noise: thresholds are still memoized within each finalize op, but
+    /// nothing may be cached across cohorts and no refresh may be
+    /// skipped (estimates can change without any epoch tick).
+    pub(super) epoch: Option<u64>,
+    pub(super) oracle: &'a SimOracle,
+    pub(super) hashes: &'a PairHashes,
+    pub(super) shuffles: &'a [ShuffleNode],
+    pub(super) now: SimTime,
+}
+
+impl MaintCtx<'_> {
+    /// Runs one node's finalize ops in canonical intra-node order —
+    /// discovery over the post-commit view first, then refresh — with
+    /// memoized thresholds (epoch-cached when the oracle exposes an
+    /// epoch), a discovery filter that remembers this epoch's no-insert
+    /// verdicts — one bit test per view id where the verdict memory runs;
+    /// the shard id table is touched only in the view-scoped regime and
+    /// without an epoch —, one batched oracle call and one batched
+    /// pair-hash read per sub-op, and the refresh short-circuit. A node
+    /// its oracle cannot see skips maintenance entirely.
+    ///
+    /// Bit-identical to evaluating Eq. 1 pair at a time (pinned against
+    /// the test-only model, `harness/model.rs`): within one epoch
+    /// estimates are pure in `(querier, target)`, the memoized source
+    /// thresholds match `classify_hashed` decision for decision (pinned
+    /// by the predicate memo tests), and a skipped refresh is one whose
+    /// full pass would provably evict nothing, migrate nothing, and
+    /// rewrite every cached availability unchanged — only `refreshed_at`
+    /// advances, which [`Membership::touch_refreshed`] replays.
+    pub(super) fn finalize_node(
+        &self,
+        ops: NodeOps,
+        membership: &mut Membership,
+        scratch: &mut ShardScratch,
+        shard_start: usize,
+        shard_len: usize,
+    ) {
+        let i = ops.node as usize;
+        let querier = NodeId::new(i as u64);
+        let Some(own_av) = self.oracle.estimate(querier, querier, self.now) else {
+            return;
+        };
+        let ShardScratch {
+            cand_ids,
+            cand_avs,
+            cand_hashes,
+            seen_scratch,
+            finalize: state,
+            stats,
+            migrants,
+            pool,
+            ..
+        } = scratch;
+        // Stamps are `epoch + 1`, so zeroed state never matches.
+        let stamp = self.epoch.and_then(compact_stamp);
+        let local = i - shard_start;
+        // Which no-insert memory discovery runs: exact per-pair verdict
+        // bits where the pair space fits the hash budget, the view-scoped
+        // list beyond it. Without a stamp nothing outlives the op and no
+        // per-node state is sized at all.
+        let verdict_memory = self.hashes.is_cached();
+        if stamp.is_some() {
+            state.ensure_len(shard_len, verdict_memory);
+        }
+        let horizontal = match stamp {
+            Some(stamp) => {
+                if state.horizontal_stamp[local] == stamp {
+                    stats.memo_hits += 1;
+                    state.horizontal[local]
+                } else {
+                    let h = self.memo.horizontal_of(own_av);
+                    state.horizontal_stamp[local] = stamp;
+                    state.horizontal[local] = h;
+                    stats.memo_misses += 1;
+                    h
+                }
+            }
+            None => {
+                stats.memo_bypassed += 1;
+                self.memo.horizontal_of(own_av)
+            }
+        };
+        let source = self.memo.source_with(own_av, horizontal);
+        if ops.discover {
+            // Candidates first — estimates are pure within the cohort, so
+            // collecting before classifying changes nothing — then one
+            // batched oracle call for the lot. A candidate whose pair
+            // already classified to no insert at this epoch is pruned
+            // before the pipeline starts: every classification input (own
+            // and candidate availability, pair hash, thresholds) is fixed
+            // within the epoch, so the outcome cannot change.
+            cand_ids.clear();
+            let view = self.shuffles[i].view();
+            // The node's skip row where the verdict memory runs; `None`
+            // in the view-scoped regime and without a stamp, which filter
+            // through the shard's id table instead.
+            let mut skip_row = None;
+            match stamp {
+                Some(stamp) if verdict_memory => {
+                    let row = &mut state.verdicts[local];
+                    if state.seen_stamp[local] != stamp {
+                        // New, or another epoch's: forget every verdict,
+                        // keep skipping the neighbors.
+                        row.clear();
+                        row.resize(self.shuffles.len().div_ceil(64), 0);
+                        for &member in membership.columns(SliverScope::Both).ids {
+                            let (word, mask) = verdict_bit(member as usize);
+                            row[word] |= mask;
+                        }
+                        state.seen_stamp[local] = stamp;
+                    }
+                    for candidate in view.ids() {
+                        let y = candidate.raw() as usize;
+                        if y == i {
+                            continue;
+                        }
+                        let (word, mask) = verdict_bit(y);
+                        if row[word] & mask != 0 {
+                            stats.discover_pruned += 1;
+                        } else {
+                            cand_ids.push(candidate);
+                        }
+                    }
+                    skip_row = Some(row);
+                }
+                _ => {
+                    // One tag per id the filter must recognize, written
+                    // once; each view candidate then costs one load. The
+                    // same-epoch no-insert list is disjoint from the
+                    // neighbors (an id that classified to no insert
+                    // cannot have become a neighbor within the same
+                    // epoch) and rebuilt as we go: pruned repeats carry
+                    // over, novel no-inserts join after classification.
+                    seen_scratch.clear();
+                    let tags = pool.id_table();
+                    tags.begin();
+                    for &member in membership.columns(SliverScope::Both).ids {
+                        tags.set(member, TAG_MEMBER);
+                    }
+                    if stamp.is_some_and(|stamp| state.seen_stamp[local] == stamp) {
+                        for &y in &state.seen[local] {
+                            debug_assert_eq!(tags.get(y), None, "no-insert id {y} is a neighbor");
+                            tags.set(y, TAG_NO_INSERT);
+                        }
+                    }
+                    for candidate in view.ids() {
+                        let y = candidate.raw() as usize;
+                        if y == i {
+                            continue;
+                        }
+                        match tags.get(y as u32) {
+                            Some(TAG_NO_INSERT) => {
+                                stats.discover_pruned += 1;
+                                seen_scratch.push(y as u32);
+                            }
+                            // A neighbor. Without a stamp the counter
+                            // stays 0: no filter outlives the op.
+                            Some(_) => stats.discover_pruned += u64::from(stamp.is_some()),
+                            None => cand_ids.push(candidate),
+                        }
+                    }
+                }
+            }
+            let was_empty = membership.is_empty();
+            let mut inserted = false;
+            if !cand_ids.is_empty() {
+                self.oracle
+                    .estimate_batch(querier, cand_ids, self.now, cand_avs);
+                stats.batched_estimates += cand_ids.len() as u64;
+                stats.pair_hash.read(self.hashes, i, cand_ids, cand_hashes);
+                for ((candidate, y_av), &hash) in
+                    cand_ids.iter().zip(cand_avs.iter()).zip(cand_hashes.iter())
+                {
+                    let y = candidate.raw() as usize;
+                    let mut kept = false;
+                    if let Some(y_av) = *y_av {
+                        if let Some(sliver) = source.classify_hashed(y_av, hash) {
+                            kept = true;
+                            inserted |= membership.insert(
+                                Neighbor {
+                                    id: *candidate,
+                                    cached_availability: y_av,
+                                    added_at: self.now,
+                                    refreshed_at: self.now,
+                                },
+                                sliver,
+                            );
+                        }
+                    }
+                    if let Some(row) = skip_row.as_mut() {
+                        // Evaluated: a neighbor now, or a no-insert
+                        // verdict — either way nothing to evaluate again
+                        // at this epoch.
+                        let (word, mask) = verdict_bit(y);
+                        row[word] |= mask;
+                    } else if !kept && stamp.is_some() {
+                        seen_scratch.push(y as u32);
+                    }
+                }
+            }
+            if let Some(stamp) = stamp {
+                if skip_row.is_none() {
+                    // Entries that left the view drop out here. View ids
+                    // are unique, so the list is a set as built.
+                    std::mem::swap(&mut state.seen[local], seen_scratch);
+                    state.seen_stamp[local] = stamp;
+                }
+                if inserted {
+                    // Inserts are classified at the current epoch: the
+                    // list stays uniformly stamped only if it was empty
+                    // or already at this epoch; otherwise it is mixed
+                    // and must be fully refreshed before any skip.
+                    let slot = &mut state.classified[local];
+                    *slot = if was_empty || *slot == stamp { stamp } else { 0 };
+                }
+            }
+        }
+        if ops.refresh {
+            let skip = match stamp {
+                Some(stamp) => state.classified[local] == stamp,
+                None => false,
+            };
+            if skip {
+                stats.refresh_skipped += 1;
+                membership.touch_refreshed(self.now);
+            } else {
+                stats.refresh_evaluated += 1;
+                // Collection order (HS then VS) matches the order
+                // `refresh_with` evaluates entries in, so the batched
+                // estimates are consumed by a plain cursor.
+                cand_ids.clear();
+                cand_ids.extend(membership.neighbors(SliverScope::Both).map(|nb| nb.id));
+                if !cand_ids.is_empty() {
+                    self.oracle
+                        .estimate_batch(querier, cand_ids, self.now, cand_avs);
+                    stats.batched_estimates += cand_ids.len() as u64;
+                    stats.pair_hash.read(self.hashes, i, cand_ids, cand_hashes);
+                }
+                let mut k = 0;
+                membership.refresh_with(self.now, migrants, |id| {
+                    debug_assert_eq!(cand_ids[k], id, "refresh order != collection order");
+                    let (y_av, hash) = (cand_avs[k], cand_hashes[k]);
+                    k += 1;
+                    let y_av = y_av?; // oracle lost track: evict
+                    let sliver = source.classify_hashed(y_av, hash)?;
+                    Some((y_av, sliver))
+                });
+                if let Some(stamp) = stamp {
+                    state.classified[local] = stamp;
+                }
+            }
+        }
+    }
+}
+
+/// Where finalize's pair hashes came from. Both counts are properties of
+/// the run, not of how it was sharded: each finalize op reads its whole
+/// candidate list one way or the other.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PairHashStats {
+    /// Pairs hashed in a batch for the op that needed them — every pair
+    /// of an event-driven run, in either store: finalize builds no dense
+    /// rows.
+    pub hashed: u64,
+    /// Pairs read from a dense row something else had already built (a
+    /// shared [`PairHashes::compute`] matrix, a converged rebuild before
+    /// the run): 0 in every scenario run.
+    pub delegated: u64,
+}
+
+impl PairHashStats {
+    /// `H(id(x), id(y))` for the candidates `ys` into `out`
+    /// ([`PairHashes::gather`]), counted by where they came from.
+    fn read(&mut self, hashes: &PairHashes, x: usize, ys: &[NodeId], out: &mut Vec<f64>) {
+        if hashes.gather(x, ys, out) {
+            self.delegated += ys.len() as u64;
+        } else {
+            self.hashed += ys.len() as u64;
+        }
+    }
+}
+
+/// Cumulative counters of how much work the finalize phase skipped —
+/// thresholds served from the epoch memo, refreshes short-circuited,
+/// discovery candidates pruned — and how much it did in batches, exposed
+/// through [`AvmemSim::finalize_stats`](super::AvmemSim::finalize_stats).
+/// Observational: membership state does not depend on them. They are a
+/// function of the run, not of how it was sharded — equal for every
+/// engine, shard and thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FinalizeStats {
+    /// Finalize ops whose horizontal threshold came from the per-node
+    /// epoch memo.
+    pub memo_hits: u64,
+    /// Finalize ops that recomputed (and re-stamped) the threshold.
+    pub memo_misses: u64,
+    /// Finalize ops evaluated without epoch memoization (per-querier
+    /// noise exposes no epoch; thresholds are still hoisted per op).
+    pub memo_bypassed: u64,
+    /// Refresh ops short-circuited to a timestamp touch: the membership
+    /// is unchanged since its last same-epoch classification.
+    pub refresh_skipped: u64,
+    /// Refresh ops that ran the full reclassification pass.
+    pub refresh_evaluated: u64,
+    /// View candidates (the node itself excluded) that a stamped
+    /// discovery filter dropped without an estimate: ids that are
+    /// neighbors already, and pairs that classified to no insert earlier
+    /// in the epoch — every such pair where the verdict memory runs, those
+    /// that stayed in the view beyond the budget. Either way
+    /// `discover_pruned` plus discovery's share of `batched_estimates` is
+    /// the number of candidates the views offered. 0 without an oracle
+    /// epoch: no filter outlives an op there.
+    pub discover_pruned: u64,
+    /// Availability estimates served through batched oracle calls.
+    pub batched_estimates: u64,
+    /// Pair-hash reads by source.
+    pub pair_hash: PairHashStats,
+}
+
+impl FinalizeStats {
+    /// Folds another accumulator into this one.
+    pub fn merge(&mut self, other: FinalizeStats) {
+        self.memo_hits += other.memo_hits;
+        self.memo_misses += other.memo_misses;
+        self.memo_bypassed += other.memo_bypassed;
+        self.refresh_skipped += other.refresh_skipped;
+        self.refresh_evaluated += other.refresh_evaluated;
+        self.discover_pruned += other.discover_pruned;
+        self.batched_estimates += other.batched_estimates;
+        self.pair_hash.hashed += other.pair_hash.hashed;
+        self.pair_hash.delegated += other.pair_hash.delegated;
+    }
+}

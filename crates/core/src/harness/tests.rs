@@ -1,0 +1,805 @@
+//! Whole-harness tests: the converged and event-driven modes, the
+//! queries, the finalize memory's hand cases, and the differentials of
+//! the one cohort path against the model (`model.rs`).
+
+use super::cohort::INLINE_COHORT_EVENTS;
+use super::finalize::{compact_stamp, verdict_bit};
+use super::model::{assert_matches, model_of};
+use super::*;
+use crate::membership::SliverScope;
+use crate::ops::anycast::AnycastConfig;
+use crate::ops::multicast::MulticastConfig;
+use crate::ops::target::AvailabilityTarget;
+use crate::ops::world::OverlayWorld;
+use crate::predicate::{MembershipPredicate, NodeInfo};
+use avmem_trace::OvernetModel;
+
+fn small_sim(seed: u64) -> AvmemSim {
+    let trace = OvernetModel::default().hosts(120).days(1).generate(3);
+    AvmemSim::new(trace, SimConfig::paper_default(seed))
+}
+
+#[test]
+fn converged_warm_up_builds_lists() {
+    let mut sim = small_sim(1);
+    sim.warm_up(SimDuration::from_hours(24));
+    let snapshot = sim.snapshot();
+    assert!(snapshot.mean_degree() > 1.0, "overlay should have edges");
+}
+
+#[test]
+fn warm_up_advances_clock() {
+    let mut sim = small_sim(1);
+    sim.warm_up(SimDuration::from_hours(2));
+    assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_hours(2));
+}
+
+#[test]
+fn health_stats_matches_the_snapshot_metrics() {
+    use crate::membership::SliverScope;
+    // The streaming health path must agree with the snapshot-based
+    // metrics exactly — same mean-degree accumulation order, same
+    // component structure — at several points of a churning run.
+    let mut sim = small_sim(4);
+    for _ in 0..3 {
+        sim.warm_up(SimDuration::from_hours(6));
+        let stats = sim.health_stats();
+        let snapshot = sim.snapshot();
+        assert_eq!(stats.online, snapshot.online_count());
+        assert_eq!(stats.mean_degree, snapshot.mean_degree());
+        assert_eq!(
+            stats.largest_component,
+            snapshot.largest_component_fraction(SliverScope::Both)
+        );
+    }
+    assert!(sim.health_stats().mean_degree > 1.0, "vacuous overlay");
+}
+
+#[test]
+fn same_seed_same_overlay() {
+    let mut a = small_sim(9);
+    let mut b = small_sim(9);
+    a.warm_up(SimDuration::from_hours(24));
+    b.warm_up(SimDuration::from_hours(24));
+    assert_eq!(a.snapshot(), b.snapshot());
+}
+
+#[test]
+fn event_driven_approaches_converged() {
+    let trace = OvernetModel::default().hosts(80).days(1).generate(5);
+    let mut converged = AvmemSim::new(trace.clone(), SimConfig::paper_default(2));
+    converged.warm_up(SimDuration::from_hours(12));
+
+    let mut config = SimConfig::paper_default(2);
+    config.maintenance = MaintenanceMode::paper_event_driven();
+    let mut event_driven = AvmemSim::new(trace, config);
+    event_driven.warm_up(SimDuration::from_hours(12));
+
+    // Event-driven discovery should have found a sizeable share of the
+    // converged overlay's edges for online nodes.
+    let conv_snapshot = converged.snapshot();
+    let ed_snapshot = event_driven.snapshot();
+    let conv_degree = conv_snapshot.mean_degree();
+    let ed_degree = ed_snapshot.mean_degree();
+    assert!(
+        ed_degree > conv_degree * 0.3,
+        "event-driven degree {ed_degree} too far below converged {conv_degree}"
+    );
+}
+
+#[test]
+fn event_driven_lists_satisfy_predicate() {
+    let trace = OvernetModel::default().hosts(60).days(1).generate(7);
+    let mut config = SimConfig::paper_default(3);
+    config.maintenance = MaintenanceMode::paper_event_driven();
+    let mut sim = AvmemSim::new(trace, config);
+    sim.warm_up(SimDuration::from_hours(6));
+    // Every listed neighbor must satisfy the predicate under current
+    // (exact) availabilities — modulo entries not yet refreshed; with
+    // the exact oracle there is no divergence at all.
+    for i in 0..sim.trace().num_nodes() {
+        let own = NodeInfo::new(
+            NodeId::new(i as u64),
+            sim.trace().long_term_availability(i),
+        );
+        for nb in sim.memberships[i].neighbors(SliverScope::Both) {
+            let info = NodeInfo::new(nb.id, nb.cached_availability);
+            assert!(
+                sim.predicate.member(own, info),
+                "listed neighbor violates predicate"
+            );
+        }
+    }
+}
+
+#[test]
+fn chopped_event_driven_warm_up_equals_one_big_advance() {
+    // The persistent schedule makes warm_up(x); warm_up(y) identical
+    // to warm_up(x + y): the periodic protocols keep their phase
+    // across call boundaries instead of re-staggering.
+    let trace = OvernetModel::default().hosts(90).days(1).generate(19);
+    let mut config = SimConfig::paper_default(6);
+    config.maintenance = MaintenanceMode::paper_event_driven();
+    let mut whole = AvmemSim::new(trace.clone(), config);
+    whole.warm_up(SimDuration::from_hours(4));
+    let mut chopped = AvmemSim::new(trace, config);
+    for _ in 0..16 {
+        chopped.warm_up(SimDuration::from_mins(15));
+    }
+    assert_eq!(whole.now(), chopped.now());
+    assert_eq!(whole.snapshot(), chopped.snapshot());
+    for i in 0..whole.trace().num_nodes() {
+        let id = NodeId::new(i as u64);
+        assert_eq!(whole.shuffle_view(id), chopped.shuffle_view(id));
+    }
+}
+
+#[test]
+fn advance_to_matches_warm_up_in_event_driven_mode() {
+    let trace = OvernetModel::default().hosts(70).days(1).generate(23);
+    let mut config = SimConfig::paper_default(8);
+    config.maintenance = MaintenanceMode::paper_event_driven();
+    let mut by_duration = AvmemSim::new(trace.clone(), config);
+    by_duration.warm_up(SimDuration::from_hours(2));
+    let mut by_instant = AvmemSim::new(trace, config);
+    by_instant.advance_to(SimTime::ZERO + SimDuration::from_hours(1));
+    assert!(by_instant.next_maintenance_at().is_some());
+    by_instant.advance_to(SimTime::ZERO + SimDuration::from_hours(2));
+    // Backwards/no-op advances change nothing.
+    by_instant.advance_to(SimTime::ZERO);
+    assert_eq!(by_duration.now(), by_instant.now());
+    assert_eq!(by_duration.snapshot(), by_instant.snapshot());
+}
+
+#[test]
+fn advance_to_in_converged_mode_moves_clock_without_rebuild() {
+    let mut sim = small_sim(17);
+    sim.warm_up(SimDuration::from_hours(1));
+    let before = sim.snapshot();
+    assert!(sim.next_maintenance_at().is_none());
+    sim.advance_to(SimTime::ZERO + SimDuration::from_hours(3));
+    assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_hours(3));
+    // Lists untouched: only clock/oracle/online advanced (the online
+    // flags in a fresh snapshot may differ, but memberships may not).
+    let after = sim.snapshot();
+    for (a, b) in before.nodes().iter().zip(after.nodes()) {
+        assert_eq!(a.hs, b.hs);
+        assert_eq!(a.vs, b.vs);
+    }
+}
+
+#[test]
+fn anycast_high_target_from_mid_usually_delivers() {
+    let mut sim = small_sim(11);
+    sim.warm_up(SimDuration::from_hours(24));
+    let mut delivered = 0;
+    let mut sent = 0;
+    for _ in 0..20 {
+        let Some(initiator) = sim.random_online_initiator(InitiatorBand::Mid) else {
+            continue;
+        };
+        sent += 1;
+        let outcome = sim.anycast(
+            initiator,
+            AvailabilityTarget::range(0.85, 0.95),
+            AnycastConfig::paper_default(),
+        );
+        if outcome.is_delivered() {
+            delivered += 1;
+        }
+    }
+    assert!(sent > 0);
+    assert!(
+        delivered * 2 >= sent,
+        "only {delivered}/{sent} delivered"
+    );
+}
+
+#[test]
+fn multicast_reaches_most_of_range() {
+    let mut sim = small_sim(13);
+    sim.warm_up(SimDuration::from_hours(24));
+    let target = AvailabilityTarget::threshold(0.7);
+    let Some(initiator) = sim.random_online_initiator(InitiatorBand::High) else {
+        panic!("no high-availability initiator online");
+    };
+    let outcome = sim.multicast(initiator, target, MulticastConfig::paper_default());
+    let world = sim.world();
+    let reliability = outcome.reliability(&world, target);
+    assert!(
+        reliability.unwrap_or(0.0) > 0.5,
+        "reliability {reliability:?} too low"
+    );
+}
+
+#[test]
+fn random_predicate_builds_flat_overlay() {
+    let trace = OvernetModel::default().hosts(100).days(1).generate(5);
+    let mut config = SimConfig::paper_default(4);
+    config.predicate = PredicateChoice::Random {
+        expected_degree: 12.0,
+    };
+    let mut sim = AvmemSim::new(trace, config);
+    sim.warm_up(SimDuration::from_hours(24));
+    let snapshot = sim.snapshot();
+    let degree = snapshot.mean_degree();
+    assert!(
+        (2.0..30.0).contains(&degree),
+        "random overlay degree {degree} out of expected range"
+    );
+}
+
+#[test]
+fn initiator_band_respects_bounds() {
+    let mut sim = small_sim(15);
+    sim.warm_up(SimDuration::from_hours(1));
+    for band in [InitiatorBand::Low, InitiatorBand::Mid, InitiatorBand::High] {
+        if let Some(node) = sim.random_online_initiator(band) {
+            let av = sim.trace().long_term_availability(node.raw() as usize);
+            assert!(band.contains(av), "{band:?} initiator has availability {av}");
+        }
+    }
+}
+
+#[test]
+fn world_view_is_consistent_with_trace() {
+    let mut sim = small_sim(21);
+    sim.warm_up(SimDuration::from_hours(2));
+    let now = sim.now();
+    let online_from_trace: Vec<usize> = sim.trace().online_at(now);
+    let world = sim.world();
+    for i in 0..sim.trace().num_nodes() {
+        let id = NodeId::new(i as u64);
+        assert_eq!(world.is_online(id), online_from_trace.contains(&i));
+        assert_eq!(
+            world.true_availability(id),
+            sim.trace().long_term_availability(i)
+        );
+        // Exact oracle: belief equals truth.
+        assert_eq!(
+            world.believed_availability(id),
+            sim.trace().long_term_availability(i)
+        );
+    }
+}
+
+#[test]
+fn online_nodes_in_filters_by_truth() {
+    let mut sim = small_sim(22);
+    sim.warm_up(SimDuration::from_hours(2));
+    let target = AvailabilityTarget::threshold(0.7);
+    for id in sim.online_nodes_in(target) {
+        let i = id.raw() as usize;
+        assert!(sim.trace().is_online(i, sim.now()));
+        assert!(target.contains(sim.trace().long_term_availability(i)));
+    }
+}
+
+#[test]
+fn membership_accessor_matches_snapshot() {
+    let mut sim = small_sim(23);
+    sim.warm_up(SimDuration::from_hours(4));
+    let snapshot = sim.snapshot();
+    for node in snapshot.nodes() {
+        let membership = sim.membership(node.id);
+        assert_eq!(membership.hs_len(), node.hs.len());
+        assert_eq!(membership.vs_len(), node.vs.len());
+    }
+}
+
+#[test]
+fn phase_timings_accumulate_in_event_driven_mode() {
+    let trace = OvernetModel::default().hosts(60).days(1).generate(11);
+    let mut config = SimConfig::paper_default(5);
+    config.maintenance = MaintenanceMode::paper_event_driven();
+    let mut sim = AvmemSim::new(trace, config);
+    assert_eq!(sim.phase_timings(), PhaseTimings::default());
+    sim.warm_up(SimDuration::from_hours(2));
+    let timings = sim.phase_timings();
+    assert!(timings.cohorts > 0, "no cohorts processed");
+    assert!(
+        timings.propose + timings.commit + timings.finalize > Duration::ZERO,
+        "no maintenance time recorded"
+    );
+}
+
+#[test]
+fn finalize_matches_the_model_and_counts() {
+    let trace = OvernetModel::default().hosts(80).days(1).generate(31);
+    let mut cfg = SimConfig::paper_default(14);
+    cfg.maintenance = MaintenanceMode::paper_event_driven();
+    cfg.engine = MaintenanceEngine::Serial;
+    let mut sim = AvmemSim::new(trace, cfg);
+    sim.warm_up(SimDuration::from_hours(3));
+    assert_matches(&model_of(&sim), &sim, "80 hosts, 3 h");
+    // Guards against vacuous equality, and the counters must move.
+    assert!(sim.snapshot().mean_degree() > 0.5, "no overlay built");
+    let stats = sim.finalize_stats();
+    assert!(stats.memo_hits + stats.memo_misses > 0, "no finalize op ran");
+    assert!(
+        stats.refresh_skipped > 0,
+        "constant-epoch oracle must skip repeat refreshes"
+    );
+    assert!(
+        stats.discover_pruned > 0,
+        "constant-epoch oracle must prune repeat discovery candidates"
+    );
+    assert!(stats.batched_estimates > 0, "no batched estimates");
+}
+
+/// An event-driven sim on 15 s ticks for the verdict-memory hand
+/// cases.
+fn event_driven_sim(
+    hosts: usize,
+    oracle: OracleChoice,
+    engine: MaintenanceEngine,
+    hash_budget: usize,
+) -> AvmemSim {
+    let trace = OvernetModel::default().hosts(hosts).days(1).generate(41);
+    let mut cfg = SimConfig::paper_default(15);
+    cfg.oracle = oracle;
+    cfg.maintenance = MaintenanceMode::EventDriven {
+        protocol_period: SimDuration::from_secs(15),
+        refresh_period: SimDuration::from_mins(3),
+    };
+    cfg.engine = engine;
+    cfg.hash_budget = hash_budget;
+    AvmemSim::new(trace, cfg)
+}
+
+/// Every set bit of every skip row of the run so far, as `(x, y,
+/// stamp)`.
+fn set_verdicts(sim: &AvmemSim) -> Vec<(usize, usize, u32)> {
+    let maint = sim.maint.as_ref().expect("event-driven maintenance ran");
+    let n = sim.trace().num_nodes();
+    let mut set = Vec::new();
+    for (s, scratch) in maint.scratches.iter().enumerate() {
+        let start = maint.part.range(s).start;
+        for (local, row) in scratch.finalize.verdicts.iter().enumerate() {
+            for y in (0..n).filter(|&y| bit_is_set(row, y)) {
+                set.push((start + local, y, scratch.finalize.seen_stamp[local]));
+            }
+        }
+    }
+    set
+}
+
+/// Node `x`'s skip row on a one-shard engine — its stamp and its words
+/// (stamp 0, no words: not allocated yet).
+fn skip_row(sim: &AvmemSim, x: usize) -> (u32, &[u64]) {
+    let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].finalize;
+    match state.verdicts.get(x) {
+        Some(row) => (state.seen_stamp[x], row),
+        None => (0, &[]),
+    }
+}
+
+fn bit_is_set(row: &[u64], y: usize) -> bool {
+    let (word, mask) = verdict_bit(y);
+    row.get(word).is_some_and(|w| w & mask != 0)
+}
+
+/// The finalize stamp of the oracle's epoch at `t`.
+fn stamp_at(sim: &AvmemSim, t: SimTime) -> u32 {
+    sim.oracle.epoch(t).and_then(compact_stamp).expect("stamped oracle")
+}
+
+/// Whether Eq. 1, evaluated pair at a time under the current estimates,
+/// keeps `y` out of `x`'s lists.
+fn classifies_to_no_insert(sim: &AvmemSim, x: usize, y: usize) -> bool {
+    let own_av = sim.estimated_availability(x, x).expect("own estimate");
+    let Some(y_av) = sim.estimated_availability(x, y) else {
+        return true;
+    };
+    let own = NodeInfo::new(NodeId::new(x as u64), own_av);
+    let info = NodeInfo::new(NodeId::new(y as u64), y_av);
+    sim.predicate
+        .classify_hashed(own, info, sim.hashes.get(x, y), 0.0)
+        .is_none()
+}
+
+/// Whether node `i`'s periodic event of `stream` fires at `t`, on a
+/// schedule built at time zero.
+fn fires_at(sim: &AvmemSim, stream: u64, i: usize, t: SimTime) -> bool {
+    let MaintenanceMode::EventDriven {
+        protocol_period,
+        refresh_period,
+    } = sim.config.maintenance
+    else {
+        panic!("event-driven sim expected");
+    };
+    let period = if stream == STREAM_STAGGER_TICK {
+        protocol_period
+    } else {
+        refresh_period
+    };
+    let offset = schedule::stagger_offset(sim.config.seed, stream, i, SimTime::ZERO, period);
+    let first = SimTime::ZERO + offset;
+    t >= first && (t - first).as_millis() % period.as_millis() == 0
+}
+
+/// Runs exactly the next cohort and returns its timestamp.
+fn run_next_cohort(sim: &mut AvmemSim) -> SimTime {
+    let t = sim.next_maintenance_at().expect("schedule built");
+    sim.advance_to(t);
+    t
+}
+
+fn neighbor_ids(sim: &AvmemSim, x: usize) -> Vec<usize> {
+    sim.memberships[x]
+        .neighbor_ids(SliverScope::Both)
+        .map(|id| id.raw() as usize)
+        .collect()
+}
+
+#[test]
+fn a_pair_rejected_at_one_epoch_is_re_evaluated_at_the_next() {
+    // Shared noise re-drawn every two minutes: a verdict must die
+    // with its epoch. Walk the run tick by tick and find pairs whose
+    // bit was set under one stamp, for a pair that was no neighbor,
+    // and that are neighbors later — the new epoch's estimates
+    // classified them differently, which a row that is not zeroed on
+    // a stamp change would never find out.
+    let oracle = OracleChoice::NoisyShared {
+        error: 0.05,
+        staleness: SimDuration::from_mins(2),
+    };
+    let mut sim = event_driven_sim(
+        90,
+        oracle,
+        MaintenanceEngine::Serial,
+        hashes::DEFAULT_HASH_BUDGET,
+    );
+    let mut rejected = std::collections::HashMap::new();
+    let (mut revived, mut verdicts_checked) = (0, 0);
+    for _ in 0..120 {
+        sim.warm_up(SimDuration::from_secs(15));
+        let current = stamp_at(&sim, sim.now());
+        for (x, y, stamp) in set_verdicts(&sim) {
+            // A set bit says "nothing to evaluate": the pair is a
+            // neighbor, or it was rejected under the row's stamp —
+            // which, while that epoch lasts, a pair-at-a-time
+            // evaluation can confirm.
+            if sim.memberships[x].contains(NodeId::new(y as u64)) {
+                continue;
+            }
+            if stamp == current {
+                assert!(
+                    classifies_to_no_insert(&sim, x, y),
+                    "bit ({x}, {y}) is set for a pair Eq. 1 accepts"
+                );
+                verdicts_checked += 1;
+            }
+            rejected.insert((x, y), stamp);
+        }
+        // And every neighbor of a node that has a row is marked in it,
+        // whichever epoch the row is from: rows are rebuilt only by
+        // discovery, which is also the only step that inserts.
+        for x in 0..sim.trace().num_nodes() {
+            let (_, row) = skip_row(&sim, x);
+            for y in neighbor_ids(&sim, x) {
+                assert!(row.is_empty() || bit_is_set(row, y), "neighbor ({x}, {y}) unmarked");
+            }
+        }
+        rejected.retain(|&(x, y), _| {
+            let inserted = sim.memberships[x].contains(NodeId::new(y as u64));
+            revived += inserted as usize;
+            !inserted
+        });
+    }
+    assert!(verdicts_checked > 1_000, "only {verdicts_checked} verdicts checked");
+    assert!(revived > 0, "no rejected pair was ever inserted later");
+    assert_matches(&model_of(&sim), &sim, "hand case");
+}
+
+#[test]
+fn a_neighbor_evicted_by_a_same_epoch_refresh_stays_pruned() {
+    // Five-minute epochs over 15 s ticks and 3 min refreshes: most
+    // refreshes run in an epoch the node has already discovered in,
+    // so its row is current when the refresh evicts a neighbor (one
+    // inserted under an earlier epoch's estimates). The eviction *is*
+    // a no-insert verdict of this epoch — same function, same inputs
+    // — so the neighbor's bit must stand: discoveries that meet the
+    // id again before the epoch ends skip it.
+    let oracle = OracleChoice::NoisyShared {
+        error: 0.05,
+        staleness: SimDuration::from_mins(5),
+    };
+    let mut sim = event_driven_sim(
+        90,
+        oracle,
+        MaintenanceEngine::Serial,
+        hashes::DEFAULT_HASH_BUDGET,
+    );
+    sim.warm_up(SimDuration::ZERO);
+    let n = sim.trace().num_nodes();
+    // (x, y) → the stamp under which y was evicted from x's lists.
+    let mut standing = std::collections::HashMap::new();
+    let (mut evictions, mut met_again) = (0, 0);
+    while sim.now() < SimTime::ZERO + SimDuration::from_mins(40) {
+        let before: Vec<Vec<usize>> = (0..n).map(|x| neighbor_ids(&sim, x)).collect();
+        let t = run_next_cohort(&mut sim);
+        let current = stamp_at(&sim, t);
+        for x in (0..n).filter(|&x| sim.trace().is_online(x, t)) {
+            let (stamp, row) = skip_row(&sim, x);
+            if fires_at(&sim, STREAM_STAGGER_REFRESH, x, t) && stamp == current {
+                let now = neighbor_ids(&sim, x);
+                for &y in before[x].iter().filter(|y| !now.contains(y)) {
+                    evictions += 1;
+                    standing.insert((x, y), current);
+                }
+            }
+            if fires_at(&sim, STREAM_STAGGER_TICK, x, t) {
+                // The view discovery just filtered (nothing ran since).
+                for id in sim.shuffles[x].view().ids() {
+                    let met = standing.get(&(x, id.raw() as usize)) == Some(&stamp);
+                    met_again += usize::from(met);
+                }
+            }
+            for (&(_, y), _) in standing.iter().filter(|&(&(sx, _), &s)| sx == x && s == stamp) {
+                assert!(bit_is_set(row, y), "evicted ({x}, {y}) lost its bit within the epoch");
+                assert!(!sim.memberships[x].contains(NodeId::new(y as u64)));
+            }
+        }
+    }
+    assert!(evictions > 0, "no refresh evicted under a current row");
+    assert!(met_again > 0, "no evicted id was met again within its epoch");
+    assert_matches(&model_of(&sim), &sim, "hand case");
+}
+
+#[test]
+fn a_refresh_only_cohort_at_a_new_epoch_leaves_a_stale_row_for_discovery_to_reset() {
+    // Two-minute epochs: a node's refresh often fires — without its
+    // tick — in an epoch its row has not seen yet. The refresh evicts
+    // under the new estimates and must leave the row alone (stale
+    // stamp, the evicted neighbor's bit still set); the node's next
+    // discovery then zeroes the row and re-marks the neighbors it has
+    // *now*, so the evicted pair is evaluated again if the view
+    // offers it, and unmarked if not.
+    let oracle = OracleChoice::NoisyShared {
+        error: 0.05,
+        staleness: SimDuration::from_mins(2),
+    };
+    let mut sim = event_driven_sim(
+        90,
+        oracle,
+        MaintenanceEngine::Serial,
+        hashes::DEFAULT_HASH_BUDGET,
+    );
+    sim.warm_up(SimDuration::ZERO);
+    let n = sim.trace().num_nodes();
+    // x → (ids a refresh-only cohort evicted, the row's stale stamp).
+    let mut stale: std::collections::HashMap<usize, (Vec<usize>, u32)> = Default::default();
+    let (mut re_evaluated, mut unmarked) = (0, 0);
+    while sim.now() < SimTime::ZERO + SimDuration::from_mins(60) {
+        let before: Vec<Vec<usize>> = (0..n).map(|x| neighbor_ids(&sim, x)).collect();
+        let t = run_next_cohort(&mut sim);
+        let current = stamp_at(&sim, t);
+        for x in (0..n).filter(|&x| sim.trace().is_online(x, t)) {
+            let (stamp, row) = skip_row(&sim, x);
+            let now = neighbor_ids(&sim, x);
+            if fires_at(&sim, STREAM_STAGGER_TICK, x, t) {
+                assert_eq!(stamp, current, "node {x}: discovery left another epoch's row");
+                if let Some((evicted, old)) = stale.remove(&x) {
+                    assert_ne!(old, current);
+                    let view: Vec<usize> =
+                        sim.shuffles[x].view().ids().map(|id| id.raw() as usize).collect();
+                    for y in evicted {
+                        let offered = view.contains(&y);
+                        assert_eq!(
+                            bit_is_set(row, y),
+                            offered || now.contains(&y),
+                            "({x}, {y}): offered by the view: {offered}"
+                        );
+                        re_evaluated += usize::from(offered);
+                        unmarked += usize::from(!offered);
+                    }
+                }
+            } else if fires_at(&sim, STREAM_STAGGER_REFRESH, x, t)
+                && !row.is_empty()
+                && stamp != current
+            {
+                let evicted: Vec<usize> =
+                    before[x].iter().copied().filter(|y| !now.contains(y)).collect();
+                for &y in &evicted {
+                    assert!(bit_is_set(row, y), "a refresh touched the row of node {x}");
+                }
+                if !evicted.is_empty() {
+                    stale.entry(x).or_insert((Vec::new(), stamp)).0.extend(evicted);
+                }
+            }
+        }
+    }
+    assert!(re_evaluated > 0, "no stale eviction was offered to the next discovery");
+    assert!(unmarked > 0, "every stale eviction was offered again");
+    assert_matches(&model_of(&sim), &sim, "hand case");
+}
+
+#[test]
+fn a_row_allocated_for_a_node_with_neighbors_carries_their_bits() {
+    // Lists built before any row exists: a converged rebuild, then
+    // the same simulation continues event-driven. Each node's first
+    // discovery allocates its row and must mark the neighbors it
+    // already has — a converged list is ~all of them out of view.
+    let mut sim = event_driven_sim(
+        100,
+        OracleChoice::Exact,
+        MaintenanceEngine::Serial,
+        hashes::DEFAULT_HASH_BUDGET,
+    );
+    let event_driven = sim.config.maintenance;
+    sim.config.maintenance = MaintenanceMode::Converged;
+    sim.warm_up(SimDuration::from_mins(30));
+    sim.config.maintenance = event_driven;
+    let built: Vec<Vec<usize>> = (0..100).map(|x| neighbor_ids(&sim, x)).collect();
+    assert!(built.iter().map(Vec::len).sum::<usize>() > 500, "vacuous overlay");
+    sim.warm_up(SimDuration::from_secs(15));
+    let (mut rows, mut out_of_view) = (0, 0);
+    for (x, neighbors) in built.iter().enumerate() {
+        let (stamp, row) = skip_row(&sim, x);
+        if stamp == 0 {
+            continue; // offline: never ticked
+        }
+        rows += 1;
+        for &y in neighbors {
+            assert!(bit_is_set(row, y), "row of node {x} lacks its neighbor {y}");
+            let view = sim.shuffle_view(NodeId::new(x as u64));
+            out_of_view += usize::from(!view.contains(NodeId::new(y as u64)));
+        }
+    }
+    assert!(rows > 20 && out_of_view > 100, "{rows} rows, {out_of_view} out-of-view marks");
+}
+
+#[test]
+fn a_verdict_row_is_allocated_at_the_nodes_first_stamped_discovery() {
+    // Three uneven shards, so a row sized by the shard's length or a
+    // bit indexed by the shard-local offset cannot pass for right.
+    let engine = MaintenanceEngine::Sharded {
+        shards: Some(3),
+        threads: Some(1),
+    };
+    let mut sim = event_driven_sim(
+        100,
+        OracleChoice::Exact,
+        engine,
+        hashes::DEFAULT_HASH_BUDGET,
+    );
+    let words = 100usize.div_ceil(64);
+    let rows_by_node = |sim: &AvmemSim| -> Vec<usize> {
+        let maint = sim.maint.as_ref().expect("event-driven maintenance ran");
+        let mut lens = vec![0; 100];
+        for (s, scratch) in maint.scratches.iter().enumerate() {
+            let state = &scratch.finalize;
+            assert!(state.seen.is_empty(), "view lists sized beside the rows");
+            for (local, row) in state.verdicts.iter().enumerate() {
+                // Allocated exactly when a stamped discovery ran.
+                assert_eq!(row.is_empty(), state.seen_stamp[local] == 0);
+                lens[maint.part.range(s).start + local] = row.len();
+            }
+        }
+        lens
+    };
+    // A third of a period in: the stagger has let only some nodes tick.
+    sim.warm_up(SimDuration::from_secs(5));
+    let early = rows_by_node(&sim);
+    let ticked = early.iter().filter(|&&len| len > 0).count();
+    assert!(ticked > 0 && ticked < 100, "{ticked} of 100 nodes ticked");
+    sim.warm_up(SimDuration::from_mins(10));
+    let late = rows_by_node(&sim);
+    assert!(late.iter().filter(|&&len| len > 0).count() > ticked);
+    for (node, (&before, &after)) in early.iter().zip(&late).enumerate() {
+        assert!(after == 0 || after == words, "node {node}: {after} words");
+        assert!(before <= after, "node {node} lost its row");
+    }
+    // Offline nodes never tick: rows are per node that needed one.
+    assert!(late.contains(&0), "every node allocated a row");
+}
+
+#[test]
+fn beyond_the_budget_no_verdict_row_exists() {
+    let mut sim = event_driven_sim(100, OracleChoice::Exact, MaintenanceEngine::Serial, 0);
+    sim.warm_up(SimDuration::from_mins(10));
+    let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].finalize;
+    assert!(state.verdicts.is_empty());
+    assert_eq!(state.seen.len(), 100);
+    assert!(state.seen.iter().any(|list| !list.is_empty()));
+    assert!(sim.finalize_stats().discover_pruned > 0);
+}
+
+#[test]
+fn per_querier_noise_allocates_no_finalize_state() {
+    // No epoch, no stamp: nothing may outlive a finalize op, so no
+    // per-node column is sized in either regime.
+    for budget in [hashes::DEFAULT_HASH_BUDGET, 0] {
+        let mut sim = event_driven_sim(
+            100,
+            OracleChoice::paper_noise(),
+            MaintenanceEngine::Serial,
+            budget,
+        );
+        sim.warm_up(SimDuration::from_mins(10));
+        let stats = sim.finalize_stats();
+        assert!(stats.memo_bypassed > 0 && stats.batched_estimates > 0);
+        assert_eq!((stats.memo_hits, stats.discover_pruned), (0, 0));
+        let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].finalize;
+        assert!(state.verdicts.is_empty() && state.seen.is_empty());
+        assert!(state.seen_stamp.is_empty() && state.horizontal.is_empty());
+    }
+}
+
+#[test]
+fn an_epoch_beyond_the_stamp_range_gets_no_stamp() {
+    assert_eq!(compact_stamp(0), Some(1));
+    assert_eq!(compact_stamp(u32::MAX as u64 - 1), Some(u32::MAX));
+    // These used to wrap to the "unset" stamp 0 and to epoch 0's
+    // stamp 1, whose memos a release build would then have reused.
+    assert_eq!(compact_stamp(u32::MAX as u64), None);
+    assert_eq!(compact_stamp(1 << 32), None);
+}
+
+#[test]
+fn cohorts_on_either_side_of_the_inline_bound_match_the_model() {
+    // The other differentials run 40–150 hosts, whose cohorts all stay
+    // below `INLINE_COHORT_EVENTS` and therefore on the calling
+    // thread. Here a tick slot fires every second and a refresh slot
+    // every other second: at 2 600 hosts a cohort is ~162 events
+    // without a refresh slot and ~325 with one — the run alternates
+    // between inline cohorts and cohorts fanned out to the pool, and
+    // must land on the model's state all the same.
+    let trace = OvernetModel::default().hosts(2600).days(1).generate(37);
+    let mut cfg = SimConfig::paper_default(16);
+    cfg.maintenance = MaintenanceMode::EventDriven {
+        protocol_period: SimDuration::from_secs(16),
+        refresh_period: SimDuration::from_secs(32),
+    };
+    cfg.engine = MaintenanceEngine::Sharded {
+        shards: Some(3),
+        threads: Some(3),
+    };
+    let mut sim = AvmemSim::new(trace, cfg);
+    let (mut inline, mut pooled) = (0, 0);
+    let end = SimTime::ZERO + SimDuration::from_secs(40);
+    sim.warm_up(SimDuration::ZERO);
+    while sim.next_maintenance_at().is_some_and(|t| t <= end) {
+        let t = run_next_cohort(&mut sim);
+        let events = (0..2600)
+            .flat_map(|i| [(STREAM_STAGGER_TICK, i), (STREAM_STAGGER_REFRESH, i)])
+            .filter(|&(stream, i)| fires_at(&sim, stream, i, t))
+            .count();
+        if events < INLINE_COHORT_EVENTS {
+            inline += 1;
+        } else {
+            pooled += 1;
+        }
+    }
+    assert!(inline >= 5 && pooled >= 5, "{inline} inline cohorts, {pooled} pooled");
+    assert_matches(&model_of(&sim), &sim, "2 600 hosts, 3 shards x 3 threads");
+}
+
+#[test]
+fn serial_is_one_shard_on_one_thread() {
+    // `Serial` is a spelling, not a path: it ends where `Sharded {1, 1}`
+    // ends, having done and skipped exactly the same work on the way.
+    let oracle = OracleChoice::NoisyShared {
+        error: 0.05,
+        staleness: SimDuration::from_mins(5),
+    };
+    let run = |engine| {
+        let mut sim = event_driven_sim(90, oracle, engine, hashes::DEFAULT_HASH_BUDGET);
+        sim.warm_up(SimDuration::from_mins(45));
+        sim
+    };
+    let serial = run(MaintenanceEngine::Serial);
+    let one_by_one = run(MaintenanceEngine::Sharded {
+        shards: Some(1),
+        threads: Some(1),
+    });
+    assert!(serial.finalize_stats().discover_pruned > 0, "nothing was pruned");
+    assert_eq!(serial.finalize_stats(), one_by_one.finalize_stats());
+    assert_eq!(serial.snapshot(), one_by_one.snapshot());
+    for i in 0..90 {
+        let id = NodeId::new(i as u64);
+        assert_eq!(serial.membership(id), one_by_one.membership(id), "node {id}");
+        assert_eq!(serial.shuffle_view(id), one_by_one.shuffle_view(id), "node {id}");
+    }
+}

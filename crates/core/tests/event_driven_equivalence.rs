@@ -1,12 +1,14 @@
-//! Pins the sharded event-driven engine to the serial reference
-//! implementation.
+//! Pins event-driven maintenance across shard and thread counts.
 //!
 //! The contract under test (see `AvmemSim::run_event_driven`): a
 //! maintenance run's final state — every node's membership lists, every
 //! node's shuffle view, and the overlay snapshot with its metrics — is a
-//! function of `(trace, config, duration)` only. Neither the engine
-//! variant, nor the shard count, nor the worker-thread count may perturb
-//! a single bit, for any maintenance period and any oracle fidelity.
+//! function of `(trace, config, duration)` only. Neither the shard count
+//! nor the worker-thread count may perturb a single bit, for any
+//! maintenance period and any oracle fidelity. Every cell compares
+//! against one shard on one thread (`MaintenanceEngine::Serial`); that
+//! baseline is in turn pinned against the test-only model inside the
+//! crate (`cargo test -p avmem --lib harness::`).
 
 use avmem::harness::{
     AvmemSim, FinalizeStats, InitiatorBand, MaintenanceEngine, MaintenanceMode, OracleChoice,
@@ -17,14 +19,13 @@ use avmem_trace::{ChurnTrace, OvernetModel};
 use avmem_util::NodeId;
 use proptest::prelude::*;
 
-/// Shard counts every cell sweeps. 1 exercises the single-shard fast
-/// path, the rest exercise cross-shard batch exchange at increasing
-/// fan-out (8 shards over ~100 nodes forces small, uneven slices).
+/// Shard counts every cell sweeps. 1 has nothing to exchange, the rest
+/// exercise cross-shard batch exchange at increasing fan-out (8 shards
+/// over ~100 nodes forces small, uneven slices).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Thread counts for the full-matrix cell: single worker (sharded
-/// semantics, serial execution), fewer threads than shards, more
-/// threads than shards.
+/// Thread counts for the full-matrix cell: single worker, fewer threads
+/// than shards, more threads than shards.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn trace(hosts: usize, seed: u64) -> ChurnTrace {
@@ -75,8 +76,8 @@ fn assert_state_equal(reference: &AvmemSim, candidate: &AvmemSim, label: &str) {
     );
 }
 
-/// Runs one (periods, oracle) cell: serial reference vs the sharded
-/// engine over `hours` of maintenance. `full_matrix` sweeps every
+/// Runs one (periods, oracle) cell: the one-shard, one-thread baseline
+/// vs every sharding over `hours` of maintenance. `full_matrix` sweeps every
 /// (shard, thread) pair; the reduced sweep runs each shard count at one
 /// rotating thread count to keep the suite's runtime in check.
 /// `min_degree` guards against vacuous equality (empty == empty).
@@ -186,8 +187,8 @@ fn pooled_commit_buffers_match_serial_across_full_matrix() {
     // buffers (outboxes, transpose scratch, timeout notices) are
     // exercised thousands of times per run. Pinned across the *full*
     // shard x thread matrix: any stale byte leaking out of a pooled
-    // buffer, or any ordering drift in the bucketed commit, breaks
-    // bit-identity with the allocating serial reference.
+    // buffer, or any ordering drift in the bucketed commit, shows as a
+    // difference between shardings (their buffers and chains differ).
     check_cell(
         120,
         23,
@@ -240,15 +241,14 @@ fn sharded_matches_serial_with_full_avmon_service() {
 
 #[test]
 fn hash_store_modes_agree_across_engines() {
-    // The pair-hash budget selects the finalize fast path's no-insert
-    // memory — one verdict bit per pair where `8·N²` fits it, the
-    // view-scoped list where it does not — and neither may perturb a
-    // bit: every (budget, engine) combination must land on the serial
-    // reference state. 120 hosts: the default budget fits (8·N² ≈ 113
+    // The pair-hash budget selects finalize's no-insert memory — one
+    // verdict bit per pair where `8·N²` fits it, the view-scoped list
+    // where it does not — and neither may perturb a bit: every (budget,
+    // engine) combination must land on the baseline's state. 120 hosts: the default budget fits (8·N² ≈ 113
     // KiB), 8 KiB does not. Either way finalize hashes its candidate
     // lists in batches and builds no dense row. How much work a regime
     // skips is a property of the run, not of its sharding: the counters
-    // must match the serial engine's, and the verdict memory — which
+    // must match the baseline's, and the verdict memory — which
     // still knows a pair after it left the view and came back — must
     // prune strictly more and estimate strictly fewer.
     let trace = trace(120, 17);
@@ -393,114 +393,6 @@ proptest! {
                         }
                     }
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn fast_finalize_matches_reference_path_across_oracles() {
-    // `finalize_fast = false` recovers the pair-at-a-time reference
-    // evaluation; the fast path (epoch-memoized thresholds, batched
-    // pair hashes, batched estimates, refresh short-circuiting) must be
-    // bit-identical to it under every oracle fidelity — including
-    // per-querier noise, where the missing epoch disables every cache
-    // but thresholds are still hoisted per finalize op.
-    let cells: &[(&str, OracleChoice, MaintenanceMode, u64)] = &[
-        (
-            "exact",
-            OracleChoice::Exact,
-            MaintenanceMode::paper_event_driven(),
-            2,
-        ),
-        (
-            "shared noise",
-            OracleChoice::NoisyShared {
-                error: 0.05,
-                staleness: SimDuration::from_mins(20),
-            },
-            fast_periods(),
-            1,
-        ),
-        (
-            "per-querier noise",
-            OracleChoice::paper_noise(),
-            MaintenanceMode::paper_event_driven(),
-            2,
-        ),
-        (
-            "avmon",
-            OracleChoice::Avmon {
-                config: avmem_avmon::AvmonConfig::default(),
-            },
-            MaintenanceMode::paper_event_driven(),
-            6,
-        ),
-    ];
-    for &(label, oracle, maintenance, hours) in cells {
-        let trace = trace(110, 19);
-        let mut slow_cfg = config(19, oracle, maintenance, MaintenanceEngine::Serial);
-        slow_cfg.finalize_fast = false;
-        let mut reference = AvmemSim::new(trace.clone(), slow_cfg);
-        reference.warm_up(SimDuration::from_hours(hours));
-        for engine in [MaintenanceEngine::Serial, sharded(4, 2)] {
-            let fast_cfg = config(19, oracle, maintenance, engine);
-            assert!(fast_cfg.finalize_fast, "fast path must be the default");
-            let mut candidate = AvmemSim::new(trace.clone(), fast_cfg);
-            candidate.warm_up(SimDuration::from_hours(hours));
-            assert_state_equal(
-                &reference,
-                &candidate,
-                &format!("fast vs slow finalize, {label}, {engine:?}"),
-            );
-            if label == "shared noise" {
-                // How much work the fast path skipped to get to that state
-                // is pinned too, on the cell whose epochs both prune
-                // candidates and expire. The discovery counters are pinned
-                // per no-insert regime (`AVMEM_HASH_BUDGET` picks it), and
-                // in both `discover_pruned` counts every view candidate
-                // dropped without an estimate: the 29 854 neighbor hits of
-                // this run plus the no-insert repeats, so pruned +
-                // estimated is the 95 001 candidates the views offered
-                // either way. The view-scoped list must still estimate
-                // exactly what the scanning filter (a binary search of the
-                // no-insert list, then `Membership::contains`, per
-                // candidate) estimated on this spec; the skip row, which
-                // outlives a pair's stay in the view, estimates a sixth of
-                // that — 81 fewer than verdict bits that forgot a neighbor
-                // evicted by a same-epoch refresh. A filter that probes
-                // differently — a stale tag or bit read as current, a bit
-                // that survives its epoch, a neighbor left unmarked —
-                // moves `discover_pruned` or `batched_estimates` even
-                // where the memberships come out equal.
-                let stats = candidate.finalize_stats();
-                assert_eq!(
-                    (stats.memo_hits, stats.memo_misses, stats.memo_bypassed),
-                    (10_093, 126, 0),
-                    "{label}, {engine:?}: threshold memo counters"
-                );
-                assert_eq!(
-                    (stats.refresh_skipped, stats.refresh_evaluated),
-                    (714, 76),
-                    "{label}, {engine:?}: refresh counters"
-                );
-                let hosts = trace.num_nodes();
-                let verdict_memory = 8 * hosts * hosts <= fast_cfg.hash_budget;
-                assert_eq!(
-                    (stats.discover_pruned, stats.batched_estimates),
-                    if verdict_memory {
-                        (89_572, 5_429)
-                    } else {
-                        (60_847, 34_154)
-                    },
-                    "{label}, {engine:?}: discovery filter counters \
-                     (verdict memory: {verdict_memory})"
-                );
-                assert_eq!(
-                    stats.pair_hash.hashed + stats.pair_hash.delegated,
-                    stats.batched_estimates,
-                    "{label}, {engine:?}: one pair hash per batched estimate"
-                );
             }
         }
     }

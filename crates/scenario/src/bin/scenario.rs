@@ -169,7 +169,7 @@ fn load_file(path: &str) -> Result<ScenarioSpec, String> {
 /// Overrides shared by `run`, `serve`, and `sweep`.
 #[derive(Default)]
 struct Common {
-    engine: Option<&'static str>,
+    engine: Option<EngineSpec>,
     shards: Option<usize>,
     threads: Option<usize>,
     json: bool,
@@ -190,10 +190,11 @@ impl Common {
                 Some(seed) => spec.seed = seed,
                 None => return Err("--seed needs an integer".into()),
             },
-            // "parallel" is the pre-sharding spelling, kept as an alias.
             "--engine" => match iter.next().map(String::as_str) {
-                Some("serial") => self.engine = Some("serial"),
-                Some("sharded" | "parallel") => self.engine = Some("sharded"),
+                Some("serial") => self.engine = Some(EngineSpec::Serial),
+                Some("sharded") => {
+                    self.engine = Some(EngineSpec::Sharded { shards: 0, threads: 0 })
+                }
                 _ => return Err("--engine needs `serial` or `sharded`".into()),
             },
             "--shards" => match iter.next().and_then(|v| v.parse().ok()) {
@@ -218,29 +219,34 @@ impl Common {
         Ok(true)
     }
 
-    /// Applies the engine override to the spec.
-    fn apply_engine(&self, spec: &mut ScenarioSpec) {
-        match self.engine {
-            Some("serial") => spec.maintenance.engine = EngineSpec::Serial,
-            Some(_) => {
-                spec.maintenance.engine = EngineSpec::Sharded {
-                    shards: self.shards.unwrap_or(0),
-                    threads: self.threads.unwrap_or(0),
-                }
+    /// Applies the engine override to the spec. `--shards` / `--threads`
+    /// refine a sharded engine — the one `--engine sharded` selects, or
+    /// the spec's own — and contradict a serial one, which is one shard
+    /// on one thread by definition.
+    fn apply_engine(&self, spec: &mut ScenarioSpec) -> Result<(), String> {
+        if let Some(engine) = &self.engine {
+            spec.maintenance.engine = engine.clone();
+        }
+        match &mut spec.maintenance.engine {
+            EngineSpec::Sharded { shards, threads } => {
+                *shards = self.shards.unwrap_or(*shards);
+                *threads = self.threads.unwrap_or(*threads);
+                Ok(())
             }
-            None => {
-                // Bare --shards/--threads refine an already-sharded spec.
-                if let EngineSpec::Sharded { shards: s, threads: t } = spec.maintenance.engine {
-                    if self.shards.is_some() || self.threads.is_some() {
-                        spec.maintenance.engine = EngineSpec::Sharded {
-                            shards: self.shards.unwrap_or(s),
-                            threads: self.threads.unwrap_or(t),
-                        };
-                    }
-                }
-            }
+            EngineSpec::Serial => match (self.shards, self.threads) {
+                (None, None) => Ok(()),
+                (Some(_), _) => Err(serial_contradiction("--shards")),
+                (None, Some(_)) => Err(serial_contradiction("--threads")),
+            },
         }
     }
+}
+
+fn serial_contradiction(option: &str) -> String {
+    format!(
+        "{option} contradicts the serial engine (one shard, one thread); \
+         add --engine sharded"
+    )
 }
 
 fn run(which: &str, options: &[String]) -> ExitCode {
@@ -266,7 +272,9 @@ fn run(which: &str, options: &[String]) -> ExitCode {
             other => return fail(&format!("unknown run option {other:?}")),
         }
     }
-    common.apply_engine(&mut spec);
+    if let Err(message) = common.apply_engine(&mut spec) {
+        return fail(&message);
+    }
     let json = common.json;
 
     let runner = match ScenarioRunner::new(spec) {
@@ -355,7 +363,9 @@ fn serve(which: &str, options: &[String]) -> ExitCode {
             other => return fail(&format!("unknown serve option {other:?}")),
         }
     }
-    common.apply_engine(&mut spec);
+    if let Err(message) = common.apply_engine(&mut spec) {
+        return fail(&message);
+    }
     if common.json {
         opts.snapshot_every_secs = 0;
     }
@@ -440,7 +450,7 @@ fn sweep(which: &str, options: &[String]) -> ExitCode {
                     for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
                         let engine = match name {
                             "serial" => MaintenanceEngine::Serial,
-                            "sharded" | "parallel" => MaintenanceEngine::Sharded {
+                            "sharded" => MaintenanceEngine::Sharded {
                                 shards: None,
                                 threads: None,
                             },
@@ -461,7 +471,9 @@ fn sweep(which: &str, options: &[String]) -> ExitCode {
             other => return fail(&format!("unknown sweep option {other:?}")),
         }
     }
-    common.apply_engine(&mut spec);
+    if let Err(message) = common.apply_engine(&mut spec) {
+        return fail(&message);
+    }
     let Some(seeds) = seeds else {
         return fail("sweep needs --seeds <a..b>");
     };
@@ -491,5 +503,59 @@ fn sweep(which: &str, options: &[String]) -> ExitCode {
             }
         }
         Err(e) => fail(&e.to_string()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The engine of a spec whose own engine is `base`, after the
+    /// `--engine` / `--shards` / `--threads` overrides.
+    fn applied(
+        base: EngineSpec,
+        engine: Option<EngineSpec>,
+        shards: Option<usize>,
+        threads: Option<usize>,
+    ) -> Result<EngineSpec, String> {
+        let mut spec = builtin::builtin("smoke").expect("smoke builtin");
+        spec.maintenance.engine = base;
+        let common = Common {
+            engine,
+            shards,
+            threads,
+            json: false,
+        };
+        common.apply_engine(&mut spec)?;
+        Ok(spec.maintenance.engine)
+    }
+
+    #[test]
+    fn shard_and_thread_counts_contradict_the_serial_engine() {
+        // `--engine serial --shards 4` and a bare `--shards 4` over a
+        // serial spec used to be dropped, running one shard in silence.
+        let sharded = EngineSpec::Sharded { shards: 2, threads: 2 };
+        let serial = Some(EngineSpec::Serial);
+        for (engine, base) in [(serial.clone(), sharded.clone()), (None, EngineSpec::Serial)] {
+            let err = applied(base.clone(), engine.clone(), Some(4), None).unwrap_err();
+            assert!(err.contains("--shards") && err.contains("serial"), "{err}");
+            let err = applied(base, engine, None, Some(4)).unwrap_err();
+            assert!(err.contains("--threads") && err.contains("serial"), "{err}");
+        }
+        assert_eq!(applied(sharded, serial, None, None), Ok(EngineSpec::Serial));
+    }
+
+    #[test]
+    fn shard_and_thread_counts_refine_a_sharded_engine() {
+        let sharded = EngineSpec::Sharded { shards: 2, threads: 3 };
+        let sharded0 = EngineSpec::Sharded { shards: 0, threads: 0 };
+        assert_eq!(
+            applied(sharded, None, Some(8), None),
+            Ok(EngineSpec::Sharded { shards: 8, threads: 3 })
+        );
+        assert_eq!(
+            applied(EngineSpec::Serial, Some(sharded0), None, Some(4)),
+            Ok(EngineSpec::Sharded { shards: 0, threads: 4 })
+        );
     }
 }

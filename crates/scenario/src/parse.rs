@@ -551,30 +551,35 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
                 Some(value) => {
                     let engine_name = section.str_of(value, "engine")?;
                     match engine_name.as_str() {
-                        "serial" => EngineSpec::Serial,
-                        // "parallel" is the pre-sharding name, kept as an
-                        // alias so existing spec files keep parsing.
-                        "sharded" | "parallel" => EngineSpec::Sharded {
+                        "serial" => {
+                            // Serial *is* one shard on one thread: a
+                            // count beside it contradicts it.
+                            for key in ["shards", "threads"] {
+                                if let Some(count) = section.raw_value(key) {
+                                    return Err(ParseError::new(
+                                        count.line,
+                                        format!(
+                                            "key {key:?} contradicts engine = \"serial\" (one \
+                                             shard, one thread); use engine = \"sharded\""
+                                        ),
+                                    ));
+                                }
+                            }
+                            EngineSpec::Serial
+                        }
+                        "sharded" => EngineSpec::Sharded {
                             shards: section.u64_or("shards", 0)? as usize,
                             threads: section.u64_or("threads", 0)? as usize,
                         },
                         other => {
                             return Err(ParseError::new(
                                 value.line,
-                                format!(
-                                    "unknown engine {other:?} (accepted: serial, sharded, \
-                                     parallel)"
-                                ),
+                                format!("unknown engine {other:?} (accepted: serial, sharded)"),
                             ))
                         }
                     }
                 }
             };
-            // `shards`/`threads` without `engine = "sharded"` would dangle.
-            if matches!(engine, EngineSpec::Serial) {
-                let _ = section.u64_or("shards", 0)?;
-                let _ = section.u64_or("threads", 0)?;
-            }
             section.finish()?;
             MaintenanceSpec { mode, engine }
         }
@@ -983,21 +988,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_engine_is_a_sharded_alias() {
-        // Spec files written before the sharded engine existed said
-        // `engine = "parallel"`; they keep working and now mean a
-        // thread-count-matched shard layout.
-        let spec = parse_spec(
-            "name = \"legacy\"\n[churn]\nmodel = \"overnet\"\nhosts = 10\ndays = 1\n\
-             [maintenance]\nmode = \"event-driven\"\nengine = \"parallel\"\nthreads = 4\n\
-             [workload]\nops_per_hour = 5.0\n",
+    /// A minimal event-driven spec with `maintenance` appended to its
+    /// `[maintenance]` section, whose first key sits on line 8.
+    fn spec_with_maintenance(maintenance: &str) -> String {
+        format!(
+            "name = \"m\"\n[churn]\nmodel = \"overnet\"\nhosts = 10\ndays = 1\n\
+             [maintenance]\nmode = \"event-driven\"\n{maintenance}\
+             [workload]\nops_per_hour = 5.0\n"
         )
-        .unwrap();
-        assert_eq!(
-            spec.maintenance.engine,
-            EngineSpec::Sharded { shards: 0, threads: 4 }
+    }
+
+    #[test]
+    fn parallel_is_an_unknown_engine_with_its_line() {
+        let err = parse_spec(&spec_with_maintenance("engine = \"parallel\"\nthreads = 4\n"))
+            .unwrap_err();
+        assert_eq!(err.line, 8);
+        assert!(
+            err.message.contains("unknown engine \"parallel\" (accepted: serial, sharded)"),
+            "{err}"
         );
+    }
+
+    #[test]
+    fn serial_engine_rejects_shard_and_thread_counts() {
+        // Serial means one shard on one thread; these used to parse and
+        // silently run one shard.
+        for key in ["shards", "threads"] {
+            let src = spec_with_maintenance(&format!("engine = \"serial\"\n{key} = 4\n"));
+            let err = parse_spec(&src).unwrap_err();
+            assert_eq!(err.line, 9, "{err}");
+            assert!(err.message.contains(key) && err.message.contains("serial"), "{err}");
+        }
+        // The key may come first: the error still points at it.
+        let src = spec_with_maintenance("threads = 2\nengine = \"serial\"\n");
+        assert_eq!(parse_spec(&src).unwrap_err().line, 8);
+        let spec = parse_spec(&spec_with_maintenance("engine = \"serial\"\n")).unwrap();
+        assert_eq!(spec.maintenance.engine, EngineSpec::Serial);
     }
 
     #[test]

@@ -262,8 +262,8 @@ pub struct ScenarioReport {
     /// Finalize fast-path counters (threshold memo, pair-hash reads,
     /// refresh short-circuit, batched estimates) accumulated over the
     /// whole run. Excluded from `==`: they describe how the overlay
-    /// state was computed (fast path on or off, which hash store), not
-    /// the state.
+    /// state was computed (which no-insert memory, which hash store),
+    /// not the state.
     pub finalize: avmem::FinalizeStats,
     /// Process-memory observations (peak RSS, heap gauges). Excluded
     /// from `==`: memory is an environment fact, not a spec function.
@@ -821,8 +821,8 @@ mod tests {
             json.contains("\"pair_hash\":{\"hashed\":3000,\"delegated\":1000}"),
             "{json}"
         );
-        // All-zero counters (fast path off) drop the text block but keep
-        // the JSON object for a stable schema.
+        // All-zero counters (converged maintenance) drop the text block
+        // but keep the JSON object for a stable schema.
         let mut quiet = sample_report();
         quiet.finalize = avmem::FinalizeStats::default();
         assert!(!quiet.render_text().contains("finalize fast path"));

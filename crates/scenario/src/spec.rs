@@ -207,12 +207,12 @@ pub enum MaintenanceModeSpec {
     },
 }
 
-/// Cohort execution engine.
+/// Shard and thread counts of event-driven maintenance.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineSpec {
-    /// Straight-line reference engine.
+    /// One shard on one thread.
     Serial,
-    /// Sharded engine: shard-owned state driven by worker threads.
+    /// Shard-owned state driven by worker threads.
     /// `shards == 0` matches the resolved thread count; `threads == 0`
     /// sizes to the machine (respecting any cgroup CPU quota).
     Sharded {

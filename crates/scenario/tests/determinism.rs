@@ -1,6 +1,7 @@
 //! Pins scenario-report determinism: one spec + seed produces a
 //! bit-identical [`ScenarioReport`] regardless of maintenance engine
-//! (serial reference vs sharded), shard count, and worker-thread count.
+//! (one shard on one thread vs sharded), shard count, and worker-thread
+//! count.
 //!
 //! This is the scenario-level corollary of the `event_driven_equivalence`
 //! harness tests: maintenance state is engine-independent, and every
@@ -14,7 +15,7 @@ use avmem_scenario::{
     ScenarioSpec,
 };
 
-/// (shards, threads) sweep: single-shard fast path, balanced, shard
+/// (shards, threads) sweep: one shard on one thread, balanced, shard
 /// count above and below the thread count.
 const SHARD_SWEEP: [(usize, usize); 4] = [(1, 1), (2, 2), (4, 2), (8, 8)];
 

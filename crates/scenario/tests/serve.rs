@@ -13,7 +13,7 @@ use avmem_scenario::{
     ScenarioSpec, ServeOptions,
 };
 
-/// (shards, threads) sweep: single-shard fast path, balanced, shard
+/// (shards, threads) sweep: one shard on one thread, balanced, shard
 /// count above and below the thread count.
 const SHARD_SWEEP: [(usize, usize); 4] = [(1, 1), (2, 2), (4, 2), (8, 8)];
 

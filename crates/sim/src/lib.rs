@@ -10,14 +10,8 @@
 //!   clock;
 //! * [`Engine`] — a binary-heap scheduler with a deterministic tie-break,
 //!   so that two runs with the same seed produce byte-identical histories;
-//! * [`EngineGroup`] — per-shard engines drained in aligned timestamp
-//!   cohorts; the queue layer of the sharded maintenance harness until
-//!   its strictly periodic schedule moved to a calendar of its own, and
-//!   without a caller since;
 //! * [`net`] — per-hop latency models (the paper draws hop latency
-//!   uniformly from `[20 ms, 80 ms]`) and message-loss injection;
-//! * [`metrics`] — counters shared by protocols and the experiment
-//!   harness.
+//!   uniformly from `[20 ms, 80 ms]`) and message-loss injection.
 //!
 //! The engine is generic over the event type: protocol crates define an
 //! event enum and drive the loop themselves, which keeps this crate free
@@ -40,13 +34,9 @@
 //! ```
 
 pub mod engine;
-pub mod group;
-pub mod metrics;
 pub mod net;
 pub mod time;
 
 pub use engine::Engine;
-pub use group::EngineGroup;
-pub use metrics::Counters;
 pub use net::{LatencyModel, Network};
 pub use time::{SimDuration, SimTime};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use avmem_sim::{Counters, Engine, EngineGroup, LatencyModel, Network, SimDuration, SimTime};
+use avmem_sim::{Engine, LatencyModel, Network, SimDuration, SimTime};
 
 proptest! {
     #[test]
@@ -82,27 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn counters_merge_is_sum(
-        a_vals in proptest::collection::vec((0usize..5, 1u64..100), 0..20),
-        b_vals in proptest::collection::vec((0usize..5, 1u64..100), 0..20),
-    ) {
-        let names = ["a", "b", "c", "d", "e"];
-        let mut a = Counters::new();
-        let mut b = Counters::new();
-        for &(k, v) in &a_vals {
-            a.add(names[k], v);
-        }
-        for &(k, v) in &b_vals {
-            b.add(names[k], v);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        for name in names {
-            prop_assert_eq!(merged.get(name), a.get(name) + b.get(name));
-        }
-    }
-
-    #[test]
     fn durations_add_commutatively(x in 0u64..1_000_000, y in 0u64..1_000_000) {
         let a = SimDuration::from_millis(x);
         let b = SimDuration::from_millis(y);
@@ -115,45 +94,5 @@ proptest! {
         let t = SimTime::from_millis(base);
         let d = SimDuration::from_millis(delta);
         prop_assert_eq!((t + d) - t, d);
-    }
-
-    #[test]
-    fn engine_group_replays_the_global_cohort_stream(
-        events in proptest::collection::vec((0u64..60, 0usize..8), 0..250),
-        shards in 1usize..8,
-    ) {
-        // A group of per-shard engines drained with aligned cohorts must
-        // observe the same (time, cohort) sequence a single global engine
-        // does, with each cohort partitioned by the scheduling shard.
-        let mut global = Engine::new();
-        let mut group = EngineGroup::new(shards);
-        for (i, &(t, owner)) in events.iter().enumerate() {
-            let time = SimTime::from_millis(t);
-            global.schedule(time, i);
-            group.schedule(owner % shards, time, i);
-        }
-
-        let mut global_batch = Vec::new();
-        let mut batches = vec![Vec::new(); shards];
-        loop {
-            let gt = global.pop_batch_until(SimTime::MAX, &mut global_batch);
-            let st = group.pop_batch_until(SimTime::MAX, &mut batches);
-            prop_assert_eq!(gt, st, "cohort timestamps diverged");
-            if gt.is_none() {
-                break;
-            }
-            let mut merged: Vec<usize> = batches.iter().flatten().copied().collect();
-            merged.sort_unstable();
-            let mut expect = global_batch.clone();
-            expect.sort_unstable();
-            prop_assert_eq!(merged, expect, "cohort membership diverged");
-            for (s, batch) in batches.iter().enumerate() {
-                // Per-shard seq order (insertion order) is preserved.
-                prop_assert!(batch.windows(2).all(|w| w[0] < w[1]));
-                prop_assert!(batch.iter().all(|&e| events[e].1 % shards == s));
-            }
-        }
-        prop_assert_eq!(group.pending(), 0);
-        prop_assert_eq!(group.dispatched(), events.len() as u64);
     }
 }

@@ -580,79 +580,6 @@ fn long_key_prefix(key: &[u8], x: NodeId, y: NodeId) -> u128 {
     digest_prefix(&sha256(&buf))
 }
 
-/// A fast, non-cryptographic hasher for *in-memory tables keyed by packed
-/// integers* (e.g. a `(x, y)` node pair packed into one `u64`). This is
-/// the SplitMix64 finalizer — full 64-bit avalanche in three multiplies —
-/// so every input bit perturbs every output bit, which is all a hash map
-/// needs; it has nothing to do with the consistent SHA-256 hashing above
-/// (protocol-visible values must keep using [`consistent_hash`]).
-///
-/// # Examples
-///
-/// ```
-/// use avmem_util::hash::PairKeyHashBuilder;
-/// use std::collections::HashMap;
-///
-/// let mut map: HashMap<u64, f64, PairKeyHashBuilder> = HashMap::default();
-/// map.insert((3u64 << 32) | 7, 0.25);
-/// assert_eq!(map.get(&((3u64 << 32) | 7)), Some(&0.25));
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PairKeyHashBuilder;
-
-impl std::hash::BuildHasher for PairKeyHashBuilder {
-    type Hasher = PairKeyHasher;
-
-    fn build_hasher(&self) -> PairKeyHasher {
-        PairKeyHasher(0)
-    }
-}
-
-/// The hasher produced by [`PairKeyHashBuilder`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PairKeyHasher(u64);
-
-/// The SplitMix64 output mix (Steele et al.): a 64-bit finalizer with
-/// full avalanche.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl std::hash::Hasher for PairKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback for non-integer keys: fold 8-byte chunks.
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.write_u64(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.write_u64(u64::from_le_bytes(buf) ^ (rem.len() as u64) << 56);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = mix64(self.0 ^ n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n as u64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,42 +807,6 @@ mod tests {
             let expect = (raw >> 11) as f64 / (1u64 << 53) as f64;
             assert_eq!(consistent_hash_keyed(b"avmon", x, y), expect);
         }
-    }
-
-    #[test]
-    fn pair_key_hasher_avalanches_and_is_deterministic() {
-        use std::hash::{BuildHasher, Hasher};
-        let builder = PairKeyHashBuilder;
-        let hash_one = |n: u64| {
-            let mut h = builder.build_hasher();
-            h.write_u64(n);
-            h.finish()
-        };
-        assert_eq!(hash_one(42), hash_one(42));
-        // Neighboring keys (the packed-pair pattern: y varies fastest)
-        // must not collide or cluster.
-        let mut seen = std::collections::BTreeSet::new();
-        for x in 0..64u64 {
-            for y in 0..64u64 {
-                seen.insert(hash_one((x << 32) | y));
-            }
-        }
-        assert_eq!(seen.len(), 64 * 64, "packed pairs must not collide");
-    }
-
-    #[test]
-    fn pair_key_hasher_byte_fallback_matches_itself_only() {
-        use std::hash::{BuildHasher, Hasher};
-        let builder = PairKeyHashBuilder;
-        let hash_bytes = |b: &[u8]| {
-            let mut h = builder.build_hasher();
-            h.write(b);
-            h.finish()
-        };
-        assert_eq!(hash_bytes(b"hello"), hash_bytes(b"hello"));
-        assert_ne!(hash_bytes(b"hello"), hash_bytes(b"hellp"));
-        // Length is folded in, so a zero-padded prefix differs.
-        assert_ne!(hash_bytes(b"ab"), hash_bytes(b"ab\0"));
     }
 
     #[test]

@@ -479,53 +479,6 @@ where
     global_pool().run_boxed(jobs);
 }
 
-/// Collects mutable references to the elements of `items` at
-/// `sorted_indices`, which must be strictly increasing and in bounds.
-///
-/// This is the safe building block for *sparse* parallel phases: a batch
-/// of events touches a subset of nodes (at most once each), and the
-/// returned references can be chunked across worker threads with
-/// [`par_chunks_mut`] while the untouched elements stay borrowed by
-/// nobody.
-///
-/// # Examples
-///
-/// ```
-/// use avmem_util::parallel::gather_mut;
-///
-/// let mut v = vec![0u32; 8];
-/// for slot in gather_mut(&mut v, &[1, 4, 6]) {
-///     *slot = 9;
-/// }
-/// assert_eq!(v, vec![0, 9, 0, 0, 9, 0, 9, 0]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the indices are not strictly increasing or any is out of
-/// bounds.
-pub fn gather_mut<'a, T>(items: &'a mut [T], sorted_indices: &[usize]) -> Vec<&'a mut T> {
-    let mut picked = Vec::with_capacity(sorted_indices.len());
-    let mut rest = items;
-    let mut base = 0usize;
-    let mut prev: Option<usize> = None;
-    for &i in sorted_indices {
-        if let Some(p) = prev {
-            assert!(i > p, "indices must be strictly increasing (saw {i} after {p})");
-        }
-        prev = Some(i);
-        let (skipped, tail) = rest.split_at_mut(i - base);
-        let _ = skipped;
-        let (item, tail) = tail
-            .split_first_mut()
-            .expect("gather_mut index out of bounds");
-        picked.push(item);
-        rest = tail;
-        base = i + 1;
-    }
-    picked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,52 +777,5 @@ mod tests {
         let b = global_pool() as *const WorkerPool;
         assert_eq!(a, b);
         assert!(global_pool().threads() >= 1);
-    }
-
-    #[test]
-    fn gather_mut_picks_exactly_the_requested_slots() {
-        let mut v: Vec<u32> = (0..10).collect();
-        let picked = gather_mut(&mut v, &[0, 3, 9]);
-        assert_eq!(picked.len(), 3);
-        for p in picked {
-            *p += 100;
-        }
-        assert_eq!(v, vec![100, 1, 2, 103, 4, 5, 6, 7, 8, 109]);
-    }
-
-    #[test]
-    fn gather_mut_chunks_across_threads() {
-        let mut v = vec![0u64; 64];
-        let idx: Vec<usize> = (0..64).step_by(3).collect();
-        let mut picked = gather_mut(&mut v, &idx);
-        par_chunks_mut(&mut picked, 1, 4, |offset, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                **slot = (offset + k) as u64 + 1;
-            }
-        });
-        for (k, &i) in idx.iter().enumerate() {
-            assert_eq!(v[i], k as u64 + 1);
-        }
-        assert!(v.iter().filter(|&&x| x == 0).count() == 64 - idx.len());
-    }
-
-    #[test]
-    fn gather_mut_empty_indices() {
-        let mut v = vec![1u8; 4];
-        assert!(gather_mut(&mut v, &[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn gather_mut_rejects_duplicates() {
-        let mut v = vec![0u8; 4];
-        let _ = gather_mut(&mut v, &[2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn gather_mut_rejects_out_of_bounds() {
-        let mut v = vec![0u8; 4];
-        let _ = gather_mut(&mut v, &[1, 4]);
     }
 }

@@ -35,6 +35,11 @@ use std::ops::Range;
 pub struct ShardPartition {
     n: usize,
     shards: usize,
+    /// `n / shards` and `n % shards`: the first `rem` shards are
+    /// `base + 1` wide, the rest `base`. Divided once here — `owner` runs
+    /// per message of every maintenance cohort.
+    base: usize,
+    rem: usize,
 }
 
 impl ShardPartition {
@@ -42,9 +47,12 @@ impl ShardPartition {
     /// count of zero is treated as one; counts above `n` leave the
     /// excess shards empty (every node still has exactly one owner).
     pub fn new(n: usize, shards: usize) -> Self {
+        let shards = shards.max(1);
         ShardPartition {
             n,
-            shards: shards.max(1),
+            shards,
+            base: n / shards,
+            rem: n % shards,
         }
     }
 
@@ -70,15 +78,17 @@ impl ShardPartition {
     /// Panics if `i >= len()`.
     pub fn owner(&self, i: usize) -> usize {
         assert!(i < self.n, "node {i} outside population {}", self.n);
-        let base = self.n / self.shards;
-        let rem = self.n % self.shards;
+        if self.shards == 1 {
+            // No division on the per-message path of a one-shard run.
+            return 0;
+        }
         // The first `rem` shards are `base + 1` wide. (When `base == 0`
         // every node lands in the first branch: `rem == n` there.)
-        let wide = rem * (base + 1);
+        let wide = self.rem * (self.base + 1);
         if i < wide {
-            i / (base + 1)
+            i / (self.base + 1)
         } else {
-            rem + (i - wide) / base
+            self.rem + (i - wide) / self.base
         }
     }
 
@@ -89,10 +99,8 @@ impl ShardPartition {
     /// Panics if `s >= shards()`.
     pub fn range(&self, s: usize) -> Range<usize> {
         assert!(s < self.shards, "shard {s} outside partition {}", self.shards);
-        let base = self.n / self.shards;
-        let rem = self.n % self.shards;
-        let start = s * base + s.min(rem);
-        let len = base + usize::from(s < rem);
+        let start = s * self.base + s.min(self.rem);
+        let len = self.base + usize::from(s < self.rem);
         start..start + len
     }
 

@@ -38,7 +38,7 @@ days = 2
 [maintenance]
 mode = "converged"
 rebuild_every_mins = 60
-engine = "parallel"
+engine = "sharded"
 
 [workload]
 ops_per_hour = 10.0
