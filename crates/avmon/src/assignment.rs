@@ -28,8 +28,8 @@
 //! membership predicate's hash and of each other.
 
 use avmem_util::{
-    consistent_hash_keyed, consistent_hash_keyed_batch, consistent_point_keyed_batch, HashRing,
-    NodeId,
+    consistent_hash_keyed, consistent_hash_keyed_batch, consistent_hash_keyed_pair_batch,
+    consistent_point_keyed_batch, HashRing, NodeId,
 };
 use serde::{Deserialize, Serialize};
 
@@ -90,7 +90,7 @@ impl AllPairsAssignment {
     /// The positions in `population` of the targets `monitor` observes,
     /// appended to `out` in order — [`AllPairsAssignment::is_monitor`]
     /// over a whole row, hashed in one batch. `hashes` is scratch the
-    /// all-pairs index build reuses across its `N` rows.
+    /// service reuses across the rows one slot builds.
     pub(crate) fn targets_in(
         &self,
         monitor: NodeId,
@@ -107,6 +107,19 @@ impl AllPairsAssignment {
                 out.push(pos as u32);
             }
         }
+    }
+
+    /// The positions in `population` of the monitors of `target`,
+    /// ascending — [`AllPairsAssignment::is_monitor`] down a whole column,
+    /// hashed in one batch.
+    pub(crate) fn monitors_in(&self, target: NodeId, population: &[NodeId]) -> Vec<usize> {
+        let mut hashes = vec![0.0; population.len()];
+        let column = population.iter().map(|&monitor| (monitor, target));
+        consistent_hash_keyed_pair_batch(DOMAIN, column, &mut hashes);
+        let threshold = self.threshold();
+        (0..population.len())
+            .filter(|&pos| population[pos] != target && hashes[pos] <= threshold)
+            .collect()
     }
 }
 

@@ -16,10 +16,15 @@
 //! stepping, with one index layout per assignment strategy
 //! ([`AssignmentChoice`]):
 //!
-//! * **All-pairs** — the monitor relation is stored twice, as build-once
-//!   CSR indexes (u32 offsets; the relation is static, so churn never
-//!   touches them) — forward (`monitor → targets`) for the ping phase
-//!   and inverted (`target → (monitor, estimator)`) for the aggregation
+//! * **All-pairs** — the monitor relation is a pure function of ids, so
+//!   churn never rewrites it; it is *materialised* one monitor row at a
+//!   time, when a slot first finds the monitor online (a monitor that is
+//!   offline neither pings nor contributes to a median, so its row is
+//!   never read before that — and never hashed if it stays offline). The
+//!   built rows are stored twice, as CSR indexes (u32 offsets) — forward
+//!   (`row → targets`, rows in the order they were built) for the ping
+//!   phase and inverted (`target → (monitor, estimator)`, re-derived by
+//!   one counting sort in a slot that added rows) for the aggregation
 //!   phase — plus a flat columnar estimator arena aligned with the
 //!   forward index;
 //! * **Ring** — the relation churns incrementally, so the inverted index
@@ -73,11 +78,15 @@ const STREAM_PING_EDGE: u64 = 0x4156_4d4f_4e51;
 /// A vacant slot in the ring layout's fixed-width monitor rows.
 const NO_MONITOR: u32 = u32::MAX;
 
+/// A monitor of the all-pairs layout whose row has not been built.
+const NO_ROW: u32 = u32::MAX;
+
 /// Which monitor-assignment strategy the service builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum AssignmentChoice {
-    /// The paper's all-pairs hash-threshold rule: O(N²) build, exact
-    /// reference randomness, no incremental membership.
+    /// The paper's all-pairs hash-threshold rule: O(N) hashes per monitor
+    /// the run sees online (O(N²) in all), exact reference randomness, no
+    /// incremental membership.
     #[default]
     AllPairs,
     /// Consistent-hash-ring successors: O(N log N) build, O(k)
@@ -121,17 +130,25 @@ impl Default for AvmonConfig {
 /// The strategy-specific monitor indexes and estimator arena.
 #[derive(Debug, Clone)]
 enum MonitorIndex {
-    /// Build-once CSR pair for the static all-pairs relation.
+    /// CSR pair over the rows of the static all-pairs relation built so
+    /// far: those of the monitors some processed slot found online.
     AllPairs {
-        /// Forward CSR: monitor `m` observes
-        /// `target_ids[target_offsets[m]..target_offsets[m + 1]]`.
+        /// Monitor `m`'s row in the forward CSR, [`NO_ROW`] until a slot
+        /// first finds `m` online.
+        row_of: Vec<u32>,
+        /// The monitor of each row. Rows are appended slot by slot, a
+        /// slot's new monitors in ascending id, so the layout is a
+        /// function of the trace alone.
+        row_monitors: Vec<u32>,
+        /// Forward CSR: the monitor of row `r` observes
+        /// `target_ids[target_offsets[r]..target_offsets[r + 1]]`.
         target_offsets: Vec<u32>,
         target_ids: Vec<u32>,
         /// Flat estimator arena aligned with the forward index.
         estimators: Vec<PingEstimator>,
-        /// Inverted CSR: target `t` is observed by
-        /// `inv_entries[inv_offsets[t]..inv_offsets[t + 1]]`, each entry
-        /// a `(monitor, arena index)` pair, ascending by monitor.
+        /// Inverted CSR: of the monitors with a row, target `t` is
+        /// observed by `inv_entries[inv_offsets[t]..inv_offsets[t + 1]]`,
+        /// each entry a `(monitor, arena index)` pair, in row order.
         inv_offsets: Vec<u32>,
         inv_entries: Vec<(u32, u32)>,
     },
@@ -205,16 +222,27 @@ struct SlotInstruments {
 
 impl AvmonService {
     /// Builds the service for a trace population under the strategy in
-    /// `config.assignment`. All-pairs computes the full O(N²) relation
-    /// (rows hashed in parallel over the worker pool); ring places the
-    /// slot-0 online set on the ring and fills the fixed-width rows in
-    /// O(N (k + vnodes) log N). `seed` drives ping-loss randomness only.
+    /// `config.assignment`. All-pairs hashes nothing here: a monitor's
+    /// row of the relation is built by the first slot that finds the
+    /// monitor online ([`AvmonService::step_to`]), so the O(N) hashes per
+    /// monitor are paid by the run, for the monitors it sees. Ring places
+    /// the slot-0 online set on the ring and fills the fixed-width rows
+    /// in O(N (k + vnodes) log N). `seed` drives ping-loss randomness
+    /// only.
     pub fn new(trace: &ChurnTrace, config: AvmonConfig, seed: u64) -> Self {
         let n = trace.num_nodes();
         let (assignment, index) = match config.assignment {
             AssignmentChoice::AllPairs => {
                 let rule = AllPairsAssignment::new(config.cms, n as f64);
-                let index = build_all_pairs_index(trace, &rule);
+                let index = MonitorIndex::AllPairs {
+                    row_of: vec![NO_ROW; n],
+                    row_monitors: Vec::new(),
+                    target_offsets: vec![0],
+                    target_ids: Vec::new(),
+                    estimators: Vec::new(),
+                    inv_offsets: vec![0; n + 1],
+                    inv_entries: Vec::new(),
+                };
                 (MonitorAssignment::AllPairs(rule), index)
             }
             AssignmentChoice::Ring { vnodes, k } => {
@@ -277,7 +305,9 @@ impl AvmonService {
 
     /// Sets the shard count partitioning the node-indexed slot phases —
     /// each shard owns the contiguous estimator-arena and aggregate rows
-    /// of its nodes, matching the maintenance harness's ownership map.
+    /// of its nodes, matching the maintenance harness's ownership map
+    /// (the all-pairs ping phase carves the rows built so far, which are
+    /// in order of first appearance, into as many contiguous runs).
     /// Purely a performance knob: every shard count produces
     /// bit-identical estimates (per-edge randomness is keyed and every
     /// row's computation is independent), which the fan-out invariance
@@ -286,20 +316,20 @@ impl AvmonService {
         self.shards = shards.max(1);
     }
 
-    /// The monitors of `target` (by index) in this population, ascending:
-    /// served by the inverted CSR row (all-pairs) or the fixed-width row
-    /// (ring), either way in `O(monitors of target)`.
+    /// The monitors of `target` (by index) in this population, ascending.
+    /// All-pairs answers from the rule — one batched column of `N` hashes
+    /// — so the answer is the same pure function of ids before the first
+    /// slot and after any (the inverted index holds only the monitors
+    /// seen online so far); ring reads the fixed-width row, in `O(k)`.
     pub fn monitors_of_index(&self, target: usize) -> Vec<usize> {
         match &self.index {
-            MonitorIndex::AllPairs {
-                inv_offsets,
-                inv_entries,
-                ..
-            } => inv_entries
-                [inv_offsets[target] as usize..inv_offsets[target + 1] as usize]
-                .iter()
-                .map(|&(m, _)| m as usize)
-                .collect(),
+            MonitorIndex::AllPairs { .. } => {
+                let MonitorAssignment::AllPairs(rule) = &self.assignment else {
+                    unreachable!("all-pairs index without the all-pairs rule");
+                };
+                let ids: Vec<NodeId> = (0..self.aggregate.len() as u64).map(NodeId::new).collect();
+                rule.monitors_in(ids[target], &ids)
+            }
             MonitorIndex::Ring { k, monitors, .. } => {
                 let mut row: Vec<usize> = monitors[target * k..(target + 1) * k]
                     .iter()
@@ -312,10 +342,12 @@ impl AvmonService {
         }
     }
 
-    /// Processes all trace slots with start time `< now` that have not
+    /// Processes all trace slots with start time `<= now` that have not
     /// been processed yet: every online monitor pings its targets once
-    /// per slot, then per-target aggregates are refreshed. Chopping the
-    /// advance into several calls is identical to one big call.
+    /// per slot (an all-pairs monitor's row is hashed by the first slot
+    /// that finds it online), then per-target aggregates are refreshed.
+    /// Chopping the advance into several calls is identical to one big
+    /// call.
     pub fn step_to(&mut self, trace: &ChurnTrace, now: SimTime) {
         let slot_ms = trace.slot_duration().as_millis();
         let last_slot = ((now.as_millis() / slot_ms) as usize).min(trace.num_slots() - 1);
@@ -330,11 +362,13 @@ impl AvmonService {
         }
     }
 
-    /// One slot of the monitoring pipeline: ring resync (if churning),
-    /// then the two parallel phases, each partitioned into shard-owned
-    /// contiguous slices of the node-indexed state.
+    /// One slot of the monitoring pipeline: ring resync (if churning) or
+    /// the rows of newly seen all-pairs monitors, then the two parallel
+    /// phases, each partitioned into shard-owned contiguous slices of its
+    /// state.
     fn process_slot(&mut self, trace: &ChurnTrace, slot: usize) {
         self.sync_ring_to(trace, slot);
+        self.build_rows_first_online_in(trace, slot);
         let threads = self.threads;
         let shards = self.shards;
         let config = self.config;
@@ -342,38 +376,39 @@ impl AvmonService {
         // Ping phase — parallel, writing only the estimator arena.
         match &mut self.index {
             MonitorIndex::AllPairs {
+                row_monitors,
                 target_offsets,
                 target_ids,
                 estimators,
                 ..
             } => {
-                // Parallel over monitors: every monitor owns the disjoint
-                // arena range `target_offsets[m]..target_offsets[m+1]`,
-                // carved into per-monitor lanes up front; loss draws come
-                // from the monitor-slot's keyed stream, in target (CSR)
-                // order.
-                let n = target_offsets.len() - 1;
-                let mut lanes: Vec<&mut [PingEstimator]> = Vec::with_capacity(n);
+                // Parallel over built rows — every monitor that is online
+                // now has one: each row owns the disjoint arena range
+                // `target_offsets[r]..target_offsets[r+1]`, carved into
+                // per-row lanes up front; loss draws come from the
+                // monitor-slot's keyed stream, in target (CSR) order.
+                let mut lanes: Vec<&mut [PingEstimator]> = Vec::with_capacity(row_monitors.len());
                 let mut rest: &mut [PingEstimator] = estimators;
-                for m in 0..n {
-                    let len = (target_offsets[m + 1] - target_offsets[m]) as usize;
-                    let (lane, tail) = rest.split_at_mut(len);
+                for bounds in target_offsets.windows(2) {
+                    let (lane, tail) = rest.split_at_mut((bounds[1] - bounds[0]) as usize);
                     lanes.push(lane);
                     rest = tail;
                 }
+                let row_monitors = &*row_monitors;
                 let target_ids = &*target_ids;
                 let target_offsets = &*target_offsets;
-                let part = ShardPartition::new(n, shards);
+                let part = ShardPartition::new(lanes.len(), shards);
                 let mut tasks = shard_slices(part, 1, &mut lanes);
                 par_each_mut(&mut tasks, threads, |_, (offset, chunk)| {
                     let offset = *offset;
                     for (j, lane) in chunk.iter_mut().enumerate() {
-                        let m = offset + j;
+                        let r = offset + j;
+                        let m = row_monitors[r] as usize;
                         if lane.is_empty() || !trace.is_online_in_slot(m, slot) {
                             continue;
                         }
                         let targets = &target_ids
-                            [target_offsets[m] as usize..target_offsets[m + 1] as usize];
+                            [target_offsets[r] as usize..target_offsets[r + 1] as usize];
                         let mut loss = (config.ping_loss > 0.0).then(|| {
                             SplitMix64::keyed(&[seed, STREAM_PING, m as u64, slot as u64])
                         });
@@ -492,6 +527,83 @@ impl AvmonService {
         }
     }
 
+    /// All-pairs strategy only: builds the row of every monitor that is
+    /// online in `slot` and has none yet — each an independent N-scan of
+    /// the consistent-assignment hash, so the slot's new rows are hashed
+    /// in parallel (each one batch) — appends them to the forward CSR in
+    /// ascending monitor id with fresh estimators, and re-derives the
+    /// inverted CSR by counting sort. A monitor never records a ping nor
+    /// contributes to a median before the first slot it is online in, so
+    /// an estimator born here has missed nothing; a slot that meets no
+    /// new monitor changes nothing.
+    fn build_rows_first_online_in(&mut self, trace: &ChurnTrace, slot: usize) {
+        let MonitorIndex::AllPairs {
+            row_of,
+            row_monitors,
+            target_offsets,
+            target_ids,
+            estimators,
+            inv_offsets,
+            inv_entries,
+        } = &mut self.index
+        else {
+            return;
+        };
+        let MonitorAssignment::AllPairs(rule) = &self.assignment else {
+            unreachable!("all-pairs index without the all-pairs rule");
+        };
+        let n = row_of.len();
+        let new: Vec<u32> = (0..n as u32)
+            .filter(|&m| row_of[m as usize] == NO_ROW && trace.is_online_in_slot(m as usize, slot))
+            .collect();
+        if new.is_empty() {
+            return;
+        }
+        let ids: Vec<NodeId> = trace.node_ids().collect();
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); new.len()];
+        par_chunks_mut(&mut rows, 1, self.threads, |offset, chunk| {
+            let mut hashes = Vec::new();
+            for (j, row) in chunk.iter_mut().enumerate() {
+                rule.targets_in(ids[new[offset + j] as usize], &ids, &mut hashes, row);
+            }
+        });
+        let total = target_ids.len() + rows.iter().map(Vec::len).sum::<usize>();
+        assert!(
+            u32::try_from(total).is_ok(),
+            "monitor-target pairs exceed the index width"
+        );
+        for (&m, row) in new.iter().zip(&rows) {
+            row_of[m as usize] = row_monitors.len() as u32;
+            row_monitors.push(m);
+            target_ids.extend_from_slice(row);
+            target_offsets.push(target_ids.len() as u32);
+        }
+        estimators.resize(total, PingEstimator::new());
+        // Invert: count per target, prefix-sum, then one placement pass
+        // over the rows.
+        inv_offsets.fill(0);
+        for &t in target_ids.iter() {
+            inv_offsets[t as usize + 1] += 1;
+        }
+        for t in 0..n {
+            inv_offsets[t + 1] += inv_offsets[t];
+        }
+        let mut cursor: Vec<u32> = inv_offsets[..n].to_vec();
+        inv_entries.clear();
+        inv_entries.resize(total, (0, 0));
+        for (r, &m) in row_monitors.iter().enumerate() {
+            let start = target_offsets[r] as usize;
+            for (j, &t) in target_ids[start..target_offsets[r + 1] as usize]
+                .iter()
+                .enumerate()
+            {
+                let t = t as usize;
+                inv_entries[cursor[t] as usize] = (m, (start + j) as u32);
+                cursor[t] += 1;
+            }
+        }
+    }
+
     /// Ring strategy only: replays the trace's online-set transitions
     /// from the last synced slot up to `slot` through the ring's
     /// incremental join/leave, then repairs the affected fixed-width
@@ -561,6 +673,16 @@ impl AvmonService {
         }
     }
 
+    /// Number of monitor rows materialised so far: all-pairs builds a
+    /// monitor's row in the first processed slot that finds it online;
+    /// ring fills every target's row up front.
+    pub fn rows_built(&self) -> usize {
+        match &self.index {
+            MonitorIndex::AllPairs { row_monitors, .. } => row_monitors.len(),
+            MonitorIndex::Ring { k, monitors, .. } => monitors.len() / k,
+        }
+    }
+
     /// Number of slots processed so far.
     pub fn slots_processed(&self) -> usize {
         self.next_slot
@@ -615,64 +737,6 @@ fn push_estimate(estimator: &PingEstimator, config: &AvmonConfig, values: &mut V
     };
     if let Some(av) = est {
         values.push(av.value());
-    }
-}
-
-/// The all-pairs build: each monitor's target row is an independent
-/// N-scan of the consistent-assignment hash — the O(N²) SHA-256 cost —
-/// so rows are computed in parallel (each one batch of hashes), then
-/// inverted by counting sort.
-fn build_all_pairs_index(trace: &ChurnTrace, rule: &AllPairsAssignment) -> MonitorIndex {
-    let n = trace.num_nodes();
-    let ids: Vec<NodeId> = trace.node_ids().collect();
-    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
-    par_chunks_mut(&mut rows, 1, default_threads(), |offset, chunk| {
-        let mut hashes = Vec::new();
-        for (j, row) in chunk.iter_mut().enumerate() {
-            rule.targets_in(ids[offset + j], &ids, &mut hashes, row);
-        }
-    });
-    let total: usize = rows.iter().map(Vec::len).sum();
-    assert!(
-        u32::try_from(total).is_ok(),
-        "monitor-target pairs exceed the index width"
-    );
-    let mut target_offsets = Vec::with_capacity(n + 1);
-    let mut target_ids = Vec::with_capacity(total);
-    target_offsets.push(0u32);
-    for row in &rows {
-        target_ids.extend_from_slice(row);
-        target_offsets.push(target_ids.len() as u32);
-    }
-    // Invert: count per target, prefix-sum, then one placement pass.
-    // Monitors are visited in ascending order, so each target's entries
-    // come out sorted by monitor.
-    let mut inv_offsets = vec![0u32; n + 1];
-    for &t in &target_ids {
-        inv_offsets[t as usize + 1] += 1;
-    }
-    for t in 0..n {
-        inv_offsets[t + 1] += inv_offsets[t];
-    }
-    let mut cursor: Vec<u32> = inv_offsets[..n].to_vec();
-    let mut inv_entries = vec![(0u32, 0u32); total];
-    for m in 0..n {
-        let start = target_offsets[m] as usize;
-        for (j, &t) in target_ids[start..target_offsets[m + 1] as usize]
-            .iter()
-            .enumerate()
-        {
-            let t = t as usize;
-            inv_entries[cursor[t] as usize] = (m as u32, (start + j) as u32);
-            cursor[t] += 1;
-        }
-    }
-    MonitorIndex::AllPairs {
-        target_offsets,
-        target_ids,
-        estimators: vec![PingEstimator::new(); total],
-        inv_offsets,
-        inv_entries,
     }
 }
 
@@ -879,14 +943,17 @@ mod tests {
     #[test]
     fn forward_and_inverted_indexes_agree() {
         let trace = small_trace();
-        let service = AvmonService::new(&trace, AvmonConfig::default(), 1);
+        let mut service = AvmonService::new(&trace, AvmonConfig::default(), 1);
+        service.step_to(&trace, SimTime::ZERO + SimDuration::from_hours(20));
         let n = trace.num_nodes();
         let MonitorIndex::AllPairs {
+            row_of,
+            row_monitors,
             target_offsets,
             target_ids,
+            estimators,
             inv_offsets,
             inv_entries,
-            ..
         } = &service.index
         else {
             panic!("default config builds the all-pairs index");
@@ -898,14 +965,28 @@ mod tests {
             for &(m, est) in
                 &inv_entries[inv_offsets[t] as usize..inv_offsets[t + 1] as usize]
             {
-                let (m, est) = (m as usize, est);
-                assert!(est >= target_offsets[m]);
-                assert!(est < target_offsets[m + 1]);
+                let r = row_of[m as usize] as usize;
+                assert_eq!(row_monitors[r], m);
+                assert!(est >= target_offsets[r]);
+                assert!(est < target_offsets[r + 1]);
                 assert_eq!(target_ids[est as usize] as usize, t);
                 seen += 1;
             }
         }
         assert_eq!(seen, target_ids.len());
+        assert_eq!(estimators.len(), target_ids.len());
+        // Exactly the monitors online in some processed slot have a row;
+        // one that never was owns no row, hence no lane of the arena.
+        let (mut with_row, mut without) = (0, 0);
+        for (m, &row) in row_of.iter().enumerate() {
+            let seen_online =
+                (0..service.slots_processed()).any(|slot| trace.is_online_in_slot(m, slot));
+            assert_eq!(row != NO_ROW, seen_online, "monitor {m}");
+            with_row += usize::from(seen_online);
+            without += usize::from(!seen_online);
+        }
+        assert_eq!(row_monitors.len(), with_row);
+        assert!(with_row > 0 && without > 0, "{with_row} rows, {without} monitors without");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! taken from the same counter-keyed `(seed, STREAM_PING, monitor,
 //! slot)` streams the service uses. With `ping_loss = 0` no stream is
 //! ever drawn, so the reference is *exactly* the seed implementation.
+//! It also keeps hashing the whole monitor relation up front, where the
+//! service builds a monitor's row in the first slot that finds it online.
 
 use avmem_avmon::{AvailabilityOracle, AvmonConfig, AvmonService, MonitorAssignment, PingEstimator};
 use avmem_sim::{SimDuration, SimTime};
@@ -221,6 +223,75 @@ fn chopped_advances_equal_one_shot() {
     }
     assert_eq!(one_shot.slots_processed(), chopped.slots_processed());
     assert_eq!(aggregates(&one_shot, n), aggregates(&chopped, n));
+}
+
+#[test]
+fn rows_built_on_first_online_match_the_eager_reference() {
+    // Ten hours of a one-day trace: some hosts are online from slot 0,
+    // some first come online later, some not at all in the window — so
+    // the service builds rows in several slots and leaves some unbuilt,
+    // while the reference holds the full relation from the start.
+    let trace = trace(90, 17);
+    let n = trace.num_nodes();
+    let first_online = |m: usize, slots: usize| {
+        (0..slots).find(|&slot| trace.is_online_in_slot(m, slot))
+    };
+    let mae_of = |aggregate: &[Option<Availability>]| {
+        let errors: Vec<f64> = aggregate
+            .iter()
+            .enumerate()
+            .filter_map(|(i, a)| {
+                let truth = trace.long_term_availability(i).value();
+                Some((a.as_ref()?.value() - truth).abs())
+            })
+            .collect();
+        (!errors.is_empty()).then(|| errors.iter().sum::<f64>() / errors.len() as f64)
+    };
+    for ping_loss in [0.0, 0.3] {
+        let config = AvmonConfig {
+            ping_loss,
+            ..AvmonConfig::default()
+        };
+        for fan_out in [1, 2, 8] {
+            for chop in [&[600][..], &[35, 205, 20, 340]] {
+                let label = format!("loss {ping_loss}, fan-out {fan_out}, chop {chop:?}");
+                let mut reference = SerialReference::new(&trace, config, 99);
+                let mut service = AvmonService::new(&trace, config, 99);
+                service.set_threads(fan_out);
+                service.set_shards(fan_out);
+                assert_eq!(service.rows_built(), 0, "{label}: rows before any slot");
+                let mut now = SimTime::ZERO;
+                for &mins in chop {
+                    now += SimDuration::from_mins(mins);
+                    reference.step_to(&trace, now);
+                    service.step_to(&trace, now);
+                    let slots = service.slots_processed();
+                    assert_eq!(slots, reference.next_slot, "{label}: slots at {now:?}");
+                    let expected: Vec<Option<f64>> =
+                        reference.aggregate.iter().map(|a| a.map(|av| av.value())).collect();
+                    assert_eq!(aggregates(&service, n), expected, "{label}: aggregates at {now:?}");
+                    assert_eq!(
+                        service.mean_absolute_error(&trace),
+                        mae_of(&reference.aggregate),
+                        "{label}: error summary at {now:?}"
+                    );
+                    assert_eq!(
+                        service.rows_built(),
+                        (0..n).filter(|&m| first_online(m, slots).is_some()).count(),
+                        "{label}: rows at {now:?}"
+                    );
+                }
+                // The window must hold all three kinds of monitor.
+                let slots = service.slots_processed();
+                let late = (0..n)
+                    .filter(|&m| first_online(m, slots).is_some_and(|k| k > 0))
+                    .count();
+                let never = (0..n).filter(|&m| first_online(m, slots).is_none()).count();
+                assert!(late > 0 && never > 0 && late + never < n, "{late} late, {never} never");
+                assert!(mae_of(&reference.aggregate).is_some(), "{label}: no estimates");
+            }
+        }
+    }
 }
 
 #[test]

@@ -536,6 +536,8 @@ impl AvmemSim {
         let ctx = MaintCtx {
             memo: &memo,
             epoch: self.oracle.epoch(t),
+            settle_above: (self.hashes.is_cached() && self.oracle.epoch_moves())
+                .then(|| memo.vertical_ceiling()),
             oracle: &self.oracle,
             hashes: &self.hashes,
             shuffles: &self.shuffles,

@@ -208,8 +208,10 @@ pub struct SimConfig {
     /// nothing and hash on the fly, in batches. See
     /// [`crate::harness::PairHashes::with_budget`]. The same bound
     /// decides whether event-driven finalize keeps its per-pair verdict
-    /// memory — one bit per ordered pair, `N²/8` bytes, 1/64 of the
-    /// matrix the budget stands for — or the view-scoped no-insert lists.
+    /// memory — one bit per ordered pair, `N²/8` bytes; two, `N²/4`,
+    /// under an oracle whose epoch moves (the second holds the verdicts
+    /// that outlive a turnover), 1/32 of the matrix the budget stands for
+    /// — or the view-scoped no-insert lists.
     pub hash_budget: usize,
 }
 

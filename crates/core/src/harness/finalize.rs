@@ -34,7 +34,8 @@ pub(super) struct FinalizeShardState {
     /// The verdict memory — the discovery filter where the pair space
     /// fits the hash budget ([`PairHashes::is_cached`]: `8·N²` bytes
     /// within [`super::SimConfig::hash_budget`]; this costs `N²/8`, 1/64
-    /// of the matrix the budget stands for). Per node an `N`-bit *skip row*,
+    /// of the matrix the budget stands for — `N²/4`, 1/32, with the
+    /// `settled` rows a moving epoch adds). Per node an `N`-bit *skip row*,
     /// empty until the node's first stamped discovery: bit `y` says the
     /// pair `(x, y)` needs no evaluation at the `seen_stamp` epoch — `y`
     /// is a neighbor already, or the pair classified to no insert (no
@@ -44,10 +45,11 @@ pub(super) struct FinalizeShardState {
     /// shard-global pair map, whose DRAM-sized probe/insert traffic costs
     /// more than the pipeline it skips.
     ///
-    /// A discovery that finds the row new or under another stamp zeroes
-    /// it and marks the node's current neighbors — once per node per
-    /// epoch; every candidate it then evaluates sets its bit, inserted or
-    /// not. That is exact: classification is a pure function of `(own_av,
+    /// A discovery that finds the row new or under another stamp resets
+    /// it — to zero, or to the node's `settled` row where there is one —
+    /// and marks the node's current neighbors, once per node per epoch;
+    /// every candidate it then evaluates sets its bit, inserted or not.
+    /// That is exact: classification is a pure function of `(own_av,
     /// y_av, hash, thresholds)` and estimates are pure within an epoch, so
     /// a verdict holds wherever the pair has been in the meantime, and
     /// each pair is estimated and hashed at most once per epoch; only
@@ -57,6 +59,27 @@ pub(super) struct FinalizeShardState {
     /// verdict. A refresh at a newer epoch than the row's leaves the row
     /// stale-stamped, for the next discovery to reset.
     pub(super) verdicts: Vec<Vec<u64>>,
+    /// The verdicts that outlive their epoch, kept where the verdict
+    /// memory runs under an oracle whose epoch moves
+    /// ([`MaintCtx::settle_above`]; unsized otherwise — a skip row that is
+    /// never reset has nothing to carry over). Per node a second `N`-bit
+    /// row beside the skip row: bit `y` says `H(x, y) > ceiling[x]`, and
+    /// `ceiling[x]` is at least every threshold Eq. 1 can compare that
+    /// hash with while the bit stands — the predicate's largest vertical
+    /// threshold, and the largest horizontal threshold `x` has had at a
+    /// discovery since the row was last zeroed. The left side of Eq. 1 is
+    /// a function of ids, so such a pair classifies to no insert whatever
+    /// the oracle comes to say about either node: a turnover resets the
+    /// skip row to `settled | neighbors` instead of `0 | neighbors`. A
+    /// discovery that finds `x`'s horizontal threshold above the ceiling
+    /// raises the ceiling and zeroes the row *before* reading it, so no
+    /// bit is ever read under a threshold it was not set against. Empty
+    /// until the node's first discovery, and for good once the ceiling
+    /// reaches 1 (no hash exceeds it).
+    pub(super) settled: Vec<Vec<u64>>,
+    /// Per node: the bound its `settled` bits were set against; 0 before
+    /// the node's first discovery. Never lowered.
+    pub(super) ceiling: Vec<f64>,
     /// The no-insert memory beyond the budget, where a `N/8`-byte row
     /// per node is not affordable (125 KB at 10⁶ hosts) and a pair
     /// rarely re-enters a view anyway: per node, the candidate ids (a
@@ -71,9 +94,9 @@ pub(super) struct FinalizeShardState {
 
 impl FinalizeShardState {
     /// Sizes the per-node columns for a shard of `len` nodes. Only the
-    /// running regime's no-insert column is sized: the other one stays
-    /// unallocated.
-    fn ensure_len(&mut self, len: usize, verdict_memory: bool) {
+    /// running regime's no-insert column is sized — the other one stays
+    /// unallocated — and the settled rows only where they run (`settles`).
+    fn ensure_len(&mut self, len: usize, verdict_memory: bool, settles: bool) {
         if self.horizontal.len() != len {
             self.horizontal_stamp.resize(len, 0);
             self.horizontal.resize(len, 0.0);
@@ -83,6 +106,10 @@ impl FinalizeShardState {
                 self.verdicts.resize_with(len, Vec::new);
             } else {
                 self.seen.resize_with(len, Vec::new);
+            }
+            if settles {
+                self.settled.resize_with(len, Vec::new);
+                self.ceiling.resize(len, 0.0);
             }
         }
     }
@@ -123,6 +150,11 @@ pub(super) struct MaintCtx<'a> {
     /// nothing may be cached across cohorts and no refresh may be
     /// skipped (estimates can change without any epoch tick).
     pub(super) epoch: Option<u64>,
+    /// The predicate's largest vertical threshold
+    /// ([`SimMemo::vertical_ceiling`]) where verdicts may settle — the
+    /// verdict memory runs and the oracle's epoch can move, so skip rows
+    /// are reset; `None` elsewhere, and no settled row exists.
+    pub(super) settle_above: Option<f64>,
     pub(super) oracle: &'a SimOracle,
     pub(super) hashes: &'a PairHashes,
     pub(super) shuffles: &'a [ShuffleNode],
@@ -181,7 +213,7 @@ impl MaintCtx<'_> {
         // per-node state is sized at all.
         let verdict_memory = self.hashes.is_cached();
         if stamp.is_some() {
-            state.ensure_len(shard_len, verdict_memory);
+            state.ensure_len(shard_len, verdict_memory, self.settle_above.is_some());
         }
         let horizontal = match stamp {
             Some(stamp) => {
@@ -216,14 +248,44 @@ impl MaintCtx<'_> {
             // in the view-scoped regime and without a stamp, which filter
             // through the shard's id table instead.
             let mut skip_row = None;
+            // The node's settled row and the ceiling its bits are set
+            // against; `None` where nothing settles (no such regime, or a
+            // ceiling no hash exceeds).
+            let mut settled_row = None;
             match stamp {
                 Some(stamp) if verdict_memory => {
+                    let words = self.shuffles.len().div_ceil(64);
+                    if let Some(vertical) = self.settle_above {
+                        let (settled, ceiling) =
+                            (&mut state.settled[local], &mut state.ceiling[local]);
+                        let bound = vertical.max(horizontal);
+                        if bound > *ceiling {
+                            // The node's first discovery, or its horizontal
+                            // threshold outgrew the bound its bits were set
+                            // against: those pairs are open again.
+                            stats.ceiling_raises += u64::from(!settled.is_empty());
+                            *ceiling = bound;
+                            // No hash exceeds a ceiling of 1: no row.
+                            *settled = if bound < 1.0 { vec![0; words] } else { Vec::new() };
+                        }
+                        if !settled.is_empty() {
+                            settled_row = Some((settled, *ceiling));
+                        }
+                    }
                     let row = &mut state.verdicts[local];
                     if state.seen_stamp[local] != stamp {
-                        // New, or another epoch's: forget every verdict,
-                        // keep skipping the neighbors.
+                        // New, or another epoch's: forget every verdict
+                        // that has not settled, keep skipping the
+                        // neighbors.
                         row.clear();
-                        row.resize(self.shuffles.len().div_ceil(64), 0);
+                        match &settled_row {
+                            Some((settled, _)) => {
+                                row.extend_from_slice(settled);
+                                stats.verdicts_carried +=
+                                    settled.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+                            }
+                            None => row.resize(words, 0),
+                        }
                         for &member in membership.columns(SliverScope::Both).ids {
                             let (word, mask) = verdict_bit(member as usize);
                             row[word] |= mask;
@@ -311,9 +373,16 @@ impl MaintCtx<'_> {
                     if let Some(row) = skip_row.as_mut() {
                         // Evaluated: a neighbor now, or a no-insert
                         // verdict — either way nothing to evaluate again
-                        // at this epoch.
+                        // at this epoch; nor at any other, if the hash is
+                        // out of every threshold's reach (strictly:
+                        // `classify_hashed` inserts on `hash <= threshold`).
                         let (word, mask) = verdict_bit(y);
                         row[word] |= mask;
+                        if let Some((settled, ceiling)) = settled_row.as_mut() {
+                            if hash > *ceiling {
+                                settled[word] |= mask;
+                            }
+                        }
                     } else if !kept && stamp.is_some() {
                         seen_scratch.push(y as u32);
                     }
@@ -434,6 +503,14 @@ pub struct FinalizeStats {
     pub discover_pruned: u64,
     /// Availability estimates served through batched oracle calls.
     pub batched_estimates: u64,
+    /// Verdicts that outlived their epoch: the settled bits (pair hash
+    /// above every threshold the node can apply) copied into a skip row
+    /// at each reset of it, summed. 0 where skip rows are never reset (a
+    /// fixed epoch) or do not exist (beyond the hash budget, no epoch).
+    pub verdicts_carried: u64,
+    /// Settled rows zeroed because the node's horizontal threshold
+    /// outgrew the ceiling their bits were set against.
+    pub ceiling_raises: u64,
     /// Pair-hash reads by source.
     pub pair_hash: PairHashStats,
 }
@@ -448,6 +525,8 @@ impl FinalizeStats {
         self.refresh_evaluated += other.refresh_evaluated;
         self.discover_pruned += other.discover_pruned;
         self.batched_estimates += other.batched_estimates;
+        self.verdicts_carried += other.verdicts_carried;
+        self.ceiling_raises += other.ceiling_raises;
         self.pair_hash.hashed += other.pair_hash.hashed;
         self.pair_hash.delegated += other.pair_hash.delegated;
     }

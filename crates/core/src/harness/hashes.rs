@@ -155,7 +155,8 @@ impl PairHashes {
 
     /// Whether the dense matrix fits the budget: rows are kept once a
     /// full-row or point reader materializes them, and the finalize fast
-    /// path may afford its `N²/8`-byte verdict memory.
+    /// path may afford its verdict memory (`N²/8` bytes, `N²/4` under a
+    /// moving epoch).
     pub fn is_cached(&self) -> bool {
         self.rows.is_some()
     }

@@ -74,6 +74,16 @@ impl<'p> SimMemo<'p> {
         }
     }
 
+    /// The largest vertical threshold any pair can meet under this
+    /// predicate ([`ThresholdMemo::vertical_ceiling`]; the random
+    /// baseline's one `p`).
+    pub(super) fn vertical_ceiling(&self) -> f64 {
+        match self {
+            SimMemo::Avmem(memo) => memo.vertical_ceiling(),
+            SimMemo::Random { p, .. } => *p,
+        }
+    }
+
     /// Like [`SimMemo::source`], but with the horizontal threshold
     /// supplied by the caller (from [`SimMemo::horizontal_of`], possibly
     /// epoch-cached) instead of recomputed.

@@ -3,7 +3,7 @@
 //! the one cohort path against the model (`model.rs`).
 
 use super::cohort::INLINE_COHORT_EVENTS;
-use super::finalize::{compact_stamp, verdict_bit};
+use super::finalize::{compact_stamp, verdict_bit, FinalizeShardState};
 use super::model::{assert_matches, model_of};
 use super::*;
 use crate::membership::SliverScope;
@@ -11,7 +11,7 @@ use crate::ops::anycast::AnycastConfig;
 use crate::ops::multicast::MulticastConfig;
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
-use crate::predicate::{MembershipPredicate, NodeInfo};
+use crate::predicate::{AvmemPredicate, MembershipPredicate, NodeInfo, RandomPredicate};
 use avmem_trace::OvernetModel;
 
 fn small_sim(seed: u64) -> AvmemSim {
@@ -347,6 +347,19 @@ fn event_driven_sim(
     AvmemSim::new(trace, cfg)
 }
 
+/// Shared noise of amplitude 0.05, re-drawn every `mins` minutes.
+fn shared_noise(mins: u64) -> OracleChoice {
+    OracleChoice::NoisyShared {
+        error: 0.05,
+        staleness: SimDuration::from_mins(mins),
+    }
+}
+
+/// The finalize memory of a one-shard run.
+fn finalize_state(sim: &AvmemSim) -> &FinalizeShardState {
+    &sim.maint.as_ref().expect("maintenance ran").scratches[0].finalize
+}
+
 /// Every set bit of every skip row of the run so far, as `(x, y,
 /// stamp)`.
 fn set_verdicts(sim: &AvmemSim) -> Vec<(usize, usize, u32)> {
@@ -364,10 +377,20 @@ fn set_verdicts(sim: &AvmemSim) -> Vec<(usize, usize, u32)> {
     set
 }
 
+/// Every set bit of every settled row of a one-shard run, as `(x, y)`.
+fn settled_pairs(sim: &AvmemSim) -> Vec<(usize, usize)> {
+    let n = sim.trace().num_nodes();
+    let mut set = Vec::new();
+    for (x, row) in finalize_state(sim).settled.iter().enumerate() {
+        set.extend((0..n).filter(|&y| bit_is_set(row, y)).map(|y| (x, y)));
+    }
+    set
+}
+
 /// Node `x`'s skip row on a one-shard engine — its stamp and its words
 /// (stamp 0, no words: not allocated yet).
 fn skip_row(sim: &AvmemSim, x: usize) -> (u32, &[u64]) {
-    let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].finalize;
+    let state = finalize_state(sim);
     match state.verdicts.get(x) {
         Some(row) => (state.seen_stamp[x], row),
         None => (0, &[]),
@@ -616,6 +639,165 @@ fn a_refresh_only_cohort_at_a_new_epoch_leaves_a_stale_row_for_discovery_to_rese
 }
 
 #[test]
+fn a_settled_pair_is_re_evaluated_once_its_nodes_ceiling_rises() {
+    // Shared noise re-drawn every two minutes moves every node's own
+    // estimate by up to 0.05 a turnover, and with it the node's
+    // horizontal threshold — across the ceiling its settled bits were
+    // set against whenever the estimate drifts into a thinner band of
+    // the PDF. Walk the run tick by tick: every settled bit must be the
+    // fact about ids it claims to be, and some pair that was settled
+    // must turn up as a neighbor later — inserted under a threshold that
+    // outgrew the old ceiling, which a row that is not zeroed on a raise
+    // would never find out.
+    let mut sim = event_driven_sim(
+        300,
+        shared_noise(2),
+        MaintenanceEngine::Serial,
+        hashes::DEFAULT_HASH_BUDGET,
+    );
+    let mut settled_once = std::collections::HashSet::new();
+    let (mut revived, mut confirmed) = (0, 0);
+    for _ in 0..120 {
+        sim.warm_up(SimDuration::from_secs(15));
+        let current = stamp_at(&sim, sim.now());
+        let state = finalize_state(&sim);
+        for (x, y) in settled_pairs(&sim) {
+            let hash = avmem_util::consistent_hash(NodeId::new(x as u64), NodeId::new(y as u64));
+            assert!(hash > state.ceiling[x], "({x}, {y}) settled at or under its ceiling");
+            assert!(
+                !sim.memberships[x].contains(NodeId::new(y as u64)),
+                "settled pair ({x}, {y}) is a neighbor"
+            );
+            // A node that discovered in this epoch has checked its
+            // ceiling against this epoch's thresholds: Eq. 1, pair at a
+            // time, must agree with every bit it kept.
+            if state.seen_stamp[x] == current {
+                assert!(classifies_to_no_insert(&sim, x, y), "Eq. 1 accepts settled ({x}, {y})");
+                confirmed += 1;
+            }
+            settled_once.insert((x, y));
+        }
+        settled_once.retain(|&(x, y)| {
+            let inserted = sim.memberships[x].contains(NodeId::new(y as u64));
+            revived += usize::from(inserted);
+            !inserted
+        });
+    }
+    let stats = sim.finalize_stats();
+    assert!(confirmed > 10_000, "only {confirmed} settled bits checked");
+    assert!(stats.verdicts_carried > 0 && stats.ceiling_raises > 0, "{stats:?}");
+    assert!(revived > 0, "no settled pair was ever inserted after a raise");
+    assert_matches(&model_of(&sim), &sim, "hand case");
+}
+
+#[test]
+fn with_a_massless_pdf_bucket_nothing_settles_and_no_row_is_allocated() {
+    // Rule I.B caps at 1.0 for candidates in a bucket without mass, so
+    // the largest vertical threshold is 1 and no hash is above any
+    // node's ceiling: the regime runs (shared noise, verdict bits) and
+    // has nothing to keep.
+    let mut sim = event_driven_sim(
+        90,
+        shared_noise(2),
+        MaintenanceEngine::Serial,
+        hashes::DEFAULT_HASH_BUDGET,
+    );
+    let mut model = model::Model::new(sim.trace().clone(), sim.config);
+    let SimPredicate::Avmem(built) = &sim.predicate else {
+        panic!("paper default is the AVMEM predicate");
+    };
+    let pdf = built.pdf();
+    let mut mass: Vec<f64> = (0..pdf.buckets()).map(|b| pdf.bucket_mass(b)).collect();
+    mass[3] = 0.0;
+    let holed = SimPredicate::Avmem(AvmemPredicate::new(
+        built.epsilon(),
+        built.n_star(),
+        built.vertical_rule(),
+        built.horizontal_rule(),
+        AvailabilityPdf::from_bucket_mass(mass),
+    ));
+    assert_eq!(memo::SimMemo::build(&holed).vertical_ceiling(), 1.0);
+    sim.predicate = holed.clone();
+    model.sim.predicate = holed;
+    sim.warm_up(SimDuration::from_mins(30));
+    model.advance_to(sim.now());
+    let state = finalize_state(&sim);
+    assert!(state.verdicts.iter().any(|row| !row.is_empty()), "no skip row either");
+    assert!(state.ceiling.contains(&1.0), "no node discovered");
+    assert!(state.ceiling.iter().all(|&c| c == 0.0 || c == 1.0));
+    assert!(state.settled.iter().all(Vec::is_empty), "a settled row under a ceiling of 1");
+    let stats = sim.finalize_stats();
+    assert!(stats.discover_pruned > 0 && stats.memo_misses > 100, "{stats:?}");
+    assert_eq!((stats.verdicts_carried, stats.ceiling_raises), (0, 0));
+    assert!(sim.snapshot().mean_degree() > 0.5, "no overlay built");
+    assert_matches(&model, &sim, "massless bucket");
+}
+
+#[test]
+fn a_hash_equal_to_the_ceiling_does_not_settle() {
+    // `classify_hashed` inserts on `hash <= threshold`, so only a hash
+    // strictly above the ceiling is out of reach. The flat baseline makes
+    // the boundary reachable: its one threshold `p` is every node's
+    // ceiling, and `p` can be set to the hash of a pair the run evaluates.
+    // Shuffle views do not depend on the predicate, so a first run at
+    // `p = 1`, which inserts whatever it evaluates, names those pairs.
+    let run = |p: f64| {
+        let mut sim = event_driven_sim(
+            60,
+            shared_noise(2),
+            MaintenanceEngine::Serial,
+            hashes::DEFAULT_HASH_BUDGET,
+        );
+        let mut model = model::Model::new(sim.trace().clone(), sim.config);
+        let flat = SimPredicate::Random(RandomPredicate::new(p));
+        sim.predicate = flat.clone();
+        model.sim.predicate = flat;
+        sim.warm_up(SimDuration::from_mins(10));
+        (sim, model)
+    };
+    let id = |i: usize| NodeId::new(i as u64);
+    let hash_of = |x: usize, y: usize| avmem_util::consistent_hash(id(x), id(y));
+    let (everything, _) = run(1.0);
+    let (x, y) = (0..60)
+        .flat_map(|x| neighbor_ids(&everything, x).into_iter().map(move |y| (x, y)))
+        .min_by(|&(ax, ay), &(bx, by)| {
+            let off = |x, y| (hash_of(x, y) - 0.25).abs();
+            off(ax, ay).total_cmp(&off(bx, by))
+        })
+        .expect("the run evaluated some pair");
+    let p = hash_of(x, y);
+    let (sim, mut model) = run(p);
+    model.advance_to(sim.now());
+    let state = finalize_state(&sim);
+    assert_eq!(state.ceiling[x], p);
+    assert!(neighbor_ids(&sim, x).contains(&y), "hash == p must insert ({x}, {y})");
+    assert!(!bit_is_set(&state.settled[x], y), "({x}, {y}) settled at its ceiling");
+    let settled = settled_pairs(&sim);
+    assert!(settled.iter().any(|&(sx, _)| sx == x), "node {x} settled nothing");
+    for (sx, sy) in settled {
+        assert!(hash_of(sx, sy) > p && !neighbor_ids(&sim, sx).contains(&sy));
+    }
+    assert_matches(&model, &sim, "flat baseline at a pair's hash");
+}
+
+#[test]
+fn a_fixed_epoch_allocates_no_settled_row() {
+    // Ground truth's one epoch never turns over, so a skip row is never
+    // reset and there is nothing to carry: neither column is sized.
+    let mut sim = event_driven_sim(
+        100,
+        OracleChoice::Exact,
+        MaintenanceEngine::Serial,
+        hashes::DEFAULT_HASH_BUDGET,
+    );
+    sim.warm_up(SimDuration::from_mins(10));
+    let state = finalize_state(&sim);
+    assert!(state.verdicts.iter().any(|row| !row.is_empty()), "no skip row either");
+    assert!(state.settled.is_empty() && state.ceiling.is_empty());
+    assert_eq!(sim.finalize_stats().verdicts_carried, 0);
+}
+
+#[test]
 fn a_row_allocated_for_a_node_with_neighbors_carries_their_bits() {
     // Lists built before any row exists: a converged rebuild, then
     // the same simulation continues event-driven. Each node's first
@@ -697,13 +879,22 @@ fn a_verdict_row_is_allocated_at_the_nodes_first_stamped_discovery() {
 
 #[test]
 fn beyond_the_budget_no_verdict_row_exists() {
-    let mut sim = event_driven_sim(100, OracleChoice::Exact, MaintenanceEngine::Serial, 0);
-    sim.warm_up(SimDuration::from_mins(10));
-    let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].finalize;
-    assert!(state.verdicts.is_empty());
-    assert_eq!(state.seen.len(), 100);
-    assert!(state.seen.iter().any(|list| !list.is_empty()));
-    assert!(sim.finalize_stats().discover_pruned > 0);
+    // Nor a settled row, whether or not the epoch moves: what settles is
+    // carried in skip rows.
+    let shared_noise = OracleChoice::NoisyShared {
+        error: 0.05,
+        staleness: SimDuration::from_mins(2),
+    };
+    for oracle in [OracleChoice::Exact, shared_noise] {
+        let mut sim = event_driven_sim(100, oracle, MaintenanceEngine::Serial, 0);
+        sim.warm_up(SimDuration::from_mins(10));
+        let state = finalize_state(&sim);
+        assert!(state.verdicts.is_empty() && state.settled.is_empty() && state.ceiling.is_empty());
+        assert_eq!(state.seen.len(), 100);
+        assert!(state.seen.iter().any(|list| !list.is_empty()));
+        assert!(sim.finalize_stats().discover_pruned > 0);
+        assert_eq!(sim.finalize_stats().verdicts_carried, 0);
+    }
 }
 
 #[test]
@@ -721,8 +912,9 @@ fn per_querier_noise_allocates_no_finalize_state() {
         let stats = sim.finalize_stats();
         assert!(stats.memo_bypassed > 0 && stats.batched_estimates > 0);
         assert_eq!((stats.memo_hits, stats.discover_pruned), (0, 0));
-        let state = &sim.maint.as_ref().expect("maintenance ran").scratches[0].finalize;
+        let state = finalize_state(&sim);
         assert!(state.verdicts.is_empty() && state.seen.is_empty());
+        assert!(state.settled.is_empty() && state.ceiling.is_empty());
         assert!(state.seen_stamp.is_empty() && state.horizontal.is_empty());
     }
 }

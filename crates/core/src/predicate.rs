@@ -459,6 +459,22 @@ impl ThresholdMemo<'_> {
         }
     }
 
+    /// The largest value [`SourceThresholds::vertical`] can return, for
+    /// any source and any candidate: `d₁` for I.A, the largest capped
+    /// bucket threshold for I.B (1.0 once a bucket has no mass), and 1.0
+    /// for I.C, whose distance factor is unbounded per pair. A pair hash
+    /// above it can pass no vertical test of this predicate, whatever
+    /// availabilities the pair is estimated at.
+    pub fn vertical_ceiling(&self) -> f64 {
+        match &self.vertical {
+            VerticalMemo::Constant { d1 } => *d1,
+            VerticalMemo::Logarithmic { threshold } => {
+                threshold.iter().fold(0.0, |max, &t| max.max(t.min(1.0)))
+            }
+            VerticalMemo::Decreasing { .. } => 1.0,
+        }
+    }
+
     /// Fixes the source node, computing its horizontal threshold (the
     /// expensive band integrals) exactly once.
     pub fn source(&self, x: Availability) -> SourceThresholds<'_> {
@@ -934,6 +950,7 @@ mod tests {
                 let pred =
                     AvmemPredicate::new(0.1, 1442.0, vertical, horizontal, pdf.clone());
                 let memo = pred.rebuild_memo();
+                let mut largest_vertical = 0.0f64;
                 for xi in 0..40 {
                     let x = av(xi as f64 / 39.0);
                     let source = memo.source(x);
@@ -944,8 +961,15 @@ mod tests {
                             pred.threshold(x, y).to_bits(),
                             "{vertical:?}/{horizontal:?} at x={x} y={y}"
                         );
+                        largest_vertical = largest_vertical.max(source.vertical(y));
                     }
                 }
+                // The ceiling bounds every vertical threshold and is one
+                // of them: `d₁`, or the cap of 1 that the zero-density
+                // bucket (I.B) and a zero distance (I.C) reach.
+                assert_eq!(memo.vertical_ceiling(), largest_vertical, "{vertical:?}");
+                let flat = matches!(vertical, VerticalRule::Constant { .. });
+                assert_eq!(memo.vertical_ceiling(), if flat { 0.02 } else { 1.0 });
             }
         }
     }

@@ -313,11 +313,14 @@ fn hash_store_modes_agree_across_engines() {
 }
 
 /// `stats` with the counters the no-insert regime legitimately moves —
-/// candidates pruned, and the estimates and pair hashes the unpruned ones
-/// cost — zeroed, for comparing everything else across regimes.
+/// candidates pruned, the estimates and pair hashes the unpruned ones
+/// cost, and the settled verdicts only skip rows carry — zeroed, for
+/// comparing everything else across regimes.
 fn without_discovery_counters(mut stats: FinalizeStats) -> FinalizeStats {
     stats.discover_pruned = 0;
     stats.batched_estimates = 0;
+    stats.verdicts_carried = 0;
+    stats.ceiling_raises = 0;
     stats.pair_hash = Default::default();
     stats
 }

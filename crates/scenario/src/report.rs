@@ -443,18 +443,24 @@ impl ScenarioReport {
             // "discover pruned": view candidates a discovery filter
             // dropped without an estimate — neighbors and this epoch's
             // no-insert verdicts alike, in either no-insert regime.
+            // "verdicts carried": no-insert verdicts that outlived an
+            // epoch turnover (pair hash above the node's threshold
+            // ceiling); "ceiling raises": nodes whose ceiling rose, which
+            // re-opens theirs.
             writeln!(
                 w,
                 "finalize fast path: memo hits {}  misses {}  bypassed {}  \
                  refresh skipped {}  evaluated {}  discover pruned {} (no estimate)  \
-                 batched estimates {}",
+                 batched estimates {}  verdicts carried {}  ceiling raises {}",
                 f.memo_hits,
                 f.memo_misses,
                 f.memo_bypassed,
                 f.refresh_skipped,
                 f.refresh_evaluated,
                 f.discover_pruned,
-                f.batched_estimates
+                f.batched_estimates,
+                f.verdicts_carried,
+                f.ceiling_raises
             )
             .unwrap();
             let h = &f.pair_hash;
@@ -598,7 +604,7 @@ impl ScenarioReport {
             w,
             ",\"finalize\":{{\"memo_hits\":{},\"memo_misses\":{},\"memo_bypassed\":{},\
              \"refresh_skipped\":{},\"refresh_evaluated\":{},\"discover_pruned\":{},\
-             \"batched_estimates\":{},\
+             \"batched_estimates\":{},\"verdicts_carried\":{},\"ceiling_raises\":{},\
              \"pair_hash\":{{\"hashed\":{},\"delegated\":{}}}}}",
             f.memo_hits,
             f.memo_misses,
@@ -607,6 +613,8 @@ impl ScenarioReport {
             f.refresh_evaluated,
             f.discover_pruned,
             f.batched_estimates,
+            f.verdicts_carried,
+            f.ceiling_raises,
             f.pair_hash.hashed,
             f.pair_hash.delegated
         )
@@ -726,6 +734,8 @@ mod tests {
                 refresh_evaluated: 25,
                 discover_pruned: 700,
                 batched_estimates: 4000,
+                verdicts_carried: 600,
+                ceiling_raises: 7,
                 pair_hash: avmem::harness::PairHashStats {
                     hashed: 3000,
                     delegated: 1000,
@@ -805,11 +815,12 @@ mod tests {
     }
 
     #[test]
-    fn renderings_carry_finalize_fast_path_counters() {
+    fn renderings_carry_finalize_counters() {
         let report = sample_report();
         let text = report.render_text();
         assert!(text.contains("finalize fast path: memo hits 900"), "{text}");
         assert!(text.contains("discover pruned 700"), "{text}");
+        assert!(text.contains("verdicts carried 600  ceiling raises 7"), "{text}");
         assert!(
             text.contains("pair hashes: hashed 3000  delegated 1000"),
             "{text}"
@@ -817,6 +828,7 @@ mod tests {
         let json = report.render_json();
         assert!(json.contains("\"finalize\":{\"memo_hits\":900"), "{json}");
         assert!(json.contains("\"discover_pruned\":700"), "{json}");
+        assert!(json.contains("\"verdicts_carried\":600,\"ceiling_raises\":7"), "{json}");
         assert!(
             json.contains("\"pair_hash\":{\"hashed\":3000,\"delegated\":1000}"),
             "{json}"

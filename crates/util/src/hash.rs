@@ -460,6 +460,20 @@ where
     pair_prefixes(key, ys.into_iter().map(|y| (x, y)), out, prefix_to_unit);
 }
 
+/// The batched [`consistent_hash_keyed`] over arbitrary ordered pairs — a
+/// column of the pair space (`x` varies) as well as a row.
+///
+/// # Panics
+///
+/// Panics if `pairs` and `out` differ in length.
+pub fn consistent_hash_keyed_pair_batch<I>(key: &[u8], pairs: I, out: &mut [f64])
+where
+    I: IntoIterator<Item = (NodeId, NodeId)>,
+    I::IntoIter: ExactSizeIterator,
+{
+    pair_prefixes(key, pairs.into_iter(), out, prefix_to_unit);
+}
+
 /// The batched [`consistent_point_keyed`], over arbitrary ordered pairs:
 /// a ring varies the second id for a member's virtual points and the
 /// first for its targets' lookup points.
@@ -737,6 +751,13 @@ mod tests {
                     proptest::prop_assert_eq!(got_points[..len], points[..len], "key_len={}", key_len);
                     got_units.fill(f64::NAN);
                     consistent_hash_keyed_batch(key, x, ys.iter().copied(), &mut got_units[..len]);
+                    proptest::prop_assert_eq!(got_units[..len], units[..len], "key_len={}", key_len);
+                    got_units.fill(f64::NAN);
+                    consistent_hash_keyed_pair_batch(
+                        key,
+                        ys.iter().map(|&y| (x, y)),
+                        &mut got_units[..len],
+                    );
                     proptest::prop_assert_eq!(got_units[..len], units[..len], "key_len={}", key_len);
                     if key.is_empty() {
                         got_units.fill(f64::NAN);

@@ -58,7 +58,8 @@ pub mod stats;
 pub use availability::{Availability, AvailabilityError};
 pub use hash::{
     consistent_hash, consistent_hash_batch, consistent_hash_keyed, consistent_hash_keyed_batch,
-    consistent_point_keyed, consistent_point_keyed_batch, normalized_hash, sha256, Digest,
+    consistent_hash_keyed_pair_batch, consistent_point_keyed, consistent_point_keyed_batch,
+    normalized_hash, sha256, Digest,
 };
 pub use heap::{heap_stats, heap_tracking_installed, peak_rss_bytes, HeapStats};
 pub use id::NodeId;
