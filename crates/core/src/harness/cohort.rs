@@ -13,7 +13,7 @@ use std::mem;
 use avmem_metrics::{shard_lane, Counter, Histogram, Span, Tracer};
 use avmem_shuffle::{EntryPool, ShuffleMessage, ShuffleNode, ShuffleProposal};
 use avmem_sim::SimTime;
-use avmem_trace::{ChurnTrace, OnlineIndex};
+use avmem_trace::OnlineIndex;
 use avmem_util::parallel::par_each_mut;
 use avmem_util::{Availability, NodeId, ShardPartition, SplitMix64};
 
@@ -141,16 +141,15 @@ pub(super) struct ShardScratch {
 }
 
 impl ShardScratch {
-    /// Starts a cohort at time `t`: sizes the outboxes and rebuilds the
-    /// work lists — `due` is this shard's slice of the
-    /// cohort ([`PeriodicWheel::due`]), of which the nodes online at `t`
-    /// get work.
+    /// Starts a cohort: sizes the outboxes and rebuilds the work lists —
+    /// `due` is this shard's slice of the cohort ([`PeriodicWheel::due`]),
+    /// of which the nodes in `online` (the index, standing at the
+    /// cohort's slot) get work.
     fn begin_cohort<'w>(
         &mut self,
         shards: usize,
         due: impl Iterator<Item = (MaintKind, &'w [u32])>,
-        trace: &ChurnTrace,
-        t: SimTime,
+        online: &OnlineIndex,
     ) {
         if self.requests.out.len() != shards {
             self.requests.out.resize_with(shards, Vec::new);
@@ -163,7 +162,7 @@ impl ShardScratch {
                 MaintKind::Tick => &mut self.ticks,
                 MaintKind::Refresh => &mut self.refreshes,
             };
-            list.extend(nodes.iter().filter(|&&i| trace.is_online(i as usize, t)));
+            list.extend(nodes.iter().filter(|&&i| online.contains(i as usize)));
         }
         self.build_ops();
     }
@@ -289,7 +288,9 @@ struct Cohort<'a> {
     /// 1 to walk the shards on the calling thread.
     threads: usize,
     wheel: &'a PeriodicWheel,
-    trace: &'a ChurnTrace,
+    /// Who is up at `t` (refreshed by the advance loop before the cohort
+    /// runs): the source of work lists, bootstrap seeds and the
+    /// request-or-timeout decision alike.
     online: &'a OnlineIndex,
     tracer: &'a Tracer,
 }
@@ -349,7 +350,7 @@ impl Cohort<'_> {
         scratch: &mut ShardScratch,
     ) {
         let _span = self.lane_span(PH_PROPOSE, s);
-        scratch.begin_cohort(self.part.shards(), self.wheel.due(s), self.trace, self.t);
+        scratch.begin_cohort(self.part.shards(), self.wheel.due(s), self.online);
         for k in 0..scratch.ticks.len() {
             let i = scratch.ticks[k] as usize;
             let Some(p) = propose_tick(
@@ -365,7 +366,7 @@ impl Cohort<'_> {
             };
             let target = p.target();
             let tgt = target.raw() as usize;
-            if tgt < self.part.len() && self.trace.is_online(tgt, self.t) {
+            if self.online.contains(tgt) {
                 let (_, request) = p.into_request();
                 scratch.requests.out[self.part.owner(tgt)].push(RequestMsg {
                     initiator: i as u32,
@@ -504,7 +505,6 @@ impl AvmemSim {
             part: *part,
             threads: if inline { 1 } else { threads },
             wheel,
-            trace: &self.trace,
             online: &self.online,
             tracer: &self.tracer,
         };

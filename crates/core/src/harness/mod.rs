@@ -186,8 +186,10 @@ pub struct AvmemSim {
     now: SimTime,
     net: Network,
     rng: Xoshiro256,
-    /// Per-slot cache of the online population (bootstrap seeding,
-    /// initiator selection); refreshed lazily as the clock advances.
+    /// Per-slot cache of the online population — list and bitset: who
+    /// gets work in a cohort, bootstrap seeding, initiator selection, and
+    /// every `is_online` of an operation. Always at `now`'s slot: it is
+    /// refreshed wherever the clock moves.
     online: OnlineIndex,
     n_star: f64,
     /// Seed for the per-node randomized candidate order used by the
@@ -307,6 +309,12 @@ impl AvmemSim {
             })
             .collect();
 
+        // From here on the index stands at the clock's slot: whatever
+        // moves `now` refreshes it, and operations answer `is_online`
+        // from it.
+        let mut online = OnlineIndex::new();
+        online.refresh(&trace, SimTime::ZERO);
+
         AvmemSim {
             hashes,
             memberships: (0..n).map(|i| Membership::new(NodeId::new(i as u64))).collect(),
@@ -318,7 +326,7 @@ impl AvmemSim {
             now: SimTime::ZERO,
             net,
             rng,
-            online: OnlineIndex::new(),
+            online,
             n_star,
             member_order_seed: seeder.next_u64(),
             maint: None,
@@ -546,8 +554,8 @@ impl AvmemSim {
         protocol_period: SimDuration,
         refresh_period: SimDuration,
     ) {
-        // Resolved once: `threads()` may probe the machine (a syscall),
-        // far too costly per cohort.
+        // Resolved once per advance, not per cohort: `threads()` reads the
+        // `AVMEM_THREADS` variable (the machine probe behind it is cached).
         let threads = self.config.engine.threads();
         // The schedule is built once — on the first event-driven advance —
         // and then carried across calls with every node's phase intact

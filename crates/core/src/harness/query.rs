@@ -5,7 +5,7 @@
 use avmem_avmon::AvailabilityOracle;
 use avmem_shuffle::View;
 use avmem_sim::SimTime;
-use avmem_trace::ChurnTrace;
+use avmem_trace::{ChurnTrace, OnlineIndex};
 use avmem_util::{Availability, NodeId, Rng};
 use serde::{Deserialize, Serialize};
 
@@ -161,7 +161,6 @@ impl AvmemSim {
     /// pass, so repeated initiator draws (operation experiments fire
     /// thousands per snapshot) materialize no candidate `Vec`.
     pub fn random_online_initiator(&mut self, band: InitiatorBand) -> Option<NodeId> {
-        self.online.refresh(&self.trace, self.now);
         let in_band =
             |i: &&u32| band.contains(self.trace.long_term_availability(**i as usize));
         let eligible = self.online.online().iter().filter(in_band).count();
@@ -207,7 +206,13 @@ impl AvmemSim {
         target: AvailabilityTarget,
         config: AnycastConfig,
     ) -> AnycastOutcome {
-        let world = WorldView::new(&self.trace, &self.oracle, &self.memberships, self.now);
+        let world = WorldView::new(
+            &self.trace,
+            &self.oracle,
+            &self.memberships,
+            &self.online,
+            self.now,
+        );
         run_anycast(
             &world,
             &mut self.net,
@@ -226,7 +231,13 @@ impl AvmemSim {
         target: AvailabilityTarget,
         config: MulticastConfig,
     ) -> MulticastOutcome {
-        let world = WorldView::new(&self.trace, &self.oracle, &self.memberships, self.now);
+        let world = WorldView::new(
+            &self.trace,
+            &self.oracle,
+            &self.memberships,
+            &self.online,
+            self.now,
+        );
         run_multicast(
             &world,
             &mut self.net,
@@ -241,7 +252,13 @@ impl AvmemSim {
     /// A borrowed [`OverlayWorld`] view of the current state, for custom
     /// measurements.
     pub fn world(&self) -> impl OverlayWorld + '_ {
-        WorldView::new(&self.trace, &self.oracle, &self.memberships, self.now)
+        WorldView::new(
+            &self.trace,
+            &self.oracle,
+            &self.memberships,
+            &self.online,
+            self.now,
+        )
     }
 }
 
@@ -250,25 +267,34 @@ struct WorldView<'a> {
     trace: &'a ChurnTrace,
     oracle: &'a SimOracle,
     memberships: &'a [Membership],
+    /// Who is up at `now`: a flood asks `is_online` per copy.
+    online: &'a OnlineIndex,
     now: SimTime,
-    /// The trace slot containing `now`, resolved once: a flood asks
-    /// `is_online` per copy.
-    slot: usize,
 }
 
 impl<'a> WorldView<'a> {
+    /// # Panics
+    ///
+    /// Panics if `online` does not stand at `now`'s slot — whatever moves
+    /// the simulation clock refreshes the index with it.
     fn new(
         trace: &'a ChurnTrace,
         oracle: &'a SimOracle,
         memberships: &'a [Membership],
+        online: &'a OnlineIndex,
         now: SimTime,
     ) -> Self {
+        assert_eq!(
+            online.slot(),
+            Some(trace.slot_at(now)),
+            "online index is stale at {now:?}"
+        );
         WorldView {
             trace,
             oracle,
             memberships,
+            online,
             now,
-            slot: trace.slot_at(now),
         }
     }
 }
@@ -279,7 +305,7 @@ impl OverlayWorld for WorldView<'_> {
     }
 
     fn is_online(&self, id: NodeId) -> bool {
-        self.trace.is_online_in_slot(id.raw() as usize, self.slot)
+        self.online.contains(id.raw() as usize)
     }
 
     fn believed_availability(&self, id: NodeId) -> Availability {

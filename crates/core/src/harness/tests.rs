@@ -264,6 +264,70 @@ fn world_view_is_consistent_with_trace() {
 }
 
 #[test]
+fn operations_see_the_trace_wherever_the_clock_stops() {
+    // `world().is_online` is answered by the online index, which is
+    // right only if it moved with the clock. Stop the clock where a stale
+    // index would lie — a fresh simulation, the last millisecond of a
+    // slot, the first of the next, a jump over two boundaries, after a
+    // converged rebuild — and hold the world view and a flood to the trace.
+    let trace = OvernetModel::default().hosts(120).days(1).generate(3);
+    let everyone = AvailabilityTarget::range(0.0, 1.0);
+    let check = |sim: &mut AvmemSim, stop: &str| {
+        let (now, n) = (sim.now(), sim.trace().num_nodes());
+        let up = sim.trace().online_at(now);
+        {
+            let world = sim.world();
+            for i in 0..n {
+                let online = world.is_online(NodeId::new(i as u64));
+                assert_eq!(online, up.contains(&i), "{stop}: node {i} at {now:?}");
+            }
+            assert!(
+                !world.is_online(NodeId::new(n as u64)),
+                "{stop}: beyond the population"
+            );
+        }
+        let Some(&initiator) = up.first() else { return };
+        let initiator = NodeId::new(initiator as u64);
+        let flood = sim.multicast(initiator, everyone, MulticastConfig::paper_default());
+        assert_eq!(flood.eligible, up.len(), "{stop}");
+        let reached_offline = flood
+            .deliveries
+            .iter()
+            .any(|(id, _)| !up.contains(&(id.raw() as usize)));
+        assert!(!reached_offline, "{stop}: delivered to an offline node");
+    };
+    let slot_ms = trace.slot_duration().as_millis();
+    let mut slots_differ = false;
+    // Periods that divide a slot put a cohort on every boundary; these do
+    // not, so only the end of the advance moves the index over it.
+    let off_lattice = MaintenanceMode::EventDriven {
+        protocol_period: SimDuration::from_mins(7),
+        refresh_period: SimDuration::from_mins(11),
+    };
+    for maintenance in [
+        MaintenanceMode::Converged,
+        MaintenanceMode::paper_event_driven(),
+        off_lattice,
+    ] {
+        let mut config = SimConfig::paper_default(31);
+        config.maintenance = maintenance;
+        let mut sim = AvmemSim::new(trace.clone(), config);
+        check(&mut sim, "fresh");
+        sim.advance_to(SimTime::from_millis(slot_ms - 1));
+        check(&mut sim, "last millisecond of slot 0");
+        let before = sim.trace().online_at(sim.now());
+        sim.advance_to(SimTime::from_millis(slot_ms));
+        check(&mut sim, "first millisecond of slot 1");
+        slots_differ |= before != sim.trace().online_at(sim.now());
+        sim.advance_to(SimTime::from_millis(3 * slot_ms + slot_ms / 2));
+        check(&mut sim, "two boundaries on");
+        sim.warm_up(trace.slot_duration());
+        check(&mut sim, "after a warm-up of one slot");
+    }
+    assert!(slots_differ, "vacuous: slots 0 and 1 hold the same nodes");
+}
+
+#[test]
 fn online_nodes_in_filters_by_truth() {
     let mut sim = small_sim(22);
     sim.warm_up(SimDuration::from_hours(2));

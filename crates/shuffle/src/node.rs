@@ -114,6 +114,8 @@ struct InFlight {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShuffleProposal {
     target: NodeId,
+    /// Where `target` sits in the view the proposal was computed from.
+    target_pos: usize,
     entries: Vec<ViewEntry>,
 }
 
@@ -217,21 +219,22 @@ impl ShuffleNode {
         if self.in_flight.is_some() {
             return None;
         }
-        let target = self.view.oldest()?.id;
+        let (target_pos, target) = self.view.oldest_at()?;
         let mut entries = pool.take(self.config.shuffle_length);
-        rng.sample_into(
-            self.view
-                .iter()
-                .filter(|e| e.id != target)
-                .map(|e| ViewEntry {
-                    id: e.id,
-                    age: e.age.saturating_add(1),
-                }),
+        self.view.random_subset_pooled(
+            rng,
             self.config.shuffle_length - 1,
+            Some(target_pos),
+            1,
+            pool.positions(),
             &mut entries,
         );
         entries.push(ViewEntry::fresh(self.id));
-        Some(ShuffleProposal { target, entries })
+        Some(ShuffleProposal {
+            target: target.id,
+            target_pos,
+            entries,
+        })
     }
 
     /// Applies a proposal from [`ShuffleNode::propose`]: ages the view,
@@ -243,8 +246,9 @@ impl ShuffleNode {
     /// # Panics
     ///
     /// Panics if the proposal does not match this node's state (its
-    /// target is no longer in the view, or an exchange is in flight) —
-    /// i.e. if the view changed between `propose` and `apply`.
+    /// target is no longer where the proposal found it in the view, or an
+    /// exchange is in flight) — i.e. if the view changed between
+    /// `propose` and `apply`.
     pub fn apply(&mut self, proposal: &ShuffleProposal) {
         self.apply_with(proposal, &mut EntryPool::new());
     }
@@ -264,7 +268,7 @@ impl ShuffleNode {
         self.view.age_all();
         let removed_target_entry = self
             .view
-            .remove(proposal.target)
+            .remove_at(proposal.target_pos, proposal.target)
             .expect("proposal target vanished from the view before apply");
         let mut sent = pool.take(proposal.entries.len());
         sent.extend_from_slice(&proposal.entries);
@@ -321,8 +325,14 @@ impl ShuffleNode {
             panic!("handle_request expects a Request message");
         };
         let mut reply = pool.take(self.config.shuffle_length);
-        self.view
-            .random_subset_into(&mut self.rng, self.config.shuffle_length, None, &mut reply);
+        self.view.random_subset_pooled(
+            &mut self.rng,
+            self.config.shuffle_length,
+            None,
+            0,
+            pool.positions(),
+            &mut reply,
+        );
         self.view.merge(self.id, &entries, &reply, pool.id_table());
         pool.recycle(entries);
         ShuffleMessage::Reply { entries: reply }
@@ -520,36 +530,75 @@ mod tests {
         // copy of the pre-split algorithm (age everything, target the
         // oldest entry, remove it, sample the post-aging view, append a
         // fresh self-entry): same target, same wire entries, same view,
-        // same rng consumption, for many seeds.
-        for seed in 0..20u64 {
-            let cfg = ShuffleConfig::new(8, 4);
-            let mut node = ShuffleNode::new(id(1), cfg, seed);
-            node.bootstrap((2..9).map(id));
+        // same rng consumption, for many seeds — at a toy shape and at
+        // the two the benchmark runs (1 442 and 16 000 hosts), over views
+        // whose ages tie and differ.
+        for (view_size, shuffle_length) in [(8, 4), (38, 19), (126, 63)] {
+            for seed in 0..20u64 {
+                let cfg = ShuffleConfig::new(view_size, shuffle_length);
+                let mut node = ShuffleNode::new(id(1), cfg, seed);
+                for pos in 0..view_size as u64 {
+                    let age = (pos * (seed + 3) % 5) as u32;
+                    node.view.insert(ViewEntry {
+                        id: id(2 + pos),
+                        age,
+                    });
+                }
 
-            let mut legacy_view = node.view.clone();
-            let mut legacy_rng = node.rng.clone();
-            legacy_view.age_all();
-            let target_entry = legacy_view.oldest().unwrap();
-            legacy_view.remove(target_entry.id);
-            let mut legacy_entries = legacy_view.random_subset(
-                &mut legacy_rng,
-                cfg.shuffle_length - 1,
-                Some(target_entry.id),
-            );
-            legacy_entries.push(ViewEntry::fresh(id(1)));
+                let mut legacy_view = node.view.clone();
+                let mut legacy_rng = node.rng.clone();
+                legacy_view.age_all();
+                let target_entry = legacy_view.oldest().unwrap();
+                legacy_view.remove(target_entry.id);
+                let mut legacy_entries = legacy_view.random_subset(
+                    &mut legacy_rng,
+                    cfg.shuffle_length - 1,
+                    Some(target_entry.id),
+                );
+                legacy_entries.push(ViewEntry::fresh(id(1)));
 
-            let (target, message) = node.initiate().unwrap();
-            assert_eq!(target, target_entry.id, "seed {seed}");
-            assert_eq!(
-                message,
-                ShuffleMessage::Request {
-                    entries: legacy_entries
-                },
-                "seed {seed}"
-            );
-            assert_eq!(node.view, legacy_view, "seed {seed}");
-            assert_eq!(node.rng, legacy_rng, "seed {seed}");
+                let (target, message) = node.initiate().unwrap();
+                assert_eq!(target, target_entry.id, "seed {seed}");
+                assert_eq!(
+                    message,
+                    ShuffleMessage::Request {
+                        entries: legacy_entries
+                    },
+                    "seed {seed}"
+                );
+                assert_eq!(node.view, legacy_view, "seed {seed}");
+                assert_eq!(node.rng, legacy_rng, "seed {seed}");
+            }
         }
+    }
+
+    #[test]
+    fn an_exchange_of_length_one_ships_only_the_initiator() {
+        // ℓ = 1: propose samples ℓ − 1 = 0 entries and must not draw.
+        let cfg = ShuffleConfig::new(1, 1);
+        let mut a = ShuffleNode::new(id(1), cfg, 10);
+        let mut b = ShuffleNode::new(id(2), cfg, 20);
+        a.bootstrap([id(2)]);
+        b.bootstrap([id(7)]);
+        let mut rng = SplitMix64::new(4);
+        let untouched = rng.clone();
+        let proposal = a.propose(&mut rng).unwrap();
+        assert_eq!(rng, untouched, "nothing to sample, nothing drawn");
+        assert_eq!(proposal.entries(), [ViewEntry::fresh(id(1))]);
+        a.apply(&proposal);
+        let (target, request) = proposal.into_request();
+        assert_eq!(target, id(2));
+        let reply = b.handle_request(request);
+        assert_eq!(
+            reply,
+            ShuffleMessage::Reply {
+                entries: vec![ViewEntry::fresh(id(7))]
+            }
+        );
+        a.handle_reply(reply);
+        // Each took the other's one entry in place of what it shipped.
+        assert_eq!(a.view().ids().collect::<Vec<_>>(), [id(7)]);
+        assert_eq!(b.view().ids().collect::<Vec<_>>(), [id(1)]);
     }
 
     #[test]

@@ -9,26 +9,29 @@
 //! exchange settles — cleared and reused, never freed.
 //!
 //! Pooling is invisible to determinism: `Vec` equality ignores capacity,
-//! and the pooled fill paths (`Rng::sample_into`-based) consume the
-//! generator draw-for-draw like their allocating twins.
+//! and the subset sampler the pooled entry points fill their buffers
+//! with (`Rng::sample_positions`) makes the picks of `Rng::sample` from
+//! the same draws.
 //!
 //! The pool also carries the shard's id table (a
 //! [`StampedTable`]): the working memory [`View::merge`](crate::View::merge)
 //! indexes a view in, so that every id probe of a merge is one load. It
 //! is emptied at the start of each use, so whoever holds the pool between
 //! exchanges may borrow it ([`EntryPool::id_table`]) for id probes of its
-//! own.
+//! own. And it lends that sampler its position scratch: one `Vec<u32>`
+//! of a shuffle length and a spill slot, rewritten by every subset drawn.
 
 use avmem_util::StampedTable;
 
 use crate::view::ViewEntry;
 
-/// Free-list of `Vec<ViewEntry>` buffers plus the shard's id table; see
-/// the module docs.
+/// Free-list of `Vec<ViewEntry>` buffers plus the shard's id table and
+/// position scratch; see the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct EntryPool {
     free: Vec<Vec<ViewEntry>>,
     ids: StampedTable,
+    positions: Vec<u32>,
 }
 
 impl EntryPool {
@@ -63,6 +66,13 @@ impl EntryPool {
     /// largest one ever written, and stays allocated.
     pub fn id_table(&mut self) -> &mut StampedTable {
         &mut self.ids
+    }
+
+    /// The position scratch of the subset sampler
+    /// ([`View::random_subset_pooled`](crate::View)): no content between
+    /// uses, and stays allocated.
+    pub(crate) fn positions(&mut self) -> &mut Vec<u32> {
+        &mut self.positions
     }
 
     /// Buffers currently parked in the pool.

@@ -24,6 +24,15 @@
 //! [`EntryPool`](crate::EntryPool)) and probes that. The view itself
 //! stores no index: at √N entries × N views it would cost more memory
 //! than the id columns.
+//!
+//! The two other per-exchange reads work on positions, not entries. The
+//! subset an exchange ships is sampled as positions of the view
+//! ([`Rng::sample_positions`]) and gathered from the columns afterwards;
+//! `View::random_subset`, which moves entries through a reservoir, is the
+//! reference it is tested against. The exchange target — the oldest
+//! entry — is found with its position, which the proposal carries so
+//! that applying it removes the entry where it was found instead of
+//! scanning for it again.
 
 use avmem_util::{NodeId, Rng, StampedTable};
 use serde::{Deserialize, Serialize};
@@ -145,22 +154,36 @@ impl View {
     }
 
     /// The entry with the largest age, if any; among several of that age,
-    /// the last one. Scans the age column alone — the exchange target of
-    /// every tick is chosen here.
+    /// the last one.
     pub fn oldest(&self) -> Option<ViewEntry> {
-        let (mut oldest, mut max_age) = (0, 0);
-        for (pos, &age) in self.ages.iter().enumerate() {
-            if age >= max_age {
-                (oldest, max_age) = (pos, age);
-            }
-        }
-        (!self.ages.is_empty()).then(|| self.entry(oldest))
+        self.oldest_at().map(|(_, entry)| entry)
+    }
+
+    /// [`View::oldest`] with its position. The exchange target of every
+    /// tick is chosen here, over ages that arrive in no order: a running
+    /// `if age >= max` is mispredicted again and again, so this takes the
+    /// column maximum first (no branch) and looks for it from the back
+    /// second (one that is taken once) — two passes over a few cache
+    /// lines.
+    pub(crate) fn oldest_at(&self) -> Option<(usize, ViewEntry)> {
+        let max_age = self.ages.iter().fold(0, |max, &age| max.max(age));
+        let pos = self.ages.iter().rposition(|&age| age == max_age)?;
+        Some((pos, self.entry(pos)))
     }
 
     /// Removes and returns the entry for `id`, if present.
     pub fn remove(&mut self, id: NodeId) -> Option<ViewEntry> {
         let raw = u32::try_from(id.raw()).ok()?;
         let pos = self.ids.iter().position(|&e| e == raw)?;
+        self.remove_at(pos, id)
+    }
+
+    /// [`View::remove`] for a caller that knows where `id` sits: `None`,
+    /// and nothing removed, unless the entry at `pos` is `id`'s.
+    pub(crate) fn remove_at(&mut self, pos: usize, id: NodeId) -> Option<ViewEntry> {
+        if self.ids.get(pos).map(|&raw| u64::from(raw)) != Some(id.raw()) {
+            return None;
+        }
         let entry = self.entry(pos);
         self.ids.remove(pos);
         self.ages.remove(pos);
@@ -197,16 +220,44 @@ impl View {
         rng.sample(self.iter().filter(|e| Some(e.id) != exclude), k)
     }
 
-    /// [`View::random_subset`] into a caller-provided buffer — draw-for-
-    /// draw identical to the allocating form (see [`Rng::sample_into`]).
-    pub fn random_subset_into<R: Rng>(
+    /// The subset both halves of an exchange ship, into caller-provided
+    /// buffers: up to `k` random entries of the view without the entry at
+    /// position `skip`, each aged by `aging` periods (saturating) on the
+    /// way out. Pick for pick and draw for draw what
+    /// [`View::random_subset`] returns on that filtered, aged view — the
+    /// reference the tests hold this to — but sampled as positions
+    /// ([`Rng::sample_positions`]) and gathered from the two columns
+    /// afterwards, so no entry moves that is not shipped. `out` is cleared
+    /// first; `positions` is scratch with no content between uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `skip` is not a position of the view.
+    pub(crate) fn random_subset_pooled<R: Rng>(
         &self,
         rng: &mut R,
         k: usize,
-        exclude: Option<NodeId>,
+        skip: Option<usize>,
+        aging: u32,
+        positions: &mut Vec<u32>,
         out: &mut Vec<ViewEntry>,
     ) {
-        rng.sample_into(self.iter().filter(|e| Some(e.id) != exclude), k, out);
+        assert!(
+            skip.map_or(true, |pos| pos < self.len()),
+            "skipped position outside the view"
+        );
+        rng.sample_positions(self.len() - usize::from(skip.is_some()), k, positions);
+        // Sampled positions count the entries that are not skipped: from
+        // the skipped one on they sit one further along.
+        let skip = skip.map_or(u32::MAX, |pos| pos as u32);
+        out.clear();
+        out.extend(positions.iter().map(|&pos| {
+            let entry = self.entry((pos + u32::from(pos >= skip)) as usize);
+            ViewEntry {
+                age: entry.age.saturating_add(aging),
+                ..entry
+            }
+        }));
     }
 
     /// CYCLON merge: incorporate `received` entries, preferring to fill
@@ -276,12 +327,25 @@ impl View {
     }
 }
 
-/// The merge as it was before the id index: every lookup a scan of the id
-/// column. Kept as the model the differential tests compare
-/// [`View::merge`] against.
+/// The merge as it was before the id index — every lookup a scan of the id
+/// column — and `oldest` as it was before its two passes. Kept as the
+/// models the differential tests compare [`View::merge`] and
+/// [`View::oldest`] against.
 #[cfg(test)]
 mod reference {
     use super::*;
+
+    /// `oldest` as it was: one scan keeping the running maximum, a later
+    /// entry of the same age taking its place.
+    pub(super) fn oldest(view: &View) -> Option<ViewEntry> {
+        let (mut oldest, mut max_age) = (0, 0);
+        for (pos, &age) in view.ages.iter().enumerate() {
+            if age >= max_age {
+                (oldest, max_age) = (pos, age);
+            }
+        }
+        (!view.ages.is_empty()).then(|| view.entry(oldest))
+    }
 
     /// How often a merge took each of its ways, indexed like [`PATHS`].
     pub(super) type Paths = [usize; PATHS.len()];
@@ -449,19 +513,121 @@ mod tests {
         assert!(subset.iter().all(|e| e.id != id(3)));
     }
 
-    #[test]
-    fn random_subset_into_matches_allocating_form() {
-        let mut v = View::new(10);
-        for n in 0..10 {
-            v.insert(ViewEntry { id: id(n), age: n as u32 });
+    /// A view of `ages.len()` entries with scattered ids, in column order.
+    fn view_with_ages(ages: &[u32]) -> View {
+        let entries: Vec<(u64, u32)> = ages
+            .iter()
+            .enumerate()
+            .map(|(pos, &age)| (pos as u64 * 37 % 1009, age))
+            .collect();
+        view_of(ages.len().max(1), &entries)
+    }
+
+    /// Ages that tie often and saturate sometimes.
+    fn age_column(len: usize) -> impl Strategy<Value = Vec<u32>> {
+        let age = prop_oneof![
+            0u32..4,
+            0u32..4,
+            Just(u32::MAX),
+            Just(u32::MAX - 1),
+            any::<u32>()
+        ];
+        proptest::collection::vec(age, 0..len)
+    }
+
+    /// The pooled subset of `view` against its reference: `random_subset`
+    /// over a copy of the view without position `skip`, aged by `aging`.
+    /// Same entries in the same order, generator left at the same draw.
+    fn pooled_subset_matches_reference(
+        view: &View,
+        seed: u64,
+        k: usize,
+        skip: Option<usize>,
+        aging: u32,
+    ) {
+        let mut expected_view = View::new(view.capacity());
+        for (pos, e) in view.iter().enumerate() {
+            if Some(pos) != skip {
+                expected_view.insert(ViewEntry {
+                    id: e.id,
+                    age: e.age.saturating_add(aging),
+                });
+            }
         }
-        let mut a = Xoshiro256::new(5);
-        let mut b = Xoshiro256::new(5);
-        let allocated = v.random_subset(&mut a, 4, Some(id(2)));
-        let mut pooled = vec![ViewEntry::fresh(id(99)); 7];
-        v.random_subset_into(&mut b, 4, Some(id(2)), &mut pooled);
-        assert_eq!(allocated, pooled);
-        assert_eq!(a.next_u64(), b.next_u64());
+        let (mut a, mut b) = (SplitMix64::new(seed), SplitMix64::new(seed));
+        let expected = expected_view.random_subset(&mut a, k, None);
+        // Both buffers come in dirty, the scratch longer than any sample.
+        let mut positions = vec![u32::MAX; 70];
+        let mut out = vec![ViewEntry::fresh(id(99)); 7];
+        view.random_subset_pooled(&mut b, k, skip, aging, &mut positions, &mut out);
+        assert_eq!(out, expected, "k={k} skip={skip:?} aging={aging}");
+        assert_eq!(
+            a.next_u64(),
+            b.next_u64(),
+            "stream diverged k={k} skip={skip:?}"
+        );
+    }
+
+    proptest! {
+        /// Nothing skipped and the first, a middle and the last position
+        /// skipped; shipped as is and aged by one; at every `k` from none
+        /// to more than the view holds.
+        #[test]
+        fn pooled_subset_matches_random_subset(
+            ages in age_column(64),
+            seed in any::<u64>(),
+            k in 0usize..70,
+        ) {
+            let view = view_with_ages(&ages);
+            let last = view.len().saturating_sub(1);
+            let skips = [0, last / 2, last].map(|pos| Some(pos).filter(|_| !view.is_empty()));
+            for skip in skips.into_iter().chain([None]) {
+                for aging in [0, 1] {
+                    pooled_subset_matches_reference(&view, seed, k, skip, aging);
+                }
+            }
+        }
+
+        /// The column maximum, then the last position holding it: the
+        /// same entry as the single scan, ties and saturated ages included.
+        #[test]
+        fn oldest_matches_the_single_scan(ages in age_column(48)) {
+            let view = view_with_ages(&ages);
+            prop_assert_eq!(view.oldest(), reference::oldest(&view));
+            let found_at = view.oldest_at().map(|(pos, _)| view.iter().nth(pos).unwrap());
+            prop_assert_eq!(found_at, view.oldest());
+        }
+    }
+
+    #[test]
+    fn pooled_subset_at_the_paper_shapes() {
+        // View √N, half of it shipped: 1 442 hosts and 16 000.
+        for (v, l) in [(38usize, 19usize), (126, 63)] {
+            let ages: Vec<u32> = (0..v as u32).map(|pos| pos * 7 % 5).collect();
+            let view = view_with_ages(&ages);
+            for seed in 0..8 {
+                pooled_subset_matches_reference(&view, seed, l - 1, Some(seed as usize * 5), 1);
+                pooled_subset_matches_reference(&view, seed, l, None, 0);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the view")]
+    fn pooled_subset_rejects_a_skip_beyond_the_view() {
+        let view = view_with_ages(&[1, 2, 3]);
+        let mut rng = SplitMix64::new(1);
+        view.random_subset_pooled(&mut rng, 2, Some(3), 0, &mut Vec::new(), &mut Vec::new());
+    }
+
+    #[test]
+    fn remove_at_checks_the_position() {
+        let mut v = view_of(3, &[(1, 4), (2, 5), (3, 6)]);
+        assert_eq!(v.remove_at(0, id(2)), None, "another entry's position");
+        assert_eq!(v.remove_at(3, id(2)), None, "beyond the view");
+        assert_eq!(v.len(), 3);
+        assert_eq!(v.remove_at(1, id(2)), Some(ViewEntry { id: id(2), age: 5 }));
+        assert_eq!(entries_of(&v), [(1, 4), (3, 6)]);
     }
 
     #[test]

@@ -9,6 +9,13 @@
 //! from materializing a fresh `Vec<usize>` (as
 //! [`ChurnTrace::online_at`] does) to a borrow of the cached slice plus
 //! `O(k)` sampling.
+//!
+//! The same scan fills one bit per node, and [`OnlineIndex::contains`]
+//! answers "is node `i` up" from it: a shift and a load from `N / 8`
+//! bytes that stay in cache, where [`ChurnTrace::is_online`] pays a
+//! division for the slot and a load strided by the trace's length, per
+//! question. Maintenance asks per due node and per proposal target, a
+//! flood per copy; all of them ask about the slot the index stands at.
 
 use avmem_sim::SimTime;
 use avmem_util::Rng;
@@ -35,6 +42,8 @@ pub struct OnlineIndex {
     slot: Option<usize>,
     /// Ascending node indices online in `slot`.
     online: Vec<u32>,
+    /// The same set, bit `i % 64` of word `i / 64` for node `i`.
+    bits: Vec<u64>,
 }
 
 impl OnlineIndex {
@@ -53,14 +62,34 @@ impl OnlineIndex {
         if self.slot == Some(slot) {
             return false;
         }
+        let n = trace.num_nodes();
         self.online.clear();
-        for i in 0..trace.num_nodes() {
+        self.bits.clear();
+        self.bits.resize(n.div_ceil(64), 0);
+        for i in 0..n {
             if trace.is_online_in_slot(i, slot) {
                 self.online.push(i as u32);
+                self.bits[i / 64] |= 1 << (i % 64);
             }
         }
         self.slot = Some(slot);
         true
+    }
+
+    /// The trace slot the index stands at (`None` before the first
+    /// [`OnlineIndex::refresh`]).
+    pub fn slot(&self) -> Option<usize> {
+        self.slot
+    }
+
+    /// Whether node `i` is online in the cached slot — what
+    /// [`ChurnTrace::is_online`] says at any instant of it. `false` for
+    /// an `i` outside the population and before the first refresh.
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.bits
+            .get(i / 64)
+            .is_some_and(|word| word >> (i % 64) & 1 != 0)
     }
 
     /// The online node indices, ascending. Empty before the first
@@ -97,8 +126,7 @@ impl OnlineIndex {
         if k == 0 {
             return;
         }
-        let excluded_present = self.online.binary_search(&(exclude as u32)).is_ok();
-        let candidates = self.online.len() - usize::from(excluded_present);
+        let candidates = self.online.len() - usize::from(self.contains(exclude));
         if candidates <= k {
             out.extend(self.online.iter().copied().filter(|&i| i as usize != exclude));
             return;
@@ -205,5 +233,61 @@ mod tests {
         let index = OnlineIndex::new();
         assert!(index.is_empty());
         assert_eq!(index.online(), &[] as &[u32]);
+        assert_eq!(index.slot(), None);
+        assert!((0..200).all(|i| !index.contains(i)));
+    }
+
+    #[test]
+    fn contains_matches_the_trace_across_every_slot_boundary() {
+        // 80 hosts: a last word of 16 live bits. Each slot is entered at
+        // its first millisecond, revisited mid-slot and left at its last —
+        // a refresh that rebuilds, two that must not — and the walk runs
+        // past the end of the trace, where the last slot holds.
+        let t = trace();
+        let n = t.num_nodes();
+        let slot_ms = t.slot_duration().as_millis();
+        let mut index = OnlineIndex::new();
+        for s in 0..t.num_slots() as u64 + 2 {
+            for (offset, rebuilds) in [(0, true), (slot_ms / 2, false), (slot_ms - 1, false)] {
+                let now = SimTime::from_millis(s * slot_ms + offset);
+                let crossed = s < t.num_slots() as u64 && rebuilds;
+                assert_eq!(index.refresh(&t, now), crossed, "slot {s} + {offset} ms");
+                assert!(!index.refresh(&t, now), "a repeated refresh is a no-op");
+                assert_eq!(index.slot(), Some(t.slot_at(now)));
+                for i in 0..n {
+                    assert_eq!(index.contains(i), t.is_online(i, now), "node {i} slot {s}");
+                }
+                assert!(
+                    (n..n + 130).all(|i| !index.contains(i)),
+                    "beyond the population"
+                );
+                assert!(!index.contains(usize::MAX));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Any walk over the trace — forwards, backwards, jumping slots —
+        /// leaves the bitset and the list saying the same as the trace.
+        #[test]
+        fn contains_follows_arbitrary_refreshes(
+            hosts in 1usize..140,
+            seed in proptest::prelude::any::<u64>(),
+            instants in proptest::collection::vec(0u64..30 * 3_600_000, 1..12),
+        ) {
+            let t = OvernetModel::default().hosts(hosts).days(1).generate(seed);
+            let mut index = OnlineIndex::new();
+            for ms in instants {
+                let now = SimTime::from_millis(ms);
+                index.refresh(&t, now);
+                for i in 0..hosts + 70 {
+                    let expected = i < hosts && t.is_online(i, now);
+                    proptest::prop_assert_eq!(index.contains(i), expected);
+                }
+                let listed: Vec<usize> = (0..hosts).filter(|&i| index.contains(i)).collect();
+                let cached: Vec<usize> = index.online().iter().map(|&i| i as usize).collect();
+                proptest::prop_assert_eq!(listed, cached);
+            }
+        }
     }
 }

@@ -33,22 +33,34 @@ use std::thread::JoinHandle;
 /// overhead for parallelism that does not exist. The quota (cgroup v2
 /// `cpu.max`, v1 `cpu.cfs_quota_us`/`cpu.cfs_period_us`) is the real
 /// ceiling, so it wins when it is lower.
+///
+/// The variable is read on every call; the machine is probed once per
+/// process (callers ask per advance of a simulation, and the probe is
+/// half a dozen syscalls).
 pub fn default_threads() -> usize {
-    match std::env::var("AVMEM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
+    resolve_threads(std::env::var("AVMEM_THREADS").ok().as_deref())
+}
+
+/// [`default_threads`] given the value of the override variable.
+fn resolve_threads(override_var: Option<&str>) -> usize {
+    match override_var.and_then(|v| v.trim().parse::<usize>().ok()) {
         Some(n) if n >= 1 => n,
-        _ => {
-            let hardware = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            match cgroup_quota_threads() {
-                Some(quota) => hardware.min(quota),
-                None => hardware,
-            }
-        }
+        _ => machine_threads(),
     }
+}
+
+/// Hardware parallelism capped by the cgroup quota, probed on first use.
+fn machine_threads() -> usize {
+    static PROBE: OnceLock<usize> = OnceLock::new();
+    *PROBE.get_or_init(|| {
+        let hardware = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        match cgroup_quota_threads() {
+            Some(quota) => hardware.min(quota),
+            None => hardware,
+        }
+    })
 }
 
 /// The effective CPU count allowed by the process's cgroup quota, or
@@ -547,6 +559,21 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn the_override_wins_before_and_after_the_probe_is_cached() {
+        // Through `resolve_threads`, not the process environment: other
+        // tests of this binary size pools from it concurrently.
+        assert_eq!(resolve_threads(Some("3")), 3);
+        let machine = resolve_threads(None);
+        assert!(machine >= 1);
+        assert_eq!(resolve_threads(Some(" 5\n")), 5);
+        // Not a positive integer: the (cached) machine answer.
+        for unset in ["0", "", "banana", "-2"] {
+            assert_eq!(resolve_threads(Some(unset)), machine);
+        }
+        assert_eq!(resolve_threads(None), machine);
     }
 
     #[test]

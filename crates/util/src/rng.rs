@@ -103,32 +103,33 @@ pub trait Rng {
         reservoir
     }
 
-    /// Reservoir sampling into a caller-provided buffer.
+    /// [`Rng::sample`] over the positions `0..n`, into a caller-provided
+    /// buffer (cleared first): the same picks in the same order from the
+    /// same draws — `index(seen + 1)` for every `seen` in `k..n`, none
+    /// when `k == 0` or `n <= k` — so a caller that gathers its items by
+    /// position afterwards gets what `sample` over the items would give,
+    /// and leaves the generator where `sample` would.
     ///
-    /// Draw-for-draw identical to [`Rng::sample`] — the RNG consumption
-    /// depends only on the iterator length and `k`, never on the buffer —
-    /// so hot paths can reuse pooled Vecs without perturbing determinism.
-    /// The buffer is cleared first.
-    fn sample_into<T, I>(&mut self, iter: I, k: usize, out: &mut Vec<T>)
-    where
-        I: IntoIterator<Item = T>,
-        Self: Sized,
-    {
+    /// It exists because of what it does *not* do. A reservoir's
+    /// `if j < k { reservoir[j] = item }` is taken about half the time on
+    /// a draw nobody can predict, and with `n` in the tens the
+    /// mispredictions cost more than the draws. Here the store is
+    /// unconditional: the reservoir is followed by one spill slot, every
+    /// winner lands at `min(j, k)`, and the spill is dropped at the end.
+    fn sample_positions(&mut self, n: usize, k: usize, out: &mut Vec<u32>) {
+        assert!(u32::try_from(n).is_ok(), "positions must fit u32");
         out.clear();
-        if k == 0 {
+        out.extend(0..n.min(k) as u32);
+        if k == 0 || n <= k {
             return;
         }
-        out.reserve(k);
-        for (seen, item) in iter.into_iter().enumerate() {
-            if seen < k {
-                out.push(item);
-            } else {
-                let j = self.index(seen + 1);
-                if j < k {
-                    out[j] = item;
-                }
-            }
+        out.push(0);
+        let slots = &mut out[..=k];
+        for seen in k..n {
+            let j = self.index(seen + 1);
+            slots[j.min(k)] = seen as u32;
         }
+        out.pop();
     }
 }
 
@@ -350,16 +351,37 @@ mod tests {
         assert_eq!(picked.len(), 3);
     }
 
+    /// `sample_positions(n, k)` against the reference it must reproduce,
+    /// [`Rng::sample`] over `0..n`: same picks in the same order, and the
+    /// generator left at the same position. The scratch comes in dirty.
+    fn positions_match_sample<R: Rng + Clone>(rng: &R, n: usize, k: usize) {
+        let (mut a, mut b) = (rng.clone(), rng.clone());
+        let expected = a.sample(0..n as u32, k);
+        let mut positions = vec![u32::MAX; 13];
+        b.sample_positions(n, k, &mut positions);
+        assert_eq!(positions, expected, "n={n} k={k}");
+        assert_eq!(a.next_u64(), b.next_u64(), "stream diverged n={n} k={k}");
+    }
+
     #[test]
-    fn sample_into_is_bit_identical_to_sample() {
-        for (n, k) in [(0usize, 5usize), (3, 10), (50, 7), (1000, 50), (8, 8)] {
-            let mut a = Xoshiro256::new(97);
-            let mut b = Xoshiro256::new(97);
-            let allocated = a.sample(0..n as u32, k);
-            let mut pooled = vec![0u32; 13]; // stale contents must not leak
-            b.sample_into(0..n as u32, k, &mut pooled);
-            assert_eq!(allocated, pooled, "n={n} k={k}");
-            assert_eq!(a.next_u64(), b.next_u64(), "stream diverged n={n} k={k}");
+    fn sample_positions_edge_shapes_match_sample() {
+        // Nothing wanted, nothing there, too few to choose from (no draw
+        // in any of the three), one draw, and a long run of them.
+        for (n, k) in [(5, 0), (0, 5), (3, 10), (8, 8), (9, 8), (2, 1), (1000, 500)] {
+            positions_match_sample(&Xoshiro256::new(97), n, k);
+            positions_match_sample(&SplitMix64::new(97), n, k);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sample_positions_match_sample(
+            seed in proptest::prelude::any::<u64>(),
+            n in 0usize..200,
+            k in 0usize..80,
+        ) {
+            positions_match_sample(&SplitMix64::new(seed), n, k);
+            positions_match_sample(&Xoshiro256::new(seed), n, k);
         }
     }
 
