@@ -204,8 +204,10 @@ pub struct SimConfig {
     pub pdf_buckets: usize,
     /// Memory budget (bytes) for stored pair-hash rows. Populations
     /// whose dense matrix (`8·N²` bytes) fits the budget keep the rows
-    /// full-row scans (the converged rebuild) hash; larger ones store
-    /// nothing and hash on the fly, in batches. See
+    /// their three builders hash — the converged rebuild's full-row
+    /// scans, a shared [`crate::harness::PairHashes::compute`] matrix,
+    /// and point reads through `get` (the attack series); larger ones
+    /// store nothing and hash on the fly, in batches. See
     /// [`crate::harness::PairHashes::with_budget`]. The same bound
     /// decides whether event-driven finalize keeps its per-pair verdict
     /// memory — one bit per ordered pair, `N²/8` bytes; two, `N²/4`,

@@ -13,9 +13,9 @@
 //!   [`PairHashes::get`], [`PairHashes::compute`]), and kept; later reads
 //!   are array lookups. Who builds rows: the converged rebuild, which
 //!   scans every row whole on every rebuild; sweeps that share one
-//!   [`PairHashes::compute`] matrix across many simulations; and the
-//!   pair-at-a-time reference finalize that the tests compare the fast
-//!   path against. Untouched rows cost nothing.
+//!   [`PairHashes::compute`] matrix across many simulations; and point
+//!   reads through [`PairHashes::get`] (the attack series). Untouched
+//!   rows cost nothing.
 //! * **on the fly** (it does not) — nothing is stored. Point reads hash
 //!   one pair and [`PairHashes::row`] batch-fills the caller's scratch
 //!   row, so memory stays `O(N)` per thread.
@@ -100,7 +100,7 @@ impl PairHashes {
     ///
     /// Panics if `n == 0`.
     pub fn compute(n: usize) -> Self {
-        let hashes = PairHashes::lazy(n);
+        let hashes = PairHashes::new(n, true);
         // Materialize every row up front; rows are independent, so the
         // chunk split cannot change any value.
         let mut row_ids: Vec<usize> = (0..n).collect();
@@ -110,16 +110,6 @@ impl PairHashes {
             }
         });
         hashes
-    }
-
-    /// Dense storage whatever the size: rows are hashed on first touch,
-    /// nothing up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn lazy(n: usize) -> Self {
-        PairHashes::new(n, true)
     }
 
     /// Budget-aware constructor: lazy dense rows when the matrix (`8·n²`
@@ -310,7 +300,7 @@ mod tests {
 
     #[test]
     fn lazy_materializes_only_touched_rows() {
-        let hashes = PairHashes::lazy(16);
+        let hashes = PairHashes::with_budget(16, usize::MAX);
         assert_eq!(hashes.cached_rows(), 0);
         let _ = hashes.get(3, 7);
         assert_eq!(hashes.cached_rows(), 1);
@@ -354,7 +344,7 @@ mod tests {
         // `gather` never builds a row; it reads one that is resident.
         // Resident rows: every one (`compute`), only the even ones (built
         // by `row` and by `get`, the two readers that may), none.
-        let some = PairHashes::lazy(14);
+        let some = PairHashes::with_budget(14, usize::MAX);
         for x in (0..14).step_by(4) {
             let _ = some.row(x, &mut Vec::new());
             if x + 2 < 14 {
@@ -364,7 +354,7 @@ mod tests {
         for (hashes, resident) in [
             (PairHashes::compute(14), 14),
             (some, 7),
-            (PairHashes::lazy(14), 0),
+            (PairHashes::with_budget(14, usize::MAX), 0),
             (PairHashes::with_budget(14, 0), 0),
         ] {
             let before = hashes.store_stats();
@@ -394,7 +384,7 @@ mod tests {
 
     #[test]
     fn store_stats_split_rows_from_on_the_fly_hashes() {
-        let dense = PairHashes::lazy(10);
+        let dense = PairHashes::with_budget(10, usize::MAX);
         let mut out = Vec::new();
         let ys = [NodeId::new(1), NodeId::new(2)];
         dense.gather(3, &ys, &mut out); // no row yet: two pairs hashed
@@ -434,7 +424,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn gather_rejects_out_of_range_candidates_without_a_resident_row() {
-        let hashes = PairHashes::lazy(3);
+        let hashes = PairHashes::with_budget(3, usize::MAX);
         hashes.gather(0, &[NodeId::new(3)], &mut Vec::new());
     }
 }

@@ -154,7 +154,7 @@ const PH_FINALIZE: usize = 3;
 /// Cumulative wall-clock spent in each phase of maintenance, plus the
 /// number of timestamp cohorts processed. Exposed through
 /// [`AvmemSim::phase_timings`] so drivers (the scenario runner, the
-/// shard-scaling bench) can report where a run's time went — in
+/// `perf` benchmark) can report where a run's time went — in
 /// particular what share the commit/merge barrier claims. Assembled
 /// from the harness's span [`Tracer`] (coordinator lane).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

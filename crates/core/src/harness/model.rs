@@ -5,20 +5,20 @@
 //! differential compare through the same accessors — but shares none of
 //! the cohort machinery: one global [`Engine`] heap holds every node's
 //! tick and refresh and every popped event is re-queued a period later;
-//! a cohort's ticking nodes go in ascending id through the plain,
-//! allocating shuffle entry points; requests are sorted by `(responder,
-//! initiator)`; and discovery and refresh evaluate Eq. 1 pair at a time
-//! ([`Membership::discover`] / [`Membership::refresh`]: one
-//! `oracle.estimate` and one `consistent_hash` per candidate). No shards,
-//! no wheel, no pooled buffers, no memo, no verdict memory (per epoch or
-//! settled), no batching.
+//! a cohort's ticking nodes go in ascending id through the shuffle entry
+//! points with a fresh [`EntryPool`] per call; requests are sorted by
+//! `(responder, initiator)`; and discovery and refresh evaluate Eq. 1
+//! pair at a time ([`Membership::discover`] / [`Membership::refresh`]:
+//! one `oracle.estimate` and one `consistent_hash` per candidate). No
+//! shards, no wheel, no pooled buffers, no memo, no verdict memory (per
+//! epoch or settled), no batching.
 //!
 //! It lives in the crate because it draws the same keyed random streams
 //! as the harness (the stagger offsets and the `STREAM_*` tags) and
 //! writes the simulation's private state.
 
 use avmem_avmon::AvailabilityOracle;
-use avmem_shuffle::ShuffleMessage;
+use avmem_shuffle::{EntryPool, ShuffleMessage};
 use avmem_sim::{Engine, SimTime};
 use avmem_trace::ChurnTrace;
 use avmem_util::{NodeId, SplitMix64};
@@ -112,10 +112,10 @@ impl Model {
                     node.bootstrap(seeds.iter().map(|&j| NodeId::new(j as u64)));
                 }
                 let mut rng = SplitMix64::keyed(&key(STREAM_SHUFFLE));
-                let Some(proposal) = node.propose(&mut rng) else {
+                let Some(proposal) = node.propose_with(&mut rng, &mut EntryPool::new()) else {
                     continue;
                 };
-                node.apply(&proposal);
+                node.apply_with(&proposal, &mut EntryPool::new());
                 let (target, request) = proposal.into_request();
                 let responder = target.raw() as usize;
                 if responder < n && sim.trace.is_online(responder, t) {
@@ -130,14 +130,16 @@ impl Model {
             let replies: Vec<(usize, ShuffleMessage)> = requests
                 .into_iter()
                 .map(|(responder, initiator, request)| {
-                    (initiator, sim.shuffles[responder].handle_request(request))
+                    let reply =
+                        sim.shuffles[responder].handle_request_with(request, &mut EntryPool::new());
+                    (initiator, reply)
                 })
                 .collect();
             for (initiator, reply) in replies {
-                sim.shuffles[initiator].handle_reply(reply);
+                sim.shuffles[initiator].handle_reply_with(reply, &mut EntryPool::new());
             }
             for (initiator, target) in timeouts {
-                sim.shuffles[initiator].handle_timeout(target);
+                sim.shuffles[initiator].handle_timeout_with(target, &mut EntryPool::new());
             }
 
             // Discovery over the post-shuffle views, then refresh: a node

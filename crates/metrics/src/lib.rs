@@ -3,8 +3,8 @@
 //! Observability surface for the AVMEM reproduction.
 //!
 //! Every long-running mode of the workspace — `scenario run`, `scenario
-//! serve`, and the benches — reports through the one [`Registry`] defined
-//! here. The design goals, in order:
+//! serve`, and the `perf` benchmark — reports through the one
+//! [`Registry`] defined here. The design goals, in order:
 //!
 //! 1. **Lock-cheap hot path.** Instrument handles ([`Counter`], [`Gauge`],
 //!    [`Histogram`]) are `Arc`s over atomics; recording is a relaxed

@@ -391,7 +391,27 @@ impl Default for ReportSpec {
     }
 }
 
+/// The longest run a spec may describe, warm-up included: 71 582 min.
+/// Membership stamps are `u32` milliseconds (`SimTime::as_compact_ms`)
+/// and saturate past it, after which refresh accounting reads the cap.
+const MAX_HORIZON_MINS: u64 = u32::MAX as u64 / 60_000;
+
 impl ScenarioSpec {
+    /// `warmup_mins + duration_mins`, or the typed error when the sum
+    /// overflows or passes [`MAX_HORIZON_MINS`].
+    fn horizon_mins(&self) -> Result<u64, ScenarioError> {
+        self.warmup_mins
+            .checked_add(self.duration_mins)
+            .filter(|&total| total <= MAX_HORIZON_MINS)
+            .ok_or_else(|| {
+                ScenarioError::Invalid(format!(
+                    "warmup_mins + duration_mins must not exceed {MAX_HORIZON_MINS} \
+                     (≈ 49.7 simulated days): membership stamps are 32-bit \
+                     milliseconds and saturate beyond it"
+                ))
+            })
+    }
+
     /// Checks every cross-field invariant the parser cannot see, returning
     /// the first violation.
     ///
@@ -413,6 +433,7 @@ impl ScenarioSpec {
         if self.duration_mins == 0 {
             return fail("duration_mins must be positive".into());
         }
+        self.horizon_mins()?;
         if self.health_every_mins == 0 {
             return fail("health_every_mins must be positive".into());
         }
@@ -555,8 +576,9 @@ impl ScenarioSpec {
     ///
     /// Returns [`ScenarioError::Trace`] when a trace file cannot be read,
     /// and [`ScenarioError::Invalid`] when the trace is shorter than
-    /// `warmup + duration`.
+    /// `warmup + duration` or that sum is beyond the supported horizon.
     pub fn build_trace(&self) -> Result<ChurnTrace, ScenarioError> {
+        let needed = SimDuration::from_mins(self.horizon_mins()?);
         let trace = match &self.churn {
             ChurnSpec::Overnet { hosts, days } => {
                 OvernetModel::default().hosts(*hosts).days(*days).generate(self.seed)
@@ -587,7 +609,6 @@ impl ScenarioSpec {
                     .map_err(|e| ScenarioError::Trace(format!("parse {path}: {e}")))?
             }
         };
-        let needed = SimDuration::from_mins(self.warmup_mins + self.duration_mins);
         if trace.duration() < needed {
             return Err(ScenarioError::Invalid(format!(
                 "trace covers {:.1} h but warmup + duration needs {:.1} h",
@@ -747,6 +768,21 @@ mod tests {
         let mut spec = valid();
         spec.duration_mins = 0;
         assert!(spec.validate().is_err());
+
+        // The horizon: the last whole minute a u32-millisecond membership
+        // stamp can hold passes, the next fails, and an overflowing sum
+        // is the same typed error rather than a panic.
+        let horizon = |warmup_mins, duration_mins| {
+            let spec = ScenarioSpec { warmup_mins, duration_mins, ..valid() };
+            spec.validate()
+        };
+        assert!(horizon(60, 71_522).is_ok());
+        for (warmup, duration) in [(60, 71_523), (u64::MAX, 1)] {
+            let Err(ScenarioError::Invalid(msg)) = horizon(warmup, duration) else {
+                panic!("{warmup} + {duration} min must be rejected");
+            };
+            assert!(msg.contains("71582") && msg.contains("saturate"), "{msg}");
+        }
 
         // Names that could not be rendered back (render/parse round-trip
         // and JSON reports both embed them) are rejected up front.

@@ -7,7 +7,8 @@ use proptest::prelude::*;
 use avmem_scenario::{
     parse_spec, AdversarySpec, AssignmentSpec, BandSpec, ChurnSpec, EngineSpec,
     MaintenanceModeSpec, MaintenanceSpec, MulticastSpec, OracleSpec, PolicySpec, PredicateSpec,
-    ReportSpec, ScenarioSpec, ScopeSpec, ServeSpec, TargetMix, TargetSpec, WorkloadSpec,
+    ReportSpec, ScenarioError, ScenarioSpec, ScopeSpec, ServeSpec, TargetMix, TargetSpec,
+    WorkloadSpec,
 };
 
 fn arb_churn() -> impl Strategy<Value = ChurnSpec> {
@@ -313,4 +314,22 @@ fn malformed_inputs_name_the_offending_line() {
             "{input:?} produced {err:?}, expected {needle:?}"
         );
     }
+}
+
+/// The path `scenario check` takes on a spec file: the text parses — a
+/// long horizon is well-formed — and `validate` turns it down, because
+/// 60 simulated days is past what a `u32`-millisecond membership stamp
+/// can hold.
+#[test]
+fn a_sixty_day_horizon_parses_and_fails_validation() {
+    let text = "name = \"sixty-days\"\nduration_mins = 86400\n\
+                [churn]\nmodel = \"overnet\"\nhosts = 30\ndays = 60\n\
+                [workload]\nops_per_hour = 1.0\n\
+                [[target]]\nweight = 1.0\nkind = \"threshold\"\nmin = 0.5\n";
+    let spec = parse_spec(text).expect("a long horizon is well-formed text");
+    assert_eq!(spec.duration_mins, 86_400);
+    let Err(ScenarioError::Invalid(msg)) = spec.validate() else {
+        panic!("a 60-day horizon must not validate");
+    };
+    assert!(msg.contains("71582"), "{msg}");
 }

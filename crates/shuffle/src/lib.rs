@@ -12,8 +12,9 @@
 //!
 //! * every entry carries an **age**; each period a node contacts the
 //!   *oldest* entry and swaps a small random subset of its view
-//!   ([`ShuffleNode::initiate`] / [`ShuffleNode::handle_request`] /
-//!   [`ShuffleNode::handle_reply`]);
+//!   ([`ShuffleNode::initiate_with`] /
+//!   [`ShuffleNode::handle_request_with`] /
+//!   [`ShuffleNode::handle_reply_with`]);
 //! * unresponsive targets are simply dropped (their entry was removed when
 //!   the exchange started), which cleans dead nodes out of views;
 //! * joining nodes bootstrap from any live seed.
@@ -22,14 +23,13 @@
 //! `v + N/v`, giving `v = O(√N)` — see [`optimal_view_size`].
 //!
 //! The state machines here are pure (no engine dependency): callers pass
-//! messages between nodes however they like. A driver that runs many
-//! exchanges owns an [`EntryPool`] and calls the `_with` forms
-//! ([`ShuffleNode::handle_request_with`] and its siblings): message
-//! buffers are recycled, and every view merge indexes the view in the
-//! pool's id table instead of scanning it per received entry. The plain
-//! forms build a pool per call; they are for tests and examples. [`sim::RoundSim`] is a
-//! miniature synchronous driver used by the tests and the discovery-time
-//! microbenchmarks.
+//! messages between nodes however they like. Every exchange entry point
+//! takes an [`EntryPool`] (the `_with` suffix): a driver that runs many
+//! exchanges owns one, so message buffers are recycled and every view
+//! merge indexes the view in the pool's id table instead of scanning it
+//! per received entry; a test that wants no reuse passes
+//! `&mut EntryPool::new()` per call. [`sim::RoundSim`] is a miniature
+//! synchronous driver used by the tests and the discovery-time figures.
 
 pub mod node;
 pub mod pool;

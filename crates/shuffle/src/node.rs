@@ -1,9 +1,11 @@
 //! The CYCLON shuffle state machine.
 //!
 //! Pure message-in/message-out: the host simulation decides when to call
-//! [`ShuffleNode::initiate`] (once per protocol period while online),
+//! [`ShuffleNode::initiate_with`] (once per protocol period while online),
 //! routes [`ShuffleMessage`]s between nodes, and reports unresponsive
-//! targets with [`ShuffleNode::handle_timeout`].
+//! targets with [`ShuffleNode::handle_timeout_with`]. Every entry point
+//! takes the caller's [`EntryPool`]: message buffers and the merge's id
+//! table come out of it, and what it held before changes no result.
 
 use avmem_util::{NodeId, Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
@@ -69,7 +71,7 @@ pub enum ShuffleMessage {
 /// A complete exchange between two nodes:
 ///
 /// ```
-/// use avmem_shuffle::{ShuffleConfig, ShuffleNode};
+/// use avmem_shuffle::{EntryPool, ShuffleConfig, ShuffleNode};
 /// use avmem_util::NodeId;
 ///
 /// let cfg = ShuffleConfig::new(8, 4);
@@ -77,10 +79,11 @@ pub enum ShuffleMessage {
 /// let mut b = ShuffleNode::new(NodeId::new(2), cfg, 22);
 /// a.bootstrap([NodeId::new(2)]);
 ///
-/// let (target, request) = a.initiate().expect("view non-empty");
+/// let mut pool = EntryPool::new();
+/// let (target, request) = a.initiate_with(&mut pool).expect("view non-empty");
 /// assert_eq!(target, NodeId::new(2));
-/// let reply = b.handle_request(request);
-/// a.handle_reply(reply);
+/// let reply = b.handle_request_with(request, &mut pool);
+/// a.handle_reply_with(reply, &mut pool);
 ///
 /// // After the exchange the target has learned about the initiator.
 /// assert!(b.view().contains(NodeId::new(1)));
@@ -105,12 +108,12 @@ struct InFlight {
 /// A shuffle exchange this node *would* start now: the target (its oldest
 /// view entry) and the request entries, sampled from the post-aging view.
 ///
-/// Produced by the read-only [`ShuffleNode::propose`] and turned into
-/// state by [`ShuffleNode::apply`]. Splitting the two lets a batch driver
-/// compute every node's proposal in parallel from a frozen view of the
-/// system — randomness comes from the caller's (typically counter-keyed)
-/// generator, not from shared node state — and then commit the resulting
-/// request/reply exchanges in a deterministic serial order.
+/// Produced by the read-only [`ShuffleNode::propose_with`] and turned
+/// into state by [`ShuffleNode::apply_with`]. Splitting the two lets a
+/// batch driver compute every node's proposal in parallel from a frozen
+/// view of the system — randomness comes from the caller's (typically
+/// counter-keyed) generator, not from shared node state — and then commit
+/// the resulting request/reply exchanges in a deterministic serial order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShuffleProposal {
     target: NodeId,
@@ -200,17 +203,12 @@ impl ShuffleNode {
     /// is empty or an exchange is already in flight.
     ///
     /// A proposal is only meaningful against the exact view it was
-    /// computed from; pass it to [`ShuffleNode::apply`] before anything
-    /// else touches this node.
-    pub fn propose<R: Rng>(&self, rng: &mut R) -> Option<ShuffleProposal> {
-        self.propose_with(rng, &mut EntryPool::new())
-    }
-
-    /// [`ShuffleNode::propose`] drawing its entry buffer from `pool`.
+    /// computed from; pass it to [`ShuffleNode::apply_with`] before
+    /// anything else touches this node.
     ///
-    /// Draw-for-draw identical to the allocating form; batch drivers use
-    /// this with a per-shard pool so proposal buffers are recycled across
-    /// cohorts instead of reallocated.
+    /// The entry buffer comes from `pool`: batch drivers pass a per-shard
+    /// pool so proposal buffers are recycled across cohorts instead of
+    /// reallocated.
     pub fn propose_with<R: Rng>(
         &self,
         rng: &mut R,
@@ -237,29 +235,19 @@ impl ShuffleNode {
         })
     }
 
-    /// Applies a proposal from [`ShuffleNode::propose`]: ages the view,
-    /// removes the target entry, and records the in-flight exchange. The
-    /// host then routes [`ShuffleProposal::into_request`] to the target
-    /// and completes with [`ShuffleNode::handle_reply`] or
-    /// [`ShuffleNode::handle_timeout`].
+    /// Applies a proposal from [`ShuffleNode::propose_with`]: ages the
+    /// view, removes the target entry, and records the in-flight exchange
+    /// (its bookkeeping buffer drawn from `pool`). The host then routes
+    /// [`ShuffleProposal::into_request`] to the target and completes with
+    /// [`ShuffleNode::handle_reply_with`] or
+    /// [`ShuffleNode::handle_timeout_with`].
     ///
     /// # Panics
     ///
     /// Panics if the proposal does not match this node's state (its
     /// target is no longer where the proposal found it in the view, or an
     /// exchange is in flight) — i.e. if the view changed between
-    /// `propose` and `apply`.
-    pub fn apply(&mut self, proposal: &ShuffleProposal) {
-        self.apply_with(proposal, &mut EntryPool::new());
-    }
-
-    /// [`ShuffleNode::apply`] drawing its in-flight bookkeeping buffer
-    /// from `pool` instead of cloning the proposal entries into a fresh
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShuffleNode::apply`].
+    /// `propose_with` and `apply_with`.
     pub fn apply_with(&mut self, proposal: &ShuffleProposal, pool: &mut EntryPool) {
         assert!(
             self.in_flight.is_none(),
@@ -281,17 +269,11 @@ impl ShuffleNode {
 
     /// Starts one shuffle period: ages the view, removes the oldest entry
     /// as the exchange target, and produces the request to send to it —
-    /// [`ShuffleNode::propose`] + [`ShuffleNode::apply`] driven by the
-    /// node's own generator, for serial hosts.
+    /// [`ShuffleNode::propose_with`] + [`ShuffleNode::apply_with`] driven
+    /// by the node's own generator, for serial hosts.
     ///
     /// Returns `None` when the view is empty (nothing to exchange with) or
     /// an exchange is already in flight.
-    pub fn initiate(&mut self) -> Option<(NodeId, ShuffleMessage)> {
-        self.initiate_with(&mut EntryPool::new())
-    }
-
-    /// [`ShuffleNode::initiate`] drawing the request and in-flight
-    /// buffers from `pool`.
     pub fn initiate_with(&mut self, pool: &mut EntryPool) -> Option<(NodeId, ShuffleMessage)> {
         let mut rng = self.rng.clone();
         let proposal = self.propose_with(&mut rng, pool)?;
@@ -300,29 +282,20 @@ impl ShuffleNode {
         Some(proposal.into_request())
     }
 
-    /// Handles an incoming request, returning the reply to send back.
+    /// Handles an incoming request, returning the reply to send back: the
+    /// reply buffer comes from `pool`, the merge runs on its id table, and
+    /// the spent request entries are recycled into it.
     ///
     /// # Panics
     ///
     /// Panics if called with a [`ShuffleMessage::Reply`].
-    pub fn handle_request(&mut self, message: ShuffleMessage) -> ShuffleMessage {
-        self.handle_request_with(message, &mut EntryPool::new())
-    }
-
-    /// [`ShuffleNode::handle_request`] drawing the reply buffer from
-    /// `pool`, merging on its id table, and recycling the spent request
-    /// entries into it.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShuffleNode::handle_request`].
     pub fn handle_request_with(
         &mut self,
         message: ShuffleMessage,
         pool: &mut EntryPool,
     ) -> ShuffleMessage {
         let ShuffleMessage::Request { entries } = message else {
-            panic!("handle_request expects a Request message");
+            panic!("handle_request_with expects a Request message");
         };
         let mut reply = pool.take(self.config.shuffle_length);
         self.view.random_subset_pooled(
@@ -339,25 +312,16 @@ impl ShuffleNode {
     }
 
     /// Handles the reply to our in-flight request, completing the
-    /// exchange. A reply with no exchange in flight (e.g. from a target
-    /// already timed out) is ignored.
+    /// exchange: merges on `pool`'s id table and recycles the spent reply
+    /// and in-flight buffers into it. A reply with no exchange in flight
+    /// (e.g. from a target already timed out) is ignored.
     ///
     /// # Panics
     ///
     /// Panics if called with a [`ShuffleMessage::Request`].
-    pub fn handle_reply(&mut self, message: ShuffleMessage) {
-        self.handle_reply_with(message, &mut EntryPool::new());
-    }
-
-    /// [`ShuffleNode::handle_reply`] merging on `pool`'s id table and
-    /// recycling the spent reply and in-flight buffers into it.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShuffleNode::handle_reply`].
     pub fn handle_reply_with(&mut self, message: ShuffleMessage, pool: &mut EntryPool) {
         let ShuffleMessage::Reply { entries } = message else {
-            panic!("handle_reply expects a Reply message");
+            panic!("handle_reply_with expects a Reply message");
         };
         let Some(in_flight) = self.in_flight.take() else {
             pool.recycle(entries);
@@ -370,13 +334,7 @@ impl ShuffleNode {
 
     /// Reports that the in-flight target never answered. CYCLON's
     /// self-cleaning: the dead entry stays removed. Entries we planned to
-    /// trade are retained.
-    pub fn handle_timeout(&mut self, target: NodeId) {
-        self.handle_timeout_with(target, &mut EntryPool::new());
-    }
-
-    /// [`ShuffleNode::handle_timeout`] recycling the in-flight buffer
-    /// into `pool`.
+    /// trade are retained; the in-flight buffer is recycled into `pool`.
     pub fn handle_timeout_with(&mut self, target: NodeId, pool: &mut EntryPool) {
         if let Some(in_flight) = &self.in_flight {
             if in_flight.target == target {
@@ -424,7 +382,7 @@ mod tests {
     #[test]
     fn initiate_on_empty_view_returns_none() {
         let mut a = node(1);
-        assert!(a.initiate().is_none());
+        assert!(a.initiate_with(&mut EntryPool::new()).is_none());
     }
 
     #[test]
@@ -432,7 +390,7 @@ mod tests {
         let mut a = node(1);
         a.bootstrap([id(2)]);
         // Age id(2), then add a fresh id(3): id(2) is oldest.
-        let _ = a.initiate(); // ages, targets 2, removes it
+        let _ = a.initiate_with(&mut EntryPool::new()); // ages, targets 2, removes it
         // After initiate, 2 removed.
         assert!(!a.view().contains(id(2)));
     }
@@ -441,7 +399,7 @@ mod tests {
     fn request_carries_fresh_self_entry() {
         let mut a = node(1);
         a.bootstrap([id(2), id(3)]);
-        let (_, msg) = a.initiate().unwrap();
+        let (_, msg) = a.initiate_with(&mut EntryPool::new()).unwrap();
         let ShuffleMessage::Request { entries } = msg else {
             panic!("expected request");
         };
@@ -456,12 +414,12 @@ mod tests {
         a.bootstrap([id(2)]);
         b.bootstrap([id(5), id(6)]);
 
-        let (target, req) = a.initiate().unwrap();
+        let (target, req) = a.initiate_with(&mut EntryPool::new()).unwrap();
         assert_eq!(target, id(2));
         // Give a some more context for the assertion below.
         a.bootstrap([id(3), id(4)]);
-        let reply = b.handle_request(req);
-        a.handle_reply(reply);
+        let reply = b.handle_request_with(req, &mut EntryPool::new());
+        a.handle_reply_with(reply, &mut EntryPool::new());
 
         // b learned about a.
         assert!(b.view().contains(id(1)));
@@ -474,27 +432,27 @@ mod tests {
     fn second_initiate_while_in_flight_is_noop() {
         let mut a = node(1);
         a.bootstrap([id(2), id(3)]);
-        let first = a.initiate();
+        let first = a.initiate_with(&mut EntryPool::new());
         assert!(first.is_some());
-        assert!(a.initiate().is_none());
+        assert!(a.initiate_with(&mut EntryPool::new()).is_none());
     }
 
     #[test]
     fn timeout_clears_in_flight_and_drops_dead_entry() {
         let mut a = node(1);
         a.bootstrap([id(2)]);
-        let (target, _) = a.initiate().unwrap();
-        a.handle_timeout(target);
+        let (target, _) = a.initiate_with(&mut EntryPool::new()).unwrap();
+        a.handle_timeout_with(target, &mut EntryPool::new());
         assert!(!a.view().contains(target));
         // Can initiate again (view empty now though).
-        assert!(a.initiate().is_none());
+        assert!(a.initiate_with(&mut EntryPool::new()).is_none());
     }
 
     #[test]
     fn restore_target_reinserts_entry() {
         let mut a = node(1);
         a.bootstrap([id(2)]);
-        let (target, _) = a.initiate().unwrap();
+        let (target, _) = a.initiate_with(&mut EntryPool::new()).unwrap();
         a.restore_target(target);
         assert!(a.view().contains(id(2)));
     }
@@ -503,9 +461,12 @@ mod tests {
     fn stray_reply_is_ignored() {
         let mut a = node(1);
         a.bootstrap([id(2)]);
-        a.handle_reply(ShuffleMessage::Reply {
-            entries: vec![ViewEntry::fresh(id(9))],
-        });
+        a.handle_reply_with(
+            ShuffleMessage::Reply {
+                entries: vec![ViewEntry::fresh(id(9))],
+            },
+            &mut EntryPool::new(),
+        );
         // No in-flight exchange: nothing merged.
         assert!(!a.view().contains(id(9)));
     }
@@ -557,7 +518,7 @@ mod tests {
                 );
                 legacy_entries.push(ViewEntry::fresh(id(1)));
 
-                let (target, message) = node.initiate().unwrap();
+                let (target, message) = node.initiate_with(&mut EntryPool::new()).unwrap();
                 assert_eq!(target, target_entry.id, "seed {seed}");
                 assert_eq!(
                     message,
@@ -582,20 +543,20 @@ mod tests {
         b.bootstrap([id(7)]);
         let mut rng = SplitMix64::new(4);
         let untouched = rng.clone();
-        let proposal = a.propose(&mut rng).unwrap();
+        let proposal = a.propose_with(&mut rng, &mut EntryPool::new()).unwrap();
         assert_eq!(rng, untouched, "nothing to sample, nothing drawn");
         assert_eq!(proposal.entries(), [ViewEntry::fresh(id(1))]);
-        a.apply(&proposal);
+        a.apply_with(&proposal, &mut EntryPool::new());
         let (target, request) = proposal.into_request();
         assert_eq!(target, id(2));
-        let reply = b.handle_request(request);
+        let reply = b.handle_request_with(request, &mut EntryPool::new());
         assert_eq!(
             reply,
             ShuffleMessage::Reply {
                 entries: vec![ViewEntry::fresh(id(7))]
             }
         );
-        a.handle_reply(reply);
+        a.handle_reply_with(reply, &mut EntryPool::new());
         // Each took the other's one entry in place of what it shipped.
         assert_eq!(a.view().ids().collect::<Vec<_>>(), [id(7)]);
         assert_eq!(b.view().ids().collect::<Vec<_>>(), [id(1)]);
@@ -607,7 +568,7 @@ mod tests {
         a.bootstrap([id(2), id(3), id(4)]);
         let before = a.view().clone();
         let mut rng = SplitMix64::new(99);
-        let proposal = a.propose(&mut rng).unwrap();
+        let proposal = a.propose_with(&mut rng, &mut EntryPool::new()).unwrap();
         assert_eq!(*a.view(), before, "propose must be read-only");
         assert!(before.contains(proposal.target()));
         // Request carries a fresh self-entry last, like initiate's.
@@ -619,7 +580,7 @@ mod tests {
         let mut a = node(1);
         a.bootstrap([id(2), id(3)]);
         let mut rng = SplitMix64::new(7);
-        let proposal = a.propose(&mut rng).unwrap();
+        let proposal = a.propose_with(&mut rng, &mut EntryPool::new()).unwrap();
         for e in proposal.entries() {
             if e.id != id(1) {
                 assert_eq!(e.age, 1, "sampled entries must reflect aging");
@@ -632,12 +593,15 @@ mod tests {
         let mut a = node(1);
         a.bootstrap([id(2), id(3)]);
         let mut rng = SplitMix64::new(5);
-        let proposal = a.propose(&mut rng).unwrap();
-        a.apply(&proposal);
-        assert!(a.propose(&mut rng).is_none(), "exchange is in flight");
+        let proposal = a.propose_with(&mut rng, &mut EntryPool::new()).unwrap();
+        a.apply_with(&proposal, &mut EntryPool::new());
+        assert!(
+            a.propose_with(&mut rng, &mut EntryPool::new()).is_none(),
+            "exchange is in flight"
+        );
         assert!(!a.view().contains(proposal.target()));
-        a.handle_timeout(proposal.target());
-        assert!(a.propose(&mut rng).is_some());
+        a.handle_timeout_with(proposal.target(), &mut EntryPool::new());
+        assert!(a.propose_with(&mut rng, &mut EntryPool::new()).is_some());
     }
 
     #[test]
@@ -645,7 +609,7 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let reference = rng.clone();
         let a = node(1);
-        assert!(a.propose(&mut rng).is_none());
+        assert!(a.propose_with(&mut rng, &mut EntryPool::new()).is_none());
         assert_eq!(rng, reference, "refused propose must not draw");
     }
 
@@ -655,8 +619,8 @@ mod tests {
         let mut a = node(1);
         a.bootstrap([id(2)]);
         let mut rng = SplitMix64::new(3);
-        let proposal = a.propose(&mut rng).unwrap();
+        let proposal = a.propose_with(&mut rng, &mut EntryPool::new()).unwrap();
         a.view.remove(proposal.target());
-        a.apply(&proposal);
+        a.apply_with(&proposal, &mut EntryPool::new());
     }
 }

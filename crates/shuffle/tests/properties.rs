@@ -77,7 +77,8 @@ proptest! {
         let cfg = ShuffleConfig::new(8, 4);
         let mut node = ShuffleNode::new(NodeId::new(0), cfg, seed);
         node.bootstrap((1..=peers).map(NodeId::new));
-        if let Some((_, ShuffleMessage::Request { entries })) = node.initiate() {
+        let request = node.initiate_with(&mut EntryPool::new());
+        if let Some((_, ShuffleMessage::Request { entries })) = request {
             prop_assert!(entries.iter().any(|e| e.id == NodeId::new(0) && e.age == 0));
             prop_assert!(entries.len() <= 4);
         }
@@ -90,12 +91,14 @@ proptest! {
         let mut b = ShuffleNode::new(NodeId::new(1), cfg, seed.wrapping_add(1));
         a.bootstrap([NodeId::new(1)]);
         b.bootstrap((2..2 + peers).map(NodeId::new));
-        if let Some((_, request)) = a.initiate() {
-            let ShuffleMessage::Reply { entries } = b.handle_request(request) else {
+        if let Some((_, request)) = a.initiate_with(&mut EntryPool::new()) {
+            let ShuffleMessage::Reply { entries } =
+                b.handle_request_with(request, &mut EntryPool::new())
+            else {
                 panic!("expected reply");
             };
             prop_assert!(entries.len() <= 4);
-            a.handle_reply(ShuffleMessage::Reply { entries });
+            a.handle_reply_with(ShuffleMessage::Reply { entries }, &mut EntryPool::new());
             prop_assert!(a.view().len() <= 8);
             prop_assert!(!a.view().contains(NodeId::new(0)));
         }
@@ -108,11 +111,10 @@ proptest! {
         peers_b in 0u64..12,
         junk in proptest::collection::vec((0u32..50, 0u32..9), 0..8),
     ) {
-        // Twin protocol runs: `fresh` uses the allocating entry points
-        // (a brand-new pool per call), `pooled` threads one long-lived
-        // pool through every call. Buffer reuse must be invisible — any
-        // recycled contents leaking into a later exchange diverges the
-        // twins immediately.
+        // Twin protocol runs: `fresh` hands every call a brand-new pool,
+        // `pooled` threads one long-lived pool through every call. Buffer
+        // reuse must be invisible — any recycled contents leaking into a
+        // later exchange diverges the twins immediately.
         let cfg = ShuffleConfig::new(8, 4);
         let mut pool = EntryPool::new();
         // Pre-dirty the pool with buffers that held unrelated entries.
@@ -134,7 +136,7 @@ proptest! {
         for round in 0..6u64 {
             let mut rng_fresh = SplitMix64::keyed(&[seed, round]);
             let mut rng_pooled = rng_fresh.clone();
-            let proposal_fresh = a_fresh.propose(&mut rng_fresh);
+            let proposal_fresh = a_fresh.propose_with(&mut rng_fresh, &mut EntryPool::new());
             let proposal_pooled = a_pooled.propose_with(&mut rng_pooled, &mut pool);
             prop_assert_eq!(&proposal_fresh, &proposal_pooled, "round {}", round);
             prop_assert_eq!(rng_fresh, rng_pooled, "round {}: rng consumption", round);
@@ -148,18 +150,18 @@ proptest! {
                 continue;
             }
             let target = pf.target();
-            a_fresh.apply(&pf);
+            a_fresh.apply_with(&pf, &mut EntryPool::new());
             a_pooled.apply_with(&pp, &mut pool);
             let (_, request_fresh) = pf.into_request();
             let (_, request_pooled) = pp.into_request();
-            let reply_fresh = b_fresh.handle_request(request_fresh);
+            let reply_fresh = b_fresh.handle_request_with(request_fresh, &mut EntryPool::new());
             let reply_pooled = b_pooled.handle_request_with(request_pooled, &mut pool);
             prop_assert_eq!(&reply_fresh, &reply_pooled, "round {}", round);
             if round % 2 == 0 {
-                a_fresh.handle_reply(reply_fresh);
+                a_fresh.handle_reply_with(reply_fresh, &mut EntryPool::new());
                 a_pooled.handle_reply_with(reply_pooled, &mut pool);
             } else {
-                a_fresh.handle_timeout(target);
+                a_fresh.handle_timeout_with(target, &mut EntryPool::new());
                 a_pooled.handle_timeout_with(target, &mut pool);
             }
             prop_assert_eq!(a_fresh.view(), a_pooled.view(), "round {}: initiator", round);

@@ -70,7 +70,9 @@ impl SimTime {
     }
 
     /// Compact 32-bit millisecond stamp, saturating at `u32::MAX`
-    /// (~49.7 simulated days — beyond every scenario horizon).
+    /// (71 582 min ≈ 49.7 simulated days). `avmem_scenario`'s
+    /// `ScenarioSpec::validate` rejects a run whose warm-up plus duration
+    /// passes that; a driver of its own must keep below it.
     ///
     /// Hot-state layouts (membership stamps) store instants in 4 bytes;
     /// exact for every instant below the cap, and round-tripped by
