@@ -192,11 +192,13 @@ impl RingAssignment {
         let mut order: Vec<u32> = (0..n_u32).collect();
         order.sort_unstable_by_key(|&t| points[t as usize]);
         let sorted_points: Vec<u128> = order.iter().map(|&t| points[t as usize]).collect();
-        let mut ring = HashRing::new(RING_DOMAIN, vnodes);
-        for m in members {
-            assert!(m < n_u32, "member {m} outside the population 0..{n}");
-            ring.insert(m);
-        }
+        let ring = HashRing::with_members(
+            RING_DOMAIN,
+            vnodes,
+            members.into_iter().inspect(|&m| {
+                assert!(m < n_u32, "member {m} outside the population 0..{n}");
+            }),
+        );
         RingAssignment {
             k,
             ring,
@@ -246,10 +248,11 @@ impl RingAssignment {
     /// sets may have changed, ascending and deduplicated. No-op (empty
     /// delta) if the member is already present.
     pub fn join(&mut self, member: u32) -> Vec<u32> {
-        if !self.ring.insert(member) {
+        let points = self.ring.member_points(member);
+        if !self.ring.insert_points(member, &points) {
             return Vec::new();
         }
-        self.affected_by(member)
+        self.affected_by(&points)
     }
 
     /// Removes `member` from the ring and returns the targets whose
@@ -262,21 +265,22 @@ impl RingAssignment {
         if !self.ring.contains(member) {
             return Vec::new();
         }
-        let affected = self.affected_by(member);
-        self.ring.remove(member);
+        let points = self.ring.member_points(member);
+        let affected = self.affected_by(&points);
+        self.ring.remove_points(member, &points);
         affected
     }
 
     /// Targets whose clockwise `k`-distinct-successor walk can reach one
-    /// of `member`'s ring points: for each point `p`, the window extends
-    /// counter-clockwise until `k + 2` distinct owners have been passed
-    /// (`+2` covers the target's self-exclusion and `member` itself
-    /// owning other points in the arc) — any target further back
-    /// resolves all `k` monitors before reaching `p`, changed or not.
-    fn affected_by(&self, member: u32) -> Vec<u32> {
+    /// of `points`, a member's ring points: for each point `p`, the
+    /// window extends counter-clockwise until `k + 2` distinct owners
+    /// have been passed (`+2` covers the target's self-exclusion and the
+    /// member itself owning other points in the arc) — any target further
+    /// back resolves all `k` monitors before reaching `p`, changed or not.
+    fn affected_by(&self, points: &[u128]) -> Vec<u32> {
         let distinct = self.k as usize + 2;
         let mut affected: Vec<u32> = Vec::new();
-        for p in self.ring.member_points(member) {
+        for &p in points {
             match self.ring.predecessor_window_start(p, distinct) {
                 Some(start) => self.targets_in_arc(start, p, &mut affected),
                 None => {

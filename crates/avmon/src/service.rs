@@ -420,7 +420,7 @@ impl AvmonService {
                             let answered = trace.is_online_in_slot(t as usize, slot)
                                 && loss
                                     .as_mut()
-                                    .map_or(true, |rng| !rng.chance(config.ping_loss));
+                                    .is_none_or(|rng| !rng.chance(config.ping_loss));
                             est.record(answered, config.alpha);
                         }
                     }

@@ -85,7 +85,7 @@ impl SerialReference {
                 let answered = trace.is_online_in_slot(t, slot)
                     && loss
                         .as_mut()
-                        .map_or(true, |rng| !rng.chance(self.config.ping_loss));
+                        .is_none_or(|rng| !rng.chance(self.config.ping_loss));
                 self.estimators[m][k].record(answered, self.config.alpha);
             }
         }

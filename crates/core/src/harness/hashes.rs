@@ -23,8 +23,10 @@
 //! Event-driven maintenance goes through [`PairHashes::gather`], which
 //! never builds a row in either store: it reads a row some other reader
 //! already built, and otherwise hashes the node's candidate list in one
-//! batched call (two interleaved SHA-NI chains, see
-//! [`avmem_util::consistent_hash_batch`]). The finalize fast path
+//! batched call ([`avmem_util::consistent_hash_batch`]: sixteen AVX-512
+//! lanes for a list of ten pairs or more, two interleaved SHA-NI chains
+//! for a shorter one — the same call fills the dense rows and the
+//! rebuild's scratch rows, which are `N` wide). The finalize fast path
 //! remembers each pair's *verdict* for the oracle epoch (one bit, see
 //! `FinalizeShardState`), so it asks for a pair's hash at most once per
 //! epoch; a dense row built to serve that one read would cost `8·N`

@@ -502,7 +502,7 @@ fn fires_at(sim: &AvmemSim, stream: u64, i: usize, t: SimTime) -> bool {
     };
     let offset = schedule::stagger_offset(sim.config.seed, stream, i, SimTime::ZERO, period);
     let first = SimTime::ZERO + offset;
-    t >= first && (t - first).as_millis() % period.as_millis() == 0
+    t >= first && (t - first).as_millis().is_multiple_of(period.as_millis())
 }
 
 /// Runs exactly the next cohort and returns its timestamp.

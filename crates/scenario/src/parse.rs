@@ -244,26 +244,64 @@ impl<'a> Section<'a> {
         self.str_of(value, key)
     }
 
-    fn u64_or(&mut self, key: &'a str, default: u64) -> Result<u64, ParseError> {
-        match self.raw_value(key) {
-            None => Ok(default),
-            Some(value) => value.text.parse().map_err(|_| {
-                ParseError::new(
-                    value.line,
-                    format!("key {key:?} needs a non-negative integer, found {}", value.text),
-                )
-            }),
-        }
-    }
-
-    fn u64(&mut self, key: &'a str) -> Result<u64, ParseError> {
-        let value = self.require(key)?;
+    fn u64_of(value: &RawValue, key: &str) -> Result<u64, ParseError> {
         value.text.parse().map_err(|_| {
             ParseError::new(
                 value.line,
                 format!("key {key:?} needs a non-negative integer, found {}", value.text),
             )
         })
+    }
+
+    fn u64_or(&mut self, key: &'a str, default: u64) -> Result<u64, ParseError> {
+        match self.raw_value(key) {
+            None => Ok(default),
+            Some(value) => Self::u64_of(value, key),
+        }
+    }
+
+    fn u64(&mut self, key: &'a str) -> Result<u64, ParseError> {
+        let value = self.require(key)?;
+        Self::u64_of(value, key)
+    }
+
+    /// An integer for a field narrower than `u64`: a value the field
+    /// cannot hold is an error at its line naming the bound — never an
+    /// `as` that wraps it into a different experiment.
+    fn narrow_of<T>(value: &RawValue, key: &str, max: T) -> Result<T, ParseError>
+    where
+        T: TryFrom<u64> + std::fmt::Display,
+    {
+        let wide = Self::u64_of(value, key)?;
+        T::try_from(wide).map_err(|_| {
+            ParseError::new(
+                value.line,
+                format!("key {key:?} must be at most {max}, found {}", value.text),
+            )
+        })
+    }
+
+    fn narrow_or<T>(&mut self, key: &'a str, default: T, max: T) -> Result<T, ParseError>
+    where
+        T: TryFrom<u64> + std::fmt::Display,
+    {
+        match self.raw_value(key) {
+            None => Ok(default),
+            Some(value) => Self::narrow_of(value, key, max),
+        }
+    }
+
+    fn u32_or(&mut self, key: &'a str, default: u32) -> Result<u32, ParseError> {
+        self.narrow_or(key, default, u32::MAX)
+    }
+
+    fn usize_or(&mut self, key: &'a str, default: usize) -> Result<usize, ParseError> {
+        self.narrow_or(key, default, usize::MAX)
+    }
+
+    fn usize(&mut self, key: &'a str) -> Result<usize, ParseError> {
+        let value = self.require(key)?;
+        Self::narrow_of(value, key, usize::MAX)
     }
 
     fn f64_of(&self, value: &RawValue, key: &str) -> Result<f64, ParseError> {
@@ -386,21 +424,21 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
     let model = churn.str_of(model_value, "model")?;
     let churn_spec = match model.as_str() {
         "overnet" => ChurnSpec::Overnet {
-            hosts: churn.u64("hosts")? as usize,
+            hosts: churn.usize("hosts")?,
             days: churn.u64("days")?,
         },
         "grid" => ChurnSpec::Grid {
-            machines: churn.u64("machines")? as usize,
+            machines: churn.usize("machines")?,
             days: churn.u64("days")?,
         },
         "flash-crowd" => ChurnSpec::FlashCrowd {
-            hosts: churn.u64("hosts")? as usize,
+            hosts: churn.usize("hosts")?,
             days: churn.u64("days")?,
             fraction: churn.f64("fraction")?,
             switch_at: churn.f64("switch_at")?,
         },
         "mass-departure" => ChurnSpec::MassDeparture {
-            hosts: churn.u64("hosts")? as usize,
+            hosts: churn.usize("hosts")?,
             days: churn.u64("days")?,
             fraction: churn.f64("fraction")?,
             switch_at: churn.f64("switch_at")?,
@@ -483,8 +521,8 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
                             )?;
                             if ring {
                                 AssignmentSpec::Ring {
-                                    vnodes: section.u64_or("vnodes", 8)? as u32,
-                                    monitors: section.u64_or("monitors", 8)? as u32,
+                                    vnodes: section.u32_or("vnodes", 8)?,
+                                    monitors: section.u32_or("monitors", 8)?,
                                 }
                             } else {
                                 AssignmentSpec::AllPairs
@@ -545,8 +583,8 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
             };
             let engine = match section.raw_value("engine") {
                 None => EngineSpec::Sharded {
-                    shards: section.u64_or("shards", 0)? as usize,
-                    threads: section.u64_or("threads", 0)? as usize,
+                    shards: section.usize_or("shards", 0)?,
+                    threads: section.usize_or("threads", 0)?,
                 },
                 Some(value) => {
                     let engine_name = section.str_of(value, "engine")?;
@@ -568,8 +606,8 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
                             EngineSpec::Serial
                         }
                         "sharded" => EngineSpec::Sharded {
-                            shards: section.u64_or("shards", 0)? as usize,
-                            threads: section.u64_or("threads", 0)? as usize,
+                            shards: section.usize_or("shards", 0)?,
+                            threads: section.usize_or("threads", 0)?,
                         },
                         other => {
                             return Err(ParseError::new(
@@ -599,7 +637,7 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
             match name.as_str() {
                 "greedy" => PolicySpec::Greedy,
                 "retried-greedy" => PolicySpec::RetriedGreedy {
-                    retries: workload.u64_or("retries", 8)? as u32,
+                    retries: workload.u32_or("retries", 8)?,
                 },
                 "annealing" => PolicySpec::Annealing,
                 other => {
@@ -629,7 +667,7 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
             )?
         }
     };
-    let ttl = workload.u64_or("ttl", 6)? as u32;
+    let ttl = workload.u32_or("ttl", 6)?;
     let initiators = match workload.raw_value("initiators") {
         None => BandSpec::Any,
         Some(value) => {
@@ -654,8 +692,8 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
             match name.as_str() {
                 "flood" => MulticastSpec::Flood,
                 "gossip" => MulticastSpec::Gossip {
-                    fanout: workload.u64_or("fanout", 5)? as u32,
-                    rounds: workload.u64_or("rounds", 2)? as u32,
+                    fanout: workload.u32_or("fanout", 5)?,
+                    rounds: workload.u32_or("rounds", 2)?,
                     period_secs: workload.u64_or("gossip_period_secs", 1)?,
                 },
                 other => {
@@ -713,7 +751,7 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
             let spec = AdversarySpec {
                 flooder_fraction: section.f64("flooder_fraction")?,
                 cushion: section.f64_or("cushion", 0.0)?,
-                probes: section.u64_or("probes", 30)? as u32,
+                probes: section.u32_or("probes", 30)?,
             };
             section.finish()?;
             Some(spec)

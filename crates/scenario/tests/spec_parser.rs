@@ -316,6 +316,121 @@ fn malformed_inputs_name_the_offending_line() {
     }
 }
 
+/// Every integer key whose field is narrower than `u64`: the field's
+/// largest value parses to itself, and one past it is an error at that
+/// line naming the bound — `ttl = 4294967302` used to run as `ttl = 6`.
+#[test]
+fn integers_too_wide_for_their_field_are_errors_not_wraps() {
+    // (section the key lives in, its lines before the key, the key)
+    let head = "name = \"x\"\n[churn]\nmodel = \"overnet\"\nhosts = 9\ndays = 1\n";
+    let workload = "[workload]\nops_per_hour = 1.0\n";
+    let ring = "[oracle]\nkind = \"avmon\"\nassignment = \"ring\"\n";
+    let narrow: &[(String, &str)] = &[
+        (format!("{head}{ring}"), "vnodes"),
+        (format!("{head}{ring}"), "monitors"),
+        (
+            format!("{head}{workload}policy = \"retried-greedy\"\n"),
+            "retries",
+        ),
+        (format!("{head}{workload}"), "ttl"),
+        (
+            format!("{head}{workload}multicast = \"gossip\"\n"),
+            "fanout",
+        ),
+        (
+            format!("{head}{workload}multicast = \"gossip\"\n"),
+            "rounds",
+        ),
+        (
+            format!("{head}{workload}[adversary]\nflooder_fraction = 0.1\n"),
+            "probes",
+        ),
+    ];
+    let field = |spec: &ScenarioSpec, key: &str| -> u32 {
+        match (
+            key,
+            &spec.oracle,
+            &spec.workload.policy,
+            &spec.workload.multicast,
+        ) {
+            (
+                "vnodes",
+                OracleSpec::Avmon {
+                    assignment: AssignmentSpec::Ring { vnodes, .. },
+                },
+                ..,
+            ) => *vnodes,
+            (
+                "monitors",
+                OracleSpec::Avmon {
+                    assignment: AssignmentSpec::Ring { monitors, .. },
+                },
+                ..,
+            ) => *monitors,
+            ("retries", _, PolicySpec::RetriedGreedy { retries }, _) => *retries,
+            ("ttl", ..) => spec.workload.ttl,
+            ("fanout", _, _, MulticastSpec::Gossip { fanout, .. }) => *fanout,
+            ("rounds", _, _, MulticastSpec::Gossip { rounds, .. }) => *rounds,
+            ("probes", ..) => spec.adversary.as_ref().unwrap().probes,
+            _ => panic!("key {key:?} did not land in its field: {spec:?}"),
+        }
+    };
+    for (before, key) in narrow {
+        let line = before.lines().count() + 1;
+        // `[workload]` is required; sections after the key keep its line.
+        let after = if before.contains("[workload]") {
+            ""
+        } else {
+            workload
+        };
+        let at_max = format!("{before}{key} = {}\n{after}", u32::MAX);
+        let spec = parse_spec(&at_max).unwrap_or_else(|e| panic!("{key} = u32::MAX: {e}"));
+        assert_eq!(field(&spec, key), u32::MAX, "{key}");
+        for wide in [u64::from(u32::MAX) + 1, u64::from(u32::MAX) + 7, u64::MAX] {
+            let err = parse_spec(&format!("{before}{key} = {wide}\n{after}")).unwrap_err();
+            assert_eq!(err.line, line, "{key} = {wide} reported {err}");
+            assert!(
+                err.message.contains("at most 4294967295"),
+                "{key} = {wide}: {err}"
+            );
+        }
+    }
+
+    // `usize` fields hold any `u64` on a 64-bit target and narrow on a
+    // 32-bit one; either way the value is kept or refused, never cut.
+    let wide = u64::from(u32::MAX) + 1;
+    for (before, key) in [
+        (
+            "name = \"x\"\n[churn]\nmodel = \"overnet\"\ndays = 1\n".to_string(),
+            "hosts",
+        ),
+        (
+            format!("{head}[maintenance]\nmode = \"event-driven\"\n"),
+            "shards",
+        ),
+        (
+            format!("{head}[maintenance]\nmode = \"event-driven\"\nengine = \"sharded\"\n"),
+            "threads",
+        ),
+    ] {
+        let line = before.lines().count() + 1;
+        let parsed = parse_spec(&format!("{before}{key} = {wide}\n{workload}"));
+        match usize::try_from(wide) {
+            Ok(kept) => {
+                let spec = parsed.unwrap_or_else(|e| panic!("{key} = {wide}: {e}"));
+                let got = match (key, &spec.churn, &spec.maintenance.engine) {
+                    ("hosts", ChurnSpec::Overnet { hosts, .. }, _) => *hosts,
+                    ("shards", _, EngineSpec::Sharded { shards, .. }) => *shards,
+                    ("threads", _, EngineSpec::Sharded { threads, .. }) => *threads,
+                    _ => panic!("key {key:?} did not land in its field: {spec:?}"),
+                };
+                assert_eq!(got, kept, "{key}");
+            }
+            Err(_) => assert_eq!(parsed.unwrap_err().line, line, "{key}"),
+        }
+    }
+}
+
 /// The path `scenario check` takes on a spec file: the text parses — a
 /// long horizon is well-formed — and `validate` turns it down, because
 /// 60 simulated days is past what a `u32`-millisecond membership stamp

@@ -243,7 +243,7 @@ impl View {
         out: &mut Vec<ViewEntry>,
     ) {
         assert!(
-            skip.map_or(true, |pos| pos < self.len()),
+            skip.is_none_or(|pos| pos < self.len()),
             "skipped position outside the view"
         );
         rng.sample_positions(self.len() - usize::from(skip.is_some()), k, positions);

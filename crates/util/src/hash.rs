@@ -15,6 +15,24 @@
 //! The implementation is self-contained so the workspace needs no external
 //! cryptography crates; the predicate only requires a fixed, well-known
 //! function with uniformly distributed output.
+//!
+//! # Three kernels, one digest
+//!
+//! A pair hash is one SHA-256 compression of one padded block, and where
+//! monitoring runs at full fidelity that compression *is* the run, so it
+//! has three implementations, each pinned to the scalar one by the module
+//! tests and chosen by a cached CPU-feature probe (`Kernels`) and
+//! the length of the list — no environment variable, feature or knob:
+//!
+//! * the portable scalar rounds (`compress_scalar`) — the reference,
+//!   and what runs where the CPU offers nothing else;
+//! * SHA-NI, one block or two interleaved (`ni`) — single pairs and short
+//!   lists; ≈ 41 ns a pair two at a time, the SHA unit's throughput floor;
+//! * sixteen blocks in AVX-512 lanes (`wide`) — lists from
+//!   `WIDE_MIN_PAIRS` (10) pairs up; ≈ 22 ns a pair on full groups.
+//!
+//! `pair_prefixes` is the one funnel under the four `*_batch` front-ends
+//! and the one place a list is split between them.
 
 use crate::NodeId;
 
@@ -57,9 +75,10 @@ pub fn sha256(data: &[u8]) -> Digest {
     // fill, 8-byte big-endian bit length) fits a fixed two-block tail, so
     // hashing never allocates — the predicate and monitor-assignment hot
     // paths call this hundreds of millions of times per run.
+    let kernels = Kernels::detect();
     let mut blocks = data.chunks_exact(64);
     for block in &mut blocks {
-        compress(&mut state, block);
+        compress(kernels, &mut state, block);
     }
     let rem = blocks.remainder();
     let bit_len = (data.len() as u64).wrapping_mul(8);
@@ -69,7 +88,7 @@ pub fn sha256(data: &[u8]) -> Digest {
     let tail_len = if rem.len() < 56 { 64 } else { 128 };
     tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
     for block in tail[..tail_len].chunks_exact(64) {
-        compress(&mut state, block);
+        compress(kernels, &mut state, block);
     }
 
     let mut out = [0u8; 32];
@@ -79,6 +98,100 @@ pub fn sha256(data: &[u8]) -> Digest {
     out
 }
 
+/// The hardware kernels a hash call may use.
+///
+/// A value comes only from [`Kernels::detect`] — the host's cached feature
+/// probe — and can only be narrowed afterwards (`without_*`, for the tests
+/// that drive every path on one host), so holding one with a flag set is
+/// the proof the `unsafe` kernel calls in this file rely on. The fields
+/// are private to this module for that reason.
+mod cpu {
+    use std::sync::atomic::{AtomicU8, Ordering};
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) struct Kernels {
+        sha_ni: bool,
+        avx512: bool,
+    }
+
+    const PROBED: u8 = 1;
+    const SHA_NI: u8 = 2;
+    const AVX512: u8 = 4;
+
+    /// The probe's answer, 0 until it has run. `Relaxed` suffices: the
+    /// value is a pure function of the CPU and publishes nothing else.
+    static DETECTED: AtomicU8 = AtomicU8::new(0);
+
+    // Off x86-64 nothing is ever detected and nothing asks.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    impl Kernels {
+        /// What this CPU has. Probes once, then costs one relaxed load.
+        #[inline]
+        pub(super) fn detect() -> Self {
+            let mut bits = DETECTED.load(Ordering::Relaxed);
+            if bits == 0 {
+                bits = probe();
+                DETECTED.store(bits, Ordering::Relaxed);
+            }
+            Kernels {
+                sha_ni: bits & SHA_NI != 0,
+                avx512: bits & AVX512 != 0,
+            }
+        }
+
+        /// The SHA extensions plus the SSSE3 / SSE4.1 shuffles the `ni`
+        /// kernels massage their state with.
+        #[inline]
+        pub(super) fn sha_ni(self) -> bool {
+            self.sha_ni
+        }
+
+        /// `avx512f`, all the `wide` kernel uses: it builds its message
+        /// words arithmetically, so it needs no `avx512bw` byte shuffle.
+        #[inline]
+        pub(super) fn avx512(self) -> bool {
+            self.avx512
+        }
+
+        #[cfg(test)]
+        pub(super) fn without_sha_ni(self) -> Self {
+            Kernels {
+                sha_ni: false,
+                ..self
+            }
+        }
+
+        #[cfg(test)]
+        pub(super) fn without_avx512(self) -> Self {
+            Kernels {
+                avx512: false,
+                ..self
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn probe() -> u8 {
+        let mut bits = PROBED;
+        if is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            bits |= SHA_NI;
+        }
+        if is_x86_feature_detected!("avx512f") {
+            bits |= AVX512;
+        }
+        bits
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn probe() -> u8 {
+        PROBED
+    }
+}
+use cpu::Kernels;
+
 /// One SHA-256 compression round over a 64-byte block.
 ///
 /// Dispatches to the SHA-NI hardware implementation when the CPU supports
@@ -87,14 +200,17 @@ pub fn sha256(data: &[u8]) -> Digest {
 /// is fully specified, so this is an implementation choice invisible to
 /// every consumer, including the Eq. 1 predicate whose reproducibility
 /// depends on exact digests.
-fn compress(state: &mut [u32; 8], block: &[u8]) {
+fn compress(kernels: Kernels, state: &mut [u32; 8], block: &[u8]) {
     #[cfg(target_arch = "x86_64")]
-    if ni::available() {
-        // SAFETY: `available` confirmed the sha/ssse3/sse4.1 features at
-        // runtime, and callers always pass a full 64-byte block.
+    if kernels.sha_ni() {
+        // SAFETY: a `Kernels` with `sha_ni` set exists only if the probe
+        // confirmed the sha/ssse3/sse4.1 features at runtime, and callers
+        // always pass a full 64-byte block.
         unsafe { ni::compress(state, block) };
         return;
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = kernels; // no hardware kernel on this architecture
     compress_scalar(state, block);
 }
 
@@ -167,40 +283,23 @@ fn compress_scalar(state: &mut [u32; 8], block: &[u8]) {
 /// unit is in between. The unit is pipelined, so a second, independent chain
 /// issues into the gaps of the first: `compress2_h0` runs two messages
 /// through the rounds side by side and finishes both in little more than
-/// the time of one. Batches of pair hashes go through it two at a time.
+/// the time of one. More chains do not help: measured on the box this was
+/// written on, `sha256rnds2` retires one per ≈ 0.93 ns whether 2, 3, 4 or 6
+/// independent chains are interleaved (1.28 ns with one), so two lanes are
+/// already at the unit's throughput — ≈ 30 ns of rounds a block before the
+/// schedule. Short lists of pair hashes go through it two at a time; long
+/// ones go to the `wide` kernel, which does not use the SHA unit at all.
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use super::{H0, K};
     use std::arch::x86_64::*;
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    /// Cached `cpuid` probe: 0 = unknown, 1 = unavailable, 2 = available.
-    static DETECTED: AtomicU8 = AtomicU8::new(0);
-
-    /// Whether the CPU supports the SHA extensions (plus the SSSE3/SSE4.1
-    /// shuffles the state massaging needs). Probes once, then costs a single
-    /// relaxed load.
-    #[inline]
-    pub(super) fn available() -> bool {
-        match DETECTED.load(Ordering::Relaxed) {
-            2 => true,
-            1 => false,
-            _ => {
-                let ok = is_x86_feature_detected!("sha")
-                    && is_x86_feature_detected!("ssse3")
-                    && is_x86_feature_detected!("sse4.1");
-                DETECTED.store(if ok { 2 } else { 1 }, Ordering::Relaxed);
-                ok
-            }
-        }
-    }
 
     /// Hardware SHA-256 compression over one 64-byte block.
     ///
     /// # Safety
     ///
-    /// Requires the `sha`, `ssse3`, and `sse4.1` target features (checked by
-    /// [`available`]) and `block.len() >= 64`.
+    /// Requires the `sha`, `ssse3`, and `sse4.1` target features (a
+    /// [`Kernels`](super::Kernels) with `sha_ni` set) and `block.len() >= 64`.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8]) {
         debug_assert!(block.len() >= 64);
@@ -270,8 +369,8 @@ mod ni {
     ///
     /// # Safety
     ///
-    /// Requires the `sha`, `ssse3`, and `sse4.1` target features (checked by
-    /// [`available`]).
+    /// Requires the `sha`, `ssse3`, and `sse4.1` target features (a
+    /// [`Kernels`](super::Kernels) with `sha_ni` set).
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) unsafe fn compress2_h0(blocks: [&[u8; 64]; 2]) -> [u128; 2] {
         // `H0` already packed the way `sha256rnds2` wants it.
@@ -318,6 +417,122 @@ mod ni {
             out[l] = (u128::from(ab) << 64) | u128::from(cd);
         }
         out
+    }
+}
+
+/// Sixteen single-block SHA-256 compressions side by side in AVX-512
+/// lanes.
+///
+/// The two-lane SHA-NI kernel above is bounded by the SHA unit, not by
+/// SHA-256: `sha256rnds2` retires one per ≈ 0.93 ns on the box this was
+/// written on whether 2, 3, 4 or 6 independent chains are interleaved
+/// (1.28 ns with one), so the 32 a block needs are ≈ 30 ns before the
+/// schedule. The vector ALUs have no such unit in the way. Here every one
+/// of the sixteen 32-bit lanes of a `__m512i` carries its own message: the
+/// eight state words and the rolling sixteen-word schedule are vectors, a
+/// rotation is one `vprord`, `Ch`, `Maj` and each three-way xor one
+/// `vpternlogd`, and the round constants broadcast from memory — the
+/// scalar rounds of [`compress_scalar`](super::compress_scalar), sixteen
+/// at a time. One call costs the same whatever the lanes hold, so it pays
+/// only from [`WIDE_MIN_PAIRS`](super::WIDE_MIN_PAIRS) live lanes up.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use super::{H0, K};
+    use std::arch::x86_64::*;
+
+    /// Compresses sixteen one-block messages from `H0`; `words[j][lane]` is
+    /// big-endian message word `j` of lane `lane`'s block (word-major, so
+    /// each row loads as one vector). Returns the first 128 bits of each
+    /// digest (words `A‖B‖C‖D`), by lane.
+    ///
+    /// # Safety
+    ///
+    /// Requires the `avx512f` target feature (a
+    /// [`Kernels`](super::Kernels) with `avx512` set).
+    #[target_feature(enable = "avx512f")]
+    // Round 63 writes an `e` the `A‖B‖C‖D` prefix does not read.
+    #[allow(unused_assignments)]
+    pub(super) unsafe fn compress16_h0(words: &[[u32; 16]; 16]) -> [u128; 16] {
+        let mut w = [_mm512_setzero_si512(); 16];
+        for (vector, row) in w.iter_mut().zip(words) {
+            *vector = _mm512_loadu_si512(row.as_ptr().cast());
+        }
+        let h0 = H0.map(|word| _mm512_set1_epi32(word as i32));
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = h0;
+
+        // One round with the schedule step that feeds it. The state names
+        // rotate from round to round instead of the values moving: after
+        // `round!(a b c d e f g h, i)` the new `e` sits in `d` and the new
+        // `a` in `h`. `i` is a literal, so every `w` index is a constant
+        // and the sixteen schedule vectors stay in registers.
+        macro_rules! round {
+            ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $i:expr) => {{
+                const I: usize = $i;
+                if I >= 16 {
+                    let (w1, w14) = (w[(I + 1) & 15], w[(I + 14) & 15]);
+                    let s0 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<7>(w1),
+                        _mm512_ror_epi32::<18>(w1),
+                        _mm512_srli_epi32::<3>(w1),
+                    );
+                    let s1 = _mm512_ternarylogic_epi32::<0x96>(
+                        _mm512_ror_epi32::<17>(w14),
+                        _mm512_ror_epi32::<19>(w14),
+                        _mm512_srli_epi32::<10>(w14),
+                    );
+                    w[I & 15] = _mm512_add_epi32(
+                        _mm512_add_epi32(w[I & 15], s0),
+                        _mm512_add_epi32(w[(I + 9) & 15], s1),
+                    );
+                }
+                let big_s1 = _mm512_ternarylogic_epi32::<0x96>(
+                    _mm512_ror_epi32::<6>($e),
+                    _mm512_ror_epi32::<11>($e),
+                    _mm512_ror_epi32::<25>($e),
+                );
+                // 0xCA: bitwise `e ? f : g`.
+                let ch = _mm512_ternarylogic_epi32::<0xCA>($e, $f, $g);
+                let wk = _mm512_add_epi32(w[I & 15], _mm512_set1_epi32(K[I] as i32));
+                let t1 = _mm512_add_epi32(
+                    _mm512_add_epi32($h, big_s1),
+                    _mm512_add_epi32(ch, wk),
+                );
+                let big_s0 = _mm512_ternarylogic_epi32::<0x96>(
+                    _mm512_ror_epi32::<2>($a),
+                    _mm512_ror_epi32::<13>($a),
+                    _mm512_ror_epi32::<22>($a),
+                );
+                // 0xE8: bitwise majority.
+                let maj = _mm512_ternarylogic_epi32::<0xE8>($a, $b, $c);
+                $d = _mm512_add_epi32($d, t1);
+                $h = _mm512_add_epi32(t1, _mm512_add_epi32(big_s0, maj));
+            }};
+        }
+        macro_rules! rounds8 {
+            ($($base:literal)*) => {$(
+                round!(a b c d e f g h, $base);
+                round!(h a b c d e f g, $base + 1);
+                round!(g h a b c d e f, $base + 2);
+                round!(f g h a b c d e, $base + 3);
+                round!(e f g h a b c d, $base + 4);
+                round!(d e f g h a b c, $base + 5);
+                round!(c d e f g h a b, $base + 6);
+                round!(b c d e f g h a, $base + 7);
+            )*};
+        }
+        rounds8!(0 8 16 24 32 40 48 56);
+
+        let mut prefix = [[0u32; 16]; 4];
+        for ((row, word), start) in prefix.iter_mut().zip([a, b, c, d]).zip(h0) {
+            _mm512_storeu_si512(row.as_mut_ptr().cast(), _mm512_add_epi32(word, start));
+        }
+        let [a, b, c, d] = prefix;
+        std::array::from_fn(|lane| {
+            (u128::from(a[lane]) << 96)
+                | (u128::from(b[lane]) << 64)
+                | (u128::from(c[lane]) << 32)
+                | u128::from(d[lane])
+        })
     }
 }
 
@@ -414,16 +629,17 @@ pub fn consistent_point_keyed(key: &[u8], x: NodeId, y: NodeId) -> u128 {
     match PairBlock::new(key) {
         Some(mut block) => {
             block.set(x, y);
-            block_prefix(&block.bytes)
+            block_prefix(Kernels::detect(), &block.bytes)
         }
         None => long_key_prefix(key, x, y),
     }
 }
 
 /// [`consistent_hash`] of `x` against every id in `ys`, written to `out`
-/// in order — bit-identical to the single-pair function, but hashed two
-/// pairs at a time on CPUs with SHA extensions (see the `ni` module), which
-/// roughly halves the cost per pair.
+/// in order — bit-identical to the single-pair function, but hashed
+/// sixteen pairs at a time on CPUs with AVX-512 (lists of ten and more)
+/// and two at a time on CPUs with SHA extensions, which takes the cost per
+/// pair from ≈ 90 ns to ≈ 22 and ≈ 41 (see the module docs).
 ///
 /// # Panics
 ///
@@ -529,53 +745,201 @@ impl PairBlock {
     }
 }
 
-/// Hashes `pairs` under `key` into `out` (through `map`), two blocks at a
-/// time with a single-block tail for odd lengths.
+/// Sixteen [`PairBlock`]s of one key side by side, word-major — the input
+/// of the sixteen-lane kernel. Key, padding and length are the same in
+/// every lane and are broadcast once; only the rows the ids reach — four
+/// when the key length is a multiple of four, five otherwise — are
+/// rewritten per group of pairs.
+#[cfg(target_arch = "x86_64")]
+struct PairBlocks16 {
+    /// `words[j][lane]`: big-endian message word `j` of lane `lane`.
+    words: [[u32; 16]; 16],
+    /// Index of the word `id(x)` starts in.
+    first: usize,
+    /// Bits the ids sit below the top of that word: 8 × (key length mod 4).
+    shift: u32,
+    /// The template's words `first` and `first + 4`: the key's last bytes
+    /// above the ids, the `0x80` marker and padding below them.
+    head: u32,
+    tail: u32,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl PairBlocks16 {
+    fn new(template: &PairBlock) -> Self {
+        let mut words = [[0u32; 16]; 16];
+        for (row, bytes) in words.iter_mut().zip(template.bytes.chunks_exact(4)) {
+            *row = [u32::from_be_bytes(bytes.try_into().expect("chunks of four")); 16];
+        }
+        // `ids_at <= ONE_BLOCK_KEY_MAX`, so `first + 4 <= 13`: the ids
+        // never reach the length words.
+        let first = template.ids_at / 4;
+        PairBlocks16 {
+            words,
+            first,
+            shift: 8 * (template.ids_at % 4) as u32,
+            head: words[first][0],
+            tail: words[first + 4][0],
+        }
+    }
+
+    /// Writes `id(x) ‖ id(y)` into `lane`: the 128 id bits, `shift` bits
+    /// down from the top of word `first`, cut into big-endian words — the
+    /// same bytes [`PairBlock::set`] stores, composed arithmetically so
+    /// the kernel needs no byte swap.
+    #[inline]
+    fn set(&mut self, lane: usize, x: NodeId, y: NodeId) {
+        let (x, y, shift) = (x.raw(), y.raw(), self.shift);
+        let rows = &mut self.words[self.first..self.first + 5];
+        rows[0][lane] = self.head | (x >> (32 + shift)) as u32;
+        rows[1][lane] = (x >> shift) as u32;
+        rows[2][lane] = (((x << 32) | (y >> 32)) >> shift) as u32;
+        rows[3][lane] = (y >> shift) as u32;
+        rows[4][lane] = self.tail | ((y << 32) >> shift) as u32;
+    }
+}
+
+/// Fewest pairs worth a call of the sixteen-lane kernel.
+///
+/// One `compress16_h0` costs the same whatever its lanes hold. Measured on
+/// the Sapphire Rapids box this was written on, through
+/// [`consistent_hash_keyed_batch`] at key `"avmon"`, best of seven: a list
+/// of 10–14 pairs sent wide reads 390–400 ns (≈ 365 ns a group in long
+/// lists: 22.7 ns a pair), while the two-lane SHA-NI kernel reads ≈ 42 ns
+/// a pair at any length (8 pairs 343 ns, 9 pairs 416, 10 pairs 427, 12
+/// pairs 497). Eight pairs are cheaper two-lane, nine are inside the
+/// noise, ten are cheaper wide (427 → 393 ns) and sixteen by 1.6× (665 →
+/// 404–440). Not a knob: the two costs are properties of the kernels, and
+/// a host where their ratio differs much (an AMD part, where SHA-NI is
+/// quicker and 512-bit operations may be double-pumped — not measured)
+/// would want a different kernel choice, not a different constant.
+#[cfg(target_arch = "x86_64")]
+const WIDE_MIN_PAIRS: usize = 10;
+
+/// How many of a list's leading pairs go through the sixteen-lane kernel:
+/// every full group of sixteen, and the tail as well when it has at least
+/// [`WIDE_MIN_PAIRS`] pairs.
+#[cfg(target_arch = "x86_64")]
+fn wide_share(len: usize) -> usize {
+    if len % 16 >= WIDE_MIN_PAIRS {
+        len
+    } else {
+        len - len % 16
+    }
+}
+
+/// Hashes `pairs` under `key` into `out` (through `map`) — the one funnel
+/// under the four batch front-ends, and the one place that picks a kernel.
+///
+/// There are three, all pinned to the same scalar reference:
+///
+/// * sixteen lanes wide on AVX-512 ([`wide`]) for every full group of 16
+///   pairs and a tail of at least [`WIDE_MIN_PAIRS`] — all-pairs AVMON
+///   rows, dense rows, ring points, the longer discovery gathers;
+/// * two interleaved SHA-NI chains ([`ni`]) for what is left — lists and
+///   tails under the crossover, which is most of what per-second cohorts
+///   gather — and for everything on a host without AVX-512;
+/// * the scalar rounds where the CPU has neither, and for an odd pair.
+///
+/// The choice reads only the cached feature probe and the list's length.
 fn pair_prefixes<T>(
     key: &[u8],
     pairs: impl ExactSizeIterator<Item = (NodeId, NodeId)>,
     out: &mut [T],
     map: impl Fn(u128) -> T,
 ) {
+    pair_prefixes_on(Kernels::detect(), key, pairs, out, map);
+}
+
+/// [`pair_prefixes`] on the given kernels: the tests drive every dispatch
+/// path through this on one host.
+fn pair_prefixes_on<T>(
+    kernels: Kernels,
+    key: &[u8],
+    pairs: impl ExactSizeIterator<Item = (NodeId, NodeId)>,
+    out: &mut [T],
+    map: impl Fn(u128) -> T,
+) {
     assert_eq!(pairs.len(), out.len(), "batch and output lengths differ");
-    let mut work = out.iter_mut().zip(pairs);
     let Some(template) = PairBlock::new(key) else {
-        for (slot, (x, y)) in work {
+        for (slot, (x, y)) in out.iter_mut().zip(pairs) {
             *slot = map(long_key_prefix(key, x, y));
         }
         return;
     };
+
+    #[cfg(target_arch = "x86_64")]
+    let (pairs, out) = wide_groups(kernels, &template, pairs, out, &map);
+
+    let mut work = out.iter_mut().zip(pairs);
     let mut blocks = [template; 2];
     while let Some((slot_a, (x, y))) = work.next() {
         blocks[0].set(x, y);
         match work.next() {
             Some((slot_b, (x, y))) => {
                 blocks[1].set(x, y);
-                let [a, b] = block_prefixes([&blocks[0].bytes, &blocks[1].bytes]);
+                let [a, b] = block_prefixes(kernels, [&blocks[0].bytes, &blocks[1].bytes]);
                 *slot_a = map(a);
                 *slot_b = map(b);
             }
-            None => *slot_a = map(block_prefix(&blocks[0].bytes)),
+            None => *slot_a = map(block_prefix(kernels, &blocks[0].bytes)),
         }
     }
 }
 
+/// The sixteen-lane share of a list: hashes its leading [`wide_share`]
+/// pairs — none without AVX-512 — and hands back the rest.
+#[cfg(target_arch = "x86_64")]
+fn wide_groups<'a, T, I>(
+    kernels: Kernels,
+    template: &PairBlock,
+    mut pairs: I,
+    out: &'a mut [T],
+    map: &impl Fn(u128) -> T,
+) -> (I, &'a mut [T])
+where
+    I: Iterator<Item = (NodeId, NodeId)>,
+{
+    if !kernels.avx512() {
+        return (pairs, out);
+    }
+    let (wide_out, out) = out.split_at_mut(wide_share(out.len()));
+    if !wide_out.is_empty() {
+        let mut blocks = PairBlocks16::new(template);
+        for group in wide_out.chunks_mut(16) {
+            // A short last group leaves its dead lanes as they are — the
+            // template's zero ids or the previous group's: they are hashed
+            // and never read.
+            for (lane, (x, y)) in pairs.by_ref().take(group.len()).enumerate() {
+                blocks.set(lane, x, y);
+            }
+            // SAFETY: `kernels.avx512()` held above, and a `Kernels` has it
+            // set only if the probe detected `avx512f` at runtime.
+            let prefixes = unsafe { wide::compress16_h0(&blocks.words) };
+            for (slot, prefix) in group.iter_mut().zip(prefixes) {
+                *slot = map(prefix);
+            }
+        }
+    }
+    (pairs, out)
+}
+
 /// First 128 bits of the digest of one already padded block.
-fn block_prefix(block: &[u8; 64]) -> u128 {
+fn block_prefix(kernels: Kernels, block: &[u8; 64]) -> u128 {
     let mut state = H0;
-    compress(&mut state, block);
+    compress(kernels, &mut state, block);
     state_prefix(&state)
 }
 
 /// [`block_prefix`] of two blocks, interleaved on the SHA-NI kernel.
-fn block_prefixes(blocks: [&[u8; 64]; 2]) -> [u128; 2] {
+fn block_prefixes(kernels: Kernels, blocks: [&[u8; 64]; 2]) -> [u128; 2] {
     #[cfg(target_arch = "x86_64")]
-    if ni::available() {
-        // SAFETY: `available` confirmed the sha/ssse3/sse4.1 features at
-        // runtime.
+    if kernels.sha_ni() {
+        // SAFETY: a `Kernels` with `sha_ni` set exists only if the probe
+        // confirmed the sha/ssse3/sse4.1 features at runtime.
         return unsafe { ni::compress2_h0(blocks) };
     }
-    blocks.map(block_prefix)
+    blocks.map(|block| block_prefix(kernels, block))
 }
 
 /// Digest words `A‖B‖C‖D`: the first 16 digest bytes, big-endian.
@@ -701,6 +1065,128 @@ mod tests {
         (digest_prefix(&digest), (raw >> 11) as f64 / (1u64 << 53) as f64)
     }
 
+    /// `A‖B‖C‖D` of one block by the scalar rounds.
+    fn scalar_block_prefix(block: &[u8; 64]) -> u128 {
+        let mut state = H0;
+        compress_scalar(&mut state, block);
+        state_prefix(&state)
+    }
+
+    /// Every narrowing of the host's kernels, widest first, with a name;
+    /// a path the CPU lacks is reported on stdout, not silently passed.
+    fn kernel_sets() -> Vec<(&'static str, Kernels)> {
+        let host = Kernels::detect();
+        let mut sets = vec![("scalar", host.without_sha_ni().without_avx512())];
+        if host.sha_ni() {
+            sets.push(("two-lane SHA-NI", host.without_avx512()));
+        } else {
+            println!("hash kernels: this CPU has no SHA-NI — two-lane paths not exercised");
+        }
+        if host.avx512() {
+            sets.push(("sixteen-lane AVX-512 over scalar", host.without_sha_ni()));
+        } else {
+            println!("hash kernels: this CPU has no AVX-512F — sixteen-lane paths not exercised");
+        }
+        if host.avx512() && host.sha_ni() {
+            sets.push(("sixteen-lane AVX-512 over two-lane SHA-NI", host));
+        }
+        sets
+    }
+
+    #[test]
+    fn every_dispatch_path_gives_the_scalar_reference() {
+        // Lengths on both sides of the crossover, one and two full groups
+        // and every tail; ids at every word alignment (key lengths 0–5),
+        // the longest one-block key and the multi-block fallback.
+        let pairs: Vec<(NodeId, NodeId)> = (0..40u64)
+            .map(|i| {
+                let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xA5A5_5A5A_F00F_0FF0;
+                (NodeId::new(x), NodeId::new(!x.rotate_left(29)))
+            })
+            .collect();
+        let key = b"a domain key long enough to need a second block";
+        for (name, kernels) in kernel_sets() {
+            println!("hash kernels: driving {name}");
+            for key_len in [0, 1, 2, 3, 4, 5, ONE_BLOCK_KEY_MAX, ONE_BLOCK_KEY_MAX + 1] {
+                let key = &key[..key_len];
+                let expect: Vec<u128> = pairs
+                    .iter()
+                    .map(|&(x, y)| scalar_pair(key, x, y).0)
+                    .collect();
+                for len in 0..=pairs.len() {
+                    let mut got = vec![0u128; len];
+                    pair_prefixes_on(kernels, key, pairs[..len].iter().copied(), &mut got, |p| p);
+                    assert_eq!(got, expect[..len], "{name}, key_len={key_len}, len={len}");
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_wide_kernel_takes_full_groups_and_tails_from_the_crossover() {
+        assert_eq!(WIDE_MIN_PAIRS, 10, "the measured crossover (see its doc)");
+        for len in 0..100 {
+            let tail = len % 16;
+            let expect = if tail >= 10 { len } else { len - tail };
+            assert_eq!(wide_share(len), expect, "len={len}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_lanes_hold_the_bytes_of_the_single_block() {
+        // Pure lane set-up, checked on any x86-64 host: every key length,
+        // so ids at every word alignment, against `PairBlock::set`.
+        let (x, y) = (
+            NodeId::new(0x0123_4567_89AB_CDEF),
+            NodeId::new(0xFEDC_BA98_7654_3210),
+        );
+        for key_len in 0..=ONE_BLOCK_KEY_MAX {
+            let key: Vec<u8> = (0..key_len as u8).map(|b| b.wrapping_mul(37) | 1).collect();
+            let mut single = PairBlock::new(&key).unwrap();
+            let mut lanes = PairBlocks16::new(&single);
+            single.set(x, y);
+            // Dirty the lane first: `set` must overwrite, not accumulate.
+            lanes.set(11, y, x);
+            lanes.set(11, x, y);
+            for (j, bytes) in single.bytes.chunks_exact(4).enumerate() {
+                let word = u32::from_be_bytes(bytes.try_into().unwrap());
+                assert_eq!(lanes.words[j][11], word, "key_len={key_len}, word {j}");
+            }
+            // The other lanes still hold the template: zero ids.
+            let template = PairBlock::new(&key).unwrap();
+            for (j, bytes) in template.bytes.chunks_exact(4).enumerate() {
+                let word = u32::from_be_bytes(bytes.try_into().unwrap());
+                assert_eq!(lanes.words[j][10], word, "key_len={key_len}, word {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tail_after_a_full_group_does_not_read_the_previous_groups_ids() {
+        // 26 pairs: one full group, then a 10-pair tail in lanes the first
+        // group left dirty. The tail's own ids must be what is hashed, and
+        // the six dead lanes' stale ids must not leak into any output.
+        let pairs: Vec<(NodeId, NodeId)> = (0..26u64)
+            .map(|i| (NodeId::new(i << 40 | 7), NodeId::new(!i)))
+            .collect();
+        for (name, kernels) in kernel_sets() {
+            let mut got = [0u128; 26];
+            pair_prefixes_on(kernels, b"avmon", pairs.iter().copied(), &mut got, |p| p);
+            for (k, (&(x, y), &point)) in pairs.iter().zip(&got).enumerate() {
+                assert_eq!(point, scalar_pair(b"avmon", x, y).0, "{name}, pair {k}");
+            }
+            for k in 16..26 {
+                assert_ne!(
+                    got[k],
+                    got[k - 16],
+                    "{name}: tail pair {k} repeats its lane"
+                );
+            }
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn two_lane_kernel_matches_scalar_rounds_on_any_blocks(
@@ -708,61 +1194,88 @@ mod tests {
             b in proptest::collection::vec(proptest::prelude::any::<u8>(), 64),
         ) {
             let blocks: [&[u8; 64]; 2] = [a[..].try_into().unwrap(), b[..].try_into().unwrap()];
-            let scalar = blocks.map(|block| {
-                let mut state = H0;
-                compress_scalar(&mut state, block);
-                state_prefix(&state)
-            });
-            proptest::prop_assert_eq!(block_prefixes(blocks), scalar);
-            proptest::prop_assert_eq!(blocks.map(block_prefix), scalar);
+            let scalar = blocks.map(scalar_block_prefix);
+            let host = Kernels::detect();
+            proptest::prop_assert_eq!(block_prefixes(host, blocks), scalar);
+            proptest::prop_assert_eq!(blocks.map(|block| block_prefix(host, block)), scalar);
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn sixteen_lane_kernel_matches_scalar_rounds_on_any_blocks(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 16 * 64),
+        ) {
+            if !Kernels::detect().avx512() {
+                // `every_dispatch_path_gives_the_scalar_reference` prints it.
+                return;
+            }
+            let mut words = [[0u32; 16]; 16];
+            let mut scalar = [0u128; 16];
+            for (lane, block) in bytes.chunks_exact(64).enumerate() {
+                for (j, word) in block.chunks_exact(4).enumerate() {
+                    words[j][lane] = u32::from_be_bytes(word.try_into().unwrap());
+                }
+                scalar[lane] = scalar_block_prefix(block.try_into().unwrap());
+            }
+            // SAFETY: the probe reported `avx512f` just above.
+            let wide = unsafe { wide::compress16_h0(&words) };
+            proptest::prop_assert_eq!(wide, scalar);
         }
 
         #[test]
         fn batches_match_single_pairs_and_the_scalar_reference(
             key in proptest::collection::vec(proptest::prelude::any::<u8>(), 64),
-            x in proptest::prelude::any::<u64>(),
-            ys in proptest::collection::vec(proptest::prelude::any::<u64>(), 9),
+            xs in proptest::collection::vec(proptest::prelude::any::<u64>(), 40),
+            ys in proptest::collection::vec(proptest::prelude::any::<u64>(), 40),
         ) {
-            // Ids are full-width (mostly above `u32::MAX`); every batch
-            // length 0–9 covers empty, odd and even; key lengths 0–39 are
-            // the one-block path, longer ones the multi-block fallback.
-            let x = NodeId::new(x);
-            let ys: Vec<NodeId> = ys.into_iter().map(NodeId::new).collect();
-            let (mut points, mut units) = ([0u128; 9], [0f64; 9]);
-            let (mut got_points, mut got_units) = ([0u128; 9], [0f64; 9]);
+            // Ids are full-width (mostly above `u32::MAX`); batch lengths
+            // 0–40 cover empty, odd and even, the wide kernel's crossover,
+            // one and two full groups of 16 and every tail on either side
+            // of the crossover; key lengths 0–39 are the one-block path
+            // with the ids at every word alignment, longer ones the
+            // multi-block fallback. A row holds `x` and varies `y`, a
+            // column varies `x` in every lane.
+            const N: usize = 40;
+            let ids = |raw: Vec<u64>| raw.into_iter().map(NodeId::new).collect::<Vec<_>>();
+            let (xs, ys) = (ids(xs), ids(ys));
+            let x = xs[0];
+            let column: Vec<(NodeId, NodeId)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+            let (mut row_points, mut row_units) = ([0u128; N], [0f64; N]);
+            let (mut col_points, mut col_units) = ([0u128; N], [0f64; N]);
+            let (mut got_points, mut got_units) = ([0u128; N], [0f64; N]);
             for key_len in (0..=ONE_BLOCK_KEY_MAX + 2).chain([55, 56, 64]) {
                 let key = &key[..key_len];
-                for (k, &y) in ys.iter().enumerate() {
-                    (points[k], units[k]) = scalar_pair(key, x, y);
-                    proptest::prop_assert_eq!(consistent_point_keyed(key, x, y), points[k]);
-                    proptest::prop_assert_eq!(consistent_hash_keyed(key, x, y), units[k]);
+                for (k, &(cx, y)) in column.iter().enumerate() {
+                    (row_points[k], row_units[k]) = scalar_pair(key, x, y);
+                    (col_points[k], col_units[k]) = scalar_pair(key, cx, y);
+                    proptest::prop_assert_eq!(consistent_point_keyed(key, x, y), row_points[k]);
+                    proptest::prop_assert_eq!(consistent_hash_keyed(key, x, y), row_units[k]);
                     if key.is_empty() {
-                        proptest::prop_assert_eq!(consistent_hash(x, y), units[k]);
+                        proptest::prop_assert_eq!(consistent_hash(x, y), row_units[k]);
                     }
                 }
-                for len in 0..=ys.len() {
-                    let ys = &ys[..len];
+                for len in 0..=N {
+                    let (ys, column) = (&ys[..len], &column[..len]);
                     got_points.fill(0);
                     consistent_point_keyed_batch(
                         key,
                         ys.iter().map(|&y| (x, y)),
                         &mut got_points[..len],
                     );
-                    proptest::prop_assert_eq!(got_points[..len], points[..len], "key_len={}", key_len);
+                    proptest::prop_assert_eq!(got_points[..len], row_points[..len], "key_len={}", key_len);
+                    got_points.fill(0);
+                    consistent_point_keyed_batch(key, column.iter().copied(), &mut got_points[..len]);
+                    proptest::prop_assert_eq!(got_points[..len], col_points[..len], "key_len={}", key_len);
                     got_units.fill(f64::NAN);
                     consistent_hash_keyed_batch(key, x, ys.iter().copied(), &mut got_units[..len]);
-                    proptest::prop_assert_eq!(got_units[..len], units[..len], "key_len={}", key_len);
+                    proptest::prop_assert_eq!(got_units[..len], row_units[..len], "key_len={}", key_len);
                     got_units.fill(f64::NAN);
-                    consistent_hash_keyed_pair_batch(
-                        key,
-                        ys.iter().map(|&y| (x, y)),
-                        &mut got_units[..len],
-                    );
-                    proptest::prop_assert_eq!(got_units[..len], units[..len], "key_len={}", key_len);
+                    consistent_hash_keyed_pair_batch(key, column.iter().copied(), &mut got_units[..len]);
+                    proptest::prop_assert_eq!(got_units[..len], col_units[..len], "key_len={}", key_len);
                     if key.is_empty() {
                         got_units.fill(f64::NAN);
                         consistent_hash_batch(x, ys.iter().copied(), &mut got_units[..len]);
-                        proptest::prop_assert_eq!(got_units[..len], units[..len]);
+                        proptest::prop_assert_eq!(got_units[..len], row_units[..len]);
                     }
                 }
             }

@@ -40,7 +40,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::hash::consistent_point_keyed_batch;
+use crate::hash::{consistent_point_keyed, consistent_point_keyed_batch};
 use crate::NodeId;
 
 /// A consistent-hash ring: `vnodes` points per member on the `u128`
@@ -79,6 +79,54 @@ impl HashRing {
         }
     }
 
+    /// A ring holding `members` — the ring [`HashRing::insert`] builds
+    /// member by member, with all `members × vnodes` points hashed in one
+    /// batch and the map built from the sorted run. Repeated members count
+    /// once.
+    ///
+    /// # Panics
+    ///
+    /// As [`HashRing::new`] and, on a point collision, [`HashRing::insert`].
+    pub fn with_members<I>(key: &[u8], vnodes: u32, members: I) -> Self
+    where
+        I: IntoIterator<Item = u32>,
+    {
+        let mut ring = HashRing::new(key, vnodes);
+        let mut members: Vec<u32> = members.into_iter().collect();
+        members.sort_unstable();
+        members.dedup();
+        let per_member = vnodes as usize;
+        let mut points = vec![0u128; members.len() * per_member];
+        consistent_point_keyed_batch(
+            key,
+            (0..points.len()).map(|i| {
+                let (member, vnode) = (members[i / per_member], i % per_member);
+                (NodeId::new(u64::from(member)), NodeId::new(vnode as u64))
+            }),
+            &mut points,
+        );
+        let mut placed: Vec<(u128, u32)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &point)| (point, members[i / per_member]))
+            .collect();
+        // Stable, so of two members on one point the lower — the one a
+        // member-by-member build in ascending order inserts first — is
+        // named first, as `insert` names them.
+        placed.sort_by_key(|&(point, _)| point);
+        for pair in placed.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                panic!(
+                    "ring point collision between members {} and {}",
+                    pair[0].1, pair[1].1
+                );
+            }
+        }
+        ring.ring = placed.into_iter().collect();
+        ring.members = members.len();
+        ring
+    }
+
     /// Virtual points per member.
     pub fn vnodes(&self) -> u32 {
         self.vnodes
@@ -113,9 +161,11 @@ impl HashRing {
         points
     }
 
-    /// Whether `member` is currently on the ring.
+    /// Whether `member` is currently on the ring. Hashes the one point it
+    /// reads, not all `vnodes`.
     pub fn contains(&self, member: u32) -> bool {
-        let first = self.member_points(member)[0];
+        let first =
+            consistent_point_keyed(&self.key, NodeId::new(u64::from(member)), NodeId::new(0));
         self.ring.get(&first) == Some(&member)
     }
 
@@ -128,10 +178,24 @@ impl HashRing {
     /// member's point — with 128-bit points this is astronomically
     /// unlikely and indicates a broken hash, not bad luck.
     pub fn insert(&mut self, member: u32) -> bool {
-        if self.contains(member) {
+        let points = self.member_points(member);
+        self.insert_points(member, &points)
+    }
+
+    /// [`HashRing::insert`] for a caller that already holds
+    /// [`member_points(member)`](HashRing::member_points) — a join that
+    /// also walks the windows around those points hashes them once.
+    ///
+    /// # Panics
+    ///
+    /// As [`HashRing::insert`]; also if `points` is not `vnodes` long.
+    /// Passing another member's points is a caller bug (debug-asserted).
+    pub fn insert_points(&mut self, member: u32, points: &[u128]) -> bool {
+        self.check_points(member, points);
+        if self.ring.get(&points[0]) == Some(&member) {
             return false;
         }
-        for point in self.member_points(member) {
+        for &point in points {
             if let Some(&other) = self.ring.get(&point) {
                 panic!("ring point collision between members {other} and {member}");
             }
@@ -144,15 +208,41 @@ impl HashRing {
     /// Removes `member`'s points from the ring. Returns `false` if the
     /// member was not present.
     pub fn remove(&mut self, member: u32) -> bool {
-        if !self.contains(member) {
+        let points = self.member_points(member);
+        self.remove_points(member, &points)
+    }
+
+    /// [`HashRing::remove`] for a caller that already holds
+    /// [`member_points(member)`](HashRing::member_points); see
+    /// [`HashRing::insert_points`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` is not `vnodes` long.
+    pub fn remove_points(&mut self, member: u32, points: &[u128]) -> bool {
+        self.check_points(member, points);
+        if self.ring.get(&points[0]) != Some(&member) {
             return false;
         }
-        for point in self.member_points(member) {
-            let owner = self.ring.remove(&point);
+        for point in points {
+            let owner = self.ring.remove(point);
             debug_assert_eq!(owner, Some(member));
         }
         self.members -= 1;
         true
+    }
+
+    fn check_points(&self, member: u32, points: &[u128]) {
+        assert_eq!(
+            points.len(),
+            self.vnodes as usize,
+            "a member has `vnodes` points"
+        );
+        debug_assert_eq!(
+            points,
+            self.member_points(member),
+            "not member {member}'s points"
+        );
     }
 
     /// Owners of ring points clockwise from `point` (inclusive), wrapping
@@ -244,6 +334,63 @@ mod tests {
         assert!(!ring.remove(5), "double remove must be a no-op");
         assert_eq!(ring.len(), 7);
         assert_eq!(ring.points(), 21);
+    }
+
+    #[test]
+    fn bulk_build_and_points_forms_give_the_member_by_member_ring() {
+        // Out of order, with a repeat: the ring is a function of the set.
+        let members = [17u32, 3, 29, 3, 0, 8, 21, 35, 12, 30, 1, 26];
+        let bulk = HashRing::with_members(b"test-ring", 4, members);
+        let mut stepped = HashRing::new(b"test-ring", 4);
+        for m in members {
+            stepped.insert(m);
+        }
+        let same = |a: &HashRing, b: &HashRing| {
+            assert_eq!(a.ring, b.ring);
+            assert_eq!(a.len(), b.len());
+            for i in 0..200u128 {
+                let probe = i.wrapping_mul(u128::MAX / 201);
+                assert_eq!(
+                    a.distinct_successors(probe, 4, Some(3)),
+                    b.distinct_successors(probe, 4, Some(3))
+                );
+            }
+        };
+        same(&bulk, &stepped);
+        assert_eq!(bulk.len(), 11);
+        for m in 0..40u32 {
+            assert_eq!(bulk.contains(m), members.contains(&m), "member {m}");
+            assert_eq!(
+                bulk.contains(m),
+                bulk.ring.get(&bulk.member_points(m)[0]) == Some(&m)
+            );
+        }
+
+        // The points-in-hand forms are `insert` / `remove`, no-ops included.
+        let (mut passed, mut hashed) = (bulk.clone(), bulk);
+        for m in [5u32, 17, 5, 40, 17] {
+            let points = passed.member_points(m);
+            assert_eq!(
+                passed.insert_points(m, &points),
+                hashed.insert(m),
+                "insert {m}"
+            );
+            same(&passed, &hashed);
+        }
+        for m in [29u32, 5, 29, 2] {
+            let points = passed.member_points(m);
+            assert_eq!(
+                passed.remove_points(m, &points),
+                hashed.remove(m),
+                "remove {m}"
+            );
+            assert!(!passed.contains(m));
+            same(&passed, &hashed);
+        }
+        same(
+            &HashRing::with_members(b"e", 2, []),
+            &HashRing::new(b"e", 2),
+        );
     }
 
     #[test]
