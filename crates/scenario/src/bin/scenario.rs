@@ -186,10 +186,7 @@ impl Common {
         iter: &mut std::slice::Iter<'_, String>,
     ) -> Result<bool, String> {
         match option {
-            "--seed" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(seed) => spec.seed = seed,
-                None => return Err("--seed needs an integer".into()),
-            },
+            "--seed" => spec.seed = value(iter, option, "an integer")?,
             "--engine" => match iter.next().map(String::as_str) {
                 Some("serial") => self.engine = Some(EngineSpec::Serial),
                 Some("sharded") => {
@@ -197,22 +194,10 @@ impl Common {
                 }
                 _ => return Err("--engine needs `serial` or `sharded`".into()),
             },
-            "--shards" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(s) => self.shards = Some(s),
-                None => return Err("--shards needs an integer".into()),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(k) => self.threads = Some(k),
-                None => return Err("--threads needs an integer".into()),
-            },
-            "--warmup-mins" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(mins) => spec.warmup_mins = mins,
-                None => return Err("--warmup-mins needs an integer".into()),
-            },
-            "--duration-mins" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(mins) => spec.duration_mins = mins,
-                None => return Err("--duration-mins needs an integer".into()),
-            },
+            "--shards" => self.shards = Some(value(iter, option, "an integer")?),
+            "--threads" => self.threads = Some(value(iter, option, "an integer")?),
+            "--warmup-mins" => spec.warmup_mins = value(iter, option, "an integer")?,
+            "--duration-mins" => spec.duration_mins = value(iter, option, "an integer")?,
             "--json" => self.json = true,
             _ => return Ok(false),
         }
@@ -242,11 +227,44 @@ impl Common {
     }
 }
 
+/// The argument after `option`, parsed; `what` says what it has to be.
+fn value<T: std::str::FromStr>(
+    iter: &mut std::slice::Iter<'_, String>,
+    option: &str,
+    what: &str,
+) -> Result<T, String> {
+    let parsed = iter.next().and_then(|text| text.parse().ok());
+    parsed.ok_or_else(|| format!("{option} needs {what}"))
+}
+
 fn serial_contradiction(option: &str) -> String {
     format!(
         "{option} contradicts the serial engine (one shard, one thread); \
          add --engine sharded"
     )
+}
+
+/// Applies `run`'s options to `spec`; the peak-RSS ceiling, if asked for.
+fn run_options(
+    spec: &mut ScenarioSpec,
+    common: &mut Common,
+    options: &[String],
+) -> Result<Option<u64>, String> {
+    let mut rss_ceiling_mb = None;
+    let mut iter = options.iter();
+    while let Some(option) = iter.next() {
+        if common.consume(spec, option, &mut iter)? {
+            continue;
+        }
+        match option.as_str() {
+            "--assert-peak-rss-mb" => {
+                rss_ceiling_mb = Some(value(&mut iter, option, "an integer (MiB)")?)
+            }
+            other => return Err(format!("unknown run option {other:?}")),
+        }
+    }
+    common.apply_engine(spec)?;
+    Ok(rss_ceiling_mb)
 }
 
 fn run(which: &str, options: &[String]) -> ExitCode {
@@ -256,25 +274,10 @@ fn run(which: &str, options: &[String]) -> ExitCode {
     };
 
     let mut common = Common::default();
-    let mut rss_ceiling_mb: Option<u64> = None;
-    let mut iter = options.iter();
-    while let Some(option) = iter.next() {
-        match common.consume(&mut spec, option, &mut iter) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(message) => return fail(&message),
-        }
-        match option.as_str() {
-            "--assert-peak-rss-mb" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(mb) => rss_ceiling_mb = Some(mb),
-                None => return fail("--assert-peak-rss-mb needs an integer (MiB)"),
-            },
-            other => return fail(&format!("unknown run option {other:?}")),
-        }
-    }
-    if let Err(message) = common.apply_engine(&mut spec) {
-        return fail(&message);
-    }
+    let rss_ceiling_mb = match run_options(&mut spec, &mut common, options) {
+        Ok(ceiling) => ceiling,
+        Err(message) => return fail(&message),
+    };
     let json = common.json;
 
     let runner = match ScenarioRunner::new(spec) {
@@ -312,6 +315,34 @@ fn run(which: &str, options: &[String]) -> ExitCode {
     }
 }
 
+/// Applies `serve`'s options to `spec` and `opts`.
+fn serve_options(
+    spec: &mut ScenarioSpec,
+    common: &mut Common,
+    opts: &mut ServeOptions,
+    options: &[String],
+) -> Result<(), String> {
+    let integer = "an integer";
+    let mut iter = options.iter();
+    while let Some(option) = iter.next() {
+        if common.consume(spec, option, &mut iter)? {
+            continue;
+        }
+        match option.as_str() {
+            "--for-mins" => opts.for_mins = Some(value(&mut iter, option, integer)?),
+            "--ops-per-day" => opts.ops_per_day = Some(value(&mut iter, option, "a number")?),
+            "--pace" => opts.pace = Some(value(&mut iter, option, "a number")?),
+            "--lag-budget-ms" => opts.lag_budget_ms = Some(value(&mut iter, option, integer)?),
+            "--metrics-addr" => opts.metrics_addr = Some(value(&mut iter, option, "a host:port")?),
+            "--snapshot-secs" => opts.snapshot_every_secs = value(&mut iter, option, integer)?,
+            "--max-wall-secs" => opts.max_wall_secs = Some(value(&mut iter, option, integer)?),
+            "--scrape-once" => opts.scrape_on_exit = true,
+            other => return Err(format!("unknown serve option {other:?}")),
+        }
+    }
+    common.apply_engine(spec)
+}
+
 fn serve(which: &str, options: &[String]) -> ExitCode {
     let mut spec = match resolve(which) {
         Ok(spec) => spec,
@@ -323,47 +354,7 @@ fn serve(which: &str, options: &[String]) -> ExitCode {
         snapshot_every_secs: 10,
         ..ServeOptions::default()
     };
-    let mut iter = options.iter();
-    while let Some(option) = iter.next() {
-        match common.consume(&mut spec, option, &mut iter) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(message) => return fail(&message),
-        }
-        match option.as_str() {
-            "--for-mins" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(mins) => opts.for_mins = Some(mins),
-                None => return fail("--for-mins needs an integer"),
-            },
-            "--ops-per-day" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(rate) => opts.ops_per_day = Some(rate),
-                None => return fail("--ops-per-day needs a number"),
-            },
-            "--pace" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(pace) => opts.pace = Some(pace),
-                None => return fail("--pace needs a number"),
-            },
-            "--lag-budget-ms" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => opts.lag_budget_ms = Some(ms),
-                None => return fail("--lag-budget-ms needs an integer"),
-            },
-            "--metrics-addr" => match iter.next() {
-                Some(addr) => opts.metrics_addr = Some(addr.clone()),
-                None => return fail("--metrics-addr needs a host:port"),
-            },
-            "--snapshot-secs" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(secs) => opts.snapshot_every_secs = secs,
-                None => return fail("--snapshot-secs needs an integer"),
-            },
-            "--max-wall-secs" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(secs) => opts.max_wall_secs = Some(secs),
-                None => return fail("--max-wall-secs needs an integer"),
-            },
-            "--scrape-once" => opts.scrape_on_exit = true,
-            other => return fail(&format!("unknown serve option {other:?}")),
-        }
-    }
-    if let Err(message) = common.apply_engine(&mut spec) {
+    if let Err(message) = serve_options(&mut spec, &mut common, &mut opts, options) {
         return fail(&message);
     }
     if common.json {

@@ -15,7 +15,9 @@
 //!   optional adversary mix;
 //! * [`parse`] — the text format (a hand-rolled TOML subset with
 //!   line-numbered errors) and the canonical renderer; `parse(render(s))
-//!   == s` for every valid spec;
+//!   == s` for every valid spec. Its sections and keys are declared
+//!   once, in the private `schema` module, which the parser, the
+//!   renderer and [`ScenarioSpec::validate`] all walk;
 //! * [`runner`] — interleaves a deterministic Poisson-like operation
 //!   schedule *into* the live maintenance loop: operations fire between
 //!   timestamp cohorts against the possibly-unconverged overlay, all
@@ -31,7 +33,8 @@
 //!   checks, aggregated to min/median/max headline metrics;
 //! * [`builtin`] — a library of named, paper-anchored scenarios
 //!   (`overnet-day`, `grid-reboot`, `flash-crowd`, `mass-departure`,
-//!   `selfish-mix`, `stress-10k`, `smoke`, `serve-100k`).
+//!   `selfish-mix`, `stress-10k`, `stress-10k-avmon`, `stress-100k`,
+//!   `serve-100k`, `stress-1m`, `smoke`).
 //!
 //! # Examples
 //!
@@ -49,6 +52,7 @@ pub mod builtin;
 pub mod parse;
 pub mod report;
 pub mod runner;
+mod schema;
 pub mod serve;
 pub mod spec;
 pub mod sweep;

@@ -19,6 +19,8 @@ use avmem::AvailabilityTarget;
 use avmem_sim::SimDuration;
 use avmem_trace::{ChurnTrace, CrowdDirection, FlashCrowdModel, GridModel, OvernetModel};
 
+use crate::schema::SECTIONS;
+
 /// Anything that can go wrong building or running a scenario.
 #[derive(Debug)]
 pub enum ScenarioError {
@@ -412,158 +414,50 @@ impl ScenarioSpec {
             })
     }
 
-    /// Checks every cross-field invariant the parser cannot see, returning
-    /// the first violation.
+    /// Checks the whole spec, returning the first violation: every key's
+    /// own range (the parser's check, repeated here for a spec built in
+    /// code), then the rules several keys decide together.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::Invalid`] naming the violated invariant.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         let fail = |msg: String| Err(ScenarioError::Invalid(msg));
-        // Strings embedded in rendered spec text and JSON reports: no
-        // quotes (the text format cannot escape them) and no control
-        // characters (JSON escapes would be ill-formed).
-        let renderable = |s: &str| !s.contains('"') && !s.chars().any(char::is_control);
-        if self.name.is_empty() {
-            return fail("name must be non-empty".into());
-        }
-        if !renderable(&self.name) {
-            return fail("name must not contain quotes or control characters".into());
-        }
-        if self.duration_mins == 0 {
-            return fail("duration_mins must be positive".into());
-        }
-        self.horizon_mins()?;
-        if self.health_every_mins == 0 {
-            return fail("health_every_mins must be positive".into());
-        }
-        match &self.churn {
-            ChurnSpec::Overnet { hosts, days } | ChurnSpec::FlashCrowd { hosts, days, .. }
-            | ChurnSpec::MassDeparture { hosts, days, .. } => {
-                if *hosts == 0 || *days == 0 {
-                    return fail("churn needs hosts > 0 and days > 0".into());
-                }
-            }
-            ChurnSpec::Grid { machines, days } => {
-                if *machines == 0 || *days == 0 {
-                    return fail("churn needs machines > 0 and days > 0".into());
-                }
-            }
-            ChurnSpec::TraceFile { path } => {
-                if path.is_empty() {
-                    return fail("trace-file churn needs a path".into());
-                }
-                if !renderable(path) {
-                    return fail("trace path must not contain quotes or control characters".into());
+        // The lenses hand out places, so they take the spec mutably.
+        let mut spec = self.clone();
+        for section in SECTIONS {
+            for instance in 0..(section.count)(&spec) {
+                for key in section.keys {
+                    let Some(slot) = (key.at)(&mut spec, instance) else { continue };
+                    if let Err(problem) = slot.check(&key.bound) {
+                        return fail(format!("{} key {:?} {problem}", section.header(), key.name));
+                    }
                 }
             }
         }
-        if let ChurnSpec::FlashCrowd { fraction, switch_at, .. }
-        | ChurnSpec::MassDeparture { fraction, switch_at, .. } = &self.churn
+        let horizon = self.horizon_mins()?;
+        // Generated traces are whole days of 20-minute slots, so a run
+        // that outlasts its trace is known before the trace is built (a
+        // trace file's length is known only once `build_trace` read it).
+        if let ChurnSpec::Overnet { days, .. }
+        | ChurnSpec::Grid { days, .. }
+        | ChurnSpec::FlashCrowd { days, .. }
+        | ChurnSpec::MassDeparture { days, .. } = self.churn
         {
-            if !(0.0..=1.0).contains(fraction) || !(0.0..=1.0).contains(switch_at) {
-                return fail("crowd fraction and switch_at must be in [0, 1]".into());
+            let covered = days.saturating_mul(1440);
+            if horizon > covered {
+                return fail(format!(
+                    "warmup_mins + duration_mins needs {horizon} min but a {days}-day generated \
+                     trace covers {covered} min"
+                ));
             }
         }
-        match &self.predicate {
-            PredicateSpec::Avmem { epsilon, c1, c2 } => {
-                if !(*epsilon > 0.0 && *epsilon < 0.5) {
-                    return fail(format!("epsilon {epsilon} must be in (0, 0.5)"));
-                }
-                if !(c1.is_finite() && *c1 > 0.0 && c2.is_finite() && *c2 > 0.0) {
-                    return fail("c1 and c2 must be positive".into());
-                }
-            }
-            PredicateSpec::Random { degree } => {
-                if !(degree.is_finite() && *degree > 0.0) {
-                    return fail("random predicate needs degree > 0".into());
-                }
-            }
-        }
-        if let OracleSpec::Noisy { error, staleness_mins }
-        | OracleSpec::NoisyShared { error, staleness_mins } = &self.oracle
-        {
-            if !(0.0..=1.0).contains(error) {
-                return fail(format!("oracle error {error} must be in [0, 1]"));
-            }
-            if *staleness_mins == 0 {
-                return fail("oracle staleness_mins must be positive".into());
-            }
-        }
-        if let OracleSpec::Avmon {
-            assignment: AssignmentSpec::Ring { vnodes, monitors },
-        } = &self.oracle
-        {
-            if *vnodes == 0 || *monitors == 0 {
-                return fail("ring assignment needs vnodes >= 1 and monitors >= 1".into());
-            }
-        }
-        match &self.maintenance.mode {
-            MaintenanceModeSpec::EventDriven { protocol_secs, refresh_mins } => {
-                if *protocol_secs == 0 || *refresh_mins == 0 {
-                    return fail("event-driven periods must be positive".into());
-                }
-            }
-            MaintenanceModeSpec::Converged { rebuild_every_mins } => {
-                if *rebuild_every_mins == 0 {
-                    return fail("rebuild_every_mins must be positive".into());
-                }
-            }
-        }
-        let w = &self.workload;
-        if !(w.ops_per_hour.is_finite() && w.ops_per_hour >= 0.0) {
-            return fail(format!("ops_per_hour {} must be finite and ≥ 0", w.ops_per_hour));
-        }
-        if !(0.0..=1.0).contains(&w.anycast_fraction) {
-            return fail("anycast_fraction must be in [0, 1]".into());
-        }
-        if w.ttl == 0 {
-            return fail("ttl must be positive".into());
-        }
-        if let MulticastSpec::Gossip { fanout, rounds, period_secs } = w.multicast {
-            if fanout == 0 || rounds == 0 || period_secs == 0 {
-                return fail("gossip fanout, rounds and period must be positive".into());
-            }
-        }
-        if w.targets.is_empty() {
+        if self.workload.targets.is_empty() {
             return fail("workload needs at least one [[target]]".into());
         }
-        for (i, mix) in w.targets.iter().enumerate() {
-            if !(mix.weight.is_finite() && mix.weight > 0.0) {
-                return fail(format!("target {i} weight must be positive"));
-            }
-            match mix.target {
-                TargetSpec::Range { lo, hi } => {
-                    if !((0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi) && lo <= hi) {
-                        return fail(format!("target {i} range must satisfy 0 ≤ lo ≤ hi ≤ 1"));
-                    }
-                }
-                TargetSpec::Threshold { min } => {
-                    if !(0.0..1.0).contains(&min) {
-                        return fail(format!("target {i} threshold must satisfy 0 ≤ min < 1"));
-                    }
-                }
-            }
-        }
-        if let Some(adv) = &self.adversary {
-            if !(0.0..=1.0).contains(&adv.flooder_fraction) {
-                return fail("flooder_fraction must be in [0, 1]".into());
-            }
-            if !(adv.cushion.is_finite() && adv.cushion >= 0.0) {
-                return fail("cushion must be non-negative".into());
-            }
-            if adv.probes == 0 {
-                return fail("adversary probes must be positive".into());
-            }
-        }
-        if let Some(serve) = &self.serve {
-            if let Some(rate) = serve.ops_per_day {
-                if !(rate.is_finite() && rate > 0.0) {
-                    return fail("serve ops_per_day must be positive and finite".into());
-                }
-            }
-            if !(serve.pace.is_finite() && serve.pace >= 0.0) {
-                return fail("serve pace must be non-negative and finite".into());
+        for (i, mix) in self.workload.targets.iter().enumerate() {
+            if matches!(mix.target, TargetSpec::Range { lo, hi } if lo > hi) {
+                return fail(format!("target {i} range must satisfy lo ≤ hi"));
             }
         }
         Ok(())
@@ -771,9 +665,11 @@ mod tests {
 
         // The horizon: the last whole minute a u32-millisecond membership
         // stamp can hold passes, the next fails, and an overflowing sum
-        // is the same typed error rather than a panic.
+        // is the same typed error rather than a panic. Over 50 days of
+        // trace, so that the horizon is the rule that decides.
         let horizon = |warmup_mins, duration_mins| {
-            let spec = ScenarioSpec { warmup_mins, duration_mins, ..valid() };
+            let churn = ChurnSpec::Overnet { hosts: 120, days: 50 };
+            let spec = ScenarioSpec { warmup_mins, duration_mins, churn, ..valid() };
             spec.validate()
         };
         assert!(horizon(60, 71_522).is_ok());

@@ -207,6 +207,15 @@ fn arb_spec() -> impl Strategy<Value = ScenarioSpec> {
                 maintenance,
                 (workload, adversary, serve, report),
             )| {
+                // A generated trace has to cover the run it is for.
+                let mut churn = churn;
+                if let ChurnSpec::Overnet { days, .. }
+                | ChurnSpec::Grid { days, .. }
+                | ChurnSpec::FlashCrowd { days, .. }
+                | ChurnSpec::MassDeparture { days, .. } = &mut churn
+                {
+                    *days = (*days).max((warmup_mins + duration_mins).div_ceil(1440));
+                }
                 ScenarioSpec {
                     name: format!("generated-{name_tag}"),
                     seed,
@@ -285,7 +294,7 @@ fn corrupted_lines_are_rejected_with_their_line_number() {
 fn malformed_inputs_name_the_offending_line() {
     let cases: &[(&str, usize, &str)] = &[
         ("name = \"x\"\n[churn\n", 2, "unterminated"),
-        ("name = \"x\"\n[[churn]]\n", 2, "unknown array section"),
+        ("name = \"x\"\n[[churn]]\n", 2, "unknown section [[churn]] (write [churn])"),
         ("name = \"x\"\n= 4\n", 2, "invalid key"),
         ("name = \"x\"\nkey =\n", 2, "no value"),
         ("name = unquoted\n", 1, "double-quoted"),
@@ -297,7 +306,7 @@ fn malformed_inputs_name_the_offending_line() {
         (
             "name = \"x\"\n[churn]\nmodel = \"martian\"\n",
             3,
-            "unknown churn model",
+            "has unknown value \"martian\" (accepted: overnet, grid,",
         ),
         (
             "name = \"x\"\n[churn]\nmodel = \"overnet\"\nhosts = 9\ndays = 1\n\
@@ -447,4 +456,78 @@ fn a_sixty_day_horizon_parses_and_fails_validation() {
         panic!("a 60-day horizon must not validate");
     };
     assert!(msg.contains("71582"), "{msg}");
+}
+
+/// A key beside a choice that gives it no field used to be type-checked
+/// and dropped — `scenario check` said `ok` on a spec that then ran a
+/// different experiment. Each is refused at its own line, naming the
+/// choice that rules it out; `kind = "exact"` + `error` always was.
+#[test]
+fn keys_without_meaning_under_the_chosen_variant_are_refused() {
+    let head = "name = \"x\"\n[churn]\nmodel = \"overnet\"\nhosts = 9\ndays = 1\n";
+    let workload = "[workload]\nops_per_hour = 1.0\n";
+    let avmon = "[oracle]\nkind = \"avmon\"\n";
+    let exact = "[oracle]\nkind = \"exact\"\n";
+    let (greedy, flood) = ("policy = \"greedy\"", "multicast = \"flood\"");
+    // (the spec's lines after the churn section, the key, what rules it out)
+    let cases = [
+        (format!("{workload}{greedy}\nretries = 3\n"), "retries", greedy),
+        // The choice left at its default rules a key out just the same.
+        (format!("{workload}retries = 3\n"), "retries", greedy),
+        (format!("{workload}{flood}\nfanout = 9\n"), "fanout", flood),
+        (format!("{workload}rounds = 2\n"), "rounds", flood),
+        (format!("{workload}gossip_period_secs = 1\n"), "gossip_period_secs", flood),
+        (format!("{avmon}vnodes = 4\n{workload}"), "vnodes", "assignment = \"all-pairs\""),
+        (format!("{avmon}monitors = 4\n{workload}"), "monitors", "assignment = \"all-pairs\""),
+        (format!("[oracle]\nvnodes = 4\n{workload}"), "vnodes", "kind = \"exact\""),
+        (format!("{exact}error = 0.4\n{workload}"), "error", "kind = \"exact\""),
+    ];
+    for (rest, key, choice) in cases {
+        let text = format!("{head}{rest}");
+        let line = 1 + text.lines().position(|l| l.starts_with(&format!("{key} ="))).unwrap();
+        let err = parse_spec(&text).unwrap_err();
+        assert_eq!(err.line, line, "{key}: {err}");
+        assert_eq!(err.message, format!("key {key:?} has no meaning with {choice}"));
+    }
+}
+
+/// `scenario check` used to say `ok` on both of these and leave the
+/// failure to `run`: a run longer than the trace generated for it (found
+/// after generating the trace), and a day count that overflows the
+/// generators' allocation (a panic).
+#[test]
+fn a_run_its_generated_trace_cannot_cover_fails_before_the_trace_is_built() {
+    let spec_with = |days: &str, top: &str| {
+        format!(
+            "name = \"x\"\n{top}[churn]\nmodel = \"overnet\"\nhosts = 60\ndays = {days}\n\
+             [workload]\nops_per_hour = 1.0\n"
+        )
+    };
+    // Well-formed text, a cross-key rule: `validate`'s to refuse.
+    let text = spec_with("1", "warmup_mins = 1000\nduration_mins = 1000\n");
+    let spec = parse_spec(&text).expect("each value is within its own range");
+    let Err(ScenarioError::Invalid(msg)) = spec.validate() else {
+        panic!("a 2000-min run over a 1-day trace must not validate");
+    };
+    assert!(msg.contains("needs 2000 min") && msg.contains("covers 1440 min"), "{msg}");
+    let text = spec_with("2", "warmup_mins = 1000\nduration_mins = 1000\n");
+    parse_spec(&text).unwrap().validate().expect("two days cover 2000 min");
+
+    // One value out of its own range: the parser's, at the value's line.
+    for days in ["0", "3651", "18446744073709551615"] {
+        let err = parse_spec(&spec_with(days, "")).unwrap_err();
+        assert_eq!(err.line, 5, "days = {days}: {err}");
+        assert!(err.message.starts_with("key \"days\" must be at "), "days = {days}: {err}");
+    }
+    parse_spec(&spec_with("3650", "")).expect("the bound itself is accepted");
+}
+
+/// A value outside its key's range is an error at its line, not a
+/// line-less `invalid scenario:` after the file was accepted.
+#[test]
+fn a_value_outside_its_range_is_an_error_at_its_line() {
+    let text = "name = \"x\"\n[churn]\nmodel = \"overnet\"\nhosts = 9\ndays = 1\n\
+                [predicate]\nkind = \"avmem\"\n\nepsilon = 0.9\n[workload]\nops_per_hour = 1.0\n";
+    let err = parse_spec(text).unwrap_err();
+    assert_eq!(err.to_string(), "line 9: key \"epsilon\" must be in (0, 0.5), found 0.9");
 }
