@@ -321,4 +321,10 @@ impl OverlayWorld for WorldView<'_> {
     fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_> {
         self.memberships[id.raw() as usize].columns(scope)
     }
+
+    /// Two binary searches over the index's availability column instead
+    /// of the default's scan.
+    fn eligible(&self, target: AvailabilityTarget) -> usize {
+        target.count_in(self.online.availabilities())
+    }
 }

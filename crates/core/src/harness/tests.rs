@@ -327,6 +327,130 @@ fn operations_see_the_trace_wherever_the_clock_stops() {
     assert!(slots_differ, "vacuous: slots 0 and 1 hold the same nodes");
 }
 
+/// A trace of `hosts` rows over `slots` 20-minute slots, each host up
+/// with its own probability, nobody up in `empty_slot`.
+fn random_rows(r: &mut SplitMix64, hosts: usize, slots: usize, empty_slot: usize) -> ChurnTrace {
+    let rows = (0..hosts)
+        .map(|_| {
+            let up = r.next_f64();
+            (0..slots)
+                .map(|s| s != empty_slot && r.chance(up))
+                .collect()
+        })
+        .collect();
+    ChurnTrace::from_rows(SimDuration::from_mins(20), rows)
+}
+
+proptest::proptest! {
+    /// `WorldView::eligible` (two binary searches over the online index's
+    /// availability column) equals the scan `OverlayWorld::eligible`
+    /// defaults to, at every slot of random traces — availabilities are
+    /// multiples of `1 / slots`, so ties abound — one of them with nobody
+    /// online, for bounds on and off hosts' availabilities.
+    #[test]
+    fn world_view_counts_eligible_like_the_scan(seed in proptest::prelude::any::<u64>()) {
+        let mut r = SplitMix64::new(seed);
+        let (hosts, slots) = (1 + r.index(60), 2 + r.index(10));
+        let empty_slot = r.index(slots);
+        let trace = random_rows(&mut r, hosts, slots, empty_slot);
+        let slot_ms = trace.slot_duration().as_millis();
+        let mut sim = AvmemSim::new(trace, SimConfig::paper_default(seed));
+        for slot in 0..slots {
+            sim.advance_to(SimTime::from_millis(slot as u64 * slot_ms + r.range_u64(slot_ms)));
+            let world = sim.world();
+            let mut of_a_host = || sim.trace().long_term_availability(r.index(hosts)).value();
+            let (a, b) = (of_a_host(), of_a_host());
+            let (x, y) = (r.next_f64(), r.next_f64());
+            let targets = [
+                AvailabilityTarget::range(0.0, 1.0),
+                AvailabilityTarget::range(a, a),
+                AvailabilityTarget::range(a.min(b), a.max(b)),
+                AvailabilityTarget::range(x.min(y), x.max(y)),
+                AvailabilityTarget::range(x.min(a), x.max(a)),
+                AvailabilityTarget::threshold(0.0),
+                AvailabilityTarget::threshold(x),
+                AvailabilityTarget::Threshold { min: a },
+                // Nobody passes these: out of reach, inverted, unordered.
+                AvailabilityTarget::Threshold { min: 1.0 },
+                AvailabilityTarget::Range { lo: a.max(b), hi: a.min(b) - 0.01 },
+                AvailabilityTarget::Threshold { min: f64::NAN },
+                AvailabilityTarget::Range { lo: f64::NAN, hi: 1.0 },
+                AvailabilityTarget::Range { lo: 0.0, hi: f64::NAN },
+            ];
+            for target in targets {
+                let scanned = (0..hosts as u64)
+                    .map(NodeId::new)
+                    .filter(|&id| world.is_online(id) && target.contains(world.true_availability(id)))
+                    .count();
+                proptest::prop_assert_eq!(world.eligible(target), scanned, "{} in slot {}", target, slot);
+                if slot == empty_slot {
+                    proptest::prop_assert_eq!(scanned, 0);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn operations_on_degenerate_populations_return_outcomes() {
+    // ROADMAP "degenerate parameters through `AvmemSim` itself": one
+    // host, a slot with every host offline, an offline initiator. The
+    // operations do not ask whether their initiator is up (callers draw
+    // it from the online set): one that believes itself in range is its
+    // own entry point, any other finds nobody to forward to.
+    let slot = SimDuration::from_mins(20);
+    let everyone = AvailabilityTarget::range(0.0, 1.0);
+    let nobody = AvailabilityTarget::Threshold { min: 1.0 };
+    let gossip = MulticastConfig {
+        strategy: crate::ops::multicast::MulticastStrategy::paper_gossip(),
+        ..MulticastConfig::paper_default()
+    };
+    let alone = ChurnTrace::from_rows(slot, vec![vec![true, false]]);
+    let dark = ChurnTrace::from_rows(
+        slot,
+        vec![vec![true, false], vec![true, false], vec![true, false]],
+    );
+    for (trace, maintenance) in [
+        (alone.clone(), MaintenanceMode::Converged),
+        (alone, MaintenanceMode::paper_event_driven()),
+        (dark.clone(), MaintenanceMode::Converged),
+        (dark, MaintenanceMode::paper_event_driven()),
+    ] {
+        let n = trace.num_nodes();
+        let mut config = SimConfig::paper_default(5);
+        config.maintenance = maintenance;
+        let mut sim = AvmemSim::new(trace, config);
+        let first = NodeId::new(0);
+        // Slot 0, everyone up; then slot 1, everyone down.
+        for (up, warm_up) in [(n, slot.mul(0)), (0, slot)] {
+            sim.warm_up(warm_up);
+            for config in [MulticastConfig::paper_default(), gossip] {
+                let flood = sim.multicast(first, everyone, config);
+                assert_eq!(flood.eligible, up);
+                // Its own entry point, up or not; whoever else it reaches
+                // is up.
+                assert_eq!(flood.deliveries.first(), Some(&(first, SimDuration::ZERO)));
+                let trace = sim.trace();
+                assert!(flood.deliveries[1..]
+                    .iter()
+                    .all(|&(id, _)| trace.is_online(id.raw() as usize, sim.now())));
+
+                let missed = sim.multicast(first, nobody, config);
+                assert_eq!(missed.eligible, 0);
+                assert!(missed.deliveries.is_empty() && missed.messages == 0);
+                assert!(missed.anycast.drop_reason.is_some());
+            }
+            let anycast = sim.anycast(first, nobody, AnycastConfig::paper_default());
+            assert!(!anycast.is_delivered());
+            assert!(anycast.drop_reason.is_some(), "a typed drop");
+            let to_itself = sim.anycast(first, everyone, AnycastConfig::paper_default());
+            assert_eq!(to_itself.hops, 0);
+        }
+        assert!(sim.random_online_initiator(InitiatorBand::Low).is_none());
+        assert!(sim.random_online_initiator(InitiatorBand::Mid).is_none());
+    }
+}
+
 #[test]
 fn online_nodes_in_filters_by_truth() {
     let mut sim = small_sim(22);

@@ -13,6 +13,7 @@
 //!   the next.
 
 pub mod anycast;
+mod calendar;
 pub mod multicast;
 pub mod target;
 pub mod world;
@@ -24,10 +25,12 @@ pub use world::OverlayWorld;
 
 /// Working memory of the operations, reused from one operation to the
 /// next so that a warm anycast allocates only its outcome and a warm
-/// multicast costs what it reaches, never `O(N)`: the anycast's candidate
-/// ranking and the multicast's dense, generation-stamped per-node state
-/// and event queue. Contents never carry meaning across calls — any
-/// `OpScratch`, fresh or used, gives the same result.
+/// multicast costs what it reaches, never `O(N)` (given a world that
+/// counts [`OverlayWorld::eligible`] without a scan, as the harness's
+/// does): the anycast's candidate ranking and the multicast's dense,
+/// generation-stamped per-node columns and calendar queue. Contents never
+/// carry meaning across calls — any `OpScratch`, fresh or used, gives the
+/// same result.
 #[derive(Debug, Default)]
 pub struct OpScratch {
     pub(crate) ranking: Vec<anycast::Candidate>,

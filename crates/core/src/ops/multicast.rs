@@ -21,29 +21,31 @@
 //! a node acts on its *earliest* copy only: every later one is dropped on
 //! arrival. The kernel therefore applies the **first-copy invariant** at
 //! send time. Every copy is still counted as a message, still tests
-//! whether its receiver is online, still draws its hop latency and still
-//! takes the next `seq` (so queued events carry the numbers they would
-//! in a queue of all copies); but it enters the queue only if it arrives
-//! strictly before the earliest copy its receiver has queued so far (a
-//! tie loses: the earlier-sent copy has the lower `seq`), and never once
-//! the receiver has been delivered. A copy left out would have been
-//! popped after that earlier copy and ignored, so nodes are delivered in
-//! exactly the `(time, seq)` order a queue of *all* copies yields — same
-//! deliveries, arrival times, message count and `Network` stream position
-//! — while queue traffic falls from one push and pop per copy to a few
-//! per node. A queued copy that a better one overtakes stays queued and
-//! is skipped when it pops, its receiver by then delivered. The
-//! queue-every-copy loop survives as the test-only reference model the
-//! kernel is checked against.
+//! whether its receiver is online and still draws its hop latency; but
+//! it enters the queue only if it arrives strictly before the earliest
+//! copy its receiver has queued so far (a tie loses: the earlier-sent
+//! copy pops first), and never once the receiver has been delivered. A
+//! copy left out would have been popped after that earlier copy and
+//! ignored, so nodes are delivered in exactly the `(time, seq)` order a
+//! queue of *all* copies yields — same deliveries, arrival times,
+//! message count and `Network` stream position — while queue traffic
+//! falls from one push and pop per copy to a few per node. A queued copy
+//! that a better one overtakes stays queued and is skipped when it pops,
+//! its receiver by then delivered. The queue-every-copy loop survives as
+//! the test-only reference model the kernel is checked against.
 //!
-//! Per-node state (earliest queued copy, delivered, gossip progress, the
-//! forwarder that last sent to the node) lives in dense arrays indexed
-//! by node id and stamped with a per-multicast generation
-//! ([`OpScratch`]), so nothing is cleared between operations: beyond the
-//! `eligible` scan, a multicast costs what it reaches.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! The queue is a calendar of one-millisecond buckets
+//! ([`CalendarQueue`]): within an instant it pops in push order, which
+//! *is* `seq` order, so no event carries a number. Per-node state lives
+//! in two dense columns indexed by node id and stamped with a
+//! per-multicast generation ([`OpScratch`]), so nothing is cleared
+//! between operations: a 16-byte row per node for what every copy reads
+//! and writes (earliest queued arrival, none / queued / delivered, the
+//! forwarder that last sent to the node), and a gossip-progress column
+//! (list cursor, rounds done) that only gossiping forwarders touch. The
+//! `eligible` count is the world's to answer
+//! ([`OverlayWorld::eligible`]; the harness does it in two binary
+//! searches), so a multicast costs what it reaches.
 
 use avmem_sim::{Network, SimDuration, SimTime};
 use avmem_util::{NodeId, Rng};
@@ -51,6 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::membership::SliverScope;
 use crate::ops::anycast::{run_anycast, AnycastConfig, AnycastOutcome};
+use crate::ops::calendar::CalendarQueue;
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
 use crate::ops::OpScratch;
@@ -189,203 +192,261 @@ impl MulticastOutcome {
     }
 }
 
-/// What a node has of the payload so far in the current multicast.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Receipt {
-    /// No copy is on its way.
-    None,
-    /// The earliest copy queued so far arrives at this instant.
-    Queued(SimTime),
-    /// The payload arrived; every further copy is a duplicate.
-    Delivered,
-}
-
 /// `sent_by` of a node no forwarder has sent to (ids are below
 /// `id_bound ≤ u32::MAX`, so no node has this id).
 const NO_FORWARDER: u32 = u32::MAX;
 
-/// One node's row of the dense dissemination state.
+// What a node has of the payload so far, in the two low bits of
+// `Row::stamp`.
+/// No copy is on its way.
+const NONE: u32 = 0;
+/// The earliest copy queued so far arrives at [`Row::earliest`].
+const QUEUED: u32 = 1;
+/// The payload arrived; every further copy is a duplicate.
+const DELIVERED: u32 = 2;
+const RECEIPT_MASK: u32 = 3;
+/// Generations are multiples of this, leaving the receipt bits clear.
+const GENERATION_STEP: u32 = RECEIPT_MASK + 1;
+
+/// One node's row of the dense dissemination state: all a copy reads and
+/// writes, in 16 bytes.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// The multicast this row was written in; under any other generation
-    /// the row reads as [`Slot::UNTOUCHED`].
-    generation: u32,
+struct Row {
+    /// `generation | receipt`. Under any generation but the current one
+    /// the row reads as [`Row::UNTOUCHED`].
+    stamp: u32,
     /// The forwarder whose running pass over its list has sent to this
     /// node — the per-forwarder "already sent to" test. One column
     /// serves every forwarder because passes never interleave.
     sent_by: u32,
-    receipt: Receipt,
-    /// As a forwarder: how far into its list this node has gossiped.
-    cursor: usize,
-    /// As a forwarder: gossip rounds already executed.
-    rounds_done: u32,
+    /// Under [`QUEUED`], when the earliest copy queued so far arrives.
+    /// Any instant is legal, [`SimTime::MAX`] included (a saturated
+    /// gossip period), which is why the receipt is not folded into it.
+    earliest: SimTime,
 }
 
-impl Slot {
+/// At 1 442 hosts the column is 23 KB: it stays in L1 under a flood.
+const _: () = assert!(std::mem::size_of::<Row>() == 16);
+
+impl Row {
     /// Generation 0 is never current (see [`Dissemination::begin`]).
-    const UNTOUCHED: Slot = Slot {
-        generation: 0,
+    const UNTOUCHED: Row = Row {
+        stamp: NONE,
         sent_by: NO_FORWARDER,
-        receipt: Receipt::None,
-        cursor: 0,
+        earliest: SimTime::ZERO,
+    };
+
+    #[inline]
+    fn receipt(&self) -> u32 {
+        self.stamp & RECEIPT_MASK
+    }
+
+    #[inline]
+    fn set_receipt(&mut self, receipt: u32) {
+        self.stamp = self.stamp & !RECEIPT_MASK | receipt;
+    }
+}
+
+/// `node`'s row under `generation`, reset first if an earlier multicast
+/// wrote it last.
+#[inline]
+fn row(rows: &mut [Row], generation: u32, node: u32) -> &mut Row {
+    let row = &mut rows[node as usize];
+    if row.stamp & !RECEIPT_MASK != generation {
+        *row = Row {
+            stamp: generation,
+            ..Row::UNTOUCHED
+        };
+    }
+    row
+}
+
+/// A gossiping forwarder's progress through its list — a column of its
+/// own, which copies (and floods altogether) never touch.
+#[derive(Debug, Clone, Copy)]
+struct Progress {
+    /// As [`Row::stamp`], without receipt bits.
+    generation: u32,
+    /// Gossip rounds already executed.
+    rounds_done: u32,
+    /// How far into its list the node has gossiped.
+    cursor: usize,
+}
+
+impl Progress {
+    const UNTOUCHED: Progress = Progress {
+        generation: 0,
         rounds_done: 0,
+        cursor: 0,
     };
 }
 
 /// A queued event: a copy arriving at `node`, or `node`'s gossip period
-/// firing. Ordered by `(at, seq)`; `seq` is unique.
+/// firing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Pending {
-    at: SimTime,
-    seq: u64,
+struct Event {
     node: u32,
     tick: bool,
 }
 
-/// The dissemination part of [`OpScratch`]: node-indexed rows valid for
-/// one generation, the event queue, and the arrival log the outcome is
-/// copied from. Grows to the largest `id_bound` seen and is never cleared
-/// between multicasts.
+/// The dissemination part of [`OpScratch`]: node-indexed columns valid
+/// for one generation, the event queue, and the arrival log the outcome
+/// is copied from. Grows to the largest `id_bound` seen and is never
+/// cleared between multicasts.
 #[derive(Debug, Default)]
 pub(crate) struct Dissemination {
-    slots: Vec<Slot>,
+    rows: Vec<Row>,
+    /// Sized by the first gossip; a flood forwards once per node, from
+    /// the head of its list, and keeps no progress.
+    progress: Vec<Progress>,
     generation: u32,
-    queue: BinaryHeap<Reverse<Pending>>,
+    /// The in-range neighbors of the forwarding pass under way, as
+    /// `(list position, id)`; grows to the longest list seen.
+    in_range: Vec<(usize, u32)>,
+    queue: CalendarQueue<Event>,
     arrivals: Vec<(NodeId, SimDuration)>,
 }
 
 impl Dissemination {
     /// Opens a new generation: every row reads as untouched again
     /// without being written.
-    fn begin(&mut self, id_bound: usize) {
+    fn begin(&mut self, id_bound: usize, strategy: MulticastStrategy) {
         assert!(
             id_bound <= NO_FORWARDER as usize,
             "node ids are index-space (must fit u32)"
         );
-        if self.slots.len() < id_bound {
-            self.slots.resize(id_bound, Slot::UNTOUCHED);
+        if self.rows.len() < id_bound {
+            self.rows.resize(id_bound, Row::UNTOUCHED);
         }
-        self.generation = self.generation.wrapping_add(1);
+        let gossips = matches!(strategy, MulticastStrategy::Gossip { .. });
+        if gossips && self.progress.len() < id_bound {
+            self.progress.resize(id_bound, Progress::UNTOUCHED);
+        }
+        self.generation = self.generation.wrapping_add(GENERATION_STEP);
         if self.generation == 0 {
-            // The counter wrapped: a row last written 2³² multicasts ago
-            // would pass for current. Wipe once, restart at 1.
-            self.slots.fill(Slot::UNTOUCHED);
-            self.generation = 1;
+            // The counter wrapped: a row last written 2³⁰ multicasts ago
+            // would pass for current. Wipe once, restart at the first.
+            self.rows.fill(Row::UNTOUCHED);
+            self.progress.fill(Progress::UNTOUCHED);
+            self.generation = GENERATION_STEP;
         }
         self.queue.clear();
         self.arrivals.clear();
     }
 
-    #[inline]
-    fn slot(&mut self, node: u32) -> &mut Slot {
-        let slot = &mut self.slots[node as usize];
-        if slot.generation != self.generation {
-            *slot = Slot {
+    /// `node`'s gossip progress under the current generation.
+    fn progress(&mut self, node: u32) -> &mut Progress {
+        let progress = &mut self.progress[node as usize];
+        if progress.generation != self.generation {
+            *progress = Progress {
                 generation: self.generation,
-                ..Slot::UNTOUCHED
+                ..Progress::UNTOUCHED
             };
         }
-        slot
+        progress
+    }
+}
+
+/// A copy for `node`, whose `row` this is, arriving at `at`: queued only
+/// if it is the earliest copy `node` has so far.
+#[inline]
+fn send_copy(queue: &mut CalendarQueue<Event>, row: &mut Row, node: u32, at: SimTime) {
+    let first = match row.receipt() {
+        NONE => true,
+        // On a tie the earlier-sent copy pops first; queueing this one
+        // would only add an entry to skip.
+        QUEUED => at < row.earliest,
+        _ => false,
+    };
+    if first {
+        row.set_receipt(QUEUED);
+        row.earliest = at;
+        queue.push(at, Event { node, tick: false });
     }
 }
 
 /// One running dissemination: the world and latency stream it reads, the
-/// scratch it writes, and the two counters every send advances.
+/// scratch it writes, and the message count every send advances.
 struct Kernel<'a, W: ?Sized> {
     world: &'a W,
     net: &'a mut Network,
     state: &'a mut Dissemination,
     target: AvailabilityTarget,
     scope: SliverScope,
-    /// Send-order number of the next queued-or-skipped event.
-    next_seq: u64,
     messages: u64,
 }
 
 impl<W: OverlayWorld + ?Sized> Kernel<'_, W> {
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// A copy for `node` arriving at `at`. It always takes a `seq`; it is
-    /// queued only if it is the earliest copy `node` has so far.
-    #[inline]
-    fn send_copy(&mut self, node: u32, at: SimTime) {
-        let seq = self.take_seq();
-        let slot = self.state.slot(node);
-        let first = match slot.receipt {
-            Receipt::None => true,
-            // On a tie the earlier-sent copy has the lower seq and pops
-            // first; queueing this one would only add an entry to skip.
-            Receipt::Queued(best) => at < best,
-            Receipt::Delivered => false,
-        };
-        if first {
-            slot.receipt = Receipt::Queued(at);
-            let copy = Pending { at, seq, node, tick: false };
-            self.state.queue.push(Reverse(copy));
-        }
-    }
-
-    fn schedule_tick(&mut self, node: u32, at: SimTime) {
-        let seq = self.take_seq();
-        let tick = Pending { at, seq, node, tick: true };
-        self.state.queue.push(Reverse(tick));
-    }
-
-    /// One forwarding pass of `from` at `now`: walk its list from where
-    /// the previous pass stopped and send to at most `budget` neighbors
-    /// whose cached availability is in range and that `from` has not
-    /// sent to before.
-    fn forward(&mut self, from: u32, now: SimTime, budget: usize) {
-        let world = self.world;
-        let list = world.neighbors(NodeId::new(u64::from(from)), self.scope);
-        let start = self.state.slot(from).cursor;
+    /// One forwarding pass of `from` at `now`: walk its list from `start`
+    /// — where its previous pass stopped — and send to at most `budget`
+    /// neighbors whose cached availability is in range and that `from`
+    /// has not sent to before. Returns where the next pass starts: the
+    /// first in-range neighbor this one did not reach, or the list's end.
+    fn forward(&mut self, from: u32, now: SimTime, start: usize, budget: usize) -> usize {
+        let list = self
+            .world
+            .neighbors(NodeId::new(u64::from(from)), self.scope);
+        let (done, ahead) = list.ids.split_at(start);
+        let Dissemination {
+            rows,
+            queue,
+            generation,
+            in_range,
+            ..
+        } = &mut *self.state;
         // Other forwarders' passes ran since `from`'s last one: re-mark
         // what it sent to then. (Once the cursor reaches the end, every
         // in-range neighbor has been sent to and no pass sends again.)
-        for (&id, &cached) in list.ids[..start].iter().zip(list.cached_availability) {
+        for (&id, &cached) in done.iter().zip(list.cached_availability) {
             if self.target.contains(cached) {
-                self.state.slot(id).sent_by = from;
+                row(rows, *generation, id).sent_by = from;
             }
         }
-        let mut cursor = start;
+        // Which of the rest are in range, as (position, id). Every neighbor
+        // is stored and only the count depends on the test: under a broad
+        // target about half pass, a branch nothing predicts.
+        if in_range.len() < ahead.len() {
+            in_range.resize(ahead.len(), (0, 0));
+        }
+        let cached_ahead = &list.cached_availability[start..];
+        let mut kept = 0;
+        for (offset, (&id, &cached)) in ahead.iter().zip(cached_ahead).enumerate() {
+            in_range[kept] = (start + offset, id);
+            kept += usize::from(self.target.contains(cached));
+        }
+        let mut cursor = list.ids.len();
         let mut sent = 0;
-        while sent < budget && cursor < list.ids.len() {
-            let (id, cached) = (list.ids[cursor], list.cached_availability[cursor]);
-            cursor += 1;
-            if !self.target.contains(cached) {
-                continue;
+        for &(position, id) in &in_range[..kept] {
+            if sent == budget {
+                cursor = position;
+                break;
             }
-            let slot = self.state.slot(id);
-            if slot.sent_by == from {
+            let row = row(rows, *generation, id);
+            if row.sent_by == from {
                 continue; // a second edge to the same node
             }
-            slot.sent_by = from;
-            self.messages += 1;
+            row.sent_by = from;
             sent += 1;
-            if world.is_online(NodeId::new(u64::from(id))) {
+            if self.world.is_online(NodeId::new(u64::from(id))) {
                 let at = now + self.net.hop_latency();
-                self.send_copy(id, at);
+                send_copy(queue, row, id, at);
             }
         }
-        self.state.slot(from).cursor = cursor;
+        self.messages += sent as u64;
+        cursor
     }
 
     /// Drains the queue. Always terminates: a node forwards or starts
     /// gossiping once, on delivery, and gossip runs a bounded number of
     /// rounds.
     fn run(&mut self, strategy: MulticastStrategy) {
-        while let Some(Reverse(event)) = self.state.queue.pop() {
-            let Pending { at: now, node, tick, .. } = event;
+        while let Some((now, Event { node, tick })) = self.state.queue.pop() {
             if !tick {
-                let slot = self.state.slot(node);
-                if slot.receipt == Receipt::Delivered {
+                let row = row(&mut self.state.rows, self.state.generation, node);
+                if row.receipt() == DELIVERED {
                     continue; // a copy queued before a better one overtook it
                 }
-                slot.receipt = Receipt::Delivered;
+                row.set_receipt(DELIVERED);
                 let id = NodeId::new(u64::from(node));
                 self.state
                     .arrivals
@@ -396,10 +457,14 @@ impl<W: OverlayWorld + ?Sized> Kernel<'_, W> {
                 }
             }
             match (strategy, tick) {
-                (MulticastStrategy::Flood, _) => self.forward(node, now, usize::MAX),
+                (MulticastStrategy::Flood, _) => {
+                    self.forward(node, now, 0, usize::MAX);
+                }
                 // First gossip round fires on receipt, after whatever
                 // else is already queued for this instant.
-                (MulticastStrategy::Gossip { .. }, false) => self.schedule_tick(node, now),
+                (MulticastStrategy::Gossip { .. }, false) => {
+                    self.state.queue.push(now, Event { node, tick: true });
+                }
                 (
                     MulticastStrategy::Gossip {
                         fanout,
@@ -408,17 +473,21 @@ impl<W: OverlayWorld + ?Sized> Kernel<'_, W> {
                     },
                     true,
                 ) => {
-                    let slot = self.state.slot(node);
-                    if slot.rounds_done >= rounds {
+                    let progress = self.state.progress(node);
+                    if progress.rounds_done >= rounds {
                         continue;
                     }
-                    slot.rounds_done += 1;
-                    let again = slot.rounds_done < rounds;
+                    progress.rounds_done += 1;
+                    let again = progress.rounds_done < rounds;
                     // Deterministic iteration through the list (§3.2):
                     // resume from the cursor, take up to `fanout` targets.
-                    self.forward(node, now, fanout as usize);
+                    let start = progress.cursor;
+                    let cursor = self.forward(node, now, start, fanout as usize);
+                    self.state.progress(node).cursor = cursor;
                     if again {
-                        self.schedule_tick(node, now + period);
+                        self.state
+                            .queue
+                            .push(now + period, Event { node, tick: true });
                     }
                 }
             }
@@ -446,10 +515,7 @@ where
     W: OverlayWorld + ?Sized,
     R: Rng,
 {
-    let eligible = (0..world.id_bound() as u64)
-        .map(NodeId::new)
-        .filter(|&id| world.is_online(id) && target.contains(world.true_availability(id)))
-        .count();
+    let eligible = world.eligible(target);
 
     // Stage 1: anycast into the range.
     let anycast = run_anycast(world, net, rng, scratch, initiator, target, config.anycast);
@@ -466,18 +532,23 @@ where
     // Stage 2: dissemination. Time zero is the multicast start; the
     // entry node receives at the anycast's latency.
     let state = &mut scratch.dissemination;
-    state.begin(world.id_bound());
+    state.begin(world.id_bound(), config.strategy);
+    let entry = u32::try_from(entry.raw()).expect("node ids are index-space (must fit u32)");
+    let entered = SimTime::ZERO + outcome.anycast.latency;
+    send_copy(
+        &mut state.queue,
+        row(&mut state.rows, state.generation, entry),
+        entry,
+        entered,
+    );
     let mut kernel = Kernel {
         world,
         net,
         state,
         target,
         scope: config.scope,
-        next_seq: 0,
         messages: 0,
     };
-    let entry = u32::try_from(entry.raw()).expect("node ids are index-space (must fit u32)");
-    kernel.send_copy(entry, SimTime::ZERO + outcome.anycast.latency);
     kernel.run(config.strategy);
     outcome.messages = kernel.messages;
     outcome.deliveries = kernel.state.arrivals.clone();
@@ -1059,12 +1130,23 @@ mod tests {
         let target = random_target(&mut r);
         let world = MockWorld::random(&mut r);
         let n = world.id_bound() as u64;
-        let latency = match r.index(4) {
+        let latency = match r.index(6) {
             0 => LatencyModel::Constant { millis: 50 },
             1 => LatencyModel::Constant { millis: 0 },
             2 => LatencyModel::Uniform {
                 lo_millis: 1,
                 hi_millis: 1 + r.index(3) as u64,
+            },
+            // Two that straddle the queue's 128 ms ring: copies of one
+            // flood go to its overflow and come back among direct pushes.
+            3 => LatencyModel::Uniform {
+                lo_millis: 100,
+                hi_millis: 300,
+            },
+            4 => LatencyModel::ShiftedExponential {
+                lo_millis: 20,
+                mean_extra_millis: 120,
+                cap_millis: 400,
             },
             _ => LatencyModel::PAPER,
         };
@@ -1162,7 +1244,8 @@ mod tests {
 
         /// Two different multicasts back to back on one scratch equal the
         /// same two on fresh scratch — nothing a multicast leaves behind
-        /// (rows, cursors, `sent_by` marks) is visible to the next.
+        /// (rows, gossip progress, `sent_by` marks, queue capacity) is
+        /// visible to the next.
         #[test]
         fn used_scratch_equals_fresh_scratch(first in any::<u64>(), second in any::<u64>()) {
             let (a, b) = (random_case(first), random_case(second));
@@ -1172,8 +1255,9 @@ mod tests {
             prop_assert_eq!(run_kernel(&a, &mut used), run_kernel(&a, &mut scratch()));
         }
 
-        /// Rows stamped with generation 1 must not pass for current when
-        /// the counter wraps and comes back to 1.
+        /// Rows and gossip progress stamped with the first generation
+        /// must not pass for current when the counter wraps and comes
+        /// back to it.
         #[test]
         fn generation_wrap_does_not_revive_stale_rows(first in any::<u64>(), second in any::<u64>()) {
             let (a, b) = (random_case(first), random_case(second));
@@ -1182,10 +1266,10 @@ mod tests {
             let fresh = run_kernel(&b, &mut scratch());
             // Both must disseminate, or no generation is opened.
             prop_assume!(warm.anycast.is_delivered() && fresh.0.anycast.is_delivered());
-            prop_assert_eq!(used.dissemination.generation, 1);
-            used.dissemination.generation = u32::MAX;
+            prop_assert_eq!(used.dissemination.generation, GENERATION_STEP);
+            used.dissemination.generation = 0u32.wrapping_sub(GENERATION_STEP);
             prop_assert_eq!(run_kernel(&b, &mut used), fresh);
-            prop_assert_eq!(used.dissemination.generation, 1);
+            prop_assert_eq!(used.dissemination.generation, GENERATION_STEP);
             prop_assert_eq!(run_kernel(&a, &mut used), run_kernel(&a, &mut scratch()));
         }
     }

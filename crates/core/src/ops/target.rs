@@ -53,10 +53,29 @@ impl AvailabilityTarget {
     }
 
     /// Whether `av` lies inside the target region.
+    #[inline]
     pub fn contains(&self, av: Availability) -> bool {
         match *self {
             AvailabilityTarget::Range { lo, hi } => (lo..=hi).contains(&av.value()),
             AvailabilityTarget::Threshold { min } => av.value() > min,
+        }
+    }
+
+    /// How many of `ascending` — availabilities in ascending order — the
+    /// region [`contains`](Self::contains): two binary searches on the
+    /// comparisons made there, negated as written, so that a NaN bound
+    /// admits nobody here either.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub(crate) fn count_in(&self, ascending: &[Availability]) -> usize {
+        match *self {
+            AvailabilityTarget::Range { lo, hi } => {
+                let below = ascending.partition_point(|av| !(lo <= av.value()));
+                let up_to = ascending.partition_point(|av| av.value() <= hi);
+                up_to.saturating_sub(below)
+            }
+            AvailabilityTarget::Threshold { min } => {
+                ascending.len() - ascending.partition_point(|av| !(av.value() > min))
+            }
         }
     }
 

@@ -19,6 +19,7 @@
 use avmem_util::{Availability, NodeId};
 
 use crate::membership::{NeighborColumns, SliverScope};
+use crate::ops::target::AvailabilityTarget;
 
 /// Read access to the simulated system state at the instant an operation
 /// executes.
@@ -48,6 +49,17 @@ pub trait OverlayWorld {
     /// (the paper's forwarding uses values cached at the last refresh,
     /// §3.2).
     fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_>;
+
+    /// How many online nodes' *true* availability lies in `target` — the
+    /// paper's "number that could have been delivered" (measurement
+    /// only). The default asks every id; a world that keeps its online
+    /// population ordered by availability answers without the scan.
+    fn eligible(&self, target: AvailabilityTarget) -> usize {
+        (0..self.id_bound() as u64)
+            .map(NodeId::new)
+            .filter(|&id| self.is_online(id) && target.contains(self.true_availability(id)))
+            .count()
+    }
 }
 
 #[cfg(test)]
@@ -55,7 +67,6 @@ pub(crate) mod mock {
     use avmem_util::Rng;
 
     use super::*;
-    use crate::ops::target::AvailabilityTarget;
 
     /// A broad random target (a range or a threshold), so that a good
     /// share of a random world lies inside it.

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use avmem::harness::{AvmemSim, MaintenanceEngine};
-use avmem::ops::{run_anycast, run_multicast, OpScratch};
+use avmem::ops::{run_anycast, run_multicast, OpScratch, OverlayWorld};
 use avmem::AdmissionPolicy;
 use avmem::AvailabilityTarget;
 use avmem::SliverScope;
@@ -812,19 +812,23 @@ impl RunSession {
                     if outcome.anycast.is_delivered() {
                         stats.entered += 1;
                     }
-                    if let Some(reliability) = outcome.reliability(&world, target) {
-                        stats.reliability_sum += reliability;
-                        stats.reliability_count += 1;
-                    }
-                    if let Some(spam) = outcome.spam_ratio(&world, target) {
-                        stats.spam_sum += spam;
-                        stats.spam_count += 1;
-                    }
-                    let trace = self.sim.trace();
+                    // One pass classifies each delivery: in the true range
+                    // or spam, and its availability decile. The quotients
+                    // are `MulticastOutcome::reliability` / `spam_ratio`.
+                    let mut in_range = 0usize;
                     for &(node, _) in &outcome.deliveries {
-                        let av = trace.long_term_availability(node.raw() as usize).value();
-                        let decile = ((av * DECILES as f64) as usize).min(DECILES - 1);
+                        let av = world.true_availability(node);
+                        in_range += usize::from(target.contains(av));
+                        let decile = ((av.value() * DECILES as f64) as usize).min(DECILES - 1);
                         stats.deliveries_by_decile[decile] += 1;
+                    }
+                    if outcome.eligible > 0 {
+                        let eligible = outcome.eligible as f64;
+                        let spam = outcome.deliveries.len() - in_range;
+                        stats.reliability_sum += in_range as f64 / eligible;
+                        stats.reliability_count += 1;
+                        stats.spam_sum += spam as f64 / eligible;
+                        stats.spam_count += 1;
                     }
                     if let Some(ins) = &self.instruments {
                         ins.ops_multicast.inc();

@@ -47,6 +47,7 @@ impl LatencyModel {
     };
 
     /// Draws one hop latency.
+    #[inline]
     pub fn draw<R: Rng>(&self, rng: &mut R) -> SimDuration {
         match *self {
             LatencyModel::Constant { millis } => SimDuration::from_millis(millis),
@@ -123,6 +124,7 @@ impl Network {
     }
 
     /// Draws the latency for one hop.
+    #[inline]
     pub fn hop_latency(&mut self) -> SimDuration {
         self.latency.draw(&mut self.rng)
     }

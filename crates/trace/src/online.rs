@@ -16,13 +16,22 @@
 //! division for the slot and a load strided by the trace's length, per
 //! question. Maintenance asks per due node and per proposal target, a
 //! flood per copy; all of them ask about the slot the index stands at.
+//!
+//! The refresh also lays out the online nodes' long-term availabilities
+//! in ascending order ([`OnlineIndex::availabilities`]), so "how many
+//! online nodes lie in this availability range" — asked once per
+//! multicast — is two binary searches instead of a walk of the
+//! population. The order nodes are visited in is a property of the
+//! trace alone (long-term availability never changes), so it is sorted
+//! once, at the first refresh; a slot change only filters it.
 
 use avmem_sim::SimTime;
-use avmem_util::Rng;
+use avmem_util::{Availability, Rng};
 
 use crate::churn::ChurnTrace;
 
-/// Cached index of the nodes online in the current trace slot.
+/// Cached index of the nodes online in the current trace slot. An index
+/// follows one trace.
 ///
 /// # Examples
 ///
@@ -44,6 +53,12 @@ pub struct OnlineIndex {
     online: Vec<u32>,
     /// The same set, bit `i % 64` of word `i / 64` for node `i`.
     bits: Vec<u64>,
+    /// Every node of the trace, by ascending long-term availability
+    /// (ties by index). Built by the first refresh.
+    by_availability: Vec<u32>,
+    /// The long-term availabilities of the nodes online in `slot`,
+    /// ascending: `by_availability` filtered by `bits`.
+    availabilities: Vec<Availability>,
 }
 
 impl OnlineIndex {
@@ -72,6 +87,18 @@ impl OnlineIndex {
                 self.bits[i / 64] |= 1 << (i % 64);
             }
         }
+        if self.by_availability.len() != n {
+            self.by_availability = (0..n as u32).collect();
+            self.by_availability
+                .sort_unstable_by_key(|&i| (trace.long_term_availability(i as usize), i));
+        }
+        let up = self
+            .by_availability
+            .iter()
+            .filter(|&&i| test_bit(&self.bits, i as usize));
+        self.availabilities.clear();
+        self.availabilities
+            .extend(up.map(|&i| trace.long_term_availability(i as usize)));
         self.slot = Some(slot);
         true
     }
@@ -87,15 +114,20 @@ impl OnlineIndex {
     /// an `i` outside the population and before the first refresh.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.bits
-            .get(i / 64)
-            .is_some_and(|word| word >> (i % 64) & 1 != 0)
+        test_bit(&self.bits, i)
     }
 
     /// The online node indices, ascending. Empty before the first
     /// [`OnlineIndex::refresh`].
     pub fn online(&self) -> &[u32] {
         &self.online
+    }
+
+    /// The long-term availabilities of the online nodes, ascending (one
+    /// entry per node of [`OnlineIndex::online`], in another order).
+    /// Empty before the first [`OnlineIndex::refresh`].
+    pub fn availabilities(&self) -> &[Availability] {
+        &self.availabilities
     }
 
     /// Number of online nodes in the cached slot.
@@ -141,6 +173,13 @@ impl OnlineIndex {
     }
 }
 
+/// Bit `i` of `bits`; `false` beyond them.
+#[inline]
+fn test_bit(bits: &[u64], i: usize) -> bool {
+    bits.get(i / 64)
+        .is_some_and(|word| word >> (i % 64) & 1 != 0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +189,18 @@ mod tests {
 
     fn trace() -> ChurnTrace {
         OvernetModel::default().hosts(80).days(1).generate(11)
+    }
+
+    /// What [`OnlineIndex::availabilities`] must hold at `now`, from the
+    /// trace alone.
+    fn sorted_online_availabilities(t: &ChurnTrace, now: SimTime) -> Vec<Availability> {
+        let mut column: Vec<Availability> = t
+            .online_at(now)
+            .into_iter()
+            .map(|i| t.long_term_availability(i))
+            .collect();
+        column.sort_unstable();
+        column
     }
 
     #[test]
@@ -162,6 +213,11 @@ mod tests {
             let cached: Vec<usize> = index.online().iter().map(|&i| i as usize).collect();
             assert_eq!(cached, t.online_at(now), "slot {s}");
             assert_eq!(index.len(), t.online_count_at(now));
+            assert_eq!(
+                index.availabilities(),
+                sorted_online_availabilities(&t, now),
+                "slot {s}"
+            );
         }
     }
 
@@ -218,6 +274,30 @@ mod tests {
     }
 
     #[test]
+    fn availabilities_keep_ties_and_empty_with_the_slot() {
+        // Nodes 0 and 2 tie at 1/3, node 3 is never up; nobody is up in
+        // slot 1.
+        let t = ChurnTrace::from_rows(
+            SimDuration::from_mins(20),
+            vec![
+                vec![true, false, false],
+                vec![true, false, true],
+                vec![false, false, true],
+                vec![false, false, false],
+            ],
+        );
+        let av = |i| t.long_term_availability(i);
+        let mut index = OnlineIndex::new();
+        index.refresh(&t, SimTime::ZERO);
+        assert_eq!(index.availabilities(), [av(0), av(1)]);
+        index.refresh(&t, SimTime::ZERO + SimDuration::from_mins(20));
+        assert!(index.availabilities().is_empty());
+        index.refresh(&t, SimTime::ZERO + SimDuration::from_mins(40));
+        assert_eq!(index.availabilities(), [av(2), av(1)]);
+        assert_eq!(av(0), av(2));
+    }
+
+    #[test]
     fn sample_zero_is_empty() {
         let t = trace();
         let mut index = OnlineIndex::new();
@@ -233,6 +313,7 @@ mod tests {
         let index = OnlineIndex::new();
         assert!(index.is_empty());
         assert_eq!(index.online(), &[] as &[u32]);
+        assert!(index.availabilities().is_empty());
         assert_eq!(index.slot(), None);
         assert!((0..200).all(|i| !index.contains(i)));
     }
@@ -268,7 +349,8 @@ mod tests {
 
     proptest::proptest! {
         /// Any walk over the trace — forwards, backwards, jumping slots —
-        /// leaves the bitset and the list saying the same as the trace.
+        /// leaves the bitset, the list and the availability column saying
+        /// the same as the trace.
         #[test]
         fn contains_follows_arbitrary_refreshes(
             hosts in 1usize..140,
@@ -287,6 +369,10 @@ mod tests {
                 let listed: Vec<usize> = (0..hosts).filter(|&i| index.contains(i)).collect();
                 let cached: Vec<usize> = index.online().iter().map(|&i| i as usize).collect();
                 proptest::prop_assert_eq!(listed, cached);
+                proptest::prop_assert_eq!(
+                    index.availabilities(),
+                    sorted_online_availabilities(&t, now)
+                );
             }
         }
     }
