@@ -20,8 +20,9 @@
 //!   affected targets as an O(k)-sized delta instead of forcing a global
 //!   rebuild.
 //!
-//! [`MonitorAssignment`] is the strategy enum the service stores; the
-//! all-pairs constructor keeps its historical `new(cms, n_star)` shape.
+//! The service keeps whichever one its
+//! [`AssignmentChoice`](crate::AssignmentChoice) names beside the monitor
+//! index that strategy lays out.
 //!
 //! The hashes are drawn from keyed families (domain tags `"avmon"` and
 //! `"avmon-ring"`) so both strategies are independent of the AVMEM
@@ -310,109 +311,6 @@ impl RingAssignment {
     }
 }
 
-/// The monitor-assignment strategy in force: the all-pairs reference
-/// rule or the incremental ring.
-///
-/// # Examples
-///
-/// ```
-/// use avmem_avmon::MonitorAssignment;
-/// use avmem_util::NodeId;
-///
-/// // The historical constructor builds the all-pairs reference.
-/// let assignment = MonitorAssignment::new(8.0, 1000.0);
-/// let (m, x) = (NodeId::new(7), NodeId::new(42));
-/// assert_eq!(assignment.is_monitor(m, x), assignment.is_monitor(m, x));
-///
-/// // The ring strategy answers the same question from ring geometry.
-/// let ring = MonitorAssignment::ring(100, 8, 4, 0..100u32);
-/// let monitors = ring.monitors_of(NodeId::new(17), (0..100).map(NodeId::new));
-/// assert_eq!(monitors.len(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub enum MonitorAssignment {
-    /// The paper's all-pairs hash-threshold rule.
-    AllPairs(AllPairsAssignment),
-    /// Consistent-hash-ring successors with incremental join/leave.
-    Ring(RingAssignment),
-}
-
-impl MonitorAssignment {
-    /// Creates the all-pairs reference rule with expected `cms` monitors
-    /// per node in a system of `n_star` nodes (the historical
-    /// constructor).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cms > 0` and `n_star > 0`.
-    pub fn new(cms: f64, n_star: f64) -> Self {
-        MonitorAssignment::AllPairs(AllPairsAssignment::new(cms, n_star))
-    }
-
-    /// Creates a ring assignment over `n` targets; see
-    /// [`RingAssignment::new`].
-    pub fn ring<I>(n: usize, vnodes: u32, k: u32, members: I) -> Self
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        MonitorAssignment::Ring(RingAssignment::new(n, vnodes, k, members))
-    }
-
-    /// Whether `monitor` is assigned to observe `target`. For the ring
-    /// strategy the identities must be population indexes (`0..n`);
-    /// anything outside is never a monitor.
-    pub fn is_monitor(&self, monitor: NodeId, target: NodeId) -> bool {
-        match self {
-            MonitorAssignment::AllPairs(rule) => rule.is_monitor(monitor, target),
-            MonitorAssignment::Ring(ring) => {
-                let (m, t) = (monitor.raw(), target.raw());
-                if m == t || t >= ring.num_targets() as u64 || m >= ring.num_targets() as u64 {
-                    return false;
-                }
-                ring.monitors_of_index(t as u32).contains(&(m as u32))
-            }
-        }
-    }
-
-    /// All monitors of `target` within `population`.
-    pub fn monitors_of<'a, I>(&'a self, target: NodeId, population: I) -> Vec<NodeId>
-    where
-        I: IntoIterator<Item = NodeId> + 'a,
-    {
-        population
-            .into_iter()
-            .filter(|&m| self.is_monitor(m, target))
-            .collect()
-    }
-
-    /// All targets that `monitor` is responsible for within `population`.
-    pub fn targets_of<'a, I>(&'a self, monitor: NodeId, population: I) -> Vec<NodeId>
-    where
-        I: IntoIterator<Item = NodeId> + 'a,
-    {
-        population
-            .into_iter()
-            .filter(|&x| self.is_monitor(monitor, x))
-            .collect()
-    }
-
-    /// The all-pairs rule, if that is the strategy in force.
-    pub fn as_all_pairs(&self) -> Option<&AllPairsAssignment> {
-        match self {
-            MonitorAssignment::AllPairs(rule) => Some(rule),
-            MonitorAssignment::Ring(_) => None,
-        }
-    }
-
-    /// The ring, if that is the strategy in force.
-    pub fn as_ring(&self) -> Option<&RingAssignment> {
-        match self {
-            MonitorAssignment::Ring(ring) => Some(ring),
-            MonitorAssignment::AllPairs(_) => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,12 +319,32 @@ mod tests {
         (0..n).map(NodeId::new)
     }
 
+    /// All monitors of `target` within `population`.
+    fn monitors_of(
+        rule: &AllPairsAssignment,
+        target: NodeId,
+        population: impl Iterator<Item = NodeId>,
+    ) -> Vec<NodeId> {
+        population.filter(|&m| rule.is_monitor(m, target)).collect()
+    }
+
+    /// All targets `monitor` observes within `population`.
+    fn targets_of(
+        rule: &AllPairsAssignment,
+        monitor: NodeId,
+        population: impl Iterator<Item = NodeId>,
+    ) -> Vec<NodeId> {
+        population
+            .filter(|&x| rule.is_monitor(monitor, x))
+            .collect()
+    }
+
     #[test]
     fn expected_monitor_count_is_cms() {
         let n = 2000u64;
-        let assignment = MonitorAssignment::new(10.0, n as f64);
+        let assignment = AllPairsAssignment::new(10.0, n as f64);
         let total: usize = ids(200)
-            .map(|x| assignment.monitors_of(x, ids(n)).len())
+            .map(|x| monitors_of(&assignment, x, ids(n)).len())
             .sum();
         let mean = total as f64 / 200.0;
         assert!(
@@ -437,29 +355,29 @@ mod tests {
 
     #[test]
     fn assignment_is_consistent() {
-        let assignment = MonitorAssignment::new(5.0, 100.0);
+        let assignment = AllPairsAssignment::new(5.0, 100.0);
         let x = NodeId::new(3);
-        let first = assignment.monitors_of(x, ids(100));
-        let second = assignment.monitors_of(x, ids(100));
+        let first = monitors_of(&assignment, x, ids(100));
+        let second = monitors_of(&assignment, x, ids(100));
         assert_eq!(first, second);
     }
 
     #[test]
     fn no_self_monitoring() {
-        let assignment = MonitorAssignment::new(100.0, 100.0); // threshold 1.0
+        let assignment = AllPairsAssignment::new(100.0, 100.0); // threshold 1.0
         let x = NodeId::new(9);
-        let monitors = assignment.monitors_of(x, ids(100));
+        let monitors = monitors_of(&assignment, x, ids(100));
         assert!(!monitors.contains(&x));
         assert_eq!(monitors.len(), 99); // everyone else qualifies
     }
 
     #[test]
     fn monitors_and_targets_are_duals() {
-        let assignment = MonitorAssignment::new(10.0, 300.0);
+        let assignment = AllPairsAssignment::new(10.0, 300.0);
         let m = NodeId::new(17);
-        let targets = assignment.targets_of(m, ids(300));
+        let targets = targets_of(&assignment, m, ids(300));
         for &t in &targets {
-            assert!(assignment.monitors_of(t, ids(300)).contains(&m));
+            assert!(monitors_of(&assignment, t, ids(300)).contains(&m));
         }
     }
 
@@ -484,9 +402,9 @@ mod tests {
     #[test]
     fn monitoring_load_is_balanced() {
         let n = 1000u64;
-        let assignment = MonitorAssignment::new(8.0, n as f64);
+        let assignment = AllPairsAssignment::new(8.0, n as f64);
         let loads: Vec<usize> = ids(n)
-            .map(|m| assignment.targets_of(m, ids(n)).len())
+            .map(|m| targets_of(&assignment, m, ids(n)).len())
             .collect();
         let max = *loads.iter().max().unwrap();
         // Binomial(1000, 8/1000): max load should stay modest.
@@ -502,7 +420,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cms must be positive")]
     fn zero_cms_panics() {
-        let _ = MonitorAssignment::new(0.0, 10.0);
+        let _ = AllPairsAssignment::new(0.0, 10.0);
     }
 
     #[test]
@@ -512,22 +430,6 @@ mod tests {
             let monitors = ring.monitors_of_index(t);
             assert_eq!(monitors.len(), 5, "target {t}");
             assert!(!monitors.contains(&t), "target {t} monitors itself");
-        }
-    }
-
-    #[test]
-    fn ring_enum_view_agrees_with_index_view() {
-        let assignment = MonitorAssignment::ring(80, 4, 3, 0..80u32);
-        let ring = assignment.as_ring().unwrap();
-        for t in [0u32, 7, 79] {
-            let by_index: Vec<NodeId> = {
-                let mut m = ring.monitors_of_index(t);
-                m.sort_unstable();
-                m.into_iter().map(|i| NodeId::new(u64::from(i))).collect()
-            };
-            let mut by_id = assignment.monitors_of(NodeId::new(u64::from(t)), ids(80));
-            by_id.sort_unstable();
-            assert_eq!(by_id, by_index);
         }
     }
 

@@ -40,7 +40,7 @@ pub mod estimator;
 pub mod oracle;
 pub mod service;
 
-pub use assignment::{AllPairsAssignment, MonitorAssignment, RingAssignment};
+pub use assignment::{AllPairsAssignment, RingAssignment};
 pub use estimator::PingEstimator;
 pub use oracle::{AvailabilityOracle, NoisyOracle, TraceOracle};
 pub use service::{AssignmentChoice, AvmonConfig, AvmonService};

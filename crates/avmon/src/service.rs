@@ -58,7 +58,7 @@ use avmem_util::ShardPartition;
 use avmem_util::{Availability, NodeId, Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
-use crate::assignment::{AllPairsAssignment, MonitorAssignment, RingAssignment};
+use crate::assignment::{AllPairsAssignment, RingAssignment};
 use crate::estimator::PingEstimator;
 use crate::oracle::AvailabilityOracle;
 
@@ -127,12 +127,15 @@ impl Default for AvmonConfig {
     }
 }
 
-/// The strategy-specific monitor indexes and estimator arena.
+/// The assignment strategy in force, with its monitor indexes and
+/// estimator arena.
 #[derive(Debug, Clone)]
 enum MonitorIndex {
     /// CSR pair over the rows of the static all-pairs relation built so
     /// far: those of the monitors some processed slot found online.
     AllPairs {
+        /// The relation the rows are hashed from.
+        rule: AllPairsAssignment,
         /// Monitor `m`'s row in the forward CSR, [`NO_ROW`] until a slot
         /// first finds `m` online.
         row_of: Vec<u32>,
@@ -154,6 +157,8 @@ enum MonitorIndex {
     },
     /// Fixed-width inverted rows for the churning ring relation.
     Ring {
+        /// The ring, holding the online set of `synced_slot`.
+        ring: RingAssignment,
         /// Monitors per target (row width).
         k: usize,
         /// Row `t` is `monitors[t * k..(t + 1) * k]`; [`NO_MONITOR`]
@@ -193,7 +198,6 @@ enum MonitorIndex {
 #[derive(Debug, Clone)]
 pub struct AvmonService {
     config: AvmonConfig,
-    assignment: MonitorAssignment,
     /// Seed of the counter-keyed ping-loss streams.
     seed: u64,
     /// Chunk fan-out for the parallel slot phases. Results are
@@ -231,30 +235,24 @@ impl AvmonService {
     /// only.
     pub fn new(trace: &ChurnTrace, config: AvmonConfig, seed: u64) -> Self {
         let n = trace.num_nodes();
-        let (assignment, index) = match config.assignment {
-            AssignmentChoice::AllPairs => {
-                let rule = AllPairsAssignment::new(config.cms, n as f64);
-                let index = MonitorIndex::AllPairs {
-                    row_of: vec![NO_ROW; n],
-                    row_monitors: Vec::new(),
-                    target_offsets: vec![0],
-                    target_ids: Vec::new(),
-                    estimators: Vec::new(),
-                    inv_offsets: vec![0; n + 1],
-                    inv_entries: Vec::new(),
-                };
-                (MonitorAssignment::AllPairs(rule), index)
-            }
+        let index = match config.assignment {
+            AssignmentChoice::AllPairs => MonitorIndex::AllPairs {
+                rule: AllPairsAssignment::new(config.cms, n as f64),
+                row_of: vec![NO_ROW; n],
+                row_monitors: Vec::new(),
+                target_offsets: vec![0],
+                target_ids: Vec::new(),
+                estimators: Vec::new(),
+                inv_offsets: vec![0; n + 1],
+                inv_entries: Vec::new(),
+            },
             AssignmentChoice::Ring { vnodes, k } => {
                 let members = (0..n as u32).filter(|&i| trace.is_online_in_slot(i as usize, 0));
-                let ring = RingAssignment::new(n, vnodes, k, members);
-                let index = build_ring_index(&ring, n);
-                (MonitorAssignment::Ring(ring), index)
+                build_ring_index(RingAssignment::new(n, vnodes, k, members), n)
             }
         };
         AvmonService {
             config,
-            assignment,
             seed,
             threads: default_threads(),
             shards: default_threads(),
@@ -284,15 +282,13 @@ impl AvmonService {
         });
     }
 
-    /// Whether the service runs the ring assignment strategy (vs the
-    /// paper's all-pairs relation).
-    pub fn is_ring_assignment(&self) -> bool {
-        matches!(self.config.assignment, AssignmentChoice::Ring { .. })
-    }
-
-    /// The monitor-assignment strategy in force.
-    pub fn assignment(&self) -> &MonitorAssignment {
-        &self.assignment
+    /// The ring, if that is the assignment strategy in force (`None`
+    /// under the paper's all-pairs relation).
+    pub fn ring(&self) -> Option<&RingAssignment> {
+        match &self.index {
+            MonitorIndex::Ring { ring, .. } => Some(ring),
+            MonitorIndex::AllPairs { .. } => None,
+        }
     }
 
     /// Sets the chunk fan-out of the parallel slot phases. Purely a
@@ -323,10 +319,7 @@ impl AvmonService {
     /// seen online so far); ring reads the fixed-width row, in `O(k)`.
     pub fn monitors_of_index(&self, target: usize) -> Vec<usize> {
         match &self.index {
-            MonitorIndex::AllPairs { .. } => {
-                let MonitorAssignment::AllPairs(rule) = &self.assignment else {
-                    unreachable!("all-pairs index without the all-pairs rule");
-                };
+            MonitorIndex::AllPairs { rule, .. } => {
                 let ids: Vec<NodeId> = (0..self.aggregate.len() as u64).map(NodeId::new).collect();
                 rule.monitors_in(ids[target], &ids)
             }
@@ -538,6 +531,7 @@ impl AvmonService {
     /// new monitor changes nothing.
     fn build_rows_first_online_in(&mut self, trace: &ChurnTrace, slot: usize) {
         let MonitorIndex::AllPairs {
+            rule,
             row_of,
             row_monitors,
             target_offsets,
@@ -549,9 +543,7 @@ impl AvmonService {
         else {
             return;
         };
-        let MonitorAssignment::AllPairs(rule) = &self.assignment else {
-            unreachable!("all-pairs index without the all-pairs rule");
-        };
+        let rule = *rule;
         let n = row_of.len();
         let new: Vec<u32> = (0..n as u32)
             .filter(|&m| row_of[m as usize] == NO_ROW && trace.is_online_in_slot(m as usize, slot))
@@ -613,6 +605,7 @@ impl AvmonService {
     /// deltas instead of rebuilds.
     fn sync_ring_to(&mut self, trace: &ChurnTrace, slot: usize) {
         let MonitorIndex::Ring {
+            ring,
             k,
             monitors,
             estimators,
@@ -620,9 +613,6 @@ impl AvmonService {
         } = &mut self.index
         else {
             return;
-        };
-        let MonitorAssignment::Ring(ring) = &mut self.assignment else {
-            unreachable!("ring index without ring assignment");
         };
         let n = trace.num_nodes();
         while *synced_slot < slot {
@@ -743,7 +733,7 @@ fn push_estimate(estimator: &PingEstimator, config: &AvmonConfig, values: &mut V
 /// The ring build: one `k`-wide row per target, filled from the ring's
 /// distinct-successor walks (parallel over rows; the ring is shared
 /// read-only).
-fn build_ring_index(ring: &RingAssignment, n: usize) -> MonitorIndex {
+fn build_ring_index(ring: RingAssignment, n: usize) -> MonitorIndex {
     let k = ring.k() as usize;
     let mut monitors = vec![NO_MONITOR; n * k];
     par_chunks_mut(&mut monitors, k, default_threads(), |offset, chunk| {
@@ -755,6 +745,7 @@ fn build_ring_index(ring: &RingAssignment, n: usize) -> MonitorIndex {
         }
     });
     MonitorIndex::Ring {
+        ring,
         k,
         monitors,
         estimators: vec![PingEstimator::new(); n * k],
@@ -923,18 +914,16 @@ mod tests {
     #[test]
     fn monitors_of_index_matches_assignment() {
         let trace = small_trace();
-        let service = AvmonService::new(&trace, AvmonConfig::default(), 1);
+        let config = AvmonConfig::default();
+        let service = AvmonService::new(&trace, config, 1);
+        let rule = AllPairsAssignment::new(config.cms, trace.num_nodes() as f64);
         for target in [0usize, 5, 41, 79] {
             let monitors = service.monitors_of_index(target);
             // Sorted ascending, no duplicates, and exactly the nodes the
             // assignment rule names.
             assert!(monitors.windows(2).all(|w| w[0] < w[1]));
             let expected: Vec<usize> = (0..trace.num_nodes())
-                .filter(|&m| {
-                    service
-                        .assignment()
-                        .is_monitor(trace.node_id(m), trace.node_id(target))
-                })
+                .filter(|&m| rule.is_monitor(trace.node_id(m), trace.node_id(target)))
                 .collect();
             assert_eq!(monitors, expected, "target {target}");
         }
@@ -954,6 +943,7 @@ mod tests {
             estimators,
             inv_offsets,
             inv_entries,
+            ..
         } = &service.index
         else {
             panic!("default config builds the all-pairs index");
@@ -994,7 +984,7 @@ mod tests {
         let trace = small_trace();
         let mut service = AvmonService::new(&trace, ring_config(), 1);
         service.step_to(&trace, SimTime::ZERO + SimDuration::from_hours(20));
-        let ring = service.assignment().as_ring().unwrap();
+        let ring = service.ring().unwrap();
         for t in 0..trace.num_nodes() {
             let mut expected = ring.monitors_of_index(t as u32);
             expected.sort_unstable();

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use avmem_avmon::{
-    AvailabilityOracle, MonitorAssignment, NoisyOracle, PingEstimator, RingAssignment,
+    AllPairsAssignment, AvailabilityOracle, NoisyOracle, PingEstimator, RingAssignment,
     TraceOracle,
 };
 use avmem_sim::{SimDuration, SimTime};
@@ -18,7 +18,7 @@ proptest! {
         m in any::<u64>(),
         x in any::<u64>(),
     ) {
-        let assignment = MonitorAssignment::new(cms, n);
+        let assignment = AllPairsAssignment::new(cms, n);
         // is_monitor is a pure function: same answer on re-evaluation.
         prop_assert_eq!(
             assignment.is_monitor(NodeId::new(m), NodeId::new(x)),
@@ -38,8 +38,8 @@ proptest! {
     ) {
         prop_assume!(m != x);
         let (lo, hi) = if cms1 <= cms2 { (cms1, cms2) } else { (cms2, cms1) };
-        let tight = MonitorAssignment::new(lo, n);
-        let loose = MonitorAssignment::new(hi, n);
+        let tight = AllPairsAssignment::new(lo, n);
+        let loose = AllPairsAssignment::new(hi, n);
         // A monitor under the tighter rule is also one under the looser.
         if tight.is_monitor(NodeId::new(m), NodeId::new(x)) {
             prop_assert!(loose.is_monitor(NodeId::new(m), NodeId::new(x)));

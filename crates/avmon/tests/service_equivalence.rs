@@ -14,7 +14,9 @@
 //! It also keeps hashing the whole monitor relation up front, where the
 //! service builds a monitor's row in the first slot that finds it online.
 
-use avmem_avmon::{AvailabilityOracle, AvmonConfig, AvmonService, MonitorAssignment, PingEstimator};
+use avmem_avmon::{
+    AllPairsAssignment, AvailabilityOracle, AvmonConfig, AvmonService, PingEstimator,
+};
 use avmem_sim::{SimDuration, SimTime};
 use avmem_trace::{ChurnTrace, OvernetModel};
 use avmem_util::{Availability, NodeId, Rng, SplitMix64};
@@ -38,7 +40,7 @@ struct SerialReference {
 impl SerialReference {
     fn new(trace: &ChurnTrace, config: AvmonConfig, seed: u64) -> Self {
         let n = trace.num_nodes();
-        let assignment = MonitorAssignment::new(config.cms, n as f64);
+        let assignment = AllPairsAssignment::new(config.cms, n as f64);
         let mut targets = vec![Vec::new(); n];
         for (m, monitor_targets) in targets.iter_mut().enumerate() {
             let m_id = trace.node_id(m);
@@ -329,15 +331,13 @@ fn monitors_of_index_matches_the_assignment_rule() {
     // at a time: an even and an odd population cover both of its ends.
     for hosts in [60, 61] {
         let trace = trace(hosts, 41);
-        let service = AvmonService::new(&trace, AvmonConfig::default(), 1);
+        let config = AvmonConfig::default();
+        let service = AvmonService::new(&trace, config, 1);
+        let rule = AllPairsAssignment::new(config.cms, trace.num_nodes() as f64);
         for target in 0..trace.num_nodes() {
             let monitors = service.monitors_of_index(target);
             let expected: Vec<usize> = (0..trace.num_nodes())
-                .filter(|&m| {
-                    service
-                        .assignment()
-                        .is_monitor(trace.node_id(m), trace.node_id(target))
-                })
+                .filter(|&m| rule.is_monitor(trace.node_id(m), trace.node_id(target)))
                 .collect();
             assert_eq!(monitors, expected, "{hosts} hosts, target {target}");
         }

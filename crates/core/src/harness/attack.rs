@@ -17,7 +17,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::harness::AvmemSim;
 use crate::membership::SliverScope;
-use crate::predicate::MembershipPredicate;
 
 /// Per-availability-bucket attack measurement.
 ///

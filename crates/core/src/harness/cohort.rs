@@ -18,7 +18,6 @@ use avmem_util::parallel::par_each_mut;
 use avmem_util::{Availability, NodeId, ShardPartition, SplitMix64};
 
 use super::finalize::{FinalizeShardState, FinalizeStats, MaintCtx};
-use super::memo::SimMemo;
 use super::schedule::{MaintKind, PeriodicWheel};
 use super::{
     AvmemSim, MaintSchedule, PH_COMMIT, PH_FINALIZE, PH_PROPOSE, STREAM_BOOTSTRAP, STREAM_SHUFFLE,
@@ -532,7 +531,7 @@ impl AvmemSim {
         drop(tc);
 
         let tf = self.tracer.span(PH_FINALIZE, 0);
-        let memo = SimMemo::build(&self.predicate);
+        let memo = self.predicate.rebuild_memo();
         let ctx = MaintCtx {
             memo: &memo,
             epoch: self.oracle.epoch(t),

@@ -2,9 +2,10 @@
 
 use avmem_avmon::AvmonConfig;
 use avmem_sim::{LatencyModel, SimDuration};
+use avmem_trace::AvailabilityPdf;
 use serde::{Deserialize, Serialize};
 
-use crate::predicate::{HorizontalRule, VerticalRule};
+use crate::predicate::{AvmemPredicate, HorizontalRule, VerticalRule};
 
 /// Which membership predicate builds the overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -20,7 +21,9 @@ pub enum PredicateChoice {
         horizontal: HorizontalRule,
     },
     /// The availability-agnostic consistent-random baseline (Fig. 10):
-    /// expected out-degree `expected_degree`.
+    /// expected out-degree `expected_degree`. It is the AVMEM predicate
+    /// under rules I.A + II.A with `d₁ = d₂ = p`, `p = min(degree / N, 1)`
+    /// over a population of `N` hosts, and ε = 0.1.
     Random {
         /// Target expected out-degree.
         expected_degree: f64,
@@ -28,6 +31,33 @@ pub enum PredicateChoice {
 }
 
 impl PredicateChoice {
+    /// The predicate this choice stands for over a population of
+    /// `population` hosts, with the system-wide `N*` and availability PDF
+    /// the simulation derived from its trace.
+    ///
+    /// # Panics
+    ///
+    /// Wherever [`AvmemPredicate::new`] does.
+    pub fn build(self, population: usize, n_star: f64, pdf: AvailabilityPdf) -> AvmemPredicate {
+        match self {
+            PredicateChoice::Avmem {
+                epsilon,
+                vertical,
+                horizontal,
+            } => AvmemPredicate::new(epsilon, n_star, vertical, horizontal, pdf),
+            PredicateChoice::Random { expected_degree } => {
+                let p = (expected_degree / population as f64).min(1.0);
+                AvmemPredicate::new(
+                    0.1,
+                    n_star,
+                    VerticalRule::Constant { d1: p },
+                    HorizontalRule::Constant { d2: p },
+                    pdf,
+                )
+            }
+        }
+    }
+
     /// The paper's default predicates: ε = 0.1, I.B + II.B with
     /// [`crate::predicate::DEFAULT_C1`] / [`crate::predicate::DEFAULT_C2`].
     pub fn paper_default() -> Self {

@@ -9,9 +9,9 @@ use avmem_sim::SimTime;
 use avmem_util::NodeId;
 
 use super::cohort::{NodeOps, ShardScratch};
-use super::memo::SimMemo;
 use super::{PairHashes, SimOracle};
 use crate::membership::{Membership, Neighbor, SliverScope};
+use crate::predicate::ThresholdMemo;
 
 /// Per-node epoch-stamped memos owned by one shard, indexed by the
 /// node's offset inside the shard's slice. Stamps are `epoch + 1`
@@ -144,14 +144,14 @@ pub(super) fn compact_stamp(epoch: u64) -> Option<u32> {
 /// membership being rewritten.
 pub(super) struct MaintCtx<'a> {
     /// The predicate's threshold tables, hoisted once per cohort.
-    pub(super) memo: &'a SimMemo<'a>,
+    pub(super) memo: &'a ThresholdMemo<'a>,
     /// Oracle epoch at the cohort timestamp. `None` for per-querier
     /// noise: thresholds are still memoized within each finalize op, but
     /// nothing may be cached across cohorts and no refresh may be
     /// skipped (estimates can change without any epoch tick).
     pub(super) epoch: Option<u64>,
     /// The predicate's largest vertical threshold
-    /// ([`SimMemo::vertical_ceiling`]) where verdicts may settle — the
+    /// ([`ThresholdMemo::vertical_ceiling`]) where verdicts may settle — the
     /// verdict memory runs and the oracle's epoch can move, so skip rows
     /// are reset; `None` elsewhere, and no settled row exists.
     pub(super) settle_above: Option<f64>,
@@ -221,7 +221,7 @@ impl MaintCtx<'_> {
                     stats.memo_hits += 1;
                     state.horizontal[local]
                 } else {
-                    let h = self.memo.horizontal_of(own_av);
+                    let h = self.memo.horizontal(own_av);
                     state.horizontal_stamp[local] = stamp;
                     state.horizontal[local] = h;
                     stats.memo_misses += 1;
@@ -230,10 +230,10 @@ impl MaintCtx<'_> {
             }
             None => {
                 stats.memo_bypassed += 1;
-                self.memo.horizontal_of(own_av)
+                self.memo.horizontal(own_av)
             }
         };
-        let source = self.memo.source_with(own_av, horizontal);
+        let source = self.memo.source_with_horizontal(own_av, horizontal);
         if ops.discover {
             // Candidates first — estimates are pure within the cohort, so
             // collecting before classifying changes nothing — then one

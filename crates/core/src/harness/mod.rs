@@ -14,11 +14,10 @@
 //! simulation lives beside it, one seam a file: `schedule` (the periodic
 //! wheel cohorts are popped from), `cohort` (one cohort's shard phases and
 //! their driver), `finalize` (discovery + refresh for one node, its
-//! per-shard memory and counters), `memo` (the predicate in force and its
-//! threshold memos), `rebuild` (the converged rebuild), `query`
-//! (snapshots, health, initiators, anycast / multicast), and — test-only —
-//! `model`, the slow obvious implementation of event-driven maintenance
-//! that the tests hold all of the above to.
+//! per-shard memory and counters), `rebuild` (the converged rebuild),
+//! `query` (snapshots, health, initiators, anycast / multicast), and —
+//! test-only — `model`, the slow obvious implementation of event-driven
+//! maintenance that the tests hold all of the above to.
 //!
 //! # Examples
 //!
@@ -49,7 +48,6 @@ pub mod config;
 mod finalize;
 pub mod hashes;
 pub mod index;
-mod memo;
 #[cfg(test)]
 mod model;
 pub mod oracle;
@@ -66,7 +64,6 @@ pub use config::{
 pub use finalize::{FinalizeStats, PairHashStats};
 pub use hashes::{PairHashes, PairStoreStats, DEFAULT_HASH_BUDGET};
 pub use index::CandidateIndex;
-pub use memo::SimPredicate;
 pub use oracle::SimOracle;
 pub use query::{HealthStats, InitiatorBand};
 
@@ -84,7 +81,7 @@ use self::cohort::ShardScratch;
 use self::schedule::PeriodicWheel;
 use crate::membership::Membership;
 use crate::ops::OpScratch;
-use crate::predicate::{AvmemPredicate, RandomPredicate};
+use crate::predicate::AvmemPredicate;
 
 /// Purpose tags separating the counter-keyed RNG streams of event-driven
 /// maintenance. Every stream is `SplitMix64::keyed(&[run_seed, TAG,
@@ -178,7 +175,7 @@ pub struct PhaseTimings {
 pub struct AvmemSim {
     trace: ChurnTrace,
     config: SimConfig,
-    predicate: SimPredicate,
+    predicate: AvmemPredicate,
     oracle: SimOracle,
     hashes: Arc<PairHashes>,
     memberships: Vec<Membership>,
@@ -270,21 +267,7 @@ impl AvmemSim {
             .collect();
         let pdf = AvailabilityPdf::from_weighted_sample(&weighted, config.pdf_buckets);
 
-        let predicate = match config.predicate {
-            PredicateChoice::Avmem {
-                epsilon,
-                vertical,
-                horizontal,
-            } => SimPredicate::Avmem(AvmemPredicate::new(
-                epsilon, n_star, vertical, horizontal, pdf,
-            )),
-            PredicateChoice::Random { expected_degree } => {
-                SimPredicate::Random(RandomPredicate::with_expected_degree(
-                    expected_degree,
-                    n as f64,
-                ))
-            }
-        };
+        let predicate = config.predicate.build(n, n_star, pdf);
 
         let mut seeder = SplitMix64::new(config.seed);
         let mut oracle = SimOracle::build(config.oracle, &trace, seeder.next_u64());
@@ -393,7 +376,7 @@ impl AvmemSim {
     }
 
     /// The predicate in force.
-    pub fn predicate(&self) -> &SimPredicate {
+    pub fn predicate(&self) -> &AvmemPredicate {
         &self.predicate
     }
 

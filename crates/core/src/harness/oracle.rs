@@ -95,7 +95,7 @@ impl SimOracle {
                 }
             }
             SimOracle::Avmon(o) => {
-                if o.is_ring_assignment() {
+                if o.ring().is_some() {
                     "avmon-ring"
                 } else {
                     "avmon-all-pairs"

@@ -16,7 +16,6 @@ use crate::ops::anycast::{run_anycast, AnycastConfig, AnycastOutcome};
 use crate::ops::multicast::{run_multicast, MulticastConfig, MulticastOutcome};
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
-use crate::predicate::MembershipPredicate;
 
 /// Initiator selection bands used throughout §4.2: LOW ∈ [0, ⅓),
 /// MID ∈ [⅓, ⅔), HIGH ∈ [⅔, 1].

@@ -5,10 +5,9 @@
 use avmem_util::parallel::{default_threads, par_chunks_mut};
 use avmem_util::{Availability, NodeId, Rng, SplitMix64};
 
-use super::memo::SimMemo;
 use super::{AvmemSim, CandidateIndex};
 use crate::membership::{Membership, Neighbor};
-use crate::predicate::Sliver;
+use crate::predicate::{Sliver, ThresholdMemo};
 
 /// Per-worker scratch for the converged rebuild: reused across all nodes
 /// a worker processes, so the hot loop allocates nothing per node.
@@ -56,9 +55,16 @@ impl AvmemSim {
         let shared: Option<CandidateIndex> = self.oracle.querier_independent().then(|| {
             CandidateIndex::build((0..n).map(|y| (y, self.estimated_availability(y, y))))
         });
-        let memo = SimMemo::build(&self.predicate);
-        let vertical_table: Option<Vec<f64>> =
-            shared.as_ref().and_then(|index| memo.vertical_table(index));
+        let memo = self.predicate.rebuild_memo();
+        // Rules I.A / I.B: one vertical threshold per index position.
+        let vertical_table: Option<Vec<f64>> = shared.as_ref().and_then(|index| {
+            memo.source_independent_vertical(
+                index
+                    .entries()
+                    .iter()
+                    .map(|&(v, _)| Availability::saturating(v)),
+            )
+        });
         let mut memberships = std::mem::take(&mut self.memberships);
         let sim = &*self;
         par_chunks_mut(&mut memberships, 1, default_threads(), |offset, chunk| {
@@ -81,7 +87,7 @@ impl AvmemSim {
     /// Fast-path structure (all equivalences are set-level, pinned by
     /// tests):
     ///
-    /// * thresholds come from the per-rebuild [`SimMemo`] — the
+    /// * thresholds come from the per-rebuild [`ThresholdMemo`] — the
     ///   horizontal band integrals once per node, vertical PDF lookups
     ///   from per-bucket tables — instead of two PDF integrations per
     ///   in-band pair;
@@ -94,7 +100,7 @@ impl AvmemSim {
     fn rebuild_node(
         &self,
         x: usize,
-        memo: &SimMemo<'_>,
+        memo: &ThresholdMemo<'_>,
         shared: Option<&CandidateIndex>,
         vertical_table: Option<&[f64]>,
         scratch: &mut RebuildScratch,

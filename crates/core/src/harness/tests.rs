@@ -11,7 +11,7 @@ use crate::ops::anycast::AnycastConfig;
 use crate::ops::multicast::MulticastConfig;
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
-use crate::predicate::{AvmemPredicate, MembershipPredicate, NodeInfo, RandomPredicate};
+use crate::predicate::{AvmemPredicate, HorizontalRule, NodeInfo, VerticalRule};
 use avmem_trace::OvernetModel;
 
 fn small_sim(seed: u64) -> AvmemSim {
@@ -891,20 +891,18 @@ fn with_a_massless_pdf_bucket_nothing_settles_and_no_row_is_allocated() {
         hashes::DEFAULT_HASH_BUDGET,
     );
     let mut model = model::Model::new(sim.trace().clone(), sim.config);
-    let SimPredicate::Avmem(built) = &sim.predicate else {
-        panic!("paper default is the AVMEM predicate");
-    };
+    let built = &sim.predicate;
     let pdf = built.pdf();
     let mut mass: Vec<f64> = (0..pdf.buckets()).map(|b| pdf.bucket_mass(b)).collect();
     mass[3] = 0.0;
-    let holed = SimPredicate::Avmem(AvmemPredicate::new(
+    let holed = AvmemPredicate::new(
         built.epsilon(),
         built.n_star(),
         built.vertical_rule(),
         built.horizontal_rule(),
         AvailabilityPdf::from_bucket_mass(mass),
-    ));
-    assert_eq!(memo::SimMemo::build(&holed).vertical_ceiling(), 1.0);
+    );
+    assert_eq!(holed.rebuild_memo().vertical_ceiling(), 1.0);
     sim.predicate = holed.clone();
     model.sim.predicate = holed;
     sim.warm_up(SimDuration::from_mins(30));
@@ -924,8 +922,9 @@ fn with_a_massless_pdf_bucket_nothing_settles_and_no_row_is_allocated() {
 #[test]
 fn a_hash_equal_to_the_ceiling_does_not_settle() {
     // `classify_hashed` inserts on `hash <= threshold`, so only a hash
-    // strictly above the ceiling is out of reach. The flat baseline makes
-    // the boundary reachable: its one threshold `p` is every node's
+    // strictly above the ceiling is out of reach. The flat baseline (rules
+    // I.A + II.A at `d₁ = d₂ = p`) makes the boundary reachable: its one
+    // threshold `p` is every node's
     // ceiling, and `p` can be set to the hash of a pair the run evaluates.
     // Shuffle views do not depend on the predicate, so a first run at
     // `p = 1`, which inserts whatever it evaluates, names those pairs.
@@ -937,7 +936,13 @@ fn a_hash_equal_to_the_ceiling_does_not_settle() {
             hashes::DEFAULT_HASH_BUDGET,
         );
         let mut model = model::Model::new(sim.trace().clone(), sim.config);
-        let flat = SimPredicate::Random(RandomPredicate::new(p));
+        let flat = AvmemPredicate::new(
+            0.1,
+            sim.n_star(),
+            VerticalRule::Constant { d1: p },
+            HorizontalRule::Constant { d2: p },
+            sim.predicate.pdf().clone(),
+        );
         sim.predicate = flat.clone();
         model.sim.predicate = flat;
         sim.warm_up(SimDuration::from_mins(10));

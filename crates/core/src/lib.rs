@@ -29,7 +29,7 @@
 //!
 //! | module | paper section | contents |
 //! |--------|---------------|----------|
-//! | [`predicate`] | §2 | Eq. 1 framework, sub-predicates I.A–I.C / II.A–II.B, random baseline |
+//! | [`predicate`] | §2 | Eq. 1 framework, sub-predicates I.A–I.C / II.A–II.B (the random baseline is I.A + II.A, `d₁ = d₂ = p`) |
 //! | [`membership`] | §3.1 | HS/VS lists, discovery & refresh sub-protocols |
 //! | [`verify`] | §4.1 | receiver-side admission checks + cushion |
 //! | [`ops`] | §3.2 | anycast (greedy/retried/annealing) and multicast (flood/gossip) |
@@ -76,8 +76,5 @@ pub use ops::{
     AnycastConfig, AnycastOutcome, AvailabilityTarget, ForwardPolicy, MulticastConfig,
     MulticastOutcome, MulticastStrategy,
 };
-pub use predicate::{
-    AvmemPredicate, HorizontalRule, MembershipPredicate, NodeInfo, RandomPredicate, Sliver,
-    VerticalRule,
-};
+pub use predicate::{AvmemPredicate, HorizontalRule, NodeInfo, Sliver, VerticalRule};
 pub use verify::AdmissionPolicy;

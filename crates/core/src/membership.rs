@@ -34,7 +34,7 @@ use avmem_sim::SimTime;
 use avmem_util::{Availability, NodeId};
 use serde::{Deserialize, Serialize};
 
-use crate::predicate::{MembershipPredicate, NodeInfo, Sliver};
+use crate::predicate::{AvmemPredicate, NodeInfo, Sliver};
 
 /// Which sliver lists an operation may use (§3.2 gives each operation
 /// HS-only / VS-only / HS+VS flavors).
@@ -323,17 +323,16 @@ impl Membership {
     /// `own` is the owner's identity and *its own current availability
     /// estimate* (also obtained from the monitoring service, so the
     /// predicate evaluation is consistent with what third parties see).
-    pub fn discover<O, P, I>(
+    pub fn discover<O, I>(
         &mut self,
         own: NodeInfo,
         candidates: I,
         oracle: &O,
-        predicate: &P,
+        predicate: &AvmemPredicate,
         now: SimTime,
     ) -> usize
     where
         O: AvailabilityOracle + ?Sized,
-        P: MembershipPredicate + ?Sized,
         I: IntoIterator<Item = NodeId>,
     {
         debug_assert_eq!(own.id, self.owner, "discover called with foreign identity");
@@ -366,16 +365,15 @@ impl Membership {
     /// Refresh sub-protocol: re-validate every neighbor against fresh
     /// oracle estimates, evicting entries whose predicate became false
     /// and migrating entries whose sliver changed.
-    pub fn refresh<O, P>(
+    pub fn refresh<O>(
         &mut self,
         own: NodeInfo,
         oracle: &O,
-        predicate: &P,
+        predicate: &AvmemPredicate,
         now: SimTime,
     ) -> RefreshOutcome
     where
         O: AvailabilityOracle + ?Sized,
-        P: MembershipPredicate + ?Sized,
     {
         debug_assert_eq!(own.id, self.owner, "refresh called with foreign identity");
         let owner = self.owner;
@@ -397,7 +395,7 @@ impl Membership {
     /// `migrants` is caller-owned scratch (cleared on entry, drained on
     /// exit) so batch drivers refreshing many nodes reuse one buffer.
     /// Drivers with precomputed pair hashes evaluate the predicate via
-    /// [`MembershipPredicate::classify_hashed`] inside `eval`;
+    /// [`AvmemPredicate::classify_hashed`] inside `eval`;
     /// [`Membership::refresh`] is the self-contained oracle+predicate
     /// form of the same pass.
     pub fn refresh_with<F>(

@@ -18,10 +18,13 @@
 //! | [`VerticalRule::LogarithmicDecreasing`] (I.C) | ″ | `min(c₁·ln N* / (N*·p(av(y))·\|av(y)−av(x)\|), 1)` |
 //! | [`HorizontalRule::Constant`] (II.A) | `\|av(x)−av(y)\| < ε` | `d₂` |
 //! | [`HorizontalRule::LogarithmicConstant`] (II.B) | ″ | `min(c₂·ln N*_av(x) / N*min_av(x), 1)` |
+//! | I.A + II.A with `d₁ = d₂ = p` | everywhere | `p` |
 //!
-//! plus the availability-agnostic [`RandomPredicate`] (`f = p`), which
-//! yields a *consistent* random overlay "like SCAMP or CYCLON" — the
-//! baseline of the paper's Fig. 10.
+//! The last row is the availability-agnostic baseline of the paper's
+//! Fig. 10, a *consistent* random overlay "like SCAMP or CYCLON"
+//! ([`crate::harness::PredicateChoice::Random`] builds it): one
+//! [`AvmemPredicate`] like the others, its slivers still split at `±ε`
+//! so the same operation code runs over both overlays.
 //!
 //! Everything here is a pure function of `(id, av)` pairs and the
 //! system-wide constants (`ε`, `N*`, the discretized PDF): this is what
@@ -57,69 +60,6 @@ pub enum Sliver {
     Horizontal,
     /// Vertical sliver: availability outside the `±ε` band.
     Vertical,
-}
-
-/// A consistent membership predicate: the `f` of Eq. 1 plus the band
-/// geometry.
-///
-/// The provided methods implement the full Eq. 1 check, including the
-/// optional *cushion* the paper adds to the right-hand side to tolerate
-/// inconsistent availability estimates during verification (§4.1).
-pub trait MembershipPredicate: std::fmt::Debug {
-    /// The sub-predicate value `f(av(x), av(y)) ∈ [0, 1]`.
-    fn threshold(&self, x: Availability, y: Availability) -> f64;
-
-    /// The horizontal-band half-width `ε` used to classify slivers.
-    fn epsilon(&self) -> f64;
-
-    /// Which sliver a node with availability `y` would occupy in the
-    /// lists of a node with availability `x`.
-    fn sliver(&self, x: Availability, y: Availability) -> Sliver {
-        if x.distance(y) < self.epsilon() {
-            Sliver::Horizontal
-        } else {
-            Sliver::Vertical
-        }
-    }
-
-    /// Full membership test `M(x, y)`: should `y` be in `x`'s lists?
-    ///
-    /// Consistent: any party evaluating this with the same availability
-    /// inputs gets the same answer.
-    fn member(&self, x: NodeInfo, y: NodeInfo) -> bool {
-        self.member_with_cushion(x, y, 0.0)
-    }
-
-    /// Membership test with a verification cushion:
-    /// `H(id(x), id(y)) ≤ f(av(x), av(y)) + cushion`.
-    ///
-    /// Receivers use a small positive cushion when validating senders so
-    /// that slightly divergent availability estimates do not reject
-    /// legitimate neighbors (paper §4.1, Figs. 5–6).
-    fn member_with_cushion(&self, x: NodeInfo, y: NodeInfo, cushion: f64) -> bool {
-        consistent_hash(x.id, y.id) <= self.threshold(x.availability, y.availability) + cushion
-    }
-
-    /// Classifies `y` relative to `x`: `Some(sliver)` if `M(x, y)` holds.
-    fn classify(&self, x: NodeInfo, y: NodeInfo) -> Option<Sliver> {
-        if x.id == y.id {
-            return None;
-        }
-        self.member(x, y)
-            .then(|| self.sliver(x.availability, y.availability))
-    }
-
-    /// Like [`MembershipPredicate::classify`] but with the pair hash
-    /// `H(id(x), id(y))` supplied by the caller — large simulations
-    /// precompute the `N²` hash matrix once instead of re-hashing on
-    /// every evaluation.
-    fn classify_hashed(&self, x: NodeInfo, y: NodeInfo, hash: f64, cushion: f64) -> Option<Sliver> {
-        if x.id == y.id {
-            return None;
-        }
-        (hash <= self.threshold(x.availability, y.availability) + cushion)
-            .then(|| self.sliver(x.availability, y.availability))
-    }
 }
 
 /// Vertical-sliver sub-predicates (§2.1 I.A–I.C).
@@ -216,10 +156,14 @@ pub const DEFAULT_C2: f64 = 2.0;
 /// The full AVMEM predicate: band geometry, system constants, and one
 /// rule per sliver.
 ///
+/// Its methods implement the full Eq. 1 check, including the optional
+/// *cushion* the paper adds to the right-hand side to tolerate
+/// inconsistent availability estimates during verification (§4.1).
+///
 /// # Examples
 ///
 /// ```
-/// use avmem::predicate::{AvmemPredicate, MembershipPredicate, NodeInfo};
+/// use avmem::predicate::{AvmemPredicate, NodeInfo};
 /// use avmem_trace::AvailabilityPdf;
 /// use avmem_util::{Availability, NodeId};
 ///
@@ -307,6 +251,75 @@ impl AvmemPredicate {
         &self.pdf
     }
 
+    /// The horizontal-band half-width `ε` used to classify slivers.
+    pub fn epsilon(&self) -> f64 {
+        self.epsilon
+    }
+
+    /// The sub-predicate value `f(av(x), av(y)) ∈ [0, 1]`.
+    pub fn threshold(&self, x: Availability, y: Availability) -> f64 {
+        if x.distance(y) < self.epsilon {
+            self.horizontal_threshold(x)
+        } else {
+            self.vertical_threshold(x, y)
+        }
+    }
+
+    /// Which sliver a node with availability `y` would occupy in the
+    /// lists of a node with availability `x`.
+    pub fn sliver(&self, x: Availability, y: Availability) -> Sliver {
+        if x.distance(y) < self.epsilon {
+            Sliver::Horizontal
+        } else {
+            Sliver::Vertical
+        }
+    }
+
+    /// Full membership test `M(x, y)`: should `y` be in `x`'s lists?
+    ///
+    /// Consistent: any party evaluating this with the same availability
+    /// inputs gets the same answer.
+    pub fn member(&self, x: NodeInfo, y: NodeInfo) -> bool {
+        self.member_with_cushion(x, y, 0.0)
+    }
+
+    /// Membership test with a verification cushion:
+    /// `H(id(x), id(y)) ≤ f(av(x), av(y)) + cushion`.
+    ///
+    /// Receivers use a small positive cushion when validating senders so
+    /// that slightly divergent availability estimates do not reject
+    /// legitimate neighbors (paper §4.1, Figs. 5–6).
+    pub fn member_with_cushion(&self, x: NodeInfo, y: NodeInfo, cushion: f64) -> bool {
+        consistent_hash(x.id, y.id) <= self.threshold(x.availability, y.availability) + cushion
+    }
+
+    /// Classifies `y` relative to `x`: `Some(sliver)` if `M(x, y)` holds.
+    pub fn classify(&self, x: NodeInfo, y: NodeInfo) -> Option<Sliver> {
+        if x.id == y.id {
+            return None;
+        }
+        self.member(x, y)
+            .then(|| self.sliver(x.availability, y.availability))
+    }
+
+    /// Like [`AvmemPredicate::classify`] but with the pair hash
+    /// `H(id(x), id(y))` supplied by the caller — large simulations
+    /// precompute the `N²` hash matrix once instead of re-hashing on
+    /// every evaluation.
+    pub fn classify_hashed(
+        &self,
+        x: NodeInfo,
+        y: NodeInfo,
+        hash: f64,
+        cushion: f64,
+    ) -> Option<Sliver> {
+        if x.id == y.id {
+            return None;
+        }
+        (hash <= self.threshold(x.availability, y.availability) + cushion)
+            .then(|| self.sliver(x.availability, y.availability))
+    }
+
     fn vertical_threshold(&self, x: Availability, y: Availability) -> f64 {
         match self.vertical {
             VerticalRule::Constant { d1 } => d1,
@@ -347,20 +360,6 @@ impl AvmemPredicate {
     }
 }
 
-impl MembershipPredicate for AvmemPredicate {
-    fn threshold(&self, x: Availability, y: Availability) -> f64 {
-        if x.distance(y) < self.epsilon {
-            self.horizontal_threshold(x)
-        } else {
-            self.vertical_threshold(x, y)
-        }
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-}
-
 /// Per-rebuild memo of the PDF-dependent parts of an [`AvmemPredicate`].
 ///
 /// The naive evaluation of Eq. 1 over all `N²` ordered pairs recomputes
@@ -375,7 +374,7 @@ impl MembershipPredicate for AvmemPredicate {
 ///   threshold `f(av(x), ·)`.
 ///
 /// The memoized thresholds are **bit-for-bit identical** to
-/// [`MembershipPredicate::threshold`]: the same floating-point
+/// [`AvmemPredicate::threshold`]: the same floating-point
 /// expressions are evaluated in the same order, only earlier.
 #[derive(Debug, Clone)]
 pub struct ThresholdMemo<'p> {
@@ -568,7 +567,7 @@ impl SourceThresholds<'_> {
     }
 
     /// The full sub-predicate value, identical to
-    /// [`MembershipPredicate::threshold`] of the memoized predicate.
+    /// [`AvmemPredicate::threshold`] of the memoized predicate.
     pub fn threshold(&self, y: Availability) -> f64 {
         if self.in_band(y) {
             self.horizontal
@@ -579,77 +578,13 @@ impl SourceThresholds<'_> {
 
     /// Eq. 1 with a caller-supplied pair hash: classifies a *distinct*
     /// candidate (callers must skip `y == x` themselves, as
-    /// [`MembershipPredicate::classify_hashed`] would).
+    /// [`AvmemPredicate::classify_hashed`] would).
     pub fn classify_hashed(&self, y: Availability, hash: f64) -> Option<Sliver> {
         if self.in_band(y) {
             (hash <= self.horizontal).then_some(Sliver::Horizontal)
         } else {
             (hash <= self.vertical(y)).then_some(Sliver::Vertical)
         }
-    }
-}
-
-/// The availability-agnostic baseline: `f(·,·) = p`, a consistent random
-/// overlay "like SCAMP or CYCLON" (§2, Fig. 10 of the paper).
-///
-/// Sliver classification still follows the `±ε` band so the same
-/// operation code runs over both overlays.
-///
-/// # Examples
-///
-/// ```
-/// use avmem::predicate::{MembershipPredicate, RandomPredicate};
-///
-/// // Expected degree ~2·ln N in a 1000-node system.
-/// let pred = RandomPredicate::with_expected_degree(2.0 * 1000f64.ln(), 1000.0);
-/// assert!(pred.threshold(
-///     avmem_util::Availability::saturating(0.1),
-///     avmem_util::Availability::saturating(0.9),
-/// ) > 0.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RandomPredicate {
-    p: f64,
-    epsilon: f64,
-}
-
-impl RandomPredicate {
-    /// Creates a random predicate with acceptance probability `p` and the
-    /// paper's default `ε = 0.1` for sliver classification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be a probability");
-        RandomPredicate { p, epsilon: 0.1 }
-    }
-
-    /// Creates a random predicate whose expected out-degree in a system
-    /// of `n_star` nodes is `degree`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `degree > 0` and `n_star > 1`.
-    pub fn with_expected_degree(degree: f64, n_star: f64) -> Self {
-        assert!(degree > 0.0, "degree must be positive");
-        assert!(n_star > 1.0, "n_star must exceed one");
-        RandomPredicate::new((degree / n_star).min(1.0))
-    }
-
-    /// The acceptance probability `p`.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-}
-
-impl MembershipPredicate for RandomPredicate {
-    fn threshold(&self, _x: Availability, _y: Availability) -> f64 {
-        self.p
-    }
-
-    fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 }
 
@@ -883,28 +818,36 @@ mod tests {
         assert_eq!(pred.threshold(av(0.55), av(0.56)), 1.0);
     }
 
+    /// The Fig. 10 baseline as the simulation builds it: `p` is
+    /// `degree / population`, capped at 1.
+    fn random_baseline(degree: f64, population: usize) -> AvmemPredicate {
+        crate::harness::PredicateChoice::Random {
+            expected_degree: degree,
+        }
+        .build(population, 1000.0, AvailabilityPdf::uniform(10))
+    }
+
     #[test]
     fn random_predicate_is_flat_and_consistent() {
-        let pred = RandomPredicate::new(0.05);
+        let pred = random_baseline(5.0, 100);
         assert_eq!(pred.threshold(av(0.1), av(0.9)), 0.05);
         assert_eq!(pred.threshold(av(0.9), av(0.1)), 0.05);
+        assert_eq!(pred.threshold(av(0.5), av(0.55)), 0.05);
+        assert_eq!(pred.rebuild_memo().vertical_ceiling(), 0.05);
         let x = info(1, 0.1);
         let y = info(2, 0.9);
         assert_eq!(pred.member(x, y), pred.member(x, y));
+        // One host: every pair it could have passes.
+        assert_eq!(random_baseline(5.0, 1).threshold(av(0.1), av(0.9)), 1.0);
     }
 
     #[test]
     fn random_predicate_expected_degree() {
         let n = 2000u64;
-        let pred = RandomPredicate::with_expected_degree(15.0, n as f64);
+        let pred = random_baseline(15.0, n as usize);
         let x = info(999_999, 0.5);
-        let degree = (0..n)
-            .filter(|&i| pred.member(x, info(i, 0.5)))
-            .count();
-        assert!(
-            (5..=30).contains(&degree),
-            "degree {degree}, expected ≈ 15"
-        );
+        let degree = (0..n).filter(|&i| pred.member(x, info(i, 0.5))).count();
+        assert!((5..=30).contains(&degree), "degree {degree}, expected ≈ 15");
     }
 
     #[test]
@@ -992,16 +935,6 @@ mod tests {
                     pred.classify_hashed(x, y, hash, 0.0),
                 );
             }
-        }
-    }
-
-    #[test]
-    fn trait_objects_are_usable() {
-        let avmem = uniform_pred(100.0);
-        let random = RandomPredicate::new(0.1);
-        let preds: Vec<&dyn MembershipPredicate> = vec![&avmem, &random];
-        for p in preds {
-            let _ = p.classify(info(1, 0.5), info(2, 0.6));
         }
     }
 }

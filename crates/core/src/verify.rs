@@ -15,7 +15,7 @@ use avmem_sim::SimTime;
 use avmem_util::NodeId;
 use serde::{Deserialize, Serialize};
 
-use crate::predicate::{MembershipPredicate, NodeInfo};
+use crate::predicate::{AvmemPredicate, NodeInfo};
 
 /// Receiver-side message admission policy.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,16 +50,15 @@ impl AdmissionPolicy {
     /// Both availabilities are looked up through the *receiver's* oracle
     /// view — this is what makes verification vulnerable to estimate
     /// divergence, and what the cushion compensates for.
-    pub fn accepts<P, O>(
+    pub fn accepts<O>(
         &self,
-        predicate: &P,
+        predicate: &AvmemPredicate,
         oracle: &O,
         sender: NodeId,
         receiver: NodeId,
         now: SimTime,
     ) -> bool
     where
-        P: MembershipPredicate + ?Sized,
         O: AvailabilityOracle + ?Sized,
     {
         let Some(sender_av) = oracle.estimate(receiver, sender, now) else {
@@ -84,8 +83,6 @@ mod tests {
     use avmem_sim::SimDuration;
     use avmem_trace::{AvailabilityPdf, OvernetModel};
     use avmem_util::Availability;
-
-    use crate::predicate::AvmemPredicate;
 
     fn setup() -> (
         avmem_trace::ChurnTrace,

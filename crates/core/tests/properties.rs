@@ -3,12 +3,10 @@
 
 use proptest::prelude::*;
 
+use avmem::harness::PredicateChoice;
 use avmem::membership::{Membership, SliverScope};
 use avmem::ops::AvailabilityTarget;
-use avmem::predicate::{
-    AvmemPredicate, HorizontalRule, MembershipPredicate, NodeInfo, RandomPredicate, Sliver,
-    VerticalRule,
-};
+use avmem::predicate::{AvmemPredicate, HorizontalRule, NodeInfo, Sliver, VerticalRule};
 use avmem_avmon::AvailabilityOracle;
 use avmem_sim::SimTime;
 use avmem_trace::AvailabilityPdf;
@@ -119,19 +117,43 @@ proptest! {
         prop_assert_eq!(pred.classify(x, y), pred.classify_hashed(x, y, hash, 0.0));
     }
 
+    /// The Fig. 10 baseline is the AVMEM predicate under rules I.A + II.A
+    /// with `d₁ = d₂ = p`; it must decide exactly as the flat rule it
+    /// replaced, spelled out here: `p = min(degree / N, 1)`, a pair is in
+    /// iff `x ≠ y` and its hash is at most `p`, and the sliver is
+    /// horizontal iff `|av(x) − av(y)| < 0.1` — through every entry point
+    /// the simulation classifies with.
     #[test]
     fn random_predicate_ignores_availability(
-        p in 0.0f64..=1.0,
-        a1 in 0.0f64..=1.0,
-        a2 in 0.0f64..=1.0,
-        b1 in 0.0f64..=1.0,
-        b2 in 0.0f64..=1.0,
+        degree in 0.5f64..100.0,
+        population in 1usize..5_000,
+        n_star in 1.5f64..10_000.0,
+        pdf in arbitrary_pdf(),
+        (xid, yid, same) in (any::<u64>(), any::<u64>(), any::<bool>()),
+        (xav, yav) in (0.0f64..=1.0, 0.0f64..=1.0),
+        (drawn, on_edge, cushion) in (0.0f64..=1.0, any::<bool>(), 0.0f64..0.3),
     ) {
-        let pred = RandomPredicate::new(p);
+        let pred = PredicateChoice::Random { expected_degree: degree }.build(population, n_star, pdf);
+        let p = (degree / population as f64).min(1.0);
+        let hash = if on_edge { p } else { drawn };
+        let yid = if same { xid } else { yid };
+        let (x_av, y_av) = (Availability::saturating(xav), Availability::saturating(yav));
+        let (x, y) = (NodeInfo::new(NodeId::new(xid), x_av), NodeInfo::new(NodeId::new(yid), y_av));
+        let sliver = if (x_av.value() - y_av.value()).abs() < 0.1 {
+            Sliver::Horizontal
+        } else {
+            Sliver::Vertical
+        };
+        let old = (xid != yid && hash <= p).then_some(sliver);
+        prop_assert_eq!(pred.classify_hashed(x, y, hash, 0.0), old);
         prop_assert_eq!(
-            pred.threshold(Availability::saturating(a1), Availability::saturating(a2)),
-            pred.threshold(Availability::saturating(b1), Availability::saturating(b2))
+            pred.member_with_cushion(x, y, cushion),
+            consistent_hash(x.id, y.id) <= p + cushion
         );
+        if xid != yid {
+            let memo = pred.rebuild_memo();
+            prop_assert_eq!(memo.source(x_av).classify_hashed(y_av, hash), old);
+        }
     }
 
     #[test]

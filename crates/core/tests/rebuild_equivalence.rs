@@ -4,17 +4,18 @@
 //! cached pair-hash rows, parallel per-node workers) is pure
 //! optimization: it must produce HS/VS *sets* identical to a naive
 //! reference that classifies every ordered pair directly through
-//! [`MembershipPredicate::classify`] — no hash matrix, no memo, no
-//! index. These tests pin that equivalence for both predicate families
-//! and both oracle fidelities (exact, i.e. the shared-snapshot fast
-//! path, and per-querier noisy, i.e. the per-source fallback path).
+//! `AvmemPredicate::classify` — no hash matrix, no memo, no index. These
+//! tests pin that equivalence for both predicate choices (AVMEM's rules
+//! and the random baseline) and both oracle fidelities (exact, i.e. the
+//! shared-snapshot fast path, and per-querier noisy, i.e. the per-source
+//! fallback path).
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use avmem::harness::{AvmemSim, CandidateIndex, OracleChoice, PredicateChoice, SimConfig};
-use avmem::predicate::{MembershipPredicate, NodeInfo, Sliver};
+use avmem::predicate::{NodeInfo, Sliver};
 use avmem_avmon::AvailabilityOracle;
 use avmem_sim::SimDuration;
 use avmem_trace::{AvailabilityPdf, OvernetModel};

@@ -22,7 +22,7 @@
 //! 4. anycasts/multicasts execute over a borrowed
 //!    [`avmem::ops::OverlayWorld`] view with per-operation keyed RNG and
 //!    latency streams, adversary arrivals probe receiver-side
-//!    verification, and health samples snapshot the overlay — each
+//!    verification, and health samples measure the overlay — each
 //!    health boundary also draws a fixed batch of estimator-accuracy
 //!    samples (see [`EstimatorAccuracy`]).
 //!
@@ -35,11 +35,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use avmem::harness::{AvmemSim, MaintenanceEngine};
+use avmem::harness::{AvmemSim, InitiatorBand, MaintenanceEngine};
 use avmem::ops::{run_anycast, run_multicast, OpScratch, OverlayWorld};
 use avmem::AdmissionPolicy;
 use avmem::AvailabilityTarget;
-use avmem::SliverScope;
 use avmem_avmon::AvailabilityOracle;
 use avmem_metrics::{Counter, Gauge, Histogram, Registry};
 use avmem_sim::{LatencyModel, Network, SimDuration, SimTime};
@@ -250,35 +249,29 @@ impl Timeline {
 /// whole population.
 #[derive(Debug, Default)]
 struct BandIndex {
-    low: Vec<u32>,
-    mid: Vec<u32>,
-    high: Vec<u32>,
+    /// The nodes of each [`InitiatorBand`], ascending, in declaration
+    /// order (`Low`, `Mid`, `High`).
+    lists: [Vec<u32>; 3],
 }
 
 impl BandIndex {
     fn build(trace: &ChurnTrace) -> BandIndex {
-        let mut bands = BandIndex::default();
-        for i in 0..trace.num_nodes() {
-            let av = trace.long_term_availability(i).value();
-            let list = if av < 1.0 / 3.0 {
-                &mut bands.low
-            } else if av < 2.0 / 3.0 {
-                &mut bands.mid
-            } else {
-                &mut bands.high
-            };
-            list.push(i as u32);
-        }
-        bands
+        let lists = [InitiatorBand::Low, InitiatorBand::Mid, InitiatorBand::High].map(|band| {
+            (0..trace.num_nodes() as u32)
+                .filter(|&i| band.contains(trace.long_term_availability(i as usize)))
+                .collect()
+        });
+        BandIndex { lists }
     }
 
     fn list(&self, band: BandSpec) -> &[u32] {
-        match band {
-            BandSpec::Low => &self.low,
-            BandSpec::Mid => &self.mid,
-            BandSpec::High => &self.high,
-            BandSpec::Any => &[],
-        }
+        let band = match band {
+            BandSpec::Low => InitiatorBand::Low,
+            BandSpec::Mid => InitiatorBand::Mid,
+            BandSpec::High => InitiatorBand::High,
+            BandSpec::Any => return &[],
+        };
+        &self.lists[band as usize]
     }
 }
 
@@ -964,37 +957,22 @@ fn observe_memory() -> MemoryStats {
     }
 }
 
-/// Population size past which health sampling switches from overlay
-/// snapshots to the streaming [`AvmemSim::health_stats`] path. A
-/// snapshot clones every node's sliver lists; at 10⁵–10⁶ hosts that
-/// transient dwarfs the sample itself, while the streaming path yields
-/// the identical numbers (pinned by a harness test).
-const STREAMING_HEALTH_HOSTS: usize = 100_000;
-
-/// Snapshots the overlay's health at `at`.
+/// The overlay's health at `at`, from the streaming
+/// [`AvmemSim::health_stats`] pass — the numbers an overlay snapshot
+/// would give (pinned by a harness test), without cloning every node's
+/// lists.
 fn health_sample(
     sim: &AvmemSim,
     at: SimTime,
     ops_since_last: u64,
     attack_since_last: (u64, u64),
 ) -> HealthSample {
-    let (online, mean_degree, largest_component) =
-        if sim.trace().num_nodes() >= STREAMING_HEALTH_HOSTS {
-            let stats = sim.health_stats();
-            (stats.online, stats.mean_degree, stats.largest_component)
-        } else {
-            let snapshot = sim.snapshot();
-            (
-                snapshot.online_count(),
-                snapshot.mean_degree(),
-                snapshot.largest_component_fraction(SliverScope::Both),
-            )
-        };
+    let stats = sim.health_stats();
     HealthSample {
         at_mins: at.as_millis() / 60_000,
-        online,
-        mean_degree,
-        largest_component,
+        online: stats.online,
+        mean_degree: stats.mean_degree,
+        largest_component: stats.largest_component,
         ops_since_last,
         attack_since_last,
     }
@@ -1004,7 +982,7 @@ fn health_sample(
 mod tests {
     use super::*;
     use crate::builtin;
-    use crate::spec::{AdversarySpec, ChurnSpec, MaintenanceModeSpec};
+    use crate::spec::{AdversarySpec, ChurnSpec, MaintenanceModeSpec, PredicateSpec};
 
     fn tiny_spec() -> ScenarioSpec {
         let mut spec = builtin::builtin("smoke").expect("smoke builtin");
@@ -1140,6 +1118,31 @@ mod tests {
         assert_eq!(report.anycast.sent, 0);
         assert_eq!(report.multicast.sent, 0);
         assert_eq!(report.skipped_ops, 0);
+    }
+
+    #[test]
+    fn a_one_host_random_baseline_runs_to_a_report() {
+        // `check` accepts it, and `run` used to panic building the
+        // baseline with the population size as its `N*` ("n_star must
+        // exceed one"); `p = min(degree / N, 1)` needs no such bound.
+        for mode in [
+            MaintenanceModeSpec::Converged {
+                rebuild_every_mins: 30,
+            },
+            MaintenanceModeSpec::EventDriven {
+                protocol_secs: 60,
+                refresh_mins: 20,
+            },
+        ] {
+            let mut spec = tiny_spec();
+            spec.churn = ChurnSpec::Overnet { hosts: 1, days: 1 };
+            spec.predicate = PredicateSpec::Random { degree: 10.0 };
+            spec.maintenance.mode = mode;
+            spec.validate().expect("a valid spec");
+            let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
+            assert!(!report.health.is_empty());
+            assert!(report.health.iter().all(|h| h.mean_degree == 0.0));
+        }
     }
 
     #[test]

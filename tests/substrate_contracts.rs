@@ -4,7 +4,7 @@
 //! paper assumes — each test pins one of those assumptions.
 
 use avmem::membership::{Membership, SliverScope};
-use avmem::predicate::{AvmemPredicate, MembershipPredicate, NodeInfo};
+use avmem::predicate::{AvmemPredicate, NodeInfo};
 use avmem_avmon::{AvailabilityOracle, AvmonConfig, AvmonService, NoisyOracle, TraceOracle};
 use avmem_shuffle::{optimal_view_size, sim::RoundSim, ShuffleConfig};
 use avmem_sim::{SimDuration, SimTime};
