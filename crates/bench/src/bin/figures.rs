@@ -14,8 +14,7 @@
 use std::env;
 use std::process::ExitCode;
 
-use avmem_bench::{ablations, figures};
-use avmem_bench::PaperSetup;
+use avmem_bench::{ablations, figures, paper};
 
 const ALL: [&str; 10] = [
     "fig2", "fig3", "fig4", "fig56", "fig7", "fig8", "fig9", "fig10", "fig11", "discovery",
@@ -29,31 +28,28 @@ const ABLATIONS: [&str; 5] = [
     "ablation-aged",
 ];
 
+fn usage() -> String {
+    format!(
+        "usage: figures [--small] <experiment-id>... | all | ablations\n\
+         experiments: {} theorems\n\
+         ablations:   {}",
+        ALL.join(" "),
+        ABLATIONS.join(" ")
+    )
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let small = args.iter().any(|a| a == "--small");
     args.retain(|a| a != "--small");
     if args.is_empty() {
-        eprintln!("usage: figures [--small] <experiment-id>... | all | ablations");
-        eprintln!("experiments: {} theorems", ALL.join(" "));
-        eprintln!("ablations:   {}", ABLATIONS.join(" "));
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     }
-
-    let setup = if small {
-        PaperSetup::small()
-    } else {
-        PaperSetup::paper()
-    };
-    println!(
-        "# AVMEM figure harness: {} hosts, {} days, {} runs × {} messages{}",
-        setup.hosts,
-        setup.days,
-        setup.runs,
-        setup.messages_per_run,
-        if small { " (small mode)" } else { "" }
-    );
-    println!();
 
     let mut requested: Vec<String> = Vec::new();
     for arg in args {
@@ -67,33 +63,45 @@ fn main() -> ExitCode {
         }
     }
 
+    // "Each point … the average of 5 different protocol runs, each with
+    // 50 messages"; the small scale runs in well under a second.
+    let (hosts, days, runs, messages) = if small { (200, 2, 2, 20) } else { (1442, 7, 5, 50) };
+    let base = paper::base(hosts, days, messages);
+    println!(
+        "# AVMEM figure harness: {hosts} hosts, {days} days, {runs} runs × {messages} messages{}",
+        if small { " (small mode)" } else { "" }
+    );
+    println!();
+
     for experiment in &requested {
         match experiment.as_str() {
-            "fig2" => println!("{}", figures::fig2(&setup)),
-            "fig3" => println!("{}", figures::fig3(&setup)),
-            "fig4" => println!("{}", figures::fig4(&setup)),
-            "fig5" | "fig6" | "fig56" => println!("{}", figures::fig56(&setup)),
-            "fig7" => println!("{}", figures::fig7(&setup)),
-            "fig8" => println!("{}", figures::fig8(&setup)),
-            "fig9" => println!("{}", figures::fig9(&setup)),
+            "fig2" => println!("{}", figures::fig2(&base)),
+            "fig3" => println!("{}", figures::fig3(&base)),
+            "fig4" => println!("{}", figures::fig4(&base)),
+            "fig5" | "fig6" | "fig56" => println!("{}", figures::fig56(&base)),
+            "fig7" => println!("{}", figures::fig7(&base, runs)),
+            "fig8" => println!("{}", figures::fig8(&base, runs)),
+            "fig9" => println!("{}", figures::fig9(&base, runs)),
             "fig10" => {
-                for sweep in figures::fig10(&setup) {
+                for sweep in figures::fig10(&base, runs) {
                     println!("{sweep}");
                 }
             }
-            "fig11" | "fig12" | "fig13" => println!("{}", figures::fig111213(&setup)),
+            "fig11" | "fig12" | "fig13" => println!("{}", figures::fig111213(&base, runs)),
             "discovery" => {
                 let n = if small { 128 } else { 1024 };
                 println!("{}", figures::discovery_micro(n, 30));
             }
-            "theorems" => println!("{}", figures::theorem_checks(&setup)),
-            "ablation-predicates" => println!("{}", ablations::ablation_predicates(&setup)),
-            "ablation-cushion" => println!("{}", ablations::ablation_cushion(&setup)),
-            "ablation-gossip" => println!("{}", ablations::ablation_gossip(&setup)),
-            "ablation-workload" => println!("{}", ablations::ablation_workload(&setup)),
-            "ablation-aged" => println!("{}", ablations::ablation_aged(&setup)),
+            "theorems" => println!("{}", figures::theorem_checks(&base)),
+            "ablation-predicates" => {
+                println!("{}", ablations::ablation_predicates(&base, runs));
+            }
+            "ablation-cushion" => println!("{}", ablations::ablation_cushion(&base)),
+            "ablation-gossip" => println!("{}", ablations::ablation_gossip(&base, runs)),
+            "ablation-workload" => println!("{}", ablations::ablation_workload(&base, runs)),
+            "ablation-aged" => println!("{}", ablations::ablation_aged(&base)),
             other => {
-                eprintln!("unknown experiment id {other:?}");
+                eprintln!("unknown experiment id {other:?}\n{}", usage());
                 return ExitCode::FAILURE;
             }
         }

@@ -193,7 +193,7 @@ impl OverlaySnapshot {
     ///
     /// Counts only *online* sliver members: the paper's snapshot (and
     /// Theorems 1–3) measure online neighbors. Stored lists legitimately
-    /// retain offline entries — see [`OverlaySnapshot::hs_stored_sizes`].
+    /// retain offline entries ([`OverlaySnapshot::degree_summary`]).
     pub fn hs_sizes(&self) -> Vec<(f64, usize)> {
         self.online_nodes()
             .map(|n| {
@@ -214,20 +214,6 @@ impl OverlaySnapshot {
                     self.online_member_count(&n.vs),
                 )
             })
-            .collect()
-    }
-
-    /// `(availability, stored |HS|)` including offline entries.
-    pub fn hs_stored_sizes(&self) -> Vec<(f64, usize)> {
-        self.online_nodes()
-            .map(|n| (n.estimated_availability.value(), n.hs.len()))
-            .collect()
-    }
-
-    /// `(availability, stored |VS|)` including offline entries.
-    pub fn vs_stored_sizes(&self) -> Vec<(f64, usize)> {
-        self.online_nodes()
-            .map(|n| (n.estimated_availability.value(), n.vs.len()))
             .collect()
     }
 

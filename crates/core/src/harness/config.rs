@@ -234,8 +234,7 @@ pub struct SimConfig {
     pub pdf_buckets: usize,
     /// Memory budget (bytes) for stored pair-hash rows. Populations
     /// whose dense matrix (`8·N²` bytes) fits the budget keep the rows
-    /// their three builders hash — the converged rebuild's full-row
-    /// scans, a shared [`crate::harness::PairHashes::compute`] matrix,
+    /// their two builders hash — the converged rebuild's full-row scans
     /// and point reads through `get` (the attack series); larger ones
     /// store nothing and hash on the fly, in batches. See
     /// [`crate::harness::PairHashes::with_budget`]. The same bound

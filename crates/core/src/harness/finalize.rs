@@ -453,8 +453,8 @@ pub struct PairHashStats {
     /// rows.
     pub hashed: u64,
     /// Pairs read from a dense row something else had already built (a
-    /// shared [`PairHashes::compute`] matrix, a converged rebuild before
-    /// the run): 0 in every scenario run.
+    /// converged rebuild or an attack series before the run): 0 in every
+    /// scenario run.
     pub delegated: u64,
 }
 

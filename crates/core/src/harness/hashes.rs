@@ -10,12 +10,10 @@
 //!
 //! * **dense** (the matrix fits the memory budget) — a row is hashed
 //!   once, by the first *full-row or point* reader ([`PairHashes::row`],
-//!   [`PairHashes::get`], [`PairHashes::compute`]), and kept; later reads
-//!   are array lookups. Who builds rows: the converged rebuild, which
-//!   scans every row whole on every rebuild; sweeps that share one
-//!   [`PairHashes::compute`] matrix across many simulations; and point
-//!   reads through [`PairHashes::get`] (the attack series). Untouched
-//!   rows cost nothing.
+//!   [`PairHashes::get`]), and kept; later reads are array lookups. Who
+//!   builds rows: the converged rebuild, which scans every row whole on
+//!   every rebuild, and point reads through [`PairHashes::get`] (the
+//!   attack series). Untouched rows cost nothing.
 //! * **on the fly** (it does not) — nothing is stored. Point reads hash
 //!   one pair and [`PairHashes::row`] batch-fills the caller's scratch
 //!   row, so memory stays `O(N)` per thread.
@@ -37,7 +35,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use avmem_util::parallel::{default_threads, par_chunks_mut};
 use avmem_util::{consistent_hash, consistent_hash_batch, NodeId};
 
 /// Default memory budget for dense rows: 512 MiB, i.e. dense storage up
@@ -52,7 +49,7 @@ pub const DEFAULT_HASH_BUDGET: usize = 512 << 20;
 /// use avmem::harness::PairHashes;
 /// use avmem_util::{consistent_hash, NodeId};
 ///
-/// let hashes = PairHashes::compute(10);
+/// let hashes = PairHashes::with_budget(10, usize::MAX);
 /// assert_eq!(
 ///     hashes.get(3, 7),
 ///     consistent_hash(NodeId::new(3), NodeId::new(7))
@@ -71,7 +68,7 @@ pub struct PairHashes {
     /// every read hashes.
     rows: Option<Vec<OnceLock<Box<[f64]>>>>,
     /// Full rows hashed (`n` SHA-256 evaluations each): dense
-    /// materializations (by `row`/`get`/`compute`, never by `gather`) and
+    /// materializations (by `row`/`get`, never by `gather`) and
     /// on-the-fly bulk fills.
     rows_built: AtomicU64,
     /// Pairs hashed outside any row: on-the-fly point reads, and gathers
@@ -94,26 +91,6 @@ pub struct PairStoreStats {
 }
 
 impl PairHashes {
-    /// Eagerly hashes all ordered pairs of the population `0..n`
-    /// (parallelized across rows). Use for sweeps that share one matrix
-    /// across many simulations of the same population.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn compute(n: usize) -> Self {
-        let hashes = PairHashes::new(n, true);
-        // Materialize every row up front; rows are independent, so the
-        // chunk split cannot change any value.
-        let mut row_ids: Vec<usize> = (0..n).collect();
-        par_chunks_mut(&mut row_ids, 1, default_threads(), |_, chunk| {
-            for &x in chunk.iter() {
-                hashes.dense_row(x);
-            }
-        });
-        hashes
-    }
-
     /// Budget-aware constructor: lazy dense rows when the matrix (`8·n²`
     /// bytes) fits `budget_bytes`, on-the-fly hashing otherwise.
     ///
@@ -121,28 +98,15 @@ impl PairHashes {
     ///
     /// Panics if `n == 0`.
     pub fn with_budget(n: usize, budget_bytes: usize) -> Self {
-        let dense_bytes = n.checked_mul(n).and_then(|pairs| pairs.checked_mul(8));
-        PairHashes::new(n, dense_bytes.is_some_and(|b| b <= budget_bytes))
-    }
-
-    fn new(n: usize, dense: bool) -> Self {
         assert!(n > 0, "population must be non-empty");
+        let dense_bytes = n.checked_mul(n).and_then(|pairs| pairs.checked_mul(8));
+        let dense = dense_bytes.is_some_and(|b| b <= budget_bytes);
         PairHashes {
             n,
             rows: dense.then(|| (0..n).map(|_| OnceLock::new()).collect()),
             rows_built: AtomicU64::new(0),
             direct_hashes: AtomicU64::new(0),
         }
-    }
-
-    /// Population size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix is empty (never true for constructed values).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Whether the dense matrix fits the budget: rows are kept once a
@@ -191,9 +155,9 @@ impl PairHashes {
 
     /// `H(id(x), id(y))` for every `y` in `ys`, into `out` (cleared
     /// first). Never builds a row: reads row `x` if some other reader
-    /// ([`PairHashes::row`], [`PairHashes::get`], [`PairHashes::compute`])
-    /// already did, and otherwise hashes the whole list in one batched
-    /// call, in either store. Returns whether a resident row served the
+    /// ([`PairHashes::row`], [`PairHashes::get`]) already did, and
+    /// otherwise hashes the whole list in one batched call, in either
+    /// store. Returns whether a resident row served the
     /// list — the finalize fast path's candidate lists come through here,
     /// and its statistics tell the two apart.
     ///
@@ -269,7 +233,7 @@ mod tests {
 
     #[test]
     fn matches_direct_hashing() {
-        let hashes = PairHashes::compute(20);
+        let hashes = PairHashes::with_budget(20, usize::MAX);
         for x in 0..20 {
             for y in 0..20 {
                 assert_eq!(
@@ -296,7 +260,7 @@ mod tests {
 
     #[test]
     fn directedness_is_preserved() {
-        let hashes = PairHashes::compute(5);
+        let hashes = PairHashes::with_budget(5, usize::MAX);
         assert_ne!(hashes.get(1, 2), hashes.get(2, 1));
     }
 
@@ -326,7 +290,7 @@ mod tests {
     #[test]
     fn direct_mode_agrees_with_cached() {
         let direct = PairHashes::with_budget(12, 0);
-        let cached = PairHashes::compute(12);
+        let cached = PairHashes::with_budget(12, usize::MAX);
         let mut scratch = Vec::new();
         for x in 0..12 {
             let row = direct.row(x, &mut scratch).to_vec();
@@ -340,12 +304,16 @@ mod tests {
 
     #[test]
     fn gather_agrees_with_point_reads_in_both_stores() {
-        let expect = PairHashes::compute(14);
+        let expect = PairHashes::with_budget(14, 0);
         let ys: Vec<NodeId> = [13u64, 0, 5, 5, 9].map(NodeId::new).to_vec();
         let mut out = vec![f64::NAN; 3]; // stale contents must not survive
         // `gather` never builds a row; it reads one that is resident.
-        // Resident rows: every one (`compute`), only the even ones (built
-        // by `row` and by `get`, the two readers that may), none.
+        // Resident rows: every one, only the even ones (built by `row`
+        // and by `get`, the two readers that may), none.
+        let all = PairHashes::with_budget(14, usize::MAX);
+        for x in 0..14 {
+            let _ = all.row(x, &mut Vec::new());
+        }
         let some = PairHashes::with_budget(14, usize::MAX);
         for x in (0..14).step_by(4) {
             let _ = some.row(x, &mut Vec::new());
@@ -354,7 +322,7 @@ mod tests {
             }
         }
         for (hashes, resident) in [
-            (PairHashes::compute(14), 14),
+            (all, 14),
             (some, 7),
             (PairHashes::with_budget(14, usize::MAX), 0),
             (PairHashes::with_budget(14, 0), 0),
@@ -412,7 +380,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
-        let hashes = PairHashes::compute(3);
+        let hashes = PairHashes::with_budget(3, usize::MAX);
         let _ = hashes.get(3, 0);
     }
 

@@ -177,7 +177,7 @@ pub struct AvmemSim {
     config: SimConfig,
     predicate: AvmemPredicate,
     oracle: SimOracle,
-    hashes: Arc<PairHashes>,
+    hashes: PairHashes,
     memberships: Vec<Membership>,
     shuffles: Vec<ShuffleNode>,
     now: SimTime,
@@ -239,23 +239,8 @@ impl AvmemSim {
     /// online nodes — both quantities the paper assumes are computed
     /// offline by a crawler and distributed consistently to all nodes.
     pub fn new(trace: ChurnTrace, config: SimConfig) -> Self {
-        let hashes = Arc::new(PairHashes::with_budget(
-            trace.num_nodes(),
-            config.hash_budget,
-        ));
-        AvmemSim::with_hashes(trace, config, hashes)
-    }
-
-    /// Like [`AvmemSim::new`] but reusing a precomputed pair-hash matrix
-    /// — experiment sweeps building many simulations over the same
-    /// population share the `O(N²)` hashing work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix size does not match the trace population.
-    pub fn with_hashes(trace: ChurnTrace, config: SimConfig, hashes: Arc<PairHashes>) -> Self {
         let n = trace.num_nodes();
-        assert_eq!(hashes.len(), n, "hash matrix size must match population");
+        let hashes = PairHashes::with_budget(n, config.hash_budget);
         let stats = trace.stats();
         let n_star = stats.mean_online.max(2.0);
 

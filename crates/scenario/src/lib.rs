@@ -59,8 +59,8 @@ pub mod sweep;
 
 pub use parse::{parse_spec, ParseError};
 pub use report::{
-    AnycastStats, AttackStats, EstimatorAccuracy, HealthSample, MemoryStats, MulticastStats,
-    ScenarioReport,
+    AnycastStats, AttackStats, Buckets, EstimatorAccuracy, HealthSample, MemoryStats,
+    MulticastStats, ScenarioReport,
 };
 pub use runner::{RunSession, ScenarioRunner};
 pub use serve::{ServeOptions, ServeOutcome};

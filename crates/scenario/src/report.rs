@@ -8,12 +8,96 @@
 //! comes in two flavors: a human-readable text block and a JSON object
 //! (hand-rolled — the vendored `serde` does not serialize).
 
+use avmem::ops::AnycastDrop;
+
 /// Anycast hops histogram size: bucket `i` counts deliveries in `i` hops,
 /// the last bucket everything at or beyond.
 pub const HOPS_BUCKETS: usize = 12;
 
 /// Availability-decile count for per-bucket series.
 pub const DECILES: usize = 10;
+
+/// Every [`AnycastDrop`], in the order of [`AnycastStats::drops`], with
+/// its report name.
+pub const ANYCAST_DROPS: [(AnycastDrop, &str); 4] = [
+    (AnycastDrop::TtlExpired, "ttl_expired"),
+    (AnycastDrop::RetryExpired, "retry_expired"),
+    (AnycastDrop::NoCandidates, "no_candidates"),
+    (AnycastDrop::NextHopOffline, "next_hop_offline"),
+];
+
+/// Exact counts of a non-negative quantity in fixed-width buckets:
+/// bucket `i` counts the values in `[i·width, (i+1)·width)`. The bucket
+/// list grows to the largest value recorded, so nothing is clamped.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Buckets {
+    /// Bucket width, in the quantity's unit.
+    pub width: f64,
+    /// Counts, bucket 0 first, up to the last non-empty bucket.
+    pub counts: Vec<u64>,
+}
+
+impl Buckets {
+    pub(crate) fn new(width: f64) -> Self {
+        Buckets { width, counts: Vec::new() }
+    }
+
+    pub(crate) fn record(&mut self, value: f64) {
+        let bucket = (value / self.width) as usize;
+        if bucket >= self.counts.len() {
+            self.counts.resize(bucket + 1, 0);
+        }
+        self.counts[bucket] += 1;
+    }
+
+    /// Adds `other`'s counts (same width) into these.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the widths differ.
+    pub(crate) fn merge(&mut self, other: &Buckets) {
+        assert_eq!(self.width, other.width, "merging buckets of different widths");
+        self.counts.resize(self.counts.len().max(other.counts.len()), 0);
+        add(&mut self.counts, &other.counts);
+    }
+
+    /// Values recorded.
+    pub fn count(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// The lower edge of the bucket holding the `q`-quantile, by the rank
+    /// rule of [`avmem_util::stats::Ecdf::quantile`]; `None` when empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `q ∈ [0, 1]`.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
+        let total = self.count();
+        let rank = ((q * total as f64).ceil() as u64).max(1) - 1;
+        let mut below = 0;
+        let bucket = self.counts.iter().position(|&count| {
+            below += count;
+            below > rank
+        })?;
+        Some(bucket as f64 * self.width)
+    }
+
+    /// `{"width":…,"buckets":[[index,count],…]}`, non-empty buckets only.
+    fn json(&self) -> String {
+        let buckets = self.counts.iter().enumerate().filter(|&(_, &count)| count > 0);
+        let buckets: Vec<String> = buckets.map(|(i, count)| format!("[{i},{count}]")).collect();
+        format!("{{\"width\":{},\"buckets\":[{}]}}", json_f64(self.width), buckets.join(","))
+    }
+}
+
+/// `into[i] += from[i]` over the common length.
+fn add(into: &mut [u64], from: &[u64]) {
+    for (mine, theirs) in into.iter_mut().zip(from) {
+        *mine += theirs;
+    }
+}
 
 /// Aggregated anycast outcomes.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -32,6 +116,11 @@ pub struct AnycastStats {
     pub total_latency_ms: u64,
     /// Deliveries by hop count (`min(hops, HOPS_BUCKETS - 1)`).
     pub hops_histogram: Vec<u64>,
+    /// Failed anycasts per [`AnycastDrop`], in [`ANYCAST_DROPS`] order;
+    /// they sum to `sent - delivered`.
+    pub drops: [u64; 4],
+    /// Total end-to-end latency over delivered anycasts, in milliseconds.
+    pub delivered_latency_ms: u64,
 }
 
 impl AnycastStats {
@@ -42,27 +131,37 @@ impl AnycastStats {
         }
     }
 
+    /// Anycasts dropped for `reason`.
+    pub fn dropped(&self, reason: AnycastDrop) -> u64 {
+        self.drops[reason as usize]
+    }
+
+    /// Adds `other`'s counts into these (pooling runs).
+    pub fn merge(&mut self, other: &AnycastStats) {
+        self.sent += other.sent;
+        self.delivered += other.delivered;
+        self.delivered_in_truth += other.delivered_in_truth;
+        self.total_hops += other.total_hops;
+        self.total_messages += other.total_messages;
+        self.total_latency_ms += other.total_latency_ms;
+        add(&mut self.hops_histogram, &other.hops_histogram);
+        add(&mut self.drops, &other.drops);
+        self.delivered_latency_ms += other.delivered_latency_ms;
+    }
+
     /// Fraction of sent anycasts delivered (`0.0` when none sent).
     pub fn delivery_rate(&self) -> f64 {
-        ratio(self.delivered, self.sent)
+        ratio(self.delivered as f64, self.sent)
     }
 
     /// Mean hops per delivered anycast (`0.0` when none delivered).
     pub fn mean_hops(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.total_hops as f64 / self.delivered as f64
-        }
+        ratio(self.total_hops as f64, self.delivered)
     }
 
     /// Mean end-to-end latency per sent anycast, in milliseconds.
     pub fn mean_latency_ms(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.total_latency_ms as f64 / self.sent as f64
-        }
+        ratio(self.total_latency_ms as f64, self.sent)
     }
 }
 
@@ -86,32 +185,54 @@ pub struct MulticastStats {
     /// Payload deliveries bucketed by the receiver's true-availability
     /// decile — the AVCast incentive curve.
     pub deliveries_by_decile: Vec<u64>,
+    /// Worst-case delivery latency of each multicast that reached anyone,
+    /// in 10 ms buckets (Fig. 11).
+    pub worst_latency_histogram: Buckets,
+    /// Sum of those worst-case latencies, in milliseconds.
+    pub worst_latency_sum_ms: u64,
+    /// Per-multicast reliability in 0.01 buckets (Fig. 13); its count is
+    /// `reliability_count` and its sum `reliability_sum`.
+    pub reliability_histogram: Buckets,
+    /// Per-multicast spam ratio in 0.01 buckets (Fig. 12); its count is
+    /// `spam_count` and its sum `spam_sum`.
+    pub spam_histogram: Buckets,
 }
 
 impl MulticastStats {
     pub(crate) fn new() -> Self {
         MulticastStats {
             deliveries_by_decile: vec![0; DECILES],
+            worst_latency_histogram: Buckets::new(10.0),
+            reliability_histogram: Buckets::new(0.01),
+            spam_histogram: Buckets::new(0.01),
             ..MulticastStats::default()
         }
     }
 
+    /// Adds `other`'s counts into these (pooling runs).
+    pub fn merge(&mut self, other: &MulticastStats) {
+        self.sent += other.sent;
+        self.entered += other.entered;
+        self.reliability_sum += other.reliability_sum;
+        self.reliability_count += other.reliability_count;
+        self.spam_sum += other.spam_sum;
+        self.spam_count += other.spam_count;
+        self.total_messages += other.total_messages;
+        add(&mut self.deliveries_by_decile, &other.deliveries_by_decile);
+        self.worst_latency_histogram.merge(&other.worst_latency_histogram);
+        self.worst_latency_sum_ms += other.worst_latency_sum_ms;
+        self.reliability_histogram.merge(&other.reliability_histogram);
+        self.spam_histogram.merge(&other.spam_histogram);
+    }
+
     /// Mean reliability over multicasts that had eligible receivers.
     pub fn mean_reliability(&self) -> f64 {
-        if self.reliability_count == 0 {
-            0.0
-        } else {
-            self.reliability_sum / self.reliability_count as f64
-        }
+        ratio(self.reliability_sum, self.reliability_count)
     }
 
     /// Mean spam ratio over multicasts that had eligible receivers.
     pub fn mean_spam(&self) -> f64 {
-        if self.spam_count == 0 {
-            0.0
-        } else {
-            self.spam_sum / self.spam_count as f64
-        }
+        ratio(self.spam_sum, self.spam_count)
     }
 }
 
@@ -138,7 +259,7 @@ impl AttackStats {
 
     /// Overall acceptance rate of selfish probes.
     pub fn acceptance_rate(&self) -> f64 {
-        ratio(self.accepted, self.probes)
+        ratio(self.accepted as f64, self.probes)
     }
 }
 
@@ -166,16 +287,12 @@ pub struct EstimatorAccuracy {
 impl EstimatorAccuracy {
     /// Mean absolute error over answered samples (`0.0` when none).
     pub fn mae(&self) -> f64 {
-        if self.answered == 0 {
-            0.0
-        } else {
-            self.abs_error_sum / self.answered as f64
-        }
+        ratio(self.abs_error_sum, self.answered)
     }
 
     /// Fraction of drawn samples the oracle could answer.
     pub fn coverage(&self) -> f64 {
-        ratio(self.answered, self.drawn)
+        ratio(self.answered as f64, self.drawn)
     }
 }
 
@@ -288,11 +405,12 @@ impl PartialEq for ScenarioReport {
     }
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
+/// `num / den`, `0.0` over nothing.
+fn ratio(num: f64, den: u64) -> f64 {
     if den == 0 {
         0.0
     } else {
-        num as f64 / den as f64
+        num / den as f64
     }
 }
 
@@ -342,6 +460,9 @@ impl ScenarioReport {
             })
             .collect();
         writeln!(w, "  hops histogram {{{}}}", histogram.join(", ")).unwrap();
+        let drops = ANYCAST_DROPS.iter().zip(a.drops).filter(|&(_, count)| count > 0);
+        let drops: Vec<String> = drops.map(|((_, name), count)| format!("{name}:{count}")).collect();
+        writeln!(w, "  drops {{{}}}", drops.join(", ")).unwrap();
 
         let m = &self.multicast;
         writeln!(w, "multicast:").unwrap();
@@ -363,6 +484,15 @@ impl ScenarioReport {
             .map(|(d, count)| format!("{:.1}-{:.1}:{count}", d as f64 / 10.0, (d + 1) as f64 / 10.0))
             .collect();
         writeln!(w, "  deliveries by availability decile {{{}}}", deciles.join(", ")).unwrap();
+        // Quantiles of the per-multicast distributions, `-` over none.
+        let at = |buckets: &Buckets, qs: &[f64], digits: usize| -> String {
+            let at = |q| buckets.quantile(q).map_or("-".into(), |v| format!("{v:.digits$}"));
+            qs.iter().map(|&q| at(q)).collect::<Vec<String>>().join("/")
+        };
+        let (l, r, s) = (&m.worst_latency_histogram, &m.reliability_histogram, &m.spam_histogram);
+        let (l, r, s) = (at(l, &[0.5, 0.9, 1.0], 0), at(r, &[0.1, 0.5], 2), at(s, &[0.5, 0.9], 2));
+        let line = format!("worst latency ms p50/p90/max {l}  reliability p10/p50 {r}  spam p50/p90 {s}");
+        writeln!(w, "  {line}").unwrap();
 
         if let Some(attack) = &self.attack {
             writeln!(w, "adversary:").unwrap();
@@ -503,18 +633,22 @@ impl ScenarioReport {
         )
         .unwrap();
         let a = &self.anycast;
+        let drops = ANYCAST_DROPS.iter().zip(a.drops);
+        let drops: Vec<String> = drops.map(|((_, name), n)| format!("\"{name}\":{n}")).collect();
         write!(
             w,
             ",\"anycast\":{{\"sent\":{},\"delivered\":{},\"delivered_in_truth\":{},\
              \"total_hops\":{},\"total_messages\":{},\"total_latency_ms\":{},\
-             \"hops_histogram\":{}}}",
+             \"hops_histogram\":{},\"drops\":{{{}}},\"delivered_latency_ms\":{}}}",
             a.sent,
             a.delivered,
             a.delivered_in_truth,
             a.total_hops,
             a.total_messages,
             a.total_latency_ms,
-            json_u64_array(&a.hops_histogram)
+            json_u64_array(&a.hops_histogram),
+            drops.join(","),
+            a.delivered_latency_ms
         )
         .unwrap();
         let m = &self.multicast;
@@ -522,7 +656,9 @@ impl ScenarioReport {
             w,
             ",\"multicast\":{{\"sent\":{},\"entered\":{},\"reliability_sum\":{},\
              \"reliability_count\":{},\"spam_sum\":{},\"spam_count\":{},\
-             \"total_messages\":{},\"deliveries_by_decile\":{}}}",
+             \"total_messages\":{},\"deliveries_by_decile\":{},\
+             \"worst_latency_histogram\":{},\"worst_latency_sum_ms\":{},\
+             \"reliability_histogram\":{},\"spam_histogram\":{}}}",
             m.sent,
             m.entered,
             json_f64(m.reliability_sum),
@@ -530,7 +666,11 @@ impl ScenarioReport {
             json_f64(m.spam_sum),
             m.spam_count,
             m.total_messages,
-            json_u64_array(&m.deliveries_by_decile)
+            json_u64_array(&m.deliveries_by_decile),
+            m.worst_latency_histogram.json(),
+            m.worst_latency_sum_ms,
+            m.reliability_histogram.json(),
+            m.spam_histogram.json()
         )
         .unwrap();
         match &self.attack {
@@ -674,6 +814,8 @@ mod tests {
         anycast.total_latency_ms = 900;
         anycast.hops_histogram[1] = 5;
         anycast.hops_histogram[2] = 3;
+        anycast.drops[AnycastDrop::RetryExpired as usize] = 2;
+        anycast.delivered_latency_ms = 700;
         let mut multicast = MulticastStats::new();
         multicast.sent = 3;
         multicast.entered = 3;
@@ -681,6 +823,11 @@ mod tests {
         multicast.reliability_count = 3;
         multicast.total_messages = 120;
         multicast.deliveries_by_decile[8] = 40;
+        for (latency, reliability) in [(140u32, 0.8), (180, 0.9), (260, 1.0)] {
+            multicast.worst_latency_histogram.record(f64::from(latency));
+            multicast.worst_latency_sum_ms += u64::from(latency);
+            multicast.reliability_histogram.record(reliability);
+        }
         ScenarioReport {
             scenario: "unit".into(),
             seed: 5,
@@ -766,8 +913,41 @@ mod tests {
         let text = sample_report().render_text();
         assert!(text.contains("sent 10"), "{text}");
         assert!(text.contains("80.0%"), "{text}");
+        assert!(text.contains("drops {retry_expired:2}"), "{text}");
+        assert!(text.contains("worst latency ms p50/p90/max 180/260/260"), "{text}");
+        assert!(text.contains("reliability p10/p50 0.80/0.90  spam p50/p90 -/-"), "{text}");
         assert!(text.contains("flood attempts 2"), "{text}");
         assert!(text.contains("overlay health"), "{text}");
+    }
+
+    #[test]
+    fn buckets_follow_the_ecdf_rank_rule_on_lower_edges() {
+        let values = [0.0, 0.004, 0.013, 0.5, 0.507, 0.99, 1.0, 1.0, 2.5];
+        let mut buckets = Buckets::new(0.01);
+        values.into_iter().for_each(|v| buckets.record(v));
+        let edge = |v: f64| (v / 0.01) as usize as f64 * 0.01;
+        let ecdf = avmem_util::stats::Ecdf::from_values(values.map(edge));
+        for q in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
+            assert_eq!(buckets.quantile(q), Some(ecdf.quantile(q)), "q = {q}");
+        }
+        // Grown to the largest value, nothing clamped.
+        assert_eq!((buckets.count(), buckets.counts.len()), (9, 251));
+        assert_eq!(Buckets::new(10.0).quantile(0.5), None);
+    }
+
+    #[test]
+    fn merging_pools_every_count() {
+        assert!(ANYCAST_DROPS.iter().enumerate().all(|(i, (reason, _))| *reason as usize == i));
+        let report = sample_report();
+        let (mut anycast, mut multicast) = (AnycastStats::new(), MulticastStats::new());
+        for _ in 0..2 {
+            anycast.merge(&report.anycast);
+            multicast.merge(&report.multicast);
+        }
+        let a = (anycast.sent, anycast.dropped(AnycastDrop::RetryExpired), anycast.hops_histogram[2]);
+        assert_eq!((a, anycast.delivered_latency_ms), ((20, 4, 6), 1400));
+        let m = (multicast.reliability_histogram.count(), multicast.deliveries_by_decile[8]);
+        assert_eq!((m, multicast.worst_latency_sum_ms), ((6, 80), 1160));
     }
 
     #[test]
@@ -780,6 +960,16 @@ mod tests {
             "unbalanced braces: {json}"
         );
         assert!(json.contains("\"anycast\":{"));
+        assert!(json.contains(
+            "\"drops\":{\"ttl_expired\":0,\"retry_expired\":2,\"no_candidates\":0,\
+             \"next_hop_offline\":0},\"delivered_latency_ms\":700}"
+        ));
+        // Histograms list their non-empty buckets only.
+        assert!(json.contains(
+            "\"worst_latency_histogram\":{\"width\":10.0,\"buckets\":[[14,1],[18,1],[26,1]]},\
+             \"worst_latency_sum_ms\":580"
+        ));
+        assert!(json.contains("\"spam_histogram\":{\"width\":0.01,\"buckets\":[]}}"));
         assert!(json.contains("\"attack\":{"));
         assert!(json.contains("\"health\":["));
         // No bare NaN can appear.

@@ -772,8 +772,12 @@ impl RunSession {
                     stats.sent += 1;
                     stats.total_messages += outcome.messages;
                     stats.total_latency_ms += outcome.latency.as_millis();
+                    if let Some(reason) = outcome.drop_reason {
+                        stats.drops[reason as usize] += 1;
+                    }
                     if outcome.is_delivered() {
                         stats.delivered += 1;
+                        stats.delivered_latency_ms += outcome.latency.as_millis();
                         stats.total_hops += u64::from(outcome.hops);
                         stats.hops_histogram[(outcome.hops as usize).min(HOPS_BUCKETS - 1)] +=
                             1;
@@ -815,13 +819,20 @@ impl RunSession {
                         let decile = ((av.value() * DECILES as f64) as usize).min(DECILES - 1);
                         stats.deliveries_by_decile[decile] += 1;
                     }
+                    if let Some(worst) = outcome.worst_latency() {
+                        stats.worst_latency_sum_ms += worst.as_millis();
+                        stats.worst_latency_histogram.record(worst.as_millis() as f64);
+                    }
                     if outcome.eligible > 0 {
                         let eligible = outcome.eligible as f64;
-                        let spam = outcome.deliveries.len() - in_range;
-                        stats.reliability_sum += in_range as f64 / eligible;
+                        let reliability = in_range as f64 / eligible;
+                        let spam = (outcome.deliveries.len() - in_range) as f64 / eligible;
+                        stats.reliability_sum += reliability;
                         stats.reliability_count += 1;
-                        stats.spam_sum += spam as f64 / eligible;
+                        stats.reliability_histogram.record(reliability);
+                        stats.spam_sum += spam;
                         stats.spam_count += 1;
+                        stats.spam_histogram.record(spam);
                     }
                     if let Some(ins) = &self.instruments {
                         ins.ops_multicast.inc();
@@ -982,7 +993,10 @@ fn health_sample(
 mod tests {
     use super::*;
     use crate::builtin;
-    use crate::spec::{AdversarySpec, ChurnSpec, MaintenanceModeSpec, PredicateSpec};
+    use crate::spec::{
+        AdversarySpec, ChurnSpec, MaintenanceModeSpec, PolicySpec, PredicateSpec, TargetMix,
+        TargetSpec,
+    };
 
     fn tiny_spec() -> ScenarioSpec {
         let mut spec = builtin::builtin("smoke").expect("smoke builtin");
@@ -1108,6 +1122,41 @@ mod tests {
             });
         assert_eq!(series.0, attack.probes, "series must partition the probes");
         assert_eq!(series.1, attack.accepted);
+    }
+
+    #[test]
+    fn drop_counts_and_multicast_histograms_agree_with_the_totals() {
+        for policy in [PolicySpec::Greedy, PolicySpec::RetriedGreedy { retries: 2 }] {
+            let mut spec = tiny_spec();
+            let workload = &mut spec.workload;
+            (workload.ops_per_hour, workload.anycast_fraction, workload.policy) = (240.0, 0.5, policy);
+            // A harsh target too, so that anycasts fail.
+            let target = TargetSpec::Range { lo: 0.15, hi: 0.25 };
+            workload.targets.push(TargetMix { weight: 1.0, target });
+            let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
+            let a = &report.anycast;
+            assert!(a.sent > a.delivered && a.delivered > 0, "{policy:?}: {a:?}");
+            assert_eq!(a.drops.iter().sum::<u64>(), a.sent - a.delivered, "{policy:?}");
+            assert!(a.delivered_latency_ms <= a.total_latency_ms);
+
+            let m = &report.multicast;
+            assert!(m.reliability_count > 0 && m.spam_count > 0, "{policy:?}: {m:?}");
+            let latencies = m.worst_latency_histogram.count();
+            assert!(latencies > 0 && latencies <= m.sent, "{policy:?}");
+            let latency = m.worst_latency_sum_ms as f64 / latencies as f64;
+            for (buckets, count, mean) in [
+                (&m.reliability_histogram, m.reliability_count, m.mean_reliability()),
+                (&m.spam_histogram, m.spam_count, m.mean_spam()),
+                (&m.worst_latency_histogram, latencies, latency),
+            ] {
+                assert_eq!(buckets.count(), count, "{policy:?}");
+                // The mean of the buckets' lower edges: within a width.
+                let edges = buckets.counts.iter().enumerate().map(|(i, &n)| (i as u64 * n) as f64);
+                let lower = edges.sum::<f64>() * buckets.width / count as f64;
+                let within = (mean - lower).abs() <= buckets.width + 1e-9;
+                assert!(within, "{policy:?}: bucket mean {lower} vs mean {mean}");
+            }
+        }
     }
 
     #[test]

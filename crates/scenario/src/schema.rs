@@ -34,6 +34,8 @@
 
 use std::fmt::Display;
 
+use avmem::predicate::{HorizontalRule, VerticalRule};
+
 use crate::spec::{
     AdversarySpec, AssignmentSpec, BandSpec, ChurnSpec, EngineSpec, MaintenanceModeSpec,
     MaintenanceSpec, MulticastSpec, OracleSpec, PolicySpec, PredicateSpec, ReportSpec,
@@ -113,8 +115,21 @@ tagged! {
         "trace-file" => TraceFile { path: String::new() },
     }
     PredicateSpec {
-        "avmem" => Avmem { epsilon: 0.0, c1: 0.0, c2: 0.0 },
+        "avmem" => Avmem {
+            epsilon: 0.0,
+            vertical: VerticalRule::Logarithmic { c1: 0.0 },
+            horizontal: HorizontalRule::LogarithmicConstant { c2: 0.0 }
+        },
         "random" => Random { degree: 0.0 },
+    }
+    VerticalRule {
+        "I.A" => Constant { d1: 0.0 },
+        "I.B" => Logarithmic { c1: 0.0 },
+        "I.C" => LogarithmicDecreasing { c1: 0.0 },
+    }
+    HorizontalRule {
+        "II.A" => Constant { d2: 0.0 },
+        "II.B" => LogarithmicConstant { c2: 0.0 },
     }
     OracleSpec {
         "exact" => Exact {},
@@ -381,18 +396,45 @@ pub(crate) const SECTIONS: &[Section] = &[
     ]),
     table("predicate", &[
         key("kind", ANY, Some("\"avmem\""), |s, _| Some(Slot::Tag(&mut s.predicate))),
+        // Before the rule choices, so that a `degree` beside `kind =
+        // "avmem"` is refused by naming `kind`.
+        key("degree", POSITIVE, None, |s, _| {
+            variant!(s.predicate, PredicateSpec::Random { degree } => F64(degree))
+        }),
         key("epsilon", HALF_WIDTH, Some("0.1"), |s, _| {
             variant!(s.predicate, PredicateSpec::Avmem { epsilon, .. } => F64(epsilon))
         }),
+        key("vertical", ANY, Some("\"I.B\""), |s, _| {
+            variant!(s.predicate, PredicateSpec::Avmem { vertical, .. } => Tag(vertical))
+        }),
+        key("d1", UNIT, None, |s, _| {
+            variant!(s.predicate, PredicateSpec::Avmem {
+                vertical: VerticalRule::Constant { d1 },
+                ..
+            } => F64(d1))
+        }),
         // `avmem::predicate::DEFAULT_C1` and `DEFAULT_C2`.
         key("c1", POSITIVE, Some("2.5"), |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem { c1, .. } => F64(c1))
+            variant!(s.predicate, PredicateSpec::Avmem {
+                vertical: VerticalRule::Logarithmic { c1 }
+                    | VerticalRule::LogarithmicDecreasing { c1 },
+                ..
+            } => F64(c1))
+        }),
+        key("horizontal", ANY, Some("\"II.B\""), |s, _| {
+            variant!(s.predicate, PredicateSpec::Avmem { horizontal, .. } => Tag(horizontal))
+        }),
+        key("d2", UNIT, None, |s, _| {
+            variant!(s.predicate, PredicateSpec::Avmem {
+                horizontal: HorizontalRule::Constant { d2 },
+                ..
+            } => F64(d2))
         }),
         key("c2", POSITIVE, Some("2.0"), |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem { c2, .. } => F64(c2))
-        }),
-        key("degree", POSITIVE, None, |s, _| {
-            variant!(s.predicate, PredicateSpec::Random { degree } => F64(degree))
+            variant!(s.predicate, PredicateSpec::Avmem {
+                horizontal: HorizontalRule::LogarithmicConstant { c2 },
+                ..
+            } => F64(c2))
         }),
     ]),
     table("oracle", &[
@@ -664,7 +706,7 @@ mod tests {
                 seen.push((section.name, key.name));
             }
         }
-        assert_eq!(seen.len(), 53);
+        assert_eq!(seen.len(), 57);
 
         let mut choices = 0;
         for (index, section) in SECTIONS.iter().enumerate() {

@@ -122,14 +122,15 @@ pub enum ChurnSpec {
 /// The membership predicate family.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PredicateSpec {
-    /// AVMEM slivers (rules I.B + II.B).
+    /// AVMEM slivers under one rule of §2.1's family per sliver (the
+    /// paper's I.B + II.B by default).
     Avmem {
         /// Horizontal-band half-width.
         epsilon: f64,
-        /// Vertical constant `c₁`.
-        c1: f64,
-        /// Horizontal constant `c₂`.
-        c2: f64,
+        /// Vertical-sliver rule: I.A (`d₁`), I.B or I.C (`c₁`).
+        vertical: VerticalRule,
+        /// Horizontal-sliver rule: II.A (`d₂`) or II.B (`c₂`).
+        horizontal: HorizontalRule,
     },
     /// Consistent-random baseline.
     Random {
@@ -517,11 +518,9 @@ impl ScenarioSpec {
     pub fn sim_config(&self) -> SimConfig {
         let mut config = SimConfig::paper_default(self.seed);
         config.predicate = match self.predicate {
-            PredicateSpec::Avmem { epsilon, c1, c2 } => PredicateChoice::Avmem {
-                epsilon,
-                vertical: VerticalRule::Logarithmic { c1 },
-                horizontal: HorizontalRule::LogarithmicConstant { c2 },
-            },
+            PredicateSpec::Avmem { epsilon, vertical, horizontal } => {
+                PredicateChoice::Avmem { epsilon, vertical, horizontal }
+            }
             PredicateSpec::Random { degree } => PredicateChoice::Random {
                 expected_degree: degree,
             },
@@ -701,7 +700,13 @@ mod tests {
         assert!(spec.validate().is_err());
 
         let mut spec = valid();
-        spec.predicate = PredicateSpec::Avmem { epsilon: 0.9, c1: 2.5, c2: 2.0 };
+        let horizontal = HorizontalRule::LogarithmicConstant { c2: 2.0 };
+        let vertical = VerticalRule::Logarithmic { c1: 2.5 };
+        spec.predicate = PredicateSpec::Avmem { epsilon: 0.9, vertical, horizontal };
+        assert!(spec.validate().is_err());
+        // A constant rule's probability is bounded like any other key.
+        let vertical = VerticalRule::Constant { d1: 1.5 };
+        spec.predicate = PredicateSpec::Avmem { epsilon: 0.1, vertical, horizontal };
         assert!(spec.validate().is_err());
 
         let mut spec = valid();

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use avmem::predicate::{HorizontalRule, VerticalRule};
 use avmem_scenario::{
     parse_spec, AdversarySpec, AssignmentSpec, BandSpec, ChurnSpec, EngineSpec,
     MaintenanceModeSpec, MaintenanceSpec, MulticastSpec, OracleSpec, PolicySpec, PredicateSpec,
@@ -40,9 +41,19 @@ fn arb_churn() -> impl Strategy<Value = ChurnSpec> {
 }
 
 fn arb_predicate() -> impl Strategy<Value = PredicateSpec> {
+    let vertical = prop_oneof![
+        (0.0f64..=1.0).prop_map(|d1| VerticalRule::Constant { d1 }),
+        (0.1f64..10.0).prop_map(|c1| VerticalRule::Logarithmic { c1 }),
+        (0.1f64..10.0).prop_map(|c1| VerticalRule::LogarithmicDecreasing { c1 }),
+    ];
+    let horizontal = prop_oneof![
+        (0.0f64..=1.0).prop_map(|d2| HorizontalRule::Constant { d2 }),
+        (0.1f64..10.0).prop_map(|c2| HorizontalRule::LogarithmicConstant { c2 }),
+    ];
     prop_oneof![
-        (0.01f64..0.49, 0.1f64..10.0, 0.1f64..10.0)
-            .prop_map(|(epsilon, c1, c2)| PredicateSpec::Avmem { epsilon, c1, c2 }),
+        (0.01f64..0.49, vertical, horizontal).prop_map(|(epsilon, vertical, horizontal)| {
+            PredicateSpec::Avmem { epsilon, vertical, horizontal }
+        }),
         (1.0f64..40.0).prop_map(|degree| PredicateSpec::Random { degree }),
     ]
 }
@@ -469,6 +480,8 @@ fn keys_without_meaning_under_the_chosen_variant_are_refused() {
     let avmon = "[oracle]\nkind = \"avmon\"\n";
     let exact = "[oracle]\nkind = \"exact\"\n";
     let (greedy, flood) = ("policy = \"greedy\"", "multicast = \"flood\"");
+    let (pred, ia, iia) = ("[predicate]\n", "vertical = \"I.A\"", "horizontal = \"II.A\"");
+    let random = "kind = \"random\"";
     // (the spec's lines after the churn section, the key, what rules it out)
     let cases = [
         (format!("{workload}{greedy}\nretries = 3\n"), "retries", greedy),
@@ -481,6 +494,14 @@ fn keys_without_meaning_under_the_chosen_variant_are_refused() {
         (format!("{avmon}monitors = 4\n{workload}"), "monitors", "assignment = \"all-pairs\""),
         (format!("[oracle]\nvnodes = 4\n{workload}"), "vnodes", "kind = \"exact\""),
         (format!("{exact}error = 0.4\n{workload}"), "error", "kind = \"exact\""),
+        // §2.1's rule family: a rule's constant lives under that rule only.
+        (format!("{pred}{ia}\nd1 = 0.1\nc1 = 2.5\n{workload}"), "c1", ia),
+        (format!("{pred}c1 = 2.5\n{ia}\nd1 = 0.1\n{workload}"), "c1", ia),
+        (format!("{pred}d1 = 0.1\n{workload}"), "d1", "vertical = \"I.B\""),
+        (format!("{pred}d2 = 0.3\n{workload}"), "d2", "horizontal = \"II.B\""),
+        (format!("{pred}{iia}\nd2 = 0.3\nc2 = 2.0\n{workload}"), "c2", iia),
+        (format!("{pred}degree = 8.0\n{workload}"), "degree", "kind = \"avmem\""),
+        (format!("{pred}{random}\ndegree = 8.0\nc1 = 2.5\n{workload}"), "c1", random),
     ];
     for (rest, key, choice) in cases {
         let text = format!("{head}{rest}");
