@@ -8,12 +8,12 @@
 
 use std::fmt;
 
+use avmem::harness::PredicateChoice;
+use avmem::ops::{ForwardPolicy, MulticastStrategy};
 use avmem::predicate::{HorizontalRule, VerticalRule};
-use avmem::SliverScope;
-use avmem_scenario::{
-    BandSpec, ChurnSpec, MulticastSpec, PolicySpec, PredicateSpec, ScenarioSpec, ScopeSpec,
-    TargetSpec,
-};
+use avmem::{AvailabilityTarget, SliverScope};
+use avmem_scenario::{BandSpec, ChurnSpec, ScenarioSpec};
+use avmem_sim::SimDuration;
 
 use crate::figures::noisy;
 use crate::paper::{self, cell, harsh, ratio};
@@ -63,7 +63,7 @@ pub fn ablation_predicates(base: &ScenarioSpec, runs: u64) -> PredicateAblation 
     let mut ablation = PredicateAblation { rows: Vec::new(), skipped_ops: 0 };
     for (label, vertical, horizontal) in variants {
         let spec = ScenarioSpec {
-            predicate: PredicateSpec::Avmem { epsilon: 0.1, vertical, horizontal },
+            predicate: PredicateChoice::Avmem { epsilon: 0.1, vertical, horizontal },
             ..base.clone()
         };
         let snapshot = paper::warmed(&spec).sim().snapshot();
@@ -187,17 +187,18 @@ pub struct GossipAblation {
 
 /// Sweeps gossip (fanout × rounds) around the paper's `log N*` product.
 pub fn ablation_gossip(base: &ScenarioSpec, runs: u64) -> GossipAblation {
-    let target = TargetSpec::Threshold { min: 0.7 };
+    let target = AvailabilityTarget::Threshold { min: 0.7 };
+    let period = SimDuration::from_secs(1);
     let gossip = [(1, 2), (2, 2), (5, 2), (5, 4), (10, 2)]
-        .map(|(fanout, rounds)| MulticastSpec::Gossip { fanout, rounds, period_secs: 1 });
+        .map(|(fanout, rounds)| MulticastStrategy::Gossip { fanout, rounds, period });
     let mut ablation = GossipAblation { rows: Vec::new(), skipped_ops: 0 };
-    for multicast in gossip.into_iter().chain([MulticastSpec::Flood]) {
+    for multicast in gossip.into_iter().chain([MulticastStrategy::Flood]) {
         let spec = paper::multicasts(base, BandSpec::High, target, multicast);
         let pooled = paper::pooled(&spec, runs);
         let m = &pooled.multicast;
         let (fanout, rounds) = match multicast {
-            MulticastSpec::Gossip { fanout, rounds, .. } => (fanout, rounds),
-            MulticastSpec::Flood => (0, 0),
+            MulticastStrategy::Gossip { fanout, rounds, .. } => (fanout, rounds),
+            MulticastStrategy::Flood => (0, 0),
         };
         let (latency, reached) = (m.worst_latency_sum_ms as f64, m.worst_latency_histogram.count());
         ablation.rows.push(GossipRow {
@@ -276,8 +277,9 @@ pub fn ablation_workload(base: &ScenarioSpec, runs: u64) -> WorkloadAblation {
         let trace = session.sim().trace();
         let stats = trace.stats();
         let hours = trace.duration().as_millis() as f64 / 3_600_000.0;
-        let easy = TargetSpec::Range { lo: 0.85, hi: 0.95 };
-        let easy = paper::anycasts(&spec, BandSpec::Mid, easy, PolicySpec::Greedy, ScopeSpec::Both);
+        let easy = AvailabilityTarget::Range { lo: 0.85, hi: 0.95 };
+        let greedy = ForwardPolicy::Greedy;
+        let easy = paper::anycasts(&spec, BandSpec::Mid, easy, greedy, SliverScope::Both);
         let easy_runs = paper::pooled(&easy, runs);
         let harsh_runs = paper::pooled(&harsh(&spec, 8), runs);
         ablation.rows.push(WorkloadRow {

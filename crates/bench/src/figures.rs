@@ -11,12 +11,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use avmem::ops::AnycastDrop;
-use avmem::SliverScope;
-use avmem_scenario::{
-    BandSpec, Buckets, MulticastSpec, OracleSpec, PolicySpec, PredicateSpec, ScenarioSpec,
-    ScopeSpec, TargetSpec,
-};
+use avmem::harness::{OracleChoice, PredicateChoice};
+use avmem::ops::{AnycastDrop, ForwardPolicy, MulticastStrategy};
+use avmem::{AvailabilityTarget, SliverScope};
+use avmem_scenario::{BandSpec, Buckets, ScenarioSpec};
+use avmem_sim::SimDuration;
 use avmem_shuffle::{sim::RoundSim, ShuffleConfig};
 use avmem_util::stats::{correlation, Summary};
 use avmem_util::NodeId;
@@ -24,16 +23,16 @@ use avmem_util::NodeId;
 use crate::paper::{self, cell, ratio, skipped};
 
 /// The anycast algorithm variants compared throughout §4.2.
-pub const ANYCAST_VARIANTS: [(&str, PolicySpec, ScopeSpec); 4] = [
-    ("sim-annealing", PolicySpec::Annealing, ScopeSpec::Both),
-    ("HS+VS", PolicySpec::Greedy, ScopeSpec::Both),
-    ("VS-only", PolicySpec::Greedy, ScopeSpec::Vs),
-    ("HS-only", PolicySpec::Greedy, ScopeSpec::Hs),
+pub const ANYCAST_VARIANTS: [(&str, ForwardPolicy, SliverScope); 4] = [
+    ("sim-annealing", ForwardPolicy::SimulatedAnnealing, SliverScope::Both),
+    ("HS+VS", ForwardPolicy::Greedy, SliverScope::Both),
+    ("VS-only", ForwardPolicy::Greedy, SliverScope::VsOnly),
+    ("HS-only", ForwardPolicy::Greedy, SliverScope::HsOnly),
 ];
 
 /// `[lo, hi]` as a spec target.
-const fn range(lo: f64, hi: f64) -> TargetSpec {
-    TargetSpec::Range { lo, hi }
+const fn range(lo: f64, hi: f64) -> AvailabilityTarget {
+    AvailabilityTarget::Range { lo, hi }
 }
 
 /// The label of 0.1-wide availability bucket `b`.
@@ -243,7 +242,7 @@ pub struct Fig56 {
 /// per querier): the divergent caches receiver-side verification must
 /// tolerate (Figs. 5–6 and the cushion ablation).
 pub fn noisy(base: &ScenarioSpec) -> ScenarioSpec {
-    ScenarioSpec { oracle: OracleSpec::Noisy { error: 0.05, staleness_mins: 20 }, ..base.clone() }
+    ScenarioSpec { oracle: OracleChoice::paper_noise(), ..base.clone() }
 }
 
 /// Runs the attack-analysis experiments over a noisy oracle.
@@ -439,7 +438,7 @@ pub fn fig10(base: &ScenarioSpec, runs: u64) -> Vec<Fig9> {
     [("CYCLON-size", cyclon), ("degree-matched", matched)]
         .into_iter()
         .map(|(kind, degree)| {
-            let predicate = PredicateSpec::Random { degree };
+            let predicate = PredicateChoice::Random { expected_degree: degree };
             let random = ScenarioSpec { predicate, ..base.clone() };
             retry_sweep(&random, runs, format!("random ({kind}, degree {degree:.0})"))
         })
@@ -527,9 +526,8 @@ pub struct Fig111213 {
 /// day of 20-minute probes has a standard error of about two percentage
 /// points, hence ±0.02 here.
 pub fn fig111213(base: &ScenarioSpec, runs: u64) -> Fig111213 {
-    let (flood, gossip) =
-        (MulticastSpec::Flood, MulticastSpec::Gossip { fanout: 5, rounds: 2, period_secs: 1 });
-    let above = |min| TargetSpec::Threshold { min };
+    let (flood, gossip) = (MulticastStrategy::Flood, MulticastStrategy::paper_gossip());
+    let above = |min| AvailabilityTarget::Threshold { min };
     let scenarios = [
         ("HIGH to [0.85,0.95]", BandSpec::High, range(0.85, 0.95), flood),
         ("HIGH to > 0.90", BandSpec::High, above(0.90), flood),
@@ -537,7 +535,7 @@ pub fn fig111213(base: &ScenarioSpec, runs: u64) -> Fig111213 {
         ("Gossip: HIGH to > 0.90", BandSpec::High, above(0.90), gossip),
         ("Gossip: LOW to > 0.20", BandSpec::Low, above(0.20), gossip),
     ];
-    let oracle = OracleSpec::NoisyShared { error: 0.02, staleness_mins: 20 };
+    let oracle = OracleChoice::NoisyShared { error: 0.02, staleness: SimDuration::from_mins(20) };
     let noisy = ScenarioSpec { oracle, ..base.clone() };
     let mut fig = Fig111213 { scenarios: Vec::new(), skipped_ops: 0 };
     for (label, band, target, multicast) in scenarios {

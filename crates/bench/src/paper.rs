@@ -14,11 +14,12 @@
 
 use std::fmt;
 
-use avmem::predicate::{HorizontalRule, VerticalRule, DEFAULT_C1, DEFAULT_C2};
+use avmem::harness::{MaintenanceEngine, OracleChoice, PredicateChoice};
+use avmem::ops::{ForwardPolicy, MulticastStrategy};
+use avmem::{AvailabilityTarget, SliverScope};
 use avmem_scenario::{
-    AnycastStats, BandSpec, ChurnSpec, EngineSpec, MaintenanceModeSpec, MaintenanceSpec,
-    MulticastSpec, MulticastStats, OracleSpec, PolicySpec, PredicateSpec, ReportSpec, RunSession,
-    ScenarioRunner, ScenarioSpec, ScopeSpec, SweepOptions, TargetMix, TargetSpec, WorkloadSpec,
+    AnycastStats, BandSpec, ChurnSpec, MaintenanceModeSpec, MaintenanceSpec, MulticastStats,
+    ReportSpec, RunSession, ScenarioRunner, ScenarioSpec, SweepOptions, TargetMix, WorkloadSpec,
 };
 
 /// The trace seed of the paper setting, and the first seed of a sweep.
@@ -39,9 +40,7 @@ fn per_run(messages: u64) -> f64 {
 /// firing `messages` greedy anycasts a run from any online node into
 /// `[0.85, 0.95]`.
 pub fn base(hosts: usize, days: u64, messages: u64) -> ScenarioSpec {
-    let vertical = VerticalRule::Logarithmic { c1: DEFAULT_C1 };
-    let horizontal = HorizontalRule::LogarithmicConstant { c2: DEFAULT_C2 };
-    let target = TargetSpec::Range { lo: 0.85, hi: 0.95 };
+    let target = AvailabilityTarget::Range { lo: 0.85, hi: 0.95 };
     ScenarioSpec {
         name: "paper".into(),
         seed: SEED,
@@ -49,21 +48,21 @@ pub fn base(hosts: usize, days: u64, messages: u64) -> ScenarioSpec {
         warmup_mins: WARMUP_MINS,
         health_every_mins: WINDOW_MINS,
         churn: ChurnSpec::Overnet { hosts, days },
-        predicate: PredicateSpec::Avmem { epsilon: 0.1, vertical, horizontal },
-        oracle: OracleSpec::Exact,
+        predicate: PredicateChoice::paper_default(),
+        oracle: OracleChoice::Exact,
         maintenance: MaintenanceSpec {
             // Longer than the window: the warm-up's rebuild is the last.
             mode: MaintenanceModeSpec::Converged { rebuild_every_mins: 3 * WINDOW_MINS },
-            engine: EngineSpec::Sharded { shards: 0, threads: 0 },
+            engine: MaintenanceEngine::Sharded { shards: None, threads: None },
         },
         workload: WorkloadSpec {
             ops_per_hour: per_run(messages),
             anycast_fraction: 1.0,
-            policy: PolicySpec::Greedy,
-            scope: ScopeSpec::Both,
+            policy: ForwardPolicy::Greedy,
+            scope: SliverScope::Both,
             ttl: 6,
             initiators: BandSpec::Any,
-            multicast: MulticastSpec::Flood,
+            multicast: MulticastStrategy::Flood,
             targets: vec![TargetMix { weight: 1.0, target }],
         },
         adversary: None,
@@ -89,9 +88,9 @@ pub fn overnet(spec: &ScenarioSpec) -> (usize, u64) {
 pub fn anycasts(
     spec: &ScenarioSpec,
     band: BandSpec,
-    target: TargetSpec,
-    policy: PolicySpec,
-    scope: ScopeSpec,
+    target: AvailabilityTarget,
+    policy: ForwardPolicy,
+    scope: SliverScope,
 ) -> ScenarioSpec {
     let (initiators, targets) = (band, vec![TargetMix { weight: 1.0, target }]);
     let workload = WorkloadSpec { initiators, targets, policy, scope, ..spec.workload.clone() };
@@ -101,8 +100,9 @@ pub fn anycasts(
 /// `spec` firing retried-greedy anycasts (`retries`) from HIGH initiators
 /// into the harsh `[0.15, 0.25]` target (Figs. 9–10).
 pub fn harsh(spec: &ScenarioSpec, retries: u32) -> ScenarioSpec {
-    let target = TargetSpec::Range { lo: 0.15, hi: 0.25 };
-    anycasts(spec, BandSpec::High, target, PolicySpec::RetriedGreedy { retries }, ScopeSpec::Both)
+    let target = AvailabilityTarget::Range { lo: 0.15, hi: 0.25 };
+    let retried = ForwardPolicy::RetriedGreedy { retries };
+    anycasts(spec, BandSpec::High, target, retried, SliverScope::Both)
 }
 
 /// `spec` firing only multicasts, from `band` into `target`, entered by a
@@ -111,11 +111,11 @@ pub fn harsh(spec: &ScenarioSpec, retries: u32) -> ScenarioSpec {
 pub fn multicasts(
     spec: &ScenarioSpec,
     band: BandSpec,
-    target: TargetSpec,
-    multicast: MulticastSpec,
+    target: AvailabilityTarget,
+    multicast: MulticastStrategy,
 ) -> ScenarioSpec {
-    let retried = PolicySpec::RetriedGreedy { retries: 8 };
-    let mut spec = anycasts(spec, band, target, retried, ScopeSpec::Both);
+    let retried = ForwardPolicy::RetriedGreedy { retries: 8 };
+    let mut spec = anycasts(spec, band, target, retried, SliverScope::Both);
     spec.workload.anycast_fraction = 0.0;
     spec.workload.multicast = multicast;
     spec.workload.ops_per_hour = spec.workload.ops_per_hour.min(per_run(10));

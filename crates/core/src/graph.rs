@@ -193,7 +193,7 @@ impl OverlaySnapshot {
     ///
     /// Counts only *online* sliver members: the paper's snapshot (and
     /// Theorems 1–3) measure online neighbors. Stored lists legitimately
-    /// retain offline entries ([`OverlaySnapshot::degree_summary`]).
+    /// retain offline entries ([`OverlaySnapshot::mean_degree`] counts them).
     pub fn hs_sizes(&self) -> Vec<(f64, usize)> {
         self.online_nodes()
             .map(|n| {
@@ -261,25 +261,6 @@ impl OverlaySnapshot {
             }
         }
         counts
-    }
-
-    /// Per-bucket *average* incoming VS links per online node in the
-    /// bucket (normalizes Fig. 4 against Fig. 2a's node distribution).
-    pub fn incoming_vs_links_per_node(&self, buckets: usize) -> Vec<f64> {
-        let links = self.incoming_vs_links(buckets);
-        let population = self.availability_histogram(buckets);
-        links
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| {
-                let n = population.count(i);
-                if n == 0 {
-                    0.0
-                } else {
-                    l as f64 / n as f64
-                }
-            })
-            .collect()
     }
 
     /// Fraction of online nodes inside the largest weakly connected
@@ -419,13 +400,6 @@ impl OverlaySnapshot {
         )
     }
 
-    /// Out-degree summary (stored |HS| + |VS|) over online nodes.
-    pub fn degree_summary(&self) -> avmem_util::stats::Summary {
-        avmem_util::stats::Summary::from_values(
-            self.online_nodes().map(|n| (n.hs.len() + n.vs.len()) as f64),
-        )
-    }
-
     /// Mean total degree (|HS| + |VS|) over online nodes.
     pub fn mean_degree(&self) -> f64 {
         let online: Vec<&NodeSnapshot> = self.online_nodes().collect();
@@ -532,19 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn per_node_normalization() {
-        let s = snap(&[
-            (true, 0.5, &[], &[2, 3]),
-            (true, 0.6, &[], &[2]),
-            (true, 0.95, &[], &[]),
-            (true, 0.96, &[], &[]),
-        ]);
-        let per_node = s.incoming_vs_links_per_node(10);
-        // Bucket 9 has 2 online nodes and 3 incoming links: 1.5 per node.
-        assert!((per_node[9] - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn connectivity_full_graph() {
         // 0-1-2 chain via VS edges: connected.
         let s = snap(&[
@@ -645,19 +606,6 @@ mod tests {
         assert_eq!(summary.count(), 2);
         assert_eq!(summary.min(), 1.0);
         assert_eq!(summary.max(), 2.0);
-    }
-
-    #[test]
-    fn degree_summary_counts_stored_entries() {
-        let s = snap(&[
-            (true, 0.5, &[1], &[2]),
-            (true, 0.55, &[], &[]),
-            (false, 0.6, &[0, 1], &[]),
-        ]);
-        let summary = s.degree_summary();
-        assert_eq!(summary.count(), 2);
-        assert_eq!(summary.max(), 2.0);
-        assert_eq!(summary.min(), 0.0);
     }
 
     #[test]

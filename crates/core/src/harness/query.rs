@@ -188,16 +188,6 @@ impl AvmemSim {
         self.shuffles[self.index(id)].view()
     }
 
-    /// All online nodes whose true availability lies in `target`.
-    pub fn online_nodes_in(&self, target: AvailabilityTarget) -> Vec<NodeId> {
-        self.trace
-            .online_at(self.now)
-            .into_iter()
-            .filter(|&i| target.contains(self.trace.long_term_availability(i)))
-            .map(|i| NodeId::new(i as u64))
-            .collect()
-    }
-
     /// Runs one anycast from `initiator` at the current time.
     pub fn anycast(
         &mut self,

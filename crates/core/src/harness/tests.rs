@@ -452,18 +452,6 @@ fn operations_on_degenerate_populations_return_outcomes() {
 }
 
 #[test]
-fn online_nodes_in_filters_by_truth() {
-    let mut sim = small_sim(22);
-    sim.warm_up(SimDuration::from_hours(2));
-    let target = AvailabilityTarget::threshold(0.7);
-    for id in sim.online_nodes_in(target) {
-        let i = id.raw() as usize;
-        assert!(sim.trace().is_online(i, sim.now()));
-        assert!(target.contains(sim.trace().long_term_availability(i)));
-    }
-}
-
-#[test]
 fn membership_accessor_matches_snapshot() {
     let mut sim = small_sim(23);
     sim.warm_up(SimDuration::from_hours(4));

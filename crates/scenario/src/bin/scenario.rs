@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use avmem::harness::MaintenanceEngine;
 use avmem_scenario::{
-    builtin, parse_spec, EngineSpec, ScenarioRunner, ScenarioSpec, ServeOptions, SweepEngine,
+    builtin, parse_engine, parse_spec, ScenarioRunner, ScenarioSpec, ServeOptions, SweepEngine,
     SweepOptions,
 };
 
@@ -169,7 +169,7 @@ fn load_file(path: &str) -> Result<ScenarioSpec, String> {
 /// Overrides shared by `run`, `serve`, and `sweep`.
 #[derive(Default)]
 struct Common {
-    engine: Option<EngineSpec>,
+    engine: Option<MaintenanceEngine>,
     shards: Option<usize>,
     threads: Option<usize>,
     json: bool,
@@ -187,13 +187,10 @@ impl Common {
     ) -> Result<bool, String> {
         match option {
             "--seed" => spec.seed = value(iter, option, "an integer")?,
-            "--engine" => match iter.next().map(String::as_str) {
-                Some("serial") => self.engine = Some(EngineSpec::Serial),
-                Some("sharded") => {
-                    self.engine = Some(EngineSpec::Sharded { shards: 0, threads: 0 })
-                }
-                _ => return Err("--engine needs `serial` or `sharded`".into()),
-            },
+            "--engine" => {
+                let name = iter.next().ok_or("--engine needs an engine name")?;
+                self.engine = Some(parse_engine(name).map_err(|e| format!("--engine: {e}"))?);
+            }
             "--shards" => self.shards = Some(value(iter, option, "an integer")?),
             "--threads" => self.threads = Some(value(iter, option, "an integer")?),
             "--warmup-mins" => spec.warmup_mins = value(iter, option, "an integer")?,
@@ -204,26 +201,30 @@ impl Common {
         Ok(true)
     }
 
-    /// Applies the engine override to the spec. `--shards` / `--threads`
-    /// refine a sharded engine — the one `--engine sharded` selects, or
-    /// the spec's own — and contradict a serial one, which is one shard
-    /// on one thread by definition.
+    /// Applies the engine override to the spec: `--engine`'s, or the
+    /// spec's own, refined by the counts.
     fn apply_engine(&self, spec: &mut ScenarioSpec) -> Result<(), String> {
-        if let Some(engine) = &self.engine {
-            spec.maintenance.engine = engine.clone();
-        }
-        match &mut spec.maintenance.engine {
-            EngineSpec::Sharded { shards, threads } => {
-                *shards = self.shards.unwrap_or(*shards);
-                *threads = self.threads.unwrap_or(*threads);
-                Ok(())
+        spec.maintenance.engine = self.refine(self.engine.unwrap_or(spec.maintenance.engine))?;
+        Ok(())
+    }
+
+    /// `engine` under `--shards` / `--threads` (`0` = auto): they refine
+    /// a sharded engine and contradict a serial one, which is one shard
+    /// on one thread by definition.
+    fn refine(&self, mut engine: MaintenanceEngine) -> Result<MaintenanceEngine, String> {
+        let auto = |count: usize| (count > 0).then_some(count);
+        match &mut engine {
+            MaintenanceEngine::Sharded { shards, threads } => {
+                *shards = self.shards.map_or(*shards, auto);
+                *threads = self.threads.map_or(*threads, auto);
             }
-            EngineSpec::Serial => match (self.shards, self.threads) {
-                (None, None) => Ok(()),
-                (Some(_), _) => Err(serial_contradiction("--shards")),
-                (None, Some(_)) => Err(serial_contradiction("--threads")),
+            MaintenanceEngine::Serial => match (self.shards, self.threads) {
+                (None, None) => {}
+                (Some(_), _) => return Err(serial_contradiction("--shards")),
+                (None, Some(_)) => return Err(serial_contradiction("--threads")),
             },
         }
+        Ok(engine)
     }
 }
 
@@ -240,7 +241,7 @@ fn value<T: std::str::FromStr>(
 fn serial_contradiction(option: &str) -> String {
     format!(
         "{option} contradicts the serial engine (one shard, one thread); \
-         add --engine sharded"
+         only the sharded engine takes counts"
     )
 }
 
@@ -415,6 +416,49 @@ fn parse_seed_range(text: &str) -> Option<(u64, u64)> {
     }
 }
 
+/// Applies `sweep`'s options to `spec`; the seed range and the engines
+/// to cross-check. Each `--engines` entry is refined by `--shards` /
+/// `--threads` as `--engine` would be, so the two do not combine.
+fn sweep_options(
+    spec: &mut ScenarioSpec,
+    common: &mut Common,
+    options: &[String],
+) -> Result<((u64, u64), Vec<SweepEngine>), String> {
+    let mut seeds = None;
+    let mut engines = Vec::new();
+    let mut iter = options.iter();
+    while let Some(option) = iter.next() {
+        if common.consume(spec, option, &mut iter)? {
+            continue;
+        }
+        match option.as_str() {
+            "--seeds" => match iter.next().and_then(|v| parse_seed_range(v)) {
+                Some(range) if range.0 <= range.1 => seeds = Some(range),
+                _ => return Err("--seeds needs `a..b` with a <= b (or a single seed)".into()),
+            },
+            "--engines" => {
+                let list = iter.next().ok_or("--engines needs a comma-separated list")?;
+                for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+                    let engine = parse_engine(name).map_err(|e| format!("--engines: {e}"))?;
+                    engines.push((name.to_string(), engine));
+                }
+            }
+            other => return Err(format!("unknown sweep option {other:?}")),
+        }
+    }
+    if engines.is_empty() {
+        common.apply_engine(spec)?;
+    } else if common.engine.is_some() {
+        return Err("--engine beside --engines would run nothing on it; list it in --engines".into());
+    }
+    let engines = engines
+        .into_iter()
+        .map(|(label, engine)| Ok(SweepEngine { label, engine: Some(common.refine(engine)?) }))
+        .collect::<Result<_, String>>()?;
+    let seeds = seeds.ok_or("sweep needs --seeds <a..b>")?;
+    Ok((seeds, engines))
+}
+
 fn sweep(which: &str, options: &[String]) -> ExitCode {
     let mut spec = match resolve(which) {
         Ok(spec) => spec,
@@ -422,51 +466,9 @@ fn sweep(which: &str, options: &[String]) -> ExitCode {
     };
 
     let mut common = Common::default();
-    let mut seeds: Option<(u64, u64)> = None;
-    let mut engines: Vec<SweepEngine> = Vec::new();
-    let mut iter = options.iter();
-    while let Some(option) = iter.next() {
-        match common.consume(&mut spec, option, &mut iter) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(message) => return fail(&message),
-        }
-        match option.as_str() {
-            "--seeds" => match iter.next().and_then(|v| parse_seed_range(v)) {
-                Some(range) if range.0 <= range.1 => seeds = Some(range),
-                _ => return fail("--seeds needs `a..b` with a <= b (or a single seed)"),
-            },
-            "--engines" => match iter.next() {
-                Some(list) => {
-                    for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-                        let engine = match name {
-                            "serial" => MaintenanceEngine::Serial,
-                            "sharded" => MaintenanceEngine::Sharded {
-                                shards: None,
-                                threads: None,
-                            },
-                            other => {
-                                return fail(&format!(
-                                    "unknown engine {other:?} (serial, sharded)"
-                                ))
-                            }
-                        };
-                        engines.push(SweepEngine {
-                            label: name.to_string(),
-                            engine: Some(engine),
-                        });
-                    }
-                }
-                None => return fail("--engines needs a comma-separated list"),
-            },
-            other => return fail(&format!("unknown sweep option {other:?}")),
-        }
-    }
-    if let Err(message) = common.apply_engine(&mut spec) {
-        return fail(&message);
-    }
-    let Some(seeds) = seeds else {
-        return fail("sweep needs --seeds <a..b>");
+    let (seeds, engines) = match sweep_options(&mut spec, &mut common, options) {
+        Ok(parsed) => parsed,
+        Err(message) => return fail(&message),
     };
 
     let runner = match ScenarioRunner::new(spec) {
@@ -501,14 +503,20 @@ fn sweep(which: &str, options: &[String]) -> ExitCode {
 mod tests {
     use super::*;
 
+    const SERIAL: MaintenanceEngine = MaintenanceEngine::Serial;
+
+    fn sharded(shards: Option<usize>, threads: Option<usize>) -> MaintenanceEngine {
+        MaintenanceEngine::Sharded { shards, threads }
+    }
+
     /// The engine of a spec whose own engine is `base`, after the
     /// `--engine` / `--shards` / `--threads` overrides.
     fn applied(
-        base: EngineSpec,
-        engine: Option<EngineSpec>,
+        base: MaintenanceEngine,
+        engine: Option<MaintenanceEngine>,
         shards: Option<usize>,
         threads: Option<usize>,
-    ) -> Result<EngineSpec, String> {
+    ) -> Result<MaintenanceEngine, String> {
         let mut spec = builtin::builtin("smoke").expect("smoke builtin");
         spec.maintenance.engine = base;
         let common = Common {
@@ -525,28 +533,54 @@ mod tests {
     fn shard_and_thread_counts_contradict_the_serial_engine() {
         // `--engine serial --shards 4` and a bare `--shards 4` over a
         // serial spec used to be dropped, running one shard in silence.
-        let sharded = EngineSpec::Sharded { shards: 2, threads: 2 };
-        let serial = Some(EngineSpec::Serial);
-        for (engine, base) in [(serial.clone(), sharded.clone()), (None, EngineSpec::Serial)] {
-            let err = applied(base.clone(), engine.clone(), Some(4), None).unwrap_err();
+        let two = sharded(Some(2), Some(2));
+        for (engine, base) in [(Some(SERIAL), two), (None, SERIAL)] {
+            let err = applied(base, engine, Some(4), None).unwrap_err();
             assert!(err.contains("--shards") && err.contains("serial"), "{err}");
             let err = applied(base, engine, None, Some(4)).unwrap_err();
             assert!(err.contains("--threads") && err.contains("serial"), "{err}");
         }
-        assert_eq!(applied(sharded, serial, None, None), Ok(EngineSpec::Serial));
+        assert_eq!(applied(two, Some(SERIAL), None, None), Ok(SERIAL));
     }
 
     #[test]
     fn shard_and_thread_counts_refine_a_sharded_engine() {
-        let sharded = EngineSpec::Sharded { shards: 2, threads: 3 };
-        let sharded0 = EngineSpec::Sharded { shards: 0, threads: 0 };
-        assert_eq!(
-            applied(sharded, None, Some(8), None),
-            Ok(EngineSpec::Sharded { shards: 8, threads: 3 })
-        );
-        assert_eq!(
-            applied(EngineSpec::Serial, Some(sharded0), None, Some(4)),
-            Ok(EngineSpec::Sharded { shards: 0, threads: 4 })
-        );
+        let base = sharded(Some(2), Some(3));
+        assert_eq!(applied(base, None, Some(8), None), Ok(sharded(Some(8), Some(3))));
+        // `0` is auto, as in the spec.
+        assert_eq!(applied(base, None, Some(0), None), Ok(sharded(None, Some(3))));
+        let auto = sharded(None, None);
+        assert_eq!(applied(SERIAL, Some(auto), None, Some(4)), Ok(sharded(None, Some(4))));
+    }
+
+    /// `sweep smoke` with `options`, after `--seeds 1..2`.
+    fn swept(options: &[&str]) -> Result<Vec<SweepEngine>, String> {
+        let mut spec = builtin::builtin("smoke").expect("smoke builtin");
+        let options: Vec<String> =
+            ["--seeds", "1..2"].iter().chain(options).map(|o| o.to_string()).collect();
+        let (seeds, engines) = sweep_options(&mut spec, &mut Common::default(), &options)?;
+        assert_eq!(seeds, (1, 2));
+        Ok(engines)
+    }
+
+    /// Each `--engines` entry used to be a fixed engine that replaced the
+    /// refined one: the counts and `--engine` were dropped in silence.
+    #[test]
+    fn sweep_engines_follow_the_engine_rule() {
+        let engines = swept(&["--engines", "sharded", "--shards", "3"]).unwrap();
+        let [entry] = &engines[..] else { panic!("one entry: {engines:?}") };
+        assert_eq!((entry.label.as_str(), entry.engine), ("sharded", Some(sharded(Some(3), None))));
+
+        let err = swept(&["--engines", "serial,sharded", "--shards", "3"]).unwrap_err();
+        assert!(err.contains("--shards") && err.contains("serial"), "{err}");
+
+        let err = swept(&["--engine", "serial", "--engines", "sharded"]).unwrap_err();
+        assert!(err.contains("--engine beside --engines"), "{err}");
+
+        let err = swept(&["--engines", "serial,parallel"]).unwrap_err();
+        assert!(err.contains("\"parallel\" (accepted: serial, sharded)"), "{err}");
+        let engines = swept(&["--engines", "serial,sharded"]).unwrap();
+        let got: Vec<_> = engines.iter().map(|e| e.engine).collect();
+        assert_eq!(got, [Some(SERIAL), Some(sharded(None, None))]);
     }
 }

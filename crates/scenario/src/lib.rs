@@ -12,7 +12,11 @@
 //!
 //! * [`spec`] — the declarative description: churn model, predicate,
 //!   oracle fidelity, maintenance mode/engine, operation workload,
-//!   optional adversary mix;
+//!   optional adversary mix. Every choice the harness has a type for is
+//!   held as that type (`PredicateChoice`, `OracleChoice`,
+//!   `MaintenanceEngine`, `ForwardPolicy`, `SliverScope`,
+//!   `MulticastStrategy`, `AvailabilityTarget`), so the spec types
+//!   re-exported here are only those the harness lacks;
 //! * [`parse`] — the text format (a hand-rolled TOML subset with
 //!   line-numbered errors) and the canonical renderer; `parse(render(s))
 //!   == s` for every valid spec. Its sections and keys are declared
@@ -57,7 +61,7 @@ pub mod serve;
 pub mod spec;
 pub mod sweep;
 
-pub use parse::{parse_spec, ParseError};
+pub use parse::{parse_engine, parse_spec, ParseError};
 pub use report::{
     AnycastStats, AttackStats, Buckets, EstimatorAccuracy, HealthSample, MemoryStats,
     MulticastStats, ScenarioReport,
@@ -65,8 +69,7 @@ pub use report::{
 pub use runner::{RunSession, ScenarioRunner};
 pub use serve::{ServeOptions, ServeOutcome};
 pub use spec::{
-    AdversarySpec, AssignmentSpec, BandSpec, ChurnSpec, EngineSpec, MaintenanceModeSpec,
-    MaintenanceSpec, MulticastSpec, OracleSpec, PolicySpec, PredicateSpec, ReportSpec,
-    ScenarioError, ScenarioSpec, ScopeSpec, ServeSpec, TargetMix, TargetSpec, WorkloadSpec,
+    AdversarySpec, BandSpec, ChurnSpec, MaintenanceModeSpec, MaintenanceSpec, ReportSpec,
+    ScenarioError, ScenarioSpec, ServeSpec, TargetMix, WorkloadSpec,
 };
 pub use sweep::{SweepEngine, SweepMetric, SweepOptions, SweepSummary};

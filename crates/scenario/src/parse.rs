@@ -21,8 +21,11 @@
 //! equal spec — the proptest round-trip in `tests/spec_parser.rs` pins
 //! that down.
 
-use crate::schema::{self, Section, Slot, SECTIONS};
-use crate::spec::{ScenarioSpec, TargetMix, TargetSpec};
+use avmem::harness::MaintenanceEngine;
+use avmem::AvailabilityTarget;
+
+use crate::schema::{self, Section, Slot, Tagged, SECTIONS};
+use crate::spec::{ScenarioSpec, TargetMix};
 
 /// A parse failure, located at a 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,10 +243,25 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
         }
     }
     if spec.workload.targets.is_empty() {
-        let target = TargetSpec::Range { lo: 0.85, hi: 0.95 };
+        let target = AvailabilityTarget::Range { lo: 0.85, hi: 0.95 };
         spec.workload.targets.push(TargetMix { weight: 1.0, target });
     }
     Ok(spec)
+}
+
+/// The engine the `engine` key reads `name` as — `sharded` with both
+/// counts on auto. The CLI's `--engine` and `--engines` read their names
+/// here, so the format and the CLI accept the same ones.
+///
+/// # Errors
+///
+/// Returns a message listing the accepted names when `name` is not one.
+pub fn parse_engine(name: &str) -> Result<MaintenanceEngine, String> {
+    let mut engine = MaintenanceEngine::Serial;
+    if engine.select(name) {
+        return Ok(engine);
+    }
+    Err(format!("unknown engine {name:?} (accepted: {})", engine.names().join(", ")))
 }
 
 impl ScenarioSpec {
@@ -277,7 +295,6 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
     use crate::builtin;
-    use crate::spec::EngineSpec;
 
     #[test]
     fn builtins_round_trip() {
@@ -325,7 +342,7 @@ mod tests {
         let src = spec_with_maintenance("threads = 2\nengine = \"serial\"\n");
         assert_eq!(parse_spec(&src).unwrap_err().line, 8);
         let spec = parse_spec(&spec_with_maintenance("engine = \"serial\"\n")).unwrap();
-        assert_eq!(spec.maintenance.engine, EngineSpec::Serial);
+        assert_eq!(spec.maintenance.engine, MaintenanceEngine::Serial);
     }
 
     #[test]
@@ -338,8 +355,16 @@ mod tests {
         .unwrap();
         assert_eq!(
             spec.maintenance.engine,
-            EngineSpec::Sharded { shards: 8, threads: 2 }
+            MaintenanceEngine::Sharded { shards: Some(8), threads: Some(2) }
         );
+        // `0` is "auto" for either count.
+        let auto = spec_with_maintenance("engine = \"sharded\"\nshards = 0\nthreads = 0\n");
+        let auto = parse_spec(&auto).unwrap().maintenance.engine;
+        assert_eq!(auto, MaintenanceEngine::Sharded { shards: None, threads: None });
+        assert_eq!(parse_engine("sharded"), Ok(auto));
+        assert_eq!(parse_engine("serial"), Ok(MaintenanceEngine::Serial));
+        let unknown = parse_engine("parallel").unwrap_err();
+        assert_eq!(unknown, "unknown engine \"parallel\" (accepted: serial, sharded)");
     }
 
     #[test]

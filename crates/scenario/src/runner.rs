@@ -937,10 +937,10 @@ fn draw_target<R: Rng>(spec: &ScenarioSpec, rng: &mut R) -> AvailabilityTarget {
     for mix in targets {
         roll -= mix.weight;
         if roll <= 0.0 {
-            return mix.target.to_target();
+            return mix.target;
         }
     }
-    targets.last().expect("validated non-empty").target.to_target()
+    targets.last().expect("validated non-empty").target
 }
 
 /// Uniform keyed draw from an eligible list (the rejection-sampling
@@ -993,10 +993,9 @@ fn health_sample(
 mod tests {
     use super::*;
     use crate::builtin;
-    use crate::spec::{
-        AdversarySpec, ChurnSpec, MaintenanceModeSpec, PolicySpec, PredicateSpec, TargetMix,
-        TargetSpec,
-    };
+    use crate::spec::{AdversarySpec, ChurnSpec, MaintenanceModeSpec, TargetMix};
+    use avmem::harness::PredicateChoice;
+    use avmem::ops::ForwardPolicy;
 
     fn tiny_spec() -> ScenarioSpec {
         let mut spec = builtin::builtin("smoke").expect("smoke builtin");
@@ -1126,12 +1125,12 @@ mod tests {
 
     #[test]
     fn drop_counts_and_multicast_histograms_agree_with_the_totals() {
-        for policy in [PolicySpec::Greedy, PolicySpec::RetriedGreedy { retries: 2 }] {
+        for policy in [ForwardPolicy::Greedy, ForwardPolicy::RetriedGreedy { retries: 2 }] {
             let mut spec = tiny_spec();
             let workload = &mut spec.workload;
             (workload.ops_per_hour, workload.anycast_fraction, workload.policy) = (240.0, 0.5, policy);
             // A harsh target too, so that anycasts fail.
-            let target = TargetSpec::Range { lo: 0.15, hi: 0.25 };
+            let target = AvailabilityTarget::Range { lo: 0.15, hi: 0.25 };
             workload.targets.push(TargetMix { weight: 1.0, target });
             let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
             let a = &report.anycast;
@@ -1185,7 +1184,7 @@ mod tests {
         ] {
             let mut spec = tiny_spec();
             spec.churn = ChurnSpec::Overnet { hosts: 1, days: 1 };
-            spec.predicate = PredicateSpec::Random { degree: 10.0 };
+            spec.predicate = PredicateChoice::Random { expected_degree: 10.0 };
             spec.maintenance.mode = mode;
             spec.validate().expect("a valid spec");
             let report = ScenarioRunner::new(spec).unwrap().run().unwrap();

@@ -22,9 +22,15 @@
 //!
 //! # Adding a key
 //!
-//! 1. Add the field to its type in `spec.rs` (in an enum variant: also to
-//!    the variant's prototype in the `tagged!` list below).
-//! 2. Add one `key(..)` row to its section, where it should render.
+//! 1. Add the field to its type: a spec type in `spec.rs`, or the
+//!    harness type the spec holds (in an enum variant: also to the
+//!    variant's prototype in the `tagged!` list below). A choice whose
+//!    harness type has no `tagged!` entry gets one, naming its variants.
+//! 2. Add one `key(..)` row to its section, where it should render. Its
+//!    slot kind says how the text is written: a `SimDuration` as whole
+//!    units of the key's suffix, an `Option<usize>` count as `0` for
+//!    auto. A harness field no row writes (AVMON's `cms`) must be held at
+//!    its default by `ScenarioSpec::validate`, or the round trip breaks.
 //! 3. Add it to the hand-written generators of `tests/spec_parser.rs`,
 //!    the round trip's oracle, on purpose not derived from this table.
 //!
@@ -34,12 +40,16 @@
 
 use std::fmt::Display;
 
+use avmem::harness::{MaintenanceEngine, OracleChoice, PredicateChoice};
+use avmem::ops::{ForwardPolicy, MulticastStrategy};
 use avmem::predicate::{HorizontalRule, VerticalRule};
+use avmem::{AvailabilityTarget, SliverScope};
+use avmem_avmon::{AssignmentChoice, AvmonConfig};
+use avmem_sim::SimDuration;
 
 use crate::spec::{
-    AdversarySpec, AssignmentSpec, BandSpec, ChurnSpec, EngineSpec, MaintenanceModeSpec,
-    MaintenanceSpec, MulticastSpec, OracleSpec, PolicySpec, PredicateSpec, ReportSpec,
-    ScenarioSpec, ScopeSpec, ServeSpec, TargetMix, TargetSpec, WorkloadSpec,
+    AdversarySpec, BandSpec, ChurnSpec, MaintenanceModeSpec, MaintenanceSpec, ReportSpec,
+    ScenarioSpec, ServeSpec, TargetMix, WorkloadSpec,
 };
 
 /// The values a key accepts, beyond what its slot's type can hold.
@@ -114,13 +124,13 @@ tagged! {
         "mass-departure" => MassDeparture { hosts: 0, days: 0, fraction: 0.0, switch_at: 0.0 },
         "trace-file" => TraceFile { path: String::new() },
     }
-    PredicateSpec {
+    PredicateChoice {
         "avmem" => Avmem {
             epsilon: 0.0,
             vertical: VerticalRule::Logarithmic { c1: 0.0 },
             horizontal: HorizontalRule::LogarithmicConstant { c2: 0.0 }
         },
-        "random" => Random { degree: 0.0 },
+        "random" => Random { expected_degree: 0.0 },
     }
     VerticalRule {
         "I.A" => Constant { d1: 0.0 },
@@ -131,36 +141,36 @@ tagged! {
         "II.A" => Constant { d2: 0.0 },
         "II.B" => LogarithmicConstant { c2: 0.0 },
     }
-    OracleSpec {
+    OracleChoice {
         "exact" => Exact {},
-        "noisy" => Noisy { error: 0.0, staleness_mins: 0 },
-        "noisy-shared" => NoisyShared { error: 0.0, staleness_mins: 0 },
-        "avmon" => Avmon { assignment: AssignmentSpec::AllPairs },
+        "noisy" => Noisy { error: 0.0, staleness: SimDuration::ZERO },
+        "noisy-shared" => NoisyShared { error: 0.0, staleness: SimDuration::ZERO },
+        "avmon" => Avmon { config: AvmonConfig::default() },
     }
-    AssignmentSpec {
+    AssignmentChoice {
         "all-pairs" => AllPairs {},
-        "ring" => Ring { vnodes: 0, monitors: 0 },
+        "ring" => Ring { vnodes: 0, k: 0 },
     }
     MaintenanceModeSpec {
         "event-driven" => EventDriven { protocol_secs: 0, refresh_mins: 0 },
         "converged" => Converged { rebuild_every_mins: 0 },
     }
-    EngineSpec {
+    MaintenanceEngine {
         "serial" => Serial {},
-        "sharded" => Sharded { shards: 0, threads: 0 },
+        "sharded" => Sharded { shards: None, threads: None },
     }
-    PolicySpec {
+    ForwardPolicy {
         "greedy" => Greedy {},
         "retried-greedy" => RetriedGreedy { retries: 0 },
-        "annealing" => Annealing {},
+        "annealing" => SimulatedAnnealing {},
     }
-    ScopeSpec { "hs" => Hs {}, "vs" => Vs {}, "both" => Both {} }
+    SliverScope { "hs" => HsOnly {}, "vs" => VsOnly {}, "both" => Both {} }
     BandSpec { "low" => Low {}, "mid" => Mid {}, "high" => High {}, "any" => Any {} }
-    MulticastSpec {
+    MulticastStrategy {
         "flood" => Flood {},
-        "gossip" => Gossip { fanout: 0, rounds: 0, period_secs: 0 },
+        "gossip" => Gossip { fanout: 0, rounds: 0, period: SimDuration::ZERO },
     }
-    TargetSpec {
+    AvailabilityTarget {
         "range" => Range { lo: 0.0, hi: 0.0 },
         "threshold" => Threshold { min: 0.0 },
     }
@@ -175,8 +185,22 @@ pub(crate) enum Slot<'a> {
     F64(&'a mut f64),
     /// A number that may be left out (it has no default to print).
     OptF64(&'a mut Option<f64>),
+    /// A count written `0` for "auto" (`None`).
+    Auto(&'a mut Option<usize>),
+    /// A duration written as a whole number of its key's unit.
+    Duration(&'a mut SimDuration, Unit),
     Tag(&'a mut dyn Tagged),
 }
+
+/// The unit a [`Slot::Duration`] is written in.
+#[derive(Clone, Copy)]
+pub(crate) struct Unit {
+    millis: u64,
+    name: &'static str,
+}
+
+const SECS: Unit = Unit { millis: 1_000, name: "seconds" };
+const MINS: Unit = Unit { millis: 60_000, name: "minutes" };
 
 /// A double-quoted string's contents.
 fn unquote(text: &str) -> Result<&str, String> {
@@ -217,6 +241,14 @@ impl Slot<'_> {
             Slot::Usize(place) => **place = integer(text, usize::MAX)?,
             Slot::F64(place) => **place = number(text)?,
             Slot::OptF64(place) => **place = Some(number(text)?),
+            Slot::Auto(place) => **place = Some(integer(text, usize::MAX)?).filter(|&n| n > 0),
+            Slot::Duration(place, unit) => {
+                let count = integer(text, u64::MAX)?;
+                let millis = count.checked_mul(unit.millis).ok_or_else(|| {
+                    format!("must be at most {}, found {text}", u64::MAX / unit.millis)
+                })?;
+                **place = SimDuration::from_millis(millis);
+            }
             Slot::Tag(place) => {
                 let name = unquote(text)?;
                 if !place.select(name) {
@@ -245,12 +277,19 @@ impl Slot<'_> {
             Slot::Str(text) if text.contains('"') || text.chars().any(char::is_control) => {
                 return Err("must not contain quotes or control characters".into());
             }
+            // The text writes `None` as 0 and a duration in whole units.
+            Slot::Auto(Some(0)) => return Err("must not be Some(0)".into()),
+            Slot::Duration(v, unit) if v.as_millis() % unit.millis != 0 => {
+                return Err(format!("must be whole {}, found {v}", unit.name));
+            }
             Slot::Str(_) | Slot::Tag(_) => (None, None),
             Slot::U64(v) => (Some(**v), None),
             Slot::U32(v) => (Some(u64::from(**v)), None),
             Slot::Usize(v) => (u64::try_from(**v).ok(), None),
             Slot::F64(v) => (None, Some(**v)),
             Slot::OptF64(v) => (None, **v),
+            Slot::Auto(v) => (u64::try_from(v.unwrap_or(0)).ok(), None),
+            Slot::Duration(v, unit) => (Some(v.as_millis() / unit.millis), None),
         };
         match (*bound, integer, number) {
             (Bound::Int(min, max), Some(v), _) if v < min || v > max => {
@@ -281,6 +320,8 @@ impl Slot<'_> {
             Slot::Usize(v) => v.to_string(),
             Slot::F64(v) => format!("{v:?}"),
             Slot::OptF64(v) => format!("{:?}", (**v)?),
+            Slot::Auto(v) => v.unwrap_or(0).to_string(),
+            Slot::Duration(v, unit) => (v.as_millis() / unit.millis).to_string(),
             Slot::Tag(choice) => format!("\"{}\"", choice.tag()),
         })
     }
@@ -337,9 +378,9 @@ impl Section {
 
 /// `Some(slot)` when the enum at `$at` is in one of the variants.
 macro_rules! variant {
-    ($at:expr, $($pattern:pat_param)|+ => $slot:ident($field:ident)) => {
+    ($at:expr, $($pattern:pat_param)|+ => $slot:ident($($arg:expr),+)) => {
         match &mut $at {
-            $($pattern)|+ => Some(Slot::$slot($field)),
+            $($pattern)|+ => Some(Slot::$slot($($arg),+)),
             _ => None,
         }
     };
@@ -399,39 +440,40 @@ pub(crate) const SECTIONS: &[Section] = &[
         // Before the rule choices, so that a `degree` beside `kind =
         // "avmem"` is refused by naming `kind`.
         key("degree", POSITIVE, None, |s, _| {
-            variant!(s.predicate, PredicateSpec::Random { degree } => F64(degree))
+            variant!(s.predicate,
+                PredicateChoice::Random { expected_degree } => F64(expected_degree))
         }),
         key("epsilon", HALF_WIDTH, Some("0.1"), |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem { epsilon, .. } => F64(epsilon))
+            variant!(s.predicate, PredicateChoice::Avmem { epsilon, .. } => F64(epsilon))
         }),
         key("vertical", ANY, Some("\"I.B\""), |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem { vertical, .. } => Tag(vertical))
+            variant!(s.predicate, PredicateChoice::Avmem { vertical, .. } => Tag(vertical))
         }),
         key("d1", UNIT, None, |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem {
+            variant!(s.predicate, PredicateChoice::Avmem {
                 vertical: VerticalRule::Constant { d1 },
                 ..
             } => F64(d1))
         }),
         // `avmem::predicate::DEFAULT_C1` and `DEFAULT_C2`.
         key("c1", POSITIVE, Some("2.5"), |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem {
+            variant!(s.predicate, PredicateChoice::Avmem {
                 vertical: VerticalRule::Logarithmic { c1 }
                     | VerticalRule::LogarithmicDecreasing { c1 },
                 ..
             } => F64(c1))
         }),
         key("horizontal", ANY, Some("\"II.B\""), |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem { horizontal, .. } => Tag(horizontal))
+            variant!(s.predicate, PredicateChoice::Avmem { horizontal, .. } => Tag(horizontal))
         }),
         key("d2", UNIT, None, |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem {
+            variant!(s.predicate, PredicateChoice::Avmem {
                 horizontal: HorizontalRule::Constant { d2 },
                 ..
             } => F64(d2))
         }),
         key("c2", POSITIVE, Some("2.0"), |s, _| {
-            variant!(s.predicate, PredicateSpec::Avmem {
+            variant!(s.predicate, PredicateChoice::Avmem {
                 horizontal: HorizontalRule::LogarithmicConstant { c2 },
                 ..
             } => F64(c2))
@@ -440,25 +482,29 @@ pub(crate) const SECTIONS: &[Section] = &[
     table("oracle", &[
         key("kind", ANY, Some("\"exact\""), |s, _| Some(Slot::Tag(&mut s.oracle))),
         key("error", UNIT, Some("0.05"), |s, _| {
-            variant!(s.oracle, OracleSpec::Noisy { error, .. }
-                | OracleSpec::NoisyShared { error, .. } => F64(error))
+            variant!(s.oracle, OracleChoice::Noisy { error, .. }
+                | OracleChoice::NoisyShared { error, .. } => F64(error))
         }),
         key("staleness_mins", POSITIVE_INT, Some("20"), |s, _| {
-            variant!(s.oracle, OracleSpec::Noisy { staleness_mins, .. }
-                | OracleSpec::NoisyShared { staleness_mins, .. } => U64(staleness_mins))
+            variant!(s.oracle, OracleChoice::Noisy { staleness, .. }
+                | OracleChoice::NoisyShared { staleness, .. } => Duration(staleness, MINS))
         }),
+        // The rest of an AVMON config has no key: `validate` holds it at
+        // its default.
         key("assignment", ANY, Some("\"all-pairs\""), |s, _| {
-            variant!(s.oracle, OracleSpec::Avmon { assignment } => Tag(assignment))
+            variant!(s.oracle, OracleChoice::Avmon {
+                config: AvmonConfig { assignment, .. },
+            } => Tag(assignment))
         }),
         key("vnodes", POSITIVE_INT, Some("8"), |s, _| {
-            variant!(s.oracle, OracleSpec::Avmon {
-                assignment: AssignmentSpec::Ring { vnodes, .. },
+            variant!(s.oracle, OracleChoice::Avmon {
+                config: AvmonConfig { assignment: AssignmentChoice::Ring { vnodes, .. }, .. },
             } => U32(vnodes))
         }),
         key("monitors", POSITIVE_INT, Some("8"), |s, _| {
-            variant!(s.oracle, OracleSpec::Avmon {
-                assignment: AssignmentSpec::Ring { monitors, .. },
-            } => U32(monitors))
+            variant!(s.oracle, OracleChoice::Avmon {
+                config: AvmonConfig { assignment: AssignmentChoice::Ring { k, .. }, .. },
+            } => U32(k))
         }),
     ]),
     table("maintenance", &[
@@ -479,10 +525,12 @@ pub(crate) const SECTIONS: &[Section] = &[
         // no field to land in; `0` sizes a sharded engine to the machine.
         key("engine", ANY, Some("\"sharded\""), |s, _| Some(Slot::Tag(&mut s.maintenance.engine))),
         key("shards", ANY, Some("0"), |s, _| {
-            variant!(s.maintenance.engine, EngineSpec::Sharded { shards, .. } => Usize(shards))
+            variant!(s.maintenance.engine,
+                MaintenanceEngine::Sharded { shards, .. } => Auto(shards))
         }),
         key("threads", ANY, Some("0"), |s, _| {
-            variant!(s.maintenance.engine, EngineSpec::Sharded { threads, .. } => Usize(threads))
+            variant!(s.maintenance.engine,
+                MaintenanceEngine::Sharded { threads, .. } => Auto(threads))
         }),
     ]),
     table("workload", &[
@@ -494,21 +542,23 @@ pub(crate) const SECTIONS: &[Section] = &[
         }),
         key("policy", ANY, Some("\"greedy\""), |s, _| Some(Slot::Tag(&mut s.workload.policy))),
         key("retries", ANY, Some("8"), |s, _| {
-            variant!(s.workload.policy, PolicySpec::RetriedGreedy { retries } => U32(retries))
+            variant!(s.workload.policy, ForwardPolicy::RetriedGreedy { retries } => U32(retries))
         }),
         key("scope", ANY, Some("\"both\""), |s, _| Some(Slot::Tag(&mut s.workload.scope))),
         key("ttl", POSITIVE_INT, Some("6"), |s, _| Some(Slot::U32(&mut s.workload.ttl))),
         key("initiators", ANY, Some("\"any\""), |s, _| Some(Slot::Tag(&mut s.workload.initiators))),
         key("multicast", ANY, Some("\"flood\""), |s, _| Some(Slot::Tag(&mut s.workload.multicast))),
         key("fanout", POSITIVE_INT, Some("5"), |s, _| {
-            variant!(s.workload.multicast, MulticastSpec::Gossip { fanout, .. } => U32(fanout))
+            variant!(s.workload.multicast,
+                MulticastStrategy::Gossip { fanout, .. } => U32(fanout))
         }),
         key("rounds", POSITIVE_INT, Some("2"), |s, _| {
-            variant!(s.workload.multicast, MulticastSpec::Gossip { rounds, .. } => U32(rounds))
+            variant!(s.workload.multicast,
+                MulticastStrategy::Gossip { rounds, .. } => U32(rounds))
         }),
         key("gossip_period_secs", POSITIVE_INT, Some("1"), |s, _| {
             variant!(s.workload.multicast,
-                MulticastSpec::Gossip { period_secs, .. } => U64(period_secs))
+                MulticastStrategy::Gossip { period, .. } => Duration(period, SECS))
         }),
     ]),
     Section {
@@ -516,20 +566,20 @@ pub(crate) const SECTIONS: &[Section] = &[
         repeats: true,
         count: |s| s.workload.targets.len(),
         open: |s| {
-            let target = TargetSpec::Range { lo: 0.0, hi: 0.0 };
+            let target = AvailabilityTarget::Range { lo: 0.0, hi: 0.0 };
             s.workload.targets.push(TargetMix { weight: 0.0, target });
         },
         keys: &[
             key("weight", POSITIVE, Some("1.0"), |s, i| Some(Slot::F64(&mut target(s, i)?.weight))),
             key("kind", ANY, None, |s, i| Some(Slot::Tag(&mut target(s, i)?.target))),
             key("lo", UNIT, None, |s, i| {
-                variant!(target(s, i)?.target, TargetSpec::Range { lo, .. } => F64(lo))
+                variant!(target(s, i)?.target, AvailabilityTarget::Range { lo, .. } => F64(lo))
             }),
             key("hi", UNIT, None, |s, i| {
-                variant!(target(s, i)?.target, TargetSpec::Range { hi, .. } => F64(hi))
+                variant!(target(s, i)?.target, AvailabilityTarget::Range { hi, .. } => F64(hi))
             }),
             key("min", BELOW_ONE, None, |s, i| {
-                variant!(target(s, i)?.target, TargetSpec::Threshold { min } => F64(min))
+                variant!(target(s, i)?.target, AvailabilityTarget::Threshold { min } => F64(min))
             }),
         ],
     },
@@ -590,20 +640,20 @@ pub(crate) fn placeholder() -> ScenarioSpec {
         warmup_mins: 0,
         health_every_mins: 0,
         churn: ChurnSpec::TraceFile { path: String::new() },
-        predicate: PredicateSpec::Random { degree: 0.0 },
-        oracle: OracleSpec::Exact,
+        predicate: PredicateChoice::Random { expected_degree: 0.0 },
+        oracle: OracleChoice::Exact,
         maintenance: MaintenanceSpec {
             mode: MaintenanceModeSpec::Converged { rebuild_every_mins: 0 },
-            engine: EngineSpec::Serial,
+            engine: MaintenanceEngine::Serial,
         },
         workload: WorkloadSpec {
             ops_per_hour: 0.0,
             anycast_fraction: 0.0,
-            policy: PolicySpec::Greedy,
-            scope: ScopeSpec::Both,
+            policy: ForwardPolicy::Greedy,
+            scope: SliverScope::Both,
             ttl: 0,
             initiators: BandSpec::Any,
-            multicast: MulticastSpec::Flood,
+            multicast: MulticastStrategy::Flood,
             targets: Vec::new(),
         },
         adversary: None,
@@ -742,6 +792,7 @@ mod tests {
                         (&slot, key.bound),
                         (_, Bound::Any)
                             | (Slot::U64(_) | Slot::U32(_) | Slot::Usize(_), Bound::Int(..))
+                            | (Slot::Auto(_) | Slot::Duration(..), Bound::Int(..))
                             | (Slot::F64(_) | Slot::OptF64(_), Bound::Num { .. })
                     );
                     assert!(fits, "{}: {:?} cannot bound its slot", key.name, key.bound);
@@ -841,7 +892,10 @@ mod tests {
                     let widest = match slot {
                         Slot::U64(_) => Some(u64::MAX),
                         Slot::U32(_) => Some(u64::from(u32::MAX)),
-                        Slot::Usize(_) => Some(u64::try_from(usize::MAX).unwrap_or(u64::MAX)),
+                        Slot::Usize(_) | Slot::Auto(_) => {
+                            Some(u64::try_from(usize::MAX).unwrap_or(u64::MAX))
+                        }
+                        Slot::Duration(_, unit) => Some(u64::MAX / unit.millis),
                         _ => None,
                     };
                     match key.bound {

@@ -6,16 +6,21 @@
 //! optional adversary mix. Specs are values — build them in code, or
 //! parse/render the text format (see [`crate::parse`]).
 //!
-//! All time quantities are integers in the unit their field name carries
-//! (`*_mins`, `*_secs`), so specs round-trip through text exactly.
+//! A choice the harness has a type for is held as that type. The spec's
+//! own time quantities are integers in the unit their field name carries
+//! (`*_mins`, `*_secs`); a duration inside a harness type is a
+//! [`SimDuration`], written in its key's unit (`staleness_mins`,
+//! `gossip_period_secs`) and refused by [`ScenarioSpec::validate`] when it
+//! is not a whole number of that unit — so specs round-trip through text
+//! exactly.
 
 use avmem::harness::{
     MaintenanceEngine, MaintenanceMode, OracleChoice, PredicateChoice, SimConfig,
 };
 use avmem::ops::{AnycastConfig, ForwardPolicy, MulticastConfig, MulticastStrategy};
-use avmem::predicate::{HorizontalRule, VerticalRule};
 use avmem::SliverScope;
 use avmem::AvailabilityTarget;
+use avmem_avmon::AvmonConfig;
 use avmem_sim::SimDuration;
 use avmem_trace::{ChurnTrace, CrowdDirection, FlashCrowdModel, GridModel, OvernetModel};
 
@@ -58,9 +63,9 @@ pub struct ScenarioSpec {
     /// The churning population.
     pub churn: ChurnSpec,
     /// The membership predicate building the overlay.
-    pub predicate: PredicateSpec,
+    pub predicate: PredicateChoice,
     /// The availability oracle the overlay queries.
-    pub oracle: OracleSpec,
+    pub oracle: OracleChoice,
     /// Maintenance mode and execution engine.
     pub maintenance: MaintenanceSpec,
     /// The operation workload.
@@ -119,80 +124,18 @@ pub enum ChurnSpec {
     },
 }
 
-/// The membership predicate family.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PredicateSpec {
-    /// AVMEM slivers under one rule of §2.1's family per sliver (the
-    /// paper's I.B + II.B by default).
-    Avmem {
-        /// Horizontal-band half-width.
-        epsilon: f64,
-        /// Vertical-sliver rule: I.A (`d₁`), I.B or I.C (`c₁`).
-        vertical: VerticalRule,
-        /// Horizontal-sliver rule: II.A (`d₂`) or II.B (`c₂`).
-        horizontal: HorizontalRule,
-    },
-    /// Consistent-random baseline.
-    Random {
-        /// Target expected out-degree.
-        degree: f64,
-    },
-}
-
-/// The availability-oracle fidelity.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OracleSpec {
-    /// Ground truth.
-    Exact,
-    /// Per-querier noise and staleness.
-    Noisy {
-        /// Uniform error amplitude.
-        error: f64,
-        /// Cache staleness in minutes.
-        staleness_mins: u64,
-    },
-    /// Noise shared across queriers (AVMON-aggregate model).
-    NoisyShared {
-        /// Uniform error amplitude.
-        error: f64,
-        /// Aggregate staleness in minutes.
-        staleness_mins: u64,
-    },
-    /// The full ping-based AVMON service (default ping parameters).
-    Avmon {
-        /// Monitor-assignment strategy the service runs with.
-        assignment: AssignmentSpec,
-    },
-}
-
-/// AVMON monitor-assignment strategy — the scenario-level fidelity knob
-/// trading the paper's exact all-pairs rule against ring scalability.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AssignmentSpec {
-    /// The paper's all-pairs hash rule: O(N²) build, estimator history
-    /// never resets (most faithful, unusable past ~10⁴ hosts).
-    AllPairs,
-    /// Consistent-hash ring: O(N log N) build and O(k) join/leave deltas
-    /// under churn, at the cost of noisier estimates (reassignment
-    /// resets the affected edges' observation windows).
-    Ring {
-        /// Virtual points per ring member.
-        vnodes: u32,
-        /// Monitors per target (ring successors).
-        monitors: u32,
-    },
-}
-
 /// Maintenance mode plus execution engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaintenanceSpec {
     /// How the overlay is maintained.
     pub mode: MaintenanceModeSpec,
     /// How cohorts execute.
-    pub engine: EngineSpec,
+    pub engine: MaintenanceEngine,
 }
 
-/// How the overlay is maintained during the run.
+/// How the overlay is maintained during the run. Not the harness's
+/// [`MaintenanceMode`]: the converged mode carries the runner's rebuild
+/// interval, which the harness never sees.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MaintenanceModeSpec {
     /// Live shuffle/discovery/refresh through the event engine.
@@ -210,22 +153,6 @@ pub enum MaintenanceModeSpec {
     },
 }
 
-/// Shard and thread counts of event-driven maintenance.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineSpec {
-    /// One shard on one thread.
-    Serial,
-    /// Shard-owned state driven by worker threads.
-    /// `shards == 0` matches the resolved thread count; `threads == 0`
-    /// sizes to the machine (respecting any cgroup CPU quota).
-    Sharded {
-        /// Shard count (0 = one per worker thread).
-        shards: usize,
-        /// Worker-thread cap (0 = all cores).
-        threads: usize,
-    },
-}
-
 /// The operation workload: a deterministic Poisson-like arrival schedule
 /// of anycast/multicast calls (plus adversary probes when configured).
 #[derive(Debug, Clone, PartialEq)]
@@ -235,45 +162,20 @@ pub struct WorkloadSpec {
     /// Fraction of operations that are anycasts (the rest multicast).
     pub anycast_fraction: f64,
     /// Anycast forwarding policy (also stage 1 of each multicast).
-    pub policy: PolicySpec,
+    pub policy: ForwardPolicy,
     /// Sliver lists forwarding may use.
-    pub scope: ScopeSpec,
+    pub scope: SliverScope,
     /// Anycast TTL in hops.
     pub ttl: u32,
     /// Which availability band initiators are drawn from.
     pub initiators: BandSpec,
     /// Dissemination strategy inside multicast ranges.
-    pub multicast: MulticastSpec,
+    pub multicast: MulticastStrategy,
     /// Weighted mix of availability targets operations address.
     pub targets: Vec<TargetMix>,
 }
 
-/// Anycast forwarding policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicySpec {
-    /// Greedy, no acknowledgements.
-    Greedy,
-    /// Greedy with acknowledgement and retries.
-    RetriedGreedy {
-        /// Retry budget.
-        retries: u32,
-    },
-    /// Simulated-annealing forwarding.
-    Annealing,
-}
-
-/// Sliver-list scope for forwarding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScopeSpec {
-    /// Horizontal sliver only.
-    Hs,
-    /// Vertical sliver only.
-    Vs,
-    /// Both slivers.
-    Both,
-}
-
-/// Initiator availability band.
+/// Initiator availability band (not the harness's `InitiatorBand`: `any` is not one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BandSpec {
     /// True availability in `[0, 1/3)`.
@@ -286,46 +188,13 @@ pub enum BandSpec {
     Any,
 }
 
-/// Multicast dissemination strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MulticastSpec {
-    /// Flood on first receipt.
-    Flood,
-    /// Periodic bounded gossip.
-    Gossip {
-        /// Neighbors contacted per period.
-        fanout: u32,
-        /// Gossip periods after first receipt.
-        rounds: u32,
-        /// Period length in seconds.
-        period_secs: u64,
-    },
-}
-
 /// One weighted entry of the target mix.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetMix {
     /// Relative weight (need not be normalized).
     pub weight: f64,
     /// The availability region addressed.
-    pub target: TargetSpec,
-}
-
-/// An availability target in spec form.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TargetSpec {
-    /// All nodes with availability in `[lo, hi]`.
-    Range {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Inclusive upper bound.
-        hi: f64,
-    },
-    /// All nodes with availability above `min`.
-    Threshold {
-        /// Exclusive lower bound.
-        min: f64,
-    },
+    pub target: AvailabilityTarget,
 }
 
 /// Selfish-flooder adversary mix (see `avmem::harness::attack`): a
@@ -457,8 +326,24 @@ impl ScenarioSpec {
             return fail("workload needs at least one [[target]]".into());
         }
         for (i, mix) in self.workload.targets.iter().enumerate() {
-            if matches!(mix.target, TargetSpec::Range { lo, hi } if lo > hi) {
+            if matches!(mix.target, AvailabilityTarget::Range { lo, hi } if lo > hi) {
                 return fail(format!("target {i} range must satisfy lo ≤ hi"));
+            }
+        }
+        // The format writes an AVMON oracle's assignment and nothing else
+        // of its configuration, so the rest must be what a parse gives.
+        if let OracleChoice::Avmon { config } = self.oracle {
+            let written = AvmonConfig::default();
+            let unwritable = [
+                ("cms", config.cms != written.cms),
+                ("alpha", config.alpha != written.alpha),
+                ("ping_loss", config.ping_loss != written.ping_loss),
+                ("use_aged", config.use_aged != written.use_aged),
+            ];
+            if let Some((field, _)) = unwritable.iter().find(|(_, off)| *off) {
+                return fail(format!(
+                    "[oracle] AVMON config.{field} must keep its default: no key can write it"
+                ));
             }
         }
         Ok(())
@@ -516,38 +401,7 @@ impl ScenarioSpec {
 
     /// The harness configuration this spec describes.
     pub fn sim_config(&self) -> SimConfig {
-        let mut config = SimConfig::paper_default(self.seed);
-        config.predicate = match self.predicate {
-            PredicateSpec::Avmem { epsilon, vertical, horizontal } => {
-                PredicateChoice::Avmem { epsilon, vertical, horizontal }
-            }
-            PredicateSpec::Random { degree } => PredicateChoice::Random {
-                expected_degree: degree,
-            },
-        };
-        config.oracle = match self.oracle {
-            OracleSpec::Exact => OracleChoice::Exact,
-            OracleSpec::Noisy { error, staleness_mins } => OracleChoice::Noisy {
-                error,
-                staleness: SimDuration::from_mins(staleness_mins),
-            },
-            OracleSpec::NoisyShared { error, staleness_mins } => OracleChoice::NoisyShared {
-                error,
-                staleness: SimDuration::from_mins(staleness_mins),
-            },
-            OracleSpec::Avmon { assignment } => OracleChoice::Avmon {
-                config: avmem_avmon::AvmonConfig {
-                    assignment: match assignment {
-                        AssignmentSpec::AllPairs => avmem_avmon::AssignmentChoice::AllPairs,
-                        AssignmentSpec::Ring { vnodes, monitors } => {
-                            avmem_avmon::AssignmentChoice::Ring { vnodes, k: monitors }
-                        }
-                    },
-                    ..avmem_avmon::AvmonConfig::default()
-                },
-            },
-        };
-        config.maintenance = match self.maintenance.mode {
+        let maintenance = match self.maintenance.mode {
             MaintenanceModeSpec::EventDriven { protocol_secs, refresh_mins } => {
                 MaintenanceMode::EventDriven {
                     protocol_period: SimDuration::from_secs(protocol_secs),
@@ -558,57 +412,12 @@ impl ScenarioSpec {
             // mode stays Converged so advance_to is maintenance-free.
             MaintenanceModeSpec::Converged { .. } => MaintenanceMode::Converged,
         };
-        config.engine = self.maintenance.engine.to_engine();
-        config
-    }
-}
-
-impl EngineSpec {
-    /// The harness engine this spec selects.
-    pub fn to_engine(&self) -> MaintenanceEngine {
-        match *self {
-            EngineSpec::Serial => MaintenanceEngine::Serial,
-            EngineSpec::Sharded { shards, threads } => MaintenanceEngine::Sharded {
-                shards: (shards > 0).then_some(shards),
-                threads: (threads > 0).then_some(threads),
-            },
-        }
-    }
-}
-
-impl ScopeSpec {
-    /// The harness sliver scope.
-    pub fn to_scope(self) -> SliverScope {
-        match self {
-            ScopeSpec::Hs => SliverScope::HsOnly,
-            ScopeSpec::Vs => SliverScope::VsOnly,
-            ScopeSpec::Both => SliverScope::Both,
-        }
-    }
-}
-
-impl PolicySpec {
-    /// The harness forwarding policy.
-    pub fn to_policy(self) -> ForwardPolicy {
-        match self {
-            PolicySpec::Greedy => ForwardPolicy::Greedy,
-            PolicySpec::RetriedGreedy { retries } => ForwardPolicy::RetriedGreedy { retries },
-            PolicySpec::Annealing => ForwardPolicy::SimulatedAnnealing,
-        }
-    }
-}
-
-impl TargetSpec {
-    /// The harness availability target.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range bounds — excluded by
-    /// [`ScenarioSpec::validate`].
-    pub fn to_target(self) -> AvailabilityTarget {
-        match self {
-            TargetSpec::Range { lo, hi } => AvailabilityTarget::range(lo, hi),
-            TargetSpec::Threshold { min } => AvailabilityTarget::threshold(min),
+        SimConfig {
+            predicate: self.predicate,
+            oracle: self.oracle,
+            maintenance,
+            engine: self.maintenance.engine,
+            ..SimConfig::paper_default(self.seed)
         }
     }
 }
@@ -617,26 +426,14 @@ impl WorkloadSpec {
     /// The anycast configuration every workload anycast (and multicast
     /// stage 1) uses.
     pub fn anycast_config(&self) -> AnycastConfig {
-        AnycastConfig {
-            policy: self.policy.to_policy(),
-            scope: self.scope.to_scope(),
-            ttl: self.ttl,
-        }
+        AnycastConfig { policy: self.policy, scope: self.scope, ttl: self.ttl }
     }
 
     /// The multicast configuration every workload multicast uses.
     pub fn multicast_config(&self) -> MulticastConfig {
-        let strategy = match self.multicast {
-            MulticastSpec::Flood => MulticastStrategy::Flood,
-            MulticastSpec::Gossip { fanout, rounds, period_secs } => MulticastStrategy::Gossip {
-                fanout,
-                rounds,
-                period: SimDuration::from_secs(period_secs),
-            },
-        };
         MulticastConfig {
-            strategy,
-            scope: self.scope.to_scope(),
+            strategy: self.multicast,
+            scope: self.scope,
             anycast: self.anycast_config(),
         }
     }
@@ -646,6 +443,8 @@ impl WorkloadSpec {
 mod tests {
     use super::*;
     use crate::builtin;
+    use avmem::predicate::{HorizontalRule, VerticalRule};
+    use avmem_avmon::AssignmentChoice;
 
     fn valid() -> ScenarioSpec {
         builtin::builtin("smoke").expect("smoke builtin exists")
@@ -702,11 +501,11 @@ mod tests {
         let mut spec = valid();
         let horizontal = HorizontalRule::LogarithmicConstant { c2: 2.0 };
         let vertical = VerticalRule::Logarithmic { c1: 2.5 };
-        spec.predicate = PredicateSpec::Avmem { epsilon: 0.9, vertical, horizontal };
+        spec.predicate = PredicateChoice::Avmem { epsilon: 0.9, vertical, horizontal };
         assert!(spec.validate().is_err());
         // A constant rule's probability is bounded like any other key.
         let vertical = VerticalRule::Constant { d1: 1.5 };
-        spec.predicate = PredicateSpec::Avmem { epsilon: 0.1, vertical, horizontal };
+        spec.predicate = PredicateChoice::Avmem { epsilon: 0.1, vertical, horizontal };
         assert!(spec.validate().is_err());
 
         let mut spec = valid();
@@ -730,21 +529,59 @@ mod tests {
     #[test]
     fn sim_config_reflects_spec() {
         let mut spec = valid();
-        spec.maintenance.engine = EngineSpec::Sharded { shards: 2, threads: 3 };
-        spec.oracle = OracleSpec::Noisy { error: 0.05, staleness_mins: 20 };
+        let engine = MaintenanceEngine::Sharded { shards: Some(2), threads: Some(3) };
+        spec.maintenance.engine = engine;
+        spec.oracle = OracleChoice::paper_noise();
         let config = spec.sim_config();
-        assert_eq!(
-            config.engine,
-            MaintenanceEngine::Sharded {
-                shards: Some(2),
-                threads: Some(3),
-            }
-        );
-        // Zeroes mean "auto" and map to None at the harness boundary.
-        assert_eq!(
-            EngineSpec::Sharded { shards: 0, threads: 0 }.to_engine(),
-            MaintenanceEngine::Sharded { shards: None, threads: None }
-        );
-        assert!(matches!(config.oracle, OracleChoice::Noisy { .. }));
+        assert_eq!((config.engine, config.oracle), (engine, OracleChoice::paper_noise()));
+    }
+
+    /// What a harness type can hold but no key can write is refused,
+    /// naming the key, so that `parse(render(s)) == s` holds for every
+    /// spec `validate` accepts.
+    #[test]
+    fn values_the_format_cannot_write_are_refused() {
+        let refusal = |spec: ScenarioSpec| match spec.validate() {
+            Err(ScenarioError::Invalid(msg)) => msg,
+            Ok(()) => panic!("{spec:?} must be refused"),
+            Err(other) => panic!("{other}"),
+        };
+        let staleness = SimDuration::from_millis(90_500);
+        for oracle in [
+            OracleChoice::Noisy { error: 0.05, staleness },
+            OracleChoice::NoisyShared { error: 0.05, staleness },
+        ] {
+            let msg = refusal(ScenarioSpec { oracle, ..valid() });
+            assert!(msg.contains("\"staleness_mins\" must be whole minutes"), "{msg}");
+        }
+        let mut spec = valid();
+        let period = SimDuration::from_millis(1_500);
+        spec.workload.multicast = MulticastStrategy::Gossip { fanout: 5, rounds: 2, period };
+        let msg = refusal(spec);
+        assert!(msg.contains("\"gossip_period_secs\" must be whole seconds"), "{msg}");
+
+        for (engine, key) in [
+            (MaintenanceEngine::Sharded { shards: Some(0), threads: None }, "shards"),
+            (MaintenanceEngine::Sharded { shards: None, threads: Some(0) }, "threads"),
+        ] {
+            let mut spec = valid();
+            spec.maintenance.engine = engine;
+            let msg = refusal(spec);
+            assert!(msg.contains(&format!("key {key:?} must not be Some(0)")), "{msg}");
+        }
+
+        let assignment = AssignmentChoice::Ring { vnodes: 8, k: 8 };
+        let written = AvmonConfig { assignment, ..AvmonConfig::default() };
+        let avmon = |config| ScenarioSpec { oracle: OracleChoice::Avmon { config }, ..valid() };
+        avmon(written).validate().expect("only the assignment is off its default");
+        for (config, field) in [
+            (AvmonConfig { cms: 4.0, ..written }, "cms"),
+            (AvmonConfig { alpha: 0.02, ..written }, "alpha"),
+            (AvmonConfig { ping_loss: 0.1, ..written }, "ping_loss"),
+            (AvmonConfig { use_aged: true, ..written }, "use_aged"),
+        ] {
+            let msg = refusal(avmon(config));
+            assert!(msg.contains(&format!("config.{field} must keep its default")), "{msg}");
+        }
     }
 }

@@ -9,9 +9,9 @@
 //! report may move when only the execution strategy changes. (Report
 //! equality deliberately excludes the wall-clock phase timings.)
 
-use avmem::harness::MaintenanceEngine;
+use avmem::harness::{MaintenanceEngine, OracleChoice};
 use avmem_scenario::{
-    builtin, AdversarySpec, ChurnSpec, MaintenanceModeSpec, OracleSpec, ScenarioRunner,
+    builtin, AdversarySpec, ChurnSpec, MaintenanceModeSpec, ScenarioRunner,
     ScenarioSpec,
 };
 
@@ -35,10 +35,7 @@ fn event_driven_spec() -> ScenarioSpec {
     spec.health_every_mins = 30;
     spec.workload.ops_per_hour = 60.0;
     spec.workload.anycast_fraction = 0.6;
-    spec.oracle = OracleSpec::Noisy {
-        error: 0.05,
-        staleness_mins: 20,
-    };
+    spec.oracle = OracleChoice::paper_noise();
     spec.adversary = Some(AdversarySpec {
         flooder_fraction: 0.1,
         cushion: 0.1,

@@ -4,13 +4,16 @@
 
 use proptest::prelude::*;
 
+use avmem::harness::{MaintenanceEngine, OracleChoice, PredicateChoice};
+use avmem::ops::{ForwardPolicy, MulticastStrategy};
 use avmem::predicate::{HorizontalRule, VerticalRule};
+use avmem::{AvailabilityTarget, SliverScope};
+use avmem_avmon::{AssignmentChoice, AvmonConfig};
 use avmem_scenario::{
-    parse_spec, AdversarySpec, AssignmentSpec, BandSpec, ChurnSpec, EngineSpec,
-    MaintenanceModeSpec, MaintenanceSpec, MulticastSpec, OracleSpec, PolicySpec, PredicateSpec,
-    ReportSpec, ScenarioError, ScenarioSpec, ScopeSpec, ServeSpec, TargetMix, TargetSpec,
-    WorkloadSpec,
+    parse_spec, AdversarySpec, BandSpec, ChurnSpec, MaintenanceModeSpec, MaintenanceSpec,
+    ReportSpec, ScenarioError, ScenarioSpec, ServeSpec, TargetMix, WorkloadSpec,
 };
+use avmem_sim::SimDuration;
 
 fn arb_churn() -> impl Strategy<Value = ChurnSpec> {
     prop_oneof![
@@ -40,7 +43,7 @@ fn arb_churn() -> impl Strategy<Value = ChurnSpec> {
     ]
 }
 
-fn arb_predicate() -> impl Strategy<Value = PredicateSpec> {
+fn arb_predicate() -> impl Strategy<Value = PredicateChoice> {
     let vertical = prop_oneof![
         (0.0f64..=1.0).prop_map(|d1| VerticalRule::Constant { d1 }),
         (0.1f64..10.0).prop_map(|c1| VerticalRule::Logarithmic { c1 }),
@@ -52,30 +55,27 @@ fn arb_predicate() -> impl Strategy<Value = PredicateSpec> {
     ];
     prop_oneof![
         (0.01f64..0.49, vertical, horizontal).prop_map(|(epsilon, vertical, horizontal)| {
-            PredicateSpec::Avmem { epsilon, vertical, horizontal }
+            PredicateChoice::Avmem { epsilon, vertical, horizontal }
         }),
-        (1.0f64..40.0).prop_map(|degree| PredicateSpec::Random { degree }),
+        (1.0f64..40.0).prop_map(|expected_degree| PredicateChoice::Random { expected_degree }),
     ]
 }
 
-fn arb_oracle() -> impl Strategy<Value = OracleSpec> {
+fn arb_oracle() -> impl Strategy<Value = OracleChoice> {
+    let staleness = (1u64..120).prop_map(SimDuration::from_mins);
+    let assignment = prop_oneof![
+        Just(AssignmentChoice::AllPairs),
+        (1u32..32, 1u32..16).prop_map(|(vnodes, k)| AssignmentChoice::Ring { vnodes, k }),
+    ];
     prop_oneof![
-        Just(OracleSpec::Exact),
-        (0.0f64..0.5, 1u64..120).prop_map(|(error, staleness_mins)| OracleSpec::Noisy {
-            error,
-            staleness_mins,
-        }),
-        (0.0f64..0.5, 1u64..120).prop_map(|(error, staleness_mins)| {
-            OracleSpec::NoisyShared {
-                error,
-                staleness_mins,
-            }
-        }),
-        Just(OracleSpec::Avmon {
-            assignment: AssignmentSpec::AllPairs,
-        }),
-        (1u32..32, 1u32..16).prop_map(|(vnodes, monitors)| OracleSpec::Avmon {
-            assignment: AssignmentSpec::Ring { vnodes, monitors },
+        Just(OracleChoice::Exact),
+        (0.0f64..0.5, staleness.clone())
+            .prop_map(|(error, staleness)| OracleChoice::Noisy { error, staleness }),
+        (0.0f64..0.5, staleness)
+            .prop_map(|(error, staleness)| OracleChoice::NoisyShared { error, staleness }),
+        // The format writes the assignment only; the rest stays default.
+        assignment.prop_map(|assignment| OracleChoice::Avmon {
+            config: AvmonConfig { assignment, ..AvmonConfig::default() },
         }),
     ]
 }
@@ -92,10 +92,12 @@ fn arb_maintenance() -> impl Strategy<Value = MaintenanceSpec> {
             rebuild_every_mins,
         }),
     ];
+    // `None` is auto (written `0`); a count is at least one.
+    let count = || prop_oneof![Just(None), (1usize..16).prop_map(Some)];
     let engine = prop_oneof![
-        Just(EngineSpec::Serial),
-        (0usize..16, 0usize..16)
-            .prop_map(|(shards, threads)| EngineSpec::Sharded { shards, threads }),
+        Just(MaintenanceEngine::Serial),
+        (count(), count())
+            .prop_map(|(shards, threads)| MaintenanceEngine::Sharded { shards, threads }),
     ];
     (mode, engine).prop_map(|(mode, engine)| MaintenanceSpec { mode, engine })
 }
@@ -104,23 +106,23 @@ fn arb_target() -> impl Strategy<Value = TargetMix> {
     let target = prop_oneof![
         (0.0f64..=1.0, 0.0f64..=1.0).prop_map(|(a, b)| {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            TargetSpec::Range { lo, hi }
+            AvailabilityTarget::Range { lo, hi }
         }),
-        (0.0f64..1.0).prop_map(|min| TargetSpec::Threshold { min }),
+        (0.0f64..1.0).prop_map(|min| AvailabilityTarget::Threshold { min }),
     ];
     (0.01f64..10.0, target).prop_map(|(weight, target)| TargetMix { weight, target })
 }
 
 fn arb_workload() -> impl Strategy<Value = WorkloadSpec> {
     let policy = prop_oneof![
-        Just(PolicySpec::Greedy),
-        (1u32..20).prop_map(|retries| PolicySpec::RetriedGreedy { retries }),
-        Just(PolicySpec::Annealing),
+        Just(ForwardPolicy::Greedy),
+        (1u32..20).prop_map(|retries| ForwardPolicy::RetriedGreedy { retries }),
+        Just(ForwardPolicy::SimulatedAnnealing),
     ];
     let scope = prop_oneof![
-        Just(ScopeSpec::Hs),
-        Just(ScopeSpec::Vs),
-        Just(ScopeSpec::Both)
+        Just(SliverScope::HsOnly),
+        Just(SliverScope::VsOnly),
+        Just(SliverScope::Both)
     ];
     let band = prop_oneof![
         Just(BandSpec::Low),
@@ -129,12 +131,12 @@ fn arb_workload() -> impl Strategy<Value = WorkloadSpec> {
         Just(BandSpec::Any),
     ];
     let multicast = prop_oneof![
-        Just(MulticastSpec::Flood),
+        Just(MulticastStrategy::Flood),
         (1u32..10, 1u32..6, 1u64..10).prop_map(|(fanout, rounds, period_secs)| {
-            MulticastSpec::Gossip {
+            MulticastStrategy::Gossip {
                 fanout,
                 rounds,
-                period_secs,
+                period: SimDuration::from_secs(period_secs),
             }
         }),
     ];
@@ -373,24 +375,17 @@ fn integers_too_wide_for_their_field_are_errors_not_wraps() {
             &spec.workload.policy,
             &spec.workload.multicast,
         ) {
-            (
-                "vnodes",
-                OracleSpec::Avmon {
-                    assignment: AssignmentSpec::Ring { vnodes, .. },
-                },
-                ..,
-            ) => *vnodes,
-            (
-                "monitors",
-                OracleSpec::Avmon {
-                    assignment: AssignmentSpec::Ring { monitors, .. },
-                },
-                ..,
-            ) => *monitors,
-            ("retries", _, PolicySpec::RetriedGreedy { retries }, _) => *retries,
+            ("vnodes" | "monitors", OracleChoice::Avmon { config }, ..) => {
+                match (key, config.assignment) {
+                    ("vnodes", AssignmentChoice::Ring { vnodes, .. }) => vnodes,
+                    (_, AssignmentChoice::Ring { k, .. }) => k,
+                    _ => panic!("{key} outside a ring: {spec:?}"),
+                }
+            }
+            ("retries", _, ForwardPolicy::RetriedGreedy { retries }, _) => *retries,
             ("ttl", ..) => spec.workload.ttl,
-            ("fanout", _, _, MulticastSpec::Gossip { fanout, .. }) => *fanout,
-            ("rounds", _, _, MulticastSpec::Gossip { rounds, .. }) => *rounds,
+            ("fanout", _, _, MulticastStrategy::Gossip { fanout, .. }) => *fanout,
+            ("rounds", _, _, MulticastStrategy::Gossip { rounds, .. }) => *rounds,
             ("probes", ..) => spec.adversary.as_ref().unwrap().probes,
             _ => panic!("key {key:?} did not land in its field: {spec:?}"),
         }
@@ -438,10 +433,10 @@ fn integers_too_wide_for_their_field_are_errors_not_wraps() {
         match usize::try_from(wide) {
             Ok(kept) => {
                 let spec = parsed.unwrap_or_else(|e| panic!("{key} = {wide}: {e}"));
-                let got = match (key, &spec.churn, &spec.maintenance.engine) {
+                let got = match (key, &spec.churn, spec.maintenance.engine) {
                     ("hosts", ChurnSpec::Overnet { hosts, .. }, _) => *hosts,
-                    ("shards", _, EngineSpec::Sharded { shards, .. }) => *shards,
-                    ("threads", _, EngineSpec::Sharded { threads, .. }) => *threads,
+                    ("shards", _, MaintenanceEngine::Sharded { shards: Some(n), .. }) => n,
+                    ("threads", _, MaintenanceEngine::Sharded { threads: Some(n), .. }) => n,
                     _ => panic!("key {key:?} did not land in its field: {spec:?}"),
                 };
                 assert_eq!(got, kept, "{key}");

@@ -3,8 +3,7 @@
 //! and the parser total over every single-line mutation of every file.
 
 use avmem::harness::PredicateChoice;
-use avmem::predicate::{HorizontalRule, VerticalRule};
-use avmem_scenario::{builtin, parse_spec, PredicateSpec};
+use avmem_scenario::{builtin, parse_spec};
 use avmem_util::{Rng, SplitMix64};
 
 /// `(label, spec text)` of every spec the repository ships, builtins in
@@ -57,13 +56,9 @@ fn canonical_renderings_match_the_golden() {
 /// with `c₁ = 2.5` and `c₂ = 2.0`.
 #[test]
 fn every_shipped_spec_keeps_the_paper_predicate() {
-    let (vertical, horizontal) =
-        (VerticalRule::Logarithmic { c1: 2.5 }, HorizontalRule::LogarithmicConstant { c2: 2.0 });
-    let paper = PredicateSpec::Avmem { epsilon: 0.1, vertical, horizontal };
     for (label, text) in corpus() {
         let spec = parse_spec(&text).unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert_eq!(spec.predicate, paper, "{label}");
-        assert_eq!(spec.sim_config().predicate, PredicateChoice::paper_default(), "{label}");
+        assert_eq!(spec.predicate, PredicateChoice::paper_default(), "{label}");
     }
 }
 

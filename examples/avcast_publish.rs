@@ -21,7 +21,8 @@
 //! cargo run -p avmem_integration --release --example avcast_publish
 //! ```
 
-use avmem_scenario::{parse_spec, MulticastSpec, ScenarioRunner};
+use avmem::ops::MulticastStrategy;
+use avmem_scenario::{parse_spec, ScenarioRunner};
 
 const PUBLISH_SCENARIO: &str = r#"
 name = "avcast-publish"
@@ -71,15 +72,8 @@ fn main() {
     }
 
     for (label, strategy) in [
-        ("flooding", MulticastSpec::Flood),
-        (
-            "gossip",
-            MulticastSpec::Gossip {
-                fanout: 5,
-                rounds: 2,
-                period_secs: 1,
-            },
-        ),
+        ("flooding", MulticastStrategy::Flood),
+        ("gossip", MulticastStrategy::paper_gossip()),
     ] {
         let mut spec = base.clone();
         spec.workload.multicast = strategy;

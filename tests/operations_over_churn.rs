@@ -8,10 +8,13 @@
 //! picks come from counter-keyed streams, so two specs differing only in
 //! (say) forwarding policy see identical workloads.
 
+use avmem::harness::{OracleChoice, PredicateChoice};
+use avmem::ops::{ForwardPolicy, MulticastStrategy};
+use avmem::{AvailabilityTarget, SliverScope};
+use avmem_avmon::AvmonConfig;
 use avmem_scenario::{
-    builtin, AssignmentSpec, BandSpec, ChurnSpec, MaintenanceModeSpec, OracleSpec, PolicySpec,
-    PredicateSpec,
-    ScenarioReport, ScenarioRunner, ScenarioSpec, ScopeSpec, TargetMix, TargetSpec,
+    builtin, BandSpec, ChurnSpec, MaintenanceModeSpec, ScenarioReport, ScenarioRunner,
+    ScenarioSpec, TargetMix,
 };
 
 /// Base experiment: the 300-host Overnet population the original harness
@@ -31,12 +34,12 @@ fn base_spec(seed: u64) -> ScenarioSpec {
     spec.health_every_mins = 60;
     spec.workload.ops_per_hour = 40.0;
     spec.workload.anycast_fraction = 1.0;
-    spec.workload.policy = PolicySpec::Greedy;
-    spec.workload.scope = ScopeSpec::Both;
+    spec.workload.policy = ForwardPolicy::Greedy;
+    spec.workload.scope = SliverScope::Both;
     spec.workload.initiators = BandSpec::Mid;
     spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Range { lo: 0.85, hi: 0.95 },
+        target: AvailabilityTarget::Range { lo: 0.85, hi: 0.95 },
     }];
     spec
 }
@@ -57,7 +60,7 @@ fn easy_range_anycast_mostly_one_hop() {
     // few messages to just-went-offline next-hops; the acknowledged
     // retried-greedy variant carries the "essentially always" claim.
     let mut spec = base_spec(2);
-    spec.workload.policy = PolicySpec::RetriedGreedy { retries: 8 };
+    spec.workload.policy = ForwardPolicy::RetriedGreedy { retries: 8 };
     let report = run(spec);
     let a = &report.anycast;
     assert!(a.sent >= 20, "only {} anycasts fired", a.sent);
@@ -83,7 +86,7 @@ fn hs_only_needs_more_hops_than_vs() {
     // Fig. 7's qualitative point: HS-only messages crawl through
     // availability space; VS/HS+VS jump. Same seed ⇒ same workload.
     let mut hs_spec = base_spec(2);
-    hs_spec.workload.scope = ScopeSpec::Hs;
+    hs_spec.workload.scope = SliverScope::HsOnly;
     let hs = run(hs_spec);
     let both = run(base_spec(2));
     assert!(both.anycast.delivered > 0);
@@ -109,7 +112,7 @@ fn harsh_targets_reduce_delivery() {
     let mut harsh_spec = easy_spec.clone();
     harsh_spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Range { lo: 0.15, hi: 0.25 },
+        target: AvailabilityTarget::Range { lo: 0.15, hi: 0.25 },
     }];
     let easy = run(easy_spec);
     let harsh = run(harsh_spec);
@@ -130,11 +133,11 @@ fn retries_improve_harsh_delivery() {
     plain_spec.workload.initiators = BandSpec::High;
     plain_spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Range { lo: 0.15, hi: 0.25 },
+        target: AvailabilityTarget::Range { lo: 0.15, hi: 0.25 },
     }];
     plain_spec.workload.ops_per_hour = 60.0;
     let mut retried_spec = plain_spec.clone();
-    retried_spec.workload.policy = PolicySpec::RetriedGreedy { retries: 8 };
+    retried_spec.workload.policy = ForwardPolicy::RetriedGreedy { retries: 8 };
     let plain = run(plain_spec);
     let retried = run(retried_spec);
     assert!(
@@ -153,14 +156,14 @@ fn avmem_beats_random_overlay_on_harsh_anycast() {
     // online population here is ~120, so 2·ln N ≈ 10.
     let mut avmem_spec = base_spec(5);
     avmem_spec.workload.initiators = BandSpec::High;
-    avmem_spec.workload.policy = PolicySpec::RetriedGreedy { retries: 8 };
+    avmem_spec.workload.policy = ForwardPolicy::RetriedGreedy { retries: 8 };
     avmem_spec.workload.ops_per_hour = 60.0;
     avmem_spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Range { lo: 0.15, hi: 0.25 },
+        target: AvailabilityTarget::Range { lo: 0.15, hi: 0.25 },
     }];
     let mut random_spec = avmem_spec.clone();
-    random_spec.predicate = PredicateSpec::Random { degree: 10.0 };
+    random_spec.predicate = PredicateChoice::Random { expected_degree: 10.0 };
     let avmem = run(avmem_spec);
     let random = run(random_spec);
     assert!(
@@ -177,19 +180,15 @@ fn flood_is_reliable_and_gossip_is_cheaper() {
     // reliability for messages.
     let mut flood_spec = base_spec(6);
     flood_spec.workload.anycast_fraction = 0.0;
-    flood_spec.workload.policy = PolicySpec::RetriedGreedy { retries: 8 };
+    flood_spec.workload.policy = ForwardPolicy::RetriedGreedy { retries: 8 };
     flood_spec.workload.initiators = BandSpec::High;
     flood_spec.workload.ops_per_hour = 10.0;
     flood_spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Threshold { min: 0.7 },
+        target: AvailabilityTarget::Threshold { min: 0.7 },
     }];
     let mut gossip_spec = flood_spec.clone();
-    gossip_spec.workload.multicast = avmem_scenario::MulticastSpec::Gossip {
-        fanout: 5,
-        rounds: 2,
-        period_secs: 1,
-    };
+    gossip_spec.workload.multicast = MulticastStrategy::paper_gossip();
     let flood = run(flood_spec);
     let gossip = run(gossip_spec);
     assert!(flood.multicast.sent > 0, "no multicasts fired");
@@ -213,12 +212,12 @@ fn multicast_spam_stays_low_with_exact_oracle() {
     // is zero here.
     let mut spec = base_spec(7);
     spec.workload.anycast_fraction = 0.0;
-    spec.workload.policy = PolicySpec::RetriedGreedy { retries: 8 };
+    spec.workload.policy = ForwardPolicy::RetriedGreedy { retries: 8 };
     spec.workload.initiators = BandSpec::High;
     spec.workload.ops_per_hour = 10.0;
     spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Range { lo: 0.7, hi: 0.9 },
+        target: AvailabilityTarget::Range { lo: 0.7, hi: 0.9 },
     }];
     let report = run(spec);
     assert!(
@@ -241,16 +240,14 @@ fn full_stack_event_driven_avmon_operations() {
         protocol_secs: 60,
         refresh_mins: 20,
     };
-    spec.oracle = OracleSpec::Avmon {
-        assignment: AssignmentSpec::AllPairs,
-    };
+    spec.oracle = OracleChoice::Avmon { config: AvmonConfig::default() };
     spec.warmup_mins = 14 * 60;
     spec.duration_mins = 120;
-    spec.workload.policy = PolicySpec::RetriedGreedy { retries: 8 };
+    spec.workload.policy = ForwardPolicy::RetriedGreedy { retries: 8 };
     spec.workload.initiators = BandSpec::Mid;
     spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Threshold { min: 0.6 },
+        target: AvailabilityTarget::Threshold { min: 0.6 },
     }];
     let report = run(spec);
     assert!(
@@ -274,12 +271,12 @@ fn threshold_and_range_variants_agree() {
     let mut threshold_spec = base_spec(8);
     threshold_spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Threshold { min: 0.8 },
+        target: AvailabilityTarget::Threshold { min: 0.8 },
     }];
     let mut range_spec = base_spec(8);
     range_spec.workload.targets = vec![TargetMix {
         weight: 1.0,
-        target: TargetSpec::Range { lo: 0.8, hi: 1.0 },
+        target: AvailabilityTarget::Range { lo: 0.8, hi: 1.0 },
     }];
     let threshold = run(threshold_spec);
     let range = run(range_spec);
