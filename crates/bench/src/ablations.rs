@@ -66,12 +66,12 @@ pub fn ablation_predicates(base: &ScenarioSpec, runs: u64) -> PredicateAblation 
             predicate: PredicateChoice::Avmem { epsilon: 0.1, vertical, horizontal },
             ..base.clone()
         };
-        let snapshot = paper::warmed(&spec).sim().snapshot();
+        let health = paper::warmed(&spec).sim().health_stats();
         let pooled = paper::pooled(&harsh(&spec, 8), runs);
         ablation.rows.push(PredicateAblationRow {
             label: label.to_owned(),
-            mean_degree: snapshot.mean_degree(),
-            component: snapshot.largest_component_fraction(SliverScope::Both),
+            mean_degree: health.mean_degree,
+            component: health.largest_component,
             harsh_delivery: pooled.delivery(),
         });
         ablation.skipped_ops += pooled.skipped_ops;

@@ -11,14 +11,15 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use avmem::graph::{components, path_lengths};
 use avmem::harness::{OracleChoice, PredicateChoice};
-use avmem::ops::{AnycastDrop, ForwardPolicy, MulticastStrategy};
+use avmem::ops::{AnycastDrop, ForwardPolicy, MulticastStrategy, OverlayWorld};
 use avmem::{AvailabilityTarget, SliverScope};
 use avmem_scenario::{BandSpec, Buckets, ScenarioSpec};
 use avmem_sim::SimDuration;
 use avmem_shuffle::{sim::RoundSim, ShuffleConfig};
-use avmem_util::stats::{correlation, Summary};
-use avmem_util::NodeId;
+use avmem_util::stats::{correlation, Histogram, Summary};
+use avmem_util::{Availability, NodeId};
 
 use crate::paper::{self, cell, ratio, skipped};
 
@@ -38,6 +39,68 @@ const fn range(lo: f64, hi: f64) -> AvailabilityTarget {
 /// The label of 0.1-wide availability bucket `b`.
 fn decile(b: usize) -> String {
     format!("[{:.1},{:.1})", b as f64 / 10.0, (b + 1) as f64 / 10.0)
+}
+
+// ---------------------------------------------------------------------
+// Readings of the warmed-up overlay (§4.1), straight off the live lists
+// ---------------------------------------------------------------------
+
+/// The online nodes of `world`, ascending.
+fn online<W: OverlayWorld>(world: &W) -> impl Iterator<Item = NodeId> + '_ {
+    (0..world.id_bound() as u64).map(NodeId::new).filter(|&id| world.is_online(id))
+}
+
+/// How many of `id`'s `scope` neighbors are online: the paper's snapshot
+/// (and Theorems 1–3) count online neighbors, while a stored list keeps an
+/// offline entry until a refresh drops it.
+fn online_members<W: OverlayWorld>(world: &W, id: NodeId, scope: SliverScope) -> usize {
+    let ids = world.neighbors(id, scope).ids;
+    ids.iter().filter(|&&j| world.is_online(NodeId::new(u64::from(j)))).count()
+}
+
+/// `(availability, online members of scope)` for every online node, by
+/// the availability the node believes it has — its oracle's answer, or
+/// its true availability when the oracle has none (Figs. 2b and 2c).
+pub fn sliver_sizes<W: OverlayWorld>(world: &W, scope: SliverScope) -> Vec<(f64, usize)> {
+    let size = |id| (world.believed_availability(id).value(), online_members(world, id, scope));
+    online(world).map(size).collect()
+}
+
+/// Fig. 3's axes for every online node: how many other online nodes
+/// believe themselves closer than `epsilon` to it, and its online |HS|.
+pub fn hs_scaling_points<W: OverlayWorld>(world: &W, epsilon: f64) -> Vec<(f64, f64)> {
+    let believed: Vec<(NodeId, Availability)> =
+        online(world).map(|id| (id, world.believed_availability(id))).collect();
+    let point = |&(id, av): &(NodeId, Availability)| {
+        let near = |&&(other, o): &&(NodeId, Availability)| other != id && o.distance(av) < epsilon;
+        let candidates = believed.iter().filter(near).count();
+        (candidates as f64, online_members(world, id, SliverScope::HsOnly) as f64)
+    };
+    believed.iter().map(point).collect()
+}
+
+/// Per bucket of true availability: the online nodes (Fig. 2a), and the
+/// VS links between online nodes that point into the bucket (Fig. 4).
+pub fn online_and_vs_in_links<W: OverlayWorld>(
+    world: &W,
+    buckets: usize,
+) -> (Histogram, Histogram) {
+    let (mut population, mut links) = (Histogram::new(buckets), Histogram::new(buckets));
+    for id in online(world) {
+        population.add(world.true_availability(id).value());
+        for &j in world.neighbors(id, SliverScope::VsOnly).ids {
+            let target = NodeId::new(u64::from(j));
+            if world.is_online(target) {
+                links.add(world.true_availability(target).value());
+            }
+        }
+    }
+    (population, links)
+}
+
+/// A histogram's bucket counts.
+fn counts(histogram: &Histogram) -> Vec<u64> {
+    (0..histogram.buckets()).map(|b| histogram.count(b)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -63,9 +126,10 @@ pub struct Fig2 {
 
 /// Runs the Fig. 2 snapshot experiment.
 pub fn fig2(base: &ScenarioSpec) -> Fig2 {
-    let snapshot = paper::warmed(base).sim().snapshot();
+    let session = paper::warmed(base);
+    let world = session.sim().world();
     let buckets = 10;
-    let histogram = snapshot.availability_histogram(buckets);
+    let (histogram, _) = online_and_vs_in_links(&world, buckets);
     let median_per_bucket = |points: &[(f64, usize)]| -> Vec<Option<f64>> {
         (0..buckets)
             .map(|b| {
@@ -80,13 +144,14 @@ pub fn fig2(base: &ScenarioSpec) -> Fig2 {
             })
             .collect()
     };
-    let (hs_points, vs_points) = (snapshot.hs_sizes(), snapshot.vs_sizes());
+    let hs_points = sliver_sizes(&world, SliverScope::HsOnly);
+    let vs_points = sliver_sizes(&world, SliverScope::VsOnly);
     let to_f64 = |points: &[(f64, usize)]| -> Vec<(f64, f64)> {
         points.iter().map(|&(a, s)| (a, s as f64)).collect()
     };
     Fig2 {
-        online: snapshot.online_count(),
-        histogram: (0..buckets).map(|i| histogram.count(i)).collect(),
+        online: histogram.total() as usize,
+        histogram: counts(&histogram),
         hs_median: median_per_bucket(&hs_points),
         vs_median: median_per_bucket(&vs_points),
         hs_correlation: correlation(&to_f64(&hs_points)),
@@ -130,7 +195,8 @@ pub struct Fig3 {
 
 /// Runs the Fig. 3 scaling experiment.
 pub fn fig3(base: &ScenarioSpec) -> Fig3 {
-    let raw = paper::warmed(base).sim().snapshot().hs_scaling_points();
+    let session = paper::warmed(base);
+    let raw = hs_scaling_points(&session.sim().world(), session.sim().predicate().epsilon());
     let max_candidates = raw.iter().map(|p| p.0).fold(0.0f64, f64::max).max(1.0);
     let bucket = (max_candidates / 12.0).max(1.0);
     let mut grouped: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
@@ -183,11 +249,9 @@ pub struct Fig4 {
 
 /// Runs the Fig. 4 in-link experiment.
 pub fn fig4(base: &ScenarioSpec) -> Fig4 {
-    let snapshot = paper::warmed(base).sim().snapshot();
-    let buckets = 10;
-    let links = snapshot.incoming_vs_links(buckets);
-    let histogram = snapshot.availability_histogram(buckets);
-    let population: Vec<u64> = (0..buckets).map(|i| histogram.count(i)).collect();
+    let session = paper::warmed(base);
+    let (population, links) = online_and_vs_in_links(&session.sim().world(), 10);
+    let (population, links) = (counts(&population), counts(&links));
     // (population, links) over the populated buckets.
     let populated: Vec<(f64, f64)> = links
         .iter()
@@ -667,25 +731,34 @@ pub struct TheoremChecks {
 /// Runs the theorem sanity checks on a warmed-up overlay.
 pub fn theorem_checks(base: &ScenarioSpec) -> TheoremChecks {
     let session = paper::warmed(base);
-    let n_star = session.sim().n_star();
-    let snapshot = session.sim().snapshot();
-    let mean_size = |points: Vec<(f64, usize)>| {
-        Summary::from_values(points.into_iter().map(|(_, s)| s as f64)).mean()
+    let sim = session.sim();
+    let (world, n, epsilon) = (&sim.world(), sim.trace().num_nodes(), sim.predicate().epsilon());
+    let mean_size = |scope| {
+        Summary::from_values(sliver_sizes(world, scope).into_iter().map(|(_, s)| s as f64)).mean()
     };
+    let id = |i: usize| NodeId::new(i as u64);
+    let up = |i| world.is_online(id(i));
+    let lists = move |scope| move |i| world.neighbors(id(i), scope).ids;
+    // Theorem 2: the HS sub-overlay of each band of nodes within ε of
+    // its center.
     let worst_band = [0.1, 0.3, 0.5, 0.7, 0.9]
         .into_iter()
-        .filter_map(|c| snapshot.band_component_fraction(avmem_util::Availability::saturating(c)))
+        .filter_map(|center| {
+            let center = Availability::saturating(center);
+            let near = |i| world.believed_availability(id(i)).distance(center) <= epsilon;
+            let in_band = |i| up(i) && near(i);
+            components(n, in_band, lists(SliverScope::HsOnly)).lowest_fraction()
+        })
         .fold(1.0f64, f64::min);
-    let paths = snapshot
-        .online_nodes()
+    let paths = online(world)
         .next()
-        .map(|n| snapshot.path_length_summary(n.id, SliverScope::Both))
+        .map(|start| path_lengths(n, start.raw() as usize, up, lists(SliverScope::Both)))
         .unwrap_or_else(|| Summary::from_values(std::iter::empty()));
     TheoremChecks {
-        mean_vs: mean_size(snapshot.vs_sizes()),
-        predicted_vs: avmem::predicate::DEFAULT_C1 * n_star.ln() * 0.8,
-        mean_hs: mean_size(snapshot.hs_sizes()),
-        component_fraction: snapshot.largest_component_fraction(SliverScope::Both),
+        mean_vs: mean_size(SliverScope::VsOnly),
+        predicted_vs: avmem::predicate::DEFAULT_C1 * sim.n_star().ln() * 0.8,
+        mean_hs: mean_size(SliverScope::HsOnly),
+        component_fraction: sim.health_stats().largest_component,
         worst_band_fraction: worst_band,
         mean_path_length: paths.mean(),
         max_path_length: paths.max(),
@@ -722,9 +795,120 @@ impl fmt::Display for TheoremChecks {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avmem::NeighborColumns;
 
     fn small() -> ScenarioSpec {
         paper::base(150, 2, 10)
+    }
+
+    /// One node of a [`Wired`] overlay: `[HS | VS]` ids, as a membership
+    /// lays them out.
+    struct Node {
+        online: bool,
+        av: Availability,
+        ids: Vec<u32>,
+        cached: Vec<Availability>,
+        hs: usize,
+    }
+
+    /// A hand-wired overlay in which every node believes its true
+    /// availability.
+    struct Wired(Vec<Node>);
+
+    /// `(online, availability, HS, VS)` per node.
+    fn wired(nodes: &[(bool, f64, &[u32], &[u32])]) -> Wired {
+        let node = |&(online, av, hs, vs): &(bool, f64, &[u32], &[u32])| Node {
+            online,
+            av: Availability::saturating(av),
+            ids: [hs, vs].concat(),
+            cached: vec![Availability::ZERO; hs.len() + vs.len()],
+            hs: hs.len(),
+        };
+        Wired(nodes.iter().map(node).collect())
+    }
+
+    impl OverlayWorld for Wired {
+        fn id_bound(&self) -> usize {
+            self.0.len()
+        }
+
+        fn is_online(&self, id: NodeId) -> bool {
+            self.0[id.raw() as usize].online
+        }
+
+        fn believed_availability(&self, id: NodeId) -> Availability {
+            self.0[id.raw() as usize].av
+        }
+
+        fn true_availability(&self, id: NodeId) -> Availability {
+            self.0[id.raw() as usize].av
+        }
+
+        fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_> {
+            let node = &self.0[id.raw() as usize];
+            let range = match scope {
+                SliverScope::HsOnly => 0..node.hs,
+                SliverScope::VsOnly => node.hs..node.ids.len(),
+                SliverScope::Both => 0..node.ids.len(),
+            };
+            NeighborColumns {
+                ids: &node.ids[range.clone()],
+                cached_availability: &node.cached[range],
+            }
+        }
+    }
+
+    #[test]
+    fn availability_histogram_counts_online_only() {
+        let world = wired(&[
+            (true, 0.05, &[], &[]),
+            (false, 0.05, &[], &[]),
+            (true, 0.95, &[], &[]),
+        ]);
+        let (population, _) = online_and_vs_in_links(&world, 10);
+        assert_eq!((population.count(0), population.count(9), population.total()), (1, 1, 2));
+    }
+
+    #[test]
+    fn sliver_size_points() {
+        // Node 3 is offline: listed, but not counted.
+        let world = wired(&[
+            (true, 0.5, &[1, 3], &[2]),
+            (true, 0.55, &[], &[]),
+            (true, 0.9, &[], &[]),
+            (false, 0.5, &[], &[]),
+        ]);
+        assert_eq!(sliver_sizes(&world, SliverScope::HsOnly), [(0.5, 1), (0.55, 0), (0.9, 0)]);
+        assert_eq!(sliver_sizes(&world, SliverScope::VsOnly), [(0.5, 1), (0.55, 0), (0.9, 0)]);
+    }
+
+    #[test]
+    fn hs_scaling_counts_band_candidates() {
+        // Node 0 at .5 with two online in-band candidates and one far node.
+        let world = wired(&[
+            (true, 0.50, &[1, 2], &[]),
+            (true, 0.55, &[], &[]),
+            (true, 0.45, &[], &[]),
+            (true, 0.90, &[], &[]),
+        ]);
+        assert_eq!(hs_scaling_points(&world, 0.1)[0], (2.0, 2.0));
+    }
+
+    #[test]
+    fn incoming_vs_links_follow_targets() {
+        let world = wired(&[
+            (true, 0.5, &[], &[2]),
+            (true, 0.6, &[], &[2]),
+            (true, 0.95, &[], &[]),
+        ]);
+        let (_, links) = online_and_vs_in_links(&world, 10);
+        assert_eq!((links.count(9), links.total()), (2, 2));
+    }
+
+    #[test]
+    fn incoming_vs_links_skip_offline_targets() {
+        let world = wired(&[(true, 0.5, &[], &[1]), (false, 0.9, &[], &[])]);
+        assert_eq!(online_and_vs_in_links(&world, 10).1.total(), 0);
     }
 
     #[test]

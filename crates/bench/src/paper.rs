@@ -209,7 +209,6 @@ mod tests {
         let (config, paper) = (spec.sim_config(), avmem::harness::SimConfig::paper_default(SEED));
         assert_eq!((config.predicate, config.oracle), (paper.predicate, paper.oracle));
         assert_eq!((config.maintenance, config.engine), (paper.maintenance, paper.engine));
-        assert_eq!(config.latency, paper.latency);
         // 50 arrivals a window on average.
         assert_eq!(spec.workload.ops_per_hour * WINDOW_MINS as f64 / 60.0, 50.0);
     }
@@ -218,7 +217,7 @@ mod tests {
     fn small_setup_builds_and_warms_up() {
         let session = warmed(&base(200, 2, 20));
         assert_eq!(session.now().as_millis(), WARMUP_MINS * 60_000);
-        assert!(session.sim().snapshot().mean_degree() > 0.0);
+        assert!(session.sim().health_stats().mean_degree > 0.0);
     }
 
     #[test]

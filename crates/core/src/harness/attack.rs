@@ -11,12 +11,12 @@
 //!   inconsistent estimates cause receivers to reject some *valid*
 //!   senders; below 30 % with no cushion, below ~20 % with cushion 0.1.
 
-use avmem_avmon::AvailabilityOracle;
 use avmem_util::NodeId;
 use serde::{Deserialize, Serialize};
 
 use crate::harness::AvmemSim;
 use crate::membership::SliverScope;
+use crate::verify::AdmissionPolicy;
 
 /// Per-availability-bucket attack measurement.
 ///
@@ -71,22 +71,17 @@ impl AvmemSim {
 
     fn attack_series(&self, cushion: f64, buckets: usize, kind: AttackKind) -> AttackSeries {
         assert!(buckets > 0, "need at least one bucket");
-        assert!(cushion >= 0.0, "cushion must be non-negative");
+        let policy = AdmissionPolicy::with_cushion(cushion);
         let now = self.now();
         let trace = self.trace();
         let n = trace.num_nodes();
         let online: Vec<usize> = trace.online_at(now);
-        let predicate = self.predicate();
 
         // The receiver verifies with ITS OWN oracle view of both
-        // availabilities.
-        let verifies = |sender: usize, receiver: usize| -> Option<bool> {
-            let s_id = NodeId::new(sender as u64);
-            let r_id = NodeId::new(receiver as u64);
-            let s_av = self.oracle().estimate(r_id, s_id, now)?;
-            let r_av = self.oracle().estimate(r_id, r_id, now)?;
-            let hash = self.pair_hash(sender, receiver);
-            Some(hash <= predicate.threshold(s_av, r_av) + cushion)
+        // availabilities; a pair it cannot check is not counted.
+        let verifies = |sender: usize, receiver: usize| {
+            let (s_id, r_id) = (NodeId::new(sender as u64), NodeId::new(receiver as u64));
+            policy.verdict(self.predicate(), self.oracle(), s_id, r_id, now)
         };
 
         let mut bucket_sums = vec![0.0f64; buckets];
@@ -153,11 +148,6 @@ impl AvmemSim {
             })
             .collect();
         AttackSeries { values, cushion }
-    }
-
-    /// `H(id(x), id(y))` from the precomputed matrix (dense indices).
-    pub fn pair_hash(&self, x: usize, y: usize) -> f64 {
-        self.hashes.get(x, y)
     }
 }
 

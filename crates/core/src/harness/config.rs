@@ -1,7 +1,7 @@
 //! Full-system simulation configuration.
 
 use avmem_avmon::AvmonConfig;
-use avmem_sim::{LatencyModel, SimDuration};
+use avmem_sim::SimDuration;
 use avmem_trace::AvailabilityPdf;
 use serde::{Deserialize, Serialize};
 
@@ -227,16 +227,13 @@ pub struct SimConfig {
     /// Shard and thread counts of event-driven maintenance (ignored in
     /// [`MaintenanceMode::Converged`], whose rebuild is always parallel).
     pub engine: MaintenanceEngine,
-    /// Per-hop latency model (paper: uniform 20–80 ms).
-    pub latency: LatencyModel,
     /// Buckets for the discretized availability PDF (paper-scale: 10,
     /// i.e. 0.1-wide buckets).
     pub pdf_buckets: usize,
     /// Memory budget (bytes) for stored pair-hash rows. Populations
     /// whose dense matrix (`8·N²` bytes) fits the budget keep the rows
-    /// their two builders hash — the converged rebuild's full-row scans
-    /// and point reads through `get` (the attack series); larger ones
-    /// store nothing and hash on the fly, in batches. See
+    /// the converged rebuild's full-row scans hash; larger ones store
+    /// nothing and hash on the fly, in batches. See
     /// [`crate::harness::PairHashes::with_budget`]. The same bound
     /// decides whether event-driven finalize keeps its per-pair verdict
     /// memory — one bit per ordered pair, `N²/8` bytes; two, `N²/4`,
@@ -260,7 +257,9 @@ fn hash_budget_from_env() -> usize {
 
 impl SimConfig {
     /// The paper's evaluation setup: default predicates, exact oracle,
-    /// converged maintenance, uniform 20–80 ms hops, 10 PDF buckets.
+    /// converged maintenance, 10 PDF buckets. Hops take the paper's
+    /// uniform 20–80 ms ([`avmem_sim::LatencyModel::PAPER`]) in every
+    /// configuration.
     pub fn paper_default(seed: u64) -> Self {
         SimConfig {
             seed,
@@ -271,7 +270,6 @@ impl SimConfig {
                 shards: None,
                 threads: None,
             },
-            latency: LatencyModel::PAPER,
             pdf_buckets: 10,
             hash_budget: hash_budget_from_env(),
         }
@@ -306,7 +304,6 @@ mod tests {
                 c2: crate::predicate::DEFAULT_C2
             }
         );
-        assert_eq!(cfg.latency, LatencyModel::PAPER);
     }
 
     #[test]

@@ -9,17 +9,15 @@
 //! from the population size ([`PairHashes::with_budget`]):
 //!
 //! * **dense** (the matrix fits the memory budget) — a row is hashed
-//!   once, by the first *full-row or point* reader ([`PairHashes::row`],
-//!   [`PairHashes::get`]), and kept; later reads are array lookups. Who
-//!   builds rows: the converged rebuild, which scans every row whole on
-//!   every rebuild, and point reads through [`PairHashes::get`] (the
-//!   attack series). Untouched rows cost nothing.
-//! * **on the fly** (it does not) — nothing is stored. Point reads hash
-//!   one pair and [`PairHashes::row`] batch-fills the caller's scratch
-//!   row, so memory stays `O(N)` per thread.
+//!   once, by its first full-row reader ([`PairHashes::row`]: the
+//!   converged rebuild, which scans every row whole on every rebuild),
+//!   and kept; later reads are array lookups. Untouched rows cost nothing.
+//! * **on the fly** (it does not) — nothing is stored.
+//!   [`PairHashes::row`] batch-fills the caller's scratch row, so memory
+//!   stays `O(N)` per thread.
 //!
 //! Event-driven maintenance goes through [`PairHashes::gather`], which
-//! never builds a row in either store: it reads a row some other reader
+//! never builds a row in either store: it reads a row a full-row reader
 //! already built, and otherwise hashes the node's candidate list in one
 //! batched call ([`avmem_util::consistent_hash_batch`]: sixteen AVX-512
 //! lanes for a list of ten pairs or more, two interleaved SHA-NI chains
@@ -35,7 +33,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use avmem_util::{consistent_hash, consistent_hash_batch, NodeId};
+use avmem_util::{consistent_hash_batch, NodeId};
 
 /// Default memory budget for dense rows: 512 MiB, i.e. dense storage up
 /// to ~8 000 nodes; larger populations hash on the fly.
@@ -50,29 +48,28 @@ pub const DEFAULT_HASH_BUDGET: usize = 512 << 20;
 /// use avmem_util::{consistent_hash, NodeId};
 ///
 /// let hashes = PairHashes::with_budget(10, usize::MAX);
-/// assert_eq!(
-///     hashes.get(3, 7),
-///     consistent_hash(NodeId::new(3), NodeId::new(7))
-/// );
+/// let mut scratch = Vec::new();
+/// let row = hashes.row(3, &mut scratch).to_vec();
+/// assert_eq!(row[7], consistent_hash(NodeId::new(3), NodeId::new(7)));
 ///
 /// // Above the memory budget the same API hashes on the fly.
 /// let direct = PairHashes::with_budget(10, 0);
-/// assert_eq!(direct.get(3, 7), hashes.get(3, 7));
+/// assert_eq!(direct.row(3, &mut scratch), &row[..]);
 /// ```
 #[derive(Debug)]
 pub struct PairHashes {
     n: usize,
-    /// Dense rows, hashed by their first full-row or point reader and
-    /// kept (`OnceLock` makes materialization thread-safe under the
-    /// parallel rebuild); `None` when the matrix exceeds the budget and
-    /// every read hashes.
+    /// Dense rows, hashed by their first full-row reader and kept
+    /// (`OnceLock` makes materialization thread-safe under the parallel
+    /// rebuild); `None` when the matrix exceeds the budget and every read
+    /// hashes.
     rows: Option<Vec<OnceLock<Box<[f64]>>>>,
     /// Full rows hashed (`n` SHA-256 evaluations each): dense
-    /// materializations (by `row`/`get`, never by `gather`) and
-    /// on-the-fly bulk fills.
+    /// materializations (by `row`, never by `gather`) and on-the-fly
+    /// bulk fills.
     rows_built: AtomicU64,
-    /// Pairs hashed outside any row: on-the-fly point reads, and gathers
-    /// that found no resident row (in either store).
+    /// Pairs hashed outside any row: gathers that found no resident row
+    /// (in either store).
     direct_hashes: AtomicU64,
 }
 
@@ -82,11 +79,11 @@ pub struct PairHashes {
 pub struct PairStoreStats {
     /// Full rows hashed (`n` SHA-256 evaluations each).
     pub rows_built: u64,
-    /// Pairs hashed outside any row: point reads of the on-the-fly
-    /// store, and every [`PairHashes::gather`] that found no resident row.
+    /// Pairs hashed outside any row: every [`PairHashes::gather`] that
+    /// found no resident row.
     pub direct_hashes: u64,
-    /// Dense rows resident right now. Only full-row scans and point
-    /// reads build rows; event-driven maintenance never adds one.
+    /// Dense rows resident right now. Only full-row scans build rows;
+    /// event-driven maintenance never adds one.
     pub cached_rows: usize,
 }
 
@@ -110,7 +107,7 @@ impl PairHashes {
     }
 
     /// Whether the dense matrix fits the budget: rows are kept once a
-    /// full-row or point reader materializes them, and the finalize fast
+    /// full-row reader materializes them, and the finalize fast
     /// path may afford its verdict memory (`N²/8` bytes, `N²/4` under a
     /// moving epoch).
     pub fn is_cached(&self) -> bool {
@@ -136,26 +133,9 @@ impl PairHashes {
         }))
     }
 
-    /// `H(id(x), id(y))`: an array read from the (materialized on first
-    /// touch) dense row, or one hash on the fly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn get(&self, x: usize, y: usize) -> f64 {
-        assert!(x < self.n && y < self.n, "pair index out of range");
-        match self.dense_row(x) {
-            Some(row) => row[y],
-            None => {
-                self.direct_hashes.fetch_add(1, Ordering::Relaxed);
-                consistent_hash(NodeId::new(x as u64), NodeId::new(y as u64))
-            }
-        }
-    }
-
     /// `H(id(x), id(y))` for every `y` in `ys`, into `out` (cleared
-    /// first). Never builds a row: reads row `x` if some other reader
-    /// ([`PairHashes::row`], [`PairHashes::get`]) already did, and
+    /// first). Never builds a row: reads row `x` if [`PairHashes::row`]
+    /// already did, and
     /// otherwise hashes the whole list in one batched call, in either
     /// store. Returns whether a resident row served the
     /// list — the finalize fast path's candidate lists come through here,
@@ -230,16 +210,19 @@ fn fill_row(x: usize, row: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avmem_util::consistent_hash;
+
+    /// `H(id(x), id(y))`, one pair at a time: what every store must agree with.
+    fn pair(x: usize, y: usize) -> f64 {
+        consistent_hash(NodeId::new(x as u64), NodeId::new(y as u64))
+    }
 
     #[test]
     fn matches_direct_hashing() {
-        let hashes = PairHashes::with_budget(20, usize::MAX);
-        for x in 0..20 {
-            for y in 0..20 {
-                assert_eq!(
-                    hashes.get(x, y),
-                    consistent_hash(NodeId::new(x as u64), NodeId::new(y as u64))
-                );
+        for hashes in [PairHashes::with_budget(20, usize::MAX), PairHashes::with_budget(20, 0)] {
+            for x in 0..20 {
+                let row = hashes.row(x, &mut Vec::new()).to_vec();
+                assert_eq!(row, (0..20).map(|y| pair(x, y)).collect::<Vec<_>>(), "x={x}");
             }
         }
     }
@@ -252,8 +235,7 @@ mod tests {
             let mut row = vec![0.0; n];
             fill_row(n / 2, &mut row);
             for (y, &h) in row.iter().enumerate() {
-                let expect = consistent_hash(NodeId::new((n / 2) as u64), NodeId::new(y as u64));
-                assert_eq!(h, expect, "n={n} y={y}");
+                assert_eq!(h, pair(n / 2, y), "n={n} y={y}");
             }
         }
     }
@@ -261,18 +243,20 @@ mod tests {
     #[test]
     fn directedness_is_preserved() {
         let hashes = PairHashes::with_budget(5, usize::MAX);
-        assert_ne!(hashes.get(1, 2), hashes.get(2, 1));
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert_ne!(hashes.row(1, &mut a)[2], hashes.row(2, &mut b)[1]);
     }
 
     #[test]
     fn lazy_materializes_only_touched_rows() {
         let hashes = PairHashes::with_budget(16, usize::MAX);
         assert_eq!(hashes.cached_rows(), 0);
-        let _ = hashes.get(3, 7);
-        assert_eq!(hashes.cached_rows(), 1);
+        let mut out = Vec::new();
+        hashes.gather(3, &[NodeId::new(7)], &mut out);
+        assert_eq!(hashes.cached_rows(), 0, "gather never builds a row");
         let mut scratch = Vec::new();
         let _ = hashes.row(9, &mut scratch);
-        assert_eq!(hashes.cached_rows(), 2);
+        assert_eq!(hashes.cached_rows(), 1);
         assert!(scratch.is_empty(), "cached mode must not use the scratch");
     }
 
@@ -294,32 +278,25 @@ mod tests {
         let mut scratch = Vec::new();
         for x in 0..12 {
             let row = direct.row(x, &mut scratch).to_vec();
-            for (y, &h) in row.iter().enumerate() {
-                assert_eq!(direct.get(x, y), cached.get(x, y));
-                assert_eq!(h, cached.get(x, y));
-            }
+            assert_eq!(row, cached.row(x, &mut Vec::new()));
         }
-        assert_eq!(direct.cached_rows(), 0);
+        assert_eq!((direct.cached_rows(), cached.cached_rows()), (0, 12));
     }
 
     #[test]
     fn gather_agrees_with_point_reads_in_both_stores() {
-        let expect = PairHashes::with_budget(14, 0);
         let ys: Vec<NodeId> = [13u64, 0, 5, 5, 9].map(NodeId::new).to_vec();
         let mut out = vec![f64::NAN; 3]; // stale contents must not survive
         // `gather` never builds a row; it reads one that is resident.
-        // Resident rows: every one, only the even ones (built by `row`
-        // and by `get`, the two readers that may), none.
+        // Resident rows: every one, only the even ones (built by `row`,
+        // the one reader that may), none.
         let all = PairHashes::with_budget(14, usize::MAX);
         for x in 0..14 {
             let _ = all.row(x, &mut Vec::new());
         }
         let some = PairHashes::with_budget(14, usize::MAX);
-        for x in (0..14).step_by(4) {
+        for x in (0..14).step_by(2) {
             let _ = some.row(x, &mut Vec::new());
-            if x + 2 < 14 {
-                let _ = some.get(x + 2, 1);
-            }
         }
         for (hashes, resident) in [
             (all, 14),
@@ -338,10 +315,8 @@ mod tests {
                     if !served {
                         hashed += len as u64;
                     }
-                    let want: Vec<f64> = ys[..len]
-                        .iter()
-                        .map(|y| expect.get(x, y.raw() as usize))
-                        .collect();
+                    let want: Vec<f64> =
+                        ys[..len].iter().map(|y| pair(x, y.raw() as usize)).collect();
                     assert_eq!(out, want, "x={x} len={len}");
                 }
             }
@@ -358,7 +333,7 @@ mod tests {
         let mut out = Vec::new();
         let ys = [NodeId::new(1), NodeId::new(2)];
         dense.gather(3, &ys, &mut out); // no row yet: two pairs hashed
-        let _ = dense.get(3, 4); // builds row 3
+        let _ = dense.row(3, &mut Vec::new()); // builds row 3
         dense.gather(3, &ys, &mut out); // reads it
         let stats = dense.store_stats();
         assert_eq!(
@@ -368,8 +343,8 @@ mod tests {
 
         let direct = PairHashes::with_budget(10, 0);
         direct.gather(3, &ys, &mut out);
-        let _ = direct.get(3, 4);
         let _ = direct.row(3, &mut out);
+        direct.gather(3, &ys[..1], &mut out);
         let stats = direct.store_stats();
         assert_eq!(
             (stats.rows_built, stats.direct_hashes, stats.cached_rows),
@@ -381,7 +356,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         let hashes = PairHashes::with_budget(3, usize::MAX);
-        let _ = hashes.get(3, 0);
+        let _ = hashes.row(3, &mut Vec::new());
     }
 
     #[test]

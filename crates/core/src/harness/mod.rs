@@ -15,7 +15,7 @@
 //! wheel cohorts are popped from), `cohort` (one cohort's shard phases and
 //! their driver), `finalize` (discovery + refresh for one node, its
 //! per-shard memory and counters), `rebuild` (the converged rebuild),
-//! `query` (snapshots, health, initiators, anycast / multicast), and —
+//! `query` (health, initiators, anycast / multicast), and —
 //! test-only — `model`, the slow obvious implementation of event-driven
 //! maintenance that the tests hold all of the above to.
 //!
@@ -73,7 +73,7 @@ use std::time::{Duration, Instant};
 use avmem_avmon::AvailabilityOracle;
 use avmem_metrics::{Counter, Histogram, Registry, Tracer};
 use avmem_shuffle::{ShuffleConfig, ShuffleNode};
-use avmem_sim::{Network, SimDuration, SimTime};
+use avmem_sim::{LatencyModel, Network, SimDuration, SimTime};
 use avmem_trace::{AvailabilityPdf, ChurnTrace, OnlineIndex};
 use avmem_util::{Availability, NodeId, Rng, ShardPartition, SplitMix64, Xoshiro256};
 
@@ -262,7 +262,7 @@ impl AvmemSim {
         // (bit-identical for every shard and thread count).
         oracle.set_threads(config.engine.threads());
         oracle.set_shards(config.engine.shards());
-        let net = Network::new(config.latency, 0.0, seeder.next_u64());
+        let net = Network::new(LatencyModel::PAPER, seeder.next_u64());
         let rng = Xoshiro256::new(seeder.next_u64());
 
         let shuffle_config = ShuffleConfig::for_system_size(n);

@@ -176,8 +176,7 @@ pub(super) fn model_of(sim: &AvmemSim) -> Model {
 }
 
 /// Full-state equality with the model: every node's lists (timestamps
-/// and cached availabilities included, which snapshots don't carry) and
-/// shuffle view, and the snapshot.
+/// and cached availabilities included) and shuffle view.
 pub(super) fn assert_matches(model: &Model, sim: &AvmemSim, label: &str) {
     assert_eq!(model.sim.now(), sim.now(), "{label}: clocks diverged");
     for i in 0..sim.trace().num_nodes() {
@@ -185,7 +184,6 @@ pub(super) fn assert_matches(model: &Model, sim: &AvmemSim, label: &str) {
         assert_eq!(model.sim.membership(id), sim.membership(id), "{label}: lists of node {i}");
         assert_eq!(model.sim.shuffle_view(id), sim.shuffle_view(id), "{label}: view of node {i}");
     }
-    assert_eq!(model.sim.snapshot(), sim.snapshot(), "{label}: snapshots diverged");
 }
 
 /// The differentials that hold the harness to the model; the hand cases
@@ -220,7 +218,7 @@ mod tests {
         cfg.engine = sharded(3, 2);
         let mut sim = AvmemSim::new(trace, cfg);
         sim.warm_up(SimDuration::from_hours(2));
-        assert!(sim.snapshot().mean_degree() > 0.5, "no overlay built");
+        assert!(sim.health_stats().mean_degree > 0.5, "no overlay built");
         assert_matches(&model_of(&sim), &sim, "75 hosts, 3 shards x 2 threads");
     }
 
@@ -261,7 +259,7 @@ mod tests {
             cfg.maintenance = maintenance;
             let mut model = Model::new(trace.clone(), cfg);
             model.advance_to(SimTime::ZERO + SimDuration::from_hours(hours));
-            let degree = model.sim.snapshot().mean_degree();
+            let degree = model.sim.health_stats().mean_degree;
             assert!(degree > 0.1, "{label}: the model built no overlay");
             let last_epoch = model.sim.oracle.epoch(model.sim.now());
             assert_eq!(last_epoch.is_some_and(|e| e >= 3), turns_over, "{label}: {last_epoch:?}");
@@ -372,7 +370,7 @@ mod tests {
                 model.advance_to(sim.next_maintenance_at().expect("schedule built"));
             }
         }
-        assert!(sim.snapshot().mean_degree() > 0.5, "no overlay built");
+        assert!(sim.health_stats().mean_degree > 0.5, "no overlay built");
         assert_matches(&model, &sim, "chopped advances");
     }
 }

@@ -1,6 +1,6 @@
-//! Reading a simulation and operating over it: overlay snapshots and
-//! streaming health, initiator selection, and the anycast / multicast
-//! entry points with the borrowed [`OverlayWorld`] view they run against.
+//! Reading a simulation and operating over it: overlay health,
+//! initiator selection, and the anycast / multicast entry points with the
+//! borrowed [`OverlayWorld`] view they run against.
 
 use avmem_avmon::AvailabilityOracle;
 use avmem_shuffle::View;
@@ -10,7 +10,7 @@ use avmem_util::{Availability, NodeId, Rng};
 use serde::{Deserialize, Serialize};
 
 use super::{AvmemSim, SimOracle};
-use crate::graph::{NodeSnapshot, OverlaySnapshot};
+use crate::graph::components;
 use crate::membership::{Membership, NeighborColumns, SliverScope};
 use crate::ops::anycast::{run_anycast, AnycastConfig, AnycastOutcome};
 use crate::ops::multicast::{run_multicast, MulticastConfig, MulticastOutcome};
@@ -46,8 +46,7 @@ impl InitiatorBand {
     }
 }
 
-/// Lightweight overlay-health numbers, computed by
-/// [`AvmemSim::health_stats`] without building an [`OverlaySnapshot`].
+/// Overlay-health numbers, computed by [`AvmemSim::health_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthStats {
     /// Nodes online at sample time.
@@ -60,96 +59,18 @@ pub struct HealthStats {
 }
 
 impl AvmemSim {
-    /// Captures the current overlay state for analysis.
-    pub fn snapshot(&self) -> OverlaySnapshot {
-        let n = self.trace.num_nodes();
-        let nodes = (0..n)
-            .map(|i| {
-                let estimated = self
-                    .estimated_availability(i, i)
-                    .unwrap_or_else(|| self.trace.long_term_availability(i));
-                NodeSnapshot {
-                    id: NodeId::new(i as u64),
-                    online: self.trace.is_online(i, self.now),
-                    estimated_availability: estimated,
-                    true_availability: self.trace.long_term_availability(i),
-                    hs: self.memberships[i].hs().map(|nb| nb.id).collect(),
-                    vs: self.memberships[i].vs().map(|nb| nb.id).collect(),
-                }
-            })
-            .collect();
-        OverlaySnapshot::new(nodes, self.predicate.epsilon())
-    }
-
-    /// Streaming overlay health: the numbers a health sample needs,
-    /// without materializing a snapshot.
-    ///
-    /// [`snapshot`](Self::snapshot) clones every node's sliver lists and
-    /// queries the oracle per node — fine for analysis, but at 10⁵–10⁶
-    /// hosts a periodic health probe spends more memory and time on the
-    /// clone than the whole maintenance slice it interrupts. This path
-    /// walks the live membership state once: online count from the
-    /// trace, mean degree with the same accumulation order as
-    /// [`OverlaySnapshot::mean_degree`] (ascending node index, so the
-    /// two agree bit for bit), and the largest weakly-connected
-    /// component over both-endpoint-online sliver edges via union-find
-    /// (the same component structure the snapshot's BFS finds).
+    /// The overlay's health now, read off the live lists in one
+    /// union-find pass ([`components`]) without copying any of them.
     pub fn health_stats(&self) -> HealthStats {
         let n = self.trace.num_nodes();
-        let mut online = vec![false; n];
-        let mut online_count = 0usize;
-        for (i, flag) in online.iter_mut().enumerate() {
-            if self.trace.is_online(i, self.now) {
-                *flag = true;
-                online_count += 1;
-            }
-        }
-        if online_count == 0 {
-            return HealthStats {
-                online: 0,
-                mean_degree: 0.0,
-                largest_component: 0.0,
-            };
-        }
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                // Path halving.
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        let mut degree_sum = 0.0f64;
-        for i in 0..n {
-            if !online[i] {
-                continue;
-            }
-            let membership = &self.memberships[i];
-            degree_sum += membership.len() as f64;
-            for neighbor_id in membership.neighbor_ids(SliverScope::Both) {
-                let j = neighbor_id.raw() as usize;
-                if online[j] {
-                    let (a, b) = (find(&mut parent, i as u32), find(&mut parent, j as u32));
-                    if a != b {
-                        parent[a as usize] = b;
-                    }
-                }
-            }
-        }
-        let mut component_size = vec![0u32; n];
-        let mut best = 0u32;
-        for (i, &up) in online.iter().enumerate() {
-            if up {
-                let root = find(&mut parent, i as u32) as usize;
-                component_size[root] += 1;
-                best = best.max(component_size[root]);
-            }
-        }
+        let online = |i| self.online.contains(i);
+        let lists = |i: usize| self.memberships[i].columns(SliverScope::Both).ids;
+        let found = components(n, online, lists);
+        let degree_sum: f64 = (0..n).filter(|&i| online(i)).map(|i| lists(i).len() as f64).sum();
         HealthStats {
-            online: online_count,
-            mean_degree: degree_sum / online_count as f64,
-            largest_component: f64::from(best) / online_count as f64,
+            online: found.members,
+            mean_degree: if found.members == 0 { 0.0 } else { degree_sum / found.members as f64 },
+            largest_component: found.largest_fraction(),
         }
     }
 

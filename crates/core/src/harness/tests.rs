@@ -23,8 +23,7 @@ fn small_sim(seed: u64) -> AvmemSim {
 fn converged_warm_up_builds_lists() {
     let mut sim = small_sim(1);
     sim.warm_up(SimDuration::from_hours(24));
-    let snapshot = sim.snapshot();
-    assert!(snapshot.mean_degree() > 1.0, "overlay should have edges");
+    assert!(sim.health_stats().mean_degree > 1.0, "overlay should have edges");
 }
 
 #[test]
@@ -35,33 +34,12 @@ fn warm_up_advances_clock() {
 }
 
 #[test]
-fn health_stats_matches_the_snapshot_metrics() {
-    use crate::membership::SliverScope;
-    // The streaming health path must agree with the snapshot-based
-    // metrics exactly — same mean-degree accumulation order, same
-    // component structure — at several points of a churning run.
-    let mut sim = small_sim(4);
-    for _ in 0..3 {
-        sim.warm_up(SimDuration::from_hours(6));
-        let stats = sim.health_stats();
-        let snapshot = sim.snapshot();
-        assert_eq!(stats.online, snapshot.online_count());
-        assert_eq!(stats.mean_degree, snapshot.mean_degree());
-        assert_eq!(
-            stats.largest_component,
-            snapshot.largest_component_fraction(SliverScope::Both)
-        );
-    }
-    assert!(sim.health_stats().mean_degree > 1.0, "vacuous overlay");
-}
-
-#[test]
 fn same_seed_same_overlay() {
     let mut a = small_sim(9);
     let mut b = small_sim(9);
     a.warm_up(SimDuration::from_hours(24));
     b.warm_up(SimDuration::from_hours(24));
-    assert_eq!(a.snapshot(), b.snapshot());
+    assert_eq!(a.memberships, b.memberships);
 }
 
 #[test]
@@ -77,10 +55,8 @@ fn event_driven_approaches_converged() {
 
     // Event-driven discovery should have found a sizeable share of the
     // converged overlay's edges for online nodes.
-    let conv_snapshot = converged.snapshot();
-    let ed_snapshot = event_driven.snapshot();
-    let conv_degree = conv_snapshot.mean_degree();
-    let ed_degree = ed_snapshot.mean_degree();
+    let conv_degree = converged.health_stats().mean_degree;
+    let ed_degree = event_driven.health_stats().mean_degree;
     assert!(
         ed_degree > conv_degree * 0.3,
         "event-driven degree {ed_degree} too far below converged {conv_degree}"
@@ -127,7 +103,7 @@ fn chopped_event_driven_warm_up_equals_one_big_advance() {
         chopped.warm_up(SimDuration::from_mins(15));
     }
     assert_eq!(whole.now(), chopped.now());
-    assert_eq!(whole.snapshot(), chopped.snapshot());
+    assert_eq!(whole.memberships, chopped.memberships);
     for i in 0..whole.trace().num_nodes() {
         let id = NodeId::new(i as u64);
         assert_eq!(whole.shuffle_view(id), chopped.shuffle_view(id));
@@ -148,24 +124,19 @@ fn advance_to_matches_warm_up_in_event_driven_mode() {
     // Backwards/no-op advances change nothing.
     by_instant.advance_to(SimTime::ZERO);
     assert_eq!(by_duration.now(), by_instant.now());
-    assert_eq!(by_duration.snapshot(), by_instant.snapshot());
+    assert_eq!(by_duration.memberships, by_instant.memberships);
 }
 
 #[test]
 fn advance_to_in_converged_mode_moves_clock_without_rebuild() {
     let mut sim = small_sim(17);
     sim.warm_up(SimDuration::from_hours(1));
-    let before = sim.snapshot();
+    let before = sim.memberships.clone();
     assert!(sim.next_maintenance_at().is_none());
     sim.advance_to(SimTime::ZERO + SimDuration::from_hours(3));
     assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_hours(3));
-    // Lists untouched: only clock/oracle/online advanced (the online
-    // flags in a fresh snapshot may differ, but memberships may not).
-    let after = sim.snapshot();
-    for (a, b) in before.nodes().iter().zip(after.nodes()) {
-        assert_eq!(a.hs, b.hs);
-        assert_eq!(a.vs, b.vs);
-    }
+    // Lists untouched: only clock/oracle/online advanced.
+    assert_eq!(sim.memberships, before);
 }
 
 #[test]
@@ -221,8 +192,7 @@ fn random_predicate_builds_flat_overlay() {
     };
     let mut sim = AvmemSim::new(trace, config);
     sim.warm_up(SimDuration::from_hours(24));
-    let snapshot = sim.snapshot();
-    let degree = snapshot.mean_degree();
+    let degree = sim.health_stats().mean_degree;
     assert!(
         (2.0..30.0).contains(&degree),
         "random overlay degree {degree} out of expected range"
@@ -452,18 +422,6 @@ fn operations_on_degenerate_populations_return_outcomes() {
 }
 
 #[test]
-fn membership_accessor_matches_snapshot() {
-    let mut sim = small_sim(23);
-    sim.warm_up(SimDuration::from_hours(4));
-    let snapshot = sim.snapshot();
-    for node in snapshot.nodes() {
-        let membership = sim.membership(node.id);
-        assert_eq!(membership.hs_len(), node.hs.len());
-        assert_eq!(membership.vs_len(), node.vs.len());
-    }
-}
-
-#[test]
 fn phase_timings_accumulate_in_event_driven_mode() {
     let trace = OvernetModel::default().hosts(60).days(1).generate(11);
     let mut config = SimConfig::paper_default(5);
@@ -489,7 +447,7 @@ fn finalize_matches_the_model_and_counts() {
     sim.warm_up(SimDuration::from_hours(3));
     assert_matches(&model_of(&sim), &sim, "80 hosts, 3 h");
     // Guards against vacuous equality, and the counters must move.
-    assert!(sim.snapshot().mean_degree() > 0.5, "no overlay built");
+    assert!(sim.health_stats().mean_degree > 0.5, "no overlay built");
     let stats = sim.finalize_stats();
     assert!(stats.memo_hits + stats.memo_misses > 0, "no finalize op ran");
     assert!(
@@ -592,9 +550,7 @@ fn classifies_to_no_insert(sim: &AvmemSim, x: usize, y: usize) -> bool {
     };
     let own = NodeInfo::new(NodeId::new(x as u64), own_av);
     let info = NodeInfo::new(NodeId::new(y as u64), y_av);
-    sim.predicate
-        .classify_hashed(own, info, sim.hashes.get(x, y), 0.0)
-        .is_none()
+    sim.predicate.classify(own, info).is_none()
 }
 
 /// Whether node `i`'s periodic event of `stream` fires at `t`, on a
@@ -903,7 +859,7 @@ fn with_a_massless_pdf_bucket_nothing_settles_and_no_row_is_allocated() {
     let stats = sim.finalize_stats();
     assert!(stats.discover_pruned > 0 && stats.memo_misses > 100, "{stats:?}");
     assert_eq!((stats.verdicts_carried, stats.ceiling_raises), (0, 0));
-    assert!(sim.snapshot().mean_degree() > 0.5, "no overlay built");
+    assert!(sim.health_stats().mean_degree > 0.5, "no overlay built");
     assert_matches(&model, &sim, "massless bucket");
 }
 
@@ -1169,7 +1125,6 @@ fn serial_is_one_shard_on_one_thread() {
     });
     assert!(serial.finalize_stats().discover_pruned > 0, "nothing was pruned");
     assert_eq!(serial.finalize_stats(), one_by_one.finalize_stats());
-    assert_eq!(serial.snapshot(), one_by_one.snapshot());
     for i in 0..90 {
         let id = NodeId::new(i as u64);
         assert_eq!(serial.membership(id), one_by_one.membership(id), "node {id}");

@@ -33,7 +33,7 @@
 //! | [`membership`] | §3.1 | HS/VS lists, discovery & refresh sub-protocols |
 //! | [`verify`] | §4.1 | receiver-side admission checks + cushion |
 //! | [`ops`] | §3.2 | anycast (greedy/retried/annealing) and multicast (flood/gossip) |
-//! | [`graph`] | §4.1 | overlay snapshots and graph analysis |
+//! | [`graph`] | §4.1 | connectivity of the live lists: union-find components, hop distances |
 //! | [`harness`] | §4 | the full-system simulation binding every substrate |
 //!
 //! ## Quickstart
@@ -69,7 +69,6 @@ pub mod ops;
 pub mod predicate;
 pub mod verify;
 
-pub use graph::{NodeSnapshot, OverlaySnapshot};
 pub use harness::{AvmemSim, FinalizeStats, HealthStats, InitiatorBand, PhaseTimings, SimConfig};
 pub use membership::{Membership, Neighbor, NeighborColumns, SliverScope};
 pub use ops::{

@@ -448,7 +448,7 @@ mod tests {
     use crate::ops::world::mock::{random_target, MockWorld};
 
     fn net() -> Network {
-        Network::new(LatencyModel::Constant { millis: 50 }, 0.0, 1)
+        Network::new(LatencyModel::Constant { millis: 50 }, 1)
     }
 
     fn rng() -> Xoshiro256 {
@@ -835,7 +835,7 @@ mod tests {
                 let initiator = NodeId::new(r.index(world.id_bound()) as u64);
                 let seed = r.next_u64();
                 let mut observe = |reference: bool| {
-                    let mut net = Network::new(LatencyModel::PAPER, 0.0, seed);
+                    let mut net = Network::new(LatencyModel::PAPER, seed);
                     let mut rng = Xoshiro256::new(seed ^ 1);
                     let outcome = if reference {
                         reference::run_anycast(&world, &mut net, &mut rng, initiator, target, config)

@@ -736,7 +736,7 @@ mod tests {
     use crate::ops::world::mock::{random_target, MockWorld};
 
     fn net() -> Network {
-        Network::new(LatencyModel::Constant { millis: 50 }, 0.0, 1)
+        Network::new(LatencyModel::Constant { millis: 50 }, 1)
     }
 
     fn rng() -> Xoshiro256 {
@@ -1098,7 +1098,7 @@ mod tests {
         let w = big_clique_world();
         let outcome = run_multicast(
             &w,
-            &mut Network::new(LatencyModel::PAPER, 0.0, 5),
+            &mut Network::new(LatencyModel::PAPER, 5),
             &mut rng(),
             &mut scratch(),
             NodeId::new(0),
@@ -1143,10 +1143,9 @@ mod tests {
                 lo_millis: 100,
                 hi_millis: 300,
             },
-            4 => LatencyModel::ShiftedExponential {
+            4 => LatencyModel::Uniform {
                 lo_millis: 20,
-                mean_extra_millis: 120,
-                cap_millis: 400,
+                hi_millis: 400,
             },
             _ => LatencyModel::PAPER,
         };
@@ -1204,7 +1203,7 @@ mod tests {
     type Observed = (MulticastOutcome, SimDuration, u64);
 
     fn run_kernel(case: &Case, scratch: &mut OpScratch) -> Observed {
-        let mut net = Network::new(case.latency, 0.0, case.net_seed);
+        let mut net = Network::new(case.latency, case.net_seed);
         let mut rng = Xoshiro256::new(case.net_seed ^ 1);
         let outcome = run_multicast(
             &case.world,
@@ -1219,7 +1218,7 @@ mod tests {
     }
 
     fn run_reference(case: &Case) -> Observed {
-        let mut net = Network::new(case.latency, 0.0, case.net_seed);
+        let mut net = Network::new(case.latency, case.net_seed);
         let mut rng = Xoshiro256::new(case.net_seed ^ 1);
         let outcome = reference::run_multicast(
             &case.world,

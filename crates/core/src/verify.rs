@@ -45,11 +45,8 @@ impl AdmissionPolicy {
         AdmissionPolicy { cushion }
     }
 
-    /// Would `receiver` accept a message from `sender`?
-    ///
-    /// Both availabilities are looked up through the *receiver's* oracle
-    /// view — this is what makes verification vulnerable to estimate
-    /// divergence, and what the cushion compensates for.
+    /// Would `receiver` accept a message from `sender`? Only when it can
+    /// verify the predicate: see [`AdmissionPolicy::verdict`].
     pub fn accepts<O>(
         &self,
         predicate: &AvmemPredicate,
@@ -61,18 +58,33 @@ impl AdmissionPolicy {
     where
         O: AvailabilityOracle + ?Sized,
     {
-        let Some(sender_av) = oracle.estimate(receiver, sender, now) else {
-            // Unknown sender: reject (cannot verify the predicate).
-            return false;
-        };
-        let Some(receiver_av) = oracle.estimate(receiver, receiver, now) else {
-            return false;
-        };
-        predicate.member_with_cushion(
+        self.verdict(predicate, oracle, sender, receiver, now) == Some(true)
+    }
+
+    /// Whether `receiver`'s check of `M(sender, receiver)` passes; `None`
+    /// when the receiver has no estimate of one side and cannot check.
+    ///
+    /// Both availabilities are looked up through the *receiver's* oracle
+    /// view — this is what makes verification vulnerable to estimate
+    /// divergence, and what the cushion compensates for.
+    pub fn verdict<O>(
+        &self,
+        predicate: &AvmemPredicate,
+        oracle: &O,
+        sender: NodeId,
+        receiver: NodeId,
+        now: SimTime,
+    ) -> Option<bool>
+    where
+        O: AvailabilityOracle + ?Sized,
+    {
+        let sender_av = oracle.estimate(receiver, sender, now)?;
+        let receiver_av = oracle.estimate(receiver, receiver, now)?;
+        Some(predicate.member_with_cushion(
             NodeInfo::new(sender, sender_av),
             NodeInfo::new(receiver, receiver_av),
             self.cushion,
-        )
+        ))
     }
 }
 
@@ -209,6 +221,8 @@ mod tests {
     fn unknown_sender_is_rejected() {
         let (_trace, oracle, pred) = setup();
         let policy = AdmissionPolicy::paper_cushion();
+        let (stranger, known) = (NodeId::new(999_999), NodeId::new(1));
+        assert_eq!(policy.verdict(&pred, &oracle, stranger, known, SimTime::ZERO), None);
         assert!(!policy.accepts(
             &pred,
             &oracle,

@@ -16,8 +16,7 @@ fn tiny_overlay_end_to_end() {
     let mut sim = AvmemSim::new(trace, SimConfig::paper_default(7));
     sim.warm_up(SimDuration::from_hours(6));
 
-    let snapshot = sim.snapshot();
-    assert!(snapshot.online_count() > 0, "some node must be online");
+    assert!(sim.health_stats().online > 0, "some node must be online");
 
     let initiator = [InitiatorBand::Low, InitiatorBand::Mid, InitiatorBand::High]
         .into_iter()

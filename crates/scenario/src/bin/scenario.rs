@@ -453,7 +453,7 @@ fn sweep_options(
     }
     let engines = engines
         .into_iter()
-        .map(|(label, engine)| Ok(SweepEngine { label, engine: Some(common.refine(engine)?) }))
+        .map(|(label, engine)| Ok(SweepEngine { label, engine: common.refine(engine)? }))
         .collect::<Result<_, String>>()?;
     let seeds = seeds.ok_or("sweep needs --seeds <a..b>")?;
     Ok((seeds, engines))
@@ -569,7 +569,7 @@ mod tests {
     fn sweep_engines_follow_the_engine_rule() {
         let engines = swept(&["--engines", "sharded", "--shards", "3"]).unwrap();
         let [entry] = &engines[..] else { panic!("one entry: {engines:?}") };
-        assert_eq!((entry.label.as_str(), entry.engine), ("sharded", Some(sharded(Some(3), None))));
+        assert_eq!((entry.label.as_str(), entry.engine), ("sharded", sharded(Some(3), None)));
 
         let err = swept(&["--engines", "serial,sharded", "--shards", "3"]).unwrap_err();
         assert!(err.contains("--shards") && err.contains("serial"), "{err}");
@@ -581,6 +581,6 @@ mod tests {
         assert!(err.contains("\"parallel\" (accepted: serial, sharded)"), "{err}");
         let engines = swept(&["--engines", "serial,sharded"]).unwrap();
         let got: Vec<_> = engines.iter().map(|e| e.engine).collect();
-        assert_eq!(got, [Some(SERIAL), Some(sharded(None, None))]);
+        assert_eq!(got, [SERIAL, sharded(None, None)]);
     }
 }

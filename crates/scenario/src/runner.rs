@@ -35,7 +35,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use avmem::harness::{AvmemSim, InitiatorBand, MaintenanceEngine};
+use avmem::harness::{AvmemSim, InitiatorBand};
 use avmem::ops::{run_anycast, run_multicast, OpScratch, OverlayWorld};
 use avmem::AdmissionPolicy;
 use avmem::AvailabilityTarget;
@@ -401,7 +401,6 @@ impl ScenarioInstruments {
 #[derive(Debug, Clone)]
 pub struct ScenarioRunner {
     pub(crate) spec: ScenarioSpec,
-    pub(crate) engine_override: Option<MaintenanceEngine>,
 }
 
 impl ScenarioRunner {
@@ -413,17 +412,7 @@ impl ScenarioRunner {
     /// [`ScenarioSpec::validate`].
     pub fn new(spec: ScenarioSpec) -> Result<Self, ScenarioError> {
         spec.validate()?;
-        Ok(ScenarioRunner {
-            spec,
-            engine_override: None,
-        })
-    }
-
-    /// Overrides the maintenance engine (the determinism tests sweep
-    /// engines and thread counts over one spec this way).
-    pub fn with_engine(mut self, engine: MaintenanceEngine) -> Self {
-        self.engine_override = Some(engine);
-        self
+        Ok(ScenarioRunner { spec })
     }
 
     /// The validated spec this runner executes.
@@ -454,11 +443,7 @@ impl ScenarioRunner {
         let spec = self.spec.clone();
         let trace = spec.build_trace()?;
         let hosts = trace.num_nodes();
-        let mut config = spec.sim_config();
-        if let Some(engine) = self.engine_override {
-            config.engine = engine;
-        }
-        let mut sim = AvmemSim::new(trace, config);
+        let mut sim = AvmemSim::new(trace, spec.sim_config());
 
         let warm_end = SimTime::ZERO + SimDuration::from_mins(spec.warmup_mins);
         let end = warm_end + SimDuration::from_mins(spec.duration_mins);
@@ -754,7 +739,6 @@ impl RunSession {
                 let mut rng = SplitMix64::keyed(&[spec.seed, STREAM_OP, index]);
                 let mut net = Network::new(
                     LatencyModel::PAPER,
-                    0.0,
                     SplitMix64::keyed(&[spec.seed, STREAM_NET, index]).next_u64(),
                 );
                 let world = self.sim.world();
@@ -968,10 +952,7 @@ fn observe_memory() -> MemoryStats {
     }
 }
 
-/// The overlay's health at `at`, from the streaming
-/// [`AvmemSim::health_stats`] pass — the numbers an overlay snapshot
-/// would give (pinned by a harness test), without cloning every node's
-/// lists.
+/// The overlay's health at `at`, from [`AvmemSim::health_stats`].
 fn health_sample(
     sim: &AvmemSim,
     at: SimTime,

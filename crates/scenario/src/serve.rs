@@ -112,11 +112,7 @@ impl ScenarioRunner {
         if let Some(mins) = opts.for_mins {
             spec.duration_mins = spec.duration_mins.min(mins);
         }
-        let runner = ScenarioRunner {
-            spec,
-            engine_override: self.engine_override,
-        };
-        runner.spec.validate()?;
+        let runner = ScenarioRunner::new(spec)?;
 
         let registry = Arc::new(Registry::new());
         let mut session = runner.session()?;

@@ -14,24 +14,14 @@ use crate::report::ScenarioReport;
 use crate::runner::ScenarioRunner;
 use crate::spec::ScenarioError;
 
-/// One engine entry of a sweep: a display label plus the engine override
-/// (`None` = the spec's own engine).
+/// One engine entry of a sweep: a display label plus the engine each
+/// seed's spec runs on.
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     /// Label used in reports and mismatch messages.
     pub label: String,
-    /// Engine override; `None` keeps the spec's engine.
-    pub engine: Option<MaintenanceEngine>,
-}
-
-impl SweepEngine {
-    /// The spec's own engine, labeled `"spec"`.
-    pub fn spec_default() -> SweepEngine {
-        SweepEngine {
-            label: "spec".into(),
-            engine: None,
-        }
-    }
+    /// The engine written into the spec of every run.
+    pub engine: MaintenanceEngine,
 }
 
 /// Sweep configuration.
@@ -40,7 +30,8 @@ pub struct SweepOptions {
     /// Inclusive seed range.
     pub seeds: (u64, u64),
     /// Engines to run each seed on; the first is the reference whose
-    /// reports feed the aggregates. Empty = the spec's own engine.
+    /// reports feed the aggregates. Empty = the spec's own engine,
+    /// labeled `"spec"`.
     pub engines: Vec<SweepEngine>,
 }
 
@@ -90,7 +81,8 @@ impl ScenarioRunner {
             )));
         }
         let engines = if opts.engines.is_empty() {
-            vec![SweepEngine::spec_default()]
+            let engine = self.spec.maintenance.engine;
+            vec![SweepEngine { label: "spec".into(), engine }]
         } else {
             opts.engines.clone()
         };
@@ -98,15 +90,11 @@ impl ScenarioRunner {
         let mut reports = Vec::new();
         let mut mismatches = Vec::new();
         for seed in lo..=hi {
-            let mut spec = self.spec.clone();
-            spec.seed = seed;
-            let base = ScenarioRunner::new(spec)?;
             let run_on = |entry: &SweepEngine| -> Result<ScenarioReport, ScenarioError> {
-                let runner = match entry.engine {
-                    None => base.clone(),
-                    Some(engine) => base.clone().with_engine(engine),
-                };
-                runner.run()
+                let mut spec = self.spec.clone();
+                spec.seed = seed;
+                spec.maintenance.engine = entry.engine;
+                ScenarioRunner::new(spec)?.run()
             };
             let reference = run_on(&engines[0])?;
             for entry in &engines[1..] {
@@ -335,14 +323,14 @@ mod tests {
                 engines: vec![
                     SweepEngine {
                         label: "serial".into(),
-                        engine: Some(MaintenanceEngine::Serial),
+                        engine: MaintenanceEngine::Serial,
                     },
                     SweepEngine {
                         label: "sharded".into(),
-                        engine: Some(MaintenanceEngine::Sharded {
+                        engine: MaintenanceEngine::Sharded {
                             shards: Some(4),
                             threads: Some(2),
-                        }),
+                        },
                     },
                 ],
             })

@@ -45,11 +45,9 @@ fn event_driven_spec() -> ScenarioSpec {
 }
 
 fn report_with(spec: &ScenarioSpec, engine: MaintenanceEngine) -> avmem_scenario::ScenarioReport {
-    ScenarioRunner::new(spec.clone())
-        .expect("spec validates")
-        .with_engine(engine)
-        .run()
-        .expect("scenario runs")
+    let mut spec = spec.clone();
+    spec.maintenance.engine = engine;
+    ScenarioRunner::new(spec).expect("spec validates").run().expect("scenario runs")
 }
 
 fn sharded(shards: usize, threads: usize) -> MaintenanceEngine {

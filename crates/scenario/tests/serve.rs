@@ -49,6 +49,13 @@ fn sharded(shards: usize, threads: usize) -> MaintenanceEngine {
     }
 }
 
+/// `spec` on `engine`.
+fn on(spec: &ScenarioSpec, engine: MaintenanceEngine) -> ScenarioSpec {
+    let mut spec = spec.clone();
+    spec.maintenance.engine = engine;
+    spec
+}
+
 /// Unpaced serve options: no rate override, no pacing, no endpoint.
 fn unpaced() -> ServeOptions {
     ServeOptions {
@@ -60,11 +67,8 @@ fn unpaced() -> ServeOptions {
 #[test]
 fn unpaced_serve_equals_run_on_every_engine() {
     let spec = event_driven_spec();
-    let reference = ScenarioRunner::new(spec.clone())
-        .unwrap()
-        .with_engine(MaintenanceEngine::Serial)
-        .run()
-        .unwrap();
+    let serial = on(&spec, MaintenanceEngine::Serial);
+    let reference = ScenarioRunner::new(serial).unwrap().run().unwrap();
 
     // Guard against vacuous equality: traffic actually flowed.
     assert!(reference.anycast.sent > 10, "too little anycast traffic");
@@ -77,11 +81,7 @@ fn unpaced_serve_equals_run_on_every_engine() {
     let mut engines = vec![MaintenanceEngine::Serial];
     engines.extend(SHARD_SWEEP.map(|(s, t)| sharded(s, t)));
     for engine in engines {
-        let outcome = ScenarioRunner::new(spec.clone())
-            .unwrap()
-            .with_engine(engine)
-            .serve(&unpaced())
-            .unwrap();
+        let outcome = ScenarioRunner::new(on(&spec, engine)).unwrap().serve(&unpaced()).unwrap();
         assert_eq!(
             reference, outcome.report,
             "unpaced serve diverged from run on {engine:?}"
@@ -105,11 +105,8 @@ fn fixed_duration_serve_is_a_prefix_on_every_engine() {
         ..unpaced()
     };
     for (shards, threads) in SHARD_SWEEP {
-        let outcome = ScenarioRunner::new(spec.clone())
-            .unwrap()
-            .with_engine(sharded(shards, threads))
-            .serve(&opts)
-            .unwrap();
+        let engine = sharded(shards, threads);
+        let outcome = ScenarioRunner::new(on(&spec, engine)).unwrap().serve(&opts).unwrap();
         assert_eq!(
             reference, outcome.report,
             "45-min serve prefix diverged at {shards} shards x {threads} threads"

@@ -11,7 +11,7 @@
 //! * [`Engine`] — a binary-heap scheduler with a deterministic tie-break,
 //!   so that two runs with the same seed produce byte-identical histories;
 //! * [`net`] — per-hop latency models (the paper draws hop latency
-//!   uniformly from `[20 ms, 80 ms]`) and message-loss injection.
+//!   uniformly from `[20 ms, 80 ms]`).
 //!
 //! The engine is generic over the event type: protocol crates define an
 //! event enum and drive the loop themselves, which keeps this crate free

@@ -60,11 +60,7 @@ proptest! {
     #[test]
     fn uniform_latency_within_bounds(seed in any::<u64>(), lo in 0u64..500, span in 0u64..500) {
         let hi = lo + span;
-        let mut net = Network::new(
-            LatencyModel::Uniform { lo_millis: lo, hi_millis: hi },
-            0.0,
-            seed,
-        );
+        let mut net = Network::new(LatencyModel::Uniform { lo_millis: lo, hi_millis: hi }, seed);
         for _ in 0..100 {
             let d = net.hop_latency().as_millis();
             prop_assert!((lo..=hi).contains(&d));
@@ -73,11 +69,10 @@ proptest! {
 
     #[test]
     fn network_is_deterministic_per_seed(seed in any::<u64>()) {
-        let mut a = Network::new(LatencyModel::PAPER, 0.2, seed);
-        let mut b = Network::new(LatencyModel::PAPER, 0.2, seed);
+        let mut a = Network::new(LatencyModel::PAPER, seed);
+        let mut b = Network::new(LatencyModel::PAPER, seed);
         for _ in 0..50 {
             prop_assert_eq!(a.hop_latency(), b.hop_latency());
-            prop_assert_eq!(a.delivers(), b.delivers());
         }
     }
 

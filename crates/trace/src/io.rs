@@ -116,7 +116,9 @@ impl ChurnTrace {
             ));
         }
 
-        let mut rows = Vec::with_capacity(nodes);
+        // The header's counts are claims until the rows arrive: the row
+        // vector grows with them, so no header can size an allocation.
+        let mut rows = Vec::new();
         for i in 0..nodes {
             let line = next_line(&format!("row {i}"))?;
             let line = line.trim();
@@ -230,6 +232,13 @@ mod tests {
         let text = "AVTRACE v1\nslot_millis 0\nnodes 1\nslots 1\n1\n";
         let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("slot_millis"));
+    }
+
+    #[test]
+    fn a_node_count_no_memory_could_hold_is_a_missing_row() {
+        let text = "AVTRACE v1\nslot_millis 1000\nnodes 18446744073709551615\nslots 1\n";
+        let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
+        assert!(matches!(&err, ParseTraceError::Format(m) if m == "missing row 0"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,73 @@ fn arbitrary_rows() -> impl Strategy<Value = Vec<Vec<bool>>> {
     })
 }
 
+/// Lines a mutation may splice into a trace file: counts no memory could
+/// hold, a zero width, a sign, a repeated magic, a blank line, a bare row.
+const HOSTILE_LINES: [&str; 8] = [
+    "nodes 18446744073709551615",
+    "slots 18446744073709551615",
+    "slot_millis 18446744073709551615",
+    "slot_millis 0",
+    "nodes -1",
+    "AVTRACE v1",
+    "",
+    "1",
+];
+
+/// `file` after each edit `(kind, position, byte)`: a byte overwritten,
+/// inserted or deleted, a line deleted or doubled, or a line — any line,
+/// or one of the four header lines — replaced by one of
+/// [`HOSTILE_LINES`].
+fn mutate(mut file: Vec<u8>, edits: &[(u8, u64, u8)]) -> Vec<u8> {
+    for &(kind, at, byte) in edits {
+        let at = at as usize;
+        match kind % 7 {
+            0 if !file.is_empty() => {
+                let i = at % file.len();
+                file[i] = byte;
+            }
+            1 => file.insert(at % (file.len() + 1), byte),
+            2 if !file.is_empty() => {
+                file.remove(at % file.len());
+            }
+            line_edit @ 3..=6 => {
+                let mut lines: Vec<Vec<u8>> =
+                    file.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+                let reach = if line_edit == 6 { lines.len().min(4) } else { lines.len() };
+                let i = at % reach;
+                match line_edit {
+                    3 => drop(lines.remove(i)),
+                    4 => lines.insert(i, lines[i].clone()),
+                    _ => lines[i] = HOSTILE_LINES[byte as usize % HOSTILE_LINES.len()].into(),
+                }
+                file = lines.join(&b'\n');
+            }
+            _ => {}
+        }
+    }
+    file
+}
+
 proptest! {
+    #[test]
+    fn mutated_trace_files_parse_or_fail_typed(
+        rows in arbitrary_rows(),
+        edits in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u8>()), 1..6),
+    ) {
+        let mut file = Vec::new();
+        ChurnTrace::from_rows(SimDuration::from_mins(20), rows).write_to(&mut file).unwrap();
+        // `Ok` or a typed error — a panic fails the case. What does parse
+        // is a trace like any other: it survives its own round trip.
+        match ChurnTrace::read_from(mutate(file, &edits).as_slice()) {
+            Ok(trace) => {
+                let mut again = Vec::new();
+                trace.write_to(&mut again).unwrap();
+                prop_assert_eq!(ChurnTrace::read_from(again.as_slice()).unwrap(), trace);
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
+    }
+
     #[test]
     fn trace_round_trips_through_io(rows in arbitrary_rows()) {
         let trace = ChurnTrace::from_rows(SimDuration::from_mins(20), rows);

@@ -9,7 +9,6 @@
 
 use avmem::harness::{AvmemSim, InitiatorBand, SimConfig};
 use avmem::ops::{AnycastConfig, AvailabilityTarget, MulticastConfig};
-use avmem::SliverScope;
 use avmem_sim::SimDuration;
 use avmem_trace::OvernetModel;
 
@@ -29,12 +28,12 @@ fn main() {
     let mut sim = AvmemSim::new(trace, SimConfig::paper_default(7));
     sim.warm_up(SimDuration::from_hours(24));
 
-    let snapshot = sim.snapshot();
+    let health = sim.health_stats();
     println!(
         "overlay: {} nodes online, mean degree {:.1}, largest component {:.0}%",
-        snapshot.online_count(),
-        snapshot.mean_degree(),
-        100.0 * snapshot.largest_component_fraction(SliverScope::Both)
+        health.online,
+        health.mean_degree,
+        100.0 * health.largest_component
     );
 
     // 3. Range-anycast: find some node with availability in [0.85, 0.95],

@@ -3,9 +3,11 @@
 
 use avmem::harness::{AvmemSim, MaintenanceMode, OracleChoice, SimConfig};
 use avmem::SliverScope;
+use avmem_bench::figures::{hs_scaling_points, online_and_vs_in_links, sliver_sizes};
 use avmem_sim::SimDuration;
 use avmem_trace::OvernetModel;
 use avmem_util::stats::correlation;
+use avmem_util::NodeId;
 
 fn warmed(seed: u64, hosts: usize) -> AvmemSim {
     let trace = OvernetModel::default().hosts(hosts).days(2).generate(31);
@@ -17,9 +19,8 @@ fn warmed(seed: u64, hosts: usize) -> AvmemSim {
 #[test]
 fn overlay_is_connected_after_warmup() {
     let sim = warmed(1, 250);
-    let snapshot = sim.snapshot();
     assert!(
-        snapshot.largest_component_fraction(SliverScope::Both) > 0.95,
+        sim.health_stats().largest_component > 0.95,
         "overlay should be (nearly) fully connected"
     );
 }
@@ -29,9 +30,7 @@ fn vertical_sliver_sizes_uncorrelated_with_availability() {
     // Fig. 2c: "median values of the vertical sliver sizes are
     // uncorrelated to the availability."
     let sim = warmed(2, 250);
-    let snapshot = sim.snapshot();
-    let points: Vec<(f64, f64)> = snapshot
-        .vs_sizes()
+    let points: Vec<(f64, f64)> = sliver_sizes(&sim.world(), SliverScope::VsOnly)
         .into_iter()
         .map(|(a, s)| (a, s as f64))
         .collect();
@@ -47,8 +46,7 @@ fn horizontal_sliver_grows_sublinearly() {
     // Fig. 3: HS size grows sublinearly with the number of in-band
     // candidates: the marginal growth flattens.
     let sim = warmed(3, 300);
-    let snapshot = sim.snapshot();
-    let points = snapshot.hs_scaling_points();
+    let points = hs_scaling_points(&sim.world(), sim.predicate().epsilon());
     let max_c = points.iter().map(|p| p.0).fold(0.0f64, f64::max);
     assert!(max_c > 0.0);
     let low: Vec<(f64, f64)> = points.iter().copied().filter(|p| p.0 <= max_c / 2.0).collect();
@@ -68,14 +66,12 @@ fn incoming_vs_links_do_not_follow_population() {
     // Fig. 4: incoming VS links per availability range are "largely
     // uncorrelated to the distribution of nodes".
     let sim = warmed(4, 300);
-    let snapshot = sim.snapshot();
-    let links = snapshot.incoming_vs_links(10);
-    let histogram = snapshot.availability_histogram(10);
+    let (histogram, links) = online_and_vs_in_links(&sim.world(), 10);
     // Compare the shape: links per bucket should be much flatter than the
     // (skewed) population. Use the ratio of coefficients of variation.
     let populated: Vec<(f64, f64)> = (0..10)
         .filter(|&b| histogram.count(b) > 0)
-        .map(|b| (histogram.count(b) as f64, links[b] as f64))
+        .map(|b| (histogram.count(b) as f64, links.count(b) as f64))
         .collect();
     assert!(populated.len() >= 4, "too few populated buckets");
     let cv = |values: &[f64]| {
@@ -102,8 +98,8 @@ fn membership_lists_scale_logarithmically() {
     // doesn't explode with N.
     let small = warmed(5, 150);
     let large = warmed(5, 450);
-    let d_small = small.snapshot().mean_degree();
-    let d_large = large.snapshot().mean_degree();
+    let d_small = small.health_stats().mean_degree;
+    let d_large = large.health_stats().mean_degree;
     // Tripling N should grow the degree far less than 3×.
     assert!(
         d_large < d_small * 2.0,
@@ -133,7 +129,7 @@ fn event_driven_converges_to_predicate_overlay() {
         if !sim.trace().is_online(i, sim.now()) {
             continue;
         }
-        let id = avmem_util::NodeId::new(i as u64);
+        let id = NodeId::new(i as u64);
         let reference_membership = reference.membership(id);
         let discovered = sim.membership(id);
         expected += reference_membership.len();
@@ -156,7 +152,8 @@ fn event_driven_converges_to_predicate_overlay() {
 
 #[test]
 fn deterministic_given_seed() {
-    let a = warmed(9, 150).snapshot();
-    let b = warmed(9, 150).snapshot();
-    assert_eq!(a, b);
+    let (a, b) = (warmed(9, 150), warmed(9, 150));
+    for id in a.trace().node_ids() {
+        assert_eq!(a.membership(id), b.membership(id), "node {id}");
+    }
 }
