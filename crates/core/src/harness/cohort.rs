@@ -113,10 +113,9 @@ pub(super) struct ShardScratch {
     pub(super) cand_avs: Vec<Option<Availability>>,
     /// Pair hashes of the querier against `cand_ids`, aligned with it.
     pub(super) cand_hashes: Vec<f64>,
-    /// Next-period view-scoped no-insert list under construction (one
-    /// discovery op at a time; reused allocation). Unused where the
-    /// verdict memory runs.
-    pub(super) seen_scratch: Vec<u32>,
+    /// View positions of `cand_ids`, aligned with it: where a no-insert
+    /// verdict is marked. Filled only by the id-table filter.
+    pub(super) cand_pos: Vec<u32>,
     /// Epoch-stamped per-node memos of the finalize phase.
     pub(super) finalize: FinalizeShardState,
     /// Finalize counters, drained after every cohort.
@@ -278,6 +277,25 @@ fn propose_tick(
     Some(proposal)
 }
 
+/// Node-indexed state a shard phase works on — one slice, or a tuple of
+/// slices split by the same partition — and how it splits at a node.
+trait NodeSlices: Send + Sized {
+    fn split_at(self, mid: usize) -> (Self, Self);
+}
+
+impl<T: Send> NodeSlices for &mut [T] {
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+impl<A: NodeSlices, B: NodeSlices> NodeSlices for (A, B) {
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let ((a, rest_a), (b, rest_b)) = (self.0.split_at(mid), self.1.split_at(mid));
+        ((a, b), (rest_a, rest_b))
+    }
+}
+
 /// One cohort as its shard phases see it: its time and due lists, the
 /// partition, and the read-only simulation state around them.
 struct Cohort<'a> {
@@ -295,37 +313,35 @@ struct Cohort<'a> {
 }
 
 impl Cohort<'_> {
-    /// Runs `body(self, s, start, slice, scratch)` for every shard `s`:
-    /// `slice` is the shard's part of the node-indexed `items`, beginning
+    /// Runs `body(self, s, start, slices, scratch)` for every shard `s`:
+    /// `slices` is the shard's part of the node-indexed `items`, beginning
     /// at node `start`, and `scratch` its scratch state. One thread or
     /// one shard walks the shards here, in order, splitting `items` as it
     /// goes; otherwise each shard is one job on the worker pool. Shard
     /// bodies are independent, so the result is the same either way.
-    fn each_shard<T: Send>(
+    fn each_shard<S: NodeSlices>(
         &self,
-        items: &mut [T],
+        items: S,
         scratches: &mut [ShardScratch],
-        body: impl Fn(&Self, usize, usize, &mut [T], &mut ShardScratch) + Sync,
+        body: impl Fn(&Self, usize, usize, S, &mut ShardScratch) + Sync,
     ) {
-        if self.threads <= 1 || scratches.len() <= 1 {
-            let (mut rest, mut start) = (items, 0);
-            for (s, scratch) in scratches.iter_mut().enumerate() {
-                let (slice, tail) = rest.split_at_mut(self.part.range(s).len());
-                body(self, s, start, slice, scratch);
-                start += slice.len();
-                rest = tail;
+        let mut rest = Some(items);
+        let shards = scratches.iter_mut().enumerate().map(|(s, scratch)| {
+            let range = self.part.range(s);
+            let (slices, tail) = rest.take().expect("split once a shard").split_at(range.len());
+            rest = Some(tail);
+            (range.start, slices, scratch)
+        });
+        if self.threads <= 1 || self.part.shards() <= 1 {
+            for (s, (start, slices, scratch)) in shards.enumerate() {
+                body(self, s, start, slices, scratch);
             }
         } else {
-            let mut tasks: Vec<(usize, &mut [T], &mut ShardScratch)> = self
-                .part
-                .split_mut(items)
-                .into_iter()
-                .zip(scratches.iter_mut())
-                .enumerate()
-                .map(|(s, (slice, scratch))| (self.part.range(s).start, slice, scratch))
+            let mut tasks: Vec<_> = shards
+                .map(|(start, slices, scratch)| (start, Some(slices), scratch))
                 .collect();
-            par_each_mut(&mut tasks, self.threads, |s, (start, slice, scratch)| {
-                body(self, s, *start, slice, scratch)
+            par_each_mut(&mut tasks, self.threads, |s, (start, slices, scratch)| {
+                body(self, s, *start, slices.take().expect("one job a shard"), scratch)
             });
         }
     }
@@ -438,21 +454,22 @@ impl Cohort<'_> {
     }
 
     /// Phase 3 — finalize: the shard's per-node ops (built in the propose
-    /// phase) against its membership slice, reading the now frozen
-    /// post-commit shuffle views through `ctx`.
+    /// phase) against its membership slice and the post-commit shuffle
+    /// views of the same nodes, which only finalize's marks touch now.
     fn finalize(
         &self,
         ctx: &MaintCtx<'_>,
         s: usize,
         start: usize,
-        lists: &mut [Membership],
+        (lists, nodes): (&mut [Membership], &mut [ShuffleNode]),
         scratch: &mut ShardScratch,
     ) {
         let _span = self.lane_span(PH_FINALIZE, s);
         let len = lists.len();
         for k in 0..scratch.ops.len() {
             let ops = scratch.ops[k];
-            ctx.finalize_node(ops, &mut lists[ops.node as usize - start], scratch, start, len);
+            let local = ops.node as usize - start;
+            ctx.finalize_node(ops, &mut lists[local], &mut nodes[local], scratch, start, len);
         }
     }
 }
@@ -512,7 +529,7 @@ impl AvmemSim {
         let metrics = self.metrics.as_ref().filter(|_| part.shards() > 1);
 
         let tp = self.tracer.span(PH_PROPOSE, 0);
-        cohort.each_shard(&mut self.shuffles, scratches, Cohort::propose);
+        cohort.each_shard(&mut self.shuffles[..], scratches, Cohort::propose);
         drop(tp);
 
         let tc = self.tracer.span(PH_COMMIT, 0);
@@ -521,13 +538,13 @@ impl AvmemSim {
             |scratch| &mut scratch.requests,
             metrics.map(|m| (&m.exchange_req_batch, &m.exchange_requests)),
         );
-        cohort.each_shard(&mut self.shuffles, scratches, Cohort::apply_requests);
+        cohort.each_shard(&mut self.shuffles[..], scratches, Cohort::apply_requests);
         exchange(
             scratches,
             |scratch| &mut scratch.replies,
             metrics.map(|m| (&m.exchange_reply_batch, &m.exchange_replies)),
         );
-        cohort.each_shard(&mut self.shuffles, scratches, Cohort::apply_replies);
+        cohort.each_shard(&mut self.shuffles[..], scratches, Cohort::apply_replies);
         drop(tc);
 
         let tf = self.tracer.span(PH_FINALIZE, 0);
@@ -539,10 +556,11 @@ impl AvmemSim {
                 .then(|| memo.vertical_ceiling()),
             oracle: &self.oracle,
             hashes: &self.hashes,
-            shuffles: &self.shuffles,
+            nodes: self.shuffles.len(),
             now: t,
         };
-        cohort.each_shard(&mut self.memberships, scratches, |cohort, s, start, lists, scratch| {
+        let lists = (&mut self.memberships[..], &mut self.shuffles[..]);
+        cohort.each_shard(lists, scratches, |cohort, s, start, lists, scratch| {
             cohort.finalize(&ctx, s, start, lists, scratch)
         });
         for scratch in scratches.iter_mut() {

@@ -239,15 +239,16 @@ pub struct SimConfig {
     /// memory — one bit per ordered pair, `N²/8` bytes; two, `N²/4`,
     /// under an oracle whose epoch moves (the second holds the verdicts
     /// that outlive a turnover), 1/32 of the matrix the budget stands for
-    /// — or the view-scoped no-insert lists.
+    /// — or keeps its no-insert verdicts as mark bits in the view slots
+    /// themselves, no byte beyond the views.
     pub hash_budget: usize,
 }
 
 /// The pair-hash budget for [`SimConfig::paper_default`]: the crate
 /// default, overridable through the `AVMEM_HASH_BUDGET` environment
 /// variable (bytes) so CI can run the suites on either side of it —
-/// dense rows and verdict bits, or on-the-fly hashing and view-scoped
-/// no-insert lists — without code changes.
+/// dense rows and verdict bits, or on-the-fly hashing and view-slot
+/// marks — without code changes.
 fn hash_budget_from_env() -> usize {
     std::env::var("AVMEM_HASH_BUDGET")
         .ok()

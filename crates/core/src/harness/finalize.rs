@@ -27,9 +27,9 @@ pub(super) struct FinalizeShardState {
     /// Per node: stamp under which the node's entire membership is known
     /// fully classified — the refresh short-circuit license.
     pub(super) classified: Vec<u32>,
-    /// Per node: stamp under which the node's discovery memory below —
-    /// its `verdicts` row or its `seen` list, whichever regime runs — is
-    /// valid.
+    /// Per node: stamp under which the node's discovery memory — its
+    /// `verdicts` row below, or the marks in its own view beyond the
+    /// budget, whichever regime runs — is valid.
     pub(super) seen_stamp: Vec<u32>,
     /// The verdict memory — the discovery filter where the pair space
     /// fits the hash budget ([`PairHashes::is_cached`]: `8·N²` bytes
@@ -80,22 +80,22 @@ pub(super) struct FinalizeShardState {
     /// Per node: the bound its `settled` bits were set against; 0 before
     /// the node's first discovery. Never lowered.
     pub(super) ceiling: Vec<f64>,
-    /// The no-insert memory beyond the budget, where a `N/8`-byte row
-    /// per node is not affordable (125 KB at 10⁶ hosts) and a pair
-    /// rarely re-enters a view anyway: per node, the candidate ids (a
-    /// set, in no particular order) of the *current view* that classified
-    /// to no insert at the `seen_stamp` epoch, rebuilt every discovery.
-    /// The list is view-sized; a discovery tags its ids — and the node's
-    /// neighbors — in the shard's id table once and then probes the table
-    /// per candidate. An id that left the view drops out and, if it comes
-    /// back within the epoch, re-runs the pipeline (identically).
-    pub(super) seen: Vec<Vec<u32>>,
+    // Beyond the budget, where a `N/8`-byte row per node is not
+    // affordable (125 KB at 10⁶ hosts) and a pair rarely re-enters a view
+    // anyway, the no-insert memory is no state of this shard's: it is the
+    // mark bit of the node's own view slots ([`ShuffleNode::mark_view`]).
+    // A candidate that classifies to no insert at the `seen_stamp` epoch
+    // marks its slot; the node's first discovery under a new stamp clears
+    // every mark. A verdict lives while its id stays in its slot — an id
+    // that leaves the view and comes back within the epoch re-runs the
+    // pipeline (identically) — and costs no byte beyond the view.
 }
 
 impl FinalizeShardState {
-    /// Sizes the per-node columns for a shard of `len` nodes. Only the
-    /// running regime's no-insert column is sized — the other one stays
-    /// unallocated — and the settled rows only where they run (`settles`).
+    /// Sizes the per-node columns for a shard of `len` nodes. The skip
+    /// rows only where the verdict memory runs (beyond the budget the
+    /// views carry the verdicts), and the settled rows only where they
+    /// run (`settles`).
     fn ensure_len(&mut self, len: usize, verdict_memory: bool, settles: bool) {
         if self.horizontal.len() != len {
             self.horizontal_stamp.resize(len, 0);
@@ -104,8 +104,6 @@ impl FinalizeShardState {
             self.seen_stamp.resize(len, 0);
             if verdict_memory {
                 self.verdicts.resize_with(len, Vec::new);
-            } else {
-                self.seen.resize_with(len, Vec::new);
             }
             if settles {
                 self.settled.resize_with(len, Vec::new);
@@ -115,12 +113,10 @@ impl FinalizeShardState {
     }
 }
 
-/// Discovery-filter tags in the shard's id table, for the view-scoped
+/// The discovery-filter tag in the shard's id table, for the view-scoped
 /// regime and for oracles without an epoch (the verdict memory needs no
-/// table): the id is already a neighbor, or (stamped only) it classified
-/// to no insert earlier in this epoch.
+/// table): the id is already a neighbor.
 const TAG_MEMBER: u32 = 0;
-const TAG_NO_INSERT: u32 = 1;
 
 /// Word and mask of bit `y` in a skip row.
 pub(super) fn verdict_bit(y: usize) -> (usize, u64) {
@@ -140,8 +136,8 @@ pub(super) fn compact_stamp(epoch: u64) -> Option<u32> {
 
 /// Read-only context of one cohort's finalize phase, shared by every
 /// shard worker: enough state to run discovery and refresh for any node
-/// against the post-commit shuffle views, without touching the
-/// membership being rewritten.
+/// against its post-commit shuffle view, which the shard hands in beside
+/// the membership being rewritten.
 pub(super) struct MaintCtx<'a> {
     /// The predicate's threshold tables, hoisted once per cohort.
     pub(super) memo: &'a ThresholdMemo<'a>,
@@ -157,7 +153,8 @@ pub(super) struct MaintCtx<'a> {
     pub(super) settle_above: Option<f64>,
     pub(super) oracle: &'a SimOracle,
     pub(super) hashes: &'a PairHashes,
-    pub(super) shuffles: &'a [ShuffleNode],
+    /// Population size: the width of a skip row, in bits.
+    pub(super) nodes: usize,
     pub(super) now: SimTime,
 }
 
@@ -167,10 +164,11 @@ impl MaintCtx<'_> {
     /// memoized thresholds (epoch-cached when the oracle exposes an
     /// epoch), a discovery filter that remembers this epoch's no-insert
     /// verdicts — one bit test per view id where the verdict memory runs;
-    /// the shard id table is touched only in the view-scoped regime and
-    /// without an epoch —, one batched oracle call and one batched
-    /// pair-hash read per sub-op, and the refresh short-circuit. A node
-    /// its oracle cannot see skips maintenance entirely.
+    /// the shard id table and the view's marks are touched only in the
+    /// view-scoped regime and without an epoch —, one batched oracle call
+    /// and one batched pair-hash read per sub-op, and the refresh
+    /// short-circuit. A node its oracle cannot see skips maintenance
+    /// entirely.
     ///
     /// Bit-identical to evaluating Eq. 1 pair at a time (pinned against
     /// the test-only model, `harness/model.rs`): within one epoch
@@ -184,6 +182,7 @@ impl MaintCtx<'_> {
         &self,
         ops: NodeOps,
         membership: &mut Membership,
+        node: &mut ShuffleNode,
         scratch: &mut ShardScratch,
         shard_start: usize,
         shard_len: usize,
@@ -197,7 +196,7 @@ impl MaintCtx<'_> {
             cand_ids,
             cand_avs,
             cand_hashes,
-            seen_scratch,
+            cand_pos,
             finalize: state,
             stats,
             migrants,
@@ -208,8 +207,8 @@ impl MaintCtx<'_> {
         let stamp = self.epoch.and_then(compact_stamp);
         let local = i - shard_start;
         // Which no-insert memory discovery runs: exact per-pair verdict
-        // bits where the pair space fits the hash budget, the view-scoped
-        // list beyond it. Without a stamp nothing outlives the op and no
+        // bits where the pair space fits the hash budget, marks in the
+        // view beyond it. Without a stamp nothing outlives the op and no
         // per-node state is sized at all.
         let verdict_memory = self.hashes.is_cached();
         if stamp.is_some() {
@@ -243,7 +242,6 @@ impl MaintCtx<'_> {
             // and candidate availability, pair hash, thresholds) is fixed
             // within the epoch, so the outcome cannot change.
             cand_ids.clear();
-            let view = self.shuffles[i].view();
             // The node's skip row where the verdict memory runs; `None`
             // in the view-scoped regime and without a stamp, which filter
             // through the shard's id table instead.
@@ -254,7 +252,7 @@ impl MaintCtx<'_> {
             let mut settled_row = None;
             match stamp {
                 Some(stamp) if verdict_memory => {
-                    let words = self.shuffles.len().div_ceil(64);
+                    let words = self.nodes.div_ceil(64);
                     if let Some(vertical) = self.settle_above {
                         let (settled, ceiling) =
                             (&mut state.settled[local], &mut state.ceiling[local]);
@@ -292,7 +290,7 @@ impl MaintCtx<'_> {
                         }
                         state.seen_stamp[local] = stamp;
                     }
-                    for candidate in view.ids() {
+                    for candidate in node.view().ids() {
                         let y = candidate.raw() as usize;
                         if y == i {
                             continue;
@@ -307,39 +305,37 @@ impl MaintCtx<'_> {
                     skip_row = Some(row);
                 }
                 _ => {
-                    // One tag per id the filter must recognize, written
-                    // once; each view candidate then costs one load. The
-                    // same-epoch no-insert list is disjoint from the
-                    // neighbors (an id that classified to no insert
-                    // cannot have become a neighbor within the same
-                    // epoch) and rebuilt as we go: pruned repeats carry
-                    // over, novel no-inserts join after classification.
-                    seen_scratch.clear();
+                    // The neighbors tagged once, each view candidate then
+                    // one load; a marked slot is a no-insert verdict of
+                    // this epoch — marks of another are cleared here, at
+                    // the node's first discovery under the stamp.
+                    if let Some(stamp) = stamp {
+                        if state.seen_stamp[local] != stamp {
+                            node.clear_view_marks();
+                            state.seen_stamp[local] = stamp;
+                        }
+                    }
+                    cand_pos.clear();
                     let tags = pool.id_table();
                     tags.begin();
                     for &member in membership.columns(SliverScope::Both).ids {
                         tags.set(member, TAG_MEMBER);
                     }
-                    if stamp.is_some_and(|stamp| state.seen_stamp[local] == stamp) {
-                        for &y in &state.seen[local] {
-                            debug_assert_eq!(tags.get(y), None, "no-insert id {y} is a neighbor");
-                            tags.set(y, TAG_NO_INSERT);
-                        }
-                    }
-                    for candidate in view.ids() {
+                    let view = node.view();
+                    for (pos, candidate) in view.ids().enumerate() {
                         let y = candidate.raw() as usize;
                         if y == i {
                             continue;
                         }
-                        match tags.get(y as u32) {
-                            Some(TAG_NO_INSERT) => {
-                                stats.discover_pruned += 1;
-                                seen_scratch.push(y as u32);
-                            }
+                        if stamp.is_some() && view.is_marked(pos) {
+                            stats.discover_pruned += 1;
+                        } else if tags.get(y as u32).is_some() {
                             // A neighbor. Without a stamp the counter
                             // stays 0: no filter outlives the op.
-                            Some(_) => stats.discover_pruned += u64::from(stamp.is_some()),
-                            None => cand_ids.push(candidate),
+                            stats.discover_pruned += u64::from(stamp.is_some());
+                        } else {
+                            cand_ids.push(candidate);
+                            cand_pos.push(pos as u32);
                         }
                     }
                 }
@@ -351,8 +347,8 @@ impl MaintCtx<'_> {
                     .estimate_batch(querier, cand_ids, self.now, cand_avs);
                 stats.batched_estimates += cand_ids.len() as u64;
                 stats.pair_hash.read(self.hashes, i, cand_ids, cand_hashes);
-                for ((candidate, y_av), &hash) in
-                    cand_ids.iter().zip(cand_avs.iter()).zip(cand_hashes.iter())
+                for (k, ((candidate, y_av), &hash)) in
+                    cand_ids.iter().zip(cand_avs.iter()).zip(cand_hashes.iter()).enumerate()
                 {
                     let y = candidate.raw() as usize;
                     let mut kept = false;
@@ -384,25 +380,17 @@ impl MaintCtx<'_> {
                             }
                         }
                     } else if !kept && stamp.is_some() {
-                        seen_scratch.push(y as u32);
+                        node.mark_view(cand_pos[k] as usize);
                     }
                 }
             }
-            if let Some(stamp) = stamp {
-                if skip_row.is_none() {
-                    // Entries that left the view drop out here. View ids
-                    // are unique, so the list is a set as built.
-                    std::mem::swap(&mut state.seen[local], seen_scratch);
-                    state.seen_stamp[local] = stamp;
-                }
-                if inserted {
-                    // Inserts are classified at the current epoch: the
-                    // list stays uniformly stamped only if it was empty
-                    // or already at this epoch; otherwise it is mixed
-                    // and must be fully refreshed before any skip.
-                    let slot = &mut state.classified[local];
-                    *slot = if was_empty || *slot == stamp { stamp } else { 0 };
-                }
+            if let Some(stamp) = stamp.filter(|_| inserted) {
+                // Inserts are classified at the current epoch: the list
+                // stays uniformly stamped only if it was empty or already
+                // at this epoch; otherwise it is mixed and must be fully
+                // refreshed before any skip.
+                let slot = &mut state.classified[local];
+                *slot = if was_empty || *slot == stamp { stamp } else { 0 };
             }
         }
         if ops.refresh {

@@ -231,7 +231,7 @@ mod tests {
         // per-querier noise, where the missing epoch disables every cache
         // but thresholds are still hoisted per finalize op —, on one shard
         // and on several, and in both no-insert regimes: the verdict bits
-        // (the pair space fits the hash budget) and the view-scoped lists
+        // (the pair space fits the hash budget) and the view-slot marks
         // (it does not).
         let shared_noise = OracleChoice::NoisyShared {
             error: 0.05,
@@ -298,24 +298,25 @@ mod tests {
                     // per no-insert regime, and in both `discover_pruned`
                     // counts every view candidate dropped without an estimate:
                     // the 29 854 neighbor hits of this run plus the no-insert
-                    // repeats, so pruned + estimated is the 95 001 candidates
-                    // the views offered either way. The view-scoped list must
-                    // still estimate exactly what a scanning filter (a binary
-                    // search of the no-insert list, then
-                    // `Membership::contains`, per candidate) estimated on this
-                    // spec; the skip row, which outlives a pair's stay in the
-                    // view, estimates a sixth of that. Its pair was (89 572,
-                    // 5 429) while every verdict died with its epoch: 203
-                    // candidates have since moved from estimated to pruned,
-                    // the repeats of pairs whose hash is above their node's
-                    // threshold ceiling and so stayed decided across a
-                    // turnover (few here: at 110 hosts no ceiling is below
-                    // 0.63, the largest vertical threshold, and two nodes in
-                    // five sit at the horizontal threshold's cap of 1, which
-                    // nothing exceeds).
-                    // A filter that probes differently — a stale tag or bit
-                    // read as current, an unsettled bit that survives its
-                    // epoch, a neighbor left unmarked — moves `discover_pruned`
+                    // repeats, so pruned + estimated — the candidates the
+                    // views offered, plus the refresh estimates both regimes
+                    // share — is the same either way (asserted below).
+                    // Beyond the budget a verdict is a mark in its view
+                    // slot, and lives while its id stays in that slot: an id
+                    // that leaves and comes back within the epoch is
+                    // estimated again. The skip row, which outlives a pair's
+                    // stay in the view, estimates a seventh of that. Its pair
+                    // was (89 572, 5 429) while every verdict died with its
+                    // epoch: 203 candidates have since moved from estimated
+                    // to pruned, the repeats of pairs whose hash is above
+                    // their node's threshold ceiling and so stayed decided
+                    // across a turnover (few here: at 110 hosts no ceiling is
+                    // below 0.63, the largest vertical threshold, and two
+                    // nodes in five sit at the horizontal threshold's cap of
+                    // 1, which nothing exceeds).
+                    // A filter that probes differently — a stale tag, bit or
+                    // mark read as current, an unsettled bit that survives its
+                    // epoch, a neighbor left untagged — moves `discover_pruned`
                     // or `batched_estimates` even where the memberships come
                     // out equal.
                     assert_eq!(
@@ -333,9 +334,14 @@ mod tests {
                         if verdict_memory {
                             (89_775, 5_226)
                         } else {
-                            (60_847, 34_154)
+                            (57_038, 37_963)
                         },
                         "{label}: discovery filter counters"
+                    );
+                    assert_eq!(
+                        stats.discover_pruned + stats.batched_estimates,
+                        95_001,
+                        "{label}: candidates the views offered"
                     );
                     assert_eq!(
                         stats.pair_hash.hashed + stats.pair_hash.delegated,

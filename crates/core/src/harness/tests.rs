@@ -553,6 +553,12 @@ fn classifies_to_no_insert(sim: &AvmemSim, x: usize, y: usize) -> bool {
     sim.predicate.classify(own, info).is_none()
 }
 
+/// How many slots of node `x`'s view carry a mark.
+fn marked_slots(sim: &AvmemSim, x: usize) -> usize {
+    let view = sim.shuffles[x].view();
+    (0..view.len()).filter(|&pos| view.is_marked(pos)).count()
+}
+
 /// Whether node `i`'s periodic event of `stream` fires at `t`, on a
 /// schedule built at time zero.
 fn fires_at(sim: &AvmemSim, stream: u64, i: usize, t: SimTime) -> bool {
@@ -989,7 +995,6 @@ fn a_verdict_row_is_allocated_at_the_nodes_first_stamped_discovery() {
         let mut lens = vec![0; 100];
         for (s, scratch) in maint.scratches.iter().enumerate() {
             let state = &scratch.finalize;
-            assert!(state.seen.is_empty(), "view lists sized beside the rows");
             for (local, row) in state.verdicts.iter().enumerate() {
                 // Allocated exactly when a stamped discovery ran.
                 assert_eq!(row.is_empty(), state.seen_stamp[local] == 0);
@@ -1017,7 +1022,7 @@ fn a_verdict_row_is_allocated_at_the_nodes_first_stamped_discovery() {
 #[test]
 fn beyond_the_budget_no_verdict_row_exists() {
     // Nor a settled row, whether or not the epoch moves: what settles is
-    // carried in skip rows.
+    // carried in skip rows. The verdicts are marks in the views instead.
     let shared_noise = OracleChoice::NoisyShared {
         error: 0.05,
         staleness: SimDuration::from_mins(2),
@@ -1027,8 +1032,8 @@ fn beyond_the_budget_no_verdict_row_exists() {
         sim.warm_up(SimDuration::from_mins(10));
         let state = finalize_state(&sim);
         assert!(state.verdicts.is_empty() && state.settled.is_empty() && state.ceiling.is_empty());
-        assert_eq!(state.seen.len(), 100);
-        assert!(state.seen.iter().any(|list| !list.is_empty()));
+        assert_eq!(state.seen_stamp.len(), 100);
+        assert!((0..100).any(|x| marked_slots(&sim, x) > 0), "no view carries a mark");
         assert!(sim.finalize_stats().discover_pruned > 0);
         assert_eq!(sim.finalize_stats().verdicts_carried, 0);
     }
@@ -1050,10 +1055,52 @@ fn per_querier_noise_allocates_no_finalize_state() {
         assert!(stats.memo_bypassed > 0 && stats.batched_estimates > 0);
         assert_eq!((stats.memo_hits, stats.discover_pruned), (0, 0));
         let state = finalize_state(&sim);
-        assert!(state.verdicts.is_empty() && state.seen.is_empty());
-        assert!(state.settled.is_empty() && state.ceiling.is_empty());
+        assert!(state.verdicts.is_empty() && state.settled.is_empty());
+        assert!(state.ceiling.is_empty());
         assert!(state.seen_stamp.is_empty() && state.horizontal.is_empty());
+        assert!((0..100).all(|x| marked_slots(&sim, x) == 0), "a view carries a mark");
     }
+}
+
+#[test]
+fn a_nodes_marks_go_at_its_first_discovery_past_a_turnover() {
+    // Beyond the budget, under an epoch that turns every two minutes.
+    // Every slot of every view is marked by hand; a node whose stamp then
+    // moves must have cleared them all before it set its own — so none
+    // sits on a neighbor (finalize tags neighbors, never marks them), and
+    // under the current epoch each mark is a no-insert verdict.
+    let mut sim = event_driven_sim(100, shared_noise(2), MaintenanceEngine::Serial, 0);
+    sim.warm_up(SimDuration::from_mins(10));
+    let before = finalize_state(&sim).seen_stamp.clone();
+    for node in &mut sim.shuffles {
+        (0..node.view().len()).for_each(|pos| node.mark_view(pos));
+    }
+    sim.warm_up(SimDuration::from_mins(1));
+    let (stamps, current) = (&finalize_state(&sim).seen_stamp, stamp_at(&sim, sim.now()));
+    let (mut crossed, mut kept) = (0, 0);
+    for x in 0..100 {
+        let view = sim.shuffles[x].view();
+        let marked: Vec<usize> = view
+            .ids()
+            .enumerate()
+            .filter(|&(pos, _)| view.is_marked(pos))
+            .map(|(_, y)| y.raw() as usize)
+            .collect();
+        if stamps[x] == before[x] {
+            kept += usize::from(!marked.is_empty());
+            continue;
+        }
+        crossed += 1;
+        for &y in &marked {
+            let neighbor = sim.memberships[x].contains(NodeId::new(y as u64));
+            assert!(!neighbor, "node {x}: a mark of the old epoch on neighbor {y}");
+            if stamps[x] == current && sim.estimated_availability(x, x).is_some() {
+                assert!(classifies_to_no_insert(&sim, x, y), "node {x}: Eq. 1 accepts marked {y}");
+            }
+        }
+    }
+    // Nodes that discovered nothing since still carry the hand marks.
+    assert!(crossed > 20 && kept > 0, "{crossed} nodes crossed a turnover, {kept} kept marks");
 }
 
 #[test]

@@ -236,7 +236,7 @@ fn sharded_matches_serial_with_full_avmon_service() {
 #[test]
 fn hash_store_modes_agree_across_engines() {
     // The pair-hash budget selects finalize's no-insert memory — one
-    // verdict bit per pair where `8·N²` fits it, the view-scoped list
+    // verdict bit per pair where `8·N²` fits it, a mark bit per view slot
     // where it does not — and neither may perturb a bit: every (budget,
     // engine) combination must land on the baseline's state. 120 hosts: the default budget fits (8·N² ≈ 113
     // KiB), 8 KiB does not. Either way finalize hashes its candidate
@@ -355,7 +355,7 @@ proptest! {
     fn no_insert_regimes_agree_on_everything_but_the_discovery_counters(
         (hosts, seed, (oracle, maintenance, mins)) in regime_case(),
     ) {
-        // The verdict bits (budget fits `8·N²`) and the view-scoped list
+        // The verdict bits (budget fits `8·N²`) and the view-slot marks
         // (it does not) must land on the same state on every engine, and
         // differ in no counter but the ones that say how many candidates
         // the filter let through.

@@ -172,6 +172,21 @@ impl ShuffleNode {
         &self.view
     }
 
+    /// Marks the view slot at `pos` ([`View::mark`]): the protocol never
+    /// reads marks, so this changes no exchange.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is not a position of the view.
+    pub fn mark_view(&mut self, pos: usize) {
+        self.view.mark(pos);
+    }
+
+    /// Clears every mark of the view ([`View::clear_marks`]).
+    pub fn clear_view_marks(&mut self) {
+        self.view.clear_marks();
+    }
+
     /// Seeds the view with known peers (used on join/rejoin).
     pub fn bootstrap<I>(&mut self, seeds: I)
     where

@@ -9,11 +9,26 @@
 //!
 //! Entries are stored struct-of-arrays (`ids: Vec<u32>`, `ages: Vec<u32>`)
 //! rather than as `Vec<ViewEntry>`: 8 bytes per slot instead of 16, and
-//! the arrays grow lazily instead of eagerly reserving `capacity` slots.
-//! At 10⁶ hosts with √N-sized views this halves the dominant term of the
-//! resident set. The id arrays hold **index-space ids** — views are the
-//! harness's per-node neighbor slots, where ids are dense indexes `< N`;
-//! inserting an id above `u32::MAX` panics.
+//! the arrays grow lazily instead of eagerly reserving `capacity` slots —
+//! doubling, but never past `capacity`, so a full view holds no slack
+//! slots. At 10⁶ hosts with √N-sized views this halves the dominant term
+//! of the resident set. The id arrays hold **index-space ids** — views
+//! are the harness's per-node neighbor slots, where ids are dense indexes
+//! `< N`; inserting an id above `u32::MAX` panics.
+//!
+//! An age lives in the low 31 bits of its `ages` slot, and ages saturate
+//! at [`View::AGE`] — 2³¹ − 1 periods, a documented limit far beyond the
+//! 71 582 minutes a scenario may run (4.3 M one-second periods): every
+//! age that enters the view or grows in it is clamped there. The top bit
+//! is the slot's **mark**, one bit of memory the view's owner may attach
+//! to an entry ([`View::mark`], [`View::is_marked`],
+//! [`View::clear_marks`]; the harness keeps its no-insert verdicts
+//! there, at no byte beyond the view). A mark lives while its id stays in
+//! its slot: a duplicate that refreshes the age keeps it, and removal
+//! moves it with the slot, but a pushed or replacing entry starts
+//! unmarked. Every entry reader masks it off — marks never ship, never
+//! steer the protocol and never count in [`View`] equality (a serialized
+//! `View` does carry them).
 //!
 //! # Lookups
 //!
@@ -54,6 +69,9 @@ impl ViewEntry {
     }
 }
 
+/// The mark bit of an `ages` slot.
+const MARK: u32 = 1 << 31;
+
 #[inline]
 fn packed(id: NodeId) -> u32 {
     u32::try_from(id.raw()).expect("view ids are index-space (must fit u32)")
@@ -73,14 +91,27 @@ fn packed(id: NodeId) -> u32 {
 /// assert_eq!(view.len(), 2);
 /// assert_eq!(view.oldest().unwrap().id, NodeId::new(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Eq, Serialize, Deserialize)]
 pub struct View {
     ids: Vec<u32>,
+    /// Age in the low 31 bits, the slot's mark in the top one.
     ages: Vec<u32>,
     capacity: u32,
 }
 
+/// Ids in order, ages and capacity; marks are not compared.
+impl PartialEq for View {
+    fn eq(&self, other: &Self) -> bool {
+        self.capacity == other.capacity
+            && self.ids == other.ids
+            && self.ages.iter().zip(&other.ages).all(|(a, b)| (a ^ b) & View::AGE == 0)
+    }
+}
+
 impl View {
+    /// The largest age a view stores: ages saturate here.
+    pub const AGE: u32 = MARK - 1;
+
     /// Creates an empty view with the given capacity.
     ///
     /// Slots are allocated lazily as entries arrive — a fresh view costs
@@ -118,8 +149,22 @@ impl View {
     fn entry(&self, pos: usize) -> ViewEntry {
         ViewEntry {
             id: NodeId::new(u64::from(self.ids[pos])),
-            age: self.ages[pos],
+            age: self.ages[pos] & View::AGE,
         }
+    }
+
+    /// Appends a slot, unmarked, its age clamped to [`View::AGE`]. The
+    /// columns double as they fill but stop at `capacity`.
+    #[inline]
+    fn push(&mut self, id: u32, age: u32) {
+        if self.ids.len() == self.ids.capacity() {
+            let len = self.ids.len();
+            let grown = (2 * len).max(4).min(self.capacity as usize);
+            self.ids.reserve_exact(grown - len);
+            self.ages.reserve_exact(grown - len);
+        }
+        self.ids.push(id);
+        self.ages.push(age.min(View::AGE));
     }
 
     /// Iterates over the entries in insertion order.
@@ -129,8 +174,33 @@ impl View {
             .zip(self.ages.iter())
             .map(|(&id, &age)| ViewEntry {
                 id: NodeId::new(u64::from(id)),
-                age,
+                age: age & View::AGE,
             })
+    }
+
+    /// Whether the slot at `pos` carries a mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is not a position of the view.
+    pub fn is_marked(&self, pos: usize) -> bool {
+        self.ages[pos] & MARK != 0
+    }
+
+    /// Marks the slot at `pos`; the mark lives while its id stays there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is not a position of the view.
+    pub fn mark(&mut self, pos: usize) {
+        self.ages[pos] |= MARK;
+    }
+
+    /// Clears every slot's mark.
+    pub fn clear_marks(&mut self) {
+        for age in &mut self.ages {
+            *age &= View::AGE;
+        }
     }
 
     /// Returns the ids currently in the view.
@@ -146,10 +216,10 @@ impl View {
         }
     }
 
-    /// Increments every entry's age by one period.
+    /// Increments every entry's age by one period, up to [`View::AGE`].
     pub fn age_all(&mut self) {
         for age in &mut self.ages {
-            *age = age.saturating_add(1);
+            *age += u32::from(*age & View::AGE != View::AGE);
         }
     }
 
@@ -166,8 +236,8 @@ impl View {
     /// second (one that is taken once) — two passes over a few cache
     /// lines.
     pub(crate) fn oldest_at(&self) -> Option<(usize, ViewEntry)> {
-        let max_age = self.ages.iter().fold(0, |max, &age| max.max(age));
-        let pos = self.ages.iter().rposition(|&age| age == max_age)?;
+        let max_age = self.ages.iter().fold(0, |max, &age| max.max(age & View::AGE));
+        let pos = self.ages.iter().rposition(|&age| age & View::AGE == max_age)?;
         Some((pos, self.entry(pos)))
     }
 
@@ -179,7 +249,8 @@ impl View {
     }
 
     /// [`View::remove`] for a caller that knows where `id` sits: `None`,
-    /// and nothing removed, unless the entry at `pos` is `id`'s.
+    /// and nothing removed, unless the entry at `pos` is `id`'s. The slots
+    /// behind it move up one position, their marks with them.
     pub(crate) fn remove_at(&mut self, pos: usize, id: NodeId) -> Option<ViewEntry> {
         if self.ids.get(pos).map(|&raw| u64::from(raw)) != Some(id.raw()) {
             return None;
@@ -190,19 +261,19 @@ impl View {
         Some(entry)
     }
 
-    /// Inserts an entry. If `id` is already present the younger age wins.
-    /// If the view is full the entry is dropped (use [`View::merge`] for
-    /// CYCLON's replacement semantics). Returns whether the entry is now
-    /// present with the given (or younger) age.
+    /// Inserts an entry. If `id` is already present the younger age wins
+    /// (and the slot keeps its mark). If the view is full the entry is
+    /// dropped (use [`View::merge`] for CYCLON's replacement semantics).
+    /// Returns whether the entry is now present with the given (or
+    /// younger, or clamped to [`View::AGE`]) age.
     pub fn insert(&mut self, entry: ViewEntry) -> bool {
         let raw = packed(entry.id);
         if let Some(pos) = self.ids.iter().position(|&e| e == raw) {
-            self.ages[pos] = self.ages[pos].min(entry.age);
+            self.ages[pos] = younger(self.ages[pos], entry.age);
             return true;
         }
         if self.ids.len() < self.capacity as usize {
-            self.ids.push(raw);
-            self.ages.push(entry.age);
+            self.push(raw, entry.age);
             true
         } else {
             false
@@ -223,7 +294,7 @@ impl View {
     /// The subset both halves of an exchange ship, into caller-provided
     /// buffers: up to `k` random entries of the view without the entry at
     /// position `skip`, each aged by `aging` periods (saturating) on the
-    /// way out. Pick for pick and draw for draw what
+    /// way out, up to [`View::AGE`]. Pick for pick and draw for draw what
     /// [`View::random_subset`] returns on that filtered, aged view — the
     /// reference the tests hold this to — but sampled as positions
     /// ([`Rng::sample_positions`]) and gathered from the two columns
@@ -254,7 +325,7 @@ impl View {
         out.extend(positions.iter().map(|&pos| {
             let entry = self.entry((pos + u32::from(pos >= skip)) as usize);
             ViewEntry {
-                age: entry.age.saturating_add(aging),
+                age: entry.age.saturating_add(aging).min(View::AGE),
                 ..entry
             }
         }));
@@ -266,7 +337,8 @@ impl View {
     /// view is somehow still full — replacing the oldest entry.
     ///
     /// Entries for `self_id` and duplicates are skipped (younger age
-    /// wins on duplicates).
+    /// wins on duplicates, and the slot keeps its mark); a pushed or
+    /// replacing entry starts unmarked, its age clamped to [`View::AGE`].
     ///
     /// `index` is working memory (any table, fresh or used, gives the
     /// same result): the view's ids → positions are written into it once,
@@ -296,13 +368,12 @@ impl View {
             let raw = packed(entry.id);
             if let Some(pos) = index.get(raw) {
                 let age = &mut self.ages[pos as usize];
-                *age = (*age).min(entry.age);
+                *age = younger(*age, entry.age);
                 continue;
             }
             if self.ids.len() < self.capacity as usize {
                 index.set(raw, self.ids.len() as u32);
-                self.ids.push(raw);
-                self.ages.push(entry.age);
+                self.push(raw, entry.age);
                 continue;
             }
             // Replace one of the entries we sent away, if still present.
@@ -314,17 +385,25 @@ impl View {
             // Last resort: replace the oldest entry, unless it is younger
             // than the incoming one.
             let pos = victim_pos.map(|pos| pos as usize).or_else(|| {
-                let (pos, &age) = self.ages.iter().enumerate().max_by_key(|&(_, &age)| age)?;
+                let masked = self.ages.iter().map(|&age| age & View::AGE);
+                let (pos, age) = masked.enumerate().max_by_key(|&(_, age)| age)?;
                 (age >= entry.age).then_some(pos)
             });
             if let Some(pos) = pos {
                 index.remove(self.ids[pos]);
                 index.set(raw, pos as u32);
                 self.ids[pos] = raw;
-                self.ages[pos] = entry.age;
+                self.ages[pos] = entry.age.min(View::AGE);
             }
         }
     }
+}
+
+/// A stored `slot` after a duplicate of age `age` arrived: the younger of
+/// the two ages, the slot's mark kept.
+#[inline]
+fn younger(slot: u32, age: u32) -> u32 {
+    (slot & View::AGE).min(age) | (slot & MARK)
 }
 
 /// The merge as it was before the id index — every lookup a scan of the id
@@ -340,6 +419,7 @@ mod reference {
     pub(super) fn oldest(view: &View) -> Option<ViewEntry> {
         let (mut oldest, mut max_age) = (0, 0);
         for (pos, &age) in view.ages.iter().enumerate() {
+            let age = age & View::AGE;
             if age >= max_age {
                 (oldest, max_age) = (pos, age);
             }
@@ -528,9 +608,9 @@ mod tests {
         let age = prop_oneof![
             0u32..4,
             0u32..4,
-            Just(u32::MAX),
-            Just(u32::MAX - 1),
-            any::<u32>()
+            Just(View::AGE),
+            Just(View::AGE - 1),
+            0..=View::AGE
         ];
         proptest::collection::vec(age, 0..len)
     }
@@ -877,6 +957,206 @@ mod tests {
         }
         for (path, count) in reference::PATHS.iter().zip(total) {
             assert!(count >= 20, "{path}: only {count} times in 64 seeds");
+        }
+    }
+
+    #[test]
+    fn ages_saturate_at_the_ceiling_wherever_they_enter_or_grow() {
+        const AGE: u32 = View::AGE;
+        // `insert`: a push, and a duplicate that is younger than the slot.
+        let mut v = view_of(4, &[(1, u32::MAX), (2, AGE - 1)]);
+        v.insert(ViewEntry { id: id(2), age: u32::MAX });
+        assert_eq!(entries_of(&v), [(1, AGE), (2, AGE - 1)]);
+        // Aging: up to the ceiling, and no further, marked or not.
+        v.mark(1);
+        v.age_all();
+        v.age_all();
+        assert_eq!(entries_of(&v), [(1, AGE), (2, AGE)]);
+        assert!(!v.is_marked(0) && v.is_marked(1), "aging carried into the mark");
+        // The shipped subset, aged on the way out.
+        let (mut out, mut positions) = (Vec::new(), Vec::new());
+        v.random_subset_pooled(&mut SplitMix64::new(3), 2, None, 1, &mut positions, &mut out);
+        assert!(out.iter().all(|e| e.age == AGE), "{out:?}");
+        // `merge`: a push, a replacement of a sent victim, a duplicate.
+        let mut index = StampedTable::new();
+        v.merge(id(0), &[ViewEntry { id: id(3), age: u32::MAX }], &[], &mut index);
+        v.merge(id(0), &[ViewEntry { id: id(4), age: AGE + 7 }], &[], &mut index);
+        let sent = [ViewEntry::fresh(id(1))];
+        v.merge(id(0), &[ViewEntry { id: id(5), age: u32::MAX }], &sent, &mut index);
+        v.merge(id(0), &[ViewEntry { id: id(2), age: u32::MAX }], &[], &mut index);
+        assert_eq!(entries_of(&v), [(5, AGE), (2, AGE), (3, AGE), (4, AGE)]);
+        assert!(v.is_marked(1), "a duplicate dropped the slot's mark");
+        // No age carried into a mark bit on its way to the ceiling.
+        assert_eq!((0..4).filter(|&pos| v.is_marked(pos)).count(), 1);
+    }
+
+    #[test]
+    fn columns_double_up_to_the_capacity_and_stop_there() {
+        for capacity in [1, 3, 4, 5, 38, 126] {
+            let mut v = View::new(capacity);
+            let mut index = StampedTable::new();
+            for n in 0..capacity as u64 + 3 {
+                if n % 2 == 0 {
+                    v.insert(ViewEntry::fresh(id(n + 1)));
+                } else {
+                    v.merge(id(0), &[ViewEntry::fresh(id(n + 1))], &[], &mut index);
+                }
+                let len = v.len();
+                let expected = if len == 0 {
+                    0
+                } else {
+                    std::iter::successors(Some(4), |c| Some(c * 2))
+                        .find(|&c| c >= len)
+                        .unwrap()
+                        .min(capacity)
+                };
+                assert!(v.ids.capacity() >= len && v.ages.capacity() >= len);
+                assert_eq!(v.ids.capacity(), expected, "capacity {capacity}, {len} entries");
+                assert_eq!(v.ages.capacity(), expected, "capacity {capacity}, {len} entries");
+            }
+            assert_eq!(v.len(), capacity);
+        }
+    }
+
+    /// A slot of the mark model: id, age, mark.
+    type Slot = (u32, u32, bool);
+
+    /// The view as slots in a plain list, a rewrite of a slot (a push or a
+    /// replacement) clearing its mark: what the packed columns must keep.
+    fn model_merge(slots: &mut Vec<Slot>, capacity: usize, received: &[ViewEntry], sent: &[ViewEntry]) {
+        let mut next_victim = sent.len();
+        for entry in received {
+            let raw = packed(entry.id);
+            if u64::from(raw) == OWNER {
+                continue;
+            }
+            if let Some(slot) = slots.iter_mut().find(|s| s.0 == raw) {
+                slot.1 = slot.1.min(entry.age);
+                continue;
+            }
+            let fresh = (raw, entry.age.min(View::AGE), false);
+            if slots.len() < capacity {
+                slots.push(fresh);
+                continue;
+            }
+            let mut pos = None;
+            while pos.is_none() && next_victim > 0 {
+                next_victim -= 1;
+                let victim = packed(sent[next_victim].id);
+                pos = slots.iter().position(|s| s.0 == victim);
+            }
+            let pos = pos.or_else(|| {
+                let (pos, slot) = slots.iter().enumerate().max_by_key(|(_, s)| s.1)?;
+                (slot.1 >= entry.age).then_some(pos)
+            });
+            if let Some(pos) = pos {
+                slots[pos] = fresh;
+            }
+        }
+    }
+
+    /// Runs `steps` random operations on a view and on its slot model,
+    /// checking after each that marks sit where the model has them, that
+    /// the ages agree, and that no reader — equality, `iter`, `oldest`,
+    /// the shipped subset — sees a mark.
+    fn mark_differential(seed: u64, steps: usize) {
+        let mut r = SplitMix64::new(seed);
+        let capacity = 1 + r.index(9);
+        let id_space = 2 + r.range_u64(3 * capacity as u64);
+        let mut view = View::new(capacity);
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut index = StampedTable::new();
+        let age = |r: &mut SplitMix64| match r.index(6) {
+            0 => View::AGE,
+            1 => View::AGE - 1,
+            2 => u32::MAX,
+            _ => r.range_u64(6) as u32,
+        };
+        for step in 0..steps {
+            let any_entry = |r: &mut SplitMix64| ViewEntry {
+                id: id(r.range_u64(id_space)),
+                age: age(r),
+            };
+            match r.index(6) {
+                0 => {
+                    let received: Vec<_> = (0..r.index(capacity + 3)).map(|_| any_entry(&mut r)).collect();
+                    let mut sent = Vec::new();
+                    for _ in 0..r.index(capacity + 1) {
+                        sent.push(match view.len() {
+                            len if len > 0 && r.chance(0.6) => view.iter().nth(r.index(len)).unwrap(),
+                            _ => any_entry(&mut r),
+                        });
+                    }
+                    view.merge(id(OWNER), &received, &sent, &mut index);
+                    model_merge(&mut slots, capacity, &received, &sent);
+                }
+                1 => {
+                    let entry = any_entry(&mut r);
+                    if entry.id.raw() != OWNER {
+                        let raw = packed(entry.id);
+                        match slots.iter().position(|s| s.0 == raw) {
+                            Some(pos) => slots[pos].1 = slots[pos].1.min(entry.age),
+                            None if slots.len() < capacity => {
+                                slots.push((raw, entry.age.min(View::AGE), false))
+                            }
+                            None => {}
+                        }
+                        view.insert(entry);
+                    }
+                }
+                2 if !slots.is_empty() => {
+                    let pos = r.index(slots.len());
+                    let removed = view.remove_at(pos, id(u64::from(slots[pos].0)));
+                    let (raw, age, _) = slots.remove(pos);
+                    assert_eq!(removed, Some(ViewEntry { id: id(u64::from(raw)), age }));
+                }
+                3 => {
+                    view.age_all();
+                    for slot in &mut slots {
+                        slot.1 = slot.1.saturating_add(1).min(View::AGE);
+                    }
+                }
+                4 if !slots.is_empty() => {
+                    for _ in 0..1 + r.index(slots.len()) {
+                        let pos = r.index(slots.len());
+                        view.mark(pos);
+                        slots[pos].2 = true;
+                    }
+                }
+                5 if r.chance(0.3) => {
+                    view.clear_marks();
+                    slots.iter_mut().for_each(|slot| slot.2 = false);
+                }
+                _ => {}
+            }
+            let at = format!("seed {seed} step {step}");
+            let entries: Vec<(u64, u32)> = slots.iter().map(|s| (u64::from(s.0), s.1)).collect();
+            assert_eq!(entries_of(&view), entries, "{at}");
+            let marks: Vec<bool> = (0..view.len()).map(|pos| view.is_marked(pos)).collect();
+            assert_eq!(marks, slots.iter().map(|s| s.2).collect::<Vec<_>>(), "{at}");
+            let mut unmarked = view.clone();
+            unmarked.clear_marks();
+            assert!(unmarked.ages.iter().all(|&age| age <= View::AGE), "{at}");
+            assert_eq!(view, unmarked, "{at}: equality saw a mark");
+            assert!(view.iter().eq(unmarked.iter()), "{at}");
+            assert_eq!(view.oldest_at(), unmarked.oldest_at(), "{at}");
+            assert_eq!(view.oldest(), reference::oldest(&unmarked), "{at}");
+            let subset = |v: &View| {
+                let (mut out, mut positions) = (Vec::new(), Vec::new());
+                let skip = v.oldest_at().map(|(pos, _)| pos);
+                v.random_subset_pooled(&mut SplitMix64::new(seed), 3, skip, 1, &mut positions, &mut out);
+                out
+            };
+            assert_eq!(subset(&view), subset(&unmarked), "{at}: a mark shipped");
+        }
+    }
+
+    proptest! {
+        /// Marks follow their slots through every operation that moves
+        /// or rewrites one, and nothing but the mark readers sees them.
+        #[test]
+        fn marks_live_while_their_id_stays_in_its_slot(seed in any::<u64>()) {
+            mark_differential(seed, 40);
         }
     }
 }

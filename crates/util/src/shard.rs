@@ -8,8 +8,8 @@
 //! as a shared-memory reach into another shard's slice.
 //!
 //! Contiguity is the load-bearing property: a shard's slice of any
-//! node-indexed `Vec` is obtainable with [`ShardPartition::split_mut`]
-//! as plain disjoint sub-slices, so per-shard workers get `&mut` access
+//! node-indexed `Vec` is a plain disjoint sub-slice
+//! ([`ShardPartition::range`]), so per-shard workers get `&mut` access
 //! with no locks, no `unsafe`, and no false sharing of interleaved
 //! elements.
 //!
@@ -103,30 +103,6 @@ impl ShardPartition {
         let len = self.base + usize::from(s < self.rem);
         start..start + len
     }
-
-    /// Splits a node-indexed slice into one sub-slice per shard, in
-    /// shard order. The sub-slices are disjoint and cover `items`
-    /// exactly, so they can be handed to per-shard workers as owned
-    /// `&mut` state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items.len() != len()`.
-    pub fn split_mut<'a, T>(&self, items: &'a mut [T]) -> Vec<&'a mut [T]> {
-        assert_eq!(
-            items.len(),
-            self.n,
-            "slice length must match the partitioned population"
-        );
-        let mut slices = Vec::with_capacity(self.shards);
-        let mut rest = items;
-        for s in 0..self.shards {
-            let (head, tail) = rest.split_at_mut(self.range(s).len());
-            slices.push(head);
-            rest = tail;
-        }
-        slices
-    }
 }
 
 #[cfg(test)]
@@ -189,23 +165,6 @@ mod tests {
         }
         for s in 3..8 {
             assert!(part.range(s).is_empty());
-        }
-    }
-
-    #[test]
-    fn split_mut_hands_out_disjoint_owned_slices() {
-        let part = ShardPartition::new(11, 4);
-        let mut items: Vec<u32> = vec![0; 11];
-        let slices = part.split_mut(&mut items);
-        assert_eq!(slices.len(), 4);
-        for (s, slice) in slices.into_iter().enumerate() {
-            assert_eq!(slice.len(), part.range(s).len());
-            for x in slice {
-                *x = s as u32 + 1;
-            }
-        }
-        for (i, &x) in items.iter().enumerate() {
-            assert_eq!(x as usize, part.owner(i) + 1, "node {i}");
         }
     }
 

@@ -173,19 +173,5 @@ mod shard_partition {
             prop_assert!(max - min <= 1, "unbalanced: {:?}", sizes);
             prop_assert_eq!(sizes.iter().sum::<usize>(), n);
         }
-
-        #[test]
-        fn split_mut_covers_the_slice(n in 0usize..2000, shards in 1usize..32) {
-            let part = ShardPartition::new(n, shards);
-            let mut items: Vec<u32> = vec![0; n];
-            for (s, slice) in part.split_mut(&mut items).into_iter().enumerate() {
-                for x in slice.iter_mut() {
-                    *x += 1 + s as u32;
-                }
-            }
-            for (i, &x) in items.iter().enumerate() {
-                prop_assert_eq!(x as usize, 1 + part.owner(i));
-            }
-        }
     }
 }
