@@ -219,16 +219,6 @@ impl RingAssignment {
         self.ring.vnodes()
     }
 
-    /// Number of targets in the population.
-    pub fn num_targets(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Number of monitors currently on the ring.
-    pub fn num_members(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Whether `member` is currently on the ring.
     pub fn is_member(&self, member: u32) -> bool {
         self.ring.contains(member)

@@ -218,11 +218,6 @@ impl<O> NoisyOracle<O> {
         }
     }
 
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
     /// Whether noise is drawn per querier (vs shared across queriers).
     pub fn is_per_querier(&self) -> bool {
         self.per_querier

@@ -74,8 +74,7 @@ impl AvmemSim {
         let policy = AdmissionPolicy::with_cushion(cushion);
         let now = self.now();
         let trace = self.trace();
-        let n = trace.num_nodes();
-        let online: Vec<usize> = trace.online_at(now);
+        let online = self.online();
 
         // The receiver verifies with ITS OWN oracle view of both
         // availabilities; a pair it cannot check is not counted.
@@ -87,7 +86,8 @@ impl AvmemSim {
         let mut bucket_sums = vec![0.0f64; buckets];
         let mut bucket_counts = vec![0usize; buckets];
 
-        for &sender in &online {
+        for &sender in online.online() {
+            let sender = sender as usize;
             let s_id = NodeId::new(sender as u64);
             let membership = self.membership(s_id);
             let mut considered = 0usize;
@@ -96,7 +96,8 @@ impl AvmemSim {
                 AttackKind::Flooding => {
                     // Attack surface: online nodes outside the sender's
                     // lists.
-                    for &receiver in &online {
+                    for &receiver in online.online() {
+                        let receiver = receiver as usize;
                         if receiver == sender
                             || membership.contains(NodeId::new(receiver as u64))
                         {
@@ -114,7 +115,7 @@ impl AvmemSim {
                     // Legitimate sends: the sender's own neighbors.
                     for neighbor in membership.neighbors(SliverScope::Both) {
                         let receiver = neighbor.id.raw() as usize;
-                        if receiver >= n || !trace.is_online(receiver, now) {
+                        if !online.contains(receiver) {
                             continue;
                         }
                         if let Some(accepted) = verifies(sender, receiver) {

@@ -6,8 +6,10 @@
 //! queries; the membership predicate builds each node's HS/VS lists —
 //! either directly ("converged", the post-warm-up state the paper
 //! snapshots) or by actually running the shuffle + discovery + refresh
-//! sub-protocols through the event engine; and the management operations
-//! execute over the resulting overlay with per-hop latencies.
+//! sub-protocols through the event engine. The management operations
+//! ([`crate::ops::run_anycast`] / [`crate::ops::run_multicast`]) execute
+//! over the resulting overlay through [`AvmemSim::world`], with the
+//! caller's latency network and random stream.
 //!
 //! This file holds [`AvmemSim`], its constructor and the advance loop
 //! (`warm_up` / `advance_to` / `run_event_driven`); the rest of the
@@ -15,7 +17,7 @@
 //! wheel cohorts are popped from), `cohort` (one cohort's shard phases and
 //! their driver), `finalize` (discovery + refresh for one node, its
 //! per-shard memory and counters), `rebuild` (the converged rebuild),
-//! `query` (health, initiators, anycast / multicast), and —
+//! `query` (health, the online index, the operations' world view), and —
 //! test-only — `model`, the slow obvious implementation of event-driven
 //! maintenance that the tests hold all of the above to.
 //!
@@ -23,18 +25,21 @@
 //!
 //! ```
 //! use avmem::harness::{AvmemSim, SimConfig};
-//! use avmem::ops::{AnycastConfig, AvailabilityTarget};
-//! use avmem_sim::SimDuration;
+//! use avmem::ops::{run_anycast, AnycastConfig, AvailabilityTarget, OpScratch};
+//! use avmem_sim::{LatencyModel, Network, SimDuration};
 //! use avmem_trace::OvernetModel;
+//! use avmem_util::{NodeId, SplitMix64};
 //!
 //! let trace = OvernetModel::default().hosts(120).days(1).generate(7);
 //! let mut sim = AvmemSim::new(trace, SimConfig::paper_default(1));
 //! sim.warm_up(SimDuration::from_hours(24));
 //!
-//! let initiator = sim
-//!     .random_online_initiator(avmem::harness::InitiatorBand::Mid)
-//!     .expect("some MID node online");
-//! let outcome = sim.anycast(
+//! let initiator = NodeId::new(u64::from(sim.online().online()[0]));
+//! let outcome = run_anycast(
+//!     &sim.world(),
+//!     &mut Network::new(LatencyModel::PAPER, 1),
+//!     &mut SplitMix64::new(2),
+//!     &mut OpScratch::default(),
 //!     initiator,
 //!     AvailabilityTarget::range(0.85, 0.95),
 //!     AnycastConfig::paper_default(),
@@ -65,7 +70,7 @@ pub use finalize::{FinalizeStats, PairHashStats};
 pub use hashes::{PairHashes, PairStoreStats, DEFAULT_HASH_BUDGET};
 pub use index::CandidateIndex;
 pub use oracle::SimOracle;
-pub use query::{HealthStats, InitiatorBand};
+pub use query::HealthStats;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -73,14 +78,13 @@ use std::time::{Duration, Instant};
 use avmem_avmon::AvailabilityOracle;
 use avmem_metrics::{Counter, Histogram, Registry, Tracer};
 use avmem_shuffle::{ShuffleConfig, ShuffleNode};
-use avmem_sim::{LatencyModel, Network, SimDuration, SimTime};
+use avmem_sim::{SimDuration, SimTime};
 use avmem_trace::{AvailabilityPdf, ChurnTrace, OnlineIndex};
-use avmem_util::{Availability, NodeId, Rng, ShardPartition, SplitMix64, Xoshiro256};
+use avmem_util::{Availability, NodeId, Rng, ShardPartition, SplitMix64};
 
 use self::cohort::ShardScratch;
 use self::schedule::PeriodicWheel;
 use crate::membership::Membership;
-use crate::ops::OpScratch;
 use crate::predicate::AvmemPredicate;
 
 /// Purpose tags separating the counter-keyed RNG streams of event-driven
@@ -181,8 +185,6 @@ pub struct AvmemSim {
     memberships: Vec<Membership>,
     shuffles: Vec<ShuffleNode>,
     now: SimTime,
-    net: Network,
-    rng: Xoshiro256,
     /// Per-slot cache of the online population — list and bitset: who
     /// gets work in a cohort, bootstrap seeding, initiator selection, and
     /// every `is_online` of an operation. Always at `now`'s slot: it is
@@ -204,8 +206,6 @@ pub struct AvmemSim {
     metrics: Option<HarnessInstruments>,
     /// Cumulative finalize counters.
     fin_stats: FinalizeStats,
-    /// Working memory of [`AvmemSim::anycast`] / [`AvmemSim::multicast`].
-    ops_scratch: OpScratch,
 }
 
 /// Instrument handles the harness records into when a registry is
@@ -262,8 +262,10 @@ impl AvmemSim {
         // (bit-identical for every shard and thread count).
         oracle.set_threads(config.engine.threads());
         oracle.set_shards(config.engine.shards());
-        let net = Network::new(LatencyModel::PAPER, seeder.next_u64());
-        let rng = Xoshiro256::new(seeder.next_u64());
+        // Two draws no stream reads, kept so that the shuffle seeds and
+        // `member_order_seed` below stay the values the pinned
+        // fingerprints and figures were produced with.
+        let _ = (seeder.next_u64(), seeder.next_u64());
 
         let shuffle_config = ShuffleConfig::for_system_size(n);
         let mut shuffle_seeder = SplitMix64::new(seeder.next_u64());
@@ -292,8 +294,6 @@ impl AvmemSim {
             oracle,
             shuffles,
             now: SimTime::ZERO,
-            net,
-            rng,
             online,
             n_star,
             member_order_seed: seeder.next_u64(),
@@ -301,7 +301,6 @@ impl AvmemSim {
             tracer: Tracer::new(PHASES),
             metrics: None,
             fin_stats: FinalizeStats::default(),
-            ops_scratch: OpScratch::default(),
         }
     }
 

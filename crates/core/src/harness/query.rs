@@ -1,50 +1,17 @@
-//! Reading a simulation and operating over it: overlay health,
-//! initiator selection, and the anycast / multicast entry points with the
-//! borrowed [`OverlayWorld`] view they run against.
+//! Reading a simulation: overlay health, who is up, and the borrowed
+//! [`OverlayWorld`] view the operations run against.
 
 use avmem_avmon::AvailabilityOracle;
 use avmem_shuffle::View;
 use avmem_sim::SimTime;
 use avmem_trace::{ChurnTrace, OnlineIndex};
-use avmem_util::{Availability, NodeId, Rng};
-use serde::{Deserialize, Serialize};
+use avmem_util::{Availability, NodeId};
 
 use super::{AvmemSim, SimOracle};
 use crate::graph::components;
 use crate::membership::{Membership, NeighborColumns, SliverScope};
-use crate::ops::anycast::{run_anycast, AnycastConfig, AnycastOutcome};
-use crate::ops::multicast::{run_multicast, MulticastConfig, MulticastOutcome};
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
-
-/// Initiator selection bands used throughout §4.2: LOW ∈ [0, ⅓),
-/// MID ∈ [⅓, ⅔), HIGH ∈ [⅔, 1].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum InitiatorBand {
-    /// True availability in `[0, 1/3)`.
-    Low,
-    /// True availability in `[1/3, 2/3)`.
-    Mid,
-    /// True availability in `[2/3, 1]`.
-    High,
-}
-
-impl InitiatorBand {
-    /// The availability interval of the band.
-    pub fn bounds(self) -> (f64, f64) {
-        match self {
-            InitiatorBand::Low => (0.0, 1.0 / 3.0),
-            InitiatorBand::Mid => (1.0 / 3.0, 2.0 / 3.0),
-            InitiatorBand::High => (2.0 / 3.0, 1.0 + f64::EPSILON),
-        }
-    }
-
-    /// Whether an availability falls inside the band.
-    pub fn contains(self, av: Availability) -> bool {
-        let (lo, hi) = self.bounds();
-        av.value() >= lo && av.value() < hi
-    }
-}
 
 /// Overlay-health numbers, computed by [`AvmemSim::health_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,29 +41,12 @@ impl AvmemSim {
         }
     }
 
-    /// Picks a uniformly random *online* node whose true availability
-    /// lies in `band`, or `None` if no such node is online.
-    ///
-    /// Runs off the per-slot [`OnlineIndex`] with a count-then-select
-    /// pass, so repeated initiator draws (operation experiments fire
-    /// thousands per snapshot) materialize no candidate `Vec`.
-    pub fn random_online_initiator(&mut self, band: InitiatorBand) -> Option<NodeId> {
-        let in_band =
-            |i: &&u32| band.contains(self.trace.long_term_availability(**i as usize));
-        let eligible = self.online.online().iter().filter(in_band).count();
-        if eligible == 0 {
-            return None;
-        }
-        let pick = self.rng.index(eligible);
-        let node = self
-            .online
-            .online()
-            .iter()
-            .filter(in_band)
-            .nth(pick)
-            .copied()
-            .expect("pick < eligible count");
-        Some(NodeId::new(node as u64))
+    /// Who is up now: the per-slot [`OnlineIndex`], standing at
+    /// [`AvmemSim::now`]'s slot. Its ascending online list and its bit
+    /// per node say what [`ChurnTrace::online_at`] and
+    /// [`ChurnTrace::is_online`] would, without a scan of the population.
+    pub fn online(&self) -> &OnlineIndex {
+        &self.online
     }
 
     /// A node's coarse (shuffle) view — the discovery substrate's state,
@@ -109,58 +59,9 @@ impl AvmemSim {
         self.shuffles[self.index(id)].view()
     }
 
-    /// Runs one anycast from `initiator` at the current time.
-    pub fn anycast(
-        &mut self,
-        initiator: NodeId,
-        target: AvailabilityTarget,
-        config: AnycastConfig,
-    ) -> AnycastOutcome {
-        let world = WorldView::new(
-            &self.trace,
-            &self.oracle,
-            &self.memberships,
-            &self.online,
-            self.now,
-        );
-        run_anycast(
-            &world,
-            &mut self.net,
-            &mut self.rng,
-            &mut self.ops_scratch,
-            initiator,
-            target,
-            config,
-        )
-    }
-
-    /// Runs one multicast from `initiator` at the current time.
-    pub fn multicast(
-        &mut self,
-        initiator: NodeId,
-        target: AvailabilityTarget,
-        config: MulticastConfig,
-    ) -> MulticastOutcome {
-        let world = WorldView::new(
-            &self.trace,
-            &self.oracle,
-            &self.memberships,
-            &self.online,
-            self.now,
-        );
-        run_multicast(
-            &world,
-            &mut self.net,
-            &mut self.rng,
-            &mut self.ops_scratch,
-            initiator,
-            target,
-            config,
-        )
-    }
-
-    /// A borrowed [`OverlayWorld`] view of the current state, for custom
-    /// measurements.
+    /// A borrowed [`OverlayWorld`] view of the current state: what
+    /// [`crate::ops::run_anycast`] and [`crate::ops::run_multicast`] run
+    /// against, and what custom measurements read.
     pub fn world(&self) -> impl OverlayWorld + '_ {
         WorldView::new(
             &self.trace,

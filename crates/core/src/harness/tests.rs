@@ -7,16 +7,38 @@ use super::finalize::{compact_stamp, verdict_bit, FinalizeShardState};
 use super::model::{assert_matches, model_of};
 use super::*;
 use crate::membership::SliverScope;
-use crate::ops::anycast::AnycastConfig;
-use crate::ops::multicast::MulticastConfig;
-use crate::ops::target::AvailabilityTarget;
-use crate::ops::world::OverlayWorld;
+use crate::ops::{
+    run_anycast, run_multicast, AnycastConfig, AvailabilityTarget, MulticastConfig, OpScratch,
+    OverlayWorld,
+};
 use crate::predicate::{AvmemPredicate, HorizontalRule, NodeInfo, VerticalRule};
+use avmem_sim::{LatencyModel, Network};
 use avmem_trace::OvernetModel;
 
 fn small_sim(seed: u64) -> AvmemSim {
     let trace = OvernetModel::default().hosts(120).days(1).generate(3);
     AvmemSim::new(trace, SimConfig::paper_default(seed))
+}
+
+/// Fires operation number `op` over `sim.world()`, the one road there is:
+/// `run` gets the world, a latency network and a random stream keyed by
+/// `op` (the scenario runner keys its own by seed and operation index),
+/// and fresh working memory.
+fn fire<T>(
+    sim: &AvmemSim,
+    op: u64,
+    run: impl FnOnce(&dyn OverlayWorld, &mut Network, &mut SplitMix64, &mut OpScratch) -> T,
+) -> T {
+    let mut net = Network::new(LatencyModel::PAPER, SplitMix64::keyed(&[op, 0]).next_u64());
+    let mut rng = SplitMix64::keyed(&[op, 1]);
+    run(&sim.world(), &mut net, &mut rng, &mut OpScratch::default())
+}
+
+/// The online nodes whose true availability lies in `[lo, hi)`, ascending.
+fn online_in(sim: &AvmemSim, lo: f64, hi: f64) -> Vec<NodeId> {
+    let av = |i: usize| sim.trace().long_term_availability(i).value();
+    let in_band = |i: &&u32| (lo..hi).contains(&av(**i as usize));
+    sim.online().online().iter().filter(in_band).map(|&i| NodeId::new(u64::from(i))).collect()
 }
 
 #[test]
@@ -145,16 +167,14 @@ fn anycast_high_target_from_mid_usually_delivers() {
     sim.warm_up(SimDuration::from_hours(24));
     let mut delivered = 0;
     let mut sent = 0;
-    for _ in 0..20 {
-        let Some(initiator) = sim.random_online_initiator(InitiatorBand::Mid) else {
-            continue;
-        };
+    let mid = online_in(&sim, 1.0 / 3.0, 2.0 / 3.0);
+    for (op, &initiator) in mid.iter().take(20).enumerate() {
         sent += 1;
-        let outcome = sim.anycast(
-            initiator,
-            AvailabilityTarget::range(0.85, 0.95),
-            AnycastConfig::paper_default(),
-        );
+        let target = AvailabilityTarget::range(0.85, 0.95);
+        let config = AnycastConfig::paper_default();
+        let outcome = fire(&sim, op as u64, |w, net, rng, s| {
+            run_anycast(w, net, rng, s, initiator, target, config)
+        });
         if outcome.is_delivered() {
             delivered += 1;
         }
@@ -171,10 +191,13 @@ fn multicast_reaches_most_of_range() {
     let mut sim = small_sim(13);
     sim.warm_up(SimDuration::from_hours(24));
     let target = AvailabilityTarget::threshold(0.7);
-    let Some(initiator) = sim.random_online_initiator(InitiatorBand::High) else {
+    let Some(&initiator) = online_in(&sim, 2.0 / 3.0, 2.0).first() else {
         panic!("no high-availability initiator online");
     };
-    let outcome = sim.multicast(initiator, target, MulticastConfig::paper_default());
+    let config = MulticastConfig::paper_default();
+    let outcome = fire(&sim, 0, |w, net, rng, s| {
+        run_multicast(w, net, rng, s, initiator, target, config)
+    });
     let world = sim.world();
     let reliability = outcome.reliability(&world, target);
     assert!(
@@ -197,18 +220,6 @@ fn random_predicate_builds_flat_overlay() {
         (2.0..30.0).contains(&degree),
         "random overlay degree {degree} out of expected range"
     );
-}
-
-#[test]
-fn initiator_band_respects_bounds() {
-    let mut sim = small_sim(15);
-    sim.warm_up(SimDuration::from_hours(1));
-    for band in [InitiatorBand::Low, InitiatorBand::Mid, InitiatorBand::High] {
-        if let Some(node) = sim.random_online_initiator(band) {
-            let av = sim.trace().long_term_availability(node.raw() as usize);
-            assert!(band.contains(av), "{band:?} initiator has availability {av}");
-        }
-    }
 }
 
 #[test]
@@ -242,7 +253,7 @@ fn operations_see_the_trace_wherever_the_clock_stops() {
     // converged rebuild — and hold the world view and a flood to the trace.
     let trace = OvernetModel::default().hosts(120).days(1).generate(3);
     let everyone = AvailabilityTarget::range(0.0, 1.0);
-    let check = |sim: &mut AvmemSim, stop: &str| {
+    let check = |sim: &AvmemSim, stop: &str| {
         let (now, n) = (sim.now(), sim.trace().num_nodes());
         let up = sim.trace().online_at(now);
         {
@@ -258,7 +269,10 @@ fn operations_see_the_trace_wherever_the_clock_stops() {
         }
         let Some(&initiator) = up.first() else { return };
         let initiator = NodeId::new(initiator as u64);
-        let flood = sim.multicast(initiator, everyone, MulticastConfig::paper_default());
+        let config = MulticastConfig::paper_default();
+        let flood = fire(sim, 0, |w, net, rng, s| {
+            run_multicast(w, net, rng, s, initiator, everyone, config)
+        });
         assert_eq!(flood.eligible, up.len(), "{stop}");
         let reached_offline = flood
             .deliveries
@@ -282,17 +296,17 @@ fn operations_see_the_trace_wherever_the_clock_stops() {
         let mut config = SimConfig::paper_default(31);
         config.maintenance = maintenance;
         let mut sim = AvmemSim::new(trace.clone(), config);
-        check(&mut sim, "fresh");
+        check(&sim, "fresh");
         sim.advance_to(SimTime::from_millis(slot_ms - 1));
-        check(&mut sim, "last millisecond of slot 0");
+        check(&sim, "last millisecond of slot 0");
         let before = sim.trace().online_at(sim.now());
         sim.advance_to(SimTime::from_millis(slot_ms));
-        check(&mut sim, "first millisecond of slot 1");
+        check(&sim, "first millisecond of slot 1");
         slots_differ |= before != sim.trace().online_at(sim.now());
         sim.advance_to(SimTime::from_millis(3 * slot_ms + slot_ms / 2));
-        check(&mut sim, "two boundaries on");
+        check(&sim, "two boundaries on");
         sim.warm_up(trace.slot_duration());
-        check(&mut sim, "after a warm-up of one slot");
+        check(&sim, "after a warm-up of one slot");
     }
     assert!(slots_differ, "vacuous: slots 0 and 1 hold the same nodes");
 }
@@ -394,8 +408,15 @@ fn operations_on_degenerate_populations_return_outcomes() {
         // Slot 0, everyone up; then slot 1, everyone down.
         for (up, warm_up) in [(n, slot.mul(0)), (0, slot)] {
             sim.warm_up(warm_up);
+            let multicast = |target, config| {
+                fire(&sim, 0, |w, n, r, s| run_multicast(w, n, r, s, first, target, config))
+            };
+            let anycast = |target| {
+                let config = AnycastConfig::paper_default();
+                fire(&sim, 0, |w, n, r, s| run_anycast(w, n, r, s, first, target, config))
+            };
             for config in [MulticastConfig::paper_default(), gossip] {
-                let flood = sim.multicast(first, everyone, config);
+                let flood = multicast(everyone, config);
                 assert_eq!(flood.eligible, up);
                 // Its own entry point, up or not; whoever else it reaches
                 // is up.
@@ -405,19 +426,17 @@ fn operations_on_degenerate_populations_return_outcomes() {
                     .iter()
                     .all(|&(id, _)| trace.is_online(id.raw() as usize, sim.now())));
 
-                let missed = sim.multicast(first, nobody, config);
+                let missed = multicast(nobody, config);
                 assert_eq!(missed.eligible, 0);
                 assert!(missed.deliveries.is_empty() && missed.messages == 0);
                 assert!(missed.anycast.drop_reason.is_some());
             }
-            let anycast = sim.anycast(first, nobody, AnycastConfig::paper_default());
-            assert!(!anycast.is_delivered());
-            assert!(anycast.drop_reason.is_some(), "a typed drop");
-            let to_itself = sim.anycast(first, everyone, AnycastConfig::paper_default());
-            assert_eq!(to_itself.hops, 0);
+            let missed = anycast(nobody);
+            assert!(!missed.is_delivered());
+            assert!(missed.drop_reason.is_some(), "a typed drop");
+            assert_eq!(anycast(everyone).hops, 0);
         }
-        assert!(sim.random_online_initiator(InitiatorBand::Low).is_none());
-        assert!(sim.random_online_initiator(InitiatorBand::Mid).is_none());
+        assert!(sim.online().is_empty());
     }
 }
 

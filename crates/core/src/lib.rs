@@ -39,10 +39,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use avmem::harness::{AvmemSim, InitiatorBand, SimConfig};
-//! use avmem::ops::{AnycastConfig, AvailabilityTarget};
-//! use avmem_sim::SimDuration;
+//! use avmem::harness::{AvmemSim, SimConfig};
+//! use avmem::ops::{run_anycast, AnycastConfig, AvailabilityTarget, OpScratch};
+//! use avmem_sim::{LatencyModel, Network, SimDuration};
 //! use avmem_trace::OvernetModel;
+//! use avmem_util::{NodeId, SplitMix64};
 //!
 //! // A synthetic Overnet-like churn trace (the paper's workload).
 //! let trace = OvernetModel::default().hosts(150).days(1).generate(42);
@@ -52,9 +53,16 @@
 //! sim.warm_up(SimDuration::from_hours(24));
 //!
 //! // Range-anycast into high availability from a mid-availability node.
-//! if let Some(initiator) = sim.random_online_initiator(InitiatorBand::Mid) {
-//!     let outcome = sim.anycast(
-//!         initiator,
+//! let mid = |i: &&u32| {
+//!     (1.0 / 3.0..2.0 / 3.0).contains(&sim.trace().long_term_availability(**i as usize).value())
+//! };
+//! if let Some(&initiator) = sim.online().online().iter().find(mid) {
+//!     let outcome = run_anycast(
+//!         &sim.world(),
+//!         &mut Network::new(LatencyModel::PAPER, 1),
+//!         &mut SplitMix64::new(2),
+//!         &mut OpScratch::default(),
+//!         NodeId::new(u64::from(initiator)),
 //!         AvailabilityTarget::range(0.85, 0.95),
 //!         AnycastConfig::paper_default(),
 //!     );
@@ -69,7 +77,7 @@ pub mod ops;
 pub mod predicate;
 pub mod verify;
 
-pub use harness::{AvmemSim, FinalizeStats, HealthStats, InitiatorBand, PhaseTimings, SimConfig};
+pub use harness::{AvmemSim, FinalizeStats, HealthStats, PhaseTimings, SimConfig};
 pub use membership::{Membership, Neighbor, NeighborColumns, SliverScope};
 pub use ops::{
     AnycastConfig, AnycastOutcome, AvailabilityTarget, ForwardPolicy, MulticastConfig,

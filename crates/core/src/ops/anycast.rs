@@ -442,7 +442,7 @@ mod reference {
 mod tests {
     use super::*;
     use avmem_sim::LatencyModel;
-    use avmem_util::{SplitMix64, Xoshiro256};
+    use avmem_util::SplitMix64;
     use proptest::prelude::*;
 
     use crate::ops::world::mock::{random_target, MockWorld};
@@ -451,8 +451,8 @@ mod tests {
         Network::new(LatencyModel::Constant { millis: 50 }, 1)
     }
 
-    fn rng() -> Xoshiro256 {
-        Xoshiro256::new(7)
+    fn rng() -> SplitMix64 {
+        SplitMix64::new(7)
     }
 
     fn scratch() -> OpScratch {
@@ -711,7 +711,7 @@ mod tests {
         let w = chain();
         let mut delivered = 0;
         for seed in 0..20 {
-            let mut r = Xoshiro256::new(seed);
+            let mut r = SplitMix64::new(seed);
             let outcome = run_anycast(
                 &w,
                 &mut net(),
@@ -748,7 +748,7 @@ mod tests {
         }
         let mut first_hops = std::collections::HashSet::new();
         for seed in 0..100 {
-            let mut r = Xoshiro256::new(seed);
+            let mut r = SplitMix64::new(seed);
             let outcome = run_anycast(
                 &w,
                 &mut net(),
@@ -784,7 +784,7 @@ mod tests {
         w.vs_edge(0, 2);
         let mut near_first = 0;
         for seed in 0..50 {
-            let mut r = Xoshiro256::new(seed);
+            let mut r = SplitMix64::new(seed);
             let outcome = run_anycast(
                 &w,
                 &mut net(),
@@ -836,7 +836,7 @@ mod tests {
                 let seed = r.next_u64();
                 let mut observe = |reference: bool| {
                     let mut net = Network::new(LatencyModel::PAPER, seed);
-                    let mut rng = Xoshiro256::new(seed ^ 1);
+                    let mut rng = SplitMix64::new(seed ^ 1);
                     let outcome = if reference {
                         reference::run_anycast(&world, &mut net, &mut rng, initiator, target, config)
                     } else {

@@ -11,6 +11,14 @@
 //!   flooding or gossip within it (§3.2-II);
 //! * [`OpScratch`] — the working memory both reuse from one operation to
 //!   the next.
+//!
+//! An operation is a function of its world, its latency [`Network`], its
+//! random stream and its arguments. Over a simulation the world is
+//! [`crate::harness::AvmemSim::world`]; the caller owns the network and
+//! the stream, so it decides what an operation's draws depend on (the
+//! scenario runner keys both by seed and operation index).
+//!
+//! [`Network`]: avmem_sim::Network
 
 pub mod anycast;
 mod calendar;

@@ -729,7 +729,7 @@ mod reference {
 mod tests {
     use super::*;
     use avmem_sim::LatencyModel;
-    use avmem_util::{SplitMix64, Xoshiro256};
+    use avmem_util::SplitMix64;
     use proptest::prelude::*;
 
     use crate::ops::anycast::ForwardPolicy;
@@ -739,8 +739,8 @@ mod tests {
         Network::new(LatencyModel::Constant { millis: 50 }, 1)
     }
 
-    fn rng() -> Xoshiro256 {
-        Xoshiro256::new(3)
+    fn rng() -> SplitMix64 {
+        SplitMix64::new(3)
     }
 
     fn scratch() -> OpScratch {
@@ -1204,7 +1204,7 @@ mod tests {
 
     fn run_kernel(case: &Case, scratch: &mut OpScratch) -> Observed {
         let mut net = Network::new(case.latency, case.net_seed);
-        let mut rng = Xoshiro256::new(case.net_seed ^ 1);
+        let mut rng = SplitMix64::new(case.net_seed ^ 1);
         let outcome = run_multicast(
             &case.world,
             &mut net,
@@ -1219,7 +1219,7 @@ mod tests {
 
     fn run_reference(case: &Case) -> Observed {
         let mut net = Network::new(case.latency, case.net_seed);
-        let mut rng = Xoshiro256::new(case.net_seed ^ 1);
+        let mut rng = SplitMix64::new(case.net_seed ^ 1);
         let outcome = reference::run_multicast(
             &case.world,
             &mut net,

@@ -11,8 +11,7 @@
 //! crate (`cargo test -p avmem --lib harness::`).
 
 use avmem::harness::{
-    AvmemSim, FinalizeStats, InitiatorBand, MaintenanceEngine, MaintenanceMode, OracleChoice,
-    SimConfig,
+    AvmemSim, FinalizeStats, MaintenanceEngine, MaintenanceMode, OracleChoice, SimConfig,
 };
 use avmem_sim::SimDuration;
 use avmem_trace::{ChurnTrace, OvernetModel};
@@ -415,29 +414,4 @@ fn equivalence_survives_incremental_warm_up() {
         candidate.warm_up(SimDuration::from_mins(40));
     }
     assert_state_equal(&reference, &candidate, "incremental warm-up");
-}
-
-#[test]
-fn engines_agree_on_downstream_operations() {
-    // Same maintenance state ⇒ same downstream operation randomness: the
-    // initiator draw consumes the run RNG identically on both engines.
-    let trace = trace(150, 12);
-    let maintenance = MaintenanceMode::paper_event_driven();
-    let mut reference = AvmemSim::new(
-        trace.clone(),
-        config(5, OracleChoice::Exact, maintenance, MaintenanceEngine::Serial),
-    );
-    let mut candidate = AvmemSim::new(
-        trace,
-        config(5, OracleChoice::Exact, maintenance, sharded(8, 8)),
-    );
-    reference.warm_up(SimDuration::from_hours(1));
-    candidate.warm_up(SimDuration::from_hours(1));
-    for band in [InitiatorBand::Low, InitiatorBand::Mid, InitiatorBand::High] {
-        assert_eq!(
-            reference.random_online_initiator(band),
-            candidate.random_online_initiator(band),
-            "initiator draw diverged for {band:?}"
-        );
-    }
 }

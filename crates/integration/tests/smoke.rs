@@ -3,10 +3,11 @@
 //! Catches cross-crate regressions (trace → harness → ops) without the
 //! cost of the full integration suites.
 
-use avmem::harness::{AvmemSim, InitiatorBand, SimConfig};
-use avmem::ops::{AnycastConfig, AvailabilityTarget};
-use avmem_sim::SimDuration;
+use avmem::harness::{AvmemSim, SimConfig};
+use avmem::ops::{run_anycast, AnycastConfig, AvailabilityTarget, OpScratch};
+use avmem_sim::{LatencyModel, Network, SimDuration};
 use avmem_trace::OvernetModel;
+use avmem_util::{NodeId, SplitMix64};
 
 #[test]
 fn tiny_overlay_end_to_end() {
@@ -18,12 +19,13 @@ fn tiny_overlay_end_to_end() {
 
     assert!(sim.health_stats().online > 0, "some node must be online");
 
-    let initiator = [InitiatorBand::Low, InitiatorBand::Mid, InitiatorBand::High]
-        .into_iter()
-        .find_map(|band| sim.random_online_initiator(band))
-        .expect("an online initiator exists");
-    let outcome = sim.anycast(
-        initiator,
+    let initiator = *sim.online().online().first().expect("an online initiator exists");
+    let outcome = run_anycast(
+        &sim.world(),
+        &mut Network::new(LatencyModel::PAPER, 1),
+        &mut SplitMix64::new(2),
+        &mut OpScratch::default(),
+        NodeId::new(u64::from(initiator)),
         AvailabilityTarget::threshold(0.0),
         AnycastConfig::paper_default(),
     );

@@ -788,7 +788,7 @@ fn json_u64_array(values: &[u64]) -> String {
 
 /// JSON has no NaN/Inf; finite floats use Rust's shortest round-trip
 /// formatting, which is valid JSON.
-fn json_f64(value: f64) -> String {
+pub(crate) fn json_f64(value: f64) -> String {
     if value.is_finite() {
         format!("{value:?}")
     } else {

@@ -35,7 +35,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use avmem::harness::{AvmemSim, InitiatorBand};
+use avmem::harness::AvmemSim;
 use avmem::ops::{run_anycast, run_multicast, OpScratch, OverlayWorld};
 use avmem::AdmissionPolicy;
 use avmem::AvailabilityTarget;
@@ -249,14 +249,13 @@ impl Timeline {
 /// whole population.
 #[derive(Debug, Default)]
 struct BandIndex {
-    /// The nodes of each [`InitiatorBand`], ascending, in declaration
-    /// order (`Low`, `Mid`, `High`).
+    /// The nodes of `Low`, `Mid` and `High`, each ascending.
     lists: [Vec<u32>; 3],
 }
 
 impl BandIndex {
     fn build(trace: &ChurnTrace) -> BandIndex {
-        let lists = [InitiatorBand::Low, InitiatorBand::Mid, InitiatorBand::High].map(|band| {
+        let lists = [BandSpec::Low, BandSpec::Mid, BandSpec::High].map(|band| {
             (0..trace.num_nodes() as u32)
                 .filter(|&i| band.contains(trace.long_term_availability(i as usize)))
                 .collect()
@@ -265,13 +264,10 @@ impl BandIndex {
     }
 
     fn list(&self, band: BandSpec) -> &[u32] {
-        let band = match band {
-            BandSpec::Low => InitiatorBand::Low,
-            BandSpec::Mid => InitiatorBand::Mid,
-            BandSpec::High => InitiatorBand::High,
-            BandSpec::Any => return &[],
-        };
-        &self.lists[band as usize]
+        match band {
+            BandSpec::Any => &[],
+            band => &self.lists[band as usize],
+        }
     }
 }
 
@@ -488,7 +484,6 @@ impl ScenarioRunner {
             attack_since_last: (0, 0),
             health_index: 0,
             bands,
-            pick_scratch: Vec::new(),
             ops_scratch: OpScratch::default(),
             instruments: None,
         })
@@ -511,9 +506,6 @@ pub struct RunSession {
     attack_since_last: (u64, u64),
     health_index: u64,
     bands: BandIndex,
-    /// Rejection-sampling fallback scratch for [`RunSession::pick_initiator`],
-    /// reused across operations so the rare exact scan never reallocates.
-    pick_scratch: Vec<u32>,
     /// Working memory of the operations [`RunSession::fire_op`] runs.
     ops_scratch: OpScratch,
     instruments: Option<ScenarioInstruments>,
@@ -684,25 +676,21 @@ impl RunSession {
     /// population (or the static band list), accepting the first online
     /// candidate. On exhaustion it falls back to the exact eligible scan,
     /// continuing the same stream — the pick stays a pure function of
-    /// `(spec, seed, op index, overlay state)` either way. The fallback
-    /// scan collects into `pick_scratch`, reused across operations so
-    /// thin-population runs never reallocate per pick.
-    fn pick_initiator(&mut self, index: u64, band: BandSpec, stream: u64) -> Option<NodeId> {
-        let trace = self.sim.trace();
-        let now = self.sim.now();
+    /// `(spec, seed, op index, overlay state)` either way. Who is up comes
+    /// from the harness's online index, so `Any`'s fallback draws from
+    /// its list as it stands.
+    fn pick_initiator(&self, index: u64, band: BandSpec, stream: u64) -> Option<NodeId> {
+        let online = self.sim.online();
         let mut rng = SplitMix64::keyed(&[self.spec.seed, stream, index]);
-        let eligible = &mut self.pick_scratch;
-        if matches!(band, BandSpec::Any) {
-            let n = trace.num_nodes();
+        if band == BandSpec::Any {
+            let n = self.sim.trace().num_nodes();
             for _ in 0..PICK_TRIES {
                 let i = rng.index(n);
-                if trace.is_online(i, now) {
+                if online.contains(i) {
                     return Some(NodeId::new(i as u64));
                 }
             }
-            eligible.clear();
-            eligible.extend((0..n).filter(|&i| trace.is_online(i, now)).map(|i| i as u32));
-            return pick_from(eligible, &mut rng);
+            return pick_from(online.online().iter().copied(), &mut rng);
         }
         let list = self.bands.list(band);
         if list.is_empty() {
@@ -710,13 +698,11 @@ impl RunSession {
         }
         for _ in 0..PICK_TRIES {
             let i = list[rng.index(list.len())];
-            if trace.is_online(i as usize, now) {
+            if online.contains(i as usize) {
                 return Some(NodeId::new(u64::from(i)));
             }
         }
-        eligible.clear();
-        eligible.extend(list.iter().copied().filter(|&i| trace.is_online(i as usize, now)));
-        pick_from(eligible, &mut rng)
+        pick_from(list.iter().copied().filter(|&i| online.contains(i as usize)), &mut rng)
     }
 
     /// Executes one scheduled operation against the live overlay.
@@ -849,7 +835,6 @@ impl RunSession {
                 let policy = AdmissionPolicy::with_cushion(adv.cushion);
                 let trace = self.sim.trace();
                 let now = self.sim.now();
-                let online: Vec<usize> = trace.online_at(now);
                 let membership = self.sim.membership(sender);
                 let stats = self.report.attack.as_mut().expect("attack stats exist");
                 stats.attempts += 1;
@@ -861,13 +846,12 @@ impl RunSession {
                 // sender itself and its legitimate neighbors (a flood is
                 // precisely traffic to NON-neighbors).
                 let victims = rng.sample(
-                    online
+                    self.sim
+                        .online()
+                        .online()
                         .iter()
-                        .copied()
-                        .filter(|&i| {
-                            NodeId::new(i as u64) != sender
-                                && !membership.contains(NodeId::new(i as u64))
-                        }),
+                        .map(|&i| NodeId::new(u64::from(i)))
+                        .filter(|&id| id != sender && !membership.contains(id)),
                     adv.probes as usize,
                 );
                 for victim in victims {
@@ -875,7 +859,7 @@ impl RunSession {
                         self.sim.predicate(),
                         self.sim.oracle(),
                         sender,
-                        NodeId::new(victim as u64),
+                        victim,
                         now,
                     );
                     stats.probes += 1;
@@ -927,14 +911,15 @@ fn draw_target<R: Rng>(spec: &ScenarioSpec, rng: &mut R) -> AvailabilityTarget {
     targets.last().expect("validated non-empty").target
 }
 
-/// Uniform keyed draw from an eligible list (the rejection-sampling
-/// fallback); `None` when nothing is eligible.
-fn pick_from<R: Rng>(eligible: &[u32], rng: &mut R) -> Option<NodeId> {
-    if eligible.is_empty() {
-        None
-    } else {
-        Some(NodeId::new(u64::from(eligible[rng.index(eligible.len())])))
-    }
+/// Uniform keyed draw from the eligible nodes, counted then selected
+/// (the rejection-sampling fallback); `None` when nothing is eligible.
+fn pick_from<R: Rng>(
+    mut eligible: impl Iterator<Item = u32> + Clone,
+    rng: &mut R,
+) -> Option<NodeId> {
+    let count = eligible.clone().count();
+    let pick = (count > 0).then(|| rng.index(count))?;
+    eligible.nth(pick).map(|i| NodeId::new(u64::from(i)))
 }
 
 /// Snapshots process memory for the sealed report: kernel peak RSS when
@@ -975,7 +960,7 @@ mod tests {
     use super::*;
     use crate::builtin;
     use crate::spec::{AdversarySpec, ChurnSpec, MaintenanceModeSpec, TargetMix};
-    use avmem::harness::PredicateChoice;
+    use avmem::harness::{MaintenanceEngine, PredicateChoice};
     use avmem::ops::ForwardPolicy;
 
     fn tiny_spec() -> ScenarioSpec {
@@ -1176,12 +1161,54 @@ mod tests {
 
     #[test]
     fn banded_initiators_come_from_the_band() {
+        // Every `Low` / `Mid` / `High` pick is an online node of its band,
+        // whether a rejection try found it or — where the band's online
+        // share is a few percent, so that all the tries miss — the exact
+        // scan did; and an op index picks the same node on either engine.
         let mut spec = tiny_spec();
         spec.workload.initiators = BandSpec::High;
-        let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
-        // High-band initiators exist in the Overnet trace, so traffic
-        // still flows (possibly with skips when the band is offline).
-        assert!(report.anycast.sent + report.multicast.sent + report.skipped_ops > 0);
+        spec.maintenance.mode = MaintenanceModeSpec::EventDriven {
+            protocol_secs: 60,
+            refresh_mins: 20,
+        };
+        let sharded = MaintenanceEngine::Sharded { shards: Some(4), threads: Some(2) };
+        let mut sessions = [MaintenanceEngine::Serial, sharded].map(|engine| {
+            let mut spec = spec.clone();
+            spec.maintenance.engine = engine;
+            ScenarioRunner::new(spec).unwrap().session().unwrap()
+        });
+        let (mut picks, mut scanned) = (0, 0);
+        for slot in 3..36 {
+            let at = SimTime::ZERO + SimDuration::from_mins(20 * slot + 7);
+            for session in &mut sessions {
+                session.sim.advance_to(at);
+            }
+            let [serial, sharded] = &sessions;
+            let online = serial.sim.online();
+            for band in [BandSpec::Low, BandSpec::Mid, BandSpec::High] {
+                let list = serial.bands.list(band);
+                for index in 0..64 {
+                    let pick = serial.pick_initiator(index, band, STREAM_INITIATOR);
+                    let again = sharded.pick_initiator(index, band, STREAM_INITIATOR);
+                    assert_eq!(pick, again, "{band:?} op {index} at {at:?}");
+                    let Some(node) = pick else {
+                        assert!(list.iter().all(|&i| !online.contains(i as usize)), "{band:?}");
+                        continue;
+                    };
+                    let i = node.raw() as usize;
+                    assert!(online.contains(i), "{band:?} op {index}: {node} is down");
+                    let av = serial.sim.trace().long_term_availability(i);
+                    assert!(band.contains(av), "{band:?} op {index}: {node} has {av}");
+                    // Replay the tries on the op's stream: did all miss?
+                    let mut rng = SplitMix64::keyed(&[spec.seed, STREAM_INITIATOR, index]);
+                    let mut tries = (0..PICK_TRIES).map(|_| list[rng.index(list.len())]);
+                    picks += 1;
+                    scanned += u32::from(tries.all(|i| !online.contains(i as usize)));
+                }
+            }
+        }
+        assert!(picks > 0);
+        assert!(scanned > 0, "every pick came from a rejection try");
     }
 
     #[test]

@@ -23,6 +23,7 @@ use avmem::AvailabilityTarget;
 use avmem_avmon::AvmonConfig;
 use avmem_sim::SimDuration;
 use avmem_trace::{ChurnTrace, CrowdDirection, FlashCrowdModel, GridModel, OvernetModel};
+use avmem_util::Availability;
 
 use crate::schema::SECTIONS;
 
@@ -175,7 +176,8 @@ pub struct WorkloadSpec {
     pub targets: Vec<TargetMix>,
 }
 
-/// Initiator availability band (not the harness's `InitiatorBand`: `any` is not one).
+/// Initiator availability band: the LOW / MID / HIGH bands of §4.2, or
+/// any online node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BandSpec {
     /// True availability in `[0, 1/3)`.
@@ -186,6 +188,25 @@ pub enum BandSpec {
     High,
     /// Any online node.
     Any,
+}
+
+impl BandSpec {
+    /// The band's true-availability interval `[lo, hi)`; `Any` spans
+    /// all of `[0, 1]`.
+    pub fn bounds(self) -> (f64, f64) {
+        match self {
+            BandSpec::Low => (0.0, 1.0 / 3.0),
+            BandSpec::Mid => (1.0 / 3.0, 2.0 / 3.0),
+            BandSpec::High => (2.0 / 3.0, 1.0 + f64::EPSILON),
+            BandSpec::Any => (0.0, 1.0 + f64::EPSILON),
+        }
+    }
+
+    /// Whether an availability falls inside the band.
+    pub fn contains(self, av: Availability) -> bool {
+        let (lo, hi) = self.bounds();
+        av.value() >= lo && av.value() < hi
+    }
 }
 
 /// One weighted entry of the target mix.

@@ -10,7 +10,7 @@
 
 use avmem::harness::MaintenanceEngine;
 
-use crate::report::ScenarioReport;
+use crate::report::{json_f64, ScenarioReport};
 use crate::runner::ScenarioRunner;
 use crate::spec::ScenarioError;
 
@@ -259,14 +259,6 @@ impl SweepSummary {
         }
         write!(w, "]}}").unwrap();
         out
-    }
-}
-
-fn json_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value:?}")
-    } else {
-        "null".to_string()
     }
 }
 

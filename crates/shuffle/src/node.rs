@@ -102,7 +102,6 @@ pub struct ShuffleNode {
 struct InFlight {
     target: NodeId,
     sent: Vec<ViewEntry>,
-    removed_target_entry: ViewEntry,
 }
 
 /// A shuffle exchange this node *would* start now: the target (its oldest
@@ -199,13 +198,6 @@ impl ShuffleNode {
         }
     }
 
-    /// Clears all state except identity (a node that crashed and lost its
-    /// soft state).
-    pub fn reset(&mut self) {
-        self.view = View::new(self.config.view_size);
-        self.in_flight = None;
-    }
-
     /// Computes the exchange this node would start now, *without mutating
     /// any state*: the target is the oldest view entry and the request
     /// entries are a random subset of the view as it will look after
@@ -269,8 +261,7 @@ impl ShuffleNode {
             "apply with an exchange already in flight"
         );
         self.view.age_all();
-        let removed_target_entry = self
-            .view
+        self.view
             .remove_at(proposal.target_pos, proposal.target)
             .expect("proposal target vanished from the view before apply");
         let mut sent = pool.take(proposal.entries.len());
@@ -278,7 +269,6 @@ impl ShuffleNode {
         self.in_flight = Some(InFlight {
             target: proposal.target,
             sent,
-            removed_target_entry,
         });
     }
 
@@ -356,19 +346,6 @@ impl ShuffleNode {
                 if let Some(in_flight) = self.in_flight.take() {
                     pool.recycle(in_flight.sent);
                 }
-            }
-        }
-    }
-
-    /// Reports that the exchange target was reachable but we want to undo
-    /// the removal (used when the host simulation knows the request was
-    /// lost before reaching the target, not that the target is dead).
-    pub fn restore_target(&mut self, target: NodeId) {
-        if let Some(in_flight) = self.in_flight.take() {
-            if in_flight.target == target {
-                self.view.insert(in_flight.removed_target_entry);
-            } else {
-                self.in_flight = Some(in_flight);
             }
         }
     }
@@ -464,15 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_target_reinserts_entry() {
-        let mut a = node(1);
-        a.bootstrap([id(2)]);
-        let (target, _) = a.initiate_with(&mut EntryPool::new()).unwrap();
-        a.restore_target(target);
-        assert!(a.view().contains(id(2)));
-    }
-
-    #[test]
     fn stray_reply_is_ignored() {
         let mut a = node(1);
         a.bootstrap([id(2)]);
@@ -484,14 +452,6 @@ mod tests {
         );
         // No in-flight exchange: nothing merged.
         assert!(!a.view().contains(id(9)));
-    }
-
-    #[test]
-    fn reset_clears_view() {
-        let mut a = node(1);
-        a.bootstrap([id(2), id(3)]);
-        a.reset();
-        assert!(a.view().is_empty());
     }
 
     #[test]

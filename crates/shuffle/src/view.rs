@@ -503,7 +503,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avmem_util::{SplitMix64, Xoshiro256};
+    use avmem_util::SplitMix64;
     use proptest::prelude::*;
 
     fn id(n: u64) -> NodeId {
@@ -587,7 +587,7 @@ mod tests {
         for n in 0..10 {
             v.insert(ViewEntry::fresh(id(n)));
         }
-        let mut rng = Xoshiro256::new(1);
+        let mut rng = SplitMix64::new(1);
         let subset = v.random_subset(&mut rng, 4, Some(id(3)));
         assert_eq!(subset.len(), 4);
         assert!(subset.iter().all(|e| e.id != id(3)));

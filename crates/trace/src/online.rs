@@ -185,7 +185,7 @@ mod tests {
     use super::*;
     use crate::overnet::OvernetModel;
     use avmem_sim::SimDuration;
-    use avmem_util::Xoshiro256;
+    use avmem_util::SplitMix64;
 
     fn trace() -> ChurnTrace {
         OvernetModel::default().hosts(80).days(1).generate(11)
@@ -238,7 +238,7 @@ mod tests {
         let mut index = OnlineIndex::new();
         index.refresh(&t, SimTime::ZERO);
         let exclude = index.online()[0] as usize;
-        let mut rng = Xoshiro256::new(5);
+        let mut rng = SplitMix64::new(5);
         let mut out = Vec::new();
         for _ in 0..50 {
             index.sample_excluding(&mut rng, 3, exclude, &mut out);
@@ -265,7 +265,7 @@ mod tests {
         );
         let mut index = OnlineIndex::new();
         index.refresh(&t, SimTime::ZERO);
-        let mut rng = Xoshiro256::new(1);
+        let mut rng = SplitMix64::new(1);
         let mut out = Vec::new();
         index.sample_excluding(&mut rng, 5, 0, &mut out);
         assert_eq!(out, vec![1, 3]);
@@ -302,7 +302,7 @@ mod tests {
         let t = trace();
         let mut index = OnlineIndex::new();
         index.refresh(&t, SimTime::ZERO);
-        let mut rng = Xoshiro256::new(2);
+        let mut rng = SplitMix64::new(2);
         let mut out = vec![9];
         index.sample_excluding(&mut rng, 0, 0, &mut out);
         assert!(out.is_empty());

@@ -14,9 +14,8 @@
 //!   framework (Eq. 1 of the paper);
 //! * [`ring`] — a keyed consistent-hash ring with virtual points, the
 //!   `O(log N)` backbone of the AVMON ring assignment strategy;
-//! * [`rng`] — deterministic, seedable random number generators
-//!   (SplitMix64 and xoshiro256**) so that whole-system simulations are
-//!   bit-reproducible;
+//! * [`rng`] — a deterministic, seedable random number generator
+//!   (SplitMix64) so that whole-system simulations are bit-reproducible;
 //! * [`stats`] — summary statistics, histograms and empirical CDFs used by
 //!   the experiment harness;
 //! * [`parallel`] — chunk-parallelism for the simulator's hot loops on a
@@ -64,6 +63,6 @@ pub use hash::{
 pub use heap::{heap_stats, heap_tracking_installed, peak_rss_bytes, HeapStats};
 pub use id::NodeId;
 pub use ring::HashRing;
-pub use rng::{Rng, SplitMix64, Xoshiro256};
+pub use rng::{Rng, SplitMix64};
 pub use shard::ShardPartition;
 pub use stamped::StampedTable;

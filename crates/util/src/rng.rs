@@ -2,14 +2,13 @@
 //!
 //! Every protocol decision in the simulator that is *random but not
 //! consistent* (gossip target choice, latency draws, churn generation, …)
-//! flows through these generators so that a run is fully determined by its
-//! seed. We provide [`SplitMix64`] (seed expansion, cheap decorrelated
-//! streams) and [`Xoshiro256`] (xoshiro256**, the general-purpose
-//! generator), both behind the small [`Rng`] trait.
+//! flows through one generator so that a run is fully determined by its
+//! seed: [`SplitMix64`] (seed expansion, per-node streams and
+//! counter-keyed streams), behind the small [`Rng`] trait.
 //!
-//! These are textbook public-domain algorithms (Vigna et al.); implementing
-//! them here keeps the core protocol crates free of external RNG
-//! dependencies and bit-reproducible across platforms.
+//! It is a textbook public-domain algorithm (Vigna); implementing it here
+//! keeps the core protocol crates free of external RNG dependencies and
+//! bit-reproducible across platforms.
 
 /// Minimal random-source trait used across the workspace.
 ///
@@ -214,47 +213,6 @@ impl Rng for SplitMix64 {
     }
 }
 
-/// xoshiro256**: the workspace's general-purpose deterministic generator.
-///
-/// # Examples
-///
-/// ```
-/// use avmem_util::{Rng, Xoshiro256};
-///
-/// let mut rng = Xoshiro256::new(7);
-/// let x = rng.next_f64();
-/// assert!((0.0..1.0).contains(&x));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Xoshiro256 {
-    s: [u64; 4],
-}
-
-impl Xoshiro256 {
-    /// Creates a generator, expanding the seed through SplitMix64 as
-    /// recommended by the xoshiro authors.
-    pub fn new(seed: u64) -> Self {
-        let mut sm = SplitMix64::new(seed);
-        Xoshiro256 {
-            s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
-        }
-    }
-}
-
-impl Rng for Xoshiro256 {
-    fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,9 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn xoshiro_is_deterministic() {
-        let mut a = Xoshiro256::new(99);
-        let mut b = Xoshiro256::new(99);
+    fn splitmix_is_deterministic() {
+        let mut a = SplitMix64::new(99);
+        let mut b = SplitMix64::new(99);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
@@ -279,15 +237,15 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_streams() {
-        let mut a = Xoshiro256::new(1);
-        let mut b = Xoshiro256::new(2);
+        let mut a = SplitMix64::new(1);
+        let mut b = SplitMix64::new(2);
         let same = (0..16).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
     }
 
     #[test]
     fn next_f64_in_unit_interval() {
-        let mut rng = Xoshiro256::new(5);
+        let mut rng = SplitMix64::new(5);
         for _ in 0..1000 {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
@@ -296,7 +254,7 @@ mod tests {
 
     #[test]
     fn range_u64_respects_bound() {
-        let mut rng = Xoshiro256::new(11);
+        let mut rng = SplitMix64::new(11);
         for bound in [1u64, 2, 3, 7, 100, 1 << 40] {
             for _ in 0..200 {
                 assert!(rng.range_u64(bound) < bound);
@@ -306,7 +264,7 @@ mod tests {
 
     #[test]
     fn range_u64_is_roughly_uniform() {
-        let mut rng = Xoshiro256::new(13);
+        let mut rng = SplitMix64::new(13);
         let mut counts = [0usize; 5];
         for _ in 0..50_000 {
             counts[rng.range_u64(5) as usize] += 1;
@@ -325,7 +283,7 @@ mod tests {
 
     #[test]
     fn shuffle_is_a_permutation() {
-        let mut rng = Xoshiro256::new(21);
+        let mut rng = SplitMix64::new(21);
         let mut v: Vec<u32> = (0..100).collect();
         rng.shuffle(&mut v);
         let mut sorted = v.clone();
@@ -335,7 +293,7 @@ mod tests {
 
     #[test]
     fn sample_without_replacement_has_distinct_items() {
-        let mut rng = Xoshiro256::new(33);
+        let mut rng = SplitMix64::new(33);
         let picked = rng.sample(0..1000u32, 50);
         assert_eq!(picked.len(), 50);
         let mut sorted = picked.clone();
@@ -346,7 +304,7 @@ mod tests {
 
     #[test]
     fn sample_shorter_input_returns_everything() {
-        let mut rng = Xoshiro256::new(34);
+        let mut rng = SplitMix64::new(34);
         let picked = rng.sample(0..3u32, 10);
         assert_eq!(picked.len(), 3);
     }
@@ -368,8 +326,8 @@ mod tests {
         // Nothing wanted, nothing there, too few to choose from (no draw
         // in any of the three), one draw, and a long run of them.
         for (n, k) in [(5, 0), (0, 5), (3, 10), (8, 8), (9, 8), (2, 1), (1000, 500)] {
-            positions_match_sample(&Xoshiro256::new(97), n, k);
             positions_match_sample(&SplitMix64::new(97), n, k);
+            positions_match_sample(&SplitMix64::new(98), n, k);
         }
     }
 
@@ -381,7 +339,6 @@ mod tests {
             k in 0usize..80,
         ) {
             positions_match_sample(&SplitMix64::new(seed), n, k);
-            positions_match_sample(&Xoshiro256::new(seed), n, k);
         }
     }
 
@@ -445,7 +402,7 @@ mod tests {
 
     #[test]
     fn chance_extremes() {
-        let mut rng = Xoshiro256::new(55);
+        let mut rng = SplitMix64::new(55);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
     }

@@ -18,11 +18,12 @@
 //! cargo run -p avmem_integration --release --example fingerprint_survey
 //! ```
 
-use avmem::harness::{AvmemSim, InitiatorBand, SimConfig};
-use avmem::ops::{AvailabilityTarget, MulticastConfig};
-use avmem_sim::SimDuration;
+use avmem::harness::{AvmemSim, SimConfig};
+use avmem::ops::{run_multicast, AvailabilityTarget, MulticastConfig, OpScratch};
+use avmem_scenario::BandSpec;
+use avmem_sim::{LatencyModel, Network, SimDuration};
 use avmem_trace::OvernetModel;
-use avmem_util::{Rng, SplitMix64};
+use avmem_util::{NodeId, Rng, SplitMix64};
 
 /// Synthetic per-host bandwidth in Mbps: base jitter plus an
 /// availability-correlated component.
@@ -43,16 +44,32 @@ fn main() {
     println!("bandwidth survey via range-multicast (500 hosts):");
     println!("  range          responders  mean bandwidth (survey)  mean bandwidth (census)");
 
+    // Surveys start from mid-availability nodes, and run over a view of
+    // the overlay with their own hop-latency network and random stream.
+    let mid: Vec<NodeId> = sim
+        .online()
+        .online()
+        .iter()
+        .map(|&i| NodeId::new(u64::from(i)))
+        .filter(|&id| BandSpec::Mid.contains(sim.trace().long_term_availability(id.raw() as usize)))
+        .collect();
+    let world = sim.world();
+    let mut net = Network::new(LatencyModel::PAPER, 1);
+    let mut rng = SplitMix64::new(2);
+    let mut scratch = OpScratch::default();
+
     for (lo, hi) in [(0.1, 0.3), (0.4, 0.6), (0.8, 1.0)] {
         let target = AvailabilityTarget::range(lo, hi);
-        let Some(initiator) = sim.random_online_initiator(InitiatorBand::Mid) else {
+        if mid.is_empty() {
             continue;
-        };
-        let outcome = sim.multicast(initiator, target, MulticastConfig::paper_default());
+        }
+        let initiator = mid[rng.index(mid.len())];
+        let config = MulticastConfig::paper_default();
+        let outcome =
+            run_multicast(&world, &mut net, &mut rng, &mut scratch, initiator, target, config);
 
         // Responders: every node that received the survey and truly sits
         // in the range reports its bandwidth.
-        let world = sim.world();
         let responders: Vec<_> = outcome.delivered_in_range(&world, target).collect();
         let survey_mean = if responders.is_empty() {
             f64::NAN

@@ -7,10 +7,14 @@
 //! cargo run -p avmem_integration --release --example quickstart
 //! ```
 
-use avmem::harness::{AvmemSim, InitiatorBand, SimConfig};
-use avmem::ops::{AnycastConfig, AvailabilityTarget, MulticastConfig};
-use avmem_sim::SimDuration;
+use avmem::harness::{AvmemSim, SimConfig};
+use avmem::ops::{
+    run_anycast, run_multicast, AnycastConfig, AvailabilityTarget, MulticastConfig, OpScratch,
+};
+use avmem_scenario::BandSpec;
+use avmem_sim::{LatencyModel, Network, SimDuration};
 use avmem_trace::OvernetModel;
+use avmem_util::{NodeId, Rng, SplitMix64};
 
 fn main() {
     // 1. Workload: an Overnet-like churn trace, 400 hosts, 20-minute
@@ -36,13 +40,26 @@ fn main() {
         100.0 * health.largest_component
     );
 
+    // Operations run over a borrowed view of the overlay; the caller owns
+    // the hop-latency network, the random stream and the working memory.
+    let world = sim.world();
+    let mut net = Network::new(LatencyModel::PAPER, 1);
+    let mut rng = SplitMix64::new(2);
+    let mut scratch = OpScratch::default();
+    // A random online initiator whose true availability lies in `band`.
+    let pick = |band: BandSpec, rng: &mut SplitMix64| {
+        let online = sim.online().online().iter().map(|&i| NodeId::new(u64::from(i)));
+        let av = |id: NodeId| sim.trace().long_term_availability(id.raw() as usize);
+        let nodes: Vec<NodeId> = online.filter(|&id| band.contains(av(id))).collect();
+        (!nodes.is_empty()).then(|| nodes[rng.index(nodes.len())])
+    };
+
     // 3. Range-anycast: find some node with availability in [0.85, 0.95],
     //    starting from a mid-availability initiator.
     let target = AvailabilityTarget::range(0.85, 0.95);
-    let initiator = sim
-        .random_online_initiator(InitiatorBand::Mid)
-        .expect("a mid-availability node is online");
-    let anycast = sim.anycast(initiator, target, AnycastConfig::paper_default());
+    let initiator = pick(BandSpec::Mid, &mut rng).expect("a mid-availability node is online");
+    let config = AnycastConfig::paper_default();
+    let anycast = run_anycast(&world, &mut net, &mut rng, &mut scratch, initiator, target, config);
     match anycast.delivered_to {
         Some(node) => println!(
             "anycast {target}: delivered to {node} in {} hops, {} ms",
@@ -54,11 +71,10 @@ fn main() {
 
     // 4. Threshold-multicast: flood every node with availability > 0.7.
     let target = AvailabilityTarget::threshold(0.7);
-    let initiator = sim
-        .random_online_initiator(InitiatorBand::High)
-        .expect("a high-availability node is online");
-    let multicast = sim.multicast(initiator, target, MulticastConfig::paper_default());
-    let world = sim.world();
+    let initiator = pick(BandSpec::High, &mut rng).expect("a high-availability node is online");
+    let config = MulticastConfig::paper_default();
+    let multicast =
+        run_multicast(&world, &mut net, &mut rng, &mut scratch, initiator, target, config);
     println!(
         "multicast {target}: {} eligible, reliability {:.0}%, spam {:.1}%, worst latency {} ms, {} messages",
         multicast.eligible,

@@ -17,12 +17,13 @@
 
 use std::collections::BTreeMap;
 
-use avmem::harness::{AvmemSim, InitiatorBand, SimConfig};
-use avmem::ops::{AnycastConfig, AvailabilityTarget, ForwardPolicy};
+use avmem::harness::{AvmemSim, SimConfig};
+use avmem::ops::{run_anycast, AnycastConfig, AvailabilityTarget, ForwardPolicy, OpScratch};
 use avmem::SliverScope;
-use avmem_sim::SimDuration;
+use avmem_scenario::BandSpec;
+use avmem_sim::{LatencyModel, Network, SimDuration};
 use avmem_trace::OvernetModel;
-use avmem_util::NodeId;
+use avmem_util::{NodeId, Rng, SplitMix64};
 
 fn main() {
     let trace = OvernetModel::default().hosts(500).days(2).generate(11);
@@ -42,17 +43,28 @@ fn main() {
     let mut delivered = 0;
     let mut total_hops = 0u32;
 
+    // The online initiators of each band, and what every operation runs
+    // on: a view of the overlay, a hop-latency network, a random stream.
+    let online_in = |band: BandSpec| -> Vec<NodeId> {
+        let online = sim.online().online().iter().map(|&i| NodeId::new(u64::from(i)));
+        let av = |id: NodeId| sim.trace().long_term_availability(id.raw() as usize);
+        online.filter(|&id| band.contains(av(id))).collect()
+    };
+    let (low, mid) = (online_in(BandSpec::Low), online_in(BandSpec::Mid));
+    let world = sim.world();
+    let mut net = Network::new(LatencyModel::PAPER, 1);
+    let mut rng = SplitMix64::new(2);
+    let mut scratch = OpScratch::default();
+
     for round in 0..100 {
-        let band = if round % 2 == 0 {
-            InitiatorBand::Low
-        } else {
-            InitiatorBand::Mid
-        };
-        let Some(initiator) = sim.random_online_initiator(band) else {
+        let band = if round % 2 == 0 { &low } else { &mid };
+        if band.is_empty() {
             continue;
-        };
+        }
+        let initiator = band[rng.index(band.len())];
         attempts += 1;
-        let outcome = sim.anycast(initiator, target, config);
+        let outcome =
+            run_anycast(&world, &mut net, &mut rng, &mut scratch, initiator, target, config);
         if let Some(supernode) = outcome.delivered_to {
             delivered += 1;
             total_hops += outcome.hops;
