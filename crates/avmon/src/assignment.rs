@@ -160,12 +160,13 @@ impl AllPairsAssignment {
 pub struct RingAssignment {
     k: u32,
     ring: HashRing,
-    /// Lookup point of each target, indexed by target.
-    points: Vec<u128>,
     /// Target indexes sorted by lookup point, aligned with
     /// `sorted_points` — the range structure behind the delta windows.
     order: Vec<u32>,
     sorted_points: Vec<u128>,
+    /// Where each target sits in `order`: target `t`'s lookup point is
+    /// `sorted_points[rank[t]]`, stored once.
+    rank: Vec<u32>,
 }
 
 impl RingAssignment {
@@ -193,6 +194,11 @@ impl RingAssignment {
         let mut order: Vec<u32> = (0..n_u32).collect();
         order.sort_unstable_by_key(|&t| points[t as usize]);
         let sorted_points: Vec<u128> = order.iter().map(|&t| points[t as usize]).collect();
+        drop(points);
+        let mut rank = vec![0u32; n];
+        for (r, &t) in order.iter().enumerate() {
+            rank[t as usize] = r as u32;
+        }
         let ring = HashRing::with_members(
             RING_DOMAIN,
             vnodes,
@@ -203,9 +209,9 @@ impl RingAssignment {
         RingAssignment {
             k,
             ring,
-            points,
             order,
             sorted_points,
+            rank,
         }
     }
 
@@ -229,7 +235,7 @@ impl RingAssignment {
     /// the ring holds fewer (other) members.
     pub fn monitors_of_index(&self, target: u32) -> Vec<u32> {
         self.ring.distinct_successors(
-            self.points[target as usize],
+            self.sorted_points[self.rank[target as usize] as usize],
             self.k as usize,
             Some(target),
         )
@@ -277,7 +283,7 @@ impl RingAssignment {
                 None => {
                     // The ring is too small to bound the walk: every
                     // target's monitor set is up for grabs.
-                    return (0..self.points.len() as u32).collect();
+                    return (0..self.order.len() as u32).collect();
                 }
             }
         }

@@ -29,17 +29,18 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(est.samples(), 4);
 /// ```
 /// Counters are `u32`: one ping per probe slot means even a decade-long
-/// trace stays far below 2³², and the estimator arena at 10⁶ hosts ×
-/// `k` monitors is a hot columnar structure where the 8 bytes per edge
-/// saved by the narrower counters are real memory. The EWMA smoothing
-/// factor is *not* stored per slot — every estimator in an arena shares
-/// the service's configured `alpha`, so callers pass it to
-/// [`PingEstimator::record`] and each slot stays at 16 bytes instead
-/// of 24.
+/// trace stays far below 2³². The EWMA smoothing factor is *not* stored
+/// — every estimator shares the service's configured `alpha`, so callers
+/// pass it to [`PingEstimator::record`].
+///
+/// The service's estimator arenas do not hold this type. Their slot per
+/// (monitor, target) edge is the 8-byte `(hits, attempts)` pair alone,
+/// and the EWMA is a column of its own that exists only when the service
+/// serves aged estimates (`AvmonConfig::use_aged`): at 10⁶ hosts × `k`
+/// monitors that is 8 bytes per edge instead of 16.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PingEstimator {
-    hits: u32,
-    attempts: u32,
+    counts: PingCounts,
     aged: f64,
 }
 
@@ -56,46 +57,73 @@ impl PingEstimator {
     /// per-target state; passing a different value per call mixes decay
     /// rates and is on the caller.
     pub fn record(&mut self, answered: bool, alpha: f64) {
+        self.aged = self.counts.fold_aged(self.aged, answered, alpha);
+        self.counts.record(answered);
+    }
+
+    /// Number of pings recorded.
+    pub fn samples(&self) -> u64 {
+        u64::from(self.counts.attempts)
+    }
+
+    /// Raw estimate: lifetime fraction of answered pings. `None` before
+    /// the first ping.
+    pub fn raw(&self) -> Option<Availability> {
+        self.counts.raw()
+    }
+
+    /// Aged (EWMA) estimate. `None` before the first ping.
+    pub fn aged(&self) -> Option<Availability> {
+        self.counts.aged(self.aged)
+    }
+}
+
+/// Answered and sent pings of one (monitor, target) edge: the slot every
+/// estimator arena keeps per edge.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct PingCounts {
+    hits: u32,
+    attempts: u32,
+}
+
+// An arena slot per edge: padding creep here is 10⁶ × `k` slots of it.
+const _: () = assert!(std::mem::size_of::<PingCounts>() == 8);
+
+impl PingCounts {
+    /// Counts one ping.
+    #[inline]
+    pub(crate) fn record(&mut self, answered: bool) {
+        self.attempts += 1;
+        self.hits += u32::from(answered);
+    }
+
+    /// The EWMA after one more ping, from `aged`, its value before it:
+    /// the first ping sets it, each later one moves it by `alpha`. Call
+    /// before [`PingCounts::record`] counts that ping.
+    #[inline]
+    pub(crate) fn fold_aged(&self, aged: f64, answered: bool, alpha: f64) -> f64 {
         debug_assert!(
             alpha > 0.0 && alpha <= 1.0,
             "EWMA alpha must be in (0, 1]"
         );
         let obs = if answered { 1.0 } else { 0.0 };
         if self.attempts == 0 {
-            self.aged = obs;
+            obs
         } else {
-            self.aged = alpha * obs + (1.0 - alpha) * self.aged;
-        }
-        self.attempts += 1;
-        if answered {
-            self.hits += 1;
+            alpha * obs + (1.0 - alpha) * aged
         }
     }
 
-    /// Number of pings recorded.
-    pub fn samples(&self) -> u64 {
-        u64::from(self.attempts)
+    /// Lifetime fraction of answered pings; `None` before the first.
+    pub(crate) fn raw(&self) -> Option<Availability> {
+        (self.attempts > 0)
+            .then(|| Availability::saturating(self.hits as f64 / self.attempts as f64))
     }
 
-    /// Raw estimate: lifetime fraction of answered pings. `None` before
-    /// the first ping.
-    pub fn raw(&self) -> Option<Availability> {
-        if self.attempts == 0 {
-            None
-        } else {
-            Some(Availability::saturating(
-                self.hits as f64 / self.attempts as f64,
-            ))
-        }
-    }
-
-    /// Aged (EWMA) estimate. `None` before the first ping.
-    pub fn aged(&self) -> Option<Availability> {
-        if self.attempts == 0 {
-            None
-        } else {
-            Some(Availability::saturating(self.aged))
-        }
+    /// The EWMA `aged` kept beside these counts; `None` before the first
+    /// ping.
+    pub(crate) fn aged(&self, aged: f64) -> Option<Availability> {
+        (self.attempts > 0).then(|| Availability::saturating(aged))
     }
 }
 

@@ -38,6 +38,11 @@
 //!   [`RingAssignment::leave`], which is how trace churn drives
 //!   incremental reassignment.
 //!
+//! Either layout's estimator arena is columnar: an 8-byte `(hits,
+//! attempts)` slot per edge, and an EWMA per edge only when the service
+//! serves aged estimates ([`AvmonConfig::use_aged`]). The per-target
+//! aggregate is one `f64`, NaN until a monitor first reports.
+//!
 //! Ping-loss randomness is **counter-keyed**: per `(seed, monitor,
 //! slot)` stream in the all-pairs layout (a monitor's row is a fixed
 //! target sequence) and per `(seed, monitor, target, slot)` stream in
@@ -59,7 +64,7 @@ use avmem_util::{Availability, NodeId, Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
 use crate::assignment::{AllPairsAssignment, RingAssignment};
-use crate::estimator::PingEstimator;
+use crate::estimator::PingCounts;
 use crate::oracle::AvailabilityOracle;
 
 /// Purpose tag of the all-pairs ping-loss streams: every draw comes from
@@ -80,6 +85,9 @@ const NO_MONITOR: u32 = u32::MAX;
 
 /// A monitor of the all-pairs layout whose row has not been built.
 const NO_ROW: u32 = u32::MAX;
+
+/// An aggregate slot no monitor has estimated yet.
+const NO_ESTIMATE: f64 = f64::NAN;
 
 /// Which monitor-assignment strategy the service builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -148,7 +156,7 @@ enum MonitorIndex {
         target_offsets: Vec<u32>,
         target_ids: Vec<u32>,
         /// Flat estimator arena aligned with the forward index.
-        estimators: Vec<PingEstimator>,
+        estimators: Estimators,
         /// Inverted CSR: of the monitors with a row, target `t` is
         /// observed by `inv_entries[inv_offsets[t]..inv_offsets[t + 1]]`,
         /// each entry a `(monitor, arena index)` pair, in row order.
@@ -165,7 +173,7 @@ enum MonitorIndex {
         /// marks a vacant slot (ring smaller than `k + 1` members).
         monitors: Vec<u32>,
         /// Estimator arena aligned slot for slot with `monitors`.
-        estimators: Vec<PingEstimator>,
+        estimators: Estimators,
         /// Trace slot whose online set the ring currently reflects.
         synced_slot: usize,
     },
@@ -210,8 +218,9 @@ pub struct AvmonService {
     index: MonitorIndex,
     /// Aggregated (median) estimate per target, refreshed each processed
     /// slot from the monitors online in that slot; retains the previous
-    /// value when no monitor is online (staleness).
-    aggregate: Vec<Option<Availability>>,
+    /// value when no monitor is online (staleness). [`NO_ESTIMATE`] until
+    /// the first: 8 bytes a target, where an `Option` took 16.
+    aggregate: Vec<f64>,
     next_slot: usize,
     /// Slot-advance cost instruments, present once
     /// [`AvmonService::set_metrics`] attaches a registry.
@@ -242,13 +251,17 @@ impl AvmonService {
                 row_monitors: Vec::new(),
                 target_offsets: vec![0],
                 target_ids: Vec::new(),
-                estimators: Vec::new(),
+                estimators: Estimators::new(0, config.use_aged),
                 inv_offsets: vec![0; n + 1],
                 inv_entries: Vec::new(),
             },
             AssignmentChoice::Ring { vnodes, k } => {
                 let members = (0..n as u32).filter(|&i| trace.is_online_in_slot(i as usize, 0));
-                build_ring_index(RingAssignment::new(n, vnodes, k, members), n)
+                build_ring_index(
+                    RingAssignment::new(n, vnodes, k, members),
+                    n,
+                    config.use_aged,
+                )
             }
         };
         AvmonService {
@@ -257,7 +270,7 @@ impl AvmonService {
             threads: default_threads(),
             shards: default_threads(),
             index,
-            aggregate: vec![None; n],
+            aggregate: vec![NO_ESTIMATE; n],
             next_slot: 0,
             metrics: None,
         }
@@ -380,8 +393,8 @@ impl AvmonService {
                 // `target_offsets[r]..target_offsets[r+1]`, carved into
                 // per-row lanes up front; loss draws come from the
                 // monitor-slot's keyed stream, in target (CSR) order.
-                let mut lanes: Vec<&mut [PingEstimator]> = Vec::with_capacity(row_monitors.len());
-                let mut rest: &mut [PingEstimator] = estimators;
+                let mut lanes: Vec<EstimatorsMut> = Vec::with_capacity(row_monitors.len());
+                let mut rest = estimators.as_mut();
                 for bounds in target_offsets.windows(2) {
                     let (lane, tail) = rest.split_at_mut((bounds[1] - bounds[0]) as usize);
                     lanes.push(lane);
@@ -391,13 +404,13 @@ impl AvmonService {
                 let target_ids = &*target_ids;
                 let target_offsets = &*target_offsets;
                 let part = ShardPartition::new(lanes.len(), shards);
-                let mut tasks = shard_slices(part, 1, &mut lanes);
+                let mut tasks = shard_slices(part, 1, &mut lanes[..]);
                 par_each_mut(&mut tasks, threads, |_, (offset, chunk)| {
                     let offset = *offset;
                     for (j, lane) in chunk.iter_mut().enumerate() {
                         let r = offset + j;
                         let m = row_monitors[r] as usize;
-                        if lane.is_empty() || !trace.is_online_in_slot(m, slot) {
+                        if lane.len() == 0 || !trace.is_online_in_slot(m, slot) {
                             continue;
                         }
                         let targets = &target_ids
@@ -405,7 +418,7 @@ impl AvmonService {
                         let mut loss = (config.ping_loss > 0.0).then(|| {
                             SplitMix64::keyed(&[seed, STREAM_PING, m as u64, slot as u64])
                         });
-                        for (est, &t) in lane.iter_mut().zip(targets) {
+                        for (j, &t) in targets.iter().enumerate() {
                             // The loss draw happens only for online
                             // targets, mirroring a real ping: a down host
                             // loses the ping deterministically, no coin
@@ -414,7 +427,7 @@ impl AvmonService {
                                 && loss
                                     .as_mut()
                                     .is_none_or(|rng| !rng.chance(config.ping_loss));
-                            est.record(answered, config.alpha);
+                            lane.record(j, answered, config.alpha);
                         }
                     }
                 });
@@ -432,10 +445,10 @@ impl AvmonService {
                 let k = *k;
                 let monitors = &*monitors;
                 let part = ShardPartition::new(monitors.len() / k, shards);
-                let mut tasks = shard_slices(part, k, estimators);
+                let mut tasks = shard_slices(part, k, estimators.as_mut());
                 par_each_mut(&mut tasks, threads, |_, (start, chunk)| {
                     let offset = *start * k;
-                    for (j, est) in chunk.iter_mut().enumerate() {
+                    for j in 0..chunk.len() {
                         let idx = offset + j;
                         let m = monitors[idx];
                         if m == NO_MONITOR || !trace.is_online_in_slot(m as usize, slot) {
@@ -453,7 +466,7 @@ impl AvmonService {
                                 ]);
                                 !rng.chance(config.ping_loss)
                             });
-                        est.record(answered, config.alpha);
+                        chunk.record(j, answered, config.alpha);
                     }
                 });
             }
@@ -466,7 +479,7 @@ impl AvmonService {
         {
             let index = &self.index;
             let part = ShardPartition::new(self.aggregate.len(), shards);
-            let mut tasks = shard_slices(part, 1, &mut self.aggregate);
+            let mut tasks = shard_slices(part, 1, &mut self.aggregate[..]);
             par_each_mut(&mut tasks, threads, |_, (offset, chunk)| {
                 let offset = *offset;
                 let mut values: Vec<f64> = Vec::new();
@@ -486,7 +499,7 @@ impl AvmonService {
                                 if !trace.is_online_in_slot(m as usize, slot) {
                                     continue;
                                 }
-                                push_estimate(&estimators[est as usize], &config, &mut values);
+                                values.extend(estimators.estimate(est as usize));
                             }
                         }
                         MonitorIndex::Ring {
@@ -503,7 +516,7 @@ impl AvmonService {
                                 {
                                     continue;
                                 }
-                                push_estimate(&estimators[t * k + slot_idx], &config, &mut values);
+                                values.extend(estimators.estimate(t * k + slot_idx));
                             }
                         }
                     }
@@ -512,9 +525,9 @@ impl AvmonService {
                             a.partial_cmp(b).expect("estimates are never NaN")
                         });
                         let median = values[values.len() / 2];
-                        *slot_agg = Some(Availability::saturating(median));
+                        *slot_agg = Availability::saturating(median).value();
                     }
-                    // else: keep the stale cached aggregate (or None).
+                    // else: keep the stale cached aggregate (or none).
                 }
             });
         }
@@ -570,7 +583,7 @@ impl AvmonService {
             target_ids.extend_from_slice(row);
             target_offsets.push(target_ids.len() as u32);
         }
-        estimators.resize(total, PingEstimator::new());
+        estimators.resize(total);
         // Invert: count per target, prefix-sum, then one placement pass
         // over the rows.
         inv_offsets.fill(0);
@@ -614,18 +627,12 @@ impl AvmonService {
         else {
             return;
         };
-        let n = trace.num_nodes();
         while *synced_slot < slot {
-            let prev = *synced_slot;
-            let next = prev + 1;
+            let next = *synced_slot + 1;
             let mut affected: Vec<u32> = Vec::new();
-            for i in 0..n {
-                let was = trace.is_online_in_slot(i, prev);
-                let is = trace.is_online_in_slot(i, next);
-                if was == is {
-                    continue;
-                }
-                let delta = if is {
+            // Only the nodes whose bit differs between the two columns.
+            for i in trace.changed_in(next) {
+                let delta = if trace.is_online_in_slot(i, next) {
                     ring.join(i as u32)
                 } else {
                     ring.leave(i as u32)
@@ -656,7 +663,7 @@ impl AvmonService {
                         .position(|&e| e == NO_MONITOR)
                         .expect("a k-wide row fits k distinct monitors");
                     row[free] = m;
-                    estimators[t * *k + free] = PingEstimator::new();
+                    estimators.reset(t * *k + free);
                 }
             }
             *synced_slot = next;
@@ -683,8 +690,8 @@ impl AvmonService {
     pub fn mean_absolute_error(&self, trace: &ChurnTrace) -> Option<f64> {
         let mut total = 0.0;
         let mut count = 0usize;
-        for (i, est) in self.aggregate.iter().enumerate() {
-            if let Some(av) = est {
+        for (i, &est) in self.aggregate.iter().enumerate() {
+            if let Some(av) = stored(est) {
                 total += (av.value() - trace.long_term_availability(i).value()).abs();
                 count += 1;
             }
@@ -700,11 +707,7 @@ impl AvmonService {
 /// Splits a node-indexed arena (`stride` slots per node) into one
 /// `(first_node, slice)` task per shard of `part` — the disjoint `&mut`
 /// sub-slices each shard owns during a slot phase.
-fn shard_slices<T>(
-    part: ShardPartition,
-    stride: usize,
-    items: &mut [T],
-) -> Vec<(usize, &mut [T])> {
+fn shard_slices<S: SplitMut>(part: ShardPartition, stride: usize, items: S) -> Vec<(usize, S)> {
     debug_assert_eq!(items.len(), part.len() * stride);
     let mut tasks = Vec::with_capacity(part.shards());
     let mut rest = items;
@@ -717,23 +720,129 @@ fn shard_slices<T>(
     tasks
 }
 
-/// Appends one monitor's current estimate (raw or aged per config) to
-/// the aggregation scratch, if the estimator has samples.
-fn push_estimate(estimator: &PingEstimator, config: &AvmonConfig, values: &mut Vec<f64>) {
-    let est = if config.use_aged {
-        estimator.aged()
-    } else {
-        estimator.raw()
-    };
-    if let Some(av) = est {
-        values.push(av.value());
+/// What [`shard_slices`] and the all-pairs lanes carve: a slice, or the
+/// estimator arena's columns cut at the same slots.
+trait SplitMut: Sized {
+    fn len(&self) -> usize;
+    fn split_at_mut(self, mid: usize) -> (Self, Self);
+}
+
+impl<T> SplitMut for &mut [T] {
+    fn len(&self) -> usize {
+        <[T]>::len(self)
     }
+
+    fn split_at_mut(self, mid: usize) -> (Self, Self) {
+        <[T]>::split_at_mut(self, mid)
+    }
+}
+
+/// The estimator arena, a column per field: `(hits, attempts)` per edge,
+/// and the EWMA per edge only when the service serves aged estimates —
+/// otherwise nothing reads it, and it is not allocated.
+#[derive(Debug, Clone)]
+struct Estimators {
+    counts: Vec<PingCounts>,
+    aged: Option<Vec<f64>>,
+}
+
+impl Estimators {
+    /// `len` fresh estimators, with an EWMA column iff `aged`.
+    fn new(len: usize, aged: bool) -> Self {
+        Estimators {
+            counts: vec![PingCounts::default(); len],
+            aged: aged.then(|| vec![0.0; len]),
+        }
+    }
+
+    /// Grows (or cuts) the arena to `len` slots, new ones fresh.
+    fn resize(&mut self, len: usize) {
+        self.counts.resize(len, PingCounts::default());
+        if let Some(aged) = &mut self.aged {
+            aged.resize(len, 0.0);
+        }
+    }
+
+    /// A fresh estimator at slot `j`: zero counts, so its next ping
+    /// restarts the EWMA too.
+    fn reset(&mut self, j: usize) {
+        self.counts[j] = PingCounts::default();
+    }
+
+    /// Slot `j`'s estimate — aged if the arena keeps the EWMA, raw
+    /// otherwise — or `None` before its first ping.
+    fn estimate(&self, j: usize) -> Option<f64> {
+        let counts = self.counts[j];
+        let est = match &self.aged {
+            Some(aged) => counts.aged(aged[j]),
+            None => counts.raw(),
+        };
+        est.map(Availability::value)
+    }
+
+    fn as_mut(&mut self) -> EstimatorsMut<'_> {
+        EstimatorsMut {
+            counts: &mut self.counts,
+            aged: self.aged.as_deref_mut(),
+        }
+    }
+}
+
+/// A run of the arena's slots, both columns, for one writer.
+struct EstimatorsMut<'a> {
+    counts: &'a mut [PingCounts],
+    aged: Option<&'a mut [f64]>,
+}
+
+impl EstimatorsMut<'_> {
+    /// Records one ping outcome at slot `j` of the run.
+    #[inline]
+    fn record(&mut self, j: usize, answered: bool, alpha: f64) {
+        let counts = &mut self.counts[j];
+        if let Some(aged) = &mut self.aged {
+            aged[j] = counts.fold_aged(aged[j], answered, alpha);
+        }
+        counts.record(answered);
+    }
+}
+
+impl SplitMut for EstimatorsMut<'_> {
+    fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    fn split_at_mut(self, mid: usize) -> (Self, Self) {
+        let (counts, rest) = self.counts.split_at_mut(mid);
+        let (aged, aged_rest) = match self.aged {
+            Some(aged) => {
+                let (head, tail) = aged.split_at_mut(mid);
+                (Some(head), Some(tail))
+            }
+            None => (None, None),
+        };
+        (
+            EstimatorsMut { counts, aged },
+            EstimatorsMut {
+                counts: rest,
+                aged: aged_rest,
+            },
+        )
+    }
+}
+
+/// An aggregate slot's estimate: `None` while it holds [`NO_ESTIMATE`]
+/// (NaN, which compares false), the stored value otherwise — always in
+/// `[0, 1]`, where `saturating` is the identity. One comparison: as
+/// cheap per estimate as copying out a 16-byte `Option` was.
+#[inline]
+fn stored(aggregate: f64) -> Option<Availability> {
+    (aggregate >= 0.0).then(|| Availability::saturating(aggregate))
 }
 
 /// The ring build: one `k`-wide row per target, filled from the ring's
 /// distinct-successor walks (parallel over rows; the ring is shared
 /// read-only).
-fn build_ring_index(ring: RingAssignment, n: usize) -> MonitorIndex {
+fn build_ring_index(ring: RingAssignment, n: usize, aged: bool) -> MonitorIndex {
     let k = ring.k() as usize;
     let mut monitors = vec![NO_MONITOR; n * k];
     par_chunks_mut(&mut monitors, k, default_threads(), |offset, chunk| {
@@ -748,14 +857,16 @@ fn build_ring_index(ring: RingAssignment, n: usize) -> MonitorIndex {
         ring,
         k,
         monitors,
-        estimators: vec![PingEstimator::new(); n * k],
+        estimators: Estimators::new(n * k, aged),
         synced_slot: 0,
     }
 }
 
 impl AvailabilityOracle for AvmonService {
     fn estimate(&self, _querier: NodeId, target: NodeId, _now: SimTime) -> Option<Availability> {
-        self.aggregate.get(target.raw() as usize).copied().flatten()
+        self.aggregate
+            .get(target.raw() as usize)
+            .and_then(|&a| stored(a))
     }
 
     fn estimate_batch(
@@ -769,11 +880,11 @@ impl AvailabilityOracle for AvmonService {
         // calls; answers are querier-independent (the aggregated median
         // every client receives).
         out.clear();
-        out.extend(
-            targets
-                .iter()
-                .map(|t| self.aggregate.get(t.raw() as usize).copied().flatten()),
-        );
+        out.extend(targets.iter().map(|t| {
+            self.aggregate
+                .get(t.raw() as usize)
+                .and_then(|&a| stored(a))
+        }));
     }
 }
 
@@ -964,7 +1075,7 @@ mod tests {
             }
         }
         assert_eq!(seen, target_ids.len());
-        assert_eq!(estimators.len(), target_ids.len());
+        assert_eq!(estimators.counts.len(), target_ids.len());
         // Exactly the monitors online in some processed slot have a row;
         // one that never was owns no row, hence no lane of the arena.
         let (mut with_row, mut without) = (0, 0);
@@ -977,6 +1088,31 @@ mod tests {
         }
         assert_eq!(row_monitors.len(), with_row);
         assert!(with_row > 0 && without > 0, "{with_row} rows, {without} monitors without");
+    }
+
+    #[test]
+    fn the_ewma_column_exists_only_under_use_aged() {
+        let trace = small_trace();
+        for assignment in [AssignmentChoice::AllPairs, ring_config().assignment] {
+            for use_aged in [false, true] {
+                let config = AvmonConfig {
+                    use_aged,
+                    assignment,
+                    ..AvmonConfig::default()
+                };
+                let mut service = AvmonService::new(&trace, config, 1);
+                service.step_to(&trace, SimTime::ZERO + SimDuration::from_hours(6));
+                let (MonitorIndex::AllPairs { estimators, .. }
+                | MonitorIndex::Ring { estimators, .. }) = &service.index;
+                assert!(!estimators.counts.is_empty());
+                let aged = estimators.aged.as_ref().map(Vec::len);
+                assert_eq!(
+                    aged,
+                    use_aged.then_some(estimators.counts.len()),
+                    "{assignment:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -322,12 +322,12 @@ impl MaintCtx<'_> {
                         tags.set(member, TAG_MEMBER);
                     }
                     let view = node.view();
-                    for (pos, candidate) in view.ids().enumerate() {
+                    for (pos, (candidate, marked)) in view.ids().zip(view.marks()).enumerate() {
                         let y = candidate.raw() as usize;
                         if y == i {
                             continue;
                         }
-                        if stamp.is_some() && view.is_marked(pos) {
+                        if stamp.is_some() && marked {
                             stats.discover_pruned += 1;
                         } else if tags.get(y as u32).is_some() {
                             // A neighbor. Without a stamp the counter

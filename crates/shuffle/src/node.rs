@@ -66,6 +66,11 @@ pub enum ShuffleMessage {
 
 /// Per-node CYCLON state.
 ///
+/// One per host, so the state is kept to what a node needs: an
+/// index-space id, the shuffle length `ℓ` (the view size is the view's
+/// capacity), the view, the generator and the in-flight exchange — at
+/// most 72 bytes beside the view's allocation.
+///
 /// # Examples
 ///
 /// A complete exchange between two nodes:
@@ -90,13 +95,17 @@ pub enum ShuffleMessage {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShuffleNode {
-    id: NodeId,
-    config: ShuffleConfig,
+    id: u32,
+    /// Entries an exchange ships (`ℓ`).
+    shuffle_length: u32,
     view: View,
     rng: SplitMix64,
     /// Entries sent in the in-flight exchange (for merge bookkeeping).
     in_flight: Option<InFlight>,
 }
+
+// One node per host: padding creep here is paid N times.
+const _: () = assert!(std::mem::size_of::<ShuffleNode>() <= 72);
 
 #[derive(Debug, Clone)]
 struct InFlight {
@@ -151,10 +160,15 @@ impl ShuffleProposal {
 
 impl ShuffleNode {
     /// Creates a node with an empty view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` does not fit `u32`: node ids are index-space, like
+    /// the ids views hold.
     pub fn new(id: NodeId, config: ShuffleConfig, seed: u64) -> Self {
         ShuffleNode {
-            id,
-            config,
+            id: u32::try_from(id.raw()).expect("shuffle node ids are index-space (must fit u32)"),
+            shuffle_length: u32::try_from(config.shuffle_length).expect("shuffle length fits u32"),
             view: View::new(config.view_size),
             rng: SplitMix64::new(seed),
             in_flight: None,
@@ -163,7 +177,7 @@ impl ShuffleNode {
 
     /// This node's identifier.
     pub fn id(&self) -> NodeId {
-        self.id
+        NodeId::new(u64::from(self.id))
     }
 
     /// Read access to the current view.
@@ -192,7 +206,7 @@ impl ShuffleNode {
         I: IntoIterator<Item = NodeId>,
     {
         for seed in seeds {
-            if seed != self.id {
+            if seed != self.id() {
                 self.view.insert(ViewEntry::fresh(seed));
             }
         }
@@ -225,16 +239,17 @@ impl ShuffleNode {
             return None;
         }
         let (target_pos, target) = self.view.oldest_at()?;
-        let mut entries = pool.take(self.config.shuffle_length);
+        let shuffle_length = self.shuffle_length as usize;
+        let mut entries = pool.take(shuffle_length);
         self.view.random_subset_pooled(
             rng,
-            self.config.shuffle_length - 1,
+            shuffle_length - 1,
             Some(target_pos),
             1,
             pool.positions(),
             &mut entries,
         );
-        entries.push(ViewEntry::fresh(self.id));
+        entries.push(ViewEntry::fresh(self.id()));
         Some(ShuffleProposal {
             target: target.id,
             target_pos,
@@ -302,16 +317,18 @@ impl ShuffleNode {
         let ShuffleMessage::Request { entries } = message else {
             panic!("handle_request_with expects a Request message");
         };
-        let mut reply = pool.take(self.config.shuffle_length);
+        let shuffle_length = self.shuffle_length as usize;
+        let mut reply = pool.take(shuffle_length);
         self.view.random_subset_pooled(
             &mut self.rng,
-            self.config.shuffle_length,
+            shuffle_length,
             None,
             0,
             pool.positions(),
             &mut reply,
         );
-        self.view.merge(self.id, &entries, &reply, pool.id_table());
+        self.view
+            .merge(self.id(), &entries, &reply, pool.id_table());
         pool.recycle(entries);
         ShuffleMessage::Reply { entries: reply }
     }
@@ -332,7 +349,8 @@ impl ShuffleNode {
             pool.recycle(entries);
             return;
         };
-        self.view.merge(self.id, &entries, &in_flight.sent, pool.id_table());
+        self.view
+            .merge(self.id(), &entries, &in_flight.sent, pool.id_table());
         pool.recycle(entries);
         pool.recycle(in_flight.sent);
     }

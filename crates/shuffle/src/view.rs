@@ -7,14 +7,20 @@
 //!
 //! # Storage
 //!
-//! Entries are stored struct-of-arrays (`ids: Vec<u32>`, `ages: Vec<u32>`)
-//! rather than as `Vec<ViewEntry>`: 8 bytes per slot instead of 16, and
-//! the arrays grow lazily instead of eagerly reserving `capacity` slots —
-//! doubling, but never past `capacity`, so a full view holds no slack
-//! slots. At 10⁶ hosts with √N-sized views this halves the dominant term
-//! of the resident set. The id arrays hold **index-space ids** — views
-//! are the harness's per-node neighbor slots, where ids are dense indexes
-//! `< N`; inserting an id above `u32::MAX` panics.
+//! Entries are stored struct-of-arrays — an id column and an age column
+//! of `u32`s — rather than as `Vec<ViewEntry>`: 8 bytes per slot instead
+//! of 16. Both columns live in **one allocation**, ids in its first half
+//! and ages in its second, behind a 24-byte header (the allocation, the
+//! length, the capacity) where two `Vec`s took 56: every host keeps one
+//! view, so the header is paid N times. The allocation grows lazily
+//! instead of reserving `capacity` slots up front — room for 4 entries,
+//! then doubling, but never past `capacity`, so a full view holds no
+//! slack slots; growing reallocates and moves the ages up to the new
+//! half. At 10⁶
+//! hosts with √N-sized views this halves the dominant term of the
+//! resident set. The id column holds **index-space ids** — views are the
+//! harness's per-node neighbor slots, where ids are dense indexes `< N`;
+//! inserting an id above `u32::MAX` panics.
 //!
 //! An age lives in the low 31 bits of its `ages` slot, and ages saturate
 //! at [`View::AGE`] — 2³¹ − 1 periods, a documented limit far beyond the
@@ -93,18 +99,27 @@ fn packed(id: NodeId) -> u32 {
 /// ```
 #[derive(Debug, Clone, Eq, Serialize, Deserialize)]
 pub struct View {
-    ids: Vec<u32>,
-    /// Age in the low 31 bits, the slot's mark in the top one.
-    ages: Vec<u32>,
+    /// Both columns: room for `slots.len() / 2` entries, the id of entry
+    /// `pos` at `slots[pos]` and its age at `slots[room + pos]` — the age
+    /// in the low 31 bits, the slot's mark in the top one.
+    slots: Box<[u32]>,
+    len: u32,
     capacity: u32,
 }
+
+// One view per host: a header past 24 bytes is N times that.
+const _: () = assert!(std::mem::size_of::<View>() <= 24);
 
 /// Ids in order, ages and capacity; marks are not compared.
 impl PartialEq for View {
     fn eq(&self, other: &Self) -> bool {
         self.capacity == other.capacity
-            && self.ids == other.ids
-            && self.ages.iter().zip(&other.ages).all(|(a, b)| (a ^ b) & View::AGE == 0)
+            && self.id_column() == other.id_column()
+            && self
+                .age_column()
+                .iter()
+                .zip(other.age_column())
+                .all(|(a, b)| (a ^ b) & View::AGE == 0)
     }
 }
 
@@ -124,8 +139,8 @@ impl View {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "view capacity must be positive");
         View {
-            ids: Vec::new(),
-            ages: Vec::new(),
+            slots: Box::default(),
+            len: 0,
             capacity: u32::try_from(capacity).expect("view capacity fits u32"),
         }
     }
@@ -136,42 +151,91 @@ impl View {
     }
 
     /// Current number of entries.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len as usize
     }
 
     /// Whether the view holds no entries.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
+    }
+
+    /// Entries the allocation has room for.
+    #[inline]
+    fn room(&self) -> usize {
+        self.slots.len() / 2
+    }
+
+    /// The live ids and the live ages (marks included).
+    #[inline]
+    fn columns(&self) -> (&[u32], &[u32]) {
+        let len = self.len();
+        let (ids, ages) = self.slots.split_at(self.room());
+        (&ids[..len], &ages[..len])
+    }
+
+    /// [`View::columns`], for writing.
+    #[inline]
+    fn columns_mut(&mut self) -> (&mut [u32], &mut [u32]) {
+        let len = self.len();
+        let (ids, ages) = self.slots.split_at_mut(self.room());
+        (&mut ids[..len], &mut ages[..len])
+    }
+
+    #[inline]
+    fn id_column(&self) -> &[u32] {
+        self.columns().0
+    }
+
+    #[inline]
+    fn age_column(&self) -> &[u32] {
+        self.columns().1
     }
 
     #[inline]
     fn entry(&self, pos: usize) -> ViewEntry {
+        let (ids, ages) = self.columns();
         ViewEntry {
-            id: NodeId::new(u64::from(self.ids[pos])),
-            age: self.ages[pos] & View::AGE,
+            id: NodeId::new(u64::from(ids[pos])),
+            age: ages[pos] & View::AGE,
         }
     }
 
     /// Appends a slot, unmarked, its age clamped to [`View::AGE`]. The
-    /// columns double as they fill but stop at `capacity`.
+    /// allocation doubles as it fills but stops at `capacity`.
     #[inline]
     fn push(&mut self, id: u32, age: u32) {
-        if self.ids.len() == self.ids.capacity() {
-            let len = self.ids.len();
-            let grown = (2 * len).max(4).min(self.capacity as usize);
-            self.ids.reserve_exact(grown - len);
-            self.ages.reserve_exact(grown - len);
+        let len = self.len();
+        if len == self.room() {
+            self.regrow((2 * len).max(4).min(self.capacity as usize));
         }
-        self.ids.push(id);
-        self.ages.push(age.min(View::AGE));
+        let room = self.room();
+        self.slots[len] = id;
+        self.slots[room + len] = age.min(View::AGE);
+        self.len += 1;
+    }
+
+    /// Moves both columns into an allocation with room for `room`
+    /// entries.
+    fn regrow(&mut self, room: usize) {
+        let (old_room, len) = (self.room(), self.len());
+        // Grown in place where the allocator can; the ages then move up
+        // to the new half.
+        let mut slots = std::mem::take(&mut self.slots).into_vec();
+        slots.reserve_exact(2 * room - slots.len());
+        slots.resize(2 * room, 0);
+        slots.copy_within(old_room..old_room + len, room);
+        self.slots = slots.into_boxed_slice();
     }
 
     /// Iterates over the entries in insertion order.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = ViewEntry> + '_ {
-        self.ids
+        self.id_column()
             .iter()
-            .zip(self.ages.iter())
+            .zip(self.age_column())
             .map(|(&id, &age)| ViewEntry {
                 id: NodeId::new(u64::from(id)),
                 age: age & View::AGE,
@@ -183,8 +247,16 @@ impl View {
     /// # Panics
     ///
     /// Panics if `pos` is not a position of the view.
+    #[inline]
     pub fn is_marked(&self, pos: usize) -> bool {
-        self.ages[pos] & MARK != 0
+        self.age_column()[pos] & MARK != 0
+    }
+
+    /// Every slot's mark, in position order: [`View::is_marked`] of each
+    /// position, read in one pass beside [`View::ids`].
+    #[inline]
+    pub fn marks(&self) -> impl Iterator<Item = bool> + '_ {
+        self.age_column().iter().map(|&age| age & MARK != 0)
     }
 
     /// Marks the slot at `pos`; the mark lives while its id stays there.
@@ -192,33 +264,37 @@ impl View {
     /// # Panics
     ///
     /// Panics if `pos` is not a position of the view.
+    #[inline]
     pub fn mark(&mut self, pos: usize) {
-        self.ages[pos] |= MARK;
+        self.columns_mut().1[pos] |= MARK;
     }
 
     /// Clears every slot's mark.
     pub fn clear_marks(&mut self) {
-        for age in &mut self.ages {
+        for age in self.columns_mut().1 {
             *age &= View::AGE;
         }
     }
 
     /// Returns the ids currently in the view.
+    #[inline]
     pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids.iter().map(|&id| NodeId::new(u64::from(id)))
+        self.id_column()
+            .iter()
+            .map(|&id| NodeId::new(u64::from(id)))
     }
 
     /// Whether `id` appears in the view.
     pub fn contains(&self, id: NodeId) -> bool {
         match u32::try_from(id.raw()) {
-            Ok(raw) => self.ids.contains(&raw),
+            Ok(raw) => self.id_column().contains(&raw),
             Err(_) => false,
         }
     }
 
     /// Increments every entry's age by one period, up to [`View::AGE`].
     pub fn age_all(&mut self) {
-        for age in &mut self.ages {
+        for age in self.columns_mut().1 {
             *age += u32::from(*age & View::AGE != View::AGE);
         }
     }
@@ -236,15 +312,16 @@ impl View {
     /// second (one that is taken once) — two passes over a few cache
     /// lines.
     pub(crate) fn oldest_at(&self) -> Option<(usize, ViewEntry)> {
-        let max_age = self.ages.iter().fold(0, |max, &age| max.max(age & View::AGE));
-        let pos = self.ages.iter().rposition(|&age| age & View::AGE == max_age)?;
+        let ages = self.age_column();
+        let max_age = ages.iter().fold(0, |max, &age| max.max(age & View::AGE));
+        let pos = ages.iter().rposition(|&age| age & View::AGE == max_age)?;
         Some((pos, self.entry(pos)))
     }
 
     /// Removes and returns the entry for `id`, if present.
     pub fn remove(&mut self, id: NodeId) -> Option<ViewEntry> {
         let raw = u32::try_from(id.raw()).ok()?;
-        let pos = self.ids.iter().position(|&e| e == raw)?;
+        let pos = self.id_column().iter().position(|&e| e == raw)?;
         self.remove_at(pos, id)
     }
 
@@ -252,12 +329,14 @@ impl View {
     /// and nothing removed, unless the entry at `pos` is `id`'s. The slots
     /// behind it move up one position, their marks with them.
     pub(crate) fn remove_at(&mut self, pos: usize, id: NodeId) -> Option<ViewEntry> {
-        if self.ids.get(pos).map(|&raw| u64::from(raw)) != Some(id.raw()) {
+        if self.id_column().get(pos).map(|&raw| u64::from(raw)) != Some(id.raw()) {
             return None;
         }
         let entry = self.entry(pos);
-        self.ids.remove(pos);
-        self.ages.remove(pos);
+        let (ids, ages) = self.columns_mut();
+        ids.copy_within(pos + 1.., pos);
+        ages.copy_within(pos + 1.., pos);
+        self.len -= 1;
         Some(entry)
     }
 
@@ -268,11 +347,12 @@ impl View {
     /// younger, or clamped to [`View::AGE`]) age.
     pub fn insert(&mut self, entry: ViewEntry) -> bool {
         let raw = packed(entry.id);
-        if let Some(pos) = self.ids.iter().position(|&e| e == raw) {
-            self.ages[pos] = younger(self.ages[pos], entry.age);
+        if let Some(pos) = self.id_column().iter().position(|&e| e == raw) {
+            let age = &mut self.columns_mut().1[pos];
+            *age = younger(*age, entry.age);
             return true;
         }
-        if self.ids.len() < self.capacity as usize {
+        if self.len < self.capacity {
             self.push(raw, entry.age);
             true
         } else {
@@ -321,12 +401,13 @@ impl View {
         // Sampled positions count the entries that are not skipped: from
         // the skipped one on they sit one further along.
         let skip = skip.map_or(u32::MAX, |pos| pos as u32);
+        let (ids, ages) = self.columns();
         out.clear();
         out.extend(positions.iter().map(|&pos| {
-            let entry = self.entry((pos + u32::from(pos >= skip)) as usize);
+            let pos = (pos + u32::from(pos >= skip)) as usize;
             ViewEntry {
-                age: entry.age.saturating_add(aging).min(View::AGE),
-                ..entry
+                id: NodeId::new(u64::from(ids[pos])),
+                age: (ages[pos] & View::AGE).saturating_add(aging).min(View::AGE),
             }
         }));
     }
@@ -357,7 +438,7 @@ impl View {
         index: &mut StampedTable,
     ) {
         index.begin();
-        for (pos, &id) in self.ids.iter().enumerate() {
+        for (pos, &id) in self.id_column().iter().enumerate() {
             index.set(id, pos as u32);
         }
         let mut next_victim = sent.len();
@@ -367,12 +448,12 @@ impl View {
             }
             let raw = packed(entry.id);
             if let Some(pos) = index.get(raw) {
-                let age = &mut self.ages[pos as usize];
+                let age = &mut self.columns_mut().1[pos as usize];
                 *age = younger(*age, entry.age);
                 continue;
             }
-            if self.ids.len() < self.capacity as usize {
-                index.set(raw, self.ids.len() as u32);
+            if self.len < self.capacity {
+                index.set(raw, self.len);
                 self.push(raw, entry.age);
                 continue;
             }
@@ -385,15 +466,16 @@ impl View {
             // Last resort: replace the oldest entry, unless it is younger
             // than the incoming one.
             let pos = victim_pos.map(|pos| pos as usize).or_else(|| {
-                let masked = self.ages.iter().map(|&age| age & View::AGE);
+                let masked = self.age_column().iter().map(|&age| age & View::AGE);
                 let (pos, age) = masked.enumerate().max_by_key(|&(_, age)| age)?;
                 (age >= entry.age).then_some(pos)
             });
             if let Some(pos) = pos {
-                index.remove(self.ids[pos]);
+                let (ids, ages) = self.columns_mut();
+                index.remove(ids[pos]);
                 index.set(raw, pos as u32);
-                self.ids[pos] = raw;
-                self.ages[pos] = entry.age.min(View::AGE);
+                ids[pos] = raw;
+                ages[pos] = entry.age.min(View::AGE);
             }
         }
     }
@@ -418,13 +500,13 @@ mod reference {
     /// entry of the same age taking its place.
     pub(super) fn oldest(view: &View) -> Option<ViewEntry> {
         let (mut oldest, mut max_age) = (0, 0);
-        for (pos, &age) in view.ages.iter().enumerate() {
+        for (pos, &age) in view.age_column().iter().enumerate() {
             let age = age & View::AGE;
             if age >= max_age {
                 (oldest, max_age) = (pos, age);
             }
         }
-        (!view.ages.is_empty()).then(|| view.entry(oldest))
+        (!view.is_empty()).then(|| view.entry(oldest))
     }
 
     /// How often a merge took each of its ways, indexed like [`PATHS`].
@@ -454,24 +536,25 @@ mod reference {
                 continue;
             }
             let raw = packed(entry.id);
-            if let Some(pos) = view.ids.iter().position(|&e| e == raw) {
-                view.ages[pos] = view.ages[pos].min(entry.age);
+            if let Some(pos) = view.id_column().iter().position(|&e| e == raw) {
+                let ages = view.columns_mut().1;
+                ages[pos] = ages[pos].min(entry.age);
                 paths[1] += 1;
                 continue;
             }
-            if view.ids.len() < view.capacity as usize {
-                view.ids.push(raw);
-                view.ages.push(entry.age);
+            if view.len() < view.capacity() {
+                view.push(raw, entry.age);
                 paths[2] += 1;
                 continue;
             }
+            let (ids, ages) = view.columns_mut();
             let mut replaced = false;
             while next_victim > 0 {
                 next_victim -= 1;
                 let victim = packed(sent[next_victim].id);
-                if let Some(pos) = view.ids.iter().position(|&e| e == victim) {
-                    view.ids[pos] = raw;
-                    view.ages[pos] = entry.age;
+                if let Some(pos) = ids.iter().position(|&e| e == victim) {
+                    ids[pos] = raw;
+                    ages[pos] = entry.age;
                     replaced = true;
                     paths[4] += 1;
                     break;
@@ -479,16 +562,15 @@ mod reference {
                 paths[3] += 1;
             }
             if !replaced {
-                if let Some(pos) = view
-                    .ages
+                if let Some(pos) = ages
                     .iter()
                     .enumerate()
                     .max_by_key(|&(_, &age)| age)
                     .map(|(pos, _)| pos)
                 {
-                    if view.ages[pos] >= entry.age {
-                        view.ids[pos] = raw;
-                        view.ages[pos] = entry.age;
+                    if ages[pos] >= entry.age {
+                        ids[pos] = raw;
+                        ages[pos] = entry.age;
                         paths[5] += 1;
                     } else {
                         paths[6] += 1;
@@ -1010,9 +1092,16 @@ mod tests {
                         .unwrap()
                         .min(capacity)
                 };
-                assert!(v.ids.capacity() >= len && v.ages.capacity() >= len);
-                assert_eq!(v.ids.capacity(), expected, "capacity {capacity}, {len} entries");
-                assert_eq!(v.ages.capacity(), expected, "capacity {capacity}, {len} entries");
+                // One allocation, both columns: room for `expected`
+                // entries each, the live ones in place.
+                assert_eq!(v.room(), expected, "capacity {capacity}, {len} entries");
+                assert_eq!(v.slots.len(), 2 * expected);
+                assert_eq!(v.id_column().len(), len);
+                assert_eq!(v.age_column().len(), len);
+                if len as u64 == n + 1 {
+                    // Nothing replaced yet: every id survived each move.
+                    assert!(v.ids().eq((1..=n + 1).map(id)), "capacity {capacity}");
+                }
             }
             assert_eq!(v.len(), capacity);
         }
@@ -1134,9 +1223,10 @@ mod tests {
             assert_eq!(entries_of(&view), entries, "{at}");
             let marks: Vec<bool> = (0..view.len()).map(|pos| view.is_marked(pos)).collect();
             assert_eq!(marks, slots.iter().map(|s| s.2).collect::<Vec<_>>(), "{at}");
+            assert!(view.marks().eq(marks.iter().copied()), "{at}: marks() against is_marked");
             let mut unmarked = view.clone();
             unmarked.clear_marks();
-            assert!(unmarked.ages.iter().all(|&age| age <= View::AGE), "{at}");
+            assert!(unmarked.age_column().iter().all(|&age| age <= View::AGE), "{at}");
             assert_eq!(view, unmarked, "{at}: equality saw a mark");
             assert!(view.iter().eq(unmarked.iter()), "{at}");
             assert_eq!(view.oldest_at(), unmarked.oldest_at(), "{at}");

@@ -5,6 +5,25 @@
 //! slots). Everything the simulation needs from a trace reduces to three
 //! questions this type answers: *is node i online at time t*, *who is
 //! online at time t*, and *what is node i's long-term availability*.
+//!
+//! # Layout
+//!
+//! The matrix is one bit per (node, slot), stored **slot-major**: slot
+//! `s` is a column of `W = ⌈N/64⌉` words, `bits[s·W .. (s+1)·W]`, and
+//! node `i` is bit `i % 64` of the column's word `i / 64`. Bits past
+//! node `N − 1` in a column's last word are zero. A host therefore costs
+//! one bit per slot (9 bytes over a one-day, 72-slot trace) where a
+//! `bool` per slot cost 72, and every per-slot question reads one
+//! contiguous column: who is online is its set bits, how many is its
+//! population count, and who joined or left at a slot boundary is the
+//! XOR of two adjacent columns ([`ChurnTrace::changed_in`]).
+//!
+//! Generators and the text reader fill the matrix one node row at a time,
+//! straight into the bits, with no row-of-`bool`s matrix in between;
+//! [`ChurnTrace::from_rows`] is the same for a caller that already holds
+//! rows.
+
+use std::ops::Range;
 
 use avmem_sim::{SimDuration, SimTime};
 use avmem_util::{Availability, NodeId};
@@ -37,8 +56,10 @@ use serde::{Deserialize, Serialize};
 pub struct ChurnTrace {
     slot: SimDuration,
     slots: usize,
-    /// Row-major online matrix: `online[node * slots + slot]`.
-    online: Vec<bool>,
+    /// Words per slot column, `⌈N/64⌉`.
+    words: usize,
+    /// Slot-major online bits; see the module docs.
+    bits: Vec<u64>,
     /// Per node: fraction of all slots online. The matrix is immutable,
     /// so the column is computed once; the operations layer reads it per
     /// node per operation.
@@ -53,32 +74,17 @@ impl ChurnTrace {
     /// Panics if rows have inconsistent lengths, if there are no rows, if
     /// rows are empty, or if the slot duration is zero.
     pub fn from_rows(slot: SimDuration, rows: Vec<Vec<bool>>) -> Self {
-        assert!(slot > SimDuration::ZERO, "slot duration must be positive");
         assert!(!rows.is_empty(), "trace needs at least one node");
-        let slots = rows[0].len();
-        assert!(slots > 0, "trace needs at least one slot");
-        assert!(
-            rows.iter().all(|r| r.len() == slots),
-            "all rows must have the same number of slots"
-        );
-        let mut online = Vec::with_capacity(rows.len() * slots);
-        let mut long_term = Vec::with_capacity(rows.len());
+        let mut builder = TraceBuilder::new(slot, rows[0].len(), rows.len());
         for row in &rows {
-            online.extend_from_slice(row);
-            let up = row.iter().filter(|&&b| b).count();
-            long_term.push(Availability::saturating(up as f64 / slots as f64));
+            builder.push_row(row);
         }
-        ChurnTrace {
-            slot,
-            slots,
-            online,
-            long_term,
-        }
+        builder.finish()
     }
 
     /// Number of nodes (the fixed population size).
     pub fn num_nodes(&self) -> usize {
-        self.online.len() / self.slots
+        self.long_term.len()
     }
 
     /// Number of time slots.
@@ -124,6 +130,22 @@ impl ChurnTrace {
         idx.min(self.slots - 1)
     }
 
+    /// Slot `s`'s column: bit `i % 64` of word `i / 64` is node `i`.
+    pub(crate) fn column(&self, s: usize) -> &[u64] {
+        &self.bits[s * self.words..(s + 1) * self.words]
+    }
+
+    /// Bit `(i, s)` of the matrix, for indices already checked.
+    #[inline]
+    fn bit(&self, i: usize, s: usize) -> bool {
+        self.bits[s * self.words + i / 64] >> (i % 64) & 1 != 0
+    }
+
+    /// Slots of `range` in which node `i` is online.
+    fn up_slots(&self, i: usize, range: Range<usize>) -> usize {
+        range.filter(|&s| self.bit(i, s)).count()
+    }
+
     /// Whether node `i` is online in the slot containing `time`.
     ///
     /// # Panics
@@ -131,7 +153,7 @@ impl ChurnTrace {
     /// Panics if `i` is out of range.
     pub fn is_online(&self, i: usize, time: SimTime) -> bool {
         assert!(i < self.num_nodes(), "node index {i} out of range");
-        self.online[i * self.slots + self.slot_at(time)]
+        self.bit(i, self.slot_at(time))
     }
 
     /// Whether node `i` is online in slot `s`.
@@ -139,26 +161,39 @@ impl ChurnTrace {
     /// # Panics
     ///
     /// Panics if either index is out of range.
+    #[inline]
     pub fn is_online_in_slot(&self, i: usize, s: usize) -> bool {
         assert!(i < self.num_nodes(), "node index {i} out of range");
         assert!(s < self.slots, "slot index {s} out of range");
-        self.online[i * self.slots + s]
+        self.bit(i, s)
     }
 
     /// Indices of all nodes online in the slot containing `time`.
     pub fn online_at(&self, time: SimTime) -> Vec<usize> {
-        let s = self.slot_at(time);
-        (0..self.num_nodes())
-            .filter(|&i| self.online[i * self.slots + s])
-            .collect()
+        ones(self.column(self.slot_at(time)).iter().copied()).collect()
     }
 
     /// Number of nodes online in the slot containing `time`.
     pub fn online_count_at(&self, time: SimTime) -> usize {
-        let s = self.slot_at(time);
-        (0..self.num_nodes())
-            .filter(|&i| self.online[i * self.slots + s])
-            .count()
+        popcount(self.column(self.slot_at(time)))
+    }
+
+    /// The nodes whose state in slot `s` differs from slot `s − 1`,
+    /// ascending — the joins and leaves the boundary into `s` brings, read
+    /// as the XOR of the two columns, so nodes that did not move cost
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < s < num_slots()`.
+    pub fn changed_in(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        assert!(
+            (1..self.slots).contains(&s),
+            "slot index {s} has no predecessor in 1..{}",
+            self.slots
+        );
+        let (before, after) = (self.column(s - 1), self.column(s));
+        ones(before.iter().zip(after).map(|(a, b)| a ^ b))
     }
 
     /// Node `i`'s long-term availability: fraction of all slots online.
@@ -185,8 +220,7 @@ impl ChurnTrace {
     pub fn availability_up_to(&self, i: usize, time: SimTime) -> Availability {
         assert!(i < self.num_nodes(), "node index {i} out of range");
         let end = self.slot_at(time) + 1;
-        let row = &self.online[i * self.slots..i * self.slots + end];
-        let up = row.iter().filter(|&&b| b).count();
+        let up = self.up_slots(i, 0..end);
         Availability::saturating(up as f64 / end as f64)
     }
 
@@ -200,11 +234,10 @@ impl ChurnTrace {
     pub fn availability_between(&self, i: usize, from: SimTime, to: SimTime) -> Availability {
         assert!(i < self.num_nodes(), "node index {i} out of range");
         assert!(from <= to, "window must be ordered");
-        let first = self.slot_at(from);
-        let last = self.slot_at(to);
-        let row = &self.online[i * self.slots + first..=i * self.slots + last];
-        let up = row.iter().filter(|&&b| b).count();
-        Availability::saturating(up as f64 / row.len() as f64)
+        let slots = self.slot_at(from)..self.slot_at(to) + 1;
+        let len = slots.len();
+        let up = self.up_slots(i, slots);
+        Availability::saturating(up as f64 / len as f64)
     }
 
     /// The next slot boundary strictly after `time`, or `None` if `time`
@@ -226,16 +259,14 @@ impl ChurnTrace {
         for i in 0..n {
             sum_av += self.long_term_availability(i).value();
         }
-        let mut transitions = 0u64;
-        for i in 0..n {
-            let row = &self.online[i * self.slots..(i + 1) * self.slots];
-            transitions += row.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-        }
+        let transitions = (1..self.slots)
+            .map(|s| self.changed_in(s).count() as u64)
+            .sum();
         let mut min_online = usize::MAX;
         let mut max_online = 0usize;
         let mut sum_online = 0usize;
         for s in 0..self.slots {
-            let count = (0..n).filter(|&i| self.online[i * self.slots + s]).count();
+            let count = popcount(self.column(s));
             min_online = min_online.min(count);
             max_online = max_online.max(count);
             sum_online += count;
@@ -248,6 +279,124 @@ impl ChurnTrace {
             min_online,
             max_online,
             mean_online: sum_online as f64 / self.slots as f64,
+        }
+    }
+}
+
+/// Set bits in `words`.
+fn popcount(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// The positions of the set bits of `words`, ascending: bit `i % 64` of
+/// the `i / 64`-th word is position `i`.
+pub(crate) fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// Fills a [`ChurnTrace`] one node row at a time, straight into the
+/// slot-major bits: what the generators and the text reader build with.
+///
+/// The number of rows need not be known up front. Columns start
+/// `⌈expected/64⌉` words wide and double whenever a row would not fit;
+/// [`TraceBuilder::finish`] narrows them to `⌈N/64⌉`. A caller that knows
+/// `N` therefore writes every bit once, and one that does not (a file
+/// whose header is only a claim) allocates for the rows that arrived.
+#[derive(Debug)]
+pub(crate) struct TraceBuilder {
+    slot: SimDuration,
+    slots: usize,
+    /// Words per column allocated: room for `64 · stride` rows.
+    stride: usize,
+    bits: Vec<u64>,
+    long_term: Vec<Availability>,
+}
+
+impl TraceBuilder {
+    /// A builder for rows of `slots` slots, sized for `expected` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots == 0` or the slot duration is zero.
+    pub(crate) fn new(slot: SimDuration, slots: usize, expected: usize) -> Self {
+        assert!(slot > SimDuration::ZERO, "slot duration must be positive");
+        assert!(slots > 0, "trace needs at least one slot");
+        let stride = expected.div_ceil(64);
+        TraceBuilder {
+            slot,
+            slots,
+            stride,
+            bits: vec![0; slots * stride],
+            long_term: Vec::with_capacity(expected),
+        }
+    }
+
+    /// Appends the next node's row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row does not hold exactly `slots` slots.
+    pub(crate) fn push_row(&mut self, row: &[bool]) {
+        assert!(
+            row.len() == self.slots,
+            "all rows must have the same number of slots"
+        );
+        let i = self.long_term.len();
+        if i == 64 * self.stride {
+            self.restride((2 * self.stride).max(1));
+        }
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        let mut up = 0usize;
+        for (s, &online) in row.iter().enumerate() {
+            if online {
+                self.bits[s * self.stride + word] |= bit;
+                up += 1;
+            }
+        }
+        self.long_term
+            .push(Availability::saturating(up as f64 / self.slots as f64));
+    }
+
+    /// Re-lays the columns `stride` words wide, keeping every row that
+    /// fits.
+    fn restride(&mut self, stride: usize) {
+        let keep = self.stride.min(stride);
+        let mut bits = vec![0; self.slots * stride];
+        for (to, from) in bits
+            .chunks_exact_mut(stride)
+            .zip(self.bits.chunks_exact(self.stride.max(1)))
+        {
+            to[..keep].copy_from_slice(&from[..keep]);
+        }
+        self.bits = bits;
+        self.stride = stride;
+    }
+
+    /// The trace of the rows pushed so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no row was pushed.
+    pub(crate) fn finish(mut self) -> ChurnTrace {
+        assert!(!self.long_term.is_empty(), "trace needs at least one node");
+        let words = self.long_term.len().div_ceil(64);
+        if words != self.stride {
+            self.restride(words);
+        }
+        ChurnTrace {
+            slot: self.slot,
+            slots: self.slots,
+            words,
+            bits: self.bits,
+            long_term: self.long_term,
         }
     }
 }

@@ -21,7 +21,7 @@ use avmem_sim::SimDuration;
 use avmem_util::{Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
-use crate::churn::ChurnTrace;
+use crate::churn::{ChurnTrace, TraceBuilder};
 use crate::overnet::transition_probabilities;
 
 /// Which way the crowd moves at the switch point.
@@ -176,7 +176,9 @@ impl FlashCrowdModel {
         let crowd = ((self.hosts as f64) * self.crowd_fraction).ceil() as usize;
         let mut master = SplitMix64::new(seed);
         let (lo, hi) = self.availability_range;
-        let mut rows = Vec::with_capacity(self.hosts);
+        let mut trace =
+            TraceBuilder::new(SimDuration::from_mins(self.slot_minutes), slots, self.hosts);
+        let mut row = vec![false; slots];
         for host in 0..self.hosts {
             let mut rng = master.fork(host as u64);
             let target = rng.range_f64(lo, hi.max(lo + f64::EPSILON)).clamp(0.001, 0.999);
@@ -188,23 +190,22 @@ impl FlashCrowdModel {
             } else {
                 0..0
             };
-            let mut row = Vec::with_capacity(slots);
             let mut up = rng.chance(target);
             let (p_down, p_up) = transition_probabilities(target, self.mean_up_session_slots);
-            for s in 0..slots {
+            for (s, slot) in row.iter_mut().enumerate() {
                 if dark_range.contains(&s) {
-                    row.push(false);
+                    *slot = false;
                     // A crowd host joins the system offline: its first
                     // live slot is decided by the chain's down→up draw.
                     up = false;
                 } else {
-                    row.push(up);
+                    *slot = up;
                     up = if up { !rng.chance(p_down) } else { rng.chance(p_up) };
                 }
             }
-            rows.push(row);
+            trace.push_row(&row);
         }
-        ChurnTrace::from_rows(SimDuration::from_mins(self.slot_minutes), rows)
+        trace.finish()
     }
 }
 

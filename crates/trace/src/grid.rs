@@ -13,7 +13,7 @@ use avmem_sim::SimDuration;
 use avmem_util::{Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
-use crate::churn::ChurnTrace;
+use crate::churn::{ChurnTrace, TraceBuilder};
 
 /// Configuration and builder for Grid-like churn traces.
 ///
@@ -119,7 +119,12 @@ impl GridModel {
     pub fn generate(&self, seed: u64) -> ChurnTrace {
         let slots = (self.days * 1440 / self.slot_minutes) as usize;
         let mut master = SplitMix64::new(seed ^ 0x6772_6964); // "grid"
-        let mut rows = Vec::with_capacity(self.machines);
+        let mut trace = TraceBuilder::new(
+            SimDuration::from_mins(self.slot_minutes),
+            slots,
+            self.machines,
+        );
+        let mut row = vec![false; slots];
         for machine in 0..self.machines {
             let mut rng = master.fork(machine as u64);
             let (lo, hi) = if rng.chance(self.maintenance_fraction) {
@@ -128,14 +133,16 @@ impl GridModel {
                 self.healthy_availability
             };
             let target = rng.range_f64(lo, hi.max(lo + f64::EPSILON));
-            rows.push(self.generate_row(&mut rng, target, slots));
+            self.generate_row(&mut rng, target, &mut row);
+            trace.push_row(&row);
         }
-        ChurnTrace::from_rows(SimDuration::from_mins(self.slot_minutes), rows)
+        trace.finish()
     }
 
     /// Two-state chain with stationary availability `target`; same
-    /// construction as the Overnet generator but with short sessions.
-    fn generate_row<R: Rng>(&self, rng: &mut R, target: f64, slots: usize) -> Vec<bool> {
+    /// construction as the Overnet generator but with short sessions,
+    /// into `row`.
+    fn generate_row<R: Rng>(&self, rng: &mut R, target: f64, row: &mut [bool]) {
         let target = target.clamp(0.001, 0.999);
         let p_down = 1.0 / self.mean_up_session_slots;
         let p_up_raw = target * p_down / (1.0 - target);
@@ -145,16 +152,14 @@ impl GridModel {
             ((1.0 - target) / target, 1.0)
         };
         let mut up = rng.chance(target);
-        let mut row = Vec::with_capacity(slots);
-        for _ in 0..slots {
-            row.push(up);
+        for slot in row {
+            *slot = up;
             up = if up {
                 !rng.chance(p_down)
             } else {
                 rng.chance(p_up)
             };
         }
-        row
     }
 }
 

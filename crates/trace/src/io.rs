@@ -14,13 +14,14 @@
 //! 0000
 //! ```
 //!
-//! One row per node; `1` = online in that slot.
+//! One row per node; `1` = online in that slot. Blank lines may follow
+//! the last row, and nothing else may.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 
 use avmem_sim::SimDuration;
 
-use crate::churn::ChurnTrace;
+use crate::churn::{ChurnTrace, TraceBuilder};
 
 /// Error parsing a trace file.
 #[derive(Debug)]
@@ -88,7 +89,8 @@ impl ChurnTrace {
     ///
     /// Returns [`ParseTraceError::Io`] on reader failure and
     /// [`ParseTraceError::Format`] on any structural problem (bad header,
-    /// wrong row count or width, characters other than `0`/`1`).
+    /// wrong row count or width, characters other than `0`/`1`). A
+    /// non-blank line after the header's last row is a row too many.
     pub fn read_from<R: Read>(r: R) -> Result<ChurnTrace, ParseTraceError> {
         let mut lines = BufReader::new(r).lines();
         let mut next_line = |what: &str| -> Result<String, ParseTraceError> {
@@ -116,9 +118,11 @@ impl ChurnTrace {
             ));
         }
 
-        // The header's counts are claims until the rows arrive: the row
-        // vector grows with them, so no header can size an allocation.
-        let mut rows = Vec::new();
+        // The header's counts are claims until the rows arrive: the
+        // builder's columns widen with them, so no header can size an
+        // allocation.
+        let mut trace = TraceBuilder::new(SimDuration::from_millis(slot_millis), slots, 0);
+        let mut row = Vec::new();
         for i in 0..nodes {
             let line = next_line(&format!("row {i}"))?;
             let line = line.trim();
@@ -128,7 +132,7 @@ impl ChurnTrace {
                     line.len()
                 )));
             }
-            let mut row = Vec::with_capacity(slots);
+            row.clear();
             for ch in line.chars() {
                 match ch {
                     '0' => row.push(false),
@@ -140,12 +144,18 @@ impl ChurnTrace {
                     }
                 }
             }
-            rows.push(row);
+            trace.push_row(&row);
         }
-        Ok(ChurnTrace::from_rows(
-            SimDuration::from_millis(slot_millis),
-            rows,
-        ))
+        // Blank lines may trail the rows; anything else is a row the
+        // header does not count.
+        for line in lines {
+            if !line?.trim().is_empty() {
+                return Err(ParseTraceError::Format(format!(
+                    "row {nodes} is beyond the {nodes} the nodes header declares"
+                )));
+            }
+        }
+        Ok(trace.finish())
     }
 }
 
@@ -239,6 +249,29 @@ mod tests {
         let text = "AVTRACE v1\nslot_millis 1000\nnodes 18446744073709551615\nslots 1\n";
         let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
         assert!(matches!(&err, ParseTraceError::Format(m) if m == "missing row 0"), "{err}");
+    }
+
+    #[test]
+    fn rows_beyond_the_header_count_are_refused() {
+        // Two rows declared, three given: the third is named, not dropped.
+        let text = "AVTRACE v1\nslot_millis 1000\nnodes 2\nslots 2\n10\n01\n11\n";
+        let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, ParseTraceError::Format(m) if m.contains("row 2")),
+            "{err}"
+        );
+        // The same after blank lines.
+        let text = "AVTRACE v1\nslot_millis 1000\nnodes 2\nslots 2\n10\n01\n\n  \n11\n";
+        let err = ChurnTrace::read_from(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, ParseTraceError::Format(m) if m.contains("row 2")),
+            "{err}"
+        );
+        // Blank lines alone may trail the rows.
+        let text = "AVTRACE v1\nslot_millis 1000\nnodes 2\nslots 2\n10\n01\n\n \t\n";
+        let trace = ChurnTrace::read_from(text.as_bytes()).unwrap();
+        assert_eq!(trace.num_nodes(), 2);
+        assert!(trace.is_online_in_slot(0, 0) && trace.is_online_in_slot(1, 1));
     }
 
     #[test]

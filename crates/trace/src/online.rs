@@ -4,18 +4,18 @@
 //! times per simulated minute (bootstrap seeding, initiator selection),
 //! but the answer only changes when the trace crosses a slot boundary —
 //! every 20 minutes at Overnet granularity. [`OnlineIndex`] exploits
-//! that: it caches the online set per slot and refreshes with one `O(N)`
-//! column scan *per slot transition*, so the per-event cost collapses
-//! from materializing a fresh `Vec<usize>` (as
+//! that: it caches the online set per slot and refreshes with one copy of
+//! the trace's `N / 8`-byte slot column *per slot transition*, so the
+//! per-event cost collapses from materializing a fresh `Vec<usize>` (as
 //! [`ChurnTrace::online_at`] does) to a borrow of the cached slice plus
 //! `O(k)` sampling.
 //!
-//! The same scan fills one bit per node, and [`OnlineIndex::contains`]
+//! The copied column is one bit per node, and [`OnlineIndex::contains`]
 //! answers "is node `i` up" from it: a shift and a load from `N / 8`
 //! bytes that stay in cache, where [`ChurnTrace::is_online`] pays a
-//! division for the slot and a load strided by the trace's length, per
-//! question. Maintenance asks per due node and per proposal target, a
-//! flood per copy; all of them ask about the slot the index stands at.
+//! division for the slot and two range checks per question. Maintenance
+//! asks per due node and per proposal target, a flood per copy; all of
+//! them ask about the slot the index stands at.
 //!
 //! The refresh also lays out the online nodes' long-term availabilities
 //! in ascending order ([`OnlineIndex::availabilities`]), so "how many
@@ -28,7 +28,7 @@
 use avmem_sim::SimTime;
 use avmem_util::{Availability, Rng};
 
-use crate::churn::ChurnTrace;
+use crate::churn::{ones, ChurnTrace};
 
 /// Cached index of the nodes online in the current trace slot. An index
 /// follows one trace.
@@ -78,15 +78,11 @@ impl OnlineIndex {
             return false;
         }
         let n = trace.num_nodes();
-        self.online.clear();
         self.bits.clear();
-        self.bits.resize(n.div_ceil(64), 0);
-        for i in 0..n {
-            if trace.is_online_in_slot(i, slot) {
-                self.online.push(i as u32);
-                self.bits[i / 64] |= 1 << (i % 64);
-            }
-        }
+        self.bits.extend_from_slice(trace.column(slot));
+        self.online.clear();
+        self.online
+            .extend(ones(self.bits.iter().copied()).map(|i| i as u32));
         if self.by_availability.len() != n {
             self.by_availability = (0..n as u32).collect();
             self.by_availability

@@ -23,7 +23,7 @@ use avmem_sim::SimDuration;
 use avmem_util::{Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
-use crate::churn::ChurnTrace;
+use crate::churn::{ChurnTrace, TraceBuilder};
 
 /// Configuration and builder for synthetic Overnet-like churn traces.
 ///
@@ -221,8 +221,9 @@ impl OvernetModel {
         let slots_per_day = (1440 / self.slot_minutes) as usize;
         let slots = slots_per_day * self.days as usize;
         let mut master = SplitMix64::new(seed);
-        let mut rows = Vec::with_capacity(self.hosts);
-
+        let mut trace =
+            TraceBuilder::new(SimDuration::from_mins(self.slot_minutes), slots, self.hosts);
+        let mut row = vec![false; slots];
         for host in 0..self.hosts {
             let mut rng = master.fork(host as u64);
             let start_target = self.draw_target_availability(&mut rng);
@@ -231,26 +232,28 @@ impl OvernetModel {
             } else {
                 start_target
             };
-            rows.push(self.generate_row(&mut rng, start_target, end_target, slots, slots_per_day));
+            self.generate_row(&mut rng, start_target, end_target, slots_per_day, &mut row);
+            trace.push_row(&row);
         }
-        ChurnTrace::from_rows(SimDuration::from_mins(self.slot_minutes), rows)
+        trace.finish()
     }
 
     /// Two-state Markov chain over slots whose stationary availability
     /// interpolates from `start_target` to `end_target`, with mean
-    /// up-session `mean_up_session_slots`.
+    /// up-session `mean_up_session_slots`, into `row` (its length is the
+    /// trace's slot count).
     fn generate_row<R: Rng>(
         &self,
         rng: &mut R,
         start_target: f64,
         end_target: f64,
-        slots: usize,
         slots_per_day: usize,
-    ) -> Vec<bool> {
-        let mut row = Vec::with_capacity(slots);
+        row: &mut [bool],
+    ) {
+        let slots = row.len();
         let mut up = rng.chance(start_target);
-        for s in 0..slots {
-            row.push(up);
+        for (s, slot) in row.iter_mut().enumerate() {
+            *slot = up;
             // Drift: the instantaneous target moves linearly across the
             // trace.
             let progress = s as f64 / slots.max(1) as f64;
@@ -271,7 +274,6 @@ impl OvernetModel {
                 rng.chance(p_up)
             };
         }
-        row
     }
 }
 

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use avmem_sim::{SimDuration, SimTime};
-use avmem_trace::{AvailabilityPdf, ChurnTrace, OvernetModel};
-use avmem_util::Availability;
+use avmem_trace::{AvailabilityPdf, ChurnStats, ChurnTrace, OnlineIndex, OvernetModel};
+use avmem_util::{Availability, Rng, SplitMix64};
 
 fn arbitrary_rows() -> impl Strategy<Value = Vec<Vec<bool>>> {
     (1usize..12, 1usize..48).prop_flat_map(|(nodes, slots)| {
@@ -59,7 +59,126 @@ fn mutate(mut file: Vec<u8>, edits: &[(u8, u64, u8)]) -> Vec<u8> {
     file
 }
 
+/// Node counts on either side of the 64-bit word boundaries, or any.
+fn node_count() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(1usize),
+        Just(63),
+        Just(64),
+        Just(65),
+        Just(129),
+        1usize..300
+    ]
+}
+
+/// `nodes` rows of `slots` slots, each node up with its own probability
+/// (never, always, or anything between), from `seed`.
+fn model_rows(nodes: usize, slots: usize, seed: u64) -> Vec<Vec<bool>> {
+    let mut r = SplitMix64::new(seed);
+    (0..nodes)
+        .map(|_| {
+            let p = match r.index(5) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => r.next_f64(),
+            };
+            (0..slots).map(|_| r.chance(p)).collect()
+        })
+        .collect()
+}
+
+/// [`ChurnTrace::stats`] as the row-by-row scan of `rows`.
+fn model_stats(rows: &[Vec<bool>]) -> ChurnStats {
+    let slots = rows[0].len();
+    let up = |row: &Vec<bool>| row.iter().filter(|&&b| b).count();
+    let mean_availability = rows
+        .iter()
+        .map(|row| Availability::saturating(up(row) as f64 / slots as f64).value())
+        .sum::<f64>()
+        / rows.len() as f64;
+    let transitions = rows
+        .iter()
+        .map(|row| row.windows(2).filter(|w| w[0] != w[1]).count() as u64)
+        .sum();
+    let counts: Vec<usize> = (0..slots)
+        .map(|s| rows.iter().filter(|row| row[s]).count())
+        .collect();
+    ChurnStats {
+        num_nodes: rows.len(),
+        num_slots: slots,
+        mean_availability,
+        transitions,
+        min_online: *counts.iter().min().unwrap(),
+        max_online: *counts.iter().max().unwrap(),
+        mean_online: counts.iter().sum::<usize>() as f64 / slots as f64,
+    }
+}
+
 proptest! {
+    /// The bit-packed trace against its rows: every accessor, the text
+    /// round trip, the online index refreshed at every slot and the
+    /// changed-node list of every boundary, each against a scan of
+    /// `Vec<Vec<bool>>`.
+    #[test]
+    fn packed_trace_answers_like_its_rows(
+        nodes in node_count(),
+        days in 1usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let slots = 72 * days;
+        let rows = model_rows(nodes, slots, seed);
+        let trace = ChurnTrace::from_rows(SimDuration::from_mins(20), rows.clone());
+        let slot_ms = trace.slot_duration().as_millis();
+        let at = |s: usize, offset: u64| SimTime::from_millis(s as u64 * slot_ms + offset);
+        let fraction = |up: usize, of: usize| Availability::saturating(up as f64 / of as f64);
+        prop_assert_eq!(trace.num_nodes(), nodes);
+        prop_assert_eq!(trace.num_slots(), slots);
+
+        let mut r = SplitMix64::new(!seed);
+        let mut index = OnlineIndex::new();
+        for s in 0..slots {
+            let column: Vec<usize> = (0..nodes).filter(|&i| rows[i][s]).collect();
+            let now = at(s, r.range_u64(slot_ms));
+            prop_assert_eq!(trace.online_at(now), column.clone(), "slot {}", s);
+            prop_assert_eq!(trace.online_count_at(now), column.len());
+            for (i, row) in rows.iter().enumerate() {
+                prop_assert_eq!(trace.is_online_in_slot(i, s), row[s]);
+                prop_assert_eq!(trace.is_online(i, now), row[s]);
+            }
+            index.refresh(&trace, now);
+            let listed: Vec<usize> = index.online().iter().map(|&i| i as usize).collect();
+            prop_assert_eq!(listed, column);
+            for i in 0..nodes + 64 {
+                prop_assert_eq!(index.contains(i), rows.get(i).is_some_and(|row| row[s]));
+            }
+            if s > 0 {
+                let moved: Vec<usize> = (0..nodes).filter(|&i| rows[i][s] != rows[i][s - 1]).collect();
+                prop_assert_eq!(trace.changed_in(s).collect::<Vec<_>>(), moved, "slot {}", s);
+            }
+        }
+
+        for (i, row) in rows.iter().enumerate() {
+            let up = |range: std::ops::Range<usize>| row[range].iter().filter(|&&b| b).count();
+            prop_assert_eq!(trace.long_term_availability(i), fraction(up(0..slots), slots));
+            for s in [0, slots - 1, r.index(slots), r.index(slots)] {
+                let now = at(s, r.range_u64(slot_ms));
+                prop_assert_eq!(trace.availability_up_to(i, now), fraction(up(0..s + 1), s + 1));
+            }
+            let (a, b) = (r.index(slots), r.index(slots));
+            let (first, last) = (a.min(b), a.max(b));
+            let window = trace.availability_between(i, at(first, r.range_u64(slot_ms)), at(last, slot_ms - 1));
+            prop_assert_eq!(window, fraction(up(first..last + 1), last + 1 - first));
+        }
+        // Past the end the last slot holds.
+        let beyond = at(slots + 3, 0);
+        prop_assert_eq!(trace.online_at(beyond), trace.online_at(at(slots - 1, 0)));
+
+        prop_assert_eq!(trace.stats(), model_stats(&rows));
+        let mut file = Vec::new();
+        trace.write_to(&mut file).unwrap();
+        prop_assert_eq!(ChurnTrace::read_from(file.as_slice()).unwrap(), trace);
+    }
+
     #[test]
     fn mutated_trace_files_parse_or_fail_typed(
         rows in arbitrary_rows(),

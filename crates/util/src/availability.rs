@@ -74,6 +74,7 @@ impl Availability {
     ///
     /// Useful when deriving availabilities from noisy estimators (e.g. the
     /// monitoring service adding error to a true value).
+    #[inline]
     pub fn saturating(value: f64) -> Self {
         if value.is_nan() {
             Availability(0.0)
@@ -83,6 +84,7 @@ impl Availability {
     }
 
     /// Returns the wrapped fraction-uptime value.
+    #[inline]
     pub const fn value(self) -> f64 {
         self.0
     }
