@@ -176,8 +176,8 @@ impl MaintCtx<'_> {
     /// thresholds match `classify_hashed` decision for decision (pinned
     /// by the predicate memo tests), and a skipped refresh is one whose
     /// full pass would provably evict nothing, migrate nothing, and
-    /// rewrite every cached availability unchanged — only `refreshed_at`
-    /// advances, which [`Membership::touch_refreshed`] replays.
+    /// rewrite every cached availability unchanged — so skipping it
+    /// touches nothing at all.
     pub(super) fn finalize_node(
         &self,
         ops: NodeOps,
@@ -359,8 +359,6 @@ impl MaintCtx<'_> {
                                 Neighbor {
                                     id: *candidate,
                                     cached_availability: y_av,
-                                    added_at: self.now,
-                                    refreshed_at: self.now,
                                 },
                                 sliver,
                             );
@@ -400,7 +398,6 @@ impl MaintCtx<'_> {
             };
             if skip {
                 stats.refresh_skipped += 1;
-                membership.touch_refreshed(self.now);
             } else {
                 stats.refresh_evaluated += 1;
                 // Collection order (HS then VS) matches the order
@@ -415,7 +412,7 @@ impl MaintCtx<'_> {
                     stats.pair_hash.read(self.hashes, i, cand_ids, cand_hashes);
                 }
                 let mut k = 0;
-                membership.refresh_with(self.now, migrants, |id| {
+                membership.refresh_with(migrants, |id| {
                     debug_assert_eq!(cand_ids[k], id, "refresh order != collection order");
                     let (y_av, hash) = (cand_avs[k], cand_hashes[k]);
                     k += 1;

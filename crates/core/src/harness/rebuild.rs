@@ -189,8 +189,6 @@ impl AvmemSim {
         let neighbor = |y: usize, y_av: Availability| Neighbor {
             id: NodeId::new(y as u64),
             cached_availability: y_av,
-            added_at: self.now,
-            refreshed_at: self.now,
         };
         for &(y, y_av) in hs.iter() {
             membership.insert(neighbor(y, y_av), Sliver::Horizontal);

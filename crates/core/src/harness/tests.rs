@@ -1197,3 +1197,40 @@ fn serial_is_one_shard_on_one_thread() {
         assert_eq!(serial.shuffle_view(id), one_by_one.shuffle_view(id), "node {id}");
     }
 }
+
+#[test]
+fn view_ages_stay_far_below_their_ceiling_over_a_simulated_day() {
+    // Ages are 15 bits beside the mark and saturate at `View::AGE` =
+    // 32 767 periods: a documented limit, not one a run approaches,
+    // because every tick ships the view's oldest entry away and every
+    // merge replaces what was sent. An Overnet-shaped day on the paper's
+    // periods, beyond the hash budget so that finalize keeps its
+    // no-insert verdicts as view marks: sampled hourly, no age reaches
+    // 1 000 periods and no mark shows in an age.
+    let trace = OvernetModel::default().hosts(300).days(1).generate(43);
+    let mut cfg = SimConfig::paper_default(17);
+    cfg.maintenance = MaintenanceMode::paper_event_driven();
+    cfg.hash_budget = 0;
+    let mut sim = AvmemSim::new(trace, cfg);
+    let (mut oldest, mut marked) = (0, 0);
+    for hour in 1..=24 {
+        sim.warm_up(SimDuration::from_hours(1));
+        for (x, node) in sim.shuffles.iter().enumerate() {
+            let view = node.view();
+            let mut unmarked = view.clone();
+            unmarked.clear_marks();
+            assert!(
+                view.iter().eq(unmarked.iter()),
+                "hour {hour}, node {x}: a mark shows in an age"
+            );
+            marked += view.marks().filter(|&mark| mark).count();
+            oldest = oldest.max(view.iter().map(|e| e.age).max().unwrap_or(0));
+        }
+    }
+    assert!(
+        marked > 0,
+        "no view slot was ever marked: the marks did not run"
+    );
+    // 18 periods at this seed.
+    assert!(oldest < 1_000, "a view age reached {oldest} periods");
+}

@@ -18,16 +18,20 @@
 //!
 //! # Storage
 //!
-//! Both slivers live in one struct-of-arrays block — `ids: Vec<u32>`
-//! (index-space node ids), `avs: Vec<Availability>`, and byte-packed
-//! [`Stamp`]s (compact u32-millisecond added/refreshed instants) — with
-//! the horizontal sliver occupying the first `hs_len` slots. That is
-//! 20 bytes per neighbor instead of the 32 of the former
-//! `Vec<Neighbor>` pair, the dominant term of resident-set size at 10⁶
-//! hosts. The public API still speaks [`Neighbor`] (materialized on the
-//! fly), except for anycast/multicast forwarding, which borrows the id
-//! and availability columns as they are ([`Membership::columns`]); ids
-//! above `u32::MAX` are rejected by the index-space contract.
+//! A neighbor is what the protocol reads of it: an index-space id
+//! (`u32`) and the availability cached at its last discovery or refresh
+//! — 12 bytes, and no timestamps, which nothing read. Both slivers share
+//! one struct-of-arrays block with the horizontal sliver in the first
+//! `hs_len` slots, and both columns share **one allocation**: the
+//! availabilities first (8-byte aligned, so the `f64` column is aligned),
+//! the ids packed two to a word behind them. The header is the owner,
+//! the allocation, the length and `hs_len` — 32 bytes where three `Vec`s
+//! took 88, paid once per host. The allocation grows like a `Vec` (room
+//! for 4 neighbors, then doubling) and keeps its room when entries leave.
+//! The public API still speaks [`Neighbor`] (materialized on the fly),
+//! except for anycast/multicast forwarding, which borrows the id and
+//! availability columns as they are ([`Membership::columns`]); ids above
+//! `u32::MAX` are rejected by the index-space contract.
 
 use avmem_avmon::AvailabilityOracle;
 use avmem_sim::SimTime;
@@ -67,10 +71,6 @@ pub struct Neighbor {
     /// The availability cached at the last discovery/refresh; forwarding
     /// decisions read this, *not* a live query (§3.2).
     pub cached_availability: Availability,
-    /// When the neighbor entered the list.
-    pub added_at: SimTime,
-    /// When the cached availability was last validated.
-    pub refreshed_at: SimTime,
 }
 
 /// A node's neighbor list as two borrowed parallel columns: index-space
@@ -86,14 +86,6 @@ pub struct NeighborColumns<'a> {
     /// The availability cached for each neighbor (§3.2: forwarding reads
     /// this, not a live query).
     pub cached_availability: &'a [Availability],
-}
-
-/// Byte-packed added/refreshed instants of one slot (compact
-/// u32-millisecond stamps, see [`SimTime::as_compact_ms`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct Stamp {
-    added_ms: u32,
-    refreshed_ms: u32,
 }
 
 /// Outcome of a refresh pass.
@@ -112,6 +104,33 @@ pub struct RefreshOutcome {
 #[inline]
 fn packed_id(id: NodeId) -> u32 {
     u32::try_from(id.raw()).expect("membership ids are index-space (must fit u32)")
+}
+
+/// Words of an allocation with room for `room` neighbors: one per
+/// availability, one per two ids.
+#[inline]
+fn words_for(room: usize) -> usize {
+    room + room.div_ceil(2)
+}
+
+/// `words` as the `u32` halves the id column lives in.
+#[inline]
+fn id_halves(words: &[Availability]) -> &[u32] {
+    // SAFETY: `Availability` is `repr(transparent)` over `f64`, so `words`
+    // is `2 * words.len()` initialised `u32`s, 8-byte aligned (≥ the 4 a
+    // `u32` needs), and every bit pattern is a valid `u32`. The result
+    // borrows `words`, so nothing writes them while it lives.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u32>(), 2 * words.len()) }
+}
+
+/// [`id_halves`], for writing.
+#[inline]
+fn id_halves_mut(words: &mut [Availability]) -> &mut [u32] {
+    // SAFETY: as in `id_halves`, and the result holds `words`' unique
+    // borrow. Whatever it writes leaves each word a valid `f64` (every bit
+    // pattern is one); the words the ids live in are never read as
+    // availabilities, only copied whole when the membership is cloned.
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u32>(), 2 * words.len()) }
 }
 
 /// The HS + VS membership state of one node.
@@ -138,14 +157,39 @@ fn packed_id(id: NodeId) -> u32 {
 /// let total = membership.neighbors(SliverScope::Both).count();
 /// assert!(total > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+// No serde derives: the ids live in the bits of availability words, which
+// a serializer would write as floats.
+#[derive(Clone)]
 pub struct Membership {
     owner: NodeId,
-    /// `[HS | VS]`: slots `0..hs_len` are horizontal, the rest vertical.
-    ids: Vec<u32>,
-    avs: Vec<Availability>,
-    stamps: Vec<Stamp>,
+    /// Both columns, room for `room` neighbors: the cached availability
+    /// of slot `pos` at `slots[pos]`, its id at `pos` of the `u32` halves
+    /// of the words from `room` on ([`id_halves`]).
+    slots: Box<[Availability]>,
+    /// `[HS | VS]`: slots `0..hs_len` are horizontal, `hs_len..len`
+    /// vertical.
+    len: u32,
     hs_len: u32,
+}
+
+// One membership per host: a header past 32 bytes is N times that.
+const _: () = assert!(std::mem::size_of::<Membership>() <= 32);
+
+/// Owner, then both slivers in order, ids and cached availabilities.
+impl PartialEq for Membership {
+    fn eq(&self, other: &Self) -> bool {
+        self.owner == other.owner && self.hs_len == other.hs_len && self.live() == other.live()
+    }
+}
+
+impl std::fmt::Debug for Membership {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Membership")
+            .field("owner", &self.owner)
+            .field("hs", &self.columns(SliverScope::HsOnly))
+            .field("vs", &self.columns(SliverScope::VsOnly))
+            .finish()
+    }
 }
 
 impl Membership {
@@ -153,9 +197,8 @@ impl Membership {
     pub fn new(owner: NodeId) -> Self {
         Membership {
             owner,
-            ids: Vec::new(),
-            avs: Vec::new(),
-            stamps: Vec::new(),
+            slots: Box::default(),
+            len: 0,
             hs_len: 0,
         }
     }
@@ -165,24 +208,37 @@ impl Membership {
         self.owner
     }
 
+    /// Neighbors the allocation has room for.
     #[inline]
-    fn neighbor_at(&self, pos: usize) -> Neighbor {
-        Neighbor {
-            id: NodeId::new(u64::from(self.ids[pos])),
-            cached_availability: self.avs[pos],
-            added_at: SimTime::from_compact_ms(self.stamps[pos].added_ms),
-            refreshed_at: SimTime::from_compact_ms(self.stamps[pos].refreshed_ms),
-        }
+    fn room(&self) -> usize {
+        // The inverse of `words_for`: `⌊2·(r + ⌈r/2⌉)/3⌋ = r`.
+        2 * self.slots.len() / 3
+    }
+
+    /// The live ids and availabilities, `[HS | VS]`.
+    #[inline]
+    fn live(&self) -> (&[u32], &[Availability]) {
+        let len = self.len();
+        let (avs, tail) = self.slots.split_at(self.room());
+        (&id_halves(tail)[..len], &avs[..len])
+    }
+
+    /// [`Membership::live`], for writing.
+    #[inline]
+    fn live_mut(&mut self) -> (&mut [u32], &mut [Availability]) {
+        let len = self.len();
+        let (avs, tail) = self.slots.split_at_mut(self.room());
+        (&mut id_halves_mut(tail)[..len], &mut avs[..len])
     }
 
     /// The horizontal sliver, in insertion order.
     pub fn hs(&self) -> impl Iterator<Item = Neighbor> + '_ {
-        (0..self.hs_len as usize).map(|pos| self.neighbor_at(pos))
+        self.neighbors(SliverScope::HsOnly)
     }
 
     /// The vertical sliver, in insertion order.
     pub fn vs(&self) -> impl Iterator<Item = Neighbor> + '_ {
-        (self.hs_len as usize..self.ids.len()).map(|pos| self.neighbor_at(pos))
+        self.neighbors(SliverScope::VsOnly)
     }
 
     /// Horizontal-sliver entry count.
@@ -192,23 +248,24 @@ impl Membership {
 
     /// Vertical-sliver entry count.
     pub fn vs_len(&self) -> usize {
-        self.ids.len() - self.hs_len as usize
+        (self.len - self.hs_len) as usize
     }
 
     /// Total neighbor count (HS + VS).
+    #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len as usize
     }
 
     /// Whether both lists are empty.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
     /// Whether `id` is currently a neighbor (either sliver).
     pub fn contains(&self, id: NodeId) -> bool {
         match u32::try_from(id.raw()) {
-            Ok(raw) => self.ids.contains(&raw),
+            Ok(raw) => self.live().0.contains(&raw),
             Err(_) => false,
         }
     }
@@ -217,9 +274,9 @@ impl Membership {
     #[inline]
     fn scope_range(&self, scope: SliverScope) -> std::ops::Range<usize> {
         match scope {
-            SliverScope::HsOnly => 0..self.hs_len as usize,
-            SliverScope::VsOnly => self.hs_len as usize..self.ids.len(),
-            SliverScope::Both => 0..self.ids.len(),
+            SliverScope::HsOnly => 0..self.hs_len(),
+            SliverScope::VsOnly => self.hs_len()..self.len(),
+            SliverScope::Both => 0..self.len(),
         }
     }
 
@@ -227,13 +284,21 @@ impl Membership {
     /// insertion order — the deterministic order gossip target selection
     /// relies on).
     pub fn neighbors(&self, scope: SliverScope) -> impl Iterator<Item = Neighbor> + '_ {
-        self.scope_range(scope).map(|pos| self.neighbor_at(pos))
+        let columns = self.columns(scope);
+        let avs = columns.cached_availability.iter();
+        columns.ids.iter().zip(avs).map(|(&id, &av)| Neighbor {
+            id: NodeId::new(u64::from(id)),
+            cached_availability: av,
+        })
     }
 
     /// Iterates neighbor ids in the given scope without materializing
     /// [`Neighbor`]s — the cheap form for degree/health accounting.
     pub fn neighbor_ids(&self, scope: SliverScope) -> impl Iterator<Item = NodeId> + '_ {
-        self.ids[self.scope_range(scope)].iter().map(|&id| NodeId::new(u64::from(id)))
+        self.columns(scope)
+            .ids
+            .iter()
+            .map(|&id| NodeId::new(u64::from(id)))
     }
 
     /// The id and cached-availability columns of a scope, by borrow and in
@@ -241,44 +306,57 @@ impl Membership {
     /// forwarding reads, with nothing materialized.
     pub fn columns(&self, scope: SliverScope) -> NeighborColumns<'_> {
         let range = self.scope_range(scope);
+        let (ids, avs) = self.live();
         NeighborColumns {
-            ids: &self.ids[range.clone()],
-            cached_availability: &self.avs[range],
+            ids: &ids[range.clone()],
+            cached_availability: &avs[range],
         }
     }
 
-    /// Drops all neighbors (a node that lost its soft state).
+    /// Drops all neighbors (a node that lost its soft state). The
+    /// allocation keeps its room.
     pub fn clear(&mut self) {
-        self.ids.clear();
-        self.avs.clear();
-        self.stamps.clear();
+        self.len = 0;
         self.hs_len = 0;
     }
 
-    /// Appends to the end of the HS region (slot `hs_len`), preserving
-    /// both slivers' relative orders.
-    fn push_hs(&mut self, neighbor: Neighbor) {
-        let pos = self.hs_len as usize;
-        self.ids.insert(pos, packed_id(neighbor.id));
-        self.avs.insert(pos, neighbor.cached_availability);
-        self.stamps.insert(
-            pos,
-            Stamp {
-                added_ms: neighbor.added_at.as_compact_ms(),
-                refreshed_ms: neighbor.refreshed_at.as_compact_ms(),
-            },
-        );
-        self.hs_len += 1;
+    /// Moves both columns into an allocation with room for `room`
+    /// neighbors.
+    fn regrow(&mut self, room: usize) {
+        let (old_room, len) = (self.room(), self.len());
+        // Grown in place where the allocator can; the ids then move up to
+        // their new place behind the availabilities.
+        let mut words = std::mem::take(&mut self.slots).into_vec();
+        words.reserve_exact(words_for(room) - words.len());
+        words.resize(words_for(room), Availability::ZERO);
+        id_halves_mut(&mut words).copy_within(2 * old_room..2 * old_room + len, 2 * room);
+        self.slots = words.into_boxed_slice();
     }
 
-    /// Appends to the end of the VS region (the arrays' tail).
-    fn push_vs(&mut self, neighbor: Neighbor) {
-        self.ids.push(packed_id(neighbor.id));
-        self.avs.push(neighbor.cached_availability);
-        self.stamps.push(Stamp {
-            added_ms: neighbor.added_at.as_compact_ms(),
-            refreshed_ms: neighbor.refreshed_at.as_compact_ms(),
-        });
+    /// Inserts a slot at `pos`, the slots from `pos` on moving up one.
+    fn insert_at(&mut self, pos: usize, neighbor: Neighbor) {
+        let len = self.len();
+        if len == self.room() {
+            self.regrow((2 * len).max(4));
+        }
+        self.len += 1;
+        let (ids, avs) = self.live_mut();
+        ids.copy_within(pos..len, pos + 1);
+        avs.copy_within(pos..len, pos + 1);
+        ids[pos] = packed_id(neighbor.id);
+        avs[pos] = neighbor.cached_availability;
+    }
+
+    /// Appends to the end of its sliver's region — slot `hs_len` or the
+    /// columns' tail — preserving both slivers' relative orders.
+    fn push(&mut self, neighbor: Neighbor, sliver: Sliver) {
+        match sliver {
+            Sliver::Horizontal => {
+                self.insert_at(self.hs_len(), neighbor);
+                self.hs_len += 1;
+            }
+            Sliver::Vertical => self.insert_at(self.len(), neighbor),
+        }
     }
 
     /// Inserts an already-classified neighbor, skipping duplicates and
@@ -291,10 +369,7 @@ impl Membership {
         if neighbor.id == self.owner || self.contains(neighbor.id) {
             return false;
         }
-        match sliver {
-            Sliver::Horizontal => self.push_hs(neighbor),
-            Sliver::Vertical => self.push_vs(neighbor),
-        }
+        self.push(neighbor, sliver);
         true
     }
 
@@ -302,17 +377,21 @@ impl Membership {
     /// entry and the sliver it occupied.
     pub fn remove(&mut self, id: NodeId) -> Option<(Neighbor, Sliver)> {
         let raw = u32::try_from(id.raw()).ok()?;
-        let pos = self.ids.iter().position(|&e| e == raw)?;
-        let neighbor = self.neighbor_at(pos);
-        let sliver = if pos < self.hs_len as usize {
+        let pos = self.live().0.iter().position(|&e| e == raw)?;
+        let neighbor = Neighbor {
+            id,
+            cached_availability: self.live().1[pos],
+        };
+        let sliver = if pos < self.hs_len() {
             self.hs_len -= 1;
             Sliver::Horizontal
         } else {
             Sliver::Vertical
         };
-        self.ids.remove(pos);
-        self.avs.remove(pos);
-        self.stamps.remove(pos);
+        let (ids, avs) = self.live_mut();
+        ids.copy_within(pos + 1.., pos);
+        avs.copy_within(pos + 1.., pos);
+        self.len -= 1;
         Some((neighbor, sliver))
     }
 
@@ -349,13 +428,8 @@ impl Membership {
                 let neighbor = Neighbor {
                     id: candidate,
                     cached_availability: candidate_av,
-                    added_at: now,
-                    refreshed_at: now,
                 };
-                match sliver {
-                    Sliver::Horizontal => self.push_hs(neighbor),
-                    Sliver::Vertical => self.push_vs(neighbor),
-                }
+                self.push(neighbor, sliver);
                 added += 1;
             }
         }
@@ -378,7 +452,7 @@ impl Membership {
         debug_assert_eq!(own.id, self.owner, "refresh called with foreign identity");
         let owner = self.owner;
         let mut migrants = Vec::new();
-        self.refresh_with(now, &mut migrants, |id| {
+        self.refresh_with(&mut migrants, |id| {
             let fresh_av = oracle.estimate(owner, id, now)?;
             let sliver = predicate.classify(own, NodeInfo::new(id, fresh_av))?;
             Some((fresh_av, sliver))
@@ -390,7 +464,8 @@ impl Membership {
     /// evict. Entries are re-validated *in place* — kept neighbors never
     /// leave their list, so there is no remove-then-reinsert churn — and
     /// only sliver migrants move (appended to their new list after both
-    /// passes, preserving relative order).
+    /// passes, preserving relative order). `eval` sees the neighbors in
+    /// the order of [`Membership::neighbors`].
     ///
     /// `migrants` is caller-owned scratch (cleared on entry, drained on
     /// exit) so batch drivers refreshing many nodes reuse one buffer.
@@ -400,7 +475,6 @@ impl Membership {
     /// form of the same pass.
     pub fn refresh_with<F>(
         &mut self,
-        now: SimTime,
         migrants: &mut Vec<(Neighbor, Sliver)>,
         mut eval: F,
     ) -> RefreshOutcome
@@ -409,9 +483,7 @@ impl Membership {
     {
         let mut outcome = RefreshOutcome::default();
         migrants.clear();
-        let now_ms = now.as_compact_ms();
-        let hs_end = self.hs_len as usize;
-        let total = self.ids.len();
+        let hs_end = self.hs_len();
         // Single compaction sweep over `[HS | VS]`: kept entries slide to
         // the write cursor (order preserved within each region), evicted
         // entries vanish, migrants are parked in `migrants` and appended
@@ -419,75 +491,41 @@ impl Membership {
         // old per-list `retain_mut` + append scheme.
         let mut write = 0usize;
         let mut hs_kept = 0usize;
-        for read in 0..total {
+        let (ids, avs) = self.live_mut();
+        for read in 0..ids.len() {
             let expected = if read < hs_end {
                 Sliver::Horizontal
             } else {
                 Sliver::Vertical
             };
-            let id = NodeId::new(u64::from(self.ids[read]));
+            let id = NodeId::new(u64::from(ids[read]));
             match eval(id) {
                 None => {
                     outcome.evicted += 1;
                 }
+                Some((fresh_av, sliver)) if sliver == expected => {
+                    outcome.kept += 1;
+                    ids[write] = ids[read];
+                    avs[write] = fresh_av;
+                    hs_kept += usize::from(expected == Sliver::Horizontal);
+                    write += 1;
+                }
                 Some((fresh_av, sliver)) => {
-                    if sliver == expected {
-                        outcome.kept += 1;
-                        self.ids[write] = self.ids[read];
-                        self.avs[write] = fresh_av;
-                        self.stamps[write] = Stamp {
-                            added_ms: self.stamps[read].added_ms,
-                            refreshed_ms: now_ms,
-                        };
-                        if expected == Sliver::Horizontal {
-                            hs_kept += 1;
-                        }
-                        write += 1;
-                    } else {
-                        outcome.migrated += 1;
-                        migrants.push((
-                            Neighbor {
-                                id,
-                                cached_availability: fresh_av,
-                                added_at: SimTime::from_compact_ms(self.stamps[read].added_ms),
-                                refreshed_at: now,
-                            },
-                            sliver,
-                        ));
-                    }
+                    outcome.migrated += 1;
+                    let neighbor = Neighbor {
+                        id,
+                        cached_availability: fresh_av,
+                    };
+                    migrants.push((neighbor, sliver));
                 }
             }
         }
-        self.ids.truncate(write);
-        self.avs.truncate(write);
-        self.stamps.truncate(write);
+        self.len = write as u32;
         self.hs_len = hs_kept as u32;
         for (neighbor, sliver) in migrants.drain(..) {
-            match sliver {
-                Sliver::Horizontal => self.push_hs(neighbor),
-                Sliver::Vertical => self.push_vs(neighbor),
-            }
+            self.push(neighbor, sliver);
         }
         outcome
-    }
-
-    /// Marks every neighbor re-validated at `now` without re-evaluating
-    /// anything: sets `refreshed_at = now` on all entries, leaving cached
-    /// availabilities and list order untouched. Returns the number of
-    /// entries touched.
-    ///
-    /// This is the refresh fast path for drivers that can prove a full
-    /// [`Membership::refresh_with`] pass would change nothing but the
-    /// timestamps: when the oracle has not advanced since every entry was
-    /// last classified, each `eval` returns the same availability and
-    /// sliver it did then — no evictions, no migrations, identical cached
-    /// values — so skipping the per-neighbor work is bit-identical.
-    pub fn touch_refreshed(&mut self, now: SimTime) -> usize {
-        let now_ms = now.as_compact_ms();
-        for stamp in &mut self.stamps {
-            stamp.refreshed_ms = now_ms;
-        }
-        self.ids.len()
     }
 }
 
@@ -496,7 +534,8 @@ mod tests {
     use super::*;
     use avmem_sim::SimTime;
     use avmem_trace::AvailabilityPdf;
-    use avmem_util::Availability;
+    use avmem_util::{Availability, Rng, SplitMix64};
+    use proptest::prelude::*;
 
     use crate::predicate::AvmemPredicate;
 
@@ -634,8 +673,6 @@ mod tests {
         assert_eq!(outcome.kept, 1);
         let hs = hs_vec(&m);
         assert_eq!(hs[0].cached_availability.value(), 0.55);
-        assert_eq!(hs[0].refreshed_at, later);
-        assert_eq!(hs[0].added_at, SimTime::ZERO);
     }
 
     #[test]
@@ -667,16 +704,13 @@ mod tests {
         let neighbor = |id: u64, av: f64| Neighbor {
             id: NodeId::new(id),
             cached_availability: Availability::saturating(av),
-            added_at: SimTime::ZERO,
-            refreshed_at: SimTime::ZERO,
         };
         for id in [1, 2, 3] {
             m.insert(neighbor(id, 0.5), Sliver::Horizontal);
         }
         m.insert(neighbor(4, 0.9), Sliver::Vertical);
-        let later = SimTime::from_millis(5);
         let mut migrants = vec![(neighbor(9, 0.1), Sliver::Vertical)]; // stale scratch
-        let outcome = m.refresh_with(later, &mut migrants, |id| match id.raw() {
+        let outcome = m.refresh_with(&mut migrants, |id| match id.raw() {
             1 => Some((Availability::saturating(0.51), Sliver::Horizontal)),
             2 => None,                                                // evict
             3 => Some((Availability::saturating(0.95), Sliver::Vertical)), // migrate
@@ -692,7 +726,6 @@ mod tests {
         assert_eq!(vs, vec![4, 3]);
         let first = hs_vec(&m)[0];
         assert_eq!(first.cached_availability.value(), 0.51);
-        assert_eq!(first.refreshed_at, later);
         assert!(migrants.is_empty(), "scratch must be drained for reuse");
     }
 
@@ -732,8 +765,6 @@ mod tests {
         let neighbor = |id: u64| Neighbor {
             id: NodeId::new(id),
             cached_availability: Availability::saturating(0.5),
-            added_at: SimTime::ZERO,
-            refreshed_at: SimTime::ZERO,
         };
         assert!(!m.insert(neighbor(0), Sliver::Horizontal)); // self
         assert!(m.insert(neighbor(1), Sliver::Horizontal));
@@ -747,8 +778,6 @@ mod tests {
         let neighbor = |id: u64| Neighbor {
             id: NodeId::new(id),
             cached_availability: Availability::saturating(0.5),
-            added_at: SimTime::ZERO,
-            refreshed_at: SimTime::ZERO,
         };
         m.insert(neighbor(1), Sliver::Horizontal);
         m.insert(neighbor(2), Sliver::Vertical);
@@ -764,8 +793,6 @@ mod tests {
         let neighbor = |id: u64| Neighbor {
             id: NodeId::new(id),
             cached_availability: Availability::saturating(0.5),
-            added_at: SimTime::ZERO,
-            refreshed_at: SimTime::ZERO,
         };
         m.insert(neighbor(5), Sliver::Vertical);
         m.insert(neighbor(3), Sliver::Horizontal);
@@ -777,26 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_stamps_round_trip() {
-        let mut m = Membership::new(NodeId::new(0));
-        let added = SimTime::from_millis(86_400_000); // one simulated day
-        m.insert(
-            Neighbor {
-                id: NodeId::new(1),
-                cached_availability: Availability::saturating(0.5),
-                added_at: added,
-                refreshed_at: added,
-            },
-            Sliver::Horizontal,
-        );
-        let later = SimTime::from_millis(86_460_000);
-        m.touch_refreshed(later);
-        let entry = hs_vec(&m)[0];
-        assert_eq!(entry.added_at, added);
-        assert_eq!(entry.refreshed_at, later);
-    }
-
-    #[test]
     fn clear_empties_lists() {
         let mut oracle = TableOracle::default();
         oracle.set(1, 0.52);
@@ -805,5 +812,301 @@ mod tests {
         m.discover(me(), [NodeId::new(1)], &oracle, &pred, SimTime::ZERO);
         m.clear();
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn per_host_headers_stay_within_their_pins() {
+        // Membership, view and shuffle node: one each per host.
+        assert!(std::mem::size_of::<Membership>() <= 32);
+        assert!(std::mem::size_of::<avmem_shuffle::View>() <= 24);
+        assert!(std::mem::size_of::<avmem_shuffle::ShuffleNode>() <= 72);
+    }
+
+    /// The naive lists the one-allocation columns are held to: one entry
+    /// per neighbor in arrival order, its sliver beside it.
+    type Model = Vec<(u32, Availability, Sliver)>;
+
+    /// The model's entries in a scope's order: HS first, then VS, each in
+    /// arrival order.
+    fn model_entries(model: &Model, scope: SliverScope) -> Vec<(u32, Availability)> {
+        let of = |sliver: Sliver| {
+            model
+                .iter()
+                .filter(move |e| e.2 == sliver && scope.includes(sliver))
+                .map(|e| (e.0, e.1))
+        };
+        of(Sliver::Horizontal).chain(of(Sliver::Vertical)).collect()
+    }
+
+    fn check_against_model(m: &Membership, model: &Model, longest: usize, at: &str) {
+        for scope in [SliverScope::HsOnly, SliverScope::VsOnly, SliverScope::Both] {
+            let expected = model_entries(model, scope);
+            let columns = m.columns(scope);
+            let got: Vec<(u32, Availability)> = columns
+                .ids
+                .iter()
+                .copied()
+                .zip(columns.cached_availability.iter().copied())
+                .collect();
+            assert_eq!(got, expected, "{at}: columns({scope:?})");
+            let neighbors: Vec<(u32, Availability)> = m
+                .neighbors(scope)
+                .map(|n| (packed_id(n.id), n.cached_availability))
+                .collect();
+            assert_eq!(neighbors, expected, "{at}: neighbors({scope:?})");
+            assert!(
+                m.neighbor_ids(scope)
+                    .map(packed_id)
+                    .eq(expected.iter().map(|e| e.0)),
+                "{at}"
+            );
+        }
+        let as_pairs = |n: Neighbor| (packed_id(n.id), n.cached_availability);
+        let hs = model_entries(model, SliverScope::HsOnly);
+        let vs = model_entries(model, SliverScope::VsOnly);
+        assert!(m.hs().map(as_pairs).eq(hs.iter().copied()), "{at}: hs()");
+        assert!(m.vs().map(as_pairs).eq(vs.iter().copied()), "{at}: vs()");
+        assert_eq!(
+            (m.len(), m.hs_len(), m.vs_len()),
+            (model.len(), hs.len(), vs.len()),
+            "{at}"
+        );
+        assert_eq!(m.is_empty(), model.is_empty(), "{at}");
+        assert!(
+            model
+                .iter()
+                .all(|e| m.contains(NodeId::new(u64::from(e.0)))),
+            "{at}"
+        );
+        // Room for 4, then doubling, sized by the longest the lists were.
+        let room = if longest == 0 {
+            0
+        } else {
+            longest.next_power_of_two().max(4)
+        };
+        assert_eq!(
+            (m.room(), m.slots.len()),
+            (room, words_for(room)),
+            "{at}: longest {longest}"
+        );
+        // Equality: owner and both slivers in order, whatever the room.
+        let mut rebuilt = Membership::new(m.owner());
+        for &(id, av, sliver) in model {
+            let neighbor = Neighbor {
+                id: NodeId::new(u64::from(id)),
+                cached_availability: av,
+            };
+            assert!(rebuilt.insert(neighbor, sliver));
+        }
+        assert_eq!(rebuilt, *m, "{at}: rebuilt from the model");
+        assert_eq!(m.clone(), *m, "{at}: clone");
+        assert_ne!(
+            Membership {
+                owner: NodeId::new(99),
+                ..m.clone()
+            },
+            *m,
+            "{at}"
+        );
+        if !m.is_empty() {
+            let mut moved = m.clone();
+            let first = &mut moved.live_mut().1[0];
+            let before = *first;
+            *first = Availability::saturating(1.0 - before.value());
+            assert_eq!(
+                moved == *m,
+                before.value() == 0.5,
+                "{at}: first slot re-cached"
+            );
+        }
+    }
+
+    /// What one random run exercised, for the coverage test.
+    #[derive(Debug, Default)]
+    struct Tally {
+        longest: usize,
+        inserted: usize,
+        refused: usize,
+        removed: usize,
+        kept: usize,
+        evicted: usize,
+        migrated: usize,
+        cleared: usize,
+    }
+
+    /// `steps` random operations on a membership and on its model, the
+    /// two compared after each.
+    fn membership_differential(seed: u64, steps: usize) -> Tally {
+        let mut r = SplitMix64::new(seed);
+        let owner = r.range_u64(3) as u32;
+        let id_space = [4, 12, 40, 140][r.index(4)];
+        // Some runs mostly insert, so the lists pass 4, 8, 16, … entries.
+        let p_refresh = [0.02, 0.1, 0.3][r.index(3)];
+        let p_remove = p_refresh + [0.02, 0.2][r.index(2)];
+        let p_clear = p_remove + 0.01;
+        let mut m = Membership::new(NodeId::new(u64::from(owner)));
+        let mut model = Model::new();
+        let mut tally = Tally::default();
+        let mut migrants = Vec::new();
+        let draw_av = |r: &mut SplitMix64| Availability::saturating(r.index(9) as f64 / 8.0);
+        let draw_sliver = |r: &mut SplitMix64| {
+            if r.chance(0.5) {
+                Sliver::Horizontal
+            } else {
+                Sliver::Vertical
+            }
+        };
+        for step in 0..steps {
+            let id = r.range_u64(id_space) as u32;
+            let roll = r.next_f64();
+            if roll < p_refresh {
+                // Decisions drawn up front, in the order `eval` must be
+                // called in: HS, then VS.
+                let order = model_entries(&model, SliverScope::Both);
+                let decisions: Vec<Option<(Availability, Sliver)>> = order
+                    .iter()
+                    .map(|_| match r.index(3) {
+                        0 => None,
+                        _ => Some((draw_av(&mut r), draw_sliver(&mut r))),
+                    })
+                    .collect();
+                if r.chance(0.5) {
+                    // Stale scratch must not leak into the lists.
+                    let stale = Neighbor {
+                        id: NodeId::new(7),
+                        cached_availability: draw_av(&mut r),
+                    };
+                    migrants.push((stale, draw_sliver(&mut r)));
+                }
+                let mut k = 0;
+                let outcome = m.refresh_with(&mut migrants, |id| {
+                    assert_eq!(
+                        packed_id(id),
+                        order[k].0,
+                        "seed {seed} step {step}: eval order"
+                    );
+                    k += 1;
+                    decisions[k - 1]
+                });
+                assert_eq!(
+                    k,
+                    order.len(),
+                    "seed {seed} step {step}: every neighbor evaluated"
+                );
+                assert!(
+                    migrants.is_empty(),
+                    "seed {seed} step {step}: scratch drained"
+                );
+                let decision = |id: u32| decisions[order.iter().position(|e| e.0 == id).unwrap()];
+                // Migrants leave their place and join their new sliver's
+                // end in evaluation order.
+                let moving: Model = order
+                    .iter()
+                    .filter_map(|&(id, _)| {
+                        let (fresh, to) = decision(id)?;
+                        let from = model.iter().find(|e| e.0 == id).unwrap().2;
+                        (to != from).then_some((id, fresh, to))
+                    })
+                    .collect();
+                let mut expected = RefreshOutcome {
+                    migrated: moving.len(),
+                    ..Default::default()
+                };
+                model.retain_mut(|e| match decision(e.0) {
+                    None => {
+                        expected.evicted += 1;
+                        false
+                    }
+                    Some((fresh, to)) if to == e.2 => {
+                        expected.kept += 1;
+                        e.1 = fresh;
+                        true
+                    }
+                    Some(_) => false,
+                });
+                model.extend(moving);
+                assert_eq!(outcome, expected, "seed {seed} step {step}: refresh");
+                tally.kept += outcome.kept;
+                tally.evicted += outcome.evicted;
+                tally.migrated += outcome.migrated;
+            } else if roll < p_remove {
+                let expected = model
+                    .iter()
+                    .position(|e| e.0 == id)
+                    .map(|pos| model.remove(pos));
+                let got = m.remove(NodeId::new(u64::from(id)));
+                let got = got.map(|(n, s)| (packed_id(n.id), n.cached_availability, s));
+                assert_eq!(got, expected, "seed {seed} step {step}: remove {id}");
+                tally.removed += usize::from(got.is_some());
+            } else if roll < p_clear {
+                m.clear();
+                model.clear();
+                tally.cleared += 1;
+            } else {
+                let (av, sliver) = (draw_av(&mut r), draw_sliver(&mut r));
+                let fresh = id != owner && model.iter().all(|e| e.0 != id);
+                let neighbor = Neighbor {
+                    id: NodeId::new(u64::from(id)),
+                    cached_availability: av,
+                };
+                assert_eq!(
+                    m.insert(neighbor, sliver),
+                    fresh,
+                    "seed {seed} step {step}: insert {id}"
+                );
+                if fresh {
+                    model.push((id, av, sliver));
+                    tally.inserted += 1;
+                } else {
+                    tally.refused += 1;
+                }
+            }
+            tally.longest = tally.longest.max(model.len());
+            check_against_model(
+                &m,
+                &model,
+                tally.longest,
+                &format!("seed {seed} step {step}"),
+            );
+        }
+        tally
+    }
+
+    proptest! {
+        /// Inserts (self and duplicates included), removals, refreshes
+        /// that keep, evict and migrate, and clears: the columns, both
+        /// slivers' orders, the counts, the room and equality match the
+        /// naive lists after every step.
+        #[test]
+        fn membership_matches_the_naive_lists(seed in any::<u64>()) {
+            membership_differential(seed, 200);
+        }
+    }
+
+    #[test]
+    fn random_runs_take_every_path_and_grow_past_every_doubling() {
+        let mut total = Tally::default();
+        for seed in 0..64 {
+            let t = membership_differential(seed, 200);
+            total.longest = total.longest.max(t.longest);
+            total.inserted += t.inserted;
+            total.refused += t.refused;
+            total.removed += t.removed;
+            total.kept += t.kept;
+            total.evicted += t.evicted;
+            total.migrated += t.migrated;
+            total.cleared += t.cleared;
+        }
+        assert!(total.longest > 64, "{total:?}");
+        let counts = [
+            total.inserted,
+            total.refused,
+            total.removed,
+            total.kept,
+            total.evicted,
+            total.migrated,
+            total.cleared,
+        ];
+        assert!(counts.iter().all(|&n| n >= 20), "{total:?}");
     }
 }

@@ -189,8 +189,8 @@ fn fill(
 /// Parses scenario text into a [`ScenarioSpec`].
 ///
 /// Every value has been checked against its own key's range; what only
-/// several keys together decide — the horizon, `lo ≤ hi`, whether the
-/// generated trace covers the run — is [`ScenarioSpec::validate`]'s. Call
+/// several keys together decide — `lo ≤ hi`, whether the generated trace
+/// covers the run — is [`ScenarioSpec::validate`]'s. Call
 /// it before running the spec.
 ///
 /// # Errors

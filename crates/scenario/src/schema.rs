@@ -413,10 +413,11 @@ pub(crate) const SECTIONS: &[Section] = &[
         key("machines", POSITIVE_INT, None, |s, _| {
             variant!(s.churn, ChurnSpec::Grid { machines, .. } => Usize(machines))
         }),
-        // A generated trace holds `days × 72` slots per host in memory.
-        // Ten years is far past the 71 582-minute horizon a run may cover
-        // (`MAX_HORIZON_MINS` in `spec.rs`) and far below the day count
-        // that overflows the generators' allocation.
+        // A generated trace holds `days × 72` slots per host in memory,
+        // and a run may cover all of them (`validate` checks that warm-up
+        // plus duration fits the trace). Ten years is far past any
+        // experiment and far below the day count that overflows the
+        // generators' allocation.
         key("days", Bound::Int(1, 3_650), None, |s, _| {
             variant!(s.churn, ChurnSpec::Overnet { days, .. }
                 | ChurnSpec::Grid { days, .. }

@@ -284,24 +284,19 @@ impl Default for ReportSpec {
     }
 }
 
-/// The longest run a spec may describe, warm-up included: 71 582 min.
-/// Membership stamps are `u32` milliseconds (`SimTime::as_compact_ms`)
-/// and saturate past it, after which refresh accounting reads the cap.
-const MAX_HORIZON_MINS: u64 = u32::MAX as u64 / 60_000;
-
 impl ScenarioSpec {
     /// `warmup_mins + duration_mins`, or the typed error when the sum
-    /// overflows or passes [`MAX_HORIZON_MINS`].
+    /// overflows or its milliseconds pass the simulation clock's `u64`.
     fn horizon_mins(&self) -> Result<u64, ScenarioError> {
         self.warmup_mins
             .checked_add(self.duration_mins)
-            .filter(|&total| total <= MAX_HORIZON_MINS)
+            .filter(|&total| total.checked_mul(60_000).is_some())
             .ok_or_else(|| {
-                ScenarioError::Invalid(format!(
-                    "warmup_mins + duration_mins must not exceed {MAX_HORIZON_MINS} \
-                     (≈ 49.7 simulated days): membership stamps are 32-bit \
-                     milliseconds and saturate beyond it"
-                ))
+                ScenarioError::Invalid(
+                    "warmup_mins + duration_mins overflows the simulation clock \
+                     (u64 milliseconds)"
+                        .into(),
+                )
             })
     }
 
@@ -377,7 +372,7 @@ impl ScenarioSpec {
     ///
     /// Returns [`ScenarioError::Trace`] when a trace file cannot be read,
     /// and [`ScenarioError::Invalid`] when the trace is shorter than
-    /// `warmup + duration` or that sum is beyond the supported horizon.
+    /// `warmup + duration` or that sum overflows the clock.
     pub fn build_trace(&self) -> Result<ChurnTrace, ScenarioError> {
         let needed = SimDuration::from_mins(self.horizon_mins()?);
         let trace = match &self.churn {
@@ -482,21 +477,24 @@ mod tests {
         spec.duration_mins = 0;
         assert!(spec.validate().is_err());
 
-        // The horizon: the last whole minute a u32-millisecond membership
-        // stamp can hold passes, the next fails, and an overflowing sum
-        // is the same typed error rather than a panic. Over 50 days of
-        // trace, so that the horizon is the rule that decides.
+        // The horizon is bounded by the trace alone: a 50-day trace runs
+        // to its last slot and fails one minute past it, and a sum that
+        // overflows the clock is a typed error rather than a panic.
         let horizon = |warmup_mins, duration_mins| {
             let churn = ChurnSpec::Overnet { hosts: 120, days: 50 };
             let spec = ScenarioSpec { warmup_mins, duration_mins, churn, ..valid() };
             spec.validate()
         };
-        assert!(horizon(60, 71_522).is_ok());
-        for (warmup, duration) in [(60, 71_523), (u64::MAX, 1)] {
+        assert!(horizon(60, 71_940).is_ok());
+        let Err(ScenarioError::Invalid(msg)) = horizon(60, 71_941) else {
+            panic!("a run past its trace must be rejected");
+        };
+        assert!(msg.contains("72001") && msg.contains("50-day"), "{msg}");
+        for (warmup, duration) in [(u64::MAX, 1), (u64::MAX / 60_000, 1)] {
             let Err(ScenarioError::Invalid(msg)) = horizon(warmup, duration) else {
                 panic!("{warmup} + {duration} min must be rejected");
             };
-            assert!(msg.contains("71582") && msg.contains("saturate"), "{msg}");
+            assert!(msg.contains("overflows"), "{msg}");
         }
 
         // Names that could not be rendered back (render/parse round-trip

@@ -11,7 +11,7 @@ use avmem::{AvailabilityTarget, SliverScope};
 use avmem_avmon::{AssignmentChoice, AvmonConfig};
 use avmem_scenario::{
     parse_spec, AdversarySpec, BandSpec, ChurnSpec, MaintenanceModeSpec, MaintenanceSpec,
-    ReportSpec, ScenarioError, ScenarioSpec, ServeSpec, TargetMix, WorkloadSpec,
+    ReportSpec, ScenarioError, ScenarioRunner, ScenarioSpec, ServeSpec, TargetMix, WorkloadSpec,
 };
 use avmem_sim::SimDuration;
 
@@ -446,22 +446,30 @@ fn integers_too_wide_for_their_field_are_errors_not_wraps() {
     }
 }
 
-/// The path `scenario check` takes on a spec file: the text parses — a
-/// long horizon is well-formed — and `validate` turns it down, because
-/// 60 simulated days is past what a `u32`-millisecond membership stamp
-/// can hold.
+/// The path `scenario check` and `scenario run` take on a spec file: 60
+/// simulated days — past the ≈ 49.7 days a `u32` millisecond count
+/// holds, so nothing on the way may store one — parse, validate and run
+/// to completion on a tiny population, the last health sample taken at
+/// the end of the final day.
 #[test]
-fn a_sixty_day_horizon_parses_and_fails_validation() {
-    let text = "name = \"sixty-days\"\nduration_mins = 86400\n\
+fn a_sixty_day_horizon_validates_and_runs() {
+    let text = "name = \"sixty-days\"\nduration_mins = 86400\nhealth_every_mins = 1440\n\
                 [churn]\nmodel = \"overnet\"\nhosts = 30\ndays = 60\n\
+                [maintenance]\nmode = \"event-driven\"\nprotocol_secs = 600\n\
                 [workload]\nops_per_hour = 1.0\n\
                 [[target]]\nweight = 1.0\nkind = \"threshold\"\nmin = 0.5\n";
     let spec = parse_spec(text).expect("a long horizon is well-formed text");
     assert_eq!(spec.duration_mins, 86_400);
-    let Err(ScenarioError::Invalid(msg)) = spec.validate() else {
-        panic!("a 60-day horizon must not validate");
-    };
-    assert!(msg.contains("71582"), "{msg}");
+    spec.validate().expect("a 60-day horizon validates");
+    let report = ScenarioRunner::new(spec)
+        .expect("validates")
+        .run()
+        .expect("runs");
+    assert_eq!(report.duration_mins, 86_400);
+    // One sample at the start and one at the end of each day.
+    assert_eq!(report.health.len(), 61);
+    assert_eq!(report.health.last().map(|h| h.at_mins), Some(86_400));
+    assert!(report.anycast.sent + report.multicast.sent + report.skipped_ops > 0);
 }
 
 /// A key beside a choice that gives it no field used to be type-checked

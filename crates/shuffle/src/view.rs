@@ -7,25 +7,31 @@
 //!
 //! # Storage
 //!
-//! Entries are stored struct-of-arrays — an id column and an age column
-//! of `u32`s — rather than as `Vec<ViewEntry>`: 8 bytes per slot instead
-//! of 16. Both columns live in **one allocation**, ids in its first half
-//! and ages in its second, behind a 24-byte header (the allocation, the
-//! length, the capacity) where two `Vec`s took 56: every host keeps one
-//! view, so the header is paid N times. The allocation grows lazily
-//! instead of reserving `capacity` slots up front — room for 4 entries,
-//! then doubling, but never past `capacity`, so a full view holds no
-//! slack slots; growing reallocates and moves the ages up to the new
-//! half. At 10⁶
-//! hosts with √N-sized views this halves the dominant term of the
-//! resident set. The id column holds **index-space ids** — views are the
-//! harness's per-node neighbor slots, where ids are dense indexes `< N`;
-//! inserting an id above `u32::MAX` panics.
+//! Entries are stored struct-of-arrays — a `u32` id column and a `u16`
+//! age column — rather than as `Vec<ViewEntry>`: 6 bytes per slot instead
+//! of 16. Both columns live in **one allocation** of `u32` words, the ids
+//! first and the ages packed two to a word behind them, behind a 24-byte
+//! header (the allocation, the length, the capacity) where two `Vec`s
+//! took 56: every host keeps one view, so the header is paid N times. The
+//! room is derived from the allocation's length. The allocation grows
+//! lazily instead of reserving `capacity` slots up front — room for 4
+//! entries, then doubling, but never past `capacity`, so a full view
+//! holds no slack slots; growing reallocates and moves the ages up behind
+//! the longer id column. At 10⁶ hosts with √N-sized views the view is
+//! the dominant term of the resident set. The id column holds
+//! **index-space ids** — views are the harness's per-node neighbor
+//! slots, where ids are dense indexes `< N`; inserting an id above
+//! `u32::MAX` panics.
 //!
-//! An age lives in the low 31 bits of its `ages` slot, and ages saturate
-//! at [`View::AGE`] — 2³¹ − 1 periods, a documented limit far beyond the
-//! 71 582 minutes a scenario may run (4.3 M one-second periods): every
-//! age that enters the view or grows in it is clamped there. The top bit
+//! An age lives in the low 15 bits of its slot, and ages saturate at
+//! [`View::AGE`] = 2¹⁵ − 1 = 32 767 periods: every age that enters the
+//! view or grows in it is clamped there, and [`ViewEntry::age`] stays a
+//! `u32`. The ceiling is a documented limit, not one a run approaches:
+//! every period a node ships its oldest entry away (the exchange target
+//! leaves the view) and replaces the entries it sent, so ages stay near
+//! the view's turnover — at most 42 periods across the benchmark
+//! workloads and the paper-scale builtins, and below 1 000 over a
+//! simulated Overnet day (pinned by the harness's tests). The top bit
 //! is the slot's **mark**, one bit of memory the view's owner may attach
 //! to an entry ([`View::mark`], [`View::is_marked`],
 //! [`View::clear_marks`]; the harness keeps its no-insert verdicts
@@ -75,12 +81,47 @@ impl ViewEntry {
     }
 }
 
-/// The mark bit of an `ages` slot.
-const MARK: u32 = 1 << 31;
+/// The mark bit of an age slot.
+const MARK: u16 = 1 << 15;
+
+/// The age bits of an age slot.
+const AGE_BITS: u16 = MARK - 1;
 
 #[inline]
 fn packed(id: NodeId) -> u32 {
     u32::try_from(id.raw()).expect("view ids are index-space (must fit u32)")
+}
+
+/// An age as a slot stores it: clamped to [`View::AGE`], unmarked.
+#[inline]
+fn clamped(age: u32) -> u16 {
+    age.min(View::AGE) as u16
+}
+
+/// Words of an allocation with room for `room` entries: one per id, one
+/// per two ages.
+#[inline]
+fn words_for(room: usize) -> usize {
+    room + room.div_ceil(2)
+}
+
+/// `words` as the `u16` halves the age column lives in.
+#[inline]
+fn age_halves(words: &[u32]) -> &[u16] {
+    // SAFETY: `words` is `2 * words.len()` initialised `u16`s, 4-byte
+    // aligned (≥ the 2 a `u16` needs), and every bit pattern is a valid
+    // `u16`. The result borrows `words`, so nothing writes them while it
+    // lives.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u16>(), 2 * words.len()) }
+}
+
+/// [`age_halves`], for writing.
+#[inline]
+fn age_halves_mut(words: &mut [u32]) -> &mut [u16] {
+    // SAFETY: as in `age_halves`, and the result holds `words`' unique
+    // borrow; whatever it writes leaves each word a valid `u32` (every
+    // bit pattern is one).
+    unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u16>(), 2 * words.len()) }
 }
 
 /// A bounded partial view of the system.
@@ -99,9 +140,10 @@ fn packed(id: NodeId) -> u32 {
 /// ```
 #[derive(Debug, Clone, Eq, Serialize, Deserialize)]
 pub struct View {
-    /// Both columns: room for `slots.len() / 2` entries, the id of entry
-    /// `pos` at `slots[pos]` and its age at `slots[room + pos]` — the age
-    /// in the low 31 bits, the slot's mark in the top one.
+    /// Both columns, room for `room` entries: the id of entry `pos` at
+    /// `slots[pos]`, its age at `pos` of the `u16` halves of the words
+    /// from `room` on ([`age_halves`]) — the age in the low 15 bits, the
+    /// slot's mark in the top one.
     slots: Box<[u32]>,
     len: u32,
     capacity: u32,
@@ -119,13 +161,13 @@ impl PartialEq for View {
                 .age_column()
                 .iter()
                 .zip(other.age_column())
-                .all(|(a, b)| (a ^ b) & View::AGE == 0)
+                .all(|(a, b)| (a ^ b) & AGE_BITS == 0)
     }
 }
 
 impl View {
-    /// The largest age a view stores: ages saturate here.
-    pub const AGE: u32 = MARK - 1;
+    /// The largest age a view stores, 2¹⁵ − 1: ages saturate here.
+    pub const AGE: u32 = AGE_BITS as u32;
 
     /// Creates an empty view with the given capacity.
     ///
@@ -165,23 +207,24 @@ impl View {
     /// Entries the allocation has room for.
     #[inline]
     fn room(&self) -> usize {
-        self.slots.len() / 2
+        // The inverse of `words_for`: `⌊2·(r + ⌈r/2⌉)/3⌋ = r`.
+        2 * self.slots.len() / 3
     }
 
     /// The live ids and the live ages (marks included).
     #[inline]
-    fn columns(&self) -> (&[u32], &[u32]) {
+    fn columns(&self) -> (&[u32], &[u16]) {
         let len = self.len();
         let (ids, ages) = self.slots.split_at(self.room());
-        (&ids[..len], &ages[..len])
+        (&ids[..len], &age_halves(ages)[..len])
     }
 
     /// [`View::columns`], for writing.
     #[inline]
-    fn columns_mut(&mut self) -> (&mut [u32], &mut [u32]) {
+    fn columns_mut(&mut self) -> (&mut [u32], &mut [u16]) {
         let len = self.len();
         let (ids, ages) = self.slots.split_at_mut(self.room());
-        (&mut ids[..len], &mut ages[..len])
+        (&mut ids[..len], &mut age_halves_mut(ages)[..len])
     }
 
     #[inline]
@@ -190,7 +233,7 @@ impl View {
     }
 
     #[inline]
-    fn age_column(&self) -> &[u32] {
+    fn age_column(&self) -> &[u16] {
         self.columns().1
     }
 
@@ -199,7 +242,7 @@ impl View {
         let (ids, ages) = self.columns();
         ViewEntry {
             id: NodeId::new(u64::from(ids[pos])),
-            age: ages[pos] & View::AGE,
+            age: u32::from(ages[pos] & AGE_BITS),
         }
     }
 
@@ -208,12 +251,14 @@ impl View {
     #[inline]
     fn push(&mut self, id: u32, age: u32) {
         let len = self.len();
-        if len == self.room() {
-            self.regrow((2 * len).max(4).min(self.capacity as usize));
+        let mut room = self.room();
+        if len == room {
+            room = (2 * len).max(4).min(self.capacity as usize);
+            self.regrow(room);
         }
-        let room = self.room();
-        self.slots[len] = id;
-        self.slots[room + len] = age.min(View::AGE);
+        let (ids, ages) = self.slots.split_at_mut(room);
+        ids[len] = id;
+        age_halves_mut(ages)[len] = clamped(age);
         self.len += 1;
     }
 
@@ -222,11 +267,11 @@ impl View {
     fn regrow(&mut self, room: usize) {
         let (old_room, len) = (self.room(), self.len());
         // Grown in place where the allocator can; the ages then move up
-        // to the new half.
+        // behind the longer id column.
         let mut slots = std::mem::take(&mut self.slots).into_vec();
-        slots.reserve_exact(2 * room - slots.len());
-        slots.resize(2 * room, 0);
-        slots.copy_within(old_room..old_room + len, room);
+        slots.reserve_exact(words_for(room) - slots.len());
+        slots.resize(words_for(room), 0);
+        age_halves_mut(&mut slots).copy_within(2 * old_room..2 * old_room + len, 2 * room);
         self.slots = slots.into_boxed_slice();
     }
 
@@ -238,7 +283,7 @@ impl View {
             .zip(self.age_column())
             .map(|(&id, &age)| ViewEntry {
                 id: NodeId::new(u64::from(id)),
-                age: age & View::AGE,
+                age: u32::from(age & AGE_BITS),
             })
     }
 
@@ -272,7 +317,7 @@ impl View {
     /// Clears every slot's mark.
     pub fn clear_marks(&mut self) {
         for age in self.columns_mut().1 {
-            *age &= View::AGE;
+            *age &= AGE_BITS;
         }
     }
 
@@ -295,7 +340,7 @@ impl View {
     /// Increments every entry's age by one period, up to [`View::AGE`].
     pub fn age_all(&mut self) {
         for age in self.columns_mut().1 {
-            *age += u32::from(*age & View::AGE != View::AGE);
+            *age += u16::from(*age & AGE_BITS != AGE_BITS);
         }
     }
 
@@ -306,15 +351,16 @@ impl View {
     }
 
     /// [`View::oldest`] with its position. The exchange target of every
-    /// tick is chosen here, over ages that arrive in no order: a running
+    /// tick and the entry a full merge replaces as its last resort are
+    /// chosen here, over ages that arrive in no order: a running
     /// `if age >= max` is mispredicted again and again, so this takes the
     /// column maximum first (no branch) and looks for it from the back
     /// second (one that is taken once) — two passes over a few cache
     /// lines.
     pub(crate) fn oldest_at(&self) -> Option<(usize, ViewEntry)> {
         let ages = self.age_column();
-        let max_age = ages.iter().fold(0, |max, &age| max.max(age & View::AGE));
-        let pos = ages.iter().rposition(|&age| age & View::AGE == max_age)?;
+        let max_age = ages.iter().fold(0, |max, &age| max.max(age & AGE_BITS));
+        let pos = ages.iter().rposition(|&age| age & AGE_BITS == max_age)?;
         Some((pos, self.entry(pos)))
     }
 
@@ -407,7 +453,9 @@ impl View {
             let pos = (pos + u32::from(pos >= skip)) as usize;
             ViewEntry {
                 id: NodeId::new(u64::from(ids[pos])),
-                age: (ages[pos] & View::AGE).saturating_add(aging).min(View::AGE),
+                age: u32::from(ages[pos] & AGE_BITS)
+                    .saturating_add(aging)
+                    .min(View::AGE),
             }
         }));
     }
@@ -466,16 +514,15 @@ impl View {
             // Last resort: replace the oldest entry, unless it is younger
             // than the incoming one.
             let pos = victim_pos.map(|pos| pos as usize).or_else(|| {
-                let masked = self.age_column().iter().map(|&age| age & View::AGE);
-                let (pos, age) = masked.enumerate().max_by_key(|&(_, age)| age)?;
-                (age >= entry.age).then_some(pos)
+                let (pos, oldest) = self.oldest_at()?;
+                (oldest.age >= entry.age).then_some(pos)
             });
             if let Some(pos) = pos {
                 let (ids, ages) = self.columns_mut();
                 index.remove(ids[pos]);
                 index.set(raw, pos as u32);
                 ids[pos] = raw;
-                ages[pos] = entry.age.min(View::AGE);
+                ages[pos] = clamped(entry.age);
             }
         }
     }
@@ -484,8 +531,8 @@ impl View {
 /// A stored `slot` after a duplicate of age `age` arrived: the younger of
 /// the two ages, the slot's mark kept.
 #[inline]
-fn younger(slot: u32, age: u32) -> u32 {
-    (slot & View::AGE).min(age) | (slot & MARK)
+fn younger(slot: u16, age: u32) -> u16 {
+    (slot & AGE_BITS).min(clamped(age)) | (slot & MARK)
 }
 
 /// The merge as it was before the id index — every lookup a scan of the id
@@ -501,7 +548,7 @@ mod reference {
     pub(super) fn oldest(view: &View) -> Option<ViewEntry> {
         let (mut oldest, mut max_age) = (0, 0);
         for (pos, &age) in view.age_column().iter().enumerate() {
-            let age = age & View::AGE;
+            let age = age & AGE_BITS;
             if age >= max_age {
                 (oldest, max_age) = (pos, age);
             }
@@ -538,7 +585,7 @@ mod reference {
             let raw = packed(entry.id);
             if let Some(pos) = view.id_column().iter().position(|&e| e == raw) {
                 let ages = view.columns_mut().1;
-                ages[pos] = ages[pos].min(entry.age);
+                ages[pos] = ages[pos].min(clamped(entry.age));
                 paths[1] += 1;
                 continue;
             }
@@ -554,7 +601,7 @@ mod reference {
                 let victim = packed(sent[next_victim].id);
                 if let Some(pos) = ids.iter().position(|&e| e == victim) {
                     ids[pos] = raw;
-                    ages[pos] = entry.age;
+                    ages[pos] = clamped(entry.age);
                     replaced = true;
                     paths[4] += 1;
                     break;
@@ -568,9 +615,9 @@ mod reference {
                     .max_by_key(|&(_, &age)| age)
                     .map(|(pos, _)| pos)
                 {
-                    if ages[pos] >= entry.age {
+                    if u32::from(ages[pos]) >= entry.age {
                         ids[pos] = raw;
-                        ages[pos] = entry.age;
+                        ages[pos] = clamped(entry.age);
                         paths[5] += 1;
                     } else {
                         paths[6] += 1;
@@ -1045,6 +1092,7 @@ mod tests {
     #[test]
     fn ages_saturate_at_the_ceiling_wherever_they_enter_or_grow() {
         const AGE: u32 = View::AGE;
+        assert_eq!(AGE, 32_767, "ages are 15 bits beside the mark");
         // `insert`: a push, and a duplicate that is younger than the slot.
         let mut v = view_of(4, &[(1, u32::MAX), (2, AGE - 1)]);
         v.insert(ViewEntry { id: id(2), age: u32::MAX });
@@ -1095,7 +1143,7 @@ mod tests {
                 // One allocation, both columns: room for `expected`
                 // entries each, the live ones in place.
                 assert_eq!(v.room(), expected, "capacity {capacity}, {len} entries");
-                assert_eq!(v.slots.len(), 2 * expected);
+                assert_eq!(v.slots.len(), words_for(expected));
                 assert_eq!(v.id_column().len(), len);
                 assert_eq!(v.age_column().len(), len);
                 if len as u64 == n + 1 {
@@ -1226,7 +1274,7 @@ mod tests {
             assert!(view.marks().eq(marks.iter().copied()), "{at}: marks() against is_marked");
             let mut unmarked = view.clone();
             unmarked.clear_marks();
-            assert!(unmarked.age_column().iter().all(|&age| age <= View::AGE), "{at}");
+            assert!(unmarked.age_column().iter().all(|&age| u32::from(age) <= View::AGE), "{at}");
             assert_eq!(view, unmarked, "{at}: equality saw a mark");
             assert!(view.iter().eq(unmarked.iter()), "{at}");
             assert_eq!(view.oldest_at(), unmarked.oldest_at(), "{at}");

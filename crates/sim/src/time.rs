@@ -68,28 +68,6 @@ impl SimTime {
     pub const fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Compact 32-bit millisecond stamp, saturating at `u32::MAX`
-    /// (71 582 min ≈ 49.7 simulated days). `avmem_scenario`'s
-    /// `ScenarioSpec::validate` rejects a run whose warm-up plus duration
-    /// passes that; a driver of its own must keep below it.
-    ///
-    /// Hot-state layouts (membership stamps) store instants in 4 bytes;
-    /// exact for every instant below the cap, and round-tripped by
-    /// [`SimTime::from_compact_ms`].
-    pub const fn as_compact_ms(self) -> u32 {
-        if self.0 > u32::MAX as u64 {
-            u32::MAX
-        } else {
-            self.0 as u32
-        }
-    }
-
-    /// Reconstructs an instant from a compact stamp; inverse of
-    /// [`SimTime::as_compact_ms`] below the saturation cap.
-    pub const fn from_compact_ms(ms: u32) -> SimTime {
-        SimTime(ms as u64)
-    }
 }
 
 impl SimDuration {

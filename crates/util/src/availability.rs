@@ -15,6 +15,10 @@ use serde::{Deserialize, Serialize};
 /// inside the unit interval, which lets predicate evaluation (Eq. 1) and
 /// range queries (`[b, b+δ] ⊆ [0,1]`) avoid defensive checks.
 ///
+/// Laid out exactly as the `f64` it wraps, so a column of availabilities
+/// is a column of `f64`s (membership lists share one allocation between
+/// it and their ids).
+///
 /// # Examples
 ///
 /// ```
@@ -28,6 +32,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
 #[serde(try_from = "f64", into = "f64")]
+#[repr(transparent)]
 pub struct Availability(f64);
 
 /// Error returned when constructing an [`Availability`] outside `[0, 1]`.
