@@ -11,7 +11,8 @@ use std::fmt;
 use avmem::harness::PredicateChoice;
 use avmem::ops::{ForwardPolicy, MulticastStrategy};
 use avmem::predicate::{HorizontalRule, VerticalRule};
-use avmem::{AvailabilityTarget, SliverScope};
+use avmem::verify::{flooding_acceptance, legitimate_rejection};
+use avmem::{AdmissionPolicy, AvailabilityTarget, SliverScope};
 use avmem_scenario::{BandSpec, ChurnSpec, ScenarioSpec};
 use avmem_sim::SimDuration;
 
@@ -129,11 +130,14 @@ pub struct CushionAblation {
 /// Sweeps the verification cushion over {0, 0.05, 0.1, 0.2}.
 pub fn ablation_cushion(base: &ScenarioSpec) -> CushionAblation {
     let session = paper::warmed(&noisy(base));
-    let sim = session.sim();
-    let rows = [0.0, 0.05, 0.1, 0.2].map(|cushion| CushionRow {
-        cushion,
-        attack_acceptance: sim.flooding_attack(cushion, 10).mean_value(),
-        legitimate_rejection: sim.legitimate_rejection(cushion, 10).mean_value(),
+    let world = session.sim().world();
+    let rows = [0.0, 0.05, 0.1, 0.2].map(|cushion| {
+        let policy = AdmissionPolicy::with_cushion(cushion);
+        CushionRow {
+            cushion,
+            attack_acceptance: flooding_acceptance(&world, policy, 10).mean_value(),
+            legitimate_rejection: legitimate_rejection(&world, policy, 10).mean_value(),
+        }
     });
     CushionAblation { rows: rows.to_vec() }
 }

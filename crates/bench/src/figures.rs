@@ -14,7 +14,8 @@ use std::fmt;
 use avmem::graph::{components, path_lengths};
 use avmem::harness::{OracleChoice, PredicateChoice};
 use avmem::ops::{AnycastDrop, ForwardPolicy, MulticastStrategy, OverlayWorld};
-use avmem::{AvailabilityTarget, SliverScope};
+use avmem::verify::{flooding_acceptance, legitimate_rejection};
+use avmem::{AdmissionPolicy, AvailabilityTarget, SliverScope};
 use avmem_scenario::{BandSpec, Buckets, ScenarioSpec};
 use avmem_sim::SimDuration;
 use avmem_shuffle::{sim::RoundSim, ShuffleConfig};
@@ -312,12 +313,13 @@ pub fn noisy(base: &ScenarioSpec) -> ScenarioSpec {
 /// Runs the attack-analysis experiments over a noisy oracle.
 pub fn fig56(base: &ScenarioSpec) -> Fig56 {
     let session = paper::warmed(&noisy(base));
-    let sim = session.sim();
+    let world = session.sim().world();
+    let [strict, cushion] = [0.0, 0.1].map(AdmissionPolicy::with_cushion);
     Fig56 {
-        flooding_strict: sim.flooding_attack(0.0, 10).values,
-        flooding_cushion: sim.flooding_attack(0.1, 10).values,
-        rejection_strict: sim.legitimate_rejection(0.0, 10).values,
-        rejection_cushion: sim.legitimate_rejection(0.1, 10).values,
+        flooding_strict: flooding_acceptance(&world, strict, 10).values,
+        flooding_cushion: flooding_acceptance(&world, cushion, 10).values,
+        rejection_strict: legitimate_rejection(&world, strict, 10).values,
+        rejection_cushion: legitimate_rejection(&world, cushion, 10).values,
     }
 }
 
@@ -855,6 +857,10 @@ mod tests {
                 ids: &node.ids[range.clone()],
                 cached_availability: &node.cached[range],
             }
+        }
+
+        fn admits(&self, _: NodeId, _: NodeId, _: AdmissionPolicy) -> Option<bool> {
+            Some(true)
         }
     }
 

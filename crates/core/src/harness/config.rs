@@ -168,7 +168,10 @@ impl MaintenanceMode {
 /// many shards there are and how many worker threads may drive them —
 /// read through [`MaintenanceEngine::shards`] and
 /// [`MaintenanceEngine::threads`] — and the state after every cohort is
-/// bit-identical for any choice of either.
+/// bit-identical for any choice of either. A shard count above the
+/// population runs one node a shard (`avmem_util::ShardPartition`
+/// clamps it): each barrier walks every (source, destination) pair of
+/// shards, so its cost per cohort grows with the square of the count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MaintenanceEngine {
     /// One shard on one thread: the spelling of `Sharded { shards:

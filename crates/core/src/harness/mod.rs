@@ -47,7 +47,6 @@
 //! println!("delivered: {}", outcome.is_delivered());
 //! ```
 
-pub mod attack;
 mod cohort;
 pub mod config;
 mod finalize;
@@ -62,7 +61,6 @@ mod schedule;
 #[cfg(test)]
 mod tests;
 
-pub use attack::AttackSeries;
 pub use config::{
     MaintenanceEngine, MaintenanceMode, OracleChoice, PredicateChoice, SimConfig,
 };

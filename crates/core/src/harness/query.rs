@@ -12,6 +12,8 @@ use crate::graph::components;
 use crate::membership::{Membership, NeighborColumns, SliverScope};
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
+use crate::predicate::AvmemPredicate;
+use crate::verify::AdmissionPolicy;
 
 /// Overlay-health numbers, computed by [`AvmemSim::health_stats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,6 +67,7 @@ impl AvmemSim {
     pub fn world(&self) -> impl OverlayWorld + '_ {
         WorldView::new(
             &self.trace,
+            &self.predicate,
             &self.oracle,
             &self.memberships,
             &self.online,
@@ -76,6 +79,8 @@ impl AvmemSim {
 /// Borrowed world view over the simulation state at one instant.
 struct WorldView<'a> {
     trace: &'a ChurnTrace,
+    /// What a receiver checks a sender against ([`OverlayWorld::admits`]).
+    predicate: &'a AvmemPredicate,
     oracle: &'a SimOracle,
     memberships: &'a [Membership],
     /// Who is up at `now`: a flood asks `is_online` per copy.
@@ -90,6 +95,7 @@ impl<'a> WorldView<'a> {
     /// the simulation clock refreshes the index with it.
     fn new(
         trace: &'a ChurnTrace,
+        predicate: &'a AvmemPredicate,
         oracle: &'a SimOracle,
         memberships: &'a [Membership],
         online: &'a OnlineIndex,
@@ -102,6 +108,7 @@ impl<'a> WorldView<'a> {
         );
         WorldView {
             trace,
+            predicate,
             oracle,
             memberships,
             online,
@@ -131,6 +138,11 @@ impl OverlayWorld for WorldView<'_> {
 
     fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_> {
         self.memberships[id.raw() as usize].columns(scope)
+    }
+
+    /// The rule itself, under the oracle's answers to `receiver`.
+    fn admits(&self, sender: NodeId, receiver: NodeId, policy: AdmissionPolicy) -> Option<bool> {
+        policy.verdict(self.predicate, self.oracle, sender, receiver, self.now)
     }
 
     /// Two binary searches over the index's availability column instead

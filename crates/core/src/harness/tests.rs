@@ -1,6 +1,7 @@
 //! Whole-harness tests: the converged and event-driven modes, the
-//! queries, the finalize memory's hand cases, and the differentials of
-//! the one cohort path against the model (`model.rs`).
+//! queries, the finalize memory's hand cases, the differentials of the
+//! one cohort path against the model (`model.rs`), and Figs. 5–6 over
+//! the world's admission verdicts.
 
 use super::cohort::INLINE_COHORT_EVENTS;
 use super::finalize::{compact_stamp, verdict_bit, FinalizeShardState};
@@ -12,6 +13,7 @@ use crate::ops::{
     OverlayWorld,
 };
 use crate::predicate::{AvmemPredicate, HorizontalRule, NodeInfo, VerticalRule};
+use crate::verify::{flooding_acceptance, legitimate_rejection, AdmissionPolicy};
 use avmem_sim::{LatencyModel, Network};
 use avmem_trace::OvernetModel;
 
@@ -1199,6 +1201,33 @@ fn serial_is_one_shard_on_one_thread() {
 }
 
 #[test]
+fn more_shards_than_hosts_run_one_host_a_shard_like_one_shard() {
+    // 1 000 shards asked of 30 hosts: the partition clamps to 30, so the
+    // barriers walk 30² shard pairs a cohort instead of 1 000², and the
+    // hour ends where one shard ends it.
+    let run = |engine| {
+        let trace = OvernetModel::default().hosts(30).days(1).generate(47);
+        let mut cfg = SimConfig::paper_default(19);
+        cfg.maintenance = MaintenanceMode::paper_event_driven();
+        cfg.engine = engine;
+        let mut sim = AvmemSim::new(trace, cfg);
+        sim.warm_up(SimDuration::from_hours(1));
+        sim
+    };
+    let serial = run(MaintenanceEngine::Serial);
+    let wide = run(MaintenanceEngine::Sharded {
+        shards: Some(1_000),
+        threads: Some(2),
+    });
+    assert_eq!(wide.maint.as_ref().expect("maintenance ran").part.shards(), 30);
+    assert!(serial.health_stats().mean_degree > 0.0, "vacuous: no lists");
+    for i in 0..30 {
+        let id = NodeId::new(i);
+        assert_eq!(serial.membership(id), wide.membership(id), "node {id}");
+    }
+}
+
+#[test]
 fn view_ages_stay_far_below_their_ceiling_over_a_simulated_day() {
     // Ages are 15 bits beside the mark and saturate at `View::AGE` =
     // 32 767 periods: a documented limit, not one a run approaches,
@@ -1233,4 +1262,97 @@ fn view_ages_stay_far_below_their_ceiling_over_a_simulated_day() {
     );
     // 18 periods at this seed.
     assert!(oldest < 1_000, "a view age reached {oldest} periods");
+}
+
+/// 150 hosts over the paper's noisy oracle, warmed up for a day: the
+/// divergent estimates §4.1's receiver check has to tolerate.
+fn noisy_sim(seed: u64) -> AvmemSim {
+    let trace = OvernetModel::default().hosts(150).days(1).generate(17);
+    let mut config = SimConfig::paper_default(seed);
+    config.oracle = OracleChoice::paper_noise();
+    let mut sim = AvmemSim::new(trace, config);
+    sim.warm_up(SimDuration::from_hours(24));
+    sim
+}
+
+fn cushion(cushion: f64) -> AdmissionPolicy {
+    AdmissionPolicy::with_cushion(cushion)
+}
+
+#[test]
+fn flooding_acceptance_is_bounded() {
+    let sim = noisy_sim(1);
+    let series = flooding_acceptance(&sim.world(), cushion(0.0), 10);
+    // Paper: fewer than 10% of non-neighbors accept; allow slack for
+    // the small population.
+    assert!(
+        series.max_value() < 0.25,
+        "flooding acceptance {} too high",
+        series.max_value()
+    );
+}
+
+#[test]
+fn cushion_increases_attack_surface_but_modestly() {
+    let sim = noisy_sim(2);
+    let strict = flooding_acceptance(&sim.world(), cushion(0.0), 10);
+    let relaxed = flooding_acceptance(&sim.world(), cushion(0.1), 10);
+    assert!(relaxed.mean_value() >= strict.mean_value());
+}
+
+#[test]
+fn rejections_happen_under_noise_and_cushion_reduces_them() {
+    let sim = noisy_sim(3);
+    let strict = legitimate_rejection(&sim.world(), cushion(0.0), 10);
+    let relaxed = legitimate_rejection(&sim.world(), cushion(0.1), 10);
+    assert!(
+        strict.mean_value() > 0.0,
+        "noise should cause some rejections"
+    );
+    assert!(
+        relaxed.mean_value() < strict.mean_value(),
+        "cushion should reduce rejections: {} vs {}",
+        relaxed.mean_value(),
+        strict.mean_value()
+    );
+}
+
+#[test]
+fn exact_oracle_has_zero_rejections_and_zero_attack_surface() {
+    let trace = OvernetModel::default().hosts(100).days(1).generate(19);
+    let mut sim = AvmemSim::new(trace, SimConfig::paper_default(4));
+    sim.warm_up(SimDuration::from_hours(24));
+    let rejection = legitimate_rejection(&sim.world(), cushion(0.0), 10);
+    assert_eq!(rejection.mean_value(), 0.0);
+    let flooding = flooding_acceptance(&sim.world(), cushion(0.0), 10);
+    assert_eq!(flooding.mean_value(), 0.0);
+}
+
+#[test]
+fn the_world_admits_by_the_rule_under_the_receivers_estimates() {
+    // `world().admits` against `AdmissionPolicy::verdict` over the
+    // simulation's own predicate and oracle, for every ordered pair of
+    // online nodes, at two instants and two cushions.
+    let mut sim = noisy_sim(5);
+    let (mut checked, mut unverifiable) = (0usize, 0usize);
+    for _ in 0..2 {
+        {
+            let world = sim.world();
+            let online = sim.online().online();
+            for policy in [cushion(0.0), cushion(0.1)] {
+                for &s in online {
+                    for &r in online {
+                        let (s, r) = (NodeId::new(u64::from(s)), NodeId::new(u64::from(r)));
+                        let rule = policy.verdict(sim.predicate(), sim.oracle(), s, r, sim.now());
+                        assert_eq!(world.admits(s, r, policy), rule, "{s} → {r}");
+                        checked += 1;
+                        unverifiable += usize::from(rule.is_none());
+                    }
+                }
+            }
+        }
+        sim.warm_up(SimDuration::from_mins(50));
+    }
+    assert!(checked > 1_000, "only {checked} pairs checked");
+    assert!(unverifiable < checked, "no pair was verifiable");
 }

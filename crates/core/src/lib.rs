@@ -31,7 +31,7 @@
 //! |--------|---------------|----------|
 //! | [`predicate`] | §2 | Eq. 1 framework, sub-predicates I.A–I.C / II.A–II.B (the random baseline is I.A + II.A, `d₁ = d₂ = p`) |
 //! | [`membership`] | §3.1 | HS/VS lists, discovery & refresh sub-protocols |
-//! | [`verify`] | §4.1 | receiver-side admission checks + cushion |
+//! | [`verify`] | §4.1 | receiver-side admission checks + cushion, the Figs. 5–6 series over any world |
 //! | [`ops`] | §3.2 | anycast (greedy/retried/annealing) and multicast (flood/gossip) |
 //! | [`graph`] | §4.1 | connectivity of the live lists: union-find components, hop distances |
 //! | [`harness`] | §4 | the full-system simulation binding every substrate |
@@ -84,4 +84,4 @@ pub use ops::{
     MulticastOutcome, MulticastStrategy,
 };
 pub use predicate::{AvmemPredicate, HorizontalRule, NodeInfo, Sliver, VerticalRule};
-pub use verify::AdmissionPolicy;
+pub use verify::{AdmissionPolicy, AttackSeries};

@@ -4,8 +4,10 @@
 //! need to know about the system is behind [`OverlayWorld`]:
 //! who is online *right now* (ground truth — an offline node simply does
 //! not answer), what each node believes about its own availability (from
-//! the monitoring service), each node's cached neighbor lists, and — for
-//! measurement only — true availabilities.
+//! the monitoring service), each node's cached neighbor lists, whether a
+//! receiver would admit a sender under §4.1's check with its own
+//! estimates ([`OverlayWorld::admits`]), and — for measurement only —
+//! true availabilities.
 //!
 //! Node ids are **index-space**: every id is below [`OverlayWorld::id_bound`].
 //! That is what lets the operations keep their per-node state in dense,
@@ -20,6 +22,7 @@ use avmem_util::{Availability, NodeId};
 
 use crate::membership::{NeighborColumns, SliverScope};
 use crate::ops::target::AvailabilityTarget;
+use crate::verify::AdmissionPolicy;
 
 /// Read access to the simulated system state at the instant an operation
 /// executes.
@@ -50,6 +53,13 @@ pub trait OverlayWorld {
     /// §3.2).
     fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_>;
 
+    /// Whether `receiver` would accept a message from `sender` under
+    /// `policy`: §4.1's check of `M(sender, receiver)` with the
+    /// receiver's *own* estimates of both sides. `None` when the receiver
+    /// has no estimate of one side and cannot check. Every world states
+    /// how it verifies; there is no default.
+    fn admits(&self, sender: NodeId, receiver: NodeId, policy: AdmissionPolicy) -> Option<bool>;
+
     /// How many online nodes' *true* availability lies in `target` — the
     /// paper's "number that could have been delivered" (measurement
     /// only). The default asks every id; a world that keeps its online
@@ -64,6 +74,8 @@ pub trait OverlayWorld {
 
 #[cfg(test)]
 pub(crate) mod mock {
+    use std::collections::HashMap;
+
     use avmem_util::Rng;
 
     use super::*;
@@ -92,10 +104,13 @@ pub(crate) mod mock {
     }
 
     /// A hand-wired world for operation unit tests. Ids index a dense
-    /// table; an id never `add`ed is an offline node without edges.
+    /// table; an id never `add`ed is an offline node without edges. Every
+    /// receiver admits every sender unless [`MockWorld::set_verdict`]
+    /// says otherwise.
     #[derive(Debug, Clone, Default)]
     pub struct MockWorld {
         nodes: Vec<MockNode>,
+        verdicts: HashMap<(u64, u64), Option<bool>>,
     }
 
     impl MockWorld {
@@ -214,6 +229,11 @@ pub(crate) mod mock {
         pub fn set_believed(&mut self, id: u64, av: f64) {
             self.node_mut(id).believed = av;
         }
+
+        /// What `receiver` answers a message from `sender` with.
+        pub fn set_verdict(&mut self, sender: u64, receiver: u64, verdict: Option<bool>) {
+            self.verdicts.insert((sender, receiver), verdict);
+        }
     }
 
     impl OverlayWorld for MockWorld {
@@ -246,6 +266,11 @@ pub(crate) mod mock {
                 ids: &node.ids[range.clone()],
                 cached_availability: &node.cached[range],
             }
+        }
+
+        fn admits(&self, sender: NodeId, receiver: NodeId, _: AdmissionPolicy) -> Option<bool> {
+            let key = (sender.raw(), receiver.raw());
+            self.verdicts.get(&key).copied().unwrap_or(Some(true))
         }
     }
 }

@@ -68,6 +68,15 @@ fn usage() -> &'static str {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    dispatch(&args)
+}
+
+/// Runs the command `args` names (the arguments after the program name).
+fn dispatch(args: &[String]) -> ExitCode {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let command = args.first().map(String::as_str);
     match command {
         Some("list") | Some("--list") => {
@@ -94,7 +103,7 @@ fn main() -> ExitCode {
             Some(which) => sweep(which, &args[2..]),
             None => fail("sweep needs a scenario name or spec file"),
         },
-        Some("--help") | Some("-h") | None => {
+        None => {
             print!("{}", usage());
             ExitCode::SUCCESS
         }
@@ -142,27 +151,24 @@ fn check(which: &str) -> ExitCode {
 }
 
 /// Resolves `which` as a built-in name first, then as a spec file path.
+/// Only a file that cannot be read is reported as neither; a spec that
+/// does not parse or validate is reported as `<path>: <error>`.
 fn resolve(which: &str) -> Result<ScenarioSpec, String> {
-    match builtin::builtin(which) {
-        Some(spec) => {
-            // Built-ins are validated by their own tests, but re-check
-            // here so `check <name>` means what it says.
-            spec.validate().map_err(|e| format!("{which}: {e}"))?;
-            Ok(spec)
+    let spec = match builtin::builtin(which) {
+        // Built-ins are validated by their own tests, but re-check here
+        // so `check <name>` means what it says.
+        Some(spec) => spec,
+        None => {
+            let text = std::fs::read_to_string(which).map_err(|e| {
+                format!(
+                    "{which:?} is neither a built-in (see `scenario list`) nor a readable \
+                     spec file: {e}"
+                )
+            })?;
+            parse_spec(&text).map_err(|e| format!("{which}: {e}"))?
         }
-        None => load_file(which).map_err(|message| {
-            format!(
-                "{which:?} is neither a built-in (see `scenario list`) nor a readable \
-                 spec file: {message}"
-            )
-        }),
-    }
-}
-
-fn load_file(path: &str) -> Result<ScenarioSpec, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let spec = parse_spec(&text).map_err(|e| format!("{path}: {e}"))?;
-    spec.validate().map_err(|e| format!("{path}: {e}"))?;
+    };
+    spec.validate().map_err(|e| format!("{which}: {e}"))?;
     Ok(spec)
 }
 
@@ -582,5 +588,32 @@ mod tests {
         let engines = swept(&["--engines", "serial,sharded"]).unwrap();
         let got: Vec<_> = engines.iter().map(|e| e.engine).collect();
         assert_eq!(got, [SERIAL, sharded(None, None)]);
+    }
+
+    #[test]
+    fn help_after_a_command_prints_the_usage() {
+        for args in [&["run", "--help"][..], &["check", "-h"], &["run", "smoke", "--help"]] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            assert_eq!(dispatch(&args), ExitCode::SUCCESS, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn only_an_unreadable_file_is_neither_a_builtin_nor_a_spec() {
+        let missing = std::env::temp_dir().join("avmem-scenario-bin-no-such-spec.scn");
+        let err = resolve(missing.to_str().unwrap()).unwrap_err();
+        assert!(err.contains("neither a built-in"), "{err}");
+
+        // A readable spec with an unknown key is reported at its line.
+        let source = builtin::builtin_source("smoke").expect("smoke builtin").trim_end();
+        let line = source.lines().count() + 1;
+        let path = std::env::temp_dir()
+            .join(format!("avmem-scenario-bin-bogus-key-{}.scn", std::process::id()));
+        std::fs::write(&path, format!("{source}\nbogus_key = 3\n")).unwrap();
+        let path_text = path.to_str().unwrap();
+        let err = resolve(path_text).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.starts_with(&format!("{path_text}: line {line}: ")), "{err}");
+        assert!(err.contains("unknown key") && !err.contains("neither"), "{err}");
     }
 }

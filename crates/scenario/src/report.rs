@@ -67,7 +67,7 @@ impl Buckets {
     }
 
     /// The lower edge of the bucket holding the `q`-quantile, by the rank
-    /// rule of [`avmem_util::stats::Ecdf::quantile`]; `None` when empty.
+    /// rule of [`avmem_util::stats::Summary::quantile`]; `None` when empty.
     ///
     /// # Panics
     ///
@@ -926,9 +926,9 @@ mod tests {
         let mut buckets = Buckets::new(0.01);
         values.into_iter().for_each(|v| buckets.record(v));
         let edge = |v: f64| (v / 0.01) as usize as f64 * 0.01;
-        let ecdf = avmem_util::stats::Ecdf::from_values(values.map(edge));
+        let edges = avmem_util::stats::Summary::from_values(values.map(edge));
         for q in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(buckets.quantile(q), Some(ecdf.quantile(q)), "q = {q}");
+            assert_eq!(buckets.quantile(q), Some(edges.quantile(q)), "q = {q}");
         }
         // Grown to the largest value, nothing clamped.
         assert_eq!((buckets.count(), buckets.counts.len()), (9, 251));

@@ -37,8 +37,8 @@ use std::time::Instant;
 
 use avmem::harness::AvmemSim;
 use avmem::ops::{run_anycast, run_multicast, OpScratch, OverlayWorld};
-use avmem::AdmissionPolicy;
-use avmem::AvailabilityTarget;
+use avmem::verify::flood_targets;
+use avmem::{AdmissionPolicy, AvailabilityTarget};
 use avmem_avmon::AvailabilityOracle;
 use avmem_metrics::{Counter, Gauge, Histogram, Registry};
 use avmem_sim::{LatencyModel, Network, SimDuration, SimTime};
@@ -833,35 +833,19 @@ impl RunSession {
                 }
                 let mut rng = SplitMix64::keyed(&[self.spec.seed, STREAM_OP, index]);
                 let policy = AdmissionPolicy::with_cushion(adv.cushion);
-                let trace = self.sim.trace();
-                let now = self.sim.now();
-                let membership = self.sim.membership(sender);
+                let world = self.sim.world();
                 let stats = self.report.attack.as_mut().expect("attack stats exist");
                 stats.attempts += 1;
                 let decile = {
-                    let av = trace.long_term_availability(sender.raw() as usize).value();
+                    let av = world.true_availability(sender).value();
                     ((av * DECILES as f64) as usize).min(DECILES - 1)
                 };
-                // Probe up to `adv.probes` distinct online nodes; skip the
-                // sender itself and its legitimate neighbors (a flood is
-                // precisely traffic to NON-neighbors).
-                let victims = rng.sample(
-                    self.sim
-                        .online()
-                        .online()
-                        .iter()
-                        .map(|&i| NodeId::new(u64::from(i)))
-                        .filter(|&id| id != sender && !membership.contains(id)),
-                    adv.probes as usize,
-                );
+                // Probe up to `adv.probes` distinct online nodes outside
+                // the sender's lists (a flood is precisely traffic to
+                // NON-neighbors).
+                let victims = rng.sample(flood_targets(&world, sender), adv.probes as usize);
                 for victim in victims {
-                    let accepted = policy.accepts(
-                        self.sim.predicate(),
-                        self.sim.oracle(),
-                        sender,
-                        victim,
-                        now,
-                    );
+                    let accepted = world.admits(sender, victim, policy) == Some(true);
                     stats.probes += 1;
                     stats.by_decile[decile].0 += 1;
                     self.attack_since_last.0 += 1;

@@ -14,7 +14,11 @@
 //! elements.
 //!
 //! The first `n % S` shards hold one extra node, so shard sizes differ
-//! by at most one for every `(n, S)`.
+//! by at most one for every `(n, S)`. `S` is clamped to `1..=max(n, 1)`:
+//! no shard is empty when `n > 0`. (A shard count above the population
+//! would only add empty shards, and the phase barriers walk every
+//! `(source, destination)` pair of shards, so each costs `O(S²)` per
+//! cohort.)
 
 use std::ops::Range;
 
@@ -44,10 +48,11 @@ pub struct ShardPartition {
 
 impl ShardPartition {
     /// Creates the partition of `0..n` into `shards` ranges. A shard
-    /// count of zero is treated as one; counts above `n` leave the
-    /// excess shards empty (every node still has exactly one owner).
+    /// count of zero is treated as one, and a count above `n` as `n`
+    /// (one node a shard), so [`ShardPartition::shards`] may be less than
+    /// asked for.
     pub fn new(n: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
+        let shards = shards.clamp(1, n.max(1));
         ShardPartition {
             n,
             shards,
@@ -92,7 +97,7 @@ impl ShardPartition {
         }
     }
 
-    /// The index range shard `s` owns (empty when `s` drew no nodes).
+    /// The index range shard `s` owns (empty only when `n == 0`).
     ///
     /// # Panics
     ///
@@ -158,14 +163,15 @@ mod tests {
     }
 
     #[test]
-    fn more_shards_than_nodes_leaves_tails_empty() {
+    fn more_shards_than_nodes_clamps_to_one_node_a_shard() {
         let part = ShardPartition::new(3, 8);
+        assert_eq!(part.shards(), 3);
         for i in 0..3 {
             assert_eq!(part.owner(i), i);
+            assert_eq!(part.range(i), i..i + 1);
         }
-        for s in 3..8 {
-            assert!(part.range(s).is_empty());
-        }
+        let empty = ShardPartition::new(0, 8);
+        assert_eq!((empty.shards(), empty.range(0)), (1, 0..0));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The paper reports figures as histograms, scatter plots and CDFs. This
 //! module provides the small, allocation-friendly summaries the bench
 //! harness uses to regenerate those series: [`Summary`] (mean / min / max /
-//! percentiles), [`Histogram`] (fixed-width bucketing over `[0, 1]`, e.g.
-//! per-0.1 availability bands), and [`Ecdf`] (empirical CDFs like Figs.
-//! 11–13).
+//! percentiles — its nearest-rank quantile is the inverse of the
+//! empirical CDF) and [`Histogram`] (fixed-width bucketing over `[0, 1]`,
+//! e.g. per-0.1 availability bands).
 
 use serde::{Deserialize, Serialize};
 
@@ -188,76 +188,6 @@ impl Histogram {
     }
 }
 
-/// Empirical cumulative distribution function.
-///
-/// # Examples
-///
-/// ```
-/// use avmem_util::stats::Ecdf;
-///
-/// let cdf = Ecdf::from_values([10.0, 20.0, 30.0, 40.0]);
-/// assert_eq!(cdf.fraction_at_or_below(25.0), 0.5);
-/// assert_eq!(cdf.fraction_at_or_below(40.0), 1.0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
-}
-
-impl Ecdf {
-    /// Builds an ECDF from samples (NaN dropped).
-    pub fn from_values<I>(values: I) -> Self
-    where
-        I: IntoIterator<Item = f64>,
-    {
-        let mut sorted: Vec<f64> = values.into_iter().filter(|v| !v.is_nan()).collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered out"));
-        Ecdf { sorted }
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Fraction of samples `≤ x`; `0.0` when empty.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = self.sorted.partition_point(|&v| v <= x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
-    /// Returns `(x, F(x))` pairs at each distinct sample point, suitable
-    /// for plotting a step CDF.
-    pub fn steps(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len();
-        let mut out = Vec::new();
-        for (i, &x) in self.sorted.iter().enumerate() {
-            if i + 1 == n || self.sorted[i + 1] != x {
-                out.push((x, (i + 1) as f64 / n as f64));
-            }
-        }
-        out
-    }
-
-    /// The value below which fraction `q` of samples fall (inverse CDF,
-    /// nearest rank). `0.0` when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        let rank = ((q * self.sorted.len() as f64).ceil() as usize).max(1) - 1;
-        self.sorted[rank.min(self.sorted.len() - 1)]
-    }
-}
-
 /// Linear regression slope of `y` on `x` (least squares), used to check
 /// "grows sublinearly" claims like Fig. 3. Returns `0.0` for fewer than
 /// two points.
@@ -378,26 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_fractions() {
-        let cdf = Ecdf::from_values([1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(cdf.fraction_at_or_below(0.5), 0.0);
-        assert_eq!(cdf.fraction_at_or_below(1.0), 0.25);
-        assert_eq!(cdf.fraction_at_or_below(2.0), 0.75);
-        assert_eq!(cdf.fraction_at_or_below(10.0), 1.0);
-    }
-
-    #[test]
-    fn ecdf_steps_deduplicate() {
-        let cdf = Ecdf::from_values([1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(cdf.steps(), vec![(1.0, 0.25), (2.0, 0.75), (3.0, 1.0)]);
-    }
-
-    #[test]
     fn ecdf_quantile_inverts_fraction() {
-        let cdf = Ecdf::from_values((1..=100).map(f64::from));
-        assert_eq!(cdf.quantile(0.5), 50.0);
-        assert_eq!(cdf.quantile(1.0), 100.0);
-        assert_eq!(cdf.quantile(0.01), 1.0);
+        let s = Summary::from_values((1..=100).map(f64::from));
+        assert_eq!(s.quantile(0.5), 50.0);
+        assert_eq!(s.quantile(1.0), 100.0);
+        assert_eq!(s.quantile(0.01), 1.0);
     }
 
     #[test]
