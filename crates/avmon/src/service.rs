@@ -222,15 +222,10 @@ pub struct AvmonService {
     /// the first: 8 bytes a target, where an `Option` took 16.
     aggregate: Vec<f64>,
     next_slot: usize,
-    /// Slot-advance cost instruments, present once
-    /// [`AvmonService::set_metrics`] attaches a registry.
-    metrics: Option<SlotInstruments>,
-}
-
-#[derive(Debug, Clone)]
-struct SlotInstruments {
-    slots: avmem_metrics::Counter,
-    slot_us: avmem_metrics::Histogram,
+    /// Wall cost per processed slot, present once
+    /// [`AvmonService::set_metrics`] attaches a registry (its count is
+    /// the slots processed).
+    slot_us: Option<avmem_metrics::Histogram>,
 }
 
 impl AvmonService {
@@ -272,27 +267,20 @@ impl AvmonService {
             index,
             aggregate: vec![NO_ESTIMATE; n],
             next_slot: 0,
-            metrics: None,
+            slot_us: None,
         }
     }
 
-    /// Attaches a metrics registry: every processed slot counts into
-    /// `avmem_avmon_slots_total` and records its wall cost into the
-    /// `avmem_avmon_slot_us` histogram. Observation only — estimates
-    /// are bit-identical with or without a registry.
+    /// Attaches a metrics registry: every processed slot records its
+    /// wall cost into the `avmem_avmon_slot_us` histogram, whose count is
+    /// the slots processed. Observation only — estimates are
+    /// bit-identical with or without a registry.
     pub fn set_metrics(&mut self, registry: &avmem_metrics::Registry) {
-        self.metrics = Some(SlotInstruments {
-            slots: registry.counter(
-                "avmem_avmon_slots_total",
-                "Trace slots processed by the AVMON service.",
-                &[],
-            ),
-            slot_us: registry.histogram(
-                "avmem_avmon_slot_us",
-                "Wall cost per processed AVMON slot (µs).",
-                &[],
-            ),
-        });
+        self.slot_us = Some(registry.histogram(
+            "avmem_avmon_slot_us",
+            "Wall cost per processed AVMON slot (µs).",
+            &[],
+        ));
     }
 
     /// The ring, if that is the assignment strategy in force (`None`
@@ -358,11 +346,10 @@ impl AvmonService {
         let slot_ms = trace.slot_duration().as_millis();
         let last_slot = ((now.as_millis() / slot_ms) as usize).min(trace.num_slots() - 1);
         while self.next_slot <= last_slot {
-            let t0 = self.metrics.as_ref().map(|_| std::time::Instant::now());
+            let t0 = self.slot_us.as_ref().map(|_| std::time::Instant::now());
             self.process_slot(trace, self.next_slot);
-            if let (Some(m), Some(t0)) = (self.metrics.as_ref(), t0) {
-                m.slots.inc();
-                m.slot_us.record(t0.elapsed().as_micros() as u64);
+            if let (Some(slot_us), Some(t0)) = (self.slot_us.as_ref(), t0) {
+                slot_us.record(t0.elapsed().as_micros() as u64);
             }
             self.next_slot += 1;
         }

@@ -10,7 +10,7 @@
 
 use std::mem;
 
-use avmem_metrics::{shard_lane, Counter, Histogram, Span, Tracer};
+use avmem_metrics::{shard_lane, Histogram, Span, Tracer};
 use avmem_shuffle::{EntryPool, ShuffleMessage, ShuffleNode, ShuffleProposal};
 use avmem_sim::SimTime;
 use avmem_trace::OnlineIndex;
@@ -479,18 +479,18 @@ impl Cohort<'_> {
 /// order and own ascending contiguous id ranges, so messages sent in
 /// ascending sender order — the requests, built over sorted tick lists —
 /// arrive globally ascending by sender, the order the commit chains rely
-/// on. With `instruments`, records each batch's size and the total moved.
+/// on. With `batch_sizes`, records each batch's size (the histogram's
+/// sum is the total moved).
 fn exchange<M>(
     scratches: &mut [ShardScratch],
     mailbox: impl Fn(&mut ShardScratch) -> &mut Mailbox<M>,
-    instruments: Option<(&Histogram, &Counter)>,
+    batch_sizes: Option<&Histogram>,
 ) {
     for s in 0..scratches.len() {
         for d in 0..scratches.len() {
             let mut batch = mem::take(&mut mailbox(&mut scratches[s]).out[d]);
-            if let Some((batch_sizes, moved)) = instruments {
+            if let Some(batch_sizes) = batch_sizes {
                 batch_sizes.record(batch.len() as u64);
-                moved.add(batch.len() as u64);
             }
             mailbox(&mut scratches[d]).inbox.append(&mut batch);
             // Hand the emptied buffer back: outboxes keep their capacity.
@@ -536,26 +536,27 @@ impl AvmemSim {
         exchange(
             scratches,
             |scratch| &mut scratch.requests,
-            metrics.map(|m| (&m.exchange_req_batch, &m.exchange_requests)),
+            metrics.map(|m| &m.exchange_req_batch),
         );
         cohort.each_shard(&mut self.shuffles[..], scratches, Cohort::apply_requests);
         exchange(
             scratches,
             |scratch| &mut scratch.replies,
-            metrics.map(|m| (&m.exchange_reply_batch, &m.exchange_replies)),
+            metrics.map(|m| &m.exchange_reply_batch),
         );
         cohort.each_shard(&mut self.shuffles[..], scratches, Cohort::apply_replies);
         drop(tc);
 
         let tf = self.tracer.span(PH_FINALIZE, 0);
         let memo = self.predicate.rebuild_memo();
+        let verdict_memory = self.hashes.is_cached();
         let ctx = MaintCtx {
             memo: &memo,
             epoch: self.oracle.epoch(t),
-            settle_above: (self.hashes.is_cached() && self.oracle.epoch_moves())
+            settle_above: (verdict_memory && self.oracle.epoch_moves())
                 .then(|| memo.vertical_ceiling()),
             oracle: &self.oracle,
-            hashes: &self.hashes,
+            verdict_memory,
             nodes: self.shuffles.len(),
             now: t,
         };

@@ -236,9 +236,10 @@ pub struct SimConfig {
     /// Memory budget (bytes) for stored pair-hash rows. Populations
     /// whose dense matrix (`8·N²` bytes) fits the budget keep the rows
     /// the converged rebuild's full-row scans hash; larger ones store
-    /// nothing and hash on the fly, in batches. See
-    /// [`crate::harness::PairHashes::with_budget`]. The same bound
-    /// decides whether event-driven finalize keeps its per-pair verdict
+    /// nothing and hash each row into scratch. See
+    /// [`crate::harness::PairHashes::with_budget`]. Event-driven finalize
+    /// reads no row — it hashes its own candidate lists — but the same
+    /// bound decides whether it keeps its per-pair verdict
     /// memory — one bit per ordered pair, `N²/8` bytes; two, `N²/4`,
     /// under an oracle whose epoch moves (the second holds the verdicts
     /// that outlive a turnover), 1/32 of the matrix the budget stands for

@@ -6,10 +6,10 @@
 use avmem_avmon::AvailabilityOracle;
 use avmem_shuffle::ShuffleNode;
 use avmem_sim::SimTime;
-use avmem_util::NodeId;
+use avmem_util::{consistent_hash_batch, NodeId};
 
 use super::cohort::{NodeOps, ShardScratch};
-use super::{PairHashes, SimOracle};
+use super::SimOracle;
 use crate::membership::{Membership, Neighbor, SliverScope};
 use crate::predicate::ThresholdMemo;
 
@@ -32,7 +32,7 @@ pub(super) struct FinalizeShardState {
     /// budget, whichever regime runs — is valid.
     pub(super) seen_stamp: Vec<u32>,
     /// The verdict memory — the discovery filter where the pair space
-    /// fits the hash budget ([`PairHashes::is_cached`]: `8·N²` bytes
+    /// fits the hash budget ([`MaintCtx::verdict_memory`]: `8·N²` bytes
     /// within [`super::SimConfig::hash_budget`]; this costs `N²/8`, 1/64
     /// of the matrix the budget stands for — `N²/4`, 1/32, with the
     /// `settled` rows a moving epoch adds). Per node an `N`-bit *skip row*,
@@ -152,7 +152,10 @@ pub(super) struct MaintCtx<'a> {
     /// are reset; `None` elsewhere, and no settled row exists.
     pub(super) settle_above: Option<f64>,
     pub(super) oracle: &'a SimOracle,
-    pub(super) hashes: &'a PairHashes,
+    /// Which no-insert memory discovery runs: exact per-pair verdict bits
+    /// where the dense pair-hash matrix (`8·N²` bytes) fits
+    /// [`super::SimConfig::hash_budget`], marks in the view beyond it.
+    pub(super) verdict_memory: bool,
     /// Population size: the width of a skip row, in bits.
     pub(super) nodes: usize,
     pub(super) now: SimTime,
@@ -166,7 +169,7 @@ impl MaintCtx<'_> {
     /// verdicts — one bit test per view id where the verdict memory runs;
     /// the shard id table and the view's marks are touched only in the
     /// view-scoped regime and without an epoch —, one batched oracle call
-    /// and one batched pair-hash read per sub-op, and the refresh
+    /// and one batched pair-hash call per sub-op, and the refresh
     /// short-circuit. A node its oracle cannot see skips maintenance
     /// entirely.
     ///
@@ -206,13 +209,10 @@ impl MaintCtx<'_> {
         // Stamps are `epoch + 1`, so zeroed state never matches.
         let stamp = self.epoch.and_then(compact_stamp);
         let local = i - shard_start;
-        // Which no-insert memory discovery runs: exact per-pair verdict
-        // bits where the pair space fits the hash budget, marks in the
-        // view beyond it. Without a stamp nothing outlives the op and no
-        // per-node state is sized at all.
-        let verdict_memory = self.hashes.is_cached();
+        // Without a stamp nothing outlives the op and no per-node state
+        // is sized at all.
         if stamp.is_some() {
-            state.ensure_len(shard_len, verdict_memory, self.settle_above.is_some());
+            state.ensure_len(shard_len, self.verdict_memory, self.settle_above.is_some());
         }
         let horizontal = match stamp {
             Some(stamp) => {
@@ -251,7 +251,7 @@ impl MaintCtx<'_> {
             // ceiling no hash exceeds).
             let mut settled_row = None;
             match stamp {
-                Some(stamp) if verdict_memory => {
+                Some(stamp) if self.verdict_memory => {
                     let words = self.nodes.div_ceil(64);
                     if let Some(vertical) = self.settle_above {
                         let (settled, ceiling) =
@@ -346,7 +346,7 @@ impl MaintCtx<'_> {
                 self.oracle
                     .estimate_batch(querier, cand_ids, self.now, cand_avs);
                 stats.batched_estimates += cand_ids.len() as u64;
-                stats.pair_hash.read(self.hashes, i, cand_ids, cand_hashes);
+                hash_batch(querier, cand_ids, cand_hashes);
                 for (k, ((candidate, y_av), &hash)) in
                     cand_ids.iter().zip(cand_avs.iter()).zip(cand_hashes.iter()).enumerate()
                 {
@@ -409,7 +409,7 @@ impl MaintCtx<'_> {
                     self.oracle
                         .estimate_batch(querier, cand_ids, self.now, cand_avs);
                     stats.batched_estimates += cand_ids.len() as u64;
-                    stats.pair_hash.read(self.hashes, i, cand_ids, cand_hashes);
+                    hash_batch(querier, cand_ids, cand_hashes);
                 }
                 let mut k = 0;
                 membership.refresh_with(migrants, |id| {
@@ -428,31 +428,15 @@ impl MaintCtx<'_> {
     }
 }
 
-/// Where finalize's pair hashes came from. Both counts are properties of
-/// the run, not of how it was sharded: each finalize op reads its whole
-/// candidate list one way or the other.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PairHashStats {
-    /// Pairs hashed in a batch for the op that needed them — every pair
-    /// of an event-driven run, in either store: finalize builds no dense
-    /// rows.
-    pub hashed: u64,
-    /// Pairs read from a dense row something else had already built (a
-    /// converged rebuild or an attack series before the run): 0 in every
-    /// scenario run.
-    pub delegated: u64,
-}
-
-impl PairHashStats {
-    /// `H(id(x), id(y))` for the candidates `ys` into `out`
-    /// ([`PairHashes::gather`]), counted by where they came from.
-    fn read(&mut self, hashes: &PairHashes, x: usize, ys: &[NodeId], out: &mut Vec<f64>) {
-        if hashes.gather(x, ys, out) {
-            self.delegated += ys.len() as u64;
-        } else {
-            self.hashed += ys.len() as u64;
-        }
-    }
+/// `H(id(x), id(y))` for every `y` in `ys`, into `out` (cleared first),
+/// in one batched call ([`consistent_hash_batch`]: sixteen AVX-512 lanes
+/// for a list of ten pairs or more, two interleaved SHA-NI chains for a
+/// shorter one). Each pair is hashed for the op that needs it, once per
+/// estimate: a verdict is remembered, a hash is not.
+fn hash_batch(x: NodeId, ys: &[NodeId], out: &mut Vec<f64>) {
+    out.clear();
+    out.resize(ys.len(), 0.0);
+    consistent_hash_batch(x, ys.iter().copied(), out);
 }
 
 /// Cumulative counters of how much work the finalize phase skipped —
@@ -486,7 +470,8 @@ pub struct FinalizeStats {
     /// the number of candidates the views offered. 0 without an oracle
     /// epoch: no filter outlives an op there.
     pub discover_pruned: u64,
-    /// Availability estimates served through batched oracle calls.
+    /// Availability estimates served through batched oracle calls — and
+    /// pair hashes, which finalize computes one per estimate.
     pub batched_estimates: u64,
     /// Verdicts that outlived their epoch: the settled bits (pair hash
     /// above every threshold the node can apply) copied into a skip row
@@ -496,8 +481,6 @@ pub struct FinalizeStats {
     /// Settled rows zeroed because the node's horizontal threshold
     /// outgrew the ceiling their bits were set against.
     pub ceiling_raises: u64,
-    /// Pair-hash reads by source.
-    pub pair_hash: PairHashStats,
 }
 
 impl FinalizeStats {
@@ -512,7 +495,5 @@ impl FinalizeStats {
         self.batched_estimates += other.batched_estimates;
         self.verdicts_carried += other.verdicts_carried;
         self.ceiling_raises += other.ceiling_raises;
-        self.pair_hash.hashed += other.pair_hash.hashed;
-        self.pair_hash.delegated += other.pair_hash.delegated;
     }
 }

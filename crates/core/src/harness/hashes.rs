@@ -16,17 +16,15 @@
 //!   [`PairHashes::row`] batch-fills the caller's scratch row, so memory
 //!   stays `O(N)` per thread.
 //!
-//! Event-driven maintenance goes through [`PairHashes::gather`], which
-//! never builds a row in either store: it reads a row a full-row reader
-//! already built, and otherwise hashes the node's candidate list in one
-//! batched call ([`avmem_util::consistent_hash_batch`]: sixteen AVX-512
-//! lanes for a list of ten pairs or more, two interleaved SHA-NI chains
-//! for a shorter one — the same call fills the dense rows and the
-//! rebuild's scratch rows, which are `N` wide). The finalize fast path
-//! remembers each pair's *verdict* for the oracle epoch (one bit, see
-//! `FinalizeShardState`), so it asks for a pair's hash at most once per
-//! epoch; a dense row built to serve that one read would cost `8·N`
-//! bytes and a cache miss per later read — more than the hash.
+//! Only the converged rebuild reads this store. Event-driven maintenance
+//! hashes each candidate list itself, in one batched call
+//! ([`avmem_util::consistent_hash_batch`], the call that fills these rows
+//! too), and never touches it: its finalize remembers each pair's
+//! *verdict* for the oracle epoch (one bit), so it needs a pair's hash at
+//! most once per epoch, and a dense row built to serve that one read
+//! would cost `8·N` bytes and a cache miss per later read — more than the
+//! hash. The budget still picks that finalize's no-insert memory
+//! ([`PairHashes::is_cached`]).
 //!
 //! Both stores agree bit-for-bit with [`avmem_util::consistent_hash`].
 
@@ -65,12 +63,8 @@ pub struct PairHashes {
     /// hashes.
     rows: Option<Vec<OnceLock<Box<[f64]>>>>,
     /// Full rows hashed (`n` SHA-256 evaluations each): dense
-    /// materializations (by `row`, never by `gather`) and on-the-fly
-    /// bulk fills.
+    /// materializations and on-the-fly bulk fills.
     rows_built: AtomicU64,
-    /// Pairs hashed outside any row: gathers that found no resident row
-    /// (in either store).
-    direct_hashes: AtomicU64,
 }
 
 /// A point-in-time view of the store's cumulative counters; see
@@ -79,9 +73,6 @@ pub struct PairHashes {
 pub struct PairStoreStats {
     /// Full rows hashed (`n` SHA-256 evaluations each).
     pub rows_built: u64,
-    /// Pairs hashed outside any row: every [`PairHashes::gather`] that
-    /// found no resident row.
-    pub direct_hashes: u64,
     /// Dense rows resident right now. Only full-row scans build rows;
     /// event-driven maintenance never adds one.
     pub cached_rows: usize,
@@ -102,7 +93,6 @@ impl PairHashes {
             n,
             rows: dense.then(|| (0..n).map(|_| OnceLock::new()).collect()),
             rows_built: AtomicU64::new(0),
-            direct_hashes: AtomicU64::new(0),
         }
     }
 
@@ -133,40 +123,6 @@ impl PairHashes {
         }))
     }
 
-    /// `H(id(x), id(y))` for every `y` in `ys`, into `out` (cleared
-    /// first). Never builds a row: reads row `x` if [`PairHashes::row`]
-    /// already did, and
-    /// otherwise hashes the whole list in one batched call, in either
-    /// store. Returns whether a resident row served the
-    /// list — the finalize fast path's candidate lists come through here,
-    /// and its statistics tell the two apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or any of `ys` is out of range.
-    pub fn gather(&self, x: usize, ys: &[NodeId], out: &mut Vec<f64>) -> bool {
-        assert!(x < self.n, "row index out of range");
-        out.clear();
-        let resident = self.rows.as_ref().and_then(|rows| rows[x].get());
-        match resident {
-            Some(row) => {
-                out.extend(ys.iter().map(|y| row[y.raw() as usize]));
-                true
-            }
-            None => {
-                assert!(
-                    ys.iter().all(|y| y.raw() < self.n as u64),
-                    "pair index out of range"
-                );
-                self.direct_hashes
-                    .fetch_add(ys.len() as u64, Ordering::Relaxed);
-                out.resize(ys.len(), 0.0);
-                consistent_hash_batch(NodeId::new(x as u64), ys.iter().copied(), out);
-                false
-            }
-        }
-    }
-
     /// The full row `H(id(x), id(·))` for bulk scans: the (materialized
     /// on demand) dense row, or `scratch` batch-filled on the fly — a
     /// rebuild worker reuses one `O(N)` buffer for all its rows instead
@@ -195,7 +151,6 @@ impl PairHashes {
     pub fn store_stats(&self) -> PairStoreStats {
         PairStoreStats {
             rows_built: self.rows_built.load(Ordering::Relaxed),
-            direct_hashes: self.direct_hashes.load(Ordering::Relaxed),
             cached_rows: self.cached_rows(),
         }
     }
@@ -251,9 +206,6 @@ mod tests {
     fn lazy_materializes_only_touched_rows() {
         let hashes = PairHashes::with_budget(16, usize::MAX);
         assert_eq!(hashes.cached_rows(), 0);
-        let mut out = Vec::new();
-        hashes.gather(3, &[NodeId::new(7)], &mut out);
-        assert_eq!(hashes.cached_rows(), 0, "gather never builds a row");
         let mut scratch = Vec::new();
         let _ = hashes.row(9, &mut scratch);
         assert_eq!(hashes.cached_rows(), 1);
@@ -284,72 +236,19 @@ mod tests {
     }
 
     #[test]
-    fn gather_agrees_with_point_reads_in_both_stores() {
-        let ys: Vec<NodeId> = [13u64, 0, 5, 5, 9].map(NodeId::new).to_vec();
-        let mut out = vec![f64::NAN; 3]; // stale contents must not survive
-        // `gather` never builds a row; it reads one that is resident.
-        // Resident rows: every one, only the even ones (built by `row`,
-        // the one reader that may), none.
-        let all = PairHashes::with_budget(14, usize::MAX);
-        for x in 0..14 {
-            let _ = all.row(x, &mut Vec::new());
-        }
-        let some = PairHashes::with_budget(14, usize::MAX);
-        for x in (0..14).step_by(2) {
-            let _ = some.row(x, &mut Vec::new());
-        }
-        for (hashes, resident) in [
-            (all, 14),
-            (some, 7),
-            (PairHashes::with_budget(14, usize::MAX), 0),
-            (PairHashes::with_budget(14, 0), 0),
-        ] {
-            let before = hashes.store_stats();
-            assert_eq!(before.cached_rows, resident);
-            let mut hashed = 0;
-            for x in 0..14 {
-                let row_is_resident = resident == 14 || (resident == 7 && x % 2 == 0);
-                for len in 0..=ys.len() {
-                    let served = hashes.gather(x, &ys[..len], &mut out);
-                    assert_eq!(served, row_is_resident, "x={x} len={len}");
-                    if !served {
-                        hashed += len as u64;
-                    }
-                    let want: Vec<f64> =
-                        ys[..len].iter().map(|y| pair(x, y.raw() as usize)).collect();
-                    assert_eq!(out, want, "x={x} len={len}");
-                }
-            }
-            let after = hashes.store_stats();
-            assert_eq!(after.cached_rows, resident, "gather built a row");
-            assert_eq!(after.rows_built, before.rows_built, "gather built a row");
-            assert_eq!(after.direct_hashes - before.direct_hashes, hashed);
-        }
-    }
-
-    #[test]
     fn store_stats_split_rows_from_on_the_fly_hashes() {
         let dense = PairHashes::with_budget(10, usize::MAX);
-        let mut out = Vec::new();
-        let ys = [NodeId::new(1), NodeId::new(2)];
-        dense.gather(3, &ys, &mut out); // no row yet: two pairs hashed
+        assert_eq!(dense.store_stats(), PairStoreStats::default());
         let _ = dense.row(3, &mut Vec::new()); // builds row 3
-        dense.gather(3, &ys, &mut out); // reads it
+        let _ = dense.row(3, &mut Vec::new()); // reads it
         let stats = dense.store_stats();
-        assert_eq!(
-            (stats.rows_built, stats.direct_hashes, stats.cached_rows),
-            (1, 2, 1)
-        );
+        assert_eq!((stats.rows_built, stats.cached_rows), (1, 1));
 
         let direct = PairHashes::with_budget(10, 0);
-        direct.gather(3, &ys, &mut out);
-        let _ = direct.row(3, &mut out);
-        direct.gather(3, &ys[..1], &mut out);
+        let _ = direct.row(3, &mut Vec::new());
+        let _ = direct.row(3, &mut Vec::new());
         let stats = direct.store_stats();
-        assert_eq!(
-            (stats.rows_built, stats.direct_hashes, stats.cached_rows),
-            (1, 3, 0)
-        );
+        assert_eq!((stats.rows_built, stats.cached_rows), (2, 0));
     }
 
     #[test]
@@ -357,19 +256,5 @@ mod tests {
     fn out_of_range_panics() {
         let hashes = PairHashes::with_budget(3, usize::MAX);
         let _ = hashes.row(3, &mut Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn gather_rejects_out_of_range_candidates_on_the_fly() {
-        let hashes = PairHashes::with_budget(3, 0);
-        hashes.gather(0, &[NodeId::new(3)], &mut Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn gather_rejects_out_of_range_candidates_without_a_resident_row() {
-        let hashes = PairHashes::with_budget(3, usize::MAX);
-        hashes.gather(0, &[NodeId::new(3)], &mut Vec::new());
     }
 }

@@ -111,26 +111,6 @@ impl CandidateIndex {
         })
     }
 
-    /// The exact complement of [`CandidateIndex::band`]: all indexed
-    /// nodes a full scan would classify as *vertical* (`distance ≥ ε`).
-    /// Entries clearly below and above the band skip the per-candidate
-    /// distance check; only the few inside the float-slack margin are
-    /// re-checked.
-    pub fn outside_band(
-        &self,
-        center: Availability,
-        epsilon: f64,
-    ) -> impl Iterator<Item = (usize, Availability)> + '_ {
-        let (start, end) = self.fuzzy_range(center, epsilon);
-        let to_entry = |&(v, i): &(f64, u32)| (i as usize, Availability::saturating(v));
-        self.sorted[..start]
-            .iter()
-            .map(to_entry)
-            .chain(self.sorted[start..end].iter().map(to_entry).filter(
-                move |&(_, av)| center.distance(av) >= epsilon,
-            ))
-            .chain(self.sorted[end..].iter().map(to_entry))
-    }
 }
 
 #[cfg(test)]
@@ -202,29 +182,5 @@ mod tests {
         let index = CandidateIndex::build(std::iter::empty());
         assert!(index.is_empty());
         assert_eq!(index.band(av(0.5), 0.1).count(), 0);
-        assert_eq!(index.outside_band(av(0.5), 0.1).count(), 0);
-    }
-
-    #[test]
-    fn band_and_complement_partition_the_index() {
-        let values = [0.0, 0.05, 0.1, 0.39, 0.4, 0.45, 0.5, 0.55, 0.6, 0.61, 1.0];
-        let index = index_of(&values);
-        for center in [0.0, 0.08, 0.45, 0.5, 0.97, 1.0] {
-            for epsilon in [0.02, 0.1, 0.25] {
-                let mut all: Vec<usize> = index
-                    .band(av(center), epsilon)
-                    .chain(index.outside_band(av(center), epsilon))
-                    .map(|(i, _)| i)
-                    .collect();
-                all.sort_unstable();
-                assert_eq!(all, (0..values.len()).collect::<Vec<_>>());
-                for (i, a) in index.outside_band(av(center), epsilon) {
-                    assert!(
-                        av(center).distance(a) >= epsilon,
-                        "node {i} wrongly outside band"
-                    );
-                }
-            }
-        }
     }
 }

@@ -64,7 +64,7 @@ mod tests;
 pub use config::{
     MaintenanceEngine, MaintenanceMode, OracleChoice, PredicateChoice, SimConfig,
 };
-pub use finalize::{FinalizeStats, PairHashStats};
+pub use finalize::FinalizeStats;
 pub use hashes::{PairHashes, PairStoreStats, DEFAULT_HASH_BUDGET};
 pub use index::CandidateIndex;
 pub use oracle::SimOracle;
@@ -74,7 +74,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use avmem_avmon::AvailabilityOracle;
-use avmem_metrics::{Counter, Histogram, Registry, Tracer};
+use avmem_metrics::{Histogram, Registry, Tracer};
 use avmem_shuffle::{ShuffleConfig, ShuffleNode};
 use avmem_sim::{SimDuration, SimTime};
 use avmem_trace::{AvailabilityPdf, ChurnTrace, OnlineIndex};
@@ -210,12 +210,10 @@ pub struct AvmemSim {
 /// attached; everything here is off the per-node hot paths (the barrier
 /// loops run at most `shards²` times per cohort).
 struct HarnessInstruments {
-    /// Cross-shard exchange batch sizes at the transpose barriers.
+    /// Cross-shard exchange batch sizes at the transpose barriers; their
+    /// sums are the messages moved.
     exchange_req_batch: Histogram,
     exchange_reply_batch: Histogram,
-    /// Cumulative messages moved across the barriers.
-    exchange_requests: Counter,
-    exchange_replies: Counter,
 }
 
 impl std::fmt::Debug for AvmemSim {
@@ -321,16 +319,6 @@ impl AvmemSim {
             exchange_reply_batch: registry.histogram(
                 "avmem_exchange_batch_msgs",
                 batch_help,
-                &[("dir", "reply")],
-            ),
-            exchange_requests: registry.counter(
-                "avmem_exchange_msgs_total",
-                "Messages moved across the shard barriers.",
-                &[("dir", "request")],
-            ),
-            exchange_replies: registry.counter(
-                "avmem_exchange_msgs_total",
-                "Messages moved across the shard barriers.",
                 &[("dir", "reply")],
             ),
         });
@@ -483,17 +471,11 @@ impl AvmemSim {
         self.fin_stats
     }
 
-    /// Cumulative counters of the shared pair-hash store (rows built,
-    /// pairs hashed on the fly, dense rows resident).
+    /// Counters of the pair-hash store the converged rebuild reads (rows
+    /// built, dense rows resident): all zero in an event-driven run,
+    /// whose finalize hashes its own candidate lists.
     pub fn hash_store_stats(&self) -> PairStoreStats {
         self.hashes.store_stats()
-    }
-
-    /// Number of maintenance events currently scheduled (0 for converged
-    /// maintenance or before the first event-driven advance) — the
-    /// service mode's queue-depth gauge.
-    pub fn pending_maintenance(&self) -> usize {
-        self.maint.as_ref().map_or(0, |m| m.wheel.pending())
     }
 
     /// Runs the shuffle/discovery/refresh sub-protocols off the periodic

@@ -343,11 +343,6 @@ mod tests {
                         95_001,
                         "{label}: candidates the views offered"
                     );
-                    assert_eq!(
-                        stats.pair_hash.hashed + stats.pair_hash.delegated,
-                        stats.batched_estimates,
-                        "{label}: one pair hash per batched estimate"
-                    );
                 }
             }
         }

@@ -77,6 +77,27 @@ pub enum AnycastDrop {
     NextHopOffline,
 }
 
+impl AnycastDrop {
+    /// Every reason, in declaration order: `reason as usize` is its
+    /// position here, and a per-reason count array is `ALL.len()` long.
+    pub const ALL: [AnycastDrop; 4] = [
+        AnycastDrop::TtlExpired,
+        AnycastDrop::RetryExpired,
+        AnycastDrop::NoCandidates,
+        AnycastDrop::NextHopOffline,
+    ];
+
+    /// The reason's name in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            AnycastDrop::TtlExpired => "ttl_expired",
+            AnycastDrop::RetryExpired => "retry_expired",
+            AnycastDrop::NoCandidates => "no_candidates",
+            AnycastDrop::NextHopOffline => "next_hop_offline",
+        }
+    }
+}
+
 /// Result of one anycast.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnycastOutcome {

@@ -11,7 +11,8 @@
 //! crate (`cargo test -p avmem --lib harness::`).
 
 use avmem::harness::{
-    AvmemSim, FinalizeStats, MaintenanceEngine, MaintenanceMode, OracleChoice, SimConfig,
+    AvmemSim, FinalizeStats, MaintenanceEngine, MaintenanceMode, OracleChoice, PairStoreStats,
+    SimConfig,
 };
 use avmem_sim::SimDuration;
 use avmem_trace::{ChurnTrace, OvernetModel};
@@ -239,7 +240,7 @@ fn hash_store_modes_agree_across_engines() {
     // where it does not — and neither may perturb a bit: every (budget,
     // engine) combination must land on the baseline's state. 120 hosts: the default budget fits (8·N² ≈ 113
     // KiB), 8 KiB does not. Either way finalize hashes its candidate
-    // lists in batches and builds no dense row. How much work a regime
+    // lists itself and leaves the pair-hash store untouched. How much work a regime
     // skips is a property of the run, not of its sharding: the counters
     // must match the baseline's, and the verdict memory — which
     // still knows a pair after it left the view and came back — must
@@ -277,16 +278,11 @@ fn hash_store_modes_agree_across_engines() {
             let label = format!("{mode} ({budget} B), {engine:?}");
             assert_state_equal(&reference, &candidate, &label);
             assert_eq!(
-                candidate.hash_store_stats().cached_rows,
-                0,
-                "{label}: event-driven maintenance built dense rows"
+                candidate.hash_store_stats(),
+                PairStoreStats::default(),
+                "{label}: event-driven maintenance touched the pair-hash store"
             );
             let stats = candidate.finalize_stats();
-            assert_eq!(
-                (stats.pair_hash.hashed, stats.pair_hash.delegated),
-                (stats.batched_estimates, 0),
-                "{label}: one batched pair hash per batched estimate"
-            );
             assert_eq!(
                 *serial_stats.get_or_insert(stats),
                 stats,
@@ -306,15 +302,14 @@ fn hash_store_modes_agree_across_engines() {
 }
 
 /// `stats` with the counters the no-insert regime legitimately moves —
-/// candidates pruned, the estimates and pair hashes the unpruned ones
-/// cost, and the settled verdicts only skip rows carry — zeroed, for
+/// candidates pruned, the estimates (one pair hash each) the unpruned
+/// ones cost, and the settled verdicts only skip rows carry — zeroed, for
 /// comparing everything else across regimes.
 fn without_discovery_counters(mut stats: FinalizeStats) -> FinalizeStats {
     stats.discover_pruned = 0;
     stats.batched_estimates = 0;
     stats.verdicts_carried = 0;
     stats.ceiling_raises = 0;
-    stats.pair_hash = Default::default();
     stats
 }
 
@@ -367,7 +362,7 @@ proptest! {
                 let mut sim = AvmemSim::new(trace.clone(), cfg);
                 sim.warm_up(SimDuration::from_mins(mins));
                 let stats = sim.finalize_stats();
-                prop_assert_eq!(sim.hash_store_stats().cached_rows, 0);
+                prop_assert_eq!(sim.hash_store_stats(), PairStoreStats::default());
                 match &reference {
                     None => {
                         // Guards against vacuous equality.

@@ -217,33 +217,6 @@ impl Tracer {
     }
 }
 
-impl Clone for Tracer {
-    /// Clones current totals into an independent tracer (registry
-    /// attachment is not carried over).
-    fn clone(&self) -> Tracer {
-        Tracer {
-            phases: self.phases,
-            nanos: self
-                .nanos
-                .iter()
-                .map(|a| AtomicU64::new(a.load(Ordering::Relaxed)))
-                .collect(),
-            spans: self
-                .spans
-                .iter()
-                .map(|a| AtomicU64::new(a.load(Ordering::Relaxed)))
-                .collect(),
-            allocs: self
-                .allocs
-                .iter()
-                .map(|a| AtomicU64::new(a.load(Ordering::Relaxed)))
-                .collect(),
-            cohorts: AtomicU64::new(self.cohorts()),
-            hists: OnceLock::new(),
-        }
-    }
-}
-
 /// Guard returned by [`Tracer::span`]; records elapsed time on drop.
 #[must_use = "a span records on drop; binding it to _ measures nothing"]
 #[derive(Debug)]

@@ -17,15 +17,6 @@ pub const HOPS_BUCKETS: usize = 12;
 /// Availability-decile count for per-bucket series.
 pub const DECILES: usize = 10;
 
-/// Every [`AnycastDrop`], in the order of [`AnycastStats::drops`], with
-/// its report name.
-pub const ANYCAST_DROPS: [(AnycastDrop, &str); 4] = [
-    (AnycastDrop::TtlExpired, "ttl_expired"),
-    (AnycastDrop::RetryExpired, "retry_expired"),
-    (AnycastDrop::NoCandidates, "no_candidates"),
-    (AnycastDrop::NextHopOffline, "next_hop_offline"),
-];
-
 /// Exact counts of a non-negative quantity in fixed-width buckets:
 /// bucket `i` counts the values in `[i·width, (i+1)·width)`. The bucket
 /// list grows to the largest value recorded, so nothing is clamped.
@@ -116,9 +107,9 @@ pub struct AnycastStats {
     pub total_latency_ms: u64,
     /// Deliveries by hop count (`min(hops, HOPS_BUCKETS - 1)`).
     pub hops_histogram: Vec<u64>,
-    /// Failed anycasts per [`AnycastDrop`], in [`ANYCAST_DROPS`] order;
-    /// they sum to `sent - delivered`.
-    pub drops: [u64; 4],
+    /// Failed anycasts per [`AnycastDrop`], in [`AnycastDrop::ALL`]
+    /// order; they sum to `sent - delivered`.
+    pub drops: [u64; AnycastDrop::ALL.len()],
     /// Total end-to-end latency over delivered anycasts, in milliseconds.
     pub delivered_latency_ms: u64,
 }
@@ -460,8 +451,9 @@ impl ScenarioReport {
             })
             .collect();
         writeln!(w, "  hops histogram {{{}}}", histogram.join(", ")).unwrap();
-        let drops = ANYCAST_DROPS.iter().zip(a.drops).filter(|&(_, count)| count > 0);
-        let drops: Vec<String> = drops.map(|((_, name), count)| format!("{name}:{count}")).collect();
+        let drops = AnycastDrop::ALL.iter().zip(a.drops).filter(|&(_, count)| count > 0);
+        let drops: Vec<String> =
+            drops.map(|(reason, count)| format!("{}:{count}", reason.name())).collect();
         writeln!(w, "  drops {{{}}}", drops.join(", ")).unwrap();
 
         let m = &self.multicast;
@@ -593,13 +585,6 @@ impl ScenarioReport {
                 f.ceiling_raises
             )
             .unwrap();
-            let h = &f.pair_hash;
-            writeln!(
-                w,
-                "  pair hashes: hashed {}  delegated {}",
-                h.hashed, h.delegated
-            )
-            .unwrap();
         }
         let mem = &self.memory;
         if !mem.is_empty() {
@@ -633,8 +618,9 @@ impl ScenarioReport {
         )
         .unwrap();
         let a = &self.anycast;
-        let drops = ANYCAST_DROPS.iter().zip(a.drops);
-        let drops: Vec<String> = drops.map(|((_, name), n)| format!("\"{name}\":{n}")).collect();
+        let drops = AnycastDrop::ALL.iter().zip(a.drops);
+        let drops: Vec<String> =
+            drops.map(|(reason, n)| format!("\"{}\":{n}", reason.name())).collect();
         write!(
             w,
             ",\"anycast\":{{\"sent\":{},\"delivered\":{},\"delivered_in_truth\":{},\
@@ -744,8 +730,7 @@ impl ScenarioReport {
             w,
             ",\"finalize\":{{\"memo_hits\":{},\"memo_misses\":{},\"memo_bypassed\":{},\
              \"refresh_skipped\":{},\"refresh_evaluated\":{},\"discover_pruned\":{},\
-             \"batched_estimates\":{},\"verdicts_carried\":{},\"ceiling_raises\":{},\
-             \"pair_hash\":{{\"hashed\":{},\"delegated\":{}}}}}",
+             \"batched_estimates\":{},\"verdicts_carried\":{},\"ceiling_raises\":{}}}",
             f.memo_hits,
             f.memo_misses,
             f.memo_bypassed,
@@ -754,9 +739,7 @@ impl ScenarioReport {
             f.discover_pruned,
             f.batched_estimates,
             f.verdicts_carried,
-            f.ceiling_raises,
-            f.pair_hash.hashed,
-            f.pair_hash.delegated
+            f.ceiling_raises
         )
         .unwrap();
         let mem = &self.memory;
@@ -883,10 +866,6 @@ mod tests {
                 batched_estimates: 4000,
                 verdicts_carried: 600,
                 ceiling_raises: 7,
-                pair_hash: avmem::harness::PairHashStats {
-                    hashed: 3000,
-                    delegated: 1000,
-                },
                 ..Default::default()
             },
             memory: MemoryStats {
@@ -937,7 +916,6 @@ mod tests {
 
     #[test]
     fn merging_pools_every_count() {
-        assert!(ANYCAST_DROPS.iter().enumerate().all(|(i, (reason, _))| *reason as usize == i));
         let report = sample_report();
         let (mut anycast, mut multicast) = (AnycastStats::new(), MulticastStats::new());
         for _ in 0..2 {
@@ -1011,18 +989,11 @@ mod tests {
         assert!(text.contains("finalize fast path: memo hits 900"), "{text}");
         assert!(text.contains("discover pruned 700"), "{text}");
         assert!(text.contains("verdicts carried 600  ceiling raises 7"), "{text}");
-        assert!(
-            text.contains("pair hashes: hashed 3000  delegated 1000"),
-            "{text}"
-        );
         let json = report.render_json();
         assert!(json.contains("\"finalize\":{\"memo_hits\":900"), "{json}");
         assert!(json.contains("\"discover_pruned\":700"), "{json}");
         assert!(json.contains("\"verdicts_carried\":600,\"ceiling_raises\":7"), "{json}");
-        assert!(
-            json.contains("\"pair_hash\":{\"hashed\":3000,\"delegated\":1000}"),
-            "{json}"
-        );
+        assert!(json.contains("\"ceiling_raises\":7}"), "{json}");
         // All-zero counters (converged maintenance) drop the text block
         // but keep the JSON object for a stable schema.
         let mut quiet = sample_report();

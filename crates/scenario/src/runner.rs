@@ -289,7 +289,6 @@ struct ScenarioInstruments {
     online: Gauge,
     mean_degree: Gauge,
     largest_component: Gauge,
-    backlog: Gauge,
     mae: Gauge,
     heap_live: Gauge,
     heap_peak: Gauge,
@@ -348,11 +347,6 @@ impl ScenarioInstruments {
                 "Largest-connected-component fraction of the online overlay.",
                 &[],
             ),
-            backlog: registry.gauge(
-                "avmem_maintenance_backlog",
-                "Maintenance work items pending behind the clock.",
-                &[],
-            ),
             mae: registry.gauge(
                 "avmem_estimator_mae",
                 "Sampled estimator mean absolute error.",
@@ -376,11 +370,10 @@ impl ScenarioInstruments {
         }
     }
 
-    fn observe_health(&self, sample: &HealthSample, backlog: usize, mae: f64) {
+    fn observe_health(&self, sample: &HealthSample, mae: f64) {
         self.online.set(sample.online as f64);
         self.mean_degree.set(sample.mean_degree);
         self.largest_component.set(sample.largest_component);
-        self.backlog.set(backlog as f64);
         self.mae.set(mae);
         // Memory refreshes on the health cadence too: cheap (one atomic
         // read per heap gauge, one /proc read) and exactly the rhythm a
@@ -548,7 +541,7 @@ impl RunSession {
     }
 
     /// The underlying harness (read-only; serve heartbeats export its
-    /// cache/backlog statistics).
+    /// phase spans and pair-hash counts).
     pub fn sim(&self) -> &AvmemSim {
         &self.sim
     }
@@ -578,11 +571,7 @@ impl RunSession {
                     std::mem::take(&mut self.attack_since_last),
                 );
                 if let Some(ins) = &self.instruments {
-                    ins.observe_health(
-                        &sample,
-                        self.sim.pending_maintenance(),
-                        self.report.estimator.mae(),
-                    );
+                    ins.observe_health(&sample, self.report.estimator.mae());
                 }
                 self.report.health.push(sample);
             }
@@ -632,11 +621,7 @@ impl RunSession {
         self.sample_estimator();
         let sample = health_sample(&self.sim, at, self.ops_since_last, self.attack_since_last);
         if let Some(ins) = &self.instruments {
-            ins.observe_health(
-                &sample,
-                self.sim.pending_maintenance(),
-                self.report.estimator.mae(),
-            );
+            ins.observe_health(&sample, self.report.estimator.mae());
         }
         self.report.health.push(sample);
         self.report.timings = self.sim.phase_timings();

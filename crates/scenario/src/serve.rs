@@ -13,7 +13,7 @@
 //!   under pressure and the drops are themselves metered;
 //! * every layer reports through one [`Registry`]: live op latency
 //!   percentiles, delivery counters, harness phase spans, AVMON slot
-//!   costs, pair-hash store and worker-pool statistics, overlay health
+//!   costs, pair-hash and worker-pool statistics, overlay health
 //!   gauges — optionally exported over HTTP by a [`MetricsServer`].
 //!
 //! Determinism: an **unpaced** serve of the full operation window
@@ -237,7 +237,7 @@ impl ScenarioRunner {
         let fired = report.anycast.sent + report.multicast.sent;
         eprintln!(
             "serve[{}] wall {:.0}s  sim {} min  ops fired {}  anycast delivery {:.1}%  \
-             skipped {}  shed {}  backlog {}",
+             skipped {}  shed {}",
             self.spec.name,
             elapsed.as_secs_f64(),
             session.now().as_millis() / 60_000,
@@ -245,7 +245,6 @@ impl ScenarioRunner {
             100.0 * report.anycast.delivery_rate(),
             report.skipped_ops,
             report.admission_drops,
-            session.sim().pending_maintenance(),
         );
     }
 }
@@ -262,8 +261,8 @@ fn ops_handled(report: &ScenarioReport) -> u64 {
 }
 
 /// Mirrors cumulative runtime statistics that live outside the registry
-/// (pair-hash store, worker pool, maintenance backlog) into it. Cheap;
-/// called on every heartbeat and once at the end.
+/// (phase spans, pair hashes, worker pool) into it. Cheap; called on
+/// every heartbeat and once at the end.
 fn publish_runtime(session: &RunSession, registry: &Registry) {
     let sim = session.sim();
     sim.tracer().publish(registry, "avmem");
@@ -278,8 +277,8 @@ fn publish_runtime(session: &RunSession, registry: &Registry) {
     );
     mirror(
         "avmem_hash_direct_total",
-        "Pair hashes computed on the fly, outside any row.",
-        store.direct_hashes,
+        "Pair hashes computed by event-driven finalize, one per batched estimate.",
+        sim.finalize_stats().batched_estimates,
     );
     registry
         .gauge(
@@ -304,13 +303,6 @@ fn publish_runtime(session: &RunSession, registry: &Registry) {
         "Worker-pool batches degraded to inline execution.",
         pool.inline_batches,
     );
-    registry
-        .gauge(
-            "avmem_maintenance_backlog",
-            "Maintenance work items pending behind the clock.",
-            &[],
-        )
-        .set(sim.pending_maintenance() as f64);
 }
 
 #[cfg(test)]

@@ -138,3 +138,48 @@ fn serve_with_metrics_endpoint_still_matches_run() {
         assert!(text.contains(family), "scrape missing {family}:\n{text}");
     }
 }
+
+#[test]
+fn the_exposition_states_each_count_once() {
+    // Two shards, so exchange batches cross a barrier, and ring AVMON, so
+    // slots are processed and timed. Each count has one family: messages
+    // moved are the batch histogram's sum, slots processed the slot-cost
+    // histogram's count, and pair hashes the finalize count mirrored into
+    // `avmem_hash_direct_total`.
+    let mut spec = event_driven_spec();
+    spec.churn = ChurnSpec::Overnet { hosts: 60, days: 1 };
+    spec.warmup_mins = 120;
+    spec.duration_mins = 30;
+    spec.adversary = None;
+    spec.oracle = OracleChoice::Avmon {
+        config: avmem_avmon::AvmonConfig {
+            assignment: avmem_avmon::AssignmentChoice::Ring { vnodes: 8, k: 6 },
+            ..avmem_avmon::AvmonConfig::default()
+        },
+    };
+    let opts = ServeOptions {
+        scrape_on_exit: true,
+        ..unpaced()
+    };
+    let outcome = ScenarioRunner::new(on(&spec, sharded(2, 1))).unwrap().serve(&opts).unwrap();
+    let text = outcome.metrics_text.expect("scrape_on_exit captured text");
+    for family in [
+        "avmem_exchange_batch_msgs_sum{dir=\"request\"}",
+        "avmem_exchange_batch_msgs_sum{dir=\"reply\"}",
+        "avmem_avmon_slot_us_count",
+    ] {
+        assert!(text.contains(family), "scrape missing {family}:\n{text}");
+    }
+    let hashed = text
+        .lines()
+        .find_map(|line| line.strip_prefix("avmem_hash_direct_total "))
+        .unwrap_or_else(|| panic!("scrape missing avmem_hash_direct_total:\n{text}"));
+    assert_ne!(hashed, "0", "finalize hashed no pair:\n{text}");
+    for gone in [
+        "avmem_exchange_msgs_total",
+        "avmem_avmon_slots_total",
+        "avmem_maintenance_backlog",
+    ] {
+        assert!(!text.contains(gone), "scrape still carries {gone}:\n{text}");
+    }
+}

@@ -80,11 +80,6 @@ impl EntryPool {
         self.free.len()
     }
 
-    /// Drops every parked buffer. Semantically a no-op for users of the
-    /// pool — only the reuse is lost.
-    pub fn reset(&mut self) {
-        self.free.clear();
-    }
 }
 
 #[cfg(test)]

@@ -240,18 +240,6 @@ impl ChurnTrace {
         Availability::saturating(up as f64 / len as f64)
     }
 
-    /// The next slot boundary strictly after `time`, or `None` if `time`
-    /// is in the final slot. Simulation drivers use this to schedule churn
-    /// (join/leave) events.
-    pub fn next_transition_after(&self, time: SimTime) -> Option<SimTime> {
-        let s = (time.as_millis() / self.slot.as_millis()) as usize;
-        if s + 1 >= self.slots {
-            None
-        } else {
-            Some(SimTime::from_millis((s as u64 + 1) * self.slot.as_millis()))
-        }
-    }
-
     /// Summary statistics of the trace.
     pub fn stats(&self) -> ChurnStats {
         let n = self.num_nodes();
@@ -500,15 +488,6 @@ mod tests {
     fn availability_between_rejects_inverted_window() {
         let t = toy();
         let _ = t.availability_between(0, SimTime::from_millis(100), SimTime::ZERO);
-    }
-
-    #[test]
-    fn next_transition_walks_slot_boundaries() {
-        let t = toy();
-        let first = t.next_transition_after(SimTime::ZERO).unwrap();
-        assert_eq!(first, SimTime::from_millis(SimDuration::from_mins(20).as_millis()));
-        let last_slot = SimTime::ZERO + SimDuration::from_mins(70);
-        assert_eq!(t.next_transition_after(last_slot), None);
     }
 
     #[test]
