@@ -28,6 +28,7 @@
 //! `"avmon-ring"`) so both strategies are independent of the AVMEM
 //! membership predicate's hash and of each other.
 
+use avmem_util::ring::take_distinct;
 use avmem_util::{
     consistent_hash_keyed, consistent_hash_keyed_batch, consistent_hash_keyed_pair_batch,
     consistent_point_keyed_batch, HashRing, NodeId,
@@ -37,6 +38,10 @@ use serde::{Deserialize, Serialize};
 const DOMAIN: &[u8] = b"avmon";
 /// Domain key of the monitor ring (member placement points).
 const RING_DOMAIN: &[u8] = b"avmon-ring";
+/// A vacant slot of a fixed-width monitor row: the ring holds fewer
+/// than `k` members besides the row's target.
+pub const NO_MONITOR: u32 = u32::MAX;
+
 /// Domain key of target lookup points — distinct from the member domain
 /// so a node's lookup point never coincides with its own ring points.
 const RING_TARGET_DOMAIN: &[u8] = b"avmon-ring/target";
@@ -191,10 +196,9 @@ impl RingAssignment {
             (0..n_u32).map(|t| (NodeId::new(u64::from(t)), NodeId::new(0))),
             &mut points,
         );
-        let mut order: Vec<u32> = (0..n_u32).collect();
-        order.sort_unstable_by_key(|&t| points[t as usize]);
-        let sorted_points: Vec<u128> = order.iter().map(|&t| points[t as usize]).collect();
-        drop(points);
+        let mut placed: Vec<(u128, u32)> = points.into_iter().zip(0..n_u32).collect();
+        placed.sort_unstable();
+        let (sorted_points, order): (Vec<u128>, Vec<u32>) = placed.into_iter().unzip();
         let mut rank = vec![0u32; n];
         for (r, &t) in order.iter().enumerate() {
             rank[t as usize] = r as u32;
@@ -239,6 +243,30 @@ impl RingAssignment {
             self.k as usize,
             Some(target),
         )
+    }
+
+    /// Every target's monitors as fixed-width rows: row `t` is
+    /// `rows[t * k..(t + 1) * k]`, holding
+    /// [`monitors_of_index(t)`](RingAssignment::monitors_of_index) in walk
+    /// order and [`NO_MONITOR`] in the slots the ring cannot fill. One
+    /// sweep: targets in lookup-point order, each walk starting at a
+    /// cursor that only moves forward through the ring's sorted run, where
+    /// a lookup per target would search the ring map again. O(N·k + P).
+    pub fn monitor_rows(&self) -> Vec<u32> {
+        let k = self.k as usize;
+        let mut rows = vec![NO_MONITOR; self.order.len() * k];
+        let (points, owners): (Vec<u128>, Vec<u32>) = self.ring.run().unzip();
+        let mut cursor = 0;
+        for (&lookup, &target) in self.sorted_points.iter().zip(&self.order) {
+            while points.get(cursor).is_some_and(|&p| p < lookup) {
+                cursor += 1;
+            }
+            // Clockwise from the lookup point, wrapping at the top.
+            let walk = owners[cursor..].iter().chain(&owners[..cursor]).copied();
+            let t = target as usize;
+            take_distinct(walk, Some(target), &mut rows[t * k..(t + 1) * k]);
+        }
+        rows
     }
 
     /// Adds `member` to the ring and returns the targets whose monitor
@@ -499,6 +527,38 @@ mod tests {
             let monitors = ring.monitors_of_index(t);
             assert_eq!(monitors.len(), 4);
             assert!(monitors.iter().all(|&m| m < 50));
+        }
+    }
+
+    #[test]
+    fn swept_rows_wrap_past_the_top_of_the_circle() {
+        // 16 ring points, 300 lookup points: some lie past the last ring
+        // point, and their walks start over at the first.
+        let ring = RingAssignment::new(300, 2, 3, 0..8u32);
+        let (top, first) = (
+            ring.ring.run().last().unwrap(),
+            ring.ring.run().next().unwrap(),
+        );
+        let wrapping: Vec<u32> = ring
+            .order
+            .iter()
+            .zip(&ring.sorted_points)
+            .filter(|&(_, &p)| p > top.0)
+            .map(|(&t, _)| t)
+            .collect();
+        assert!(!wrapping.is_empty(), "no lookup point past the ring's last");
+        let rows = ring.monitor_rows();
+        for t in 0..300u32 {
+            let mut expect = ring.monitors_of_index(t);
+            expect.resize(3, NO_MONITOR);
+            let row = &rows[t as usize * 3..][..3];
+            assert_eq!(row, &expect[..], "target {t}");
+            if wrapping.contains(&t) && t != first.1 {
+                assert_eq!(
+                    row[0], first.1,
+                    "target {t} did not wrap to the first point"
+                );
+            }
         }
     }
 

@@ -63,7 +63,7 @@ use avmem_util::ShardPartition;
 use avmem_util::{Availability, NodeId, Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
-use crate::assignment::{AllPairsAssignment, RingAssignment};
+use crate::assignment::{AllPairsAssignment, RingAssignment, NO_MONITOR};
 use crate::estimator::PingCounts;
 use crate::oracle::AvailabilityOracle;
 
@@ -79,9 +79,6 @@ const STREAM_PING: u64 = 0x4156_4d4f_4e50;
 /// would tie outcomes to row order; per-edge keys make each ping a pure
 /// function of who pings whom and when.
 const STREAM_PING_EDGE: u64 = 0x4156_4d4f_4e51;
-
-/// A vacant slot in the ring layout's fixed-width monitor rows.
-const NO_MONITOR: u32 = u32::MAX;
 
 /// A monitor of the all-pairs layout whose row has not been built.
 const NO_ROW: u32 = u32::MAX;
@@ -234,8 +231,9 @@ impl AvmonService {
     /// row of the relation is built by the first slot that finds the
     /// monitor online ([`AvmonService::step_to`]), so the O(N) hashes per
     /// monitor are paid by the run, for the monitors it sees. Ring places
-    /// the slot-0 online set on the ring and fills the fixed-width rows
-    /// in O(N (k + vnodes) log N). `seed` drives ping-loss randomness
+    /// the slot-0 online set on the ring (sorting its points) and fills
+    /// the fixed-width rows in one sweep of the sorted ring,
+    /// O(N·k + P) after the sorts. `seed` drives ping-loss randomness
     /// only.
     pub fn new(trace: &ChurnTrace, config: AvmonConfig, seed: u64) -> Self {
         let n = trace.num_nodes();
@@ -826,20 +824,11 @@ fn stored(aggregate: f64) -> Option<Availability> {
     (aggregate >= 0.0).then(|| Availability::saturating(aggregate))
 }
 
-/// The ring build: one `k`-wide row per target, filled from the ring's
-/// distinct-successor walks (parallel over rows; the ring is shared
-/// read-only).
+/// The ring build: one `k`-wide row per target, filled in one sweep of
+/// the ring ([`RingAssignment::monitor_rows`]).
 fn build_ring_index(ring: RingAssignment, n: usize, aged: bool) -> MonitorIndex {
     let k = ring.k() as usize;
-    let mut monitors = vec![NO_MONITOR; n * k];
-    par_chunks_mut(&mut monitors, k, default_threads(), |offset, chunk| {
-        for (row_idx, row) in chunk.chunks_mut(k).enumerate() {
-            let t = (offset / k + row_idx) as u32;
-            for (slot, m) in ring.monitors_of_index(t).into_iter().enumerate() {
-                row[slot] = m;
-            }
-        }
-    });
+    let monitors = ring.monitor_rows();
     MonitorIndex::Ring {
         ring,
         k,

@@ -4,11 +4,11 @@ use proptest::prelude::*;
 
 use avmem_avmon::{
     AllPairsAssignment, AvailabilityOracle, NoisyOracle, PingEstimator, RingAssignment,
-    TraceOracle,
+    TraceOracle, NO_MONITOR,
 };
 use avmem_sim::{SimDuration, SimTime};
 use avmem_trace::OvernetModel;
-use avmem_util::NodeId;
+use avmem_util::{HashRing, NodeId, Rng, SplitMix64};
 
 proptest! {
     #[test]
@@ -132,6 +132,57 @@ proptest! {
         for t in 0..n as u32 {
             prop_assert_eq!(a.monitors_of_index(t), b.monitors_of_index(t));
         }
+    }
+
+    /// The one-sweep row build against one distinct-successor walk per
+    /// target: every row holds `monitors_of_index(t)` in walk order, then
+    /// `NO_MONITOR`. Member sets run from empty through one member and
+    /// fewer than `k + 1` (vacant slots, walks that wrap the whole circle)
+    /// to many; small rings put most lookup points past the last ring
+    /// point, where the walk wraps over the top.
+    #[test]
+    fn swept_rows_equal_the_per_target_walk(
+        n in 1usize..200,
+        vnodes in 1u32..=16,
+        k in 1u32..=10,
+        shape in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let members: Vec<u32> = match shape {
+            0 => Vec::new(),
+            1 => vec![rng.range_u64(n as u64) as u32],
+            2 => (0..rng.range_u64(u64::from(k) + 1))
+                .map(|_| rng.range_u64(n as u64) as u32)
+                .collect(),
+            _ => (0..n as u32).filter(|_| rng.chance(0.6)).collect(),
+        };
+        let ring = RingAssignment::new(n, vnodes, k, members.iter().copied());
+        let rows = ring.monitor_rows();
+        let k = k as usize;
+        prop_assert_eq!(rows.len(), n * k);
+        for t in 0..n {
+            let mut expect = ring.monitors_of_index(t as u32);
+            expect.resize(k, NO_MONITOR);
+            prop_assert_eq!(&rows[t * k..(t + 1) * k], &expect[..], "target {}", t);
+        }
+    }
+
+    /// The bulk ring (one batch of points, sorted unstably) is the ring a
+    /// member-by-member build makes: the same sorted run of points and
+    /// owners, whatever order and repeats the members come in.
+    #[test]
+    fn bulk_ring_equals_the_member_by_member_ring(
+        members in proptest::collection::vec(0u32..400, 0..120),
+        vnodes in 1u32..=16,
+    ) {
+        let bulk = HashRing::with_members(b"bulk-vs-stepped", vnodes, members.iter().copied());
+        let mut stepped = HashRing::new(b"bulk-vs-stepped", vnodes);
+        for &m in &members {
+            stepped.insert(m);
+        }
+        prop_assert_eq!(bulk.len(), stepped.len());
+        prop_assert_eq!(bulk.run().collect::<Vec<_>>(), stepped.run().collect::<Vec<_>>());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod sweep;
 pub use parse::{parse_engine, parse_spec, ParseError};
 pub use report::{
     AnycastStats, AttackStats, Buckets, EstimatorAccuracy, HealthSample, MemoryStats,
-    MulticastStats, ScenarioReport,
+    MulticastStats, RunTimings, ScenarioReport,
 };
 pub use runner::{RunSession, ScenarioRunner};
 pub use serve::{ServeOptions, ServeOutcome};

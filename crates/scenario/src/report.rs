@@ -8,6 +8,8 @@
 //! comes in two flavors: a human-readable text block and a JSON object
 //! (hand-rolled — the vendored `serde` does not serialize).
 
+use std::time::Duration;
+
 use avmem::ops::AnycastDrop;
 
 /// Anycast hops histogram size: bucket `i` counts deliveries in `i` hops,
@@ -287,6 +289,21 @@ impl EstimatorAccuracy {
     }
 }
 
+/// Where a run's wall-clock time went: set-up — the trace built, then the
+/// simulation constructed over it — and the maintenance phases after.
+/// Excluded from report equality: wall-clock time varies run to run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunTimings {
+    /// `ScenarioSpec::build_trace`: generating or reading the trace.
+    pub trace: Duration,
+    /// `AvmemSim::new`: the oracle (for AVMON's ring, the ring and its
+    /// monitor rows), views and memberships.
+    pub sim_new: Duration,
+    /// Maintenance phase totals (oracle / propose / commit / finalize)
+    /// over the whole run.
+    pub phases: avmem::PhaseTimings,
+}
+
 /// Process-memory observations captured when the run finishes: peak
 /// resident set from the kernel, plus heap-allocator gauges when the
 /// binary was built with the `heap-stats` counting allocator. These are
@@ -364,9 +381,9 @@ pub struct ScenarioReport {
     pub admission_drops: u64,
     /// Sampled estimator accuracy; see [`EstimatorAccuracy`].
     pub estimator: EstimatorAccuracy,
-    /// Maintenance phase wall-clock totals (oracle / propose / commit /
-    /// finalize) accumulated over the whole run. Excluded from `==`.
-    pub timings: avmem::PhaseTimings,
+    /// Set-up and maintenance phase wall-clock totals; see
+    /// [`RunTimings`]. Excluded from `==`.
+    pub timings: RunTimings,
     /// Finalize fast-path counters (threshold memo, pair-hash reads,
     /// refresh short-circuit, batched estimates) accumulated over the
     /// whole run. Excluded from `==`: they describe how the overlay
@@ -546,7 +563,20 @@ impl ScenarioReport {
             )
             .unwrap();
         }
-        let t = &self.timings;
+        let RunTimings {
+            trace,
+            sim_new,
+            phases: t,
+        } = &self.timings;
+        if *trace + *sim_new > Duration::ZERO {
+            writeln!(
+                w,
+                "set-up: trace {:.3} s  sim {:.3} s",
+                trace.as_secs_f64(),
+                sim_new.as_secs_f64()
+            )
+            .unwrap();
+        }
         if t.cohorts > 0 {
             writeln!(
                 w,
@@ -713,16 +743,23 @@ impl ScenarioReport {
             json_f64(e.mae())
         )
         .unwrap();
-        let t = &self.timings;
+        let RunTimings {
+            trace,
+            sim_new,
+            phases: t,
+        } = &self.timings;
         write!(
             w,
             ",\"timings\":{{\"cohorts\":{},\"oracle_secs\":{},\
-             \"propose_secs\":{},\"commit_secs\":{},\"finalize_secs\":{}}}",
+             \"propose_secs\":{},\"commit_secs\":{},\"finalize_secs\":{},\
+             \"trace_secs\":{},\"sim_new_secs\":{}}}",
             t.cohorts,
             json_f64(t.oracle.as_secs_f64()),
             json_f64(t.propose.as_secs_f64()),
             json_f64(t.commit.as_secs_f64()),
-            json_f64(t.finalize.as_secs_f64())
+            json_f64(t.finalize.as_secs_f64()),
+            json_f64(trace.as_secs_f64()),
+            json_f64(sim_new.as_secs_f64())
         )
         .unwrap();
         let f = &self.finalize;
@@ -850,12 +887,16 @@ mod tests {
                 answered: 512,
                 drawn: 1024,
             },
-            timings: avmem::PhaseTimings {
-                oracle: std::time::Duration::from_millis(120),
-                propose: std::time::Duration::from_millis(40),
-                commit: std::time::Duration::from_millis(35),
-                finalize: std::time::Duration::from_millis(80),
-                cohorts: 240,
+            timings: RunTimings {
+                trace: Duration::from_millis(16),
+                sim_new: Duration::from_millis(23),
+                phases: avmem::PhaseTimings {
+                    oracle: Duration::from_millis(120),
+                    propose: Duration::from_millis(40),
+                    commit: Duration::from_millis(35),
+                    finalize: Duration::from_millis(80),
+                    cohorts: 240,
+                },
             },
             finalize: avmem::FinalizeStats {
                 memo_hits: 900,
@@ -973,10 +1014,28 @@ mod tests {
     }
 
     #[test]
+    fn renderings_carry_set_up_timings() {
+        let report = sample_report();
+        let text = report.render_text();
+        assert!(
+            text.contains("set-up: trace 0.016 s  sim 0.023 s"),
+            "{text}"
+        );
+        let json = report.render_json();
+        assert!(
+            json.contains("\"trace_secs\":0.016,\"sim_new_secs\":0.023}"),
+            "{json}"
+        );
+        let mut untimed = report;
+        untimed.timings = RunTimings::default();
+        assert!(!untimed.render_text().contains("set-up:"));
+    }
+
+    #[test]
     fn equality_ignores_wall_clock_timings() {
         let a = sample_report();
         let mut b = sample_report();
-        b.timings = avmem::PhaseTimings::default();
+        b.timings = RunTimings::default();
         assert_eq!(a, b, "timings must not affect report equality");
         b.skipped_ops += 1;
         assert_ne!(a, b, "real fields still compare");

@@ -47,7 +47,7 @@ use avmem_util::{NodeId, Rng, SplitMix64};
 
 use crate::report::{
     AnycastStats, AttackStats, EstimatorAccuracy, HealthSample, MemoryStats, MulticastStats,
-    ScenarioReport, DECILES, HOPS_BUCKETS,
+    RunTimings, ScenarioReport, DECILES, HOPS_BUCKETS,
 };
 use crate::spec::{BandSpec, MaintenanceModeSpec, ScenarioError, ScenarioSpec};
 
@@ -430,9 +430,16 @@ impl ScenarioRunner {
     /// Same as [`ScenarioRunner::run`].
     pub fn session(&self) -> Result<RunSession, ScenarioError> {
         let spec = self.spec.clone();
+        let started = Instant::now();
         let trace = spec.build_trace()?;
+        let traced = Instant::now();
         let hosts = trace.num_nodes();
         let mut sim = AvmemSim::new(trace, spec.sim_config());
+        let timings = RunTimings {
+            trace: traced - started,
+            sim_new: traced.elapsed(),
+            ..RunTimings::default()
+        };
 
         let warm_end = SimTime::ZERO + SimDuration::from_mins(spec.warmup_mins);
         let end = warm_end + SimDuration::from_mins(spec.duration_mins);
@@ -463,7 +470,7 @@ impl ScenarioRunner {
                 strategy: sim.oracle().strategy_label().to_string(),
                 ..EstimatorAccuracy::default()
             },
-            timings: avmem::PhaseTimings::default(),
+            timings,
             finalize: avmem::FinalizeStats::default(),
             memory: MemoryStats::default(),
         };
@@ -624,7 +631,7 @@ impl RunSession {
             ins.observe_health(&sample, self.report.estimator.mae());
         }
         self.report.health.push(sample);
-        self.report.timings = self.sim.phase_timings();
+        self.report.timings.phases = self.sim.phase_timings();
         self.report.finalize = self.sim.finalize_stats();
         self.report.memory = observe_memory();
         self.report
@@ -1030,8 +1037,9 @@ mod tests {
             "event-driven maintenance built no overlay"
         );
         // And the run carries per-phase maintenance timings.
-        assert!(report.timings.cohorts > 0, "no cohorts timed");
-        let busy = report.timings.propose + report.timings.commit + report.timings.finalize;
+        let phases = report.timings.phases;
+        assert!(phases.cohorts > 0, "no cohorts timed");
+        let busy = phases.propose + phases.commit + phases.finalize;
         assert!(busy > std::time::Duration::ZERO, "phase clocks never ticked");
     }
 

@@ -65,6 +65,13 @@ pub(crate) enum Bound {
 
 const ANY: Bound = Bound::Any;
 const POSITIVE_INT: Bound = Bound::Int(1, u64::MAX);
+/// A population: hosts are `u32` ids, and `u32::MAX` is the id the
+/// harness and the monitor rows reserve for "none".
+const POPULATION: Bound = Bound::Int(1, u32::MAX as u64 - 1);
+/// Ring points per monitor, or monitors per target: set-up lays out
+/// `hosts × vnodes` points and `hosts × monitors` row slots, so a value no
+/// experiment needs would be an allocation no machine makes.
+const RING_WIDTH: Bound = Bound::Int(1, 1_024);
 /// `[0, 1]`.
 const UNIT: Bound = Bound::Num { lo: 0.0, lo_open: false, hi: 1.0, hi_open: false };
 /// `(0, ∞)`.
@@ -405,12 +412,12 @@ pub(crate) const SECTIONS: &[Section] = &[
     ]),
     table("churn", &[
         key("model", ANY, None, |s, _| Some(Slot::Tag(&mut s.churn))),
-        key("hosts", POSITIVE_INT, None, |s, _| {
+        key("hosts", POPULATION, None, |s, _| {
             variant!(s.churn, ChurnSpec::Overnet { hosts, .. }
                 | ChurnSpec::FlashCrowd { hosts, .. }
                 | ChurnSpec::MassDeparture { hosts, .. } => Usize(hosts))
         }),
-        key("machines", POSITIVE_INT, None, |s, _| {
+        key("machines", POPULATION, None, |s, _| {
             variant!(s.churn, ChurnSpec::Grid { machines, .. } => Usize(machines))
         }),
         // A generated trace holds `days × 72` slots per host in memory,
@@ -497,12 +504,12 @@ pub(crate) const SECTIONS: &[Section] = &[
                 config: AvmonConfig { assignment, .. },
             } => Tag(assignment))
         }),
-        key("vnodes", POSITIVE_INT, Some("8"), |s, _| {
+        key("vnodes", RING_WIDTH, Some("8"), |s, _| {
             variant!(s.oracle, OracleChoice::Avmon {
                 config: AvmonConfig { assignment: AssignmentChoice::Ring { vnodes, .. }, .. },
             } => U32(vnodes))
         }),
-        key("monitors", POSITIVE_INT, Some("8"), |s, _| {
+        key("monitors", RING_WIDTH, Some("8"), |s, _| {
             variant!(s.oracle, OracleChoice::Avmon {
                 config: AvmonConfig { assignment: AssignmentChoice::Ring { k, .. }, .. },
             } => U32(k))

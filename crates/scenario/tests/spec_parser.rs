@@ -338,18 +338,17 @@ fn malformed_inputs_name_the_offending_line() {
     }
 }
 
-/// Every integer key whose field is narrower than `u64`: the field's
-/// largest value parses to itself, and one past it is an error at that
-/// line naming the bound — `ttl = 4294967302` used to run as `ttl = 6`.
+/// Every integer key whose field is narrower than `u64` and whose range
+/// is the field's: the field's largest value parses to itself, and one
+/// past it is an error at that line naming the bound — `ttl = 4294967302`
+/// used to run as `ttl = 6`. (`vnodes`, `monitors` and `hosts` have ranges
+/// of their own: `what_set_up_cannot_build_is_an_error_at_its_line`.)
 #[test]
 fn integers_too_wide_for_their_field_are_errors_not_wraps() {
     // (section the key lives in, its lines before the key, the key)
     let head = "name = \"x\"\n[churn]\nmodel = \"overnet\"\nhosts = 9\ndays = 1\n";
     let workload = "[workload]\nops_per_hour = 1.0\n";
-    let ring = "[oracle]\nkind = \"avmon\"\nassignment = \"ring\"\n";
     let narrow: &[(String, &str)] = &[
-        (format!("{head}{ring}"), "vnodes"),
-        (format!("{head}{ring}"), "monitors"),
         (
             format!("{head}{workload}policy = \"retried-greedy\"\n"),
             "retries",
@@ -369,23 +368,11 @@ fn integers_too_wide_for_their_field_are_errors_not_wraps() {
         ),
     ];
     let field = |spec: &ScenarioSpec, key: &str| -> u32 {
-        match (
-            key,
-            &spec.oracle,
-            &spec.workload.policy,
-            &spec.workload.multicast,
-        ) {
-            ("vnodes" | "monitors", OracleChoice::Avmon { config }, ..) => {
-                match (key, config.assignment) {
-                    ("vnodes", AssignmentChoice::Ring { vnodes, .. }) => vnodes,
-                    (_, AssignmentChoice::Ring { k, .. }) => k,
-                    _ => panic!("{key} outside a ring: {spec:?}"),
-                }
-            }
-            ("retries", _, ForwardPolicy::RetriedGreedy { retries }, _) => *retries,
+        match (key, &spec.workload.policy, &spec.workload.multicast) {
+            ("retries", ForwardPolicy::RetriedGreedy { retries }, _) => *retries,
             ("ttl", ..) => spec.workload.ttl,
-            ("fanout", _, _, MulticastStrategy::Gossip { fanout, .. }) => *fanout,
-            ("rounds", _, _, MulticastStrategy::Gossip { rounds, .. }) => *rounds,
+            ("fanout", _, MulticastStrategy::Gossip { fanout, .. }) => *fanout,
+            ("rounds", _, MulticastStrategy::Gossip { rounds, .. }) => *rounds,
             ("probes", ..) => spec.adversary.as_ref().unwrap().probes,
             _ => panic!("key {key:?} did not land in its field: {spec:?}"),
         }
@@ -416,10 +403,6 @@ fn integers_too_wide_for_their_field_are_errors_not_wraps() {
     let wide = u64::from(u32::MAX) + 1;
     for (before, key) in [
         (
-            "name = \"x\"\n[churn]\nmodel = \"overnet\"\ndays = 1\n".to_string(),
-            "hosts",
-        ),
-        (
             format!("{head}[maintenance]\nmode = \"event-driven\"\n"),
             "shards",
         ),
@@ -433,10 +416,9 @@ fn integers_too_wide_for_their_field_are_errors_not_wraps() {
         match usize::try_from(wide) {
             Ok(kept) => {
                 let spec = parsed.unwrap_or_else(|e| panic!("{key} = {wide}: {e}"));
-                let got = match (key, &spec.churn, spec.maintenance.engine) {
-                    ("hosts", ChurnSpec::Overnet { hosts, .. }, _) => *hosts,
-                    ("shards", _, MaintenanceEngine::Sharded { shards: Some(n), .. }) => n,
-                    ("threads", _, MaintenanceEngine::Sharded { threads: Some(n), .. }) => n,
+                let got = match (key, spec.maintenance.engine) {
+                    ("shards", MaintenanceEngine::Sharded { shards: Some(n), .. }) => n,
+                    ("threads", MaintenanceEngine::Sharded { threads: Some(n), .. }) => n,
                     _ => panic!("key {key:?} did not land in its field: {spec:?}"),
                 };
                 assert_eq!(got, kept, "{key}");
@@ -544,6 +526,52 @@ fn a_run_its_generated_trace_cannot_cover_fails_before_the_trace_is_built() {
         assert!(err.message.starts_with("key \"days\" must be at "), "days = {days}: {err}");
     }
     parse_spec(&spec_with("3650", "")).expect("the bound itself is accepted");
+}
+
+/// A population or ring width set-up could not build — ids are `u32`
+/// with `u32::MAX` reserved for "none"; rows and ring points are
+/// `hosts × monitors` and `hosts × vnodes` — is a parse error at its
+/// line, where `hosts = 5000000000` and `vnodes = 4000000000` used to
+/// pass `check` and abort `run` on a failed allocation.
+#[test]
+fn what_set_up_cannot_build_is_an_error_at_its_line() {
+    // Each case: a spec with `VALUE` where the key's value goes, the
+    // key's line and its bound.
+    let workload = "[workload]\nops_per_hour = 1.0\n";
+    let churn = |model: &str, key: &str| {
+        format!("name = \"x\"\n[churn]\nmodel = \"{model}\"\n{key} = VALUE\ndays = 1\n{workload}")
+    };
+    let ring = |key: &str| {
+        format!(
+            "name = \"x\"\n[churn]\nmodel = \"overnet\"\nhosts = 30\ndays = 1\n\
+             [oracle]\nkind = \"avmon\"\nassignment = \"ring\"\n{key} = VALUE\n{workload}"
+        )
+    };
+    let cases = [
+        (churn("overnet", "hosts"), 4, 4_294_967_294u64),
+        (churn("grid", "machines"), 4, 4_294_967_294),
+        (ring("vnodes"), 9, 1_024),
+        (ring("monitors"), 9, 1_024),
+    ];
+    for (template, line, max) in cases {
+        let at = |value: u64| template.replace("VALUE", &value.to_string());
+        parse_spec(&at(max)).unwrap_or_else(|e| panic!("the bound itself: {e}\n{template}"));
+        let err = parse_spec(&at(max + 1)).unwrap_err();
+        assert_eq!(err.line, line, "{err}");
+        let named = format!(" must be at most {max}, found {}", max + 1);
+        assert!(err.message.ends_with(&named), "{err}");
+        // Past the field's width the width is the bound named; either way
+        // the error has the value's line.
+        for over in [4_000_000_000, 5_000_000_000, u64::MAX] {
+            if over > max {
+                let err = parse_spec(&at(over)).unwrap_err();
+                assert_eq!(err.line, line, "{over}: {err}");
+                assert!(err.message.ends_with(&format!(", found {over}")), "{err}");
+            }
+        }
+        let err = parse_spec(&at(0)).unwrap_err();
+        assert!(err.message.contains("must be at least 1, found 0"), "{err}");
+    }
 }
 
 /// A value outside its key's range is an error at its line, not a

@@ -337,17 +337,24 @@ impl TraceBuilder {
             row.len() == self.slots,
             "all rows must have the same number of slots"
         );
+        self.push_row_from(row.iter().copied());
+    }
+
+    /// Appends the next node's row, its slots in order from `online`,
+    /// which yields exactly `slots` of them: a generator writes its chain
+    /// straight into the columns, with no row of `bool`s in between.
+    pub(crate) fn push_row_from(&mut self, online: impl IntoIterator<Item = bool>) {
         let i = self.long_term.len();
         if i == 64 * self.stride {
             self.restride((2 * self.stride).max(1));
         }
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        let shift = i % 64;
         let mut up = 0usize;
-        for (s, &online) in row.iter().enumerate() {
-            if online {
-                self.bits[s * self.stride + word] |= bit;
-                up += 1;
-            }
+        // Word `i / 64` of every column, `stride` words apart.
+        let words = self.bits[i / 64..].iter_mut().step_by(self.stride);
+        for (word, bit) in words.zip(online) {
+            *word |= u64::from(bit) << shift;
+            up += usize::from(bit);
         }
         self.long_term
             .push(Availability::saturating(up as f64 / self.slots as f64));

@@ -84,9 +84,11 @@ impl OnlineIndex {
         self.online
             .extend(ones(self.bits.iter().copied()).map(|i| i as u32));
         if self.by_availability.len() != n {
-            self.by_availability = (0..n as u32).collect();
-            self.by_availability
-                .sort_unstable_by_key(|&i| (trace.long_term_availability(i as usize), i));
+            let mut ranked: Vec<(Availability, u32)> = (0..n as u32)
+                .map(|i| (trace.long_term_availability(i as usize), i))
+                .collect();
+            ranked.sort_unstable();
+            self.by_availability = ranked.into_iter().map(|(_, i)| i).collect();
         }
         let up = self
             .by_availability

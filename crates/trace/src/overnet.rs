@@ -217,13 +217,28 @@ impl OvernetModel {
     }
 
     /// Generates a deterministic trace for the given seed.
+    ///
+    /// The per-slot terms every host shares — drift progress and the
+    /// diurnal factor — are computed once here, and a host's chain
+    /// recomputes its transition probabilities only when its modulated
+    /// target moves (never, with no drift and no diurnal term). Each
+    /// slot draws exactly one `next_f64` from the host's stream, and its
+    /// bit goes straight into the trace's column.
     pub fn generate(&self, seed: u64) -> ChurnTrace {
         let slots_per_day = (1440 / self.slot_minutes) as usize;
         let slots = slots_per_day * self.days as usize;
+        let progress: Vec<f64> = (0..slots).map(|s| s as f64 / slots as f64).collect();
+        let diurnal: Vec<f64> = (0..slots)
+            .map(|s| {
+                let phase = (s % slots_per_day) as f64 / slots_per_day as f64;
+                1.0 + self.diurnal_amplitude * (std::f64::consts::TAU * phase).sin()
+            })
+            .collect();
+        let mean_up = self.mean_up_session_slots;
+        let flat = self.diurnal_amplitude == 0.0;
         let mut master = SplitMix64::new(seed);
         let mut trace =
             TraceBuilder::new(SimDuration::from_mins(self.slot_minutes), slots, self.hosts);
-        let mut row = vec![false; slots];
         for host in 0..self.hosts {
             let mut rng = master.fork(host as u64);
             let start_target = self.draw_target_availability(&mut rng);
@@ -232,48 +247,41 @@ impl OvernetModel {
             } else {
                 start_target
             };
-            self.generate_row(&mut rng, start_target, end_target, slots_per_day, &mut row);
-            trace.push_row(&row);
+            // Two-state Markov chain whose stationary availability
+            // follows the (drifting, modulated) target, with mean
+            // up-session `mean_up_session_slots`.
+            let mut up = rng.chance(start_target);
+            // Slot 0's target is the start target, whatever the drift and
+            // the diurnal term; a host with neither keeps it throughout.
+            let first = start_target.clamp(0.001, 0.999);
+            let mut memo = (first.to_bits(), transition_probabilities(first, mean_up));
+            let steady = flat && end_target == start_target;
+            let row = progress
+                .iter()
+                .zip(&diurnal)
+                .map(move |(&progress, &diurnal)| {
+                    if !steady {
+                        let target = start_target + (end_target - start_target) * progress;
+                        let modulated = (target * diurnal).clamp(0.001, 0.999);
+                        if modulated.to_bits() != memo.0 {
+                            memo = (
+                                modulated.to_bits(),
+                                transition_probabilities(modulated, mean_up),
+                            );
+                        }
+                    }
+                    let (p_down, p_up) = memo.1;
+                    let online = up;
+                    // One draw decides both ways — up leaves with `p_down`,
+                    // down returns with `p_up` — so the state picks a verdict
+                    // without a branch on it.
+                    let u = rng.next_f64();
+                    up = up & (u >= p_down) | !up & (u < p_up);
+                    online
+                });
+            trace.push_row_from(row);
         }
         trace.finish()
-    }
-
-    /// Two-state Markov chain over slots whose stationary availability
-    /// interpolates from `start_target` to `end_target`, with mean
-    /// up-session `mean_up_session_slots`, into `row` (its length is the
-    /// trace's slot count).
-    fn generate_row<R: Rng>(
-        &self,
-        rng: &mut R,
-        start_target: f64,
-        end_target: f64,
-        slots_per_day: usize,
-        row: &mut [bool],
-    ) {
-        let slots = row.len();
-        let mut up = rng.chance(start_target);
-        for (s, slot) in row.iter_mut().enumerate() {
-            *slot = up;
-            // Drift: the instantaneous target moves linearly across the
-            // trace.
-            let progress = s as f64 / slots.max(1) as f64;
-            let target = start_target + (end_target - start_target) * progress;
-            // Diurnal modulation of the *target*: hosts are more likely
-            // online at the day peak.
-            let phase = (s % slots_per_day) as f64 / slots_per_day as f64;
-            let modulated = if self.diurnal_amplitude > 0.0 {
-                (target * (1.0 + self.diurnal_amplitude * (std::f64::consts::TAU * phase).sin()))
-                    .clamp(0.001, 0.999)
-            } else {
-                target.clamp(0.001, 0.999)
-            };
-            let (p_down, p_up) = transition_probabilities(modulated, self.mean_up_session_slots);
-            up = if up {
-                !rng.chance(p_down)
-            } else {
-                rng.chance(p_up)
-            };
-        }
     }
 }
 
@@ -297,6 +305,92 @@ pub(crate) fn transition_probabilities(a: f64, mean_up: f64) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator as first written, kept as `generate`'s reference:
+    /// one `bool` row per host, and every slot re-deriving its drift
+    /// progress, diurnal phase, clamp and transition probabilities.
+    fn reference_generate(model: &OvernetModel, seed: u64) -> ChurnTrace {
+        let slots_per_day = (1440 / model.slot_minutes) as usize;
+        let slots = slots_per_day * model.days as usize;
+        let mut master = SplitMix64::new(seed);
+        let mut trace = TraceBuilder::new(
+            SimDuration::from_mins(model.slot_minutes),
+            slots,
+            model.hosts,
+        );
+        let mut row = vec![false; slots];
+        for host in 0..model.hosts {
+            let mut rng = master.fork(host as u64);
+            let start_target = model.draw_target_availability(&mut rng);
+            let end_target = if model.drift_fraction > 0.0 && rng.chance(model.drift_fraction) {
+                model.draw_target_availability(&mut rng)
+            } else {
+                start_target
+            };
+            let mut up = rng.chance(start_target);
+            for (s, slot) in row.iter_mut().enumerate() {
+                *slot = up;
+                let progress = s as f64 / slots.max(1) as f64;
+                let target = start_target + (end_target - start_target) * progress;
+                let phase = (s % slots_per_day) as f64 / slots_per_day as f64;
+                let modulated = if model.diurnal_amplitude > 0.0 {
+                    (target
+                        * (1.0 + model.diurnal_amplitude * (std::f64::consts::TAU * phase).sin()))
+                    .clamp(0.001, 0.999)
+                } else {
+                    target.clamp(0.001, 0.999)
+                };
+                let (p_down, p_up) =
+                    transition_probabilities(modulated, model.mean_up_session_slots);
+                up = if up {
+                    !rng.chance(p_down)
+                } else {
+                    rng.chance(p_up)
+                };
+            }
+            trace.push_row(&row);
+        }
+        trace.finish()
+    }
+
+    /// Every slot width a day divides into.
+    const SLOT_MINUTES: [u64; 36] = [
+        1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 30, 32, 36, 40, 45, 48, 60, 72, 80, 90,
+        96, 120, 144, 160, 180, 240, 288, 360, 480, 720, 1440,
+    ];
+
+    proptest::proptest! {
+        /// `generate` — shared per-slot terms, memoized transition
+        /// probabilities, bits written straight into the columns — is the
+        /// reference bit for bit (`ChurnTrace ==`: the bits and the
+        /// long-term availabilities), drift and diurnal terms included,
+        /// which no spec sets but the builder reaches.
+        #[test]
+        fn generate_equals_the_per_slot_reference(
+            hosts in 1usize..=300,
+            days in 1u64..=3,
+            width in 0usize..SLOT_MINUTES.len(),
+            (amplitude, modulate) in (0.0f64..0.9, proptest::prelude::any::<bool>()),
+            (drift, drifting) in (0.0f64..=1.0, proptest::prelude::any::<bool>()),
+            session in 1.0f64..20.0,
+            (low, mid) in (0.0f64..=1.0, 0.0f64..=1.0),
+            bounds in proptest::collection::vec(0.0f64..=1.0, 6..=6),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let range = |i: usize| (bounds[i].min(bounds[i + 1]), bounds[i].max(bounds[i + 1]));
+            let mid = mid * (1.0 - low);
+            proptest::prop_assume!(low + mid <= 1.0);
+            let model = OvernetModel::default()
+                .hosts(hosts)
+                .days(days)
+                .slot_minutes(SLOT_MINUTES[width])
+                .diurnal_amplitude(if modulate { amplitude } else { 0.0 })
+                .drift_fraction(if drifting { drift } else { 0.0 })
+                .mean_up_session_slots(session)
+                .mixture(low, range(0), mid, range(2), range(4));
+            proptest::prop_assert_eq!(model.generate(seed), reference_generate(&model, seed));
+        }
+    }
 
     #[test]
     fn default_geometry_matches_paper() {

@@ -110,10 +110,11 @@ impl HashRing {
             .enumerate()
             .map(|(i, &point)| (point, members[i / per_member]))
             .collect();
-        // Stable, so of two members on one point the lower — the one a
-        // member-by-member build in ascending order inserts first — is
-        // named first, as `insert` names them.
-        placed.sort_by_key(|&(point, _)| point);
+        drop(points);
+        // By point, then member: of two members on one point the lower —
+        // the one a member-by-member build in ascending order inserts
+        // first — is named first, as `insert` names them.
+        placed.sort_unstable();
         for pair in placed.windows(2) {
             if pair[0].0 == pair[1].0 {
                 panic!(
@@ -256,21 +257,21 @@ impl HashRing {
             .map(|(_, &member)| member)
     }
 
+    /// Every `(point, owner)` on the ring, ascending by point: the sorted
+    /// run a caller sweeping many lookups in point order walks with one
+    /// cursor instead of a map lookup each.
+    pub fn run(&self) -> impl ExactSizeIterator<Item = (u128, u32)> + '_ {
+        self.ring.iter().map(|(&point, &owner)| (point, owner))
+    }
+
     /// The first `k` *distinct* owners clockwise from `point`, skipping
     /// `exclude` — the ring assignment rule (a node never monitors
-    /// itself). Returns fewer than `k` members when the ring (minus the
-    /// exclusion) holds fewer.
+    /// itself), as [`take_distinct`] states it. Returns fewer than `k`
+    /// members when the ring (minus the exclusion) holds fewer.
     pub fn distinct_successors(&self, point: u128, k: usize, exclude: Option<u32>) -> Vec<u32> {
-        let mut owners = Vec::with_capacity(k);
-        for member in self.successors(point) {
-            if Some(member) == exclude || owners.contains(&member) {
-                continue;
-            }
-            owners.push(member);
-            if owners.len() == k {
-                break;
-            }
-        }
+        let mut owners = vec![0; k.min(self.members)];
+        let taken = take_distinct(self.successors(point), exclude, &mut owners);
+        owners.truncate(taken);
         owners
     }
 
@@ -307,6 +308,34 @@ impl HashRing {
         }
         None
     }
+}
+
+/// The ring assignment rule over one clockwise walk: fills `row` with
+/// the first `row.len()` distinct owners `owners` yields, in walk order,
+/// skipping `exclude`, and returns how many it found (fewer when the walk
+/// ends first; the rest of `row` is left as it was). Every lookup —
+/// [`HashRing::distinct_successors`] and a caller's sweep over the
+/// [`HashRing::run`] — applies the rule through this one function.
+pub fn take_distinct(
+    owners: impl IntoIterator<Item = u32>,
+    exclude: Option<u32>,
+    row: &mut [u32],
+) -> usize {
+    let mut taken = 0;
+    if row.is_empty() {
+        return 0;
+    }
+    for owner in owners {
+        if Some(owner) == exclude || row[..taken].contains(&owner) {
+            continue;
+        }
+        row[taken] = owner;
+        taken += 1;
+        if taken == row.len() {
+            break;
+        }
+    }
+    taken
 }
 
 #[cfg(test)]
@@ -502,6 +531,18 @@ mod tests {
         let empty = HashRing::new(b"empty", 2);
         assert!(empty.distinct_successors(0, 3, None).is_empty());
         assert!(empty.predecessor_window_start(0, 1).is_none());
+    }
+
+    #[test]
+    fn take_distinct_fills_in_walk_order_and_stops() {
+        let mut row = [u32::MAX; 3];
+        assert_eq!(take_distinct([4, 4, 7, 2, 7, 9, 1], Some(2), &mut row), 3);
+        assert_eq!(row, [4, 7, 9]);
+        // A walk that ends first leaves the rest of the row as it was.
+        let mut row = [u32::MAX; 3];
+        assert_eq!(take_distinct([5, 5, 6], Some(6), &mut row), 1);
+        assert_eq!(row, [5, u32::MAX, u32::MAX]);
+        assert_eq!(take_distinct([1, 2], None, &mut []), 0);
     }
 
     #[test]
