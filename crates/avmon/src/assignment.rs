@@ -2,23 +2,21 @@
 //!
 //! AVMON's contribution (leveraged as a black box by AVMEM) is selecting,
 //! for every node `x`, a small random-but-*consistent* set of monitor
-//! nodes. Consistency means the relation is a pure function of identities
-//! and membership, so a selfish node can neither choose its monitors nor
-//! deny the relationship; randomness (via the hash) spreads monitoring
-//! load uniformly. Two strategies implement that contract:
+//! nodes. Consistency means the relation is a pure function of
+//! identities, so a selfish node can neither choose its monitors nor deny
+//! the relationship, and who is online never moves it; randomness (via
+//! the hash) spreads monitoring load uniformly. Two strategies implement
+//! that contract:
 //!
 //! * [`AllPairsAssignment`] — the paper's original rule: `m` monitors `x`
 //!   iff `H(id(m), id(x)) ≤ cms / N*`. The reference for randomness and
 //!   consistency, but discovering a node's monitors costs a population
 //!   scan and building all monitor sets costs O(N²) hashes.
-//! * [`RingAssignment`] — a consistent-hash ring: monitors sit on a keyed
-//!   [`HashRing`] with virtual points, every target owns a lookup point,
-//!   and a target's monitors are its `k` distinct clockwise ring
-//!   successors. Build drops to O(N log N), and a membership change
-//!   perturbs only the arcs next to the changed points —
-//!   [`RingAssignment::join`] / [`RingAssignment::leave`] return the
-//!   affected targets as an O(k)-sized delta instead of forcing a global
-//!   rebuild.
+//! * [`ring_rows`] — a consistent-hash ring over all hosts: every host
+//!   owns keyed virtual points, every target a lookup point, and a
+//!   target's monitors are its `k` distinct clockwise ring successors.
+//!   Building every row costs O(N·vnodes) hashes and one sweep of the
+//!   sorted ring, which is then dropped: the rows are the relation.
 //!
 //! The service keeps whichever one its
 //! [`AssignmentChoice`](crate::AssignmentChoice) names beside the monitor
@@ -28,18 +26,18 @@
 //! `"avmon-ring"`) so both strategies are independent of the AVMEM
 //! membership predicate's hash and of each other.
 
-use avmem_util::ring::take_distinct;
+use avmem_util::parallel::{default_threads, par_chunks_mut};
 use avmem_util::{
     consistent_hash_keyed, consistent_hash_keyed_batch, consistent_hash_keyed_pair_batch,
-    consistent_point_keyed_batch, HashRing, NodeId,
+    consistent_point_keyed_batch, NodeId,
 };
 use serde::{Deserialize, Serialize};
 
 const DOMAIN: &[u8] = b"avmon";
 /// Domain key of the monitor ring (member placement points).
 const RING_DOMAIN: &[u8] = b"avmon-ring";
-/// A vacant slot of a fixed-width monitor row: the ring holds fewer
-/// than `k` members besides the row's target.
+/// A vacant slot of a fixed-width monitor row: the population holds
+/// fewer than `k` hosts besides the row's target.
 pub const NO_MONITOR: u32 = u32::MAX;
 
 /// Domain key of target lookup points — distinct from the member domain
@@ -129,208 +127,201 @@ impl AllPairsAssignment {
     }
 }
 
-/// Ring-based monitor assignment with O(k) incremental membership.
+/// Every target's monitors under the consistent-hash ring, as fixed-width
+/// rows: row `t` is `rows[t * k..(t + 1) * k]`.
 ///
-/// Monitors own `vnodes` points each on a keyed [`HashRing`]; every
-/// target (member or not — offline nodes keep being monitored, which is
-/// how downtime gets measured) owns one fixed lookup point, and its
-/// monitors are the first `k` distinct ring members clockwise from that
-/// point, never itself. The assignment is a pure function of the member
-/// set, so any party evaluating it agrees — the consistency property the
-/// paper's selfishness analysis rests on.
+/// All `n` hosts own `vnodes` points each on the circle of 96-bit
+/// points, and every target owns one lookup point; a target's monitors
+/// are the first `k` distinct owners clockwise from its lookup point
+/// (a ring point equal to it included), never itself, in walk order,
+/// with [`NO_MONITOR`] in the slots a population of `k` or fewer cannot
+/// fill. The relation is a pure function of `(n, vnodes, k)` — who is
+/// online never enters it, so any party evaluating it agrees, the
+/// consistency the paper's selfishness analysis rests on, and an offline
+/// monitor keeps its targets (it misses their pings, as under the
+/// all-pairs rule).
 ///
-/// [`RingAssignment::join`] and [`RingAssignment::leave`] update the
-/// member set and return the targets whose monitor sets *may* have
-/// changed: a conservative window of O(k + vnodes) expected size found
-/// by walking the ring backwards from each touched point, instead of
-/// the O(N) rescan the all-pairs rule would need.
+/// One sweep builds every row: both point runs are sorted, and the
+/// targets are visited in lookup-point order, each walk starting at a
+/// cursor that only moves forward through the ring. The runs are dropped
+/// on return. O(n·vnodes) hashes, on the worker pool, and O(n·k +
+/// n·vnodes) after the sorts.
+///
+/// # Panics
+///
+/// Panics if `k == 0`, `vnodes == 0`, `n` exceeds `u32`, or two ring
+/// points collide — with 96-bit points and even 10⁶ hosts × 1 024
+/// vnodes that is a broken hash, not bad luck.
 ///
 /// # Examples
 ///
 /// ```
-/// use avmem_avmon::RingAssignment;
+/// use avmem_avmon::{ring_rows, NO_MONITOR};
 ///
-/// let mut ring = RingAssignment::new(100, 8, 4, 0..100u32);
-/// let before = ring.monitors_of_index(17);
-/// assert_eq!(before.len(), 4);
-///
-/// // A leave only disturbs the arcs next to the leaver's points.
-/// let affected = ring.leave(42);
-/// assert!(affected.len() < 100);
-/// for t in 0..100u32 {
-///     assert!(!ring.monitors_of_index(t).contains(&42));
-/// }
+/// let rows = ring_rows(100, 8, 4);
+/// let row = &rows[17 * 4..18 * 4];
+/// assert!(!row.contains(&17) && !row.contains(&NO_MONITOR));
+/// // Consistent: any evaluation agrees.
+/// assert_eq!(rows, ring_rows(100, 8, 4));
 /// ```
-#[derive(Debug, Clone)]
-pub struct RingAssignment {
-    k: u32,
-    ring: HashRing,
-    /// Target indexes sorted by lookup point, aligned with
-    /// `sorted_points` — the range structure behind the delta windows.
-    order: Vec<u32>,
-    sorted_points: Vec<u128>,
-    /// Where each target sits in `order`: target `t`'s lookup point is
-    /// `sorted_points[rank[t]]`, stored once.
-    rank: Vec<u32>,
+pub fn ring_rows(n: usize, vnodes: u32, k: u32) -> Vec<u32> {
+    assert!(k > 0, "a target needs at least one monitor");
+    assert!(vnodes > 0, "a ring member needs at least one point");
+    let n_u32 = u32::try_from(n).expect("population exceeds the u32 index width");
+    let lookups = sort_points(placed(RING_TARGET_DOMAIN, n_u32, 1));
+    let ring = sort_ring(placed(RING_DOMAIN, n_u32, vnodes));
+    let k = k as usize;
+    let mut rows = vec![NO_MONITOR; n * k];
+    let mut cursor = 0;
+    for &lookup in &lookups {
+        while ring.get(cursor).is_some_and(|&p| point(p) < point(lookup)) {
+            cursor += 1;
+        }
+        // Clockwise from the lookup point, wrapping at the top.
+        let walk = ring[cursor..].iter().chain(&ring[..cursor]).map(|&p| owner(p));
+        let t = owner(lookup);
+        let row = t as usize * k;
+        take_distinct(walk, t, &mut rows[row..row + k]);
+    }
+    rows
 }
 
-impl RingAssignment {
-    /// Builds the assignment for a population of `n` targets (indexes
-    /// `0..n`), with `vnodes` ring points per monitor and `k` monitors
-    /// per target. `members` is the initial monitor membership (typically
-    /// the currently-online nodes). O(N log N).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `vnodes == 0`, `n` exceeds `u32`, or a member
-    /// index is out of `0..n`.
-    pub fn new<I>(n: usize, vnodes: u32, k: u32, members: I) -> Self
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        assert!(k > 0, "a target needs at least one monitor");
-        let n_u32 = u32::try_from(n).expect("population exceeds the u32 index width");
-        let mut points = vec![0u128; n];
-        consistent_point_keyed_batch(
-            RING_TARGET_DOMAIN,
-            (0..n_u32).map(|t| (NodeId::new(u64::from(t)), NodeId::new(0))),
-            &mut points,
+/// The points of owners `0..n`, `per` each, one `u128` a pair: the
+/// 96-bit point above the 32-bit owner, so that the integer order of the
+/// run is its `(point, owner)` order. Owner `o`'s `v`-th point is the top
+/// 96 bits of the keyed hash of `(o, v)`. Hashed straight into the run,
+/// on the worker pool.
+fn placed(key: &[u8], n: u32, per: u32) -> Vec<u128> {
+    let per = per as usize;
+    let mut run = vec![0u128; n as usize * per];
+    par_chunks_mut(&mut run, 1024, default_threads(), |offset, chunk| {
+        let ids = |i: usize| (NodeId::new((i / per) as u64), NodeId::new((i % per) as u64));
+        consistent_point_keyed_batch(key, (offset..offset + chunk.len()).map(ids), chunk);
+        for (i, slot) in (offset..).zip(chunk.iter_mut()) {
+            *slot = *slot >> 32 << 32 | (i / per) as u128;
+        }
+    });
+    run
+}
+
+/// The 96-bit point of a [`placed`] pair.
+fn point(pair: u128) -> u128 {
+    pair >> 32
+}
+
+/// The owner of a [`placed`] pair.
+fn owner(pair: u128) -> u32 {
+    pair as u32
+}
+
+/// Sorts the ring's run by point.
+///
+/// # Panics
+///
+/// Panics if two owners share a point, naming the lower owner first.
+fn sort_ring(run: Vec<u128>) -> Vec<u128> {
+    let run = sort_points(run);
+    if let Some(pair) = run.windows(2).find(|pair| point(pair[0]) == point(pair[1])) {
+        panic!(
+            "ring point collision between members {} and {}",
+            owner(pair[0]),
+            owner(pair[1])
         );
-        let mut placed: Vec<(u128, u32)> = points.into_iter().zip(0..n_u32).collect();
-        placed.sort_unstable();
-        let (sorted_points, order): (Vec<u128>, Vec<u32>) = placed.into_iter().unzip();
-        let mut rank = vec![0u32; n];
-        for (r, &t) in order.iter().enumerate() {
-            rank[t as usize] = r as u32;
-        }
-        let ring = HashRing::with_members(
-            RING_DOMAIN,
-            vnodes,
-            members.into_iter().inspect(|&m| {
-                assert!(m < n_u32, "member {m} outside the population 0..{n}");
-            }),
-        );
-        RingAssignment {
-            k,
-            ring,
-            order,
-            sorted_points,
-            rank,
-        }
     }
+    run
+}
 
-    /// Monitors per target.
-    pub fn k(&self) -> u32 {
-        self.k
+/// `run` in ascending order, exactly as `sort_unstable` leaves it, at a
+/// fraction of its cost on uniform points. The pairs are bucketed by the
+/// top bits of their points, twice: in place into sixteen runs by the top
+/// four bits, then each run, on the worker pool and through a scratch
+/// buffer, into buckets of about four pairs by a monotone multiply-shift
+/// of the next 60 bits. A `sort_unstable` per bucket orders the rest.
+fn sort_points(mut run: Vec<u128>) -> Vec<u128> {
+    const TOP_BITS: u32 = 4;
+    let top = |pair: u128| (pair >> (128 - TOP_BITS)) as usize;
+    let mut ends = [0usize; 1 << TOP_BITS];
+    for &pair in &run {
+        ends[top(pair)] += 1;
     }
-
-    /// Virtual ring points per monitor.
-    pub fn vnodes(&self) -> u32 {
-        self.ring.vnodes()
+    let mut next = ends;
+    let mut total = 0;
+    for (start, end) in next.iter_mut().zip(&mut ends) {
+        *start = total;
+        total += *end;
+        *end = total;
     }
-
-    /// Whether `member` is currently on the ring.
-    pub fn is_member(&self, member: u32) -> bool {
-        self.ring.contains(member)
-    }
-
-    /// The monitors of `target`: its `k` distinct ring successors,
-    /// excluding itself, in clockwise walk order. Fewer than `k` when
-    /// the ring holds fewer (other) members.
-    pub fn monitors_of_index(&self, target: u32) -> Vec<u32> {
-        self.ring.distinct_successors(
-            self.sorted_points[self.rank[target as usize] as usize],
-            self.k as usize,
-            Some(target),
-        )
-    }
-
-    /// Every target's monitors as fixed-width rows: row `t` is
-    /// `rows[t * k..(t + 1) * k]`, holding
-    /// [`monitors_of_index(t)`](RingAssignment::monitors_of_index) in walk
-    /// order and [`NO_MONITOR`] in the slots the ring cannot fill. One
-    /// sweep: targets in lookup-point order, each walk starting at a
-    /// cursor that only moves forward through the ring's sorted run, where
-    /// a lookup per target would search the ring map again. O(N·k + P).
-    pub fn monitor_rows(&self) -> Vec<u32> {
-        let k = self.k as usize;
-        let mut rows = vec![NO_MONITOR; self.order.len() * k];
-        let (points, owners): (Vec<u128>, Vec<u32>) = self.ring.run().unzip();
-        let mut cursor = 0;
-        for (&lookup, &target) in self.sorted_points.iter().zip(&self.order) {
-            while points.get(cursor).is_some_and(|&p| p < lookup) {
-                cursor += 1;
+    // Each pair taken out of place is carried to the next free slot of
+    // its run, and what sat there is carried on, until a pair lands home.
+    for b in 0..ends.len() {
+        while next[b] < ends[b] {
+            let mut pair = run[next[b]];
+            let mut home = top(pair);
+            while home != b {
+                let dest = next[home];
+                next[home] += 1;
+                pair = std::mem::replace(&mut run[dest], pair);
+                home = top(pair);
             }
-            // Clockwise from the lookup point, wrapping at the top.
-            let walk = owners[cursor..].iter().chain(&owners[..cursor]).copied();
-            let t = target as usize;
-            take_distinct(walk, Some(target), &mut rows[t * k..(t + 1) * k]);
+            run[next[b]] = pair;
+            next[b] += 1;
         }
-        rows
     }
-
-    /// Adds `member` to the ring and returns the targets whose monitor
-    /// sets may have changed, ascending and deduplicated. No-op (empty
-    /// delta) if the member is already present.
-    pub fn join(&mut self, member: u32) -> Vec<u32> {
-        let points = self.ring.member_points(member);
-        if !self.ring.insert_points(member, &points) {
-            return Vec::new();
-        }
-        self.affected_by(&points)
+    let mut runs = Vec::with_capacity(ends.len());
+    let mut rest = &mut run[..];
+    let mut start = 0;
+    for end in ends {
+        let (head, tail) = rest.split_at_mut(end - start);
+        runs.push(head);
+        rest = tail;
+        start = end;
     }
-
-    /// Removes `member` from the ring and returns the targets whose
-    /// monitor sets may have changed, ascending and deduplicated. No-op
-    /// (empty delta) if the member was not present.
-    ///
-    /// The windows are computed *before* the points disappear — they
-    /// bound the walks that used to end at the removed points.
-    pub fn leave(&mut self, member: u32) -> Vec<u32> {
-        if !self.ring.contains(member) {
-            return Vec::new();
-        }
-        let points = self.ring.member_points(member);
-        let affected = self.affected_by(&points);
-        self.ring.remove_points(member, &points);
-        affected
-    }
-
-    /// Targets whose clockwise `k`-distinct-successor walk can reach one
-    /// of `points`, a member's ring points: for each point `p`, the
-    /// window extends counter-clockwise until `k + 2` distinct owners
-    /// have been passed (`+2` covers the target's self-exclusion and the
-    /// member itself owning other points in the arc) — any target further
-    /// back resolves all `k` monitors before reaching `p`, changed or not.
-    fn affected_by(&self, points: &[u128]) -> Vec<u32> {
-        let distinct = self.k as usize + 2;
-        let mut affected: Vec<u32> = Vec::new();
-        for &p in points {
-            match self.ring.predecessor_window_start(p, distinct) {
-                Some(start) => self.targets_in_arc(start, p, &mut affected),
-                None => {
-                    // The ring is too small to bound the walk: every
-                    // target's monitor set is up for grabs.
-                    return (0..self.order.len() as u32).collect();
-                }
+    par_chunks_mut(&mut runs, 1, default_threads(), |_, chunk| {
+        let (mut scratch, mut starts, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        for run in chunk {
+            let buckets = run.len() / 4 + 1;
+            let bucket = |pair: u128| {
+                let below_top = ((pair >> 64) as u64) << TOP_BITS;
+                ((u128::from(below_top) * buckets as u128) >> 64) as usize
+            };
+            starts.clear();
+            starts.resize(buckets + 1, 0);
+            for &pair in run.iter() {
+                starts[bucket(pair) + 1] += 1;
             }
+            for b in 0..buckets {
+                starts[b + 1] += starts[b];
+            }
+            next.clone_from(&starts);
+            scratch.clear();
+            scratch.resize(run.len(), 0);
+            for &pair in run.iter() {
+                let b = bucket(pair);
+                scratch[next[b]] = pair;
+                next[b] += 1;
+            }
+            for bounds in starts.windows(2) {
+                scratch[bounds[0]..bounds[1]].sort_unstable();
+            }
+            run.copy_from_slice(&scratch);
         }
-        affected.sort_unstable();
-        affected.dedup();
-        affected
-    }
+    });
+    run
+}
 
-    /// Appends the targets with lookup points in the clockwise arc
-    /// `(from, to]` (wrap-aware) to `out`.
-    fn targets_in_arc(&self, from: u128, to: u128, out: &mut Vec<u32>) {
-        let lo = self.sorted_points.partition_point(|&p| p <= from);
-        let hi = self.sorted_points.partition_point(|&p| p <= to);
-        if from < to {
-            out.extend_from_slice(&self.order[lo..hi]);
-        } else {
-            // Wraps over the top of the circle.
-            out.extend_from_slice(&self.order[lo..]);
-            out.extend_from_slice(&self.order[..hi]);
+/// The ring assignment rule over one clockwise walk: fills `row` with
+/// the first `row.len()` distinct owners `owners` yields, in walk order,
+/// skipping `exclude`. A walk that ends first leaves the rest of `row` as
+/// it was.
+fn take_distinct(owners: impl IntoIterator<Item = u32>, exclude: u32, row: &mut [u32]) {
+    let mut taken = 0;
+    for owner in owners {
+        if taken == row.len() {
+            break;
+        }
+        if owner != exclude && !row[..taken].contains(&owner) {
+            row[taken] = owner;
+            taken += 1;
         }
     }
 }
@@ -338,6 +329,8 @@ impl RingAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avmem_util::{Rng, SplitMix64};
+    use proptest::prelude::*;
 
     fn ids(n: u64) -> impl Iterator<Item = NodeId> + Clone {
         (0..n).map(NodeId::new)
@@ -449,125 +442,89 @@ mod tests {
 
     #[test]
     fn ring_gives_exactly_k_monitors() {
-        let ring = RingAssignment::new(200, 8, 5, 0..200u32);
-        for t in 0..200u32 {
-            let monitors = ring.monitors_of_index(t);
-            assert_eq!(monitors.len(), 5, "target {t}");
-            assert!(!monitors.contains(&t), "target {t} monitors itself");
-        }
-    }
-
-    #[test]
-    fn ring_join_delta_covers_every_changed_target() {
-        let n = 150u32;
-        let mut ring = RingAssignment::new(n as usize, 4, 4, 0..n - 1);
-        let before: Vec<Vec<u32>> = (0..n).map(|t| ring.monitors_of_index(t)).collect();
-        let affected = ring.join(n - 1);
-        assert!(ring.is_member(n - 1));
-        for t in 0..n {
-            let after = ring.monitors_of_index(t);
-            if after != before[t as usize] {
-                assert!(
-                    affected.contains(&t),
-                    "target {t} changed but was not reported affected"
-                );
-            }
-        }
-        // The delta is local, not a global rebuild.
-        assert!(
-            affected.len() < n as usize / 2,
-            "join affected {} of {n} targets",
-            affected.len()
-        );
-    }
-
-    #[test]
-    fn ring_leave_delta_covers_every_changed_target() {
-        let n = 150u32;
-        let mut ring = RingAssignment::new(n as usize, 4, 4, 0..n);
-        let before: Vec<Vec<u32>> = (0..n).map(|t| ring.monitors_of_index(t)).collect();
-        let affected = ring.leave(77);
-        assert!(!ring.is_member(77));
-        for t in 0..n {
-            let after = ring.monitors_of_index(t);
-            if after != before[t as usize] {
-                assert!(
-                    affected.contains(&t),
-                    "target {t} changed but was not reported affected"
-                );
-            }
-        }
-        assert!(affected.len() < n as usize / 2);
-    }
-
-    #[test]
-    fn ring_join_then_leave_round_trips() {
-        let mut ring = RingAssignment::new(120, 4, 4, 0..120u32);
-        let before: Vec<Vec<u32>> = (0..120u32).map(|t| ring.monitors_of_index(t)).collect();
-        ring.leave(60);
-        ring.join(60);
-        let after: Vec<Vec<u32>> = (0..120u32).map(|t| ring.monitors_of_index(t)).collect();
-        assert_eq!(before, after, "assignment must be a pure function of membership");
-    }
-
-    #[test]
-    fn ring_redundant_join_and_leave_are_empty_deltas() {
-        let mut ring = RingAssignment::new(50, 4, 3, 0..25u32);
-        assert!(ring.join(10).is_empty(), "member already present");
-        assert!(ring.leave(40).is_empty(), "member already absent");
-    }
-
-    #[test]
-    fn ring_offline_targets_keep_their_monitors() {
-        // Targets outside the member set (offline nodes) still resolve k
-        // monitors — downtime is only measurable if someone keeps
-        // pinging you.
-        let ring = RingAssignment::new(100, 4, 4, 0..50u32);
-        for t in 50..100u32 {
-            let monitors = ring.monitors_of_index(t);
-            assert_eq!(monitors.len(), 4);
-            assert!(monitors.iter().all(|&m| m < 50));
+        let rows = ring_rows(200, 8, 5);
+        for (t, row) in rows.chunks(5).enumerate() {
+            assert!(!row.contains(&NO_MONITOR), "target {t}: {row:?}");
+            assert!(!row.contains(&(t as u32)), "target {t} monitors itself");
         }
     }
 
     #[test]
     fn swept_rows_wrap_past_the_top_of_the_circle() {
-        // 16 ring points, 300 lookup points: some lie past the last ring
-        // point, and their walks start over at the first.
-        let ring = RingAssignment::new(300, 2, 3, 0..8u32);
-        let (top, first) = (
-            ring.ring.run().last().unwrap(),
-            ring.ring.run().next().unwrap(),
-        );
-        let wrapping: Vec<u32> = ring
-            .order
-            .iter()
-            .zip(&ring.sorted_points)
-            .filter(|&(_, &p)| p > top.0)
-            .map(|(&t, _)| t)
-            .collect();
-        assert!(!wrapping.is_empty(), "no lookup point past the ring's last");
-        let rows = ring.monitor_rows();
-        for t in 0..300u32 {
-            let mut expect = ring.monitors_of_index(t);
-            expect.resize(3, NO_MONITOR);
-            let row = &rows[t as usize * 3..][..3];
-            assert_eq!(row, &expect[..], "target {t}");
-            if wrapping.contains(&t) && t != first.1 {
-                assert_eq!(
-                    row[0], first.1,
-                    "target {t} did not wrap to the first point"
-                );
+        // A lookup point past the last ring point starts its walk over at
+        // the first; across these populations some lookup lies there.
+        let mut wrapped = 0;
+        for n in 2..40u32 {
+            let mut ring = placed(RING_DOMAIN, n, 2);
+            ring.sort_unstable();
+            let (top, first) = (point(ring[ring.len() - 1]), owner(ring[0]));
+            let rows = ring_rows(n as usize, 2, 1);
+            for lookup in placed(RING_TARGET_DOMAIN, n, 1) {
+                let t = owner(lookup);
+                if point(lookup) > top && t != first {
+                    assert_eq!(rows[t as usize], first, "{n} hosts, target {t}");
+                    wrapped += 1;
+                }
             }
         }
+        assert!(wrapped > 0, "no lookup point past the ring's last");
     }
 
     #[test]
-    fn tiny_ring_reports_every_target_affected() {
-        // With fewer members than k + 2 distinct owners the delta
-        // windows cannot bound the walk, so the delta degrades to "all".
-        let mut ring = RingAssignment::new(30, 2, 4, 0..3u32);
-        let affected = ring.join(3);
-        assert_eq!(affected, (0..30u32).collect::<Vec<_>>());
+    fn take_distinct_fills_in_walk_order_and_stops() {
+        let mut row = [NO_MONITOR; 3];
+        take_distinct([4, 4, 7, 2, 7, 9, 1], 2, &mut row);
+        assert_eq!(row, [4, 7, 9]);
+        // A walk that ends first leaves the rest of the row as it was.
+        let mut row = [NO_MONITOR; 3];
+        take_distinct([5, 5, 6], 6, &mut row);
+        assert_eq!(row, [5, NO_MONITOR, NO_MONITOR]);
+        take_distinct([1, 2], 0, &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one point")]
+    fn zero_vnodes_is_rejected() {
+        let _ = ring_rows(10, 0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "ring point collision between members 3 and 9")]
+    fn a_ring_point_collision_panics() {
+        let pair = |point: u128, owner: u32| point << 32 | u128::from(owner);
+        sort_ring(vec![pair(5 << 70, 9), pair(7, 1), pair(5 << 70, 3), pair(1 << 95, 4)]);
+    }
+
+    /// `len` pairs with owners `0..len`: uniform 96-bit points, or points
+    /// clustered into three narrow arcs — most buckets empty, a few long,
+    /// and points repeated between owners.
+    fn pairs(len: usize, clustered: bool, seed: u64) -> Vec<u128> {
+        let mut rng = SplitMix64::new(seed);
+        (0..len as u32)
+            .map(|owner| {
+                let point = if clustered {
+                    u128::from(rng.range_u64(3)) << 94 | u128::from(rng.range_u64(64)) << 8
+                } else {
+                    u128::from(rng.next_u64()) << 32 | u128::from(rng.next_u64() >> 32)
+                };
+                point << 32 | u128::from(owner)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The bucketed sort is `sort_unstable`, pair for pair, over
+        /// uniform points and over clustered, repeating ones.
+        #[test]
+        fn bucketed_sort_equals_sort_unstable(
+            len in 0usize..=5_000,
+            clustered in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let run = pairs(len, clustered, seed);
+            let mut expect = run.clone();
+            expect.sort_unstable();
+            prop_assert_eq!(sort_points(run), expect);
+        }
     }
 }

@@ -14,10 +14,10 @@
 //!   `H(id(m), id(x)) ≤ cms / N*`, a predicate any third party can
 //!   verify, giving each node an expected `cms` uniformly random
 //!   monitors — selfish nodes cannot choose their own monitors), and a
-//!   consistent-hash-ring strategy ([`RingAssignment`]) with the same
-//!   consistency contract but an O(N log N) build and O(k) incremental
-//!   [`join`](RingAssignment::join) / [`leave`](RingAssignment::leave)
-//!   deltas under churn;
+//!   consistent-hash-ring strategy ([`ring_rows`]) with the same
+//!   consistency contract: a ring over all hosts, swept once into `k`
+//!   monitors per target at set-up, O(N·vnodes) hashes where all-pairs
+//!   costs O(N²);
 //! * [`estimator`] — per-target ping bookkeeping: raw (lifetime fraction
 //!   of answered pings) and aged (exponentially weighted) availability
 //!   estimates;
@@ -40,7 +40,7 @@ pub mod estimator;
 pub mod oracle;
 pub mod service;
 
-pub use assignment::{AllPairsAssignment, RingAssignment, NO_MONITOR};
+pub use assignment::{ring_rows, AllPairsAssignment, NO_MONITOR};
 pub use estimator::PingEstimator;
 pub use oracle::{AvailabilityOracle, NoisyOracle, TraceOracle};
 pub use service::{AssignmentChoice, AvmonConfig, AvmonService};

@@ -1,28 +1,71 @@
 //! Pins the batched, parallel [`AvmonService`] to a seed-style serial
-//! reference implementation.
+//! reference implementation, under either assignment strategy.
 //!
 //! The contract under test: the service's per-target aggregates (and
 //! error summary) are a pure function of `(trace, config, seed)` —
 //! independent of the worker-thread fan-out, of how `step_to` calls chop
-//! the timeline, and of the CSR/inverted-index layout. The reference
-//! below mirrors the original per-node pipeline: nested per-monitor
-//! target `Vec`s, an `O(N)` `position()` scan per (target, monitor) pair
-//! during aggregation, and a serial monitor loop — with ping-loss draws
-//! taken from the same counter-keyed `(seed, STREAM_PING, monitor,
-//! slot)` streams the service uses. With `ping_loss = 0` no stream is
-//! ever drawn, so the reference is *exactly* the seed implementation.
-//! It also keeps hashing the whole monitor relation up front, where the
-//! service builds a monitor's row in the first slot that finds it online.
+//! the timeline, and of the CSR/inverted-index or fixed-width layout.
+//! The reference below mirrors the original per-node pipeline: nested
+//! per-monitor target `Vec`s, an `O(N)` `position()` scan per (target,
+//! monitor) pair during aggregation, and a serial monitor loop. It takes
+//! its monitor relation as input, hashed up front:
+//!
+//! * all-pairs from the rule, pair by pair, where the service builds a
+//!   monitor's row in the first slot that finds it online; ping-loss
+//!   draws come from the same counter-keyed `(seed, STREAM_PING,
+//!   monitor, slot)` streams the service uses;
+//! * ring from a brute-force walk of the sorted ring
+//!   (`common::brute_force_ring`), where the service sweeps bucketed
+//!   runs once; each ping draws from its edge's `(seed,
+//!   STREAM_PING_EDGE, monitor, target, slot)` stream.
+//!
+//! With `ping_loss = 0` no stream is ever drawn, so the reference is
+//! *exactly* the seed implementation over the given relation.
+
+mod common;
 
 use avmem_avmon::{
-    AllPairsAssignment, AvailabilityOracle, AvmonConfig, AvmonService, PingEstimator,
+    ring_rows, AllPairsAssignment, AssignmentChoice, AvailabilityOracle, AvmonConfig,
+    AvmonService, PingEstimator, NO_MONITOR,
 };
 use avmem_sim::{SimDuration, SimTime};
 use avmem_trace::{ChurnTrace, OvernetModel};
 use avmem_util::{Availability, NodeId, Rng, SplitMix64};
 
+use common::brute_force_ring;
+
 /// Must match `avmem_avmon::service::STREAM_PING`.
 const STREAM_PING: u64 = 0x4156_4d4f_4e50;
+/// Must match `avmem_avmon::service::STREAM_PING_EDGE`.
+const STREAM_PING_EDGE: u64 = 0x4156_4d4f_4e51;
+
+/// `targets[m]` = indices of the nodes monitor `m` observes: the
+/// relation `config.assignment` names, over the trace's population.
+fn relation(trace: &ChurnTrace, config: AvmonConfig) -> Vec<Vec<usize>> {
+    let n = trace.num_nodes();
+    let mut targets = vec![Vec::new(); n];
+    match config.assignment {
+        AssignmentChoice::AllPairs => {
+            let assignment = AllPairsAssignment::new(config.cms, n as f64);
+            for (m, monitor_targets) in targets.iter_mut().enumerate() {
+                let m_id = trace.node_id(m);
+                for x in 0..n {
+                    if assignment.is_monitor(m_id, trace.node_id(x)) {
+                        monitor_targets.push(x);
+                    }
+                }
+            }
+        }
+        AssignmentChoice::Ring { vnodes, k } => {
+            for (t, monitors) in brute_force_ring(n, vnodes, k).into_iter().enumerate() {
+                for m in monitors {
+                    targets[m as usize].push(t);
+                }
+            }
+        }
+    }
+    targets
+}
 
 /// The seed-style serial monitoring pipeline: nested Vecs, per-target
 /// monitor scans, one monitor at a time.
@@ -40,16 +83,7 @@ struct SerialReference {
 impl SerialReference {
     fn new(trace: &ChurnTrace, config: AvmonConfig, seed: u64) -> Self {
         let n = trace.num_nodes();
-        let assignment = AllPairsAssignment::new(config.cms, n as f64);
-        let mut targets = vec![Vec::new(); n];
-        for (m, monitor_targets) in targets.iter_mut().enumerate() {
-            let m_id = trace.node_id(m);
-            for x in 0..n {
-                if assignment.is_monitor(m_id, trace.node_id(x)) {
-                    monitor_targets.push(x);
-                }
-            }
-        }
+        let targets = relation(trace, config);
         let estimators = targets
             .iter()
             .map(|ts| ts.iter().map(|_| PingEstimator::new()).collect())
@@ -80,13 +114,18 @@ impl SerialReference {
             if !trace.is_online_in_slot(m, slot) {
                 continue;
             }
-            let mut loss = (self.config.ping_loss > 0.0).then(|| {
+            let lossy = self.config.ping_loss > 0.0;
+            let per_edge = matches!(self.config.assignment, AssignmentChoice::Ring { .. });
+            let mut loss = (lossy && !per_edge).then(|| {
                 SplitMix64::keyed(&[self.seed, STREAM_PING, m as u64, slot as u64])
             });
             for (k, &t) in self.targets[m].clone().iter().enumerate() {
+                let edge = [self.seed, STREAM_PING_EDGE, m as u64, t as u64, slot as u64];
+                let mut edge_loss = (lossy && per_edge).then(|| SplitMix64::keyed(&edge));
                 let answered = trace.is_online_in_slot(t, slot)
                     && loss
                         .as_mut()
+                        .or(edge_loss.as_mut())
                         .is_none_or(|rng| !rng.chance(self.config.ping_loss));
                 self.estimators[m][k].record(answered, self.config.alpha);
             }
@@ -341,5 +380,140 @@ fn monitors_of_index_matches_the_assignment_rule() {
                 .collect();
             assert_eq!(monitors, expected, "{hosts} hosts, target {target}");
         }
+    }
+}
+
+fn ring_config() -> AvmonConfig {
+    AvmonConfig {
+        assignment: AssignmentChoice::Ring { vnodes: 8, k: 4 },
+        ..AvmonConfig::default()
+    }
+}
+
+#[test]
+fn ring_matches_the_brute_force_reference_without_ping_loss() {
+    for threads in [1, 2, 8] {
+        check_cell(
+            ring_config(),
+            &[240, 240, 480],
+            threads,
+            &format!("ring/no-loss/threads={threads}"),
+        );
+    }
+}
+
+#[test]
+fn ring_matches_the_brute_force_reference_with_ping_loss() {
+    let config = AvmonConfig {
+        ping_loss: 0.25,
+        ..ring_config()
+    };
+    for threads in [1, 2, 8] {
+        check_cell(
+            config,
+            &[360, 600],
+            threads,
+            &format!("ring/lossy/threads={threads}"),
+        );
+    }
+}
+
+#[test]
+fn ring_matches_the_brute_force_reference_in_aged_mode() {
+    let config = AvmonConfig {
+        ping_loss: 0.1,
+        use_aged: true,
+        ..ring_config()
+    };
+    check_cell(config, &[720], 4, "ring/aged");
+}
+
+#[test]
+fn ring_chopped_advances_match_the_reference() {
+    // Uneven stops, some inside a slot, on every fan-out: the rows are
+    // fixed at construction, so where the clock stops cannot matter.
+    let config = AvmonConfig {
+        ping_loss: 0.3,
+        ..ring_config()
+    };
+    for fan_out in [1, 2, 8] {
+        let trace = trace(90, 17);
+        let mut reference = SerialReference::new(&trace, config, 99);
+        let mut service = AvmonService::new(&trace, config, 99);
+        service.set_threads(fan_out);
+        service.set_shards(fan_out);
+        let mut now = SimTime::ZERO;
+        for mins in [35, 205, 20, 340, 840] {
+            now += SimDuration::from_mins(mins);
+            reference.step_to(&trace, now);
+            service.step_to(&trace, now);
+            let expected: Vec<Option<f64>> =
+                reference.aggregate.iter().map(|a| a.map(|av| av.value())).collect();
+            assert_eq!(
+                aggregates(&service, trace.num_nodes()),
+                expected,
+                "fan-out {fan_out}: aggregates at {now:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn ring_thread_counts_agree_with_each_other() {
+    // Service-vs-service sweep over a lossy config: the fixed-width
+    // layout must be chunk-order independent.
+    let config = AvmonConfig {
+        ping_loss: 0.4,
+        ..ring_config()
+    };
+    let trace = trace(120, 31);
+    let n = trace.num_nodes();
+    let end = SimTime::ZERO + trace.duration();
+    let mut base = AvmonService::new(&trace, config, 7);
+    base.set_threads(1);
+    base.step_to(&trace, end);
+    let base_aggregates = aggregates(&base, n);
+    assert!(base_aggregates.iter().any(Option::is_some));
+    for threads in [2, 3, 8] {
+        let mut other = AvmonService::new(&trace, config, 7);
+        other.set_threads(threads);
+        other.step_to(&trace, end);
+        assert_eq!(
+            aggregates(&other, n),
+            base_aggregates,
+            "threads={threads} diverged"
+        );
+    }
+}
+
+#[test]
+fn degenerate_rings_step_a_day() {
+    // One host, two, exactly k and k + 1: each row holds min(k, n − 1)
+    // monitors, then `NO_MONITOR`, and a simulated day runs as the
+    // reference does.
+    let k = 4;
+    for hosts in [1, 2, k, k + 1] {
+        let rows = ring_rows(hosts, 8, k as u32);
+        for (t, row) in rows.chunks(k).enumerate() {
+            let filled = k.min(hosts - 1);
+            assert!(row[..filled].iter().all(|&m| m != NO_MONITOR && m as usize != t));
+            assert!(row[filled..].iter().all(|&m| m == NO_MONITOR), "{hosts} hosts: {row:?}");
+        }
+        let trace = trace(hosts, 5);
+        let config = AvmonConfig {
+            ping_loss: 0.2,
+            ..ring_config()
+        };
+        let mut reference = SerialReference::new(&trace, config, 3);
+        let mut service = AvmonService::new(&trace, config, 3);
+        let end = SimTime::ZERO + trace.duration();
+        reference.step_to(&trace, end);
+        service.step_to(&trace, end);
+        for t in 0..hosts {
+            assert_eq!(service.monitors_of_index(t).len(), k.min(hosts - 1));
+        }
+        let expected: Vec<Option<f64>> =
+            reference.aggregate.iter().map(|a| a.map(|av| av.value())).collect();
+        assert_eq!(aggregates(&service, hosts), expected, "{hosts} hosts");
     }
 }

@@ -99,8 +99,8 @@ pub enum OracleChoice {
     },
     /// The full ping-based AVMON service. `config.assignment` picks the
     /// monitor-assignment strategy: the paper's all-pairs rule, or the
-    /// consistent-hash ring whose O(k) churn deltas make 10⁵–10⁶-host
-    /// populations buildable.
+    /// consistent-hash ring whose `N·vnodes` set-up hashes make
+    /// 10⁵–10⁶-host populations buildable.
     Avmon {
         /// AVMON parameters.
         config: AvmonConfig,

@@ -2,7 +2,7 @@
 //! so the simulation can both query (`&self`) and advance (`&mut self`,
 //! for the ping-based AVMON service) without trait-object gymnastics.
 
-use avmem_avmon::{AvailabilityOracle, AvmonService, NoisyOracle, TraceOracle};
+use avmem_avmon::{AssignmentChoice, AvailabilityOracle, AvmonService, NoisyOracle, TraceOracle};
 use avmem_sim::SimTime;
 use avmem_trace::ChurnTrace;
 use avmem_util::{Availability, NodeId};
@@ -43,9 +43,8 @@ impl SimOracle {
 
     /// Advances time-dependent oracles (the AVMON service processes all
     /// pings up to `now` in batched parallel slot sweeps over the worker
-    /// pool — in ring-assignment mode each slot first replays the
-    /// trace's join/leave churn into incremental O(k) reassignment
-    /// deltas; the others are time-indexed functions).
+    /// pool, over a monitor relation that churn never moves; the others
+    /// are time-indexed functions).
     pub fn advance(&mut self, trace: &ChurnTrace, now: SimTime) {
         if let SimOracle::Avmon(service) = self {
             service.step_to(trace, now);
@@ -94,13 +93,10 @@ impl SimOracle {
                     "noisy-shared"
                 }
             }
-            SimOracle::Avmon(o) => {
-                if o.ring().is_some() {
-                    "avmon-ring"
-                } else {
-                    "avmon-all-pairs"
-                }
-            }
+            SimOracle::Avmon(o) => match o.assignment() {
+                AssignmentChoice::Ring { .. } => "avmon-ring",
+                AssignmentChoice::AllPairs => "avmon-all-pairs",
+            },
         }
     }
 

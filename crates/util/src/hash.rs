@@ -611,10 +611,11 @@ pub fn consistent_hash_keyed(key: &[u8], x: NodeId, y: NodeId) -> f64 {
 /// digest of the ordered pair, exposed as a full-precision point on the
 /// `u128` circle instead of a normalized `f64`.
 ///
-/// Consistent-hash rings ([`crate::ring::HashRing`]) place members and
-/// lookups on this circle; 128 bits make accidental point collisions
-/// negligible even with `10⁶ hosts × vnodes` points on one ring, which
-/// an `f64` (53 significant bits) could not guarantee.
+/// Consistent-hash rings (the AVMON ring assignment, on its top 96 bits)
+/// place members and lookups on this circle; 96 bits and more make
+/// accidental point collisions negligible even with `10⁶ hosts × vnodes`
+/// points on one ring, which an `f64` (53 significant bits) could not
+/// guarantee.
 ///
 /// # Examples
 ///

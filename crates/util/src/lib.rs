@@ -12,8 +12,6 @@
 //! * [`sha256`] — a from-scratch SHA-256 used to build the *normalized
 //!   consistent hash* `H(id(x), id(y)) ∈ [0, 1]` of the AVMEM predicate
 //!   framework (Eq. 1 of the paper);
-//! * [`ring`] — a keyed consistent-hash ring with virtual points, the
-//!   `O(log N)` backbone of the AVMON ring assignment strategy;
 //! * [`rng`] — a deterministic, seedable random number generator
 //!   (SplitMix64) so that whole-system simulations are bit-reproducible;
 //! * [`stats`] — summary statistics, histograms and empirical CDFs used by
@@ -48,7 +46,6 @@ pub mod hash;
 pub mod heap;
 pub mod id;
 pub mod parallel;
-pub mod ring;
 pub mod rng;
 pub mod shard;
 pub mod stamped;
@@ -62,7 +59,6 @@ pub use hash::{
 };
 pub use heap::{heap_stats, heap_tracking_installed, peak_rss_bytes, HeapStats};
 pub use id::NodeId;
-pub use ring::HashRing;
 pub use rng::{Rng, SplitMix64};
 pub use shard::ShardPartition;
 pub use stamped::StampedTable;
