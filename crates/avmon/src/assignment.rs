@@ -18,9 +18,10 @@
 //!   Building every row costs O(N·vnodes) hashes and one sweep of the
 //!   sorted ring, which is then dropped: the rows are the relation.
 //!
-//! The service keeps whichever one its
-//! [`AssignmentChoice`](crate::AssignmentChoice) names beside the monitor
-//! index that strategy lays out.
+//! Either one fills the same target-major index in the service: the
+//! ring at construction, all-pairs a monitor at a time, in the first
+//! slot that finds it online, as its
+//! [`AssignmentChoice`](crate::AssignmentChoice) names.
 //!
 //! The hashes are drawn from keyed families (domain tags `"avmon"` and
 //! `"avmon-ring"`) so both strategies are independent of the AVMEM

@@ -26,10 +26,11 @@
 //!   online targets; queries aggregate the monitors' current estimates
 //!   (median), yielding the "reasonably accurate, reasonably consistent"
 //!   answers the paper assumes — including their natural staleness and
-//!   inconsistency. The pipeline is batched: build-once forward and
-//!   inverted CSR monitor indexes, a flat estimator arena, counter-keyed
-//!   ping-loss streams, and two parallel phases per slot on the
-//!   persistent worker pool (see the [`service`] module docs);
+//!   inconsistency. The pipeline is batched: one target-major CSR
+//!   monitor index for either strategy, a flat estimator arena aligned
+//!   with it, one counter-keyed ping-loss stream per edge, and one
+//!   parallel sweep per slot on the persistent worker pool (see the
+//!   [`service`] module docs);
 //! * [`oracle`] — the [`AvailabilityOracle`] abstraction AVMEM queries,
 //!   with ground-truth ([`TraceOracle`]) and fault-injecting
 //!   ([`NoisyOracle`]) implementations used by the attack analysis

@@ -12,49 +12,41 @@
 //!
 //! # Architecture
 //!
-//! The service is laid out for bulk slot sweeps rather than per-node
-//! stepping, with one index layout per assignment strategy
-//! ([`AssignmentChoice`]):
+//! Either assignment strategy ([`AssignmentChoice`]) is a static relation
+//! over ids, and the service keeps it as **one index**: a target-major
+//! CSR (`n + 1` `u32` offsets) whose row `t` lists the monitors of target
+//! `t`, with a columnar estimator arena aligned edge for edge — an
+//! 8-byte `(hits, attempts)` slot per edge, and an EWMA per edge only
+//! when the service serves aged estimates ([`AvmonConfig::use_aged`]).
+//! The strategies differ only in when the rows fill:
 //!
-//! * **All-pairs** — the monitor relation is a pure function of ids, so
-//!   churn never rewrites it; it is *materialised* one monitor row at a
-//!   time, when a slot first finds the monitor online (a monitor that is
-//!   offline neither pings nor contributes to a median, so its row is
-//!   never read before that — and never hashed if it stays offline). The
-//!   built rows are stored twice, as CSR indexes (u32 offsets) — forward
-//!   (`row → targets`, rows in the order they were built) for the ping
-//!   phase and inverted (`target → (monitor, estimator)`, re-derived by
-//!   one counting sort in a slot that added rows) for the aggregation
-//!   phase — plus a flat columnar estimator arena aligned with the
-//!   forward index;
-//! * **Ring** — every target has exactly `k` monitors, so the inverted
-//!   index is *fixed-width*: target `t` owns `k` monitor slots
-//!   ([`NO_MONITOR`] = vacant, in populations of `k` or fewer) with the
-//!   estimator arena aligned slot for slot. [`ring_rows`] fills every row
-//!   at construction, over all hosts, and nothing rewrites them: like
-//!   the all-pairs relation the ring is a pure function of ids, so churn
-//!   never moves an edge, and a monitor that is offline misses its pings
-//!   until it returns, its estimator history intact.
+//! * **Ring** — [`ring_rows`] sweeps every target's `k` monitors at
+//!   construction, over all hosts, and the [`NO_MONITOR`] slots of a
+//!   population of `k` or fewer are dropped, so the offsets are regular.
+//!   Nothing rewrites a row: an offline monitor misses its pings until
+//!   it returns, its estimator history intact.
+//! * **All-pairs** — a monitor's edges are hashed from the rule in the
+//!   first slot that finds it online (before that it neither pings nor
+//!   contributes to a median, and one that stays offline is never
+//!   hashed). That slot merges them into the rows in place: the rows move
+//!   up, last first, and each gains its new monitors in ascending id, so
+//!   a row lists its monitors in first-online order — a function of the
+//!   trace alone.
 //!
-//! Either layout's estimator arena is columnar: an 8-byte `(hits,
-//! attempts)` slot per edge, and an EWMA per edge only when the service
-//! serves aged estimates ([`AvmonConfig::use_aged`]). The per-target
-//! aggregate is one `f64`, NaN until a monitor first reports.
+//! The per-target aggregate is one `f64`, NaN until a monitor first
+//! reports.
 //!
-//! Ping-loss randomness is **counter-keyed**: per `(seed, monitor,
-//! slot)` stream in the all-pairs layout, whose forward rows walk a
-//! monitor's targets in sequence, and per `(seed, monitor, target,
-//! slot)` stream in the ring layout, whose arena is target-major: a
-//! monitor's pings are scattered over `k`-wide target rows, so each edge
-//! draws from its own key. One stream for both layouts waits for one
-//! monitor index for both. Either way the outcome of a slot is a pure
-//! function of the key material — independent of processing order and
-//! thread count.
-//! [`AvmonService::step_to`] processes each slot in **two parallel
-//! phases** over the persistent worker pool ([`avmem_util::parallel`]).
+//! [`AvmonService::step_to`] processes each slot in **one parallel
+//! sweep** over shard-owned target ranges on the persistent worker pool
+//! ([`avmem_util::parallel`]): for each target, every online monitor of
+//! its row pings it, and the median of their estimates is read from the
+//! same row. Ping-loss randomness is **counter-keyed**, one stream per
+//! `(seed, monitor, target, slot)`, so the outcome of a slot is a pure
+//! function of the key material — independent of processing order,
+//! shard and thread count.
 //!
 //! Results are bit-identical for every thread count; the
-//! `service_equivalence` integration tests pin both pipelines to one
+//! `service_equivalence` integration tests pin both strategies to one
 //! serial reference, fed the all-pairs relation from the rule and the
 //! ring from a brute-force walk of the sorted ring.
 
@@ -69,21 +61,11 @@ use crate::assignment::{ring_rows, AllPairsAssignment, NO_MONITOR};
 use crate::estimator::PingCounts;
 use crate::oracle::AvailabilityOracle;
 
-/// Purpose tag of the all-pairs ping-loss streams: every draw comes from
-/// `SplitMix64::keyed(&[seed, STREAM_PING, monitor, slot])`, so a
-/// monitor-slot's losses are a property of the key, never of which
-/// worker processed the monitor or in which order.
-const STREAM_PING: u64 = 0x4156_4d4f_4e50;
-
-/// Purpose tag of the ring-layout ping-loss streams, keyed per edge:
-/// `SplitMix64::keyed(&[seed, STREAM_PING_EDGE, monitor, target, slot])`.
-/// The ring's arena is laid out by target, so a monitor's pings are not
-/// one sequence; per-edge keys make each ping a pure function of who
-/// pings whom and when.
+/// Purpose tag of the ping-loss streams, keyed per edge and slot: every
+/// draw comes from `SplitMix64::keyed(&[seed, STREAM_PING_EDGE, monitor,
+/// target, slot])`, so each ping is a pure function of who pings whom
+/// and when, never of which worker processed it or in which order.
 const STREAM_PING_EDGE: u64 = 0x4156_4d4f_4e51;
-
-/// A monitor of the all-pairs layout whose row has not been built.
-const NO_ROW: u32 = u32::MAX;
 
 /// An aggregate slot no monitor has estimated yet.
 const NO_ESTIMATE: f64 = f64::NAN;
@@ -112,9 +94,10 @@ pub struct AvmonConfig {
     /// Expected number of monitors per node (`cms`) — the all-pairs
     /// strategy's density knob.
     pub cms: f64,
-    /// EWMA smoothing factor for aged estimates.
+    /// EWMA smoothing factor for aged estimates, in `(0, 1]`.
     pub alpha: f64,
-    /// Probability that a ping to an *online* target is lost anyway.
+    /// Probability that a ping to an *online* target is lost anyway, in
+    /// `[0, 1]`.
     pub ping_loss: f64,
     /// Serve aged (EWMA) estimates instead of raw lifetime fractions.
     pub use_aged: bool,
@@ -132,46 +115,6 @@ impl Default for AvmonConfig {
             assignment: AssignmentChoice::AllPairs,
         }
     }
-}
-
-/// The assignment strategy in force, with its monitor indexes and
-/// estimator arena.
-#[derive(Debug, Clone)]
-enum MonitorIndex {
-    /// CSR pair over the rows of the static all-pairs relation built so
-    /// far: those of the monitors some processed slot found online.
-    AllPairs {
-        /// The relation the rows are hashed from.
-        rule: AllPairsAssignment,
-        /// Monitor `m`'s row in the forward CSR, [`NO_ROW`] until a slot
-        /// first finds `m` online.
-        row_of: Vec<u32>,
-        /// The monitor of each row. Rows are appended slot by slot, a
-        /// slot's new monitors in ascending id, so the layout is a
-        /// function of the trace alone.
-        row_monitors: Vec<u32>,
-        /// Forward CSR: the monitor of row `r` observes
-        /// `target_ids[target_offsets[r]..target_offsets[r + 1]]`.
-        target_offsets: Vec<u32>,
-        target_ids: Vec<u32>,
-        /// Flat estimator arena aligned with the forward index.
-        estimators: Estimators,
-        /// Inverted CSR: of the monitors with a row, target `t` is
-        /// observed by `inv_entries[inv_offsets[t]..inv_offsets[t + 1]]`,
-        /// each entry a `(monitor, arena index)` pair, in row order.
-        inv_offsets: Vec<u32>,
-        inv_entries: Vec<(u32, u32)>,
-    },
-    /// Fixed-width inverted rows of the static ring relation.
-    Ring {
-        /// Monitors per target (row width).
-        k: usize,
-        /// Row `t` is `monitors[t * k..(t + 1) * k]`, from [`ring_rows`];
-        /// [`NO_MONITOR`] marks a vacant slot (`k` or fewer hosts).
-        monitors: Vec<u32>,
-        /// Estimator arena aligned slot for slot with `monitors`.
-        estimators: Estimators,
-    },
 }
 
 /// A ping-based availability monitoring service over a churn trace.
@@ -203,14 +146,22 @@ pub struct AvmonService {
     config: AvmonConfig,
     /// Seed of the counter-keyed ping-loss streams.
     seed: u64,
-    /// Chunk fan-out for the parallel slot phases. Results are
+    /// Chunk fan-out for the parallel slot sweep. Results are
     /// bit-identical for every value; see [`AvmonService::set_threads`].
     threads: usize,
-    /// Shard count partitioning the node-indexed slot phases (estimator
-    /// arena, aggregation) by owning shard; see
-    /// [`AvmonService::set_shards`].
+    /// Shard count partitioning the slot sweep's targets by owning shard;
+    /// see [`AvmonService::set_shards`].
     shards: usize,
-    index: MonitorIndex,
+    /// Target-major CSR: target `t` is observed by
+    /// `monitors[offsets[t]..offsets[t + 1]]`.
+    offsets: Vec<u32>,
+    monitors: Vec<u32>,
+    /// Estimator arena aligned edge for edge with `monitors`.
+    estimators: Estimators,
+    /// All-pairs only: the relation the rows are hashed from, and one bit
+    /// per monitor whose edges the index holds (set by the first slot
+    /// that finds the monitor online).
+    all_pairs: Option<(AllPairsAssignment, Vec<u64>)>,
     /// Aggregated (median) estimate per target, refreshed each processed
     /// slot from the monitors online in that slot; retains the previous
     /// value when no monitor is online (staleness). [`NO_ESTIMATE`] until
@@ -226,37 +177,66 @@ pub struct AvmonService {
 impl AvmonService {
     /// Builds the service for a trace population under the strategy in
     /// `config.assignment`. All-pairs hashes nothing here: a monitor's
-    /// row of the relation is built by the first slot that finds the
-    /// monitor online ([`AvmonService::step_to`]), so the O(N) hashes per
-    /// monitor are paid by the run, for the monitors it sees. Ring fills
-    /// every target's fixed-width row now, over all hosts, in one sweep of
-    /// the sorted ring ([`ring_rows`]), and keeps only the rows. `seed`
-    /// drives ping-loss randomness only.
+    /// edges are hashed by the first slot that finds the monitor online
+    /// ([`AvmonService::step_to`]), so the O(N) hashes per monitor are
+    /// paid by the run, for the monitors it sees. Ring fills every
+    /// target's row now, over all hosts, in one sweep of the sorted ring
+    /// ([`ring_rows`]), and keeps only the rows. `seed` drives ping-loss
+    /// randomness only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.ping_loss` is NaN or outside `[0, 1]`, or
+    /// `config.alpha` is not in `(0, 1]` — a probability and a smoothing
+    /// factor no run can mean.
     pub fn new(trace: &ChurnTrace, config: AvmonConfig, seed: u64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&config.ping_loss),
+            "ping_loss must be in [0, 1], got {}",
+            config.ping_loss
+        );
+        assert!(
+            config.alpha > 0.0 && config.alpha <= 1.0,
+            "alpha must be in (0, 1], got {}",
+            config.alpha
+        );
         let n = trace.num_nodes();
-        let index = match config.assignment {
-            AssignmentChoice::AllPairs => MonitorIndex::AllPairs {
-                rule: AllPairsAssignment::new(config.cms, n as f64),
-                row_of: vec![NO_ROW; n],
-                row_monitors: Vec::new(),
-                target_offsets: vec![0],
-                target_ids: Vec::new(),
-                estimators: Estimators::new(0, config.use_aged),
-                inv_offsets: vec![0; n + 1],
-                inv_entries: Vec::new(),
-            },
-            AssignmentChoice::Ring { vnodes, k } => MonitorIndex::Ring {
-                k: k as usize,
-                monitors: ring_rows(n, vnodes, k),
-                estimators: Estimators::new(n * k as usize, config.use_aged),
-            },
+        let (offsets, monitors, all_pairs) = match config.assignment {
+            AssignmentChoice::AllPairs => {
+                let rule = AllPairsAssignment::new(config.cms, n as f64);
+                let seen = vec![0; n.div_ceil(64)];
+                (vec![0; n + 1], Vec::new(), Some((rule, seen)))
+            }
+            AssignmentChoice::Ring { vnodes, k } => {
+                // Compact the fixed-width rows in place, dropping the
+                // vacant slots.
+                let mut monitors = ring_rows(n, vnodes, k);
+                let k = k as usize;
+                let mut offsets = Vec::with_capacity(n + 1);
+                offsets.push(0);
+                let mut len = 0;
+                for t in 0..n {
+                    for slot in t * k..(t + 1) * k {
+                        if monitors[slot] != NO_MONITOR {
+                            monitors[len] = monitors[slot];
+                            len += 1;
+                        }
+                    }
+                    offsets.push(index_width(len));
+                }
+                monitors.truncate(len);
+                (offsets, monitors, None)
+            }
         };
         AvmonService {
             config,
             seed,
             threads: default_threads(),
             shards: default_threads(),
-            index,
+            estimators: Estimators::new(monitors.len(), config.use_aged),
+            offsets,
+            monitors,
+            all_pairs,
             aggregate: vec![NO_ESTIMATE; n],
             next_slot: 0,
             slot_us: None,
@@ -280,19 +260,17 @@ impl AvmonService {
         self.config.assignment
     }
 
-    /// Sets the chunk fan-out of the parallel slot phases. Purely a
+    /// Sets the chunk fan-out of the parallel slot sweep. Purely a
     /// performance knob: every thread count produces bit-identical
-    /// estimates (randomness is keyed, and the two phases write disjoint
-    /// state), which the `service_equivalence` tests pin.
+    /// estimates (randomness is keyed, and each shard writes only its
+    /// own targets' state), which the `service_equivalence` tests pin.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
 
-    /// Sets the shard count partitioning the node-indexed slot phases —
-    /// each shard owns the contiguous estimator-arena and aggregate rows
-    /// of its nodes, matching the maintenance harness's ownership map
-    /// (the all-pairs ping phase carves the rows built so far, which are
-    /// in order of first appearance, into as many contiguous runs).
+    /// Sets the shard count partitioning the slot sweep — each shard owns
+    /// the contiguous index rows, estimator-arena runs and aggregates of
+    /// its targets, matching the maintenance harness's ownership map.
     /// Purely a performance knob: every shard count produces
     /// bit-identical estimates (per-edge randomness is keyed and every
     /// row's computation is independent), which the fan-out invariance
@@ -304,32 +282,25 @@ impl AvmonService {
     /// The monitors of `target` (by index) in this population, ascending.
     /// All-pairs answers from the rule — one batched column of `N` hashes
     /// — so the answer is the same pure function of ids before the first
-    /// slot and after any (the inverted index holds only the monitors
-    /// seen online so far); ring reads the fixed-width row, in `O(k)`.
+    /// slot and after any (the index holds only the monitors seen online
+    /// so far); ring reads the index row, in `O(k)`.
     pub fn monitors_of_index(&self, target: usize) -> Vec<usize> {
-        match &self.index {
-            MonitorIndex::AllPairs { rule, .. } => {
-                let ids: Vec<NodeId> = (0..self.aggregate.len() as u64).map(NodeId::new).collect();
-                rule.monitors_in(ids[target], &ids)
-            }
-            MonitorIndex::Ring { k, monitors, .. } => {
-                let mut row: Vec<usize> = monitors[target * k..(target + 1) * k]
-                    .iter()
-                    .filter(|&&m| m != NO_MONITOR)
-                    .map(|&m| m as usize)
-                    .collect();
-                row.sort_unstable();
-                row
-            }
+        if let Some((rule, _)) = &self.all_pairs {
+            let ids: Vec<NodeId> = (0..self.aggregate.len() as u64).map(NodeId::new).collect();
+            return rule.monitors_in(ids[target], &ids);
         }
+        let row = self.offsets[target] as usize..self.offsets[target + 1] as usize;
+        let mut row: Vec<usize> = self.monitors[row].iter().map(|&m| m as usize).collect();
+        row.sort_unstable();
+        row
     }
 
     /// Processes all trace slots with start time `<= now` that have not
     /// been processed yet: every online monitor pings its targets once
-    /// per slot (an all-pairs monitor's row is hashed by the first slot
-    /// that finds it online), then per-target aggregates are refreshed.
-    /// Chopping the advance into several calls is identical to one big
-    /// call.
+    /// per slot (an all-pairs monitor's edges are hashed by the first
+    /// slot that finds it online), then per-target aggregates are
+    /// refreshed. Chopping the advance into several calls is identical
+    /// to one big call.
     pub fn step_to(&mut self, trace: &ChurnTrace, now: SimTime) {
         let slot_ms = trace.slot_duration().as_millis();
         let last_slot = ((now.as_millis() / slot_ms) as usize).min(trace.num_slots() - 1);
@@ -343,198 +314,86 @@ impl AvmonService {
         }
     }
 
-    /// One slot of the monitoring pipeline: the rows of newly seen
-    /// all-pairs monitors, then the two parallel phases, each partitioned
-    /// into shard-owned contiguous slices of its state.
+    /// One slot of the monitoring pipeline: the edges of newly seen
+    /// all-pairs monitors, then one parallel sweep over shard-owned
+    /// target ranges — each target's online monitors ping it, and its
+    /// aggregate is the median of their estimates. Values are sorted
+    /// before taking the median, so row order never shows in the result.
     fn process_slot(&mut self, trace: &ChurnTrace, slot: usize) {
-        self.build_rows_first_online_in(trace, slot);
-        let threads = self.threads;
-        let shards = self.shards;
+        self.merge_first_online_in(trace, slot);
         let config = self.config;
         let seed = self.seed;
-        // Ping phase — parallel, writing only the estimator arena.
-        match &mut self.index {
-            MonitorIndex::AllPairs {
-                row_monitors,
-                target_offsets,
-                target_ids,
-                estimators,
-                ..
-            } => {
-                // Parallel over built rows — every monitor that is online
-                // now has one: each row owns the disjoint arena range
-                // `target_offsets[r]..target_offsets[r+1]`, carved into
-                // per-row lanes up front; loss draws come from the
-                // monitor-slot's keyed stream, in target (CSR) order.
-                let mut lanes: Vec<EstimatorsMut> = Vec::with_capacity(row_monitors.len());
-                let mut rest = estimators.as_mut();
-                for bounds in target_offsets.windows(2) {
-                    let (lane, tail) = rest.split_at_mut((bounds[1] - bounds[0]) as usize);
-                    lanes.push(lane);
-                    rest = tail;
-                }
-                let row_monitors = &*row_monitors;
-                let target_ids = &*target_ids;
-                let target_offsets = &*target_offsets;
-                let part = ShardPartition::new(lanes.len(), shards);
-                let mut tasks = shard_slices(part, 1, &mut lanes[..]);
-                par_each_mut(&mut tasks, threads, |_, (offset, chunk)| {
-                    let offset = *offset;
-                    for (j, lane) in chunk.iter_mut().enumerate() {
-                        let r = offset + j;
-                        let m = row_monitors[r] as usize;
-                        if lane.len() == 0 || !trace.is_online_in_slot(m, slot) {
-                            continue;
-                        }
-                        let targets = &target_ids
-                            [target_offsets[r] as usize..target_offsets[r + 1] as usize];
-                        let mut loss = (config.ping_loss > 0.0).then(|| {
-                            SplitMix64::keyed(&[seed, STREAM_PING, m as u64, slot as u64])
-                        });
-                        for (j, &t) in targets.iter().enumerate() {
-                            // The loss draw happens only for online
-                            // targets, mirroring a real ping: a down host
-                            // loses the ping deterministically, no coin
-                            // needed.
-                            let answered = trace.is_online_in_slot(t as usize, slot)
-                                && loss
-                                    .as_mut()
-                                    .is_none_or(|rng| !rng.chance(config.ping_loss));
-                            lane.record(j, answered, config.alpha);
-                        }
-                    }
-                });
-            }
-            MonitorIndex::Ring {
-                k,
-                monitors,
-                estimators,
-            } => {
-                // Parallel over shard-owned arena slices (each shard owns
-                // its targets' `k`-wide rows): each slot is one
-                // (monitor, target) edge with its own keyed loss stream,
-                // so outcomes are independent of the partitioning.
-                let k = *k;
-                let monitors = &*monitors;
-                let part = ShardPartition::new(monitors.len() / k, shards);
-                let mut tasks = shard_slices(part, k, estimators.as_mut());
-                par_each_mut(&mut tasks, threads, |_, (start, chunk)| {
-                    let offset = *start * k;
-                    for j in 0..chunk.len() {
-                        let idx = offset + j;
-                        let m = monitors[idx];
-                        if m == NO_MONITOR || !trace.is_online_in_slot(m as usize, slot) {
-                            continue;
-                        }
-                        let t = (idx / k) as u32;
-                        let answered = trace.is_online_in_slot(t as usize, slot)
-                            && (config.ping_loss <= 0.0 || {
-                                let mut rng = SplitMix64::keyed(&[
-                                    seed,
-                                    STREAM_PING_EDGE,
-                                    u64::from(m),
-                                    u64::from(t),
-                                    slot as u64,
-                                ]);
-                                !rng.chance(config.ping_loss)
-                            });
-                        chunk.record(j, answered, config.alpha);
-                    }
-                });
-            }
+        let (offsets, monitors) = (&self.offsets, &self.monitors);
+        let part = ShardPartition::new(self.aggregate.len(), self.shards);
+        let mut tasks = Vec::with_capacity(part.shards());
+        let mut aggregate = &mut self.aggregate[..];
+        let mut arena = self.estimators.as_mut();
+        for s in 0..part.shards() {
+            let range = part.range(s);
+            let (head, tail) = aggregate.split_at_mut(range.len());
+            let edges = offsets[range.end] - offsets[range.start];
+            let (run, rest) = arena.split_at_mut(edges as usize);
+            tasks.push((range.start, head, run));
+            aggregate = tail;
+            arena = rest;
         }
-        // Aggregation phase — parallel over shard-owned target slices:
-        // median of the online monitors' current estimates, with one
-        // reusable median scratch per worker. Values are sorted before
-        // taking the median, so collection order never shows in the
-        // result.
-        {
-            let index = &self.index;
-            let part = ShardPartition::new(self.aggregate.len(), shards);
-            let mut tasks = shard_slices(part, 1, &mut self.aggregate[..]);
-            par_each_mut(&mut tasks, threads, |_, (offset, chunk)| {
-                let offset = *offset;
-                let mut values: Vec<f64> = Vec::new();
-                for (j, slot_agg) in chunk.iter_mut().enumerate() {
-                    let t = offset + j;
-                    values.clear();
-                    match index {
-                        MonitorIndex::AllPairs {
-                            estimators,
-                            inv_offsets,
-                            inv_entries,
-                            ..
-                        } => {
-                            for &(m, est) in &inv_entries
-                                [inv_offsets[t] as usize..inv_offsets[t + 1] as usize]
-                            {
-                                if !trace.is_online_in_slot(m as usize, slot) {
-                                    continue;
-                                }
-                                values.extend(estimators.estimate(est as usize));
-                            }
-                        }
-                        MonitorIndex::Ring {
-                            k,
-                            monitors,
-                            estimators,
-                        } => {
-                            for (slot_idx, &m) in
-                                monitors[t * k..(t + 1) * k].iter().enumerate()
-                            {
-                                if m == NO_MONITOR
-                                    || !trace.is_online_in_slot(m as usize, slot)
-                                {
-                                    continue;
-                                }
-                                values.extend(estimators.estimate(t * k + slot_idx));
-                            }
-                        }
+        par_each_mut(&mut tasks, self.threads, |_, (first, aggregate, run)| {
+            let first = *first;
+            let base = offsets[first] as usize;
+            let mut values: Vec<f64> = Vec::new();
+            for (t, slot_agg) in (first..).zip(aggregate.iter_mut()) {
+                // The loss draw happens only for online targets, mirroring
+                // a real ping: a down host loses the ping deterministically,
+                // no coin needed.
+                let target_online = trace.is_online_in_slot(t, slot);
+                values.clear();
+                let row = offsets[t] as usize..offsets[t + 1] as usize;
+                for (j, &m) in (row.start - base..).zip(&monitors[row]) {
+                    if !trace.is_online_in_slot(m as usize, slot) {
+                        continue;
                     }
-                    if !values.is_empty() {
-                        values.sort_by(|a, b| {
-                            a.partial_cmp(b).expect("estimates are never NaN")
+                    let answered = target_online
+                        && (config.ping_loss <= 0.0 || {
+                            let edge = [seed, STREAM_PING_EDGE, m.into(), t as u64, slot as u64];
+                            !SplitMix64::keyed(&edge).chance(config.ping_loss)
                         });
-                        let median = values[values.len() / 2];
-                        *slot_agg = Availability::saturating(median).value();
-                    }
-                    // else: keep the stale cached aggregate (or none).
+                    values.push(run.record(j, answered, config.alpha));
                 }
-            });
-        }
+                if !values.is_empty() {
+                    values.sort_by(|a, b| a.partial_cmp(b).expect("estimates are never NaN"));
+                    *slot_agg = values[values.len() / 2];
+                }
+                // else: keep the stale cached aggregate (or none).
+            }
+        });
     }
 
-    /// All-pairs strategy only: builds the row of every monitor that is
-    /// online in `slot` and has none yet — each an independent N-scan of
-    /// the consistent-assignment hash, so the slot's new rows are hashed
-    /// in parallel (each one batch) — appends them to the forward CSR in
-    /// ascending monitor id with fresh estimators, and re-derives the
-    /// inverted CSR by counting sort. A monitor never records a ping nor
-    /// contributes to a median before the first slot it is online in, so
-    /// an estimator born here has missed nothing; a slot that meets no
-    /// new monitor changes nothing.
-    fn build_rows_first_online_in(&mut self, trace: &ChurnTrace, slot: usize) {
-        let MonitorIndex::AllPairs {
-            rule,
-            row_of,
-            row_monitors,
-            target_offsets,
-            target_ids,
-            estimators,
-            inv_offsets,
-            inv_entries,
-        } = &mut self.index
-        else {
+    /// All-pairs strategy only: merges the edges of every monitor that is
+    /// online in `slot` and has none yet. Each monitor's targets are an
+    /// independent N-scan of the consistent-assignment hash, so the
+    /// slot's new monitors are hashed in parallel (each one batch). The
+    /// rows then move up in place, last first, both arena columns with
+    /// them, and each gains its new monitors in ascending id with fresh
+    /// estimators. A monitor never records a ping nor contributes to a
+    /// median before the first slot it is online in, so an estimator born
+    /// here has missed nothing; a slot that meets no new monitor changes
+    /// nothing.
+    fn merge_first_online_in(&mut self, trace: &ChurnTrace, slot: usize) {
+        let Some((rule, seen)) = &mut self.all_pairs else {
             return;
         };
-        let rule = *rule;
-        let n = row_of.len();
+        let n = self.aggregate.len();
         let new: Vec<u32> = (0..n as u32)
-            .filter(|&m| row_of[m as usize] == NO_ROW && trace.is_online_in_slot(m as usize, slot))
+            .filter(|&m| seen[m as usize / 64] >> (m % 64) & 1 == 0)
+            .filter(|&m| trace.is_online_in_slot(m as usize, slot))
             .collect();
         if new.is_empty() {
             return;
         }
+        for &m in &new {
+            seen[m as usize / 64] |= 1 << (m % 64);
+        }
+        let rule = *rule;
         let ids: Vec<NodeId> = trace.node_ids().collect();
         let mut rows: Vec<Vec<u32>> = vec![Vec::new(); new.len()];
         par_chunks_mut(&mut rows, 1, self.threads, |offset, chunk| {
@@ -543,50 +402,46 @@ impl AvmonService {
                 rule.targets_in(ids[new[offset + j] as usize], &ids, &mut hashes, row);
             }
         });
-        let total = target_ids.len() + rows.iter().map(Vec::len).sum::<usize>();
-        assert!(
-            u32::try_from(total).is_ok(),
-            "monitor-target pairs exceed the index width"
-        );
+        // `cursor[t]` counts target `t`'s new edges, then becomes where
+        // the next one is written.
+        let mut cursor = vec![0u32; n];
+        for &t in rows.iter().flatten() {
+            cursor[t as usize] += 1;
+        }
+        let old_len = self.monitors.len();
+        let mut shift = rows.iter().map(Vec::len).sum::<usize>();
+        let len = old_len + shift;
+        self.monitors.resize(len, NO_MONITOR);
+        self.estimators.resize(len);
+        let mut old_end = old_len;
+        for t in (0..n).rev() {
+            let old_start = self.offsets[t] as usize;
+            let added = cursor[t] as usize;
+            shift -= added;
+            let start = old_start + shift;
+            self.monitors.copy_within(old_start..old_end, start);
+            self.estimators.copy_within(old_start..old_end, start);
+            let end = start + old_end - old_start;
+            self.estimators.reset(end..end + added);
+            self.offsets[t + 1] = index_width(end + added);
+            cursor[t] = end as u32;
+            old_end = old_start;
+        }
         for (&m, row) in new.iter().zip(&rows) {
-            row_of[m as usize] = row_monitors.len() as u32;
-            row_monitors.push(m);
-            target_ids.extend_from_slice(row);
-            target_offsets.push(target_ids.len() as u32);
-        }
-        estimators.resize(total);
-        // Invert: count per target, prefix-sum, then one placement pass
-        // over the rows.
-        inv_offsets.fill(0);
-        for &t in target_ids.iter() {
-            inv_offsets[t as usize + 1] += 1;
-        }
-        for t in 0..n {
-            inv_offsets[t + 1] += inv_offsets[t];
-        }
-        let mut cursor: Vec<u32> = inv_offsets[..n].to_vec();
-        inv_entries.clear();
-        inv_entries.resize(total, (0, 0));
-        for (r, &m) in row_monitors.iter().enumerate() {
-            let start = target_offsets[r] as usize;
-            for (j, &t) in target_ids[start..target_offsets[r + 1] as usize]
-                .iter()
-                .enumerate()
-            {
-                let t = t as usize;
-                inv_entries[cursor[t] as usize] = (m, (start + j) as u32);
-                cursor[t] += 1;
+            for &t in row {
+                self.monitors[cursor[t as usize] as usize] = m;
+                cursor[t as usize] += 1;
             }
         }
     }
 
-    /// Number of monitor rows materialised so far: all-pairs builds a
-    /// monitor's row in the first processed slot that finds it online;
-    /// ring fills every target's row up front.
+    /// Number of rows of the relation materialised so far: all-pairs
+    /// merges a monitor's row (its targets) in the first processed slot
+    /// that finds it online; ring fills every target's row up front.
     pub fn rows_built(&self) -> usize {
-        match &self.index {
-            MonitorIndex::AllPairs { row_monitors, .. } => row_monitors.len(),
-            MonitorIndex::Ring { k, monitors, .. } => monitors.len() / k,
+        match &self.all_pairs {
+            Some((_, seen)) => seen.iter().map(|w| w.count_ones() as usize).sum(),
+            None => self.aggregate.len(),
         }
     }
 
@@ -614,37 +469,13 @@ impl AvmonService {
     }
 }
 
-/// Splits a node-indexed arena (`stride` slots per node) into one
-/// `(first_node, slice)` task per shard of `part` — the disjoint `&mut`
-/// sub-slices each shard owns during a slot phase.
-fn shard_slices<S: SplitMut>(part: ShardPartition, stride: usize, items: S) -> Vec<(usize, S)> {
-    debug_assert_eq!(items.len(), part.len() * stride);
-    let mut tasks = Vec::with_capacity(part.shards());
-    let mut rest = items;
-    for s in 0..part.shards() {
-        let range = part.range(s);
-        let (head, tail) = rest.split_at_mut(range.len() * stride);
-        tasks.push((range.start, head));
-        rest = tail;
-    }
-    tasks
-}
-
-/// What [`shard_slices`] and the all-pairs lanes carve: a slice, or the
-/// estimator arena's columns cut at the same slots.
-trait SplitMut: Sized {
-    fn len(&self) -> usize;
-    fn split_at_mut(self, mid: usize) -> (Self, Self);
-}
-
-impl<T> SplitMut for &mut [T] {
-    fn len(&self) -> usize {
-        <[T]>::len(self)
-    }
-
-    fn split_at_mut(self, mid: usize) -> (Self, Self) {
-        <[T]>::split_at_mut(self, mid)
-    }
+/// `len` as an index offset.
+///
+/// # Panics
+///
+/// Panics if the index outgrows `u32` offsets.
+fn index_width(len: usize) -> u32 {
+    u32::try_from(len).expect("monitor-target pairs exceed the index width")
 }
 
 /// The estimator arena, a column per field: `(hits, attempts)` per edge,
@@ -665,7 +496,7 @@ impl Estimators {
         }
     }
 
-    /// Grows (or cuts) the arena to `len` slots, new ones fresh.
+    /// Grows the arena to `len` slots, new ones fresh.
     fn resize(&mut self, len: usize) {
         self.counts.resize(len, PingCounts::default());
         if let Some(aged) = &mut self.aged {
@@ -673,15 +504,20 @@ impl Estimators {
         }
     }
 
-    /// Slot `j`'s estimate — aged if the arena keeps the EWMA, raw
-    /// otherwise — or `None` before its first ping.
-    fn estimate(&self, j: usize) -> Option<f64> {
-        let counts = self.counts[j];
-        let est = match &self.aged {
-            Some(aged) => counts.aged(aged[j]),
-            None => counts.raw(),
-        };
-        est.map(Availability::value)
+    /// Copies the slots of `src` to start at `dest`, both columns.
+    fn copy_within(&mut self, src: std::ops::Range<usize>, dest: usize) {
+        self.counts.copy_within(src.clone(), dest);
+        if let Some(aged) = &mut self.aged {
+            aged.copy_within(src, dest);
+        }
+    }
+
+    /// Makes the slots of `range` fresh estimators.
+    fn reset(&mut self, range: std::ops::Range<usize>) {
+        self.counts[range.clone()].fill(PingCounts::default());
+        if let Some(aged) = &mut self.aged {
+            aged[range].fill(0.0);
+        }
     }
 
     fn as_mut(&mut self) -> EstimatorsMut<'_> {
@@ -699,22 +535,25 @@ struct EstimatorsMut<'a> {
 }
 
 impl EstimatorsMut<'_> {
-    /// Records one ping outcome at slot `j` of the run.
+    /// Records one ping outcome at slot `j` of the run and returns the
+    /// slot's estimate after it — aged if the arena keeps the EWMA, raw
+    /// otherwise.
     #[inline]
-    fn record(&mut self, j: usize, answered: bool, alpha: f64) {
+    fn record(&mut self, j: usize, answered: bool, alpha: f64) -> f64 {
         let counts = &mut self.counts[j];
-        if let Some(aged) = &mut self.aged {
+        let aged = self.aged.as_mut().map(|aged| {
             aged[j] = counts.fold_aged(aged[j], answered, alpha);
-        }
+            aged[j]
+        });
         counts.record(answered);
+        let estimate = match aged {
+            Some(aged) => counts.aged(aged),
+            None => counts.raw(),
+        };
+        estimate.expect("a pinged edge has an estimate").value()
     }
-}
 
-impl SplitMut for EstimatorsMut<'_> {
-    fn len(&self) -> usize {
-        self.counts.len()
-    }
-
+    /// Splits the run at slot `mid`.
     fn split_at_mut(self, mid: usize) -> (Self, Self) {
         let (counts, rest) = self.counts.split_at_mut(mid);
         let (aged, aged_rest) = match self.aged {
@@ -948,53 +787,75 @@ mod tests {
     }
 
     #[test]
-    fn forward_and_inverted_indexes_agree() {
+    fn the_index_is_one_target_major_csr() {
+        // Twenty hours in, under either strategy: the offsets are
+        // non-decreasing and end at the edge count, which the arena
+        // matches; an all-pairs row holds the rule's monitors of its
+        // target that some processed slot found online, in first-online
+        // order (ascending within a slot); a ring row is `ring_rows`'
+        // row without its vacant slots.
         let trace = small_trace();
-        let mut service = AvmonService::new(&trace, AvmonConfig::default(), 1);
-        service.step_to(&trace, SimTime::ZERO + SimDuration::from_hours(20));
         let n = trace.num_nodes();
-        let MonitorIndex::AllPairs {
-            row_of,
-            row_monitors,
-            target_offsets,
-            target_ids,
-            estimators,
-            inv_offsets,
-            inv_entries,
-            ..
-        } = &service.index
-        else {
-            panic!("default config builds the all-pairs index");
-        };
-        // Every forward (m → t) edge appears exactly once inverted, and
-        // its arena index points back into monitor m's lane.
-        let mut seen = 0usize;
-        for t in 0..n {
-            for &(m, est) in
-                &inv_entries[inv_offsets[t] as usize..inv_offsets[t + 1] as usize]
-            {
-                let r = row_of[m as usize] as usize;
-                assert_eq!(row_monitors[r], m);
-                assert!(est >= target_offsets[r]);
-                assert!(est < target_offsets[r + 1]);
-                assert_eq!(target_ids[est as usize] as usize, t);
-                seen += 1;
+        for assignment in [AssignmentChoice::AllPairs, ring_config().assignment] {
+            let config = AvmonConfig {
+                assignment,
+                use_aged: true,
+                ..AvmonConfig::default()
+            };
+            let mut service = AvmonService::new(&trace, config, 1);
+            service.step_to(&trace, SimTime::ZERO + SimDuration::from_hours(20));
+            let slots = service.slots_processed();
+            let offsets = &service.offsets;
+            assert_eq!(offsets.len(), n + 1);
+            assert_eq!(offsets[0], 0);
+            assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "{assignment:?}");
+            assert_eq!(offsets[n] as usize, service.monitors.len());
+            assert_eq!(service.estimators.counts.len(), service.monitors.len());
+            assert_eq!(
+                service.estimators.aged.as_ref().map(Vec::len),
+                Some(service.monitors.len())
+            );
+            let first_online =
+                |m: usize| (0..slots).find(|&slot| trace.is_online_in_slot(m, slot));
+            let rows = match assignment {
+                AssignmentChoice::Ring { vnodes, k } => ring_rows(n, vnodes, k),
+                AssignmentChoice::AllPairs => Vec::new(),
+            };
+            for t in 0..n {
+                let row = offsets[t] as usize..offsets[t + 1] as usize;
+                let row: Vec<usize> = service.monitors[row].iter().map(|&m| m as usize).collect();
+                let expected: Vec<usize> = match assignment {
+                    AssignmentChoice::AllPairs => {
+                        let mut seen: Vec<usize> = service
+                            .monitors_of_index(t)
+                            .into_iter()
+                            .filter(|&m| first_online(m).is_some())
+                            .collect();
+                        seen.sort_by_key(|&m| first_online(m));
+                        seen
+                    }
+                    AssignmentChoice::Ring { k, .. } => {
+                        let k = k as usize;
+                        rows[t * k..(t + 1) * k]
+                            .iter()
+                            .filter(|&&m| m != NO_MONITOR)
+                            .map(|&m| m as usize)
+                            .collect()
+                    }
+                };
+                assert_eq!(row, expected, "{assignment:?}, target {t}");
             }
         }
-        assert_eq!(seen, target_ids.len());
-        assert_eq!(estimators.counts.len(), target_ids.len());
-        // Exactly the monitors online in some processed slot have a row;
-        // one that never was owns no row, hence no lane of the arena.
-        let (mut with_row, mut without) = (0, 0);
-        for (m, &row) in row_of.iter().enumerate() {
-            let seen_online =
-                (0..service.slots_processed()).any(|slot| trace.is_online_in_slot(m, slot));
-            assert_eq!(row != NO_ROW, seen_online, "monitor {m}");
-            with_row += usize::from(seen_online);
-            without += usize::from(!seen_online);
-        }
-        assert_eq!(row_monitors.len(), with_row);
-        assert!(with_row > 0 && without > 0, "{with_row} rows, {without} monitors without");
+        // Exactly the monitors online in some processed slot have their
+        // edges in the all-pairs index, and the window holds both kinds.
+        let mut service = AvmonService::new(&trace, AvmonConfig::default(), 1);
+        service.step_to(&trace, SimTime::ZERO + SimDuration::from_hours(20));
+        let slots = service.slots_processed();
+        let seen = (0..n)
+            .filter(|&m| (0..slots).any(|slot| trace.is_online_in_slot(m, slot)))
+            .count();
+        assert_eq!(service.rows_built(), seen);
+        assert!(seen > 0 && seen < n, "{seen} of {n} monitors seen online");
     }
 
     #[test]
@@ -1009,8 +870,7 @@ mod tests {
                 };
                 let mut service = AvmonService::new(&trace, config, 1);
                 service.step_to(&trace, SimTime::ZERO + SimDuration::from_hours(6));
-                let (MonitorIndex::AllPairs { estimators, .. }
-                | MonitorIndex::Ring { estimators, .. }) = &service.index;
+                let estimators = &service.estimators;
                 assert!(!estimators.counts.is_empty());
                 let aged = estimators.aged.as_ref().map(Vec::len);
                 assert_eq!(
@@ -1058,6 +918,67 @@ mod tests {
                 chopped.estimate(NodeId::new(0), trace.node_id(i), end),
                 "node {i}"
             );
+        }
+    }
+
+    #[test]
+    fn configs_no_run_can_mean_are_refused() {
+        let trace = small_trace();
+        let refused = [
+            (f64::NAN, 0.05),
+            (-0.1, 0.05),
+            (1.5, 0.05),
+            (0.0, 0.0),
+            (0.0, 1.5),
+            (0.0, f64::NAN),
+        ];
+        for (ping_loss, alpha) in refused {
+            let config = AvmonConfig {
+                ping_loss,
+                alpha,
+                ..AvmonConfig::default()
+            };
+            let built = std::panic::catch_unwind(|| AvmonService::new(&trace, config, 1));
+            assert!(
+                built.is_err(),
+                "ping_loss {ping_loss}, alpha {alpha} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn one_and_two_hosts_lose_every_ping_at_full_loss() {
+        // One host has no monitor and never an estimate; two monitor each
+        // other. At `ping_loss = 1` every ping is lost, so every estimate
+        // there is reads 0, raw or aged, under either strategy.
+        for hosts in [1, 2] {
+            let trace = OvernetModel::default().hosts(hosts).days(1).generate(3);
+            for assignment in [AssignmentChoice::AllPairs, ring_config().assignment] {
+                for use_aged in [false, true] {
+                    let config = AvmonConfig {
+                        ping_loss: 1.0,
+                        use_aged,
+                        assignment,
+                        ..AvmonConfig::default()
+                    };
+                    let mut service = AvmonService::new(&trace, config, 1);
+                    let end = SimTime::ZERO + trace.duration();
+                    service.step_to(&trace, end);
+                    let estimates: Vec<Option<f64>> = (0..hosts)
+                        .map(|i| service.estimate(NodeId::new(0), trace.node_id(i), end))
+                        .map(|est| est.map(Availability::value))
+                        .collect();
+                    let label = format!("{hosts} hosts, {assignment:?}, aged {use_aged}");
+                    if hosts == 1 {
+                        assert_eq!(estimates, [None], "{label}");
+                    } else {
+                        assert!(
+                            estimates.iter().all(|&e| e == Some(0.0)),
+                            "{label}: {estimates:?}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -4,23 +4,22 @@
 //! The contract under test: the service's per-target aggregates (and
 //! error summary) are a pure function of `(trace, config, seed)` —
 //! independent of the worker-thread fan-out, of how `step_to` calls chop
-//! the timeline, and of the CSR/inverted-index or fixed-width layout.
-//! The reference below mirrors the original per-node pipeline: nested
+//! the timeline, and of the target-major index the service keeps. The
+//! reference below mirrors the original per-node pipeline: nested
 //! per-monitor target `Vec`s, an `O(N)` `position()` scan per (target,
 //! monitor) pair during aggregation, and a serial monitor loop. It takes
 //! its monitor relation as input, hashed up front:
 //!
-//! * all-pairs from the rule, pair by pair, where the service builds a
-//!   monitor's row in the first slot that finds it online; ping-loss
-//!   draws come from the same counter-keyed `(seed, STREAM_PING,
-//!   monitor, slot)` streams the service uses;
+//! * all-pairs from the rule, pair by pair, where the service merges a
+//!   monitor's edges in the first slot that finds it online;
 //! * ring from a brute-force walk of the sorted ring
 //!   (`common::brute_force_ring`), where the service sweeps bucketed
-//!   runs once; each ping draws from its edge's `(seed,
-//!   STREAM_PING_EDGE, monitor, target, slot)` stream.
+//!   runs once.
 //!
-//! With `ping_loss = 0` no stream is ever drawn, so the reference is
-//! *exactly* the seed implementation over the given relation.
+//! Each ping draws from its edge's `(seed, STREAM_PING_EDGE, monitor,
+//! target, slot)` stream, the one the service uses. With `ping_loss = 0`
+//! no stream is ever drawn, so the reference is *exactly* the seed
+//! implementation over the given relation.
 
 mod common;
 
@@ -34,8 +33,6 @@ use avmem_util::{Availability, NodeId, Rng, SplitMix64};
 
 use common::brute_force_ring;
 
-/// Must match `avmem_avmon::service::STREAM_PING`.
-const STREAM_PING: u64 = 0x4156_4d4f_4e50;
 /// Must match `avmem_avmon::service::STREAM_PING_EDGE`.
 const STREAM_PING_EDGE: u64 = 0x4156_4d4f_4e51;
 
@@ -114,19 +111,11 @@ impl SerialReference {
             if !trace.is_online_in_slot(m, slot) {
                 continue;
             }
-            let lossy = self.config.ping_loss > 0.0;
-            let per_edge = matches!(self.config.assignment, AssignmentChoice::Ring { .. });
-            let mut loss = (lossy && !per_edge).then(|| {
-                SplitMix64::keyed(&[self.seed, STREAM_PING, m as u64, slot as u64])
-            });
             for (k, &t) in self.targets[m].clone().iter().enumerate() {
                 let edge = [self.seed, STREAM_PING_EDGE, m as u64, t as u64, slot as u64];
-                let mut edge_loss = (lossy && per_edge).then(|| SplitMix64::keyed(&edge));
                 let answered = trace.is_online_in_slot(t, slot)
-                    && loss
-                        .as_mut()
-                        .or(edge_loss.as_mut())
-                        .is_none_or(|rng| !rng.chance(self.config.ping_loss));
+                    && (self.config.ping_loss <= 0.0
+                        || !SplitMix64::keyed(&edge).chance(self.config.ping_loss));
                 self.estimators[m][k].record(answered, self.config.alpha);
             }
         }
@@ -288,14 +277,17 @@ fn rows_built_on_first_online_match_the_eager_reference() {
             .collect();
         (!errors.is_empty()).then(|| errors.iter().sum::<f64>() / errors.len() as f64)
     };
-    for ping_loss in [0.0, 0.3] {
+    // The merge moves both arena columns, so aged mode runs too.
+    for (ping_loss, use_aged) in [(0.0, false), (0.3, false), (0.0, true), (0.3, true)] {
         let config = AvmonConfig {
             ping_loss,
+            use_aged,
             ..AvmonConfig::default()
         };
         for fan_out in [1, 2, 8] {
             for chop in [&[600][..], &[35, 205, 20, 340]] {
-                let label = format!("loss {ping_loss}, fan-out {fan_out}, chop {chop:?}");
+                let label =
+                    format!("loss {ping_loss}, aged {use_aged}, fan-out {fan_out}, chop {chop:?}");
                 let mut reference = SerialReference::new(&trace, config, 99);
                 let mut service = AvmonService::new(&trace, config, 99);
                 service.set_threads(fan_out);
