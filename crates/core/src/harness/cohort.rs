@@ -465,11 +465,10 @@ impl Cohort<'_> {
         scratch: &mut ShardScratch,
     ) {
         let _span = self.lane_span(PH_FINALIZE, s);
-        let len = lists.len();
         for k in 0..scratch.ops.len() {
             let ops = scratch.ops[k];
             let local = ops.node as usize - start;
-            ctx.finalize_node(ops, &mut lists[local], &mut nodes[local], scratch, start, len);
+            ctx.finalize_node(ops, &mut lists[local], &mut nodes[local], scratch, start);
         }
     }
 }
@@ -509,10 +508,12 @@ impl AvmemSim {
     /// apply per responder in initiator order, finalize is canonical per
     /// node.
     pub(super) fn run_cohort(&mut self, t: SimTime, maint: &mut MaintSchedule, threads: usize) {
+        let stamp = maint.stamp(self.oracle.epoch(t));
         let MaintSchedule {
             wheel,
             part,
             scratches,
+            ..
         } = maint;
         let inline = wheel.due_events() < INLINE_COHORT_EVENTS;
         let cohort = Cohort {
@@ -549,12 +550,11 @@ impl AvmemSim {
 
         let tf = self.tracer.span(PH_FINALIZE, 0);
         let memo = self.predicate.rebuild_memo();
-        let verdict_memory = self.hashes.is_cached();
+        let (verdict_memory, settles) = self.finalize_memories();
         let ctx = MaintCtx {
             memo: &memo,
-            epoch: self.oracle.epoch(t),
-            settle_above: (verdict_memory && self.oracle.epoch_moves())
-                .then(|| memo.vertical_ceiling()),
+            stamp,
+            settle_above: settles.then(|| memo.vertical_ceiling()),
             oracle: &self.oracle,
             verdict_memory,
             nodes: self.shuffles.len(),

@@ -230,9 +230,6 @@ pub struct SimConfig {
     /// Shard and thread counts of event-driven maintenance (ignored in
     /// [`MaintenanceMode::Converged`], whose rebuild is always parallel).
     pub engine: MaintenanceEngine,
-    /// Buckets for the discretized availability PDF (paper-scale: 10,
-    /// i.e. 0.1-wide buckets).
-    pub pdf_buckets: usize,
     /// Memory budget (bytes) for stored pair-hash rows. Populations
     /// whose dense matrix (`8·N²` bytes) fits the budget keep the rows
     /// the converged rebuild's full-row scans hash; larger ones store
@@ -262,9 +259,8 @@ fn hash_budget_from_env() -> usize {
 
 impl SimConfig {
     /// The paper's evaluation setup: default predicates, exact oracle,
-    /// converged maintenance, 10 PDF buckets. Hops take the paper's
-    /// uniform 20–80 ms ([`avmem_sim::LatencyModel::PAPER`]) in every
-    /// configuration.
+    /// converged maintenance. Hops take the paper's uniform 20–80 ms
+    /// ([`avmem_sim::LatencyModel::PAPER`]) in every configuration.
     pub fn paper_default(seed: u64) -> Self {
         SimConfig {
             seed,
@@ -275,7 +271,6 @@ impl SimConfig {
                 shards: None,
                 threads: None,
             },
-            pdf_buckets: 10,
             hash_budget: hash_budget_from_env(),
         }
     }

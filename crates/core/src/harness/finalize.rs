@@ -1,7 +1,9 @@
 //! The finalize phase of a cohort: discovery over the post-commit view,
 //! then refresh, for one node at a time — with the per-shard memory that
 //! lets most of that work be skipped within an oracle epoch, and the
-//! counters that say how much was.
+//! counters that say how much was. Every oracle has an epoch, per-querier
+//! noise included: each memo belongs to the node that queries, and a
+//! per-querier answer is fixed for its staleness period.
 
 use avmem_avmon::AvailabilityOracle;
 use avmem_shuffle::ShuffleNode;
@@ -14,13 +16,12 @@ use crate::membership::{Membership, Neighbor, SliverScope};
 use crate::predicate::ThresholdMemo;
 
 /// Per-node epoch-stamped memos owned by one shard, indexed by the
-/// node's offset inside the shard's slice. Stamps are `epoch + 1`
-/// (0 = never stamped), so freshly zeroed state is wholly invalid and
-/// no epoch value can collide with "unset".
+/// node's offset inside the shard's slice. Stamps number the oracle
+/// epochs the run's cohorts meet, from 1 ([`MaintCtx::stamp`]), so a
+/// fresh column (0 = never stamped) is wholly invalid.
 #[derive(Debug, Default)]
 pub(super) struct FinalizeShardState {
     /// Per node: stamp under which `horizontal` below is memoized.
-    /// Stamps are compact `u32` (see [`compact_stamp`]).
     pub(super) horizontal_stamp: Vec<u32>,
     /// Per node: memoized horizontal threshold at the stamped epoch.
     pub(super) horizontal: Vec<f64>,
@@ -36,7 +37,7 @@ pub(super) struct FinalizeShardState {
     /// within [`super::SimConfig::hash_budget`]; this costs `N²/8`, 1/64
     /// of the matrix the budget stands for — `N²/4`, 1/32, with the
     /// `settled` rows a moving epoch adds). Per node an `N`-bit *skip row*,
-    /// empty until the node's first stamped discovery: bit `y` says the
+    /// empty until the node's first discovery: bit `y` says the
     /// pair `(x, y)` needs no evaluation at the `seen_stamp` epoch — `y`
     /// is a neighbor already, or the pair classified to no insert (no
     /// sliver, or the oracle had no estimate). The whole filter is one
@@ -92,46 +93,32 @@ pub(super) struct FinalizeShardState {
 }
 
 impl FinalizeShardState {
-    /// Sizes the per-node columns for a shard of `len` nodes. The skip
-    /// rows only where the verdict memory runs (beyond the budget the
-    /// views carry the verdicts), and the settled rows only where they
-    /// run (`settles`).
-    fn ensure_len(&mut self, len: usize, verdict_memory: bool, settles: bool) {
-        if self.horizontal.len() != len {
-            self.horizontal_stamp.resize(len, 0);
-            self.horizontal.resize(len, 0.0);
-            self.classified.resize(len, 0);
-            self.seen_stamp.resize(len, 0);
-            if verdict_memory {
-                self.verdicts.resize_with(len, Vec::new);
-            }
-            if settles {
-                self.settled.resize_with(len, Vec::new);
-                self.ceiling.resize(len, 0.0);
-            }
+    /// The per-node columns of a shard of `len` nodes, sized once, when
+    /// the schedule is built. The skip rows only where the verdict memory
+    /// runs (beyond the budget the views carry the verdicts), and the
+    /// settled rows only where they run (`settles`).
+    pub(super) fn new(len: usize, verdict_memory: bool, settles: bool) -> Self {
+        let rows = |runs: bool| if runs { vec![Vec::new(); len] } else { Vec::new() };
+        FinalizeShardState {
+            horizontal_stamp: vec![0; len],
+            horizontal: vec![0.0; len],
+            classified: vec![0; len],
+            seen_stamp: vec![0; len],
+            verdicts: rows(verdict_memory),
+            settled: rows(settles),
+            ceiling: if settles { vec![0.0; len] } else { Vec::new() },
         }
     }
 }
 
 /// The discovery-filter tag in the shard's id table, for the view-scoped
-/// regime and for oracles without an epoch (the verdict memory needs no
-/// table): the id is already a neighbor.
+/// regime (the verdict memory needs no table): the id is already a
+/// neighbor.
 const TAG_MEMBER: u32 = 0;
 
 /// Word and mask of bit `y` in a skip row.
 pub(super) fn verdict_bit(y: usize) -> (usize, u64) {
     (y / 64, 1 << (y % 64))
-}
-
-/// Epoch → nonzero compact stamp for the finalize memos: `epoch + 1` as
-/// a `u32`, so freshly zeroed state never matches. Oracle epochs count
-/// churn changes (~10^5 per simulated week at 10^6 hosts) and stay far
-/// below the 32-bit range; one that does not fit gets no stamp, and its
-/// cohort runs without cross-cohort memoization (like an oracle with no
-/// epoch) — a wrapped stamp would alias an old epoch's and license
-/// reuse of its stale memos.
-pub(super) fn compact_stamp(epoch: u64) -> Option<u32> {
-    u32::try_from(epoch).ok()?.checked_add(1)
 }
 
 /// Read-only context of one cohort's finalize phase, shared by every
@@ -141,11 +128,11 @@ pub(super) fn compact_stamp(epoch: u64) -> Option<u32> {
 pub(super) struct MaintCtx<'a> {
     /// The predicate's threshold tables, hoisted once per cohort.
     pub(super) memo: &'a ThresholdMemo<'a>,
-    /// Oracle epoch at the cohort timestamp. `None` for per-querier
-    /// noise: thresholds are still memoized within each finalize op, but
-    /// nothing may be cached across cohorts and no refresh may be
-    /// skipped (estimates can change without any epoch tick).
-    pub(super) epoch: Option<u64>,
+    /// The number of the oracle epoch at the cohort timestamp, counted
+    /// from 1 over the epochs the run's cohorts meet (`MaintSchedule`
+    /// numbers them): equal stamps, equal epochs, so every memo stamped
+    /// with it holds for this cohort.
+    pub(super) stamp: u32,
     /// The predicate's largest vertical threshold
     /// ([`ThresholdMemo::vertical_ceiling`]) where verdicts may settle — the
     /// verdict memory runs and the oracle's epoch can move, so skip rows
@@ -164,11 +151,10 @@ pub(super) struct MaintCtx<'a> {
 impl MaintCtx<'_> {
     /// Runs one node's finalize ops in canonical intra-node order —
     /// discovery over the post-commit view first, then refresh — with
-    /// memoized thresholds (epoch-cached when the oracle exposes an
-    /// epoch), a discovery filter that remembers this epoch's no-insert
-    /// verdicts — one bit test per view id where the verdict memory runs;
-    /// the shard id table and the view's marks are touched only in the
-    /// view-scoped regime and without an epoch —, one batched oracle call
+    /// thresholds memoized per epoch, a discovery filter that remembers
+    /// this epoch's no-insert verdicts — one bit test per view id where
+    /// the verdict memory runs; the shard id table and the view's marks
+    /// are touched only in the view-scoped regime —, one batched oracle call
     /// and one batched pair-hash call per sub-op, and the refresh
     /// short-circuit. A node its oracle cannot see skips maintenance
     /// entirely.
@@ -188,7 +174,6 @@ impl MaintCtx<'_> {
         node: &mut ShuffleNode,
         scratch: &mut ShardScratch,
         shard_start: usize,
-        shard_len: usize,
     ) {
         let i = ops.node as usize;
         let querier = NodeId::new(i as u64);
@@ -206,31 +191,16 @@ impl MaintCtx<'_> {
             pool,
             ..
         } = scratch;
-        // Stamps are `epoch + 1`, so zeroed state never matches.
-        let stamp = self.epoch.and_then(compact_stamp);
-        let local = i - shard_start;
-        // Without a stamp nothing outlives the op and no per-node state
-        // is sized at all.
-        if stamp.is_some() {
-            state.ensure_len(shard_len, self.verdict_memory, self.settle_above.is_some());
-        }
-        let horizontal = match stamp {
-            Some(stamp) => {
-                if state.horizontal_stamp[local] == stamp {
-                    stats.memo_hits += 1;
-                    state.horizontal[local]
-                } else {
-                    let h = self.memo.horizontal(own_av);
-                    state.horizontal_stamp[local] = stamp;
-                    state.horizontal[local] = h;
-                    stats.memo_misses += 1;
-                    h
-                }
-            }
-            None => {
-                stats.memo_bypassed += 1;
-                self.memo.horizontal(own_av)
-            }
+        let (stamp, local) = (self.stamp, i - shard_start);
+        let horizontal = if state.horizontal_stamp[local] == stamp {
+            stats.memo_hits += 1;
+            state.horizontal[local]
+        } else {
+            let h = self.memo.horizontal(own_av);
+            state.horizontal_stamp[local] = stamp;
+            state.horizontal[local] = h;
+            stats.memo_misses += 1;
+            h
         };
         let source = self.memo.source_with_horizontal(own_av, horizontal);
         if ops.discover {
@@ -243,100 +213,92 @@ impl MaintCtx<'_> {
             // within the epoch, so the outcome cannot change.
             cand_ids.clear();
             // The node's skip row where the verdict memory runs; `None`
-            // in the view-scoped regime and without a stamp, which filter
-            // through the shard's id table instead.
+            // in the view-scoped regime, which filters through the shard's
+            // id table instead.
             let mut skip_row = None;
             // The node's settled row and the ceiling its bits are set
             // against; `None` where nothing settles (no such regime, or a
             // ceiling no hash exceeds).
             let mut settled_row = None;
-            match stamp {
-                Some(stamp) if self.verdict_memory => {
-                    let words = self.nodes.div_ceil(64);
-                    if let Some(vertical) = self.settle_above {
-                        let (settled, ceiling) =
-                            (&mut state.settled[local], &mut state.ceiling[local]);
-                        let bound = vertical.max(horizontal);
-                        if bound > *ceiling {
-                            // The node's first discovery, or its horizontal
-                            // threshold outgrew the bound its bits were set
-                            // against: those pairs are open again.
-                            stats.ceiling_raises += u64::from(!settled.is_empty());
-                            *ceiling = bound;
-                            // No hash exceeds a ceiling of 1: no row.
-                            *settled = if bound < 1.0 { vec![0; words] } else { Vec::new() };
-                        }
-                        if !settled.is_empty() {
-                            settled_row = Some((settled, *ceiling));
-                        }
+            if self.verdict_memory {
+                let words = self.nodes.div_ceil(64);
+                if let Some(vertical) = self.settle_above {
+                    let (settled, ceiling) =
+                        (&mut state.settled[local], &mut state.ceiling[local]);
+                    let bound = vertical.max(horizontal);
+                    if bound > *ceiling {
+                        // The node's first discovery, or its horizontal
+                        // threshold outgrew the bound its bits were set
+                        // against: those pairs are open again.
+                        stats.ceiling_raises += u64::from(!settled.is_empty());
+                        *ceiling = bound;
+                        // No hash exceeds a ceiling of 1: no row.
+                        *settled = if bound < 1.0 { vec![0; words] } else { Vec::new() };
                     }
-                    let row = &mut state.verdicts[local];
-                    if state.seen_stamp[local] != stamp {
-                        // New, or another epoch's: forget every verdict
-                        // that has not settled, keep skipping the
-                        // neighbors.
-                        row.clear();
-                        match &settled_row {
-                            Some((settled, _)) => {
-                                row.extend_from_slice(settled);
-                                stats.verdicts_carried +=
-                                    settled.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-                            }
-                            None => row.resize(words, 0),
-                        }
-                        for &member in membership.columns(SliverScope::Both).ids {
-                            let (word, mask) = verdict_bit(member as usize);
-                            row[word] |= mask;
-                        }
-                        state.seen_stamp[local] = stamp;
+                    if !settled.is_empty() {
+                        settled_row = Some((settled, *ceiling));
                     }
-                    for candidate in node.view().ids() {
-                        let y = candidate.raw() as usize;
-                        if y == i {
-                            continue;
-                        }
-                        let (word, mask) = verdict_bit(y);
-                        if row[word] & mask != 0 {
-                            stats.discover_pruned += 1;
-                        } else {
-                            cand_ids.push(candidate);
-                        }
-                    }
-                    skip_row = Some(row);
                 }
-                _ => {
-                    // The neighbors tagged once, each view candidate then
-                    // one load; a marked slot is a no-insert verdict of
-                    // this epoch — marks of another are cleared here, at
-                    // the node's first discovery under the stamp.
-                    if let Some(stamp) = stamp {
-                        if state.seen_stamp[local] != stamp {
-                            node.clear_view_marks();
-                            state.seen_stamp[local] = stamp;
+                let row = &mut state.verdicts[local];
+                if state.seen_stamp[local] != stamp {
+                    // New, or another epoch's: forget every verdict
+                    // that has not settled, keep skipping the
+                    // neighbors.
+                    row.clear();
+                    match &settled_row {
+                        Some((settled, _)) => {
+                            row.extend_from_slice(settled);
+                            stats.verdicts_carried +=
+                                settled.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
                         }
+                        None => row.resize(words, 0),
                     }
-                    cand_pos.clear();
-                    let tags = pool.id_table();
-                    tags.begin();
                     for &member in membership.columns(SliverScope::Both).ids {
-                        tags.set(member, TAG_MEMBER);
+                        let (word, mask) = verdict_bit(member as usize);
+                        row[word] |= mask;
                     }
-                    let view = node.view();
-                    for (pos, (candidate, marked)) in view.ids().zip(view.marks()).enumerate() {
-                        let y = candidate.raw() as usize;
-                        if y == i {
-                            continue;
-                        }
-                        if stamp.is_some() && marked {
-                            stats.discover_pruned += 1;
-                        } else if tags.get(y as u32).is_some() {
-                            // A neighbor. Without a stamp the counter
-                            // stays 0: no filter outlives the op.
-                            stats.discover_pruned += u64::from(stamp.is_some());
-                        } else {
-                            cand_ids.push(candidate);
-                            cand_pos.push(pos as u32);
-                        }
+                    state.seen_stamp[local] = stamp;
+                }
+                for candidate in node.view().ids() {
+                    let y = candidate.raw() as usize;
+                    if y == i {
+                        continue;
+                    }
+                    let (word, mask) = verdict_bit(y);
+                    if row[word] & mask != 0 {
+                        stats.discover_pruned += 1;
+                    } else {
+                        cand_ids.push(candidate);
+                    }
+                }
+                skip_row = Some(row);
+            } else {
+                // The neighbors tagged once, each view candidate then
+                // one load; a marked slot is a no-insert verdict of this
+                // epoch — marks of another are cleared here, at the
+                // node's first discovery under the stamp.
+                if state.seen_stamp[local] != stamp {
+                    node.clear_view_marks();
+                    state.seen_stamp[local] = stamp;
+                }
+                cand_pos.clear();
+                let tags = pool.id_table();
+                tags.begin();
+                for &member in membership.columns(SliverScope::Both).ids {
+                    tags.set(member, TAG_MEMBER);
+                }
+                let view = node.view();
+                for (pos, (candidate, marked)) in view.ids().zip(view.marks()).enumerate() {
+                    let y = candidate.raw() as usize;
+                    if y == i {
+                        continue;
+                    }
+                    if marked || tags.get(y as u32).is_some() {
+                        // A verdict of this epoch, or a neighbor.
+                        stats.discover_pruned += 1;
+                    } else {
+                        cand_ids.push(candidate);
+                        cand_pos.push(pos as u32);
                     }
                 }
             }
@@ -377,12 +339,12 @@ impl MaintCtx<'_> {
                                 settled[word] |= mask;
                             }
                         }
-                    } else if !kept && stamp.is_some() {
+                    } else if !kept {
                         node.mark_view(cand_pos[k] as usize);
                     }
                 }
             }
-            if let Some(stamp) = stamp.filter(|_| inserted) {
+            if inserted {
                 // Inserts are classified at the current epoch: the list
                 // stays uniformly stamped only if it was empty or already
                 // at this epoch; otherwise it is mixed and must be fully
@@ -392,11 +354,7 @@ impl MaintCtx<'_> {
             }
         }
         if ops.refresh {
-            let skip = match stamp {
-                Some(stamp) => state.classified[local] == stamp,
-                None => false,
-            };
-            if skip {
+            if state.classified[local] == stamp {
                 stats.refresh_skipped += 1;
             } else {
                 stats.refresh_evaluated += 1;
@@ -420,9 +378,7 @@ impl MaintCtx<'_> {
                     let sliver = source.classify_hashed(y_av, hash)?;
                     Some((y_av, sliver))
                 });
-                if let Some(stamp) = stamp {
-                    state.classified[local] = stamp;
-                }
+                state.classified[local] = stamp;
             }
         }
     }
@@ -453,22 +409,18 @@ pub struct FinalizeStats {
     pub memo_hits: u64,
     /// Finalize ops that recomputed (and re-stamped) the threshold.
     pub memo_misses: u64,
-    /// Finalize ops evaluated without epoch memoization (per-querier
-    /// noise exposes no epoch; thresholds are still hoisted per op).
-    pub memo_bypassed: u64,
     /// Refresh ops short-circuited to a timestamp touch: the membership
     /// is unchanged since its last same-epoch classification.
     pub refresh_skipped: u64,
     /// Refresh ops that ran the full reclassification pass.
     pub refresh_evaluated: u64,
-    /// View candidates (the node itself excluded) that a stamped
-    /// discovery filter dropped without an estimate: ids that are
+    /// View candidates (the node itself excluded) that the discovery
+    /// filter dropped without an estimate: ids that are
     /// neighbors already, and pairs that classified to no insert earlier
     /// in the epoch — every such pair where the verdict memory runs, those
     /// that stayed in the view beyond the budget. Either way
     /// `discover_pruned` plus discovery's share of `batched_estimates` is
-    /// the number of candidates the views offered. 0 without an oracle
-    /// epoch: no filter outlives an op there.
+    /// the number of candidates the views offered.
     pub discover_pruned: u64,
     /// Availability estimates served through batched oracle calls — and
     /// pair hashes, which finalize computes one per estimate.
@@ -476,7 +428,7 @@ pub struct FinalizeStats {
     /// Verdicts that outlived their epoch: the settled bits (pair hash
     /// above every threshold the node can apply) copied into a skip row
     /// at each reset of it, summed. 0 where skip rows are never reset (a
-    /// fixed epoch) or do not exist (beyond the hash budget, no epoch).
+    /// fixed epoch) or do not exist (beyond the hash budget).
     pub verdicts_carried: u64,
     /// Settled rows zeroed because the node's horizontal threshold
     /// outgrew the ceiling their bits were set against.
@@ -488,7 +440,6 @@ impl FinalizeStats {
     pub fn merge(&mut self, other: FinalizeStats) {
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
-        self.memo_bypassed += other.memo_bypassed;
         self.refresh_skipped += other.refresh_skipped;
         self.refresh_evaluated += other.refresh_evaluated;
         self.discover_pruned += other.discover_pruned;

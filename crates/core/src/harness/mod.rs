@@ -81,6 +81,7 @@ use avmem_trace::{AvailabilityPdf, ChurnTrace, OnlineIndex};
 use avmem_util::{Availability, NodeId, Rng, ShardPartition, SplitMix64};
 
 use self::cohort::ShardScratch;
+use self::finalize::FinalizeShardState;
 use self::schedule::PeriodicWheel;
 use crate::membership::Membership;
 use crate::predicate::AvmemPredicate;
@@ -97,6 +98,10 @@ const STREAM_STAGGER_TICK: u64 = 1;
 const STREAM_STAGGER_REFRESH: u64 = 2;
 const STREAM_SHUFFLE: u64 = 3;
 const STREAM_BOOTSTRAP: u64 = 4;
+
+/// Buckets of the availability PDF the predicate is built from: the
+/// paper's 0.1-wide buckets.
+const PDF_BUCKETS: usize = 10;
 
 /// The persistent event-driven maintenance schedule, sharded.
 ///
@@ -118,25 +123,57 @@ struct MaintSchedule {
     part: ShardPartition,
     /// Per-shard phase scratch, reused across cohorts.
     scratches: Vec<ShardScratch>,
+    /// The oracle epoch the last cohort met, and its number (0 before the
+    /// first cohort).
+    epoch: u64,
+    stamp: u32,
 }
 
 impl MaintSchedule {
     /// Builds the initial schedule: every node's tick and refresh
-    /// staggered on the period lattices from `now` on.
+    /// staggered on the period lattices from `now` on, and each shard's
+    /// finalize columns sized for the memories the run keeps
+    /// ([`AvmemSim::finalize_memories`]).
     fn build(
         seed: u64,
         n: usize,
         shards: usize,
         now: SimTime,
-        protocol_period: SimDuration,
-        refresh_period: SimDuration,
+        (protocol_period, refresh_period): (SimDuration, SimDuration),
+        (verdict_memory, settles): (bool, bool),
     ) -> Self {
         let part = ShardPartition::new(n, shards);
         MaintSchedule {
             wheel: PeriodicWheel::build(seed, part, now, protocol_period, refresh_period),
             part,
-            scratches: (0..part.shards()).map(|_| ShardScratch::default()).collect(),
+            scratches: (0..part.shards())
+                .map(|s| {
+                    let mut scratch = ShardScratch::default();
+                    let len = part.range(s).len();
+                    scratch.finalize = FinalizeShardState::new(len, verdict_memory, settles);
+                    scratch
+                })
+                .collect(),
+            epoch: 0,
+            stamp: 0,
         }
+    }
+
+    /// The stamp of a cohort that meets the oracle epoch `epoch`: the
+    /// last cohort's while the epoch stands, the next number when it has
+    /// moved. Epochs never go back, so equal stamps mean equal epochs.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the run's 2³²−1th epoch change, whose number would not
+    /// fit the finalize memos' `u32` stamps (a wrapped one would alias an
+    /// old epoch's and license its stale memos).
+    fn stamp(&mut self, epoch: u64) -> u32 {
+        if self.stamp == 0 || epoch != self.epoch {
+            self.stamp = self.stamp.checked_add(1).expect("more than 2^32 - 1 oracle epochs");
+            self.epoch = epoch;
+        }
+        self.stamp
     }
 }
 
@@ -234,7 +271,23 @@ impl AvmemSim {
     /// availability PDF as the (availability-weighted) distribution of
     /// online nodes — both quantities the paper assumes are computed
     /// offline by a crawler and distributed consistently to all nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if event-driven maintenance has a zero protocol or refresh
+    /// period: its schedule would re-arm the same instant forever.
     pub fn new(trace: ChurnTrace, config: SimConfig) -> Self {
+        if let MaintenanceMode::EventDriven {
+            protocol_period,
+            refresh_period,
+        } = config.maintenance
+        {
+            assert!(
+                protocol_period > SimDuration::ZERO && refresh_period > SimDuration::ZERO,
+                "maintenance periods must be positive, got protocol {protocol_period:?} \
+                 and refresh {refresh_period:?}"
+            );
+        }
         let n = trace.num_nodes();
         let hashes = PairHashes::with_budget(n, config.hash_budget);
         let stats = trace.stats();
@@ -246,7 +299,7 @@ impl AvmemSim {
                 (av, av.value())
             })
             .collect();
-        let pdf = AvailabilityPdf::from_weighted_sample(&weighted, config.pdf_buckets);
+        let pdf = AvailabilityPdf::from_weighted_sample(&weighted, PDF_BUCKETS);
 
         let predicate = config.predicate.build(n, n_star, pdf);
 
@@ -471,6 +524,14 @@ impl AvmemSim {
         self.fin_stats
     }
 
+    /// Which finalize memories the run keeps, fixed for its life: the
+    /// verdict rows (the pair space fits the hash budget), and beside them
+    /// the settled rows (where, too, the oracle's epoch can move).
+    fn finalize_memories(&self) -> (bool, bool) {
+        let verdict_memory = self.hashes.is_cached();
+        (verdict_memory, verdict_memory && self.oracle.epoch_moves())
+    }
+
     /// Counters of the pair-hash store the converged rebuild reads (rows
     /// built, dense rows resident): all zero in an event-driven run,
     /// whose finalize hashes its own candidate lists.
@@ -515,8 +576,8 @@ impl AvmemSim {
                 self.trace.num_nodes(),
                 self.config.engine.shards(),
                 self.now,
-                protocol_period,
-                refresh_period,
+                (protocol_period, refresh_period),
+                self.finalize_memories(),
             )
         });
         while let Some(t) = maint.wheel.pop_until(target) {

@@ -114,36 +114,31 @@ impl SimOracle {
     }
 
     /// A generation counter that advances whenever estimates *may*
-    /// change, or `None` when no such counter exists (per-querier noise:
-    /// answers additionally depend on who asks, so a shared epoch would
-    /// under-approximate change).
+    /// change; it never goes back.
     ///
     /// Within one epoch, `estimate(q, y, now)` is a pure function of
     /// `(q, y)` — the contract the finalize fast path relies on to memoize
-    /// thresholds and skip re-classification. Ground truth never changes
-    /// (epoch 0 forever); shared noise re-draws once per staleness period;
-    /// AVMON aggregates mutate only when a trace slot is processed. What
-    /// finalize keeps *across* epochs (a verdict for a pair hash above its
-    /// node's threshold ceiling) reads no estimate at all.
-    pub fn epoch(&self, now: SimTime) -> Option<u64> {
+    /// thresholds and skip re-classification, whose every memo belongs to
+    /// the querying node. Ground truth never changes (epoch 0 forever);
+    /// noise, per querier or shared, is re-drawn once per staleness
+    /// period; AVMON aggregates mutate only when a trace slot is
+    /// processed. What finalize keeps *across* epochs (a verdict for a
+    /// pair hash above its node's threshold ceiling) reads no estimate at
+    /// all.
+    pub fn epoch(&self, now: SimTime) -> u64 {
         match self {
-            SimOracle::Exact(_) => Some(0),
-            SimOracle::Noisy(o) => (!o.is_per_querier()).then(|| o.epoch_at(now)),
-            SimOracle::Avmon(o) => Some(o.slots_processed() as u64),
+            SimOracle::Exact(_) => 0,
+            SimOracle::Noisy(o) => o.epoch_at(now),
+            SimOracle::Avmon(o) => o.slots_processed() as u64,
         }
     }
 
     /// Whether [`SimOracle::epoch`] can ever advance: false for ground
-    /// truth, whose one epoch lasts the run, and for per-querier noise,
-    /// which has none. Where it can, whatever finalize remembers per
-    /// epoch is rebuilt at every turnover — and what it knows from ids
-    /// alone is worth carrying over.
+    /// truth alone, whose one epoch lasts the run. Where it can, whatever
+    /// finalize remembers per epoch is rebuilt at every turnover — and
+    /// what it knows from ids alone is worth carrying over.
     pub fn epoch_moves(&self) -> bool {
-        match self {
-            SimOracle::Exact(_) => false,
-            SimOracle::Noisy(o) => !o.is_per_querier(),
-            SimOracle::Avmon(_) => true,
-        }
+        !matches!(self, SimOracle::Exact(_))
     }
 }
 

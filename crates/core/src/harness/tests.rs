@@ -4,7 +4,7 @@
 //! the world's admission verdicts.
 
 use super::cohort::INLINE_COHORT_EVENTS;
-use super::finalize::{compact_stamp, verdict_bit, FinalizeShardState};
+use super::finalize::{verdict_bit, FinalizeShardState};
 use super::model::{assert_matches, model_of};
 use super::*;
 use crate::membership::SliverScope;
@@ -557,9 +557,12 @@ fn bit_is_set(row: &[u64], y: usize) -> bool {
     row.get(word).is_some_and(|w| w & mask != 0)
 }
 
-/// The finalize stamp of the oracle's epoch at `t`.
+/// The finalize stamp of the oracle's epoch at `t`, at or after the last
+/// cohort: the schedule's stamp, or the next number if the epoch has
+/// moved since.
 fn stamp_at(sim: &AvmemSim, t: SimTime) -> u32 {
-    sim.oracle.epoch(t).and_then(compact_stamp).expect("stamped oracle")
+    let maint = sim.maint.as_ref().expect("maintenance ran");
+    maint.stamp + u32::from(sim.oracle.epoch(t) != maint.epoch)
 }
 
 /// Whether Eq. 1, evaluated pair at a time under the current estimates,
@@ -1061,9 +1064,10 @@ fn beyond_the_budget_no_verdict_row_exists() {
 }
 
 #[test]
-fn per_querier_noise_allocates_no_finalize_state() {
-    // No epoch, no stamp: nothing may outlive a finalize op, so no
-    // per-node column is sized in either regime.
+fn per_querier_noise_memoizes_within_its_staleness_period() {
+    // Per-querier answers are fixed for a staleness period, and every
+    // finalize memo belongs to the querying node: thresholds are served
+    // from the memo, discovery prunes, and the columns are the shard's.
     for budget in [hashes::DEFAULT_HASH_BUDGET, 0] {
         let mut sim = event_driven_sim(
             100,
@@ -1073,13 +1077,11 @@ fn per_querier_noise_allocates_no_finalize_state() {
         );
         sim.warm_up(SimDuration::from_mins(10));
         let stats = sim.finalize_stats();
-        assert!(stats.memo_bypassed > 0 && stats.batched_estimates > 0);
-        assert_eq!((stats.memo_hits, stats.discover_pruned), (0, 0));
+        assert!(stats.memo_hits > 0 && stats.discover_pruned > 0, "{stats:?}");
         let state = finalize_state(&sim);
-        assert!(state.verdicts.is_empty() && state.settled.is_empty());
-        assert!(state.ceiling.is_empty());
-        assert!(state.seen_stamp.is_empty() && state.horizontal.is_empty());
-        assert!((0..100).all(|x| marked_slots(&sim, x) == 0), "a view carries a mark");
+        assert_eq!((state.seen_stamp.len(), state.horizontal.len()), (100, 100));
+        assert_eq!(state.verdicts.len(), if budget == 0 { 0 } else { 100 });
+        assert_matches(&model_of(&sim), &sim, "per-querier noise");
     }
 }
 
@@ -1125,13 +1127,57 @@ fn a_nodes_marks_go_at_its_first_discovery_past_a_turnover() {
 }
 
 #[test]
-fn an_epoch_beyond_the_stamp_range_gets_no_stamp() {
-    assert_eq!(compact_stamp(0), Some(1));
-    assert_eq!(compact_stamp(u32::MAX as u64 - 1), Some(u32::MAX));
-    // These used to wrap to the "unset" stamp 0 and to epoch 0's
-    // stamp 1, whose memos a release build would then have reused.
-    assert_eq!(compact_stamp(u32::MAX as u64), None);
-    assert_eq!(compact_stamp(1 << 32), None);
+fn stamps_number_the_epochs_the_cohorts_meet() {
+    // Two-minute epochs over 15 s ticks: the first cohort is stamp 1,
+    // and the stamp rises by exactly one where the oracle's epoch moves
+    // between cohorts — the same numbers on one shard and on four.
+    let mut numbered = Vec::new();
+    for shards in [1, 4] {
+        let engine = MaintenanceEngine::Sharded {
+            shards: Some(shards),
+            threads: Some(1),
+        };
+        let mut sim = event_driven_sim(60, shared_noise(2), engine, hashes::DEFAULT_HASH_BUDGET);
+        sim.warm_up(SimDuration::ZERO);
+        let mut stamps = Vec::new();
+        let mut last: Option<(u64, u32)> = None;
+        while sim.now() < SimTime::ZERO + SimDuration::from_mins(15) {
+            let t = run_next_cohort(&mut sim);
+            let (epoch, stamp) = (sim.oracle.epoch(t), sim.maint.as_ref().unwrap().stamp);
+            let expected = last.map_or(1, |(e, s)| s + u32::from(epoch != e));
+            assert_eq!(stamp, expected, "{shards} shards, cohort at {t:?}");
+            last = Some((epoch, stamp));
+            stamps.push((t, stamp));
+        }
+        assert_eq!(last.map(|(_, s)| s), Some(8), "{shards} shards: 15 min of 2 min epochs");
+        numbered.push(stamps);
+    }
+    assert_eq!(numbered[0], numbered[1], "stamps differ at 1 and 4 shards");
+    // The number after `u32::MAX` is no stamp.
+    let mut sim = event_driven_sim(20, shared_noise(2), MaintenanceEngine::Serial, 0);
+    sim.warm_up(SimDuration::from_mins(1));
+    let maint = sim.maint.as_mut().unwrap();
+    maint.stamp = u32::MAX;
+    assert_eq!(maint.stamp(maint.epoch), u32::MAX);
+    let next = maint.epoch + 1;
+    let overflow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| maint.stamp(next)));
+    assert!(overflow.is_err(), "a stamp past u32::MAX");
+}
+
+#[test]
+fn a_zero_maintenance_period_is_refused() {
+    // The wheel would re-arm the same instant forever; `new` says so.
+    let (zero, minute) = (SimDuration::ZERO, SimDuration::from_mins(1));
+    for (protocol_period, refresh_period) in [(zero, minute), (minute, zero)] {
+        let mut cfg = SimConfig::paper_default(1);
+        cfg.maintenance = MaintenanceMode::EventDriven {
+            protocol_period,
+            refresh_period,
+        };
+        let trace = OvernetModel::default().hosts(20).days(1).generate(1);
+        let built = std::panic::catch_unwind(|| AvmemSim::new(trace, cfg));
+        assert!(built.is_err(), "{protocol_period:?} / {refresh_period:?} accepted");
+    }
 }
 
 #[test]

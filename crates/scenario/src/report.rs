@@ -601,12 +601,11 @@ impl ScenarioReport {
             // re-opens theirs.
             writeln!(
                 w,
-                "finalize fast path: memo hits {}  misses {}  bypassed {}  \
+                "finalize fast path: memo hits {}  misses {}  \
                  refresh skipped {}  evaluated {}  discover pruned {} (no estimate)  \
                  batched estimates {}  verdicts carried {}  ceiling raises {}",
                 f.memo_hits,
                 f.memo_misses,
-                f.memo_bypassed,
                 f.refresh_skipped,
                 f.refresh_evaluated,
                 f.discover_pruned,
@@ -765,12 +764,11 @@ impl ScenarioReport {
         let f = &self.finalize;
         write!(
             w,
-            ",\"finalize\":{{\"memo_hits\":{},\"memo_misses\":{},\"memo_bypassed\":{},\
+            ",\"finalize\":{{\"memo_hits\":{},\"memo_misses\":{},\
              \"refresh_skipped\":{},\"refresh_evaluated\":{},\"discover_pruned\":{},\
              \"batched_estimates\":{},\"verdicts_carried\":{},\"ceiling_raises\":{}}}",
             f.memo_hits,
             f.memo_misses,
-            f.memo_bypassed,
             f.refresh_skipped,
             f.refresh_evaluated,
             f.discover_pruned,
@@ -907,7 +905,6 @@ mod tests {
                 batched_estimates: 4000,
                 verdicts_carried: 600,
                 ceiling_raises: 7,
-                ..Default::default()
             },
             memory: MemoryStats {
                 peak_rss_bytes: Some(512 * 1024 * 1024),
