@@ -113,9 +113,13 @@ fn words_for(room: usize) -> usize {
     room + room.div_ceil(2)
 }
 
+// The casts to halves below rest on a word being exactly two halves.
+const _: () = assert!(size_of::<Availability>() == 2 * size_of::<u32>());
+
 /// `words` as the `u32` halves the id column lives in.
 #[inline]
 fn id_halves(words: &[Availability]) -> &[u32] {
+    debug_assert!(words.as_ptr().cast::<u32>().is_aligned());
     // SAFETY: `Availability` is `repr(transparent)` over `f64`, so `words`
     // is `2 * words.len()` initialised `u32`s, 8-byte aligned (≥ the 4 a
     // `u32` needs), and every bit pattern is a valid `u32`. The result
@@ -126,6 +130,7 @@ fn id_halves(words: &[Availability]) -> &[u32] {
 /// [`id_halves`], for writing.
 #[inline]
 fn id_halves_mut(words: &mut [Availability]) -> &mut [u32] {
+    debug_assert!(words.as_ptr().cast::<u32>().is_aligned());
     // SAFETY: as in `id_halves`, and the result holds `words`' unique
     // borrow. Whatever it writes leaves each word a valid `f64` (every bit
     // pattern is one); the words the ids live in are never read as

@@ -105,9 +105,13 @@ fn words_for(room: usize) -> usize {
     room + room.div_ceil(2)
 }
 
+// The casts to halves below rest on a word being exactly two halves.
+const _: () = assert!(size_of::<u32>() == 2 * size_of::<u16>());
+
 /// `words` as the `u16` halves the age column lives in.
 #[inline]
 fn age_halves(words: &[u32]) -> &[u16] {
+    debug_assert!(words.as_ptr().cast::<u16>().is_aligned());
     // SAFETY: `words` is `2 * words.len()` initialised `u16`s, 4-byte
     // aligned (≥ the 2 a `u16` needs), and every bit pattern is a valid
     // `u16`. The result borrows `words`, so nothing writes them while it
@@ -118,6 +122,7 @@ fn age_halves(words: &[u32]) -> &[u16] {
 /// [`age_halves`], for writing.
 #[inline]
 fn age_halves_mut(words: &mut [u32]) -> &mut [u16] {
+    debug_assert!(words.as_ptr().cast::<u16>().is_aligned());
     // SAFETY: as in `age_halves`, and the result holds `words`' unique
     // borrow; whatever it writes leaves each word a valid `u32` (every
     // bit pattern is one).

@@ -18,12 +18,14 @@
 //! population count, and who joined or left at a slot boundary is the
 //! XOR of two adjacent columns ([`ChurnTrace::changed_in`]).
 //!
-//! Generators and the text reader fill the matrix one node row at a time,
-//! straight into the bits, with no row-of-`bool`s matrix in between;
-//! [`ChurnTrace::from_rows`] is the same for a caller that already holds
-//! rows.
+//! The generators fill the matrix 64 nodes at a time, one word of each
+//! column per block of hosts, each word written once; the text reader
+//! and [`ChurnTrace::from_rows`] fill it one node row at a time. Neither
+//! keeps a row-of-`bool`s matrix in between.
 
+use std::iter::StepBy;
 use std::ops::Range;
+use std::slice::IterMut;
 
 use avmem_sim::{SimDuration, SimTime};
 use avmem_util::{Availability, NodeId};
@@ -290,8 +292,9 @@ pub(crate) fn ones(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usi
     })
 }
 
-/// Fills a [`ChurnTrace`] one node row at a time, straight into the
-/// slot-major bits: what the generators and the text reader build with.
+/// Fills a [`ChurnTrace`] straight into the slot-major bits: a block of
+/// up to 64 node rows at a time (the generators) or one row at a time
+/// (the text reader, [`ChurnTrace::from_rows`]).
 ///
 /// The number of rows need not be known up front. Columns start
 /// `⌈expected/64⌉` words wide and double whenever a row would not fit;
@@ -337,27 +340,60 @@ impl TraceBuilder {
             row.len() == self.slots,
             "all rows must have the same number of slots"
         );
-        self.push_row_from(row.iter().copied());
+        let i = self.long_term.len();
+        let shift = i % 64;
+        let mut up = 0;
+        for (word, &bit) in self.next_words().zip(row) {
+            *word |= u64::from(bit) << shift;
+            up += u32::from(bit);
+        }
+        self.push_long_term(up);
     }
 
-    /// Appends the next node's row, its slots in order from `online`,
-    /// which yields exactly `slots` of them: a generator writes its chain
-    /// straight into the columns, with no row of `bool`s in between.
-    pub(crate) fn push_row_from(&mut self, online: impl IntoIterator<Item = bool>) {
+    /// Appends the next block of `rows` rows (1 to 64) after a whole
+    /// number of blocks. `fill` gets the block's word of every column, in
+    /// slot order, to write — bit `l` is the block's row `l`, and the bits
+    /// from `rows` on stay clear — and returns each row's online slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the rows so far are a whole number of blocks and
+    /// `rows` is in `1..=64`.
+    pub(crate) fn push_block(
+        &mut self,
+        rows: usize,
+        fill: impl FnOnce(StepBy<IterMut<'_, u64>>) -> [u32; 64],
+    ) {
+        assert!(
+            self.long_term.len().is_multiple_of(64) && (1..=64).contains(&rows),
+            "a block of {rows} rows after {} rows",
+            self.long_term.len()
+        );
+        let online = fill(self.next_words());
+        let i = self.long_term.len();
+        debug_assert!(
+            rows == 64 || self.bits[i / 64..].iter().step_by(self.stride).all(|&w| w >> rows == 0),
+            "bits past the block's rows"
+        );
+        for &up in &online[..rows] {
+            self.push_long_term(up);
+        }
+    }
+
+    /// Word `i / 64` of every column, `stride` words apart, for the next
+    /// row `i`; widens the columns first when it would not fit.
+    fn next_words(&mut self) -> StepBy<IterMut<'_, u64>> {
         let i = self.long_term.len();
         if i == 64 * self.stride {
             self.restride((2 * self.stride).max(1));
         }
-        let shift = i % 64;
-        let mut up = 0usize;
-        // Word `i / 64` of every column, `stride` words apart.
-        let words = self.bits[i / 64..].iter_mut().step_by(self.stride);
-        for (word, bit) in words.zip(online) {
-            *word |= u64::from(bit) << shift;
-            up += usize::from(bit);
-        }
+        self.bits[i / 64..].iter_mut().step_by(self.stride)
+    }
+
+    /// Records the next row's long-term availability from its `up` slots.
+    fn push_long_term(&mut self, up: u32) {
         self.long_term
-            .push(Availability::saturating(up as f64 / self.slots as f64));
+            .push(Availability::saturating(f64::from(up) / self.slots as f64));
     }
 
     /// Re-lays the columns `stride` words wide, keeping every row that

@@ -21,8 +21,8 @@ use avmem_sim::SimDuration;
 use avmem_util::{Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
+use crate::chain::{transition_probabilities, Block, Kernel};
 use crate::churn::{ChurnTrace, TraceBuilder};
-use crate::overnet::transition_probabilities;
 
 /// Which way the crowd moves at the switch point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -170,40 +170,53 @@ impl FlashCrowdModel {
     /// Generates a deterministic trace for the given seed. Crowd
     /// membership is assigned to the first `⌈crowd_fraction·hosts⌉` host
     /// indices (membership is observable, which scenario assertions use).
+    ///
+    /// Hosts run 64 to a [`Block`] of lanes; a crowd host's dark slots
+    /// keep its lane out of the live set, so it draws nothing there and
+    /// joins the system offline.
     pub fn generate(&self, seed: u64) -> ChurnTrace {
+        self.generate_on(seed, Kernel::detect())
+    }
+
+    /// [`FlashCrowdModel::generate`] on the given lane kernel.
+    fn generate_on(&self, seed: u64, kernel: Kernel) -> ChurnTrace {
         let slots = ((1440 / self.slot_minutes) * self.days) as usize;
         let switch_slot = ((slots as f64) * self.switch_point).round() as usize;
         let crowd = ((self.hosts as f64) * self.crowd_fraction).ceil() as usize;
+        let dark = match self.direction {
+            CrowdDirection::Join => 0..switch_slot,
+            CrowdDirection::Leave => switch_slot..slots,
+        };
         let mut master = SplitMix64::new(seed);
         let (lo, hi) = self.availability_range;
         let mut trace =
             TraceBuilder::new(SimDuration::from_mins(self.slot_minutes), slots, self.hosts);
-        let mut row = vec![false; slots];
-        for host in 0..self.hosts {
-            let mut rng = master.fork(host as u64);
-            let target = rng.range_f64(lo, hi.max(lo + f64::EPSILON)).clamp(0.001, 0.999);
-            let dark_range = if host < crowd {
-                match self.direction {
-                    CrowdDirection::Join => 0..switch_slot,
-                    CrowdDirection::Leave => switch_slot..slots,
-                }
-            } else {
-                0..0
-            };
-            let mut up = rng.chance(target);
-            let (p_down, p_up) = transition_probabilities(target, self.mean_up_session_slots);
-            for (s, slot) in row.iter_mut().enumerate() {
-                if dark_range.contains(&s) {
-                    *slot = false;
-                    // A crowd host joins the system offline: its first
-                    // live slot is decided by the chain's down→up draw.
-                    up = false;
-                } else {
-                    *slot = up;
-                    up = if up { !rng.chance(p_down) } else { rng.chance(p_up) };
-                }
+        for first in (0..self.hosts).step_by(64) {
+            let rows = (self.hosts - first).min(64);
+            let mut block = Block::new(kernel);
+            for l in 0..rows {
+                let mut rng = master.fork((first + l) as u64);
+                let target = rng
+                    .range_f64(lo, hi.max(lo + f64::EPSILON))
+                    .clamp(0.001, 0.999);
+                let up = rng.chance(target);
+                block.start(
+                    l,
+                    &rng,
+                    up,
+                    transition_probabilities(target, self.mean_up_session_slots),
+                );
             }
-            trace.push_row(&row);
+            let live = u64::MAX >> (64 - rows);
+            let crowd_rows = crowd.saturating_sub(first).min(rows);
+            let dark_rows = u64::MAX.checked_shr(64 - crowd_rows as u32).unwrap_or(0);
+            trace.push_block(rows, |column| {
+                for (s, word) in column.enumerate() {
+                    let dark = if dark.contains(&s) { dark_rows } else { 0 };
+                    *word = block.step(live & !dark);
+                }
+                block.online()
+            });
         }
         trace.finish()
     }
@@ -212,7 +225,90 @@ impl FlashCrowdModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::block_edge_hosts;
     use avmem_sim::SimTime;
+
+    /// The generator as first written, kept as `generate`'s reference:
+    /// one `bool` row per host, a dark slot forcing the host down without
+    /// a draw.
+    fn reference_generate(model: &FlashCrowdModel, seed: u64) -> ChurnTrace {
+        let slots = ((1440 / model.slot_minutes) * model.days) as usize;
+        let switch_slot = ((slots as f64) * model.switch_point).round() as usize;
+        let crowd = ((model.hosts as f64) * model.crowd_fraction).ceil() as usize;
+        let mut master = SplitMix64::new(seed);
+        let (lo, hi) = model.availability_range;
+        let mut trace = TraceBuilder::new(
+            SimDuration::from_mins(model.slot_minutes),
+            slots,
+            model.hosts,
+        );
+        let mut row = vec![false; slots];
+        for host in 0..model.hosts {
+            let mut rng = master.fork(host as u64);
+            let target = rng
+                .range_f64(lo, hi.max(lo + f64::EPSILON))
+                .clamp(0.001, 0.999);
+            let dark_range = if host < crowd {
+                match model.direction {
+                    CrowdDirection::Join => 0..switch_slot,
+                    CrowdDirection::Leave => switch_slot..slots,
+                }
+            } else {
+                0..0
+            };
+            let mut up = rng.chance(target);
+            let (p_down, p_up) = transition_probabilities(target, model.mean_up_session_slots);
+            for (s, slot) in row.iter_mut().enumerate() {
+                if dark_range.contains(&s) {
+                    *slot = false;
+                    up = false;
+                } else {
+                    *slot = up;
+                    up = if up {
+                        !rng.chance(p_down)
+                    } else {
+                        rng.chance(p_up)
+                    };
+                }
+            }
+            trace.push_row(&row);
+        }
+        trace.finish()
+    }
+
+    proptest::proptest! {
+        /// `generate` — hosts 64 to a block of lanes, the crowd's dark
+        /// slots as lanes kept out of the live set — is the per-host loop
+        /// bit for bit on every lane kernel this CPU runs, with crowd
+        /// boundaries anywhere, inside a block included, both directions,
+        /// and switch points from the first slot to past the last.
+        #[test]
+        fn generate_equals_the_per_host_reference(
+            hosts in block_edge_hosts(),
+            join in proptest::prelude::any::<bool>(),
+            fraction in 0.0f64..=1.0,
+            switch in 0.0f64..=1.0,
+            days in 1u64..=2,
+            width in 0usize..4,
+            session in 1.0f64..12.0,
+            (lo, hi) in (0.0f64..=1.0, 0.0f64..=1.0),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let direction = if join { CrowdDirection::Join } else { CrowdDirection::Leave };
+            let model = FlashCrowdModel::new(direction)
+                .hosts(hosts)
+                .days(days)
+                .slot_minutes([5, 20, 60, 1440][width])
+                .crowd_fraction(fraction)
+                .switch_point(switch)
+                .mean_up_session_slots(session)
+                .availability_range(lo.min(hi), lo.max(hi));
+            let reference = reference_generate(&model, seed);
+            for (name, kernel) in Kernel::every() {
+                proptest::prop_assert_eq!(&model.generate_on(seed, kernel), &reference, "{}", name);
+            }
+        }
+    }
 
     fn online_in_slot(trace: &ChurnTrace, s: usize) -> usize {
         (0..trace.num_nodes())

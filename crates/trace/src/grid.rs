@@ -13,6 +13,7 @@ use avmem_sim::SimDuration;
 use avmem_util::{Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
+use crate::chain::{transition_probabilities, Block, Kernel};
 use crate::churn::{ChurnTrace, TraceBuilder};
 
 /// Configuration and builder for Grid-like churn traces.
@@ -115,8 +116,15 @@ impl GridModel {
         self
     }
 
-    /// Generates a deterministic trace for the given seed.
+    /// Generates a deterministic trace for the given seed: the same
+    /// two-state chain as the Overnet generator, with short sessions,
+    /// hosts 64 to a [`Block`] of lanes.
     pub fn generate(&self, seed: u64) -> ChurnTrace {
+        self.generate_on(seed, Kernel::detect())
+    }
+
+    /// [`GridModel::generate`] on the given lane kernel.
+    fn generate_on(&self, seed: u64, kernel: Kernel) -> ChurnTrace {
         let slots = (self.days * 1440 / self.slot_minutes) as usize;
         let mut master = SplitMix64::new(seed ^ 0x6772_6964); // "grid"
         let mut trace = TraceBuilder::new(
@@ -124,48 +132,110 @@ impl GridModel {
             slots,
             self.machines,
         );
-        let mut row = vec![false; slots];
-        for machine in 0..self.machines {
-            let mut rng = master.fork(machine as u64);
-            let (lo, hi) = if rng.chance(self.maintenance_fraction) {
-                self.maintenance_availability
-            } else {
-                self.healthy_availability
-            };
-            let target = rng.range_f64(lo, hi.max(lo + f64::EPSILON));
-            self.generate_row(&mut rng, target, &mut row);
-            trace.push_row(&row);
+        for first in (0..self.machines).step_by(64) {
+            let rows = (self.machines - first).min(64);
+            let mut block = Block::new(kernel);
+            for l in 0..rows {
+                let mut rng = master.fork((first + l) as u64);
+                let (lo, hi) = if rng.chance(self.maintenance_fraction) {
+                    self.maintenance_availability
+                } else {
+                    self.healthy_availability
+                };
+                let target = rng
+                    .range_f64(lo, hi.max(lo + f64::EPSILON))
+                    .clamp(0.001, 0.999);
+                let up = rng.chance(target);
+                block.start(
+                    l,
+                    &rng,
+                    up,
+                    transition_probabilities(target, self.mean_up_session_slots),
+                );
+            }
+            let live = u64::MAX >> (64 - rows);
+            trace.push_block(rows, |column| {
+                for word in column {
+                    *word = block.step(live);
+                }
+                block.online()
+            });
         }
         trace.finish()
-    }
-
-    /// Two-state chain with stationary availability `target`; same
-    /// construction as the Overnet generator but with short sessions,
-    /// into `row`.
-    fn generate_row<R: Rng>(&self, rng: &mut R, target: f64, row: &mut [bool]) {
-        let target = target.clamp(0.001, 0.999);
-        let p_down = 1.0 / self.mean_up_session_slots;
-        let p_up_raw = target * p_down / (1.0 - target);
-        let (p_down, p_up) = if p_up_raw <= 1.0 {
-            (p_down, p_up_raw)
-        } else {
-            ((1.0 - target) / target, 1.0)
-        };
-        let mut up = rng.chance(target);
-        for slot in row {
-            *slot = up;
-            up = if up {
-                !rng.chance(p_down)
-            } else {
-                rng.chance(p_up)
-            };
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::block_edge_hosts;
+
+    /// The generator as first written, kept as `generate`'s reference:
+    /// one `bool` row per machine, its own copy of the transition
+    /// probabilities and `chance` draws.
+    fn reference_generate(model: &GridModel, seed: u64) -> ChurnTrace {
+        let slots = (model.days * 1440 / model.slot_minutes) as usize;
+        let mut master = SplitMix64::new(seed ^ 0x6772_6964);
+        let mut trace = TraceBuilder::new(
+            SimDuration::from_mins(model.slot_minutes),
+            slots,
+            model.machines,
+        );
+        let mut row = vec![false; slots];
+        for machine in 0..model.machines {
+            let mut rng = master.fork(machine as u64);
+            let (lo, hi) = if rng.chance(model.maintenance_fraction) {
+                model.maintenance_availability
+            } else {
+                model.healthy_availability
+            };
+            let target = rng
+                .range_f64(lo, hi.max(lo + f64::EPSILON))
+                .clamp(0.001, 0.999);
+            let p_down = 1.0 / model.mean_up_session_slots;
+            let p_up_raw = target * p_down / (1.0 - target);
+            let (p_down, p_up) = if p_up_raw <= 1.0 {
+                (p_down, p_up_raw)
+            } else {
+                ((1.0 - target) / target, 1.0)
+            };
+            let mut up = rng.chance(target);
+            for slot in row.iter_mut() {
+                *slot = up;
+                up = if up {
+                    !rng.chance(p_down)
+                } else {
+                    rng.chance(p_up)
+                };
+            }
+            trace.push_row(&row);
+        }
+        trace.finish()
+    }
+
+    proptest::proptest! {
+        /// `generate` — machines 64 to a block of lanes on the shared
+        /// transition probabilities — is the per-machine loop bit for bit
+        /// on every lane kernel this CPU runs.
+        #[test]
+        fn generate_equals_the_per_machine_reference(
+            machines in block_edge_hosts(),
+            days in 1u64..=2,
+            maintenance in 0.0f64..=1.0,
+            session in 1.0f64..12.0,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let model = GridModel::default()
+                .machines(machines)
+                .days(days)
+                .maintenance_fraction(maintenance)
+                .mean_up_session_slots(session);
+            let reference = reference_generate(&model, seed);
+            for (name, kernel) in Kernel::every() {
+                proptest::prop_assert_eq!(&model.generate_on(seed, kernel), &reference, "{}", name);
+            }
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -42,6 +42,7 @@
 //! assert!((0.0..=1.0).contains(&av.value()));
 //! ```
 
+mod chain;
 pub mod churn;
 pub mod flash;
 pub mod grid;

@@ -84,11 +84,7 @@ impl OnlineIndex {
         self.online
             .extend(ones(self.bits.iter().copied()).map(|i| i as u32));
         if self.by_availability.len() != n {
-            let mut ranked: Vec<(Availability, u32)> = (0..n as u32)
-                .map(|i| (trace.long_term_availability(i as usize), i))
-                .collect();
-            ranked.sort_unstable();
-            self.by_availability = ranked.into_iter().map(|(_, i)| i).collect();
+            self.by_availability = rank_by_availability(trace);
         }
         let up = self
             .by_availability
@@ -169,6 +165,67 @@ impl OnlineIndex {
             out.push(pick);
         }
     }
+}
+
+/// Every node of `trace` by ascending long-term availability, ties by
+/// index — the order `sort_unstable` gives `(Availability, u32)` pairs —
+/// ranked on integer keys by counting. A non-negative `f64` orders as its
+/// bits (`-0.0` made `+0.0` first), so the keys' distinct values are
+/// collected in an open-addressed table, only those are sorted, and the
+/// nodes are dealt into their values' runs in index order. A trace has at
+/// most one value per possible online-slot count, so that is `O(N)`
+/// with `slots + 1` values to sort.
+fn rank_by_availability(trace: &ChurnTrace) -> Vec<u32> {
+    const EMPTY: u32 = u32::MAX;
+    let n = trace.num_nodes();
+    // The distinct keys in the order met, and each node's index among them.
+    let mut keys: Vec<u64> = Vec::new();
+    let mut key_of = Vec::with_capacity(n);
+    let mut table = vec![EMPTY; 64];
+    // The slot of `table` that holds `key`, or the empty one it would go in.
+    let find = |table: &[u32], keys: &[u64], key: u64| {
+        let mask = table.len() - 1;
+        let mut at = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            >> (64 - table.len().trailing_zeros())) as usize;
+        while table[at] != EMPTY && keys[table[at] as usize] != key {
+            at = (at + 1) & mask;
+        }
+        at
+    };
+    for i in 0..n {
+        let value = trace.long_term_availability(i).value();
+        let key = if value == 0.0 { 0 } else { value.to_bits() };
+        let at = find(&table, &keys, key);
+        if table[at] == EMPTY {
+            table[at] = keys.len() as u32;
+            keys.push(key);
+        }
+        key_of.push(table[at]);
+        if 2 * keys.len() > table.len() {
+            table = vec![EMPTY; 2 * table.len()];
+            for (k, &key) in keys.iter().enumerate() {
+                let at = find(&table, &keys, key);
+                table[at] = k as u32;
+            }
+        }
+    }
+    // Where each value's run starts, in ascending order of the values.
+    let mut by_value: Vec<u32> = (0..keys.len() as u32).collect();
+    by_value.sort_unstable_by_key(|&k| keys[k as usize]);
+    let mut start = vec![0u32; keys.len()];
+    for &k in &key_of {
+        start[k as usize] += 1;
+    }
+    let mut next = 0;
+    for &k in &by_value {
+        (start[k as usize], next) = (next, next + start[k as usize]);
+    }
+    let mut ranked = vec![0; n];
+    for (i, &k) in key_of.iter().enumerate() {
+        ranked[start[k as usize] as usize] = i as u32;
+        start[k as usize] += 1;
+    }
+    ranked
 }
 
 /// Bit `i` of `bits`; `false` beyond them.
@@ -346,6 +403,32 @@ mod tests {
     }
 
     proptest::proptest! {
+        /// The counting ranking puts every node where `sort_unstable` on
+        /// `(Availability, u32)` does, over traces of few distinct
+        /// availabilities (long runs of ties) and of many (the value table
+        /// growing past its first sizes).
+        #[test]
+        fn ranking_equals_sort_unstable(
+            hosts in 1usize..700,
+            slots in 1usize..400,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let rows: Vec<Vec<bool>> = (0..hosts)
+                .map(|_| {
+                    let density = rng.next_f64();
+                    (0..slots).map(|_| rng.chance(density)).collect()
+                })
+                .collect();
+            let t = ChurnTrace::from_rows(SimDuration::from_mins(20), rows);
+            let mut expected: Vec<(Availability, u32)> = (0..hosts as u32)
+                .map(|i| (t.long_term_availability(i as usize), i))
+                .collect();
+            expected.sort_unstable();
+            let expected: Vec<u32> = expected.into_iter().map(|(_, i)| i).collect();
+            proptest::prop_assert_eq!(rank_by_availability(&t), expected);
+        }
+
         /// Any walk over the trace — forwards, backwards, jumping slots —
         /// leaves the bitset, the list and the availability column saying
         /// the same as the trace.

@@ -23,6 +23,7 @@ use avmem_sim::SimDuration;
 use avmem_util::{Rng, SplitMix64};
 use serde::{Deserialize, Serialize};
 
+use crate::chain::{transition_probabilities, Block, Kernel};
 use crate::churn::{ChurnTrace, TraceBuilder};
 
 /// Configuration and builder for synthetic Overnet-like churn traces.
@@ -218,13 +219,19 @@ impl OvernetModel {
 
     /// Generates a deterministic trace for the given seed.
     ///
-    /// The per-slot terms every host shares — drift progress and the
-    /// diurnal factor — are computed once here, and a host's chain
-    /// recomputes its transition probabilities only when its modulated
-    /// target moves (never, with no drift and no diurnal term). Each
-    /// slot draws exactly one `next_f64` from the host's stream, and its
-    /// bit goes straight into the trace's column.
+    /// Each host draws its targets and first state from its own stream,
+    /// then its chain runs in a lane of a 64-host [`Block`], one draw per
+    /// slot, each slot's word going straight into the trace's column. The
+    /// per-slot terms every host shares — drift progress and the diurnal
+    /// factor — are computed once here, and a lane's transition
+    /// probabilities move only when its host's modulated target does
+    /// (never, with no drift and no diurnal term).
     pub fn generate(&self, seed: u64) -> ChurnTrace {
+        self.generate_on(seed, Kernel::detect())
+    }
+
+    /// [`OvernetModel::generate`] on the given lane kernel.
+    fn generate_on(&self, seed: u64, kernel: Kernel) -> ChurnTrace {
         let slots_per_day = (1440 / self.slot_minutes) as usize;
         let slots = slots_per_day * self.days as usize;
         let progress: Vec<f64> = (0..slots).map(|s| s as f64 / slots as f64).collect();
@@ -239,72 +246,63 @@ impl OvernetModel {
         let mut master = SplitMix64::new(seed);
         let mut trace =
             TraceBuilder::new(SimDuration::from_mins(self.slot_minutes), slots, self.hosts);
-        for host in 0..self.hosts {
-            let mut rng = master.fork(host as u64);
-            let start_target = self.draw_target_availability(&mut rng);
-            let end_target = if self.drift_fraction > 0.0 && rng.chance(self.drift_fraction) {
-                self.draw_target_availability(&mut rng)
-            } else {
-                start_target
-            };
-            // Two-state Markov chain whose stationary availability
-            // follows the (drifting, modulated) target, with mean
-            // up-session `mean_up_session_slots`.
-            let mut up = rng.chance(start_target);
-            // Slot 0's target is the start target, whatever the drift and
-            // the diurnal term; a host with neither keeps it throughout.
-            let first = start_target.clamp(0.001, 0.999);
-            let mut memo = (first.to_bits(), transition_probabilities(first, mean_up));
-            let steady = flat && end_target == start_target;
-            let row = progress
-                .iter()
-                .zip(&diurnal)
-                .map(move |(&progress, &diurnal)| {
-                    if !steady {
-                        let target = start_target + (end_target - start_target) * progress;
+        for first in (0..self.hosts).step_by(64) {
+            let rows = (self.hosts - first).min(64);
+            let mut block = Block::new(kernel);
+            // Lanes whose target moves: `(start, end, bits of the target
+            // their probabilities were computed from)`.
+            let mut moving = 0u64;
+            let mut targets = [(0.0, 0.0, 0u64); 64];
+            for (l, target) in targets.iter_mut().enumerate().take(rows) {
+                let mut rng = master.fork((first + l) as u64);
+                let start_target = self.draw_target_availability(&mut rng);
+                let end_target = if self.drift_fraction > 0.0 && rng.chance(self.drift_fraction) {
+                    self.draw_target_availability(&mut rng)
+                } else {
+                    start_target
+                };
+                // Two-state Markov chain whose stationary availability
+                // follows the (drifting, modulated) target, with mean
+                // up-session `mean_up_session_slots`. Slot 0's target is
+                // the start target, whatever the drift and the diurnal
+                // term; a host with neither keeps it throughout.
+                let up = rng.chance(start_target);
+                let at_first = start_target.clamp(0.001, 0.999);
+                block.start(l, &rng, up, transition_probabilities(at_first, mean_up));
+                if !(flat && end_target == start_target) {
+                    moving |= 1 << l;
+                    *target = (start_target, end_target, at_first.to_bits());
+                }
+            }
+            let live = u64::MAX >> (64 - rows);
+            trace.push_block(rows, |column| {
+                for ((word, &progress), &diurnal) in column.zip(&progress).zip(&diurnal) {
+                    let mut lanes = moving;
+                    while lanes != 0 {
+                        let l = lanes.trailing_zeros() as usize;
+                        lanes &= lanes - 1;
+                        let (start, end, bits) = &mut targets[l];
+                        let target = *start + (*end - *start) * progress;
                         let modulated = (target * diurnal).clamp(0.001, 0.999);
-                        if modulated.to_bits() != memo.0 {
-                            memo = (
-                                modulated.to_bits(),
-                                transition_probabilities(modulated, mean_up),
-                            );
+                        if modulated.to_bits() != *bits {
+                            *bits = modulated.to_bits();
+                            block
+                                .set_probabilities(l, transition_probabilities(modulated, mean_up));
                         }
                     }
-                    let (p_down, p_up) = memo.1;
-                    let online = up;
-                    // One draw decides both ways — up leaves with `p_down`,
-                    // down returns with `p_up` — so the state picks a verdict
-                    // without a branch on it.
-                    let u = rng.next_f64();
-                    up = up & (u >= p_down) | !up & (u < p_up);
-                    online
-                });
-            trace.push_row_from(row);
+                    *word = block.step(live);
+                }
+                block.online()
+            });
         }
         trace.finish()
-    }
-}
-
-/// Computes `(P(up→down), P(down→up))` for a two-state chain with
-/// stationary availability `a` and mean up-session `mean_up` slots.
-///
-/// Stationarity requires `p_up / (p_up + p_down) = a`. We fix
-/// `p_down = 1 / mean_up` and derive `p_up = a·p_down / (1−a)`; when that
-/// exceeds 1 (very high availability with short sessions) we instead pin
-/// `p_up = 1` and derive `p_down = (1−a)/a`.
-pub(crate) fn transition_probabilities(a: f64, mean_up: f64) -> (f64, f64) {
-    let p_down = 1.0 / mean_up;
-    let p_up = a * p_down / (1.0 - a);
-    if p_up <= 1.0 {
-        (p_down, p_up)
-    } else {
-        ((1.0 - a) / a, 1.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::block_edge_hosts;
 
     /// The generator as first written, kept as `generate`'s reference:
     /// one `bool` row per host, and every slot re-deriving its drift
@@ -360,14 +358,15 @@ mod tests {
     ];
 
     proptest::proptest! {
-        /// `generate` — shared per-slot terms, memoized transition
-        /// probabilities, bits written straight into the columns — is the
-        /// reference bit for bit (`ChurnTrace ==`: the bits and the
-        /// long-term availabilities), drift and diurnal terms included,
-        /// which no spec sets but the builder reaches.
+        /// `generate` — shared per-slot terms, hosts 64 to a block of
+        /// lanes, probabilities that move only with a lane's target — is
+        /// the reference bit for bit (`ChurnTrace ==`: the bits and the
+        /// long-term availabilities) on every lane kernel this CPU runs,
+        /// at host counts on both sides of block edges, drift and diurnal
+        /// terms included, which no spec sets but the builder reaches.
         #[test]
         fn generate_equals_the_per_slot_reference(
-            hosts in 1usize..=300,
+            hosts in block_edge_hosts(),
             days in 1u64..=3,
             width in 0usize..SLOT_MINUTES.len(),
             (amplitude, modulate) in (0.0f64..0.9, proptest::prelude::any::<bool>()),
@@ -388,7 +387,10 @@ mod tests {
                 .drift_fraction(if drifting { drift } else { 0.0 })
                 .mean_up_session_slots(session)
                 .mixture(low, range(0), mid, range(2), range(4));
-            proptest::prop_assert_eq!(model.generate(seed), reference_generate(&model, seed));
+            let reference = reference_generate(&model, seed);
+            for (name, kernel) in Kernel::every() {
+                proptest::prop_assert_eq!(&model.generate_on(seed, kernel), &reference, "{}", name);
+            }
         }
     }
 

@@ -21,7 +21,7 @@
 //! A pair hash is one SHA-256 compression of one padded block, and where
 //! monitoring runs at full fidelity that compression *is* the run, so it
 //! has three implementations, each pinned to the scalar one by the module
-//! tests and chosen by a cached CPU-feature probe (`Kernels`) and
+//! tests and chosen by the cached CPU-feature probe ([`Kernels`]) and
 //! the length of the list — no environment variable, feature or knob:
 //!
 //! * the portable scalar rounds (`compress_scalar`) — the reference,
@@ -34,6 +34,7 @@
 //! `pair_prefixes` is the one funnel under the four `*_batch` front-ends
 //! and the one place a list is split between them.
 
+use crate::cpu::Kernels;
 use crate::NodeId;
 
 /// A SHA-256 digest.
@@ -98,100 +99,6 @@ pub fn sha256(data: &[u8]) -> Digest {
     out
 }
 
-/// The hardware kernels a hash call may use.
-///
-/// A value comes only from [`Kernels::detect`] — the host's cached feature
-/// probe — and can only be narrowed afterwards (`without_*`, for the tests
-/// that drive every path on one host), so holding one with a flag set is
-/// the proof the `unsafe` kernel calls in this file rely on. The fields
-/// are private to this module for that reason.
-mod cpu {
-    use std::sync::atomic::{AtomicU8, Ordering};
-
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(super) struct Kernels {
-        sha_ni: bool,
-        avx512: bool,
-    }
-
-    const PROBED: u8 = 1;
-    const SHA_NI: u8 = 2;
-    const AVX512: u8 = 4;
-
-    /// The probe's answer, 0 until it has run. `Relaxed` suffices: the
-    /// value is a pure function of the CPU and publishes nothing else.
-    static DETECTED: AtomicU8 = AtomicU8::new(0);
-
-    // Off x86-64 nothing is ever detected and nothing asks.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    impl Kernels {
-        /// What this CPU has. Probes once, then costs one relaxed load.
-        #[inline]
-        pub(super) fn detect() -> Self {
-            let mut bits = DETECTED.load(Ordering::Relaxed);
-            if bits == 0 {
-                bits = probe();
-                DETECTED.store(bits, Ordering::Relaxed);
-            }
-            Kernels {
-                sha_ni: bits & SHA_NI != 0,
-                avx512: bits & AVX512 != 0,
-            }
-        }
-
-        /// The SHA extensions plus the SSSE3 / SSE4.1 shuffles the `ni`
-        /// kernels massage their state with.
-        #[inline]
-        pub(super) fn sha_ni(self) -> bool {
-            self.sha_ni
-        }
-
-        /// `avx512f`, all the `wide` kernel uses: it builds its message
-        /// words arithmetically, so it needs no `avx512bw` byte shuffle.
-        #[inline]
-        pub(super) fn avx512(self) -> bool {
-            self.avx512
-        }
-
-        #[cfg(test)]
-        pub(super) fn without_sha_ni(self) -> Self {
-            Kernels {
-                sha_ni: false,
-                ..self
-            }
-        }
-
-        #[cfg(test)]
-        pub(super) fn without_avx512(self) -> Self {
-            Kernels {
-                avx512: false,
-                ..self
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn probe() -> u8 {
-        let mut bits = PROBED;
-        if is_x86_feature_detected!("sha")
-            && is_x86_feature_detected!("ssse3")
-            && is_x86_feature_detected!("sse4.1")
-        {
-            bits |= SHA_NI;
-        }
-        if is_x86_feature_detected!("avx512f") {
-            bits |= AVX512;
-        }
-        bits
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn probe() -> u8 {
-        PROBED
-    }
-}
-use cpu::Kernels;
-
 /// One SHA-256 compression round over a 64-byte block.
 ///
 /// Dispatches to the SHA-NI hardware implementation when the CPU supports
@@ -203,6 +110,7 @@ use cpu::Kernels;
 fn compress(kernels: Kernels, state: &mut [u32; 8], block: &[u8]) {
     #[cfg(target_arch = "x86_64")]
     if kernels.sha_ni() {
+        debug_assert!(Kernels::detect().sha_ni() && block.len() >= 64);
         // SAFETY: a `Kernels` with `sha_ni` set exists only if the probe
         // confirmed the sha/ssse3/sse4.1 features at runtime, and callers
         // always pass a full 64-byte block.
@@ -291,7 +199,7 @@ fn compress_scalar(state: &mut [u32; 8], block: &[u8]) {
 /// ones go to the `wide` kernel, which does not use the SHA unit at all.
 #[cfg(target_arch = "x86_64")]
 mod ni {
-    use super::{H0, K};
+    use super::{Kernels, H0, K};
     use std::arch::x86_64::*;
 
     /// Hardware SHA-256 compression over one 64-byte block.
@@ -302,7 +210,7 @@ mod ni {
     /// [`Kernels`](super::Kernels) with `sha_ni` set) and `block.len() >= 64`.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8]) {
-        debug_assert!(block.len() >= 64);
+        debug_assert!(Kernels::detect().sha_ni() && block.len() >= 64);
 
         // `sha256rnds2` wants the state packed as ABEF / CDGH.
         let tmp = _mm_loadu_si128(state.as_ptr().cast::<__m128i>());
@@ -373,6 +281,7 @@ mod ni {
     /// [`Kernels`](super::Kernels) with `sha_ni` set).
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) unsafe fn compress2_h0(blocks: [&[u8; 64]; 2]) -> [u128; 2] {
+        debug_assert!(Kernels::detect().sha_ni());
         // `H0` already packed the way `sha256rnds2` wants it.
         let abef0 = _mm_set_epi32(H0[0] as i32, H0[1] as i32, H0[4] as i32, H0[5] as i32);
         let cdgh0 = _mm_set_epi32(H0[2] as i32, H0[3] as i32, H0[6] as i32, H0[7] as i32);
@@ -437,7 +346,7 @@ mod ni {
 /// only from [`WIDE_MIN_PAIRS`](super::WIDE_MIN_PAIRS) live lanes up.
 #[cfg(target_arch = "x86_64")]
 mod wide {
-    use super::{H0, K};
+    use super::{Kernels, H0, K};
     use std::arch::x86_64::*;
 
     /// Compresses sixteen one-block messages from `H0`; `words[j][lane]` is
@@ -453,6 +362,7 @@ mod wide {
     // Round 63 writes an `e` the `A‖B‖C‖D` prefix does not read.
     #[allow(unused_assignments)]
     pub(super) unsafe fn compress16_h0(words: &[[u32; 16]; 16]) -> [u128; 16] {
+        debug_assert!(Kernels::detect().avx512());
         let mut w = [_mm512_setzero_si512(); 16];
         for (vector, row) in w.iter_mut().zip(words) {
             *vector = _mm512_loadu_si512(row.as_ptr().cast());
@@ -914,6 +824,7 @@ where
             for (lane, (x, y)) in pairs.by_ref().take(group.len()).enumerate() {
                 blocks.set(lane, x, y);
             }
+            debug_assert!(Kernels::detect().avx512());
             // SAFETY: `kernels.avx512()` held above, and a `Kernels` has it
             // set only if the probe detected `avx512f` at runtime.
             let prefixes = unsafe { wide::compress16_h0(&blocks.words) };
@@ -936,6 +847,7 @@ fn block_prefix(kernels: Kernels, block: &[u8; 64]) -> u128 {
 fn block_prefixes(kernels: Kernels, blocks: [&[u8; 64]; 2]) -> [u128; 2] {
     #[cfg(target_arch = "x86_64")]
     if kernels.sha_ni() {
+        debug_assert!(Kernels::detect().sha_ni());
         // SAFETY: a `Kernels` with `sha_ni` set exists only if the probe
         // confirmed the sha/ssse3/sse4.1 features at runtime.
         return unsafe { ni::compress2_h0(blocks) };
@@ -1218,6 +1130,7 @@ mod tests {
                 }
                 scalar[lane] = scalar_block_prefix(block.try_into().unwrap());
             }
+            debug_assert!(Kernels::detect().avx512());
             // SAFETY: the probe reported `avx512f` just above.
             let wide = unsafe { wide::compress16_h0(&words) };
             proptest::prop_assert_eq!(wide, scalar);

@@ -53,15 +53,29 @@ impl CountingAlloc {
 
     #[inline]
     fn on_dealloc(size: usize) {
-        LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
+        // Every block freed was counted when it was allocated, and that
+        // count precedes this one in the counter's modification order.
+        debug_check(live >= size as u64);
+    }
+}
+
+/// `debug_assert!` for the allocator's preconditions. A `GlobalAlloc`
+/// must not unwind, so a broken one aborts instead of panicking.
+#[inline]
+fn debug_check(holds: bool) {
+    if cfg!(debug_assertions) && !holds {
+        std::process::abort();
     }
 }
 
 // SAFETY: defers every allocation to `System` and only adds counter
 // bookkeeping; sizes passed to on_alloc/on_dealloc mirror the layouts
-// handed to the system allocator.
+// handed to the system allocator (`on_dealloc` checks the live count
+// never goes below zero).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        debug_check(layout.size() != 0);
         let ptr = System.alloc(layout);
         if !ptr.is_null() {
             Self::on_alloc(layout.size());
@@ -70,6 +84,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        debug_check(layout.size() != 0);
         let ptr = System.alloc_zeroed(layout);
         if !ptr.is_null() {
             Self::on_alloc(layout.size());
@@ -78,11 +93,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        debug_check(!ptr.is_null() && layout.size() != 0);
         System.dealloc(ptr, layout);
         Self::on_dealloc(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        debug_check(!ptr.is_null() && layout.size() != 0 && new_size != 0);
         let new_ptr = System.realloc(ptr, layout, new_size);
         if !new_ptr.is_null() {
             Self::on_dealloc(layout.size());

@@ -9,6 +9,8 @@
 //!   or hash-based identity);
 //! * [`Availability`] — a validated `[0, 1]` availability value (the
 //!   paper's `av(x)`);
+//! * [`cpu`] — the cached CPU-feature probe every hardware kernel is
+//!   chosen by (the pair-hash kernels, the trace generators' lanes);
 //! * [`sha256`] — a from-scratch SHA-256 used to build the *normalized
 //!   consistent hash* `H(id(x), id(y)) ∈ [0, 1]` of the AVMEM predicate
 //!   framework (Eq. 1 of the paper);
@@ -42,6 +44,7 @@
 //! ```
 
 pub mod availability;
+pub mod cpu;
 pub mod hash;
 pub mod heap;
 pub mod id;

@@ -319,6 +319,9 @@ impl WorkerPool {
         while progress.pending > 0 {
             progress = ctl.done.wait(progress).expect("batch lock poisoned");
         }
+        // The lifetime erasure's condition: every job of the batch has
+        // run (each is consumed before it counts itself done).
+        debug_assert_eq!(progress.pending, 0, "a job could outlive 'scope");
         if let Some(payload) = progress.panic.take() {
             drop(progress);
             resume_unwind(payload);

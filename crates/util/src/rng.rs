@@ -150,9 +150,37 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The Weyl increment every draw adds to the counter.
+    pub const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
     /// Creates a generator from a seed.
     pub const fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
+    }
+
+    /// The stream's counter. SplitMix64 is counter-based: the `k`-th
+    /// draw from here (`k = 1, 2, …`) is `SplitMix64::mix(counter +
+    /// k·GAMMA)` (wrapping), whatever was drawn in between — which lets a
+    /// caller step many streams side by side.
+    ///
+    /// ```
+    /// use avmem_util::{Rng, SplitMix64};
+    ///
+    /// let mut rng = SplitMix64::new(3);
+    /// let twice = rng.counter().wrapping_add(SplitMix64::GAMMA.wrapping_mul(2));
+    /// let _ = rng.next_u64();
+    /// assert_eq!(rng.next_u64(), SplitMix64::mix(twice));
+    /// ```
+    pub const fn counter(&self) -> u64 {
+        self.state
+    }
+
+    /// The output function: the draw whose counter is `z`.
+    #[inline]
+    pub const fn mix(z: u64) -> u64 {
+        let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
     }
 
     /// Derives a decorrelated child generator, e.g. one stream per node.
@@ -205,11 +233,8 @@ impl SplitMix64 {
 
 impl Rng for SplitMix64 {
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(Self::GAMMA);
+        Self::mix(self.state)
     }
 }
 
