@@ -11,7 +11,7 @@
 use std::mem;
 
 use avmem_metrics::{shard_lane, Histogram, Span, Tracer};
-use avmem_shuffle::{EntryPool, ShuffleMessage, ShuffleNode, ShuffleProposal};
+use avmem_shuffle::{EntryPool, ShuffleNode, ShuffleProposal, ViewEntry};
 use avmem_sim::SimTime;
 use avmem_trace::OnlineIndex;
 use avmem_util::parallel::par_each_mut;
@@ -53,19 +53,19 @@ pub(super) struct NodeOps {
 
 /// A shuffle request crossing from its initiator's shard to its
 /// responder's shard: the initiator id (the commit-order key), the
-/// responder, and the request message captured at propose time.
+/// responder, and the request entries captured at propose time.
 #[derive(Debug)]
 struct RequestMsg {
     initiator: u32,
     responder: u32,
-    request: ShuffleMessage,
+    request: Vec<ViewEntry>,
 }
 
 /// A shuffle reply traveling back to the initiator's shard.
 #[derive(Debug)]
 struct ReplyMsg {
     initiator: u32,
-    reply: ShuffleMessage,
+    reply: Vec<ViewEntry>,
 }
 
 /// One shard's end of a cohort-wide message exchange: what it sends,
@@ -416,12 +416,7 @@ impl Cohort<'_> {
             let mut idx = scratch.bucket_head[r];
             while idx != u32::MAX {
                 let msg = &mut inbox[idx as usize];
-                let request = mem::replace(
-                    &mut msg.request,
-                    ShuffleMessage::Request {
-                        entries: Vec::new(),
-                    },
-                );
+                let request = mem::take(&mut msg.request);
                 let initiator = msg.initiator;
                 let reply = nodes[r].handle_request_with(request, &mut scratch.pool);
                 scratch.replies.out[self.part.owner(initiator as usize)]

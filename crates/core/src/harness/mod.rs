@@ -377,8 +377,8 @@ impl AvmemSim {
         });
     }
 
-    /// The harness's phase-span tracer (publishable into a registry by
-    /// the serve loop).
+    /// The harness's phase-span tracer (published into a registry by the
+    /// scenario session).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }

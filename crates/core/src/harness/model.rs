@@ -18,7 +18,7 @@
 //! writes the simulation's private state.
 
 use avmem_avmon::AvailabilityOracle;
-use avmem_shuffle::{EntryPool, ShuffleMessage};
+use avmem_shuffle::{EntryPool, ViewEntry};
 use avmem_sim::{Engine, SimTime};
 use avmem_trace::ChurnTrace;
 use avmem_util::{NodeId, SplitMix64};
@@ -100,7 +100,7 @@ impl Model {
             let (ticks, refreshes) = (acting(MaintKind::Tick), acting(MaintKind::Refresh));
 
             // Shuffle: every ticking node proposes against its own view…
-            let mut requests: Vec<(usize, usize, ShuffleMessage)> = Vec::new();
+            let mut requests: Vec<(usize, usize, Vec<ViewEntry>)> = Vec::new();
             let mut timeouts = Vec::new();
             for &i in &ticks {
                 let node = &mut sim.shuffles[i];
@@ -127,7 +127,7 @@ impl Model {
             // …responders answer in (responder, initiator) order, and then
             // every initiator hears back or times out.
             requests.sort_by_key(|&(responder, initiator, _)| (responder, initiator));
-            let replies: Vec<(usize, ShuffleMessage)> = requests
+            let replies: Vec<(usize, Vec<ViewEntry>)> = requests
                 .into_iter()
                 .map(|(responder, initiator, request)| {
                     let reply =

@@ -450,7 +450,7 @@ impl ThresholdMemo<'_> {
                 let buckets = self.pred.pdf.buckets();
                 Some(
                     candidates
-                        .map(|y| threshold[bucket_of(y, buckets)].min(1.0))
+                        .map(|y| threshold[y.bucket(buckets)].min(1.0))
                         .collect(),
                 )
             }
@@ -504,15 +504,6 @@ impl ThresholdMemo<'_> {
     }
 }
 
-/// The PDF bucket (of `buckets` equal-width ones over `[0, 1]`) a
-/// candidate at `y` falls in. An availability is finite and non-negative,
-/// so the `as usize` truncation *is* the floor — spelled without
-/// `f64::floor`, which on baseline x86-64 (no SSE4.1 `roundsd`) is a call
-/// into libm per classified candidate.
-fn bucket_of(y: Availability, buckets: usize) -> usize {
-    ((y.value() * buckets as f64) as usize).min(buckets - 1)
-}
-
 /// The thresholds of one source node `x`, ready for `O(1)`-per-candidate
 /// evaluation (a bucket lookup for vertical candidates, a cached constant
 /// for horizontal ones). See [`ThresholdMemo`].
@@ -548,7 +539,7 @@ impl SourceThresholds<'_> {
 
     /// The vertical threshold `f(av(x), av(y))` for an out-of-band `y`.
     pub fn vertical(&self, y: Availability) -> f64 {
-        let b = bucket_of(y, self.buckets);
+        let b = y.bucket(self.buckets);
         match self.vertical {
             VerticalMemo::Constant { d1 } => *d1,
             VerticalMemo::Logarithmic { threshold } => threshold[b].min(1.0),
@@ -615,7 +606,7 @@ mod tests {
             for v in probes {
                 let y = av(v);
                 let floored = ((y.value() * buckets as f64).floor() as usize).min(buckets - 1);
-                assert_eq!(bucket_of(y, buckets), floored, "{v} of {buckets}");
+                assert_eq!(y.bucket(buckets), floored, "{v} of {buckets}");
             }
         }
     }

@@ -191,8 +191,7 @@ where
             continue;
         }
         let fraction = hits as f64 / considered as f64;
-        let av = world.true_availability(sender).value();
-        let b = ((av * buckets as f64).floor() as usize).min(buckets - 1);
+        let b = world.true_availability(sender).bucket(buckets);
         bucket_sums[b] += fraction;
         bucket_counts[b] += 1;
     }

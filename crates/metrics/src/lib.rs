@@ -37,4 +37,4 @@ pub mod trace;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry};
 pub use server::{scrape, MetricsServer};
-pub use trace::{set_alloc_probe, shard_lane, Span, Tracer, LANES};
+pub use trace::{shard_lane, Span, Tracer, LANES};

@@ -57,7 +57,7 @@ fn usage() -> &'static str {
      \x20 --pace <p>                  simulated seconds per wall second (0 = unpaced)\n\
      \x20 --lag-budget-ms <n>         shed operations when lag exceeds this budget\n\
      \x20 --metrics-addr <host:port>  expose /metrics on this address (port 0 = ephemeral)\n\
-     \x20 --snapshot-secs <n>         heartbeat every n wall seconds (0 = silent)\n\
+     \x20 --snapshot-secs <n>         heartbeat and registry publish every n wall seconds (0 = silent)\n\
      \x20 --max-wall-secs <n>         hard wall-clock cap for the serve loop\n\
      \x20 --scrape-once               print a final Prometheus scrape on exit\n\
      \n\

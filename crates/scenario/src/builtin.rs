@@ -326,55 +326,8 @@ hi = 0.95
 "#,
     },
     Builtin {
-        name: "stress-100k",
-        blurb: "100,000-host formation throughput after a 10-min warm-up: live maintenance, operations and ring-AVMON monitoring, estimates less than 3 h old",
-        source: r#"
-# stress-100k measures formation throughput, not the paper's regime: 10
-# minutes of warm-up leave the overlay still forming, and every AVMON
-# estimate it reads is less than 3 h old.
-name = "stress-100k"
-seed = 29
-warmup_mins = 10
-duration_mins = 20
-health_every_mins = 10
-
-[churn]
-model = "overnet"
-hosts = 100000
-days = 1
-
-[oracle]
-kind = "avmon"
-assignment = "ring"
-vnodes = 8
-monitors = 8
-
-[maintenance]
-mode = "event-driven"
-protocol_secs = 60
-refresh_mins = 20
-engine = "sharded"
-
-[workload]
-ops_per_hour = 30.0
-anycast_fraction = 0.9
-policy = "retried-greedy"
-retries = 8
-scope = "both"
-ttl = 6
-initiators = "any"
-multicast = "flood"
-
-[[target]]
-weight = 1.0
-kind = "range"
-lo = 0.85
-hi = 0.95
-"#,
-    },
-    Builtin {
         name: "serve-100k",
-        blurb: "service-mode formation throughput: 100,000 hosts at one million ops per simulated day after a 10-min warm-up, ring-AVMON estimates less than 3 h old",
+        blurb: "100,000-host formation throughput under serve or run: one million ops per simulated day after a 10-min warm-up, ring-AVMON estimates less than 3 h old",
         source: r#"
 # serve-100k measures formation throughput, not the paper's regime: 10
 # minutes of warm-up leave the overlay still forming, and every AVMON

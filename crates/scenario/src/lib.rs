@@ -37,8 +37,8 @@
 //!   checks, aggregated to min/median/max headline metrics;
 //! * [`builtin`] — a library of named, paper-anchored scenarios
 //!   (`overnet-day`, `grid-reboot`, `flash-crowd`, `mass-departure`,
-//!   `selfish-mix`, `stress-10k`, `stress-10k-avmon`, `stress-100k`,
-//!   `serve-100k`, `stress-1m`, `smoke`).
+//!   `selfish-mix`, `stress-10k`, `stress-10k-avmon`, `serve-100k`,
+//!   `stress-1m`, `smoke`).
 //!
 //! # Examples
 //!

@@ -40,7 +40,7 @@ use avmem::ops::{run_anycast, run_multicast, OpScratch, OverlayWorld};
 use avmem::verify::flood_targets;
 use avmem::{AdmissionPolicy, AvailabilityTarget};
 use avmem_avmon::AvailabilityOracle;
-use avmem_metrics::{Counter, Gauge, Histogram, Registry};
+use avmem_metrics::{Histogram, Registry};
 use avmem_sim::{LatencyModel, Network, SimDuration, SimTime};
 use avmem_trace::ChurnTrace;
 use avmem_util::{NodeId, Rng, SplitMix64};
@@ -271,56 +271,19 @@ impl BandIndex {
     }
 }
 
-/// Live-op instrumentation handles; present only after
-/// [`RunSession::set_metrics`]. Observation only — none of these affect
-/// the report.
+/// The per-operation distributions the report does not hold; present
+/// only after [`RunSession::set_metrics`]. Every other family the
+/// session exports is rendered from the report by [`RunSession::publish`].
 #[derive(Debug)]
 struct ScenarioInstruments {
-    ops_anycast: Counter,
-    ops_multicast: Counter,
-    ops_probe: Counter,
-    delivered_anycast: Counter,
-    entered_multicast: Counter,
-    skipped: Counter,
-    dropped: Counter,
     latency_ms: Histogram,
     hops: Histogram,
     exec_us: Histogram,
-    online: Gauge,
-    mean_degree: Gauge,
-    largest_component: Gauge,
-    mae: Gauge,
-    heap_live: Gauge,
-    heap_peak: Gauge,
-    rss_peak: Gauge,
 }
 
 impl ScenarioInstruments {
-    fn new(registry: &Registry, strategy: &str) -> ScenarioInstruments {
-        let ops = |kind| registry.counter("avmem_ops_total", "Operations fired.", &[("kind", kind)]);
-        let delivered = |kind| {
-            registry.counter(
-                "avmem_ops_delivered_total",
-                "Anycasts delivered / multicasts that entered their range.",
-                &[("kind", kind)],
-            )
-        };
+    fn new(registry: &Registry) -> ScenarioInstruments {
         ScenarioInstruments {
-            ops_anycast: ops("anycast"),
-            ops_multicast: ops("multicast"),
-            ops_probe: ops("probe"),
-            delivered_anycast: delivered("anycast"),
-            entered_multicast: delivered("multicast"),
-            skipped: registry.counter(
-                "avmem_ops_skipped_total",
-                "Operations skipped: no eligible initiator online.",
-                &[],
-            ),
-            dropped: registry.counter(
-                "avmem_ops_dropped_total",
-                "Operations dropped by serve-mode admission control.",
-                &[],
-            ),
             latency_ms: registry.histogram(
                 "avmem_op_latency_ms",
                 "End-to-end anycast latency (ms).",
@@ -332,57 +295,7 @@ impl ScenarioInstruments {
                 "Wall-clock execution time per operation (µs).",
                 &[],
             ),
-            online: registry.gauge(
-                "avmem_online",
-                "Online population at the last health sample.",
-                &[],
-            ),
-            mean_degree: registry.gauge(
-                "avmem_mean_degree",
-                "Mean overlay out-degree over online nodes.",
-                &[],
-            ),
-            largest_component: registry.gauge(
-                "avmem_largest_component",
-                "Largest-connected-component fraction of the online overlay.",
-                &[],
-            ),
-            mae: registry.gauge(
-                "avmem_estimator_mae",
-                "Sampled estimator mean absolute error.",
-                &[("strategy", strategy)],
-            ),
-            heap_live: registry.gauge(
-                "avmem_heap_live_bytes",
-                "Live heap bytes (counting allocator; 0 without heap-stats).",
-                &[],
-            ),
-            heap_peak: registry.gauge(
-                "avmem_heap_peak_bytes",
-                "Peak heap bytes since process start (counting allocator).",
-                &[],
-            ),
-            rss_peak: registry.gauge(
-                "avmem_rss_peak_bytes",
-                "Kernel peak resident set size (VmHWM; 0 off-Linux).",
-                &[],
-            ),
         }
-    }
-
-    fn observe_health(&self, sample: &HealthSample, mae: f64) {
-        self.online.set(sample.online as f64);
-        self.mean_degree.set(sample.mean_degree);
-        self.largest_component.set(sample.largest_component);
-        self.mae.set(mae);
-        // Memory refreshes on the health cadence too: cheap (one atomic
-        // read per heap gauge, one /proc read) and exactly the rhythm a
-        // live dashboard samples at.
-        let heap = avmem_util::heap::heap_stats();
-        self.heap_live.set(heap.live_bytes as f64);
-        self.heap_peak.set(heap.peak_bytes as f64);
-        self.rss_peak
-            .set(avmem_util::heap::peak_rss_bytes().unwrap_or(0) as f64);
     }
 }
 
@@ -485,7 +398,7 @@ impl ScenarioRunner {
             health_index: 0,
             bands,
             ops_scratch: OpScratch::default(),
-            instruments: None,
+            metrics: None,
         })
     }
 }
@@ -508,20 +421,158 @@ pub struct RunSession {
     bands: BandIndex,
     /// Working memory of the operations [`RunSession::fire_op`] runs.
     ops_scratch: OpScratch,
-    instruments: Option<ScenarioInstruments>,
+    /// The registry [`RunSession::publish`] renders into, with the
+    /// per-operation histograms; present after [`RunSession::set_metrics`].
+    metrics: Option<(Arc<Registry>, ScenarioInstruments)>,
 }
 
 impl RunSession {
-    /// Attaches a metrics registry: harness phase spans, AVMON slot
-    /// costs, and per-operation counters/latency histograms all land in
-    /// `registry` from here on. Observation only — the report is
-    /// bit-identical with or without metrics attached.
+    /// Attaches a metrics registry. Harness phase spans, AVMON slot costs
+    /// and the per-operation latency, hop and execution-time histograms
+    /// land in it live; every count and gauge the report holds is
+    /// rendered into it by [`RunSession::publish`], at each health
+    /// sample, when the session is sealed and on each serve heartbeat —
+    /// so those counters advance at these instants, not per operation.
+    /// Observation only: the report is bit-identical with or without
+    /// metrics attached.
     pub fn set_metrics(&mut self, registry: &Arc<Registry>) {
         self.sim.set_metrics(registry);
-        self.instruments = Some(ScenarioInstruments::new(
-            registry,
-            self.sim.oracle().strategy_label(),
-        ));
+        self.metrics = Some((Arc::clone(registry), ScenarioInstruments::new(registry)));
+    }
+
+    /// Renders the report, with the harness's own statistics, into the
+    /// attached registry (a no-op without one): operations fired,
+    /// delivered, skipped and shed; the last health sample; the
+    /// estimator's error; memory; phase busy time and cohorts; pair
+    /// hashes; the worker pool. Each family is stored whole, so the
+    /// registry holds one copy of each count — the report's.
+    pub(crate) fn publish(&self) {
+        let Some((registry, _)) = &self.metrics else {
+            return;
+        };
+        let count = |name: &str, help: &str, labels: &[(&str, &str)], value: u64| {
+            registry.counter(name, help, labels).store(value);
+        };
+        let gauge = |name: &str, help: &str, labels: &[(&str, &str)], value: f64| {
+            registry.gauge(name, help, labels).set(value);
+        };
+        let report = &self.report;
+        let probes = report.attack.as_ref().map_or(0, |attack| attack.attempts);
+        for (kind, fired) in [
+            ("anycast", report.anycast.sent),
+            ("multicast", report.multicast.sent),
+            ("probe", probes),
+        ] {
+            count("avmem_ops_total", "Operations fired.", &[("kind", kind)], fired);
+        }
+        for (kind, delivered) in [
+            ("anycast", report.anycast.delivered),
+            ("multicast", report.multicast.entered),
+        ] {
+            count(
+                "avmem_ops_delivered_total",
+                "Anycasts delivered / multicasts that entered their range.",
+                &[("kind", kind)],
+                delivered,
+            );
+        }
+        count(
+            "avmem_ops_skipped_total",
+            "Operations skipped: no eligible initiator online.",
+            &[],
+            report.skipped_ops,
+        );
+        count(
+            "avmem_ops_dropped_total",
+            "Operations dropped by serve-mode admission control.",
+            &[],
+            report.admission_drops,
+        );
+        if let Some(sample) = report.health.last() {
+            gauge(
+                "avmem_online",
+                "Online population at the last health sample.",
+                &[],
+                sample.online as f64,
+            );
+            gauge(
+                "avmem_mean_degree",
+                "Mean overlay out-degree over online nodes.",
+                &[],
+                sample.mean_degree,
+            );
+            gauge(
+                "avmem_largest_component",
+                "Largest-connected-component fraction of the online overlay.",
+                &[],
+                sample.largest_component,
+            );
+            gauge(
+                "avmem_estimator_mae",
+                "Sampled estimator mean absolute error.",
+                &[("strategy", &report.estimator.strategy)],
+                report.estimator.mae(),
+            );
+        }
+        let memory = observe_memory();
+        gauge(
+            "avmem_heap_live_bytes",
+            "Live heap bytes (counting allocator; 0 without heap-stats).",
+            &[],
+            memory.heap_live_bytes.unwrap_or(0) as f64,
+        );
+        gauge(
+            "avmem_heap_peak_bytes",
+            "Peak heap bytes since process start (counting allocator).",
+            &[],
+            memory.heap_peak_bytes.unwrap_or(0) as f64,
+        );
+        gauge(
+            "avmem_rss_peak_bytes",
+            "Kernel peak resident set size (VmHWM; 0 off-Linux).",
+            &[],
+            memory.peak_rss_bytes.unwrap_or(0) as f64,
+        );
+
+        self.sim.tracer().publish(registry, "avmem");
+        let store = self.sim.hash_store_stats();
+        count(
+            "avmem_hash_rows_built_total",
+            "Pair-hash rows materialized by the shared store.",
+            &[],
+            store.rows_built,
+        );
+        count(
+            "avmem_hash_direct_total",
+            "Pair hashes computed by event-driven finalize, one per batched estimate.",
+            &[],
+            self.sim.finalize_stats().batched_estimates,
+        );
+        gauge(
+            "avmem_hash_cached_rows",
+            "Pair-hash rows currently resident.",
+            &[],
+            store.cached_rows as f64,
+        );
+        let pool = avmem_util::parallel::global_pool().pool_stats();
+        count(
+            "avmem_pool_batches_total",
+            "Batches dispatched to the shared worker pool.",
+            &[],
+            pool.batches,
+        );
+        count(
+            "avmem_pool_jobs_total",
+            "Jobs executed by the shared worker pool.",
+            &[],
+            pool.jobs,
+        );
+        count(
+            "avmem_pool_inline_batches_total",
+            "Worker-pool batches degraded to inline execution.",
+            &[],
+            pool.inline_batches,
+        );
     }
 
     /// Simulated instant of the next pending event, `None` once the
@@ -547,8 +598,7 @@ impl RunSession {
         self.end
     }
 
-    /// The underlying harness (read-only; serve heartbeats export its
-    /// phase spans and pair-hash counts).
+    /// The underlying harness (read-only).
     pub fn sim(&self) -> &AvmemSim {
         &self.sim
     }
@@ -577,18 +627,16 @@ impl RunSession {
                     std::mem::take(&mut self.ops_since_last),
                     std::mem::take(&mut self.attack_since_last),
                 );
-                if let Some(ins) = &self.instruments {
-                    ins.observe_health(&sample, self.report.estimator.mae());
-                }
                 self.report.health.push(sample);
+                self.publish();
             }
             EventKind::Op { index } => {
                 self.sim.advance_to(event.at);
                 self.ops_since_last += 1;
                 let kind = draw_kind(&self.spec, index);
-                let t0 = self.instruments.is_some().then(Instant::now);
+                let t0 = self.metrics.is_some().then(Instant::now);
                 self.fire_op(index, kind);
-                if let (Some(ins), Some(t0)) = (&self.instruments, t0) {
+                if let (Some((_, ins)), Some(t0)) = (&self.metrics, t0) {
                     ins.exec_us.record(t0.elapsed().as_micros() as u64);
                 }
             }
@@ -596,19 +644,18 @@ impl RunSession {
         Some(event.at)
     }
 
-    /// Sheds the next pending event, which must be an operation (checked
-    /// by the caller via [`RunSession::next_is_op`]): the clock still
-    /// advances to the arrival instant — maintenance owed by then runs —
-    /// but the operation itself is not fired. Returns the arrival
-    /// instant.
+    /// Sheds the next pending event if it is an operation: the clock
+    /// still advances to the arrival instant — maintenance owed by then
+    /// runs — but the operation itself is not fired. Returns the arrival
+    /// instant; returns `None` and consumes nothing when the next event
+    /// is a health sample or a rebuild (never shed) or there is none.
     pub fn drop_next_op(&mut self) -> Option<SimTime> {
-        debug_assert!(self.next_is_op(), "only operations may be dropped");
+        if !self.next_is_op() {
+            return None;
+        }
         let event = self.timeline.next()?;
         self.sim.advance_to(event.at);
         self.report.admission_drops += 1;
-        if let Some(ins) = &self.instruments {
-            ins.dropped.inc();
-        }
         Some(event.at)
     }
 
@@ -627,13 +674,11 @@ impl RunSession {
         self.sim.advance_to(at);
         self.sample_estimator();
         let sample = health_sample(&self.sim, at, self.ops_since_last, self.attack_since_last);
-        if let Some(ins) = &self.instruments {
-            ins.observe_health(&sample, self.report.estimator.mae());
-        }
         self.report.health.push(sample);
         self.report.timings.phases = self.sim.phase_timings();
         self.report.finalize = self.sim.finalize_stats();
         self.report.memory = observe_memory();
+        self.publish();
         self.report
     }
 
@@ -708,9 +753,6 @@ impl RunSession {
                     self.pick_initiator(index, self.spec.workload.initiators, STREAM_INITIATOR)
                 else {
                     self.report.skipped_ops += 1;
-                    if let Some(ins) = &self.instruments {
-                        ins.skipped.inc();
-                    }
                     return;
                 };
                 let spec = &self.spec;
@@ -747,11 +789,9 @@ impl RunSession {
                             stats.delivered_in_truth += 1;
                         }
                     }
-                    if let Some(ins) = &self.instruments {
-                        ins.ops_anycast.inc();
+                    if let Some((_, ins)) = &self.metrics {
                         ins.latency_ms.record(outcome.latency.as_millis());
                         if outcome.is_delivered() {
-                            ins.delivered_anycast.inc();
                             ins.hops.record(u64::from(outcome.hops));
                         }
                     }
@@ -778,8 +818,7 @@ impl RunSession {
                     for &(node, _) in &outcome.deliveries {
                         let av = world.true_availability(node);
                         in_range += usize::from(target.contains(av));
-                        let decile = ((av.value() * DECILES as f64) as usize).min(DECILES - 1);
-                        stats.deliveries_by_decile[decile] += 1;
+                        stats.deliveries_by_decile[av.bucket(DECILES)] += 1;
                     }
                     if let Some(worst) = outcome.worst_latency() {
                         stats.worst_latency_sum_ms += worst.as_millis();
@@ -796,12 +835,6 @@ impl RunSession {
                         stats.spam_count += 1;
                         stats.spam_histogram.record(spam);
                     }
-                    if let Some(ins) = &self.instruments {
-                        ins.ops_multicast.inc();
-                        if outcome.anycast.is_delivered() {
-                            ins.entered_multicast.inc();
-                        }
-                    }
                 }
             }
             OpKind::FloodProbe => {
@@ -815,23 +848,14 @@ impl RunSession {
                 let Some(sender) = self.pick_initiator(index, BandSpec::Any, STREAM_PROBE)
                 else {
                     self.report.skipped_ops += 1;
-                    if let Some(ins) = &self.instruments {
-                        ins.skipped.inc();
-                    }
                     return;
                 };
-                if let Some(ins) = &self.instruments {
-                    ins.ops_probe.inc();
-                }
                 let mut rng = SplitMix64::keyed(&[self.spec.seed, STREAM_OP, index]);
                 let policy = AdmissionPolicy::with_cushion(adv.cushion);
                 let world = self.sim.world();
                 let stats = self.report.attack.as_mut().expect("attack stats exist");
                 stats.attempts += 1;
-                let decile = {
-                    let av = world.true_availability(sender).value();
-                    ((av * DECILES as f64) as usize).min(DECILES - 1)
-                };
+                let decile = world.true_availability(sender).bucket(DECILES);
                 // Probe up to `adv.probes` distinct online nodes outside
                 // the sender's lists (a flood is precisely traffic to
                 // NON-neighbors).
@@ -1206,6 +1230,32 @@ mod tests {
         assert!(events
             .windows(2)
             .all(|w| (w[0].at, w[0].order) < (w[1].at, w[1].order)));
+    }
+
+    #[test]
+    fn dropping_a_health_sample_or_a_rebuild_consumes_nothing() {
+        // The first event of every timeline is the health sample at the
+        // warm-up's end; a converged run's rebuilds are never shed either.
+        let mut spec = tiny_spec();
+        spec.maintenance.mode = MaintenanceModeSpec::Converged {
+            rebuild_every_mins: 10,
+        };
+        let runner = ScenarioRunner::new(spec).unwrap();
+        let mut session = runner.session().unwrap();
+        let mut refused = 0;
+        while let Some(at) = session.next_event_at() {
+            if !session.next_is_op() {
+                assert_eq!(session.drop_next_op(), None, "shed a non-operation at {at:?}");
+                assert_eq!(session.next_event_at(), Some(at), "consumed an event");
+                refused += 1;
+            }
+            session.step();
+        }
+        assert_eq!(session.drop_next_op(), None, "shed past the end");
+        let report = session.finish();
+        assert!(refused > 2, "too few health samples and rebuilds: {refused}");
+        assert_eq!(report.admission_drops, 0);
+        assert_eq!(report, runner.run().unwrap());
     }
 
     #[test]

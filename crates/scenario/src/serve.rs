@@ -11,10 +11,15 @@
 //!   control sheds pending *operations* — maintenance cohorts and
 //!   health samples are never dropped, so the overlay stays correct
 //!   under pressure and the drops are themselves metered;
-//! * every layer reports through one [`Registry`]: live op latency
-//!   percentiles, delivery counters, harness phase spans, AVMON slot
-//!   costs, pair-hash and worker-pool statistics, overlay health
-//!   gauges — optionally exported over HTTP by a [`MetricsServer`].
+//! * every layer reports through one [`Registry`] — optionally exported
+//!   over HTTP by a [`MetricsServer`]. Op latency, hop and execution-time
+//!   percentiles, harness phase spans and AVMON slot costs are recorded
+//!   live; the operation counters, overlay health and memory gauges,
+//!   pair-hash and worker-pool statistics are rendered from the report
+//!   and the harness by `RunSession::publish`, at every health sample,
+//!   on every heartbeat and when the session is sealed. A scrape between
+//!   those instants reads the counts of the last one; only the lag
+//!   gauge moves with the loop itself.
 //!
 //! Determinism: an **unpaced** serve of the full operation window
 //! executes exactly the event sequence of [`ScenarioRunner::run`] and
@@ -49,8 +54,9 @@ pub struct ServeOptions {
     /// Binds the metrics endpoint here (e.g. `127.0.0.1:9464`; port `0`
     /// picks an ephemeral port, reported in [`ServeOutcome`]).
     pub metrics_addr: Option<String>,
-    /// Prints a heartbeat line to stderr every this many wall-clock
-    /// seconds (`0` = silent).
+    /// Prints a heartbeat line to stderr, and publishes the registry,
+    /// every this many wall-clock seconds (`0` = silent; the registry is
+    /// then published at health samples and at the end only).
     pub snapshot_every_secs: u64,
     /// Hard wall-clock cap in seconds; the session is sealed at the
     /// simulated time reached when it trips.
@@ -156,23 +162,21 @@ impl ScenarioRunner {
                         break;
                     }
                     std::thread::sleep((due - elapsed).min(Duration::from_millis(50)));
-                    self.beat(&mut next_beat, heartbeat, wall0, &session, &registry);
+                    self.beat(&mut next_beat, heartbeat, wall0, &session);
                 }
                 let lag = wall0.elapsed().saturating_sub(due);
                 lag_gauge.set(lag.as_secs_f64() * 1_000.0);
-                if lag > lag_budget && session.next_is_op() {
-                    // Behind budget: shed the operation (its arrival
-                    // instant still advances the clock, so maintenance
-                    // owed by then runs).
-                    session.drop_next_op();
+                // Behind budget: shed the next event if it is an
+                // operation (its arrival instant still advances the
+                // clock, so maintenance owed by then runs).
+                if lag > lag_budget && session.drop_next_op().is_some() {
                     continue;
                 }
             }
             session.step();
-            self.beat(&mut next_beat, heartbeat, wall0, &session, &registry);
+            self.beat(&mut next_beat, heartbeat, wall0, &session);
         }
 
-        publish_runtime(&session, &registry);
         let truncated = session.next_event_at().is_some();
         let sim_end = if truncated { session.now() } else { session.end() };
         let sim_mins = sim_end.saturating_since(sim0).as_millis() / 60_000;
@@ -214,15 +218,14 @@ impl ScenarioRunner {
         })
     }
 
-    /// Emits the periodic heartbeat (stderr line + runtime-stat publish)
-    /// when its period elapsed.
+    /// Emits the periodic heartbeat (stderr line + registry publish) when
+    /// its period elapsed.
     fn beat(
         &self,
         next_beat: &mut Option<Duration>,
         period: Option<Duration>,
         wall0: Instant,
         session: &RunSession,
-        registry: &Registry,
     ) {
         let (Some(due), Some(period)) = (*next_beat, period) else {
             return;
@@ -232,7 +235,7 @@ impl ScenarioRunner {
             return;
         }
         *next_beat = Some(elapsed + period);
-        publish_runtime(session, registry);
+        session.publish();
         let report = session.report();
         let fired = report.anycast.sent + report.multicast.sent;
         eprintln!(
@@ -258,51 +261,6 @@ fn ops_handled(report: &ScenarioReport) -> u64 {
         + report.attack.as_ref().map_or(0, |a| a.attempts)
         + report.skipped_ops
         + report.admission_drops
-}
-
-/// Mirrors cumulative runtime statistics that live outside the registry
-/// (phase spans, pair hashes, worker pool) into it. Cheap; called on
-/// every heartbeat and once at the end.
-fn publish_runtime(session: &RunSession, registry: &Registry) {
-    let sim = session.sim();
-    sim.tracer().publish(registry, "avmem");
-    let store = sim.hash_store_stats();
-    let mirror = |name: &str, help: &str, v: u64| {
-        registry.counter(name, help, &[]).store(v);
-    };
-    mirror(
-        "avmem_hash_rows_built_total",
-        "Pair-hash rows materialized by the shared store.",
-        store.rows_built,
-    );
-    mirror(
-        "avmem_hash_direct_total",
-        "Pair hashes computed by event-driven finalize, one per batched estimate.",
-        sim.finalize_stats().batched_estimates,
-    );
-    registry
-        .gauge(
-            "avmem_hash_cached_rows",
-            "Pair-hash rows currently resident.",
-            &[],
-        )
-        .set(store.cached_rows as f64);
-    let pool = avmem_util::parallel::global_pool().pool_stats();
-    mirror(
-        "avmem_pool_batches_total",
-        "Batches dispatched to the shared worker pool.",
-        pool.batches,
-    );
-    mirror(
-        "avmem_pool_jobs_total",
-        "Jobs executed by the shared worker pool.",
-        pool.jobs,
-    );
-    mirror(
-        "avmem_pool_inline_batches_total",
-        "Worker-pool batches degraded to inline execution.",
-        pool.inline_batches,
-    );
 }
 
 #[cfg(test)]

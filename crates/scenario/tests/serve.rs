@@ -183,3 +183,47 @@ fn the_exposition_states_each_count_once() {
         assert!(!text.contains(gone), "scrape still carries {gone}:\n{text}");
     }
 }
+
+#[test]
+fn the_registry_renders_the_report() {
+    // One record per run: every count and health gauge of the exposition
+    // is the report's own field, published when the session is sealed.
+    let spec = event_driven_spec();
+    let opts = ServeOptions {
+        scrape_on_exit: true,
+        ..unpaced()
+    };
+    let outcome = ScenarioRunner::new(spec).unwrap().serve(&opts).unwrap();
+    let text = outcome.metrics_text.expect("scrape_on_exit captured text");
+    let read = |series: &str| -> f64 {
+        let value = text
+            .lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("scrape missing {series}:\n{text}"));
+        value.parse().unwrap_or_else(|e| panic!("{series} {value}: {e}"))
+    };
+    let report = &outcome.report;
+    let attack = report.attack.as_ref().expect("the spec has an adversary");
+    assert!(report.anycast.sent > 0 && report.multicast.sent > 0 && attack.attempts > 0);
+    for (series, field) in [
+        ("avmem_ops_total{kind=\"anycast\"}", report.anycast.sent),
+        ("avmem_ops_total{kind=\"multicast\"}", report.multicast.sent),
+        ("avmem_ops_total{kind=\"probe\"}", attack.attempts),
+        ("avmem_ops_delivered_total{kind=\"anycast\"}", report.anycast.delivered),
+        ("avmem_ops_delivered_total{kind=\"multicast\"}", report.multicast.entered),
+        ("avmem_ops_skipped_total", report.skipped_ops),
+        ("avmem_ops_dropped_total", report.admission_drops),
+    ] {
+        assert_eq!(read(series), field as f64, "{series}");
+    }
+    let last = report.health.last().expect("a sealed report has a final sample");
+    let mae = format!("avmem_estimator_mae{{strategy=\"{}\"}}", report.estimator.strategy);
+    for (series, field) in [
+        ("avmem_online", last.online as f64),
+        ("avmem_mean_degree", last.mean_degree),
+        ("avmem_largest_component", last.largest_component),
+        (mae.as_str(), report.estimator.mae()),
+    ] {
+        assert_eq!(read(series), field, "{series}");
+    }
+}

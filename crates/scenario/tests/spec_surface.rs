@@ -1,4 +1,4 @@
-//! The spec surface over its whole corpus — the 11 builtins and the six
+//! The spec surface over its whole corpus — the 10 builtins and the six
 //! `perfbench/specs/*.scn`: canonical renderings pinned byte for byte,
 //! and the parser total over every single-line mutation of every file.
 
@@ -28,7 +28,7 @@ fn corpus() -> Vec<(String, String)> {
         let text = std::fs::read_to_string(&path).expect("readable spec file");
         corpus.push((format!("perfbench/specs/{name}"), text));
     }
-    assert_eq!(corpus.len(), 17, "11 builtins and six benchmark specs");
+    assert_eq!(corpus.len(), 16, "10 builtins and six benchmark specs");
     corpus
 }
 

@@ -36,7 +36,7 @@ pub mod pool;
 pub mod sim;
 pub mod view;
 
-pub use node::{ShuffleConfig, ShuffleMessage, ShuffleNode, ShuffleProposal};
+pub use node::{ShuffleConfig, ShuffleNode, ShuffleProposal};
 pub use pool::EntryPool;
 pub use view::{View, ViewEntry};
 

@@ -2,8 +2,9 @@
 //!
 //! Pure message-in/message-out: the host simulation decides when to call
 //! [`ShuffleNode::initiate_with`] (once per protocol period while online),
-//! routes [`ShuffleMessage`]s between nodes, and reports unresponsive
-//! targets with [`ShuffleNode::handle_timeout_with`]. Every entry point
+//! routes requests and replies between nodes — each is just the entry
+//! vector it ships — and reports unresponsive targets with
+//! [`ShuffleNode::handle_timeout_with`]. Every entry point
 //! takes the caller's [`EntryPool`]: message buffers and the merge's id
 //! table come out of it, and what it held before changes no result.
 
@@ -46,22 +47,6 @@ impl ShuffleConfig {
         let v = crate::optimal_view_size(n);
         ShuffleConfig::new(v, (v / 2).max(4).min(v))
     }
-}
-
-/// A shuffle exchange message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShuffleMessage {
-    /// Initiator → target: a random subset of the initiator's view
-    /// (including a fresh entry for the initiator itself).
-    Request {
-        /// Entries shipped to the target.
-        entries: Vec<ViewEntry>,
-    },
-    /// Target → initiator: a random subset of the target's view.
-    Reply {
-        /// Entries shipped back to the initiator.
-        entries: Vec<ViewEntry>,
-    },
 }
 
 /// Per-node CYCLON state.
@@ -141,14 +126,10 @@ impl ShuffleProposal {
         &self.entries
     }
 
-    /// Consumes the proposal into the wire-format request.
-    pub fn into_request(self) -> (NodeId, ShuffleMessage) {
-        (
-            self.target,
-            ShuffleMessage::Request {
-                entries: self.entries,
-            },
-        )
+    /// Consumes the proposal into the request: the target and the
+    /// entries shipped to it.
+    pub fn into_request(self) -> (NodeId, Vec<ViewEntry>) {
+        (self.target, self.entries)
     }
 
     /// Consumes a proposal that will never become a request (e.g. its
@@ -294,7 +275,7 @@ impl ShuffleNode {
     ///
     /// Returns `None` when the view is empty (nothing to exchange with) or
     /// an exchange is already in flight.
-    pub fn initiate_with(&mut self, pool: &mut EntryPool) -> Option<(NodeId, ShuffleMessage)> {
+    pub fn initiate_with(&mut self, pool: &mut EntryPool) -> Option<(NodeId, Vec<ViewEntry>)> {
         let mut rng = self.rng.clone();
         let proposal = self.propose_with(&mut rng, pool)?;
         self.rng = rng;
@@ -302,21 +283,14 @@ impl ShuffleNode {
         Some(proposal.into_request())
     }
 
-    /// Handles an incoming request, returning the reply to send back: the
+    /// Handles an incoming request's entries, returning the reply's: the
     /// reply buffer comes from `pool`, the merge runs on its id table, and
     /// the spent request entries are recycled into it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a [`ShuffleMessage::Reply`].
     pub fn handle_request_with(
         &mut self,
-        message: ShuffleMessage,
+        entries: Vec<ViewEntry>,
         pool: &mut EntryPool,
-    ) -> ShuffleMessage {
-        let ShuffleMessage::Request { entries } = message else {
-            panic!("handle_request_with expects a Request message");
-        };
+    ) -> Vec<ViewEntry> {
         let shuffle_length = self.shuffle_length as usize;
         let mut reply = pool.take(shuffle_length);
         self.view.random_subset_pooled(
@@ -330,21 +304,14 @@ impl ShuffleNode {
         self.view
             .merge(self.id(), &entries, &reply, pool.id_table());
         pool.recycle(entries);
-        ShuffleMessage::Reply { entries: reply }
+        reply
     }
 
-    /// Handles the reply to our in-flight request, completing the
-    /// exchange: merges on `pool`'s id table and recycles the spent reply
-    /// and in-flight buffers into it. A reply with no exchange in flight
-    /// (e.g. from a target already timed out) is ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a [`ShuffleMessage::Request`].
-    pub fn handle_reply_with(&mut self, message: ShuffleMessage, pool: &mut EntryPool) {
-        let ShuffleMessage::Reply { entries } = message else {
-            panic!("handle_reply_with expects a Reply message");
-        };
+    /// Handles the reply's entries to our in-flight request, completing
+    /// the exchange: merges on `pool`'s id table and recycles the spent
+    /// reply and in-flight buffers into it. A reply with no exchange in
+    /// flight (e.g. from a target already timed out) is ignored.
+    pub fn handle_reply_with(&mut self, entries: Vec<ViewEntry>, pool: &mut EntryPool) {
         let Some(in_flight) = self.in_flight.take() else {
             pool.recycle(entries);
             return;
@@ -409,10 +376,7 @@ mod tests {
     fn request_carries_fresh_self_entry() {
         let mut a = node(1);
         a.bootstrap([id(2), id(3)]);
-        let (_, msg) = a.initiate_with(&mut EntryPool::new()).unwrap();
-        let ShuffleMessage::Request { entries } = msg else {
-            panic!("expected request");
-        };
+        let (_, entries) = a.initiate_with(&mut EntryPool::new()).unwrap();
         assert!(entries.iter().any(|e| e.id == id(1) && e.age == 0));
     }
 
@@ -462,12 +426,7 @@ mod tests {
     fn stray_reply_is_ignored() {
         let mut a = node(1);
         a.bootstrap([id(2)]);
-        a.handle_reply_with(
-            ShuffleMessage::Reply {
-                entries: vec![ViewEntry::fresh(id(9))],
-            },
-            &mut EntryPool::new(),
-        );
+        a.handle_reply_with(vec![ViewEntry::fresh(id(9))], &mut EntryPool::new());
         // No in-flight exchange: nothing merged.
         assert!(!a.view().contains(id(9)));
     }
@@ -511,15 +470,9 @@ mod tests {
                 );
                 legacy_entries.push(ViewEntry::fresh(id(1)));
 
-                let (target, message) = node.initiate_with(&mut EntryPool::new()).unwrap();
+                let (target, entries) = node.initiate_with(&mut EntryPool::new()).unwrap();
                 assert_eq!(target, target_entry.id, "seed {seed}");
-                assert_eq!(
-                    message,
-                    ShuffleMessage::Request {
-                        entries: legacy_entries
-                    },
-                    "seed {seed}"
-                );
+                assert_eq!(entries, legacy_entries, "seed {seed}");
                 assert_eq!(node.view, legacy_view, "seed {seed}");
                 assert_eq!(node.rng, legacy_rng, "seed {seed}");
             }
@@ -543,12 +496,7 @@ mod tests {
         let (target, request) = proposal.into_request();
         assert_eq!(target, id(2));
         let reply = b.handle_request_with(request, &mut EntryPool::new());
-        assert_eq!(
-            reply,
-            ShuffleMessage::Reply {
-                entries: vec![ViewEntry::fresh(id(7))]
-            }
-        );
+        assert_eq!(reply, [ViewEntry::fresh(id(7))]);
         a.handle_reply_with(reply, &mut EntryPool::new());
         // Each took the other's one entry in place of what it shipped.
         assert_eq!(a.view().ids().collect::<Vec<_>>(), [id(7)]);

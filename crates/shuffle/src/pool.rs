@@ -4,9 +4,9 @@
 //! (request entries, reply subset, in-flight bookkeeping). At harness
 //! scale that is four to five allocations per exchange × millions of
 //! exchanges per run. An [`EntryPool`] is a trivial free-list the batch
-//! driver owns per shard: buffers are taken, filled, shipped through a
-//! [`ShuffleMessage`](crate::ShuffleMessage), and recycled once the
-//! exchange settles — cleared and reused, never freed.
+//! driver owns per shard: buffers are taken, filled, shipped as a
+//! request or a reply, and recycled once the exchange settles — cleared
+//! and reused, never freed.
 //!
 //! Pooling is invisible to determinism: `Vec` equality ignores capacity,
 //! and the subset sampler the pooled entry points fill their buffers

@@ -9,7 +9,7 @@
 
 use avmem_util::{NodeId, Rng, SplitMix64};
 
-use crate::node::{ShuffleConfig, ShuffleMessage, ShuffleNode};
+use crate::node::{ShuffleConfig, ShuffleNode};
 use crate::pool::EntryPool;
 
 /// A synchronous, round-based shuffle simulation.
@@ -106,9 +106,7 @@ impl RoundSim {
             };
             let t = target.raw() as usize;
             if t >= self.nodes.len() || !self.online[t] {
-                if let ShuffleMessage::Request { entries } = request {
-                    self.pool.recycle(entries);
-                }
+                self.pool.recycle(request);
                 self.nodes[i].handle_timeout_with(target, &mut self.pool);
                 continue;
             }

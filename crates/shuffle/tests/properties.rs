@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use avmem_shuffle::{
-    sim::RoundSim, EntryPool, ShuffleConfig, ShuffleMessage, ShuffleNode, View, ViewEntry,
+    sim::RoundSim, EntryPool, ShuffleConfig, ShuffleNode, View, ViewEntry,
 };
 use avmem_util::{NodeId, SplitMix64, StampedTable};
 
@@ -78,7 +78,7 @@ proptest! {
         let mut node = ShuffleNode::new(NodeId::new(0), cfg, seed);
         node.bootstrap((1..=peers).map(NodeId::new));
         let request = node.initiate_with(&mut EntryPool::new());
-        if let Some((_, ShuffleMessage::Request { entries })) = request {
+        if let Some((_, entries)) = request {
             prop_assert!(entries.iter().any(|e| e.id == NodeId::new(0) && e.age == 0));
             prop_assert!(entries.len() <= 4);
         }
@@ -92,13 +92,9 @@ proptest! {
         a.bootstrap([NodeId::new(1)]);
         b.bootstrap((2..2 + peers).map(NodeId::new));
         if let Some((_, request)) = a.initiate_with(&mut EntryPool::new()) {
-            let ShuffleMessage::Reply { entries } =
-                b.handle_request_with(request, &mut EntryPool::new())
-            else {
-                panic!("expected reply");
-            };
-            prop_assert!(entries.len() <= 4);
-            a.handle_reply_with(ShuffleMessage::Reply { entries }, &mut EntryPool::new());
+            let reply = b.handle_request_with(request, &mut EntryPool::new());
+            prop_assert!(reply.len() <= 4);
+            a.handle_reply_with(reply, &mut EntryPool::new());
             prop_assert!(a.view().len() <= 8);
             prop_assert!(!a.view().contains(NodeId::new(0)));
         }

@@ -81,8 +81,7 @@ fn print_stats(trace: &ChurnTrace) {
     // Availability histogram, 10 buckets.
     let mut counts = [0usize; 10];
     for i in 0..trace.num_nodes() {
-        let av = trace.long_term_availability(i).value();
-        counts[((av * 10.0) as usize).min(9)] += 1;
+        counts[trace.long_term_availability(i).bucket(counts.len())] += 1;
     }
     println!("availability histogram (0.1 buckets):");
     for (b, count) in counts.iter().enumerate() {

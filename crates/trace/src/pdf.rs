@@ -65,8 +65,7 @@ impl AvailabilityPdf {
         assert!(!sample.is_empty(), "need a non-empty sample");
         let mut counts = vec![1.0f64; buckets]; // Laplace smoothing
         for av in sample {
-            let b = ((av.value() * buckets as f64).floor() as usize).min(buckets - 1);
-            counts[b] += 1.0;
+            counts[av.bucket(buckets)] += 1.0;
         }
         let total: f64 = counts.iter().sum();
         AvailabilityPdf {
@@ -96,8 +95,7 @@ impl AvailabilityPdf {
                 weight.is_finite() && *weight >= 0.0,
                 "weights must be finite and non-negative"
             );
-            let b = ((av.value() * buckets as f64).floor() as usize).min(buckets - 1);
-            counts[b] += weight;
+            counts[av.bucket(buckets)] += weight;
         }
         let total: f64 = counts.iter().sum();
         AvailabilityPdf {
@@ -157,8 +155,7 @@ impl AvailabilityPdf {
     /// The density `p(a)`: bucket mass divided by bucket width, so that
     /// `∫ p = 1`.
     pub fn density(&self, a: Availability) -> f64 {
-        let b = ((a.value() * self.mass.len() as f64).floor() as usize).min(self.mass.len() - 1);
-        self.mass[b] / self.bucket_width()
+        self.mass[a.bucket(self.mass.len())] / self.bucket_width()
     }
 
     /// `∫_lo^hi p(a) da` for `lo ≤ hi`, both clamped into `[0, 1]`.

@@ -94,6 +94,19 @@ impl Availability {
         self.0
     }
 
+    /// The bucket this availability falls in when `[0, 1]` is cut into
+    /// `n > 0` equal-width buckets: `⌊v·n⌋`, capped at `n − 1` so that
+    /// `v = 1` lands in the last. The one bucketing rule of the workspace
+    /// (PDFs, histograms, the predicate's threshold tables, the report's
+    /// deciles). A value in `[0, 1]` is finite and non-negative, so the
+    /// `as usize` truncation *is* the floor — spelled without
+    /// `f64::floor`, which on baseline x86-64 (no SSE4.1 `roundsd`) is a
+    /// call into libm per classified candidate.
+    #[inline]
+    pub fn bucket(self, n: usize) -> usize {
+        ((self.0 * n as f64) as usize).min(n - 1)
+    }
+
     /// Absolute distance in availability space, `|av(x) − av(y)|`.
     ///
     /// This is the metric the horizontal-sliver band `±ε` and the

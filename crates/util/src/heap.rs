@@ -134,8 +134,8 @@ pub fn heap_stats() -> HeapStats {
 
 /// Cumulative allocation-call count. Zero when tracking is off.
 ///
-/// This is the probe the phase tracer samples around spans to attribute
-/// allocations to maintenance phases.
+/// The difference across a call counts its allocations (the warm
+/// multicast bound of `crates/scenario/tests/ops_alloc.rs` reads it so).
 #[must_use]
 pub fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)

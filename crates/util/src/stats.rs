@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::Availability;
+
 /// Summary statistics over a sample of `f64` values.
 ///
 /// # Examples
@@ -141,16 +143,15 @@ impl Histogram {
         self.counts.len()
     }
 
-    /// Maps a value in `[0, 1]` to its bucket index (1.0 lands in the last
-    /// bucket).
+    /// Maps a value to its bucket index by [`Availability::bucket`] (1.0
+    /// lands in the last bucket; values outside `[0, 1]` saturate).
     pub fn bucket_of(&self, value: f64) -> usize {
-        let b = (value * self.counts.len() as f64).floor() as usize;
-        b.min(self.counts.len() - 1)
+        Availability::saturating(value).bucket(self.counts.len())
     }
 
     /// Adds one observation.
     pub fn add(&mut self, value: f64) {
-        let b = self.bucket_of(value.clamp(0.0, 1.0));
+        let b = self.bucket_of(value);
         self.counts[b] += 1;
     }
 

@@ -65,9 +65,9 @@ fn main() {
     let trace = base.build_trace().expect("trace builds");
     let mut subscribers = [0usize; 10];
     for i in 0..trace.num_nodes() {
-        let av = trace.long_term_availability(i).value();
-        if av > 0.6 {
-            subscribers[((av * 10.0) as usize).min(9)] += 1;
+        let av = trace.long_term_availability(i);
+        if av.value() > 0.6 {
+            subscribers[av.bucket(subscribers.len())] += 1;
         }
     }
 
