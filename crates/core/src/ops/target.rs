@@ -56,7 +56,7 @@ impl AvailabilityTarget {
     #[inline]
     pub fn contains(&self, av: Availability) -> bool {
         match *self {
-            AvailabilityTarget::Range { lo, hi } => (lo..=hi).contains(&av.value()),
+            AvailabilityTarget::Range { lo, hi } => (lo <= av.value()) & (av.value() <= hi),
             AvailabilityTarget::Threshold { min } => av.value() > min,
         }
     }

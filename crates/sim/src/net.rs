@@ -35,7 +35,8 @@ impl LatencyModel {
         hi_millis: 80,
     };
 
-    /// Draws one hop latency.
+    /// Draws one hop latency. A uniform model must have `lo ≤ hi`
+    /// ([`Network::new`] refuses any other).
     #[inline]
     pub fn draw<R: Rng>(&self, rng: &mut R) -> SimDuration {
         match *self {
@@ -45,8 +46,15 @@ impl LatencyModel {
                 hi_millis,
             } => {
                 debug_assert!(lo_millis <= hi_millis);
-                let span = hi_millis - lo_millis + 1;
-                SimDuration::from_millis(lo_millis + rng.range_u64(span))
+                // The span wraps to 0 only for `[0, u64::MAX]`, where
+                // every word is a latency.
+                let span = (hi_millis - lo_millis).wrapping_add(1);
+                let offset = if span == 0 {
+                    rng.next_u64()
+                } else {
+                    rng.range_u64(span)
+                };
+                SimDuration::from_millis(lo_millis + offset)
             }
         }
     }
@@ -77,7 +85,21 @@ pub struct Network {
 
 impl Network {
     /// Creates a network with the given latency model and RNG seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a uniform model's bounds are inverted (`lo > hi`).
     pub fn new(latency: LatencyModel, seed: u64) -> Self {
+        if let LatencyModel::Uniform {
+            lo_millis,
+            hi_millis,
+        } = latency
+        {
+            assert!(
+                lo_millis <= hi_millis,
+                "uniform latency bounds are inverted: lo {lo_millis} ms > hi {hi_millis} ms"
+            );
+        }
         Network {
             latency,
             rng: SplitMix64::new(seed),
@@ -125,6 +147,55 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(net.hop_latency().as_millis(), 55);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform latency bounds are inverted")]
+    fn inverted_uniform_bounds_are_refused() {
+        Network::new(
+            LatencyModel::Uniform {
+                lo_millis: 80,
+                hi_millis: 20,
+            },
+            1,
+        );
+    }
+
+    #[test]
+    fn the_full_uniform_range_draws_whole_words() {
+        let full = LatencyModel::Uniform {
+            lo_millis: 0,
+            hi_millis: u64::MAX,
+        };
+        let mut net = Network::new(full, 5);
+        let mut words = SplitMix64::new(5);
+        for _ in 0..100 {
+            assert_eq!(net.hop_latency().as_millis(), words.next_u64());
+        }
+    }
+
+    #[test]
+    fn a_wide_uniform_span_takes_the_retry_path() {
+        // Lemire's method refuses a word with probability (2⁶⁴ mod s) / 2⁶⁴;
+        // for s = 2⁶³ + 1 that is about one half.
+        let wide = LatencyModel::Uniform {
+            lo_millis: 0,
+            hi_millis: 1 << 63,
+        };
+        let mut net = Network::new(wide, 9);
+        for _ in 0..1_000 {
+            assert!(net.hop_latency().as_millis() <= 1 << 63);
+        }
+        // The counter advances by `GAMMA` a word: undo the multiplication
+        // with GAMMA's inverse mod 2⁶⁴ (Newton's iteration; GAMMA is odd).
+        let mut inverse = SplitMix64::GAMMA;
+        for _ in 0..5 {
+            inverse =
+                inverse.wrapping_mul(2u64.wrapping_sub(SplitMix64::GAMMA.wrapping_mul(inverse)));
+        }
+        assert_eq!(SplitMix64::GAMMA.wrapping_mul(inverse), 1);
+        let words = net.rng.counter().wrapping_sub(9).wrapping_mul(inverse);
+        assert!(words > 1_200, "{words} words for 1 000 draws: no retries");
     }
 
     #[test]
