@@ -814,8 +814,8 @@ mod tests {
     }
 
     /// A hand-wired overlay in which every node believes its true
-    /// availability.
-    struct Wired(Vec<Node>);
+    /// availability, with who is online as words.
+    struct Wired(Vec<Node>, Vec<u64>);
 
     /// `(online, availability, HS, VS)` per node.
     fn wired(nodes: &[(bool, f64, &[u32], &[u32])]) -> Wired {
@@ -826,7 +826,11 @@ mod tests {
             cached: vec![Availability::ZERO; hs.len() + vs.len()],
             hs: hs.len(),
         };
-        Wired(nodes.iter().map(node).collect())
+        let mut words = vec![0u64; nodes.len().div_ceil(64)];
+        for (i, &(online, ..)) in nodes.iter().enumerate() {
+            words[i / 64] |= u64::from(online) << (i % 64);
+        }
+        Wired(nodes.iter().map(node).collect(), words)
     }
 
     impl OverlayWorld for Wired {
@@ -836,6 +840,10 @@ mod tests {
 
         fn is_online(&self, id: NodeId) -> bool {
             self.0[id.raw() as usize].online
+        }
+
+        fn online_words(&self) -> &[u64] {
+            &self.1
         }
 
         fn believed_availability(&self, id: NodeId) -> Availability {

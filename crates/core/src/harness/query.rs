@@ -126,6 +126,11 @@ impl OverlayWorld for WorldView<'_> {
         self.online.contains(id.raw() as usize)
     }
 
+    /// The index's bits, the ones `is_online` tests.
+    fn online_words(&self) -> &[u64] {
+        self.online.words()
+    }
+
     fn believed_availability(&self, id: NodeId) -> Availability {
         self.oracle
             .estimate(id, id, self.now)

@@ -375,6 +375,131 @@ proptest::proptest! {
             }
         }
     }
+
+    /// `WorldView::online_words`, which a flood tests sixteen receivers
+    /// at a time against, says what `is_online` says at every
+    /// slot of random traces, across word edges, and past the population.
+    #[test]
+    fn world_view_online_words_answer_like_is_online(seed in proptest::prelude::any::<u64>()) {
+        let mut r = SplitMix64::new(seed);
+        let (hosts, slots) = (1 + r.index(200), 2 + r.index(6));
+        let empty_slot = r.index(slots);
+        let trace = random_rows(&mut r, hosts, slots, empty_slot);
+        let slot_ms = trace.slot_duration().as_millis();
+        let mut sim = AvmemSim::new(trace, SimConfig::paper_default(seed));
+        for slot in 0..slots {
+            sim.advance_to(SimTime::from_millis(slot as u64 * slot_ms + r.range_u64(slot_ms)));
+            let world = sim.world();
+            let words = world.online_words();
+            proptest::prop_assert_eq!(words.len(), hosts.div_ceil(64));
+            for id in 0..64 * words.len() + 70 {
+                let bit = words.get(id / 64).is_some_and(|word| word >> (id % 64) & 1 != 0);
+                proptest::prop_assert_eq!(bit, world.is_online(NodeId::new(id as u64)), "id {}", id);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "need at least one host")]
+fn a_population_of_none_is_refused_where_its_trace_is_built() {
+    // An `AvmemSim` holds a trace, and no generator builds one of zero
+    // hosts: the Overnet model refuses N = 0 by name (`from_rows`
+    // refuses an empty row list the same way).
+    let _ = OvernetModel::default().hosts(0);
+}
+
+#[test]
+fn three_hosts_run_with_views_larger_than_the_population() {
+    // A shuffle view holds at least eight entries, so at N = 3 it can
+    // hold everyone. Both maintenance modes run a day on it; every list
+    // stays a set of other nodes, and a flood reaches whoever it can.
+    let trace = OvernetModel::default().hosts(3).days(1).generate(5);
+    assert!(avmem_shuffle::optimal_view_size(3) >= 3);
+    for maintenance in [
+        MaintenanceMode::Converged,
+        MaintenanceMode::paper_event_driven(),
+    ] {
+        let mut config = SimConfig::paper_default(5);
+        config.maintenance = maintenance;
+        let mut sim = AvmemSim::new(trace.clone(), config);
+        for _ in 0..6 {
+            sim.warm_up(SimDuration::from_hours(4));
+            for x in 0..3u64 {
+                let ids = sim
+                    .membership(NodeId::new(x))
+                    .columns(SliverScope::Both)
+                    .ids;
+                assert!(
+                    ids.len() <= 2 && !ids.contains(&(x as u32)),
+                    "{maintenance:?}: {ids:?}"
+                );
+                assert!(
+                    sim.shuffle_view(NodeId::new(x)).len() <= 3,
+                    "{maintenance:?}"
+                );
+            }
+            let stats = sim.health_stats();
+            assert!(
+                stats.online <= 3 && stats.mean_degree <= 2.0,
+                "{maintenance:?}: {stats:?}"
+            );
+            if let Some(&first) = sim.online().online().first() {
+                let everyone = AvailabilityTarget::range(0.0, 1.0);
+                let config = MulticastConfig::paper_default();
+                let from = NodeId::new(u64::from(first));
+                let flood = fire(&sim, 1, |w, n, r, s| {
+                    run_multicast(w, n, r, s, from, everyone, config)
+                });
+                assert_eq!(flood.eligible, stats.online);
+                assert!(flood.deliveries.len() <= stats.online, "{maintenance:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn total_ping_loss_puts_every_node_in_one_band() {
+    // With every AVMON ping lost, every estimate reads 0.0: each node
+    // believes itself and everyone else unavailable, all of them sit in
+    // the band around 0, and the lists fill with horizontal neighbors
+    // however available the nodes truly are. (A documented limit of
+    // the model, not a crash: the run goes on.)
+    let trace = OvernetModel::default().hosts(200).days(1).generate(9);
+    let mut config = SimConfig::paper_default(9);
+    config.oracle = OracleChoice::Avmon {
+        config: avmem_avmon::AvmonConfig {
+            ping_loss: 1.0,
+            ..avmem_avmon::AvmonConfig::default()
+        },
+    };
+    config.maintenance = MaintenanceMode::paper_event_driven();
+    let mut sim = AvmemSim::new(trace, config);
+    sim.warm_up(SimDuration::from_hours(3));
+    let online = sim.online().online().to_vec();
+    assert!(online.len() > 50, "{} online", online.len());
+    let zero = Some(Availability::ZERO);
+    for &x in &online {
+        let x = NodeId::new(u64::from(x));
+        for &y in &online {
+            assert_eq!(
+                sim.oracle()
+                    .estimate(x, NodeId::new(u64::from(y)), sim.now()),
+                zero
+            );
+        }
+        let membership = sim.membership(x);
+        assert_eq!(
+            membership.vs_len(),
+            0,
+            "{x}: a vertical neighbor out of one band"
+        );
+    }
+    let stats = sim.health_stats();
+    // The lists fill: with the nodes that went down since they were
+    // listed, a node's lists outnumber the nodes online.
+    assert!(stats.mean_degree > online.len() as f64, "{stats:?}");
+    assert!(stats.largest_component > 0.9, "{stats:?}");
 }
 
 #[test]

@@ -1088,6 +1088,104 @@ mod tests {
         }
     }
 
+    /// What a multicast's forwarding passes rest on (the
+    /// [`crate::ops::OverlayWorld::neighbors`] contract): no id twice in
+    /// `[HS | VS]`, and not the owner.
+    fn assert_set(m: &Membership, at: &str) {
+        let ids = m.columns(SliverScope::Both).ids;
+        let mut distinct = ids.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), ids.len(), "{at}: an id repeats in {ids:?}");
+        assert!(
+            !ids.contains(&packed_id(m.owner())),
+            "{at}: the owner is listed in {ids:?}"
+        );
+    }
+
+    proptest! {
+        /// Random inserts (the owner and listed ids among them),
+        /// removals, discoveries over candidate lists with repeats and
+        /// the owner in them, and refreshes that keep, evict and migrate
+        /// leave every list a set of other nodes after every step.
+        #[test]
+        fn lists_stay_sets_of_other_nodes(seed in any::<u64>()) {
+            let mut r = SplitMix64::new(seed);
+            let owner = r.range_u64(4);
+            let id_space = [4, 12, 40][r.index(3)];
+            let mut oracle = TableOracle::default();
+            for id in 0..id_space {
+                oracle.set(id, r.index(9) as f64 / 8.0);
+            }
+            let predicate = take_all_predicate();
+            let own = NodeInfo::new(NodeId::new(owner), Availability::saturating(0.5));
+            let mut m = Membership::new(own.id);
+            let mut migrants = Vec::new();
+            let mut migrated = 0;
+            let draw_sliver = |r: &mut SplitMix64| {
+                if r.chance(0.5) {
+                    Sliver::Horizontal
+                } else {
+                    Sliver::Vertical
+                }
+            };
+            for step in 0..200 {
+                match r.index(4) {
+                    0 => {
+                        let neighbor = Neighbor {
+                            id: NodeId::new(r.range_u64(id_space)),
+                            cached_availability: Availability::saturating(r.next_f64()),
+                        };
+                        m.insert(neighbor, draw_sliver(&mut r));
+                    }
+                    1 => {
+                        m.remove(NodeId::new(r.range_u64(id_space)));
+                    }
+                    2 => {
+                        let candidates: Vec<NodeId> = (0..r.index(20))
+                            .map(|_| NodeId::new(r.range_u64(id_space)))
+                            .collect();
+                        m.discover(own, candidates, &oracle, &predicate, SimTime::ZERO);
+                    }
+                    _ => {
+                        let outcome = m.refresh_with(&mut migrants, |_| {
+                            (!r.chance(0.2)).then(|| {
+                                (Availability::saturating(r.next_f64()), draw_sliver(&mut r))
+                            })
+                        });
+                        migrated += outcome.migrated;
+                    }
+                }
+                assert_set(&m, &format!("seed {seed} step {step}"));
+            }
+            prop_assert!(migrated > 0 || m.len() < 2, "seed {seed}: no refresh migrated");
+        }
+    }
+
+    /// The converged rebuild's lists are sets of other nodes too.
+    #[test]
+    fn converged_rebuild_lists_are_sets_of_other_nodes() {
+        use crate::harness::{AvmemSim, SimConfig};
+        use avmem_sim::SimDuration;
+        use avmem_trace::OvernetModel;
+
+        for seed in 0..3 {
+            let trace = OvernetModel::default().hosts(150).days(1).generate(seed);
+            let mut sim = AvmemSim::new(trace, SimConfig::paper_default(seed));
+            sim.warm_up(SimDuration::from_hours(3));
+            let mut entries = 0;
+            for x in 0..150 {
+                let m = sim.membership(NodeId::new(x));
+                assert_set(m, &format!("seed {seed} node {x}"));
+                entries += m.len();
+            }
+            assert!(
+                entries > 1000,
+                "seed {seed}: {entries} entries, a vacuous overlay"
+            );
+        }
+    }
+
     #[test]
     fn random_runs_take_every_path_and_grow_past_every_doubling() {
         let mut total = Tally::default();

@@ -40,9 +40,12 @@
 //! in two dense columns indexed by node id and stamped with a
 //! per-multicast generation ([`OpScratch`]), so nothing is cleared
 //! between operations: a 16-byte row per node for what every copy reads
-//! and writes (earliest queued arrival, none / queued / delivered, the
-//! forwarder that last sent to the node), and a gossip-progress column
-//! (list cursor, rounds done) that only gossiping forwarders touch. The
+//! and writes (earliest queued arrival, none / queued / delivered), and a
+//! gossip-progress column (list cursor, rounds done) that only gossiping
+//! forwarders touch. A neighbor list never repeats an id (the
+//! [`OverlayWorld::neighbors`] contract), so a forwarder has sent to
+//! exactly the in-range neighbors behind its cursor, and no row records
+//! who sent to it. The
 //! `eligible` count is the world's to answer
 //! ([`OverlayWorld::eligible`]; the harness does it in two binary
 //! searches), so a multicast costs what it reaches.
@@ -57,6 +60,7 @@ use crate::ops::calendar::CalendarQueue;
 use crate::ops::target::AvailabilityTarget;
 use crate::ops::world::OverlayWorld;
 use crate::ops::OpScratch;
+use compact::Lanes;
 
 /// Dissemination strategy inside the target range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -192,10 +196,6 @@ impl MulticastOutcome {
     }
 }
 
-/// `sent_by` of a node no forwarder has sent to (ids are below
-/// `id_bound ≤ u32::MAX`, so no node has this id).
-const NO_FORWARDER: u32 = u32::MAX;
-
 // What a node has of the payload so far, in the two low bits of
 // `Row::stamp`.
 /// No copy is on its way.
@@ -215,10 +215,6 @@ struct Row {
     /// `generation | receipt`. Under any generation but the current one
     /// the row reads as [`Row::UNTOUCHED`].
     stamp: u32,
-    /// The forwarder whose running pass over its list has sent to this
-    /// node — the per-forwarder "already sent to" test. One column
-    /// serves every forwarder because passes never interleave.
-    sent_by: u32,
     /// Under [`QUEUED`], when the earliest copy queued so far arrives.
     /// Any instant is legal, [`SimTime::MAX`] included (a saturated
     /// gossip period), which is why the receipt is not folded into it.
@@ -232,7 +228,6 @@ impl Row {
     /// Generation 0 is never current (see [`Dissemination::begin`]).
     const UNTOUCHED: Row = Row {
         stamp: NONE,
-        sent_by: NO_FORWARDER,
         earliest: SimTime::ZERO,
     };
 
@@ -300,10 +295,14 @@ pub(crate) struct Dissemination {
     /// the head of its list, and keeps no progress.
     progress: Vec<Progress>,
     generation: u32,
-    /// The in-range neighbors of the forwarding pass under way, as
-    /// `(list position, id)`, then the online receivers it sends to, at
-    /// the front; grows to the longest list seen.
-    in_range: Vec<(usize, u32)>,
+    /// The list positions of the forwarding pass's in-range neighbors;
+    /// grows to the longest list seen.
+    positions: Vec<u32>,
+    /// Their ids, then the online receivers the pass sends to, at the
+    /// front; grows to the longest list seen, plus [`compact::SLACK`].
+    in_range: Vec<u32>,
+    /// Which arm tests a flood's receivers: the CPU probe's.
+    lanes: Lanes,
     queue: CalendarQueue<Event>,
     arrivals: Vec<(NodeId, SimDuration)>,
 }
@@ -313,7 +312,7 @@ impl Dissemination {
     /// without being written.
     fn begin(&mut self, id_bound: usize, strategy: MulticastStrategy) {
         assert!(
-            id_bound <= NO_FORWARDER as usize,
+            id_bound <= u32::MAX as usize,
             "node ids are index-space (must fit u32)"
         );
         if self.rows.len() < id_bound {
@@ -348,20 +347,36 @@ impl Dissemination {
     }
 }
 
-/// A copy for `node`, whose current-generation `row` this is, arriving
-/// at `at`: queued only if it is the earliest copy `node` has so far —
-/// one test, taken for a few copies a node.
+/// A copy for `node` arriving at `at`: queued only if it is the earliest
+/// copy `node` has so far — one test, taken for a few copies a node. A
+/// row an earlier multicast wrote last reads as untouched, and is reset
+/// whole (as [`row`] does) when its first copy is queued.
 #[inline]
-fn send_copy(queue: &mut CalendarQueue<Event>, row: &mut Row, node: u32, at: SimTime) {
-    let receipt = row.receipt();
+fn send_copy(
+    queue: &mut CalendarQueue<Event>,
+    rows: &mut [Row],
+    generation: u32,
+    node: u32,
+    at: SimTime,
+) {
+    let row = &mut rows[node as usize];
+    let current = row.stamp & !RECEIPT_MASK == generation;
+    let receipt = if current { row.receipt() } else { NONE };
     // On a tie the earlier-sent copy pops first; queueing this one would
     // only add an entry to skip.
     let first = (receipt == NONE) | (receipt == QUEUED) & (at < row.earliest);
     if first {
-        row.set_receipt(QUEUED);
+        row.stamp = generation | QUEUED;
         row.earliest = at;
         queue.push(at, Event { node, tick: false });
     }
+}
+
+/// Whether `ids` names no id twice; `scratch`, as long, is overwritten.
+fn is_set(ids: &[u32], scratch: &mut [u32]) -> bool {
+    scratch.copy_from_slice(ids);
+    scratch.sort_unstable();
+    scratch.windows(2).all(|pair| pair[0] != pair[1])
 }
 
 /// One running dissemination: the world and latency stream it reads, the
@@ -378,84 +393,80 @@ struct Kernel<'a, W: ?Sized> {
 impl<W: OverlayWorld + ?Sized> Kernel<'_, W> {
     /// One forwarding pass of `from` at `now`: walk its list from `start`
     /// — where its previous pass stopped — and send to at most `budget`
-    /// neighbors whose cached availability is in range and that `from`
-    /// has not sent to before. Returns where the next pass starts: the
-    /// first in-range neighbor this one did not reach, or the list's end.
+    /// neighbors whose cached availability is in range. The list is a
+    /// set, so none of them has had a copy from `from` yet. Returns where
+    /// the next pass starts: the first in-range neighbor this one did not
+    /// reach, or the list's end.
     ///
-    /// The sends are made in two passes over the in-range neighbors. The
-    /// *mark* pass counts every send and compacts the online receivers;
-    /// the *arrival* pass draws one hop latency per compacted receiver,
+    /// The pass first compacts the in-range neighbors ahead of `start` (on
+    /// `ops-storm` about two entries in three pass) and takes the first
+    /// `budget` as sends, keeping the online ones, without touching a row.
+    /// A pass that takes every one of them — a flood's — does both steps
+    /// sixteen entries at a time where the CPU has AVX-512 F ([`Lanes`]).
+    /// The *arrival* pass then draws one hop latency per online receiver,
     /// in list order, and queues the copies that arrive first. Draws and
     /// pushes come in the order one loop would make them, so the results
     /// and the stream's position are the same; but no branch on a row or
-    /// on the online bit guards a draw, and the mark pass branches only
-    /// on the budget.
+    /// on the online bit guards a draw.
     fn forward(&mut self, from: u32, now: SimTime, start: usize, budget: usize) -> usize {
         let list = self
             .world
             .neighbors(NodeId::new(u64::from(from)), self.scope);
-        let (done, ahead) = list.ids.split_at(start);
         let Dissemination {
             rows,
             queue,
             generation,
+            positions,
             in_range,
+            lanes,
             ..
         } = &mut *self.state;
         let generation = *generation;
-        // Other forwarders' passes ran since `from`'s last one: re-mark
-        // what it sent to then. (Once the cursor reaches the end, every
-        // in-range neighbor has been sent to and no pass sends again.)
-        for (&id, &cached) in done.iter().zip(list.cached_availability) {
-            if self.target.contains(cached) {
-                row(rows, generation, id).sent_by = from;
-            }
+        let len = list.ids.len();
+        if in_range.len() < len + compact::SLACK {
+            positions.resize(len, 0);
+            in_range.resize(len + compact::SLACK, 0);
         }
-        // Which of the rest are in range, as (position, id). Every neighbor
-        // is stored and only the count depends on the test: under a broad
-        // target about a third pass, a branch nothing predicts. (Marking
-        // every neighbor's row instead would triple the rows a pass
-        // touches.)
-        if in_range.len() < ahead.len() {
-            in_range.resize(ahead.len(), (0, 0));
-        }
-        let in_range = &mut in_range[..ahead.len()];
+        debug_assert!(
+            is_set(list.ids, &mut in_range[..len]),
+            "node {from}'s neighbor list repeats an id"
+        );
+        let ahead = &list.ids[start..];
         let cached_ahead = &list.cached_availability[start..];
-        let mut kept = 0;
-        for (offset, (&id, &cached)) in ahead.iter().zip(cached_ahead).enumerate() {
-            in_range[kept] = (start + offset, id);
-            kept += usize::from(self.target.contains(cached));
-        }
-        // Mark, through selects: a row an earlier multicast wrote last
-        // takes this generation (with no receipt it reads as untouched:
-        // `earliest` is read only under `QUEUED`), a duplicate is a row
-        // `from` has marked already. The online receivers are compacted
-        // into the front of `in_range`, behind the entry being read.
-        let rows = rows.as_mut_slice();
-        let mut cursor = list.ids.len();
-        let mut sent = 0;
-        let mut online = 0;
-        for next in 0..kept {
-            let (position, id) = in_range[next];
-            if sent == budget {
-                cursor = position;
-                break;
+        let every = if budget >= ahead.len() {
+            let words = self.world.online_words();
+            lanes.compact_online(self.target, ahead, cached_ahead, words, in_range)
+        } else {
+            None
+        };
+        let (sent, online, cursor) = match every {
+            Some((sent, online)) => (sent, online, len),
+            None => {
+                let base = u32::try_from(start).expect("list positions must fit u32");
+                let kept =
+                    compact::compact(self.target, ahead, cached_ahead, base, positions, in_range);
+                let take = kept.min(budget);
+                // The online receivers are compacted into the front of
+                // `in_range`, behind the entry being read.
+                let mut online = 0;
+                for next in 0..take {
+                    let id = in_range[next];
+                    in_range[online] = id;
+                    online += usize::from(self.world.is_online(NodeId::new(u64::from(id))));
+                }
+                let cursor = if take < kept {
+                    positions[take] as usize
+                } else {
+                    len
+                };
+                (take, online, cursor)
             }
-            let row = &mut rows[id as usize];
-            let current = row.stamp & !RECEIPT_MASK == generation;
-            // A second edge to the same node.
-            let send = !(current & (row.sent_by == from));
-            row.stamp = if current { row.stamp } else { generation };
-            row.sent_by = from;
-            sent += usize::from(send);
-            in_range[online].1 = id;
-            online += usize::from(send & self.world.is_online(NodeId::new(u64::from(id))));
-        }
+        };
         self.messages += sent as u64;
-        // Arrive: every row here is current.
-        for &(_, id) in &in_range[..online] {
+        // Arrive.
+        for &id in &in_range[..online] {
             let at = now + self.net.hop_latency();
-            send_copy(queue, &mut rows[id as usize], id, at);
+            send_copy(queue, rows, generation, id, at);
         }
         cursor
     }
@@ -561,7 +572,8 @@ where
     let entered = SimTime::ZERO + outcome.anycast.latency;
     send_copy(
         &mut state.queue,
-        row(&mut state.rows, state.generation, entry),
+        &mut state.rows,
+        state.generation,
         entry,
         entered,
     );
@@ -578,6 +590,8 @@ where
     outcome.deliveries = kernel.state.arrivals.clone();
     outcome
 }
+
+mod compact;
 
 #[cfg(test)]
 mod reference;

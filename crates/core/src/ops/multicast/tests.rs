@@ -521,7 +521,7 @@ proptest! {
 
     /// Two different multicasts back to back on one scratch equal the
     /// same two on fresh scratch — nothing a multicast leaves behind
-    /// (rows, gossip progress, `sent_by` marks, queue capacity) is
+    /// (rows, gossip progress, queue capacity) is
     /// visible to the next.
     #[test]
     fn used_scratch_equals_fresh_scratch(first in any::<u64>(), second in any::<u64>()) {
@@ -548,6 +548,24 @@ proptest! {
         prop_assert_eq!(run_kernel(&b, &mut used), fresh);
         prop_assert_eq!(used.dissemination.generation, GENERATION_STEP);
         prop_assert_eq!(run_kernel(&a, &mut used), run_kernel(&a, &mut scratch()));
+    }
+}
+
+proptest! {
+    /// The differential above on every arm this CPU runs: the scalar arm
+    /// (a CPU without AVX-512 F) compacts a flood's in-range neighbors
+    /// and tests their online bits one at a time, the vector arm sixteen
+    /// to a step, and both agree with the reference copy for copy and
+    /// draw for draw.
+    #[test]
+    fn every_arm_matches_the_queue_every_copy_reference(seed in any::<u64>()) {
+        let case = random_case(seed);
+        let reference = run_reference(&case);
+        for (name, lanes) in Lanes::every() {
+            let mut scratch = scratch();
+            scratch.dissemination.lanes = lanes;
+            prop_assert_eq!(run_kernel(&case, &mut scratch), reference.clone(), "{} arm", name);
+        }
     }
 }
 

@@ -38,6 +38,12 @@ pub trait OverlayWorld {
     /// Whether `id` is online right now (ground truth).
     fn is_online(&self, id: NodeId) -> bool;
 
+    /// Who is online, as words: `id` is online iff bit `id % 64` of word
+    /// `id / 64` is set, and every id past the last word is offline —
+    /// exactly [`OverlayWorld::is_online`]. A flood tests its receivers
+    /// against them sixteen at a time.
+    fn online_words(&self) -> &[u64];
+
     /// What `id` believes its own availability is (its latest answer from
     /// the monitoring service). Used by "am I in the target range?"
     /// checks.
@@ -50,7 +56,10 @@ pub trait OverlayWorld {
     /// `id`'s current neighbors in `scope` — HS first, then VS, each in
     /// insertion order — as borrowed id / *cached* availability columns
     /// (the paper's forwarding uses values cached at the last refresh,
-    /// §3.2).
+    /// §3.2). The list is a set: it never names an id twice, across both
+    /// slivers (a `Membership` refuses an id either sliver holds). A
+    /// multicast forwarder relies on it to send once per neighbor without
+    /// recording whom it sent to.
     fn neighbors(&self, id: NodeId, scope: SliverScope) -> NeighborColumns<'_>;
 
     /// Whether `receiver` would accept a message from `sender` under
@@ -111,6 +120,8 @@ pub(crate) mod mock {
     pub struct MockWorld {
         nodes: Vec<MockNode>,
         verdicts: HashMap<(u64, u64), Option<bool>>,
+        /// Who is online, as [`OverlayWorld::online_words`].
+        words: Vec<u64>,
     }
 
     impl MockWorld {
@@ -122,14 +133,24 @@ pub(crate) mod mock {
             &mut self.nodes[index]
         }
 
+        /// Sets whether `id` is online, in its node and in the words.
+        fn set_online(&mut self, id: u64, online: bool) {
+            self.node_mut(id).online = online;
+            let (word, bit) = (id as usize / 64, id % 64);
+            if self.words.len() <= word {
+                self.words.resize(word + 1, 0);
+            }
+            self.words[word] = self.words[word] & !(1 << bit) | u64::from(online) << bit;
+        }
+
         fn node(&self, id: NodeId) -> Option<&MockNode> {
             self.nodes.get(id.raw() as usize)
         }
 
         /// Adds a node with the given availability, online.
         pub fn add(&mut self, id: u64, av: f64) {
+            self.set_online(id, true);
             let node = self.node_mut(id);
-            node.online = true;
             node.believed = av;
             node.truth = av;
         }
@@ -150,10 +171,15 @@ pub(crate) mod mock {
 
         /// An HS edge whose cached availability is chosen by the test
         /// (stale caches: a forwarder that believes `b` in range when
-        /// `b` itself does not).
+        /// `b` itself does not). Like every edge builder, refuses `b` if
+        /// either of `a`'s slivers lists it already, as
+        /// `Membership::insert` does: lists are sets.
         pub fn hs_edge_cached(&mut self, a: u64, b: u64, cached: f64) {
             self.node_mut(b);
             let node = self.node_mut(a);
+            if node.ids.contains(&(b as u32)) {
+                return;
+            }
             node.ids.insert(node.hs_len, b as u32);
             node.cached.insert(node.hs_len, Availability::saturating(cached));
             node.hs_len += 1;
@@ -163,6 +189,9 @@ pub(crate) mod mock {
         pub fn vs_edge_cached(&mut self, a: u64, b: u64, cached: f64) {
             self.node_mut(b);
             let node = self.node_mut(a);
+            if node.ids.contains(&(b as u32)) {
+                return;
+            }
             node.ids.push(b as u32);
             node.cached.push(Availability::saturating(cached));
         }
@@ -170,8 +199,8 @@ pub(crate) mod mock {
         /// A random world of 2 to 47 nodes with everything the operations
         /// have to get right: offline nodes, stale caches in both
         /// directions (receivers that believe themselves out of range,
-        /// neighbors cached at a value they never had), self edges, and
-        /// nodes listed under both HS and VS.
+        /// neighbors cached at a value they never had), and self edges.
+        /// A draw that names a node already listed adds no edge.
         pub fn random<R: Rng>(r: &mut R) -> Self {
             let n = 2 + r.index(46) as u64;
             // Half the worlds draw availabilities from eleven values, so
@@ -203,17 +232,10 @@ pub(crate) mod mock {
                     } else {
                         availability(r)
                     };
-                    match r.index(4) {
-                        0 => world.hs_edge_cached(a, b, cached),
-                        1 => world.vs_edge_cached(a, b, cached),
-                        2 => {
-                            world.hs_edge_cached(a, b, cached);
-                            world.vs_edge_cached(a, b, cached);
-                        }
-                        _ => {
-                            world.vs_edge_cached(a, b, cached);
-                            world.hs_edge_cached(a, b, availability(r));
-                        }
+                    if r.chance(0.5) {
+                        world.hs_edge_cached(a, b, cached);
+                    } else {
+                        world.vs_edge_cached(a, b, cached);
                     }
                 }
             }
@@ -222,7 +244,7 @@ pub(crate) mod mock {
 
         /// Marks a node offline.
         pub fn set_offline(&mut self, id: u64) {
-            self.node_mut(id).online = false;
+            self.set_online(id, false);
         }
 
         /// Sets what the node believes about itself, leaving the truth.
@@ -243,6 +265,10 @@ pub(crate) mod mock {
 
         fn is_online(&self, id: NodeId) -> bool {
             self.node(id).is_some_and(|n| n.online)
+        }
+
+        fn online_words(&self) -> &[u64] {
+            &self.words
         }
 
         fn believed_availability(&self, id: NodeId) -> Availability {

@@ -38,18 +38,20 @@ use std::time::Instant;
 use avmem::harness::AvmemSim;
 use avmem::ops::{run_anycast, run_multicast, OpScratch, OverlayWorld};
 use avmem::verify::flood_targets;
-use avmem::{AdmissionPolicy, AvailabilityTarget};
+use avmem::AdmissionPolicy;
 use avmem_avmon::AvailabilityOracle;
 use avmem_metrics::{Histogram, Registry};
 use avmem_sim::{LatencyModel, Network, SimDuration, SimTime};
-use avmem_trace::ChurnTrace;
 use avmem_util::{NodeId, Rng, SplitMix64};
 
 use crate::report::{
     AnycastStats, AttackStats, EstimatorAccuracy, HealthSample, MemoryStats, MulticastStats,
     RunTimings, ScenarioReport, DECILES, HOPS_BUCKETS,
 };
-use crate::spec::{BandSpec, MaintenanceModeSpec, ScenarioError, ScenarioSpec};
+use crate::spec::{BandSpec, ScenarioError, ScenarioSpec};
+
+mod timeline;
+use timeline::{draw_kind, pick_from, BandIndex, EventKind, OpKind, Source, Timeline};
 
 /// Purpose tags for the runner's counter-keyed streams. Core maintenance
 /// uses small tags with `(seed, tag, node, epoch)` keys; the runner's
@@ -70,206 +72,6 @@ const STREAM_MAE: u64 = 0x5ce0_0007;
 /// online that is ~3·10⁻⁵, so the amortized pick cost is O(1) instead
 /// of the O(N) population scan per operation.
 const PICK_TRIES: u32 = 64;
-
-/// What one scheduled arrival does.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum OpKind {
-    Anycast { target: AvailabilityTarget },
-    Multicast { target: AvailabilityTarget },
-    FloodProbe,
-}
-
-/// One entry of the run timeline.
-#[derive(Debug, Clone, Copy)]
-struct TimelineEvent {
-    at: SimTime,
-    /// Tie order at equal instants: rebuilds first, then health samples,
-    /// then operations in index order. Carried on the event so tests can
-    /// pin the merge order; the execution loop only needs `what`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    order: (u8, u64),
-    what: EventKind,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum EventKind {
-    Rebuild,
-    Health,
-    Op { index: u64 },
-}
-
-/// Merge key of a timeline event: instant plus the tie order.
-type EventKey = (SimTime, (u8, u64));
-
-/// Which of the merged timeline sources produced a candidate event.
-#[derive(Debug, Clone, Copy)]
-enum Source {
-    Rebuild,
-    Health,
-    Arrival,
-}
-
-/// Lazy Poisson arrival source: exponential inter-arrival gaps, each
-/// drawn from its own keyed stream. Bit-identical to eagerly drawing the
-/// whole schedule up front — the accumulated `at_ms` float and the
-/// per-index streams do not depend on when the draws happen.
-#[derive(Debug, Clone)]
-struct ArrivalGen {
-    seed: u64,
-    mean_gap_ms: f64,
-    at_ms: f64,
-    end_ms: f64,
-    index: u64,
-    pending: Option<SimTime>,
-}
-
-impl ArrivalGen {
-    fn new(seed: u64, ops_per_hour: f64, warm_end: SimTime, end: SimTime) -> ArrivalGen {
-        let mut arrivals = ArrivalGen {
-            seed,
-            mean_gap_ms: 0.0,
-            at_ms: warm_end.as_millis() as f64,
-            end_ms: end.as_millis() as f64,
-            index: 0,
-            pending: None,
-        };
-        if ops_per_hour > 0.0 {
-            arrivals.mean_gap_ms = 3_600_000.0 / ops_per_hour;
-            arrivals.draw();
-        }
-        arrivals
-    }
-
-    /// Draws the arrival instant for `self.index`.
-    fn draw(&mut self) {
-        let mut gap_rng = SplitMix64::keyed(&[self.seed, STREAM_ARRIVAL, self.index]);
-        // u ∈ [0, 1) keeps ln(1 - u) finite.
-        let gap = -(1.0 - gap_rng.next_f64()).ln() * self.mean_gap_ms;
-        self.at_ms += gap.max(1.0);
-        self.pending =
-            (self.at_ms < self.end_ms).then(|| SimTime::from_millis(self.at_ms as u64));
-    }
-
-    fn peek(&self) -> Option<SimTime> {
-        self.pending
-    }
-
-    fn next_index(&self) -> u64 {
-        self.index
-    }
-
-    /// Consumes the pending arrival, returning its op index.
-    fn pop(&mut self) -> u64 {
-        debug_assert!(self.pending.is_some(), "pop without a pending arrival");
-        let index = self.index;
-        self.index += 1;
-        self.draw();
-        index
-    }
-}
-
-/// The merged, lazily generated run timeline; see the module docs. Every
-/// event key `(at, order)` is distinct across sources (the leading order
-/// byte is the source), so the three-way min-merge is a strict total
-/// order and yields exactly the sequence the old sort-the-whole-schedule
-/// path produced.
-#[derive(Debug, Clone)]
-struct Timeline {
-    end: SimTime,
-    health_at: SimTime,
-    health_step: SimDuration,
-    rebuild_at: Option<SimTime>,
-    rebuild_step: SimDuration,
-    arrivals: ArrivalGen,
-}
-
-impl Timeline {
-    fn new(spec: &ScenarioSpec, warm_end: SimTime, end: SimTime) -> Timeline {
-        // Converged-mode rebuild boundaries; event-driven mode has none
-        // (cohorts run inside `advance_to`).
-        let (rebuild_at, rebuild_step) =
-            if let MaintenanceModeSpec::Converged { rebuild_every_mins } = spec.maintenance.mode {
-                let step = SimDuration::from_mins(rebuild_every_mins);
-                let first = warm_end + step;
-                ((first < end).then_some(first), step)
-            } else {
-                (None, SimDuration::from_mins(1))
-            };
-        Timeline {
-            end,
-            // Health samples on the interval lattice, excluding the run
-            // end (the final sample is taken unconditionally by
-            // `RunSession::finish`).
-            health_at: warm_end,
-            health_step: SimDuration::from_mins(spec.health_every_mins),
-            rebuild_at,
-            rebuild_step,
-            arrivals: ArrivalGen::new(spec.seed, spec.workload.ops_per_hour, warm_end, end),
-        }
-    }
-
-    /// The next event's key and source, without consuming it.
-    fn peek(&self) -> Option<(EventKey, Source)> {
-        let rebuild = self.rebuild_at.map(|t| ((t, (0u8, 0u64)), Source::Rebuild));
-        let health = (self.health_at < self.end)
-            .then_some(((self.health_at, (1u8, 0u64)), Source::Health));
-        let arrival = self
-            .arrivals
-            .peek()
-            .map(|t| ((t, (2u8, self.arrivals.next_index())), Source::Arrival));
-        [rebuild, health, arrival]
-            .into_iter()
-            .flatten()
-            .min_by_key(|&(key, _)| key)
-    }
-
-    fn next(&mut self) -> Option<TimelineEvent> {
-        let ((at, order), source) = self.peek()?;
-        let what = match source {
-            Source::Rebuild => {
-                let next = at + self.rebuild_step;
-                self.rebuild_at = (next < self.end).then_some(next);
-                EventKind::Rebuild
-            }
-            Source::Health => {
-                self.health_at += self.health_step;
-                EventKind::Health
-            }
-            Source::Arrival => EventKind::Op {
-                index: self.arrivals.pop(),
-            },
-        };
-        Some(TimelineEvent { at, order, what })
-    }
-}
-
-/// Static per-band initiator lists (long-term availability is a property
-/// of the trace, not of time), built once when the spec restricts
-/// initiators to a band. `Any` needs no index — it rejection-samples the
-/// whole population.
-#[derive(Debug, Default)]
-struct BandIndex {
-    /// The nodes of `Low`, `Mid` and `High`, each ascending.
-    lists: [Vec<u32>; 3],
-}
-
-impl BandIndex {
-    fn build(trace: &ChurnTrace) -> BandIndex {
-        let lists = [BandSpec::Low, BandSpec::Mid, BandSpec::High].map(|band| {
-            (0..trace.num_nodes() as u32)
-                .filter(|&i| band.contains(trace.long_term_availability(i as usize)))
-                .collect()
-        });
-        BandIndex { lists }
-    }
-
-    fn list(&self, band: BandSpec) -> &[u32] {
-        match band {
-            BandSpec::Any => &[],
-            band => &self.lists[band as usize],
-        }
-    }
-}
 
 /// The per-operation distributions the report does not hold; present
 /// only after [`RunSession::set_metrics`]. Every other family the
@@ -876,52 +678,6 @@ impl RunSession {
     }
 }
 
-/// Draws one arrival's kind and target from its keyed mix stream.
-fn draw_kind(spec: &ScenarioSpec, index: u64) -> OpKind {
-    let mut rng = SplitMix64::keyed(&[spec.seed, STREAM_MIX, index]);
-    if let Some(adv) = &spec.adversary {
-        if rng.chance(adv.flooder_fraction) {
-            return OpKind::FloodProbe;
-        }
-    } else {
-        // Keep stream alignment identical with and without an
-        // adversary section so A/B spec comparisons share arrivals.
-        let _ = rng.next_f64();
-    }
-    let anycast = rng.chance(spec.workload.anycast_fraction);
-    let target = draw_target(spec, &mut rng);
-    if anycast {
-        OpKind::Anycast { target }
-    } else {
-        OpKind::Multicast { target }
-    }
-}
-
-/// Weighted pick from the target mix.
-fn draw_target<R: Rng>(spec: &ScenarioSpec, rng: &mut R) -> AvailabilityTarget {
-    let targets = &spec.workload.targets;
-    let total: f64 = targets.iter().map(|t| t.weight).sum();
-    let mut roll = rng.next_f64() * total;
-    for mix in targets {
-        roll -= mix.weight;
-        if roll <= 0.0 {
-            return mix.target;
-        }
-    }
-    targets.last().expect("validated non-empty").target
-}
-
-/// Uniform keyed draw from the eligible nodes, counted then selected
-/// (the rejection-sampling fallback); `None` when nothing is eligible.
-fn pick_from<R: Rng>(
-    mut eligible: impl Iterator<Item = u32> + Clone,
-    rng: &mut R,
-) -> Option<NodeId> {
-    let count = eligible.clone().count();
-    let pick = (count > 0).then(|| rng.index(count))?;
-    eligible.nth(pick).map(|i| NodeId::new(u64::from(i)))
-}
-
 /// Snapshots process memory for the sealed report: kernel peak RSS when
 /// the platform exposes it, counting-allocator figures when the
 /// `heap-stats` feature installed the tracker. Environment observations
@@ -956,330 +712,4 @@ fn health_sample(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::builtin;
-    use crate::spec::{AdversarySpec, ChurnSpec, MaintenanceModeSpec, TargetMix};
-    use avmem::harness::{MaintenanceEngine, PredicateChoice};
-    use avmem::ops::ForwardPolicy;
-
-    fn tiny_spec() -> ScenarioSpec {
-        let mut spec = builtin::builtin("smoke").expect("smoke builtin");
-        spec.churn = ChurnSpec::Overnet { hosts: 80, days: 1 };
-        spec.warmup_mins = 60;
-        spec.duration_mins = 60;
-        spec.workload.ops_per_hour = 40.0;
-        spec
-    }
-
-    #[test]
-    fn run_produces_traffic_and_health() {
-        let report = ScenarioRunner::new(tiny_spec()).unwrap().run().unwrap();
-        assert!(report.anycast.sent + report.multicast.sent + report.skipped_ops > 0);
-        // One sample per health interval plus the final one.
-        assert!(report.health.len() >= 2, "health series too short");
-        assert!(report.health.windows(2).all(|w| w[0].at_mins < w[1].at_mins));
-        // Estimator accuracy sampled at every health boundary, at the
-        // default `[report] estimator_samples` budget.
-        assert_eq!(
-            report.estimator.drawn,
-            report.health.len() as u64
-                * crate::spec::ReportSpec::default().estimator_samples
-        );
-        assert_eq!(report.estimator.strategy, "exact");
-        // The exact oracle answers everything with zero error.
-        assert_eq!(report.estimator.answered, report.estimator.drawn);
-        assert_eq!(report.estimator.mae(), 0.0);
-        assert_eq!(report.admission_drops, 0);
-    }
-
-    #[test]
-    fn same_spec_same_report() {
-        let runner = ScenarioRunner::new(tiny_spec()).unwrap();
-        assert_eq!(runner.run().unwrap(), runner.run().unwrap());
-    }
-
-    #[test]
-    fn estimator_sampling_budget_is_a_spec_knob() {
-        let base = ScenarioRunner::new(tiny_spec()).unwrap().run().unwrap();
-        let mut spec = tiny_spec();
-        spec.report.estimator_samples = 32;
-        let trimmed = ScenarioRunner::new(spec).unwrap().run().unwrap();
-        assert_eq!(trimmed.estimator.drawn, trimmed.health.len() as u64 * 32);
-        // The budget shapes what the report measures, never the run.
-        assert_eq!(base.health, trimmed.health);
-        assert_eq!(base.anycast, trimmed.anycast);
-        assert_eq!(base.multicast, trimmed.multicast);
-    }
-
-    #[test]
-    fn sealed_reports_carry_memory_observations() {
-        let report = ScenarioRunner::new(tiny_spec()).unwrap().run().unwrap();
-        if cfg!(target_os = "linux") {
-            assert!(report.memory.peak_rss_bytes.unwrap_or(0) > 0);
-        }
-        if avmem_util::heap::heap_tracking_installed() {
-            assert!(report.memory.heap_peak_bytes.unwrap_or(0) > 0);
-            assert!(report.memory.heap_alloc_calls.unwrap_or(0) > 0);
-        }
-    }
-
-    #[test]
-    fn stepped_session_with_metrics_matches_run() {
-        let runner = ScenarioRunner::new(tiny_spec()).unwrap();
-        let baseline = runner.run().unwrap();
-        let registry = Arc::new(Registry::new());
-        let mut session = runner.session().unwrap();
-        session.set_metrics(&registry);
-        while session.step().is_some() {}
-        let instrumented = session.finish();
-        assert_eq!(baseline, instrumented, "metrics must only observe");
-        // And the registry actually saw the traffic.
-        let fired = baseline.anycast.sent + baseline.multicast.sent;
-        let text = registry.render_text();
-        assert!(
-            text.contains("avmem_ops_total{kind=\"anycast\"}"),
-            "missing op counters: {text}"
-        );
-        assert!(fired > 0);
-    }
-
-    #[test]
-    fn event_driven_interleaves_ops_with_maintenance() {
-        let mut spec = tiny_spec();
-        spec.maintenance.mode = MaintenanceModeSpec::EventDriven {
-            protocol_secs: 60,
-            refresh_mins: 20,
-        };
-        spec.warmup_mins = 120;
-        let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
-        let fired = report.anycast.sent + report.multicast.sent;
-        assert!(fired > 0, "no operations fired over the live overlay");
-        // Live discovery must have built an overlay the ops could use.
-        assert!(
-            report.health.last().unwrap().mean_degree > 0.5,
-            "event-driven maintenance built no overlay"
-        );
-        // And the run carries per-phase maintenance timings.
-        let phases = report.timings.phases;
-        assert!(phases.cohorts > 0, "no cohorts timed");
-        let busy = phases.propose + phases.commit + phases.finalize;
-        assert!(busy > std::time::Duration::ZERO, "phase clocks never ticked");
-    }
-
-    #[test]
-    fn adversary_probes_are_counted() {
-        let mut spec = tiny_spec();
-        spec.adversary = Some(AdversarySpec {
-            flooder_fraction: 0.5,
-            cushion: 0.1,
-            probes: 10,
-        });
-        let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
-        let attack = report.attack.expect("adversary configured");
-        assert!(attack.attempts > 0, "no flood attempts fired");
-        assert!(attack.probes > 0);
-        assert!(attack.accepted <= attack.probes);
-        let series: (u64, u64) = report
-            .health
-            .iter()
-            .fold((0, 0), |acc, h| {
-                (acc.0 + h.attack_since_last.0, acc.1 + h.attack_since_last.1)
-            });
-        assert_eq!(series.0, attack.probes, "series must partition the probes");
-        assert_eq!(series.1, attack.accepted);
-    }
-
-    #[test]
-    fn drop_counts_and_multicast_histograms_agree_with_the_totals() {
-        for policy in [ForwardPolicy::Greedy, ForwardPolicy::RetriedGreedy { retries: 2 }] {
-            let mut spec = tiny_spec();
-            let workload = &mut spec.workload;
-            (workload.ops_per_hour, workload.anycast_fraction, workload.policy) = (240.0, 0.5, policy);
-            // A harsh target too, so that anycasts fail.
-            let target = AvailabilityTarget::Range { lo: 0.15, hi: 0.25 };
-            workload.targets.push(TargetMix { weight: 1.0, target });
-            let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
-            let a = &report.anycast;
-            assert!(a.sent > a.delivered && a.delivered > 0, "{policy:?}: {a:?}");
-            assert_eq!(a.drops.iter().sum::<u64>(), a.sent - a.delivered, "{policy:?}");
-            assert!(a.delivered_latency_ms <= a.total_latency_ms);
-
-            let m = &report.multicast;
-            assert!(m.reliability_count > 0 && m.spam_count > 0, "{policy:?}: {m:?}");
-            let latencies = m.worst_latency_histogram.count();
-            assert!(latencies > 0 && latencies <= m.sent, "{policy:?}");
-            let latency = m.worst_latency_sum_ms as f64 / latencies as f64;
-            for (buckets, count, mean) in [
-                (&m.reliability_histogram, m.reliability_count, m.mean_reliability()),
-                (&m.spam_histogram, m.spam_count, m.mean_spam()),
-                (&m.worst_latency_histogram, latencies, latency),
-            ] {
-                assert_eq!(buckets.count(), count, "{policy:?}");
-                // The mean of the buckets' lower edges: within a width.
-                let edges = buckets.counts.iter().enumerate().map(|(i, &n)| (i as u64 * n) as f64);
-                let lower = edges.sum::<f64>() * buckets.width / count as f64;
-                let within = (mean - lower).abs() <= buckets.width + 1e-9;
-                assert!(within, "{policy:?}: bucket mean {lower} vs mean {mean}");
-            }
-        }
-    }
-
-    #[test]
-    fn zero_rate_workload_fires_nothing() {
-        let mut spec = tiny_spec();
-        spec.workload.ops_per_hour = 0.0;
-        let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
-        assert_eq!(report.anycast.sent, 0);
-        assert_eq!(report.multicast.sent, 0);
-        assert_eq!(report.skipped_ops, 0);
-    }
-
-    #[test]
-    fn a_one_host_random_baseline_runs_to_a_report() {
-        // `check` accepts it, and `run` used to panic building the
-        // baseline with the population size as its `N*` ("n_star must
-        // exceed one"); `p = min(degree / N, 1)` needs no such bound.
-        for mode in [
-            MaintenanceModeSpec::Converged {
-                rebuild_every_mins: 30,
-            },
-            MaintenanceModeSpec::EventDriven {
-                protocol_secs: 60,
-                refresh_mins: 20,
-            },
-        ] {
-            let mut spec = tiny_spec();
-            spec.churn = ChurnSpec::Overnet { hosts: 1, days: 1 };
-            spec.predicate = PredicateChoice::Random { expected_degree: 10.0 };
-            spec.maintenance.mode = mode;
-            spec.validate().expect("a valid spec");
-            let report = ScenarioRunner::new(spec).unwrap().run().unwrap();
-            assert!(!report.health.is_empty());
-            assert!(report.health.iter().all(|h| h.mean_degree == 0.0));
-        }
-    }
-
-    #[test]
-    fn banded_initiators_come_from_the_band() {
-        // Every `Low` / `Mid` / `High` pick is an online node of its band,
-        // whether a rejection try found it or — where the band's online
-        // share is a few percent, so that all the tries miss — the exact
-        // scan did; and an op index picks the same node on either engine.
-        let mut spec = tiny_spec();
-        spec.workload.initiators = BandSpec::High;
-        spec.maintenance.mode = MaintenanceModeSpec::EventDriven {
-            protocol_secs: 60,
-            refresh_mins: 20,
-        };
-        let sharded = MaintenanceEngine::Sharded { shards: Some(4), threads: Some(2) };
-        let mut sessions = [MaintenanceEngine::Serial, sharded].map(|engine| {
-            let mut spec = spec.clone();
-            spec.maintenance.engine = engine;
-            ScenarioRunner::new(spec).unwrap().session().unwrap()
-        });
-        let (mut picks, mut scanned) = (0, 0);
-        for slot in 3..36 {
-            let at = SimTime::ZERO + SimDuration::from_mins(20 * slot + 7);
-            for session in &mut sessions {
-                session.sim.advance_to(at);
-            }
-            let [serial, sharded] = &sessions;
-            let online = serial.sim.online();
-            for band in [BandSpec::Low, BandSpec::Mid, BandSpec::High] {
-                let list = serial.bands.list(band);
-                for index in 0..64 {
-                    let pick = serial.pick_initiator(index, band, STREAM_INITIATOR);
-                    let again = sharded.pick_initiator(index, band, STREAM_INITIATOR);
-                    assert_eq!(pick, again, "{band:?} op {index} at {at:?}");
-                    let Some(node) = pick else {
-                        assert!(list.iter().all(|&i| !online.contains(i as usize)), "{band:?}");
-                        continue;
-                    };
-                    let i = node.raw() as usize;
-                    assert!(online.contains(i), "{band:?} op {index}: {node} is down");
-                    let av = serial.sim.trace().long_term_availability(i);
-                    assert!(band.contains(av), "{band:?} op {index}: {node} has {av}");
-                    // Replay the tries on the op's stream: did all miss?
-                    let mut rng = SplitMix64::keyed(&[spec.seed, STREAM_INITIATOR, index]);
-                    let mut tries = (0..PICK_TRIES).map(|_| list[rng.index(list.len())]);
-                    picks += 1;
-                    scanned += u32::from(tries.all(|i| !online.contains(i as usize)));
-                }
-            }
-        }
-        assert!(picks > 0);
-        assert!(scanned > 0, "every pick came from a rejection try");
-    }
-
-    #[test]
-    fn ops_land_inside_the_operation_window() {
-        let spec = tiny_spec();
-        let warm_end = SimTime::ZERO + SimDuration::from_mins(spec.warmup_mins);
-        let end = warm_end + SimDuration::from_mins(spec.duration_mins);
-        let mut timeline = Timeline::new(&spec, warm_end, end);
-        let mut events = Vec::new();
-        while let Some(event) = timeline.next() {
-            events.push(event);
-        }
-        assert!(!events.is_empty());
-        for event in &events {
-            assert!(event.at >= warm_end && event.at < end);
-        }
-        // The lazy merge yields a strictly increasing (time, order) key.
-        assert!(events
-            .windows(2)
-            .all(|w| (w[0].at, w[0].order) < (w[1].at, w[1].order)));
-    }
-
-    #[test]
-    fn dropping_a_health_sample_or_a_rebuild_consumes_nothing() {
-        // The first event of every timeline is the health sample at the
-        // warm-up's end; a converged run's rebuilds are never shed either.
-        let mut spec = tiny_spec();
-        spec.maintenance.mode = MaintenanceModeSpec::Converged {
-            rebuild_every_mins: 10,
-        };
-        let runner = ScenarioRunner::new(spec).unwrap();
-        let mut session = runner.session().unwrap();
-        let mut refused = 0;
-        while let Some(at) = session.next_event_at() {
-            if !session.next_is_op() {
-                assert_eq!(session.drop_next_op(), None, "shed a non-operation at {at:?}");
-                assert_eq!(session.next_event_at(), Some(at), "consumed an event");
-                refused += 1;
-            }
-            session.step();
-        }
-        assert_eq!(session.drop_next_op(), None, "shed past the end");
-        let report = session.finish();
-        assert!(refused > 2, "too few health samples and rebuilds: {refused}");
-        assert_eq!(report.admission_drops, 0);
-        assert_eq!(report, runner.run().unwrap());
-    }
-
-    #[test]
-    fn dropping_ops_counts_and_never_fires_them() {
-        let runner = ScenarioRunner::new(tiny_spec()).unwrap();
-        let mut session = runner.session().unwrap();
-        let mut dropped = 0u64;
-        loop {
-            if session.next_is_op() {
-                if session.drop_next_op().is_none() {
-                    break;
-                }
-                dropped += 1;
-            } else if session.step().is_none() {
-                break;
-            }
-        }
-        let report = session.finish();
-        assert!(dropped > 0);
-        assert_eq!(report.admission_drops, dropped);
-        assert_eq!(report.anycast.sent, 0, "dropped ops must not fire");
-        assert_eq!(report.multicast.sent, 0);
-        assert_eq!(report.skipped_ops, 0);
-        // Health samples still happen — they are never droppable.
-        assert!(report.health.len() >= 2);
-    }
-}
+mod tests;

@@ -111,6 +111,14 @@ impl OnlineIndex {
         test_bit(&self.bits, i)
     }
 
+    /// The online set as words: node `i` is online iff bit `i % 64` of
+    /// word `i / 64` is set — [`OnlineIndex::contains`]'s bits, for a
+    /// reader that tests many nodes at once. Past the last word every
+    /// node is offline. Empty before the first [`OnlineIndex::refresh`].
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// The online node indices, ascending. Empty before the first
     /// [`OnlineIndex::refresh`].
     pub fn online(&self) -> &[u32] {
