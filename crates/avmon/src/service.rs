@@ -42,8 +42,8 @@
 //! its row pings it, and the median of their estimates is read from the
 //! same row. Ping-loss randomness is **counter-keyed**, one stream per
 //! `(seed, monitor, target, slot)`, so the outcome of a slot is a pure
-//! function of the key material — independent of processing order,
-//! shard and thread count.
+//! function of the key material — independent of processing order and
+//! thread count.
 //!
 //! Results are bit-identical for every thread count; the
 //! `service_equivalence` integration tests pin both strategies to one
@@ -146,12 +146,10 @@ pub struct AvmonService {
     config: AvmonConfig,
     /// Seed of the counter-keyed ping-loss streams.
     seed: u64,
-    /// Chunk fan-out for the parallel slot sweep. Results are
-    /// bit-identical for every value; see [`AvmonService::set_threads`].
+    /// Thread count of the parallel slot sweep, which partitions the
+    /// targets into as many shards. Results are bit-identical for every
+    /// value; see [`AvmonService::set_threads`].
     threads: usize,
-    /// Shard count partitioning the slot sweep's targets by owning shard;
-    /// see [`AvmonService::set_shards`].
-    shards: usize,
     /// Target-major CSR: target `t` is observed by
     /// `monitors[offsets[t]..offsets[t + 1]]`.
     offsets: Vec<u32>,
@@ -232,7 +230,6 @@ impl AvmonService {
             config,
             seed,
             threads: default_threads(),
-            shards: default_threads(),
             estimators: Estimators::new(monitors.len(), config.use_aged),
             offsets,
             monitors,
@@ -260,23 +257,15 @@ impl AvmonService {
         self.config.assignment
     }
 
-    /// Sets the chunk fan-out of the parallel slot sweep. Purely a
-    /// performance knob: every thread count produces bit-identical
-    /// estimates (randomness is keyed, and each shard writes only its
-    /// own targets' state), which the `service_equivalence` tests pin.
+    /// Sets the thread count of the parallel slot sweep: each of as many
+    /// shards owns the contiguous index rows, estimator-arena runs and
+    /// aggregates of its targets, the maintenance harness's ownership
+    /// map. Purely a performance knob: every thread count produces
+    /// bit-identical estimates (per-edge randomness is keyed and every
+    /// row's computation is independent), which the `service_equivalence`
+    /// tests pin.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Sets the shard count partitioning the slot sweep — each shard owns
-    /// the contiguous index rows, estimator-arena runs and aggregates of
-    /// its targets, matching the maintenance harness's ownership map.
-    /// Purely a performance knob: every shard count produces
-    /// bit-identical estimates (per-edge randomness is keyed and every
-    /// row's computation is independent), which the fan-out invariance
-    /// tests pin.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
     }
 
     /// The monitors of `target` (by index) in this population, ascending.
@@ -324,7 +313,7 @@ impl AvmonService {
         let config = self.config;
         let seed = self.seed;
         let (offsets, monitors) = (&self.offsets, &self.monitors);
-        let part = ShardPartition::new(self.aggregate.len(), self.shards);
+        let part = ShardPartition::new(self.aggregate.len(), self.threads);
         let mut tasks = Vec::with_capacity(part.shards());
         let mut aggregate = &mut self.aggregate[..];
         let mut arena = self.estimators.as_mut();

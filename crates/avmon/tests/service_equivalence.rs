@@ -196,7 +196,7 @@ fn check_cell(config: AvmonConfig, chop: &[u64], threads: usize, label: &str) {
 fn matches_seed_reference_exactly_without_ping_loss() {
     // ping_loss = 0 ⇒ no RNG anywhere: the reference is bit-for-bit the
     // seed implementation, and the batched service must match it.
-    for threads in [1, 2, 8] {
+    for threads in [1, 2, 4, 8] {
         check_cell(
             AvmonConfig::default(),
             &[240, 240, 480],
@@ -212,7 +212,7 @@ fn matches_keyed_reference_with_ping_loss() {
         ping_loss: 0.25,
         ..AvmonConfig::default()
     };
-    for threads in [1, 2, 8] {
+    for threads in [1, 2, 4, 8] {
         check_cell(
             config,
             &[360, 600],
@@ -284,14 +284,13 @@ fn rows_built_on_first_online_match_the_eager_reference() {
             use_aged,
             ..AvmonConfig::default()
         };
-        for fan_out in [1, 2, 8] {
+        for threads in [1, 2, 4, 8] {
             for chop in [&[600][..], &[35, 205, 20, 340]] {
                 let label =
-                    format!("loss {ping_loss}, aged {use_aged}, fan-out {fan_out}, chop {chop:?}");
+                    format!("loss {ping_loss}, aged {use_aged}, threads {threads}, chop {chop:?}");
                 let mut reference = SerialReference::new(&trace, config, 99);
                 let mut service = AvmonService::new(&trace, config, 99);
-                service.set_threads(fan_out);
-                service.set_shards(fan_out);
+                service.set_threads(threads);
                 assert_eq!(service.rows_built(), 0, "{label}: rows before any slot");
                 let mut now = SimTime::ZERO;
                 for &mins in chop {
@@ -384,7 +383,7 @@ fn ring_config() -> AvmonConfig {
 
 #[test]
 fn ring_matches_the_brute_force_reference_without_ping_loss() {
-    for threads in [1, 2, 8] {
+    for threads in [1, 2, 4, 8] {
         check_cell(
             ring_config(),
             &[240, 240, 480],
@@ -400,7 +399,7 @@ fn ring_matches_the_brute_force_reference_with_ping_loss() {
         ping_loss: 0.25,
         ..ring_config()
     };
-    for threads in [1, 2, 8] {
+    for threads in [1, 2, 4, 8] {
         check_cell(
             config,
             &[360, 600],
@@ -422,18 +421,17 @@ fn ring_matches_the_brute_force_reference_in_aged_mode() {
 
 #[test]
 fn ring_chopped_advances_match_the_reference() {
-    // Uneven stops, some inside a slot, on every fan-out: the rows are
+    // Uneven stops, some inside a slot, on every thread count: the rows are
     // fixed at construction, so where the clock stops cannot matter.
     let config = AvmonConfig {
         ping_loss: 0.3,
         ..ring_config()
     };
-    for fan_out in [1, 2, 8] {
+    for threads in [1, 2, 4, 8] {
         let trace = trace(90, 17);
         let mut reference = SerialReference::new(&trace, config, 99);
         let mut service = AvmonService::new(&trace, config, 99);
-        service.set_threads(fan_out);
-        service.set_shards(fan_out);
+        service.set_threads(threads);
         let mut now = SimTime::ZERO;
         for mins in [35, 205, 20, 340, 840] {
             now += SimDuration::from_mins(mins);
@@ -444,7 +442,7 @@ fn ring_chopped_advances_match_the_reference() {
             assert_eq!(
                 aggregates(&service, trace.num_nodes()),
                 expected,
-                "fan-out {fan_out}: aggregates at {now:?}"
+                "threads {threads}: aggregates at {now:?}"
             );
         }
     }

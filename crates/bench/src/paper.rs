@@ -53,7 +53,7 @@ pub fn base(hosts: usize, days: u64, messages: u64) -> ScenarioSpec {
         maintenance: MaintenanceSpec {
             // Longer than the window: the warm-up's rebuild is the last.
             mode: MaintenanceModeSpec::Converged { rebuild_every_mins: 3 * WINDOW_MINS },
-            engine: MaintenanceEngine::Sharded { shards: None, threads: None },
+            engine: MaintenanceEngine::Sharded { threads: None },
         },
         workload: WorkloadSpec {
             ops_per_hour: per_run(messages),

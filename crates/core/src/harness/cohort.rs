@@ -302,8 +302,8 @@ struct Cohort<'a> {
     seed: u64,
     t: SimTime,
     part: ShardPartition,
-    /// 1 to walk the shards on the calling thread.
-    threads: usize,
+    /// `false` to walk the shards on the calling thread.
+    pooled: bool,
     wheel: &'a PeriodicWheel,
     /// Who is up at `t` (refreshed by the advance loop before the cohort
     /// runs): the source of work lists, bootstrap seeds and the
@@ -315,9 +315,9 @@ struct Cohort<'a> {
 impl Cohort<'_> {
     /// Runs `body(self, s, start, slices, scratch)` for every shard `s`:
     /// `slices` is the shard's part of the node-indexed `items`, beginning
-    /// at node `start`, and `scratch` its scratch state. One thread or
-    /// one shard walks the shards here, in order, splitting `items` as it
-    /// goes; otherwise each shard is one job on the worker pool. Shard
+    /// at node `start`, and `scratch` its scratch state. An inline cohort
+    /// or one shard walks the shards here, in order, splitting `items` as
+    /// it goes; otherwise each shard is one job on the worker pool. Shard
     /// bodies are independent, so the result is the same either way.
     fn each_shard<S: NodeSlices>(
         &self,
@@ -332,7 +332,7 @@ impl Cohort<'_> {
             rest = Some(tail);
             (range.start, slices, scratch)
         });
-        if self.threads <= 1 || self.part.shards() <= 1 {
+        if !self.pooled || self.part.shards() <= 1 {
             for (s, (start, slices, scratch)) in shards.enumerate() {
                 body(self, s, start, slices, scratch);
             }
@@ -340,7 +340,7 @@ impl Cohort<'_> {
             let mut tasks: Vec<_> = shards
                 .map(|(start, slices, scratch)| (start, Some(slices), scratch))
                 .collect();
-            par_each_mut(&mut tasks, self.threads, |s, (start, slices, scratch)| {
+            par_each_mut(&mut tasks, self.part.shards(), |s, (start, slices, scratch)| {
                 body(self, s, *start, slices.take().expect("one job a shard"), scratch)
             });
         }
@@ -497,12 +497,11 @@ impl AvmemSim {
     /// Runs the cohort `maint.wheel` popped last, at its timestamp `t`:
     /// the four shard phases in order, with the request and reply
     /// exchanges between them — on the calling thread if the cohort has
-    /// fewer than [`INLINE_COHORT_EVENTS`] events, whatever `threads`
-    /// says. Every sharding, thread count and inline/pooled choice ends in
-    /// the same state: propose randomness is keyed per node, requests
-    /// apply per responder in initiator order, finalize is canonical per
-    /// node.
-    pub(super) fn run_cohort(&mut self, t: SimTime, maint: &mut MaintSchedule, threads: usize) {
+    /// fewer than [`INLINE_COHORT_EVENTS`] events, else one pool job a
+    /// shard. Every thread count and inline/pooled choice ends in the same
+    /// state: propose randomness is keyed per node, requests apply per
+    /// responder in initiator order, finalize is canonical per node.
+    pub(super) fn run_cohort(&mut self, t: SimTime, maint: &mut MaintSchedule) {
         let stamp = maint.stamp(self.oracle.epoch(t));
         let MaintSchedule {
             wheel,
@@ -515,7 +514,7 @@ impl AvmemSim {
             seed: self.config.seed,
             t,
             part: *part,
-            threads: if inline { 1 } else { threads },
+            pooled: !inline,
             wheel,
             online: &self.online,
             tracer: &self.tracer,

@@ -156,61 +156,48 @@ impl MaintenanceMode {
 /// per-node **propose** phase (shuffle initiation decisions, bootstrap
 /// seeding, all randomness counter-keyed by `(run_seed, node,
 /// timestamp)` — the shard id is deliberately *not* part of the key, so
-/// draws are independent of the shard count), a **commit** phase applying
+/// draws are independent of the partition), a **commit** phase applying
 /// shuffle requests in ascending initiator id and then the replies and
 /// timeouts, and a per-node **finalize** phase (discovery over the
 /// post-commit view, then refresh). There is one implementation of those
-/// phases: nodes are partitioned by id into `S` contiguous shards, each
-/// owning its slice of the shuffle/membership state and of every cohort
-/// the schedule pops; propose and finalize run per shard, commit
-/// exchanges cross-shard request/reply batches at phase barriers and
-/// applies them in a deterministic merge order. The engine only says how
-/// many shards there are and how many worker threads may drive them —
-/// read through [`MaintenanceEngine::shards`] and
-/// [`MaintenanceEngine::threads`] — and the state after every cohort is
-/// bit-identical for any choice of either. A shard count above the
-/// population runs one node a shard (`avmem_util::ShardPartition`
-/// clamps it): each barrier walks every (source, destination) pair of
-/// shards, so its cost per cohort grows with the square of the count.
+/// phases: nodes are partitioned by id into one contiguous shard per
+/// worker thread, each owning its slice of the shuffle/membership state
+/// and of every cohort the schedule pops; propose and finalize run per
+/// shard, commit exchanges cross-shard request/reply batches at phase
+/// barriers and applies them in a deterministic merge order. The engine
+/// only says how many threads there are — read through
+/// [`MaintenanceEngine::threads`], which also sizes the AVMON slot sweep
+/// and the converged rebuild — and the state after every cohort is
+/// bit-identical for any choice. A thread count above the population
+/// runs one node a shard (`avmem_util::ShardPartition` clamps it): each
+/// barrier walks every (source, destination) pair of shards, so its cost
+/// per cohort grows with the square of the count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MaintenanceEngine {
-    /// One shard on one thread: the spelling of `Sharded { shards:
-    /// Some(1), threads: Some(1) }` that specs, the CLI and sweeps use,
-    /// and the baseline the equivalence matrix compares against.
+    /// One thread: the spelling of `Sharded { threads: Some(1) }` that
+    /// specs, the CLI and sweeps use, and the baseline the equivalence
+    /// matrix compares against.
     Serial,
-    /// `S` shards driven by up to `K` worker threads. Small cohorts run
-    /// their shard phases on the calling thread whatever the thread
-    /// count: below a few hundred events the pool's wake-up and barriers
-    /// cost more than the work.
+    /// One shard per worker thread. Small cohorts run their shard phases
+    /// on the calling thread whatever the thread count: below a few
+    /// hundred events the pool's wake-up and barriers cost more than the
+    /// work.
     Sharded {
-        /// Shard count; `None` matches the resolved thread count.
-        shards: Option<usize>,
-        /// Worker-thread cap; `None` uses all available cores (respecting
-        /// any cgroup CPU quota).
+        /// Worker-thread count; `None` uses all available cores
+        /// (respecting any cgroup CPU quota and `AVMEM_THREADS`).
         threads: Option<usize>,
     },
 }
 
 impl MaintenanceEngine {
-    /// The worker-thread count this engine runs with.
+    /// The worker-thread count this engine runs with: the shard count of
+    /// event-driven maintenance and the fan-out of every parallel phase.
     pub fn threads(self) -> usize {
         match self {
             MaintenanceEngine::Serial => 1,
-            MaintenanceEngine::Sharded { threads, .. } => {
-                threads.unwrap_or_else(avmem_util::parallel::default_threads)
-            }
-        }
-    }
-
-    /// The shard count this engine partitions the population into.
-    /// Defaults to the resolved thread count, so an unconfigured run gets
-    /// one shard per worker.
-    pub fn shards(self) -> usize {
-        match self {
-            MaintenanceEngine::Serial => 1,
-            MaintenanceEngine::Sharded { shards, .. } => {
-                shards.unwrap_or_else(|| self.threads()).max(1)
-            }
+            MaintenanceEngine::Sharded { threads } => threads
+                .unwrap_or_else(avmem_util::parallel::default_threads)
+                .max(1),
         }
     }
 }
@@ -227,8 +214,8 @@ pub struct SimConfig {
     pub oracle: OracleChoice,
     /// Maintenance mode.
     pub maintenance: MaintenanceMode,
-    /// Shard and thread counts of event-driven maintenance (ignored in
-    /// [`MaintenanceMode::Converged`], whose rebuild is always parallel).
+    /// Thread count of event-driven maintenance, the AVMON slot sweep
+    /// and the converged rebuild.
     pub engine: MaintenanceEngine,
     /// Memory budget (bytes) for stored pair-hash rows. Populations
     /// whose dense matrix (`8·N²` bytes) fits the budget keep the rows
@@ -267,10 +254,7 @@ impl SimConfig {
             predicate: PredicateChoice::paper_default(),
             oracle: OracleChoice::Exact,
             maintenance: MaintenanceMode::Converged,
-            engine: MaintenanceEngine::Sharded {
-                shards: None,
-                threads: None,
-            },
+            engine: MaintenanceEngine::Sharded { threads: None },
             hash_budget: hash_budget_from_env(),
         }
     }
@@ -309,29 +293,11 @@ mod tests {
     #[test]
     fn default_engine_is_sharded_with_machine_threads() {
         let cfg = SimConfig::paper_default(1);
-        assert_eq!(
-            cfg.engine,
-            MaintenanceEngine::Sharded {
-                shards: None,
-                threads: None,
-            }
-        );
+        assert_eq!(cfg.engine, MaintenanceEngine::Sharded { threads: None });
         assert!(cfg.engine.threads() >= 1);
-        assert!(cfg.engine.shards() >= 1);
         assert_eq!(MaintenanceEngine::Serial.threads(), 1);
-        assert_eq!(MaintenanceEngine::Serial.shards(), 1);
-        let pinned = MaintenanceEngine::Sharded {
-            shards: Some(4),
-            threads: Some(6),
-        };
+        let pinned = MaintenanceEngine::Sharded { threads: Some(6) };
         assert_eq!(pinned.threads(), 6);
-        assert_eq!(pinned.shards(), 4);
-        // Shards default to the resolved thread count.
-        let auto = MaintenanceEngine::Sharded {
-            shards: None,
-            threads: Some(3),
-        };
-        assert_eq!(auto.shards(), 3);
     }
 
     #[test]

@@ -401,7 +401,7 @@ fn hash_batch(x: NodeId, ys: &[NodeId], out: &mut Vec<f64>) {
 /// through [`AvmemSim::finalize_stats`](super::AvmemSim::finalize_stats).
 /// Observational: membership state does not depend on them. They are a
 /// function of the run, not of how it was sharded — equal for every
-/// engine, shard and thread count.
+/// engine and thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FinalizeStats {
     /// Finalize ops whose horizontal threshold came from the per-node

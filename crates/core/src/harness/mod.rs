@@ -306,11 +306,9 @@ impl AvmemSim {
         let mut seeder = SplitMix64::new(config.seed);
         let mut oracle = SimOracle::build(config.oracle, &trace, seeder.next_u64());
         // The AVMON service sweeps its ping/aggregate phases on the
-        // worker pool; fan them out like the maintenance engine's
-        // per-cohort phases, partitioned by the same shard ownership map
-        // (bit-identical for every shard and thread count).
+        // worker pool, partitioned like the maintenance engine's cohorts:
+        // one shard per thread (bit-identical for every thread count).
         oracle.set_threads(config.engine.threads());
-        oracle.set_shards(config.engine.shards());
         // Two draws no stream reads, kept so that the shuffle seeds and
         // `member_order_seed` below stay the values the pinned
         // fingerprints and figures were produced with.
@@ -552,7 +550,7 @@ impl AvmemSim {
     /// Each cohort then runs its canonical phases — propose, commit
     /// (requests, then replies and timeouts), finalize — through the one
     /// path there is, [`AvmemSim::run_cohort`] (`cohort.rs` documents the
-    /// phases): results are bit-equal across shard and thread counts (the
+    /// phases): results are bit-equal across thread counts (the
     /// `event_driven_equivalence` integration tests pin the matrix against
     /// one shard on one thread, and the in-crate model, `model.rs`, pins
     /// that).
@@ -562,19 +560,16 @@ impl AvmemSim {
         protocol_period: SimDuration,
         refresh_period: SimDuration,
     ) {
-        // Resolved once per advance, not per cohort: `threads()` reads the
-        // `AVMEM_THREADS` variable (the machine probe behind it is cached).
-        let threads = self.config.engine.threads();
         // The schedule is built once — on the first event-driven advance —
         // and then carried across calls with every node's phase intact
         // (see [`MaintSchedule`]). Only that first call pays the `O(N)`
-        // population scan and stagger draw, and fixes the shard count
-        // for the life of the simulation.
+        // population scan and stagger draw, and fixes the partition —
+        // one shard per thread — for the life of the simulation.
         let mut maint = self.maint.take().unwrap_or_else(|| {
             MaintSchedule::build(
                 self.config.seed,
                 self.trace.num_nodes(),
-                self.config.engine.shards(),
+                self.config.engine.threads(),
                 self.now,
                 (protocol_period, refresh_period),
                 self.finalize_memories(),
@@ -591,7 +586,7 @@ impl AvmemSim {
                 self.now = self.now.max(t);
             }
             self.tracer.tick_cohort();
-            self.run_cohort(t, &mut maint, threads);
+            self.run_cohort(t, &mut maint);
         }
         self.maint = Some(maint);
         let _span = self.tracer.span(PH_ORACLE, 0);

@@ -195,9 +195,8 @@ mod tests {
     use super::super::{hashes, MaintenanceEngine, OracleChoice};
     use super::*;
 
-    fn sharded(shards: usize, threads: usize) -> MaintenanceEngine {
+    fn sharded(threads: usize) -> MaintenanceEngine {
         MaintenanceEngine::Sharded {
-            shards: Some(shards),
             threads: Some(threads),
         }
     }
@@ -215,11 +214,11 @@ mod tests {
         let trace = OvernetModel::default().hosts(75).days(1).generate(29);
         let mut cfg = SimConfig::paper_default(12);
         cfg.maintenance = MaintenanceMode::paper_event_driven();
-        cfg.engine = sharded(3, 2);
+        cfg.engine = sharded(3);
         let mut sim = AvmemSim::new(trace, cfg);
         sim.warm_up(SimDuration::from_hours(2));
         assert!(sim.health_stats().mean_degree > 0.5, "no overlay built");
-        assert_matches(&model_of(&sim), &sim, "75 hosts, 3 shards x 2 threads");
+        assert_matches(&model_of(&sim), &sim, "75 hosts, 3 threads");
     }
 
     #[test]
@@ -267,7 +266,7 @@ mod tests {
             let regimes = [(true, hashes::DEFAULT_HASH_BUDGET), (false, 0)];
             for (verdict_memory, hash_budget) in regimes {
                 let mut serial_stats = None;
-                for engine in [MaintenanceEngine::Serial, sharded(4, 2)] {
+                for engine in [MaintenanceEngine::Serial, sharded(4)] {
                     let cfg = SimConfig {
                         engine,
                         hash_budget,
@@ -358,7 +357,7 @@ mod tests {
         let trace = OvernetModel::default().hosts(100).days(1).generate(47);
         let mut cfg = SimConfig::paper_default(20);
         cfg.maintenance = fast_periods();
-        cfg.engine = sharded(4, 2);
+        cfg.engine = sharded(4);
         let mut sim = AvmemSim::new(trace.clone(), cfg);
         let mut model = Model::new(trace, cfg);
         let at = |secs: u64| SimTime::ZERO + SimDuration::from_secs(secs);

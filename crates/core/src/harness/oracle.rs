@@ -51,23 +51,13 @@ impl SimOracle {
         }
     }
 
-    /// Sets the chunk fan-out of the AVMON service's parallel slot
-    /// phases (a no-op for the instant oracles). Purely a performance
-    /// knob: estimates are bit-identical for every thread count.
+    /// Sets the thread count of the AVMON service's parallel slot
+    /// phases, whose sweep runs one target shard per thread (a no-op for
+    /// the instant oracles). Purely a performance knob: estimates are
+    /// bit-identical for every thread count.
     pub fn set_threads(&mut self, threads: usize) {
         if let SimOracle::Avmon(service) = self {
             service.set_threads(threads);
-        }
-    }
-
-    /// Sets the shard partitioning of the AVMON service's node-indexed
-    /// phases (aggregation, ring-arena sweeps) so monitoring work is
-    /// carved along the same ownership map as the maintenance harness (a
-    /// no-op for the instant oracles). Purely a performance knob:
-    /// estimates are bit-identical for every shard count.
-    pub fn set_shards(&mut self, shards: usize) {
-        if let SimOracle::Avmon(service) = self {
-            service.set_shards(shards);
         }
     }
 

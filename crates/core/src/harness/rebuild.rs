@@ -2,7 +2,7 @@
 //! predicate over the whole population — the fixed point discovery
 //! converges to ([`MaintenanceMode::Converged`](super::MaintenanceMode)).
 
-use avmem_util::parallel::{default_threads, par_chunks_mut};
+use avmem_util::parallel::par_chunks_mut;
 use avmem_util::{Availability, NodeId, Rng, SplitMix64};
 
 use super::{AvmemSim, CandidateIndex};
@@ -43,7 +43,8 @@ impl AvmemSim {
     /// identical to a naive scan classifying every ordered pair (the
     /// `rebuild_equivalence` integration tests pin this down). Nodes are
     /// independent, so the population is rebuilt in parallel on the
-    /// persistent worker pool; results do not depend on the thread count.
+    /// persistent worker pool, in as many chunks as the engine has
+    /// threads; results do not depend on the thread count.
     pub(super) fn rebuild_converged(&mut self) {
         let n = self.trace.num_nodes();
         // With a querier-independent oracle (exact, shared-noise, AVMON
@@ -67,7 +68,7 @@ impl AvmemSim {
         });
         let mut memberships = std::mem::take(&mut self.memberships);
         let sim = &*self;
-        par_chunks_mut(&mut memberships, 1, default_threads(), |offset, chunk| {
+        par_chunks_mut(&mut memberships, 1, self.config.engine.threads(), |offset, chunk| {
             let mut scratch = RebuildScratch::default();
             for (k, slot) in chunk.iter_mut().enumerate() {
                 *slot = sim.rebuild_node(

@@ -1128,10 +1128,7 @@ fn a_row_allocated_for_a_node_with_neighbors_carries_their_bits() {
 fn a_verdict_row_is_allocated_at_the_nodes_first_stamped_discovery() {
     // Three uneven shards, so a row sized by the shard's length or a
     // bit indexed by the shard-local offset cannot pass for right.
-    let engine = MaintenanceEngine::Sharded {
-        shards: Some(3),
-        threads: Some(1),
-    };
+    let engine = MaintenanceEngine::Sharded { threads: Some(3) };
     let mut sim = event_driven_sim(
         100,
         OracleChoice::Exact,
@@ -1257,10 +1254,9 @@ fn stamps_number_the_epochs_the_cohorts_meet() {
     // and the stamp rises by exactly one where the oracle's epoch moves
     // between cohorts — the same numbers on one shard and on four.
     let mut numbered = Vec::new();
-    for shards in [1, 4] {
+    for threads in [1, 4] {
         let engine = MaintenanceEngine::Sharded {
-            shards: Some(shards),
-            threads: Some(1),
+            threads: Some(threads),
         };
         let mut sim = event_driven_sim(60, shared_noise(2), engine, hashes::DEFAULT_HASH_BUDGET);
         sim.warm_up(SimDuration::ZERO);
@@ -1270,14 +1266,14 @@ fn stamps_number_the_epochs_the_cohorts_meet() {
             let t = run_next_cohort(&mut sim);
             let (epoch, stamp) = (sim.oracle.epoch(t), sim.maint.as_ref().unwrap().stamp);
             let expected = last.map_or(1, |(e, s)| s + u32::from(epoch != e));
-            assert_eq!(stamp, expected, "{shards} shards, cohort at {t:?}");
+            assert_eq!(stamp, expected, "{threads} threads, cohort at {t:?}");
             last = Some((epoch, stamp));
             stamps.push((t, stamp));
         }
-        assert_eq!(last.map(|(_, s)| s), Some(8), "{shards} shards: 15 min of 2 min epochs");
+        assert_eq!(last.map(|(_, s)| s), Some(8), "{threads} threads: 15 min of 2 min epochs");
         numbered.push(stamps);
     }
-    assert_eq!(numbered[0], numbered[1], "stamps differ at 1 and 4 shards");
+    assert_eq!(numbered[0], numbered[1], "stamps differ at 1 and 4 threads");
     // The number after `u32::MAX` is no stamp.
     let mut sim = event_driven_sim(20, shared_noise(2), MaintenanceEngine::Serial, 0);
     sim.warm_up(SimDuration::from_mins(1));
@@ -1320,10 +1316,7 @@ fn cohorts_on_either_side_of_the_inline_bound_match_the_model() {
         protocol_period: SimDuration::from_secs(16),
         refresh_period: SimDuration::from_secs(32),
     };
-    cfg.engine = MaintenanceEngine::Sharded {
-        shards: Some(3),
-        threads: Some(3),
-    };
+    cfg.engine = MaintenanceEngine::Sharded { threads: Some(3) };
     let mut sim = AvmemSim::new(trace, cfg);
     let (mut inline, mut pooled) = (0, 0);
     let end = SimTime::ZERO + SimDuration::from_secs(40);
@@ -1341,12 +1334,12 @@ fn cohorts_on_either_side_of_the_inline_bound_match_the_model() {
         }
     }
     assert!(inline >= 5 && pooled >= 5, "{inline} inline cohorts, {pooled} pooled");
-    assert_matches(&model_of(&sim), &sim, "2 600 hosts, 3 shards x 3 threads");
+    assert_matches(&model_of(&sim), &sim, "2 600 hosts, 3 threads");
 }
 
 #[test]
 fn serial_is_one_shard_on_one_thread() {
-    // `Serial` is a spelling, not a path: it ends where `Sharded {1, 1}`
+    // `Serial` is a spelling, not a path: it ends where `Sharded { 1 }`
     // ends, having done and skipped exactly the same work on the way.
     let oracle = OracleChoice::NoisyShared {
         error: 0.05,
@@ -1358,10 +1351,7 @@ fn serial_is_one_shard_on_one_thread() {
         sim
     };
     let serial = run(MaintenanceEngine::Serial);
-    let one_by_one = run(MaintenanceEngine::Sharded {
-        shards: Some(1),
-        threads: Some(1),
-    });
+    let one_by_one = run(MaintenanceEngine::Sharded { threads: Some(1) });
     assert!(serial.finalize_stats().discover_pruned > 0, "nothing was pruned");
     assert_eq!(serial.finalize_stats(), one_by_one.finalize_stats());
     for i in 0..90 {
@@ -1373,9 +1363,10 @@ fn serial_is_one_shard_on_one_thread() {
 
 #[test]
 fn more_shards_than_hosts_run_one_host_a_shard_like_one_shard() {
-    // 1 000 shards asked of 30 hosts: the partition clamps to 30, so the
-    // barriers walk 30² shard pairs a cohort instead of 1 000², and the
-    // hour ends where one shard ends it.
+    // 1 000 threads asked of 30 hosts: the partition clamps to 30
+    // shards, so the barriers walk 30² shard pairs a cohort instead of
+    // 1 000², and the hour ends where one shard ends it. Cohorts of 30
+    // hosts run inline, so no thread is started.
     let run = |engine| {
         let trace = OvernetModel::default().hosts(30).days(1).generate(47);
         let mut cfg = SimConfig::paper_default(19);
@@ -1387,8 +1378,7 @@ fn more_shards_than_hosts_run_one_host_a_shard_like_one_shard() {
     };
     let serial = run(MaintenanceEngine::Serial);
     let wide = run(MaintenanceEngine::Sharded {
-        shards: Some(1_000),
-        threads: Some(2),
+        threads: Some(1_000),
     });
     assert_eq!(wide.maint.as_ref().expect("maintenance ran").part.shards(), 30);
     assert!(serial.health_stats().mean_degree > 0.0, "vacuous: no lists");

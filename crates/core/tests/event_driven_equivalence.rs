@@ -1,10 +1,10 @@
-//! Pins event-driven maintenance across shard and thread counts.
+//! Pins event-driven maintenance across thread counts.
 //!
 //! The contract under test (see `AvmemSim::run_event_driven`): a
 //! maintenance run's final state — every node's membership lists (with
 //! their cached availabilities and stamps) and every node's shuffle view
-//! — is a function of `(trace, config, duration)` only. Neither the shard count
-//! nor the worker-thread count may perturb a single bit, for any
+//! — is a function of `(trace, config, duration)` only. The thread count,
+//! which is also the shard count, may not perturb a single bit, for any
 //! maintenance period and any oracle fidelity. Every cell compares
 //! against one shard on one thread (`MaintenanceEngine::Serial`); that
 //! baseline is in turn pinned against the test-only model inside the
@@ -19,14 +19,11 @@ use avmem_trace::{ChurnTrace, OvernetModel};
 use avmem_util::NodeId;
 use proptest::prelude::*;
 
-/// Shard counts every cell sweeps. 1 has nothing to exchange, the rest
-/// exercise cross-shard batch exchange at increasing fan-out (8 shards
-/// over ~100 nodes forces small, uneven slices).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Thread counts for the full-matrix cell: single worker, fewer threads
-/// than shards, more threads than shards.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+/// Thread counts, and so shard counts, every cell sweeps. 1 has nothing
+/// to exchange, the rest exercise cross-shard batch exchange at
+/// increasing fan-out (8 shards over ~100 nodes forces small, uneven
+/// slices).
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn trace(hosts: usize, seed: u64) -> ChurnTrace {
     OvernetModel::default().hosts(hosts).days(1).generate(seed)
@@ -45,9 +42,8 @@ fn config(
     config
 }
 
-fn sharded(shards: usize, threads: usize) -> MaintenanceEngine {
+fn sharded(threads: usize) -> MaintenanceEngine {
     MaintenanceEngine::Sharded {
-        shards: Some(shards),
         threads: Some(threads),
     }
 }
@@ -70,12 +66,9 @@ fn assert_state_equal(reference: &AvmemSim, candidate: &AvmemSim, label: &str) {
     }
 }
 
-/// Runs one (periods, oracle) cell: the one-shard, one-thread baseline
-/// vs every sharding over `hours` of maintenance. `full_matrix` sweeps every
-/// (shard, thread) pair; the reduced sweep runs each shard count at one
-/// rotating thread count to keep the suite's runtime in check.
-/// `min_degree` guards against vacuous equality (empty == empty).
-#[allow(clippy::too_many_arguments)]
+/// Runs one (periods, oracle) cell: the one-thread baseline vs every
+/// thread count over `hours` of maintenance. `min_degree` guards against
+/// vacuous equality (empty == empty).
 fn check_cell(
     hosts: usize,
     seed: u64,
@@ -83,7 +76,6 @@ fn check_cell(
     maintenance: MaintenanceMode,
     hours: u64,
     min_degree: f64,
-    full_matrix: bool,
     label: &str,
 ) {
     let trace = trace(hosts, seed);
@@ -98,26 +90,13 @@ fn check_cell(
         "{label}: reference run built no overlay"
     );
 
-    for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
-        let thread_counts: &[usize] = if full_matrix {
-            &THREAD_COUNTS
-        } else {
-            // Rotate through the thread counts so every count still
-            // appears in the cell without the full cross product.
-            std::slice::from_ref(&THREAD_COUNTS[i % THREAD_COUNTS.len()])
-        };
-        for &threads in thread_counts {
-            let mut candidate = AvmemSim::new(
-                trace.clone(),
-                config(seed, oracle, maintenance, sharded(shards, threads)),
-            );
-            candidate.warm_up(SimDuration::from_hours(hours));
-            assert_state_equal(
-                &reference,
-                &candidate,
-                &format!("{label}, {shards} shards x {threads} threads"),
-            );
-        }
+    for threads in THREAD_COUNTS {
+        let mut candidate = AvmemSim::new(
+            trace.clone(),
+            config(seed, oracle, maintenance, sharded(threads)),
+        );
+        candidate.warm_up(SimDuration::from_hours(hours));
+        assert_state_equal(&reference, &candidate, &format!("{label}, {threads} threads"));
     }
 }
 
@@ -130,7 +109,6 @@ fn fast_periods() -> MaintenanceMode {
 
 #[test]
 fn sharded_matches_serial_paper_periods_exact_oracle() {
-    // The main cell runs the full shard x thread matrix.
     check_cell(
         150,
         7,
@@ -138,7 +116,6 @@ fn sharded_matches_serial_paper_periods_exact_oracle() {
         MaintenanceMode::paper_event_driven(),
         2,
         0.5,
-        true,
         "paper periods / exact oracle",
     );
 }
@@ -155,7 +132,6 @@ fn sharded_matches_serial_paper_periods_noisy_oracle() {
         MaintenanceMode::paper_event_driven(),
         2,
         0.5,
-        false,
         "paper periods / per-querier noisy oracle",
     );
 }
@@ -169,7 +145,6 @@ fn sharded_matches_serial_fast_periods_exact_oracle() {
         fast_periods(),
         1,
         0.5,
-        false,
         "fast periods / exact oracle",
     );
 }
@@ -179,10 +154,10 @@ fn pooled_commit_buffers_match_serial_across_full_matrix() {
     // Commit-path stress leg: 15s protocol periods maximise shuffle
     // traffic, so the counting-bucket placement and the recycled cohort
     // buffers (outboxes, transpose scratch, timeout notices) are
-    // exercised thousands of times per run. Pinned across the *full*
-    // shard x thread matrix: any stale byte leaking out of a pooled
-    // buffer, or any ordering drift in the bucketed commit, shows as a
-    // difference between shardings (their buffers and chains differ).
+    // exercised thousands of times per run. Pinned across every thread
+    // count: any stale byte leaking out of a pooled buffer, or any
+    // ordering drift in the bucketed commit, shows as a difference
+    // between shardings (their buffers and chains differ).
     check_cell(
         120,
         23,
@@ -190,8 +165,7 @@ fn pooled_commit_buffers_match_serial_across_full_matrix() {
         fast_periods(),
         2,
         0.5,
-        true,
-        "pooled counting-bucket commit / full shard x thread matrix",
+        "pooled counting-bucket commit",
     );
 }
 
@@ -207,7 +181,6 @@ fn sharded_matches_serial_fast_periods_shared_noise_oracle() {
         fast_periods(),
         1,
         0.5,
-        false,
         "fast periods / shared-noise oracle",
     );
 }
@@ -228,7 +201,6 @@ fn sharded_matches_serial_with_full_avmon_service() {
         MaintenanceMode::paper_event_driven(),
         10,
         0.1,
-        false,
         "paper periods / full AVMON service",
     );
 }
@@ -252,11 +224,7 @@ fn hash_store_modes_agree_across_engines() {
         ("view list", 8 << 10),
     ];
     let engines: Vec<MaintenanceEngine> = std::iter::once(MaintenanceEngine::Serial)
-        .chain(SHARD_COUNTS.into_iter().flat_map(|shards| {
-            THREAD_COUNTS
-                .into_iter()
-                .map(move |threads| sharded(shards, threads))
-        }))
+        .chain(THREAD_COUNTS.map(sharded))
         .collect();
     let mut reference = AvmemSim::new(
         trace.clone(),
@@ -355,7 +323,7 @@ proptest! {
         // the filter let through.
         let trace = trace(hosts, seed);
         let mut reference: Option<(AvmemSim, FinalizeStats)> = None;
-        for engine in [MaintenanceEngine::Serial, sharded(2, 1), sharded(4, 1)] {
+        for engine in [MaintenanceEngine::Serial, sharded(2), sharded(4)] {
             for budget in [avmem::harness::DEFAULT_HASH_BUDGET, 0] {
                 let mut cfg = config(seed, oracle, maintenance, engine);
                 cfg.hash_budget = budget;
@@ -402,7 +370,7 @@ fn equivalence_survives_incremental_warm_up() {
     );
     let mut candidate = AvmemSim::new(
         trace,
-        config(3, OracleChoice::Exact, maintenance, sharded(4, 4)),
+        config(3, OracleChoice::Exact, maintenance, sharded(4)),
     );
     for _ in 0..3 {
         reference.warm_up(SimDuration::from_mins(40));

@@ -13,8 +13,8 @@
 //!
 //! `run`, `serve`, `sweep`, and `check` resolve their argument as a
 //! built-in name first, then as a file path. Shared overrides:
-//! `--seed N`, `--engine serial|sharded`, `--shards S` (0 = one per
-//! worker), `--threads K` (0 = all cores), `--warmup-mins N` /
+//! `--seed N`, `--engine serial|sharded`, `--threads K` (one maintenance
+//! shard per thread; 0 = all cores, at most 1024), `--warmup-mins N` /
 //! `--duration-mins N` (truncated CI smokes of big scenarios), `--json`
 //! for machine-readable output. `serve` adds the service-mode knobs
 //! (rate, pacing, lag budget, metrics endpoint); `sweep` runs an
@@ -27,6 +27,7 @@ use avmem_scenario::{
     builtin, parse_engine, parse_spec, ScenarioRunner, ScenarioSpec, ServeOptions, SweepEngine,
     SweepOptions,
 };
+use avmem_util::parallel::MAX_THREADS;
 
 fn usage() -> &'static str {
     "usage: scenario <command>\n\
@@ -42,8 +43,8 @@ fn usage() -> &'static str {
      run/serve/sweep options:\n\
      \x20 --seed <n>                  override the spec's seed\n\
      \x20 --engine serial|sharded     override the maintenance engine\n\
-     \x20 --shards <s>                shard count for --engine sharded (0 = one per worker)\n\
-     \x20 --threads <k>               worker threads for --engine sharded (0 = all cores)\n\
+     \x20 --threads <k>               worker threads, one shard each, for --engine sharded\n\
+     \x20                             (0 = all cores, at most 1024)\n\
      \x20 --warmup-mins <n>           override the spec's warmup length\n\
      \x20 --duration-mins <n>         override the spec's measured duration\n\
      \x20 --json                      print the report as JSON\n\
@@ -176,7 +177,6 @@ fn resolve(which: &str) -> Result<ScenarioSpec, String> {
 #[derive(Default)]
 struct Common {
     engine: Option<MaintenanceEngine>,
-    shards: Option<usize>,
     threads: Option<usize>,
     json: bool,
 }
@@ -197,8 +197,13 @@ impl Common {
                 let name = iter.next().ok_or("--engine needs an engine name")?;
                 self.engine = Some(parse_engine(name).map_err(|e| format!("--engine: {e}"))?);
             }
-            "--shards" => self.shards = Some(value(iter, option, "an integer")?),
-            "--threads" => self.threads = Some(value(iter, option, "an integer")?),
+            "--threads" => {
+                let threads = value(iter, option, "an integer")?;
+                if threads > MAX_THREADS {
+                    return Err(format!("--threads must be at most {MAX_THREADS}, found {threads}"));
+                }
+                self.threads = Some(threads);
+            }
             "--warmup-mins" => spec.warmup_mins = value(iter, option, "an integer")?,
             "--duration-mins" => spec.duration_mins = value(iter, option, "an integer")?,
             "--json" => self.json = true,
@@ -208,27 +213,26 @@ impl Common {
     }
 
     /// Applies the engine override to the spec: `--engine`'s, or the
-    /// spec's own, refined by the counts.
+    /// spec's own, refined by the thread count.
     fn apply_engine(&self, spec: &mut ScenarioSpec) -> Result<(), String> {
         spec.maintenance.engine = self.refine(self.engine.unwrap_or(spec.maintenance.engine))?;
         Ok(())
     }
 
-    /// `engine` under `--shards` / `--threads` (`0` = auto): they refine
-    /// a sharded engine and contradict a serial one, which is one shard
-    /// on one thread by definition.
+    /// `engine` under `--threads` (`0` = auto): it refines a sharded
+    /// engine and contradicts a serial one, which is one thread by
+    /// definition.
     fn refine(&self, mut engine: MaintenanceEngine) -> Result<MaintenanceEngine, String> {
-        let auto = |count: usize| (count > 0).then_some(count);
-        match &mut engine {
-            MaintenanceEngine::Sharded { shards, threads } => {
-                *shards = self.shards.map_or(*shards, auto);
-                *threads = self.threads.map_or(*threads, auto);
+        match (&mut engine, self.threads) {
+            (_, None) => {}
+            (MaintenanceEngine::Sharded { threads }, Some(count)) => {
+                *threads = (count > 0).then_some(count);
             }
-            MaintenanceEngine::Serial => match (self.shards, self.threads) {
-                (None, None) => {}
-                (Some(_), _) => return Err(serial_contradiction("--shards")),
-                (None, Some(_)) => return Err(serial_contradiction("--threads")),
-            },
+            (MaintenanceEngine::Serial, Some(_)) => {
+                return Err("--threads contradicts the serial engine (one thread); \
+                            only the sharded engine takes a count"
+                    .into())
+            }
         }
         Ok(engine)
     }
@@ -242,13 +246,6 @@ fn value<T: std::str::FromStr>(
 ) -> Result<T, String> {
     let parsed = iter.next().and_then(|text| text.parse().ok());
     parsed.ok_or_else(|| format!("{option} needs {what}"))
-}
-
-fn serial_contradiction(option: &str) -> String {
-    format!(
-        "{option} contradicts the serial engine (one shard, one thread); \
-         only the sharded engine takes counts"
-    )
 }
 
 /// Applies `run`'s options to `spec`; the peak-RSS ceiling, if asked for.
@@ -423,8 +420,8 @@ fn parse_seed_range(text: &str) -> Option<(u64, u64)> {
 }
 
 /// Applies `sweep`'s options to `spec`; the seed range and the engines
-/// to cross-check. Each `--engines` entry is refined by `--shards` /
-/// `--threads` as `--engine` would be, so the two do not combine.
+/// to cross-check. Each `--engines` entry is refined by `--threads` as
+/// `--engine` would be, so the two do not combine.
 fn sweep_options(
     spec: &mut ScenarioSpec,
     common: &mut Common,
@@ -511,23 +508,21 @@ mod tests {
 
     const SERIAL: MaintenanceEngine = MaintenanceEngine::Serial;
 
-    fn sharded(shards: Option<usize>, threads: Option<usize>) -> MaintenanceEngine {
-        MaintenanceEngine::Sharded { shards, threads }
+    fn sharded(threads: Option<usize>) -> MaintenanceEngine {
+        MaintenanceEngine::Sharded { threads }
     }
 
     /// The engine of a spec whose own engine is `base`, after the
-    /// `--engine` / `--shards` / `--threads` overrides.
+    /// `--engine` / `--threads` overrides.
     fn applied(
         base: MaintenanceEngine,
         engine: Option<MaintenanceEngine>,
-        shards: Option<usize>,
         threads: Option<usize>,
     ) -> Result<MaintenanceEngine, String> {
         let mut spec = builtin::builtin("smoke").expect("smoke builtin");
         spec.maintenance.engine = base;
         let common = Common {
             engine,
-            shards,
             threads,
             json: false,
         };
@@ -537,26 +532,38 @@ mod tests {
 
     #[test]
     fn shard_and_thread_counts_contradict_the_serial_engine() {
-        // `--engine serial --shards 4` and a bare `--shards 4` over a
-        // serial spec used to be dropped, running one shard in silence.
-        let two = sharded(Some(2), Some(2));
+        // `--engine serial --threads 4` and a bare `--threads 4` over a
+        // serial spec used to be dropped, running one thread in silence.
+        let two = sharded(Some(2));
         for (engine, base) in [(Some(SERIAL), two), (None, SERIAL)] {
-            let err = applied(base, engine, Some(4), None).unwrap_err();
-            assert!(err.contains("--shards") && err.contains("serial"), "{err}");
-            let err = applied(base, engine, None, Some(4)).unwrap_err();
+            let err = applied(base, engine, Some(4)).unwrap_err();
             assert!(err.contains("--threads") && err.contains("serial"), "{err}");
         }
-        assert_eq!(applied(two, Some(SERIAL), None, None), Ok(SERIAL));
+        assert_eq!(applied(two, Some(SERIAL), None), Ok(SERIAL));
+        // The shard count is the thread count; no option sets it apart.
+        let mut spec = builtin::builtin("smoke").expect("smoke builtin");
+        let options = ["--shards", "2"].map(String::from);
+        let err = run_options(&mut spec, &mut Common::default(), &options).unwrap_err();
+        assert_eq!(err, "unknown run option \"--shards\"");
     }
 
     #[test]
     fn shard_and_thread_counts_refine_a_sharded_engine() {
-        let base = sharded(Some(2), Some(3));
-        assert_eq!(applied(base, None, Some(8), None), Ok(sharded(Some(8), Some(3))));
+        // The thread count is the shard count of the run.
+        let base = sharded(Some(2));
+        assert_eq!(applied(base, None, Some(8)).map(MaintenanceEngine::threads), Ok(8));
         // `0` is auto, as in the spec.
-        assert_eq!(applied(base, None, Some(0), None), Ok(sharded(None, Some(3))));
-        let auto = sharded(None, None);
-        assert_eq!(applied(SERIAL, Some(auto), None, Some(4)), Ok(sharded(None, Some(4))));
+        assert_eq!(applied(base, None, Some(0)), Ok(sharded(None)));
+        assert_eq!(applied(SERIAL, Some(sharded(None)), Some(4)), Ok(sharded(Some(4))));
+        // The bound is the spec's, refused at the flag (parsed, never run).
+        let mut spec = builtin::builtin("smoke").expect("smoke builtin");
+        let mut threads = |count: &str| {
+            let options = ["--threads", count].map(String::from);
+            run_options(&mut spec, &mut Common::default(), &options)?;
+            Ok::<_, String>(spec.maintenance.engine)
+        };
+        assert_eq!(threads("1024"), Ok(sharded(Some(1024))));
+        assert_eq!(threads("1025"), Err("--threads must be at most 1024, found 1025".into()));
     }
 
     /// `sweep smoke` with `options`, after `--seeds 1..2`.
@@ -573,12 +580,12 @@ mod tests {
     /// refined one: the counts and `--engine` were dropped in silence.
     #[test]
     fn sweep_engines_follow_the_engine_rule() {
-        let engines = swept(&["--engines", "sharded", "--shards", "3"]).unwrap();
+        let engines = swept(&["--engines", "sharded", "--threads", "3"]).unwrap();
         let [entry] = &engines[..] else { panic!("one entry: {engines:?}") };
-        assert_eq!((entry.label.as_str(), entry.engine), ("sharded", sharded(Some(3), None)));
+        assert_eq!((entry.label.as_str(), entry.engine), ("sharded", sharded(Some(3))));
 
-        let err = swept(&["--engines", "serial,sharded", "--shards", "3"]).unwrap_err();
-        assert!(err.contains("--shards") && err.contains("serial"), "{err}");
+        let err = swept(&["--engines", "serial,sharded", "--threads", "3"]).unwrap_err();
+        assert!(err.contains("--threads") && err.contains("serial"), "{err}");
 
         let err = swept(&["--engine", "serial", "--engines", "sharded"]).unwrap_err();
         assert!(err.contains("--engine beside --engines"), "{err}");
@@ -587,7 +594,7 @@ mod tests {
         assert!(err.contains("\"parallel\" (accepted: serial, sharded)"), "{err}");
         let engines = swept(&["--engines", "serial,sharded"]).unwrap();
         let got: Vec<_> = engines.iter().map(|e| e.engine).collect();
-        assert_eq!(got, [SERIAL, sharded(None, None)]);
+        assert_eq!(got, [SERIAL, sharded(None)]);
     }
 
     #[test]

@@ -249,9 +249,9 @@ pub fn parse_spec(input: &str) -> Result<ScenarioSpec, ParseError> {
     Ok(spec)
 }
 
-/// The engine the `engine` key reads `name` as — `sharded` with both
-/// counts on auto. The CLI's `--engine` and `--engines` read their names
-/// here, so the format and the CLI accept the same ones.
+/// The engine the `engine` key reads `name` as — `sharded` with its
+/// thread count on auto. The CLI's `--engine` and `--engines` read their
+/// names here, so the format and the CLI accept the same ones.
 ///
 /// # Errors
 ///
@@ -330,13 +330,14 @@ mod tests {
 
     #[test]
     fn serial_engine_rejects_shard_and_thread_counts() {
-        // Serial means one shard on one thread; these used to parse and
-        // silently run one shard.
-        for key in ["shards", "threads"] {
+        // Serial means one thread; a count beside it used to parse and
+        // silently run one. No engine takes a shard count: the shards are
+        // the threads.
+        for (key, why) in [("shards", "unknown key"), ("threads", "engine = \"serial\"")] {
             let src = spec_with_maintenance(&format!("engine = \"serial\"\n{key} = 4\n"));
             let err = parse_spec(&src).unwrap_err();
             assert_eq!(err.line, 9, "{err}");
-            assert!(err.message.contains(key) && err.message.contains("serial"), "{err}");
+            assert!(err.message.contains(key) && err.message.contains(why), "{err}");
         }
         // The key may come first: the error still points at it.
         let src = spec_with_maintenance("threads = 2\nengine = \"serial\"\n");
@@ -349,18 +350,15 @@ mod tests {
     fn sharded_engine_parses_both_knobs() {
         let spec = parse_spec(
             "name = \"s\"\n[churn]\nmodel = \"overnet\"\nhosts = 10\ndays = 1\n\
-             [maintenance]\nmode = \"event-driven\"\nengine = \"sharded\"\nshards = 8\n\
+             [maintenance]\nmode = \"event-driven\"\nengine = \"sharded\"\n\
              threads = 2\n[workload]\nops_per_hour = 5.0\n",
         )
         .unwrap();
-        assert_eq!(
-            spec.maintenance.engine,
-            MaintenanceEngine::Sharded { shards: Some(8), threads: Some(2) }
-        );
-        // `0` is "auto" for either count.
-        let auto = spec_with_maintenance("engine = \"sharded\"\nshards = 0\nthreads = 0\n");
+        assert_eq!(spec.maintenance.engine, MaintenanceEngine::Sharded { threads: Some(2) });
+        // `0` is "auto"; the bound is the schema walk's to pin.
+        let auto = spec_with_maintenance("engine = \"sharded\"\nthreads = 0\n");
         let auto = parse_spec(&auto).unwrap().maintenance.engine;
-        assert_eq!(auto, MaintenanceEngine::Sharded { shards: None, threads: None });
+        assert_eq!(auto, MaintenanceEngine::Sharded { threads: None });
         assert_eq!(parse_engine("sharded"), Ok(auto));
         assert_eq!(parse_engine("serial"), Ok(MaintenanceEngine::Serial));
         let unknown = parse_engine("parallel").unwrap_err();
@@ -385,6 +383,10 @@ mod tests {
         let err = parse_spec(src).unwrap_err();
         assert_eq!(err.line, 6);
         assert!(err.message.contains("unknown key \"hostz\""), "{err}");
+        // The shard count is the thread count; it has no key of its own.
+        let err = parse_spec(&spec_with_maintenance("shards = 2\n")).unwrap_err();
+        assert_eq!(err.line, 8);
+        assert!(err.message.contains("unknown key \"shards\" in section [maintenance]"), "{err}");
     }
 
     #[test]

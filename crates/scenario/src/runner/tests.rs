@@ -214,7 +214,7 @@ fn banded_initiators_come_from_the_band() {
         protocol_secs: 60,
         refresh_mins: 20,
     };
-    let sharded = MaintenanceEngine::Sharded { shards: Some(4), threads: Some(2) };
+    let sharded = MaintenanceEngine::Sharded { threads: Some(4) };
     let mut sessions = [MaintenanceEngine::Serial, sharded].map(|engine| {
         let mut spec = spec.clone();
         spec.maintenance.engine = engine;

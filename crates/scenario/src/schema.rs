@@ -72,6 +72,10 @@ const POPULATION: Bound = Bound::Int(1, u32::MAX as u64 - 1);
 /// `hosts × vnodes` points and `hosts × monitors` row slots, so a value no
 /// experiment needs would be an allocation no machine makes.
 const RING_WIDTH: Bound = Bound::Int(1, 1_024);
+/// Worker threads, `0` for the machine's count: each thread owns one
+/// maintenance shard, and the cohort barriers walk `O(threads²)`
+/// mailboxes, so a count past any machine's cores only sizes those.
+const THREAD_COUNT: Bound = Bound::Int(0, avmem_util::parallel::MAX_THREADS as u64);
 /// `[0, 1]`.
 const UNIT: Bound = Bound::Num { lo: 0.0, lo_open: false, hi: 1.0, hi_open: false };
 /// `(0, ∞)`.
@@ -164,7 +168,7 @@ tagged! {
     }
     MaintenanceEngine {
         "serial" => Serial {},
-        "sharded" => Sharded { shards: None, threads: None },
+        "sharded" => Sharded { threads: None },
     }
     ForwardPolicy {
         "greedy" => Greedy {},
@@ -529,16 +533,11 @@ pub(crate) const SECTIONS: &[Section] = &[
             variant!(s.maintenance.mode,
                 MaintenanceModeSpec::Converged { rebuild_every_mins } => U64(rebuild_every_mins))
         }),
-        // Serial *is* one shard on one thread, so a count beside it has
-        // no field to land in; `0` sizes a sharded engine to the machine.
+        // Serial *is* one thread, so a count beside it has no field to
+        // land in; `0` sizes a sharded engine to the machine.
         key("engine", ANY, Some("\"sharded\""), |s, _| Some(Slot::Tag(&mut s.maintenance.engine))),
-        key("shards", ANY, Some("0"), |s, _| {
-            variant!(s.maintenance.engine,
-                MaintenanceEngine::Sharded { shards, .. } => Auto(shards))
-        }),
-        key("threads", ANY, Some("0"), |s, _| {
-            variant!(s.maintenance.engine,
-                MaintenanceEngine::Sharded { threads, .. } => Auto(threads))
+        key("threads", THREAD_COUNT, Some("0"), |s, _| {
+            variant!(s.maintenance.engine, MaintenanceEngine::Sharded { threads } => Auto(threads))
         }),
     ]),
     table("workload", &[
@@ -764,7 +763,7 @@ mod tests {
                 seen.push((section.name, key.name));
             }
         }
-        assert_eq!(seen.len(), 57);
+        assert_eq!(seen.len(), 56);
 
         let mut choices = 0;
         for (index, section) in SECTIONS.iter().enumerate() {

@@ -548,7 +548,7 @@ mod tests {
     #[test]
     fn sim_config_reflects_spec() {
         let mut spec = valid();
-        let engine = MaintenanceEngine::Sharded { shards: Some(2), threads: Some(3) };
+        let engine = MaintenanceEngine::Sharded { threads: Some(3) };
         spec.maintenance.engine = engine;
         spec.oracle = OracleChoice::paper_noise();
         let config = spec.sim_config();
@@ -579,14 +579,11 @@ mod tests {
         let msg = refusal(spec);
         assert!(msg.contains("\"gossip_period_secs\" must be whole seconds"), "{msg}");
 
-        for (engine, key) in [
-            (MaintenanceEngine::Sharded { shards: Some(0), threads: None }, "shards"),
-            (MaintenanceEngine::Sharded { shards: None, threads: Some(0) }, "threads"),
-        ] {
+        for (threads, refused) in [(0, "must not be Some(0)"), (1_025, "must be at most 1024")] {
             let mut spec = valid();
-            spec.maintenance.engine = engine;
+            spec.maintenance.engine = MaintenanceEngine::Sharded { threads: Some(threads) };
             let msg = refusal(spec);
-            assert!(msg.contains(&format!("key {key:?} must not be Some(0)")), "{msg}");
+            assert!(msg.contains(&format!("key \"threads\" {refused}")), "{msg}");
         }
 
         let assignment = AssignmentChoice::Ring { vnodes: 8, k: 8 };

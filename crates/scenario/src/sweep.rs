@@ -319,10 +319,7 @@ mod tests {
                     },
                     SweepEngine {
                         label: "sharded".into(),
-                        engine: MaintenanceEngine::Sharded {
-                            shards: Some(4),
-                            threads: Some(2),
-                        },
+                        engine: MaintenanceEngine::Sharded { threads: Some(4) },
                     },
                 ],
             })

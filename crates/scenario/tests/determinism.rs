@@ -1,7 +1,8 @@
 //! Pins scenario-report determinism: one spec + seed produces a
 //! bit-identical [`ScenarioReport`] regardless of maintenance engine
-//! (one shard on one thread vs sharded), shard count, and worker-thread
-//! count.
+//! (one thread vs sharded) and worker-thread count, which is also the
+//! shard count of event-driven maintenance, the AVMON sweep's partition
+//! and the converged rebuild's fan-out.
 //!
 //! This is the scenario-level corollary of the `event_driven_equivalence`
 //! harness tests: maintenance state is engine-independent, and every
@@ -15,9 +16,10 @@ use avmem_scenario::{
     ScenarioSpec,
 };
 
-/// (shards, threads) sweep: one shard on one thread, balanced, shard
-/// count above and below the thread count.
-const SHARD_SWEEP: [(usize, usize); 4] = [(1, 1), (2, 2), (4, 2), (8, 8)];
+/// Thread counts, and so shard counts, every engine sweep runs: one
+/// shard with nothing to exchange, then 2, 4 and 8 exchanging at the
+/// cohort barriers.
+const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// A scenario small enough to sweep engines over, but exercising the full
 /// machinery: event-driven maintenance, mixed traffic, an adversary.
@@ -50,9 +52,8 @@ fn report_with(spec: &ScenarioSpec, engine: MaintenanceEngine) -> avmem_scenario
     ScenarioRunner::new(spec).expect("spec validates").run().expect("scenario runs")
 }
 
-fn sharded(shards: usize, threads: usize) -> MaintenanceEngine {
+fn sharded(threads: usize) -> MaintenanceEngine {
     MaintenanceEngine::Sharded {
-        shards: Some(shards),
         threads: Some(threads),
     }
 }
@@ -73,11 +74,11 @@ fn reports_are_bit_identical_across_engines_shards_and_threads() {
     assert!(attack.probes > 0, "no adversary probes");
     assert!(reference.health.len() >= 4, "health series too short");
 
-    for (shards, threads) in SHARD_SWEEP {
-        let candidate = report_with(&spec, sharded(shards, threads));
+    for threads in THREAD_SWEEP {
+        let candidate = report_with(&spec, sharded(threads));
         assert_eq!(
             reference, candidate,
-            "report diverged with the sharded engine at {shards} shards x {threads} threads"
+            "report diverged with the sharded engine at {threads} threads"
         );
     }
 }
@@ -90,11 +91,11 @@ fn reports_are_bit_identical_for_converged_maintenance_too() {
     };
     let reference = report_with(&spec, MaintenanceEngine::Serial);
     assert!(reference.anycast.sent > 10);
-    for (shards, threads) in SHARD_SWEEP {
-        let candidate = report_with(&spec, sharded(shards, threads));
+    for threads in THREAD_SWEEP {
+        let candidate = report_with(&spec, sharded(threads));
         assert_eq!(
             reference, candidate,
-            "converged report diverged at {shards} shards x {threads} threads"
+            "converged report diverged at {threads} threads"
         );
     }
 }

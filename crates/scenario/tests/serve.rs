@@ -13,9 +13,10 @@ use avmem_scenario::{
     ScenarioSpec, ServeOptions,
 };
 
-/// (shards, threads) sweep: one shard on one thread, balanced, shard
-/// count above and below the thread count.
-const SHARD_SWEEP: [(usize, usize); 4] = [(1, 1), (2, 2), (4, 2), (8, 8)];
+/// Thread counts, and so shard counts, every engine sweep runs: one
+/// shard with nothing to exchange, then 2, 4 and 8 exchanging at the
+/// cohort barriers.
+const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Same shape as the determinism suite's spec: event-driven maintenance,
 /// mixed traffic, a noisy oracle, and an adversary.
@@ -42,9 +43,8 @@ fn event_driven_spec() -> ScenarioSpec {
     spec
 }
 
-fn sharded(shards: usize, threads: usize) -> MaintenanceEngine {
+fn sharded(threads: usize) -> MaintenanceEngine {
     MaintenanceEngine::Sharded {
-        shards: Some(shards),
         threads: Some(threads),
     }
 }
@@ -79,7 +79,7 @@ fn unpaced_serve_equals_run_on_every_engine() {
     );
 
     let mut engines = vec![MaintenanceEngine::Serial];
-    engines.extend(SHARD_SWEEP.map(|(s, t)| sharded(s, t)));
+    engines.extend(THREAD_SWEEP.map(sharded));
     for engine in engines {
         let outcome = ScenarioRunner::new(on(&spec, engine)).unwrap().serve(&unpaced()).unwrap();
         assert_eq!(
@@ -104,12 +104,12 @@ fn fixed_duration_serve_is_a_prefix_on_every_engine() {
         for_mins: Some(45),
         ..unpaced()
     };
-    for (shards, threads) in SHARD_SWEEP {
-        let engine = sharded(shards, threads);
+    for threads in THREAD_SWEEP {
+        let engine = sharded(threads);
         let outcome = ScenarioRunner::new(on(&spec, engine)).unwrap().serve(&opts).unwrap();
         assert_eq!(
             reference, outcome.report,
-            "45-min serve prefix diverged at {shards} shards x {threads} threads"
+            "45-min serve prefix diverged at {threads} threads"
         );
     }
 }
@@ -161,7 +161,7 @@ fn the_exposition_states_each_count_once() {
         scrape_on_exit: true,
         ..unpaced()
     };
-    let outcome = ScenarioRunner::new(on(&spec, sharded(2, 1))).unwrap().serve(&opts).unwrap();
+    let outcome = ScenarioRunner::new(on(&spec, sharded(2))).unwrap().serve(&opts).unwrap();
     let text = outcome.metrics_text.expect("scrape_on_exit captured text");
     for family in [
         "avmem_exchange_batch_msgs_sum{dir=\"request\"}",

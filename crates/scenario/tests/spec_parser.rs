@@ -93,11 +93,10 @@ fn arb_maintenance() -> impl Strategy<Value = MaintenanceSpec> {
         }),
     ];
     // `None` is auto (written `0`); a count is at least one.
-    let count = || prop_oneof![Just(None), (1usize..16).prop_map(Some)];
+    let threads = prop_oneof![Just(None), (1usize..16).prop_map(Some)];
     let engine = prop_oneof![
         Just(MaintenanceEngine::Serial),
-        (count(), count())
-            .prop_map(|(shards, threads)| MaintenanceEngine::Sharded { shards, threads }),
+        threads.prop_map(|threads| MaintenanceEngine::Sharded { threads }),
     ];
     (mode, engine).prop_map(|(mode, engine)| MaintenanceSpec { mode, engine })
 }
@@ -342,7 +341,8 @@ fn malformed_inputs_name_the_offending_line() {
 /// is the field's: the field's largest value parses to itself, and one
 /// past it is an error at that line naming the bound — `ttl = 4294967302`
 /// used to run as `ttl = 6`. (`vnodes`, `monitors` and `hosts` have ranges
-/// of their own: `what_set_up_cannot_build_is_an_error_at_its_line`.)
+/// of their own: `what_set_up_cannot_build_is_an_error_at_its_line`; so
+/// has `threads`, checked last.)
 #[test]
 fn integers_too_wide_for_their_field_are_errors_not_wraps() {
     // (section the key lives in, its lines before the key, the key)
@@ -398,33 +398,14 @@ fn integers_too_wide_for_their_field_are_errors_not_wraps() {
         }
     }
 
-    // `usize` fields hold any `u64` on a 64-bit target and narrow on a
-    // 32-bit one; either way the value is kept or refused, never cut.
-    let wide = u64::from(u32::MAX) + 1;
-    for (before, key) in [
-        (
-            format!("{head}[maintenance]\nmode = \"event-driven\"\n"),
-            "shards",
-        ),
-        (
-            format!("{head}[maintenance]\nmode = \"event-driven\"\nengine = \"sharded\"\n"),
-            "threads",
-        ),
-    ] {
-        let line = before.lines().count() + 1;
-        let parsed = parse_spec(&format!("{before}{key} = {wide}\n{workload}"));
-        match usize::try_from(wide) {
-            Ok(kept) => {
-                let spec = parsed.unwrap_or_else(|e| panic!("{key} = {wide}: {e}"));
-                let got = match (key, spec.maintenance.engine) {
-                    ("shards", MaintenanceEngine::Sharded { shards: Some(n), .. }) => n,
-                    ("threads", MaintenanceEngine::Sharded { threads: Some(n), .. }) => n,
-                    _ => panic!("key {key:?} did not land in its field: {spec:?}"),
-                };
-                assert_eq!(got, kept, "{key}");
-            }
-            Err(_) => assert_eq!(parsed.unwrap_err().line, line, "{key}"),
-        }
+    // `threads` has a range of its own (0 = auto, at most 1 024) inside
+    // any `usize`: a wide value is refused at its line, never cut.
+    let before = format!("{head}[maintenance]\nmode = \"event-driven\"\nengine = \"sharded\"\n");
+    let line = before.lines().count() + 1;
+    for wide in [1_025, u64::from(u32::MAX) + 1, u64::MAX] {
+        let err = parse_spec(&format!("{before}threads = {wide}\n{workload}")).unwrap_err();
+        assert_eq!(err.line, line, "threads = {wide} reported {err}");
+        assert!(err.message.contains("must be at most"), "threads = {wide}: {err}");
     }
 }
 

@@ -22,10 +22,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
+/// The most worker threads a run takes: each thread owns one shard of
+/// event-driven maintenance, and the cohort barriers walk every
+/// (source, destination) pair of shards, `O(threads²)` mailboxes a
+/// cohort — a count no machine has cores for would only size those.
+pub const MAX_THREADS: usize = 1_024;
+
 /// Number of worker threads worth using on this machine: the
 /// `AVMEM_THREADS` environment variable when set to a positive integer,
 /// otherwise the available hardware parallelism capped by the cgroup CPU
-/// quota (if any).
+/// quota (if any); at most [`MAX_THREADS`] either way.
 ///
 /// Containerized runs routinely see every host core through
 /// `available_parallelism` while their cgroup caps them to a fraction of
@@ -43,10 +49,11 @@ pub fn default_threads() -> usize {
 
 /// [`default_threads`] given the value of the override variable.
 fn resolve_threads(override_var: Option<&str>) -> usize {
-    match override_var.and_then(|v| v.trim().parse::<usize>().ok()) {
+    let threads = match override_var.and_then(|v| v.trim().parse::<usize>().ok()) {
         Some(n) if n >= 1 => n,
         _ => machine_threads(),
-    }
+    };
+    threads.min(MAX_THREADS)
 }
 
 /// Hardware parallelism capped by the cgroup quota, probed on first use.
@@ -577,6 +584,11 @@ mod tests {
             assert_eq!(resolve_threads(Some(unset)), machine);
         }
         assert_eq!(resolve_threads(None), machine);
+        // Past the bound: the bound, however it is written.
+        assert_eq!(resolve_threads(Some("1024")), MAX_THREADS);
+        for above in ["1025", "4096", "18446744073709551615"] {
+            assert_eq!(resolve_threads(Some(above)), MAX_THREADS, "{above}");
+        }
     }
 
     #[test]
