@@ -68,7 +68,7 @@ pub fn ablation_predicates(base: &ScenarioSpec, runs: u64) -> PredicateAblation 
             ..base.clone()
         };
         let health = paper::warmed(&spec).sim().health_stats();
-        let pooled = paper::pooled(&harsh(&spec, 8), runs);
+        let pooled = paper::pooled(&[harsh(&spec, 8)], runs).remove(0);
         ablation.rows.push(PredicateAblationRow {
             label: label.to_owned(),
             mean_degree: health.mean_degree,
@@ -193,12 +193,13 @@ pub struct GossipAblation {
 pub fn ablation_gossip(base: &ScenarioSpec, runs: u64) -> GossipAblation {
     let target = AvailabilityTarget::Threshold { min: 0.7 };
     let period = SimDuration::from_secs(1);
-    let gossip = [(1, 2), (2, 2), (5, 2), (5, 4), (10, 2)]
-        .map(|(fanout, rounds)| MulticastStrategy::Gossip { fanout, rounds, period });
+    let gossip = |(fanout, rounds)| MulticastStrategy::Gossip { fanout, rounds, period };
+    let mut strategies: Vec<_> = [(1, 2), (2, 2), (5, 2), (5, 4), (10, 2)].map(gossip).into();
+    strategies.push(MulticastStrategy::Flood);
+    let family: Vec<_> =
+        strategies.iter().map(|&m| paper::multicasts(base, BandSpec::High, target, m)).collect();
     let mut ablation = GossipAblation { rows: Vec::new(), skipped_ops: 0 };
-    for multicast in gossip.into_iter().chain([MulticastStrategy::Flood]) {
-        let spec = paper::multicasts(base, BandSpec::High, target, multicast);
-        let pooled = paper::pooled(&spec, runs);
+    for (multicast, pooled) in strategies.into_iter().zip(paper::pooled(&family, runs)) {
         let m = &pooled.multicast;
         let (fanout, rounds) = match multicast {
             MulticastStrategy::Gossip { fanout, rounds, .. } => (fanout, rounds),
@@ -284,8 +285,8 @@ pub fn ablation_workload(base: &ScenarioSpec, runs: u64) -> WorkloadAblation {
         let easy = AvailabilityTarget::Range { lo: 0.85, hi: 0.95 };
         let greedy = ForwardPolicy::Greedy;
         let easy = paper::anycasts(&spec, BandSpec::Mid, easy, greedy, SliverScope::Both);
-        let easy_runs = paper::pooled(&easy, runs);
-        let harsh_runs = paper::pooled(&harsh(&spec, 8), runs);
+        let pooled = paper::pooled(&[easy, harsh(&spec, 8)], runs);
+        let (easy_runs, harsh_runs) = (&pooled[0], &pooled[1]);
         ablation.rows.push(WorkloadRow {
             label: label.to_owned(),
             mean_availability: stats.mean_availability,

@@ -8,16 +8,17 @@
 //! ```
 //!
 //! Experiment ids: `fig2 fig3 fig4 fig56 fig7 fig8 fig9 fig10 fig11`
-//! (`fig12`/`fig13` alias `fig11` — one run produces all three CDFs),
-//! `discovery`, `theorems`.
+//! (`fig5`/`fig6` alias `fig56`, `fig12`/`fig13` alias `fig11` — one run
+//! produces all three CDFs), `discovery`, `theorems`.
 
 use std::env;
 use std::process::ExitCode;
 
 use avmem_bench::{ablations, figures, paper};
 
-const ALL: [&str; 10] = [
+const ALL: [&str; 11] = [
     "fig2", "fig3", "fig4", "fig56", "fig7", "fig8", "fig9", "fig10", "fig11", "discovery",
+    "theorems",
 ];
 
 const ABLATIONS: [&str; 5] = [
@@ -31,11 +32,36 @@ const ABLATIONS: [&str; 5] = [
 fn usage() -> String {
     format!(
         "usage: figures [--small] <experiment-id>... | all | ablations\n\
-         experiments: {} theorems\n\
+         experiments: {}\n\
          ablations:   {}",
         ALL.join(" "),
         ABLATIONS.join(" ")
     )
+}
+
+/// The experiments `args` name, each once, in the order of first mention:
+/// `all` and `ablations` expand to their lists, and an alias names the
+/// experiment that prints its figure. Errs with the first unknown id.
+fn resolve(args: &[String]) -> Result<Vec<&'static str>, String> {
+    let mut experiments = Vec::new();
+    for arg in args {
+        let named: &[&'static str] = match arg.as_str() {
+            "all" => &ALL,
+            "ablations" => &ABLATIONS,
+            "fig5" | "fig6" => &["fig56"],
+            "fig12" | "fig13" => &["fig11"],
+            other => {
+                let known = ALL.iter().chain(&ABLATIONS).find(|&&id| id == other);
+                std::slice::from_ref(known.ok_or_else(|| other.to_owned())?)
+            }
+        };
+        for &id in named {
+            if !experiments.contains(&id) {
+                experiments.push(id);
+            }
+        }
+    }
+    Ok(experiments)
 }
 
 fn main() -> ExitCode {
@@ -46,22 +72,17 @@ fn main() -> ExitCode {
     }
     let small = args.iter().any(|a| a == "--small");
     args.retain(|a| a != "--small");
-    if args.is_empty() {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    }
-
-    let mut requested: Vec<String> = Vec::new();
-    for arg in args {
-        match arg.as_str() {
-            "all" => {
-                requested.extend(ALL.iter().map(|s| (*s).to_owned()));
-                requested.push("theorems".to_owned());
-            }
-            "ablations" => requested.extend(ABLATIONS.iter().map(|s| (*s).to_owned())),
-            other => requested.push(other.to_owned()),
+    let requested = match resolve(&args) {
+        Ok(requested) if !requested.is_empty() => requested,
+        Ok(_) => {
+            eprintln!("{}", usage());
+            return ExitCode::FAILURE;
         }
-    }
+        Err(unknown) => {
+            eprintln!("unknown experiment id {unknown:?}\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    };
 
     // "Each point … the average of 5 different protocol runs, each with
     // 50 messages"; the small scale runs in well under a second.
@@ -73,12 +94,12 @@ fn main() -> ExitCode {
     );
     println!();
 
-    for experiment in &requested {
-        match experiment.as_str() {
+    for experiment in requested {
+        match experiment {
             "fig2" => println!("{}", figures::fig2(&base)),
             "fig3" => println!("{}", figures::fig3(&base)),
             "fig4" => println!("{}", figures::fig4(&base)),
-            "fig5" | "fig6" | "fig56" => println!("{}", figures::fig56(&base)),
+            "fig56" => println!("{}", figures::fig56(&base)),
             "fig7" => println!("{}", figures::fig7(&base, runs)),
             "fig8" => println!("{}", figures::fig8(&base, runs)),
             "fig9" => println!("{}", figures::fig9(&base, runs)),
@@ -87,7 +108,7 @@ fn main() -> ExitCode {
                     println!("{sweep}");
                 }
             }
-            "fig11" | "fig12" | "fig13" => println!("{}", figures::fig111213(&base, runs)),
+            "fig11" => println!("{}", figures::fig111213(&base, runs)),
             "discovery" => {
                 let n = if small { 128 } else { 1024 };
                 println!("{}", figures::discovery_micro(n, 30));
@@ -100,11 +121,31 @@ fn main() -> ExitCode {
             "ablation-gossip" => println!("{}", ablations::ablation_gossip(&base, runs)),
             "ablation-workload" => println!("{}", ablations::ablation_workload(&base, runs)),
             "ablation-aged" => println!("{}", ablations::ablation_aged(&base)),
-            other => {
-                eprintln!("unknown experiment id {other:?}\n{}", usage());
-                return ExitCode::FAILURE;
-            }
+            other => unreachable!("{other:?} resolved to no experiment"),
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(args: &str) -> Result<Vec<&'static str>, String> {
+        resolve(&args.split_whitespace().map(str::to_owned).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn aliases_resolve_to_one_run_of_their_experiment() {
+        assert_eq!(ids("fig5 fig6"), Ok(vec!["fig56"]));
+        assert_eq!(ids("fig11 fig12 fig13 fig56 fig5"), Ok(vec!["fig11", "fig56"]));
+        let all = ids("all").unwrap();
+        assert_eq!(all, ALL);
+        assert_eq!(ids("all fig2 theorems"), Ok(all.clone()));
+        assert_eq!(ids("fig9 all").unwrap()[..3], ["fig9", "fig2", "fig3"]);
+        let both = ids("ablations all ablations").unwrap();
+        assert_eq!(both.len(), all.len() + ABLATIONS.len());
+        assert_eq!((both[0], both[ABLATIONS.len()]), (ABLATIONS[0], "fig2"));
+        assert_eq!(ids("fig2 bogus fig3"), Err("bogus".to_owned()));
+    }
 }

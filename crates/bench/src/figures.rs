@@ -37,6 +37,13 @@ const fn range(lo: f64, hi: f64) -> AvailabilityTarget {
     AvailabilityTarget::Range { lo, hi }
 }
 
+/// `base` firing anycasts from `band` into `[lo, hi]`, once per variant of
+/// [`ANYCAST_VARIANTS`].
+fn variants(base: &ScenarioSpec, band: BandSpec, (lo, hi): (f64, f64)) -> [ScenarioSpec; 4] {
+    let target = range(lo, hi);
+    ANYCAST_VARIANTS.map(|(_, policy, scope)| paper::anycasts(base, band, target, policy, scope))
+}
+
 /// The label of 0.1-wide availability bucket `b`.
 fn decile(b: usize) -> String {
     format!("[{:.1},{:.1})", b as f64 / 10.0, (b + 1) as f64 / 10.0)
@@ -373,9 +380,8 @@ pub struct Fig7 {
 /// Runs the Fig. 7 hop-distribution experiment.
 pub fn fig7(base: &ScenarioSpec, runs: u64) -> Fig7 {
     let mut fig = Fig7 { variants: Vec::new(), skipped_ops: 0 };
-    for (name, policy, scope) in ANYCAST_VARIANTS {
-        let spec = paper::anycasts(base, BandSpec::Mid, range(0.85, 0.95), policy, scope);
-        let pooled = paper::pooled(&spec, runs);
+    let pooled = paper::pooled(&variants(base, BandSpec::Mid, (0.85, 0.95)), runs);
+    for ((name, _, _), pooled) in ANYCAST_VARIANTS.into_iter().zip(pooled) {
         let a = &pooled.anycast;
         // TTL 6: the last bucket holds six hops and more.
         let mut per_hop = a.hops_histogram[..7].to_vec();
@@ -418,16 +424,14 @@ pub struct Fig8 {
 
 /// Runs the Fig. 8 harshness sweep.
 pub fn fig8(base: &ScenarioSpec, runs: u64) -> Fig8 {
+    let targets = [(0.85, 0.95), (0.44, 0.54), (0.15, 0.25)];
+    let family: Vec<_> = targets.iter().flat_map(|&t| variants(base, BandSpec::High, t)).collect();
+    let pooled = paper::pooled(&family, runs);
     let mut fig = Fig8 { rows: Vec::new(), skipped_ops: 0 };
-    for (lo, hi) in [(0.85, 0.95), (0.44, 0.54), (0.15, 0.25)] {
-        let mut fractions = Vec::new();
-        for (_, policy, scope) in ANYCAST_VARIANTS {
-            let spec = paper::anycasts(base, BandSpec::High, range(lo, hi), policy, scope);
-            let pooled = paper::pooled(&spec, runs);
-            fractions.push(pooled.delivery());
-            fig.skipped_ops += pooled.skipped_ops;
-        }
+    for ((lo, hi), row) in targets.into_iter().zip(pooled.chunks(ANYCAST_VARIANTS.len())) {
+        let fractions = row.iter().map(paper::Pooled::delivery).collect();
         fig.rows.push((format!("HIGH to [{lo:.2},{hi:.2}]"), fractions));
+        fig.skipped_ops += row.iter().map(|p| p.skipped_ops).sum::<u64>();
     }
     fig
 }
@@ -513,8 +517,9 @@ pub fn fig10(base: &ScenarioSpec, runs: u64) -> Vec<Fig9> {
 
 fn retry_sweep(base: &ScenarioSpec, runs: u64, overlay: String) -> Fig9 {
     let mut fig = Fig9 { overlay, rows: Vec::new(), skipped_ops: 0 };
-    for retries in [2u32, 4, 8, 16] {
-        let pooled = paper::pooled(&paper::harsh(base, retries), runs);
+    let budgets = [2u32, 4, 8, 16];
+    let family = budgets.map(|retries| paper::harsh(base, retries));
+    for (retries, pooled) in budgets.into_iter().zip(paper::pooled(&family, runs)) {
         let a = &pooled.anycast;
         let share = |count: u64| ratio(count as f64, a.sent);
         fig.rows.push(RetrySweepRow {
@@ -603,9 +608,9 @@ pub fn fig111213(base: &ScenarioSpec, runs: u64) -> Fig111213 {
     ];
     let oracle = OracleChoice::NoisyShared { error: 0.02, staleness: SimDuration::from_mins(20) };
     let noisy = ScenarioSpec { oracle, ..base.clone() };
+    let family = scenarios.map(|(_, band, target, m)| paper::multicasts(&noisy, band, target, m));
     let mut fig = Fig111213 { scenarios: Vec::new(), skipped_ops: 0 };
-    for (label, band, target, multicast) in scenarios {
-        let pooled = paper::pooled(&paper::multicasts(&noisy, band, target, multicast), runs);
+    for ((label, ..), pooled) in scenarios.into_iter().zip(paper::pooled(&family, runs)) {
         let m = pooled.multicast;
         fig.scenarios.push(MulticastScenario {
             label: label.to_owned(),

@@ -1,5 +1,5 @@
-//! The paper's evaluation setting (§4) as one scenario spec, and the two
-//! ways an experiment reads runs of it.
+//! The paper's evaluation setting (§4) as one scenario spec, and how an
+//! experiment reads runs of it.
 //!
 //! [`base`] is the spec every figure and ablation edits: Overnet churn
 //! (20-minute slots), a 24-hour warm-up of converged maintenance over the
@@ -7,10 +7,10 @@
 //! 20–80 ms, then a 20-minute operation window inside one trace slot with
 //! no rebuild in it. "Each point … the average of 5 different protocol
 //! runs, each with 50 messages": a run is one seed (with its own trace),
-//! and its messages are the window's Poisson arrivals. A snapshot
-//! experiment reads the overlay the warm-up leaves ([`warmed`]); an
-//! operation experiment sweeps the runs' seeds and pools the reports
-//! ([`pooled`]).
+//! and its messages, the window's Poisson arrivals, are its workload. A
+//! warm-up never depends on the workload, so each seed is warmed once
+//! ([`warmed`]): a snapshot experiment reads that overlay in place, and an
+//! operation experiment forks it once per spec of its family ([`pooled`]).
 
 use std::fmt;
 
@@ -19,7 +19,7 @@ use avmem::ops::{ForwardPolicy, MulticastStrategy};
 use avmem::{AvailabilityTarget, SliverScope};
 use avmem_scenario::{
     AnycastStats, BandSpec, ChurnSpec, MaintenanceModeSpec, MaintenanceSpec, MulticastStats,
-    ReportSpec, RunSession, ScenarioRunner, ScenarioSpec, SweepOptions, TargetMix, WorkloadSpec,
+    ReportSpec, RunSession, ScenarioRunner, ScenarioSpec, TargetMix, WorkloadSpec,
 };
 
 /// The trace seed of the paper setting, and the first seed of a sweep.
@@ -153,25 +153,30 @@ impl Pooled {
     }
 }
 
-/// Runs `spec` once per seed `spec.seed .. spec.seed + runs` through
-/// [`ScenarioRunner::sweep`] and pools the reports.
+/// Runs every spec of `family` once per seed `seed .. seed + runs`, each
+/// a fork of that seed's one warm-up ([`RunSession::fork`]), and pools
+/// each spec's reports.
 ///
 /// # Panics
 ///
-/// Panics if `spec` does not validate or `runs` is zero.
-pub fn pooled(spec: &ScenarioSpec, runs: u64) -> Pooled {
-    let options = SweepOptions { seeds: (spec.seed, spec.seed + runs - 1), engines: Vec::new() };
-    let sweep = ScenarioRunner::new(spec.clone())
-        .and_then(|runner| runner.sweep(&options))
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    let mut reports = sweep.reports.into_iter();
-    let first = reports.next().expect("at least one run");
-    let (anycast, multicast, skipped_ops) = (first.anycast, first.multicast, first.skipped_ops);
-    let mut pooled = Pooled { anycast, multicast, skipped_ops };
-    for report in reports {
-        pooled.anycast.merge(&report.anycast);
-        pooled.multicast.merge(&report.multicast);
-        pooled.skipped_ops += report.skipped_ops;
+/// Panics if `runs` is not zero and `family` is empty, or if a spec does
+/// not validate or warms up differently from the first.
+pub fn pooled(family: &[ScenarioSpec], runs: u64) -> Vec<Pooled> {
+    let reseeded =
+        |spec: &ScenarioSpec, run| ScenarioSpec { seed: spec.seed + run, ..spec.clone() };
+    let (anycast, multicast) = (AnycastStats::new(), MulticastStats::new());
+    let mut pooled = vec![Pooled { anycast, multicast, skipped_ops: 0 }; family.len()];
+    for run in 0..runs {
+        let warm = warmed(&reseeded(&family[0], run));
+        for (spec, pool) in family.iter().zip(&mut pooled) {
+            let mut session =
+                warm.fork(reseeded(spec, run)).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            while session.step().is_some() {}
+            let report = session.finish();
+            pool.anycast.merge(&report.anycast);
+            pool.multicast.merge(&report.multicast);
+            pool.skipped_ops += report.skipped_ops;
+        }
     }
     pooled
 }
@@ -223,12 +228,25 @@ mod tests {
     #[test]
     fn pooling_sums_the_runs() {
         let spec = base(120, 2, 10);
-        let (one, two) = (pooled(&spec, 1), pooled(&spec, 2));
-        let next = pooled(&ScenarioSpec { seed: SEED + 1, ..spec }, 1);
-        assert_eq!(two.anycast.sent, one.anycast.sent + next.anycast.sent);
-        assert_eq!(two.skipped_ops, one.skipped_ops + next.skipped_ops);
-        assert!(two.anycast.sent > 0);
+        let family = [spec.clone(), harsh(&spec, 8)];
+        let (one, two) = (pooled(&family, 1), pooled(&family, 2));
+        let next = pooled(&[ScenarioSpec { seed: SEED + 1, ..spec }], 1);
+        assert_eq!(two[0].anycast.sent, one[0].anycast.sent + next[0].anycast.sent);
+        assert_eq!(two[0].skipped_ops, one[0].skipped_ops + next[0].skipped_ops);
+        assert!(two[0].anycast.sent > 0);
+        // A spec pools the same inside its family as alone.
+        let alone = pooled(&family[1..], 2);
+        let (inside, alone) = (&two[1], &alone[0]);
+        assert_eq!((&inside.anycast, inside.skipped_ops), (&alone.anycast, alone.skipped_ops));
         assert_eq!((ratio(3.0, 0), ratio(3.0, 4)), (None, Some(0.75)));
         assert_eq!((cell(None, 5, 2), cell(Some(0.5), 5, 2)), ("    -".into(), " 0.50".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "`oracle`")]
+    fn a_family_shares_its_warm_up() {
+        let spec = base(120, 2, 10);
+        let noisy = ScenarioSpec { oracle: OracleChoice::paper_noise(), ..spec.clone() };
+        pooled(&[spec, noisy], 1);
     }
 }

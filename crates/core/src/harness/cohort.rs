@@ -54,7 +54,7 @@ pub(super) struct NodeOps {
 /// A shuffle request crossing from its initiator's shard to its
 /// responder's shard: the initiator id (the commit-order key), the
 /// responder, and the request entries captured at propose time.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RequestMsg {
     initiator: u32,
     responder: u32,
@@ -62,7 +62,7 @@ struct RequestMsg {
 }
 
 /// A shuffle reply traveling back to the initiator's shard.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ReplyMsg {
     initiator: u32,
     reply: Vec<ViewEntry>,
@@ -70,7 +70,7 @@ struct ReplyMsg {
 
 /// One shard's end of a cohort-wide message exchange: what it sends,
 /// batched by destination shard, and what [`exchange`] delivered to it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Mailbox<M> {
     out: Vec<Vec<M>>,
     inbox: Vec<M>,
@@ -88,7 +88,7 @@ impl<M> Default for Mailbox<M> {
 /// Per-shard scratch state for one cohort: the shard's work lists, its
 /// mailboxes, and reusable per-worker buffers. Persisted across cohorts
 /// so the hot loop stops allocating once the buffers reach cohort size.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct ShardScratch {
     /// Online ticking nodes of this shard's cohort slice, sorted.
     ticks: Vec<u32>,

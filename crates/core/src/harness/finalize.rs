@@ -19,7 +19,7 @@ use crate::predicate::ThresholdMemo;
 /// node's offset inside the shard's slice. Stamps number the oracle
 /// epochs the run's cohorts meet, from 1 ([`MaintCtx::stamp`]), so a
 /// fresh column (0 = never stamped) is wholly invalid.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct FinalizeShardState {
     /// Per node: stamp under which `horizontal` below is memoized.
     pub(super) horizontal_stamp: Vec<u32>,

@@ -117,7 +117,7 @@ const PDF_BUCKETS: usize = 10;
 /// cohort the wheel pops ([`PeriodicWheel::due`]) and its scratch (work
 /// lists + mailboxes). The slices of one cohort are exactly the cohort a
 /// single global event queue would pop, split by owner.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct MaintSchedule {
     wheel: PeriodicWheel,
     part: ShardPartition,
@@ -211,12 +211,22 @@ pub struct PhaseTimings {
 }
 
 /// The full-system simulation.
+///
+/// A clone is the same simulation at the same instant — lists, views,
+/// oracle, event-driven schedule and finalize memos copied as they stand
+/// — so advancing the clone and a fresh simulation that never forked
+/// gives bit-identical state. The two share the read-only pair-hash
+/// store (and its `rows_built` counter) rather than copying it. The
+/// clone starts with a fresh span [`Tracer`] and no attached metrics, so
+/// its [`AvmemSim::phase_timings`] cover only what it runs itself.
 pub struct AvmemSim {
     trace: ChurnTrace,
     config: SimConfig,
     predicate: AvmemPredicate,
     oracle: SimOracle,
-    hashes: PairHashes,
+    /// Shared between clones: every row is a pure function of its index,
+    /// materialized once through a `OnceLock` and read through `&self`.
+    hashes: Arc<PairHashes>,
     memberships: Vec<Membership>,
     shuffles: Vec<ShuffleNode>,
     now: SimTime,
@@ -264,6 +274,28 @@ impl std::fmt::Debug for AvmemSim {
     }
 }
 
+impl Clone for AvmemSim {
+    fn clone(&self) -> Self {
+        AvmemSim {
+            trace: self.trace.clone(),
+            config: self.config,
+            predicate: self.predicate.clone(),
+            oracle: self.oracle.clone(),
+            hashes: Arc::clone(&self.hashes),
+            memberships: self.memberships.clone(),
+            shuffles: self.shuffles.clone(),
+            now: self.now,
+            online: self.online.clone(),
+            n_star: self.n_star,
+            member_order_seed: self.member_order_seed,
+            maint: self.maint.clone(),
+            tracer: Tracer::new(PHASES),
+            metrics: None,
+            fin_stats: self.fin_stats,
+        }
+    }
+}
+
 impl AvmemSim {
     /// Builds a simulation over `trace` with the given configuration.
     ///
@@ -289,7 +321,7 @@ impl AvmemSim {
             );
         }
         let n = trace.num_nodes();
-        let hashes = PairHashes::with_budget(n, config.hash_budget);
+        let hashes = Arc::new(PairHashes::with_budget(n, config.hash_budget));
         let stats = trace.stats();
         let n_star = stats.mean_online.max(2.0);
 

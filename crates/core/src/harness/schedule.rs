@@ -51,7 +51,7 @@ pub(super) enum MaintKind {
 
 /// The nodes that drew one stagger offset for one kind of event: they
 /// fire together, every `period`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot {
     kind: MaintKind,
     /// When the slot fires next.
@@ -71,7 +71,7 @@ struct Slot {
 /// `(node, first firing, period)` events yields when every popped event
 /// is re-queued one period later (pinned by a differential test against
 /// [`avmem_sim::Engine`]).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) struct PeriodicWheel {
     slots: Vec<Slot>,
     /// Slots of the most recently popped cohort.

@@ -117,7 +117,8 @@ pub struct AnycastStats {
 }
 
 impl AnycastStats {
-    pub(crate) fn new() -> Self {
+    /// No anycasts counted yet.
+    pub fn new() -> Self {
         AnycastStats {
             hops_histogram: vec![0; HOPS_BUCKETS],
             ..AnycastStats::default()
@@ -192,7 +193,8 @@ pub struct MulticastStats {
 }
 
 impl MulticastStats {
-    pub(crate) fn new() -> Self {
+    /// No multicasts counted yet.
+    pub fn new() -> Self {
         MulticastStats {
             deliveries_by_decile: vec![0; DECILES],
             worst_latency_histogram: Buckets::new(10.0),

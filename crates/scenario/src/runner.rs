@@ -31,6 +31,9 @@
 //! serve` paces against wall-clock and instruments through a live
 //! [`avmem_metrics::Registry`]. A session with metrics attached produces
 //! a bit-identical report to one without: instrumentation only observes.
+//! A session not yet stepped forks ([`RunSession::fork`]) into sessions
+//! for other workloads over a copy of its warm-up, each reporting what a
+//! fresh run of its spec reports.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -148,60 +151,17 @@ impl ScenarioRunner {
         let started = Instant::now();
         let trace = spec.build_trace()?;
         let traced = Instant::now();
-        let hosts = trace.num_nodes();
         let mut sim = AvmemSim::new(trace, spec.sim_config());
         let timings = RunTimings {
             trace: traced - started,
             sim_new: traced.elapsed(),
             ..RunTimings::default()
         };
-
-        let warm_end = SimTime::ZERO + SimDuration::from_mins(spec.warmup_mins);
-        let end = warm_end + SimDuration::from_mins(spec.duration_mins);
-        let timeline = Timeline::new(&spec, warm_end, end);
-
         // Warm-up: maintenance only. Converged mode rebuilds here (and
         // then on the spec's interval via Rebuild events); event-driven
         // mode runs the protocols from cold.
-        sim.warm_up(warm_end.saturating_since(SimTime::ZERO));
-
-        let bands = if matches!(spec.workload.initiators, BandSpec::Any) {
-            BandIndex::default()
-        } else {
-            BandIndex::build(sim.trace())
-        };
-        let report = ScenarioReport {
-            scenario: spec.name.clone(),
-            seed: spec.seed,
-            hosts,
-            duration_mins: spec.duration_mins,
-            anycast: AnycastStats::new(),
-            multicast: MulticastStats::new(),
-            attack: spec.adversary.map(|_| AttackStats::new()),
-            health: Vec::new(),
-            skipped_ops: 0,
-            admission_drops: 0,
-            estimator: EstimatorAccuracy {
-                strategy: sim.oracle().strategy_label().to_string(),
-                ..EstimatorAccuracy::default()
-            },
-            timings,
-            finalize: avmem::FinalizeStats::default(),
-            memory: MemoryStats::default(),
-        };
-        Ok(RunSession {
-            spec,
-            sim,
-            timeline,
-            end,
-            report,
-            ops_since_last: 0,
-            attack_since_last: (0, 0),
-            health_index: 0,
-            bands,
-            ops_scratch: OpScratch::default(),
-            metrics: None,
-        })
+        sim.warm_up(SimDuration::from_mins(spec.warmup_mins));
+        Ok(RunSession::open(spec, sim, timings))
     }
 }
 
@@ -229,6 +189,97 @@ pub struct RunSession {
 }
 
 impl RunSession {
+    /// Opens the operation window of `spec` over `sim`, warmed up to the
+    /// window's start: the timeline, the initiator bands and a fresh
+    /// report. Every session opens here, fresh or forked.
+    fn open(spec: ScenarioSpec, sim: AvmemSim, timings: RunTimings) -> RunSession {
+        let warm_end = SimTime::ZERO + SimDuration::from_mins(spec.warmup_mins);
+        let end = warm_end + SimDuration::from_mins(spec.duration_mins);
+        let timeline = Timeline::new(&spec, warm_end, end);
+        let bands = if matches!(spec.workload.initiators, BandSpec::Any) {
+            BandIndex::default()
+        } else {
+            BandIndex::build(sim.trace())
+        };
+        let report = ScenarioReport {
+            scenario: spec.name.clone(),
+            seed: spec.seed,
+            hosts: sim.trace().num_nodes(),
+            duration_mins: spec.duration_mins,
+            anycast: AnycastStats::new(),
+            multicast: MulticastStats::new(),
+            attack: spec.adversary.map(|_| AttackStats::new()),
+            health: Vec::new(),
+            skipped_ops: 0,
+            admission_drops: 0,
+            estimator: EstimatorAccuracy {
+                strategy: sim.oracle().strategy_label().to_string(),
+                ..EstimatorAccuracy::default()
+            },
+            timings,
+            finalize: avmem::FinalizeStats::default(),
+            memory: MemoryStats::default(),
+        };
+        RunSession {
+            spec,
+            sim,
+            timeline,
+            end,
+            report,
+            ops_since_last: 0,
+            attack_since_last: (0, 0),
+            health_index: 0,
+            bands,
+            ops_scratch: OpScratch::default(),
+            metrics: None,
+        }
+    }
+
+    /// A session for `spec` over a copy of this session's warmed-up
+    /// simulation: the warm-up is paid once and each workload of a family
+    /// runs from the same overlay. Stepped to exhaustion and finished, the
+    /// fork's report `==` a fresh [`ScenarioRunner::run`] of `spec`, and
+    /// this session runs on as if it had never forked. The fork's
+    /// [`RunTimings`] cover only its own window: it built no trace and no
+    /// simulation, and its phase totals start at zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::Invalid`] when `spec` does not validate,
+    /// outlasts the trace, differs from this session's spec in a field the
+    /// warm-up depends on (the message names the first: `seed`, `churn`,
+    /// `predicate`, `oracle`, `maintenance`, `warmup_mins`), or when this
+    /// session has already stepped an event.
+    pub fn fork(&self, spec: ScenarioSpec) -> Result<RunSession, ScenarioError> {
+        spec.validate()?;
+        spec.check_trace_covers(self.sim.trace())?;
+        // The spec fields a warm-up depends on.
+        let (a, b) = (&self.spec, &spec);
+        let differs = [
+            ("seed", a.seed != b.seed),
+            ("churn", a.churn != b.churn),
+            ("predicate", a.predicate != b.predicate),
+            ("oracle", a.oracle != b.oracle),
+            ("maintenance", a.maintenance != b.maintenance),
+            ("warmup_mins", a.warmup_mins != b.warmup_mins),
+        ];
+        if let Some((field, _)) = differs.into_iter().find(|&(_, differs)| differs) {
+            return Err(ScenarioError::Invalid(format!(
+                "cannot fork {:?} from {:?}: its warm-up differs in `{field}`",
+                spec.name, self.spec.name
+            )));
+        }
+        // The timeline's first event is the health sample at the window's
+        // start, so an empty health series means nothing was stepped.
+        if !self.report.health.is_empty() {
+            return Err(ScenarioError::Invalid(format!(
+                "cannot fork {:?} from {:?}: that session has already stepped past its warm-up",
+                spec.name, self.spec.name
+            )));
+        }
+        Ok(RunSession::open(spec, self.sim.clone(), RunTimings::default()))
+    }
+
     /// Attaches a metrics registry. Harness phase spans, AVMON slot costs
     /// and the per-operation latency, hop and execution-time histograms
     /// land in it live; every count and gauge the report holds is

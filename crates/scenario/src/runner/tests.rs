@@ -1,9 +1,10 @@
 use super::*;
 use crate::builtin;
 use crate::spec::{AdversarySpec, ChurnSpec, MaintenanceModeSpec, TargetMix};
-use avmem::harness::{MaintenanceEngine, PredicateChoice};
-use avmem::ops::ForwardPolicy;
+use avmem::harness::{MaintenanceEngine, OracleChoice, PredicateChoice};
+use avmem::ops::{ForwardPolicy, MulticastStrategy};
 use avmem::AvailabilityTarget;
+use avmem_avmon::{AssignmentChoice, AvmonConfig};
 
 fn tiny_spec() -> ScenarioSpec {
     let mut spec = builtin::builtin("smoke").expect("smoke builtin");
@@ -323,4 +324,104 @@ fn dropping_ops_counts_and_never_fires_them() {
     assert_eq!(report.skipped_ops, 0);
     // Health samples still happen — they are never droppable.
     assert!(report.health.len() >= 2);
+}
+
+/// The warm-ups the fork tests share, on `threads` shards: converged
+/// over the exact oracle, event-driven over it, and event-driven over
+/// ring AVMON.
+fn warmups(threads: usize) -> [ScenarioSpec; 3] {
+    let mut converged = tiny_spec();
+    converged.maintenance.engine = MaintenanceEngine::Sharded { threads: Some(threads) };
+    let mut live = converged.clone();
+    live.maintenance.mode =
+        MaintenanceModeSpec::EventDriven { protocol_secs: 60, refresh_mins: 20 };
+    let mut avmon = live.clone();
+    let assignment = AssignmentChoice::Ring { vnodes: 8, k: 8 };
+    let config = AvmonConfig { assignment, ..AvmonConfig::default() };
+    avmon.oracle = OracleChoice::Avmon { config };
+    [converged, live, avmon]
+}
+
+/// Workloads over `parent`'s warm-up: anycasts with another policy,
+/// target, band, window and health cadence; flood and gossip multicasts;
+/// and selfish flooders.
+fn workloads(parent: &ScenarioSpec) -> [ScenarioSpec; 4] {
+    let mut anycast = ScenarioSpec { name: "anycast".into(), ..parent.clone() };
+    (anycast.duration_mins, anycast.health_every_mins) = (40, 15);
+    let workload = &mut anycast.workload;
+    (workload.anycast_fraction, workload.policy) = (1.0, ForwardPolicy::Greedy);
+    workload.initiators = BandSpec::High;
+    let target = AvailabilityTarget::Range { lo: 0.15, hi: 0.25 };
+    workload.targets = vec![TargetMix { weight: 1.0, target }];
+    let mut flood = ScenarioSpec { name: "flood".into(), ..parent.clone() };
+    flood.workload.anycast_fraction = 0.0;
+    let mut gossip = ScenarioSpec { name: "gossip".into(), ..flood.clone() };
+    gossip.workload.multicast = MulticastStrategy::paper_gossip();
+    let mut selfish = ScenarioSpec { name: "selfish".into(), ..parent.clone() };
+    selfish.adversary = Some(AdversarySpec { flooder_fraction: 0.5, cushion: 0.1, probes: 10 });
+    [anycast, flood, gossip, selfish]
+}
+
+fn run_out(mut session: RunSession) -> ScenarioReport {
+    while session.step().is_some() {}
+    session.finish()
+}
+
+#[test]
+fn a_fork_reports_what_a_fresh_run_reports_and_leaves_its_parent_alone() {
+    for threads in [1, 2, 4] {
+        for parent in warmups(threads) {
+            let runner = ScenarioRunner::new(parent.clone()).unwrap();
+            let warm = runner.session().unwrap();
+            for spec in workloads(&parent) {
+                let mode = &parent.maintenance.mode;
+                let label = format!("{} over {mode:?}, {threads} threads", spec.name);
+                let fresh = ScenarioRunner::new(spec.clone()).unwrap().run().unwrap();
+                let forked = run_out(warm.fork(spec).unwrap());
+                assert!(forked.anycast.sent + forked.multicast.sent > 0, "{label}: no traffic");
+                assert_eq!(forked, fresh, "{label}");
+            }
+            assert_eq!(run_out(warm), runner.run().unwrap(), "{parent:?}");
+        }
+    }
+}
+
+#[test]
+fn a_fork_is_refused_a_different_warm_up_or_a_stepped_parent() {
+    for threads in [1, 2, 4] {
+        let [parent, live, _] = warmups(threads);
+        let warm = ScenarioRunner::new(parent.clone()).unwrap().session().unwrap();
+        let edit = |edit: fn(&mut ScenarioSpec)| {
+            let mut spec = parent.clone();
+            edit(&mut spec);
+            spec
+        };
+        let edits = [
+            ("seed", edit(|s| s.seed += 1)),
+            ("churn", edit(|s| s.churn = ChurnSpec::Overnet { hosts: 81, days: 1 })),
+            ("predicate", edit(|s| s.predicate = PredicateChoice::Random { expected_degree: 8.0 })),
+            ("oracle", edit(|s| s.oracle = OracleChoice::paper_noise())),
+            ("maintenance", live),
+            ("maintenance", edit(|s| s.maintenance.engine = MaintenanceEngine::Serial)),
+            ("warmup_mins", edit(|s| s.warmup_mins = 30)),
+        ];
+        for (field, spec) in edits {
+            match warm.fork(spec) {
+                Err(ScenarioError::Invalid(msg)) => {
+                    assert!(msg.contains(&format!("`{field}`")), "{field}: {msg}");
+                }
+                other => panic!("{field}: forked anyway: {other:?}"),
+            }
+        }
+        let invalid = ScenarioSpec { health_every_mins: 0, ..parent.clone() };
+        assert!(invalid.validate().is_err());
+        assert!(matches!(warm.fork(invalid), Err(ScenarioError::Invalid(_))));
+
+        let mut stepped = ScenarioRunner::new(parent.clone()).unwrap().session().unwrap();
+        stepped.step().expect("an event");
+        match stepped.fork(parent.clone()) {
+            Err(ScenarioError::Invalid(msg)) => assert!(msg.contains("stepped"), "{msg}"),
+            other => panic!("forked a stepped session: {other:?}"),
+        }
+    }
 }

@@ -374,7 +374,6 @@ impl ScenarioSpec {
     /// and [`ScenarioError::Invalid`] when the trace is shorter than
     /// `warmup + duration` or that sum overflows the clock.
     pub fn build_trace(&self) -> Result<ChurnTrace, ScenarioError> {
-        let needed = SimDuration::from_mins(self.horizon_mins()?);
         let trace = match &self.churn {
             ChurnSpec::Overnet { hosts, days } => {
                 OvernetModel::default().hosts(*hosts).days(*days).generate(self.seed)
@@ -405,6 +404,14 @@ impl ScenarioSpec {
                     .map_err(|e| ScenarioError::Trace(format!("parse {path}: {e}")))?
             }
         };
+        self.check_trace_covers(&trace)?;
+        Ok(trace)
+    }
+
+    /// Refuses a trace shorter than this spec's warm-up and operation
+    /// window together.
+    pub(crate) fn check_trace_covers(&self, trace: &ChurnTrace) -> Result<(), ScenarioError> {
+        let needed = SimDuration::from_mins(self.horizon_mins()?);
         if trace.duration() < needed {
             return Err(ScenarioError::Invalid(format!(
                 "trace covers {:.1} h but warmup + duration needs {:.1} h",
@@ -412,7 +419,7 @@ impl ScenarioSpec {
                 needed.as_secs_f64() / 3600.0
             )));
         }
-        Ok(trace)
+        Ok(())
     }
 
     /// The harness configuration this spec describes.

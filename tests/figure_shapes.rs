@@ -90,9 +90,13 @@ fn fig7_easy_anycast_one_hop_except_hs_only() {
         }
         let delivered = delivered.expect("anycasts were sent");
         let per_hop: Vec<f64> = per_hop.iter().map(|f| f.expect("anycasts were sent")).collect();
-        // Paper: ~100% at 442 online nodes. At this reduced scale (≈80
-        // online) stored lists are small and stale entries cost more, so
-        // accept a softer bound; the full-scale run reports the ~1.0.
+        // Paper: ~100% at 442 online nodes. Full scale does not reach it
+        // either: `figures fig7` at 1 442 hosts prints 0.86 for HS+VS,
+        // because 35 of its 259 greedy anycasts meet a stored neighbor
+        // that has gone offline (`next_hop_offline`), which plain greedy
+        // does not retry; retried-greedy (retries 8) delivers all 259.
+        // At this reduced scale (≈80 online) stored lists are smaller
+        // still, so the bound is softer.
         assert!(delivered > 0.6, "{name} delivered only {delivered}");
         // Most deliveries within two hops for vertical-capable variants.
         // (The paper's one-hop w.h.p. claim holds at 442+ online nodes,
