@@ -10,24 +10,17 @@
 //! Experiment ids: `fig2 fig3 fig4 fig56 fig7 fig8 fig9 fig10 fig11`
 //! (`fig5`/`fig6` alias `fig56`, `fig12`/`fig13` alias `fig11` — one run
 //! produces all three CDFs), `discovery`, `theorems`.
+//!
+//! At paper scale each experiment's claim rows follow its table, and the
+//! binary exits 1 when any row is a miss or a stale expected miss. The
+//! bands are stated for the paper's 1 442 hosts, so `--small` prints the
+//! tables only.
 
 use std::env;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
-use avmem_bench::{ablations, figures, paper};
-
-const ALL: [&str; 11] = [
-    "fig2", "fig3", "fig4", "fig56", "fig7", "fig8", "fig9", "fig10", "fig11", "discovery",
-    "theorems",
-];
-
-const ABLATIONS: [&str; 5] = [
-    "ablation-predicates",
-    "ablation-cushion",
-    "ablation-gossip",
-    "ablation-workload",
-    "ablation-aged",
-];
+use avmem_bench::experiments::{Harness, ABLATIONS, FIGURES as ALL};
 
 fn usage() -> String {
     format!(
@@ -84,47 +77,43 @@ fn main() -> ExitCode {
         }
     };
 
-    // "Each point … the average of 5 different protocol runs, each with
-    // 50 messages"; the small scale runs in well under a second.
-    let (hosts, days, runs, messages) = if small { (200, 2, 2, 20) } else { (1442, 7, 5, 50) };
-    let base = paper::base(hosts, days, messages);
-    println!(
-        "# AVMEM figure harness: {hosts} hosts, {days} days, {runs} runs × {messages} messages{}",
-        if small { " (small mode)" } else { "" }
-    );
-    println!();
-
-    for experiment in requested {
-        match experiment {
-            "fig2" => println!("{}", figures::fig2(&base)),
-            "fig3" => println!("{}", figures::fig3(&base)),
-            "fig4" => println!("{}", figures::fig4(&base)),
-            "fig56" => println!("{}", figures::fig56(&base)),
-            "fig7" => println!("{}", figures::fig7(&base, runs)),
-            "fig8" => println!("{}", figures::fig8(&base, runs)),
-            "fig9" => println!("{}", figures::fig9(&base, runs)),
-            "fig10" => {
-                for sweep in figures::fig10(&base, runs) {
-                    println!("{sweep}");
-                }
-            }
-            "fig11" => println!("{}", figures::fig111213(&base, runs)),
-            "discovery" => {
-                let n = if small { 128 } else { 1024 };
-                println!("{}", figures::discovery_micro(n, 30));
-            }
-            "theorems" => println!("{}", figures::theorem_checks(&base)),
-            "ablation-predicates" => {
-                println!("{}", ablations::ablation_predicates(&base, runs));
-            }
-            "ablation-cushion" => println!("{}", ablations::ablation_cushion(&base)),
-            "ablation-gossip" => println!("{}", ablations::ablation_gossip(&base, runs)),
-            "ablation-workload" => println!("{}", ablations::ablation_workload(&base, runs)),
-            "ablation-aged" => println!("{}", ablations::ablation_aged(&base)),
-            other => unreachable!("{other:?} resolved to no experiment"),
+    match report(&Harness::new(small), &requested, &mut io::stdout().lock()) {
+        Ok(0) => ExitCode::SUCCESS,
+        Ok(failing) => {
+            eprintln!("{failing} claim rows miss or are stale");
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("figures: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
+}
+
+/// Runs `experiments` on `harness` and writes each one's table to `out`,
+/// followed at paper scale by its claim rows, each expected miss's cause
+/// under the first row that names it. Returns how many rows miss or are
+/// stale.
+fn report(harness: &Harness, experiments: &[&str], out: &mut impl Write) -> io::Result<usize> {
+    writeln!(out, "{}\n", harness.header)?;
+    let mut failing = 0;
+    for id in experiments {
+        let experiment = harness.run(id);
+        write!(out, "{experiment}")?;
+        if harness.paper_scale() {
+            let mut cause = None;
+            for claim in experiment.claims() {
+                writeln!(out, "{claim}")?;
+                if let Some(why) = claim.expected_miss.filter(|&why| Some(why) != cause) {
+                    writeln!(out, "        cause: {why}")?;
+                    cause = Some(why);
+                }
+                failing += usize::from(claim.verdict().fails());
+            }
+        }
+        writeln!(out)?;
+    }
+    Ok(failing)
 }
 
 #[cfg(test)]
@@ -147,5 +136,15 @@ mod tests {
         assert_eq!(both.len(), all.len() + ABLATIONS.len());
         assert_eq!((both[0], both[ABLATIONS.len()]), (ABLATIONS[0], "fig2"));
         assert_eq!(ids("fig2 bogus fig3"), Err("bogus".to_owned()));
+    }
+
+    #[test]
+    fn the_small_scale_prints_no_claim_row() {
+        let mut out = Vec::new();
+        let failing = report(&Harness::new(true), &["fig2", "theorems"], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(text.contains("Fig 2. snapshot") && text.contains("§2.2 theorem checks"), "{text}");
+        assert!(!text.contains("claim"), "{text}");
+        assert_eq!(failing, 0);
     }
 }

@@ -3,10 +3,14 @@
 //! Each function regenerates the data series behind a figure from specs
 //! edited out of the paper setting ([`crate::paper::base`]) and returns a
 //! result struct whose `Display` impl prints the same rows/series the
-//! paper reports. Absolute numbers differ (synthetic trace, simulated
-//! latencies) but the *shapes* — who wins, by what factor, where
-//! crossovers fall — are the reproduction targets; `tests/figure_shapes.rs`
-//! holds them. A rate over no operations is `None` and prints `-`.
+//! paper reports, and whose `claims` method reads what the paper says
+//! about them as [`Claim`] rows (the band rules are in [`crate::claims`]).
+//! Absolute numbers differ (synthetic trace, simulated latencies); the
+//! claims — who wins, by what factor, which bound holds — are the
+//! reproduction targets, and `tests/paper_claims.rs` checks them at paper
+//! scale. The snapshot figures (2–4, the theorem checks) read one warmed
+//! session of the base spec, which the caller warms once. A rate over no
+//! operations is `None` and prints `-`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -16,12 +20,13 @@ use avmem::harness::{OracleChoice, PredicateChoice};
 use avmem::ops::{AnycastDrop, ForwardPolicy, MulticastStrategy, OverlayWorld};
 use avmem::verify::{flooding_acceptance, legitimate_rejection};
 use avmem::{AdmissionPolicy, AvailabilityTarget, SliverScope};
-use avmem_scenario::{BandSpec, Buckets, ScenarioSpec};
+use avmem_scenario::{BandSpec, Buckets, RunSession, ScenarioSpec};
 use avmem_sim::SimDuration;
 use avmem_shuffle::{sim::RoundSim, ShuffleConfig};
-use avmem_util::stats::{correlation, Histogram, Summary};
+use avmem_util::stats::{correlation, slope, Histogram, Summary};
 use avmem_util::{Availability, NodeId};
 
+use crate::claims::{gap, least, most, Band, Claim, Experiment};
 use crate::paper::{self, cell, ratio, skipped};
 
 /// The anycast algorithm variants compared throughout §4.2.
@@ -132,10 +137,9 @@ pub struct Fig2 {
     pub vs_correlation: f64,
 }
 
-/// Runs the Fig. 2 snapshot experiment.
-pub fn fig2(base: &ScenarioSpec) -> Fig2 {
-    let session = paper::warmed(base);
-    let world = session.sim().world();
+/// Runs the Fig. 2 snapshot experiment over the warmed `snapshot`.
+pub fn fig2(snapshot: &RunSession) -> Fig2 {
+    let world = snapshot.sim().world();
     let buckets = 10;
     let (histogram, _) = online_and_vs_in_links(&world, buckets);
     let median_per_bucket = |points: &[(f64, usize)]| -> Vec<Option<f64>> {
@@ -175,11 +179,19 @@ impl fmt::Display for Fig2 {
             let (hs, vs) = (cell(self.hs_median[b], 8, 1), cell(self.vs_median[b], 8, 1));
             writeln!(f, "  {}  {online:>5}  {hs}  {vs}", decile(b))?;
         }
-        writeln!(
-            f,
-            "  corr(av,|HS|) = {:+.2} (paper: increasing)   corr(av,|VS|) = {:+.2} (paper: ~0)",
-            self.hs_correlation, self.vs_correlation
-        )
+        let (hs, vs) = (self.hs_correlation, self.vs_correlation);
+        writeln!(f, "  corr(av,|HS|) = {hs:+.2}   corr(av,|VS|) = {vs:+.2}")
+    }
+}
+
+impl Experiment for Fig2 {
+    /// |HS| grows with availability, |VS| does not.
+    fn claims(&self) -> Vec<Claim> {
+        let (hs, vs) = (Some(self.hs_correlation), Some(self.vs_correlation));
+        vec![
+            Claim::new("Fig 2b", "increasing", "corr(av,|HS|)", hs, Band::ORDERED),
+            Claim::new("Fig 2c", "~0", "corr(av,|VS|)", vs, Band::UNCORRELATED),
+        ]
     }
 }
 
@@ -195,16 +207,15 @@ pub struct Fig3 {
     pub points: Vec<(f64, f64)>,
     /// Bucket width on the candidates axis.
     pub candidate_bucket: f64,
-    /// Least-squares slope over the lower half of the candidates range.
-    pub slope_low: f64,
-    /// Least-squares slope over the upper half.
-    pub slope_high: f64,
+    /// Least-squares exponent `k` of `mean|HS| ∝ candidates^k`: the
+    /// slope of ln mean|HS| against ln candidates over the bucket means.
+    pub exponent: f64,
 }
 
-/// Runs the Fig. 3 scaling experiment.
-pub fn fig3(base: &ScenarioSpec) -> Fig3 {
-    let session = paper::warmed(base);
-    let raw = hs_scaling_points(&session.sim().world(), session.sim().predicate().epsilon());
+/// Runs the Fig. 3 scaling experiment over the warmed `snapshot`.
+pub fn fig3(snapshot: &RunSession) -> Fig3 {
+    let sim = snapshot.sim();
+    let raw = hs_scaling_points(&sim.world(), sim.predicate().epsilon());
     let max_candidates = raw.iter().map(|p| p.0).fold(0.0f64, f64::max).max(1.0);
     let bucket = (max_candidates / 12.0).max(1.0);
     let mut grouped: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
@@ -212,15 +223,11 @@ pub fn fig3(base: &ScenarioSpec) -> Fig3 {
         grouped.entry((candidates / bucket) as u64).or_default().push(size);
     }
     let mean = |sizes: Vec<f64>| sizes.iter().sum::<f64>() / sizes.len() as f64;
-    let points = grouped.into_iter().map(|(b, sizes)| ((b as f64 + 0.5) * bucket, mean(sizes)));
-    let mid = max_candidates / 2.0;
-    let (low, high): (Vec<_>, Vec<_>) = raw.iter().partition(|p| p.0 <= mid);
-    Fig3 {
-        points: points.collect(),
-        candidate_bucket: bucket,
-        slope_low: avmem_util::stats::slope(&low),
-        slope_high: avmem_util::stats::slope(&high),
-    }
+    let points: Vec<(f64, f64)> =
+        grouped.into_iter().map(|(b, sizes)| ((b as f64 + 0.5) * bucket, mean(sizes))).collect();
+    let logs: Vec<(f64, f64)> =
+        points.iter().filter(|p| p.1 > 0.0).map(|&(c, hs)| (c.ln(), hs.ln())).collect();
+    Fig3 { points, candidate_bucket: bucket, exponent: slope(&logs) }
 }
 
 impl fmt::Display for Fig3 {
@@ -230,11 +237,15 @@ impl fmt::Display for Fig3 {
         for &(candidates, hs) in &self.points {
             writeln!(f, "  {candidates:>12.0}   {hs:>10.1}")?;
         }
-        writeln!(
-            f,
-            "  slope lower half {:.3}, upper half {:.3} (paper: sublinear growth ⇒ flattening slope)",
-            self.slope_low, self.slope_high
-        )
+        writeln!(f, "  least-squares exponent of mean|HS| against candidates: {:.3}", self.exponent)
+    }
+}
+
+impl Experiment for Fig3 {
+    /// |HS| grows sublinearly with the band's population.
+    fn claims(&self) -> Vec<Claim> {
+        let sublinear = Band { lo: 0.0, hi: 1.0 };
+        vec![Claim::new("Fig 3", "sublinear growth", "exponent", Some(self.exponent), sublinear)]
     }
 }
 
@@ -255,10 +266,9 @@ pub struct Fig4 {
     pub population_correlation: f64,
 }
 
-/// Runs the Fig. 4 in-link experiment.
-pub fn fig4(base: &ScenarioSpec) -> Fig4 {
-    let session = paper::warmed(base);
-    let (population, links) = online_and_vs_in_links(&session.sim().world(), 10);
+/// Runs the Fig. 4 in-link experiment over the warmed `snapshot`.
+pub fn fig4(snapshot: &RunSession) -> Fig4 {
+    let (population, links) = online_and_vs_in_links(&snapshot.sim().world(), 10);
     let (population, links) = (counts(&population), counts(&links));
     // (population, links) over the populated buckets.
     let populated: Vec<(f64, f64)> = links
@@ -284,11 +294,20 @@ impl fmt::Display for Fig4 {
         for (b, links) in self.links.iter().enumerate() {
             writeln!(f, "  {}  {:>5}  {links:>12}", decile(b), self.population[b])?;
         }
-        writeln!(
-            f,
-            "  cv(links) = {:.2} (paper: largely uniform); corr(population, links) = {:+.2} (paper: uncorrelated)",
-            self.coefficient_of_variation, self.population_correlation
-        )
+        let (cv, r) = (self.coefficient_of_variation, self.population_correlation);
+        writeln!(f, "  cv(links) = {cv:.2}; corr(population, links) = {r:+.2}")
+    }
+}
+
+impl Experiment for Fig4 {
+    /// In-links are spread evenly, whatever the range's population.
+    fn claims(&self) -> Vec<Claim> {
+        let (cv, r) = (Some(self.coefficient_of_variation), Some(self.population_correlation));
+        let cause = "I.B draws a node's vertical links from outside its own ±ε band, so a target in the dense 0.8-1.0 deciles has 368-369 eligible online sources on average against 488-586 elsewhere (corr(population, eligible sources) = -0.95; corr(eligible sources, links) = +0.68)";
+        vec![
+            Claim::new("Fig 4", "largely uniform", "cv(links)", cv, Band::about(0.0)).expected_miss(cause),
+            Claim::new("Fig 4", "uncorrelated", "corr(population, links)", r, Band::UNCORRELATED).expected_miss(cause),
+        ]
     }
 }
 
@@ -335,14 +354,13 @@ fn cushion_table(
     f: &mut fmt::Formatter<'_>,
     title: &str,
     [strict, cushion]: [&[Option<f64>]; 2],
-    paper: &str,
 ) -> fmt::Result {
     writeln!(f, "{title}")?;
     writeln!(f, "  bucket    cushion=0  cushion=0.1")?;
     for (b, (&s, &c)) in strict.iter().zip(cushion).enumerate() {
         writeln!(f, "  {}   {}     {}", decile(b), cell(s, 6, 3), cell(c, 6, 3))?;
     }
-    writeln!(f, "  (paper: {paper})")
+    Ok(())
 }
 
 impl fmt::Display for Fig56 {
@@ -351,15 +369,29 @@ impl fmt::Display for Fig56 {
             f,
             "Fig 5. flooding attack: fraction of non-neighbors accepting",
             [&self.flooding_strict, &self.flooding_cushion],
-            "below ~0.10 across all attacker availabilities",
         )?;
         writeln!(f)?;
         cushion_table(
             f,
             "Fig 6. legitimate rejection rate",
             [&self.rejection_strict, &self.rejection_cushion],
-            "below 0.30 with no cushion, below 0.20 with cushion 0.1",
         )
+    }
+}
+
+impl Experiment for Fig56 {
+    /// Bounds on every bucket of each series.
+    fn claims(&self) -> Vec<Claim> {
+        let all = "below ~0.10 across all attacker availabilities";
+        let [strict, cushion, no_cushion, with] =
+            [&self.flooding_strict, &self.flooding_cushion, &self.rejection_strict, &self.rejection_cushion]
+                .map(|series| most(series.iter().copied()));
+        vec![
+            Claim::new("Fig 5", all, "max acceptance", strict, Band::at_most(0.1)),
+            Claim::new("Fig 5", all, "max acceptance, cushion 0.1", cushion, Band::at_most(0.1)).expected_miss("a receiver admits a hash up to the threshold plus the cushion, so a non-neighbor gets in with probability about cushion + the strict rate (0.109 at 0.1 in the cushion ablation): at cushion 0.1 acceptance sits on the bound by construction"),
+            Claim::new("Fig 6", "below 0.30 with no cushion", "max rejection", no_cushion, Band::at_most(0.3)),
+            Claim::new("Fig 6", "below 0.20 with cushion 0.1", "max rejection", with, Band::at_most(0.2)),
+        ]
     }
 }
 
@@ -404,8 +436,24 @@ impl fmt::Display for Fig7 {
             }
             writeln!(f)?;
         }
-        skipped(f, self.skipped_ops)?;
-        writeln!(f, "  (paper: all variants ~100% success; all except HS-only within ~1 hop)")
+        skipped(f, self.skipped_ops)
+    }
+}
+
+impl Experiment for Fig7 {
+    /// Every variant delivers, all but HS-only within one hop (p90 ≤ 1:
+    /// at least 0.9 of the deliveries take one hop or none).
+    fn claims(&self) -> Vec<Claim> {
+        let cause = "plain greedy does not retry a next hop that went offline: of 36, 35, 39 and 177 drops in 259 (sim-annealing, HS+VS, VS-only, HS-only; five seeds) all but one VS-only TTL expiry are next_hop_offline, and retried greedy (retries 8) delivers 259 of 259 over HS+VS, 255 over HS only";
+        let mut claims = Vec::new();
+        for (name, delivered, per_hop) in &self.variants {
+            claims.push(Claim::new("Fig 7", "all variants ~100% success", format!("{name} delivered"), *delivered, Band::about(1.0)).expected_miss(cause));
+            if name != "HS-only" {
+                let within = per_hop[0].zip(per_hop[1]).zip(*delivered).map(|((zero, one), d)| (zero + one) / d);
+                claims.push(Claim::new("Fig 7", "all except HS-only within ~1 hop", format!("{name} ≤ 1 hop share"), within, Band::at_least(0.9)));
+            }
+        }
+        claims
     }
 }
 
@@ -451,8 +499,23 @@ impl fmt::Display for Fig8 {
             }
             writeln!(f)?;
         }
-        skipped(f, self.skipped_ops)?;
-        writeln!(f, "  (paper: success degrades toward low-availability targets; HS+VS best)")
+        skipped(f, self.skipped_ops)
+    }
+}
+
+impl Experiment for Fig8 {
+    /// Delivery falls as the target moves to lower availabilities, and
+    /// HS+VS delivers the most in every row.
+    fn claims(&self) -> Vec<Claim> {
+        let rows: Vec<&[Option<f64>]> = self.rows.iter().map(|(_, f)| f.as_slice()).collect();
+        let steps = rows.windows(2).flat_map(|w| w[0].iter().zip(w[1]).map(|(&e, &h)| gap(e, h)));
+        let (hs_vs, others) = (1, [0, 2, 3]); // Positions in `ANYCAST_VARIANTS`.
+        let best = rows.iter().flat_map(|row| others.map(|i| gap(row[hs_vs], row[i])));
+        let degrades = "success degrades toward low-availability targets";
+        vec![
+            Claim::new("Fig 8", degrades, "least drop to the next target", least(steps), Band::ORDERED),
+            Claim::new("Fig 8", "HS+VS best", "least HS+VS margin", least(best), Band::ORDERED),
+        ]
     }
 }
 
@@ -491,7 +554,18 @@ pub fn fig9(base: &ScenarioSpec, runs: u64) -> Fig9 {
     retry_sweep(base, runs, "AVMEM".into())
 }
 
-/// Runs the Fig. 10 sweep over the random-overlay baseline.
+/// Fig. 10: the retried-greedy sweep over random overlays, held against
+/// AVMEM's (Fig. 9).
+#[derive(Debug, Clone)]
+pub struct Fig10 {
+    /// AVMEM's sweep, the one Fig. 9 prints.
+    pub avmem: Fig9,
+    /// One sweep per random overlay, the paper's CYCLON-size one first.
+    pub random: Vec<Fig9>,
+}
+
+/// Runs the Fig. 10 sweep over the random-overlay baseline, sizing it
+/// from the warmed `snapshot` of `base`, against `avmem`'s sweep.
 ///
 /// The paper's baseline is "a random overlay graph similar to those
 /// created by alternative membership protocols like SCAMP, CYCLON,
@@ -500,19 +574,18 @@ pub fn fig9(base: &ScenarioSpec, runs: u64) -> Fig9 {
 /// harder ablation, a baseline degree-matched to AVMEM's full stored
 /// degree — isolating whether AVMEM's edge comes from *where* its links
 /// point rather than from how many it has.
-pub fn fig10(base: &ScenarioSpec, runs: u64) -> Vec<Fig9> {
-    let reference = paper::warmed(base);
-    let cyclon = 2.0 * reference.sim().n_star().ln();
-    let matched = reference.sim().health_stats().mean_degree.max(1.0);
-    drop(reference);
-    [("CYCLON-size", cyclon), ("degree-matched", matched)]
+pub fn fig10(base: &ScenarioSpec, runs: u64, snapshot: &RunSession, avmem: Fig9) -> Fig10 {
+    let cyclon = 2.0 * snapshot.sim().n_star().ln();
+    let matched = snapshot.sim().health_stats().mean_degree.max(1.0);
+    let random = [("CYCLON-size", cyclon), ("degree-matched", matched)]
         .into_iter()
         .map(|(kind, degree)| {
             let predicate = PredicateChoice::Random { expected_degree: degree };
             let random = ScenarioSpec { predicate, ..base.clone() };
             retry_sweep(&random, runs, format!("random ({kind}, degree {degree:.0})"))
         })
-        .collect()
+        .collect();
+    Fig10 { avmem, random }
 }
 
 fn retry_sweep(base: &ScenarioSpec, runs: u64, overlay: String) -> Fig9 {
@@ -554,8 +627,37 @@ impl fmt::Display for Fig9 {
                 cell(row.mean_latency_ms, 15, 0)
             )?;
         }
-        skipped(f, self.skipped_ops)?;
-        writeln!(f, "  (paper: delivery plateaus around retry=8; AVMEM beats the random overlay)")
+        skipped(f, self.skipped_ops)
+    }
+}
+
+impl Experiment for Fig9 {
+    /// Past 8 retries, more retries deliver about as much.
+    fn claims(&self) -> Vec<Claim> {
+        let gain = gap(self.rows[3].delivered, self.rows[2].delivered); // Retries 16 and 8.
+        let paper = "delivery plateaus around retry=8";
+        vec![Claim::new("Fig 9", paper, "delivered(16) - delivered(8)", gain, Band::about(0.0))]
+    }
+}
+
+impl fmt::Display for Fig10 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, sweep) in self.random.iter().enumerate() {
+            write!(f, "{}{sweep}", if i == 0 { "" } else { "\n" })?;
+        }
+        Ok(())
+    }
+}
+
+impl Experiment for Fig10 {
+    /// AVMEM delivers more than the paper's CYCLON-size random overlay at
+    /// every retry budget; the degree-matched overlay is this
+    /// reproduction's own ablation, with no claim of the paper's.
+    fn claims(&self) -> Vec<Claim> {
+        let rows = self.avmem.rows.iter().zip(&self.random[0].rows);
+        let margins = rows.map(|(avmem, random)| gap(avmem.delivered, random.delivered));
+        let paper = "AVMEM beats the random overlay";
+        vec![Claim::new("Fig 10", paper, "least AVMEM - random delivered", least(margins), Band::ORDERED)]
     }
 }
 
@@ -568,6 +670,8 @@ impl fmt::Display for Fig9 {
 pub struct MulticastScenario {
     /// Scenario label as in the paper's legends.
     pub label: String,
+    /// Whether the scenario gossips (else it floods).
+    pub gossip: bool,
     /// Number of multicasts measured.
     pub count: u64,
     /// Worst-case delivery latency (ms, 10 ms buckets) — Fig. 11.
@@ -610,10 +714,11 @@ pub fn fig111213(base: &ScenarioSpec, runs: u64) -> Fig111213 {
     let noisy = ScenarioSpec { oracle, ..base.clone() };
     let family = scenarios.map(|(_, band, target, m)| paper::multicasts(&noisy, band, target, m));
     let mut fig = Fig111213 { scenarios: Vec::new(), skipped_ops: 0 };
-    for ((label, ..), pooled) in scenarios.into_iter().zip(paper::pooled(&family, runs)) {
+    for ((label, .., strategy), pooled) in scenarios.into_iter().zip(paper::pooled(&family, runs)) {
         let m = pooled.multicast;
         fig.scenarios.push(MulticastScenario {
             label: label.to_owned(),
+            gossip: strategy != flood,
             count: m.reliability_count,
             latency: m.worst_latency_histogram,
             spam: m.spam_histogram,
@@ -647,11 +752,32 @@ impl fmt::Display for Fig111213 {
                 at(&s.reliability, 0.5, 6, 2),
             )?;
         }
-        skipped(f, self.skipped_ops)?;
-        writeln!(
-            f,
-            "  (paper: flood latency ≤ ~300 ms, gossip ≤ ~5.5 s; spam ≤ ~8%; flood reliability > 90%, gossip ≈ 70%)"
-        )
+        skipped(f, self.skipped_ops)
+    }
+}
+
+
+impl Experiment for Fig111213 {
+    /// Per scenario: worst latency and spam bounded from above (p90),
+    /// flood reliability from below (p10), gossip reliability ≈ 70 % (p50).
+    fn claims(&self) -> Vec<Claim> {
+        let noise = "the figure's ±0.02 shared-noise oracle: a node cached inside [0.85, 0.95] but truly outside it is spammed, and one the other way round is missed; under the exact oracle the same runs read spam 0 and reliability 1.0";
+        let full_lists = "on the converged fixed point every node holds its full lists, so gossip reaches 0.97-0.98; the live protocol reads 0.87-0.88 for LOW → > 0.20 (ROADMAP finding 4): neither is the paper's ≈ 70%";
+        let mut claims = Vec::new();
+        for s in &self.scenarios {
+            let noisy = |claim: Claim| if s.label == "HIGH to [0.85,0.95]" { claim.expected_miss(noise) } else { claim };
+            let (latency, spam, at) = (s.latency.quantile(0.9), s.spam.quantile(0.9), |q| format!("{}: {q}", s.label));
+            claims.push(match s.gossip {
+                false => Claim::new("Fig 11", "flood latency ≤ ~300 ms", at("p90"), latency, Band::at_most(300.0)),
+                true => Claim::new("Fig 11", "gossip ≤ ~5.5 s", at("p90"), latency, Band::at_most(5500.0)),
+            });
+            claims.push(noisy(Claim::new("Fig 12", "spam ≤ ~8%", at("p90"), spam, Band::at_most(0.08))));
+            claims.push(match s.gossip {
+                false => noisy(Claim::new("Fig 13", "flood reliability > 90%", at("p10"), s.reliability.quantile(0.1), Band::at_least(0.9))),
+                true => Claim::new("Fig 13", "gossip ≈ 70%", at("p50"), s.reliability.quantile(0.5), Band::about(0.7)).expected_miss(full_lists),
+            });
+        }
+        claims
     }
 }
 
@@ -706,7 +832,23 @@ impl fmt::Display for DiscoveryMicro {
         for &(v, measured, predicted) in &self.rows {
             writeln!(f, "  {v:>11}   {measured:>23.1}   {predicted:>14.1}")?;
         }
-        writeln!(f, "  (§3.1: discovery time scales as O(N/v); v = √N minimizes v + N/v)")
+        Ok(())
+    }
+}
+
+impl Experiment for DiscoveryMicro {
+    /// Discovery time falls at least as fast as `N/v` (a fitted exponent
+    /// of `v` at most −1), and `v = √N`, the middle row, costs the least
+    /// view size plus discovery time.
+    fn claims(&self) -> Vec<Claim> {
+        let logs: Vec<(f64, f64)> = self.rows.iter().map(|&(v, t, _)| ((v as f64).ln(), t.ln())).collect();
+        let exponent = Some(slope(&logs)).filter(|e| e.is_finite());
+        let cost: Vec<f64> = self.rows.iter().map(|&(v, rounds, _)| v as f64 + rounds).collect();
+        let margin = Some(cost[0].min(cost[2]) - cost[1]).filter(|m| m.is_finite());
+        vec![
+            Claim::new("§3.1", "discovery time scales as O(N/v)", "exponent of v", exponent, Band::at_most(-1.0)),
+            Claim::new("§3.1", "v = √N minimizes v + N/v", "least other cost - √N's", margin, Band::ORDERED),
+        ]
     }
 }
 
@@ -723,6 +865,9 @@ pub struct TheoremChecks {
     pub predicted_vs: f64,
     /// Measured mean HS size.
     pub mean_hs: f64,
+    /// Theorem 3's `O(log N*)` at rule II.B's constant: a dense band of
+    /// `N*_av` nodes holds `c₂·ln N*_av · 2ε/ε ≤ 2·c₂·ln N*` of them.
+    pub hs_bound: f64,
     /// Largest-component fraction of the full overlay (HS+VS).
     pub component_fraction: f64,
     /// Worst band-component fraction over sampled band centers
@@ -733,12 +878,13 @@ pub struct TheoremChecks {
     pub mean_path_length: f64,
     /// Maximum hop distance from the sampled start.
     pub max_path_length: f64,
+    /// 90th-percentile hop distance from the sampled start.
+    pub p90_path_length: f64,
 }
 
-/// Runs the theorem sanity checks on a warmed-up overlay.
-pub fn theorem_checks(base: &ScenarioSpec) -> TheoremChecks {
-    let session = paper::warmed(base);
-    let sim = session.sim();
+/// Runs the theorem sanity checks on the warmed `snapshot`.
+pub fn theorem_checks(snapshot: &RunSession) -> TheoremChecks {
+    let sim = snapshot.sim();
     let (world, n, epsilon) = (&sim.world(), sim.trace().num_nodes(), sim.predicate().epsilon());
     let mean_size = |scope| {
         Summary::from_values(sliver_sizes(world, scope).into_iter().map(|(_, s)| s as f64)).mean()
@@ -765,37 +911,42 @@ pub fn theorem_checks(base: &ScenarioSpec) -> TheoremChecks {
         mean_vs: mean_size(SliverScope::VsOnly),
         predicted_vs: avmem::predicate::DEFAULT_C1 * sim.n_star().ln() * 0.8,
         mean_hs: mean_size(SliverScope::HsOnly),
+        hs_bound: 2.0 * avmem::predicate::DEFAULT_C2 * sim.n_star().ln(),
         component_fraction: sim.health_stats().largest_component,
         worst_band_fraction: worst_band,
         mean_path_length: paths.mean(),
         max_path_length: paths.max(),
+        p90_path_length: paths.quantile(0.9),
     }
 }
 
 impl fmt::Display for TheoremChecks {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "§2.2 theorem checks")?;
-        writeln!(
-            f,
-            "  mean |VS| = {:.1} (Thm 1/3 prediction c1·lnN*·(1−2ε) = {:.1})",
-            self.mean_vs, self.predicted_vs
-        )?;
-        writeln!(f, "  mean |HS| = {:.1} (Thm 3: O(log N*) for dense bands)", self.mean_hs)?;
-        writeln!(
-            f,
-            "  largest component (HS+VS, online) = {:.3} (Thm 2/3: connected w.h.p.)",
-            self.component_fraction
-        )?;
-        writeln!(
-            f,
-            "  worst band component fraction = {:.3} (Thm 2: bands connected w.h.p.)",
-            self.worst_band_fraction
-        )?;
-        writeln!(
-            f,
-            "  hop distances from a random node: mean {:.1}, max {:.0} (short paths ⇒ fast ops)",
-            self.mean_path_length, self.max_path_length
-        )
+        let (vs, predicted) = (self.mean_vs, self.predicted_vs);
+        writeln!(f, "  mean |VS| = {vs:.1}, predicted c1·lnN*·(1−2ε) = {predicted:.1}")?;
+        writeln!(f, "  mean |HS| = {:.1}", self.mean_hs)?;
+        writeln!(f, "  largest component (HS+VS, online) = {:.3}", self.component_fraction)?;
+        writeln!(f, "  worst band component fraction = {:.3}", self.worst_band_fraction)?;
+        let (mean, max) = (self.mean_path_length, self.max_path_length);
+        writeln!(f, "  hop distances from a random node: mean {mean:.1}, max {max:.0}")
+    }
+}
+
+impl Experiment for TheoremChecks {
+    /// Theorems 1 and 3's sliver sizes, Theorems 2 and 3's connectivity,
+    /// and paths within an operation's TTL.
+    fn claims(&self) -> Vec<Claim> {
+        let (vs, hs) = (Some(self.mean_vs), Some(self.mean_hs));
+        let (component, band) = (Some(self.component_fraction), Some(self.worst_band_fraction));
+        let (hs_bound, ttl) = (Band::at_most(self.hs_bound), Band::at_most(paper::TTL.into()));
+        vec![
+            Claim::new("Thm 1/3", "c1·lnN*·(1−2ε)", "mean |VS|", vs, Band::near(self.predicted_vs)),
+            Claim::new("Thm 3", "O(log N*) for dense bands", "mean |HS| (≤ 2·c2·lnN*)", hs, hs_bound),
+            Claim::new("Thm 2/3", "connected w.h.p.", "largest component", component, Band::about(1.0)),
+            Claim::new("Thm 2", "bands connected w.h.p.", "worst band component", band, Band::about(1.0)),
+            Claim::new("§2.2", "short paths ⇒ fast ops", "p90 hops (≤ TTL)", Some(self.p90_path_length), ttl),
+        ]
     }
 }
 
@@ -803,10 +954,6 @@ impl fmt::Display for TheoremChecks {
 mod tests {
     use super::*;
     use avmem::NeighborColumns;
-
-    fn small() -> ScenarioSpec {
-        paper::base(150, 2, 10)
-    }
 
     /// One node of a [`Wired`] overlay: `[HS | VS]` ids, as a membership
     /// lays them out.
@@ -928,65 +1075,5 @@ mod tests {
     fn incoming_vs_links_skip_offline_targets() {
         let world = wired(&[(true, 0.5, &[], &[1]), (false, 0.9, &[], &[])]);
         assert_eq!(online_and_vs_in_links(&world, 10).1.total(), 0);
-    }
-
-    #[test]
-    fn fig2_shapes() {
-        let fig = fig2(&small());
-        assert!(fig.online > 0);
-        // VS size uncorrelated with availability (paper Fig 2c).
-        assert!(fig.vs_correlation.abs() < 0.4, "vs correlation {}", fig.vs_correlation);
-        let _ = fig.to_string();
-    }
-
-    #[test]
-    fn fig3_is_sublinear() {
-        let fig = fig3(&small());
-        assert!(!fig.points.is_empty());
-        // Slope flattens in the upper half (sublinear growth).
-        let (low, high) = (fig.slope_low, fig.slope_high);
-        assert!(high <= low + 0.05, "slopes {low} vs {high}");
-        let _ = fig.to_string();
-    }
-
-    #[test]
-    fn fig4_links_not_following_population() {
-        let fig = fig4(&small());
-        assert!(fig.links.iter().sum::<u64>() > 0);
-        let _ = fig.to_string();
-    }
-
-    #[test]
-    fn fig7_hsvs_beats_hs_only() {
-        let fig = fig7(&small(), 1);
-        let delivered: BTreeMap<&str, f64> = fig
-            .variants
-            .iter()
-            .map(|(name, d, _)| (name.as_str(), d.expect("anycasts were sent")))
-            .collect();
-        let (both, hs) = (delivered["HS+VS"], delivered["HS-only"]);
-        assert!(both >= hs, "HS+VS {both} should be at least HS-only {hs}");
-        let _ = fig.to_string();
-    }
-
-    #[test]
-    fn discovery_micro_tracks_n_over_v() {
-        let micro = discovery_micro(128, 20);
-        for &(v, measured, predicted) in &micro.rows {
-            assert!(v >= 8);
-            assert!(
-                measured.is_nan() || measured < predicted * 6.0 + 10.0,
-                "v={v}: measured {measured} far above prediction {predicted}"
-            );
-        }
-        let _ = micro.to_string();
-    }
-
-    #[test]
-    fn theorem_checks_reasonable() {
-        let checks = theorem_checks(&small());
-        assert!(checks.mean_vs > 0.0);
-        assert!(checks.component_fraction > 0.9);
-        let _ = checks.to_string();
     }
 }

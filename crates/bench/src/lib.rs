@@ -6,11 +6,15 @@
 //! 7 days, 24-hour warm-up) and how an experiment reads it through
 //! [`avmem_scenario::ScenarioRunner`], warming each seed once; [`figures`]
 //! implements one experiment per table/figure of §4, each a family of
-//! specs edited from that base, returning a printable, machine-checkable
-//! result struct; [`ablations`] varies one design choice at a time. The
-//! `figures` binary dispatches on experiment id. What the code costs to
-//! run is measured by `perfbench/`, the repository's benchmark.
+//! specs edited from that base, returning a printable result struct;
+//! [`ablations`] varies one design choice at a time. Every result states
+//! what the paper says about it as [`claims::Claim`] rows, each with a
+//! band and a verdict. [`experiments`] runs them by id, for the `figures`
+//! binary and `tests/paper_claims.rs` alike. What the code costs to run
+//! is measured by `perfbench/`, the repository's benchmark.
 
 pub mod ablations;
+pub mod claims;
+pub mod experiments;
 pub mod figures;
 pub mod paper;

@@ -9,8 +9,12 @@
 //! runs, each with 50 messages": a run is one seed (with its own trace),
 //! and its messages, the window's Poisson arrivals, are its workload. A
 //! warm-up never depends on the workload, so each seed is warmed once
-//! ([`warmed`]): a snapshot experiment reads that overlay in place, and an
-//! operation experiment forks it once per spec of its family ([`pooled`]).
+//! ([`warmed`]): a snapshot experiment reads that overlay in place — Figs.
+//! 2–4, the theorem checks and Fig. 10's sizing share the base spec's
+//! first seed, warmed once a run ([`crate::experiments::Harness`]) — and
+//! an operation experiment forks it once per spec of its family
+//! ([`pooled`]). The paper's claims about the results are
+//! [`crate::claims`] rows.
 
 use std::fmt;
 
@@ -30,6 +34,9 @@ pub const WARMUP_MINS: u64 = 1440;
 
 /// The operation window: one trace slot.
 pub const WINDOW_MINS: u64 = 20;
+
+/// The hop budget of an operation.
+pub const TTL: u32 = 6;
 
 /// The arrival rate that fires `messages` operations a window, on average.
 fn per_run(messages: u64) -> f64 {
@@ -60,7 +67,7 @@ pub fn base(hosts: usize, days: u64, messages: u64) -> ScenarioSpec {
             anycast_fraction: 1.0,
             policy: ForwardPolicy::Greedy,
             scope: SliverScope::Both,
-            ttl: 6,
+            ttl: TTL,
             initiators: BandSpec::Any,
             multicast: MulticastStrategy::Flood,
             targets: vec![TargetMix { weight: 1.0, target }],
