@@ -498,6 +498,61 @@ impl Experiment for AgedAblation {
 mod tests {
     use super::*;
 
+    fn tiny() -> ScenarioSpec {
+        paper::base(120, 2, 8)
+    }
+
+    #[test]
+    fn predicate_ablation_produces_connected_overlays() {
+        let ablation = ablation_predicates(&tiny(), 1);
+        assert_eq!(ablation.rows.len(), 4);
+        for row in &ablation.rows {
+            assert!(row.mean_degree > 0.0, "{}: empty overlay", row.label);
+            assert!(row.component > 0.8, "{}: disconnected", row.label);
+        }
+        let _ = ablation.to_string();
+    }
+
+    #[test]
+    fn cushion_ablation_is_monotone() {
+        let ablation = ablation_cushion(&tiny());
+        for pair in ablation.rows.windows(2) {
+            assert!(pair[1].attack_acceptance >= pair[0].attack_acceptance - 1e-9);
+            assert!(pair[1].legitimate_rejection <= pair[0].legitimate_rejection + 1e-9);
+        }
+        let _ = ablation.to_string();
+    }
+
+    #[test]
+    fn aged_estimates_win_under_drift() {
+        let ablation = ablation_aged(&tiny());
+        assert_eq!(ablation.rows.len(), 4);
+        let cell = |estimator: &str| {
+            let row = ablation.rows.iter().find(|r| {
+                r.workload.starts_with("drifting") && r.estimator == estimator
+            });
+            row.and_then(|r| r.mae_recent).expect("estimates exist at the trace's end")
+        };
+        // Under drift the aged estimator tracks recent behaviour better.
+        let (aged, raw) = (cell("aged"), cell("raw"));
+        assert!(aged < raw, "aged {aged} should beat raw {raw} under drift");
+        let _ = ablation.to_string();
+    }
+
+    #[test]
+    fn workload_ablation_covers_both_regimes() {
+        // The `--small` setting: its first seed's Grid trace has no MID
+        // machine up in the window (see the next test), its second's has.
+        let ablation = ablation_workload(&paper::base(200, 2, 20), 2);
+        let [overnet, grid] = &ablation.rows[..] else { panic!("two workloads") };
+        assert!(grid.mean_availability > overnet.mean_availability);
+        assert!(grid.churn_rate > overnet.churn_rate);
+        // Operations work under both regimes.
+        assert!(overnet.easy_delivery.expect("MID initiators online") > 0.5);
+        assert!(grid.easy_delivery.expect("MID initiators online") > 0.5);
+        let _ = ablation.to_string();
+    }
+
     /// The `--small` Grid trace of the first seed (the trace the parent's
     /// figures ran every run over) has no MID-band machine online in the
     /// window: the Grid row's easy delivery measured nothing, and says so
@@ -513,5 +568,17 @@ mod tests {
         let text = ablation.to_string();
         let row = text.lines().find(|l| l.contains("Grid reboot")).expect("a Grid row");
         assert!(row.contains("  -  "), "{row}");
+    }
+
+    #[test]
+    fn gossip_ablation_reliability_grows_with_budget() {
+        let ablation = ablation_gossip(&tiny(), 1);
+        let reliability = |fanout, rounds| {
+            let row = ablation.rows.iter().find(|r| (r.fanout, r.rounds) == (fanout, rounds));
+            row.and_then(|r| r.reliability).expect("setting present and measured")
+        };
+        let (fat, skinny) = (reliability(5, 4), reliability(1, 2));
+        assert!(fat >= skinny, "more budget should not hurt: {fat} vs {skinny}");
+        let _ = ablation.to_string();
     }
 }

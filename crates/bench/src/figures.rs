@@ -8,7 +8,8 @@
 //! Absolute numbers differ (synthetic trace, simulated latencies); the
 //! claims — who wins, by what factor, which bound holds — are the
 //! reproduction targets, and `tests/paper_claims.rs` checks them at paper
-//! scale. The snapshot figures (2–4, the theorem checks) read one warmed
+//! scale; `tests/figure_shapes.rs` and this module's tests keep looser
+//! shape checks at a few hundred hosts. The snapshot figures (2–4, the theorem checks) read one warmed
 //! session of the base spec, which the caller warms once. A rate over no
 //! operations is `None` and prints `-`.
 
@@ -1075,5 +1076,68 @@ mod tests {
     fn incoming_vs_links_skip_offline_targets() {
         let world = wired(&[(true, 0.5, &[], &[1]), (false, 0.9, &[], &[])]);
         assert_eq!(online_and_vs_in_links(&world, 10).1.total(), 0);
+    }
+
+    fn small() -> ScenarioSpec {
+        paper::base(150, 2, 10)
+    }
+
+    #[test]
+    fn fig2_shapes() {
+        let fig = fig2(&paper::warmed(&small()));
+        assert!(fig.online > 0);
+        // VS size uncorrelated with availability (paper Fig 2c).
+        assert!(fig.vs_correlation.abs() < 0.4, "vs correlation {}", fig.vs_correlation);
+        let _ = fig.to_string();
+    }
+
+    #[test]
+    fn fig3_is_sublinear() {
+        let fig = fig3(&paper::warmed(&small()));
+        assert!(!fig.points.is_empty());
+        // |HS| grows with the in-band candidates, but slower than linearly.
+        assert!((0.0..1.0).contains(&fig.exponent), "exponent {}", fig.exponent);
+        let _ = fig.to_string();
+    }
+
+    #[test]
+    fn fig4_links_not_following_population() {
+        let fig = fig4(&paper::warmed(&small()));
+        assert!(fig.links.iter().sum::<u64>() > 0);
+        let _ = fig.to_string();
+    }
+
+    #[test]
+    fn fig7_hsvs_beats_hs_only() {
+        let fig = fig7(&small(), 1);
+        let delivered: BTreeMap<&str, f64> = fig
+            .variants
+            .iter()
+            .map(|(name, d, _)| (name.as_str(), d.expect("anycasts were sent")))
+            .collect();
+        let (both, hs) = (delivered["HS+VS"], delivered["HS-only"]);
+        assert!(both >= hs, "HS+VS {both} should be at least HS-only {hs}");
+        let _ = fig.to_string();
+    }
+
+    #[test]
+    fn discovery_micro_tracks_n_over_v() {
+        let micro = discovery_micro(128, 20);
+        for &(v, measured, predicted) in &micro.rows {
+            assert!(v >= 8);
+            assert!(
+                measured.is_nan() || measured < predicted * 6.0 + 10.0,
+                "v={v}: measured {measured} far above prediction {predicted}"
+            );
+        }
+        let _ = micro.to_string();
+    }
+
+    #[test]
+    fn theorem_checks_reasonable() {
+        let checks = theorem_checks(&paper::warmed(&small()));
+        assert!(checks.mean_vs > 0.0);
+        assert!(checks.component_fraction > 0.9);
+        let _ = checks.to_string();
     }
 }

@@ -1,6 +1,8 @@
 //! Shape assertions over the figure harness itself: every experiment of
 //! the `figures` binary runs at reduced scale and must reproduce the
 //! paper's qualitative shape (who wins, directions of effects, bounds).
+//! The paper's own bands, at the paper's scale, are the claim rows that
+//! `tests/paper_claims.rs` checks.
 
 use avmem_bench::{figures, paper};
 use avmem_scenario::ScenarioSpec;
@@ -14,7 +16,7 @@ fn small() -> ScenarioSpec {
 
 #[test]
 fn fig2_availability_skew_and_sliver_shapes() {
-    let fig = figures::fig2(&small());
+    let fig = figures::fig2(&paper::warmed(&small()));
     assert!(fig.online > 20, "too few online nodes: {}", fig.online);
     // Fig 2c: VS uncorrelated with availability.
     assert!(
@@ -35,19 +37,15 @@ fn fig2_availability_skew_and_sliver_shapes() {
 
 #[test]
 fn fig3_sublinear_scaling() {
-    let fig = figures::fig3(&small());
+    let fig = figures::fig3(&paper::warmed(&small()));
     assert!(fig.points.len() >= 3);
-    assert!(
-        fig.slope_high <= fig.slope_low + 0.05,
-        "slope should flatten: {} → {}",
-        fig.slope_low,
-        fig.slope_high
-    );
+    // The least-squares exponent of |HS| against in-band candidates.
+    assert!((0.0..1.0).contains(&fig.exponent), "exponent {} is not sublinear", fig.exponent);
 }
 
 #[test]
 fn fig4_incoming_links_flat() {
-    let fig = figures::fig4(&small());
+    let fig = figures::fig4(&paper::warmed(&small()));
     // Links should not simply mirror the population distribution.
     assert!(
         fig.population_correlation < 0.9,
@@ -127,7 +125,7 @@ fn fig8_harshness_ordering() {
 fn fig9_retry_plateau_and_fig10_baseline_gap() {
     let setup = small();
     let avmem = figures::fig9(&setup, RUNS);
-    let random = figures::fig10(&setup, RUNS);
+    let random = figures::fig10(&setup, RUNS, &paper::warmed(&setup), avmem.clone()).random;
     let delivered = |row: &figures::RetrySweepRow| row.delivered.expect("anycasts were sent");
     // Delivery should not decrease with more retries.
     for window in avmem.rows.windows(2) {
@@ -180,7 +178,7 @@ fn fig11_to_13_multicast_shapes() {
 
 #[test]
 fn theorem_checks_hold_at_small_scale() {
-    let checks = figures::theorem_checks(&small());
+    let checks = figures::theorem_checks(&paper::warmed(&small()));
     assert!(checks.component_fraction > 0.9);
     assert!(checks.mean_vs > 0.0);
     // VS prediction within a factor of ~2.5 (finite-size effects).
