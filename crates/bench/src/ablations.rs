@@ -5,8 +5,9 @@
 //! 0.1, fanout × Ng ≈ log N*) are the right ones, and each result's
 //! `claims` method states its conclusion as [`Claim`] rows under the band
 //! rules of [`crate::claims`]. Each edits the paper setting
-//! ([`crate::paper::base`]) one choice at a time; a rate over no
-//! operations is `None` and prints `-`.
+//! ([`crate::paper::base`]) one choice at a time and takes its warm-ups
+//! from the [`Harness`]; a rate over no operations is `None` and prints
+//! `-`.
 
 use std::fmt;
 
@@ -19,6 +20,7 @@ use avmem_scenario::{BandSpec, ChurnSpec, ScenarioSpec};
 use avmem_sim::SimDuration;
 
 use crate::claims::{gap, least, most, Band, Claim, Experiment};
+use crate::experiments::Harness;
 use crate::figures::noisy;
 use crate::paper::{self, cell, harsh, ratio};
 
@@ -50,8 +52,8 @@ pub struct PredicateAblation {
 }
 
 /// Compares the sub-predicate family of §2.1: I.A/I.B/I.C × II.A/II.B.
-pub fn ablation_predicates(base: &ScenarioSpec, runs: u64) -> PredicateAblation {
-    let n_star_guess = paper::overnet(base).0 as f64 * 0.4; // used only for I.A/II.A tuning
+pub fn ablation_predicates(h: &Harness) -> PredicateAblation {
+    let n_star_guess = paper::overnet(h.base()).0 as f64 * 0.4; // used only for I.A/II.A tuning
     let (i_a, ii_a) = (
         VerticalRule::constant_for(2.5, n_star_guess),
         HorizontalRule::constant_for(2.0, n_star_guess),
@@ -68,14 +70,14 @@ pub fn ablation_predicates(base: &ScenarioSpec, runs: u64) -> PredicateAblation 
     for (label, vertical, horizontal) in variants {
         let spec = ScenarioSpec {
             predicate: PredicateChoice::Avmem { epsilon: 0.1, vertical, horizontal },
-            ..base.clone()
+            ..h.base().clone()
         };
-        let health = paper::warmed(&spec).sim().health_stats();
-        let pooled = paper::pooled(&[harsh(&spec, 8)], runs).remove(0);
+        let pooled = h.pooled(&[harsh(&spec, 8)]).remove(0);
+        let opening = pooled.opening.as_ref().expect("a run");
         ablation.rows.push(PredicateAblationRow {
             label: label.to_owned(),
-            mean_degree: health.mean_degree,
-            component: health.largest_component,
+            mean_degree: opening.mean_degree,
+            component: opening.largest_component,
             harsh_delivery: pooled.delivery(),
         });
         ablation.skipped_ops += pooled.skipped_ops;
@@ -86,19 +88,10 @@ pub fn ablation_predicates(base: &ScenarioSpec, runs: u64) -> PredicateAblation 
 impl fmt::Display for PredicateAblation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Ablation: sub-predicate family (§2.1)")?;
-        writeln!(
-            f,
-            "  variant                              degree  component  harsh-delivery"
-        )?;
+        writeln!(f, "  variant                              degree  component  harsh-delivery")?;
         for row in &self.rows {
-            writeln!(
-                f,
-                "  {:<36} {:>6.1}  {:>9.3}  {}",
-                row.label,
-                row.mean_degree,
-                row.component,
-                cell(row.harsh_delivery, 14, 2)
-            )?;
+            let delivery = cell(row.harsh_delivery, 14, 2);
+            writeln!(f, "  {:<36} {:>6.1}  {:>9.3}  {delivery}", row.label, row.mean_degree, row.component)?;
         }
         paper::skipped(f, self.skipped_ops)
     }
@@ -147,8 +140,8 @@ pub struct CushionAblation {
 }
 
 /// Sweeps the verification cushion over {0, 0.05, 0.1, 0.2}.
-pub fn ablation_cushion(base: &ScenarioSpec) -> CushionAblation {
-    let session = paper::warmed(&noisy(base));
+pub fn ablation_cushion(h: &Harness) -> CushionAblation {
+    let session = paper::warmed(&noisy(h.base()));
     let world = session.sim().world();
     let rows = [0.0, 0.05, 0.1, 0.2].map(|cushion| {
         let policy = AdmissionPolicy::with_cushion(cushion);
@@ -166,11 +159,8 @@ impl fmt::Display for CushionAblation {
         writeln!(f, "Ablation: verification cushion (§4.1 trade-off)")?;
         writeln!(f, "  cushion  attack-acceptance  legitimate-rejection")?;
         for row in &self.rows {
-            writeln!(
-                f,
-                "  {:>7.2}  {:>17.3}  {:>20.3}",
-                row.cushion, row.attack_acceptance, row.legitimate_rejection
-            )?;
+            let (cushion, attack, rejection) = (row.cushion, row.attack_acceptance, row.legitimate_rejection);
+            writeln!(f, "  {cushion:>7.2}  {attack:>17.3}  {rejection:>20.3}")?;
         }
         Ok(())
     }
@@ -227,18 +217,17 @@ pub struct GossipAblation {
 }
 
 /// Sweeps gossip (fanout × rounds) around the paper's `log N*` product.
-pub fn ablation_gossip(base: &ScenarioSpec, runs: u64) -> GossipAblation {
+pub fn ablation_gossip(h: &Harness) -> GossipAblation {
     let target = AvailabilityTarget::Threshold { min: 0.7 };
     let period = SimDuration::from_secs(1);
     let gossip = |(fanout, rounds)| MulticastStrategy::Gossip { fanout, rounds, period };
     let mut strategies: Vec<_> = [(1, 2), (2, 2), (5, 2), (5, 4), (10, 2)].map(gossip).into();
     strategies.push(MulticastStrategy::Flood);
     let family: Vec<_> =
-        strategies.iter().map(|&m| paper::multicasts(base, BandSpec::High, target, m)).collect();
-    let trace = base.build_trace().unwrap_or_else(|e| panic!("{}: {e}", base.name));
-    let ln_n_star = trace.stats().mean_online.max(2.0).ln();
+        strategies.iter().map(|&m| paper::multicasts(h.base(), BandSpec::High, target, m)).collect();
+    let ln_n_star = h.snapshot().sim().n_star().ln();
     let mut ablation = GossipAblation { rows: Vec::new(), skipped_ops: 0, ln_n_star };
-    for (multicast, pooled) in strategies.into_iter().zip(paper::pooled(&family, runs)) {
+    for (multicast, pooled) in strategies.into_iter().zip(h.pooled(&family)) {
         let m = &pooled.multicast;
         let (fanout, rounds) = match multicast {
             MulticastStrategy::Gossip { fanout, rounds, .. } => (fanout, rounds),
@@ -323,27 +312,26 @@ pub struct WorkloadAblation {
 /// Compares the Overnet-style p2p workload against a reboot-heavy
 /// Grid-style one (§1 motivates both settings). AVMEM's availability
 /// structure should keep operations working under either churn regime.
-pub fn ablation_workload(base: &ScenarioSpec, runs: u64) -> WorkloadAblation {
-    let (hosts, days) = paper::overnet(base);
-    let grid = ScenarioSpec { churn: ChurnSpec::Grid { machines: hosts, days }, ..base.clone() };
-    let workloads = [("Overnet p2p (paper)", base.clone()), ("Grid reboot-heavy", grid)];
+pub fn ablation_workload(h: &Harness) -> WorkloadAblation {
+    let (hosts, days) = paper::overnet(h.base());
+    let grid = ScenarioSpec { churn: ChurnSpec::Grid { machines: hosts, days }, ..h.base().clone() };
+    let workloads = [("Overnet p2p (paper)", h.base().clone()), ("Grid reboot-heavy", grid)];
 
     let mut ablation = WorkloadAblation { rows: Vec::new(), skipped_ops: 0 };
     for (label, spec) in workloads {
-        let session = paper::warmed(&spec);
-        let trace = session.sim().trace();
+        let trace = spec.build_trace().unwrap_or_else(|e| panic!("{}: {e}", spec.name));
         let stats = trace.stats();
         let hours = trace.duration().as_millis() as f64 / 3_600_000.0;
         let easy = AvailabilityTarget::Range { lo: 0.85, hi: 0.95 };
         let greedy = ForwardPolicy::Greedy;
         let easy = paper::anycasts(&spec, BandSpec::Mid, easy, greedy, SliverScope::Both);
-        let pooled = paper::pooled(&[easy, harsh(&spec, 8)], runs);
+        let pooled = h.pooled(&[easy, harsh(&spec, 8)]);
         let (easy_runs, harsh_runs) = (&pooled[0], &pooled[1]);
         ablation.rows.push(WorkloadRow {
             label: label.to_owned(),
             mean_availability: stats.mean_availability,
             churn_rate: stats.transitions as f64 / (stats.mean_online * hours),
-            mean_degree: session.sim().health_stats().mean_degree,
+            mean_degree: easy_runs.opening.as_ref().expect("a run").mean_degree,
             easy_delivery: easy_runs.delivery(),
             harsh_delivery: harsh_runs.delivery(),
         });
@@ -355,21 +343,11 @@ pub fn ablation_workload(base: &ScenarioSpec, runs: u64) -> WorkloadAblation {
 impl fmt::Display for WorkloadAblation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Ablation: workload sensitivity (p2p vs Grid churn)")?;
-        writeln!(
-            f,
-            "  workload              mean-av  churn-rate  degree  easy-delivery  harsh-delivery"
-        )?;
+        writeln!(f, "  workload              mean-av  churn-rate  degree  easy-delivery  harsh-delivery")?;
         for row in &self.rows {
-            writeln!(
-                f,
-                "  {:<20}  {:>7.2}  {:>10.3}  {:>6.1}  {}  {}",
-                row.label,
-                row.mean_availability,
-                row.churn_rate,
-                row.mean_degree,
-                cell(row.easy_delivery, 13, 2),
-                cell(row.harsh_delivery, 14, 2)
-            )?;
+            let (label, av, churn, degree) = (&row.label, row.mean_availability, row.churn_rate, row.mean_degree);
+            let (easy, harsh) = (cell(row.easy_delivery, 13, 2), cell(row.harsh_delivery, 14, 2));
+            writeln!(f, "  {label:<20}  {av:>7.2}  {churn:>10.3}  {degree:>6.1}  {easy}  {harsh}")?;
         }
         paper::skipped(f, self.skipped_ops)
     }
@@ -422,18 +400,18 @@ pub struct AgedAblation {
 ///
 /// It drives [`avmem_avmon::AvmonService`] itself: the spec's AVMON oracle
 /// does not carry the aged mode.
-pub fn ablation_aged(base: &ScenarioSpec) -> AgedAblation {
+pub fn ablation_aged(h: &Harness) -> AgedAblation {
     use avmem_avmon::{AvailabilityOracle, AvmonConfig, AvmonService};
     use avmem_sim::SimTime;
     use avmem_util::NodeId;
 
     // Drift is only visible when the trace is much longer than the
     // "recent behaviour" window (one day).
-    let (hosts, days) = paper::overnet(base);
+    let (hosts, days) = paper::overnet(h.base());
     let overnet = || avmem_trace::OvernetModel::default().hosts(hosts).days(days.max(4));
     let workloads = [
-        ("stationary", overnet().generate(base.seed)),
-        ("drifting (all)", overnet().drift_fraction(1.0).generate(base.seed)),
+        ("stationary", overnet().generate(h.base().seed)),
+        ("drifting (all)", overnet().drift_fraction(1.0).generate(h.base().seed)),
     ];
 
     let mut rows = Vec::new();
@@ -498,13 +476,13 @@ impl Experiment for AgedAblation {
 mod tests {
     use super::*;
 
-    fn tiny() -> ScenarioSpec {
-        paper::base(120, 2, 8)
+    fn tiny() -> Harness {
+        Harness::over(paper::base(120, 2, 8), 1)
     }
 
     #[test]
     fn predicate_ablation_produces_connected_overlays() {
-        let ablation = ablation_predicates(&tiny(), 1);
+        let ablation = ablation_predicates(&tiny());
         assert_eq!(ablation.rows.len(), 4);
         for row in &ablation.rows {
             assert!(row.mean_degree > 0.0, "{}: empty overlay", row.label);
@@ -543,7 +521,7 @@ mod tests {
     fn workload_ablation_covers_both_regimes() {
         // The `--small` setting: its first seed's Grid trace has no MID
         // machine up in the window (see the next test), its second's has.
-        let ablation = ablation_workload(&paper::base(200, 2, 20), 2);
+        let ablation = ablation_workload(&Harness::over(paper::base(200, 2, 20), 2));
         let [overnet, grid] = &ablation.rows[..] else { panic!("two workloads") };
         assert!(grid.mean_availability > overnet.mean_availability);
         assert!(grid.churn_rate > overnet.churn_rate);
@@ -560,7 +538,7 @@ mod tests {
     /// has MID machines up, so `--small`'s two runs do measure a rate.)
     #[test]
     fn a_rate_over_no_operations_is_not_applicable() {
-        let ablation = ablation_workload(&paper::base(200, 2, 20), 1);
+        let ablation = ablation_workload(&Harness::over(paper::base(200, 2, 20), 1));
         let grid = &ablation.rows[1];
         assert_eq!(grid.easy_delivery, None);
         assert!(grid.harsh_delivery.is_some());
@@ -572,7 +550,7 @@ mod tests {
 
     #[test]
     fn gossip_ablation_reliability_grows_with_budget() {
-        let ablation = ablation_gossip(&tiny(), 1);
+        let ablation = ablation_gossip(&tiny());
         let reliability = |fanout, rounds| {
             let row = ablation.rows.iter().find(|r| (r.fanout, r.rounds) == (fanout, rounds));
             row.and_then(|r| r.reliability).expect("setting present and measured")

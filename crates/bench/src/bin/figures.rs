@@ -20,37 +20,39 @@ use std::env;
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use avmem_bench::experiments::{Harness, ABLATIONS, FIGURES as ALL};
+use avmem_bench::experiments::{Harness, Run, ABLATIONS, FIGURES as ALL};
+
+/// An experiment's id and how it runs.
+type Entry = (&'static str, Run);
 
 fn usage() -> String {
     format!(
         "usage: figures [--small] <experiment-id>... | all | ablations\n\
          experiments: {}\n\
          ablations:   {}",
-        ALL.join(" "),
-        ABLATIONS.join(" ")
+        ALL.map(|(id, _)| id).join(" "),
+        ABLATIONS.map(|(id, _)| id).join(" ")
     )
 }
 
 /// The experiments `args` name, each once, in the order of first mention:
 /// `all` and `ablations` expand to their lists, and an alias names the
 /// experiment that prints its figure. Errs with the first unknown id.
-fn resolve(args: &[String]) -> Result<Vec<&'static str>, String> {
-    let mut experiments = Vec::new();
+fn resolve(args: &[String]) -> Result<Vec<Entry>, String> {
+    let mut experiments: Vec<Entry> = Vec::new();
     for arg in args {
-        let named: &[&'static str] = match arg.as_str() {
+        let named: &[Entry] = match arg.as_str() {
             "all" => &ALL,
             "ablations" => &ABLATIONS,
-            "fig5" | "fig6" => &["fig56"],
-            "fig12" | "fig13" => &["fig11"],
-            other => {
-                let known = ALL.iter().chain(&ABLATIONS).find(|&&id| id == other);
-                std::slice::from_ref(known.ok_or_else(|| other.to_owned())?)
+            arg => {
+                let id = match arg { "fig5" | "fig6" => "fig56", "fig12" | "fig13" => "fig11", id => id };
+                let known = ALL.iter().chain(&ABLATIONS).find(|&&(known, _)| known == id);
+                std::slice::from_ref(known.ok_or_else(|| arg.to_owned())?)
             }
         };
-        for &id in named {
-            if !experiments.contains(&id) {
-                experiments.push(id);
+        for &entry in named {
+            if !experiments.iter().any(|&(id, _)| id == entry.0) {
+                experiments.push(entry);
             }
         }
     }
@@ -94,11 +96,11 @@ fn main() -> ExitCode {
 /// followed at paper scale by its claim rows, each expected miss's cause
 /// under the first row that names it. Returns how many rows miss or are
 /// stale.
-fn report(harness: &Harness, experiments: &[&str], out: &mut impl Write) -> io::Result<usize> {
-    writeln!(out, "{}\n", harness.header)?;
+fn report(harness: &Harness, experiments: &[Entry], out: &mut impl Write) -> io::Result<usize> {
+    writeln!(out, "{}\n", harness.header())?;
     let mut failing = 0;
-    for id in experiments {
-        let experiment = harness.run(id);
+    for (_, run) in experiments {
+        let experiment = run(harness);
         write!(out, "{experiment}")?;
         if harness.paper_scale() {
             let mut cause = None;
@@ -121,7 +123,8 @@ mod tests {
     use super::*;
 
     fn ids(args: &str) -> Result<Vec<&'static str>, String> {
-        resolve(&args.split_whitespace().map(str::to_owned).collect::<Vec<_>>())
+        let args: Vec<_> = args.split_whitespace().map(str::to_owned).collect();
+        resolve(&args).map(|entries| entries.into_iter().map(|(id, _)| id).collect())
     }
 
     #[test]
@@ -129,19 +132,19 @@ mod tests {
         assert_eq!(ids("fig5 fig6"), Ok(vec!["fig56"]));
         assert_eq!(ids("fig11 fig12 fig13 fig56 fig5"), Ok(vec!["fig11", "fig56"]));
         let all = ids("all").unwrap();
-        assert_eq!(all, ALL);
+        assert_eq!(all, ALL.map(|(id, _)| id));
         assert_eq!(ids("all fig2 theorems"), Ok(all.clone()));
         assert_eq!(ids("fig9 all").unwrap()[..3], ["fig9", "fig2", "fig3"]);
         let both = ids("ablations all ablations").unwrap();
         assert_eq!(both.len(), all.len() + ABLATIONS.len());
-        assert_eq!((both[0], both[ABLATIONS.len()]), (ABLATIONS[0], "fig2"));
+        assert_eq!((both[0], both[ABLATIONS.len()]), (ABLATIONS[0].0, "fig2"));
         assert_eq!(ids("fig2 bogus fig3"), Err("bogus".to_owned()));
     }
 
     #[test]
     fn the_small_scale_prints_no_claim_row() {
         let mut out = Vec::new();
-        let failing = report(&Harness::new(true), &["fig2", "theorems"], &mut out).unwrap();
+        let failing = report(&Harness::new(true), &resolve(&["fig2".into(), "theorems".into()]).unwrap(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("Fig 2. snapshot") && text.contains("§2.2 theorem checks"), "{text}");
         assert!(!text.contains("claim"), "{text}");

@@ -9,9 +9,10 @@
 //! claims — who wins, by what factor, which bound holds — are the
 //! reproduction targets, and `tests/paper_claims.rs` checks them at paper
 //! scale; `tests/figure_shapes.rs` and this module's tests keep looser
-//! shape checks at a few hundred hosts. The snapshot figures (2–4, the theorem checks) read one warmed
-//! session of the base spec, which the caller warms once. A rate over no
-//! operations is `None` and prints `-`.
+//! shape checks at a few hundred hosts. Every experiment takes the
+//! [`Harness`]: the snapshot figures (2–4, the theorem checks) read its
+//! warmed first seed, and the operation figures pool forks of its
+//! warm-ups. A rate over no operations is `None` and prints `-`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -21,13 +22,14 @@ use avmem::harness::{OracleChoice, PredicateChoice};
 use avmem::ops::{AnycastDrop, ForwardPolicy, MulticastStrategy, OverlayWorld};
 use avmem::verify::{flooding_acceptance, legitimate_rejection};
 use avmem::{AdmissionPolicy, AvailabilityTarget, SliverScope};
-use avmem_scenario::{BandSpec, Buckets, RunSession, ScenarioSpec};
+use avmem_scenario::{BandSpec, Buckets, ScenarioSpec};
 use avmem_sim::SimDuration;
 use avmem_shuffle::{sim::RoundSim, ShuffleConfig};
 use avmem_util::stats::{correlation, slope, Histogram, Summary};
 use avmem_util::{Availability, NodeId};
 
 use crate::claims::{gap, least, most, Band, Claim, Experiment};
+use crate::experiments::{Harness, Pooled};
 use crate::paper::{self, cell, ratio, skipped};
 
 /// The anycast algorithm variants compared throughout §4.2.
@@ -75,8 +77,8 @@ fn online_members<W: OverlayWorld>(world: &W, id: NodeId, scope: SliverScope) ->
 /// `(availability, online members of scope)` for every online node, by
 /// the availability the node believes it has — its oracle's answer, or
 /// its true availability when the oracle has none (Figs. 2b and 2c).
-pub fn sliver_sizes<W: OverlayWorld>(world: &W, scope: SliverScope) -> Vec<(f64, usize)> {
-    let size = |id| (world.believed_availability(id).value(), online_members(world, id, scope));
+pub fn sliver_sizes<W: OverlayWorld>(world: &W, scope: SliverScope) -> Vec<(f64, f64)> {
+    let size = |id| (world.believed_availability(id).value(), online_members(world, id, scope) as f64);
     online(world).map(size).collect()
 }
 
@@ -138,12 +140,12 @@ pub struct Fig2 {
     pub vs_correlation: f64,
 }
 
-/// Runs the Fig. 2 snapshot experiment over the warmed `snapshot`.
-pub fn fig2(snapshot: &RunSession) -> Fig2 {
-    let world = snapshot.sim().world();
+/// Runs the Fig. 2 snapshot experiment over the harness's snapshot.
+pub fn fig2(h: &Harness) -> Fig2 {
+    let world = h.snapshot().sim().world();
     let buckets = 10;
     let (histogram, _) = online_and_vs_in_links(&world, buckets);
-    let median_per_bucket = |points: &[(f64, usize)]| -> Vec<Option<f64>> {
+    let median_per_bucket = |points: &[(f64, f64)]| -> Vec<Option<f64>> {
         (0..buckets)
             .map(|b| {
                 let lo = b as f64 / buckets as f64;
@@ -151,7 +153,7 @@ pub fn fig2(snapshot: &RunSession) -> Fig2 {
                 let values: Vec<f64> = points
                     .iter()
                     .filter(|(av, _)| *av >= lo && (*av < hi || (b == buckets - 1 && *av <= hi)))
-                    .map(|(_, size)| *size as f64)
+                    .map(|&(_, size)| size)
                     .collect();
                 (!values.is_empty()).then(|| Summary::from_values(values).median())
             })
@@ -159,16 +161,13 @@ pub fn fig2(snapshot: &RunSession) -> Fig2 {
     };
     let hs_points = sliver_sizes(&world, SliverScope::HsOnly);
     let vs_points = sliver_sizes(&world, SliverScope::VsOnly);
-    let to_f64 = |points: &[(f64, usize)]| -> Vec<(f64, f64)> {
-        points.iter().map(|&(a, s)| (a, s as f64)).collect()
-    };
     Fig2 {
         online: histogram.total() as usize,
         histogram: counts(&histogram),
         hs_median: median_per_bucket(&hs_points),
         vs_median: median_per_bucket(&vs_points),
-        hs_correlation: correlation(&to_f64(&hs_points)),
-        vs_correlation: correlation(&to_f64(&vs_points)),
+        hs_correlation: correlation(&hs_points),
+        vs_correlation: correlation(&vs_points),
     }
 }
 
@@ -213,9 +212,9 @@ pub struct Fig3 {
     pub exponent: f64,
 }
 
-/// Runs the Fig. 3 scaling experiment over the warmed `snapshot`.
-pub fn fig3(snapshot: &RunSession) -> Fig3 {
-    let sim = snapshot.sim();
+/// Runs the Fig. 3 scaling experiment over the harness's snapshot.
+pub fn fig3(h: &Harness) -> Fig3 {
+    let sim = h.snapshot().sim();
     let raw = hs_scaling_points(&sim.world(), sim.predicate().epsilon());
     let max_candidates = raw.iter().map(|p| p.0).fold(0.0f64, f64::max).max(1.0);
     let bucket = (max_candidates / 12.0).max(1.0);
@@ -267,9 +266,9 @@ pub struct Fig4 {
     pub population_correlation: f64,
 }
 
-/// Runs the Fig. 4 in-link experiment over the warmed `snapshot`.
-pub fn fig4(snapshot: &RunSession) -> Fig4 {
-    let (population, links) = online_and_vs_in_links(&snapshot.sim().world(), 10);
+/// Runs the Fig. 4 in-link experiment over the harness's snapshot.
+pub fn fig4(h: &Harness) -> Fig4 {
+    let (population, links) = online_and_vs_in_links(&h.snapshot().sim().world(), 10);
     let (population, links) = (counts(&population), counts(&links));
     // (population, links) over the populated buckets.
     let populated: Vec<(f64, f64)> = links
@@ -338,8 +337,8 @@ pub fn noisy(base: &ScenarioSpec) -> ScenarioSpec {
 }
 
 /// Runs the attack-analysis experiments over a noisy oracle.
-pub fn fig56(base: &ScenarioSpec) -> Fig56 {
-    let session = paper::warmed(&noisy(base));
+pub fn fig56(h: &Harness) -> Fig56 {
+    let session = paper::warmed(&noisy(h.base()));
     let world = session.sim().world();
     let [strict, cushion] = [0.0, 0.1].map(AdmissionPolicy::with_cushion);
     Fig56 {
@@ -411,9 +410,9 @@ pub struct Fig7 {
 }
 
 /// Runs the Fig. 7 hop-distribution experiment.
-pub fn fig7(base: &ScenarioSpec, runs: u64) -> Fig7 {
+pub fn fig7(h: &Harness) -> Fig7 {
     let mut fig = Fig7 { variants: Vec::new(), skipped_ops: 0 };
-    let pooled = paper::pooled(&variants(base, BandSpec::Mid, (0.85, 0.95)), runs);
+    let pooled = h.pooled(&variants(h.base(), BandSpec::Mid, (0.85, 0.95)));
     for ((name, _, _), pooled) in ANYCAST_VARIANTS.into_iter().zip(pooled) {
         let a = &pooled.anycast;
         // TTL 6: the last bucket holds six hops and more.
@@ -472,13 +471,13 @@ pub struct Fig8 {
 }
 
 /// Runs the Fig. 8 harshness sweep.
-pub fn fig8(base: &ScenarioSpec, runs: u64) -> Fig8 {
+pub fn fig8(h: &Harness) -> Fig8 {
     let targets = [(0.85, 0.95), (0.44, 0.54), (0.15, 0.25)];
-    let family: Vec<_> = targets.iter().flat_map(|&t| variants(base, BandSpec::High, t)).collect();
-    let pooled = paper::pooled(&family, runs);
+    let family: Vec<_> = targets.iter().flat_map(|&t| variants(h.base(), BandSpec::High, t)).collect();
+    let pooled = h.pooled(&family);
     let mut fig = Fig8 { rows: Vec::new(), skipped_ops: 0 };
     for ((lo, hi), row) in targets.into_iter().zip(pooled.chunks(ANYCAST_VARIANTS.len())) {
-        let fractions = row.iter().map(paper::Pooled::delivery).collect();
+        let fractions = row.iter().map(Pooled::delivery).collect();
         fig.rows.push((format!("HIGH to [{lo:.2},{hi:.2}]"), fractions));
         fig.skipped_ops += row.iter().map(|p| p.skipped_ops).sum::<u64>();
     }
@@ -551,8 +550,8 @@ pub struct Fig9 {
 }
 
 /// Runs the Fig. 9 sweep over the AVMEM overlay.
-pub fn fig9(base: &ScenarioSpec, runs: u64) -> Fig9 {
-    retry_sweep(base, runs, "AVMEM".into())
+pub fn fig9(h: &Harness) -> Fig9 {
+    retry_sweep(h, h.base(), "AVMEM".into())
 }
 
 /// Fig. 10: the retried-greedy sweep over random overlays, held against
@@ -566,7 +565,7 @@ pub struct Fig10 {
 }
 
 /// Runs the Fig. 10 sweep over the random-overlay baseline, sizing it
-/// from the warmed `snapshot` of `base`, against `avmem`'s sweep.
+/// from the harness's snapshot, against AVMEM's sweep.
 ///
 /// The paper's baseline is "a random overlay graph similar to those
 /// created by alternative membership protocols like SCAMP, CYCLON,
@@ -575,25 +574,26 @@ pub struct Fig10 {
 /// harder ablation, a baseline degree-matched to AVMEM's full stored
 /// degree — isolating whether AVMEM's edge comes from *where* its links
 /// point rather than from how many it has.
-pub fn fig10(base: &ScenarioSpec, runs: u64, snapshot: &RunSession, avmem: Fig9) -> Fig10 {
-    let cyclon = 2.0 * snapshot.sim().n_star().ln();
-    let matched = snapshot.sim().health_stats().mean_degree.max(1.0);
+pub fn fig10(h: &Harness) -> Fig10 {
+    let sim = h.snapshot().sim();
+    let (cyclon, matched) = (2.0 * sim.n_star().ln(), sim.health_stats().mean_degree.max(1.0));
     let random = [("CYCLON-size", cyclon), ("degree-matched", matched)]
         .into_iter()
         .map(|(kind, degree)| {
             let predicate = PredicateChoice::Random { expected_degree: degree };
-            let random = ScenarioSpec { predicate, ..base.clone() };
-            retry_sweep(&random, runs, format!("random ({kind}, degree {degree:.0})"))
+            let random = ScenarioSpec { predicate, ..h.base().clone() };
+            retry_sweep(h, &random, format!("random ({kind}, degree {degree:.0})"))
         })
         .collect();
-    Fig10 { avmem, random }
+    Fig10 { avmem: fig9(h), random }
 }
 
-fn retry_sweep(base: &ScenarioSpec, runs: u64, overlay: String) -> Fig9 {
+/// Fig. 9's sweep of the retry budget over `base`'s overlay.
+fn retry_sweep(h: &Harness, base: &ScenarioSpec, overlay: String) -> Fig9 {
     let mut fig = Fig9 { overlay, rows: Vec::new(), skipped_ops: 0 };
     let budgets = [2u32, 4, 8, 16];
     let family = budgets.map(|retries| paper::harsh(base, retries));
-    for (retries, pooled) in budgets.into_iter().zip(paper::pooled(&family, runs)) {
+    for (retries, pooled) in budgets.into_iter().zip(h.pooled(&family)) {
         let a = &pooled.anycast;
         let share = |count: u64| ratio(count as f64, a.sent);
         fig.rows.push(RetrySweepRow {
@@ -618,15 +618,9 @@ impl fmt::Display for Fig9 {
         writeln!(f, "Fig 9/10. retried-greedy anycast HIGH → [0.15,0.25] over {overlay} overlay")?;
         writeln!(f, "  retries  delivered  ttl-expired  retry-expired  mean-latency-ms")?;
         for row in &self.rows {
-            writeln!(
-                f,
-                "  {:>7}  {}  {}  {}  {}",
-                row.retries,
-                cell(row.delivered, 9, 2),
-                cell(row.ttl_expired, 11, 2),
-                cell(row.retry_expired, 13, 2),
-                cell(row.mean_latency_ms, 15, 0)
-            )?;
+            let (delivered, ttl) = (cell(row.delivered, 9, 2), cell(row.ttl_expired, 11, 2));
+            let (retry, latency) = (cell(row.retry_expired, 13, 2), cell(row.mean_latency_ms, 15, 0));
+            writeln!(f, "  {:>7}  {delivered}  {ttl}  {retry}  {latency}", row.retries)?;
         }
         skipped(f, self.skipped_ops)
     }
@@ -701,7 +695,7 @@ pub struct Fig111213 {
 /// what AVMON's long-term estimates drift by. A binomial estimate from a
 /// day of 20-minute probes has a standard error of about two percentage
 /// points, hence ±0.02 here.
-pub fn fig111213(base: &ScenarioSpec, runs: u64) -> Fig111213 {
+pub fn fig111213(h: &Harness) -> Fig111213 {
     let (flood, gossip) = (MulticastStrategy::Flood, MulticastStrategy::paper_gossip());
     let above = |min| AvailabilityTarget::Threshold { min };
     let scenarios = [
@@ -712,10 +706,10 @@ pub fn fig111213(base: &ScenarioSpec, runs: u64) -> Fig111213 {
         ("Gossip: LOW to > 0.20", BandSpec::Low, above(0.20), gossip),
     ];
     let oracle = OracleChoice::NoisyShared { error: 0.02, staleness: SimDuration::from_mins(20) };
-    let noisy = ScenarioSpec { oracle, ..base.clone() };
+    let noisy = ScenarioSpec { oracle, ..h.base().clone() };
     let family = scenarios.map(|(_, band, target, m)| paper::multicasts(&noisy, band, target, m));
     let mut fig = Fig111213 { scenarios: Vec::new(), skipped_ops: 0 };
-    for ((label, .., strategy), pooled) in scenarios.into_iter().zip(paper::pooled(&family, runs)) {
+    for ((label, .., strategy), pooled) in scenarios.into_iter().zip(h.pooled(&family)) {
         let m = pooled.multicast;
         fig.scenarios.push(MulticastScenario {
             label: label.to_owned(),
@@ -733,30 +727,17 @@ pub fn fig111213(base: &ScenarioSpec, runs: u64) -> Fig111213 {
 impl fmt::Display for Fig111213 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Figs 11-13. multicast scenarios ({} each)", self.scenarios.len())?;
-        writeln!(
-            f,
-            "  scenario                 n   latency-ms p50/p90/max     spam p50/p90    reliability p10/p50"
-        )?;
+        writeln!(f, "  scenario                 n   latency-ms p50/p90/max     spam p50/p90    reliability p10/p50")?;
         for s in &self.scenarios {
             let at = |buckets: &Buckets, q, width, digits| cell(buckets.quantile(q), width, digits);
-            writeln!(
-                f,
-                "  {:<24}{:>3}   {} {} {}   {} {}   {} {}",
-                s.label,
-                s.count,
-                at(&s.latency, 0.5, 6, 0),
-                at(&s.latency, 0.9, 6, 0),
-                at(&s.latency, 1.0, 6, 0),
-                at(&s.spam, 0.5, 8, 3),
-                at(&s.spam, 0.9, 6, 3),
-                at(&s.reliability, 0.1, 8, 2),
-                at(&s.reliability, 0.5, 6, 2),
-            )?;
+            let latency = [0.5, 0.9, 1.0].map(|q| at(&s.latency, q, 6, 0)).join(" ");
+            let spam = format!("{} {}", at(&s.spam, 0.5, 8, 3), at(&s.spam, 0.9, 6, 3));
+            let reliability = format!("{} {}", at(&s.reliability, 0.1, 8, 2), at(&s.reliability, 0.5, 6, 2));
+            writeln!(f, "  {:<24}{:>3}   {latency}   {spam}   {reliability}", s.label, s.count)?;
         }
         skipped(f, self.skipped_ops)
     }
 }
-
 
 impl Experiment for Fig111213 {
     /// Per scenario: worst latency and spam bounded from above (p90),
@@ -796,34 +777,25 @@ pub struct DiscoveryMicro {
     pub n: usize,
 }
 
-/// Measures mean discovery time for several view sizes around `√N`.
-pub fn discovery_micro(n: usize, samples: usize) -> DiscoveryMicro {
+/// Measures mean discovery time for several view sizes around `√N`, at
+/// `N` = 1024 at the paper's scale and 128 below it.
+pub fn discovery_micro(h: &Harness) -> DiscoveryMicro {
+    let (n, samples) = (if h.paper_scale() { 1024 } else { 128 }, 30);
     let sqrt_n = (n as f64).sqrt() as usize;
-    let mut rows = Vec::new();
-    for v in [sqrt_n / 2, sqrt_n, sqrt_n * 2] {
+    let rows = [sqrt_n / 2, sqrt_n, sqrt_n * 2].map(|v| {
         let v = v.max(8);
-        let mut total = 0.0;
-        let mut count = 0usize;
         let mut sim = RoundSim::new(n, ShuffleConfig::new(v, (v / 2).max(4)), 7);
         sim.run_rounds(30); // mix first
-        for s in 0..samples {
-            let observer = s % n;
-            let subject = NodeId::new(((s * 37 + 11) % n) as u64);
-            if subject.raw() as usize == observer {
-                continue;
-            }
-            if let Some(rounds) = sim.rounds_until_seen(observer, subject, 50 * n / v) {
-                total += rounds as f64;
-                count += 1;
-            }
-        }
-        rows.push((
-            v,
-            if count == 0 { f64::NAN } else { total / count as f64 },
-            n as f64 / v as f64,
-        ));
-    }
-    DiscoveryMicro { rows, n }
+        let pairs = (0..samples).map(|s| (s % n, NodeId::new(((s * 37 + 11) % n) as u64)));
+        let rounds: Vec<f64> = pairs
+            .filter(|&(observer, subject)| subject.raw() as usize != observer)
+            .filter_map(|(observer, subject)| sim.rounds_until_seen(observer, subject, 50 * n / v))
+            .map(|rounds| rounds as f64)
+            .collect();
+        let mean = if rounds.is_empty() { f64::NAN } else { rounds.iter().sum::<f64>() / rounds.len() as f64 };
+        (v, mean, n as f64 / v as f64)
+    });
+    DiscoveryMicro { rows: rows.into(), n }
 }
 
 impl fmt::Display for DiscoveryMicro {
@@ -883,12 +855,12 @@ pub struct TheoremChecks {
     pub p90_path_length: f64,
 }
 
-/// Runs the theorem sanity checks on the warmed `snapshot`.
-pub fn theorem_checks(snapshot: &RunSession) -> TheoremChecks {
-    let sim = snapshot.sim();
+/// Runs the theorem sanity checks on the harness's snapshot.
+pub fn theorem_checks(h: &Harness) -> TheoremChecks {
+    let sim = h.snapshot().sim();
     let (world, n, epsilon) = (&sim.world(), sim.trace().num_nodes(), sim.predicate().epsilon());
     let mean_size = |scope| {
-        Summary::from_values(sliver_sizes(world, scope).into_iter().map(|(_, s)| s as f64)).mean()
+        Summary::from_values(sliver_sizes(world, scope).into_iter().map(|(_, s)| s)).mean()
     };
     let id = |i: usize| NodeId::new(i as u64);
     let up = |i| world.is_online(id(i));
@@ -1045,8 +1017,8 @@ mod tests {
             (true, 0.9, &[], &[]),
             (false, 0.5, &[], &[]),
         ]);
-        assert_eq!(sliver_sizes(&world, SliverScope::HsOnly), [(0.5, 1), (0.55, 0), (0.9, 0)]);
-        assert_eq!(sliver_sizes(&world, SliverScope::VsOnly), [(0.5, 1), (0.55, 0), (0.9, 0)]);
+        assert_eq!(sliver_sizes(&world, SliverScope::HsOnly), [(0.5, 1.0), (0.55, 0.0), (0.9, 0.0)]);
+        assert_eq!(sliver_sizes(&world, SliverScope::VsOnly), [(0.5, 1.0), (0.55, 0.0), (0.9, 0.0)]);
     }
 
     #[test]
@@ -1078,13 +1050,13 @@ mod tests {
         assert_eq!(online_and_vs_in_links(&world, 10).1.total(), 0);
     }
 
-    fn small() -> ScenarioSpec {
-        paper::base(150, 2, 10)
+    fn small() -> Harness {
+        Harness::over(paper::base(150, 2, 10), 1)
     }
 
     #[test]
     fn fig2_shapes() {
-        let fig = fig2(&paper::warmed(&small()));
+        let fig = fig2(&small());
         assert!(fig.online > 0);
         // VS size uncorrelated with availability (paper Fig 2c).
         assert!(fig.vs_correlation.abs() < 0.4, "vs correlation {}", fig.vs_correlation);
@@ -1093,7 +1065,7 @@ mod tests {
 
     #[test]
     fn fig3_is_sublinear() {
-        let fig = fig3(&paper::warmed(&small()));
+        let fig = fig3(&small());
         assert!(!fig.points.is_empty());
         // |HS| grows with the in-band candidates, but slower than linearly.
         assert!((0.0..1.0).contains(&fig.exponent), "exponent {}", fig.exponent);
@@ -1102,14 +1074,14 @@ mod tests {
 
     #[test]
     fn fig4_links_not_following_population() {
-        let fig = fig4(&paper::warmed(&small()));
+        let fig = fig4(&small());
         assert!(fig.links.iter().sum::<u64>() > 0);
         let _ = fig.to_string();
     }
 
     #[test]
     fn fig7_hsvs_beats_hs_only() {
-        let fig = fig7(&small(), 1);
+        let fig = fig7(&small());
         let delivered: BTreeMap<&str, f64> = fig
             .variants
             .iter()
@@ -1122,7 +1094,7 @@ mod tests {
 
     #[test]
     fn discovery_micro_tracks_n_over_v() {
-        let micro = discovery_micro(128, 20);
+        let micro = discovery_micro(&Harness::new(true));
         for &(v, measured, predicted) in &micro.rows {
             assert!(v >= 8);
             assert!(
@@ -1135,7 +1107,7 @@ mod tests {
 
     #[test]
     fn theorem_checks_reasonable() {
-        let checks = theorem_checks(&paper::warmed(&small()));
+        let checks = theorem_checks(&small());
         assert!(checks.mean_vs > 0.0);
         assert!(checks.component_fraction > 0.9);
         let _ = checks.to_string();

@@ -1,5 +1,4 @@
-//! The paper's evaluation setting (§4) as one scenario spec, and how an
-//! experiment reads runs of it.
+//! The paper's evaluation setting (§4) as one scenario spec.
 //!
 //! [`base`] is the spec every figure and ablation edits: Overnet churn
 //! (20-minute slots), a 24-hour warm-up of converged maintenance over the
@@ -8,13 +7,10 @@
 //! no rebuild in it. "Each point … the average of 5 different protocol
 //! runs, each with 50 messages": a run is one seed (with its own trace),
 //! and its messages, the window's Poisson arrivals, are its workload. A
-//! warm-up never depends on the workload, so each seed is warmed once
-//! ([`warmed`]): a snapshot experiment reads that overlay in place — Figs.
-//! 2–4, the theorem checks and Fig. 10's sizing share the base spec's
-//! first seed, warmed once a run ([`crate::experiments::Harness`]) — and
-//! an operation experiment forks it once per spec of its family
-//! ([`pooled`]). The paper's claims about the results are
-//! [`crate::claims`] rows.
+//! warm-up never depends on the workload, so an experiment reads its
+//! warm-ups from [`crate::experiments::Harness`], which holds the base
+//! spec's and forks them per spec of a family. The paper's claims about
+//! the results are [`crate::claims`] rows.
 
 use std::fmt;
 
@@ -22,8 +18,8 @@ use avmem::harness::{MaintenanceEngine, OracleChoice, PredicateChoice};
 use avmem::ops::{ForwardPolicy, MulticastStrategy};
 use avmem::{AvailabilityTarget, SliverScope};
 use avmem_scenario::{
-    AnycastStats, BandSpec, ChurnSpec, MaintenanceModeSpec, MaintenanceSpec, MulticastStats,
-    ReportSpec, RunSession, ScenarioRunner, ScenarioSpec, TargetMix, WorkloadSpec,
+    BandSpec, ChurnSpec, MaintenanceModeSpec, MaintenanceSpec, ReportSpec, RunSession,
+    ScenarioRunner, ScenarioSpec, TargetMix, WorkloadSpec,
 };
 
 /// The trace seed of the paper setting, and the first seed of a sweep.
@@ -142,52 +138,6 @@ pub fn warmed(spec: &ScenarioSpec) -> RunSession {
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name))
 }
 
-/// The operation counts of runs of one spec, pooled.
-#[derive(Debug, Clone)]
-pub struct Pooled {
-    /// Anycast counts over every run.
-    pub anycast: AnycastStats,
-    /// Multicast counts over every run.
-    pub multicast: MulticastStats,
-    /// Operations skipped because no eligible initiator was online.
-    pub skipped_ops: u64,
-}
-
-impl Pooled {
-    /// The fraction of anycasts sent that were delivered.
-    pub fn delivery(&self) -> Option<f64> {
-        ratio(self.anycast.delivered as f64, self.anycast.sent)
-    }
-}
-
-/// Runs every spec of `family` once per seed `seed .. seed + runs`, each
-/// a fork of that seed's one warm-up ([`RunSession::fork`]), and pools
-/// each spec's reports.
-///
-/// # Panics
-///
-/// Panics if `runs` is not zero and `family` is empty, or if a spec does
-/// not validate or warms up differently from the first.
-pub fn pooled(family: &[ScenarioSpec], runs: u64) -> Vec<Pooled> {
-    let reseeded =
-        |spec: &ScenarioSpec, run| ScenarioSpec { seed: spec.seed + run, ..spec.clone() };
-    let (anycast, multicast) = (AnycastStats::new(), MulticastStats::new());
-    let mut pooled = vec![Pooled { anycast, multicast, skipped_ops: 0 }; family.len()];
-    for run in 0..runs {
-        let warm = warmed(&reseeded(&family[0], run));
-        for (spec, pool) in family.iter().zip(&mut pooled) {
-            let mut session =
-                warm.fork(reseeded(spec, run)).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-            while session.step().is_some() {}
-            let report = session.finish();
-            pool.anycast.merge(&report.anycast);
-            pool.multicast.merge(&report.multicast);
-            pool.skipped_ops += report.skipped_ops;
-        }
-    }
-    pooled
-}
-
 /// `part / whole`; `None` when nothing was measured.
 pub fn ratio(part: f64, whole: u64) -> Option<f64> {
     (whole > 0).then(|| part / whole as f64)
@@ -233,27 +183,8 @@ mod tests {
     }
 
     #[test]
-    fn pooling_sums_the_runs() {
-        let spec = base(120, 2, 10);
-        let family = [spec.clone(), harsh(&spec, 8)];
-        let (one, two) = (pooled(&family, 1), pooled(&family, 2));
-        let next = pooled(&[ScenarioSpec { seed: SEED + 1, ..spec }], 1);
-        assert_eq!(two[0].anycast.sent, one[0].anycast.sent + next[0].anycast.sent);
-        assert_eq!(two[0].skipped_ops, one[0].skipped_ops + next[0].skipped_ops);
-        assert!(two[0].anycast.sent > 0);
-        // A spec pools the same inside its family as alone.
-        let alone = pooled(&family[1..], 2);
-        let (inside, alone) = (&two[1], &alone[0]);
-        assert_eq!((&inside.anycast, inside.skipped_ops), (&alone.anycast, alone.skipped_ops));
+    fn a_rate_over_nothing_prints_a_dash() {
         assert_eq!((ratio(3.0, 0), ratio(3.0, 4)), (None, Some(0.75)));
         assert_eq!((cell(None, 5, 2), cell(Some(0.5), 5, 2)), ("    -".into(), " 0.50".into()));
-    }
-
-    #[test]
-    #[should_panic(expected = "`oracle`")]
-    fn a_family_shares_its_warm_up() {
-        let spec = base(120, 2, 10);
-        let noisy = ScenarioSpec { oracle: OracleChoice::paper_noise(), ..spec.clone() };
-        pooled(&[spec, noisy], 1);
     }
 }

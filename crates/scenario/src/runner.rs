@@ -246,24 +246,13 @@ impl RunSession {
     /// # Errors
     ///
     /// Returns [`ScenarioError::Invalid`] when `spec` does not validate,
-    /// outlasts the trace, differs from this session's spec in a field the
-    /// warm-up depends on (the message names the first: `seed`, `churn`,
-    /// `predicate`, `oracle`, `maintenance`, `warmup_mins`), or when this
-    /// session has already stepped an event.
+    /// outlasts the trace, warms up differently from this session's spec
+    /// (the message names the first field, [`ScenarioSpec::warm_up_differs`]),
+    /// or when this session has already stepped an event.
     pub fn fork(&self, spec: ScenarioSpec) -> Result<RunSession, ScenarioError> {
         spec.validate()?;
         spec.check_trace_covers(self.sim.trace())?;
-        // The spec fields a warm-up depends on.
-        let (a, b) = (&self.spec, &spec);
-        let differs = [
-            ("seed", a.seed != b.seed),
-            ("churn", a.churn != b.churn),
-            ("predicate", a.predicate != b.predicate),
-            ("oracle", a.oracle != b.oracle),
-            ("maintenance", a.maintenance != b.maintenance),
-            ("warmup_mins", a.warmup_mins != b.warmup_mins),
-        ];
-        if let Some((field, _)) = differs.into_iter().find(|&(_, differs)| differs) {
+        if let Some(field) = self.spec.warm_up_differs(&spec) {
             return Err(ScenarioError::Invalid(format!(
                 "cannot fork {:?} from {:?}: its warm-up differs in `{field}`",
                 spec.name, self.spec.name

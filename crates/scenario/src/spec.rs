@@ -443,6 +443,21 @@ impl ScenarioSpec {
             ..SimConfig::paper_default(self.seed)
         }
     }
+
+    /// The first field a warm-up depends on in which `self` and `other`
+    /// differ, or `None` when their warm-ups are the same: a warm-up
+    /// never depends on the workload, the window or the report.
+    pub fn warm_up_differs(&self, other: &ScenarioSpec) -> Option<&'static str> {
+        let differs = [
+            ("seed", self.seed != other.seed),
+            ("churn", self.churn != other.churn),
+            ("predicate", self.predicate != other.predicate),
+            ("oracle", self.oracle != other.oracle),
+            ("maintenance", self.maintenance != other.maintenance),
+            ("warmup_mins", self.warmup_mins != other.warmup_mins),
+        ];
+        differs.into_iter().find_map(|(field, differs)| differs.then_some(field))
+    }
 }
 
 impl WorkloadSpec {

@@ -3,7 +3,7 @@
 
 use avmem::harness::{AvmemSim, MaintenanceMode, OracleChoice, SimConfig};
 use avmem::SliverScope;
-use avmem_bench::figures::{hs_scaling_points, online_and_vs_in_links, sliver_sizes};
+use avmem_bench::figures::{online_and_vs_in_links, sliver_sizes};
 use avmem_sim::SimDuration;
 use avmem_trace::OvernetModel;
 use avmem_util::stats::correlation;
@@ -30,35 +30,11 @@ fn vertical_sliver_sizes_uncorrelated_with_availability() {
     // Fig. 2c: "median values of the vertical sliver sizes are
     // uncorrelated to the availability."
     let sim = warmed(2, 250);
-    let points: Vec<(f64, f64)> = sliver_sizes(&sim.world(), SliverScope::VsOnly)
-        .into_iter()
-        .map(|(a, s)| (a, s as f64))
-        .collect();
-    let corr = correlation(&points);
+    let corr = correlation(&sliver_sizes(&sim.world(), SliverScope::VsOnly));
     assert!(
         corr.abs() < 0.35,
         "VS size correlates with availability: {corr}"
     );
-}
-
-#[test]
-fn horizontal_sliver_grows_sublinearly() {
-    // Fig. 3: HS size grows sublinearly with the number of in-band
-    // candidates: the marginal growth flattens.
-    let sim = warmed(3, 300);
-    let points = hs_scaling_points(&sim.world(), sim.predicate().epsilon());
-    let max_c = points.iter().map(|p| p.0).fold(0.0f64, f64::max);
-    assert!(max_c > 0.0);
-    let low: Vec<(f64, f64)> = points.iter().copied().filter(|p| p.0 <= max_c / 2.0).collect();
-    let high: Vec<(f64, f64)> = points.iter().copied().filter(|p| p.0 > max_c / 2.0).collect();
-    if low.len() > 10 && high.len() > 10 {
-        let slope_low = avmem_util::stats::slope(&low);
-        let slope_high = avmem_util::stats::slope(&high);
-        assert!(
-            slope_high <= slope_low + 0.05,
-            "HS growth not sublinear: low {slope_low}, high {slope_high}"
-        );
-    }
 }
 
 #[test]

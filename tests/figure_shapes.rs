@@ -4,19 +4,17 @@
 //! The paper's own bands, at the paper's scale, are the claim rows that
 //! `tests/paper_claims.rs` checks.
 
+use avmem_bench::experiments::Harness;
 use avmem_bench::{figures, paper};
-use avmem_scenario::ScenarioSpec;
 
-/// Runs per operation experiment.
-const RUNS: u64 = 2;
-
-fn small() -> ScenarioSpec {
-    paper::base(200, 2, 25)
+/// 200 hosts × 2 days, 25 messages a run, 2 runs an operation point.
+fn small() -> Harness {
+    Harness::over(paper::base(200, 2, 25), 2)
 }
 
 #[test]
 fn fig2_availability_skew_and_sliver_shapes() {
-    let fig = figures::fig2(&paper::warmed(&small()));
+    let fig = figures::fig2(&small());
     assert!(fig.online > 20, "too few online nodes: {}", fig.online);
     // Fig 2c: VS uncorrelated with availability.
     assert!(
@@ -37,7 +35,7 @@ fn fig2_availability_skew_and_sliver_shapes() {
 
 #[test]
 fn fig3_sublinear_scaling() {
-    let fig = figures::fig3(&paper::warmed(&small()));
+    let fig = figures::fig3(&small());
     assert!(fig.points.len() >= 3);
     // The least-squares exponent of |HS| against in-band candidates.
     assert!((0.0..1.0).contains(&fig.exponent), "exponent {} is not sublinear", fig.exponent);
@@ -45,7 +43,7 @@ fn fig3_sublinear_scaling() {
 
 #[test]
 fn fig4_incoming_links_flat() {
-    let fig = figures::fig4(&paper::warmed(&small()));
+    let fig = figures::fig4(&small());
     // Links should not simply mirror the population distribution.
     assert!(
         fig.population_correlation < 0.9,
@@ -81,7 +79,7 @@ fn fig56_attack_bounds_and_cushion_tradeoff() {
 
 #[test]
 fn fig7_easy_anycast_one_hop_except_hs_only() {
-    let fig = figures::fig7(&small(), RUNS);
+    let fig = figures::fig7(&small());
     for (name, delivered, per_hop) in &fig.variants {
         if name == "HS-only" {
             continue;
@@ -111,7 +109,7 @@ fn fig7_easy_anycast_one_hop_except_hs_only() {
 
 #[test]
 fn fig8_harshness_ordering() {
-    let fig = figures::fig8(&small(), RUNS);
+    let fig = figures::fig8(&small());
     // Mean success per row should not increase as targets get harsher.
     let row_mean = |fractions: &Vec<Option<f64>>| {
         let sent: Vec<f64> = fractions.iter().map(|f| f.expect("anycasts were sent")).collect();
@@ -123,9 +121,7 @@ fn fig8_harshness_ordering() {
 
 #[test]
 fn fig9_retry_plateau_and_fig10_baseline_gap() {
-    let setup = small();
-    let avmem = figures::fig9(&setup, RUNS);
-    let random = figures::fig10(&setup, RUNS, &paper::warmed(&setup), avmem.clone()).random;
+    let figures::Fig10 { avmem, random } = figures::fig10(&small());
     let delivered = |row: &figures::RetrySweepRow| row.delivered.expect("anycasts were sent");
     // Delivery should not decrease with more retries.
     for window in avmem.rows.windows(2) {
@@ -148,7 +144,7 @@ fn fig9_retry_plateau_and_fig10_baseline_gap() {
 
 #[test]
 fn fig11_to_13_multicast_shapes() {
-    let fig = figures::fig111213(&small(), RUNS);
+    let fig = figures::fig111213(&small());
     let by_label = |label: &str| {
         fig.scenarios
             .iter()
@@ -178,7 +174,7 @@ fn fig11_to_13_multicast_shapes() {
 
 #[test]
 fn theorem_checks_hold_at_small_scale() {
-    let checks = figures::theorem_checks(&paper::warmed(&small()));
+    let checks = figures::theorem_checks(&small());
     assert!(checks.component_fraction > 0.9);
     assert!(checks.mean_vs > 0.0);
     // VS prediction within a factor of ~2.5 (finite-size effects).

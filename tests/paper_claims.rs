@@ -9,8 +9,8 @@ use avmem_bench::experiments::{Harness, ABLATIONS, FIGURES};
 fn every_claim_holds_or_misses_for_its_named_cause() {
     let harness = Harness::new(false);
     let (mut rows, mut failing) = (0, Vec::new());
-    for id in FIGURES.iter().chain(&ABLATIONS) {
-        let claims = harness.run(id).claims();
+    for (id, run) in FIGURES.iter().chain(&ABLATIONS) {
+        let claims = run(&harness).claims();
         assert!(!claims.is_empty(), "{id} states no claim");
         rows += claims.len();
         failing.extend(claims.iter().filter(|c| c.verdict().fails()).map(|c| format!("{id}: {c}")));
