@@ -237,7 +237,7 @@ pub fn ablation_gossip(h: &Harness) -> GossipAblation {
         ablation.rows.push(GossipRow {
             fanout,
             rounds,
-            reliability: ratio(m.reliability_sum, m.reliability_count),
+            reliability: ratio(m.reliability_sum, m.reliability_count()),
             messages: ratio(m.total_messages as f64, m.sent),
             worst_latency_ms: ratio(latency, reached),
         });

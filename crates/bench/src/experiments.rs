@@ -214,6 +214,15 @@ mod tests {
         Harness::over(spec.clone(), 1).pooled(&[spec.clone(), noisy(&spec)]);
     }
 
+    /// A held warm-up is the base's converged overlay under ground truth,
+    /// whose one epoch no later rebuild reads again: it keeps no pair-hash
+    /// row.
+    #[test]
+    fn a_held_warm_up_keeps_no_pair_hash_rows() {
+        let stats = Harness::over(base(120, 2, 10), 1).snapshot().sim().hash_store_stats();
+        assert!(stats.rows_built > 0 && stats.cached_rows == 0, "{stats:?}");
+    }
+
     /// Each experiment's table is the same whatever ran before it on the
     /// harness, so a held warm-up is never handed on changed.
     #[test]

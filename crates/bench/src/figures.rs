@@ -714,7 +714,7 @@ pub fn fig111213(h: &Harness) -> Fig111213 {
         fig.scenarios.push(MulticastScenario {
             label: label.to_owned(),
             gossip: strategy != flood,
-            count: m.reliability_count,
+            count: m.reliability_count(),
             latency: m.worst_latency_histogram,
             spam: m.spam_histogram,
             reliability: m.reliability_histogram,

@@ -544,7 +544,7 @@ impl AvmemSim {
 
         let tf = self.tracer.span(PH_FINALIZE, 0);
         let memo = self.predicate.rebuild_memo();
-        let (verdict_memory, settles) = self.finalize_memories();
+        let (verdict_memory, settles) = self.pair_memories;
         let ctx = MaintCtx {
             memo: &memo,
             stamp,

@@ -202,7 +202,9 @@ impl MaintenanceEngine {
     }
 }
 
-/// Complete configuration of an [`crate::harness::AvmemSim`].
+/// Complete configuration of an [`crate::harness::AvmemSim`]. Memory
+/// per pair of hosts is not configured: the simulation chooses it from
+/// the population size and whether the oracle's epoch moves.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Master seed for all protocol randomness (latencies, gossip,
@@ -217,31 +219,6 @@ pub struct SimConfig {
     /// Thread count of event-driven maintenance, the AVMON slot sweep
     /// and the converged rebuild.
     pub engine: MaintenanceEngine,
-    /// Memory budget (bytes) for stored pair-hash rows. Populations
-    /// whose dense matrix (`8·N²` bytes) fits the budget keep the rows
-    /// the converged rebuild's full-row scans hash; larger ones store
-    /// nothing and hash each row into scratch. See
-    /// [`crate::harness::PairHashes::with_budget`]. Event-driven finalize
-    /// reads no row — it hashes its own candidate lists — but the same
-    /// bound decides whether it keeps its per-pair verdict
-    /// memory — one bit per ordered pair, `N²/8` bytes; two, `N²/4`,
-    /// under an oracle whose epoch moves (the second holds the verdicts
-    /// that outlive a turnover), 1/32 of the matrix the budget stands for
-    /// — or keeps its no-insert verdicts as mark bits in the view slots
-    /// themselves, no byte beyond the views.
-    pub hash_budget: usize,
-}
-
-/// The pair-hash budget for [`SimConfig::paper_default`]: the crate
-/// default, overridable through the `AVMEM_HASH_BUDGET` environment
-/// variable (bytes) so CI can run the suites on either side of it —
-/// dense rows and verdict bits, or on-the-fly hashing and view-slot
-/// marks — without code changes.
-fn hash_budget_from_env() -> usize {
-    std::env::var("AVMEM_HASH_BUDGET")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(crate::harness::hashes::DEFAULT_HASH_BUDGET)
 }
 
 impl SimConfig {
@@ -255,7 +232,6 @@ impl SimConfig {
             oracle: OracleChoice::Exact,
             maintenance: MaintenanceMode::Converged,
             engine: MaintenanceEngine::Sharded { threads: None },
-            hash_budget: hash_budget_from_env(),
         }
     }
 }

@@ -29,13 +29,12 @@ pub(super) struct FinalizeShardState {
     /// fully classified — the refresh short-circuit license.
     pub(super) classified: Vec<u32>,
     /// Per node: stamp under which the node's discovery memory — its
-    /// `verdicts` row below, or the marks in its own view beyond the
-    /// budget, whichever regime runs — is valid.
+    /// `verdicts` row below, or the marks in its own view above the
+    /// host limit, whichever regime runs — is valid.
     pub(super) seen_stamp: Vec<u32>,
-    /// The verdict memory — the discovery filter where the pair space
-    /// fits the hash budget ([`MaintCtx::verdict_memory`]: `8·N²` bytes
-    /// within [`super::SimConfig::hash_budget`]; this costs `N²/8`, 1/64
-    /// of the matrix the budget stands for — `N²/4`, 1/32, with the
+    /// The verdict memory — the discovery filter of populations up to
+    /// the harness's limit of 8 192 hosts ([`MaintCtx::verdict_memory`];
+    /// this costs `N²/8` bytes, 8 MiB at the limit — `N²/4` with the
     /// `settled` rows a moving epoch adds). Per node an `N`-bit *skip row*,
     /// empty until the node's first discovery: bit `y` says the
     /// pair `(x, y)` needs no evaluation at the `seen_stamp` epoch — `y`
@@ -81,7 +80,7 @@ pub(super) struct FinalizeShardState {
     /// Per node: the bound its `settled` bits were set against; 0 before
     /// the node's first discovery. Never lowered.
     pub(super) ceiling: Vec<f64>,
-    // Beyond the budget, where a `N/8`-byte row per node is not
+    // Above the host limit, where a `N/8`-byte row per node is not
     // affordable (125 KB at 10⁶ hosts) and a pair rarely re-enters a view
     // anyway, the no-insert memory is no state of this shard's: it is the
     // mark bit of the node's own view slots ([`ShuffleNode::mark_view`]).
@@ -95,7 +94,7 @@ pub(super) struct FinalizeShardState {
 impl FinalizeShardState {
     /// The per-node columns of a shard of `len` nodes, sized once, when
     /// the schedule is built. The skip rows only where the verdict memory
-    /// runs (beyond the budget the views carry the verdicts), and the
+    /// runs (above the host limit the views carry the verdicts), and the
     /// settled rows only where they run (`settles`).
     pub(super) fn new(len: usize, verdict_memory: bool, settles: bool) -> Self {
         let rows = |runs: bool| if runs { vec![Vec::new(); len] } else { Vec::new() };
@@ -140,8 +139,8 @@ pub(super) struct MaintCtx<'a> {
     pub(super) settle_above: Option<f64>,
     pub(super) oracle: &'a SimOracle,
     /// Which no-insert memory discovery runs: exact per-pair verdict bits
-    /// where the dense pair-hash matrix (`8·N²` bytes) fits
-    /// [`super::SimConfig::hash_budget`], marks in the view beyond it.
+    /// for populations up to the harness's limit of 8 192 hosts, marks in
+    /// the view above it.
     pub(super) verdict_memory: bool,
     /// Population size: the width of a skip row, in bits.
     pub(super) nodes: usize,
@@ -418,7 +417,7 @@ pub struct FinalizeStats {
     /// filter dropped without an estimate: ids that are
     /// neighbors already, and pairs that classified to no insert earlier
     /// in the epoch — every such pair where the verdict memory runs, those
-    /// that stayed in the view beyond the budget. Either way
+    /// that stayed in the view above the host limit. Either way
     /// `discover_pruned` plus discovery's share of `batched_estimates` is
     /// the number of candidates the views offered.
     pub discover_pruned: u64,
@@ -428,7 +427,7 @@ pub struct FinalizeStats {
     /// Verdicts that outlived their epoch: the settled bits (pair hash
     /// above every threshold the node can apply) copied into a skip row
     /// at each reset of it, summed. 0 where skip rows are never reset (a
-    /// fixed epoch) or do not exist (beyond the hash budget).
+    /// fixed epoch) or do not exist (above the host limit).
     pub verdicts_carried: u64,
     /// Settled rows zeroed because the node's horizontal threshold
     /// outgrew the ceiling their bits were set against.

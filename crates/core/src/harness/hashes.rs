@@ -1,20 +1,22 @@
-//! Pair-hash storage: dense rows for full-row scans within a memory
-//! budget, batched on-the-fly hashing for everything else.
+//! Pair-hash rows for the converged rebuild: kept where a later rebuild
+//! reads them again, hashed into the caller's scratch everywhere else.
 //!
-//! Eq. 1 evaluates `H(id(x), id(y))` for ordered node pairs. A full
-//! overlay rebuild touches all `N²` ordered pairs, and SHA-256 dominates
-//! the per-pair cost, so caching pays — but a dense `N × N` `f64` matrix
-//! is `8·N²` bytes (80 GB at `N = 10⁵`), which caps the population the
-//! simulator can hold. [`PairHashes`] therefore picks one of two stores
-//! from the population size ([`PairHashes::with_budget`]):
+//! Eq. 1 evaluates `H(id(x), id(y))` for ordered node pairs, and the
+//! converged rebuild scans every row whole. A row depends on ids alone,
+//! so one hashed row stays right for the run — but a rebuild reads it
+//! again only after the oracle's epoch has moved: a rebuild at an
+//! unchanged epoch would rebuild the same lists, and is skipped
+//! (`AvmemSim::warm_up`). [`PairHashes`] therefore runs one of two
+//! stores, fixed at construction ([`PairHashes::new`]):
 //!
-//! * **dense** (the matrix fits the memory budget) — a row is hashed
-//!   once, by its first full-row reader ([`PairHashes::row`]: the
-//!   converged rebuild, which scans every row whole on every rebuild),
-//!   and kept; later reads are array lookups. Untouched rows cost nothing.
-//! * **on the fly** (it does not) — nothing is stored.
-//!   [`PairHashes::row`] batch-fills the caller's scratch row, so memory
-//!   stays `O(N)` per thread.
+//! * **kept** (the oracle's epoch moves and the population is small
+//!   enough for the matrix, `8·N²` bytes: at most 8 192 hosts, 512 MiB)
+//!   — a row is hashed once, by its first reader ([`PairHashes::row`]),
+//!   and kept; later reads are array lookups. Untouched rows cost
+//!   nothing.
+//! * **scratch** (otherwise) — nothing is stored. [`PairHashes::row`]
+//!   batch-fills the caller's scratch row, so memory stays `O(N)` per
+//!   thread.
 //!
 //! Only the converged rebuild reads this store. Event-driven maintenance
 //! hashes each candidate list itself, in one batched call
@@ -23,8 +25,7 @@
 //! *verdict* for the oracle epoch (one bit), so it needs a pair's hash at
 //! most once per epoch, and a dense row built to serve that one read
 //! would cost `8·N` bytes and a cache miss per later read — more than the
-//! hash. The budget still picks that finalize's no-insert memory
-//! ([`PairHashes::is_cached`]).
+//! hash.
 //!
 //! Both stores agree bit-for-bit with [`avmem_util::consistent_hash`].
 
@@ -32,10 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use avmem_util::{consistent_hash_batch, NodeId};
-
-/// Default memory budget for dense rows: 512 MiB, i.e. dense storage up
-/// to ~8 000 nodes; larger populations hash on the fly.
-pub const DEFAULT_HASH_BUDGET: usize = 512 << 20;
 
 /// Pair hashes `H(id(x), id(y))` for the trace population `0..n`.
 ///
@@ -45,25 +42,24 @@ pub const DEFAULT_HASH_BUDGET: usize = 512 << 20;
 /// use avmem::harness::PairHashes;
 /// use avmem_util::{consistent_hash, NodeId};
 ///
-/// let hashes = PairHashes::with_budget(10, usize::MAX);
+/// let hashes = PairHashes::new(10, true);
 /// let mut scratch = Vec::new();
 /// let row = hashes.row(3, &mut scratch).to_vec();
 /// assert_eq!(row[7], consistent_hash(NodeId::new(3), NodeId::new(7)));
 ///
-/// // Above the memory budget the same API hashes on the fly.
-/// let direct = PairHashes::with_budget(10, 0);
+/// // A store that keeps nothing hashes into the scratch, to the same rows.
+/// let direct = PairHashes::new(10, false);
 /// assert_eq!(direct.row(3, &mut scratch), &row[..]);
 /// ```
 #[derive(Debug)]
 pub struct PairHashes {
     n: usize,
-    /// Dense rows, hashed by their first full-row reader and kept
-    /// (`OnceLock` makes materialization thread-safe under the parallel
-    /// rebuild); `None` when the matrix exceeds the budget and every read
-    /// hashes.
+    /// Kept rows, hashed by their first reader (`OnceLock` makes
+    /// materialization thread-safe under the parallel rebuild); `None`
+    /// when every read hashes into scratch.
     rows: Option<Vec<OnceLock<Box<[f64]>>>>,
-    /// Full rows hashed (`n` SHA-256 evaluations each): dense
-    /// materializations and on-the-fly bulk fills.
+    /// Full rows hashed (`n` SHA-256 evaluations each): kept rows and
+    /// scratch fills.
     rows_built: AtomicU64,
 }
 
@@ -73,46 +69,37 @@ pub struct PairHashes {
 pub struct PairStoreStats {
     /// Full rows hashed (`n` SHA-256 evaluations each).
     pub rows_built: u64,
-    /// Dense rows resident right now. Only full-row scans build rows;
+    /// Rows resident right now. Only the converged rebuild builds rows;
     /// event-driven maintenance never adds one.
     pub cached_rows: usize,
 }
 
 impl PairHashes {
-    /// Budget-aware constructor: lazy dense rows when the matrix (`8·n²`
-    /// bytes) fits `budget_bytes`, on-the-fly hashing otherwise.
+    /// A store over the population `0..n` that keeps each row its first
+    /// reader hashes when `keep_rows`, and hashes every read into the
+    /// reader's scratch otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn with_budget(n: usize, budget_bytes: usize) -> Self {
+    pub fn new(n: usize, keep_rows: bool) -> Self {
         assert!(n > 0, "population must be non-empty");
-        let dense_bytes = n.checked_mul(n).and_then(|pairs| pairs.checked_mul(8));
-        let dense = dense_bytes.is_some_and(|b| b <= budget_bytes);
         PairHashes {
             n,
-            rows: dense.then(|| (0..n).map(|_| OnceLock::new()).collect()),
+            rows: keep_rows.then(|| (0..n).map(|_| OnceLock::new()).collect()),
             rows_built: AtomicU64::new(0),
         }
     }
 
-    /// Whether the dense matrix fits the budget: rows are kept once a
-    /// full-row reader materializes them, and the finalize fast
-    /// path may afford its verdict memory (`N²/8` bytes, `N²/4` under a
-    /// moving epoch).
-    pub fn is_cached(&self) -> bool {
-        self.rows.is_some()
-    }
-
-    /// Number of dense rows held right now (always 0 on the fly).
+    /// Number of rows held right now (always 0 when nothing is kept).
     pub fn cached_rows(&self) -> usize {
         self.rows
             .as_ref()
             .map_or(0, |rows| rows.iter().filter(|r| r.get().is_some()).count())
     }
 
-    /// Row `x` of the dense store, materialized on first touch; `None`
-    /// when hashing on the fly.
+    /// Row `x` of the kept store, materialized on first touch; `None`
+    /// when nothing is kept.
     fn dense_row(&self, x: usize) -> Option<&[f64]> {
         let rows = self.rows.as_ref()?;
         Some(rows[x].get_or_init(|| {
@@ -124,7 +111,7 @@ impl PairHashes {
     }
 
     /// The full row `H(id(x), id(·))` for bulk scans: the (materialized
-    /// on demand) dense row, or `scratch` batch-filled on the fly — a
+    /// on demand) kept row, or `scratch` batch-filled on the fly — a
     /// rebuild worker reuses one `O(N)` buffer for all its rows instead
     /// of allocating per node.
     ///
@@ -174,7 +161,7 @@ mod tests {
 
     #[test]
     fn matches_direct_hashing() {
-        for hashes in [PairHashes::with_budget(20, usize::MAX), PairHashes::with_budget(20, 0)] {
+        for hashes in [PairHashes::new(20, true), PairHashes::new(20, false)] {
             for x in 0..20 {
                 let row = hashes.row(x, &mut Vec::new()).to_vec();
                 assert_eq!(row, (0..20).map(|y| pair(x, y)).collect::<Vec<_>>(), "x={x}");
@@ -197,36 +184,25 @@ mod tests {
 
     #[test]
     fn directedness_is_preserved() {
-        let hashes = PairHashes::with_budget(5, usize::MAX);
+        let hashes = PairHashes::new(5, true);
         let (mut a, mut b) = (Vec::new(), Vec::new());
         assert_ne!(hashes.row(1, &mut a)[2], hashes.row(2, &mut b)[1]);
     }
 
     #[test]
     fn lazy_materializes_only_touched_rows() {
-        let hashes = PairHashes::with_budget(16, usize::MAX);
+        let hashes = PairHashes::new(16, true);
         assert_eq!(hashes.cached_rows(), 0);
         let mut scratch = Vec::new();
         let _ = hashes.row(9, &mut scratch);
         assert_eq!(hashes.cached_rows(), 1);
-        assert!(scratch.is_empty(), "cached mode must not use the scratch");
-    }
-
-    #[test]
-    fn budget_selects_storage_mode() {
-        // 12² × 8 = 1152 bytes: the dense matrix just fits.
-        assert!(PairHashes::with_budget(12, 1152).is_cached());
-        // One byte short: nothing is stored, however many rows would fit.
-        assert!(!PairHashes::with_budget(12, 1151).is_cached());
-        assert!(!PairHashes::with_budget(12, 0).is_cached());
-        // A population whose `8·n²` overflows `usize` is never dense.
-        assert!(!PairHashes::with_budget(usize::MAX / 2, usize::MAX).is_cached());
+        assert!(scratch.is_empty(), "a kept row must not use the scratch");
     }
 
     #[test]
     fn direct_mode_agrees_with_cached() {
-        let direct = PairHashes::with_budget(12, 0);
-        let cached = PairHashes::with_budget(12, usize::MAX);
+        let direct = PairHashes::new(12, false);
+        let cached = PairHashes::new(12, true);
         let mut scratch = Vec::new();
         for x in 0..12 {
             let row = direct.row(x, &mut scratch).to_vec();
@@ -237,14 +213,14 @@ mod tests {
 
     #[test]
     fn store_stats_split_rows_from_on_the_fly_hashes() {
-        let dense = PairHashes::with_budget(10, usize::MAX);
+        let dense = PairHashes::new(10, true);
         assert_eq!(dense.store_stats(), PairStoreStats::default());
         let _ = dense.row(3, &mut Vec::new()); // builds row 3
         let _ = dense.row(3, &mut Vec::new()); // reads it
         let stats = dense.store_stats();
         assert_eq!((stats.rows_built, stats.cached_rows), (1, 1));
 
-        let direct = PairHashes::with_budget(10, 0);
+        let direct = PairHashes::new(10, false);
         let _ = direct.row(3, &mut Vec::new());
         let _ = direct.row(3, &mut Vec::new());
         let stats = direct.store_stats();
@@ -254,7 +230,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
-        let hashes = PairHashes::with_budget(3, usize::MAX);
+        let hashes = PairHashes::new(3, true);
         let _ = hashes.row(3, &mut Vec::new());
     }
 }

@@ -65,7 +65,7 @@ pub use config::{
     MaintenanceEngine, MaintenanceMode, OracleChoice, PredicateChoice, SimConfig,
 };
 pub use finalize::FinalizeStats;
-pub use hashes::{PairHashes, PairStoreStats, DEFAULT_HASH_BUDGET};
+pub use hashes::{PairHashes, PairStoreStats};
 pub use index::CandidateIndex;
 pub use oracle::SimOracle;
 pub use query::HealthStats;
@@ -103,6 +103,22 @@ const STREAM_BOOTSTRAP: u64 = 4;
 /// paper's 0.1-wide buckets.
 const PDF_BUCKETS: usize = 10;
 
+/// The largest population that keeps memory per ordered pair of hosts:
+/// finalize's verdict rows (`N²/8` bytes; twice that with settled rows)
+/// and the converged rebuild's hash rows (`8·N²` bytes, 512 MiB here).
+/// Above it verdicts are view-slot marks and every row is hashed anew.
+const PAIR_MEMORY_HOSTS: usize = 8192;
+
+/// Which per-pair memories a run of `n` hosts keeps, for its life: verdict
+/// rows within [`PAIR_MEMORY_HOSTS`]; and where, too, the oracle's epoch
+/// moves, what ids alone decide and only a later epoch reads again —
+/// finalize's settled rows, the converged rebuild's hash rows (a rebuild
+/// at an unchanged epoch is skipped).
+fn pair_memories(n: usize, epoch_moves: bool) -> (bool, bool) {
+    let per_pair = n <= PAIR_MEMORY_HOSTS;
+    (per_pair, per_pair && epoch_moves)
+}
+
 /// The persistent event-driven maintenance schedule, sharded.
 ///
 /// Built once, on the first event-driven advance, and kept across
@@ -133,14 +149,14 @@ impl MaintSchedule {
     /// Builds the initial schedule: every node's tick and refresh
     /// staggered on the period lattices from `now` on, and each shard's
     /// finalize columns sized for the memories the run keeps
-    /// ([`AvmemSim::finalize_memories`]).
+    /// ([`AvmemSim::pair_memories`]).
     fn build(
         seed: u64,
         n: usize,
         shards: usize,
         now: SimTime,
         (protocol_period, refresh_period): (SimDuration, SimDuration),
-        (verdict_memory, settles): (bool, bool),
+        memories: (bool, bool),
     ) -> Self {
         let part = ShardPartition::new(n, shards);
         MaintSchedule {
@@ -150,7 +166,7 @@ impl MaintSchedule {
                 .map(|s| {
                     let mut scratch = ShardScratch::default();
                     let len = part.range(s).len();
-                    scratch.finalize = FinalizeShardState::new(len, verdict_memory, settles);
+                    scratch.finalize = FinalizeShardState::new(len, memories.0, memories.1);
                     scratch
                 })
                 .collect(),
@@ -227,6 +243,11 @@ pub struct AvmemSim {
     /// Shared between clones: every row is a pure function of its index,
     /// materialized once through a `OnceLock` and read through `&self`.
     hashes: Arc<PairHashes>,
+    /// The oracle epoch of the last converged rebuild (`None` before the
+    /// first): a rebuild at the same epoch would build the same lists.
+    rebuilt_epoch: Option<u64>,
+    /// The per-pair memories the run keeps ([`pair_memories`]).
+    pair_memories: (bool, bool),
     memberships: Vec<Membership>,
     shuffles: Vec<ShuffleNode>,
     now: SimTime,
@@ -282,6 +303,8 @@ impl Clone for AvmemSim {
             predicate: self.predicate.clone(),
             oracle: self.oracle.clone(),
             hashes: Arc::clone(&self.hashes),
+            rebuilt_epoch: self.rebuilt_epoch,
+            pair_memories: self.pair_memories,
             memberships: self.memberships.clone(),
             shuffles: self.shuffles.clone(),
             now: self.now,
@@ -321,7 +344,6 @@ impl AvmemSim {
             );
         }
         let n = trace.num_nodes();
-        let hashes = Arc::new(PairHashes::with_budget(n, config.hash_budget));
         let stats = trace.stats();
         let n_star = stats.mean_online.max(2.0);
 
@@ -341,6 +363,7 @@ impl AvmemSim {
         // worker pool, partitioned like the maintenance engine's cohorts:
         // one shard per thread (bit-identical for every thread count).
         oracle.set_threads(config.engine.threads());
+        let memories = pair_memories(n, oracle.epoch_moves());
         // Two draws no stream reads, kept so that the shuffle seeds and
         // `member_order_seed` below stay the values the pinned
         // fingerprints and figures were produced with.
@@ -365,7 +388,9 @@ impl AvmemSim {
         online.refresh(&trace, SimTime::ZERO);
 
         AvmemSim {
-            hashes,
+            hashes: Arc::new(PairHashes::new(n, memories.1)),
+            rebuilt_epoch: None,
+            pair_memories: memories,
             memberships: (0..n).map(|i| Membership::new(NodeId::new(i as u64))).collect(),
             trace,
             config,
@@ -464,7 +489,9 @@ impl AvmemSim {
     /// Advances simulation time by `duration`, running maintenance.
     ///
     /// In [`MaintenanceMode::Converged`] the membership lists are rebuilt
-    /// from the predicate at the end of the interval. In
+    /// from the predicate at the end of the interval — unless the oracle's
+    /// epoch there is the last rebuild's, whose lists the rebuild would
+    /// build again (they depend on ids and the oracle's answers alone). In
     /// [`MaintenanceMode::EventDriven`] the shuffle/discovery/refresh
     /// sub-protocols run period by period through the event engine; the
     /// schedule persists across calls, so chopping an interval into many
@@ -479,11 +506,15 @@ impl AvmemSim {
                     self.now = target;
                     self.online.refresh(&self.trace, target);
                 }
-                // A span guard would hold `&self.tracer` across the
-                // `&mut self` rebuild; record the measured time instead.
-                let t0 = Instant::now();
-                self.rebuild_converged();
-                self.tracer.record(PH_FINALIZE, 0, t0.elapsed());
+                let epoch = self.oracle.epoch(target);
+                if self.rebuilt_epoch != Some(epoch) {
+                    // A span guard would hold `&self.tracer` across the
+                    // `&mut self` rebuild; record the measured time instead.
+                    let t0 = Instant::now();
+                    self.rebuild_converged();
+                    self.rebuilt_epoch = Some(epoch);
+                    self.tracer.record(PH_FINALIZE, 0, t0.elapsed());
+                }
             }
             MaintenanceMode::EventDriven {
                 protocol_period,
@@ -554,16 +585,8 @@ impl AvmemSim {
         self.fin_stats
     }
 
-    /// Which finalize memories the run keeps, fixed for its life: the
-    /// verdict rows (the pair space fits the hash budget), and beside them
-    /// the settled rows (where, too, the oracle's epoch can move).
-    fn finalize_memories(&self) -> (bool, bool) {
-        let verdict_memory = self.hashes.is_cached();
-        (verdict_memory, verdict_memory && self.oracle.epoch_moves())
-    }
-
     /// Counters of the pair-hash store the converged rebuild reads (rows
-    /// built, dense rows resident): all zero in an event-driven run,
+    /// built, rows kept): all zero in an event-driven run,
     /// whose finalize hashes its own candidate lists.
     pub fn hash_store_stats(&self) -> PairStoreStats {
         self.hashes.store_stats()
@@ -604,7 +627,7 @@ impl AvmemSim {
                 self.config.engine.threads(),
                 self.now,
                 (protocol_period, refresh_period),
-                self.finalize_memories(),
+                self.pair_memories,
             )
         });
         while let Some(t) = maint.wheel.pop_until(target) {
@@ -625,5 +648,20 @@ impl AvmemSim {
         self.oracle.advance(&self.trace, target);
         self.now = target;
         self.online.refresh(&self.trace, target);
+    }
+
+    #[cfg(test)]
+    /// The one way into finalize's view-slot marks below
+    /// [`PAIR_MEMORY_HOSTS`] hosts, for the differentials that hold that
+    /// regime to the verdict rows and the model at sizes a test affords:
+    /// the run keeps no per-pair memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics once event-driven maintenance has sized its memories.
+    pub(super) fn with_view_marks(mut self) -> Self {
+        assert!(self.maint.is_none(), "the schedule is built already");
+        self.pair_memories = (false, false);
+        self
     }
 }

@@ -192,7 +192,7 @@ mod tests {
     use avmem_sim::SimDuration;
     use avmem_trace::OvernetModel;
 
-    use super::super::{hashes, MaintenanceEngine, OracleChoice};
+    use super::super::{MaintenanceEngine, OracleChoice};
     use super::*;
 
     fn sharded(threads: usize) -> MaintenanceEngine {
@@ -229,9 +229,9 @@ mod tests {
         // be bit-identical to it under every oracle fidelity — including
         // per-querier noise, whose every memo (the querier's own) lives
         // for a staleness period —, on one shard and on several, and in
-        // both no-insert regimes: the verdict bits
-        // (the pair space fits the hash budget) and the view-slot marks
-        // (it does not).
+        // both no-insert regimes: the verdict bits (populations up to
+        // `PAIR_MEMORY_HOSTS`) and the view-slot marks (above it; here
+        // through `AvmemSim::with_view_marks`).
         let shared_noise = OracleChoice::NoisyShared {
             error: 0.05,
             staleness: SimDuration::from_mins(20),
@@ -263,16 +263,13 @@ mod tests {
             assert!(degree > 0.1, "{label}: the model built no overlay");
             let last_epoch = model.sim.oracle.epoch(model.sim.now());
             assert_eq!(last_epoch >= 3, turns_over, "{label}: {last_epoch}");
-            let regimes = [(true, hashes::DEFAULT_HASH_BUDGET), (false, 0)];
-            for (verdict_memory, hash_budget) in regimes {
+            for verdict_memory in [true, false] {
                 let mut serial_stats = None;
                 for engine in [MaintenanceEngine::Serial, sharded(4)] {
-                    let cfg = SimConfig {
-                        engine,
-                        hash_budget,
-                        ..cfg
-                    };
-                    let mut sim = AvmemSim::new(trace.clone(), cfg);
+                    let mut sim = AvmemSim::new(trace.clone(), SimConfig { engine, ..cfg });
+                    if !verdict_memory {
+                        sim = sim.with_view_marks();
+                    }
                     sim.warm_up(SimDuration::from_hours(hours));
                     let label = format!("{label}, {engine:?}, verdict memory: {verdict_memory}");
                     assert_matches(&model, &sim, &label);
@@ -301,7 +298,7 @@ mod tests {
                     // repeats, so pruned + estimated — the candidates the
                     // views offered, plus the refresh estimates both regimes
                     // share — is the same either way (asserted below).
-                    // Beyond the budget a verdict is a mark in its view
+                    // With view marks a verdict is a mark in its view
                     // slot, and lives while its id stays in that slot: an id
                     // that leaves and comes back within the epoch is
                     // estimated again. The skip row, which outlives a pair's

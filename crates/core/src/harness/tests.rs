@@ -164,6 +164,60 @@ fn advance_to_in_converged_mode_moves_clock_without_rebuild() {
 }
 
 #[test]
+fn a_converged_rebuild_at_an_unchanged_epoch_is_skipped() {
+    // Ground truth has one epoch for the run: the second warm-up would
+    // rebuild the lists the first built, so it does not, and the one
+    // rebuild pass hashed every row into scratch, keeping none.
+    let mut twice = small_sim(4);
+    twice.warm_up(SimDuration::from_hours(12));
+    twice.warm_up(SimDuration::from_hours(12));
+    let mut once = small_sim(4);
+    once.warm_up(SimDuration::from_hours(24));
+    assert!(once.health_stats().mean_degree > 1.0, "vacuous: no lists");
+    assert_eq!(twice.memberships, once.memberships);
+    let stats = twice.hash_store_stats();
+    assert_eq!((stats.rows_built, stats.cached_rows), (120, 0), "{stats:?}");
+}
+
+#[test]
+fn a_converged_rebuild_follows_a_moving_epoch_over_kept_rows() {
+    // Shared noise re-drawn every two minutes: a warm-up that crosses a
+    // turnover rebuilds (to the lists a simulation warmed straight there
+    // builds), one that does not skips, and every rebuild after the
+    // first reads the rows the first kept.
+    let sim = |seed| {
+        let trace = OvernetModel::default().hosts(120).days(1).generate(3);
+        let mut cfg = SimConfig::paper_default(seed);
+        cfg.oracle = shared_noise(2);
+        AvmemSim::new(trace, cfg)
+    };
+    let mut stepped = sim(6);
+    stepped.warm_up(SimDuration::from_mins(60));
+    let first = stepped.memberships.clone();
+    stepped.warm_up(SimDuration::from_mins(1));
+    assert_eq!(stepped.memberships, first, "a rebuild within the epoch");
+    stepped.warm_up(SimDuration::from_mins(1));
+    assert_ne!(stepped.memberships, first, "no rebuild past the turnover");
+    let mut straight = sim(6);
+    straight.warm_up(SimDuration::from_mins(62));
+    assert_eq!(stepped.memberships, straight.memberships);
+    let stats = stepped.hash_store_stats();
+    assert_eq!((stats.rows_built, stats.cached_rows), (120, 120), "{stats:?}");
+}
+
+#[test]
+fn the_host_limit_selects_every_per_pair_memory() {
+    // Verdict rows up to the limit; settled rows and kept hash rows there
+    // only where the oracle's epoch moves; none of them above it.
+    assert_eq!(pair_memories(PAIR_MEMORY_HOSTS, true), (true, true));
+    assert_eq!(pair_memories(PAIR_MEMORY_HOSTS, false), (true, false));
+    assert_eq!(pair_memories(PAIR_MEMORY_HOSTS + 1, true), (false, false));
+    assert_eq!(pair_memories(PAIR_MEMORY_HOSTS + 1, false), (false, false));
+    // The limit is where the hash matrix reaches 512 MiB.
+    assert_eq!(8 * PAIR_MEMORY_HOSTS * PAIR_MEMORY_HOSTS, 512 << 20);
+}
+
+#[test]
 fn anycast_high_target_from_mid_usually_delivers() {
     let mut sim = small_sim(11);
     sim.warm_up(SimDuration::from_hours(24));
@@ -609,12 +663,7 @@ fn finalize_matches_the_model_and_counts() {
 
 /// An event-driven sim on 15 s ticks for the verdict-memory hand
 /// cases.
-fn event_driven_sim(
-    hosts: usize,
-    oracle: OracleChoice,
-    engine: MaintenanceEngine,
-    hash_budget: usize,
-) -> AvmemSim {
+fn event_driven_sim(hosts: usize, oracle: OracleChoice, engine: MaintenanceEngine) -> AvmemSim {
     let trace = OvernetModel::default().hosts(hosts).days(1).generate(41);
     let mut cfg = SimConfig::paper_default(15);
     cfg.oracle = oracle;
@@ -623,7 +672,6 @@ fn event_driven_sim(
         refresh_period: SimDuration::from_mins(3),
     };
     cfg.engine = engine;
-    cfg.hash_budget = hash_budget;
     AvmemSim::new(trace, cfg)
 }
 
@@ -758,7 +806,6 @@ fn a_pair_rejected_at_one_epoch_is_re_evaluated_at_the_next() {
         90,
         oracle,
         MaintenanceEngine::Serial,
-        hashes::DEFAULT_HASH_BUDGET,
     );
     let mut rejected = std::collections::HashMap::new();
     let (mut revived, mut verdicts_checked) = (0, 0);
@@ -819,7 +866,6 @@ fn a_neighbor_evicted_by_a_same_epoch_refresh_stays_pruned() {
         90,
         oracle,
         MaintenanceEngine::Serial,
-        hashes::DEFAULT_HASH_BUDGET,
     );
     sim.warm_up(SimDuration::ZERO);
     let n = sim.trace().num_nodes();
@@ -874,7 +920,6 @@ fn a_refresh_only_cohort_at_a_new_epoch_leaves_a_stale_row_for_discovery_to_rese
         90,
         oracle,
         MaintenanceEngine::Serial,
-        hashes::DEFAULT_HASH_BUDGET,
     );
     sim.warm_up(SimDuration::ZERO);
     let n = sim.trace().num_nodes();
@@ -940,7 +985,6 @@ fn a_settled_pair_is_re_evaluated_once_its_nodes_ceiling_rises() {
         300,
         shared_noise(2),
         MaintenanceEngine::Serial,
-        hashes::DEFAULT_HASH_BUDGET,
     );
     let mut settled_once = std::collections::HashSet::new();
     let (mut revived, mut confirmed) = (0, 0);
@@ -987,7 +1031,6 @@ fn with_a_massless_pdf_bucket_nothing_settles_and_no_row_is_allocated() {
         90,
         shared_noise(2),
         MaintenanceEngine::Serial,
-        hashes::DEFAULT_HASH_BUDGET,
     );
     let mut model = model::Model::new(sim.trace().clone(), sim.config);
     let built = &sim.predicate;
@@ -1032,7 +1075,6 @@ fn a_hash_equal_to_the_ceiling_does_not_settle() {
             60,
             shared_noise(2),
             MaintenanceEngine::Serial,
-            hashes::DEFAULT_HASH_BUDGET,
         );
         let mut model = model::Model::new(sim.trace().clone(), sim.config);
         let flat = AvmemPredicate::new(
@@ -1080,7 +1122,6 @@ fn a_fixed_epoch_allocates_no_settled_row() {
         100,
         OracleChoice::Exact,
         MaintenanceEngine::Serial,
-        hashes::DEFAULT_HASH_BUDGET,
     );
     sim.warm_up(SimDuration::from_mins(10));
     let state = finalize_state(&sim);
@@ -1099,7 +1140,6 @@ fn a_row_allocated_for_a_node_with_neighbors_carries_their_bits() {
         100,
         OracleChoice::Exact,
         MaintenanceEngine::Serial,
-        hashes::DEFAULT_HASH_BUDGET,
     );
     let event_driven = sim.config.maintenance;
     sim.config.maintenance = MaintenanceMode::Converged;
@@ -1133,7 +1173,6 @@ fn a_verdict_row_is_allocated_at_the_nodes_first_stamped_discovery() {
         100,
         OracleChoice::Exact,
         engine,
-        hashes::DEFAULT_HASH_BUDGET,
     );
     let words = 100usize.div_ceil(64);
     let rows_by_node = |sim: &AvmemSim| -> Vec<usize> {
@@ -1174,7 +1213,7 @@ fn beyond_the_budget_no_verdict_row_exists() {
         staleness: SimDuration::from_mins(2),
     };
     for oracle in [OracleChoice::Exact, shared_noise] {
-        let mut sim = event_driven_sim(100, oracle, MaintenanceEngine::Serial, 0);
+        let mut sim = event_driven_sim(100, oracle, MaintenanceEngine::Serial).with_view_marks();
         sim.warm_up(SimDuration::from_mins(10));
         let state = finalize_state(&sim);
         assert!(state.verdicts.is_empty() && state.settled.is_empty() && state.ceiling.is_empty());
@@ -1190,31 +1229,201 @@ fn per_querier_noise_memoizes_within_its_staleness_period() {
     // Per-querier answers are fixed for a staleness period, and every
     // finalize memo belongs to the querying node: thresholds are served
     // from the memo, discovery prunes, and the columns are the shard's.
-    for budget in [hashes::DEFAULT_HASH_BUDGET, 0] {
-        let mut sim = event_driven_sim(
-            100,
-            OracleChoice::paper_noise(),
-            MaintenanceEngine::Serial,
-            budget,
-        );
+    for verdict_rows in [true, false] {
+        let mut sim = event_driven_sim(100, OracleChoice::paper_noise(), MaintenanceEngine::Serial);
+        if !verdict_rows {
+            sim = sim.with_view_marks();
+        }
         sim.warm_up(SimDuration::from_mins(10));
         let stats = sim.finalize_stats();
         assert!(stats.memo_hits > 0 && stats.discover_pruned > 0, "{stats:?}");
         let state = finalize_state(&sim);
         assert_eq!((state.seen_stamp.len(), state.horizontal.len()), (100, 100));
-        assert_eq!(state.verdicts.len(), if budget == 0 { 0 } else { 100 });
+        assert_eq!(state.verdicts.len(), if verdict_rows { 100 } else { 0 });
         assert_matches(&model_of(&sim), &sim, "per-querier noise");
+    }
+}
+
+/// Memberships (lists, cached availabilities) and shuffle views equal,
+/// node by node.
+fn assert_same_state(reference: &AvmemSim, candidate: &AvmemSim, label: &str) {
+    for i in 0..reference.trace().num_nodes() {
+        let id = NodeId::new(i as u64);
+        let same = reference.membership(id) == candidate.membership(id);
+        assert!(same, "{label}: membership of node {i} diverged");
+        let same = reference.shuffle_view(id) == candidate.shuffle_view(id);
+        assert!(same, "{label}: shuffle view of node {i} diverged");
+    }
+}
+
+/// A simulation of `trace` under `cfg` whose finalize keeps verdict rows
+/// (`verdict_rows`, the regime of this size) or view-slot marks.
+fn regime_sim(trace: &ChurnTrace, cfg: SimConfig, verdict_rows: bool) -> AvmemSim {
+    let sim = AvmemSim::new(trace.clone(), cfg);
+    if verdict_rows {
+        sim
+    } else {
+        sim.with_view_marks()
+    }
+}
+
+/// `stats` with the counters the no-insert regime legitimately moves —
+/// candidates pruned, the estimates (one pair hash each) the unpruned
+/// ones cost, and the settled verdicts only skip rows carry — zeroed, for
+/// comparing everything else across regimes.
+fn without_discovery_counters(mut stats: FinalizeStats) -> FinalizeStats {
+    stats.discover_pruned = 0;
+    stats.batched_estimates = 0;
+    stats.verdicts_carried = 0;
+    stats.ceiling_raises = 0;
+    stats
+}
+
+/// One shard on one thread, then 1, 2, 4 and 8 threads.
+fn every_engine() -> [MaintenanceEngine; 5] {
+    let sharded = |threads| MaintenanceEngine::Sharded {
+        threads: Some(threads),
+    };
+    [MaintenanceEngine::Serial, sharded(1), sharded(2), sharded(4), sharded(8)]
+}
+
+#[test]
+fn hash_store_modes_agree_across_engines() {
+    // Finalize's no-insert memory — one verdict bit per pair, or a mark
+    // bit per view slot — may not perturb a bit: every (regime, engine)
+    // combination must land on the baseline's state. Either way finalize
+    // hashes its candidate lists itself and leaves the pair-hash store
+    // untouched. How much work a regime skips is a property of the run,
+    // not of its sharding: the counters must match the baseline's, and
+    // the verdict memory — which still knows a pair after it left the
+    // view and came back — must prune strictly more and estimate strictly
+    // fewer.
+    let trace = OvernetModel::default().hosts(120).days(1).generate(17);
+    let mut cfg = SimConfig::paper_default(17);
+    cfg.maintenance = MaintenanceMode::EventDriven {
+        protocol_period: SimDuration::from_secs(15),
+        refresh_period: SimDuration::from_mins(3),
+    };
+    cfg.engine = MaintenanceEngine::Serial;
+    let mut reference = AvmemSim::new(trace.clone(), cfg);
+    reference.warm_up(SimDuration::from_hours(1));
+    assert!(reference.health_stats().mean_degree > 0.5, "reference run built no overlay");
+    let mut per_regime = Vec::new();
+    for verdict_rows in [true, false] {
+        let mut serial_stats = None;
+        for engine in every_engine() {
+            let mut candidate = regime_sim(&trace, SimConfig { engine, ..cfg }, verdict_rows);
+            candidate.warm_up(SimDuration::from_hours(1));
+            let label = format!("verdict rows: {verdict_rows}, {engine:?}");
+            assert_same_state(&reference, &candidate, &label);
+            assert_eq!(
+                candidate.hash_store_stats(),
+                PairStoreStats::default(),
+                "{label}: event-driven maintenance touched the pair-hash store"
+            );
+            let stats = candidate.finalize_stats();
+            assert_eq!(
+                *serial_stats.get_or_insert(stats),
+                stats,
+                "{label}: finalize counters depend on the sharding"
+            );
+        }
+        per_regime.push(serial_stats.expect("at least one engine ran"));
+    }
+    let (bits, marks) = (per_regime[0], per_regime[1]);
+    assert!(
+        bits.discover_pruned > marks.discover_pruned
+            && bits.batched_estimates < marks.batched_estimates,
+        "verdict bits must skip more than the view marks: {bits:?} vs {marks:?}"
+    );
+    // Only the discovery filter differs between the regimes.
+    assert_eq!(without_discovery_counters(bits), without_discovery_counters(marks));
+}
+
+/// One case of the regime differential below: `hosts`, the seed shared
+/// by trace and protocol, and an oracle whose epochs turn over mid-run.
+fn regime_case(
+) -> impl proptest::strategy::Strategy<Value = (usize, u64, (OracleChoice, MaintenanceMode, u64))> {
+    use proptest::prelude::*;
+    let fast_periods = MaintenanceMode::EventDriven {
+        protocol_period: SimDuration::from_secs(15),
+        refresh_period: SimDuration::from_mins(3),
+    };
+    let oracle = prop_oneof![
+        // Shared noise re-drawn every 2–6 minutes under 15 s ticks: a
+        // 40-minute run crosses 6–20 epochs, each long enough for pairs
+        // to leave a view and come back.
+        (2u64..=6).prop_map(move |mins| (shared_noise(mins), fast_periods, 40)),
+        // Ring AVMON: the epoch is the count of trace slots processed, and
+        // estimates appear only once monitors have pinged for a while.
+        (4u32..=8).prop_map(|k| (
+            OracleChoice::Avmon {
+                config: avmem_avmon::AvmonConfig {
+                    assignment: avmem_avmon::AssignmentChoice::Ring { vnodes: 8, k },
+                    ..avmem_avmon::AvmonConfig::default()
+                },
+            },
+            MaintenanceMode::paper_event_driven(),
+            5 * 60,
+        )),
+    ];
+    (40usize..=150, any::<u64>(), oracle)
+}
+
+proptest::proptest! {
+    #[test]
+    fn no_insert_regimes_agree_on_everything_but_the_discovery_counters(
+        (hosts, seed, (oracle, maintenance, mins)) in regime_case(),
+    ) {
+        // The verdict bits and the view-slot marks must land on the same
+        // state on every engine, and differ in no counter but the ones
+        // that say how many candidates the filter let through.
+        let trace = OvernetModel::default().hosts(hosts).days(1).generate(seed);
+        let mut reference: Option<(AvmemSim, FinalizeStats)> = None;
+        for engine in every_engine() {
+            for verdict_rows in [true, false] {
+                let mut cfg = SimConfig::paper_default(seed);
+                (cfg.oracle, cfg.maintenance, cfg.engine) = (oracle, maintenance, engine);
+                let mut sim = regime_sim(&trace, cfg, verdict_rows);
+                sim.warm_up(SimDuration::from_mins(mins));
+                let stats = sim.finalize_stats();
+                proptest::prop_assert_eq!(sim.hash_store_stats(), PairStoreStats::default());
+                match &reference {
+                    None => {
+                        // Guards against vacuous equality.
+                        proptest::prop_assert!(stats.discover_pruned > 0, "nothing was pruned");
+                        let degree = sim.health_stats().mean_degree;
+                        proptest::prop_assert!(degree > 1.0, "no overlay built");
+                        reference = Some((sim, stats));
+                    }
+                    Some((first, first_stats)) => {
+                        let label = format!(
+                            "{hosts} hosts, seed {seed}, {engine:?}, verdict rows: {verdict_rows}"
+                        );
+                        assert_same_state(first, &sim, &label);
+                        proptest::prop_assert_eq!(
+                            without_discovery_counters(*first_stats),
+                            without_discovery_counters(stats),
+                            "{}", label
+                        );
+                        if verdict_rows {
+                            proptest::prop_assert_eq!(*first_stats, stats, "{}", label);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
 #[test]
 fn a_nodes_marks_go_at_its_first_discovery_past_a_turnover() {
-    // Beyond the budget, under an epoch that turns every two minutes.
+    // With view marks, under an epoch that turns every two minutes.
     // Every slot of every view is marked by hand; a node whose stamp then
     // moves must have cleared them all before it set its own — so none
     // sits on a neighbor (finalize tags neighbors, never marks them), and
     // under the current epoch each mark is a no-insert verdict.
-    let mut sim = event_driven_sim(100, shared_noise(2), MaintenanceEngine::Serial, 0);
+    let mut sim = event_driven_sim(100, shared_noise(2), MaintenanceEngine::Serial).with_view_marks();
     sim.warm_up(SimDuration::from_mins(10));
     let before = finalize_state(&sim).seen_stamp.clone();
     for node in &mut sim.shuffles {
@@ -1258,7 +1467,7 @@ fn stamps_number_the_epochs_the_cohorts_meet() {
         let engine = MaintenanceEngine::Sharded {
             threads: Some(threads),
         };
-        let mut sim = event_driven_sim(60, shared_noise(2), engine, hashes::DEFAULT_HASH_BUDGET);
+        let mut sim = event_driven_sim(60, shared_noise(2), engine);
         sim.warm_up(SimDuration::ZERO);
         let mut stamps = Vec::new();
         let mut last: Option<(u64, u32)> = None;
@@ -1275,7 +1484,7 @@ fn stamps_number_the_epochs_the_cohorts_meet() {
     }
     assert_eq!(numbered[0], numbered[1], "stamps differ at 1 and 4 threads");
     // The number after `u32::MAX` is no stamp.
-    let mut sim = event_driven_sim(20, shared_noise(2), MaintenanceEngine::Serial, 0);
+    let mut sim = event_driven_sim(20, shared_noise(2), MaintenanceEngine::Serial).with_view_marks();
     sim.warm_up(SimDuration::from_mins(1));
     let maint = sim.maint.as_mut().unwrap();
     maint.stamp = u32::MAX;
@@ -1346,7 +1555,7 @@ fn serial_is_one_shard_on_one_thread() {
         staleness: SimDuration::from_mins(5),
     };
     let run = |engine| {
-        let mut sim = event_driven_sim(90, oracle, engine, hashes::DEFAULT_HASH_BUDGET);
+        let mut sim = event_driven_sim(90, oracle, engine);
         sim.warm_up(SimDuration::from_mins(45));
         sim
     };
@@ -1394,14 +1603,13 @@ fn view_ages_stay_far_below_their_ceiling_over_a_simulated_day() {
     // 32 767 periods: a documented limit, not one a run approaches,
     // because every tick ships the view's oldest entry away and every
     // merge replaces what was sent. An Overnet-shaped day on the paper's
-    // periods, beyond the hash budget so that finalize keeps its
-    // no-insert verdicts as view marks: sampled hourly, no age reaches
+    // periods, in the regime where finalize keeps its no-insert verdicts
+    // as view marks: sampled hourly, no age reaches
     // 1 000 periods and no mark shows in an age.
     let trace = OvernetModel::default().hosts(300).days(1).generate(43);
     let mut cfg = SimConfig::paper_default(17);
     cfg.maintenance = MaintenanceMode::paper_event_driven();
-    cfg.hash_budget = 0;
-    let mut sim = AvmemSim::new(trace, cfg);
+    let mut sim = AvmemSim::new(trace, cfg).with_view_marks();
     let (mut oldest, mut marked) = (0, 0);
     for hour in 1..=24 {
         sim.warm_up(SimDuration::from_hours(1));

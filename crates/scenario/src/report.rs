@@ -168,12 +168,8 @@ pub struct MulticastStats {
     pub entered: u64,
     /// Sum of per-multicast reliability (delivered / eligible).
     pub reliability_sum: f64,
-    /// Multicasts with a defined reliability (eligible > 0).
-    pub reliability_count: u64,
     /// Sum of per-multicast spam ratios.
     pub spam_sum: f64,
-    /// Multicasts with a defined spam ratio.
-    pub spam_count: u64,
     /// Total dissemination messages (stage-1 anycast messages included).
     pub total_messages: u64,
     /// Payload deliveries bucketed by the receiver's true-availability
@@ -184,11 +180,11 @@ pub struct MulticastStats {
     pub worst_latency_histogram: Buckets,
     /// Sum of those worst-case latencies, in milliseconds.
     pub worst_latency_sum_ms: u64,
-    /// Per-multicast reliability in 0.01 buckets (Fig. 13); its count is
-    /// `reliability_count` and its sum `reliability_sum`.
+    /// Per-multicast reliability in 0.01 buckets (Fig. 13), one entry per
+    /// multicast with eligible receivers; its sum is `reliability_sum`.
     pub reliability_histogram: Buckets,
-    /// Per-multicast spam ratio in 0.01 buckets (Fig. 12); its count is
-    /// `spam_count` and its sum `spam_sum`.
+    /// Per-multicast spam ratio in 0.01 buckets (Fig. 12), one entry per
+    /// multicast with eligible receivers; its sum is `spam_sum`.
     pub spam_histogram: Buckets,
 }
 
@@ -209,9 +205,7 @@ impl MulticastStats {
         self.sent += other.sent;
         self.entered += other.entered;
         self.reliability_sum += other.reliability_sum;
-        self.reliability_count += other.reliability_count;
         self.spam_sum += other.spam_sum;
-        self.spam_count += other.spam_count;
         self.total_messages += other.total_messages;
         add(&mut self.deliveries_by_decile, &other.deliveries_by_decile);
         self.worst_latency_histogram.merge(&other.worst_latency_histogram);
@@ -220,14 +214,24 @@ impl MulticastStats {
         self.spam_histogram.merge(&other.spam_histogram);
     }
 
+    /// Multicasts with a defined reliability (eligible > 0).
+    pub fn reliability_count(&self) -> u64 {
+        self.reliability_histogram.count()
+    }
+
+    /// Multicasts with a defined spam ratio (eligible > 0).
+    pub fn spam_count(&self) -> u64 {
+        self.spam_histogram.count()
+    }
+
     /// Mean reliability over multicasts that had eligible receivers.
     pub fn mean_reliability(&self) -> f64 {
-        ratio(self.reliability_sum, self.reliability_count)
+        ratio(self.reliability_sum, self.reliability_count())
     }
 
     /// Mean spam ratio over multicasts that had eligible receivers.
     pub fn mean_spam(&self) -> f64 {
-        ratio(self.spam_sum, self.spam_count)
+        ratio(self.spam_sum, self.spam_count())
     }
 }
 
@@ -679,9 +683,9 @@ impl ScenarioReport {
             m.sent,
             m.entered,
             json_f64(m.reliability_sum),
-            m.reliability_count,
+            m.reliability_count(),
             json_f64(m.spam_sum),
-            m.spam_count,
+            m.spam_count(),
             m.total_messages,
             json_u64_array(&m.deliveries_by_decile),
             m.worst_latency_histogram.json(),
@@ -840,7 +844,6 @@ mod tests {
         multicast.sent = 3;
         multicast.entered = 3;
         multicast.reliability_sum = 2.7;
-        multicast.reliability_count = 3;
         multicast.total_messages = 120;
         multicast.deliveries_by_decile[8] = 40;
         for (latency, reliability) in [(140u32, 0.8), (180, 0.9), (260, 1.0)] {

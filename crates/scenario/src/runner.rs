@@ -671,10 +671,8 @@ impl RunSession {
                         let reliability = in_range as f64 / eligible;
                         let spam = (outcome.deliveries.len() - in_range) as f64 / eligible;
                         stats.reliability_sum += reliability;
-                        stats.reliability_count += 1;
                         stats.reliability_histogram.record(reliability);
                         stats.spam_sum += spam;
-                        stats.spam_count += 1;
                         stats.spam_histogram.record(spam);
                     }
                 }
