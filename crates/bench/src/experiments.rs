@@ -36,6 +36,31 @@ pub const ABLATIONS: [(&str, Run); 5] = [
     ("ablation-aged", |h| Box::new(ablations::ablation_aged(h))),
 ];
 
+/// The experiments `ids` name, each once, in the order of first mention:
+/// `all` and `ablations` expand to their lists, and an alias names the
+/// experiment that prints its figure (`fig5`/`fig6` → `fig56`,
+/// `fig12`/`fig13` → `fig11`). Errs with the first unknown id.
+pub fn resolve<'a>(ids: impl IntoIterator<Item = &'a str>) -> Result<Vec<(&'static str, Run)>, String> {
+    let mut experiments: Vec<(&'static str, Run)> = Vec::new();
+    for arg in ids {
+        let named: &[(&'static str, Run)] = match arg {
+            "all" => &FIGURES,
+            "ablations" => &ABLATIONS,
+            arg => {
+                let id = match arg { "fig5" | "fig6" => "fig56", "fig12" | "fig13" => "fig11", id => id };
+                let known = FIGURES.iter().chain(&ABLATIONS).find(|&&(known, _)| known == id);
+                std::slice::from_ref(known.ok_or_else(|| arg.to_owned())?)
+            }
+        };
+        for &entry in named {
+            if !experiments.iter().any(|&(id, _)| id == entry.0) {
+                experiments.push(entry);
+            }
+        }
+    }
+    Ok(experiments)
+}
+
 /// The paper setting at one scale, and the warm-ups its experiments
 /// share: the base spec warmed at each of its `runs` seeds, each on first
 /// use. Figs. 2–4, the theorem checks and Fig. 10's sizing read the first
@@ -221,6 +246,60 @@ mod tests {
     fn a_held_warm_up_keeps_no_pair_hash_rows() {
         let stats = Harness::over(base(120, 2, 10), 1).snapshot().sim().hash_store_stats();
         assert!(stats.rows_built > 0 && stats.cached_rows == 0, "{stats:?}");
+    }
+
+    /// The docs that cite `figures` command lines.
+    const DOCS: [(&str, &str); 2] = [
+        ("README.md", include_str!("../../../README.md")),
+        ("SKILL.md", include_str!("../../../.claude/skills/verify/SKILL.md")),
+    ];
+
+    /// A `figures` command in the docs names only ids `resolve` knows:
+    /// the words after the binary, flags skipped, up to the first that is
+    /// not an id (`|`, `#`, `<id>`) or that closes a code span.
+    #[test]
+    fn docs_name_only_known_experiments() {
+        for (doc, text) in DOCS {
+            let words: Vec<&str> = text.split_whitespace().collect();
+            for (at, word) in words.iter().enumerate() {
+                let binary = word.ends_with("`figures") || word.ends_with("release/figures");
+                if !(binary || (*word == "figures" && at > 0 && words[at - 1] == "--bin")) {
+                    continue;
+                }
+                let mut named = Vec::new();
+                for arg in &words[at + 1..] {
+                    let id = arg.trim_end_matches(['`', ')', ',', '.', ';', ':']);
+                    if !id.starts_with('-') {
+                        if id.is_empty() || !id.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-') {
+                            break;
+                        }
+                        named.push(id);
+                    }
+                    if id.len() < arg.len() {
+                        break;
+                    }
+                }
+                assert!(resolve(named.iter().copied()).is_ok(), "{doc}: `figures {}` names an unknown experiment", named.join(" "));
+            }
+        }
+    }
+
+    fn ids(args: &str) -> Result<Vec<&'static str>, String> {
+        resolve(args.split_whitespace()).map(|entries| entries.into_iter().map(|(id, _)| id).collect())
+    }
+
+    #[test]
+    fn aliases_resolve_to_one_run_of_their_experiment() {
+        assert_eq!(ids("fig5 fig6"), Ok(vec!["fig56"]));
+        assert_eq!(ids("fig11 fig12 fig13 fig56 fig5"), Ok(vec!["fig11", "fig56"]));
+        let all = ids("all").unwrap();
+        assert_eq!(all, FIGURES.map(|(id, _)| id));
+        assert_eq!(ids("all fig2 theorems"), Ok(all.clone()));
+        assert_eq!(ids("fig9 all").unwrap()[..3], ["fig9", "fig2", "fig3"]);
+        let both = ids("ablations all ablations").unwrap();
+        assert_eq!(both.len(), all.len() + ABLATIONS.len());
+        assert_eq!((both[0], both[ABLATIONS.len()]), (ABLATIONS[0].0, "fig2"));
+        assert_eq!(ids("fig2 bogus fig3"), Err("bogus".to_owned()));
     }
 
     /// Each experiment's table is the same whatever ran before it on the

@@ -744,7 +744,7 @@ impl Experiment for Fig111213 {
     /// flood reliability from below (p10), gossip reliability ≈ 70 % (p50).
     fn claims(&self) -> Vec<Claim> {
         let noise = "the figure's ±0.02 shared-noise oracle: a node cached inside [0.85, 0.95] but truly outside it is spammed, and one the other way round is missed; under the exact oracle the same runs read spam 0 and reliability 1.0";
-        let full_lists = "on the converged fixed point every node holds its full lists, so gossip reaches 0.97-0.98; the live protocol reads 0.87-0.88 for LOW → > 0.20 (ROADMAP finding 4): neither is the paper's ≈ 70%";
+        let full_lists = "on the converged fixed point every node holds its full lists, so gossip reaches 0.97-0.98; the live protocol reads 0.87-0.88 for LOW → > 0.20: neither is the paper's ≈ 70%";
         let mut claims = Vec::new();
         for s in &self.scenarios {
             let noisy = |claim: Claim| if s.label == "HIGH to [0.85,0.95]" { claim.expected_miss(noise) } else { claim };

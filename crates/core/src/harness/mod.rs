@@ -124,8 +124,8 @@ fn pair_memories(n: usize, epoch_moves: bool) -> (bool, bool) {
 /// Built once, on the first event-driven advance, and kept across
 /// [`AvmemSim::warm_up`] / [`AvmemSim::advance_to`] calls: the wheel
 /// carries every node's tick and refresh phase forward, so resuming
-/// maintenance costs nothing instead of the `O(N)` schedule rebuild (and
-/// re-staggering) each call used to pay. A periodic protocol's phase is a
+/// maintenance costs nothing, not an `O(N)` schedule rebuild (and
+/// re-staggering) per call. A periodic protocol's phase is a
 /// property of the node, not of how the driver chops the timeline into
 /// advances — `warm_up(1h)` twice is identical to `warm_up(2h)` once.
 ///
@@ -263,9 +263,8 @@ pub struct AvmemSim {
     /// Persistent event-driven schedule (`None` until the first
     /// event-driven advance builds it).
     maint: Option<MaintSchedule>,
-    /// Per-phase maintenance span accumulator (replaces the old ad-hoc
-    /// `Instant` arithmetic; [`AvmemSim::phase_timings`] reads its
-    /// coordinator lane).
+    /// Per-phase maintenance span accumulator
+    /// ([`AvmemSim::phase_timings`] reads its coordinator lane).
     tracer: Tracer,
     /// Registry-backed instruments, present once
     /// [`AvmemSim::set_metrics`] attaches a registry.

@@ -558,8 +558,8 @@ fn total_ping_loss_puts_every_node_in_one_band() {
 
 #[test]
 fn operations_on_degenerate_populations_return_outcomes() {
-    // ROADMAP "degenerate parameters through `AvmemSim` itself": one
-    // host, a slot with every host offline, an offline initiator. The
+    // Degenerate populations through `AvmemSim` itself: one host, a
+    // slot with every host offline, an offline initiator. The
     // operations do not ask whether their initiator is up (callers draw
     // it from the online set): one that believes itself in range is its
     // own entry point, any other finds nobody to forward to.

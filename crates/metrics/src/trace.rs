@@ -1,11 +1,10 @@
 //! Phase-span tracing.
 //!
-//! The maintenance harness used to time its phases with ad-hoc
-//! `Instant::now()` pairs accumulated into `PhaseTimings` fields. A
-//! [`Tracer`] replaces that: a [`Span`] is opened per phase execution and
-//! records, on drop, into a `(phase, lane)` cell — lane 0 is the
-//! coordinator (whose totals *are* the old `PhaseTimings` wall-clock),
-//! lanes `1..` accumulate shard-worker busy time (see [`shard_lane`]).
+//! A [`Tracer`] times the maintenance harness's phases: a [`Span`] is
+//! opened per phase execution and records, on drop, into a
+//! `(phase, lane)` cell — lane 0 is the coordinator (whose totals are the
+//! phases' wall-clock), lanes `1..` accumulate shard-worker busy time
+//! (see [`shard_lane`]).
 //! When a registry is attached, every span additionally lands in a
 //! per-phase span-duration histogram, so `scenario serve` exposes live
 //! phase percentiles without the harness knowing about exporters.

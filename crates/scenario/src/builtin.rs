@@ -521,6 +521,31 @@ mod tests {
         }
     }
 
+    /// A `scenario show|run|serve|sweep|check` in the docs names a
+    /// built-in, unless its argument is a flag, a file path or a
+    /// placeholder.
+    #[test]
+    fn docs_name_only_builtins() {
+        for (doc, text) in crate::DOCS {
+            let words: Vec<&str> = text.split_whitespace().collect();
+            for (at, word) in words.iter().enumerate() {
+                if !(word.ends_with("`scenario") || word.ends_with("release/scenario") || *word == "avmem_scenario") {
+                    continue;
+                }
+                let mut args = words[at + 1..].iter().filter(|&&arg| arg != "--");
+                let (Some(verb), Some(arg)) = (args.next(), args.next()) else { continue };
+                let name = arg.trim_end_matches(['`', ')', ',', ';']);
+                if !["show", "run", "serve", "sweep", "check"].contains(verb)
+                    || name.starts_with('-')
+                    || name.contains(['/', '.', '$', '<', '"'])
+                {
+                    continue;
+                }
+                assert!(builtin_names().contains(&name), "{doc}: `scenario {verb} {name}` names no built-in");
+            }
+        }
+    }
+
     #[test]
     fn unknown_builtin_is_none() {
         assert!(builtin("no-such-scenario").is_none());

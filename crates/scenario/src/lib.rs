@@ -73,3 +73,10 @@ pub use spec::{
     ScenarioError, ScenarioSpec, ServeSpec, TargetMix, WorkloadSpec,
 };
 pub use sweep::{SweepEngine, SweepMetric, SweepOptions, SweepSummary};
+
+/// The docs whose built-in names and spec keys the tests resolve.
+#[cfg(test)]
+const DOCS: [(&str, &str); 2] = [
+    ("README.md", include_str!("../../../README.md")),
+    ("SKILL.md", include_str!("../../../.claude/skills/verify/SKILL.md")),
+];

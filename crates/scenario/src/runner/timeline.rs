@@ -111,8 +111,8 @@ impl ArrivalGen {
 /// The merged, lazily generated run timeline; see the module docs. Every
 /// event key `(at, order)` is distinct across sources (the leading order
 /// byte is the source), so the three-way min-merge is a strict total
-/// order and yields exactly the sequence the old sort-the-whole-schedule
-/// path produced.
+/// order: the sequence a sort of the whole schedule by `(at, order)`
+/// would give.
 #[derive(Debug, Clone)]
 pub(super) struct Timeline {
     end: SimTime,

@@ -753,6 +753,34 @@ mod tests {
         parsed(&lines)
     }
 
+    /// A code span in the docs that opens with a `[section]` header names
+    /// a section of the table, and the key after it, if any, one of that
+    /// section's keys. Spans whose header is no lowercase name (`[HS |
+    /// VS]`, a Cargo table) are not spec text.
+    #[test]
+    fn docs_name_only_spec_keys() {
+        for (doc, text) in crate::DOCS {
+            let prose: Vec<&str> = text.lines().filter(|l| !l.trim_start().starts_with("```")).collect();
+            let prose = prose.join("\n");
+            let pieces: Vec<&str> = prose.split('`').collect();
+            assert!(pieces.len() % 2 == 1, "{doc}: a code span is not closed");
+            for span in pieces.iter().skip(1).step_by(2) {
+                let Some(rest) = span.strip_prefix('[') else { continue };
+                let repeats = rest.starts_with('[');
+                let Some((name, rest)) = rest.trim_start_matches('[').split_once(']') else { continue };
+                if name.is_empty() || !name.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
+                    continue;
+                }
+                let key = rest.trim_start_matches(']').split([' ', '\n', '=']).find(|w| !w.is_empty());
+                let section = SECTIONS.iter().find(|s| s.name == name && s.repeats == repeats);
+                let Some(section) = section else { panic!("{doc}: `{span}` names no section") };
+                if let Some(key) = key {
+                    assert!(section.keys.iter().any(|k| k.name == key), "{doc}: `{span}` names no key of {}", section.header());
+                }
+            }
+        }
+    }
+
     #[test]
     fn every_key_is_declared_once_and_every_choice_list_is_closed() {
         let mut seen = Vec::new();

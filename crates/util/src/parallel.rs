@@ -44,8 +44,11 @@ pub const MAX_THREADS: usize = 1_024;
 /// process (callers ask per advance of a simulation, and the probe is
 /// half a dozen syscalls).
 pub fn default_threads() -> usize {
-    resolve_threads(std::env::var("AVMEM_THREADS").ok().as_deref())
+    resolve_threads(std::env::var(THREADS_VAR).ok().as_deref())
 }
+
+/// The one environment variable the workspace reads.
+const THREADS_VAR: &str = "AVMEM_THREADS";
 
 /// [`default_threads`] given the value of the override variable.
 fn resolve_threads(override_var: Option<&str>) -> usize {
@@ -504,6 +507,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every `AVMEM_` variable the docs cite is one the code reads.
+    #[test]
+    fn docs_name_only_variables_the_code_reads() {
+        let docs = [
+            ("README.md", include_str!("../../../README.md")),
+            ("SKILL.md", include_str!("../../../.claude/skills/verify/SKILL.md")),
+        ];
+        for (doc, text) in docs {
+            for (at, _) in text.match_indices("AVMEM_") {
+                let name = text[at..].split(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')).next();
+                assert_eq!(name, Some(THREADS_VAR), "{doc}: no code reads this variable");
+            }
+        }
+    }
 
     #[test]
     fn covers_every_element_exactly_once() {
